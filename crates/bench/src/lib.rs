@@ -22,8 +22,7 @@ use std::sync::Arc;
 use textjoin_collection::SynthSpec;
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
-    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, BatchOptions, JoinSpec, QueryReport,
-    ShardOptions, ShardPartitioning,
+    batch, execute_sharded, Indexes, JoinSpec, QueryReport, ShardOptions, ShardPartitioning,
 };
 use textjoin_costmodel as costmodel;
 use textjoin_costmodel::{Algorithm, CalibrationProfile};
@@ -216,8 +215,7 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Renders the report as one JSON object (hand-rolled — the vendored
-    /// serde is a no-op stand-in).
+    /// Renders the report as one JSON object (hand-rolled).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -373,6 +371,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         delta: grid.delta,
                     });
                 let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
+                let indexes = Indexes::all(&inv1, &inv2, &fnl1);
                 for &w in &grid.workers {
                     let w = w.max(1);
                     if filter_axis && w > 1 {
@@ -416,19 +415,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         for _ in 0..grid.iterations.max(1) {
                             disk.reset_stats();
                             disk.reset_head();
-                            let run = match algorithm {
-                                Algorithm::Hhnl if w > 1 => parallel::execute_hhnl(&spec, w),
-                                Algorithm::Hvnl if w > 1 => parallel::execute_hvnl(&spec, &inv1, w),
-                                Algorithm::Vvm if w > 1 => {
-                                    parallel::execute_vvm(&spec, &inv1, &inv2, w)
-                                }
-                                Algorithm::Fnl if w > 1 => parallel::execute_fnl(&spec, &fnl1, w),
-                                Algorithm::Hhnl => hhnl::execute(&spec),
-                                Algorithm::Hvnl => hvnl::execute(&spec, &inv1),
-                                Algorithm::Vvm => vvm::execute(&spec, &inv1, &inv2),
-                                Algorithm::Fnl => fnl::execute(&spec, &fnl1),
-                            };
-                            match run {
+                            match textjoin_core::execute(algorithm, &spec, &indexes, w) {
                                 Ok(outcome) => {
                                     walls.push(outcome.stats.wall_ns);
                                     last_report = Some(
@@ -493,15 +480,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         for _ in 0..grid.iterations.max(1) {
                             disk.reset_stats();
                             disk.reset_head();
-                            let run = match algorithm {
-                                Algorithm::Hhnl => batch::execute_hhnl(&specs),
-                                Algorithm::Hvnl => {
-                                    batch::execute_hvnl(&specs, &inv1, BatchOptions::default())
-                                }
-                                Algorithm::Vvm => batch::execute_vvm(&specs, &inv1, &inv2),
-                                Algorithm::Fnl => batch::execute_fnl(&specs, &fnl1),
-                            };
-                            match run {
+                            match batch::execute(algorithm, &specs, &indexes) {
                                 Ok(outcome) => {
                                     walls.push(outcome.stats.wall_ns);
                                     last_stats = Some(outcome.stats);
@@ -551,6 +530,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         })
                         .with_inner_delta(lc.overlay());
                     let finputs = fspec.cost_inputs().with_fnl(lfnl.stats());
+                    let findexes = Indexes::all(lc.base_inv(), &inv2, lfnl);
                     let case_label =
                         format!("{} λ={lambda} B={b} frag={:.0}%", pair.label, frac * 100.0);
                     for algorithm in Algorithm::ALL {
@@ -565,13 +545,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         for _ in 0..grid.iterations.max(1) {
                             disk.reset_stats();
                             disk.reset_head();
-                            let run = match algorithm {
-                                Algorithm::Hhnl => hhnl::execute(&fspec),
-                                Algorithm::Hvnl => hvnl::execute(&fspec, lc.base_inv()),
-                                Algorithm::Vvm => vvm::execute(&fspec, lc.base_inv(), &inv2),
-                                Algorithm::Fnl => fnl::execute(&fspec, lfnl),
-                            };
-                            match run {
+                            match textjoin_core::execute(algorithm, &fspec, &findexes, 1) {
                                 Ok(outcome) => {
                                     walls.push(outcome.stats.wall_ns);
                                     last_stats = Some(outcome.stats);

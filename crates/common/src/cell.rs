@@ -7,7 +7,6 @@
 //! `5 * (K*N) / (T*P)` entry-size estimates come from.
 
 use crate::ids::{DocId, TermId};
-use serde::{Deserialize, Serialize};
 
 /// Bytes used to encode a term or document number on disk (`|t#| = |d#|`).
 pub const NUMBER_BYTES: usize = 3;
@@ -18,7 +17,7 @@ pub const CELL_BYTES: usize = NUMBER_BYTES + WEIGHT_BYTES;
 
 /// A document cell `(t#, w)`: term number and its occurrence count in the
 /// document.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DCell {
     /// The term number.
     pub term: TermId,
@@ -29,7 +28,7 @@ pub struct DCell {
 
 /// An inverted-file cell `(d#, w)`: document number and the occurrence count
 /// of the entry's term in that document.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ICell {
     /// The document number.
     pub doc: DocId,

@@ -59,17 +59,6 @@ pub enum Error {
         /// The budget the run was allowed before aborting.
         budget_pages: u64,
     },
-    /// The query's `CancelToken` was observed set at a cooperative
-    /// checkpoint — the same per-pass sites that run the cost-budget
-    /// watchdog. The executors absorb this into a `Partial` outcome with
-    /// whatever stats the run accumulated; it only escapes as an error
-    /// from the checkpoint helper itself. Pages are rounded up to whole
-    /// units so the variant stays `Eq`-comparable.
-    Cancelled {
-        /// Observed page cost (seq + α·rand, rounded up) when the cancel
-        /// was noticed.
-        observed_pages: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -110,11 +99,6 @@ impl fmt::Display for Error {
                 f,
                 "cost overrun: observed {observed_pages} cost pages exceeds the \
                  watchdog budget of {budget_pages}"
-            ),
-            Error::Cancelled { observed_pages } => write!(
-                f,
-                "query cancelled at a cooperative checkpoint after \
-                 {observed_pages} cost pages"
             ),
         }
     }
@@ -157,12 +141,6 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("640") && msg.contains("320"), "{msg}");
-
-        let e = Error::Cancelled {
-            observed_pages: 128,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("cancelled") && msg.contains("128"), "{msg}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! shared by all local IR systems; `textjoin-collection` provides that
 //! mapping, and everything downstream works with these numeric ids.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Largest value representable in the 3-byte on-disk number encoding.
@@ -17,7 +16,7 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug,
         )]
         pub struct $name(u32);
 

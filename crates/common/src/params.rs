@@ -7,8 +7,6 @@
 //! similarities). The simulation section fixes `P = 4KB`, `δ = 0.1`,
 //! `λ = 20` and uses base values `B = 10 000` pages, `α = 5`.
 
-use serde::{Deserialize, Serialize};
-
 /// Default page size `P` in bytes (the paper fixes 4KB).
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 /// Bytes needed to hold one intermediate similarity value (section 4.1
@@ -19,7 +17,7 @@ pub const SIM_VALUE_BYTES: usize = 4;
 pub const BTREE_CELL_BYTES: usize = 9;
 
 /// System-level parameters shared by the executors and the cost models.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemParams {
     /// `B` — available memory buffer, in pages.
     pub buffer_pages: u64,
@@ -66,7 +64,7 @@ impl Default for SystemParams {
 }
 
 /// Query-level parameters of a `SIMILAR_TO(λ)` join.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QueryParams {
     /// `λ` — how many most-similar inner documents to return per outer
     /// document.

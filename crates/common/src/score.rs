@@ -7,14 +7,13 @@
 //! in an `f64` far beyond realistic magnitudes), while the weighted schemes
 //! are genuinely fractional, so one `f64`-backed score type serves both.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 /// A similarity value with a total order (`NaN` is rejected at construction).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Score(f64);
 
 impl Score {

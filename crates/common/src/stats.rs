@@ -20,10 +20,9 @@
 
 use crate::cell::CELL_BYTES;
 use crate::params::{SystemParams, BTREE_CELL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Primary statistics of a document collection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CollectionStats {
     /// `N` — number of documents.
     pub num_docs: u64,
@@ -161,7 +160,7 @@ impl CollectionStats {
 /// a fragmented collection pay for the delta side files on top of the base,
 /// and tombstoned documents inflate every base page count relative to the
 /// live data actually returned — the decay the cost model charges for.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FragStats {
     /// Pages of the flushed delta document side file.
     pub doc_delta_pages: u64,
@@ -186,7 +185,7 @@ impl FragStats {
 /// coded, so no closed formula predicts its size the way `5·K/P` predicts
 /// `S`. Cost inputs carry an `Option<FnlStats>`; `None` means no signature
 /// index exists for the inner side and FNL is infeasible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FnlStats {
     /// Pages of the term-ordering sidecar (rank → term/df table plus the
     /// per-document term counts) read once at executor start-up.
@@ -201,7 +200,7 @@ pub struct FnlStats {
 
 /// The derived page-size quantities `S`, `D`, `J`, `I`, `Bt` for one
 /// collection under one system configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DerivedSizes {
     /// `S` — average document size in pages.
     pub avg_doc_pages: f64,

@@ -4,28 +4,27 @@
 //! `(C1, C2)`, running them back to back repeats the expensive shared
 //! structure reads: HHNL rescans the inner collection per query, HVNL
 //! reloads the dictionary and refetches overlapping entries, VVM rescans
-//! both inverted files. The batch engine executes all `N` queries in one
-//! pass over the shared structures:
+//! both inverted files. Every algorithm is written once over `&[JoinSpec]`
+//! (see [`crate::driver`]); the entry points here hand it all `N` queries,
+//! so they execute in one sequence of passes over the shared structures:
 //!
-//! * **HHNL** concatenates the queries' outer streams and fills memory
-//!   rounds across query boundaries, so the inner collection is scanned
-//!   `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch (`costmodel::hhs_batch`)
+//! * **HHNL / FNL** concatenate the queries' outer streams and fill memory
+//!   rounds across query boundaries, so the inner collection (or its
+//!   signature index) is scanned `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch
 //!   instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times.
 //! * **HVNL** scans the outer collection once, processing each document
 //!   for every query that selects it against a *single shared entry
-//!   cache* — an entry fetched for one query is a cache hit for the rest.
-//!   The eviction policy is pluggable ([`BatchOptions`]); the default
-//!   [`EvictionPolicy::BatchAggregateDf`] keys evictions by the term's
-//!   demand aggregated over the whole batch.
+//!   cache* — an entry fetched for one query is a cache hit for the rest,
+//!   and evictions are keyed by the demand of the batch as a whole.
 //! * **VVM** folds every query's λ-thresholds into one term-ordered merge:
 //!   each pooled pass scans both inverted files once and fills one
 //!   accumulator map per query, emitting per-query result sets.
 //!
 //! Results are exactly what sequential execution produces: each query's
 //! [`JoinOutcome`] in [`BatchOutcome::queries`] carries the same
-//! [`JoinResult`] as running that query alone (byte-identical under
-//! integer-valued weightings such as raw count, where addition order
-//! cannot perturb the sums). Batch-level I/O lives in
+//! [`JoinResult`](crate::JoinResult) as running that query alone
+//! (byte-identical under integer-valued weightings such as raw count, where
+//! addition order cannot perturb the sums). Batch-level I/O lives in
 //! [`BatchOutcome::stats`]; per-query stats carry the CPU-side counters
 //! attributable to that query (shared I/O cannot be split honestly, so it
 //! is reported once, amortized by the caller).
@@ -34,33 +33,18 @@
 //! parameters and the degraded flag; per-query λ, weighting, outer
 //! selection and inner filters are free.
 
-use crate::hvnl::{EntryJoinState, EvictionPolicy, HvnlCounters};
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk::TopK;
-use crate::vvm::{self, EntryCursor, ACC_BYTES};
-use std::collections::HashMap;
-use std::time::Instant;
-use textjoin_collection::Document;
-use textjoin_common::{DocId, Error, Result, TermId, SIM_VALUE_BYTES};
+use crate::driver::{drive, Indexes};
+use crate::fnl::{Fnl, FnlOptions};
+use crate::hhnl::Hhnl;
+use crate::hvnl::{Hvnl, HvnlOptions};
+use crate::result::{ExecStats, JoinOutcome};
+use crate::spec::JoinSpec;
+use textjoin_common::Result;
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{filtered_merge, FnlIndex, InvertedFile, RankCell, TermOrder};
-use textjoin_storage::{IoStats, MemTracker};
+use textjoin_invfile::{FnlIndex, InvertedFile};
 
-/// Tuning knobs for batched execution.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchOptions {
-    /// Entry-cache replacement policy for batched HVNL.
-    pub eviction: EvictionPolicy,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        Self {
-            eviction: EvictionPolicy::BatchAggregateDf,
-        }
-    }
-}
+/// Tuning knobs for batched HVNL: the sequential executor's.
+pub type BatchOptions = HvnlOptions;
 
 /// The outcome of one batched execution: one [`JoinOutcome`] per input
 /// spec (same order) plus the batch-level statistics.
@@ -76,1064 +60,63 @@ pub struct BatchOutcome {
     pub stats: ExecStats,
 }
 
-/// Checks the batch invariants: non-empty, one collection pair, one set of
-/// system parameters, one degraded flag, one delta overlay per side. The
-/// shared scans serve every query from the same base+delta view, so a
-/// query with a different overlay would see phantom or missing documents.
-fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
-    fn same_delta(
-        a: Option<&textjoin_invfile::DeltaOverlay>,
-        b: Option<&textjoin_invfile::DeltaOverlay>,
-    ) -> bool {
-        match (a, b) {
-            (None, None) => true,
-            (Some(x), Some(y)) => std::ptr::eq(x, y),
-            _ => false,
-        }
-    }
-    let first = specs
-        .first()
-        .ok_or_else(|| Error::InvalidArgument("batch is empty".into()))?;
-    for (i, s) in specs.iter().enumerate().skip(1) {
-        if !std::ptr::eq(s.inner, first.inner) || !std::ptr::eq(s.outer, first.outer) {
-            return Err(Error::InvalidArgument(format!(
-                "batch query {i} targets a different collection pair"
-            )));
-        }
-        if s.sys != first.sys {
-            return Err(Error::InvalidArgument(format!(
-                "batch query {i} has different system parameters"
-            )));
-        }
-        if s.degraded != first.degraded {
-            return Err(Error::InvalidArgument(format!(
-                "batch query {i} has a different degraded flag"
-            )));
-        }
-        if !same_delta(s.inner_delta, first.inner_delta)
-            || !same_delta(s.outer_delta, first.outer_delta)
-        {
-            return Err(Error::InvalidArgument(format!(
-                "batch query {i} has a different delta overlay"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Whether `id` is one of the spec's participating outer documents. A
-/// tombstoned document never participates, whatever the selection.
-fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
-    if spec.outer_delta.is_some_and(|d| d.is_deleted(id)) {
-        return false;
-    }
-    match spec.outer_docs {
-        OuterDocs::Full => true,
-        OuterDocs::Selected(ids) => ids.binary_search(&id).is_ok(),
-    }
-}
-
-/// Per-query accumulation while the batch runs.
-#[derive(Default)]
-struct QueryAcc {
-    rows: Vec<(DocId, Vec<Match>)>,
-    /// Rounds / pooled passes this query participated in.
-    passes: u64,
-    entry_fetches: u64,
-    cache_hits: u64,
-    sim_ops: u64,
-    cells_touched: u64,
-    skipped_docs: u64,
-    skipped_entries: u64,
-}
-
-/// Per-batch cooperative progress: latches each spec's cancel token at
-/// the batch's natural checkpoints and feeds the live tickets. A cancel
-/// is per query — the latched query stops consuming shared passes while
-/// its siblings keep running, results untouched (each sibling's scores
-/// depend only on its own (query, document) pairs, never on what else
-/// shares the scan).
-///
-/// Shared-scan I/O cannot be attributed to one query honestly, so each
-/// checkpoint splits the cost delta equally across the queries that are
-/// still live — the tickets' sum tracks the real batch cost and each
-/// query's progress bar still moves.
-struct BatchProgress {
-    cancelled: Vec<bool>,
-    reported: f64,
-    /// Whether any spec carries a token or ticket; when not, `observe`
-    /// is a single branch.
-    armed: bool,
-}
-
-impl BatchProgress {
-    fn new(specs: &[JoinSpec<'_>]) -> Self {
-        Self {
-            cancelled: vec![false; specs.len()],
-            reported: 0.0,
-            armed: specs
-                .iter()
-                .any(|s| s.cancel.is_some() || s.ticket.is_some()),
-        }
-    }
-
-    /// One checkpoint: feed tickets, latch freshly-set tokens. Returns
-    /// `true` when every query in the batch is cancelled — the caller
-    /// stops the shared scan entirely.
-    fn observe(&mut self, specs: &[JoinSpec<'_>], cost: f64, phase: impl Fn() -> String) -> bool {
-        if !self.armed {
-            return false;
-        }
-        let live = self.cancelled.iter().filter(|c| !**c).count().max(1) as f64;
-        let share = (cost - self.reported).max(0.0) / live;
-        self.reported = self.reported.max(cost);
-        for (i, spec) in specs.iter().enumerate() {
-            if self.cancelled[i] {
-                continue;
-            }
-            if let Some(ticket) = spec.ticket {
-                ticket.add_pages(share);
-                ticket.set_phase(phase());
-            }
-            if spec.cancel.is_some_and(|c| c.is_cancelled()) {
-                self.cancelled[i] = true;
-            }
-        }
-        self.cancelled.iter().all(|&c| c)
-    }
-}
-
-/// Assembles the [`BatchOutcome`]: batch stats carry the real I/O and the
-/// summed CPU counters; per-query stats carry each query's own counters
-/// with zero I/O. A skip on a *shared* structure (inner scan page,
-/// inverted entry) degrades every query — they all read through it. A
-/// cancelled query's rows are the prefix it accumulated before its token
-/// was latched, tagged `Partial`.
-#[allow(clippy::too_many_arguments)]
-fn finish(
+/// Executes the batch with `algorithm`.
+pub fn execute(
     algorithm: Algorithm,
-    alpha: f64,
-    accs: Vec<QueryAcc>,
-    cancelled: &[bool],
-    io: IoStats,
-    passes: u64,
-    mem_high_water_bytes: u64,
-    shared_skipped_docs: u64,
-    shared_skipped_entries: u64,
-    started: Instant,
-) -> BatchOutcome {
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let mut batch_stats = ExecStats {
-        algorithm,
-        io,
-        cost: io.cost(alpha),
-        mem_high_water_bytes,
-        passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops: 0,
-        cells_touched: 0,
-        skipped_docs: shared_skipped_docs,
-        skipped_entries: shared_skipped_entries,
-        wall_ns,
-    };
-    for a in &accs {
-        batch_stats.entry_fetches += a.entry_fetches;
-        batch_stats.cache_hits += a.cache_hits;
-        batch_stats.sim_ops += a.sim_ops;
-        batch_stats.cells_touched += a.cells_touched;
-        batch_stats.skipped_docs += a.skipped_docs;
-        batch_stats.skipped_entries += a.skipped_entries;
-    }
-    let shared_partial = shared_skipped_docs + shared_skipped_entries > 0;
-    let queries = accs
-        .into_iter()
-        .zip(cancelled)
-        .map(|(a, &was_cancelled)| {
-            let stats = ExecStats {
-                algorithm,
-                io: IoStats::default(),
-                cost: 0.0,
-                mem_high_water_bytes: 0,
-                passes: a.passes,
-                entry_fetches: a.entry_fetches,
-                cache_hits: a.cache_hits,
-                sim_ops: a.sim_ops,
-                cells_touched: a.cells_touched,
-                skipped_docs: a.skipped_docs,
-                skipped_entries: a.skipped_entries,
-                wall_ns,
-            };
-            let quality = if was_cancelled || shared_partial {
-                ResultQuality::Partial
-            } else {
-                stats.quality()
-            };
-            JoinOutcome {
-                result: JoinResult::from_rows(a.rows),
-                stats,
-                quality,
-            }
-        })
-        .collect();
-    BatchOutcome {
-        queries,
-        stats: batch_stats,
+    specs: &[JoinSpec<'_>],
+    indexes: &Indexes<'_>,
+) -> Result<BatchOutcome> {
+    match algorithm {
+        Algorithm::Hhnl => execute_hhnl(specs),
+        Algorithm::Hvnl => execute_hvnl(specs, indexes.inner_inv()?, BatchOptions::default()),
+        Algorithm::Vvm => execute_vvm(specs, indexes.inner_inv()?, indexes.outer_inv()?),
+        Algorithm::Fnl => execute_fnl(specs, indexes.fnl()?),
     }
 }
 
 /// Batched HHNL: one concatenated outer stream, memory rounds that may
 /// span query boundaries, one inner-collection scan per round.
 pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    // Room to hold one inner document at a time during the shared scan.
-    let inner_doc_bytes = spec0.inner.store().max_doc_bytes().max(1);
-    tracker.allocate(inner_doc_bytes, "batch HHNL inner document slot")?;
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut passes = 0u64;
-
-    // The concatenated outer stream: query 0's outer documents, then query
-    // 1's, and so on. A round that has room left after one query's stream
-    // ends keeps filling from the next — that is where the pooled
-    // ⌈Σ N2ᵢ/Xᵢ⌉ saving over Σ ⌈N2ᵢ/Xᵢ⌉ comes from.
-    let mut outers: Vec<_> = specs.iter().map(|s| s.outer_iter()).collect();
-    let mut next_spec = 0usize;
-    let mut pending: Option<(usize, DocId, Document)> = None;
-    let mut progress = BatchProgress::new(specs);
-
-    loop {
-        // Round boundaries are the batch's cooperative checkpoints: a
-        // freshly-latched query's outer stream stops feeding rounds here
-        // (its held pending document included), while siblings fill the
-        // freed space.
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("hhnl.batch.round {}", passes + 1),
-        ) {
-            break;
-        }
-        if pending
-            .as_ref()
-            .is_some_and(|(si, ..)| progress.cancelled[*si])
-        {
-            pending = None;
-        }
-        // Fill one memory round with (query, outer document) residents.
-        let mut round: Vec<(usize, DocId, Document, TopK)> = Vec::new();
-        let mut round_bytes = 0u64;
-        loop {
-            let next = match pending.take() {
-                Some(t) => Some(t),
-                None => {
-                    let mut pulled = None;
-                    while next_spec < specs.len() {
-                        if progress.cancelled[next_spec] {
-                            next_spec += 1;
-                            continue;
-                        }
-                        match outers[next_spec].next() {
-                            None => next_spec += 1,
-                            Some(Ok((id, doc))) => {
-                                pulled = Some((next_spec, id, doc));
-                                break;
-                            }
-                            Some(Err(e)) if specs[next_spec].skippable(&e) => {
-                                accs[next_spec].skipped_docs += 1;
-                            }
-                            Some(Err(e)) => return Err(e),
-                        }
-                    }
-                    pulled
-                }
-            };
-            let Some((si, id, doc)) = next else { break };
-            let lambda = specs[si].query.lambda;
-            let need = doc.size_bytes().max(1) + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "batch HHNL outer round").is_err() {
-                if round.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "batch HHNL cannot hold even one outer document".into(),
-                        required_pages: (inner_doc_bytes + need)
-                            .div_ceil(spec0.sys.page_size as u64),
-                        available_pages: spec0.sys.buffer_pages,
-                    });
-                }
-                pending = Some((si, id, doc));
-                break;
-            }
-            round_bytes += need;
-            round.push((si, id, doc, TopK::new(lambda)));
-        }
-        if round.is_empty() {
-            break;
-        }
-        passes += 1;
-        let mut present = vec![false; specs.len()];
-        for (si, ..) in &round {
-            present[*si] = true;
-        }
-        for (si, p) in present.into_iter().enumerate() {
-            if p {
-                accs[si].passes += 1;
-            }
-        }
-
-        scan_inner_against_round(specs, &mut round, &mut accs, &mut shared_skipped_docs)?;
-
-        for (si, id, _, topk) in round {
-            accs[si].rows.push((id, topk.into_matches()));
-        }
-        tracker.release(round_bytes);
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Hhnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
+    drive::<Hhnl>(specs, ())
 }
 
-/// One shared sequential scan of the inner collection, scoring every inner
-/// document against every resident `(query, outer document)` pair under
-/// that query's own weighting and filters. Scoring a pair is independent
-/// of everything else in the round, so each pair's score is bit-identical
-/// to the sequential executor's.
-fn scan_inner_against_round(
-    specs: &[JoinSpec<'_>],
-    round: &mut [(usize, DocId, Document, TopK)],
-    accs: &mut [QueryAcc],
-    shared_skipped_docs: &mut u64,
-) -> Result<()> {
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let outer_profile = spec0.outer.profile();
-    // `inner_iter` folds in the shared inner delta (validated identical
-    // across the batch): tombstoned base documents are dropped, inserted
-    // documents trail the base scan.
-    for item in spec0.inner_iter() {
-        let (inner_id, inner_doc) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec0.skippable(&e) => {
-                *shared_skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for (si, outer_id, outer_doc, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                *outer_id,
-                outer_doc,
-                inner_profile,
-                outer_profile,
-            );
-            accs[*si].sim_ops += ops;
-            accs[*si].cells_touched += visited;
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Batched FNL: the HHNL pooling applied to the signature index — one
-/// concatenated outer stream, memory rounds spanning query boundaries,
-/// one signature scan (plus one overlay rescore) per round. The
-/// term-ordering sidecar is loaded once for the whole batch
-/// (`costmodel::fns_batch`'s shared-sidecar saving). Every query runs at
-/// the registered threshold τ = 1, so each result is byte-identical to
-/// its sequential FNL (and HHNL) run under integer-valued weightings.
+/// Batched FNL: the HHNL pooling applied to the signature index. Every
+/// query runs at the registered threshold τ = 1, so each result is
+/// byte-identical to its sequential FNL (and HHNL) run under
+/// integer-valued weightings.
 pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    // The sidecar is read once and shared by every query of the batch.
-    let order = index.read_term_order()?;
-    tracker.allocate(index.meta_bytes().max(1), "batch FNL term-order sidecar")?;
-    let entry_bytes = index.max_entry_bytes().max(1);
-    tracker.allocate(entry_bytes, "batch FNL signature entry slot")?;
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut passes = 0u64;
-
-    let mut outers: Vec<_> = specs.iter().map(|s| s.outer_iter()).collect();
-    let mut next_spec = 0usize;
-    let mut pending: Option<(usize, DocId, Document)> = None;
-    let mut progress = BatchProgress::new(specs);
-
-    loop {
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("fnl.batch.round {}", passes + 1),
-        ) {
-            break;
-        }
-        if pending
-            .as_ref()
-            .is_some_and(|(si, ..)| progress.cancelled[*si])
-        {
-            pending = None;
-        }
-        // Fill one memory round; each resident carries its rank-cell
-        // encoding alongside the document (kept for overlay rescoring).
-        let mut round: Vec<(usize, DocId, Document, Vec<RankCell>, TopK)> = Vec::new();
-        let mut round_bytes = 0u64;
-        loop {
-            let next = match pending.take() {
-                Some(t) => Some(t),
-                None => {
-                    let mut pulled = None;
-                    while next_spec < specs.len() {
-                        if progress.cancelled[next_spec] {
-                            next_spec += 1;
-                            continue;
-                        }
-                        match outers[next_spec].next() {
-                            None => next_spec += 1,
-                            Some(Ok((id, doc))) => {
-                                pulled = Some((next_spec, id, doc));
-                                break;
-                            }
-                            Some(Err(e)) if specs[next_spec].skippable(&e) => {
-                                accs[next_spec].skipped_docs += 1;
-                            }
-                            Some(Err(e)) => return Err(e),
-                        }
-                    }
-                    pulled
-                }
-            };
-            let Some((si, id, doc)) = next else { break };
-            let lambda = specs[si].query.lambda;
-            let cells = order.rank_cells(&doc);
-            let need = doc.size_bytes().max(1)
-                + (textjoin_costmodel::fnl::RANK_CELL_BYTES * cells.len()) as u64
-                + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "batch FNL outer round").is_err() {
-                if round.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "batch FNL cannot hold even one outer document".into(),
-                        required_pages: (index.meta_bytes() + entry_bytes + need)
-                            .div_ceil(spec0.sys.page_size as u64),
-                        available_pages: spec0.sys.buffer_pages,
-                    });
-                }
-                pending = Some((si, id, doc));
-                break;
-            }
-            round_bytes += need;
-            round.push((si, id, doc, cells, TopK::new(lambda)));
-        }
-        if round.is_empty() {
-            break;
-        }
-        passes += 1;
-        let mut present = vec![false; specs.len()];
-        for (si, ..) in &round {
-            present[*si] = true;
-        }
-        for (si, p) in present.into_iter().enumerate() {
-            if p {
-                accs[si].passes += 1;
-            }
-        }
-
-        scan_signatures_against_round(
-            specs,
-            index,
-            &order,
-            &mut round,
-            &mut accs,
-            &mut shared_skipped_docs,
-        )?;
-
-        for (si, id, _, _, topk) in round {
-            accs[si].rows.push((id, topk.into_matches()));
-        }
-        tracker.release(round_bytes);
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Fnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
-}
-
-/// One shared scan of the signature index (followed by one pass over the
-/// shared inner overlay's live documents), running the τ = 1 filtered
-/// merge between every entry and every resident `(query, outer document)`
-/// pair. Per pair the arithmetic is the sequential FNL executor's, so
-/// each pair's score is bit-identical under integer weightings.
-fn scan_signatures_against_round(
-    specs: &[JoinSpec<'_>],
-    index: &FnlIndex,
-    order: &TermOrder,
-    round: &mut [(usize, DocId, Document, Vec<RankCell>, TopK)],
-    accs: &mut [QueryAcc],
-    shared_skipped_docs: &mut u64,
-) -> Result<()> {
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let outer_profile = spec0.outer.profile();
-    for item in index.scan() {
-        let (inner_id, entry) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec0.skippable(&e) => {
-                *shared_skipped_docs += 1;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        for (si, outer_id, _, cells, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            if let Some((matched, acc, visited)) = filtered_merge(cells, &entry, 1, |rank| {
-                spec.weighting.term_factor(order.term(rank), inner_profile)
-            }) {
-                accs[*si].sim_ops += matched;
-                accs[*si].cells_touched += visited;
-                let score =
-                    spec.weighting
-                        .finalize(acc, inner_profile, inner_id, outer_profile, *outer_id);
-                if !score.is_zero() {
-                    topk.offer(inner_id, score);
-                }
-            }
-        }
-    }
-    // The shared inner overlay (validated identical across the batch):
-    // delta documents have no signatures and are scored raw.
-    let Some(overlay) = spec0.inner_delta else {
-        return Ok(());
-    };
-    let docs = match overlay.live_docs() {
-        Ok(docs) => docs,
-        Err(e) if spec0.skippable(&e) => {
-            *shared_skipped_docs += 1;
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    for (inner_id, inner_doc) in docs {
-        for (si, outer_id, outer_doc, _, topk) in round.iter_mut() {
-            let spec = &specs[*si];
-            if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, *outer_id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                *outer_id,
-                outer_doc,
-                inner_profile,
-                outer_profile,
-            );
-            accs[*si].sim_ops += ops;
-            accs[*si].cells_touched += visited;
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        }
-    }
-    Ok(())
+    drive::<Fnl>(specs, (index, FnlOptions::default()))
 }
 
 /// Batched HVNL: one outer pass, every query served from one shared entry
-/// cache. The dictionary is loaded once (`Bt1` paid once — the
-/// `costmodel::hvs_batch` saving); an entry fetched for one query is a
-/// cache hit for every other query that needs the same term.
+/// cache.
 pub fn execute_hvnl(
     specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,
     options: BatchOptions,
 ) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-
-    let dict = inner_inv.btree().load_leaves()?;
-    tracker.allocate(dict.size_bytes().max(1), "batch HVNL B+tree dictionary")?;
-    tracker.allocate(
-        spec0.outer.store().max_doc_bytes().max(1),
-        "batch HVNL outer document slot",
-    )?;
-    // One result heap lives at a time; reserve the largest λ in the batch.
-    let heap_bytes = specs
-        .iter()
-        .map(|s| TopK::budget_bytes(s.query.lambda))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(heap_bytes.max(1), "batch HVNL result heap")?;
-    let max_entry = (0..inner_inv.num_entries() as u32)
-        .map(|o| inner_inv.entry_bytes(o))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(max_entry.max(1), "batch HVNL current entry buffer")?;
-
-    let mut state = EntryJoinState::new(inner_inv, dict, &tracker, options.eviction, None);
-    // Aggregate demand estimate for the eviction key: the term's outer
-    // document frequency summed over every query that can actually use the
-    // entry (a query whose weighting zeroes the term contributes nothing).
-    // Under `LowestOuterDf` or `Lru` the single-query semantics are kept
-    // (the cache ignores or re-keys the value respectively); aggregation
-    // only changes *which* entry is evicted first, never any result.
-    let insert_df = |t: TermId| -> u64 {
-        specs
-            .iter()
-            .map(|s| {
-                if s.weighting.term_factor(t, s.inner.profile()) == 0.0 {
-                    0
-                } else {
-                    u64::from(s.outer.profile().doc_frequency(t))
-                }
-            })
-            .sum()
-    };
-
-    let mut counters: Vec<HvnlCounters> = specs.iter().map(|_| HvnlCounters::default()).collect();
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut shared_skipped_docs = 0u64;
-    let mut progress = BatchProgress::new(specs);
-    let mut docs_done = 0u64;
-
-    state.maybe_preload_inverted_file(spec0, &insert_df)?;
-
-    // Drive one outer pass. When any query wants the full collection the
-    // store is scanned sequentially; otherwise only the union of the
-    // selected documents is read (each once, shared by every query that
-    // chose it).
-    let full_spec = specs
-        .iter()
-        .find(|s| matches!(s.outer_docs, OuterDocs::Full));
-    let mut process = |id: DocId,
-                       doc: &Document,
-                       accs: &mut [QueryAcc],
-                       counters: &mut [HvnlCounters],
-                       cancelled: &[bool]| {
-        for (si, spec) in specs.iter().enumerate() {
-            if !cancelled[si] && outer_participates(spec, id) {
-                state.process_outer_doc(
-                    spec,
-                    id,
-                    doc,
-                    &insert_df,
-                    &mut counters[si],
-                    &mut accs[si].rows,
-                )?;
-            }
-        }
-        Ok::<(), Error>(())
-    };
-    if let Some(full_spec) = full_spec {
-        // `outer_iter` folds in the shared outer delta (validated identical
-        // across the batch); per-spec tombstone masking in
-        // `outer_participates` is then a no-op but keeps the Selected
-        // specs honest.
-        for item in full_spec.outer_iter() {
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec0.skippable(&e) => {
-                    shared_skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // Outer documents are this pass's checkpoint grain — the same
-            // grain the sequential HVNL executor polls at.
-            if progress.observe(
-                specs,
-                disk.stats().since(&start_io).cost(spec0.sys.alpha),
-                || format!("hvnl.batch.doc {docs_done}"),
-            ) {
-                break;
-            }
-            docs_done += 1;
-            process(id, &doc, &mut accs, &mut counters, &progress.cancelled)?;
-        }
-    } else {
-        let mut union: Vec<DocId> = specs
-            .iter()
-            .flat_map(|s| match s.outer_docs {
-                OuterDocs::Full => unreachable!("no Full spec in the batch"),
-                OuterDocs::Selected(ids) => ids.iter().copied(),
-            })
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        let store = spec0.outer.store();
-        // Selected ids may point at delta-inserted documents; serve those
-        // from the shared overlay, everything else from the base store.
-        let read_union_doc = |id: DocId| -> Result<Document> {
-            if let Some(overlay) = spec0.outer_delta {
-                if !store.contains(id) {
-                    if let Some(doc) = overlay.doc(id)? {
-                        return Ok(doc);
-                    }
-                }
-            }
-            store.read_doc_direct(id)
-        };
-        for id in union {
-            if spec0.outer_delta.is_some_and(|d| d.is_deleted(id)) {
-                continue;
-            }
-            let doc = match read_union_doc(id) {
-                Ok(doc) => doc,
-                Err(e) if spec0.skippable(&e) => {
-                    // Attribute the skip to exactly the queries that chose
-                    // this document.
-                    for (si, spec) in specs.iter().enumerate() {
-                        if outer_participates(spec, id) {
-                            accs[si].skipped_docs += 1;
-                        }
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if progress.observe(
-                specs,
-                disk.stats().since(&start_io).cost(spec0.sys.alpha),
-                || format!("hvnl.batch.doc {docs_done}"),
-            ) {
-                break;
-            }
-            docs_done += 1;
-            process(id, &doc, &mut accs, &mut counters, &progress.cancelled)?;
-        }
-    }
-    drop(state);
-
-    for (a, c) in accs.iter_mut().zip(&counters) {
-        a.passes = 1;
-        a.entry_fetches = c.entry_fetches;
-        a.cache_hits = c.cache_hits;
-        a.sim_ops = c.sim_ops;
-        a.cells_touched = c.sim_ops;
-        a.skipped_entries = c.skipped_entries;
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Hvnl,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        1,
-        tracker.high_water(),
-        shared_skipped_docs,
-        0,
-        started,
-    ))
+    drive::<Hvnl>(specs, (inner_inv, options))
 }
 
 /// Batched VVM: all queries' accumulators share the similarity budget of
-/// one merge scan, so both inverted files are read `⌈Σᵢ SMᵢ/M⌉` times for
-/// the whole batch (`costmodel::vvs_batch`).
+/// one merge scan.
 pub fn execute_vvm(
     specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<BatchOutcome> {
-    validate(specs)?;
-    let started = Instant::now();
-    let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-
-    let mut partitions = estimate_batch_partitions(specs, inner_inv, outer_inv, &outer_ids)?;
-    loop {
-        match run_vvm(specs, inner_inv, outer_inv, &outer_ids, partitions, started) {
-            Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
-                // Pooled δ estimate undershot; re-partition more finely,
-                // exactly like the sequential executor.
-                partitions = (partitions * 2).min(max_len);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the pooled version of the
-/// sequential partition estimate: all queries' accumulators compete for
-/// the similarity budget of the same scan.
-fn estimate_batch_partitions(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[Vec<DocId>],
-) -> Result<u64> {
-    let spec0 = &specs[0];
-    let p = spec0.sys.page_size as f64;
-    let n1 = spec0.inner.store().num_docs() as f64;
-    let sm: f64 = specs
-        .iter()
-        .zip(outer_ids)
-        .map(|(s, ids)| SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / p)
-        .sum();
-    let m = spec0.sys.buffer_pages as f64
-        - inner_inv.avg_entry_pages().ceil()
-        - outer_inv.avg_entry_pages().ceil();
-    if m <= 0.0 {
-        return Err(Error::InsufficientMemory {
-            context: "batch VVM similarity space (M ≤ 0)".into(),
-            required_pages: (inner_inv.avg_entry_pages().ceil()
-                + outer_inv.avg_entry_pages().ceil()
-                + 1.0) as u64,
-            available_pages: spec0.sys.buffer_pages,
-        });
-    }
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
-}
-
-fn run_vvm(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[Vec<DocId>],
-    partitions: u64,
-    started: Instant,
-) -> Result<BatchOutcome> {
-    let spec0 = &specs[0];
-    let disk = spec0.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec0.sys);
-    let entry_buf_bytes = vvm::max_entry_bytes(inner_inv) + vvm::max_entry_bytes(outer_inv);
-    tracker.allocate(entry_buf_bytes.max(1), "batch VVM entry buffers")?;
-    let heap_bytes = specs
-        .iter()
-        .map(|s| TopK::budget_bytes(s.query.lambda))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(heap_bytes.max(1), "batch VVM result heap")?;
-
-    // Per-query chunking: pass k serves chunk k of every query. A query
-    // whose outer set is exhausted contributes an empty chunk (and skips
-    // the pass in its own accounting).
-    let chunk_sizes: Vec<usize> = outer_ids
-        .iter()
-        .map(|ids| (ids.len() as u64).div_ceil(partitions.max(1)).max(1) as usize)
-        .collect();
-
-    let mut accs: Vec<QueryAcc> = specs.iter().map(|_| QueryAcc::default()).collect();
-    let mut passes = 0u64;
-    let mut shared_skipped_entries = 0u64;
-    let mut progress = BatchProgress::new(specs);
-
-    for k in 0..partitions.max(1) as usize {
-        // Pooled passes are the checkpoints: a latched query contributes
-        // an empty chunk from here on, so the folded scan stops doing its
-        // work while sibling chunk boundaries stay exactly where an
-        // uncancelled run would put them.
-        if progress.observe(
-            specs,
-            disk.stats().since(&start_io).cost(spec0.sys.alpha),
-            || format!("vvm.batch.pass {}", passes + 1),
-        ) {
-            break;
-        }
-        let chunks: Vec<&[DocId]> = outer_ids
-            .iter()
-            .zip(&chunk_sizes)
-            .enumerate()
-            .map(|(si, (ids, &cs))| {
-                if progress.cancelled[si] {
-                    return &[] as &[DocId];
-                }
-                let lo = (k * cs).min(ids.len());
-                let hi = ((k + 1) * cs).min(ids.len());
-                &ids[lo..hi]
-            })
-            .collect();
-        if chunks.iter().all(|c| c.is_empty()) {
-            continue;
-        }
-        passes += 1;
-        for (si, c) in chunks.iter().enumerate() {
-            if !c.is_empty() {
-                accs[si].passes += 1;
-            }
-        }
-
-        let mut sim: Vec<HashMap<u32, HashMap<u32, f64>>> =
-            specs.iter().map(|_| HashMap::new()).collect();
-        let inner_cur = EntryCursor::new(
-            vvm::merged_entries(
-                inner_inv.scan_with_prefetch(spec0.prefetch_metrics("inv1")),
-                spec0.inner_delta,
-                0,
-                None,
-            ),
-            spec0,
-            &mut shared_skipped_entries,
-        )?;
-        let outer_cur = EntryCursor::new(
-            vvm::merged_entries(
-                outer_inv.scan_with_prefetch(spec0.prefetch_metrics("inv2")),
-                spec0.outer_delta,
-                0,
-                None,
-            ),
-            spec0,
-            &mut shared_skipped_entries,
-        )?;
-        let acc_bytes = batch_merge_accumulate(
-            specs,
-            inner_cur,
-            outer_cur,
-            &chunks,
-            &tracker,
-            &mut sim,
-            &mut accs,
-            &mut shared_skipped_entries,
-        )?;
-        for (si, spec) in specs.iter().enumerate() {
-            vvm::emit_chunk(spec, chunks[si], &sim[si], &mut accs[si].rows);
-        }
-        tracker.release(acc_bytes);
-    }
-
-    let io = disk.stats().since(&start_io);
-    Ok(finish(
-        Algorithm::Vvm,
-        spec0.sys.alpha,
-        accs,
-        &progress.cancelled,
-        io,
-        passes,
-        tracker.high_water(),
-        0,
-        shared_skipped_entries,
-        started,
-    ))
-}
-
-/// One term-ordered merge over the two entry streams, filling one
-/// accumulator map per query. Per (term, pair) the arithmetic is the
-/// sequential `merge_accumulate`'s, applied under each query's own
-/// weighting and filters — per-pair sums are independent across queries,
-/// which is what makes the folded scan result-identical.
-#[allow(clippy::too_many_arguments)]
-fn batch_merge_accumulate<I1, I2>(
-    specs: &[JoinSpec<'_>],
-    mut inner_cur: EntryCursor<I1>,
-    mut outer_cur: EntryCursor<I2>,
-    chunks: &[&[DocId]],
-    tracker: &MemTracker,
-    sim: &mut [HashMap<u32, HashMap<u32, f64>>],
-    accs: &mut [QueryAcc],
-    skipped_entries: &mut u64,
-) -> Result<u64>
-where
-    I1: Iterator<Item = Result<(TermId, Vec<textjoin_common::ICell>)>>,
-    I2: Iterator<Item = Result<(TermId, Vec<textjoin_common::ICell>)>>,
-{
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let mut acc_bytes = 0u64;
-    while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
-        match inner_term.cmp(&outer_term) {
-            std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Equal => {
-                let Some((term, inner_cells)) = inner_cur.take_current() else {
-                    break;
-                };
-                let Some((_, outer_cells)) = outer_cur.take_current() else {
-                    break;
-                };
-                inner_cur.advance(spec0, skipped_entries)?;
-                outer_cur.advance(spec0, skipped_entries)?;
-                for (si, spec) in specs.iter().enumerate() {
-                    let factor = spec.weighting.term_factor(term, inner_profile);
-                    if factor == 0.0 {
-                        continue;
-                    }
-                    for oc in &outer_cells {
-                        if chunks[si].binary_search(&oc.doc).is_err() {
-                            continue;
-                        }
-                        let per_outer = sim[si].entry(oc.doc.raw()).or_default();
-                        for ic in &inner_cells {
-                            if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc)
-                            {
-                                continue;
-                            }
-                            accs[si].sim_ops += 1;
-                            accs[si].cells_touched += 1;
-                            let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                            match per_outer.entry(ic.doc.raw()) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    *e.get_mut() += contribution;
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    tracker
-                                        .allocate(ACC_BYTES, "batch VVM similarity accumulators")?;
-                                    acc_bytes += ACC_BYTES;
-                                    e.insert(contribution);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(acc_bytes)
+    crate::vvm::execute_batch(specs, inner_inv, outer_inv)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hvnl::HvnlOptions;
+    use crate::hvnl::EvictionPolicy;
+    use crate::result::ResultQuality;
+    use crate::spec::OuterDocs;
     use std::sync::Arc;
     use textjoin_collection::{Collection, SynthSpec};
-    use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_common::{CollectionStats, DocId, Error, QueryParams, SystemParams};
     use textjoin_storage::{DiskSim, FaultKind, FaultPlan};
 
     struct Fixture {
@@ -1330,13 +313,13 @@ mod tests {
         let seq_reads: u64 = seq.iter().map(|o| o.stats.io.total_reads()).sum();
         let seq_fetches: u64 = seq.iter().map(|o| o.stats.entry_fetches).sum();
 
-        for eviction in [
-            EvictionPolicy::BatchAggregateDf,
-            EvictionPolicy::LowestOuterDf,
-            EvictionPolicy::Lru,
-        ] {
+        for eviction in [EvictionPolicy::LowestOuterDf, EvictionPolicy::Lru] {
             f.disk.reset_stats();
-            let batch = execute_hvnl(&specs, &f.inv1, BatchOptions { eviction }).unwrap();
+            let options = BatchOptions {
+                eviction,
+                ..BatchOptions::default()
+            };
+            let batch = execute_hvnl(&specs, &f.inv1, options).unwrap();
             for (b, s) in batch.queries.iter().zip(&seq) {
                 assert_eq!(b.result, s.result, "{eviction:?}");
             }
@@ -1436,36 +419,6 @@ mod tests {
         for (bo, so) in batch.queries.iter().zip(&seq) {
             assert_eq!(bo.result, so.result);
         }
-    }
-
-    #[test]
-    fn single_query_batch_reduces_to_sequential_counters() {
-        // N = 1: the batch engine is the sequential algorithm — identical
-        // results, passes and CPU counters (the executor analogue of the
-        // cost model's N = 1 reduction).
-        let f = fixture(25, 18, 10.0, 60, 256, 43);
-        let spec = JoinSpec::new(&f.c1, &f.c2)
-            .with_sys(sys(50, 256))
-            .with_query(QueryParams::paper_base().with_lambda(5));
-        let specs = [spec];
-
-        let hh_seq = crate::hhnl::execute(&spec).unwrap();
-        let hh = execute_hhnl(&specs).unwrap();
-        assert_eq!(hh.queries[0].result, hh_seq.result);
-        assert_eq!(hh.stats.passes, hh_seq.stats.passes);
-        assert_eq!(hh.stats.sim_ops, hh_seq.stats.sim_ops);
-
-        let hv_seq = crate::hvnl::execute_with(&spec, &f.inv1, HvnlOptions::default()).unwrap();
-        // BatchAggregateDf with one query IS LowestOuterDf.
-        let hv = execute_hvnl(&specs, &f.inv1, BatchOptions::default()).unwrap();
-        assert_eq!(hv.queries[0].result, hv_seq.result);
-        assert_eq!(hv.stats.entry_fetches, hv_seq.stats.entry_fetches);
-        assert_eq!(hv.stats.cache_hits, hv_seq.stats.cache_hits);
-
-        let vv_seq = crate::vvm::execute(&spec, &f.inv1, &f.inv2).unwrap();
-        let vv = execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
-        assert_eq!(vv.queries[0].result, vv_seq.result);
-        assert_eq!(vv.stats.passes, vv_seq.stats.passes);
     }
 
     #[test]

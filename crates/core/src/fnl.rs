@@ -32,18 +32,14 @@
 //! with the spec's weighting — they never have signatures, so the filter
 //! cannot wrongly drop them.
 
-use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::driver::{drive_one, DocStream, Passes, Resident, Run};
+use crate::result::JoinOutcome;
+use crate::spec::JoinSpec;
 use crate::topk::TopK;
-use std::time::Instant;
-use textjoin_collection::Document;
-use textjoin_common::{DocId, Error, Result};
+use textjoin_common::Result;
 use textjoin_costmodel::fnl::RANK_CELL_BYTES;
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{filtered_merge, FnlIndex, RankCell, TermOrder};
-use textjoin_obs::Tracer;
-use textjoin_storage::MemTracker;
 
 /// Tuning knobs for the filtered executor.
 #[derive(Clone, Copy, Debug)]
@@ -71,300 +67,223 @@ pub fn execute_with(
     index: &FnlIndex,
     opts: FnlOptions,
 ) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "fnl");
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    // Constructed at the same point as the stats baseline, so the ticket's
-    // thread-local tally covers the setup I/O (the term-order sidecar load
-    // below) that the first checkpoint reports.
-    let mut progress = Checkpoint::new();
-    let tracker = MemTracker::new(&spec.sys);
-    let lambda = spec.query.lambda;
-
-    // Phase 1: load the term-ordering sidecar (real page I/O — the
-    // `meta_pages` term of the cost model) and pin it for the whole run.
-    let order = {
-        let mut span = root.child("fnl.term_order");
-        let before = disk.stats();
-        let order = index.read_term_order()?;
-        if span.is_enabled() {
-            let d = disk.stats().since(&before);
-            span.record("terms", order.len() as u64);
-            span.record("seq_reads", d.seq_reads);
-            span.record("rand_reads", d.rand_reads);
-            observe_phase_sim_io(spec.trace, "fnl.term_order", &d, spec.sys.alpha);
-        }
-        order
-    };
-    tracker.allocate(index.meta_bytes().max(1), "FNL term-order sidecar")?;
-
-    // Room to hold one signature entry at a time during the scan.
-    let entry_bytes = index.max_entry_bytes().max(1);
-    tracker.allocate(entry_bytes, "FNL signature entry slot")?;
-
-    let mut outer = spec.outer_iter();
-    // A document pulled from the stream that did not fit the previous
-    // batch; it leads the next one.
-    let mut pending: Option<(DocId, Document)> = None;
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut passes = 0u64;
-    let mut cpu = CpuCounters::default();
-    let mut cancelled = false;
-
-    loop {
-        // Fill the memory batch with outer documents and their rank-cell
-        // encodings. The encoding is charged to the budget alongside the
-        // document — the `8·K2/P` term of the cost model's X.
-        let mut batch: Vec<Resident> = Vec::new();
-        let mut batch_bytes = 0u64;
-        loop {
-            let item = match pending.take() {
-                Some(p) => Some(Ok(p)),
-                None => outer.next(),
-            };
-            let Some(item) = item else { break };
-            let (id, doc) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec.skippable(&e) => {
-                    cpu.skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // Outer terms absent from the inner base collection carry no
-            // rank and are dropped here: they cannot match any signature
-            // entry, and overlay documents are scored from the raw cells,
-            // so the drop loses nothing.
-            let cells = order.rank_cells(&doc);
-            let need = doc.size_bytes().max(1)
-                + (RANK_CELL_BYTES * cells.len()) as u64
-                + TopK::budget_bytes(lambda);
-            if tracker.allocate(need, "FNL outer batch").is_err() {
-                if batch.is_empty() {
-                    return Err(Error::InsufficientMemory {
-                        context: "FNL cannot hold even one outer document".into(),
-                        required_pages: (index.meta_bytes() + entry_bytes + need)
-                            .div_ceil(spec.sys.page_size as u64),
-                        available_pages: spec.sys.buffer_pages,
-                    });
-                }
-                pending = Some((id, doc));
-                break;
-            }
-            batch_bytes += need;
-            batch.push(Resident {
-                id,
-                doc,
-                cells,
-                topk: TopK::new(lambda),
-            });
-        }
-        if batch.is_empty() {
-            break;
-        }
-
-        // One pass over the signature index (plus the overlay's live
-        // delta documents) for this batch.
-        {
-            let mut pass_span = root.child("fnl.sig_scan");
-            let pass_io = disk.stats();
-            let ops_before = cpu.sim_ops;
-            let pruned_before = cpu.pruned_pairs;
-            scan_signatures_against(spec, index, &order, &mut batch, opts, &mut cpu)?;
-            rescore_overlay_against(spec, &mut batch, opts, &mut cpu)?;
-            if pass_span.is_enabled() {
-                let d = disk.stats().since(&pass_io);
-                pass_span.record("batch_docs", batch.len() as u64);
-                pass_span.record("seq_reads", d.seq_reads);
-                pass_span.record("rand_reads", d.rand_reads);
-                pass_span.record("sim_ops", cpu.sim_ops - ops_before);
-                pass_span.record("pruned_pairs", cpu.pruned_pairs - pruned_before);
-                observe_phase_sim_io(spec.trace, "fnl.sig_scan", &d, spec.sys.alpha);
-            }
-        }
-        passes += 1;
-        for r in batch {
-            rows.push((r.id, r.topk.into_matches()));
-        }
-        tracker.release(batch_bytes);
-        // Watchdog/introspection checkpoint at the same pass granularity
-        // as HHNL; each pass costs roughly Ip pages.
-        match spec.checkpoint(
-            &mut progress,
-            disk.stats().since(&start_io).cost(spec.sys.alpha),
-            || format!("fnl.pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
-        }
-    }
-
-    let io = disk.stats().since(&start_io);
-    if root.is_enabled() {
-        root.record("passes", passes);
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", cpu.sim_ops);
-        root.record("pruned_pairs", cpu.pruned_pairs);
-        observe_phase_sim_io(spec.trace, "fnl", &io, spec.sys.alpha);
-    }
-    let stats = ExecStats {
-        algorithm: Algorithm::Fnl,
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops: cpu.sim_ops,
-        cells_touched: cpu.cells_touched,
-        skipped_docs: cpu.skipped_docs,
-        skipped_entries: 0,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
+    drive_one::<Fnl>(spec, (index, opts))
 }
 
-/// One outer document resident in a memory batch: the raw document (kept
-/// for overlay rescoring), its rank-cell encoding and its λ-heap.
-struct Resident {
-    id: DocId,
-    doc: Document,
-    cells: Vec<RankCell>,
-    topk: TopK,
-}
+/// What rides along with a resident outer document: its rank-cell encoding
+/// and its λ-heap (the raw document is kept for overlay rescoring).
+type Signature = (Vec<RankCell>, TopK);
 
-/// CPU work (and degraded-mode skips) accumulated by an FNL run.
-#[derive(Default)]
-struct CpuCounters {
-    sim_ops: u64,
-    cells_touched: u64,
-    skipped_docs: u64,
+/// HHNL's pooled rounds over the signature index: one signature scan (plus
+/// one overlay rescore) per round, the term-ordering sidecar loaded once
+/// for the whole run (`costmodel::fns_batch`'s shared-sidecar saving).
+pub(crate) struct Fnl<'r> {
+    index: &'r FnlIndex,
+    opts: FnlOptions,
+    order: TermOrder,
+    outer: DocStream<'r>,
     /// Pairs the prefix/position filter abandoned before a full merge.
     pruned_pairs: u64,
 }
 
-/// One sequential scan of the signature index, running the filtered merge
-/// between every entry and every resident outer document.
-fn scan_signatures_against(
-    spec: &JoinSpec<'_>,
-    index: &FnlIndex,
-    order: &TermOrder,
-    batch: &mut [Resident],
-    opts: FnlOptions,
-    cpu: &mut CpuCounters,
-) -> Result<()> {
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
-    for item in index.scan_with_prefetch(spec.prefetch_metrics("fnl_sig_scan")) {
-        let (inner_id, entry) = match item {
-            Ok(pair) => pair,
-            Err(e) if spec.skippable(&e) => {
-                cpu.skipped_docs += 1;
-                continue;
+impl<'r> Passes<'r> for Fnl<'r> {
+    type Input = (&'r FnlIndex, FnlOptions);
+    const ALGORITHM: Algorithm = Algorithm::Fnl;
+    const ROOT: &'static str = "fnl";
+
+    fn prepare((index, opts): Self::Input, run: &mut Run<'r>) -> Result<Self> {
+        // Load the term-ordering sidecar (real page I/O — the `meta_pages`
+        // term of the cost model) and pin it for the whole run.
+        let order = run.phase("fnl.term_order", |_, span| {
+            let order = index.read_term_order()?;
+            span.record("terms", order.len() as u64);
+            Ok(order)
+        })?;
+        run.tracker
+            .allocate(index.meta_bytes().max(1), "FNL term-order sidecar")?;
+        // Room to hold one signature entry at a time during the scan.
+        run.tracker
+            .allocate(index.max_entry_bytes().max(1), "FNL signature entry slot")?;
+        Ok(Self {
+            index,
+            opts,
+            order,
+            outer: DocStream::outer(run.specs),
+            pruned_pairs: 0,
+        })
+    }
+
+    fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
+        let specs = run.specs;
+        let order = &self.order;
+        // Each resident carries its rank-cell encoding, charged to the
+        // budget alongside the document — the `8·K2/P` term of the cost
+        // model's X. Outer terms absent from the inner base collection
+        // carry no rank and are dropped: they cannot match any signature
+        // entry, and overlay documents are scored from the raw cells.
+        let (mut round, round_bytes) =
+            self.outer.fill_round(run, "FNL outer batch", |si, doc| {
+                let lambda = specs[si].query.lambda;
+                let cells = order.rank_cells(doc);
+                (
+                    doc.size_bytes().max(1)
+                        + (RANK_CELL_BYTES * cells.len()) as u64
+                        + TopK::budget_bytes(lambda),
+                    (cells, TopK::new(lambda)),
+                )
+            })?;
+        if round.is_empty() {
+            return Ok(false);
+        }
+        let pruned_before = self.pruned_pairs;
+        run.phase("fnl.sig_scan", |run, span| {
+            self.scan_signatures_against(run, &mut round)?;
+            self.rescore_overlay_against(run, &mut round)?;
+            span.record("batch_docs", round.len() as u64);
+            span.record("pruned_pairs", self.pruned_pairs - pruned_before);
+            Ok(())
+        })?;
+        for r in round {
+            run.queries[r.query]
+                .rows
+                .push((r.id, r.extra.1.into_matches()));
+        }
+        run.tracker.release(round_bytes);
+        Ok(true)
+    }
+
+    fn finish(self, run: &mut Run<'r>) -> Result<()> {
+        run.root.record("pruned_pairs", self.pruned_pairs);
+        Ok(())
+    }
+}
+
+impl Fnl<'_> {
+    /// One sequential scan of the signature index, running the filtered
+    /// merge between every entry and every resident `(query, outer
+    /// document)` pair.
+    fn scan_signatures_against(
+        &mut self,
+        run: &mut Run<'_>,
+        round: &mut [Resident<Signature>],
+    ) -> Result<()> {
+        let specs = run.specs;
+        let spec0 = &specs[0];
+        let inner_profile = spec0.inner.profile();
+        let outer_profile = spec0.outer.profile();
+        let mut allowed = vec![false; specs.len()];
+        let scan = self
+            .index
+            .scan_with_prefetch(spec0.prefetch_metrics("fnl_sig_scan"));
+        for item in scan {
+            let (inner_id, entry) = match item {
+                Ok(pair) => pair,
+                Err(e) if spec0.skippable(&e) => {
+                    run.shared_skipped_docs += 1;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            for (a, spec) in allowed.iter_mut().zip(specs) {
+                *a = spec.inner_doc_allowed(inner_id);
+            }
+            for r in round.iter_mut() {
+                let spec = &specs[r.query];
+                if !allowed[r.query] || !spec.pair_allowed(inner_id, r.id) {
+                    continue;
+                }
+                // The factor is looked up by rank — `order.term(rank)` maps
+                // back to the term id the weighting knows. Raw-count and
+                // cosine factors are 1, so the lookup stays out of the sum.
+                let (cells, topk) = &mut r.extra;
+                match filtered_merge(cells, &entry, self.opts.min_overlap, |rank| {
+                    spec.weighting
+                        .term_factor(self.order.term(rank), inner_profile)
+                }) {
+                    Some((matched, acc, visited)) => {
+                        let counters = &mut run.queries[r.query].counters;
+                        counters.sim_ops += matched;
+                        counters.cells_touched += visited;
+                        let score = spec.weighting.finalize(
+                            acc,
+                            inner_profile,
+                            inner_id,
+                            outer_profile,
+                            r.id,
+                        );
+                        if !score.is_zero() {
+                            topk.offer(inner_id, score);
+                        }
+                    }
+                    None => self.pruned_pairs += 1,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Scores the inner overlay's live delta documents against the round
+    /// from their raw cells — they have no signatures, so the filter never
+    /// sees them and cannot wrongly drop them. The overlap threshold still
+    /// applies (the matched-term count comes back as
+    /// `score_pair_counted`'s `ops`).
+    fn rescore_overlay_against(
+        &self,
+        run: &mut Run<'_>,
+        round: &mut [Resident<Signature>],
+    ) -> Result<()> {
+        let specs = run.specs;
+        let spec0 = &specs[0];
+        let Some(overlay) = spec0.inner_delta else {
+            return Ok(());
+        };
+        let inner_profile = spec0.inner.profile();
+        let outer_profile = spec0.outer.profile();
+        let docs = match overlay.live_docs() {
+            Ok(docs) => docs,
+            Err(e) if spec0.skippable(&e) => {
+                run.shared_skipped_docs += 1;
+                return Ok(());
             }
             Err(e) => return Err(e),
         };
-        if !spec.inner_doc_allowed(inner_id) {
-            continue;
-        }
-        for r in batch.iter_mut() {
-            if !spec.pair_allowed(inner_id, r.id) {
-                continue;
-            }
-            // The factor is looked up by rank — `order.term(rank)` maps
-            // back to the term id the weighting knows. Raw-count and
-            // cosine factors are 1, so the lookup stays out of the sum.
-            match filtered_merge(&r.cells, &entry, opts.min_overlap, |rank| {
-                spec.weighting.term_factor(order.term(rank), inner_profile)
-            }) {
-                Some((matched, acc, visited)) => {
-                    cpu.sim_ops += matched;
-                    cpu.cells_touched += visited;
-                    let score =
-                        spec.weighting
-                            .finalize(acc, inner_profile, inner_id, outer_profile, r.id);
-                    if !score.is_zero() {
-                        r.topk.offer(inner_id, score);
-                    }
+        for (inner_id, inner_doc) in docs {
+            for r in round.iter_mut() {
+                let spec = &specs[r.query];
+                if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, r.id) {
+                    continue;
                 }
-                None => cpu.pruned_pairs += 1,
+                let (score, ops, visited) = spec.weighting.score_pair_counted(
+                    inner_id,
+                    &inner_doc,
+                    r.id,
+                    &r.doc,
+                    inner_profile,
+                    outer_profile,
+                );
+                let counters = &mut run.queries[r.query].counters;
+                counters.sim_ops += ops;
+                counters.cells_touched += visited;
+                if ops >= self.opts.min_overlap.max(1) && !score.is_zero() {
+                    r.extra.1.offer(inner_id, score);
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
-
-/// Scores the inner overlay's live delta documents against the batch from
-/// their raw cells — they have no signatures, so the filter never sees
-/// them and cannot wrongly drop them. The overlap threshold still applies
-/// (the matched-term count comes back as `score_pair_counted`'s `ops`).
-fn rescore_overlay_against(
-    spec: &JoinSpec<'_>,
-    batch: &mut [Resident],
-    opts: FnlOptions,
-    cpu: &mut CpuCounters,
-) -> Result<()> {
-    let Some(overlay) = spec.inner_delta else {
-        return Ok(());
-    };
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
-    let docs = match overlay.live_docs() {
-        Ok(docs) => docs,
-        Err(e) if spec.skippable(&e) => {
-            cpu.skipped_docs += 1;
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    for (inner_id, inner_doc) in docs {
-        if !spec.inner_doc_allowed(inner_id) {
-            continue;
-        }
-        for r in batch.iter_mut() {
-            if !spec.pair_allowed(inner_id, r.id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                r.id,
-                &r.doc,
-                inner_profile,
-                outer_profile,
-            );
-            cpu.sim_ops += ops;
-            cpu.cells_touched += visited;
-            if ops >= opts.min_overlap.max(1) && !score.is_zero() {
-                r.topk.offer(inner_id, score);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::naive_join;
+    use crate::result::JoinResult;
     use crate::spec::OuterDocs;
     use std::sync::Arc;
+    use textjoin_collection::Document;
     use textjoin_collection::{Collection, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_common::{DocId, Error};
     use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]
@@ -533,36 +452,6 @@ mod tests {
             execute(&spec, &index),
             Err(Error::InsufficientMemory { .. })
         ));
-    }
-
-    #[test]
-    fn cost_budget_overrun_aborts() {
-        let (_, c1, c2, index, _, _) = fixture(30, 20, 10.0, 80, 256);
-        let spec = JoinSpec::new(&c1, &c2).with_cost_budget(0.5);
-        assert!(matches!(
-            execute(&spec, &index),
-            Err(Error::CostOverrun { .. })
-        ));
-        assert!(execute(&spec.without_cost_budget(), &index).is_ok());
-    }
-
-    #[test]
-    fn attached_tracer_captures_phase_spans() {
-        let (_, c1, c2, index, _, _) = fixture(25, 40, 12.0, 100, 128);
-        let tracer = textjoin_obs::Tracer::enabled(256);
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(SystemParams {
-                buffer_pages: 8,
-                page_size: 128,
-                alpha: 5.0,
-            })
-            .with_query(QueryParams::paper_base().with_lambda(3))
-            .with_trace(&tracer);
-        let got = execute(&spec, &index).unwrap();
-        let spans = tracer.finished();
-        assert!(spans.iter().any(|s| s.name == "fnl.term_order"));
-        let scans = spans.iter().filter(|s| s.name == "fnl.sig_scan");
-        assert_eq!(scans.count() as u64, got.stats.passes);
     }
 
     #[test]

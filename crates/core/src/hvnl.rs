@@ -14,36 +14,37 @@
 //! Verification); the default is storage order, and a greedy
 //! largest-intersection order is available as the ablation the paper
 //! discusses (and warns about: it turns the outer scan into random I/O).
+//!
+//! With several queries the outer collection is still scanned once: each
+//! document is joined for every query that selects it against a *single
+//! shared entry cache*, so an entry fetched for one query is a cache hit
+//! for the rest and the dictionary is loaded once
+//! (`costmodel::hvs_batch`).
 
-use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::driver::{drive_one, Passes, Run};
+use crate::result::JoinOutcome;
+use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::TopK;
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 use textjoin_collection::Document;
-use textjoin_common::{DCell, DocId, Error, Result, TermId};
+use textjoin_common::{DCell, DocId, ICell, Result, TermId, CELL_BYTES, NUMBER_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::InvertedFile;
-use textjoin_obs::{Histogram, Tracer, LATENCY_BOUNDS_NS};
-use textjoin_storage::MemTracker;
+use textjoin_invfile::{DeltaOverlay, Dictionary, InvertedFile};
+use textjoin_obs::{Histogram, LATENCY_BOUNDS_NS};
 
 /// Cache replacement policies for inverted-file entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// The paper's policy: evict the entry whose term has the lowest
     /// document frequency in the outer collection (least likely reuse).
+    /// With several queries sharing the cache the frequency is aggregated
+    /// over every query that can use the entry, so the entry least
+    /// demanded by the batch as a whole goes first.
     #[default]
     LowestOuterDf,
     /// Plain least-recently-used, as the ablation baseline.
     Lru,
-    /// Batch-engine variant of the paper's policy: the eviction key is the
-    /// term's document frequency *aggregated over every query in the
-    /// batch* (a query whose weighting zeroes the term contributes
-    /// nothing), so the entry least demanded by the batch as a whole goes
-    /// first. For a single query this coincides with
-    /// [`EvictionPolicy::LowestOuterDf`].
-    BatchAggregateDf,
 }
 
 /// Order in which outer documents are processed.
@@ -79,230 +80,38 @@ pub fn execute_with(
     inner_inv: &InvertedFile,
     options: HvnlOptions,
 ) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "hvnl");
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    // Constructed at the same point as the stats baseline, so the ticket's
-    // thread-local tally covers the setup I/O (the B+tree dictionary load
-    // below) that the first checkpoint reports.
-    let mut progress = Checkpoint::new();
-    let tracker = MemTracker::new(&spec.sys);
+    drive_one::<Hvnl>(spec, (inner_inv, options))
+}
 
-    // One-time cost: read the whole B+tree into memory (Bt1) and keep it
-    // resident for the duration of the join. A corrupt dictionary is a
-    // hard failure even in degraded mode — without it no entry can be
-    // located, so the integrated algorithm re-plans instead.
-    let mut setup_span = root.child("hvnl.setup");
-    let dict = inner_inv.btree().load_leaves()?;
-    tracker.allocate(dict.size_bytes().max(1), "HVNL B+tree dictionary")?;
-    // Room for the outer document currently being processed (⌈S2⌉).
-    tracker.allocate(
-        spec.outer.store().max_doc_bytes().max(1),
-        "HVNL outer document slot",
-    )?;
-    // Room for the λ result slots built per outer document.
-    tracker.allocate(TopK::budget_bytes(spec.query.lambda), "HVNL result heap")?;
-    // Room for the entry currently being fetched (the paper budgets the
-    // average ⌈J1⌉; we reserve the worst case so even an entry that cannot
-    // be cached can still be streamed through without busting the budget).
-    let max_entry = (0..inner_inv.num_entries() as u32)
-        .map(|o| inner_inv.entry_bytes(o))
-        .max()
-        .unwrap_or(0);
-    tracker.allocate(max_entry.max(1), "HVNL current entry buffer")?;
-
-    // With a registry-backed tracer attached, each inverted-entry lookup
-    // is timed separately by outcome, making the cache-hit vs disk-fetch
-    // latency gap directly observable.
-    let lookup_hists = spec.trace.and_then(|t| t.registry()).map(|r| {
-        (
-            r.histogram("hvnl.entry_hit_ns", "", &LATENCY_BOUNDS_NS),
-            r.histogram("hvnl.entry_fetch_ns", "", &LATENCY_BOUNDS_NS),
-        )
-    });
-    let mut state = EntryJoinState::new(inner_inv, dict, &tracker, options.eviction, lookup_hists);
-    // A single query keys evictions by its own outer document frequencies
-    // (the batch engine substitutes aggregate demand here).
-    let insert_df = |t: TermId| u64::from(spec.outer.profile().doc_frequency(t));
-    let mut counters = HvnlCounters::default();
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut skipped_docs = 0u64;
-    let mut cancelled = false;
-
-    // Section 5.2, case X ≥ T1: when the entire inner inverted file fits in
-    // the remaining memory and one sequential scan of it (I1 pages) is
-    // cheaper than fetching the needed entries at the random rate, read it
-    // in up front.
-    state.maybe_preload_inverted_file(spec, &insert_df)?;
-    if setup_span.is_enabled() {
-        let d = disk.stats().since(&start_io);
-        setup_span.record("seq_reads", d.seq_reads);
-        setup_span.record("rand_reads", d.rand_reads);
-        setup_span.record("preloaded_entries", state.cache.len() as u64);
-        observe_phase_sim_io(spec.trace, "hvnl.setup", &d, spec.sys.alpha);
+/// Whether `id` is one of the spec's participating outer documents. A
+/// tombstoned document never participates, whatever the selection.
+fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
+    if spec.outer_delta.is_some_and(|d| d.is_deleted(id)) {
+        return false;
     }
-    drop(setup_span);
-
-    let scan_io_start = disk.stats();
-    let mut scan_span = root.child("hvnl.outer_scan");
-    match options.order {
-        OuterOrder::Storage => {
-            for item in spec.outer_iter() {
-                let (id, doc) = match item {
-                    Ok(pair) => pair,
-                    Err(e) if spec.skippable(&e) => {
-                        skipped_docs += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                state.process_outer_doc(spec, id, &doc, &insert_df, &mut counters, &mut rows)?;
-                // Watchdog/introspection checkpoint: HVNL's cost accrues
-                // per outer document (entry fetches), so that is its
-                // granularity. A cancel keeps the rows already scored.
-                match spec.checkpoint(
-                    &mut progress,
-                    disk.stats().since(&start_io).cost(spec.sys.alpha),
-                    || format!("hvnl.outer_doc {}", rows.len()),
-                ) {
-                    Err(Error::Cancelled { .. }) => {
-                        cancelled = true;
-                        break;
-                    }
-                    other => other?,
-                }
-            }
-        }
-        OuterOrder::GreedyIntersection => {
-            // Read all participating outer documents up front (random I/O),
-            // then process them in greedy max-intersection order.
-            let mut remaining: Vec<(DocId, Document)> = Vec::new();
-            let mut held_bytes = 0u64;
-            for item in spec.outer_iter() {
-                let (id, doc) = match item {
-                    Ok(pair) => pair,
-                    Err(e) if spec.skippable(&e) => {
-                        skipped_docs += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                held_bytes += doc.size_bytes().max(1);
-                tracker.allocate(doc.size_bytes().max(1), "HVNL greedy-order document set")?;
-                remaining.push((id, doc));
-            }
-            while !remaining.is_empty() {
-                let best = remaining
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, (_, doc))| {
-                        doc.cells()
-                            .iter()
-                            .filter(|c| state.cache.contains(c.term))
-                            .count()
-                    })
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                let (id, doc) = remaining.swap_remove(best);
-                state.process_outer_doc(spec, id, &doc, &insert_df, &mut counters, &mut rows)?;
-                match spec.checkpoint(
-                    &mut progress,
-                    disk.stats().since(&start_io).cost(spec.sys.alpha),
-                    || format!("hvnl.greedy_doc {}", rows.len()),
-                ) {
-                    Err(Error::Cancelled { .. }) => {
-                        cancelled = true;
-                        break;
-                    }
-                    other => other?,
-                }
-            }
-            tracker.release(held_bytes);
-        }
+    match spec.outer_docs {
+        OuterDocs::Full => true,
+        OuterDocs::Selected(ids) => ids.binary_search(&id).is_ok(),
     }
-
-    let (entry_fetches, cache_hits, sim_ops) = (
-        counters.entry_fetches,
-        counters.cache_hits,
-        counters.sim_ops,
-    );
-    let skipped_entries = counters.skipped_entries;
-    drop(state);
-    if scan_span.is_enabled() {
-        scan_span.record("entry_fetches", entry_fetches);
-        scan_span.record("cache_hits", cache_hits);
-        scan_span.record("sim_ops", sim_ops);
-        observe_phase_sim_io(
-            spec.trace,
-            "hvnl.outer_scan",
-            &disk.stats().since(&scan_io_start),
-            spec.sys.alpha,
-        );
-    }
-    drop(scan_span);
-    let io = disk.stats().since(&start_io);
-    if root.is_enabled() {
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("entry_fetches", entry_fetches);
-        root.record("cache_hits", cache_hits);
-        observe_phase_sim_io(spec.trace, "hvnl", &io, spec.sys.alpha);
-    }
-    let stats = ExecStats {
-        algorithm: Algorithm::Hvnl,
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes: 1,
-        entry_fetches,
-        cache_hits,
-        sim_ops,
-        // HVNL only ever visits non-zero cells: every touch is an op.
-        cells_touched: sim_ops,
-        skipped_docs,
-        skipped_entries,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
 }
 
 /// Bytes a cached entry charges: its i-cells plus one resident-term-list
 /// slot of `|t#|` bytes (the list of section 4.2 that tracks which entries
 /// are in memory).
-fn cached_entry_bytes(cells: &[textjoin_common::ICell]) -> u64 {
-    (cells.len() * textjoin_common::CELL_BYTES + textjoin_common::NUMBER_BYTES) as u64
-}
-
-/// Lookup accounting for one query's share of an HVNL (or batch-HVNL) run.
-#[derive(Default)]
-pub(crate) struct HvnlCounters {
-    pub(crate) entry_fetches: u64,
-    pub(crate) cache_hits: u64,
-    pub(crate) sim_ops: u64,
-    /// Degraded mode: inverted entries skipped because they were unreadable.
-    pub(crate) skipped_entries: u64,
+fn cached_entry_bytes(cells: &[ICell]) -> u64 {
+    (cells.len() * CELL_BYTES + NUMBER_BYTES) as u64
 }
 
 /// Lifecycle of the one-shot delta-postings materialization. The overlay
 /// cannot change while an executor holds it (mutation needs
-/// `&mut LiveCollection`), and the batch engine validates that every spec
-/// of a batch shares the same overlay pointer per side, so a single
+/// `&mut LiveCollection`), and the driver validates that every spec of a
+/// run shares the same overlay pointer per side, so a single
 /// materialization serves the whole run.
 enum DeltaPostings {
     /// No delta lookup has happened yet.
     Unbuilt,
     /// Term → merged flushed+tail cells, bytes charged to the tracker.
-    Built(HashMap<TermId, Vec<textjoin_common::ICell>>),
+    Built(HashMap<TermId, Vec<ICell>>),
     /// The materialization scan hit an unreadable page in degraded mode:
     /// the delta is dropped wholesale and every lookup counts a skip.
     Dropped,
@@ -311,15 +120,15 @@ enum DeltaPostings {
     PerTerm,
 }
 
-/// The spec-independent heart of HVNL: the loaded dictionary, the shared
-/// entry cache and the per-document accumulator scratch space. The
-/// sequential executor drives it with one spec; the batch engine
-/// (`crate::batch`) drives it with one spec per query against the *same*
-/// cache, which is exactly where the batched I/O saving comes from.
-pub(crate) struct EntryJoinState<'b> {
-    inner_inv: &'b InvertedFile,
-    dict: textjoin_invfile::Dictionary,
-    tracker: &'b MemTracker,
+/// One outer pass, every query served from one shared entry cache: the
+/// loaded dictionary (`Bt1` paid once — the `costmodel::hvs_batch`
+/// saving), the cache and the per-document accumulator scratch space. An
+/// entry fetched for one query is a cache hit for every other query that
+/// needs the same term.
+pub(crate) struct Hvnl<'r> {
+    inner_inv: &'r InvertedFile,
+    order: OuterOrder,
+    dict: Dictionary,
     cache: EntryCache,
     /// Non-zero similarity accumulators for the current (outer document,
     /// query) pair: inner doc → weighted sum. Cleared after each call to
@@ -331,47 +140,241 @@ pub(crate) struct EntryJoinState<'b> {
     /// term occurrence.
     delta_postings: DeltaPostings,
     /// Per-lookup latency histograms (cache hit, disk fetch), present only
-    /// when a registry-backed tracer is attached to the spec.
+    /// when a registry-backed tracer is attached to the run.
     lookup_hists: Option<(Histogram, Histogram)>,
+    /// Whether the one outer pass has run.
+    scanned: bool,
+    /// Outer documents joined so far.
+    docs_done: u64,
 }
 
-impl<'b> EntryJoinState<'b> {
-    pub(crate) fn new(
-        inner_inv: &'b InvertedFile,
-        dict: textjoin_invfile::Dictionary,
-        tracker: &'b MemTracker,
-        eviction: EvictionPolicy,
-        lookup_hists: Option<(Histogram, Histogram)>,
-    ) -> Self {
-        Self {
-            inner_inv,
-            dict,
-            tracker,
-            cache: EntryCache::new(eviction),
-            accumulators: HashMap::new(),
-            acc_bytes: 0,
-            delta_postings: DeltaPostings::Unbuilt,
-            lookup_hists,
+impl<'r> Passes<'r> for Hvnl<'r> {
+    type Input = (&'r InvertedFile, HvnlOptions);
+    const ALGORITHM: Algorithm = Algorithm::Hvnl;
+    const ROOT: &'static str = "hvnl";
+
+    fn prepare((inner_inv, options): Self::Input, run: &mut Run<'r>) -> Result<Self> {
+        run.phase("hvnl.setup", |run, span| {
+            let specs = run.specs;
+            let spec0 = &specs[0];
+            // One-time cost: read the whole B+tree into memory (Bt1) and
+            // keep it resident for the duration of the join. A corrupt
+            // dictionary is a hard failure even in degraded mode — without
+            // it no entry can be located, so the caller re-plans instead.
+            let dict = inner_inv.btree().load_leaves()?;
+            run.tracker
+                .allocate(dict.size_bytes().max(1), "HVNL B+tree dictionary")?;
+            // Room for the outer document currently being processed (⌈S2⌉).
+            run.tracker.allocate(
+                spec0.outer.store().max_doc_bytes().max(1),
+                "HVNL outer document slot",
+            )?;
+            run.tracker
+                .allocate(run.result_heap_bytes(), "HVNL result heap")?;
+            // Room for the entry currently being fetched (the paper budgets
+            // the average ⌈J1⌉; we reserve the worst case so even an entry
+            // that cannot be cached can still be streamed through without
+            // busting the budget).
+            let max_entry = crate::vvm::max_entry_bytes(inner_inv);
+            run.tracker
+                .allocate(max_entry.max(1), "HVNL current entry buffer")?;
+            // With a registry-backed tracer attached, each inverted-entry
+            // lookup is timed separately by outcome, making the cache-hit
+            // vs disk-fetch latency gap directly observable.
+            let lookup_hists = spec0.trace.and_then(|t| t.registry()).map(|r| {
+                (
+                    r.histogram("hvnl.entry_hit_ns", "", &LATENCY_BOUNDS_NS),
+                    r.histogram("hvnl.entry_fetch_ns", "", &LATENCY_BOUNDS_NS),
+                )
+            });
+            let mut hvnl = Self {
+                inner_inv,
+                order: options.order,
+                dict,
+                cache: EntryCache::new(options.eviction),
+                accumulators: HashMap::new(),
+                acc_bytes: 0,
+                delta_postings: DeltaPostings::Unbuilt,
+                lookup_hists,
+                scanned: false,
+                docs_done: 0,
+            };
+            hvnl.maybe_preload_inverted_file(run)?;
+            span.record("preloaded_entries", hvnl.cache.len() as u64);
+            Ok(hvnl)
+        })
+    }
+
+    fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
+        if std::mem::replace(&mut self.scanned, true) {
+            return Ok(false);
         }
+        for q in &mut run.queries {
+            q.passes = 1;
+        }
+        run.phase("hvnl.outer_scan", |run, span| {
+            match self.order {
+                OuterOrder::Storage => {
+                    self.for_each_outer_doc(run, |hvnl, run, id, doc| hvnl.join_doc(run, id, &doc))?
+                }
+                OuterOrder::GreedyIntersection => self.greedy_scan(run)?,
+            }
+            let (fetches, hits) = run.queries.iter().fold((0, 0), |(f, h), q| {
+                (f + q.counters.entry_fetches, h + q.counters.cache_hits)
+            });
+            span.record("entry_fetches", fetches);
+            span.record("cache_hits", hits);
+            run.root.record("entry_fetches", fetches);
+            run.root.record("cache_hits", hits);
+            Ok(())
+        })?;
+        Ok(true)
+    }
+}
+
+impl<'r> Hvnl<'r> {
+    /// Drives one outer pass, handing each readable document to `visit`
+    /// until it asks to stop. When any query wants the full collection the
+    /// store is scanned sequentially; otherwise only the union of the
+    /// selected documents is read (each once, shared by every query that
+    /// chose it).
+    fn for_each_outer_doc(
+        &mut self,
+        run: &mut Run<'r>,
+        mut visit: impl FnMut(&mut Self, &mut Run<'r>, DocId, Document) -> Result<bool>,
+    ) -> Result<()> {
+        let specs = run.specs;
+        let spec0 = &specs[0];
+        if let Some(full) = specs
+            .iter()
+            .find(|s| matches!(s.outer_docs, OuterDocs::Full))
+        {
+            // `outer_iter` folds in the shared outer delta.
+            for item in full.outer_iter() {
+                let stop = match item {
+                    Ok((id, doc)) => visit(self, run, id, doc)?,
+                    Err(e) if spec0.skippable(&e) => {
+                        run.shared_skipped_docs += 1;
+                        false
+                    }
+                    Err(e) => return Err(e),
+                };
+                if stop {
+                    break;
+                }
+            }
+            return Ok(());
+        }
+        let mut union: Vec<DocId> = specs
+            .iter()
+            .flat_map(|s| match s.outer_docs {
+                OuterDocs::Full => unreachable!("no Full spec in the run"),
+                OuterDocs::Selected(ids) => ids.iter().copied(),
+            })
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        for id in union {
+            let stop = match spec0.read_selected_outer(id) {
+                None => false,
+                Some(Ok(doc)) => visit(self, run, id, doc)?,
+                Some(Err(e)) if spec0.skippable(&e) => {
+                    // Attribute the skip to exactly the queries that chose
+                    // this document.
+                    for (spec, q) in specs.iter().zip(&mut run.queries) {
+                        if outer_participates(spec, id) {
+                            q.counters.skipped_docs += 1;
+                        }
+                    }
+                    false
+                }
+                Some(Err(e)) => return Err(e),
+            };
+            if stop {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Joins one outer document for every live query that selects it, then
+    /// checkpoints: HVNL's cost accrues per outer document (entry
+    /// fetches), so that is its grain. Returns `true` once every query is
+    /// cancelled.
+    fn join_doc(&mut self, run: &mut Run<'r>, id: DocId, doc: &Document) -> Result<bool> {
+        let specs = run.specs;
+        for (si, spec) in specs.iter().enumerate() {
+            if !run.cancelled(si) && outer_participates(spec, id) {
+                self.process_outer_doc(run, si, id, doc)?;
+            }
+        }
+        self.docs_done += 1;
+        run.checkpoint(|| format!("hvnl.outer_doc {}", self.docs_done))
+    }
+
+    /// The greedy ablation: read all participating outer documents up
+    /// front, then always process the one sharing the most terms with the
+    /// entries currently cached.
+    fn greedy_scan(&mut self, run: &mut Run<'r>) -> Result<()> {
+        let mut remaining: Vec<(DocId, Document)> = Vec::new();
+        let mut held_bytes = 0u64;
+        self.for_each_outer_doc(run, |_, run, id, doc| {
+            let bytes = doc.size_bytes().max(1);
+            run.tracker
+                .allocate(bytes, "HVNL greedy-order document set")?;
+            held_bytes += bytes;
+            remaining.push((id, doc));
+            Ok(false)
+        })?;
+        while !remaining.is_empty() {
+            let best = remaining
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, (_, doc))| {
+                    doc.cells()
+                        .iter()
+                        .filter(|c| self.cache.contains(c.term))
+                        .count()
+                })
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            let (id, doc) = remaining.swap_remove(best);
+            if self.join_doc(run, id, &doc)? {
+                break;
+            }
+        }
+        run.tracker.release(held_bytes);
+        Ok(())
+    }
+
+    /// The eviction key of `term`: its outer document frequency summed
+    /// over every query that can actually use the entry (a query whose
+    /// weighting zeroes the term contributes nothing). Aggregation only
+    /// changes *which* entry is evicted first, never any result; the LRU
+    /// cache ignores the value.
+    fn demand(specs: &[JoinSpec<'_>], term: TermId) -> u64 {
+        specs
+            .iter()
+            .filter(|s| s.weighting.term_factor(term, s.inner.profile()) != 0.0)
+            .map(|s| u64::from(s.outer.profile().doc_frequency(term)))
+            .sum()
     }
 
     /// Loads the whole inner inverted file into the cache with one
     /// sequential scan when (a) it fits in the available memory and (b) the
     /// scan is cheaper than the expected on-demand random fetches — the
-    /// first case of the paper's `hvs` formula.
-    pub(crate) fn maybe_preload_inverted_file(
-        &mut self,
-        spec: &JoinSpec<'_>,
-        insert_df: &dyn Fn(TermId) -> u64,
-    ) -> Result<()> {
+    /// first case of the paper's `hvs` formula (section 5.2, `X ≥ T1`).
+    fn maybe_preload_inverted_file(&mut self, run: &mut Run<'r>) -> Result<()> {
+        let specs = run.specs;
+        let spec = &specs[0];
         let inv = self.inner_inv;
         if inv.num_entries() == 0 {
             return Ok(());
         }
         let total_cached_bytes: u64 = (0..inv.num_entries() as u32)
-            .map(|o| inv.entry_bytes(o) + textjoin_common::NUMBER_BYTES as u64)
+            .map(|o| inv.entry_bytes(o) + NUMBER_BYTES as u64)
             .sum();
-        if total_cached_bytes > self.tracker.available() {
+        if total_cached_bytes > run.tracker.available() {
             return Ok(());
         }
         // Expected on-demand cost: every inner entry whose term also
@@ -399,22 +402,25 @@ impl<'b> EntryJoinState<'b> {
                 Err(e) => return Err(e),
             };
             let bytes = cached_entry_bytes(&cells);
-            self.tracker
+            run.tracker
                 .allocate(bytes, "HVNL preloaded inverted file")?;
-            self.cache.insert(term, cells, bytes, insert_df(term));
+            self.cache
+                .insert(term, cells, bytes, Self::demand(specs, term));
         }
         Ok(())
     }
 
-    pub(crate) fn process_outer_doc(
+    /// Accumulates and emits the λ best inner documents of one outer
+    /// document for query `si`.
+    fn process_outer_doc(
         &mut self,
-        spec: &JoinSpec<'_>,
+        run: &mut Run<'r>,
+        si: usize,
         outer_id: DocId,
         doc: &Document,
-        insert_df: &dyn Fn(TermId) -> u64,
-        counters: &mut HvnlCounters,
-        rows: &mut Vec<(DocId, Vec<Match>)>,
     ) -> Result<()> {
+        let specs = run.specs;
+        let spec = &specs[si];
         // Terms whose entries are already in memory are considered first
         // (section 4.2's reuse optimization); order within each group stays
         // by term number for determinism.
@@ -434,13 +440,13 @@ impl<'b> EntryJoinState<'b> {
             // Terms that do not appear in C1 have no entry and cost nothing.
             self.cache.unpin(cell.term);
             if let Some(entry) = self.dict.lookup(cell.term) {
-                self.accumulate_term(spec, outer_id, cell, entry.ordinal, insert_df, counters)?;
+                self.accumulate_term(run, si, outer_id, cell, entry.ordinal)?;
             }
             // Inner delta documents contribute through the overlay's side
             // postings — consulted for dictionary-known *and* delta-only
             // terms, since an inserted document may introduce new terms.
             if let Some(overlay) = spec.inner_delta {
-                self.accumulate_delta_term(spec, outer_id, cell, overlay, counters)?;
+                self.accumulate_delta_term(run, si, outer_id, cell, overlay)?;
             }
         }
 
@@ -457,23 +463,24 @@ impl<'b> EntryJoinState<'b> {
                 topk.offer(inner_id, score);
             }
         }
-        rows.push((outer_id, topk.into_matches()));
+        run.queries[si].rows.push((outer_id, topk.into_matches()));
 
         self.accumulators.clear();
-        self.tracker.release(self.acc_bytes);
+        run.tracker.release(self.acc_bytes);
         self.acc_bytes = 0;
         Ok(())
     }
 
     fn accumulate_term(
         &mut self,
-        spec: &JoinSpec<'_>,
+        run: &mut Run<'r>,
+        si: usize,
         outer_id: DocId,
         cell: &DCell,
         ordinal: u32,
-        insert_df: &dyn Fn(TermId) -> u64,
-        counters: &mut HvnlCounters,
     ) -> Result<()> {
+        let specs = run.specs;
+        let spec = &specs[si];
         let factor = spec.weighting.term_factor(cell.term, spec.inner.profile());
         if factor == 0.0 {
             return Ok(());
@@ -484,9 +491,9 @@ impl<'b> EntryJoinState<'b> {
         let lookup_start = self.lookup_hists.as_ref().map(|_| Instant::now());
 
         if let Some(cells) = self.cache.get(cell.term) {
-            counters.cache_hits += 1;
+            run.queries[si].counters.cache_hits += 1;
             let cells = cells.to_vec(); // escape the cache borrow
-            self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
+            self.apply_postings(run, si, outer_id, cell.weight, factor, &cells)?;
             if let (Some((hit, _)), Some(t0)) = (&self.lookup_hists, lookup_start) {
                 hit.observe(t0.elapsed().as_nanos() as u64);
             }
@@ -497,11 +504,11 @@ impl<'b> EntryJoinState<'b> {
         // fetch still counts as a fetch attempt; in degraded mode the
         // unreadable entry is skipped (its postings contribute nothing)
         // and counted, rather than failing the whole join.
-        counters.entry_fetches += 1;
+        run.queries[si].counters.entry_fetches += 1;
         let cells = match self.inner_inv.read_entry(ordinal) {
             Ok(cells) => cells,
             Err(e) if spec.skippable(&e) => {
-                counters.skipped_entries += 1;
+                run.queries[si].counters.skipped_entries += 1;
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -513,19 +520,18 @@ impl<'b> EntryJoinState<'b> {
 
         // Make room by evicting lowest-priority entries; an entry larger
         // than everything evictable is used transiently instead.
-        while self.tracker.allocate(bytes, "HVNL entry cache").is_err() {
+        while run.tracker.allocate(bytes, "HVNL entry cache").is_err() {
             match self.cache.evict_one() {
-                Some(freed) => self.tracker.release(freed),
+                Some(freed) => run.tracker.release(freed),
                 None => {
                     // Nothing left to evict: accumulate without caching.
-                    self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
-                    return Ok(());
+                    return self.apply_postings(run, si, outer_id, cell.weight, factor, &cells);
                 }
             }
         }
-        self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)?;
+        self.apply_postings(run, si, outer_id, cell.weight, factor, &cells)?;
         self.cache
-            .insert(cell.term, cells, bytes, insert_df(cell.term));
+            .insert(cell.term, cells, bytes, Self::demand(specs, cell.term));
         Ok(())
     }
 
@@ -540,18 +546,20 @@ impl<'b> EntryJoinState<'b> {
     /// inverted file only.
     fn accumulate_delta_term(
         &mut self,
-        spec: &JoinSpec<'_>,
+        run: &mut Run<'r>,
+        si: usize,
         outer_id: DocId,
         cell: &DCell,
-        overlay: &textjoin_invfile::DeltaOverlay,
-        counters: &mut HvnlCounters,
+        overlay: &DeltaOverlay,
     ) -> Result<()> {
+        let specs = run.specs;
+        let spec = &specs[si];
         let factor = spec.weighting.term_factor(cell.term, spec.inner.profile());
         if factor == 0.0 {
             return Ok(());
         }
         if matches!(self.delta_postings, DeltaPostings::Unbuilt) {
-            self.build_delta_postings(spec, overlay)?;
+            self.build_delta_postings(run, overlay)?;
         }
         let cells = match &self.delta_postings {
             DeltaPostings::Built(map) => match map.get(&cell.term) {
@@ -562,21 +570,21 @@ impl<'b> EntryJoinState<'b> {
                 // The delta is unreadable: every lookup that would have
                 // consulted it is a counted skip, so any query touching
                 // the dropped overlay reports a Partial result.
-                counters.skipped_entries += 1;
+                run.queries[si].counters.skipped_entries += 1;
                 return Ok(());
             }
             DeltaPostings::PerTerm => match overlay.postings_for(cell.term) {
                 Ok(cells) if !cells.is_empty() => cells,
                 Ok(_) => return Ok(()),
                 Err(e) if spec.skippable(&e) => {
-                    counters.skipped_entries += 1;
+                    run.queries[si].counters.skipped_entries += 1;
                     return Ok(());
                 }
                 Err(e) => return Err(e),
             },
             DeltaPostings::Unbuilt => unreachable!("built above"),
         };
-        self.apply_postings(spec, outer_id, cell.weight, factor, &cells, counters)
+        self.apply_postings(run, si, outer_id, cell.weight, factor, &cells)
     }
 
     /// One-shot materialization of the inner delta overlay: a single
@@ -585,14 +593,10 @@ impl<'b> EntryJoinState<'b> {
     /// (mirroring VVM's merged-entries idiom); if the map cannot be charged
     /// to the tracker even after emptying the entry cache, lookups fall
     /// back to per-term overlay reads.
-    fn build_delta_postings(
-        &mut self,
-        spec: &JoinSpec<'_>,
-        overlay: &textjoin_invfile::DeltaOverlay,
-    ) -> Result<()> {
+    fn build_delta_postings(&mut self, run: &mut Run<'r>, overlay: &DeltaOverlay) -> Result<()> {
         let entries = match overlay.entries() {
             Ok(entries) => entries,
-            Err(e) if spec.skippable(&e) => {
+            Err(e) if run.specs[0].skippable(&e) => {
                 self.delta_postings = DeltaPostings::Dropped;
                 return Ok(());
             }
@@ -602,9 +606,9 @@ impl<'b> EntryJoinState<'b> {
             .iter()
             .map(|(_, cells)| cached_entry_bytes(cells))
             .sum();
-        while self.tracker.allocate(bytes, "HVNL delta postings").is_err() {
+        while run.tracker.allocate(bytes, "HVNL delta postings").is_err() {
             match self.cache.evict_one() {
-                Some(freed) => self.tracker.release(freed),
+                Some(freed) => run.tracker.release(freed),
                 None => {
                     self.delta_postings = DeltaPostings::PerTerm;
                     return Ok(());
@@ -617,18 +621,23 @@ impl<'b> EntryJoinState<'b> {
 
     fn apply_postings(
         &mut self,
-        spec: &JoinSpec<'_>,
+        run: &mut Run<'r>,
+        si: usize,
         outer_id: DocId,
         outer_weight: u16,
         factor: f64,
-        cells: &[textjoin_common::ICell],
-        counters: &mut HvnlCounters,
+        cells: &[ICell],
     ) -> Result<()> {
+        let specs = run.specs;
+        let spec = &specs[si];
         for icell in cells {
             if !spec.inner_doc_allowed(icell.doc) || !spec.pair_allowed(icell.doc, outer_id) {
                 continue;
             }
+            // HVNL only ever visits non-zero cells: every touch is an op.
+            let counters = &mut run.queries[si].counters;
             counters.sim_ops += 1;
+            counters.cells_touched += 1;
             let contribution = outer_weight as f64 * icell.weight as f64 * factor;
             match self.accumulators.entry(icell.doc.raw()) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -640,10 +649,10 @@ impl<'b> EntryJoinState<'b> {
                     // cache is discretionary: shrink it before giving up on
                     // mandatory accumulator space.
                     loop {
-                        match self.tracker.allocate(4, "HVNL similarity accumulators") {
+                        match run.tracker.allocate(4, "HVNL similarity accumulators") {
                             Ok(()) => break,
                             Err(err) => match self.cache.evict_one() {
-                                Some(freed) => self.tracker.release(freed),
+                                Some(freed) => run.tracker.release(freed),
                                 // Mandatory space outranks pin hints: the
                                 // pins are released first (so the entries
                                 // become evictable) rather than ever
@@ -674,7 +683,7 @@ struct EntryCache {
 }
 
 struct CacheSlot {
-    cells: Vec<textjoin_common::ICell>,
+    cells: Vec<ICell>,
     bytes: u64,
     key: (u64, u32),
     /// Pinned slots are exempt from eviction: their key is withdrawn from
@@ -696,7 +705,7 @@ impl EntryCache {
         self.entries.contains_key(&term)
     }
 
-    fn get(&mut self, term: TermId) -> Option<&[textjoin_common::ICell]> {
+    fn get(&mut self, term: TermId) -> Option<&[ICell]> {
         self.tick += 1;
         let tick = self.tick;
         let refresh_lru = self.policy == EvictionPolicy::Lru;
@@ -715,16 +724,15 @@ impl EntryCache {
         Some(&slot.cells)
     }
 
-    /// Caches an entry. `df` is the demand estimate the policy keys
-    /// evictions by: the term's outer document frequency for
-    /// [`EvictionPolicy::LowestOuterDf`], the batch-aggregated frequency
-    /// for [`EvictionPolicy::BatchAggregateDf`] (ignored under LRU). Ties
-    /// on `df` break by term id, so eviction order is reproducible.
-    fn insert(&mut self, term: TermId, cells: Vec<textjoin_common::ICell>, bytes: u64, df: u64) {
+    /// Caches an entry. `df` is the demand estimate
+    /// [`EvictionPolicy::LowestOuterDf`] keys evictions by (ignored under
+    /// LRU). Ties on `df` break by term id, so eviction order is
+    /// reproducible.
+    fn insert(&mut self, term: TermId, cells: Vec<ICell>, bytes: u64, df: u64) {
         debug_assert!(!self.entries.contains_key(&term));
         self.tick += 1;
         let key = match self.policy {
-            EvictionPolicy::LowestOuterDf | EvictionPolicy::BatchAggregateDf => (df, term.raw()),
+            EvictionPolicy::LowestOuterDf => (df, term.raw()),
             EvictionPolicy::Lru => (self.tick, term.raw()),
         };
         self.order.insert(key);
@@ -991,48 +999,41 @@ mod tests {
     /// in — `evict_one` is reproducible across runs and executors.
     #[test]
     fn equal_df_ties_evict_in_ascending_term_order() {
-        for policy in [
-            EvictionPolicy::LowestOuterDf,
-            EvictionPolicy::BatchAggregateDf,
-        ] {
-            let cells = vec![ICell::new(DocId::new(0), 1)];
-            let mut forward = EntryCache::new(policy);
-            let mut reverse = EntryCache::new(policy);
-            let terms = [9u32, 3, 27, 14, 5];
-            for &t in &terms {
-                forward.insert(TermId::new(t), cells.clone(), 8, 7);
-            }
-            for &t in terms.iter().rev() {
-                reverse.insert(TermId::new(t), cells.clone(), 8, 7);
-            }
-            let drain = |mut c: EntryCache| {
-                let mut order = Vec::new();
-                while c.evict_one().is_some() {
-                    let survivors: Vec<u32> = terms
-                        .iter()
-                        .copied()
-                        .filter(|&t| c.contains(TermId::new(t)))
-                        .collect();
-                    order.push(survivors);
-                }
-                order
-            };
-            let f = drain(forward);
-            assert_eq!(f, drain(reverse), "{policy:?}: order depends on insertion");
-            // Ascending term order: 3 goes first, 27 survives longest.
-            assert!(
-                !f[0].contains(&3),
-                "{policy:?}: lowest term id evicts first"
-            );
-            assert_eq!(f[3], vec![27], "{policy:?}: highest term id evicts last");
+        let cells = vec![ICell::new(DocId::new(0), 1)];
+        let mut forward = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let mut reverse = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let terms = [9u32, 3, 27, 14, 5];
+        for &t in &terms {
+            forward.insert(TermId::new(t), cells.clone(), 8, 7);
         }
+        for &t in terms.iter().rev() {
+            reverse.insert(TermId::new(t), cells.clone(), 8, 7);
+        }
+        let drain = |mut c: EntryCache| {
+            let mut order = Vec::new();
+            while c.evict_one().is_some() {
+                let survivors: Vec<u32> = terms
+                    .iter()
+                    .copied()
+                    .filter(|&t| c.contains(TermId::new(t)))
+                    .collect();
+                order.push(survivors);
+            }
+            order
+        };
+        let f = drain(forward);
+        assert_eq!(f, drain(reverse), "order depends on insertion");
+        // Ascending term order: 3 goes first, 27 survives longest.
+        assert!(!f[0].contains(&3), "lowest term id evicts first");
+        assert_eq!(f[3], vec![27], "highest term id evicts last");
     }
 
-    /// BatchAggregateDf keys evictions by the caller-supplied aggregate
-    /// demand, not the single-query df — higher aggregate survives longer.
+    /// Evictions are keyed by the caller-supplied demand — for a batch the
+    /// aggregate over its queries, not one query's df — and higher demand
+    /// survives longer.
     #[test]
-    fn batch_aggregate_df_orders_by_aggregate_demand() {
-        let mut cache = EntryCache::new(EvictionPolicy::BatchAggregateDf);
+    fn eviction_orders_by_aggregate_demand() {
+        let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf);
         let cells = vec![ICell::new(DocId::new(0), 1)];
         // Term 1 is rare per query but demanded by many queries; term 2 is
         // frequent in one query and zero-weighted in the rest.

@@ -15,10 +15,10 @@
 //! run with the watchdog disarmed: the budget was set from the *winner's*
 //! prediction, and the fallback must be allowed to finish.
 
+use crate::driver::Indexes;
 use crate::report::observe_phase_sim_io;
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
-use crate::{fnl, hhnl, hvnl, parallel, vvm};
 use std::time::Instant;
 use textjoin_common::{Error, Result};
 use textjoin_costmodel::{parallel as par_cost, Algorithm, CostEstimates, IoScenario};
@@ -38,6 +38,42 @@ pub struct IntegratedOutcome {
     pub outcome: JoinOutcome,
 }
 
+/// The cheapest-first fallback chain. Runs `first`; if it turns out
+/// infeasible at run time (its memory estimate was optimistic), dies on
+/// unreadable storage, or is aborted by the drift watchdog, the remaining
+/// algorithms with a finite `cost` are tried cheapest first — e.g. HVNL
+/// failing on a corrupt inverted file falls back to HHNL, which never
+/// touches the inverted file. `attempt` receives the algorithm and the
+/// number of failed attempts before it; callers run fallbacks with the
+/// watchdog disarmed (the budget belonged to the first choice's
+/// prediction). Returns the algorithm that succeeded, the number of
+/// fallbacks it took, and its result; the last failure when none did.
+pub fn with_fallback<T>(
+    first: Algorithm,
+    cost: impl Fn(Algorithm) -> f64,
+    mut attempt: impl FnMut(Algorithm, u64) -> Result<T>,
+) -> Result<(Algorithm, u64, T)> {
+    let mut fallbacks: Vec<Algorithm> = Algorithm::ALL
+        .into_iter()
+        .filter(|a| *a != first && cost(*a).is_finite())
+        .collect();
+    fallbacks.sort_by(|a, b| cost(*a).total_cmp(&cost(*b)));
+    let mut last_err = None;
+    for (failed, algorithm) in std::iter::once(first).chain(fallbacks).enumerate() {
+        match attempt(algorithm, failed as u64) {
+            Ok(out) => return Ok((algorithm, failed as u64, out)),
+            Err(
+                e @ (Error::InsufficientMemory { .. }
+                | Error::Corrupt(_)
+                | Error::Io { .. }
+                | Error::CostOverrun { .. }),
+            ) => last_err = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err.expect("the first algorithm was attempted"))
+}
+
 /// Estimates all costs from the spec's *measured* statistics, then runs the
 /// cheapest feasible algorithm under the given I/O scenario.
 pub fn execute(
@@ -52,8 +88,8 @@ pub fn execute(
 /// [`execute`] with a worker knob: with `workers > 1` the candidates are
 /// ranked by their *parallel* estimates (`hhs_par`/`hvs_par`/`vvs_par` —
 /// scan terms divided by workers, seek terms unchanged) and the winner runs
-/// on the multi-threaded executors of [`parallel`]. `workers == 1` is the
-/// classic section 6.1 procedure.
+/// on the multi-threaded executors of [`crate::parallel`]. `workers == 1`
+/// is the classic section 6.1 procedure.
 pub fn execute_with_workers(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
@@ -84,111 +120,69 @@ pub fn execute_with_index(
         inputs = inputs.with_fnl(ix.stats());
     }
     let estimates = CostEstimates::compute(&inputs);
-
-    let mut ranked: Vec<(Algorithm, f64)> = Algorithm::ALL
-        .into_iter()
-        .map(|a| {
-            let cost = if workers > 1 {
-                par_cost::estimate(&inputs, a, workers as u64)
-            } else {
-                estimates.cost(a, scenario)
-            };
-            (a, cost)
-        })
-        .collect();
-    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-    let mut last_err: Option<Error> = None;
-    let mut fallbacks = 0u64;
-    // Fallback attempts run with the watchdog disarmed — the budget was
-    // derived from the first choice's prediction and would misfire on an
-    // algorithm with a different (already known to be higher) cost.
-    let unwatched = spec.without_cost_budget();
-    for (algorithm, cost) in ranked.iter().copied() {
-        if cost.is_infinite() {
-            break;
+    let cost = |a: Algorithm| {
+        if workers > 1 {
+            par_cost::estimate(&inputs, a, workers as u64)
+        } else {
+            estimates.cost(a, scenario)
         }
-        let spec = if fallbacks == 0 { spec } else { &unwatched };
-        // Keep the live ticket's label honest: the integrated algorithm
-        // re-ranks internally, so the algorithm actually attempted may
-        // differ from what the caller registered. (A cancel never reaches
-        // this loop — executors absorb it into an `Ok` Partial outcome.)
+    };
+    let cheapest = Algorithm::ALL
+        .into_iter()
+        .min_by(|a, b| cost(*a).total_cmp(&cost(*b)))
+        .expect("at least one algorithm");
+    if cost(cheapest).is_infinite() {
+        return Err(Error::InsufficientMemory {
+            context: "no join algorithm is feasible in the given memory".into(),
+            required_pages: 0,
+            available_pages: spec.sys.buffer_pages,
+        });
+    }
+
+    let indexes = Indexes {
+        inner_inv: Some(inner_inv),
+        outer_inv: Some(outer_inv),
+        // A finite FNL estimate implies the index was supplied (no index
+        // means no stats and an infinite estimate).
+        fnl: fnl_index,
+    };
+    let unwatched = spec.without_cost_budget();
+    let (chosen, fallbacks, mut outcome) = with_fallback(cheapest, cost, |algorithm, failed| {
+        let spec = if failed == 0 { spec } else { &unwatched };
+        // Keep the live ticket's label honest: the algorithm actually
+        // attempted may differ from what the caller registered. (A cancel
+        // never reaches this chain — executors absorb it into an `Ok`
+        // Partial outcome.)
         if let Some(ticket) = spec.ticket {
             ticket.set_algorithm(algorithm.to_string());
         }
-        // A finite FNL estimate implies the index was supplied (no index
-        // means no stats and an infinite estimate, which `break`s above);
-        // the error arm is defensive, not reachable through the ranking.
-        let fnl_or_err = || {
-            fnl_index.ok_or_else(|| {
-                Error::InvalidArgument("FNL ranked finite without a signature index".into())
-            })
-        };
-        let attempt = if workers > 1 {
-            match algorithm {
-                Algorithm::Hhnl => parallel::execute_hhnl(spec, workers),
-                Algorithm::Hvnl => parallel::execute_hvnl(spec, inner_inv, workers),
-                Algorithm::Vvm => parallel::execute_vvm(spec, inner_inv, outer_inv, workers),
-                Algorithm::Fnl => {
-                    fnl_or_err().and_then(|ix| parallel::execute_fnl(spec, ix, workers))
-                }
-            }
-        } else {
-            match algorithm {
-                Algorithm::Hhnl => hhnl::execute(spec),
-                Algorithm::Hvnl => hvnl::execute(spec, inner_inv),
-                Algorithm::Vvm => vvm::execute(spec, inner_inv, outer_inv),
-                Algorithm::Fnl => fnl_or_err().and_then(|ix| fnl::execute(spec, ix)),
-            }
-        };
-        match attempt {
-            Ok(mut outcome) => {
-                if root.is_enabled() {
-                    // Why this algorithm: the full cost ranking it won.
-                    root.detail(|| {
-                        let ranking = ranked
-                            .iter()
-                            .map(|(a, c)| format!("{a}={c:.1}"))
-                            .collect::<Vec<_>>()
-                            .join(" < ");
-                        format!("chose {algorithm}: {ranking}")
-                    });
-                    root.record("fallbacks", fallbacks);
-                    root.record("workers", workers as u64);
-                    observe_phase_sim_io(
-                        spec.trace,
-                        "integrated",
-                        &outcome.stats.io,
-                        spec.sys.alpha,
-                    );
-                }
-                // The integrated wall time covers planning and any failed
-                // re-plan attempts, not just the winning executor.
-                outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
-                return Ok(IntegratedOutcome {
-                    chosen: algorithm,
-                    estimates,
-                    workers,
-                    outcome,
-                });
-            }
-            Err(
-                e @ (Error::InsufficientMemory { .. }
-                | Error::Corrupt(_)
-                | Error::Io { .. }
-                | Error::CostOverrun { .. }),
-            ) => {
-                fallbacks += 1;
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
+        crate::execute(algorithm, spec, &indexes, workers)
+    })?;
+    if root.is_enabled() {
+        // Why this algorithm: the full cost ranking it won.
+        root.detail(|| {
+            let mut ranked = Algorithm::ALL.map(|a| (a, cost(a)));
+            ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+            let ranking = ranked
+                .iter()
+                .map(|(a, c)| format!("{a}={c:.1}"))
+                .collect::<Vec<_>>()
+                .join(" < ");
+            format!("chose {chosen}: {ranking}")
+        });
+        root.record("fallbacks", fallbacks);
+        root.record("workers", workers as u64);
+        observe_phase_sim_io(spec.trace, "integrated", &outcome.stats.io, spec.sys.alpha);
     }
-    Err(last_err.unwrap_or(Error::InsufficientMemory {
-        context: "no join algorithm is feasible in the given memory".into(),
-        required_pages: 0,
-        available_pages: spec.sys.buffer_pages,
-    }))
+    // The integrated wall time covers planning and any failed re-plan
+    // attempts, not just the winning executor.
+    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
+    Ok(IntegratedOutcome {
+        chosen,
+        estimates,
+        workers,
+        outcome,
+    })
 }
 
 #[cfg(test)]

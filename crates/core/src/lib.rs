@@ -1,9 +1,11 @@
-//! Executable text-join algorithms: HHNL, HVNL and VVM.
+//! Executable text-join algorithms: HHNL, HVNL, VVM and FNL.
 //!
-//! This crate implements the three algorithms of section 4 as real
-//! executors over the simulated storage stack, so their *measured* I/O
-//! counts and memory high-water marks can be compared with the analytical
-//! models of `textjoin-costmodel`:
+//! This crate implements the algorithms of section 4 as real executors
+//! over the simulated storage stack, so their *measured* I/O counts and
+//! memory high-water marks can be compared with the analytical models of
+//! `textjoin-costmodel`. Each algorithm is written once, as passes over
+//! `N ≥ 1` queries, against the pass driver (`driver.rs`); a single query
+//! is the batch of one. [`execute`] dispatches on [`Algorithm`]:
 //!
 //! * [`hhnl`] — Horizontal-Horizontal Nested Loop: batches of outer
 //!   documents against a sequential scan of the inner collection
@@ -17,24 +19,27 @@
 //! * [`fnl`] — Filtered Nested Loops: HHNL's loop over a compact
 //!   rarity-ranked signature index, with a prefix/position filter that
 //!   prunes candidate pairs before they are merged;
+//! * [`batch`] — the same passes handed `N` queries over one collection
+//!   pair, sharing every scan;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
-//!   costs, execute the cheapest;
+//!   costs, execute the cheapest, fall back cheapest-first;
 //! * [`mod@reference`] — a trivial in-memory scorer used as the correctness
 //!   oracle by the test suite;
 //! * [`cluster`] — the self-join special case of section 1 (document
 //!   clustering), with single-link grouping of the neighbour graph;
-//! * [`parallel`] — multi-threaded variants of all three executors (the
+//! * [`parallel`] — multi-threaded variants of the executors (the
 //!   paper's future-work item 3): outer-partitioned HHNL and HVNL,
 //!   term-range-partitioned VVM, with per-worker I/O attribution;
 //! * [`shard`] — sharded multi-site execution (the paper's §3
 //!   multidatabase setting): per-shard drives, comm-priced page shipping,
 //!   skew-aware partitioning, exact global top-λ merge.
 //!
-//! All three executors must produce identical results for the same
+//! All executors must produce identical results for the same
 //! [`JoinSpec`] — the central invariant of the test suite.
 
 pub mod batch;
 pub mod cluster;
+mod driver;
 pub mod fnl;
 pub mod hhnl;
 pub mod hvnl;
@@ -50,6 +55,7 @@ pub mod vvm;
 pub mod weighting;
 
 pub use batch::{BatchOptions, BatchOutcome};
+pub use driver::{execute, Indexes};
 pub use fnl::FnlOptions;
 pub use report::{
     observation_from_json, PhaseDuration, QueryReport, SlowLogRank, SlowQueryLog, SIM_PAGE_NS,

@@ -33,16 +33,16 @@
 //! against wall-clock: with `w` dedicated drives the elapsed scan time
 //! divides by ~`w`.
 
+use crate::driver::Checkpoint;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk::TopK;
+use crate::vvm::MergePartial;
 use crate::{hhnl, hvnl, vvm, Algorithm};
-use std::collections::HashMap;
 use std::time::Instant;
 use textjoin_common::{DocId, Error, Result, SystemParams, TermId};
 use textjoin_invfile::InvertedFile;
 use textjoin_obs::Tracer;
-use textjoin_storage::{DiskSim, IoStats, MemTracker};
+use textjoin_storage::{DiskSim, IoStats};
 
 /// Splits a `total`-page buffer budget across `workers`. Integer division
 /// alone loses `total % workers` pages (a 5-way split of 64 pages would
@@ -213,16 +213,6 @@ where
     })
 }
 
-/// What one VVM term-range worker hands back per merge pass.
-struct VvmPartial {
-    /// outer id → (inner id → partial weighted sum over the worker's terms).
-    acc: HashMap<u32, HashMap<u32, f64>>,
-    skipped_entries: u64,
-    sim_ops: u64,
-    io: IoStats,
-    mem_high_water: u64,
-}
-
 /// Inner/outer ordinal ranges assigned to one worker: both cover the same
 /// half-open term interval.
 #[derive(Clone, Copy)]
@@ -259,10 +249,10 @@ pub fn execute_vvm(
 
     let ranges = term_ranges(inner_inv, outer_inv, workers);
     let mut partitions = vvm::estimate_partitions(
-        spec,
+        std::slice::from_ref(spec),
         inner_inv,
         outer_inv,
-        outer_ids.len() as u64,
+        std::slice::from_ref(&outer_ids),
         workers as u64,
     )?;
     loop {
@@ -367,7 +357,7 @@ fn run_vvm(
     let mut skipped_entries = 0u64;
     let mut io_sum = IoStats::default();
     let mut mem_high_water = 0u64;
-    let mut reported_pages = 0.0f64;
+    let mut checkpoint = Checkpoint::new(std::slice::from_ref(spec));
     let mut cancelled = false;
 
     for chunk in outer_ids.chunks(chunk_size) {
@@ -389,21 +379,9 @@ fn run_vvm(
                         trace: stitched.as_ref(),
                         ..*spec
                     };
-                    s.spawn(move |_| -> Result<VvmPartial> {
+                    s.spawn(move |_| -> Result<MergePartial> {
                         let mut wspan = Tracer::maybe(worker_spec.trace, "vvm.worker");
-                        if wspan.is_enabled() {
-                            wspan.record("worker", idx as u64);
-                        }
-                        let before = DiskSim::thread_io_stats();
-                        let tracker = MemTracker::new(&worker_spec.sys);
-                        tracker.allocate(entry_buf_bytes.max(1), "parallel VVM entry buffers")?;
-                        tracker.allocate(
-                            TopK::budget_bytes(worker_spec.query.lambda),
-                            "VVM result heap",
-                        )?;
-                        let mut skipped = 0u64;
-                        let mut ops = 0u64;
-                        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
+                        wspan.record("worker", idx as u64);
                         let (i_start, i_end) = range.inner;
                         let (o_start, o_end) = range.outer;
                         // Term bounds for the delta overlays: the ordinal
@@ -423,86 +401,56 @@ fn run_vvm(
                         } else {
                             Some(inner_inv.meta(i_end).term.raw())
                         };
-                        let inner_cur = vvm::EntryCursor::new(
+                        MergePartial::compute(
+                            &worker_spec,
+                            DiskSim::thread_io_stats(),
                             vvm::merged_entries(
                                 inner_inv.scan_range(i_start, i_end),
                                 worker_spec.inner_delta,
                                 term_lo,
                                 term_hi,
                             ),
-                            &worker_spec,
-                            &mut skipped,
-                        )?;
-                        let outer_cur = vvm::EntryCursor::new(
                             vvm::merged_entries(
                                 outer_inv.scan_range(o_start, o_end),
                                 worker_spec.outer_delta,
                                 term_lo,
                                 term_hi,
                             ),
-                            &worker_spec,
-                            &mut skipped,
-                        )?;
-                        vvm::merge_accumulate(
-                            &worker_spec,
-                            inner_cur,
-                            outer_cur,
                             chunk,
-                            &tracker,
-                            &mut acc,
-                            &mut ops,
-                            &mut skipped,
-                        )?;
-                        Ok(VvmPartial {
-                            acc,
-                            skipped_entries: skipped,
-                            sim_ops: ops,
-                            io: DiskSim::thread_io_stats().since(&before),
-                            mem_high_water: tracker.high_water(),
-                        })
+                            entry_buf_bytes,
+                        )
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
-                .collect::<Result<Vec<VvmPartial>>>()
+                .collect::<Result<Vec<MergePartial>>>()
         })
         .expect("crossbeam scope panicked")?;
 
-        // Sum the partial tables in worker index order — ascending term
-        // order, the same order the sequential merge accumulates in. Each
-        // worker's map is dropped as soon as it is folded in.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
-        let mut pass_mem = 0u64;
+        // Each worker's map is dropped as soon as it is folded in.
+        let mut pass = MergePartial::default();
         for partial in partials {
-            skipped_entries += partial.skipped_entries;
-            sim_ops += partial.sim_ops;
-            io_sum.merge(&partial.io);
-            pass_mem += partial.mem_high_water;
-            for (outer_raw, per_outer) in partial.acc {
-                let dst = acc.entry(outer_raw).or_default();
-                for (inner_raw, sum) in per_outer {
-                    *dst.entry(inner_raw).or_insert(0.0) += sum;
-                }
-            }
+            partial.fold_into(&mut pass);
         }
-        // Concurrent workers peak together: their summed high-waters are
-        // the pass's true footprint.
-        mem_high_water = mem_high_water.max(pass_mem);
-        vvm::emit_chunk(spec, chunk, &acc, &mut rows);
+        vvm::emit_chunk(spec, chunk, &pass.sim, &mut rows);
+        sim_ops += pass.sim_ops;
+        skipped_entries += pass.skipped_entries;
+        io_sum.merge(&pass.io);
+        mem_high_water = mem_high_water.max(pass.mem_high_water);
         // The pass boundary is this scaffold's cooperative checkpoint. The
         // coordinator thread did none of the I/O, so its thread-local
-        // tally is useless here; feed the exact per-worker sums instead.
-        if let Some(ticket) = spec.ticket {
-            let own = io_sum.cost(spec.sys.alpha);
-            ticket.add_pages(own - reported_pages);
-            reported_pages = own;
-            ticket.set_phase(format!("vvm.parallel.pass {passes}"));
-        }
-        if spec.cancel.is_some_and(|c| c.is_cancelled()) {
-            cancelled = true;
-            break;
+        // tally is useless here; the exact per-worker sums stand in for
+        // both the ticket pages and the watchdog's cost.
+        if checkpoint.armed() {
+            let pages = io_sum.cost(spec.sys.alpha);
+            if checkpoint.observe(std::slice::from_ref(spec), pages, pages, || {
+                format!("vvm.parallel.pass {passes}")
+            })? {
+                cancelled = true;
+                break;
+            }
         }
     }
 
@@ -520,18 +468,15 @@ fn run_vvm(
         root.record("sim_ops", sim_ops);
     }
     let stats = ExecStats {
-        algorithm: Algorithm::Vvm,
         io,
         cost: io.cost(spec.sys.alpha),
         mem_high_water_bytes: mem_high_water,
         passes,
-        entry_fetches: 0,
-        cache_hits: 0,
         sim_ops,
         cells_touched: sim_ops,
-        skipped_docs: 0,
         skipped_entries,
         wall_ns: started.elapsed().as_nanos() as u64,
+        ..ExecStats::zero(Algorithm::Vvm)
     };
     Ok(JoinOutcome {
         result: JoinResult::from_rows(rows),

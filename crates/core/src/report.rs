@@ -164,8 +164,7 @@ impl QueryReport {
         Some(100.0 * (self.measured_cost - predicted) / self.measured_cost)
     }
 
-    /// Renders the report as one JSON object (hand-rolled — the vendored
-    /// serde is a no-op stand-in).
+    /// Renders the report as one JSON object (hand-rolled).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -214,8 +213,7 @@ impl QueryReport {
         out
     }
 
-    /// Parses one [`Self::to_json`] object back (hand-rolled — the
-    /// vendored serde is a no-op stand-in). Missing optional fields
+    /// Parses one [`Self::to_json`] object back. Missing optional fields
     /// (`pair`, the knobs, the CPU counters) default to zero/empty so
     /// records written by earlier versions still load; missing required
     /// fields are an [`Error::Parse`].

@@ -47,7 +47,8 @@
 
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk::{self, TopK};
+use crate::topk;
+use crate::vvm::MergePartial;
 use crate::{hhnl, parallel, vvm, Algorithm};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -57,7 +58,7 @@ use textjoin_common::{DocId, Error, ICell, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
-use textjoin_storage::{DiskSim, FaultPlan, IoStats, MemTracker, NetworkSim};
+use textjoin_storage::{DiskSim, FaultPlan, IoStats, NetworkSim};
 
 /// Bytes shipped per accumulator cell of a partial VVM similarity table:
 /// two 4-byte document numbers plus the paper's 4-byte similarity value.
@@ -483,22 +484,22 @@ fn execute_doc_sites(
             continue;
         }
         let disk = Arc::new(DiskSim::new(spec.sys.page_size));
-        let (site_inner, site_outer): (SiteDocs<'_>, SiteDocs<'_>) =
-            if algorithm == Algorithm::Fnl {
-                // FNL: the inner subset lives here; the outer side is
-                // replicated (shipped in) wholesale.
-                (
-                    idxs.iter().map(|&i| &inner_docs[i]).collect(),
-                    outer_docs.iter().collect(),
-                )
-            } else {
-                // HHNL/HVNL: the outer slice lives here; the inner side is
-                // spooled in as a replica.
-                (
-                    inner_docs.iter().collect(),
-                    idxs.iter().map(|&i| &outer_docs[i]).collect(),
-                )
-            };
+        let (site_inner, site_outer): (SiteDocs<'_>, SiteDocs<'_>) = if algorithm == Algorithm::Fnl
+        {
+            // FNL: the inner subset lives here; the outer side is
+            // replicated (shipped in) wholesale.
+            (
+                idxs.iter().map(|&i| &inner_docs[i]).collect(),
+                outer_docs.iter().collect(),
+            )
+        } else {
+            // HHNL/HVNL: the outer slice lives here; the inner side is
+            // spooled in as a replica.
+            (
+                inner_docs.iter().collect(),
+                idxs.iter().map(|&i| &outer_docs[i]).collect(),
+            )
+        };
         let inner = build_collection(&disk, "inner", &site_inner)?;
         let outer = build_collection(&disk, "outer", &site_outer)?;
         let inv = if algorithm == Algorithm::Hvnl {
@@ -766,15 +767,6 @@ struct FragSite {
     shipped: u64,
 }
 
-/// What one fragment site hands back per merge pass.
-struct ShardPartial {
-    acc: HashMap<u32, HashMap<u32, f64>>,
-    skipped_entries: u64,
-    sim_ops: u64,
-    io: IoStats,
-    mem_high_water: u64,
-}
-
 /// Sharded VVM: term-range fragments of both inverted files on per-site
 /// drives, per-site partial similarity tables shipped to the coordinator
 /// and summed, then emitted through the sequential merge's λ-heap.
@@ -875,10 +867,10 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let mut partitions = 1u64;
     for site in &sites {
         partitions = partitions.max(vvm::estimate_partitions(
-            spec,
+            std::slice::from_ref(spec),
             &site.inner,
             &site.outer,
-            outer_ids.len() as u64,
+            std::slice::from_ref(&outer_ids),
             1,
         )?);
     }
@@ -977,86 +969,43 @@ fn run_vvm_passes(
             let handles: Vec<_> = sites
                 .iter()
                 .map(|site| {
-                    sc.spawn(move |_| -> Result<ShardPartial> {
-                        let before = DiskSim::thread_io_stats();
-                        let tracker = MemTracker::new(&spec.sys);
-                        tracker.allocate(
-                            (vvm::max_entry_bytes(&site.inner) + vvm::max_entry_bytes(&site.outer))
-                                .max(1),
-                            "sharded VVM entry buffers",
-                        )?;
-                        tracker
-                            .allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
-                        let mut skipped = 0u64;
-                        let mut ops = 0u64;
-                        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
-                        let n1 = site.inner.num_entries() as u32;
-                        let n2 = site.outer.num_entries() as u32;
-                        let inner_cur = vvm::EntryCursor::new(
-                            site.inner.scan_range(0, n1),
+                    sc.spawn(move |_| {
+                        MergePartial::compute(
                             spec,
-                            &mut skipped,
-                        )?;
-                        let outer_cur = vvm::EntryCursor::new(
-                            site.outer.scan_range(0, n2),
-                            spec,
-                            &mut skipped,
-                        )?;
-                        vvm::merge_accumulate(
-                            spec,
-                            inner_cur,
-                            outer_cur,
+                            DiskSim::thread_io_stats(),
+                            site.inner.scan_range(0, site.inner.num_entries() as u32),
+                            site.outer.scan_range(0, site.outer.num_entries() as u32),
                             chunk,
-                            &tracker,
-                            &mut acc,
-                            &mut ops,
-                            &mut skipped,
-                        )?;
-                        Ok(ShardPartial {
-                            acc,
-                            skipped_entries: skipped,
-                            sim_ops: ops,
-                            io: DiskSim::thread_io_stats().since(&before),
-                            mem_high_water: tracker.high_water(),
-                        })
+                            vvm::max_entry_bytes(&site.inner) + vvm::max_entry_bytes(&site.outer),
+                        )
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("fragment site panicked"))
-                .collect::<Result<Vec<ShardPartial>>>()
+                .collect::<Result<Vec<MergePartial>>>()
         })
         .expect("crossbeam scope panicked")?;
 
-        // Ship each site's partial table to the coordinator and fold. Raw
-        // counts make the fold exact in any order; fractional weightings
-        // agree to floating-point reassociation, as in the parallel
-        // engine.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
-        let mut pass_mem = 0u64;
+        // Ship each site's partial table to the coordinator and fold.
+        let mut pass = MergePartial::default();
         for (k, partial) in partials.into_iter().enumerate() {
-            let cells: u64 = partial.acc.values().map(|m| m.len() as u64).sum();
+            let cells: u64 = partial.sim.values().map(|m| m.len() as u64).sum();
             let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
             acc_shipped[k] += pages;
             net.ship(pages);
-            stats.skipped_entries += partial.skipped_entries;
-            stats.sim_ops += partial.sim_ops;
-            stats.io.merge(&partial.io);
-            pass_mem += partial.mem_high_water;
             if let Some(ticket) = &tickets[k] {
                 ticket.add_pages(partial.io.cost(spec.sys.alpha));
                 ticket.set_phase(format!("vvm.shard pass {passes}"));
             }
-            for (outer_raw, per_outer) in partial.acc {
-                let dst = acc.entry(outer_raw).or_default();
-                for (inner_raw, sum) in per_outer {
-                    *dst.entry(inner_raw).or_insert(0.0) += sum;
-                }
-            }
+            partial.fold_into(&mut pass);
         }
-        stats.mem_high_water_bytes = stats.mem_high_water_bytes.max(pass_mem);
-        vvm::emit_chunk(spec, chunk, &acc, &mut rows);
+        stats.skipped_entries += pass.skipped_entries;
+        stats.sim_ops += pass.sim_ops;
+        stats.io.merge(&pass.io);
+        stats.mem_high_water_bytes = stats.mem_high_water_bytes.max(pass.mem_high_water);
+        vvm::emit_chunk(spec, chunk, &pass.sim, &mut rows);
         if spec.cancel.is_some_and(|c| c.is_cancelled()) {
             cancelled = true;
             break;
@@ -1071,7 +1020,7 @@ fn run_vvm_passes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fnl, hvnl, Weighting};
+    use crate::{hvnl, Weighting};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use textjoin_collection::SynthSpec;
@@ -1381,25 +1330,11 @@ mod tests {
             if degraded {
                 base = base.with_degraded();
             }
-            let run = |e: Result<crate::JoinOutcome>| {
-                e.map_err(|err| TestCaseError::fail(err.to_string()))
-            };
-            let want = match alg {
-                Algorithm::Hhnl => run(hhnl::execute(&base))?,
-                Algorithm::Hvnl => {
-                    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
-                    run(hvnl::execute(&base, &inv1))?
-                }
-                Algorithm::Vvm => {
-                    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
-                    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap();
-                    run(vvm::execute(&base, &inv1, &inv2))?
-                }
-                Algorithm::Fnl => {
-                    let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
-                    run(fnl::execute(&base, &fnl1))?
-                }
-            };
+            let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
+            let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap();
+            let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+            let want = crate::execute(alg, &base, &crate::Indexes::all(&inv1, &inv2, &fnl1), 1)
+                .map_err(|err| TestCaseError::fail(err.to_string()))?;
             let strategy = if naive {
                 ShardPartitioning::Naive
             } else {

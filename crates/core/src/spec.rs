@@ -5,7 +5,7 @@ use textjoin_common::{CollectionStats, DocId, FragStats, QueryParams, Result, Sy
 use textjoin_costmodel::JoinInputs;
 use textjoin_invfile::DeltaOverlay;
 use textjoin_obs::{CancelToken, QueryTicket, Tracer};
-use textjoin_storage::{DiskSim, IoStats, PrefetchMetrics};
+use textjoin_storage::PrefetchMetrics;
 
 use crate::weighting::Weighting;
 
@@ -98,36 +98,6 @@ pub struct JoinSpec<'a> {
     pub ticket: Option<&'a QueryTicket>,
 }
 
-/// Per-run progress tracker for [`JoinSpec::checkpoint`]: snapshots the
-/// *thread-local* I/O tally at construction and remembers how much has
-/// already been reported, so ticket updates are non-negative deltas of
-/// the pages **this thread** caused. Parallel workers share one disk —
-/// the global tally includes sibling traffic — but the thread-local
-/// mirrors partition it exactly, so per-worker delta streams interleave
-/// into a monotone, non-double-counted sum on the shared ticket.
-#[derive(Clone, Copy, Debug)]
-pub struct Checkpoint {
-    base: IoStats,
-    reported: f64,
-}
-
-impl Checkpoint {
-    /// Must be created on the thread that will perform the run's I/O,
-    /// before any of it happens.
-    pub fn new() -> Self {
-        Self {
-            base: DiskSim::thread_io_stats(),
-            reported: 0.0,
-        }
-    }
-}
-
-impl Default for Checkpoint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<'a> JoinSpec<'a> {
     /// A spec joining two full collections with default parameters.
     pub fn new(inner: &'a Collection, outer: &'a Collection) -> Self {
@@ -217,58 +187,6 @@ impl<'a> JoinSpec<'a> {
             cost_budget: None,
             ..self
         }
-    }
-
-    /// Watchdog checkpoint: errors with `CostOverrun` if `cost` (the join's
-    /// running page cost, `seq + α·rand`) exceeds the armed budget. A cheap
-    /// single branch when the watchdog is disarmed.
-    #[inline]
-    pub fn check_cost_budget(&self, cost: f64) -> Result<()> {
-        if let Some(budget) = self.cost_budget {
-            if cost > budget {
-                return Err(textjoin_common::Error::CostOverrun {
-                    observed_pages: cost.ceil() as u64,
-                    budget_pages: budget.ceil() as u64,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Combined per-pass checkpoint: feeds the live ticket (this thread's
-    /// page-cost delta since the previous checkpoint plus the current
-    /// phase), polls the cancel token, then runs the cost-budget watchdog.
-    ///
-    /// `cost` is the run's accumulated page cost (`seq + α·rand`) as the
-    /// executor sees it on the shared disk; it drives the budget watchdog
-    /// and the `observed_pages` a cancel reports. Ticket pages come from
-    /// the *thread-local* I/O tally instead (see [`Checkpoint`]), so
-    /// concurrent workers never double-count sibling traffic. The `phase`
-    /// closure only runs when a ticket is attached, keeping the common
-    /// no-ticket path allocation-free. Returns
-    /// [`textjoin_common::Error::Cancelled`] when the token is observed
-    /// set; callers absorb that into a `Partial` outcome.
-    #[inline]
-    pub fn checkpoint(
-        &self,
-        progress: &mut Checkpoint,
-        cost: f64,
-        phase: impl FnOnce() -> String,
-    ) -> Result<()> {
-        if let Some(ticket) = self.ticket {
-            let own = DiskSim::thread_io_stats()
-                .since(&progress.base)
-                .cost(self.sys.alpha);
-            ticket.add_pages(own - progress.reported);
-            progress.reported = progress.reported.max(own);
-            ticket.set_phase(phase());
-        }
-        if self.cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(textjoin_common::Error::Cancelled {
-                observed_pages: cost.ceil() as u64,
-            });
-        }
-        self.check_cost_budget(cost)
     }
 
     /// Attaches a tracer; executors will open spans per phase and batch.
@@ -459,54 +377,40 @@ impl<'a> JoinSpec<'a> {
     /// on pull, so executors can interleave reading outer documents with
     /// other work (HHNL fills memory batches this way).
     pub fn outer_iter(&self) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-        let delta = self.outer_delta;
         match self.outer_docs {
-            OuterDocs::Full => {
-                let base = self
-                    .outer
+            OuterDocs::Full => with_overlay(
+                self.outer
                     .store()
-                    .scan_with_prefetch(self.prefetch_metrics("outer_scan"));
-                match delta {
-                    None => Box::new(base),
-                    Some(overlay) => {
-                        let filtered = base.filter(move |item| match item {
-                            Ok((id, _)) => !overlay.is_deleted(*id),
-                            Err(_) => true,
-                        });
-                        // The overlay read happens on first pull, not at
-                        // iterator construction, keeping the scan lazy.
-                        let tail =
-                            std::iter::once(()).flat_map(move |()| match overlay.live_docs() {
-                                Ok(docs) => docs.into_iter().map(Ok).collect::<Vec<_>>(),
-                                Err(e) => vec![Err(e)],
-                            });
-                        Box::new(filtered.chain(tail))
-                    }
-                }
-            }
+                    .scan_with_prefetch(self.prefetch_metrics("outer_scan")),
+                self.outer_delta,
+            ),
             OuterDocs::Selected(ids) => {
-                let store = self.outer.store();
-                match delta {
-                    None => Box::new(
-                        ids.iter()
-                            .map(move |&id| store.read_doc_direct(id).map(|d| (id, d))),
-                    ),
-                    Some(overlay) => Box::new(ids.iter().filter_map(move |&id| {
-                        if overlay.is_deleted(id) {
-                            return None;
-                        }
-                        if !store.contains(id) {
-                            match overlay.doc(id) {
-                                Ok(Some(doc)) => return Some(Ok((id, doc))),
-                                Ok(None) => {} // unknown id: surface the base store's error
-                                Err(e) => return Some(Err(e)),
-                            }
-                        }
-                        Some(store.read_doc_direct(id).map(|d| (id, d)))
-                    })),
+                let spec = *self;
+                Box::new(ids.iter().filter_map(move |&id| {
+                    Some(spec.read_selected_outer(id)?.map(|doc| (id, doc)))
+                }))
+            }
+        }
+    }
+
+    /// Fetches one selected outer document with a random read (group 3
+    /// pricing): `None` when the outer overlay tombstoned it, the overlay's
+    /// copy when it is a delta insert, the base store's otherwise.
+    pub(crate) fn read_selected_outer(&self, id: DocId) -> Option<Result<Document>> {
+        let store = self.outer.store();
+        if let Some(overlay) = self.outer_delta {
+            if overlay.is_deleted(id) {
+                return None;
+            }
+            if !store.contains(id) {
+                match overlay.doc(id) {
+                    Ok(Some(doc)) => return Some(Ok(doc)),
+                    Ok(None) => {} // unknown id: surface the base store's error
+                    Err(e) => return Some(Err(e)),
                 }
             }
         }
+        Some(store.read_doc_direct(id))
     }
 
     /// A lazy iterator over the participating inner documents: the base
@@ -517,25 +421,36 @@ impl<'a> JoinSpec<'a> {
     /// [`inner_doc_allowed`](Self::inner_doc_allowed) for the inner
     /// selection.
     pub fn inner_iter(&self) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-        let base = self
-            .inner
-            .store()
-            .scan_with_prefetch(self.prefetch_metrics("inner_scan"));
-        match self.inner_delta {
-            None => Box::new(base),
-            Some(overlay) => {
-                let filtered = base.filter(move |item| match item {
-                    Ok((id, _)) => !overlay.is_deleted(*id),
-                    Err(_) => true,
-                });
-                let tail = std::iter::once(()).flat_map(move |()| match overlay.live_docs() {
-                    Ok(docs) => docs.into_iter().map(Ok).collect::<Vec<_>>(),
-                    Err(e) => vec![Err(e)],
-                });
-                Box::new(filtered.chain(tail))
-            }
-        }
+        with_overlay(
+            self.inner
+                .store()
+                .scan_with_prefetch(self.prefetch_metrics("inner_scan")),
+            self.inner_delta,
+        )
     }
+}
+
+/// A base scan seen through a delta overlay: tombstoned documents drop
+/// out, the overlay's live delta documents follow. Without an overlay the
+/// base scan is returned untouched.
+fn with_overlay<'a>(
+    base: impl Iterator<Item = Result<(DocId, Document)>> + 'a,
+    overlay: Option<&'a DeltaOverlay>,
+) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
+    let Some(overlay) = overlay else {
+        return Box::new(base);
+    };
+    let filtered = base.filter(move |item| match item {
+        Ok((id, _)) => !overlay.is_deleted(*id),
+        Err(_) => true,
+    });
+    // The overlay read happens on first pull, not at iterator construction,
+    // keeping the scan lazy.
+    let tail = std::iter::once(()).flat_map(move |()| match overlay.live_docs() {
+        Ok(docs) => docs.into_iter().map(Ok).collect::<Vec<_>>(),
+        Err(e) => vec![Err(e)],
+    });
+    Box::new(filtered.chain(tail))
 }
 
 #[cfg(test)]

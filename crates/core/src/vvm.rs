@@ -15,17 +15,16 @@
 //! optimistic at run time, the executor doubles the partition count and
 //! retries rather than exceeding the budget.
 
-use crate::report::observe_phase_sim_io;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::{Checkpoint, JoinSpec};
+use crate::batch::BatchOutcome;
+use crate::driver::{drive, sole, validate, Passes, Row, Run};
+use crate::result::JoinOutcome;
+use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::collections::HashMap;
-use std::time::Instant;
 use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::InvertedFile;
-use textjoin_obs::Tracer;
-use textjoin_storage::MemTracker;
+use textjoin_storage::{DiskSim, IoStats, MemTracker};
 
 /// Bytes charged per live accumulator. The paper budgets exactly 4 bytes
 /// per non-zero intermediate similarity (`SM = 4·δ·N1·N2/P`); we charge the
@@ -35,49 +34,71 @@ use textjoin_storage::MemTracker;
 /// outside the buffer budget, and we follow it.)
 pub(crate) const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
 
+/// Intermediate similarities of one query: outer id → (inner id →
+/// accumulated weighted sum).
+pub(crate) type SimTable = HashMap<u32, HashMap<u32, f64>>;
+
 /// Executes the join with VVM.
 pub fn execute(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<JoinOutcome> {
-    let outer_ids: Vec<DocId> = spec.outer_live_ids();
+    execute_batch(std::slice::from_ref(spec), inner_inv, outer_inv).map(sole)
+}
 
-    let mut partitions =
-        estimate_partitions(spec, inner_inv, outer_inv, outer_ids.len() as u64, 1)?;
+/// VVM over `N ≥ 1` queries: all queries' accumulators share the
+/// similarity budget of one merge scan, so both inverted files are read
+/// `⌈Σᵢ SMᵢ/M⌉` times for the whole batch (`costmodel::vvs_batch`).
+pub(crate) fn execute_batch(
+    specs: &[JoinSpec<'_>],
+    inner_inv: &InvertedFile,
+    outer_inv: &InvertedFile,
+) -> Result<BatchOutcome> {
+    let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
+    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
+    validate(specs)?;
+    let mut partitions = estimate_partitions(specs, inner_inv, outer_inv, &outer_ids, 1)?;
     loop {
-        match run(spec, inner_inv, outer_inv, &outer_ids, partitions) {
+        match drive::<Vvm>(specs, (inner_inv, outer_inv, &outer_ids, partitions)) {
             Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
+            Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
                 // The δ estimate undershot the real non-zero density;
                 // re-partition more finely and rerun (costs more scans, as
                 // the paper's ⌈SM/M⌉ analysis predicts).
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
+                partitions = (partitions * 2).min(max_len);
             }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// `⌈SM / M⌉` from measured statistics — the paper's partition estimate.
-/// With `workers > 1` both the similarity space and the buffer budget are
-/// divided evenly: each term-partitioned worker holds roughly `SM/w`
-/// accumulator bytes against its `B/w`-page share.
+/// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
+/// estimate, pooled over the queries competing for the similarity budget
+/// of the same scan. With `workers > 1` both the similarity space and the
+/// buffer budget are divided evenly: each term-partitioned worker holds
+/// roughly `SM/w` accumulator bytes against its `B/w`-page share.
 pub(crate) fn estimate_partitions(
-    spec: &JoinSpec<'_>,
+    specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
-    num_outer: u64,
+    outer_ids: &[Vec<DocId>],
     workers: u64,
 ) -> Result<u64> {
-    let p = spec.sys.page_size as f64;
-    let n1 = spec.inner.store().num_docs() as f64;
-    let sm =
-        SIM_VALUE_BYTES as f64 * spec.query.delta * n1 * num_outer as f64 / (p * workers as f64);
+    let spec0 = &specs[0];
+    let p = spec0.sys.page_size as f64;
+    let n1 = spec0.inner.store().num_docs() as f64;
+    let sm: f64 = specs
+        .iter()
+        .zip(outer_ids)
+        .map(|(s, ids)| {
+            SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / (p * workers as f64)
+        })
+        .sum();
     // Size against the smallest worker share of the exact budget split
     // (remainder pages go to the lower-indexed workers), so the partition
     // count is safe for every worker.
-    let min_share = crate::parallel::buffer_shares(spec.sys.buffer_pages, workers as usize)
+    let min_share = crate::parallel::buffer_shares(spec0.sys.buffer_pages, workers as usize)
         .into_iter()
         .min()
         .expect("at least one worker");
@@ -90,10 +111,11 @@ pub(crate) fn estimate_partitions(
                 + outer_inv.avg_entry_pages().ceil()
                 + 1.0) as u64
                 * workers,
-            available_pages: spec.sys.buffer_pages,
+            available_pages: spec0.sys.buffer_pages,
         });
     }
-    Ok(((sm / m).ceil() as u64).clamp(1, num_outer.max(1)))
+    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
+    Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
 }
 
 /// Holds the next readable entry of one inverted-file scan. In degraded
@@ -131,11 +153,6 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
 
     pub(crate) fn term(&self) -> Option<TermId> {
         self.current.as_ref().map(|(t, _)| *t)
-    }
-
-    /// Takes the current entry out of the cursor (the caller advances next).
-    pub(crate) fn take_current(&mut self) -> Option<(TermId, Vec<ICell>)> {
-        self.current.take()
     }
 }
 
@@ -209,174 +226,166 @@ impl<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> Iterator for MergedEntrie
     }
 }
 
-fn run(
-    spec: &JoinSpec<'_>,
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[DocId],
-    partitions: u64,
-) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let mut root = Tracer::maybe(spec.trace, "vvm");
-    if root.is_enabled() {
-        root.record("partitions", partitions);
-    }
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    let tracker = MemTracker::new(&spec.sys);
-    // Entry buffers: one current entry per file, sized by the largest.
-    // (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average; we hold the max so the
-    // budget is strict.)
-    let entry_buf_bytes = max_entry_bytes(inner_inv) + max_entry_bytes(outer_inv);
-    tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
-    tracker.allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
-
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let chunk_size = (outer_ids.len() as u64).div_ceil(partitions).max(1) as usize;
-    let mut passes = 0u64;
-    let mut sim_ops = 0u64;
-    // Accumulated across passes: a corrupt entry that survives the whole
-    // run is skipped (and counted) once per rescan.
-    let mut skipped_entries = 0u64;
-    let mut progress = Checkpoint::new();
-    let mut cancelled = false;
-
-    for chunk in outer_ids.chunks(chunk_size) {
-        passes += 1;
-        let mut pass_span = root.child("vvm.merge_pass");
-        let pass_io = disk.stats();
-        let ops_before = sim_ops;
-        // s → (r → accumulated weighted sum); membership tested against the
-        // chunk's contiguous id range via binary search on the sorted chunk.
-        let mut acc: HashMap<u32, HashMap<u32, f64>> = HashMap::new();
-
-        let inner_cur = EntryCursor::new(
-            merged_entries(
-                inner_inv.scan_with_prefetch(spec.prefetch_metrics("inv1")),
-                spec.inner_delta,
-                0,
-                None,
-            ),
-            spec,
-            &mut skipped_entries,
-        )?;
-        let outer_cur = EntryCursor::new(
-            merged_entries(
-                outer_inv.scan_with_prefetch(spec.prefetch_metrics("inv2")),
-                spec.outer_delta,
-                0,
-                None,
-            ),
-            spec,
-            &mut skipped_entries,
-        )?;
-        let acc_bytes = merge_accumulate(
-            spec,
-            inner_cur,
-            outer_cur,
-            chunk,
-            &tracker,
-            &mut acc,
-            &mut sim_ops,
-            &mut skipped_entries,
-        )?;
-
-        // Emit this subcollection's results.
-        emit_chunk(spec, chunk, &acc, &mut rows);
-        tracker.release(acc_bytes);
-        if pass_span.is_enabled() {
-            let d = disk.stats().since(&pass_io);
-            pass_span.record("outer_docs", chunk.len() as u64);
-            pass_span.record("seq_reads", d.seq_reads);
-            pass_span.record("rand_reads", d.rand_reads);
-            pass_span.record("sim_ops", sim_ops - ops_before);
-            observe_phase_sim_io(spec.trace, "vvm.merge_pass", &d, spec.sys.alpha);
-        }
-        drop(pass_span);
-        // Watchdog/introspection checkpoint: each merge pass costs I1 + I2
-        // pages, so a partition-count blow-up is caught after the first
-        // extra pass. A cancel keeps the chunks already emitted.
-        match spec.checkpoint(
-            &mut progress,
-            disk.stats().since(&start_io).cost(spec.sys.alpha),
-            || format!("vvm.merge_pass {passes}"),
-        ) {
-            Err(Error::Cancelled { .. }) => {
-                cancelled = true;
-                break;
-            }
-            other => other?,
-        }
-    }
-
-    let io = disk.stats().since(&start_io);
-    if root.is_enabled() {
-        root.record("passes", passes);
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", sim_ops);
-        observe_phase_sim_io(spec.trace, "vvm", &io, spec.sys.alpha);
-    }
-    let stats = ExecStats {
-        algorithm: Algorithm::Vvm,
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: tracker.high_water(),
-        passes,
-        entry_fetches: 0,
-        cache_hits: 0,
-        sim_ops,
-        // VVM's merge only visits non-zero postings.
-        cells_touched: sim_ops,
-        // VVM never reads documents, only inverted files.
-        skipped_docs: 0,
-        skipped_entries,
-        wall_ns: started.elapsed().as_nanos() as u64,
-    };
-    let quality = if cancelled {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        quality,
-        stats,
-    })
+/// Merge passes at a fixed partition count: pass `k` serves chunk `k` of
+/// every query's outer documents with one scan of both inverted files.
+pub(crate) struct Vvm<'r> {
+    inner_inv: &'r InvertedFile,
+    outer_inv: &'r InvertedFile,
+    outer_ids: &'r [Vec<DocId>],
+    chunk_sizes: Vec<usize>,
+    partitions: usize,
+    next_chunk: usize,
 }
 
-/// One term-ordered merge over a pair of entry streams, accumulating
-/// weighted contributions for the outer documents in `chunk` (sorted by
-/// id). Shared by the sequential executor and the term-partitioned
-/// parallel workers, so both apply bit-identical arithmetic per pair.
+impl<'r> Passes<'r> for Vvm<'r> {
+    type Input = (&'r InvertedFile, &'r InvertedFile, &'r [Vec<DocId>], u64);
+    const ALGORITHM: Algorithm = Algorithm::Vvm;
+    const ROOT: &'static str = "vvm";
+
+    fn prepare(
+        (inner_inv, outer_inv, outer_ids, partitions): Self::Input,
+        run: &mut Run<'r>,
+    ) -> Result<Self> {
+        run.root.record("partitions", partitions);
+        // Entry buffers: one current entry per file, sized by the largest.
+        // (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average; we hold the max so
+        // the budget is strict.)
+        let entry_buf_bytes = max_entry_bytes(inner_inv) + max_entry_bytes(outer_inv);
+        run.tracker
+            .allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
+        run.tracker
+            .allocate(run.result_heap_bytes(), "VVM result heap")?;
+        Ok(Self {
+            inner_inv,
+            outer_inv,
+            outer_ids,
+            chunk_sizes: outer_ids
+                .iter()
+                .map(|ids| (ids.len() as u64).div_ceil(partitions.max(1)).max(1) as usize)
+                .collect(),
+            partitions: partitions.max(1) as usize,
+            next_chunk: 0,
+        })
+    }
+
+    fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
+        // A query whose outer set is exhausted contributes an empty chunk;
+        // so does a cancelled one, so the folded scan stops doing its work
+        // while sibling chunk boundaries stay exactly where an uncancelled
+        // run would put them.
+        let chunks: Vec<&[DocId]> = loop {
+            if self.next_chunk == self.partitions {
+                return Ok(false);
+            }
+            let k = self.next_chunk;
+            self.next_chunk += 1;
+            let chunks: Vec<&[DocId]> = self
+                .outer_ids
+                .iter()
+                .zip(&self.chunk_sizes)
+                .enumerate()
+                .map(|(si, (ids, &size))| {
+                    if run.cancelled(si) {
+                        return &[] as &[DocId];
+                    }
+                    &ids[(k * size).min(ids.len())..((k + 1) * size).min(ids.len())]
+                })
+                .collect();
+            if chunks.iter().any(|c| !c.is_empty()) {
+                break chunks;
+            }
+        };
+        for (q, chunk) in run.queries.iter_mut().zip(&chunks) {
+            q.passes += u64::from(!chunk.is_empty());
+        }
+        let specs = run.specs;
+        let spec0 = &specs[0];
+        run.phase("vvm.merge_pass", |run, span| {
+            span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
+            let inner_cur = EntryCursor::new(
+                merged_entries(
+                    self.inner_inv
+                        .scan_with_prefetch(spec0.prefetch_metrics("inv1")),
+                    spec0.inner_delta,
+                    0,
+                    None,
+                ),
+                spec0,
+                &mut run.shared_skipped_entries,
+            )?;
+            let outer_cur = EntryCursor::new(
+                merged_entries(
+                    self.outer_inv
+                        .scan_with_prefetch(spec0.prefetch_metrics("inv2")),
+                    spec0.outer_delta,
+                    0,
+                    None,
+                ),
+                spec0,
+                &mut run.shared_skipped_entries,
+            )?;
+            let mut sim: Vec<SimTable> = specs.iter().map(|_| SimTable::new()).collect();
+            let mut ops = vec![0u64; specs.len()];
+            let acc_bytes = merge_accumulate(
+                specs,
+                inner_cur,
+                outer_cur,
+                &chunks,
+                &run.tracker,
+                &mut sim,
+                &mut ops,
+                &mut run.shared_skipped_entries,
+            )?;
+            // VVM's merge only visits non-zero postings: every cell
+            // touched is an op.
+            for (q, ops) in run.queries.iter_mut().zip(ops) {
+                q.counters.sim_ops += ops;
+                q.counters.cells_touched += ops;
+            }
+            for (((spec, chunk), sim), q) in
+                specs.iter().zip(&chunks).zip(&sim).zip(&mut run.queries)
+            {
+                emit_chunk(spec, chunk, sim, &mut q.rows);
+            }
+            run.tracker.release(acc_bytes);
+            Ok(())
+        })?;
+        Ok(true)
+    }
+}
+
+/// One term-ordered merge over a pair of entry streams, filling one
+/// similarity table per query for the outer documents in that query's
+/// chunk (sorted by id). Per (term, pair) the arithmetic is applied under
+/// each query's own weighting and filters — per-pair sums are independent
+/// across queries, which is what makes the folded scan result-identical.
+/// Shared by the driven passes and the term-partitioned parallel and
+/// sharded workers, so all apply bit-identical arithmetic per pair.
 /// Returns the accumulator bytes allocated against `tracker` (the caller
 /// releases them after emitting).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_accumulate<I1, I2>(
-    spec: &JoinSpec<'_>,
+    specs: &[JoinSpec<'_>],
     mut inner_cur: EntryCursor<I1>,
     mut outer_cur: EntryCursor<I2>,
-    chunk: &[DocId],
+    chunks: &[&[DocId]],
     tracker: &MemTracker,
-    acc: &mut HashMap<u32, HashMap<u32, f64>>,
-    sim_ops: &mut u64,
+    sim: &mut [SimTable],
+    sim_ops: &mut [u64],
     skipped_entries: &mut u64,
 ) -> Result<u64>
 where
     I1: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
     I2: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
 {
-    let inner_profile = spec.inner.profile();
+    let spec0 = &specs[0];
+    let inner_profile = spec0.inner.profile();
     let mut acc_bytes = 0u64;
     // Merge by term: advance the scan with the smaller term.
     while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
         match inner_term.cmp(&outer_term) {
-            std::cmp::Ordering::Less => {
-                inner_cur.advance(spec, skipped_entries)?;
-            }
-            std::cmp::Ordering::Greater => {
-                outer_cur.advance(spec, skipped_entries)?;
-            }
+            std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped_entries)?,
+            std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped_entries)?,
             std::cmp::Ordering::Equal => {
                 let Some((term, inner_cells)) = inner_cur.current.take() else {
                     break;
@@ -384,31 +393,38 @@ where
                 let Some((_, outer_cells)) = outer_cur.current.take() else {
                     break;
                 };
-                inner_cur.advance(spec, skipped_entries)?;
-                outer_cur.advance(spec, skipped_entries)?;
-                let factor = spec.weighting.term_factor(term, inner_profile);
-                if factor == 0.0 {
-                    continue;
-                }
-                for oc in &outer_cells {
-                    if chunk.binary_search(&oc.doc).is_err() {
+                inner_cur.advance(spec0, skipped_entries)?;
+                outer_cur.advance(spec0, skipped_entries)?;
+                let per_query = specs
+                    .iter()
+                    .zip(chunks)
+                    .zip(sim.iter_mut().zip(&mut *sim_ops));
+                for ((spec, chunk), (table, ops)) in per_query {
+                    let factor = spec.weighting.term_factor(term, inner_profile);
+                    if factor == 0.0 {
                         continue;
                     }
-                    let per_outer = acc.entry(oc.doc.raw()).or_default();
-                    for ic in &inner_cells {
-                        if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc) {
+                    for oc in &outer_cells {
+                        if chunk.binary_search(&oc.doc).is_err() {
                             continue;
                         }
-                        *sim_ops += 1;
-                        let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                        match per_outer.entry(ic.doc.raw()) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                *e.get_mut() += contribution;
+                        let per_outer = table.entry(oc.doc.raw()).or_default();
+                        for ic in &inner_cells {
+                            if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc)
+                            {
+                                continue;
                             }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                tracker.allocate(ACC_BYTES, "VVM similarity accumulators")?;
-                                acc_bytes += ACC_BYTES;
-                                e.insert(contribution);
+                            *ops += 1;
+                            let contribution = oc.weight as f64 * ic.weight as f64 * factor;
+                            match per_outer.entry(ic.doc.raw()) {
+                                std::collections::hash_map::Entry::Occupied(mut e) => {
+                                    *e.get_mut() += contribution;
+                                }
+                                std::collections::hash_map::Entry::Vacant(e) => {
+                                    tracker.allocate(ACC_BYTES, "VVM similarity accumulators")?;
+                                    acc_bytes += ACC_BYTES;
+                                    e.insert(contribution);
+                                }
                             }
                         }
                     }
@@ -419,6 +435,81 @@ where
     Ok(acc_bytes)
 }
 
+/// What one term-range worker (a parallel thread, a shard site) hands back
+/// per merge pass.
+#[derive(Default)]
+pub(crate) struct MergePartial {
+    /// Partial weighted sums over the worker's terms.
+    pub(crate) sim: SimTable,
+    pub(crate) skipped_entries: u64,
+    pub(crate) sim_ops: u64,
+    pub(crate) io: IoStats,
+    pub(crate) mem_high_water: u64,
+}
+
+impl MergePartial {
+    /// Merges one worker's entry streams for `chunk` on the calling thread
+    /// against the spec's own budget (the caller hands each worker its
+    /// share), holding one current entry per file of `entry_buf_bytes`.
+    /// `before` is the thread's I/O tally from before the streams were
+    /// opened (opening a delta-merged stream already reads pages).
+    pub(crate) fn compute<I1, I2>(
+        spec: &JoinSpec<'_>,
+        before: IoStats,
+        inner: I1,
+        outer: I2,
+        chunk: &[DocId],
+        entry_buf_bytes: u64,
+    ) -> Result<Self>
+    where
+        I1: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
+        I2: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
+    {
+        let tracker = MemTracker::new(&spec.sys);
+        tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
+        tracker.allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
+        let mut partial = Self::default();
+        let inner_cur = EntryCursor::new(inner, spec, &mut partial.skipped_entries)?;
+        let outer_cur = EntryCursor::new(outer, spec, &mut partial.skipped_entries)?;
+        merge_accumulate(
+            std::slice::from_ref(spec),
+            inner_cur,
+            outer_cur,
+            &[chunk],
+            &tracker,
+            std::slice::from_mut(&mut partial.sim),
+            std::slice::from_mut(&mut partial.sim_ops),
+            &mut partial.skipped_entries,
+        )?;
+        // The thread-local mirror is bumped under the same lock as the
+        // global counters, so this delta is exactly the traffic this
+        // worker caused.
+        partial.io = DiskSim::thread_io_stats().since(&before);
+        partial.mem_high_water = tracker.high_water();
+        Ok(partial)
+    }
+
+    /// Adds this worker's table and counters into the pass totals. Callers
+    /// fold in worker index order — ascending term order, the order the
+    /// single-threaded merge accumulates in; raw counts make the sums exact
+    /// in any order, fractional weightings agree to floating-point
+    /// reassociation.
+    pub(crate) fn fold_into(self, total: &mut MergePartial) {
+        total.skipped_entries += self.skipped_entries;
+        total.sim_ops += self.sim_ops;
+        total.io.merge(&self.io);
+        // Concurrent workers peak together: their summed high-waters are
+        // the pass's true footprint.
+        total.mem_high_water += self.mem_high_water;
+        for (outer_raw, per_outer) in self.sim {
+            let dst = total.sim.entry(outer_raw).or_default();
+            for (inner_raw, sum) in per_outer {
+                *dst.entry(inner_raw).or_insert(0.0) += sum;
+            }
+        }
+    }
+}
+
 /// Turns one chunk's accumulated similarities into result rows: a λ-heap
 /// per outer document, ties broken by document id (order-independent), so
 /// any executor emitting from equal sums produces identical rows.
@@ -426,7 +517,7 @@ pub(crate) fn emit_chunk(
     spec: &JoinSpec<'_>,
     chunk: &[DocId],
     acc: &HashMap<u32, HashMap<u32, f64>>,
-    rows: &mut Vec<(DocId, Vec<Match>)>,
+    rows: &mut Vec<Row>,
 ) {
     let inner_profile = spec.inner.profile();
     let outer_profile = spec.outer.profile();

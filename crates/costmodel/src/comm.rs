@@ -28,11 +28,10 @@
 
 use crate::inputs::JoinInputs;
 use crate::{fnl, hhnl, hvnl, vvm, Algorithm};
-use serde::{Deserialize, Serialize};
 use textjoin_common::Result;
 
 /// How term identity crosses the site boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TermEncoding {
     /// All sites share the standard term-number mapping (section 3's
     /// recommendation): cells ship as-is.
@@ -54,7 +53,7 @@ impl TermEncoding {
 }
 
 /// Network parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CommParams {
     /// Cost of shipping one page, relative to one sequential page read.
     pub beta: f64,
@@ -74,7 +73,7 @@ impl CommParams {
 }
 
 /// Which site executes the join.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
     /// Execute where `C2` lives; ship `C1`'s structures over.
     OuterSite,

@@ -1,6 +1,5 @@
 //! Inputs shared by all cost estimators.
 
-use serde::{Deserialize, Serialize};
 use textjoin_common::{CollectionStats, FnlStats, FragStats, QueryParams, SystemParams};
 
 /// Everything a cost formula needs: the statistics of the inner collection
@@ -11,7 +10,7 @@ use textjoin_common::{CollectionStats, FnlStats, FragStats, QueryParams, SystemP
 /// The paper's join `C1 SIMILAR_TO(λ) C2` finds, for each document of `C2`,
 /// the `λ` most similar documents of `C1` — so `C2` drives the outer loop
 /// ("forward order", section 4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JoinInputs {
     /// `C1` — the inner collection (the side whose inverted file HVNL uses).
     pub inner: CollectionStats,

@@ -9,11 +9,10 @@
 
 use crate::inputs::JoinInputs;
 use crate::{fnl, hhnl, hvnl, vvm};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three join algorithms of the paper, plus the filtered fourth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Horizontal-Horizontal Nested Loop: documents × documents.
     Hhnl,
@@ -71,7 +70,7 @@ impl std::str::FromStr for Algorithm {
 
 /// Which I/O pricing applies: a dedicated drive per structure (sequential
 /// estimates) or a shared device in the worst case (random estimates).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoScenario {
     /// Each scan proceeds undisturbed: `hhs`, `hvs`, `vvs`.
     Dedicated,
@@ -85,7 +84,7 @@ pub enum IoScenario {
 /// when the algorithm cannot run in the given memory (e.g. VVM with no room
 /// for even two entries) or lacks a required structure (FNL without a
 /// signature index).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostEstimates {
     /// `hhs` — HHNL, sequential.
     pub hhnl_seq: f64,

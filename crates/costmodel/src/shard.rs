@@ -30,11 +30,10 @@
 use crate::comm::{self, CommParams, Site};
 use crate::inputs::JoinInputs;
 use crate::Algorithm;
-use serde::{Deserialize, Serialize};
 use textjoin_common::{CollectionStats, Result};
 
 /// One site's slice of a [`ShardPlan`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardCost {
     /// Site index.
     pub shard: usize,
@@ -55,7 +54,7 @@ impl ShardCost {
 }
 
 /// The planner-visible estimate of a sharded execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardPlan {
     /// Which algorithm runs on every site.
     pub algorithm: Algorithm,

@@ -1,17 +1,16 @@
 //! Plan execution: run the chosen join algorithm and project result tuples.
 
-use crate::catalog::{Catalog, Relation, Value};
+use crate::catalog::{Catalog, Relation, TextColumn, Value};
 use crate::parser::parse;
 use crate::planner::{
     plan, plan_batch, plan_with_shards, plan_with_workers, BatchPlan, OutputCol, Plan,
 };
 use textjoin_common::{Error, QueryParams, Result, Score, SystemParams};
+use textjoin_core::integrated::with_fallback;
 use textjoin_core::{
-    batch, execute_sharded, fnl, hhnl, hvnl, parallel, vvm, Algorithm, BatchOptions, ExecStats,
-    IoScenario, JoinResult, JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning,
-    ShardReport,
+    batch, execute_sharded, Algorithm, ExecStats, Indexes, IoScenario, JoinResult, JoinSpec,
+    OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
 };
-use textjoin_costmodel::Algorithm as Alg;
 use textjoin_obs::{LiveRegistry, TicketGuard};
 
 /// Live-introspection handle for plan execution: where to file the
@@ -258,6 +257,43 @@ pub fn execute_plan_watched_introspected(
     )
 }
 
+/// The catalog objects a plan names.
+pub(crate) struct Resolved<'c> {
+    pub(crate) inner_rel: &'c Relation,
+    pub(crate) outer_rel: &'c Relation,
+    pub(crate) inner_tc: &'c TextColumn,
+    pub(crate) outer_tc: &'c TextColumn,
+}
+
+/// Looks the plan's relations and text columns up again. The catalog is
+/// outside input here — it may have changed since `plan` ran — so a name
+/// that no longer resolves is an error, not a panic.
+pub(crate) fn resolve<'c>(catalog: &'c Catalog, p: &Plan) -> Result<Resolved<'c>> {
+    let relation = |name: &str| {
+        catalog.relation(name).ok_or_else(|| {
+            Error::InvalidArgument(format!(
+                "planned relation `{name}` is not in the catalog (did it change after planning?)"
+            ))
+        })
+    };
+    let text_column = |rel: &'c Relation, rel_name: &str, column: &str| {
+        rel.text_column(column).ok_or_else(|| {
+            Error::InvalidArgument(format!(
+                "planned text column `{rel_name}.{column}` is not in the catalog \
+                 (did it change after planning?)"
+            ))
+        })
+    };
+    let inner_rel = relation(&p.inner_rel)?;
+    let outer_rel = relation(&p.outer_rel)?;
+    Ok(Resolved {
+        inner_rel,
+        outer_rel,
+        inner_tc: text_column(inner_rel, &p.inner_rel, &p.inner_column)?,
+        outer_tc: text_column(outer_rel, &p.outer_rel, &p.outer_column)?,
+    })
+}
+
 fn execute_plan_inner(
     catalog: &Catalog,
     p: &Plan,
@@ -267,18 +303,12 @@ fn execute_plan_inner(
     cost_budget: Option<f64>,
     introspect: Option<Introspect<'_>>,
 ) -> Result<QueryOutput> {
-    let inner_rel = catalog
-        .relation(&p.inner_rel)
-        .expect("planned relation exists");
-    let outer_rel = catalog
-        .relation(&p.outer_rel)
-        .expect("planned relation exists");
-    let inner_tc = inner_rel
-        .text_column(&p.inner_column)
-        .expect("planned text column");
-    let outer_tc = outer_rel
-        .text_column(&p.outer_column)
-        .expect("planned text column");
+    let Resolved {
+        inner_rel,
+        outer_rel,
+        inner_tc,
+        outer_tc,
+    } = resolve(catalog, p)?;
 
     let mut spec = JoinSpec::new(&inner_tc.collection, &outer_tc.collection)
         .with_sys(sys)
@@ -347,80 +377,33 @@ fn execute_plan_inner(
         });
     }
 
-    let run_alg = |alg: Alg, spec: &JoinSpec<'_>| {
-        if p.workers > 1 {
-            match alg {
-                Alg::Hhnl => parallel::execute_hhnl(spec, p.workers),
-                Alg::Hvnl => parallel::execute_hvnl(spec, &inner_tc.inverted, p.workers),
-                Alg::Vvm => {
-                    parallel::execute_vvm(spec, &inner_tc.inverted, &outer_tc.inverted, p.workers)
-                }
-                Alg::Fnl => parallel::execute_fnl(spec, &inner_tc.fnl, p.workers),
-            }
-        } else {
-            match alg {
-                Alg::Hhnl => hhnl::execute(spec),
-                Alg::Hvnl => hvnl::execute(spec, &inner_tc.inverted),
-                Alg::Vvm => vvm::execute(spec, &inner_tc.inverted, &outer_tc.inverted),
-                Alg::Fnl => fnl::execute(spec, &inner_tc.fnl),
-            }
-        }
-    };
-
     // Run the plan's choice; if it dies mid-run on unreadable storage (a
-    // corrupt page, an exhausted retry) or overruns its watchdog budget
-    // (the cost prediction was badly optimistic), re-plan onto the
-    // remaining feasible algorithms cheapest-first — e.g. HVNL failing on
-    // a corrupt inverted file falls back to HHNL, which never touches the
-    // inverted file. Fallbacks run with the watchdog disarmed: the budget
+    // corrupt page, an exhausted retry), turns out infeasible in memory or
+    // overruns its watchdog budget (the cost prediction was badly
+    // optimistic), re-plan onto the remaining feasible algorithms
+    // cheapest-first. Fallbacks run with the watchdog disarmed: the budget
     // was derived from the aborted choice's prediction.
-    let mut executed = p.chosen;
-    let outcome = match run_alg(p.chosen, &spec) {
-        Ok(outcome) => outcome,
-        Err(e @ (Error::Corrupt(_) | Error::Io { .. } | Error::CostOverrun { .. })) => {
-            let spec = spec.without_cost_budget();
-            let mut fallbacks: Vec<Alg> = Alg::ALL.into_iter().filter(|a| *a != p.chosen).collect();
-            fallbacks.sort_by(|a, b| {
-                p.estimates
-                    .cost(*a, IoScenario::Dedicated)
-                    .total_cmp(&p.estimates.cost(*b, IoScenario::Dedicated))
-            });
-            let mut last_err = e;
-            let mut recovered = None;
-            for alg in fallbacks {
-                if p.estimates.cost(alg, IoScenario::Dedicated).is_infinite() {
-                    continue;
-                }
-                // Keep the live ticket honest across the re-plan: new
-                // algorithm label, its prediction as the new progress
-                // denominator, and no budget (the watchdog is disarmed).
-                if let Some(g) = &guard {
-                    let ticket = g.ticket();
-                    ticket.set_algorithm(alg.to_string());
-                    ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
-                    ticket.set_budget_pages(None);
-                }
-                match run_alg(alg, &spec) {
-                    Ok(outcome) => {
-                        executed = alg;
-                        recovered = Some(outcome);
-                        break;
-                    }
-                    Err(
-                        e @ (Error::InsufficientMemory { .. }
-                        | Error::Corrupt(_)
-                        | Error::Io { .. }),
-                    ) => last_err = e,
-                    Err(e) => return Err(e),
-                }
+    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
+    let unwatched = spec.without_cost_budget();
+    let (executed, _, outcome) = with_fallback(
+        p.chosen,
+        |alg| p.estimates.cost(alg, IoScenario::Dedicated),
+        |alg, failed| {
+            if failed == 0 {
+                return textjoin_core::execute(alg, &spec, &indexes, p.workers);
             }
-            match recovered {
-                Some(outcome) => outcome,
-                None => return Err(last_err),
+            // Keep the live ticket honest across the re-plan: new
+            // algorithm label, its prediction as the new progress
+            // denominator, and no budget (the watchdog is disarmed).
+            if let Some(g) = &guard {
+                let ticket = g.ticket();
+                ticket.set_algorithm(alg.to_string());
+                ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
+                ticket.set_budget_pages(None);
             }
-        }
-        Err(e) => return Err(e),
-    };
+            textjoin_core::execute(alg, &unwatched, &indexes, p.workers)
+        },
+    )?;
 
     let (headers, rows) = project(p, inner_rel, outer_rel, &outcome.result);
     Ok(QueryOutput {
@@ -525,19 +508,16 @@ fn execute_batch_plan_inner(
     base_query_params: QueryParams,
     introspect: Option<(&LiveRegistry, &[&str])>,
 ) -> Result<BatchQueryOutput> {
-    let p0 = &bp.plans[0];
-    let inner_rel = catalog
-        .relation(&p0.inner_rel)
-        .expect("planned relation exists");
-    let outer_rel = catalog
-        .relation(&p0.outer_rel)
-        .expect("planned relation exists");
-    let inner_tc = inner_rel
-        .text_column(&p0.inner_column)
-        .expect("planned text column");
-    let outer_tc = outer_rel
-        .text_column(&p0.outer_column)
-        .expect("planned text column");
+    let p0 = bp
+        .plans
+        .first()
+        .ok_or_else(|| Error::InvalidArgument("batch plan holds no queries".into()))?;
+    let Resolved {
+        inner_rel,
+        outer_rel,
+        inner_tc,
+        outer_tc,
+    } = resolve(catalog, p0)?;
 
     // One ticket per query: each carries its own cancel token, so one
     // batch member can be cancelled without touching its siblings.
@@ -586,56 +566,21 @@ fn execute_batch_plan_inner(
         })
         .collect();
 
-    let run_alg = |alg: Alg| match alg {
-        Alg::Hhnl => batch::execute_hhnl(&specs),
-        Alg::Hvnl => batch::execute_hvnl(&specs, &inner_tc.inverted, BatchOptions::default()),
-        Alg::Vvm => batch::execute_vvm(&specs, &inner_tc.inverted, &outer_tc.inverted),
-        Alg::Fnl => batch::execute_fnl(&specs, &inner_tc.fnl),
-    };
-
-    let mut executed = bp.chosen;
-    let outcome = match run_alg(bp.chosen) {
-        Ok(outcome) => outcome,
-        Err(e @ (Error::Corrupt(_) | Error::Io { .. })) => {
-            let mut fallbacks: Vec<Alg> =
-                Alg::ALL.into_iter().filter(|a| *a != bp.chosen).collect();
-            fallbacks.sort_by(|a, b| {
-                bp.estimates
-                    .cost(*a, IoScenario::Dedicated)
-                    .total_cmp(&bp.estimates.cost(*b, IoScenario::Dedicated))
-            });
-            let mut last_err = e;
-            let mut recovered = None;
-            for alg in fallbacks {
-                if bp.estimates.cost(alg, IoScenario::Dedicated).is_infinite() {
-                    continue;
-                }
+    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
+    let (executed, _, outcome) = with_fallback(
+        bp.chosen,
+        |alg| bp.estimates.cost(alg, IoScenario::Dedicated),
+        |alg, failed| {
+            if failed > 0 {
                 for (g, p) in guards.iter().zip(&bp.plans) {
                     let ticket = g.ticket();
                     ticket.set_algorithm(alg.to_string());
                     ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
                 }
-                match run_alg(alg) {
-                    Ok(outcome) => {
-                        executed = alg;
-                        recovered = Some(outcome);
-                        break;
-                    }
-                    Err(
-                        e @ (Error::InsufficientMemory { .. }
-                        | Error::Corrupt(_)
-                        | Error::Io { .. }),
-                    ) => last_err = e,
-                    Err(e) => return Err(e),
-                }
             }
-            match recovered {
-                Some(outcome) => outcome,
-                None => return Err(last_err),
-            }
-        }
-        Err(e) => return Err(e),
-    };
+            batch::execute(alg, &specs, &indexes)
+        },
+    )?;
 
     let queries = bp
         .plans
@@ -929,7 +874,7 @@ mod tests {
         let qp = QueryParams::paper_base();
         let queries: Vec<_> = sqls.iter().map(|s| parse(s).unwrap()).collect();
         let mut outputs = Vec::new();
-        for force in Alg::ALL {
+        for force in Algorithm::ALL {
             let mut bp =
                 crate::planner::plan_batch(&c, &queries, sys, qp, IoScenario::Dedicated).unwrap();
             bp.chosen = force;
@@ -978,6 +923,66 @@ mod tests {
         assert_eq!(unwatched.unwrap().rows, baseline.rows);
     }
 
+    /// The catalog is outside input at execute time: a plan made against
+    /// one catalog and run against another names things that may be gone.
+    /// That is an `InvalidArgument` naming the missing piece, not a panic.
+    #[test]
+    fn catalog_skew_between_plan_and_execute_is_an_error() {
+        let planned_on = catalog();
+        let sql = "Select P.P#, A.SSN From Positions P, Applicants A \
+                   Where A.Resume SIMILAR_TO(2) P.Job_descr";
+        let query = parse(sql).unwrap();
+        let sys = SystemParams::paper_base();
+        let qp = QueryParams::paper_base();
+        let p = plan(&planned_on, &query, sys, qp, IoScenario::Dedicated).unwrap();
+        let mut bp = plan_batch(
+            &planned_on,
+            std::slice::from_ref(&query),
+            sys,
+            qp,
+            IoScenario::Dedicated,
+        )
+        .unwrap();
+
+        // `Applicants` was dropped; `Positions.Job_descr` is no longer text.
+        let mut no_applicants = Catalog::new(Arc::new(DiskSim::new(4096)));
+        no_applicants
+            .add(
+                RelationBuilder::new("Positions")
+                    .column("P#", ColumnType::Int)
+                    .column("Job_descr", ColumnType::Str),
+            )
+            .unwrap();
+        let mut retyped = Catalog::new(Arc::new(DiskSim::new(4096)));
+        for name in ["Positions", "Applicants"] {
+            retyped
+                .add(
+                    RelationBuilder::new(name)
+                        .column("Job_descr", ColumnType::Str)
+                        .column("Resume", ColumnType::Str),
+                )
+                .unwrap();
+        }
+
+        let message = |r: Result<QueryOutput>| match r {
+            Err(Error::InvalidArgument(m)) => m,
+            Err(e) => panic!("expected InvalidArgument, got {e}"),
+            Ok(_) => panic!("expected InvalidArgument, got rows"),
+        };
+        let m = message(execute_plan(&no_applicants, &p, sys, qp));
+        assert!(m.contains("Applicants"), "{m}");
+        let m = message(execute_plan(&retyped, &p, sys, qp));
+        assert!(m.contains("Resume"), "{m}");
+        let batch = |c: &Catalog, bp: &BatchPlan| {
+            execute_batch_plan(c, bp, sys, qp).map(|mut b| b.queries.remove(0))
+        };
+        let m = message(batch(&no_applicants, &bp));
+        assert!(m.contains("Applicants"), "{m}");
+        bp.plans.clear();
+        let m = message(batch(&planned_on, &bp));
+        assert!(m.contains("no queries"), "{m}");
+    }
+
     #[test]
     fn all_three_algorithms_give_the_same_tuples() {
         let c = catalog();
@@ -989,7 +994,7 @@ mod tests {
         let sys = SystemParams::paper_base();
         let qp = QueryParams::paper_base();
         let mut outputs = Vec::new();
-        for force in Alg::ALL {
+        for force in Algorithm::ALL {
             let mut p = plan(&c, &query, sys, qp, IoScenario::Dedicated).unwrap();
             p.chosen = force;
             let out = execute_plan(&c, &p, sys, qp).unwrap();

@@ -10,7 +10,7 @@
 //! traffic: the model-validation experiment of section 6, on demand.
 
 use crate::catalog::Catalog;
-use crate::executor::{execute_batch_plan, ShardExecution};
+use crate::executor::{execute_batch_plan, resolve, Resolved, ShardExecution};
 use crate::parser::parse;
 use crate::planner::{plan, plan_batch, plan_with_profile, plan_with_shards, Plan};
 use std::collections::HashMap;
@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use textjoin_common::{Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
-    execute_sharded, fnl, hhnl, hvnl, parallel, vvm, ExecStats, JoinSpec, OuterDocs, QueryReport,
-    ResultQuality, ShardOptions, ShardPartitioning,
+    execute_sharded, ExecStats, Indexes, JoinSpec, OuterDocs, QueryReport, ResultQuality,
+    ShardOptions, ShardPartitioning,
 };
 use textjoin_costmodel::{parallel as par_cost, Algorithm, CalibrationProfile, IoScenario};
 use textjoin_obs::{MetricValue, Registry, SpanRecord, Tracer};
@@ -387,18 +387,10 @@ fn explain_analyze_inner(
         None => plan(catalog, &query, sys, base_query_params, scenario)?,
     };
 
-    let inner_rel = catalog
-        .relation(&p.inner_rel)
-        .expect("planned relation exists");
-    let outer_rel = catalog
-        .relation(&p.outer_rel)
-        .expect("planned relation exists");
-    let inner_tc = inner_rel
-        .text_column(&p.inner_column)
-        .expect("planned text column");
-    let outer_tc = outer_rel
-        .text_column(&p.outer_column)
-        .expect("planned text column");
+    let Resolved {
+        inner_tc, outer_tc, ..
+    } = resolve(catalog, &p)?;
+    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
 
     let mut base = JoinSpec::new(&inner_tc.collection, &outer_tc.collection)
         .with_sys(sys)
@@ -427,13 +419,7 @@ fn explain_analyze_inner(
         } else {
             base
         };
-        let run = match alg {
-            Algorithm::Hhnl => hhnl::execute(&spec),
-            Algorithm::Hvnl => hvnl::execute(&spec, &inner_tc.inverted),
-            Algorithm::Vvm => vvm::execute(&spec, &inner_tc.inverted, &outer_tc.inverted),
-            Algorithm::Fnl => fnl::execute(&spec, &inner_tc.fnl),
-        };
-        match run {
+        match textjoin_core::execute(alg, &spec, &indexes, 1) {
             Ok(out) => {
                 measured[i] = Some(out.stats);
                 reports.push(QueryReport::from_outcome(
@@ -459,15 +445,7 @@ fn explain_analyze_inner(
     let mut scaling: Vec<WorkerScaling> = Vec::new();
     if workers > 1 {
         for w in [1, workers] {
-            let run = match p.chosen {
-                Algorithm::Hhnl => parallel::execute_hhnl(&base, w),
-                Algorithm::Hvnl => parallel::execute_hvnl(&base, &inner_tc.inverted, w),
-                Algorithm::Vvm => {
-                    parallel::execute_vvm(&base, &inner_tc.inverted, &outer_tc.inverted, w)
-                }
-                Algorithm::Fnl => parallel::execute_fnl(&base, &inner_tc.fnl, w),
-            };
-            match run {
+            match textjoin_core::execute(p.chosen, &base, &indexes, w) {
                 Ok(out) => scaling.push(WorkerScaling {
                     workers: w,
                     predicted: par_cost::estimate(&p.inputs, p.chosen, w as u64),

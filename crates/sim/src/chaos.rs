@@ -26,8 +26,8 @@ use std::sync::Arc;
 use textjoin_collection::{Collection, SynthSpec};
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
-    execute_sharded, fnl, hhnl, hvnl, integrated, vvm, JoinOutcome, JoinSpec, OuterDocs,
-    QueryReport, ResultQuality, ShardFault, ShardOptions,
+    execute_sharded, hhnl, integrated, Indexes, JoinOutcome, JoinSpec, OuterDocs, QueryReport,
+    ResultQuality, ShardFault, ShardOptions,
 };
 use textjoin_costmodel::{Algorithm, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
@@ -315,12 +315,8 @@ fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
         f.disk.reset_fault_stats();
 
         let spec = f.spec().with_degraded();
-        let attempt = match algorithm {
-            Algorithm::Hhnl => hhnl::execute(&spec),
-            Algorithm::Hvnl => hvnl::execute(&spec, &f.inv1),
-            Algorithm::Vvm => vvm::execute(&spec, &f.inv1, &f.inv2),
-            Algorithm::Fnl => fnl::execute(&spec, &f.fnl1),
-        };
+        let indexes = Indexes::all(&f.inv1, &f.inv2, &f.fnl1);
+        let attempt = textjoin_core::execute(algorithm, &spec, &indexes, 1);
         let (verdict, passed) = match attempt {
             Ok(outcome) => {
                 let verdict = format!(

@@ -18,7 +18,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-use textjoin_core::{fnl, hhnl, hvnl, vvm, JoinSpec, QueryReport, ResultQuality};
+use textjoin_core::{Indexes, JoinSpec, QueryReport, ResultQuality};
 use textjoin_costmodel as costmodel;
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{FnlIndex, InvertedFile};
@@ -173,12 +173,8 @@ fn run_config(
             .with_cancel(guard.ticket().cancel_token());
         disk.reset_stats();
         disk.reset_head();
-        let outcome = match algorithm {
-            Algorithm::Hhnl => hhnl::execute(&spec)?,
-            Algorithm::Hvnl => hvnl::execute(&spec, &inv1)?,
-            Algorithm::Vvm => vvm::execute(&spec, &inv1, &inv2)?,
-            Algorithm::Fnl => fnl::execute(&spec, &fnl1)?,
-        };
+        let indexes = Indexes::all(&inv1, &inv2, &fnl1);
+        let outcome = textjoin_core::execute(algorithm, &spec, &indexes, 1)?;
         // Finished runs roll up into the same registry the endpoint
         // serves, so `/metrics` carries the aggregate query series next
         // to the `queries.inflight` gauge.

@@ -9,7 +9,7 @@
 
 use crate::validate::{quick_configs, ValidationConfig};
 use std::sync::Arc;
-use textjoin_core::{fnl, hhnl, hvnl, vvm, JoinSpec, QueryReport, SlowLogRank, SlowQueryLog};
+use textjoin_core::{Indexes, JoinSpec, QueryReport, SlowLogRank, SlowQueryLog};
 use textjoin_costmodel as costmodel;
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{FnlIndex, InvertedFile};
@@ -68,12 +68,8 @@ fn run_config(
         };
         disk.reset_stats();
         disk.reset_head();
-        let outcome = match algorithm {
-            Algorithm::Hhnl => hhnl::execute(&spec)?,
-            Algorithm::Hvnl => hvnl::execute(&spec, &inv1)?,
-            Algorithm::Vvm => vvm::execute(&spec, &inv1, &inv2)?,
-            Algorithm::Fnl => fnl::execute(&spec, &fnl1)?,
-        };
+        let indexes = Indexes::all(&inv1, &inv2, &fnl1);
+        let outcome = textjoin_core::execute(algorithm, &spec, &indexes, 1)?;
         let report = QueryReport::from_outcome(
             format!("{} {algorithm}", cfg.label),
             &outcome,

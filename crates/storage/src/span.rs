@@ -7,10 +7,8 @@
 //! entry occupies a small fraction of a page (section 5.4 calls this out as
 //! one of HVNL's handicaps).
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous byte range within a simulated file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ByteSpan {
     /// Byte offset from the start of the file.
     pub offset: u64,

@@ -1,0 +1,313 @@
+//! One table over the pass driver: every algorithm × batch size × worker
+//! count goes through the same four checks — the oracle, a pre-set cancel,
+//! a sub-page watchdog budget, an attached tracer — instead of one copy of
+//! each per executor. The `(N = 3, w = 2)` column does not exist: batches
+//! and workers do not compose yet (ROADMAP item 4).
+
+use std::sync::Arc;
+use textjoin::common::Error;
+use textjoin::core::hvnl::{HvnlOptions, OuterOrder};
+use textjoin::core::reference::naive_join;
+use textjoin::core::{batch, hhnl, hvnl, ExecStats, Indexes, ResultQuality};
+use textjoin::obs::{CancelToken, SpanRecord, Tracer};
+use textjoin::prelude::*;
+
+/// Small pages and a small buffer: every algorithm needs several passes
+/// (several checkpoints), with one worker and with the budget split in two.
+struct Fixture {
+    c1: Collection,
+    c2: Collection,
+    inv1: InvertedFile,
+    inv2: InvertedFile,
+    fnl1: FnlIndex,
+    d1: Vec<Document>,
+    d2: Vec<Document>,
+    sys: SystemParams,
+}
+
+fn fixture() -> Fixture {
+    let sys = SystemParams {
+        buffer_pages: 48,
+        page_size: 256,
+        alpha: 5.0,
+    };
+    let disk = Arc::new(DiskSim::new(sys.page_size));
+    let d1 = SynthSpec::from_stats(CollectionStats::new(90, 12.0, 300), 71).generate_docs();
+    let d2 = SynthSpec::from_stats(CollectionStats::new(300, 12.0, 300), 72).generate_docs();
+    let c1 = Collection::build(Arc::clone(&disk), "c1", d1.clone()).unwrap();
+    let c2 = Collection::build(Arc::clone(&disk), "c2", d2.clone()).unwrap();
+    Fixture {
+        inv1: InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap(),
+        inv2: InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap(),
+        fnl1: FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap(),
+        c1,
+        c2,
+        d1,
+        d2,
+        sys,
+    }
+}
+
+/// What one cell of the table runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    /// `core::execute(alg, spec, indexes, workers)` — N = 1.
+    Single {
+        workers: usize,
+    },
+    /// `batch::execute(alg, specs, indexes)` — N = 3, one worker.
+    Batch,
+    /// The paper's ablations, N = 1 only, under the same driver.
+    HhnlBackward,
+    HvnlGreedy,
+}
+
+const LAMBDAS: [usize; 3] = [3, 1, 5];
+
+fn cells() -> Vec<(Algorithm, Mode)> {
+    let mut cells = Vec::new();
+    for alg in Algorithm::ALL {
+        cells.push((alg, Mode::Single { workers: 1 }));
+        cells.push((alg, Mode::Single { workers: 2 }));
+        cells.push((alg, Mode::Batch));
+    }
+    cells.push((Algorithm::Hhnl, Mode::HhnlBackward));
+    cells.push((Algorithm::Hvnl, Mode::HvnlGreedy));
+    cells
+}
+
+/// Runs one cell: per-query outcomes plus the statistics of the whole run.
+fn run<'a>(
+    f: &'a Fixture,
+    alg: Algorithm,
+    mode: Mode,
+    decorate: impl Fn(JoinSpec<'a>) -> JoinSpec<'a>,
+) -> Result<(Vec<JoinOutcome>, ExecStats), Error> {
+    let indexes = Indexes::all(&f.inv1, &f.inv2, &f.fnl1);
+    // The greedy order holds every outer document at once, which is more
+    // than the multi-pass budget the other cells share.
+    let sys = match mode {
+        Mode::HvnlGreedy => f.sys.with_buffer_pages(4 * f.sys.buffer_pages),
+        _ => f.sys,
+    };
+    let spec = |lambda: usize| {
+        decorate(
+            JoinSpec::new(&f.c1, &f.c2)
+                .with_sys(sys)
+                .with_query(QueryParams::paper_base().with_lambda(lambda)),
+        )
+    };
+    let single = |out: JoinOutcome| {
+        let stats = out.stats;
+        (vec![out], stats)
+    };
+    match mode {
+        Mode::Single { workers } => {
+            textjoin::core::execute(alg, &spec(LAMBDAS[0]), &indexes, workers).map(single)
+        }
+        Mode::Batch => {
+            let specs: Vec<JoinSpec<'a>> = LAMBDAS.iter().map(|&l| spec(l)).collect();
+            batch::execute(alg, &specs, &indexes).map(|b| (b.queries, b.stats))
+        }
+        Mode::HhnlBackward => hhnl::execute_backward(&spec(LAMBDAS[0])).map(single),
+        Mode::HvnlGreedy => {
+            let options = HvnlOptions {
+                order: OuterOrder::GreedyIntersection,
+                ..HvnlOptions::default()
+            };
+            hvnl::execute_with(&spec(LAMBDAS[0]), &f.inv1, options).map(single)
+        }
+    }
+}
+
+fn oracle(f: &Fixture, lambda: usize) -> JoinResult {
+    naive_join(&f.d1, &f.d2, OuterDocs::Full, lambda, Weighting::RawCount)
+}
+
+#[test]
+fn every_cell_equals_the_oracle() {
+    let f = fixture();
+    for (alg, mode) in cells() {
+        let (queries, stats) = run(&f, alg, mode, |s| s).unwrap();
+        for (q, &lambda) in queries.iter().zip(&LAMBDAS) {
+            assert_eq!(q.result, oracle(&f, lambda), "{alg} {mode:?} λ={lambda}");
+            assert_eq!(q.quality, ResultQuality::Full, "{alg} {mode:?}");
+        }
+        assert_eq!(stats.algorithm, alg);
+        assert!(stats.io.total_reads() > 0, "{alg} {mode:?}");
+    }
+}
+
+/// N = 1 through the batch entry point *is* the sequential run: the same
+/// passes, counters and pages, not merely the same result.
+#[test]
+fn batch_of_one_is_the_sequential_run() {
+    let f = fixture();
+    let indexes = Indexes::all(&f.inv1, &f.inv2, &f.fnl1);
+    let spec = JoinSpec::new(&f.c1, &f.c2)
+        .with_sys(f.sys)
+        .with_query(QueryParams::paper_base().with_lambda(4));
+    for alg in Algorithm::ALL {
+        let seq = textjoin::core::execute(alg, &spec, &indexes, 1).unwrap();
+        let one = batch::execute(alg, &[spec], &indexes).unwrap();
+        assert_eq!(one.queries[0].result, seq.result, "{alg}");
+        let (a, b) = (one.stats, seq.stats);
+        assert_eq!(a.io, b.io, "{alg}");
+        assert_eq!(
+            (
+                a.passes,
+                a.sim_ops,
+                a.cells_touched,
+                a.entry_fetches,
+                a.cache_hits
+            ),
+            (
+                b.passes,
+                b.sim_ops,
+                b.cells_touched,
+                b.entry_fetches,
+                b.cache_hits
+            ),
+            "{alg}"
+        );
+        assert_eq!(a.mem_high_water_bytes, b.mem_high_water_bytes, "{alg}");
+    }
+}
+
+/// A token set before the run starts is observed at the first checkpoint:
+/// `Partial`, cheaper than the full run, and every row that did come back
+/// is the oracle's row for that outer document.
+#[test]
+fn preset_cancel_returns_an_oracle_prefix_within_one_checkpoint() {
+    let f = fixture();
+    let token = CancelToken::new();
+    token.cancel();
+    for (alg, mode) in cells() {
+        let (_, clean) = run(&f, alg, mode, |s| s).unwrap();
+        let (queries, stats) = run(&f, alg, mode, |s| s.with_cancel(&token)).unwrap();
+        // (The greedy order reads the whole outer side before it joins
+        // the first document, so its cancel saves CPU, not pages.)
+        assert!(
+            stats.cost < clean.cost || mode == Mode::HvnlGreedy,
+            "{alg} {mode:?}: cancelled cost {} not below clean {}",
+            stats.cost,
+            clean.cost
+        );
+        for (q, &lambda) in queries.iter().zip(&LAMBDAS) {
+            assert_eq!(q.quality, ResultQuality::Partial, "{alg} {mode:?}");
+            if mode == Mode::HhnlBackward {
+                // Backward rows only become final after the last inner
+                // batch; a cancelled run holds scores over a prefix of C1.
+                continue;
+            }
+            let want = oracle(&f, lambda);
+            assert!(
+                q.result.num_outer_docs() < want.num_outer_docs(),
+                "{alg} {mode:?}"
+            );
+            for (outer, matches) in q.result.iter() {
+                assert_eq!(
+                    Some(matches),
+                    want.matches(outer),
+                    "{alg} {mode:?} {outer:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A budget below one page cannot survive the first checkpoint, whatever
+/// executes the passes. (`VVM, w = 2` returned `Ok` before the parallel
+/// merge went through the shared checkpoint.)
+#[test]
+fn sub_page_budget_overruns_in_every_cell() {
+    let f = fixture();
+    for (alg, mode) in cells() {
+        let got = run(&f, alg, mode, |s| s.with_cost_budget(0.5));
+        assert!(
+            matches!(got, Err(Error::CostOverrun { .. })),
+            "{alg} {mode:?}: {:?}",
+            got.map(|(_, s)| s.cost)
+        );
+    }
+}
+
+fn field(span: &SpanRecord, name: &str) -> Option<u64> {
+    span.fields
+        .iter()
+        .find(|(k, _)| *k == name)
+        .map(|(_, v)| *v)
+}
+
+/// The root span is named for the algorithm and carries the run's pass
+/// count; at N = 1 the phase spans keep the names EXPLAIN ANALYZE keys on.
+#[test]
+fn attached_tracer_sees_the_driver_spans() {
+    let f = fixture();
+    for (alg, mode) in cells() {
+        let tracer = Tracer::enabled(8192);
+        let (queries, stats) = run(&f, alg, mode, |s| s.with_trace(&tracer)).unwrap();
+        let (untraced, _) = run(&f, alg, mode, |s| s).unwrap();
+        for (q, u) in queries.iter().zip(&untraced) {
+            assert_eq!(
+                q.result, u.result,
+                "{alg} {mode:?}: tracing changed the result"
+            );
+        }
+        let spans = tracer.finished();
+        let (root, phases): (&str, &[&str]) = match (alg, mode) {
+            (_, Mode::HhnlBackward) => ("hhnl.backward", &["hhnl.outer_scan"]),
+            (Algorithm::Vvm, Mode::Single { workers: 2 }) => ("vvm.parallel", &["vvm.worker"]),
+            (Algorithm::Hhnl, _) => ("hhnl", &["hhnl.inner_scan"]),
+            (Algorithm::Hvnl, _) => ("hvnl", &["hvnl.setup", "hvnl.outer_scan"]),
+            (Algorithm::Vvm, _) => ("vvm", &["vvm.merge_pass"]),
+            (Algorithm::Fnl, _) => ("fnl", &["fnl.term_order", "fnl.sig_scan"]),
+        };
+        // One finished root per worker (a VVM attempt abandoned for a finer
+        // partitioning leaves a root without a pass count); their pass
+        // counts add up to the run's.
+        let roots: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.name == root && field(s, "passes").is_some())
+            .collect();
+        let workers = match mode {
+            Mode::Single { workers } if alg != Algorithm::Vvm => workers,
+            _ => 1,
+        };
+        assert_eq!(roots.len(), workers, "{alg} {mode:?}");
+        let passes: u64 = roots.iter().filter_map(|r| field(r, "passes")).sum();
+        assert_eq!(passes, stats.passes, "{alg} {mode:?}");
+        if workers == 1 {
+            // (A worker's root records the shared disk's delta, sibling
+            // traffic included, so only lone roots match the statistics.)
+            assert_eq!(field(roots[0], "seq_reads"), Some(stats.io.seq_reads));
+        }
+        for phase in phases {
+            assert!(
+                spans.iter().any(|s| s.name == *phase),
+                "{alg} {mode:?}: no `{phase}` span"
+            );
+        }
+        if mode != (Mode::Single { workers: 1 }) {
+            continue;
+        }
+        // Sequential: exactly the root and its phases, one pass span per
+        // pass, and the passes' page deltas stay within the run's total.
+        let mut names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut want: Vec<&str> = phases.iter().copied().chain([root]).collect();
+        want.sort_unstable();
+        assert_eq!(names, want, "{alg}");
+        let pass_spans: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.name == *phases.last().unwrap() && s.parent == roots[0].id)
+            .collect();
+        assert_eq!(pass_spans.len() as u64, stats.passes, "{alg}");
+        let per_pass: u64 = pass_spans
+            .iter()
+            .map(|s| field(s, "seq_reads").unwrap() + field(s, "rand_reads").unwrap())
+            .sum();
+        assert!(per_pass <= stats.io.total_reads(), "{alg}");
+    }
+}
