@@ -5,8 +5,7 @@
 //! sweeps a grid of (collection pair, λ, buffer size) cases, runs every
 //! registered executor on each, and emits a [`BenchReport`] whose JSON
 //! form (`BENCH_textjoin.json`) a CI job can archive and diff against a
-//! checked-in baseline with [`compare`] (or [`compare_allowing`] when a
-//! grid change deliberately adds rows the baseline predates).
+//! checked-in baseline with [`compare`].
 //!
 //! Two kinds of numbers live in each [`BenchCase`]:
 //!
@@ -25,7 +24,7 @@ use textjoin_core::{
     batch, execute_sharded, Indexes, JoinSpec, QueryReport, ShardOptions, ShardPartitioning,
 };
 use textjoin_costmodel as costmodel;
-use textjoin_costmodel::{Algorithm, CalibrationProfile};
+use textjoin_costmodel::{Algorithm, CalibrationProfile, CostEstimates, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_live::LiveCollection;
 use textjoin_storage::{DiskSim, PageLatency};
@@ -89,9 +88,7 @@ pub struct BenchGrid {
     /// Site counts `S` for the sharded (multidatabase) axis. Counts > 1
     /// run the multi-site executor over `shard_pairs` (not the classic
     /// pairs) with both boundary strategies and label their rows
-    /// `"<pair> λ=<λ> B=<B> S=<s> <strategy>"` — the `S=` token is what
-    /// `--allow-new S=` admits until the checked-in baseline is
-    /// regenerated. `pages_io` for these rows records the **max-shard**
+    /// `"<pair> λ=<λ> B=<B> S=<s> <strategy>"`. `pages_io` for these rows records the **max-shard**
     /// page cost (the balance metric sites gate the answer on), so a naive
     /// row sitting above its skew-aware sibling is the measured price of
     /// ignoring skew. `1` runs the single-site sharded path once, as the
@@ -371,6 +368,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         delta: grid.delta,
                     });
                 let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
+                let estimates = CostEstimates::compute(&inputs);
                 let indexes = Indexes::all(&inv1, &inv2, &fnl1);
                 for &w in &grid.workers {
                     let w = w.max(1);
@@ -393,12 +391,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         let predicted = if w > 1 {
                             None
                         } else {
-                            let raw = match algorithm {
-                                Algorithm::Hhnl => costmodel::hhnl::sequential(&inputs).ok(),
-                                Algorithm::Hvnl => Some(costmodel::hvnl::sequential(&inputs)),
-                                Algorithm::Vvm => costmodel::vvm::sequential(&inputs).ok(),
-                                Algorithm::Fnl => costmodel::fnl::sequential(&inputs).ok(),
-                            };
+                            let raw = predicted_pages(&estimates, algorithm);
                             match (&grid.calibration, raw) {
                                 (Some(p), Some(r)) => {
                                     Some(p.calibrated_cost(&pair.label, algorithm, r))
@@ -466,15 +459,10 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         continue;
                     }
                     let specs = vec![spec; n];
-                    let batch_inputs = vec![inputs; n];
+                    let batch_estimates = CostEstimates::compute_batch(&vec![inputs; n]);
                     let case_label = format!("{} λ={lambda} B={b} N={n}", pair.label);
                     for algorithm in Algorithm::ALL {
-                        let predicted = match algorithm {
-                            Algorithm::Hhnl => costmodel::hhs_batch(&batch_inputs).ok(),
-                            Algorithm::Hvnl => Some(costmodel::hvs_batch(&batch_inputs)),
-                            Algorithm::Vvm => costmodel::vvs_batch(&batch_inputs).ok(),
-                            Algorithm::Fnl => costmodel::fns_batch(&batch_inputs).ok(),
-                        };
+                        let predicted = predicted_pages(&batch_estimates, algorithm);
                         let mut walls: Vec<u64> = Vec::new();
                         let mut last_stats = None;
                         for _ in 0..grid.iterations.max(1) {
@@ -530,16 +518,12 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                         })
                         .with_inner_delta(lc.overlay());
                     let finputs = fspec.cost_inputs().with_fnl(lfnl.stats());
+                    let festimates = CostEstimates::compute(&finputs);
                     let findexes = Indexes::all(lc.base_inv(), &inv2, lfnl);
                     let case_label =
                         format!("{} λ={lambda} B={b} frag={:.0}%", pair.label, frac * 100.0);
                     for algorithm in Algorithm::ALL {
-                        let predicted = match algorithm {
-                            Algorithm::Hhnl => costmodel::hhnl::sequential(&finputs).ok(),
-                            Algorithm::Hvnl => Some(costmodel::hvnl::sequential(&finputs)),
-                            Algorithm::Vvm => costmodel::vvm::sequential(&finputs).ok(),
-                            Algorithm::Fnl => costmodel::fnl::sequential(&finputs).ok(),
-                        };
+                        let predicted = predicted_pages(&festimates, algorithm);
                         let mut walls: Vec<u64> = Vec::new();
                         let mut last_stats = None;
                         for _ in 0..grid.iterations.max(1) {
@@ -751,33 +735,6 @@ pub fn compare(
     current: &BenchReport,
     threshold_pct: f64,
 ) -> Vec<Regression> {
-    compare_allowing(baseline, current, threshold_pct, &[])
-}
-
-/// [`compare`] with an explicit allowlist for *expected* new coverage: a
-/// run case absent from the baseline is only a [`MissingFromBaseline`]
-/// finding when no allowlist entry matches it. An entry matches a case if
-/// the case label contains it as a substring, or if it equals the case's
-/// algorithm name — so `"λ=80"` admits a new filter-axis λ point across
-/// every pair, and `"FNL"` admits a newly registered algorithm's rows
-/// across the whole grid, while both leave every baseline-covered case
-/// gated at full strength (the allowlist never silences `Slower`,
-/// `MissingFromRun` or `InvalidBaseline` findings). This is the one-PR
-/// escape hatch for landing a new grid axis and its regenerated baseline
-/// in separate commits without the gate failing hard in between.
-///
-/// [`MissingFromBaseline`]: RegressionKind::MissingFromBaseline
-pub fn compare_allowing(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    threshold_pct: f64,
-    allow_new: &[String],
-) -> Vec<Regression> {
-    let allowed = |c: &BenchCase| {
-        allow_new
-            .iter()
-            .any(|entry| c.case.contains(entry.as_str()) || c.algorithm == *entry)
-    };
     let mut regressions = Vec::new();
     for b in &baseline.cases {
         match current.case(&b.case, &b.algorithm) {
@@ -816,7 +773,7 @@ pub fn compare_allowing(
         }
     }
     for c in &current.cases {
-        if baseline.case(&c.case, &c.algorithm).is_none() && !allowed(c) {
+        if baseline.case(&c.case, &c.algorithm).is_none() {
             regressions.push(Regression {
                 kind: RegressionKind::MissingFromBaseline,
                 case: c.case.clone(),
@@ -839,6 +796,12 @@ pub fn compare_allowing(
 /// (`0.9 × 10 = 9.000000000000002`), and a bare `ceil` then overshoots by
 /// one whole order statistic — p90 of ten samples silently became the
 /// maximum.
+/// The model's dedicated-drive page estimate for `algorithm`, when it is
+/// feasible at all.
+fn predicted_pages(estimates: &CostEstimates, algorithm: Algorithm) -> Option<f64> {
+    Some(estimates.cost(algorithm, IoScenario::Dedicated)).filter(|c| c.is_finite())
+}
+
 fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -1001,35 +964,6 @@ mod tests {
         assert_eq!(regs[0].kind, RegressionKind::MissingFromBaseline);
         assert_eq!(regs[0].case, "a λ=5 B=60 N=4");
         assert!(regs[0].to_string().contains("regenerate"), "{}", regs[0]);
-    }
-
-    #[test]
-    fn compare_allowing_admits_expected_new_rows_only() {
-        let baseline = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a λ=5 B=60", "HHNL", 100.0)],
-        };
-        let current = BenchReport {
-            suite: "s".into(),
-            cases: vec![
-                case("a λ=5 B=60", "HHNL", 150.0),  // regression: never silenced
-                case("a λ=80 B=60", "HHNL", 300.0), // new filter-axis point: allowed by label
-                case("a λ=5 B=60", "FNL", 90.0),    // new algorithm: allowed by name
-                case("a λ=9 B=60", "VVM", 10.0),    // unexpected new row: still flagged
-            ],
-        };
-        let allow = vec!["λ=80".to_string(), "FNL".to_string()];
-        let regs = compare_allowing(&baseline, &current, 10.0, &allow);
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert_eq!(regs[0].kind, RegressionKind::Slower);
-        assert_eq!(regs[0].algorithm, "HHNL");
-        assert_eq!(regs[1].kind, RegressionKind::MissingFromBaseline);
-        assert_eq!(regs[1].case, "a λ=9 B=60");
-        // The empty allowlist is exactly `compare`.
-        assert_eq!(
-            compare_allowing(&baseline, &current, 10.0, &[]).len(),
-            compare(&baseline, &current, 10.0).len()
-        );
     }
 
     #[test]
@@ -1403,12 +1337,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_axis_rows_carry_the_escape_hatch_token_and_are_deterministic() {
+    fn shard_axis_rows_carry_the_axis_token_and_are_deterministic() {
         let grid = shard_only_grid();
         let a = run_suite(&grid).unwrap();
         let b = run_suite(&grid).unwrap();
-        // Every row on this axis carries the `S=` token `--allow-new S=`
-        // keys on, and S=1 runs only under the skew-aware label.
+        // Every row on this axis carries the `S=` token, and S=1 runs only
+        // under the skew-aware label.
         assert!(!a.cases.is_empty());
         for c in &a.cases {
             assert!(c.case.contains("S="), "missing axis token: {}", c.case);

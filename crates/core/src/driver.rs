@@ -12,6 +12,14 @@
 //! cost-budget watchdog), degraded-skip accounting and the assembly of
 //! [`ExecStats`] / [`BatchOutcome`].
 //!
+//! A partitioned run is the same run handed *parts* — term ranges of the
+//! inverted files for parallel VVM, outer slices for the parallel nested
+//! loops, sites for the sharded executors. [`run_parts`] is the one place
+//! they fan out: one part runs on the calling thread, several run on one
+//! scoped thread each. Inside a driven run [`Run::parts`] brackets each
+//! part with the exact I/O it caused; [`merge_outcomes`] is the one place
+//! whole-join outcomes of parts fan back in.
+//!
 //! A single query is a batch of one: with `N = 1` the concatenated outer
 //! stream is the query's own stream, the aggregated eviction demand is its
 //! own outer document frequency, the pooled partition estimate is its own
@@ -23,14 +31,15 @@ use crate::batch::BatchOutcome;
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::JoinSpec;
-use crate::topk::TopK;
+use crate::topk::{self, TopK};
 use crate::{fnl, hhnl, hvnl, parallel, vvm};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{DeltaOverlay, FnlIndex, InvertedFile};
-use textjoin_obs::{Span, Tracer};
+use textjoin_obs::{QueryTicket, Span, Tracer};
 use textjoin_storage::{DiskSim, IoStats, MemTracker};
 
 /// One result row: an outer document and its λ best inner matches.
@@ -73,9 +82,9 @@ pub(crate) fn drive<'r, P: Passes<'r>>(
         root: Tracer::maybe(spec0.trace, P::ROOT),
         disk,
         start_io: disk.stats(),
-        // Taken with the stats baseline, so the tickets' thread-local
-        // tally covers the setup I/O the first checkpoint reports.
         thread_base: DiskSim::thread_io_stats(),
+        parts_io: IoStats::default(),
+        parts_high_water: 0,
         checkpoint: Checkpoint::new(specs),
     };
     let mut passes = 0u64;
@@ -246,8 +255,7 @@ impl Checkpoint {
                 continue;
             }
             if let Some(ticket) = spec.ticket {
-                ticket.add_pages(share);
-                ticket.set_phase(phase());
+                feed_ticket(ticket, share, phase());
             }
             *cancelled = spec.cancel.is_some_and(|c| c.is_cancelled());
         }
@@ -264,6 +272,12 @@ impl Checkpoint {
     }
 }
 
+/// Reports `pages` more page cost and the current phase to a live ticket.
+pub(crate) fn feed_ticket(ticket: &QueryTicket, pages: f64, phase: String) {
+    ticket.add_pages(pages);
+    ticket.set_phase(phase);
+}
+
 /// The state of one driven run, handed to every [`Passes`] method.
 pub(crate) struct Run<'r> {
     pub(crate) specs: &'r [JoinSpec<'r>],
@@ -275,9 +289,19 @@ pub(crate) struct Run<'r> {
     pub(crate) shared_skipped_docs: u64,
     pub(crate) shared_skipped_entries: u64,
     pub(crate) root: Span<'r>,
+    /// Peak bytes held against per-part budgets. A partitioned merge gives
+    /// each part its own share of `B` instead of charging `tracker`;
+    /// concurrent parts peak together, so their high-waters add.
+    pub(crate) parts_high_water: u64,
+    /// The shared drive, as the watchdog and the phase spans see it.
     disk: &'r DiskSim,
     start_io: IoStats,
+    /// The calling thread's own tally when the run started; with
+    /// `parts_io` it makes the run's I/O exact whoever else reads the
+    /// drive (sibling workers) and whichever drive a part reads (a site's).
     thread_base: IoStats,
+    /// I/O of the parts that ran on other threads.
+    parts_io: IoStats,
     checkpoint: Checkpoint,
 }
 
@@ -299,6 +323,38 @@ impl<'r> Run<'r> {
 
     fn sim_ops(&self) -> u64 {
         self.queries.iter().map(|q| q.counters.sim_ops).sum()
+    }
+
+    /// The I/O this run has caused: the driving thread's plus its parts'.
+    fn io(&self) -> IoStats {
+        let mut io = DiskSim::thread_io_stats().since(&self.thread_base);
+        io.merge(&self.parts_io);
+        io
+    }
+
+    /// [`run_parts`] inside a driven run: each part comes back with the
+    /// I/O it caused, which also counts into the run's statistics and
+    /// checkpoint. The thread-local tally is bumped under the same lock as
+    /// a drive's global counters, so a bracketed delta is exactly that
+    /// part's traffic and the deltas of parts sharing a drive sum to the
+    /// drive's delta.
+    pub(crate) fn parts<P: Sync, T: Send>(
+        &mut self,
+        parts: &[P],
+        work: impl Fn(usize, &P) -> Result<T> + Sync,
+    ) -> Result<Vec<(T, IoStats)>> {
+        let done = run_parts(parts, |k, part| {
+            let before = DiskSim::thread_io_stats();
+            let out = work(k, part)?;
+            Ok((out, DiskSim::thread_io_stats().since(&before)))
+        })?;
+        // A lone part ran on this thread, whose tally already has its I/O.
+        if done.len() > 1 {
+            for (_, io) in &done {
+                self.parts_io.merge(io);
+            }
+        }
+        Ok(done)
     }
 
     /// Runs `body` as one named phase: a child span of the root carrying
@@ -331,9 +387,7 @@ impl<'r> Run<'r> {
             return Ok(false);
         }
         let alpha = self.specs[0].sys.alpha;
-        let own = DiskSim::thread_io_stats()
-            .since(&self.thread_base)
-            .cost(alpha);
+        let own = self.io().cost(alpha);
         let cost = self.disk.stats().since(&self.start_io).cost(alpha);
         self.checkpoint.observe(self.specs, own, cost, phase)
     }
@@ -351,11 +405,11 @@ impl<'r> Run<'r> {
         started: Instant,
     ) -> BatchOutcome {
         let spec0 = &self.specs[0];
-        let io = self.disk.stats().since(&self.start_io);
+        let io = self.io();
         let mut stats = ExecStats {
             io,
             cost: io.cost(spec0.sys.alpha),
-            mem_high_water_bytes: self.tracker.high_water(),
+            mem_high_water_bytes: self.tracker.high_water() + self.parts_high_water,
             passes,
             skipped_docs: self.shared_skipped_docs,
             skipped_entries: self.shared_skipped_entries,
@@ -397,6 +451,73 @@ impl<'r> Run<'r> {
             })
             .collect();
         BatchOutcome { queries, stats }
+    }
+}
+
+/// Runs `work` on every part of a partitioned run and returns the outputs
+/// in part order. One part runs on the calling thread; several run
+/// concurrently on one scoped thread each.
+pub(crate) fn run_parts<P: Sync, T: Send>(
+    parts: &[P],
+    work: impl Fn(usize, &P) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    if let [part] = parts {
+        return Ok(vec![work(0, part)?]);
+    }
+    let work = &work;
+    crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(k, part)| s.spawn(move |_| work(k, part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("part panicked"))
+            .collect()
+    })
+    .expect("crossbeam scope panicked")
+}
+
+/// Merges the outcomes of parts that each ran a whole join over a slice of
+/// the data. Rows of disjoint outer documents concatenate; an outer
+/// document several parts answered (each over its own inner documents)
+/// gets the exact global top-λ through [`topk::merge_lists`]. Counters add
+/// — memory high-waters included, the parts ran concurrently — and one
+/// `Partial` part makes the whole `Partial` (a cancelled part bumps no
+/// skip counter, so the tags are OR-ed, not re-derived). The caller stamps
+/// the wall time.
+pub(crate) fn merge_outcomes(
+    algorithm: Algorithm,
+    lambda: usize,
+    outcomes: impl IntoIterator<Item = JoinOutcome>,
+) -> JoinOutcome {
+    let mut rows: BTreeMap<DocId, Vec<Match>> = BTreeMap::new();
+    let mut stats = ExecStats::zero(algorithm);
+    let mut any_partial = false;
+    for outcome in outcomes {
+        any_partial |= outcome.quality == ResultQuality::Partial;
+        stats += &outcome.stats;
+        for (id, matches) in outcome.result.iter() {
+            match rows.entry(id) {
+                Entry::Vacant(e) => {
+                    e.insert(matches.to_vec());
+                }
+                Entry::Occupied(mut e) => {
+                    let merged = topk::merge_lists([e.get().as_slice(), matches], lambda);
+                    e.insert(merged);
+                }
+            }
+        }
+    }
+    JoinOutcome {
+        result: JoinResult::from_rows(rows.into_iter().collect()),
+        quality: if any_partial {
+            ResultQuality::Partial
+        } else {
+            stats.quality()
+        },
+        stats,
     }
 }
 

@@ -1,10 +1,10 @@
 //! Parallel execution — the paper's future-work item (3): "develop
-//! algorithms that process textual joins in parallel", covering all three
+//! algorithms that process textual joins in parallel", covering all four
 //! executors.
 //!
 //! Two partitioning strategies preserve exactness:
 //!
-//! * **Outer partitioning** (HHNL, HVNL): the outer collection is
+//! * **Outer partitioning** (HHNL, HVNL, FNL): the outer collection is
 //!   range-partitioned across `workers` threads; each worker runs the
 //!   sequential executor over its slice with an equal share of the memory
 //!   budget (`B / workers` pages — for HVNL that share bounds the worker's
@@ -12,19 +12,17 @@
 //!   document and the full inner side, so partitioning the *outer* side
 //!   never changes any row; results concatenate.
 //! * **Term-range partitioning** (VVM): both inverted files are split at
-//!   the same term boundaries, one contiguous ordinal range per worker.
-//!   Entries are term-sorted, so every shared term falls to exactly one
-//!   worker; per-worker partial similarity tables are summed in worker
-//!   (= ascending term) order and emitted through the same λ-heap as the
-//!   sequential merge. With integer-valued weights (raw counts) the
-//!   partial sums are exact, so results are bit-identical; fractional
-//!   weightings agree to floating-point reassociation.
+//!   the same term boundaries, one contiguous ordinal range per worker,
+//!   and handed to the one merge of [`crate::vvm`] as its parts. With
+//!   integer-valued weights (raw counts) the partial sums are exact, so
+//!   results are bit-identical; fractional weightings agree to
+//!   floating-point reassociation.
 //!
-//! The workers share one simulated disk. Per-worker I/O is attributed
-//! exactly via [`DiskSim::thread_io_stats`] — thread-local mirrors bumped
-//! under the same lock as the global counters — and each merge asserts
-//! that the worker deltas sum to the global delta, sequential/random split
-//! included.
+//! The workers share one simulated disk; each one's I/O is attributed
+//! exactly (a driven run counts its own thread's traffic), and the
+//! outer-partitioned merge asserts
+//! that the worker deltas sum to the drive's delta, sequential/random
+//! split included.
 //!
 //! The I/O bill grows with outer partitioning (`D2 + workers ·
 //! ⌈N2/(workers·X')⌉ · D1` for HHNL: every worker scans the inner
@@ -33,16 +31,15 @@
 //! against wall-clock: with `w` dedicated drives the elapsed scan time
 //! divides by ~`w`.
 
-use crate::driver::Checkpoint;
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
+use crate::driver::{merge_outcomes, run_parts, sole};
+use crate::result::JoinOutcome;
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::vvm::MergePartial;
-use crate::{hhnl, hvnl, vvm, Algorithm};
+use crate::vvm::Part;
+use crate::{hhnl, hvnl, vvm};
 use std::time::Instant;
 use textjoin_common::{DocId, Error, Result, SystemParams, TermId};
 use textjoin_invfile::InvertedFile;
 use textjoin_obs::Tracer;
-use textjoin_storage::{DiskSim, IoStats};
 
 /// Splits a `total`-page buffer budget across `workers`. Integer division
 /// alone loses `total % workers` pages (a 5-way split of 64 pages would
@@ -65,6 +62,15 @@ pub(crate) fn buffer_shares(total: u64, workers: usize) -> Vec<u64> {
         );
     }
     shares
+}
+
+fn require_workers(workers: usize) -> Result<()> {
+    if workers == 0 {
+        return Err(Error::InvalidArgument(
+            "at least one worker is required".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Runs HHNL with the outer collection partitioned across `workers`
@@ -98,18 +104,14 @@ pub fn execute_hvnl(
     execute_outer_partitioned(spec, workers, |s| hvnl::execute(s, inner_inv))
 }
 
-/// Shared scaffold for the two outer-partitioned algorithms: slice the
+/// Shared scaffold for the outer-partitioned algorithms: slice the
 /// participating outer ids, run `run` per slice on its own thread with a
 /// `B / workers` budget, and merge rows and counters.
 fn execute_outer_partitioned<F>(spec: &JoinSpec<'_>, workers: usize, run: F) -> Result<JoinOutcome>
 where
     F: for<'b> Fn(&JoinSpec<'b>) -> Result<JoinOutcome> + Sync,
 {
-    if workers == 0 {
-        return Err(Error::InvalidArgument(
-            "at least one worker is required".into(),
-        ));
-    }
+    require_workers(workers)?;
     // Materialise the participating outer ids (live ones only — the
     // worker slices must not waste shares on tombstoned documents) and
     // slice them. Worker specs keep the deltas via `..*spec`, so delta
@@ -138,177 +140,95 @@ where
         root.record("workers", slices.len() as u64);
     }
     let stitched = root.context().map(|c| c.tracer());
-    let run = &run;
-    let outcomes = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = slices
-            .iter()
-            .zip(&shares)
-            .map(|(&slice, &share)| {
-                let worker_spec = JoinSpec {
-                    outer_docs: OuterDocs::Selected(slice),
-                    sys: SystemParams {
-                        buffer_pages: share,
-                        ..spec.sys
-                    },
-                    trace: stitched.as_ref(),
-                    ..*spec
-                };
-                s.spawn(move |_| {
-                    // Bracket the run with thread-local I/O snapshots: the
-                    // TLS mirror is bumped under the same lock as the
-                    // global counters, so this delta is exactly the
-                    // traffic this worker caused on the shared disk.
-                    let before = DiskSim::thread_io_stats();
-                    let mut outcome = run(&worker_spec)?;
-                    outcome.stats.io = DiskSim::thread_io_stats().since(&before);
-                    outcome.stats.cost = outcome.stats.io.cost(worker_spec.sys.alpha);
-                    Ok(outcome)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Result<Vec<JoinOutcome>>>()
-    })
-    .expect("crossbeam scope panicked")?;
-
-    // Merge: rows are disjoint by construction; worker counters AddAssign
-    // into one outcome (mem high-waters included — the workers run
-    // concurrently, so their sum is the real peak footprint).
-    let mut rows = Vec::with_capacity(outer_ids.len());
-    let mut stats = ExecStats::zero(outcomes[0].stats.algorithm);
-    // A cancelled worker returns a Partial outcome with whatever rows it
-    // had, possibly without bumping any skip counter — so the merged
-    // quality must OR the workers' tags, not just re-derive from counters.
-    let mut any_partial = false;
-    for outcome in outcomes {
-        any_partial |= outcome.quality == ResultQuality::Partial;
-        for (id, matches) in outcome.result.iter() {
-            rows.push((id, matches.to_vec()));
-        }
-        stats += &outcome.stats;
-    }
-    // The thread-local deltas partition the global tally exactly,
-    // sequential/random split included.
+    let outcomes = run_parts(&slices, |k, &slice| {
+        run(&JoinSpec {
+            outer_docs: OuterDocs::Selected(slice),
+            sys: SystemParams {
+                buffer_pages: shares[k],
+                ..spec.sys
+            },
+            trace: stitched.as_ref(),
+            ..*spec
+        })
+    })?;
+    let mut merged = merge_outcomes(outcomes[0].stats.algorithm, spec.query.lambda, outcomes);
+    // Each worker's statistics hold exactly its own traffic, so together
+    // they partition the drive's tally, sequential/random split included.
     assert_eq!(
-        stats.io,
+        merged.stats.io,
         disk.stats().since(&start_io),
         "per-worker I/O deltas must sum to the global delta"
     );
-    stats.cost = stats.io.cost(spec.sys.alpha);
     // Workers overlap, so the run's wall time is the whole scope's elapsed
     // time, not the per-worker maximum the merge computed.
-    stats.wall_ns = started.elapsed().as_nanos() as u64;
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        // Merged stats carry every worker's skip counters; the explicit OR
-        // additionally catches workers that went Partial via cancellation.
-        quality: if any_partial {
-            ResultQuality::Partial
-        } else {
-            stats.quality()
-        },
-        stats,
-    })
-}
-
-/// Inner/outer ordinal ranges assigned to one worker: both cover the same
-/// half-open term interval.
-#[derive(Clone, Copy)]
-struct TermRange {
-    inner: (u32, u32),
-    outer: (u32, u32),
+    merged.stats.wall_ns = started.elapsed().as_nanos() as u64;
+    Ok(merged)
 }
 
 /// Runs VVM with both inverted files term-range-partitioned across
-/// `workers` threads. Each worker merges its ordinal ranges with a
-/// `B / workers`-page budget; partial similarity tables are summed in
-/// ascending term order and emitted exactly like the sequential merge.
-/// Memory pressure repartitions the outer side adaptively, as in the
-/// sequential executor.
+/// `workers` threads, each merging its ordinal ranges with a
+/// `B / workers`-page budget.
 pub fn execute_vvm(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
     workers: usize,
 ) -> Result<JoinOutcome> {
-    if workers == 0 {
-        return Err(Error::InvalidArgument(
-            "at least one worker is required".into(),
-        ));
-    }
-    let outer_ids: Vec<DocId> = spec.outer_live_ids();
-    let workers = (workers as u64).min(inner_inv.num_entries()).max(1) as usize;
-    if outer_ids.is_empty() || workers == 1 {
-        // One worker is the sequential merge; run it directly so the
-        // single-worker plan is identical to the sequential executor by
-        // construction.
-        return vvm::execute(spec, inner_inv, outer_inv);
-    }
-
-    let ranges = term_ranges(inner_inv, outer_inv, workers);
-    let mut partitions = vvm::estimate_partitions(
-        std::slice::from_ref(spec),
-        inner_inv,
-        outer_inv,
-        std::slice::from_ref(&outer_ids),
-        workers as u64,
-    )?;
-    loop {
-        match run_vvm(spec, inner_inv, outer_inv, &outer_ids, &ranges, partitions) {
-            Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
-                // The δ estimate undershot the real non-zero density;
-                // re-partition more finely and rerun, exactly like the
-                // sequential executor's recovery.
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    require_workers(workers)?;
+    let parts = term_parts(inner_inv, outer_inv, workers, spec.sys.buffer_pages);
+    vvm::execute_parts(std::slice::from_ref(spec), &parts, None).map(sole)
 }
 
 /// Splits the inner file's ordinals into document-frequency-weighted
 /// ranges (so Zipfian vocabularies don't pile all the heavy postings onto
 /// one worker) and maps each split term onto the outer file, so both
-/// ranges of a worker cover the same term interval and the outer ranges
-/// tile `[0, T2)` contiguously. When the vocabulary is smaller than the
-/// worker count the split degrades gracefully to one term per worker
-/// instead of producing empty/duplicate partitions.
-fn term_ranges(
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
+/// ranges of a part cover the same term interval and the outer ranges
+/// tile `[0, T2)` contiguously. The ordinal boundaries map onto terms for
+/// the delta overlays, with the first part taking every delta term below
+/// the first boundary and the last everything above. A vocabulary smaller
+/// than the worker count degrades to one term per part, down to the one
+/// whole-file part of the sequential merge.
+pub(crate) fn term_parts<'a>(
+    inner_inv: &'a InvertedFile,
+    outer_inv: &'a InvertedFile,
     workers: usize,
-) -> Vec<TermRange> {
+    buffer_pages: u64,
+) -> Vec<Part<'a>> {
     let t1 = inner_inv.num_entries() as u32;
-    let t2 = outer_inv.num_entries() as u32;
-    if t1 == 0 {
-        // No inner vocabulary: a single worker sweeps the outer file so
-        // the scan-side accounting still happens exactly once.
-        return vec![TermRange {
-            inner: (0, 0),
-            outer: (0, t2),
-        }];
-    }
     let df: Vec<u64> = (0..t1).map(|i| inner_inv.meta(i).doc_freq as u64).collect();
     let bounds = crate::shard::weighted_boundaries(&df, workers);
-    let mut ranges = Vec::with_capacity(bounds.len());
-    let mut outer_start = 0u32;
-    let last = bounds.len() - 1;
-    for (i, (inner_start, inner_end)) in bounds.into_iter().enumerate() {
-        let outer_end = if i == last {
-            t2
-        } else {
-            lower_bound(outer_inv, inner_inv.meta(inner_end).term)
-        };
-        ranges.push(TermRange {
-            inner: (inner_start, inner_end),
-            outer: (outer_start, outer_end),
-        });
-        outer_start = outer_end;
+    if bounds.len() <= 1 {
+        return vec![Part::whole(inner_inv, outer_inv, buffer_pages)];
     }
-    ranges
+    let shares = buffer_shares(buffer_pages, bounds.len());
+    let last = bounds.len() - 1;
+    let mut outer_start = 0u32;
+    let mut term_lo = 0u32;
+    bounds
+        .iter()
+        .zip(shares)
+        .enumerate()
+        .map(|(i, (&inner, share))| {
+            let (outer_end, term_hi) = if i == last {
+                (outer_inv.num_entries() as u32, None)
+            } else {
+                let boundary = inner_inv.meta(inner.1).term;
+                (lower_bound(outer_inv, boundary), Some(boundary.raw()))
+            };
+            let part = Part {
+                inner_inv,
+                outer_inv,
+                inner,
+                outer: (outer_start, outer_end),
+                delta_terms: Some((term_lo, term_hi)),
+                buffer_pages: share,
+                split: bounds.len() as u64,
+            };
+            outer_start = outer_end;
+            term_lo = term_hi.unwrap_or(0);
+            part
+        })
+        .collect()
 }
 
 /// First ordinal of `inv` whose term is ≥ `term` (the directory is sorted
@@ -324,171 +244,6 @@ fn lower_bound(inv: &InvertedFile, term: TermId) -> u32 {
         }
     }
     lo
-}
-
-fn run_vvm(
-    spec: &JoinSpec<'_>,
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[DocId],
-    ranges: &[TermRange],
-    partitions: u64,
-) -> Result<JoinOutcome> {
-    let started = Instant::now();
-    let workers = ranges.len();
-    let mut root = Tracer::maybe(spec.trace, "vvm.parallel");
-    if root.is_enabled() {
-        root.record("workers", workers as u64);
-        root.record("partitions", partitions);
-    }
-    // Worker spans parent under this root span across threads.
-    let stitched = root.context().map(|c| c.tracer());
-    let disk = spec.inner.store().disk();
-    let start_io = disk.stats();
-    let shares = buffer_shares(spec.sys.buffer_pages, workers);
-    // Every worker holds one current entry per file (budgeted at the
-    // global maximum, so the bound is strict) plus its partial table.
-    let entry_buf_bytes = vvm::max_entry_bytes(inner_inv) + vvm::max_entry_bytes(outer_inv);
-
-    let mut rows: Vec<(DocId, Vec<Match>)> = Vec::with_capacity(outer_ids.len());
-    let chunk_size = (outer_ids.len() as u64).div_ceil(partitions).max(1) as usize;
-    let mut passes = 0u64;
-    let mut sim_ops = 0u64;
-    let mut skipped_entries = 0u64;
-    let mut io_sum = IoStats::default();
-    let mut mem_high_water = 0u64;
-    let mut checkpoint = Checkpoint::new(std::slice::from_ref(spec));
-    let mut cancelled = false;
-
-    for chunk in outer_ids.chunks(chunk_size) {
-        passes += 1;
-        let partials = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .zip(&shares)
-                .enumerate()
-                .map(|(idx, (&range, &share))| {
-                    // Each worker opens one span per pass through the
-                    // stitched tracer, so its work shows up parented under
-                    // the `vvm.parallel` root span.
-                    let worker_spec = JoinSpec {
-                        sys: SystemParams {
-                            buffer_pages: share,
-                            ..spec.sys
-                        },
-                        trace: stitched.as_ref(),
-                        ..*spec
-                    };
-                    s.spawn(move |_| -> Result<MergePartial> {
-                        let mut wspan = Tracer::maybe(worker_spec.trace, "vvm.worker");
-                        wspan.record("worker", idx as u64);
-                        let (i_start, i_end) = range.inner;
-                        let (o_start, o_end) = range.outer;
-                        // Term bounds for the delta overlays: the ordinal
-                        // boundaries map onto terms, with the first worker
-                        // taking every delta term below the first boundary
-                        // and the last everything above — the bounds tile
-                        // [0, ∞), so each delta term lands on exactly one
-                        // worker. Both files' ranges cover the same term
-                        // interval, so the inner-derived bounds serve both.
-                        let term_lo = if idx == 0 {
-                            0
-                        } else {
-                            inner_inv.meta(i_start).term.raw()
-                        };
-                        let term_hi = if idx + 1 == ranges.len() {
-                            None
-                        } else {
-                            Some(inner_inv.meta(i_end).term.raw())
-                        };
-                        MergePartial::compute(
-                            &worker_spec,
-                            DiskSim::thread_io_stats(),
-                            vvm::merged_entries(
-                                inner_inv.scan_range(i_start, i_end),
-                                worker_spec.inner_delta,
-                                term_lo,
-                                term_hi,
-                            ),
-                            vvm::merged_entries(
-                                outer_inv.scan_range(o_start, o_end),
-                                worker_spec.outer_delta,
-                                term_lo,
-                                term_hi,
-                            ),
-                            chunk,
-                            entry_buf_bytes,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Result<Vec<MergePartial>>>()
-        })
-        .expect("crossbeam scope panicked")?;
-
-        // Each worker's map is dropped as soon as it is folded in.
-        let mut pass = MergePartial::default();
-        for partial in partials {
-            partial.fold_into(&mut pass);
-        }
-        vvm::emit_chunk(spec, chunk, &pass.sim, &mut rows);
-        sim_ops += pass.sim_ops;
-        skipped_entries += pass.skipped_entries;
-        io_sum.merge(&pass.io);
-        mem_high_water = mem_high_water.max(pass.mem_high_water);
-        // The pass boundary is this scaffold's cooperative checkpoint. The
-        // coordinator thread did none of the I/O, so its thread-local
-        // tally is useless here; the exact per-worker sums stand in for
-        // both the ticket pages and the watchdog's cost.
-        if checkpoint.armed() {
-            let pages = io_sum.cost(spec.sys.alpha);
-            if checkpoint.observe(std::slice::from_ref(spec), pages, pages, || {
-                format!("vvm.parallel.pass {passes}")
-            })? {
-                cancelled = true;
-                break;
-            }
-        }
-    }
-
-    let io = disk.stats().since(&start_io);
-    // The thread-local deltas partition the global tally exactly,
-    // sequential/random split included.
-    assert_eq!(
-        io_sum, io,
-        "per-worker I/O deltas must sum to the global delta"
-    );
-    if root.is_enabled() {
-        root.record("passes", passes);
-        root.record("seq_reads", io.seq_reads);
-        root.record("rand_reads", io.rand_reads);
-        root.record("sim_ops", sim_ops);
-    }
-    let stats = ExecStats {
-        io,
-        cost: io.cost(spec.sys.alpha),
-        mem_high_water_bytes: mem_high_water,
-        passes,
-        sim_ops,
-        cells_touched: sim_ops,
-        skipped_entries,
-        wall_ns: started.elapsed().as_nanos() as u64,
-        ..ExecStats::zero(Algorithm::Vvm)
-    };
-    Ok(JoinOutcome {
-        result: JoinResult::from_rows(rows),
-        // A cancel at a pass boundary truncates the remaining chunks, so
-        // the rows are an honest prefix — tag them Partial.
-        quality: if cancelled {
-            ResultQuality::Partial
-        } else {
-            stats.quality()
-        },
-        stats,
-    })
 }
 
 #[cfg(test)]
@@ -739,11 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn term_ranges_tile_both_files() {
+    fn term_parts_tile_both_files() {
         let (_, _, _, inv1, inv2, _, _) = inv_fixture();
         for workers in [2usize, 3, 5, 8] {
-            let ranges = term_ranges(&inv1, &inv2, workers);
+            let ranges = term_parts(&inv1, &inv2, workers, 64);
             assert_eq!(ranges.len(), workers);
+            assert_eq!(ranges.iter().map(|r| r.buffer_pages).sum::<u64>(), 64);
+            assert_eq!(ranges[0].delta_terms.unwrap().0, 0);
+            assert_eq!(ranges[workers - 1].delta_terms.unwrap().1, None);
             assert_eq!(ranges[0].inner.0, 0);
             assert_eq!(ranges[0].outer.0, 0);
             assert_eq!(ranges[workers - 1].inner.1 as u64, inv1.num_entries());
@@ -754,6 +512,9 @@ mod tests {
                 // The outer boundary lands exactly on the inner boundary
                 // term, so a term is merged by exactly one worker.
                 let boundary = inv1.meta(w[1].inner.0).term;
+                // ... and the delta term intervals meet there too.
+                assert_eq!(w[0].delta_terms.unwrap().1, Some(boundary.raw()));
+                assert_eq!(w[1].delta_terms.unwrap().0, boundary.raw());
                 if w[1].outer.0 < inv2.num_entries() as u32 {
                     assert!(inv2.meta(w[1].outer.0).term >= boundary);
                 }
@@ -765,13 +526,13 @@ mod tests {
     }
 
     #[test]
-    fn term_ranges_guard_degenerate_worker_counts() {
+    fn term_parts_guard_degenerate_worker_counts() {
         // Regression: the old `(t1 * i / workers) as u32` split produced
         // empty and duplicate partitions whenever the vocabulary was
         // smaller than the worker count.
         let (_, _, _, inv1, inv2, _, _) = inv_fixture();
         let t1 = inv1.num_entries() as usize;
-        let ranges = term_ranges(&inv1, &inv2, t1 + 50);
+        let ranges = term_parts(&inv1, &inv2, t1 + 50, 64);
         assert_eq!(ranges.len(), t1, "never more ranges than inner terms");
         assert_eq!(ranges[0].inner.0, 0);
         assert_eq!(ranges[t1 - 1].inner.1 as u64, inv1.num_entries());
@@ -786,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn term_ranges_weight_by_document_frequency() {
+    fn term_parts_weight_by_document_frequency() {
         // A Zipf-style head term carrying 100 postings next to nine
         // singleton tail terms: the uniform ordinal split gave worker 0
         // half the vocabulary (and nearly all the I/O); the df-weighted
@@ -803,7 +564,7 @@ mod tests {
             post.insert(TermId::new(t), vec![ICell::new(DocId::new(t), 1)]);
         }
         let inv = InvertedFile::from_postings(Arc::clone(&disk), "skew", post).unwrap();
-        let ranges = term_ranges(&inv, &inv, 2);
+        let ranges = term_parts(&inv, &inv, 2, 64);
         assert_eq!(ranges.len(), 2);
         assert_eq!(ranges[0].inner, (0, 1), "heavy head term isolated");
         assert_eq!(ranges[1].inner, (1, 10));

@@ -10,21 +10,21 @@
 //!   outer documents are split across sites (hash-by-document, or
 //!   size-weighted skew-aware ranges); every site receives a spooled
 //!   replica of the inner structures (priced through the comm model) and
-//!   runs the existing parallel executor over its slice. A document's λ
+//!   runs [`crate::execute`] over its slice. A document's λ
 //!   best matches depend only on that document and the full inner side, so
 //!   the per-site rows concatenate into the exact global result.
 //! * **FNL — term-range inner assignment.** Every inner document is
 //!   assigned to the site owning its *rarest* term (ties to the smaller
 //!   term id), so each inner document lives on exactly one site; the outer
 //!   documents are replicated. Per-site top-λ lists merge through
-//!   [`topk::merge_lists`], which re-applies the global `(score, inner id)`
-//!   tie-break — exact because every candidate that could enter the global
-//!   λ already survives some site's λ.
+//!   [`crate::topk::merge_lists`], which re-applies the global `(score,
+//!   inner id)` tie-break — exact because every candidate that could enter
+//!   the global λ already survives some site's λ.
 //! * **VVM — term-range inverted-file fragments.** Both inverted files are
-//!   split at the same term boundaries into per-site fragment files; each
-//!   site merges its fragments into a partial similarity table that ships
-//!   to the coordinator, which sums tables and emits through the same
-//!   λ-heap as the sequential merge. Every term lives in exactly one
+//!   split at the same term boundaries into per-site fragment files, and
+//!   each fragment pair is one part of the one merge of [`crate::vvm`];
+//!   what a site adds is shipping its partial similarity table to the
+//!   coordinator after every pass. Every term lives in exactly one
 //!   fragment pair, so with integer weights (raw counts) the summed tables
 //!   are bit-identical to the sequential accumulator.
 //!
@@ -45,16 +45,17 @@
 //! agree only approximately, because per-site profiles are rebuilt from
 //! subsets; cosine VVM additionally reassociates floating-point sums.
 
-use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
+use crate::driver::{feed_ticket, merge_outcomes, run_parts, sole, Indexes};
+use crate::result::{JoinOutcome, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk;
-use crate::vvm::MergePartial;
-use crate::{hhnl, parallel, vvm, Algorithm};
+use crate::vvm::Part;
+use crate::{hhnl, vvm, Algorithm};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
-use textjoin_common::{DocId, Error, ICell, Result, TermId};
+use textjoin_common::{DocId, ICell, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
@@ -432,11 +433,9 @@ fn register_tickets(
 /// Borrowed (id, document) pairs selected onto one site.
 type SiteDocs<'a> = Vec<&'a (DocId, Document)>;
 
-/// Merged result rows: one `(outer id, λ-list)` entry per outer document.
-type ResultRows = Vec<(DocId, Vec<Match>)>;
-
 /// A built site for the document-partitioned algorithms.
 struct DocSite {
+    shard: usize,
     inner: Collection,
     outer: Collection,
     inv: Option<InvertedFile>,
@@ -445,8 +444,7 @@ struct DocSite {
 }
 
 /// HHNL/HVNL (outer document partitioning) and FNL (rarest-term inner
-/// assignment): every site runs a complete join over its slice with the
-/// existing parallel engine.
+/// assignment): every site runs a complete join over its slice.
 fn execute_doc_sites(
     spec: &JoinSpec<'_>,
     algorithm: Algorithm,
@@ -477,10 +475,9 @@ fn execute_doc_sites(
         assign_outer_docs(&outer_docs, s, page, opts)
     };
 
-    let mut sites: Vec<Option<DocSite>> = Vec::with_capacity(s);
+    let mut sites: Vec<DocSite> = Vec::with_capacity(s);
     for (k, idxs) in assignment.iter().enumerate() {
         if idxs.is_empty() {
-            sites.push(None);
             continue;
         }
         let disk = Arc::new(DiskSim::new(spec.sys.page_size));
@@ -523,159 +520,113 @@ fn execute_doc_sites(
         };
         let shipped = (pages as f64 * blowup).ceil() as u64;
         net.ship(shipped);
-        if let Some(fault) = opts.fault {
-            if fault.shard == k {
-                let mut files = vec![inner.store().file(), outer.store().file()];
-                if let Some(inv) = &inv {
-                    files.push(inv.file());
-                }
-                if let Some(fnl) = &fnl {
-                    files.push(fnl.sig_file());
-                }
-                let mut plan = FaultPlan::new();
-                for file in files {
-                    plan = plan.with_fault(
-                        file,
-                        fault.page % disk.num_pages(file).max(1),
-                        0,
-                        fault.kind,
-                    );
-                }
-                disk.set_fault_plan(plan);
-            }
-        }
-        disk.reset_stats();
-        sites.push(Some(DocSite {
+        let files = [inner.store().file(), outer.store().file()]
+            .into_iter()
+            .chain(inv.as_ref().map(InvertedFile::file))
+            .chain(fnl.as_ref().map(FnlIndex::sig_file));
+        plant_fault(&disk, k, opts, files);
+        sites.push(DocSite {
+            shard: k,
             inner,
             outer,
             inv,
             fnl,
             shipped,
-        }));
+        });
     }
 
     let (_guards, tickets) = register_tickets(spec, algorithm, opts, s);
-    let workers = opts.workers.max(1);
-    let sites_ref = &sites;
-    let tickets_ref = &tickets;
-    let outcomes = crossbeam::thread::scope(|sc| {
-        let handles: Vec<_> = (0..s)
-            .map(|k| {
-                sc.spawn(move |_| -> Result<Option<JoinOutcome>> {
-                    let Some(site) = &sites_ref[k] else {
-                        return Ok(None);
-                    };
-                    let spec_k = JoinSpec {
-                        inner: &site.inner,
-                        outer: &site.outer,
-                        outer_docs: OuterDocs::Full,
-                        inner_docs: spec.inner_docs,
-                        sys: spec.sys,
-                        query: spec.query,
-                        weighting: spec.weighting,
-                        exclude_self: spec.exclude_self,
-                        trace: None,
-                        degraded: spec.degraded,
-                        cost_budget: None,
-                        inner_delta: None,
-                        outer_delta: None,
-                        cancel: spec.cancel,
-                        ticket: tickets_ref[k].as_ref(),
-                    };
-                    let outcome = match algorithm {
-                        Algorithm::Hhnl => parallel::execute_hhnl(&spec_k, workers)?,
-                        Algorithm::Hvnl => parallel::execute_hvnl(
-                            &spec_k,
-                            site.inv.as_ref().expect("HVNL site has an inverted file"),
-                            workers,
-                        )?,
-                        Algorithm::Fnl => parallel::execute_fnl(
-                            &spec_k,
-                            site.fnl.as_ref().expect("FNL site has a signature index"),
-                            workers,
-                        )?,
-                        Algorithm::Vvm => unreachable!("VVM uses fragment sites"),
-                    };
-                    Ok(Some(outcome))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard site panicked"))
-            .collect::<Result<Vec<Option<JoinOutcome>>>>()
-    })
-    .expect("crossbeam scope panicked")?;
+    let outcomes = run_parts(&sites, |_, site| {
+        // The slice is handed over as a selection, the way `parallel`
+        // hands a worker its slice: a site reads its outer documents one
+        // at a time (group 3 pricing) with one worker or with several.
+        let outer_ids = site.outer.store().doc_ids();
+        // Sites run untraced and unwatched; the site structures already
+        // hold the merged base + delta view.
+        let spec_k = JoinSpec {
+            inner: &site.inner,
+            outer: &site.outer,
+            outer_docs: OuterDocs::Selected(&outer_ids),
+            trace: None,
+            cost_budget: None,
+            inner_delta: None,
+            outer_delta: None,
+            ticket: tickets[site.shard].as_ref(),
+            ..*spec
+        };
+        let indexes = Indexes {
+            inner_inv: site.inv.as_ref(),
+            outer_inv: None,
+            fnl: site.fnl.as_ref(),
+        };
+        crate::execute(algorithm, &spec_k, &indexes, opts.workers.max(1))
+    })?;
 
-    // Merge: HHNL/HVNL rows are disjoint by outer document and
-    // concatenate; FNL rows cover every outer document on every site and
-    // merge through the global λ-heap tie-break.
-    let mut stats = ExecStats::zero(algorithm);
-    let mut any_partial = false;
-    let mut reports = Vec::with_capacity(s);
-    let mut concat_rows: Vec<(DocId, Vec<Match>)> = Vec::new();
-    let mut fnl_rows: BTreeMap<DocId, Vec<Vec<Match>>> = BTreeMap::new();
-    for (k, outcome) in outcomes.into_iter().enumerate() {
-        let Some(outcome) = outcome else { continue };
-        any_partial |= outcome.quality == ResultQuality::Partial;
-        for (id, matches) in outcome.result.iter() {
-            if algorithm == Algorithm::Fnl {
-                fnl_rows.entry(id).or_default().push(matches.to_vec());
-            } else {
-                concat_rows.push((id, matches.to_vec()));
-            }
-        }
-        stats += &outcome.stats;
-        let site = sites[k].as_ref().expect("ran above");
-        reports.push(ShardReport {
-            shard: k,
+    let reports: Vec<ShardReport> = sites
+        .iter()
+        .zip(&outcomes)
+        .map(|(site, outcome)| ShardReport {
+            shard: site.shard,
             io: outcome.stats.io,
             pages_io: outcome.stats.io.cost(spec.sys.alpha),
             shipped_pages: site.shipped,
             quality: outcome.quality,
-        });
-    }
+        })
+        .collect();
+    // HHNL/HVNL rows are disjoint by outer document; FNL rows cover every
+    // outer document on every site.
+    let outcome = merge_outcomes(algorithm, spec.query.lambda, outcomes);
     // Result pages flow back to the coordinator: λ matches of 8 bytes per
-    // emitted row.
-    let lambda = spec.query.lambda;
-    let result_pages = |rows: usize| ((rows * lambda * 8) as u64).div_ceil(page.max(1));
-    let rows = if algorithm == Algorithm::Fnl {
-        net.ship(result_pages(fnl_rows.len()) * s as u64);
-        fnl_rows
-            .into_iter()
-            .map(|(id, lists)| {
-                (
-                    id,
-                    topk::merge_lists(lists.iter().map(Vec::as_slice), lambda),
-                )
-            })
-            .collect()
-    } else {
-        net.ship(result_pages(concat_rows.len()));
-        concat_rows
-    };
+    // emitted row, from every site that emitted it.
+    let rows = outcome.result.num_outer_docs();
+    let senders = if algorithm == Algorithm::Fnl { s } else { 1 };
+    net.ship(((rows * spec.query.lambda * 8) as u64).div_ceil(page.max(1)) * senders as u64);
+    Ok(assemble(outcome, reports, mat_skipped, started, &net, opts))
+}
 
-    stats.skipped_docs = stats.skipped_docs.saturating_add(mat_skipped);
-    stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
-    let quality = if any_partial || mat_skipped > 0 {
-        ResultQuality::Partial
-    } else {
-        stats.quality()
-    };
-    let max_shard_pages = reports.iter().map(|r| r.pages_io).fold(0.0, f64::max);
-    Ok(ShardedOutcome {
-        outcome: JoinOutcome {
-            result: JoinResult::from_rows(rows),
-            quality,
-            stats,
-        },
-        shards: reports,
+/// Stamps a merged outcome with what only the coordinator knows — the
+/// documents it could not read while building the sites, the network's
+/// transfer time — and totals the shipping.
+fn assemble(
+    mut outcome: JoinOutcome,
+    shards: Vec<ShardReport>,
+    mat_skipped: u64,
+    started: Instant,
+    net: &NetworkSim,
+    opts: &ShardOptions<'_>,
+) -> ShardedOutcome {
+    outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(mat_skipped);
+    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
+    if mat_skipped > 0 {
+        outcome.quality = ResultQuality::Partial;
+    }
+    ShardedOutcome {
+        max_shard_pages: shards.iter().map(|r| r.pages_io).fold(0.0, f64::max),
+        outcome,
+        shards,
         shipped_pages: net.shipped_pages(),
         comm_cost: opts.comm.beta * net.shipped_pages() as f64,
-        max_shard_pages,
         network_ns: net.elapsed_ns(),
         partitioning: opts.partitioning,
-    })
+    }
+}
+
+/// Arms the chaos fault aimed at site `k`, if any, on the site's data
+/// `files` — after the builds, so that it strikes the join.
+fn plant_fault(
+    disk: &DiskSim,
+    k: usize,
+    opts: &ShardOptions<'_>,
+    files: impl IntoIterator<Item = textjoin_storage::FileId>,
+) {
+    if let Some(fault) = opts.fault.filter(|f| f.shard == k) {
+        let mut plan = FaultPlan::new();
+        for file in files {
+            let page = fault.page % disk.num_pages(file).max(1);
+            plan = plan.with_fault(file, page, 0, fault.kind);
+        }
+        disk.set_fault_plan(plan);
+    }
 }
 
 /// Outer-document assignment for HHNL/HVNL: hash-by-id (naive) or
@@ -761,15 +712,14 @@ fn assign_inner_by_rarest_term(
 
 /// A built fragment site for sharded VVM.
 struct FragSite {
-    disk: Arc<DiskSim>,
     inner: InvertedFile,
     outer: InvertedFile,
     shipped: u64,
 }
 
 /// Sharded VVM: term-range fragments of both inverted files on per-site
-/// drives, per-site partial similarity tables shipped to the coordinator
-/// and summed, then emitted through the sequential merge's λ-heap.
+/// drives, each fragment pair one part of the merge; per-site partial
+/// similarity tables ship to the coordinator after every pass.
 fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<ShardedOutcome> {
     let started = Instant::now();
     let (inner_docs, skipped_inner) = materialize(spec.inner_iter(), spec)?;
@@ -837,184 +787,71 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         // (outer fragments are local), blowup included.
         let shipped = (inner.num_pages() as f64 * blowup).ceil() as u64;
         net.ship(shipped);
-        if let Some(fault) = opts.fault {
-            if fault.shard == k {
-                let mut plan = FaultPlan::new();
-                for file in [inner.file(), outer.file()] {
-                    plan = plan.with_fault(
-                        file,
-                        fault.page % disk.num_pages(file).max(1),
-                        0,
-                        fault.kind,
-                    );
-                }
-                disk.set_fault_plan(plan);
-            }
-        }
-        disk.reset_stats();
+        plant_fault(&disk, k, opts, [inner.file(), outer.file()]);
         sites.push(FragSite {
-            disk,
             inner,
             outer,
             shipped,
         });
     }
 
-    let outer_ids: Vec<DocId> = spec.outer_live_ids();
-    // Size the outer chunking against the *most demanding* fragment pair,
-    // so no site's accumulator overflows its budget; memory pressure at
-    // run time repartitions adaptively like the sequential executor.
-    let mut partitions = 1u64;
-    for site in &sites {
-        partitions = partitions.max(vvm::estimate_partitions(
-            std::slice::from_ref(spec),
-            &site.inner,
-            &site.outer,
-            std::slice::from_ref(&outer_ids),
-            1,
-        )?);
-    }
-    let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
-    loop {
-        let mut acc_shipped = vec![0u64; s];
-        match run_vvm_passes(
-            spec,
-            &sites,
-            &outer_ids,
-            partitions,
-            &net,
-            &tickets,
-            &mut acc_shipped,
-        ) {
-            Ok((rows, mut stats, cancelled)) => {
-                let mut reports = Vec::with_capacity(s);
-                for (k, site) in sites.iter().enumerate() {
-                    let io = site.disk.stats();
-                    reports.push(ShardReport {
-                        shard: k,
-                        io,
-                        pages_io: io.cost(spec.sys.alpha),
-                        shipped_pages: site.shipped + acc_shipped[k],
-                        quality: ResultQuality::Full,
-                    });
-                }
-                stats.skipped_docs = stats.skipped_docs.saturating_add(mat_skipped);
-                stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
-                let quality = if cancelled || mat_skipped > 0 {
-                    ResultQuality::Partial
-                } else {
-                    stats.quality()
-                };
-                // Degraded skips happened on whichever site's cursor hit
-                // them; per-site quality mirrors the global skip counters.
-                if stats.skipped_entries > 0 {
-                    for r in &mut reports {
-                        if r.io.total_reads() > 0 {
-                            r.quality = quality;
-                        }
-                    }
-                }
-                let max_shard_pages = reports.iter().map(|r| r.pages_io).fold(0.0, f64::max);
-                return Ok(ShardedOutcome {
-                    outcome: JoinOutcome {
-                        result: JoinResult::from_rows(rows),
-                        quality,
-                        stats,
-                    },
-                    shards: reports,
-                    shipped_pages: net.shipped_pages(),
-                    comm_cost: opts.comm.beta * net.shipped_pages() as f64,
-                    max_shard_pages,
-                    network_ns: net.elapsed_ns(),
-                    partitioning: opts.partitioning,
-                });
-            }
-            Err(Error::InsufficientMemory { .. }) if partitions < outer_ids.len() as u64 => {
-                partitions = (partitions * 2).min(outer_ids.len() as u64);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Runs all merge passes at `partitions` outer chunks; returns merged rows
-/// plus summed statistics, attributing each site's shipped accumulator
-/// pages into `acc_shipped`. Errors with `InsufficientMemory` when any
-/// site's accumulator overflows, so the caller can re-chunk.
-#[allow(clippy::too_many_arguments)]
-fn run_vvm_passes(
-    spec: &JoinSpec<'_>,
-    sites: &[FragSite],
-    outer_ids: &[DocId],
-    partitions: u64,
-    net: &NetworkSim,
-    tickets: &[Option<QueryTicket>],
-    acc_shipped: &mut [u64],
-) -> Result<(ResultRows, ExecStats, bool)> {
-    let page = spec.sys.page_size as u64;
-    let chunk_size = (outer_ids.len() as u64).div_ceil(partitions).max(1) as usize;
-    let mut rows: ResultRows = Vec::with_capacity(outer_ids.len());
-    let mut stats = ExecStats::zero(Algorithm::Vvm);
-    let mut cancelled = false;
-    let mut passes = 0u64;
-    // Reset drive tallies so a retry after memory pressure measures one
-    // clean run, like the sequential executor's re-partitioned rerun.
-    for site in sites {
-        site.disk.reset_stats();
-        site.disk.reset_head();
-    }
-    for chunk in outer_ids.chunks(chunk_size) {
-        passes += 1;
-        let partials = crossbeam::thread::scope(|sc| {
-            let handles: Vec<_> = sites
-                .iter()
-                .map(|site| {
-                    sc.spawn(move |_| {
-                        MergePartial::compute(
-                            spec,
-                            DiskSim::thread_io_stats(),
-                            site.inner.scan_range(0, site.inner.num_entries() as u32),
-                            site.outer.scan_range(0, site.outer.num_entries() as u32),
-                            chunk,
-                            vvm::max_entry_bytes(&site.inner) + vvm::max_entry_bytes(&site.outer),
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fragment site panicked"))
-                .collect::<Result<Vec<MergePartial>>>()
+    // Every site has a budget of its own and merges the fragments as built
+    // (they hold base + delta already).
+    let parts: Vec<Part<'_>> = sites
+        .iter()
+        .map(|site| Part {
+            delta_terms: None,
+            ..Part::whole(&site.inner, &site.outer, spec.sys.buffer_pages)
         })
-        .expect("crossbeam scope panicked")?;
-
-        // Ship each site's partial table to the coordinator and fold.
-        let mut pass = MergePartial::default();
-        for (k, partial) in partials.into_iter().enumerate() {
-            let cells: u64 = partial.sim.values().map(|m| m.len() as u64).sum();
-            let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
-            acc_shipped[k] += pages;
-            net.ship(pages);
-            if let Some(ticket) = &tickets[k] {
-                ticket.add_pages(partial.io.cost(spec.sys.alpha));
-                ticket.set_phase(format!("vvm.shard pass {passes}"));
-            }
-            partial.fold_into(&mut pass);
+        .collect();
+    let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
+    // Per site: the I/O and the shipped accumulator pages of the merge.
+    let tally = RefCell::new(vec![(IoStats::default(), 0u64); s]);
+    let page = spec.sys.page_size as u64;
+    let ship_table = |k: usize, pass: u64, cells: u64, io: &IoStats| {
+        let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
+        net.ship(pages);
+        let site = &mut tally.borrow_mut()[k];
+        if pass == 1 {
+            // A rerun after memory pressure reports one clean run, like
+            // the sequential executor's re-partitioned rerun.
+            *site = Default::default();
         }
-        stats.skipped_entries += pass.skipped_entries;
-        stats.sim_ops += pass.sim_ops;
-        stats.io.merge(&pass.io);
-        stats.mem_high_water_bytes = stats.mem_high_water_bytes.max(pass.mem_high_water);
-        vvm::emit_chunk(spec, chunk, &pass.sim, &mut rows);
-        if spec.cancel.is_some_and(|c| c.is_cancelled()) {
-            cancelled = true;
-            break;
+        site.0.merge(io);
+        site.1 += pages;
+        if let Some(ticket) = &tickets[k] {
+            let phase = format!("vvm.shard pass {pass}");
+            feed_ticket(ticket, io.cost(spec.sys.alpha), phase);
         }
-    }
-    stats.passes = passes;
-    stats.cells_touched = stats.sim_ops;
-    stats.cost = stats.io.cost(spec.sys.alpha);
-    Ok((rows, stats, cancelled))
+    };
+    // The sites run untraced and unwatched, each feeding its own ticket.
+    let site_spec = JoinSpec {
+        trace: None,
+        cost_budget: None,
+        ticket: None,
+        ..*spec
+    };
+    let outcome = vvm::execute_parts(std::slice::from_ref(&site_spec), &parts, Some(&ship_table))
+        .map(sole)?;
+    let reports = sites
+        .iter()
+        .zip(tally.into_inner())
+        .enumerate()
+        .map(|(k, (site, (io, acc_shipped)))| ShardReport {
+            shard: k,
+            io,
+            pages_io: io.cost(spec.sys.alpha),
+            shipped_pages: site.shipped + acc_shipped,
+            // Degraded skips happened on whichever site's cursor hit
+            // them; per-site quality mirrors the global skip counters.
+            quality: if outcome.stats.skipped_entries > 0 && io.total_reads() > 0 {
+                ResultQuality::Partial
+            } else {
+                ResultQuality::Full
+            },
+        })
+        .collect();
+    Ok(assemble(outcome, reports, mat_skipped, started, &net, opts))
 }
 
 #[cfg(test)]

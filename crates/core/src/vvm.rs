@@ -21,10 +21,10 @@ use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::collections::HashMap;
-use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
+use textjoin_common::{DocId, Error, ICell, Result, SystemParams, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::InvertedFile;
-use textjoin_storage::{DiskSim, IoStats, MemTracker};
+use textjoin_invfile::{DeltaOverlay, InvertedFile};
+use textjoin_storage::{IoStats, MemTracker};
 
 /// Bytes charged per live accumulator. The paper budgets exactly 4 bytes
 /// per non-zero intermediate similarity (`SM = 4·δ·N1·N2/P`); we charge the
@@ -32,11 +32,109 @@ use textjoin_storage::{DiskSim, IoStats, MemTracker};
 /// predicts. (A keyed in-memory representation also stores the two
 /// document numbers; the paper's accounting treats that as bookkeeping
 /// outside the buffer budget, and we follow it.)
-pub(crate) const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
+const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
 
 /// Intermediate similarities of one query: outer id → (inner id →
 /// accumulated weighted sum).
-pub(crate) type SimTable = HashMap<u32, HashMap<u32, f64>>;
+type SimTable = HashMap<u32, HashMap<u32, f64>>;
+
+/// One part of a merge: what it reads and what it may hold. Sequential VVM
+/// is one part covering both files with all of `B`; parallel VVM cuts both
+/// files at the same term boundaries into one part per worker; sharded VVM
+/// has one part per site, over that site's fragment pair. Entries are
+/// term-sorted, so every shared term falls to exactly one part and the
+/// parts' tables sum to the sequential accumulator.
+#[derive(Clone, Copy)]
+pub(crate) struct Part<'r> {
+    pub(crate) inner_inv: &'r InvertedFile,
+    pub(crate) outer_inv: &'r InvertedFile,
+    /// Half-open ordinal range of each file; both cover one term interval.
+    pub(crate) inner: (u32, u32),
+    pub(crate) outer: (u32, u32),
+    /// Term interval `[lo, hi)` of the delta overlays this part merges in
+    /// (`hi = None`: unbounded); across parts the intervals tile `[0, ∞)`.
+    /// `None` when the files already hold the merged view (a site's
+    /// fragments are built from base + delta).
+    pub(crate) delta_terms: Option<(u32, Option<u32>)>,
+    /// The part's share of `B`: `buffer_pages` of a budget split `split`
+    /// ways. Parts that split one budget split the similarity space with
+    /// it (each expects `SM/split` accumulators); a site with a budget of
+    /// its own (`split = 1`) is sized against all of `SM`.
+    pub(crate) buffer_pages: u64,
+    pub(crate) split: u64,
+}
+
+/// Called on the driving thread with `(part, outer chunk number from 1,
+/// accumulator cells, the part's I/O)` after a part's merge pass, before
+/// its table is folded.
+pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, &IoStats) + 'a;
+
+impl<'r> Part<'r> {
+    /// Both files end to end, with a budget of `buffer_pages` to itself.
+    pub(crate) fn whole(
+        inner_inv: &'r InvertedFile,
+        outer_inv: &'r InvertedFile,
+        buffer_pages: u64,
+    ) -> Self {
+        Self {
+            inner_inv,
+            outer_inv,
+            inner: (0, inner_inv.num_entries() as u32),
+            outer: (0, outer_inv.num_entries() as u32),
+            delta_terms: Some((0, None)),
+            buffer_pages,
+            split: 1,
+        }
+    }
+
+    /// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
+    /// estimate, pooled over the queries competing for the similarity
+    /// budget of the same scan, with this part's share of both.
+    fn partitions(&self, specs: &[JoinSpec<'_>], outer_ids: &[Vec<DocId>]) -> Result<u64> {
+        let spec0 = &specs[0];
+        let p = spec0.sys.page_size as f64;
+        let n1 = spec0.inner.store().num_docs() as f64;
+        let sm: f64 = specs
+            .iter()
+            .zip(outer_ids)
+            .map(|(s, ids)| {
+                SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64
+                    / (p * self.split as f64)
+            })
+            .sum();
+        let entries =
+            self.inner_inv.avg_entry_pages().ceil() + self.outer_inv.avg_entry_pages().ceil();
+        let m = self.buffer_pages as f64 - entries;
+        if m <= 0.0 {
+            return Err(Error::InsufficientMemory {
+                context: "VVM similarity space (M ≤ 0)".into(),
+                required_pages: (entries + 1.0) as u64 * self.split,
+                available_pages: spec0.sys.buffer_pages,
+            });
+        }
+        let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
+        Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
+    }
+
+    /// One side's entry stream: the part's ordinal range of the base file
+    /// merged with its term interval of the overlay.
+    fn entries<'a>(
+        &self,
+        spec: &JoinSpec<'_>,
+        inv: &'a InvertedFile,
+        (start, end): (u32, u32),
+        overlay: Option<&DeltaOverlay>,
+        label: &str,
+    ) -> Box<dyn Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a> {
+        let (lo, hi) = self.delta_terms.unwrap_or((0, None));
+        merged_entries(
+            inv.scan_range_with_prefetch(start, end, spec.prefetch_metrics(label)),
+            self.delta_terms.and(overlay),
+            lo,
+            hi,
+        )
+    }
+}
 
 /// Executes the join with VVM.
 pub fn execute(
@@ -55,12 +153,27 @@ pub(crate) fn execute_batch(
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<BatchOutcome> {
+    validate(specs)?;
+    let whole = Part::whole(inner_inv, outer_inv, specs[0].sys.buffer_pages);
+    execute_parts(specs, &[whole], None)
+}
+
+/// VVM over a validated batch of `N ≥ 1` queries and one or more parts. The
+/// outer side is chunked against the most demanding part, so no part's
+/// accumulators outgrow its budget.
+pub(crate) fn execute_parts(
+    specs: &[JoinSpec<'_>],
+    parts: &[Part<'_>],
+    on_part: Option<&PartDone<'_>>,
+) -> Result<BatchOutcome> {
     let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
     let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    validate(specs)?;
-    let mut partitions = estimate_partitions(specs, inner_inv, outer_inv, &outer_ids, 1)?;
+    let mut partitions = 1;
+    for part in parts {
+        partitions = partitions.max(part.partitions(specs, &outer_ids)?);
+    }
     loop {
-        match drive::<Vvm>(specs, (inner_inv, outer_inv, &outer_ids, partitions)) {
+        match drive::<Vvm>(specs, (parts, &outer_ids, partitions, on_part)) {
             Ok(outcome) => return Ok(outcome),
             Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
                 // The δ estimate undershot the real non-zero density;
@@ -73,62 +186,17 @@ pub(crate) fn execute_batch(
     }
 }
 
-/// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
-/// estimate, pooled over the queries competing for the similarity budget
-/// of the same scan. With `workers > 1` both the similarity space and the
-/// buffer budget are divided evenly: each term-partitioned worker holds
-/// roughly `SM/w` accumulator bytes against its `B/w`-page share.
-pub(crate) fn estimate_partitions(
-    specs: &[JoinSpec<'_>],
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    outer_ids: &[Vec<DocId>],
-    workers: u64,
-) -> Result<u64> {
-    let spec0 = &specs[0];
-    let p = spec0.sys.page_size as f64;
-    let n1 = spec0.inner.store().num_docs() as f64;
-    let sm: f64 = specs
-        .iter()
-        .zip(outer_ids)
-        .map(|(s, ids)| {
-            SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / (p * workers as f64)
-        })
-        .sum();
-    // Size against the smallest worker share of the exact budget split
-    // (remainder pages go to the lower-indexed workers), so the partition
-    // count is safe for every worker.
-    let min_share = crate::parallel::buffer_shares(spec0.sys.buffer_pages, workers as usize)
-        .into_iter()
-        .min()
-        .expect("at least one worker");
-    let m =
-        min_share as f64 - inner_inv.avg_entry_pages().ceil() - outer_inv.avg_entry_pages().ceil();
-    if m <= 0.0 {
-        return Err(Error::InsufficientMemory {
-            context: "VVM similarity space (M ≤ 0)".into(),
-            required_pages: (inner_inv.avg_entry_pages().ceil()
-                + outer_inv.avg_entry_pages().ceil()
-                + 1.0) as u64
-                * workers,
-            available_pages: spec0.sys.buffer_pages,
-        });
-    }
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
-}
-
 /// Holds the next readable entry of one inverted-file scan. In degraded
 /// mode, entries that cannot be read are skipped (and counted) so the merge
 /// continues over the readable remainder; otherwise the first read error
 /// aborts the merge.
-pub(crate) struct EntryCursor<I> {
+struct EntryCursor<I> {
     iter: I,
     current: Option<(TermId, Vec<ICell>)>,
 }
 
 impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
-    pub(crate) fn new(iter: I, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<Self> {
+    fn new(iter: I, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<Self> {
         let mut cursor = Self {
             iter,
             current: None,
@@ -139,7 +207,7 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
 
     /// Replaces `current` with the next readable entry (`None` at end of
     /// scan), skipping unreadable ones when the spec allows it.
-    pub(crate) fn advance(&mut self, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<()> {
+    fn advance(&mut self, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<()> {
         self.current = loop {
             match self.iter.next() {
                 None => break None,
@@ -151,7 +219,7 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
         Ok(())
     }
 
-    pub(crate) fn term(&self) -> Option<TermId> {
+    fn term(&self) -> Option<TermId> {
         self.current.as_ref().map(|(t, _)| *t)
     }
 }
@@ -165,7 +233,7 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
 /// nothing extra. A delta read error is yielded as one leading `Err` item:
 /// degraded mode then drops the delta wholesale (and counts one skip) while
 /// strict mode aborts the merge.
-pub(crate) fn merged_entries<'a>(
+fn merged_entries<'a>(
     base: impl Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a,
     overlay: Option<&textjoin_invfile::DeltaOverlay>,
     lo: u32,
@@ -227,10 +295,13 @@ impl<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> Iterator for MergedEntrie
 }
 
 /// Merge passes at a fixed partition count: pass `k` serves chunk `k` of
-/// every query's outer documents with one scan of both inverted files.
+/// every query's outer documents with one scan of every part.
 pub(crate) struct Vvm<'r> {
-    inner_inv: &'r InvertedFile,
-    outer_inv: &'r InvertedFile,
+    parts: &'r [Part<'r>],
+    /// One budget per part — its share of `B`, entry buffers and result
+    /// heap reserved for the whole run.
+    trackers: Vec<MemTracker>,
+    on_part: Option<&'r PartDone<'r>>,
     outer_ids: &'r [Vec<DocId>],
     chunk_sizes: Vec<usize>,
     partitions: usize,
@@ -238,26 +309,46 @@ pub(crate) struct Vvm<'r> {
 }
 
 impl<'r> Passes<'r> for Vvm<'r> {
-    type Input = (&'r InvertedFile, &'r InvertedFile, &'r [Vec<DocId>], u64);
+    type Input = (
+        &'r [Part<'r>],
+        &'r [Vec<DocId>],
+        u64,
+        Option<&'r PartDone<'r>>,
+    );
     const ALGORITHM: Algorithm = Algorithm::Vvm;
     const ROOT: &'static str = "vvm";
 
     fn prepare(
-        (inner_inv, outer_inv, outer_ids, partitions): Self::Input,
+        (parts, outer_ids, partitions, on_part): Self::Input,
         run: &mut Run<'r>,
     ) -> Result<Self> {
         run.root.record("partitions", partitions);
-        // Entry buffers: one current entry per file, sized by the largest.
-        // (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average; we hold the max so
-        // the budget is strict.)
-        let entry_buf_bytes = max_entry_bytes(inner_inv) + max_entry_bytes(outer_inv);
-        run.tracker
-            .allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
-        run.tracker
-            .allocate(run.result_heap_bytes(), "VVM result heap")?;
+        if parts.len() > 1 {
+            run.root.record("workers", parts.len() as u64);
+        }
+        let sys = run.specs[0].sys;
+        let heap_bytes = run.result_heap_bytes();
+        let trackers = parts
+            .iter()
+            .map(|part| {
+                let tracker = MemTracker::new(&SystemParams {
+                    buffer_pages: part.buffer_pages,
+                    ..sys
+                });
+                // Entry buffers: one current entry per file, sized by the
+                // largest. (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average;
+                // we hold the max so the budget is strict.)
+                let entry_buf_bytes =
+                    max_entry_bytes(part.inner_inv) + max_entry_bytes(part.outer_inv);
+                tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
+                tracker.allocate(heap_bytes, "VVM result heap")?;
+                Ok(tracker)
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(Self {
-            inner_inv,
-            outer_inv,
+            parts,
+            trackers,
+            on_part,
             outer_ids,
             chunk_sizes: outer_ids
                 .iter()
@@ -298,132 +389,150 @@ impl<'r> Passes<'r> for Vvm<'r> {
         for (q, chunk) in run.queries.iter_mut().zip(&chunks) {
             q.passes += u64::from(!chunk.is_empty());
         }
-        let specs = run.specs;
-        let spec0 = &specs[0];
+        let (parts, trackers, on_part) = (self.parts, &self.trackers, self.on_part);
+        let (specs, chunk_no) = (run.specs, self.next_chunk as u64);
         run.phase("vvm.merge_pass", |run, span| {
             span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
-            let inner_cur = EntryCursor::new(
-                merged_entries(
-                    self.inner_inv
-                        .scan_with_prefetch(spec0.prefetch_metrics("inv1")),
-                    spec0.inner_delta,
-                    0,
-                    None,
-                ),
-                spec0,
-                &mut run.shared_skipped_entries,
-            )?;
-            let outer_cur = EntryCursor::new(
-                merged_entries(
-                    self.outer_inv
-                        .scan_with_prefetch(spec0.prefetch_metrics("inv2")),
-                    spec0.outer_delta,
-                    0,
-                    None,
-                ),
-                spec0,
-                &mut run.shared_skipped_entries,
-            )?;
-            let mut sim: Vec<SimTable> = specs.iter().map(|_| SimTable::new()).collect();
-            let mut ops = vec![0u64; specs.len()];
-            let acc_bytes = merge_accumulate(
-                specs,
-                inner_cur,
-                outer_cur,
-                &chunks,
-                &run.tracker,
-                &mut sim,
-                &mut ops,
-                &mut run.shared_skipped_entries,
-            )?;
+            let pass_span = &*span;
+            let partials = run.parts(parts, |k, part| {
+                // Only a partitioned merge has workers to tell apart.
+                let _worker = (parts.len() > 1).then(|| {
+                    let mut worker = pass_span.child("vvm.worker");
+                    worker.record("worker", k as u64);
+                    worker
+                });
+                MergePartial::compute(specs, part, &chunks, &trackers[k])
+            })?;
+            // The first part's tables become the pass's; the others fold in
+            // in part order — ascending term order, the order a one-part
+            // merge accumulates in. Raw counts make the sums exact in any
+            // order, fractional weightings agree to floating-point
+            // reassociation.
+            let total = partials
+                .into_iter()
+                .enumerate()
+                .map(|(k, (partial, io))| {
+                    trackers[k].release(partial.acc_bytes);
+                    if let Some(done) = on_part {
+                        done(k, chunk_no, partial.acc_bytes / ACC_BYTES, &io);
+                    }
+                    partial
+                })
+                .reduce(|mut total, partial| {
+                    partial.fold_into(&mut total);
+                    total
+                })
+                .expect("a merge has at least one part");
+            run.shared_skipped_entries += total.skipped_entries;
             // VVM's merge only visits non-zero postings: every cell
             // touched is an op.
-            for (q, ops) in run.queries.iter_mut().zip(ops) {
+            for (q, ops) in run.queries.iter_mut().zip(&total.sim_ops) {
                 q.counters.sim_ops += ops;
                 q.counters.cells_touched += ops;
             }
-            for (((spec, chunk), sim), q) in
-                specs.iter().zip(&chunks).zip(&sim).zip(&mut run.queries)
+            for (((spec, chunk), sim), q) in specs
+                .iter()
+                .zip(&chunks)
+                .zip(&total.sim)
+                .zip(&mut run.queries)
             {
                 emit_chunk(spec, chunk, sim, &mut q.rows);
             }
-            run.tracker.release(acc_bytes);
             Ok(())
         })?;
         Ok(true)
     }
+
+    fn finish(self, run: &mut Run<'r>) -> Result<()> {
+        run.parts_high_water = self.trackers.iter().map(MemTracker::high_water).sum();
+        Ok(())
+    }
 }
 
-/// One term-ordered merge over a pair of entry streams, filling one
-/// similarity table per query for the outer documents in that query's
-/// chunk (sorted by id). Per (term, pair) the arithmetic is applied under
-/// each query's own weighting and filters — per-pair sums are independent
-/// across queries, which is what makes the folded scan result-identical.
-/// Shared by the driven passes and the term-partitioned parallel and
-/// sharded workers, so all apply bit-identical arithmetic per pair.
-/// Returns the accumulator bytes allocated against `tracker` (the caller
-/// releases them after emitting).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_accumulate<I1, I2>(
-    specs: &[JoinSpec<'_>],
-    mut inner_cur: EntryCursor<I1>,
-    mut outer_cur: EntryCursor<I2>,
-    chunks: &[&[DocId]],
-    tracker: &MemTracker,
-    sim: &mut [SimTable],
-    sim_ops: &mut [u64],
-    skipped_entries: &mut u64,
-) -> Result<u64>
-where
-    I1: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
-    I2: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
-{
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let mut acc_bytes = 0u64;
-    // Merge by term: advance the scan with the smaller term.
-    while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
-        match inner_term.cmp(&outer_term) {
-            std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped_entries)?,
-            std::cmp::Ordering::Equal => {
-                let Some((term, inner_cells)) = inner_cur.current.take() else {
-                    break;
-                };
-                let Some((_, outer_cells)) = outer_cur.current.take() else {
-                    break;
-                };
-                inner_cur.advance(spec0, skipped_entries)?;
-                outer_cur.advance(spec0, skipped_entries)?;
-                let per_query = specs
-                    .iter()
-                    .zip(chunks)
-                    .zip(sim.iter_mut().zip(&mut *sim_ops));
-                for ((spec, chunk), (table, ops)) in per_query {
-                    let factor = spec.weighting.term_factor(term, inner_profile);
-                    if factor == 0.0 {
-                        continue;
-                    }
-                    for oc in &outer_cells {
-                        if chunk.binary_search(&oc.doc).is_err() {
+/// What one part hands back per merge pass: one table per query of partial
+/// weighted sums over the part's terms.
+struct MergePartial {
+    sim: Vec<SimTable>,
+    sim_ops: Vec<u64>,
+    skipped_entries: u64,
+    /// Accumulator bytes held against the part's tracker (the caller
+    /// releases them once the tables are folded or emitted).
+    acc_bytes: u64,
+}
+
+impl MergePartial {
+    /// One term-ordered merge over the part's pair of entry streams,
+    /// filling one similarity table per query for the outer documents in
+    /// that query's chunk (sorted by id). Per (term, pair) the arithmetic
+    /// is applied under each query's own weighting and filters — per-pair
+    /// sums are independent across queries, which is what makes the folded
+    /// scan result-identical — and it is the same arithmetic whichever
+    /// part, thread or site runs it.
+    fn compute(
+        specs: &[JoinSpec<'_>],
+        part: &Part<'_>,
+        chunks: &[&[DocId]],
+        tracker: &MemTracker,
+    ) -> Result<Self> {
+        let spec0 = &specs[0];
+        let mut partial = Self {
+            sim: specs.iter().map(|_| SimTable::new()).collect(),
+            sim_ops: vec![0; specs.len()],
+            skipped_entries: 0,
+            acc_bytes: 0,
+        };
+        let skipped = &mut partial.skipped_entries;
+        let inner = part.entries(spec0, part.inner_inv, part.inner, spec0.inner_delta, "inv1");
+        let mut inner_cur = EntryCursor::new(inner, spec0, skipped)?;
+        let outer = part.entries(spec0, part.outer_inv, part.outer, spec0.outer_delta, "inv2");
+        let mut outer_cur = EntryCursor::new(outer, spec0, skipped)?;
+        let inner_profile = spec0.inner.profile();
+        // Merge by term: advance the scan with the smaller term.
+        while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
+            match inner_term.cmp(&outer_term) {
+                std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped)?,
+                std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped)?,
+                std::cmp::Ordering::Equal => {
+                    let Some((term, inner_cells)) = inner_cur.current.take() else {
+                        break;
+                    };
+                    let Some((_, outer_cells)) = outer_cur.current.take() else {
+                        break;
+                    };
+                    inner_cur.advance(spec0, skipped)?;
+                    outer_cur.advance(spec0, skipped)?;
+                    let per_query = specs
+                        .iter()
+                        .zip(chunks)
+                        .zip(partial.sim.iter_mut().zip(&mut partial.sim_ops));
+                    for ((spec, chunk), (table, ops)) in per_query {
+                        let factor = spec.weighting.term_factor(term, inner_profile);
+                        if factor == 0.0 {
                             continue;
                         }
-                        let per_outer = table.entry(oc.doc.raw()).or_default();
-                        for ic in &inner_cells {
-                            if !spec.inner_doc_allowed(ic.doc) || !spec.pair_allowed(ic.doc, oc.doc)
-                            {
+                        for oc in &outer_cells {
+                            if chunk.binary_search(&oc.doc).is_err() {
                                 continue;
                             }
-                            *ops += 1;
-                            let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                            match per_outer.entry(ic.doc.raw()) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    *e.get_mut() += contribution;
+                            let per_outer = table.entry(oc.doc.raw()).or_default();
+                            for ic in &inner_cells {
+                                if !spec.inner_doc_allowed(ic.doc)
+                                    || !spec.pair_allowed(ic.doc, oc.doc)
+                                {
+                                    continue;
                                 }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    tracker.allocate(ACC_BYTES, "VVM similarity accumulators")?;
-                                    acc_bytes += ACC_BYTES;
-                                    e.insert(contribution);
+                                *ops += 1;
+                                let contribution = oc.weight as f64 * ic.weight as f64 * factor;
+                                match per_outer.entry(ic.doc.raw()) {
+                                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                                        *e.get_mut() += contribution;
+                                    }
+                                    std::collections::hash_map::Entry::Vacant(e) => {
+                                        tracker
+                                            .allocate(ACC_BYTES, "VVM similarity accumulators")?;
+                                        partial.acc_bytes += ACC_BYTES;
+                                        e.insert(contribution);
+                                    }
                                 }
                             }
                         }
@@ -431,80 +540,21 @@ where
                 }
             }
         }
-    }
-    Ok(acc_bytes)
-}
-
-/// What one term-range worker (a parallel thread, a shard site) hands back
-/// per merge pass.
-#[derive(Default)]
-pub(crate) struct MergePartial {
-    /// Partial weighted sums over the worker's terms.
-    pub(crate) sim: SimTable,
-    pub(crate) skipped_entries: u64,
-    pub(crate) sim_ops: u64,
-    pub(crate) io: IoStats,
-    pub(crate) mem_high_water: u64,
-}
-
-impl MergePartial {
-    /// Merges one worker's entry streams for `chunk` on the calling thread
-    /// against the spec's own budget (the caller hands each worker its
-    /// share), holding one current entry per file of `entry_buf_bytes`.
-    /// `before` is the thread's I/O tally from before the streams were
-    /// opened (opening a delta-merged stream already reads pages).
-    pub(crate) fn compute<I1, I2>(
-        spec: &JoinSpec<'_>,
-        before: IoStats,
-        inner: I1,
-        outer: I2,
-        chunk: &[DocId],
-        entry_buf_bytes: u64,
-    ) -> Result<Self>
-    where
-        I1: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
-        I2: Iterator<Item = Result<(TermId, Vec<ICell>)>>,
-    {
-        let tracker = MemTracker::new(&spec.sys);
-        tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
-        tracker.allocate(TopK::budget_bytes(spec.query.lambda), "VVM result heap")?;
-        let mut partial = Self::default();
-        let inner_cur = EntryCursor::new(inner, spec, &mut partial.skipped_entries)?;
-        let outer_cur = EntryCursor::new(outer, spec, &mut partial.skipped_entries)?;
-        merge_accumulate(
-            std::slice::from_ref(spec),
-            inner_cur,
-            outer_cur,
-            &[chunk],
-            &tracker,
-            std::slice::from_mut(&mut partial.sim),
-            std::slice::from_mut(&mut partial.sim_ops),
-            &mut partial.skipped_entries,
-        )?;
-        // The thread-local mirror is bumped under the same lock as the
-        // global counters, so this delta is exactly the traffic this
-        // worker caused.
-        partial.io = DiskSim::thread_io_stats().since(&before);
-        partial.mem_high_water = tracker.high_water();
         Ok(partial)
     }
 
-    /// Adds this worker's table and counters into the pass totals. Callers
-    /// fold in worker index order — ascending term order, the order the
-    /// single-threaded merge accumulates in; raw counts make the sums exact
-    /// in any order, fractional weightings agree to floating-point
-    /// reassociation.
-    pub(crate) fn fold_into(self, total: &mut MergePartial) {
+    /// Adds another part's tables and counters into this one's.
+    fn fold_into(self, total: &mut MergePartial) {
         total.skipped_entries += self.skipped_entries;
-        total.sim_ops += self.sim_ops;
-        total.io.merge(&self.io);
-        // Concurrent workers peak together: their summed high-waters are
-        // the pass's true footprint.
-        total.mem_high_water += self.mem_high_water;
-        for (outer_raw, per_outer) in self.sim {
-            let dst = total.sim.entry(outer_raw).or_default();
-            for (inner_raw, sum) in per_outer {
-                *dst.entry(inner_raw).or_insert(0.0) += sum;
+        for (dst, ops) in total.sim_ops.iter_mut().zip(self.sim_ops) {
+            *dst += ops;
+        }
+        for (dst, table) in total.sim.iter_mut().zip(self.sim) {
+            for (outer_raw, per_outer) in table {
+                let dst = dst.entry(outer_raw).or_default();
+                for (inner_raw, sum) in per_outer {
+                    *dst.entry(inner_raw).or_insert(0.0) += sum;
+                }
             }
         }
     }
@@ -513,7 +563,7 @@ impl MergePartial {
 /// Turns one chunk's accumulated similarities into result rows: a λ-heap
 /// per outer document, ties broken by document id (order-independent), so
 /// any executor emitting from equal sums produces identical rows.
-pub(crate) fn emit_chunk(
+fn emit_chunk(
     spec: &JoinSpec<'_>,
     chunk: &[DocId],
     acc: &HashMap<u32, HashMap<u32, f64>>,
@@ -693,6 +743,57 @@ mod tests {
         let want = naive_join(&d1, &d2, OuterDocs::Full, 4, crate::Weighting::RawCount);
         assert_eq!(got.result, want);
         assert!(got.stats.passes > 1);
+    }
+
+    /// Batch × parts is the one merge: three queries over two term ranges
+    /// produce the rows, passes and counters of three queries over the
+    /// whole files, and the parts' I/O sums to what the drive saw.
+    #[test]
+    fn a_batch_over_two_parts_is_the_batch_over_one() {
+        let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(40, 30, 10.0, 50, 128);
+        let sys = SystemParams {
+            buffer_pages: 24,
+            page_size: 128,
+            alpha: 5.0,
+        };
+        let lambdas = [4usize, 1, 7];
+        // δ = 1 sizes the chunks for the densest case, so no attempt is
+        // abandoned and the drive's delta is the one run's.
+        let specs = lambdas.map(|lambda| {
+            JoinSpec::new(&c1, &c2)
+                .with_sys(sys)
+                .with_query(QueryParams { lambda, delta: 1.0 })
+        });
+        let one = execute_batch(&specs, &inv1, &inv2).unwrap();
+        assert!(one.stats.passes > 1, "expected partitioning, got 1 pass");
+        // Each range gets a budget of its own, as two sites would, so the
+        // outer side is chunked exactly as for the whole files.
+        let parts: Vec<Part<'_>> = crate::parallel::term_parts(&inv1, &inv2, 2, 0)
+            .into_iter()
+            .map(|part| Part {
+                buffer_pages: sys.buffer_pages,
+                split: 1,
+                ..part
+            })
+            .collect();
+        assert_eq!(parts.len(), 2);
+        let before = disk.stats();
+        let two = execute_parts(&specs, &parts, None).unwrap();
+        assert_eq!(two.stats.io, disk.stats().since(&before));
+        assert_eq!(two.stats.passes, one.stats.passes);
+        assert_eq!(two.stats.sim_ops, one.stats.sim_ops);
+        for ((got, want), lambda) in two.queries.iter().zip(&one.queries).zip(lambdas) {
+            assert_eq!(got.result, want.result, "λ={lambda}");
+            assert_eq!(got.stats.passes, want.stats.passes, "λ={lambda}");
+            let oracle = naive_join(
+                &d1,
+                &d2,
+                OuterDocs::Full,
+                lambda,
+                crate::Weighting::RawCount,
+            );
+            assert_eq!(got.result, oracle, "λ={lambda}");
+        }
     }
 
     #[test]

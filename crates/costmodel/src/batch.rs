@@ -24,7 +24,7 @@
 //! first element. An empty batch costs zero.
 
 use crate::inputs::JoinInputs;
-use crate::{fnl, hhnl, hvnl, vvm, Algorithm, IoScenario};
+use crate::{hhnl, hvnl, vvm};
 use textjoin_common::Result;
 
 /// `⌈Σᵢ N2ᵢ/Xᵢ⌉` — inner-collection scans for the pooled outer batches.
@@ -126,74 +126,10 @@ pub fn vvr_batch(inputs: &[JoinInputs]) -> Result<f64> {
     Ok(vvs_batch(inputs)? + penalty)
 }
 
-/// The batch cost estimates for one shared collection pair — the batched
-/// counterpart of [`crate::CostEstimates`], one sequential and one
-/// worst-case figure per algorithm. Infeasible algorithms get
-/// `f64::INFINITY`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BatchCostEstimates {
-    /// `hhs_batch` — HHNL, sequential.
-    pub hhnl_seq: f64,
-    /// `hhr_batch` — HHNL, worst-case random.
-    pub hhnl_rand: f64,
-    /// `hvs_batch` — HVNL, sequential.
-    pub hvnl_seq: f64,
-    /// `hvr_batch` — HVNL, worst-case random.
-    pub hvnl_rand: f64,
-    /// `vvs_batch` — VVM, sequential.
-    pub vvm_seq: f64,
-    /// `vvr_batch` — VVM, worst-case random.
-    pub vvm_rand: f64,
-    /// `fns_batch` — FNL, sequential.
-    pub fnl_seq: f64,
-    /// `fnr_batch` — FNL, worst-case random.
-    pub fnl_rand: f64,
-}
-
-impl BatchCostEstimates {
-    /// Computes all batch estimates; infeasible algorithms get
-    /// `INFINITY`.
-    pub fn compute(inputs: &[JoinInputs]) -> Self {
-        Self {
-            hhnl_seq: hhs_batch(inputs).map_or(f64::INFINITY, |c| c),
-            hhnl_rand: hhr_batch(inputs).map_or(f64::INFINITY, |c| c),
-            hvnl_seq: hvs_batch(inputs),
-            hvnl_rand: hvr_batch(inputs),
-            vvm_seq: vvs_batch(inputs).map_or(f64::INFINITY, |c| c),
-            vvm_rand: vvr_batch(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_seq: fnl::fns_batch(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_rand: fnl::fnr_batch(inputs).map_or(f64::INFINITY, |c| c),
-        }
-    }
-
-    /// The cost of one algorithm under one scenario.
-    pub fn cost(&self, algorithm: Algorithm, scenario: IoScenario) -> f64 {
-        match (algorithm, scenario) {
-            (Algorithm::Hhnl, IoScenario::Dedicated) => self.hhnl_seq,
-            (Algorithm::Hhnl, IoScenario::SharedWorstCase) => self.hhnl_rand,
-            (Algorithm::Hvnl, IoScenario::Dedicated) => self.hvnl_seq,
-            (Algorithm::Hvnl, IoScenario::SharedWorstCase) => self.hvnl_rand,
-            (Algorithm::Vvm, IoScenario::Dedicated) => self.vvm_seq,
-            (Algorithm::Vvm, IoScenario::SharedWorstCase) => self.vvm_rand,
-            (Algorithm::Fnl, IoScenario::Dedicated) => self.fnl_seq,
-            (Algorithm::Fnl, IoScenario::SharedWorstCase) => self.fnl_rand,
-        }
-    }
-
-    /// The cheapest algorithm for the whole batch under a scenario (ties
-    /// break in the order HHNL, HVNL, VVM, FNL).
-    pub fn best(&self, scenario: IoScenario) -> (Algorithm, f64) {
-        Algorithm::ALL
-            .into_iter()
-            .map(|a| (a, self.cost(a, scenario)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one candidate")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostEstimates, IoScenario};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
 
     fn inputs(lambda: usize, buffer_pages: u64) -> JoinInputs {
@@ -310,7 +246,7 @@ mod tests {
     #[test]
     fn batch_estimates_pick_a_finite_best() {
         let specs: Vec<JoinInputs> = [1usize, 5, 20].iter().map(|&l| inputs(l, 200)).collect();
-        let est = BatchCostEstimates::compute(&specs);
+        let est = CostEstimates::compute_batch(&specs);
         for scenario in [IoScenario::Dedicated, IoScenario::SharedWorstCase] {
             let (alg, cost) = est.best(scenario);
             assert!(cost.is_finite());

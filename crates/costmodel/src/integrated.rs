@@ -8,7 +8,7 @@
 //! cost".
 
 use crate::inputs::JoinInputs;
-use crate::{fnl, hhnl, hvnl, vvm};
+use crate::{batch, fnl, hhnl, hvnl, vvm};
 use std::fmt;
 
 /// The three join algorithms of the paper, plus the filtered fourth.
@@ -116,6 +116,22 @@ impl CostEstimates {
             vvm_rand: vvm::worst_case_random(inputs).map_or(f64::INFINITY, |c| c),
             fnl_seq: fnl::sequential(inputs).map_or(f64::INFINITY, |c| c),
             fnl_rand: fnl::worst_case_random(inputs).map_or(f64::INFINITY, |c| c),
+        }
+    }
+
+    /// The estimates for a batch of queries over one collection pair
+    /// (`hhs_batch` … `fnr_batch`, see [`crate::batch`]): the whole batch
+    /// runs one algorithm. A batch of one is [`Self::compute`].
+    pub fn compute_batch(inputs: &[JoinInputs]) -> Self {
+        Self {
+            hhnl_seq: batch::hhs_batch(inputs).map_or(f64::INFINITY, |c| c),
+            hhnl_rand: batch::hhr_batch(inputs).map_or(f64::INFINITY, |c| c),
+            hvnl_seq: batch::hvs_batch(inputs),
+            hvnl_rand: batch::hvr_batch(inputs),
+            vvm_seq: batch::vvs_batch(inputs).map_or(f64::INFINITY, |c| c),
+            vvm_rand: batch::vvr_batch(inputs).map_or(f64::INFINITY, |c| c),
+            fnl_seq: fnl::fns_batch(inputs).map_or(f64::INFINITY, |c| c),
+            fnl_rand: fnl::fnr_batch(inputs).map_or(f64::INFINITY, |c| c),
         }
     }
 

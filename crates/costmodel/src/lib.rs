@@ -41,9 +41,7 @@ pub mod vvm;
 #[cfg(test)]
 mod proptests;
 
-pub use batch::{
-    hhr_batch, hhs_batch, hvr_batch, hvs_batch, vvr_batch, vvs_batch, BatchCostEstimates,
-};
+pub use batch::{hhr_batch, hhs_batch, hvr_batch, hvs_batch, vvr_batch, vvs_batch};
 pub use calibrate::{CalibrationProfile, ReportObs, CALIBRATION_VERSION};
 pub use comm::{choose_distributed, CommParams, Site, TermEncoding};
 pub use fnl::{fnr_batch, fns_batch};

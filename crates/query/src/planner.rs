@@ -12,8 +12,8 @@ use crate::ast::{ColumnRef, CompareOp, Literal, Predicate, Query};
 use crate::catalog::{like_match, Catalog, ColumnType, Relation, Value};
 use textjoin_common::{DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_costmodel::{
-    parallel, shard, Algorithm, BatchCostEstimates, CalibrationProfile, CommParams, CostEstimates,
-    IoScenario, JoinInputs, ShardPlan,
+    parallel, shard, Algorithm, CalibrationProfile, CommParams, CostEstimates, IoScenario,
+    JoinInputs, ShardPlan,
 };
 
 /// One algorithm's cost prediction as recorded by the plan: the raw
@@ -110,7 +110,7 @@ pub struct BatchPlan {
     /// cost formulas, not per query.
     pub chosen: Algorithm,
     /// The batch cost estimates behind the choice.
-    pub estimates: BatchCostEstimates,
+    pub estimates: CostEstimates,
     /// What running the queries one at a time would cost under the same
     /// scenario, each on its own cheapest algorithm (Σ of per-query bests).
     pub sequential_cost: f64,
@@ -170,7 +170,7 @@ pub fn plan_batch(
     }
 
     let inputs: Vec<JoinInputs> = plans.iter().map(|p| p.inputs).collect();
-    let estimates = BatchCostEstimates::compute(&inputs);
+    let estimates = CostEstimates::compute_batch(&inputs);
     let chosen = estimates.best(scenario).0;
     let sequential_cost = plans.iter().map(|p| p.estimates.best(scenario).1).sum();
 

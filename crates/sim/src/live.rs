@@ -19,8 +19,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use textjoin_core::{Indexes, JoinSpec, QueryReport, ResultQuality};
-use textjoin_costmodel as costmodel;
-use textjoin_costmodel::Algorithm;
+use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{IntrospectionServer, LiveRegistry, Registry};
 use textjoin_storage::{DiskSim, PageLatency};
@@ -150,13 +149,9 @@ fn run_config(
             .with_sys(cfg.sys)
             .with_query(cfg.query);
         let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-        let predicted = match algorithm {
-            Algorithm::Hhnl => costmodel::hhnl::sequential(&inputs).ok(),
-            Algorithm::Hvnl => Some(costmodel::hvnl::sequential(&inputs)),
-            Algorithm::Vvm => costmodel::vvm::sequential(&inputs).ok(),
-            Algorithm::Fnl => costmodel::fnl::sequential(&inputs).ok(),
-        }
-        .filter(|p| p.is_finite() && *p > 0.0);
+        let predicted =
+            Some(CostEstimates::compute(&inputs).cost(algorithm, IoScenario::Dedicated))
+                .filter(|p| p.is_finite() && *p > 0.0);
         let guard = live.register(
             query.clone(),
             format!("{} ⋈ {}", c1.name(), c2.name()),

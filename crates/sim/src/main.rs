@@ -18,12 +18,8 @@
 //!                                 # bit-flipped-delta scenarios; on failure
 //!                                 # dumps WAL + manifest hex into DIR
 //! textjoin-sim bench [--out FILE] [--baseline FILE] [--threshold PCT]
-//!                    [--allow-new LABEL]...
 //!                                 # sweep the paper grid, emit BENCH JSON,
-//!                                 # optionally gate against a baseline;
-//!                                 # --allow-new admits expected new rows
-//!                                 # (a new algorithm or λ point) until the
-//!                                 # baseline is regenerated
+//!                                 # optionally gate against a baseline
 //! textjoin-sim calibrate [--store FILE] [--profile FILE]
 //!                                 # run the grid, persist query reports,
 //!                                 # fit a calibration profile, re-run
@@ -151,18 +147,6 @@ fn main() -> ExitCode {
         }
         (Err(c), _, _) | (_, Err(c), _) | (_, _, Err(c)) => return c,
     };
-    // `--allow-new LABEL` (repeatable) admits *expected* new bench rows —
-    // a freshly registered algorithm name or a new filter-axis λ label —
-    // past the missing-from-baseline check until the baseline is
-    // regenerated. Baseline-covered rows stay gated at full strength.
-    let mut allow_new: Vec<String> = Vec::new();
-    loop {
-        match take_value("--allow-new") {
-            Ok(Some(v)) => allow_new.push(v),
-            Ok(None) => break,
-            Err(c) => return c,
-        }
-    }
     // `--artifacts DIR` receives WAL/manifest dumps of failed chaos-merge
     // scenarios (the CI job uploads the directory).
     let artifacts_dir = match take_value("--artifacts") {
@@ -418,8 +402,7 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-                let regressions =
-                    textjoin_bench::compare_allowing(&baseline, &report, threshold, &allow_new);
+                let regressions = textjoin_bench::compare(&baseline, &report, threshold);
                 if regressions.is_empty() {
                     eprintln!("baseline gate passed: no case regressed by more than {threshold}%");
                 } else {
@@ -578,8 +561,7 @@ fn main() -> ExitCode {
                 "unknown command '{other}'; expected t1 | group1..group5 | findings | \
                  validate [scale] | chaos [--seed N|A..B] | \
                  chaos-merge [--seed N|A..B] [--artifacts DIR] | \
-                 bench [--out FILE] [--baseline FILE] [--threshold PCT] \
-                 [--allow-new LABEL]... | \
+                 bench [--out FILE] [--baseline FILE] [--threshold PCT] | \
                  calibrate [--store FILE] [--profile FILE] | reports [--store FILE] | \
                  slowlog [K] [--by cost|wall] | \
                  serve-metrics [--addr A] [--rounds N] [--page-latency-us U] [--cancel-round R] | \

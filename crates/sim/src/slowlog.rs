@@ -10,8 +10,7 @@
 use crate::validate::{quick_configs, ValidationConfig};
 use std::sync::Arc;
 use textjoin_core::{Indexes, JoinSpec, QueryReport, SlowLogRank, SlowQueryLog};
-use textjoin_costmodel as costmodel;
-use textjoin_costmodel::Algorithm;
+use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{Registry, Tracer};
 use textjoin_storage::DiskSim;
@@ -60,12 +59,9 @@ fn run_config(
             .with_query(cfg.query)
             .with_trace(&tracer);
         let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-        let predicted = match algorithm {
-            Algorithm::Hhnl => costmodel::hhnl::sequential(&inputs).ok(),
-            Algorithm::Hvnl => Some(costmodel::hvnl::sequential(&inputs)),
-            Algorithm::Vvm => costmodel::vvm::sequential(&inputs).ok(),
-            Algorithm::Fnl => costmodel::fnl::sequential(&inputs).ok(),
-        };
+        let predicted =
+            Some(CostEstimates::compute(&inputs).cost(algorithm, IoScenario::Dedicated))
+                .filter(|p| p.is_finite());
         disk.reset_stats();
         disk.reset_head();
         let indexes = Indexes::all(&inv1, &inv2, &fnl1);

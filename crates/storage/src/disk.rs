@@ -597,6 +597,14 @@ struct FaultMachinery {
 }
 
 impl FaultMachinery {
+    /// Whether any planned fault has yet to fire. Per-page access counts
+    /// only matter to an unfired fault's `nth_access`, so they are kept
+    /// only while this holds — an idle plan costs no map insert per page
+    /// and the maps cannot grow over a long run.
+    fn armed(&self) -> bool {
+        self.plan.iter().any(|pf| !pf.fired)
+    }
+
     fn take_fault(
         &mut self,
         file: FileId,
@@ -933,6 +941,9 @@ impl DiskSim {
     fn apply_write_faults(&self, file: FileId, page: u64, payload: &mut [u8]) -> FaultStats {
         let mut delta = FaultStats::default();
         let mut fm = self.faults.lock();
+        if !fm.armed() {
+            return delta;
+        }
         let count = fm.write_counts.entry((file, page)).or_insert(0);
         let nth = *count;
         *count += 1;
@@ -1196,7 +1207,8 @@ impl DiskSim {
             // Cumulative backoff of *this* read operation, bounded by the
             // policy's cap however many pages of the run fault.
             let mut op_backoff_us = 0u64;
-            for p in start..start + len {
+            let pages = if fm.armed() { start..start + len } else { 0..0 };
+            for p in pages {
                 let count = fm.read_counts.entry((file, p)).or_insert(0);
                 let nth = *count;
                 *count += 1;
@@ -1727,6 +1739,33 @@ mod tests {
         // Cold run of 6 pages + 1 re-read of the faulted page.
         assert_eq!(disk.stats().rand_reads, 7);
         assert_eq!(disk.pending_faults(), 0);
+    }
+
+    #[test]
+    fn access_counts_are_kept_only_while_a_fault_is_pending() {
+        let (disk, f) = disk_with_file(10);
+        for _ in 0..1_000 {
+            disk.read_run(f, 0, 10).unwrap();
+        }
+        for i in 0..1_000u64 {
+            disk.write_page(f, i % 10, &full_page(64, 7)).unwrap();
+        }
+        {
+            let fm = disk.faults.lock();
+            assert!(fm.read_counts.is_empty(), "10 000 unplanned page reads");
+            assert!(fm.write_counts.is_empty(), "1 000 unplanned page writes");
+        }
+        // A plan armed now counts from its own installation: `nth_access =
+        // 2` fires on the third read after it, whatever came before.
+        disk.set_fault_plan(FaultPlan::new().with_fault(f, 4, 2, FaultKind::LatencySpike));
+        for expected in [0, 0, 1] {
+            disk.read_run(f, 4, 1).unwrap();
+            assert_eq!(disk.fault_stats().injected_latency, expected);
+        }
+        // With the last fault fired the counting stops again.
+        let before = disk.faults.lock().read_counts.len();
+        disk.read_run(f, 0, 10).unwrap();
+        assert_eq!(disk.faults.lock().read_counts.len(), before);
     }
 
     #[test]

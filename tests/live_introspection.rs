@@ -6,7 +6,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use textjoin::core::ResultQuality;
-use textjoin::costmodel;
 use textjoin::obs::{IntrospectionServer, LiveRegistry, Registry};
 use textjoin::prelude::*;
 use textjoin::query::run_query_introspected;
@@ -62,13 +61,8 @@ fn run(f: &Fixture, alg: Algorithm, spec: &JoinSpec<'_>) -> JoinOutcome {
 
 fn predicted(f: &Fixture, spec: &JoinSpec<'_>, alg: Algorithm) -> Option<f64> {
     let inputs = spec.cost_inputs().with_fnl(f.fnl1.stats());
-    match alg {
-        Algorithm::Hhnl => costmodel::hhnl::sequential(&inputs).ok(),
-        Algorithm::Hvnl => Some(costmodel::hvnl::sequential(&inputs)),
-        Algorithm::Vvm => costmodel::vvm::sequential(&inputs).ok(),
-        Algorithm::Fnl => costmodel::fnl::sequential(&inputs).ok(),
-    }
-    .filter(|p| p.is_finite() && *p > 0.0)
+    Some(CostEstimates::compute(&inputs).cost(alg, IoScenario::Dedicated))
+        .filter(|p| p.is_finite() && *p > 0.0)
 }
 
 /// A watcher thread samples the ticket while the join runs on the test

@@ -1,14 +1,21 @@
 //! One table over the pass driver: every algorithm × batch size × worker
 //! count goes through the same four checks — the oracle, a pre-set cancel,
 //! a sub-page watchdog budget, an attached tracer — instead of one copy of
-//! each per executor. The `(N = 3, w = 2)` column does not exist: batches
-//! and workers do not compose yet (ROADMAP item 4).
+//! each per executor; the sharded cells (S = 2, both partitionings) go
+//! through the first two (sites run untraced and unwatched). The
+//! `(N = 3, w = 2)` column does not exist for HHNL, HVNL and FNL: their
+//! workers wrap whole driven runs, so batches and workers do not compose
+//! yet (ROADMAP item 4). VVM's does — batch × parts is the one merge, see
+//! `vvm::tests` — but has no public entry point.
 
 use std::sync::Arc;
 use textjoin::common::Error;
 use textjoin::core::hvnl::{HvnlOptions, OuterOrder};
 use textjoin::core::reference::naive_join;
-use textjoin::core::{batch, hhnl, hvnl, ExecStats, Indexes, ResultQuality};
+use textjoin::core::{
+    batch, execute_sharded, hhnl, hvnl, ExecStats, Indexes, ResultQuality, ShardOptions,
+    ShardPartitioning,
+};
 use textjoin::obs::{CancelToken, SpanRecord, Tracer};
 use textjoin::prelude::*;
 
@@ -60,6 +67,8 @@ enum Mode {
     /// The paper's ablations, N = 1 only, under the same driver.
     HhnlBackward,
     HvnlGreedy,
+    /// `execute_sharded` over two sites — N = 1, one worker per site.
+    Sharded(ShardPartitioning),
 }
 
 const LAMBDAS: [usize; 3] = [3, 1, 5];
@@ -74,6 +83,14 @@ fn cells() -> Vec<(Algorithm, Mode)> {
     cells.push((Algorithm::Hhnl, Mode::HhnlBackward));
     cells.push((Algorithm::Hvnl, Mode::HvnlGreedy));
     cells
+}
+
+fn sharded_cells() -> Vec<(Algorithm, Mode)> {
+    let strategies = [ShardPartitioning::SkewAware, ShardPartitioning::Naive];
+    Algorithm::ALL
+        .into_iter()
+        .flat_map(|alg| strategies.map(|p| (alg, Mode::Sharded(p))))
+        .collect()
 }
 
 /// Runs one cell: per-query outcomes plus the statistics of the whole run.
@@ -117,6 +134,10 @@ fn run<'a>(
             };
             hvnl::execute_with(&spec(LAMBDAS[0]), &f.inv1, options).map(single)
         }
+        Mode::Sharded(partitioning) => {
+            let opts = ShardOptions::new(2).with_partitioning(partitioning);
+            execute_sharded(&spec(LAMBDAS[0]), alg, &opts).map(|run| single(run.outcome))
+        }
     }
 }
 
@@ -127,7 +148,7 @@ fn oracle(f: &Fixture, lambda: usize) -> JoinResult {
 #[test]
 fn every_cell_equals_the_oracle() {
     let f = fixture();
-    for (alg, mode) in cells() {
+    for (alg, mode) in cells().into_iter().chain(sharded_cells()) {
         let (queries, stats) = run(&f, alg, mode, |s| s).unwrap();
         for (q, &lambda) in queries.iter().zip(&LAMBDAS) {
             assert_eq!(q.result, oracle(&f, lambda), "{alg} {mode:?} λ={lambda}");
@@ -176,13 +197,17 @@ fn batch_of_one_is_the_sequential_run() {
 
 /// A token set before the run starts is observed at the first checkpoint:
 /// `Partial`, cheaper than the full run, and every row that did come back
-/// is the oracle's row for that outer document.
+/// is the oracle's row for that outer document. Sites each stop at their
+/// own first checkpoint, so a sharded row may lack the candidates of a site
+/// that had not reached that document: every match that did come back is a
+/// true pair with its exact score.
 #[test]
 fn preset_cancel_returns_an_oracle_prefix_within_one_checkpoint() {
     let f = fixture();
     let token = CancelToken::new();
     token.cancel();
-    for (alg, mode) in cells() {
+    let every_pair = oracle(&f, f.d1.len());
+    for (alg, mode) in cells().into_iter().chain(sharded_cells()) {
         let (_, clean) = run(&f, alg, mode, |s| s).unwrap();
         let (queries, stats) = run(&f, alg, mode, |s| s.with_cancel(&token)).unwrap();
         // (The greedy order reads the whole outer side before it joins
@@ -206,6 +231,14 @@ fn preset_cancel_returns_an_oracle_prefix_within_one_checkpoint() {
                 "{alg} {mode:?}"
             );
             for (outer, matches) in q.result.iter() {
+                if matches!(mode, Mode::Sharded(_)) {
+                    let pairs = every_pair.matches(outer).unwrap();
+                    assert!(
+                        matches.iter().all(|m| pairs.contains(m)),
+                        "{alg} {mode:?} {outer:?}"
+                    );
+                    continue;
+                }
                 assert_eq!(
                     Some(matches),
                     want.matches(outer),
@@ -257,13 +290,13 @@ fn attached_tracer_sees_the_driver_spans() {
         let spans = tracer.finished();
         let (root, phases): (&str, &[&str]) = match (alg, mode) {
             (_, Mode::HhnlBackward) => ("hhnl.backward", &["hhnl.outer_scan"]),
-            (Algorithm::Vvm, Mode::Single { workers: 2 }) => ("vvm.parallel", &["vvm.worker"]),
             (Algorithm::Hhnl, _) => ("hhnl", &["hhnl.inner_scan"]),
             (Algorithm::Hvnl, _) => ("hvnl", &["hvnl.setup", "hvnl.outer_scan"]),
             (Algorithm::Vvm, _) => ("vvm", &["vvm.merge_pass"]),
             (Algorithm::Fnl, _) => ("fnl", &["fnl.term_order", "fnl.sig_scan"]),
         };
-        // One finished root per worker (a VVM attempt abandoned for a finer
+        // One finished root per outer-partitioned worker, one for all of a
+        // VVM run's term-range workers (a VVM attempt abandoned for a finer
         // partitioning leaves a root without a pass count); their pass
         // counts add up to the run's.
         let roots: Vec<&SpanRecord> = spans
@@ -287,6 +320,20 @@ fn attached_tracer_sees_the_driver_spans() {
                 spans.iter().any(|s| s.name == *phase),
                 "{alg} {mode:?}: no `{phase}` span"
             );
+        }
+        if (alg, mode) == (Algorithm::Vvm, Mode::Single { workers: 2 }) {
+            // Every merge pass of the finished run fanned out to two
+            // workers, whose spans hang under the pass's.
+            let finished_passes: Vec<u64> = spans
+                .iter()
+                .filter(|s| s.name == "vvm.merge_pass" && s.parent == roots[0].id)
+                .map(|s| s.id)
+                .collect();
+            assert_eq!(finished_passes.len() as u64, stats.passes);
+            let workers = spans
+                .iter()
+                .filter(|s| s.name == "vvm.worker" && finished_passes.contains(&s.parent));
+            assert_eq!(workers.count() as u64, 2 * stats.passes);
         }
         if mode != (Mode::Single { workers: 1 }) {
             continue;
