@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use textjoin_collection::SynthSpec;
-use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
+use textjoin_common::{json, CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
     batch, execute_sharded, Indexes, JoinSpec, QueryReport, ShardOptions, ShardPartitioning,
 };
@@ -216,7 +216,11 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = write!(out, "{{\"suite\":\"{}\",\"cases\":[", escape(&self.suite));
+        let _ = write!(
+            out,
+            "{{\"suite\":\"{}\",\"cases\":[",
+            json::escape(&self.suite)
+        );
         for (i, c) in self.cases.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -225,9 +229,9 @@ impl BenchReport {
                 out,
                 "{{\"suite\":\"{}\",\"case\":\"{}\",\"algorithm\":\"{}\",\"pages_io\":{:.3},\
                  \"wall_p50_ns\":{},\"wall_p90_ns\":{},\"wall_p99_ns\":{},\"wall_max_ns\":{}",
-                escape(&self.suite),
-                escape(&c.case),
-                escape(&c.algorithm),
+                json::escape(&self.suite),
+                json::escape(&c.case),
+                json::escape(&c.algorithm),
                 c.pages_io,
                 c.wall_p50_ns,
                 c.wall_p90_ns,
@@ -248,7 +252,7 @@ impl BenchReport {
     /// array) — enough for the `--baseline` gate without a JSON library.
     pub fn from_json(text: &str) -> Result<BenchReport> {
         let bad = |what: &str| Error::InvalidArgument(format!("malformed bench report: {what}"));
-        let suite = json_str_field(text, "suite").ok_or_else(|| bad("missing suite"))?;
+        let suite = json::str_field(text, "suite").ok_or_else(|| bad("missing suite"))?;
         let cases_at = text
             .find("\"cases\":[")
             .ok_or_else(|| bad("missing cases array"))?;
@@ -260,16 +264,16 @@ impl BenchReport {
                 .ok_or_else(|| bad("unterminated case object"))?;
             let obj = &rest[open..open + close + 1];
             cases.push(BenchCase {
-                case: json_str_field(obj, "case").ok_or_else(|| bad("case missing label"))?,
-                algorithm: json_str_field(obj, "algorithm")
+                case: json::str_field(obj, "case").ok_or_else(|| bad("case missing label"))?,
+                algorithm: json::str_field(obj, "algorithm")
                     .ok_or_else(|| bad("case missing algorithm"))?,
-                pages_io: json_num_field(obj, "pages_io")
+                pages_io: json::num_field(obj, "pages_io")
                     .ok_or_else(|| bad("case missing pages_io"))?,
-                wall_p50_ns: json_num_field(obj, "wall_p50_ns").unwrap_or(0.0) as u64,
-                wall_p90_ns: json_num_field(obj, "wall_p90_ns").unwrap_or(0.0) as u64,
-                wall_p99_ns: json_num_field(obj, "wall_p99_ns").unwrap_or(0.0) as u64,
-                wall_max_ns: json_num_field(obj, "wall_max_ns").unwrap_or(0.0) as u64,
-                drift_pct: json_num_field(obj, "drift_pct"),
+                wall_p50_ns: json::num_field(obj, "wall_p50_ns").unwrap_or(0.0) as u64,
+                wall_p90_ns: json::num_field(obj, "wall_p90_ns").unwrap_or(0.0) as u64,
+                wall_p99_ns: json::num_field(obj, "wall_p99_ns").unwrap_or(0.0) as u64,
+                wall_max_ns: json::num_field(obj, "wall_max_ns").unwrap_or(0.0) as u64,
+                drift_pct: json::num_field(obj, "drift_pct"),
             });
             rest = &rest[open + close + 1..];
         }
@@ -808,55 +812,6 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     }
     let rank = ((q * sorted.len() as f64) - 1e-9).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Extracts `"key":"value"` from a flat JSON object, unescaping `\"`,
-/// `\\` and `\n` (the only escapes [`escape`] emits).
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = obj.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = obj[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Extracts `"key":<number>` from a flat JSON object.
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = obj.find(&needle)? + needle.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]

@@ -14,11 +14,14 @@
 //!   derived quantities `S`, `D`, `J`, `I` and `Bt` used by every cost
 //!   formula of section 5,
 //! * [`Score`] — a totally-ordered similarity value,
+//! * [`json`] — the one escaper and flat-object field reader under every
+//!   hand-written JSON record of the workspace,
 //! * [`Error`] — the workspace error type.
 
 pub mod cell;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod params;
 pub mod score;
 pub mod stats;

@@ -5,7 +5,7 @@
 //! structure reads: HHNL rescans the inner collection per query, HVNL
 //! reloads the dictionary and refetches overlapping entries, VVM rescans
 //! both inverted files. Every algorithm is written once over `&[JoinSpec]`
-//! (see [`crate::driver`]); the entry points here hand it all `N` queries,
+//! (the crate-private `driver` module); the entry points here hand it all `N` queries,
 //! so they execute in one sequence of passes over the shared structures:
 //!
 //! * **HHNL / FNL** concatenate the queries' outer streams and fill memory

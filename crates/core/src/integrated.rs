@@ -21,7 +21,7 @@ use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use std::time::Instant;
 use textjoin_common::{Error, Result};
-use textjoin_costmodel::{parallel as par_cost, Algorithm, CostEstimates, IoScenario};
+use textjoin_costmodel::{rank, Algorithm, CostEstimates, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::Tracer;
 
@@ -85,26 +85,15 @@ pub fn execute(
     execute_with_index(spec, inner_inv, outer_inv, None, scenario, 1)
 }
 
-/// [`execute`] with a worker knob: with `workers > 1` the candidates are
-/// ranked by their *parallel* estimates (`hhs_par`/`hvs_par`/`vvs_par` —
-/// scan terms divided by workers, seek terms unchanged) and the winner runs
-/// on the multi-threaded executors of [`crate::parallel`]. `workers == 1`
-/// is the classic section 6.1 procedure.
-pub fn execute_with_workers(
-    spec: &JoinSpec<'_>,
-    inner_inv: &InvertedFile,
-    outer_inv: &InvertedFile,
-    scenario: IoScenario,
-    workers: usize,
-) -> Result<IntegratedOutcome> {
-    execute_with_index(spec, inner_inv, outer_inv, None, scenario, workers)
-}
-
-/// [`execute_with_workers`] plus an optional signature index: when one is
-/// supplied, its measured page counts enter the cost inputs and FNL joins
-/// the candidate ranking. Without one, FNL's estimates are infinite and
-/// the procedure reduces to the classic three-way choice — every caller
-/// of the legacy entry points gets byte-identical behaviour.
+/// [`execute`] with a worker knob and an optional signature index. With
+/// `workers > 1` the candidates are ranked by their *parallel* estimates
+/// (`hhs_par`/`hvs_par`/`vvs_par` — scan terms divided by workers, seek
+/// terms unchanged) and the winner runs on the multi-threaded executors of
+/// [`crate::parallel`]; `workers == 1` is the classic section 6.1
+/// procedure. When an index is supplied, its measured page counts enter
+/// the cost inputs and FNL joins the candidate ranking; without one, FNL's
+/// estimates are infinite and the procedure reduces to the classic
+/// three-way choice.
 pub fn execute_with_index(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
@@ -120,18 +109,15 @@ pub fn execute_with_index(
         inputs = inputs.with_fnl(ix.stats());
     }
     let estimates = CostEstimates::compute(&inputs);
+    let ranked = rank(&inputs, &estimates, scenario, workers, |_, raw| raw);
+    let (cheapest, cheapest_cost, _) = ranked[0];
     let cost = |a: Algorithm| {
-        if workers > 1 {
-            par_cost::estimate(&inputs, a, workers as u64)
-        } else {
-            estimates.cost(a, scenario)
-        }
+        ranked
+            .iter()
+            .find(|r| r.0 == a)
+            .map_or(f64::INFINITY, |r| r.1)
     };
-    let cheapest = Algorithm::ALL
-        .into_iter()
-        .min_by(|a, b| cost(*a).total_cmp(&cost(*b)))
-        .expect("at least one algorithm");
-    if cost(cheapest).is_infinite() {
+    if cheapest_cost.is_infinite() {
         return Err(Error::InsufficientMemory {
             context: "no join algorithm is feasible in the given memory".into(),
             required_pages: 0,
@@ -161,11 +147,9 @@ pub fn execute_with_index(
     if root.is_enabled() {
         // Why this algorithm: the full cost ranking it won.
         root.detail(|| {
-            let mut ranked = Algorithm::ALL.map(|a| (a, cost(a)));
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
             let ranking = ranked
                 .iter()
-                .map(|(a, c)| format!("{a}={c:.1}"))
+                .map(|(a, c, _)| format!("{a}={c:.1}"))
                 .collect::<Vec<_>>()
                 .join(" < ");
             format!("chose {chosen}: {ranking}")
@@ -294,7 +278,7 @@ mod tests {
             .with_query(QueryParams::paper_base().with_lambda(5));
         let seq = execute(&spec, &inv1, &inv2, IoScenario::Dedicated).unwrap();
         assert_eq!(seq.workers, 1);
-        let par = execute_with_workers(&spec, &inv1, &inv2, IoScenario::Dedicated, 4).unwrap();
+        let par = execute_with_index(&spec, &inv1, &inv2, None, IoScenario::Dedicated, 4).unwrap();
         assert_eq!(par.workers, 4);
         assert_eq!(par.outcome.result, seq.outcome.result);
     }

@@ -11,7 +11,7 @@
 
 use crate::result::{JoinOutcome, ResultQuality};
 use std::fmt::Write as _;
-use textjoin_common::{Error, Result};
+use textjoin_common::{json, Error, Result};
 use textjoin_costmodel::Algorithm;
 use textjoin_obs::{Registry, Tracer, LATENCY_BOUNDS_NS};
 use textjoin_storage::IoStats;
@@ -170,9 +170,9 @@ impl QueryReport {
         let _ = write!(
             out,
             "{{\"query\":\"{}\",\"algorithm\":\"{}\",\"pair\":\"{}\",\"lambda\":{},\"buffer_pages\":{},\"seq_reads\":{},\"rand_reads\":{},\"measured_cost\":{:.3}",
-            escape(&self.query),
+            json::escape(&self.query),
             self.algorithm,
-            escape(&self.pair),
+            json::escape(&self.pair),
             self.lambda,
             self.buffer_pages,
             self.pages_read.seq_reads,
@@ -204,7 +204,7 @@ impl QueryReport {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"count\":{},\"total_us\":{}}}",
-                escape(&p.name),
+                json::escape(&p.name),
                 p.count,
                 p.total_us
             );
@@ -219,15 +219,15 @@ impl QueryReport {
     /// fields are an [`Error::Parse`].
     pub fn from_json(s: &str) -> Result<Self> {
         let need = |key: &str| -> Result<f64> {
-            json_num_field(s, key)
+            json::num_field(s, key)
                 .ok_or_else(|| Error::Parse(format!("report JSON missing numeric '{key}'")))
         };
-        let query = json_str_field(s, "query")
+        let query = json::str_field(s, "query")
             .ok_or_else(|| Error::Parse("report JSON missing 'query'".into()))?;
-        let algorithm: Algorithm = json_str_field(s, "algorithm")
+        let algorithm: Algorithm = json::str_field(s, "algorithm")
             .ok_or_else(|| Error::Parse("report JSON missing 'algorithm'".into()))?
             .parse()?;
-        let quality = match json_str_field(s, "quality").as_deref() {
+        let quality = match json::str_field(s, "quality").as_deref() {
             Some("full") => ResultQuality::Full,
             Some("partial") => ResultQuality::Partial,
             other => {
@@ -244,11 +244,11 @@ impl QueryReport {
                     break;
                 };
                 let obj = &rest[open..open + close + 1];
-                let name = json_str_field(obj, "name")
+                let name = json::str_field(obj, "name")
                     .ok_or_else(|| Error::Parse("phase missing 'name'".into()))?;
-                let count = json_num_field(obj, "count")
+                let count = json::num_field(obj, "count")
                     .ok_or_else(|| Error::Parse("phase missing 'count'".into()))?;
-                let total_us = json_num_field(obj, "total_us")
+                let total_us = json::num_field(obj, "total_us")
                     .ok_or_else(|| Error::Parse("phase missing 'total_us'".into()))?;
                 phases.push(PhaseDuration {
                     name,
@@ -261,18 +261,18 @@ impl QueryReport {
         Ok(Self {
             query,
             algorithm,
-            pair: json_str_field(s, "pair").unwrap_or_default(),
-            lambda: json_num_field(s, "lambda").unwrap_or(0.0) as u64,
-            buffer_pages: json_num_field(s, "buffer_pages").unwrap_or(0.0) as u64,
-            sim_ops: json_num_field(s, "sim_ops").unwrap_or(0.0) as u64,
-            cells_touched: json_num_field(s, "cells_touched").unwrap_or(0.0) as u64,
+            pair: json::str_field(s, "pair").unwrap_or_default(),
+            lambda: json::num_field(s, "lambda").unwrap_or(0.0) as u64,
+            buffer_pages: json::num_field(s, "buffer_pages").unwrap_or(0.0) as u64,
+            sim_ops: json::num_field(s, "sim_ops").unwrap_or(0.0) as u64,
+            cells_touched: json::num_field(s, "cells_touched").unwrap_or(0.0) as u64,
             pages_read: IoStats {
                 seq_reads: need("seq_reads")? as u64,
                 rand_reads: need("rand_reads")? as u64,
                 writes: 0,
             },
             measured_cost: need("measured_cost")?,
-            predicted_cost: json_num_field(s, "predicted_cost"),
+            predicted_cost: json::num_field(s, "predicted_cost"),
             wall_ns: need("wall_ns")? as u64,
             cache_hits: need("cache_hits")? as u64,
             entry_fetches: need("entry_fetches")? as u64,
@@ -320,18 +320,18 @@ impl QueryReport {
 /// of what to do with unknown ones to the fitter's fallback rules.
 pub fn observation_from_json(s: &str) -> Result<textjoin_costmodel::ReportObs> {
     let need = |key: &str| -> Result<f64> {
-        json_num_field(s, key)
+        json::num_field(s, key)
             .ok_or_else(|| Error::Parse(format!("report JSON missing numeric '{key}'")))
     };
     Ok(textjoin_costmodel::ReportObs {
-        pair: json_str_field(s, "pair").unwrap_or_default(),
-        algorithm: json_str_field(s, "algorithm")
+        pair: json::str_field(s, "pair").unwrap_or_default(),
+        algorithm: json::str_field(s, "algorithm")
             .ok_or_else(|| Error::Parse("report JSON missing 'algorithm'".into()))?,
         seq_reads: need("seq_reads")? as u64,
         rand_reads: need("rand_reads")? as u64,
-        cells: json_num_field(s, "cells_touched").unwrap_or(0.0) as u64,
+        cells: json::num_field(s, "cells_touched").unwrap_or(0.0) as u64,
         wall_ns: need("wall_ns")? as u64,
-        predicted_cost: json_num_field(s, "predicted_cost"),
+        predicted_cost: json::num_field(s, "predicted_cost"),
         measured_cost: need("measured_cost")?,
     })
 }
@@ -353,62 +353,6 @@ fn phase_durations(trace: &Tracer) -> Vec<PhaseDuration> {
         }
     }
     phases
-}
-
-/// The text following `"key":` in `s`, or `None`.
-fn json_field_start<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let i = s.find(&pat)?;
-    Some(s[i + pat.len()..].trim_start())
-}
-
-/// Extracts and unescapes the string value of `"key":"…"`.
-fn json_str_field(s: &str, key: &str) -> Option<String> {
-    let rest = json_field_start(s, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":<number>`.
-fn json_num_field(s: &str, key: &str) -> Option<f64> {
-    let rest = json_field_start(s, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Which measurement ranks reports in the [`SlowQueryLog`].

@@ -30,9 +30,9 @@
 //!
 //! **Skew-aware partitioning.** Zipfian term frequencies make uniform
 //! term-id spans collapse: the span holding the heavy head terms does
-//! nearly all the I/O. [`weighted_boundaries`] sizes ranges by *cumulative
+//! nearly all the I/O. `weighted_boundaries` sizes ranges by *cumulative
 //! document frequency* instead (NOCAP-style load-aware sizing), and
-//! [`skew_aware_assignment`] recursively re-partitions any range whose
+//! `skew_aware_assignment` recursively re-partitions any range whose
 //! load exceeds `bound × total/S` (the Robust Dynamic Hybrid Hash Join
 //! fallback), bin-packing the pieces back onto the S sites.
 //!

@@ -25,7 +25,7 @@
 
 use crate::integrated::Algorithm;
 use std::collections::BTreeMap;
-use textjoin_common::{Error, Result};
+use textjoin_common::{json, Error, Result};
 
 /// Format version written into every serialized profile; loading a
 /// different version is rejected so stale profiles cannot silently skew
@@ -252,7 +252,7 @@ impl CalibrationProfile {
             let (pair, alg) = k.rsplit_once('/').expect("key has a '/'");
             s.push_str(&format!(
                 "{{\"pair\":\"{}\",\"algorithm\":\"{}\",\"factor\":{:.6}}}",
-                escape(pair),
+                json::escape(pair),
                 alg,
                 factor
             ));
@@ -265,6 +265,11 @@ impl CalibrationProfile {
     /// than [`CALIBRATION_VERSION`] is an error — refit rather than trust
     /// constants produced by a different procedure.
     pub fn from_json(s: &str) -> Result<Self> {
+        let lacks = |name: &str| Error::Parse(format!("calibration profile lacks \"{name}\""));
+        let num_field =
+            |obj: &str, name: &str| json::num_field(obj, name).ok_or_else(|| lacks(name));
+        let str_field =
+            |obj: &str, name: &str| json::str_field(obj, name).ok_or_else(|| lacks(name));
         let version = num_field(s, "version")? as u32;
         if version != CALIBRATION_VERSION {
             return Err(Error::Parse(format!(
@@ -304,47 +309,6 @@ impl CalibrationProfile {
             cpu_per_cell_ns,
             corrections,
         })
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn num_field(s: &str, name: &str) -> Result<f64> {
-    let pat = format!("\"{name}\":");
-    let start = s
-        .find(&pat)
-        .ok_or_else(|| Error::Parse(format!("calibration profile lacks \"{name}\"")))?
-        + pat.len();
-    let rest = &s[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '+' | '-' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| Error::Parse(format!("bad number for \"{name}\"")))
-}
-
-fn str_field(s: &str, name: &str) -> Result<String> {
-    let pat = format!("\"{name}\":\"");
-    let start = s
-        .find(&pat)
-        .ok_or_else(|| Error::Parse(format!("calibration profile lacks \"{name}\"")))?
-        + pat.len();
-    let rest = &s[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next() {
-            None => return Err(Error::Parse(format!("unterminated string for \"{name}\""))),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some(c) => out.push(c),
-                None => return Err(Error::Parse("dangling escape".into())),
-            },
-            Some(c) => out.push(c),
-        }
     }
 }
 
@@ -452,6 +416,9 @@ mod tests {
 
     #[test]
     fn profile_json_round_trips() {
+        // A pair key is outside text: quotes, a backslash and a newline
+        // must survive the trip and must not break the one-line record.
+        let awkward = "asym \"metric\"\\\n\u{1}";
         let observations: Vec<ReportObs> = (1..=6)
             .flat_map(|i| {
                 [
@@ -463,20 +430,16 @@ mod tests {
                         7.0,
                         90.0 * i as f64,
                     ),
-                    obs(
-                        "asymmetric",
-                        Algorithm::Vvm,
-                        50 * i,
-                        2 * i,
-                        7.0,
-                        60.0 * i as f64,
-                    ),
+                    obs(awkward, Algorithm::Vvm, 50 * i, 2 * i, 7.0, 60.0 * i as f64),
                 ]
             })
             .collect();
         let p = CalibrationProfile::fit(&observations);
         assert!(!p.is_seed());
-        let parsed = CalibrationProfile::from_json(&p.to_json()).unwrap();
+        let json = p.to_json();
+        assert!(!json.contains(['\n', '\u{1}']), "{json}");
+        let parsed = CalibrationProfile::from_json(&json).unwrap();
+        assert!(parsed.corrections.keys().eq(p.corrections.keys()));
         assert_eq!(parsed.version, p.version);
         assert_eq!(parsed.samples, p.samples);
         assert!((parsed.alpha_hat - p.alpha_hat).abs() < 1e-6);
@@ -484,7 +447,7 @@ mod tests {
         assert!((parsed.cpu_per_cell_ns - p.cpu_per_cell_ns).abs() < 1e-6);
         for (pair, alg) in [
             ("balanced", Algorithm::Hhnl),
-            ("asymmetric", Algorithm::Vvm),
+            (awkward, Algorithm::Vvm),
             ("unseen", Algorithm::Hhnl),
         ] {
             assert!(

@@ -15,8 +15,8 @@
 
 use crate::live::LiveRegistry;
 use crate::metrics::Registry;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -92,33 +92,72 @@ impl Drop for IntrospectionServer {
     }
 }
 
+/// What one connection may make the server hold: the request line, then
+/// the header section as a whole and by line count. A request over any of
+/// them is answered (`400` / `431`) and closed, never buffered.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
+const MAX_HEADER_BYTES: u64 = 32 * 1024;
+const MAX_HEADER_LINES: usize = 64;
+/// How much of a refused request is read and discarded before closing, so
+/// a client still mid-send sees the answer rather than a reset.
+const MAX_DISCARD: u64 = 4 * 1024 * 1024;
+
 fn serve_one(stream: TcpStream, registry: &Registry, live: &LiveRegistry) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers until the blank line; the body (none of our routes
-    // take one) is ignored.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
-    }
+    (&mut reader)
+        .take(MAX_REQUEST_LINE)
+        .read_line(&mut request_line)?;
+    let refused = if !request_line.ends_with('\n') && !request_line.is_empty() {
+        Some("400 Bad Request")
+    } else if !drain_headers(&mut reader)? {
+        Some("431 Request Header Fields Too Large")
+    } else {
+        None
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = route(method, path, registry, live);
-    let mut stream = reader.into_inner();
+    let (status, content_type, body) = match refused {
+        Some(status) => (status, JSON, "{\"error\":\"request too large\"}\n".into()),
+        None => route(method, path, registry, live),
+    };
+    let mut stream = reader.get_ref();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
     stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    if refused.is_some() {
+        stream.shutdown(Shutdown::Write)?;
+        io::copy(&mut reader.take(MAX_DISCARD), &mut io::sink())?;
+    }
+    Ok(())
 }
+
+/// Reads headers up to the blank line (the body — none of our routes take
+/// one — is ignored); `false` when the section exceeds
+/// [`MAX_HEADER_BYTES`] or [`MAX_HEADER_LINES`].
+fn drain_headers(reader: &mut BufReader<TcpStream>) -> io::Result<bool> {
+    let mut section = reader.take(MAX_HEADER_BYTES);
+    for _ in 0..=MAX_HEADER_LINES {
+        let mut line = String::new();
+        if section.read_line(&mut line)? == 0 {
+            // End of input, or the byte cap cut the section short.
+            return Ok(section.limit() > 0);
+        }
+        if line == "\r\n" || line == "\n" {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+const JSON: &str = "application/json";
 
 fn route(
     method: &str,
@@ -126,7 +165,6 @@ fn route(
     registry: &Registry,
     live: &LiveRegistry,
 ) -> (&'static str, &'static str, String) {
-    const JSON: &str = "application/json";
     match (method, path) {
         ("GET", "/healthz") => ("200 OK", "text/plain; charset=utf-8", "ok\n".into()),
         ("GET", "/metrics") => (
@@ -197,10 +235,18 @@ mod tests {
         assert_eq!(body, registry.to_prometheus_text());
         assert!(body.contains("pages_read"), "{body}");
 
+        // `elapsed_ms` moves between two snapshots; the ticket's identity
+        // does not.
         let (head, body) = request(addr, "GET /queries HTTP/1.1");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert_eq!(body, live.to_json());
-        assert!(body.contains("\"pair\":\"wsj/ziff\""), "{body}");
+        for field in [
+            format!("\"id\":{id},"),
+            "\"pair\":\"wsj/ziff\"".into(),
+            "\"algorithm\":\"hhs\"".into(),
+            "\"cancelled\":false".into(),
+        ] {
+            assert!(body.contains(&field), "{field} not in {body}");
+        }
 
         let (head, _) = request(addr, &format!("POST /queries/{id}/cancel HTTP/1.1"));
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -212,6 +258,39 @@ mod tests {
         let (head, _) = request(addr, "GET /nope HTTP/1.1");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
 
+        server.stop();
+    }
+
+    /// One client cannot make the server buffer without bound: an endless
+    /// request line and an endless header section are each answered and
+    /// closed, and the server keeps serving.
+    #[test]
+    fn oversized_requests_are_refused_and_the_server_stays_up() {
+        let server = IntrospectionServer::start(
+            "127.0.0.1:0",
+            Arc::new(Registry::new()),
+            LiveRegistry::new(),
+        )
+        .unwrap();
+        let addr = server.addr();
+        let long_line = format!("GET /{} HTTP/1.1", "a".repeat(1 << 20));
+        let many_headers = format!("GET /healthz HTTP/1.1{}", "\r\nX-Pad: 1".repeat(10_000));
+        let fat_header = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}", "b".repeat(1 << 20));
+        for (req, status) in [
+            (long_line, "400"),
+            (many_headers, "431"),
+            (fat_header, "431"),
+        ] {
+            let (head, _) = request(addr, &req);
+            assert!(head.starts_with(&format!("HTTP/1.1 {status}")), "{head}");
+            let (head, body) = request(addr, "GET /healthz HTTP/1.1");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(body, "ok\n");
+        }
+        // Right at the caps is still served.
+        let pad = "\r\nX-Pad: 1".repeat(MAX_HEADER_LINES - 1);
+        let (head, _) = request(addr, &format!("GET /healthz HTTP/1.1{pad}"));
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         server.stop();
     }
 

@@ -1,17 +1,21 @@
 //! Plan execution: run the chosen join algorithm and project result tuples.
+//!
+//! One verb, [`execute`] (batch: [`execute_batch`]), over one
+//! [`ExecOptions`] value: tracing, the drift watchdog and live
+//! introspection are fields that compose, and the system and query
+//! parameters are read from the plan — what runs is what was planned.
 
 use crate::catalog::{Catalog, Relation, TextColumn, Value};
 use crate::parser::parse;
-use crate::planner::{
-    plan, plan_batch, plan_with_shards, plan_with_workers, BatchPlan, OutputCol, Plan,
-};
+use crate::planner::{plan_query, BatchPlan, OutputCol, Plan, PlanOptions};
 use textjoin_common::{Error, QueryParams, Result, Score, SystemParams};
 use textjoin_core::integrated::with_fallback;
 use textjoin_core::{
-    batch, execute_sharded, Algorithm, ExecStats, Indexes, IoScenario, JoinResult, JoinSpec,
-    OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
+    batch, execute_sharded, Algorithm, ExecStats, Indexes, IoScenario, JoinOutcome, JoinResult,
+    JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
+    ShardedOutcome,
 };
-use textjoin_obs::{LiveRegistry, TicketGuard};
+use textjoin_obs::{LiveRegistry, TicketGuard, Tracer};
 
 /// Live-introspection handle for plan execution: where to file the
 /// in-flight [`textjoin_obs::QueryTicket`] and the query text `/queries`
@@ -22,21 +26,34 @@ use textjoin_obs::{LiveRegistry, TicketGuard};
 pub struct Introspect<'r> {
     /// Registry the in-flight ticket lives in.
     pub live: &'r LiveRegistry,
-    /// Human-readable query text for the ticket.
+    /// Human-readable query text for the ticket (a batch labels its
+    /// members `"{query} [k/N]"`).
     pub query: &'r str,
 }
 
-/// `Some(pages)` when a prediction is a usable page count for the ticket.
-fn finite_pages(pages: f64) -> Option<f64> {
-    (pages.is_finite() && pages > 0.0).then_some(pages)
-}
-
-/// The `C2.col ⋈ C1.col` pair key shown by `/queries`.
-fn pair_key(p: &Plan) -> String {
-    format!(
-        "{}.{} ⋈ {}.{}",
-        p.outer_rel, p.outer_column, p.inner_rel, p.inner_column
-    )
+/// How to run a plan — the one options value [`execute`] and
+/// [`execute_batch`] take. The default runs untraced, unwatched and
+/// unregistered; every field composes with every other and with whatever
+/// the plan says about workers and shards.
+#[derive(Clone, Copy, Default)]
+pub struct ExecOptions<'a> {
+    /// Open executor spans on this tracer (the `EXPLAIN ANALYZE` path).
+    pub trace: Option<&'a Tracer>,
+    /// Arm the drift watchdog: the chosen algorithm may spend at most
+    /// `drift_factor ×` its (calibrated) predicted page cost. If it
+    /// overruns — the prediction was badly optimistic — the run aborts
+    /// mid-flight with `Error::CostOverrun` and re-plans onto the
+    /// next-cheapest algorithm, which executes unwatched (the budget
+    /// belonged to the aborted prediction). Results are identical either
+    /// way; only the I/O spent differs. Sharded sites run unwatched.
+    pub drift_factor: Option<f64>,
+    /// Register the run in a live registry: an in-flight ticket (query
+    /// text, pair, algorithm, calibrated prediction, watchdog budget,
+    /// worker count; one per site when sharded, one per member of a
+    /// batch) that every executor checkpoint feeds and whose cancel token
+    /// the run honours — `/queries/<id>/cancel` stops it with a `Partial`
+    /// result, and cancelling one batch member leaves its siblings alone.
+    pub introspect: Option<Introspect<'a>>,
 }
 
 /// Measured per-site breakdown of a sharded run (`Plan::shards > 1`):
@@ -58,6 +75,21 @@ pub struct ShardExecution {
     pub partitioning: ShardPartitioning,
 }
 
+impl ShardExecution {
+    /// A sharded run as the merged outcome plus everything else it measured.
+    pub(crate) fn split(run: ShardedOutcome) -> (JoinOutcome, Self) {
+        let tail = Self {
+            reports: run.shards,
+            shipped_pages: run.shipped_pages,
+            comm_cost: run.comm_cost,
+            max_shard_pages: run.max_shard_pages,
+            network_ns: run.network_ns,
+            partitioning: run.partitioning,
+        };
+        (run.outcome, tail)
+    }
+}
+
 /// The result of running a textual-join query.
 pub struct QueryOutput {
     /// Column headers, ending with the implicit `SIMILARITY` column.
@@ -77,7 +109,9 @@ pub struct QueryOutput {
     pub sharded: Option<ShardExecution>,
 }
 
-/// Parses, plans and executes a query against the catalog.
+/// Parses, plans at [`PlanOptions::new`] and executes at
+/// [`ExecOptions::default`]. Pinned by `benchmark/`; delete once it may
+/// change.
 pub fn run_query(
     catalog: &Catalog,
     sql: &str,
@@ -85,13 +119,11 @@ pub fn run_query(
     base_query_params: QueryParams,
     scenario: IoScenario,
 ) -> Result<QueryOutput> {
-    let query = parse(sql)?;
-    let p = plan(catalog, &query, sys, base_query_params, scenario)?;
-    execute_plan(catalog, &p, sys, base_query_params)
+    run_query_with_workers(catalog, sql, sys, base_query_params, scenario, 1)
 }
 
-/// [`run_query`] with a worker knob: plans on the parallel cost estimates
-/// and executes the winning algorithm on `workers` threads.
+/// [`run_query`] with only the worker knob set. Pinned by `benchmark/`;
+/// delete once it may change.
 pub fn run_query_with_workers(
     catalog: &Catalog,
     sql: &str,
@@ -100,161 +132,39 @@ pub fn run_query_with_workers(
     scenario: IoScenario,
     workers: usize,
 ) -> Result<QueryOutput> {
-    let query = parse(sql)?;
-    let p = plan_with_workers(catalog, &query, sys, base_query_params, scenario, workers)?;
-    execute_plan(catalog, &p, sys, base_query_params)
+    let o = PlanOptions::new(sys, base_query_params, scenario);
+    let p = plan_query(catalog, &parse(sql)?, &PlanOptions { workers, ..o })?;
+    execute(catalog, &p, &ExecOptions::default())
 }
 
-/// [`run_query`] in the multidatabase setting: the join is partitioned
-/// across `shards` simulated sites (each with its own drive and `workers`
-/// threads), intermediate structures are shipped at the default network
-/// pricing, and per-site top-λ lists are merged into the exact global
-/// answer. `QueryOutput::sharded` carries the per-site measurements.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_sharded(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-    shards: usize,
-    partitioning: ShardPartitioning,
-) -> Result<QueryOutput> {
-    let query = parse(sql)?;
-    let mut p = plan_with_shards(
-        catalog,
-        &query,
-        sys,
-        base_query_params,
-        scenario,
-        workers,
-        shards,
-        textjoin_costmodel::CommParams::default_network(),
-    )?;
-    p.shard_partitioning = partitioning;
-    execute_plan(catalog, &p, sys, base_query_params)
-}
-
-/// [`run_query`] with live introspection: the run registers an in-flight
-/// ticket in `live` (query text, pair, algorithm, calibrated prediction,
-/// worker count), feeds it progress at every executor checkpoint, and
-/// honours its cancel token — `/queries` sees the run, `/queries/<id>/cancel`
-/// stops it with a `Partial` result.
-pub fn run_query_introspected(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    live: &LiveRegistry,
-) -> Result<QueryOutput> {
-    let query = parse(sql)?;
-    let p = plan(catalog, &query, sys, base_query_params, scenario)?;
-    execute_plan_inner(
-        catalog,
-        &p,
-        sys,
-        base_query_params,
-        None,
-        None,
-        Some(Introspect { live, query: sql }),
-    )
-}
-
-/// Executes an already-planned query.
+/// [`execute`] at [`ExecOptions::default`]; `sys` and the query parameters
+/// must be the ones planned for. Pinned by `benchmark/`; delete once it
+/// may change.
 pub fn execute_plan(
     catalog: &Catalog,
     p: &Plan,
     sys: SystemParams,
     base_query_params: QueryParams,
 ) -> Result<QueryOutput> {
-    execute_plan_traced(catalog, p, sys, base_query_params, None)
+    p.check_planned_for(sys, base_query_params)?;
+    execute(catalog, p, &ExecOptions::default())
 }
 
-/// Executes an already-planned query, opening executor spans on `trace`
-/// when one is given (the `EXPLAIN ANALYZE` path).
-pub fn execute_plan_traced(
-    catalog: &Catalog,
-    p: &Plan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    trace: Option<&textjoin_obs::Tracer>,
-) -> Result<QueryOutput> {
-    execute_plan_inner(catalog, p, sys, base_query_params, trace, None, None)
-}
-
-/// [`execute_plan_traced`] with live introspection (see
-/// [`run_query_introspected`]).
+/// [`execute`] traced and registered; `sys` and the query parameters must
+/// be the ones planned for. Pinned by `benchmark/`; delete once it may
+/// change.
 pub fn execute_plan_introspected(
     catalog: &Catalog,
     p: &Plan,
     sys: SystemParams,
     base_query_params: QueryParams,
-    trace: Option<&textjoin_obs::Tracer>,
+    trace: Option<&Tracer>,
     introspect: Introspect<'_>,
 ) -> Result<QueryOutput> {
-    execute_plan_inner(
-        catalog,
-        p,
-        sys,
-        base_query_params,
-        trace,
-        None,
-        Some(introspect),
-    )
-}
-
-/// Executes a plan with the drift watchdog armed: the chosen algorithm may
-/// spend at most `drift_factor ×` its (calibrated) predicted page cost.
-/// If it overruns — the prediction was badly optimistic — the run aborts
-/// mid-flight with `Error::CostOverrun` and re-plans onto the
-/// next-cheapest algorithm, which executes unwatched (the budget belonged
-/// to the aborted prediction). Results are identical either way; only the
-/// I/O spent differs.
-pub fn execute_plan_watched(
-    catalog: &Catalog,
-    p: &Plan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    trace: Option<&textjoin_obs::Tracer>,
-    drift_factor: f64,
-) -> Result<QueryOutput> {
-    execute_plan_watched_introspected(
-        catalog,
-        p,
-        sys,
-        base_query_params,
-        trace,
-        drift_factor,
-        None,
-    )
-}
-
-/// [`execute_plan_watched`] with optional live introspection: the ticket
-/// additionally carries the watchdog budget, so `/queries` shows each
-/// run's remaining headroom.
-pub fn execute_plan_watched_introspected(
-    catalog: &Catalog,
-    p: &Plan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    trace: Option<&textjoin_obs::Tracer>,
-    drift_factor: f64,
-    introspect: Option<Introspect<'_>>,
-) -> Result<QueryOutput> {
-    let predicted = p.chosen_prediction().calibrated;
-    let budget = (predicted.is_finite() && predicted > 0.0 && drift_factor.is_finite())
-        .then_some(predicted * drift_factor);
-    execute_plan_inner(
-        catalog,
-        p,
-        sys,
-        base_query_params,
-        trace,
-        budget,
-        introspect,
-    )
+    p.check_planned_for(sys, base_query_params)?;
+    let mut o = ExecOptions::default();
+    (o.trace, o.introspect) = (trace, Some(introspect));
+    execute(catalog, p, &o)
 }
 
 /// The catalog objects a plan names.
@@ -294,136 +204,162 @@ pub(crate) fn resolve<'c>(catalog: &'c Catalog, p: &Plan) -> Result<Resolved<'c>
     })
 }
 
-fn execute_plan_inner(
-    catalog: &Catalog,
-    p: &Plan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    trace: Option<&textjoin_obs::Tracer>,
-    cost_budget: Option<f64>,
-    introspect: Option<Introspect<'_>>,
-) -> Result<QueryOutput> {
-    let Resolved {
-        inner_rel,
-        outer_rel,
-        inner_tc,
-        outer_tc,
-    } = resolve(catalog, p)?;
+impl<'c> Resolved<'c> {
+    /// The join `p` describes over these collections, under the system and
+    /// query parameters it was planned for. Plans of one batch all borrow
+    /// the *same* `Collection` values — the identity the batch executors
+    /// insist on.
+    pub(crate) fn spec(&self, p: &'c Plan) -> JoinSpec<'c> {
+        let mut spec = JoinSpec::new(&self.inner_tc.collection, &self.outer_tc.collection)
+            .with_sys(p.inputs.sys)
+            .with_query(p.inputs.query);
+        if let Some(ids) = &p.outer_rows {
+            spec = spec.with_outer_docs(OuterDocs::Selected(ids));
+        }
+        if let Some(ids) = &p.inner_rows {
+            spec = spec.with_inner_docs(ids);
+        }
+        spec
+    }
 
-    let mut spec = JoinSpec::new(&inner_tc.collection, &outer_tc.collection)
-        .with_sys(sys)
-        .with_query(base_query_params.with_lambda(p.lambda));
-    if let Some(ids) = &p.outer_rows {
-        spec = spec.with_outer_docs(OuterDocs::Selected(ids));
+    /// Every index file of the pair.
+    pub(crate) fn indexes(&self) -> Indexes<'c> {
+        let (inner, outer) = (self.inner_tc, self.outer_tc);
+        Indexes::all(&inner.inverted, &outer.inverted, &inner.fnl)
     }
-    if let Some(ids) = &p.inner_rows {
-        spec = spec.with_inner_docs(ids);
-    }
+}
+
+/// `Some(pages)` when a prediction is a usable page count for the ticket.
+fn finite_pages(pages: f64) -> Option<f64> {
+    (pages.is_finite() && pages > 0.0).then_some(pages)
+}
+
+/// The watchdog budget `drift_factor × predicted`, when both are usable.
+fn watchdog_budget(drift_factor: Option<f64>, predicted: f64) -> Option<f64> {
+    let factor = drift_factor.filter(|f| f.is_finite())?;
+    finite_pages(predicted).map(|pages| pages * factor)
+}
+
+/// Registers `p`'s in-flight ticket before the first page is read: the
+/// `C2.col ⋈ C1.col` pair key, `alg`'s calibrated prediction (the progress
+/// denominator), the watchdog budget if armed, and the worker count.
+fn register(
+    i: &Introspect<'_>,
+    text: &str,
+    p: &Plan,
+    alg: Algorithm,
+    budget: Option<f64>,
+    workers: usize,
+) -> TicketGuard {
+    let pair = format!(
+        "{}.{} ⋈ {}.{}",
+        p.outer_rel, p.outer_column, p.inner_rel, p.inner_column
+    );
+    let predicted = finite_pages(p.prediction(alg).calibrated);
+    i.live.register(
+        text,
+        pair,
+        alg.to_string(),
+        predicted,
+        budget,
+        workers as u64,
+    )
+}
+
+/// Attaches what observes a run — tracer, ticket and its cancel token.
+fn observed<'a>(
+    mut spec: JoinSpec<'a>,
+    trace: Option<&'a Tracer>,
+    guard: Option<&'a TicketGuard>,
+) -> JoinSpec<'a> {
     if let Some(t) = trace {
         spec = spec.with_trace(t);
     }
-    if let Some(budget) = cost_budget {
-        spec = spec.with_cost_budget(budget);
-    }
-    // Register the in-flight ticket before the first page is read: it
-    // carries the plan's calibrated prediction (the progress denominator),
-    // the watchdog budget if armed, and the worker count. The guard's
-    // lifetime is this function — RAII deregistration covers every exit.
-    let guard: Option<TicketGuard> = introspect.map(|i| {
-        i.live.register(
-            i.query,
-            pair_key(p),
-            p.chosen.to_string(),
-            finite_pages(p.chosen_prediction().calibrated),
-            cost_budget,
-            p.workers as u64,
-        )
-    });
-    if let Some(g) = &guard {
+    if let Some(g) = guard {
         spec = spec
             .with_ticket(g.ticket())
             .with_cancel(g.ticket().cancel_token());
     }
+    spec
+}
 
-    // Sharded plans take the multi-site path: partition, run one join per
-    // site, merge at the coordinator. There is no single-node fallback
-    // chain here — the sharded executor degrades per site (an unreadable
-    // site skips data and marks its report `Partial`) instead of
-    // re-planning the whole query.
-    if p.shards > 1 {
-        let mut opts = ShardOptions::new(p.shards)
-            .with_partitioning(p.shard_partitioning)
-            .with_comm(p.comm)
-            .with_workers(p.workers.max(1));
-        if let Some(i) = introspect {
-            opts = opts.with_live(i.live);
-        }
-        let run = execute_sharded(&spec, p.chosen, &opts)?;
-        let (headers, rows) = project(p, inner_rel, outer_rel, &run.outcome.result);
-        return Ok(QueryOutput {
-            headers,
-            rows,
-            algorithm: p.chosen,
-            stats: run.outcome.stats,
-            quality: run.outcome.quality,
-            sharded: Some(ShardExecution {
-                reports: run.shards,
-                shipped_pages: run.shipped_pages,
-                comm_cost: run.comm_cost,
-                max_shard_pages: run.max_shard_pages,
-                network_ns: run.network_ns,
-                partitioning: run.partitioning,
-            }),
-        });
-    }
+/// Keeps a live ticket honest across a re-plan: new algorithm label, its
+/// prediction as the new progress denominator, and no budget (fallbacks
+/// run with the watchdog disarmed).
+fn relabel(guard: &TicketGuard, p: &Plan, alg: Algorithm) {
+    let ticket = guard.ticket();
+    ticket.set_algorithm(alg.to_string());
+    ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
+    ticket.set_budget_pages(None);
+}
 
-    // Run the plan's choice; if it dies mid-run on unreadable storage (a
-    // corrupt page, an exhausted retry), turns out infeasible in memory or
-    // overruns its watchdog budget (the cost prediction was badly
-    // optimistic), re-plan onto the remaining feasible algorithms
-    // cheapest-first. Fallbacks run with the watchdog disarmed: the budget
-    // was derived from the aborted choice's prediction.
-    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
-    let unwatched = spec.without_cost_budget();
-    let (executed, _, outcome) = with_fallback(
+/// The multi-site configuration a plan asks for.
+pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
+    ShardOptions::new(p.shards)
+        .with_partitioning(p.shard_partitioning)
+        .with_comm(p.comm)
+        .with_workers(p.workers.max(1))
+}
+
+/// Executes a planned query under the system and query parameters it was
+/// planned for (`Plan::inputs`).
+///
+/// Runs the plan's choice — on `Plan::workers` threads, across
+/// `Plan::shards` sites when sharded. If it dies mid-run on unreadable
+/// storage (a corrupt page, an exhausted retry), turns out infeasible in
+/// memory or overruns its watchdog budget, the run re-plans onto the
+/// remaining feasible algorithms in the plan's own order (cheapest
+/// calibrated prediction first). Fallbacks run with the watchdog disarmed:
+/// the budget was derived from the aborted choice's prediction.
+pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<QueryOutput> {
+    let r = resolve(catalog, p)?;
+    let budget = watchdog_budget(o.drift_factor, p.chosen_prediction().calibrated);
+    // The guard's lifetime is this function — RAII deregistration covers
+    // every exit.
+    let guard = o
+        .introspect
+        .map(|i| register(&i, i.query, p, p.chosen, budget, p.workers));
+    let unwatched = observed(r.spec(p), o.trace, guard.as_ref());
+    let spec = JoinSpec {
+        cost_budget: budget,
+        ..unwatched
+    };
+    let indexes = r.indexes();
+    let sites = shard_options(p);
+    let sites = o.introspect.map_or(sites, |i| sites.with_live(i.live));
+    let (algorithm, _, (outcome, sharded)) = with_fallback(
         p.chosen,
-        |alg| p.estimates.cost(alg, IoScenario::Dedicated),
+        |alg| p.prediction(alg).calibrated,
         |alg, failed| {
-            if failed == 0 {
-                return textjoin_core::execute(alg, &spec, &indexes, p.workers);
+            let spec = if failed == 0 { &spec } else { &unwatched };
+            if let Some(g) = guard.as_ref().filter(|_| failed > 0) {
+                relabel(g, p, alg);
             }
-            // Keep the live ticket honest across the re-plan: new
-            // algorithm label, its prediction as the new progress
-            // denominator, and no budget (the watchdog is disarmed).
-            if let Some(g) = &guard {
-                let ticket = g.ticket();
-                ticket.set_algorithm(alg.to_string());
-                ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
-                ticket.set_budget_pages(None);
+            if p.shards > 1 {
+                let run = execute_sharded(spec, alg, &sites)?;
+                let (outcome, tail) = ShardExecution::split(run);
+                return Ok((outcome, Some(tail)));
             }
-            textjoin_core::execute(alg, &unwatched, &indexes, p.workers)
+            Ok((
+                textjoin_core::execute(alg, spec, &indexes, p.workers)?,
+                None,
+            ))
         },
     )?;
-
-    let (headers, rows) = project(p, inner_rel, outer_rel, &outcome.result);
+    let (headers, rows) = project(p, &r, &outcome.result);
     Ok(QueryOutput {
         headers,
         rows,
-        algorithm: executed,
+        algorithm,
         stats: outcome.stats,
         quality: outcome.quality,
-        sharded: None,
+        sharded,
     })
 }
 
 /// Projects a join result: one tuple per `(outer row, match)` pair, plus
 /// the implicit `SIMILARITY` column.
-fn project(
-    p: &Plan,
-    inner_rel: &Relation,
-    outer_rel: &Relation,
-    result: &JoinResult,
-) -> (Vec<String>, Vec<Vec<Value>>) {
+fn project(p: &Plan, r: &Resolved<'_>, result: &JoinResult) -> (Vec<String>, Vec<Vec<Value>>) {
     let mut headers: Vec<String> = p.output.iter().map(|(h, _)| h.clone()).collect();
     headers.push("SIMILARITY".to_string());
     let mut rows = Vec::with_capacity(result.num_pairs());
@@ -432,8 +368,8 @@ fn project(
             let mut tuple = Vec::with_capacity(p.output.len() + 1);
             for (_, col) in &p.output {
                 let v = match col {
-                    OutputCol::Outer(i) => outer_rel.value(outer_doc.index(), *i).clone(),
-                    OutputCol::Inner(i) => inner_rel.value(m.inner.index(), *i).clone(),
+                    OutputCol::Outer(i) => r.outer_rel.value(outer_doc.index(), *i).clone(),
+                    OutputCol::Inner(i) => r.inner_rel.value(m.inner.index(), *i).clone(),
                 };
                 tuple.push(v);
             }
@@ -457,152 +393,72 @@ pub struct BatchQueryOutput {
     pub algorithm: Algorithm,
 }
 
-/// Parses, plans and executes a batch of queries over one shared textual
-/// column pair. The batch engine reads shared structures (inner scans, the
-/// inverted-file dictionary, merge cursors) once for all queries.
-pub fn run_query_batch(
-    catalog: &Catalog,
-    sqls: &[&str],
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-) -> Result<BatchQueryOutput> {
-    let queries = sqls.iter().map(|s| parse(s)).collect::<Result<Vec<_>>>()?;
-    let bp = plan_batch(catalog, &queries, sys, base_query_params, scenario)?;
-    execute_batch_plan(catalog, &bp, sys, base_query_params)
-}
-
-/// [`run_query_batch`] with live introspection: one ticket per query in
-/// the batch, each with its own cancel token — cancelling one query
-/// tags it `Partial` while its siblings run to completion unchanged.
-pub fn run_query_batch_introspected(
-    catalog: &Catalog,
-    sqls: &[&str],
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    live: &LiveRegistry,
-) -> Result<BatchQueryOutput> {
-    let queries = sqls.iter().map(|s| parse(s)).collect::<Result<Vec<_>>>()?;
-    let bp = plan_batch(catalog, &queries, sys, base_query_params, scenario)?;
-    execute_batch_plan_inner(catalog, &bp, sys, base_query_params, Some((live, sqls)))
-}
-
-/// Executes an already-planned batch on its chosen algorithm, falling back
-/// to the remaining feasible algorithms (cheapest batch estimate first)
-/// when the choice dies on unreadable storage — the same recovery policy
-/// as [`execute_plan_traced`], applied batch-wide.
-pub fn execute_batch_plan(
+/// Executes a planned batch over its shared textual column pair: the batch
+/// engine reads shared structures (inner scans, the inverted-file
+/// dictionary, merge cursors) once for all queries. Same recovery policy
+/// as [`execute`], applied batch-wide: fallbacks are tried cheapest batch
+/// estimate first under the plan's own scenario, and the watchdog budget
+/// is `drift_factor ×` the chosen algorithm's batch estimate.
+pub fn execute_batch(
     catalog: &Catalog,
     bp: &BatchPlan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-) -> Result<BatchQueryOutput> {
-    execute_batch_plan_inner(catalog, bp, sys, base_query_params, None)
-}
-
-fn execute_batch_plan_inner(
-    catalog: &Catalog,
-    bp: &BatchPlan,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    introspect: Option<(&LiveRegistry, &[&str])>,
+    o: &ExecOptions<'_>,
 ) -> Result<BatchQueryOutput> {
     let p0 = bp
         .plans
         .first()
         .ok_or_else(|| Error::InvalidArgument("batch plan holds no queries".into()))?;
-    let Resolved {
-        inner_rel,
-        outer_rel,
-        inner_tc,
-        outer_tc,
-    } = resolve(catalog, p0)?;
-
+    let r = resolve(catalog, p0)?;
+    let n = bp.plans.len();
+    let cost = |alg| bp.estimates.cost(alg, bp.scenario);
+    // The driver judges a batch against the *sum* of its queries' budgets.
+    let share = watchdog_budget(o.drift_factor, cost(bp.chosen)).map(|b| b / n as f64);
     // One ticket per query: each carries its own cancel token, so one
     // batch member can be cancelled without touching its siblings.
-    let guards: Vec<TicketGuard> = introspect
-        .map(|(live, sqls)| {
-            bp.plans
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    live.register(
-                        sqls.get(i).copied().unwrap_or(""),
-                        pair_key(p),
-                        bp.chosen.to_string(),
-                        finite_pages(p.prediction(bp.chosen).calibrated),
-                        None,
-                        1,
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-
-    // All plans share the collection pair (checked by `plan_batch`), so
-    // every spec borrows the *same* `Collection` values — the identity the
-    // batch executors insist on.
-    let specs: Vec<JoinSpec<'_>> = bp
-        .plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let mut spec = JoinSpec::new(&inner_tc.collection, &outer_tc.collection)
-                .with_sys(sys)
-                .with_query(base_query_params.with_lambda(p.lambda));
-            if let Some(ids) = &p.outer_rows {
-                spec = spec.with_outer_docs(OuterDocs::Selected(ids));
-            }
-            if let Some(ids) = &p.inner_rows {
-                spec = spec.with_inner_docs(ids);
-            }
-            if let Some(g) = guards.get(i) {
-                spec = spec
-                    .with_ticket(g.ticket())
-                    .with_cancel(g.ticket().cancel_token());
-            }
-            spec
+    let mut guards: Vec<TicketGuard> = Vec::new();
+    if let Some(i) = &o.introspect {
+        for (k, p) in bp.plans.iter().enumerate() {
+            let text = format!("{} [{}/{n}]", i.query, k + 1);
+            guards.push(register(i, &text, p, bp.chosen, share, 1));
+        }
+    }
+    let unwatched: Vec<JoinSpec<'_>> = (bp.plans.iter().enumerate())
+        .map(|(k, p)| observed(r.spec(p), o.trace, guards.get(k)))
+        .collect();
+    let specs: Vec<JoinSpec<'_>> = (unwatched.iter())
+        .map(|&s| JoinSpec {
+            cost_budget: share,
+            ..s
         })
         .collect();
+    let indexes = r.indexes();
+    let (algorithm, _, outcome) = with_fallback(bp.chosen, cost, |alg, failed| {
+        if failed == 0 {
+            return batch::execute(alg, &specs, &indexes);
+        }
+        for (g, p) in guards.iter().zip(&bp.plans) {
+            relabel(g, p, alg);
+        }
+        batch::execute(alg, &unwatched, &indexes)
+    })?;
 
-    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
-    let (executed, _, outcome) = with_fallback(
-        bp.chosen,
-        |alg| bp.estimates.cost(alg, IoScenario::Dedicated),
-        |alg, failed| {
-            if failed > 0 {
-                for (g, p) in guards.iter().zip(&bp.plans) {
-                    let ticket = g.ticket();
-                    ticket.set_algorithm(alg.to_string());
-                    ticket.set_predicted_pages(finite_pages(p.prediction(alg).calibrated));
-                }
-            }
-            batch::execute(alg, &specs, &indexes)
-        },
-    )?;
-
-    let queries = bp
-        .plans
-        .iter()
-        .zip(outcome.queries)
+    let queries = (bp.plans.iter().zip(outcome.queries))
         .map(|(p, q)| {
-            let (headers, rows) = project(p, inner_rel, outer_rel, &q.result);
+            let (headers, rows) = project(p, &r, &q.result);
             QueryOutput {
                 headers,
                 rows,
-                algorithm: executed,
+                algorithm,
                 stats: q.stats,
                 quality: q.quality,
                 sharded: None,
             }
         })
         .collect();
-
     Ok(BatchQueryOutput {
         queries,
         stats: outcome.stats,
-        algorithm: executed,
+        algorithm,
     })
 }
 
@@ -619,6 +475,7 @@ fn score_value(score: Score) -> Value {
 mod tests {
     use super::*;
     use crate::catalog::{ColumnType, RelationBuilder};
+    use crate::planner::plan_batch;
     use std::sync::Arc;
     use textjoin_storage::DiskSim;
 
@@ -680,15 +537,21 @@ mod tests {
         c
     }
 
-    fn run(c: &Catalog, sql: &str) -> QueryOutput {
-        run_query(
-            c,
-            sql,
+    fn paper_base() -> PlanOptions<'static> {
+        PlanOptions::new(
             SystemParams::paper_base(),
             QueryParams::paper_base(),
             IoScenario::Dedicated,
         )
-        .unwrap()
+    }
+
+    fn run_with(c: &Catalog, sql: &str, o: &PlanOptions<'_>) -> QueryOutput {
+        let p = plan_query(c, &parse(sql).unwrap(), o).unwrap();
+        execute(c, &p, &ExecOptions::default()).unwrap()
+    }
+
+    fn run(c: &Catalog, sql: &str) -> QueryOutput {
+        run_with(c, sql, &paper_base())
     }
 
     #[test]
@@ -775,16 +638,11 @@ mod tests {
                    Where A.Resume SIMILAR_TO(2) P.Job_descr";
         let seq = run(&c, sql);
         for workers in [2, 4] {
-            let par = run_query_with_workers(
-                &c,
-                sql,
-                SystemParams::paper_base(),
-                QueryParams::paper_base(),
-                IoScenario::Dedicated,
+            let o = PlanOptions {
                 workers,
-            )
-            .unwrap();
-            assert_eq!(par.rows, seq.rows, "workers={workers}");
+                ..paper_base()
+            };
+            assert_eq!(run_with(&c, sql, &o).rows, seq.rows, "workers={workers}");
         }
     }
 
@@ -795,17 +653,12 @@ mod tests {
                    Where A.Resume SIMILAR_TO(2) P.Job_descr";
         let single = run(&c, sql);
         for partitioning in [ShardPartitioning::SkewAware, ShardPartitioning::Naive] {
-            let sharded = run_query_sharded(
-                &c,
-                sql,
-                SystemParams::paper_base(),
-                QueryParams::paper_base(),
-                IoScenario::Dedicated,
-                1,
-                2,
+            let o = PlanOptions {
+                shards: 2,
                 partitioning,
-            )
-            .unwrap();
+                ..paper_base()
+            };
+            let sharded = run_with(&c, sql, &o);
             assert_eq!(sharded.headers, single.headers, "{partitioning}");
             assert_eq!(sharded.rows, single.rows, "{partitioning}");
             let sh = sharded.sharded.expect("sharded summary present");
@@ -822,18 +675,11 @@ mod tests {
                    Where P.Title like '%Engineer%' and A.Years >= 5 \
                    and A.Resume SIMILAR_TO(2) P.Job_descr";
         let single = run(&c, sql);
-        let sharded = run_query_sharded(
-            &c,
-            sql,
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-            1,
-            3,
-            ShardPartitioning::SkewAware,
-        )
-        .unwrap();
-        assert_eq!(sharded.rows, single.rows);
+        let o = PlanOptions {
+            shards: 3,
+            ..paper_base()
+        };
+        assert_eq!(run_with(&c, sql, &o).rows, single.rows);
     }
 
     #[test]
@@ -847,9 +693,9 @@ mod tests {
             "Select A.Name From Positions P, Applicants A \
              Where A.Years >= 5 and A.Resume SIMILAR_TO(1) P.Job_descr",
         ];
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
-        let batch_out = run_query_batch(&c, &sqls, sys, qp, IoScenario::Dedicated).unwrap();
+        let queries: Vec<_> = sqls.iter().map(|s| parse(s).unwrap()).collect();
+        let bp = plan_batch(&c, &queries, &paper_base()).unwrap();
+        let batch_out = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
         assert_eq!(batch_out.queries.len(), 3);
         for (sql, q) in sqls.iter().zip(&batch_out.queries) {
             let solo = run(&c, sql);
@@ -870,15 +716,12 @@ mod tests {
             "Select P.Title, A.Name From Positions P, Applicants A \
              Where A.Resume SIMILAR_TO(1) P.Job_descr",
         ];
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
         let queries: Vec<_> = sqls.iter().map(|s| parse(s).unwrap()).collect();
         let mut outputs = Vec::new();
         for force in Algorithm::ALL {
-            let mut bp =
-                crate::planner::plan_batch(&c, &queries, sys, qp, IoScenario::Dedicated).unwrap();
+            let mut bp = plan_batch(&c, &queries, &paper_base()).unwrap();
             bp.chosen = force;
-            let out = execute_batch_plan(&c, &bp, sys, qp).unwrap();
+            let out = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
             assert_eq!(out.algorithm, force);
             outputs.push(out.queries.into_iter().map(|q| q.rows).collect::<Vec<_>>());
         }
@@ -889,38 +732,100 @@ mod tests {
 
     #[test]
     fn watchdog_overrun_replans_mid_run_onto_next_cheapest_identically() {
+        use textjoin_costmodel::{CalibrationProfile, ReportObs};
         let c = catalog();
         let query = parse(
             "Select P.P#, A.SSN From Positions P, Applicants A \
              Where A.Resume SIMILAR_TO(2) P.Job_descr",
         )
         .unwrap();
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
-        let mut p = plan(&c, &query, sys, qp, IoScenario::Dedicated).unwrap();
-        let baseline = execute_plan(&c, &p, sys, qp).unwrap();
-        assert_eq!(baseline.algorithm, p.chosen);
+        let raw = plan_query(&c, &query, &paper_base()).unwrap();
+        let baseline = execute(&c, &raw, &ExecOptions::default()).unwrap();
+        assert_eq!(baseline.algorithm, raw.chosen);
+        // Feedback says the raw runner-up costs 1000× what the model
+        // claims on this pair: the calibrated ranking sends it to the back,
+        // behind the two algorithms it used to beat.
+        let runner_up = raw.predictions[1].algorithm;
+        let profile = CalibrationProfile::fit(&[ReportObs {
+            pair: raw.pair.clone(),
+            algorithm: runner_up.to_string(),
+            seq_reads: 1000,
+            rand_reads: 0,
+            cells: 0,
+            wall_ns: 0,
+            predicted_cost: Some(1.0),
+            measured_cost: 1000.0,
+        }]);
+        let o = PlanOptions {
+            profile: Some(&profile),
+            ..paper_base()
+        };
+        let mut p = plan_query(&c, &query, &o).unwrap();
+        assert_eq!(p.chosen, raw.chosen);
+        assert_eq!(p.predictions[3].algorithm, runner_up);
+        let next = p.predictions[1].algorithm;
+        assert!(p.predictions[1].calibrated.is_finite());
         // Seed a gross misprediction: the chosen algorithm claims it needs
         // a fraction of a page. The watchdog budget (1.5 × 0.2 pages) is
         // overrun at the first checkpoint, the executor re-plans onto the
-        // next-cheapest algorithm, and the tuples are byte-identical.
-        let idx = p
-            .predictions
-            .iter()
-            .position(|pr| pr.algorithm == p.chosen)
-            .unwrap();
-        p.predictions[idx].calibrated = 0.2;
-        let watched = execute_plan_watched(&c, &p, sys, qp, None, 1.5).unwrap();
-        assert_ne!(
-            watched.algorithm, baseline.algorithm,
-            "the overrun must force a different algorithm"
-        );
+        // next-cheapest algorithm *of the plan's own calibrated ranking*
+        // — not the raw dedicated-drive runner-up — and the tuples are
+        // byte-identical.
+        p.predictions[0].calibrated = 0.2;
+        let watch = |drift_factor| ExecOptions {
+            drift_factor: Some(drift_factor),
+            ..Default::default()
+        };
+        let watched = execute(&c, &p, &watch(1.5)).unwrap();
+        assert_eq!(watched.algorithm, next, "raw runner-up was {runner_up}");
         assert_eq!(watched.rows, baseline.rows);
         assert_eq!(watched.headers, baseline.headers);
         // A sane prediction with generous headroom never trips the guard.
-        let unwatched = execute_plan_watched(&c, &p, sys, qp, None, f64::INFINITY);
-        assert!(unwatched.is_ok());
-        assert_eq!(unwatched.unwrap().rows, baseline.rows);
+        let unwatched = execute(&c, &p, &watch(f64::INFINITY)).unwrap();
+        assert_eq!(unwatched.algorithm, p.chosen);
+        assert_eq!(unwatched.rows, baseline.rows);
+    }
+
+    /// The batch watchdog and tracer are the same two options: a batch
+    /// whose budget is zero re-plans batch-wide onto the next-cheapest
+    /// batch estimate under the plan's own scenario, with identical tuples.
+    #[test]
+    fn batch_honours_trace_and_watchdog() {
+        let c = catalog();
+        let queries: Vec<_> = [1, 2]
+            .iter()
+            .map(|l| {
+                parse(&format!(
+                    "Select P.P#, A.SSN From Positions P, Applicants A \
+                     Where A.Resume SIMILAR_TO({l}) P.Job_descr"
+                ))
+                .unwrap()
+            })
+            .collect();
+        let o = PlanOptions {
+            scenario: IoScenario::SharedWorstCase,
+            ..paper_base()
+        };
+        let mut bp = plan_batch(&c, &queries, &o).unwrap();
+        // Make the runner-up depend on the scenario: HVNL second under the
+        // plan's worst-case pricing, still third on dedicated drives.
+        bp.estimates.hvnl_rand = (bp.estimates.vvm_rand + bp.estimates.hhnl_rand) / 2.0;
+        assert!(bp.estimates.hvnl_seq > bp.estimates.hhnl_seq);
+        assert_eq!(bp.chosen, Algorithm::Vvm);
+        let plain = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
+        assert_eq!(plain.algorithm, bp.chosen);
+        let tracer = Tracer::enabled(256);
+        let watched = ExecOptions {
+            trace: Some(&tracer),
+            drift_factor: Some(0.0),
+            ..Default::default()
+        };
+        let out = execute_batch(&c, &bp, &watched).unwrap();
+        assert_eq!(out.algorithm, Algorithm::Hvnl);
+        for (a, b) in out.queries.iter().zip(&plain.queries) {
+            assert_eq!(a.rows, b.rows);
+        }
+        assert!(!tracer.finished().is_empty(), "the batch ran traced");
     }
 
     /// The catalog is outside input at execute time: a plan made against
@@ -932,17 +837,8 @@ mod tests {
         let sql = "Select P.P#, A.SSN From Positions P, Applicants A \
                    Where A.Resume SIMILAR_TO(2) P.Job_descr";
         let query = parse(sql).unwrap();
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
-        let p = plan(&planned_on, &query, sys, qp, IoScenario::Dedicated).unwrap();
-        let mut bp = plan_batch(
-            &planned_on,
-            std::slice::from_ref(&query),
-            sys,
-            qp,
-            IoScenario::Dedicated,
-        )
-        .unwrap();
+        let p = plan_query(&planned_on, &query, &paper_base()).unwrap();
+        let mut bp = plan_batch(&planned_on, std::slice::from_ref(&query), &paper_base()).unwrap();
 
         // `Applicants` was dropped; `Positions.Job_descr` is no longer text.
         let mut no_applicants = Catalog::new(Arc::new(DiskSim::new(4096)));
@@ -969,13 +865,13 @@ mod tests {
             Err(e) => panic!("expected InvalidArgument, got {e}"),
             Ok(_) => panic!("expected InvalidArgument, got rows"),
         };
-        let m = message(execute_plan(&no_applicants, &p, sys, qp));
+        let o = ExecOptions::default();
+        let m = message(execute(&no_applicants, &p, &o));
         assert!(m.contains("Applicants"), "{m}");
-        let m = message(execute_plan(&retyped, &p, sys, qp));
+        let m = message(execute(&retyped, &p, &o));
         assert!(m.contains("Resume"), "{m}");
-        let batch = |c: &Catalog, bp: &BatchPlan| {
-            execute_batch_plan(c, bp, sys, qp).map(|mut b| b.queries.remove(0))
-        };
+        let batch =
+            |c: &Catalog, bp: &BatchPlan| execute_batch(c, bp, &o).map(|mut b| b.queries.remove(0));
         let m = message(batch(&no_applicants, &bp));
         assert!(m.contains("Applicants"), "{m}");
         bp.plans.clear();
@@ -991,13 +887,11 @@ mod tests {
              Where A.Resume SIMILAR_TO(2) P.Job_descr",
         )
         .unwrap();
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
         let mut outputs = Vec::new();
         for force in Algorithm::ALL {
-            let mut p = plan(&c, &query, sys, qp, IoScenario::Dedicated).unwrap();
+            let mut p = plan_query(&c, &query, &paper_base()).unwrap();
             p.chosen = force;
-            let out = execute_plan(&c, &p, sys, qp).unwrap();
+            let out = execute(&c, &p, &ExecOptions::default()).unwrap();
             assert_eq!(out.algorithm, force);
             outputs.push(out.rows);
         }

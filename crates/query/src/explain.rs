@@ -8,23 +8,24 @@
 //! cost formula — the paper's six (`hhs`/`hhr`/`hvs`/`hvr`/`vvs`/`vvr`)
 //! plus the filtered pair (`fns`/`fnr`) — against the measured page
 //! traffic: the model-validation experiment of section 6, on demand.
+//!
+//! Both verbs take the planner's [`PlanOptions`]; workers, shards and a
+//! calibration profile each add their own table to one report.
 
 use crate::catalog::Catalog;
-use crate::executor::{execute_batch_plan, resolve, Resolved, ShardExecution};
+use crate::executor::{execute_batch, resolve, shard_options, ExecOptions, ShardExecution};
 use crate::parser::parse;
-use crate::planner::{plan, plan_batch, plan_with_profile, plan_with_shards, Plan};
+use crate::planner::{plan_batch, plan_query, Plan, PlanOptions};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use textjoin_common::{Error, QueryParams, Result, SystemParams};
-use textjoin_core::{
-    execute_sharded, ExecStats, Indexes, JoinSpec, OuterDocs, QueryReport, ResultQuality,
-    ShardOptions, ShardPartitioning,
-};
-use textjoin_costmodel::{parallel as par_cost, Algorithm, CalibrationProfile, IoScenario};
+use textjoin_core::{execute_sharded, ExecStats, QueryReport, ResultQuality};
+use textjoin_costmodel::{parallel as par_cost, Algorithm, CostEstimates, IoScenario};
 use textjoin_obs::{MetricValue, Registry, SpanRecord, Tracer};
 
-/// Plans the query and renders a human-readable explanation.
+/// [`explain`] at [`PlanOptions::new`]. Pinned by `benchmark/`; delete
+/// once it may change.
 pub fn explain_query(
     catalog: &Catalog,
     sql: &str,
@@ -32,12 +33,21 @@ pub fn explain_query(
     base_query_params: QueryParams,
     scenario: IoScenario,
 ) -> Result<String> {
-    let query = parse(sql)?;
-    let p = plan(catalog, &query, sys, base_query_params, scenario)?;
-    Ok(render(&p, sys, scenario))
+    explain(
+        catalog,
+        sql,
+        &PlanOptions::new(sys, base_query_params, scenario),
+    )
 }
 
-fn render(p: &Plan, sys: SystemParams, scenario: IoScenario) -> String {
+/// Plans the query under `o` and renders a human-readable explanation.
+pub fn explain(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Result<String> {
+    let p = plan_query(catalog, &parse(sql)?, o)?;
+    Ok(render(&p, o.scenario))
+}
+
+fn render(p: &Plan, scenario: IoScenario) -> String {
+    let sys = p.inputs.sys;
     let mut out = String::new();
     let _ = writeln!(out, "TextualJoin λ={}", p.lambda);
     let _ = writeln!(
@@ -95,12 +105,7 @@ fn render(p: &Plan, sys: SystemParams, scenario: IoScenario) -> String {
         out,
         "  estimates (sequential | worst-case random, page units):"
     );
-    for alg in Algorithm::ALL {
-        let seq = p.estimates.cost(alg, IoScenario::Dedicated);
-        let rand = p.estimates.cost(alg, IoScenario::SharedWorstCase);
-        let marker = if alg == p.chosen { " ← chosen" } else { "" };
-        let _ = writeln!(out, "    {alg:<5} {seq:>14.0} | {rand:>14.0}{marker}");
-    }
+    render_estimates(&mut out, &p.estimates, p.chosen);
     let _ = writeln!(
         out,
         "  scenario: {}",
@@ -136,6 +141,16 @@ fn render(p: &Plan, sys: SystemParams, scenario: IoScenario) -> String {
     out
 }
 
+/// One `alg  sequential | worst-case random` line per algorithm.
+fn render_estimates(out: &mut String, estimates: &CostEstimates, chosen: Algorithm) {
+    for alg in Algorithm::ALL {
+        let seq = estimates.cost(alg, IoScenario::Dedicated);
+        let rand = estimates.cost(alg, IoScenario::SharedWorstCase);
+        let marker = if alg == chosen { " ← chosen" } else { "" };
+        let _ = writeln!(out, "    {alg:<5} {seq:>14.0} | {rand:>14.0}{marker}");
+    }
+}
+
 /// Signed percent error `(measured − predicted) / predicted · 100`.
 ///
 /// The ratio is withheld (`None`) when the prediction is degenerate —
@@ -149,6 +164,100 @@ fn render(p: &Plan, sys: SystemParams, scenario: IoScenario) -> String {
 fn drift_ratio(predicted: f64, measured: f64) -> Option<f64> {
     (predicted.is_finite() && predicted >= 1.0 && measured > 0.0)
         .then(|| (measured - predicted) / predicted * 100.0)
+}
+
+/// A drift percentage column: `+12.3%`, or `n/a` when withheld.
+fn fmt_pct(drift: Option<f64>) -> String {
+    drift.map_or_else(|| format!("{:>8}", "n/a"), |e| format!("{e:>+7.1}%"))
+}
+
+/// `Ok(None)` when a run died of something that says the *algorithm*
+/// cannot be measured here — its estimate was optimistic, or it hit
+/// unreadable storage its rivals may not need (a corrupt inverted file
+/// does not stop HHNL) — so the report shows the formula as unmeasurable
+/// rather than failing the whole ANALYZE.
+fn measurable<T>(run: Result<T>) -> Result<Option<T>> {
+    match run {
+        Ok(out) => Ok(Some(out)),
+        Err(Error::InsufficientMemory { .. } | Error::Corrupt(_) | Error::Io { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The formula names per algorithm (`Algorithm::ALL` order), sequential
+/// then worst-case random: the single-query and the batch families.
+const FORMULAS: [[&str; 2]; 4] = [
+    ["hhs", "hhr"],
+    ["hvs", "hvr"],
+    ["vvs", "vvr"],
+    ["fns", "fnr"],
+];
+const BATCH_FORMULAS: [[&str; 2]; 4] = [
+    ["hhs_batch", "hhr_batch"],
+    ["hvs_batch", "hvr_batch"],
+    ["vvs_batch", "vvr_batch"],
+    ["fns_batch", "fnr_batch"],
+];
+
+/// The eight-row drift table. `measured` gives an algorithm's measured
+/// page cost and total pages read, when it ran: the sequential formulas
+/// price the run's actual seq/rand page classification (`seq + α·rand`);
+/// the worst-case-random formulas price the same page traffic with every
+/// read reclassified as random (the paper's interference scenario), i.e.
+/// `α · total pages`.
+fn drift_rows(
+    names: &[[&'static str; 2]; 4],
+    estimates: &CostEstimates,
+    alpha: f64,
+    measured: impl Fn(Algorithm) -> Option<(f64, u64)>,
+) -> Vec<DriftRow> {
+    let mut rows = Vec::with_capacity(8);
+    for (algorithm, [seq_name, rand_name]) in Algorithm::ALL.into_iter().zip(*names) {
+        let ran = measured(algorithm);
+        for (formula, scenario, measured) in [
+            (seq_name, IoScenario::Dedicated, ran.map(|m| m.0)),
+            (
+                rand_name,
+                IoScenario::SharedWorstCase,
+                ran.map(|m| alpha * m.1 as f64),
+            ),
+        ] {
+            let predicted = estimates.cost(algorithm, scenario);
+            rows.push(DriftRow {
+                formula,
+                algorithm,
+                predicted,
+                measured,
+                percent_error: measured.and_then(|m| drift_ratio(predicted, m)),
+            });
+        }
+    }
+    rows
+}
+
+/// Renders drift rows, formula names padded to `width`.
+fn render_drift(text: &mut String, rows: &[DriftRow], width: usize) {
+    for row in rows {
+        let predicted = if row.predicted.is_finite() {
+            format!("{:>12.1}", row.predicted)
+        } else if row.predicted.is_infinite() {
+            format!("{:>12}", "inf")
+        } else {
+            format!("{:>12}", "n/a")
+        };
+        // A measured cost with no ratio: the prediction was zero or
+        // non-finite (empty collection, λ = 0), so the division is
+        // undefined — `fmt_pct` reports `n/a` rather than inf/NaN.
+        let measured = row
+            .measured
+            .map_or_else(|| format!("{:>12}", "n/a"), |m| format!("{m:>12.1}"));
+        let _ = writeln!(
+            text,
+            "      {:<width$} {predicted} vs {measured} {}",
+            row.formula,
+            fmt_pct(row.percent_error)
+        );
+    }
 }
 
 /// One predicted-vs-measured line of the drift report.
@@ -167,8 +276,8 @@ pub struct DriftRow {
     pub measured: Option<f64>,
     /// Signed percent error `(measured − predicted) / predicted · 100`,
     /// when both sides are available, the prediction is finite and at
-    /// least one page, and the measurement is non-zero (see
-    /// [`drift_ratio`]); withheld and rendered as `n/a` otherwise.
+    /// least one page, and the measurement is non-zero; withheld and
+    /// rendered as `n/a` otherwise.
     pub percent_error: Option<f64>,
 }
 
@@ -195,12 +304,15 @@ pub struct WorkerScaling {
 pub struct CalibratedDrift {
     /// The algorithm the predictions rank.
     pub algorithm: Algorithm,
-    /// The seed cost formula's prediction under the planning scenario.
+    /// The seed cost formula's sequential-execution prediction under the
+    /// planning scenario — what the measured single-worker run is compared
+    /// against, whatever `workers` the plan ranks on.
     pub raw: f64,
     /// The prediction after the profile's correction factor.
     pub calibrated: f64,
     /// Drift of the raw prediction vs the measured cost (guards of
-    /// [`drift_ratio`] apply), `None` when the algorithm did not run.
+    /// [`DriftRow::percent_error`] apply), `None` when the algorithm did
+    /// not run.
     pub drift_raw: Option<f64>,
     /// Drift of the calibrated prediction vs the same measurement.
     pub drift_calibrated: Option<f64>,
@@ -222,7 +334,7 @@ pub struct ShardDrift {
     /// Measured pages shipped to or from this site.
     pub measured_shipped: u64,
     /// Signed percent error of the local prediction (guards of
-    /// [`drift_ratio`] apply).
+    /// [`DriftRow::percent_error`] apply).
     pub drift_pct: Option<f64>,
     /// Whether this site had to skip unreadable data.
     pub quality: ResultQuality,
@@ -242,8 +354,9 @@ pub struct AnalyzeOutput {
     /// One resource-accounting report per algorithm that ran (the drift
     /// table and the latency column are derived from these).
     pub reports: Vec<QueryReport>,
-    /// Predicted-vs-measured cost of the chosen algorithm per worker
-    /// count. Empty unless ANALYZE ran with `workers > 1`.
+    /// Predicted-vs-measured cost of the chosen algorithm at one worker
+    /// and at the planned count. Empty unless ANALYZE ran with
+    /// `workers > 1`.
     pub scaling: Vec<WorkerScaling>,
     /// Raw-vs-calibrated predictions with before/after drift, one row per
     /// algorithm. Empty unless ANALYZE ran with a calibration profile.
@@ -262,145 +375,27 @@ impl AnalyzeOutput {
     }
 }
 
-/// Plans the query, runs every feasible algorithm against the stored
-/// collections, and renders estimates, measured statistics, per-phase
-/// span timings and the model-vs-measured drift report.
-pub fn explain_analyze_query(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-) -> Result<AnalyzeOutput> {
-    explain_analyze_query_with_workers(catalog, sql, sys, base_query_params, scenario, 1)
-}
-
-/// [`explain_analyze_query`] with a worker knob: with `workers > 1` the
-/// chosen algorithm is additionally run on the parallel executors at each
-/// worker count of `{1, workers}`, and the report gains a scaling table of
-/// predicted (`hhs_par`/`hvs_par`/`vvs_par`) vs measured cost and the
-/// measured wall-clock speedup.
-pub fn explain_analyze_query_with_workers(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-) -> Result<AnalyzeOutput> {
-    explain_analyze_inner(
-        catalog,
-        sql,
-        sys,
-        base_query_params,
-        scenario,
-        workers,
-        1,
-        ShardPartitioning::default(),
-        None,
-    )
-}
-
-/// [`explain_analyze_query`] in the multidatabase setting: the plan is
-/// priced per shard ([`textjoin_costmodel::ShardPlan`]), the chosen
-/// algorithm additionally runs on the sharded executor, and the report
-/// gains a per-shard table of predicted vs measured pages — the drift of
-/// the uniform-fraction assumption against what each site's drive did.
-#[allow(clippy::too_many_arguments)]
-pub fn explain_analyze_query_sharded(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-    shards: usize,
-    partitioning: ShardPartitioning,
-) -> Result<AnalyzeOutput> {
-    explain_analyze_inner(
-        catalog,
-        sql,
-        sys,
-        base_query_params,
-        scenario,
-        workers,
-        shards,
-        partitioning,
-        None,
-    )
-}
-
-/// [`explain_analyze_query`] ranking algorithms by the profile's
-/// *calibrated* predictions. The report gains a raw-vs-calibrated table
-/// showing each formula's drift before and after the correction — the
-/// observable effect of one calibration round.
-pub fn explain_analyze_query_with_profile(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    profile: &CalibrationProfile,
-) -> Result<AnalyzeOutput> {
-    explain_analyze_inner(
-        catalog,
-        sql,
-        sys,
-        base_query_params,
-        scenario,
-        1,
-        1,
-        ShardPartitioning::default(),
-        Some(profile),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn explain_analyze_inner(
-    catalog: &Catalog,
-    sql: &str,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-    shards: usize,
-    partitioning: ShardPartitioning,
-    profile: Option<&CalibrationProfile>,
-) -> Result<AnalyzeOutput> {
-    let query = parse(sql)?;
-    let p = match profile {
-        Some(prof) => plan_with_profile(catalog, &query, sys, base_query_params, scenario, prof)?,
-        None if shards > 1 => {
-            let mut p = plan_with_shards(
-                catalog,
-                &query,
-                sys,
-                base_query_params,
-                scenario,
-                workers,
-                shards,
-                textjoin_costmodel::CommParams::default_network(),
-            )?;
-            p.shard_partitioning = partitioning;
-            p
-        }
-        None => plan(catalog, &query, sys, base_query_params, scenario)?,
-    };
-
-    let Resolved {
-        inner_tc, outer_tc, ..
-    } = resolve(catalog, &p)?;
-    let indexes = Indexes::all(&inner_tc.inverted, &outer_tc.inverted, &inner_tc.fnl);
-
-    let mut base = JoinSpec::new(&inner_tc.collection, &outer_tc.collection)
-        .with_sys(sys)
-        .with_query(base_query_params.with_lambda(p.lambda));
-    if let Some(ids) = &p.outer_rows {
-        base = base.with_outer_docs(OuterDocs::Selected(ids));
-    }
-    if let Some(ids) = &p.inner_rows {
-        base = base.with_inner_docs(ids);
-    }
+/// Plans the query under `o`, runs every feasible algorithm sequentially
+/// against the stored collections, and renders estimates, measured
+/// statistics, per-phase span timings and the model-vs-measured drift
+/// report. Each further option adds its own table to the same report:
+///
+/// * `workers > 1` — the chosen algorithm additionally runs at each worker
+///   count of `{1, workers}`: a scaling table of predicted
+///   (`hhs_par`/`hvs_par`/`vvs_par`) vs measured cost and the measured
+///   wall-clock speedup;
+/// * `shards > 1` — the chosen algorithm additionally runs on the sharded
+///   executor (`workers` threads per site): a per-shard table of predicted
+///   ([`textjoin_costmodel::ShardPlan`]) vs measured pages — the drift of
+///   the uniform-fraction assumption against what each site's drive did;
+/// * a `profile` — a raw-vs-calibrated table showing each formula's drift
+///   before and after the correction, the observable effect of one
+///   calibration round.
+pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Result<AnalyzeOutput> {
+    let p = plan_query(catalog, &parse(sql)?, o)?;
+    let r = resolve(catalog, &p)?;
+    let indexes = r.indexes();
+    let base = r.spec(&p);
 
     // Run each feasible algorithm once. The plan's choice runs with the
     // tracer attached so its phase spans appear in the report — and, since
@@ -408,53 +403,44 @@ fn explain_analyze_inner(
     // latency histograms the report's latency section reads back.
     let registry = Arc::new(Registry::new());
     let tracer = Tracer::with_registry(1024, Arc::clone(&registry));
-    let mut measured: [Option<ExecStats>; 4] = [None, None, None, None];
+    let mut stats: Option<ExecStats> = None;
     let mut reports: Vec<QueryReport> = Vec::new();
-    for (i, alg) in Algorithm::ALL.into_iter().enumerate() {
-        if p.estimates.cost(alg, IoScenario::Dedicated).is_infinite() {
+    for alg in Algorithm::ALL {
+        let predicted = p.estimates.cost(alg, IoScenario::Dedicated);
+        if predicted.is_infinite() {
             continue;
         }
-        let spec = if alg == p.chosen {
-            base.with_trace(&tracer)
-        } else {
-            base
-        };
-        match textjoin_core::execute(alg, &spec, &indexes, 1) {
-            Ok(out) => {
-                measured[i] = Some(out.stats);
-                reports.push(QueryReport::from_outcome(
-                    format!("explain-analyze {alg}"),
-                    &out,
-                    (alg == p.chosen).then_some(&tracer),
-                    Some(p.estimates.cost(alg, IoScenario::Dedicated)),
-                ));
+        let trace = (alg == p.chosen).then_some(&tracer);
+        let spec = trace.map_or(base, |t| base.with_trace(t));
+        if let Some(out) = measurable(textjoin_core::execute(alg, &spec, &indexes, 1))? {
+            if alg == p.chosen {
+                stats = Some(out.stats);
             }
-            // The estimate was optimistic, or the algorithm hit unreadable
-            // storage its rivals may not need (e.g. a corrupt inverted
-            // file does not stop HHNL); report the formula as unmeasurable
-            // rather than failing the whole ANALYZE.
-            Err(Error::InsufficientMemory { .. } | Error::Corrupt(_) | Error::Io { .. }) => {}
-            Err(e) => return Err(e),
+            reports.push(QueryReport::from_outcome(
+                format!("explain-analyze {alg}"),
+                &out,
+                trace,
+                Some(predicted),
+            ));
         }
     }
+    let report = |alg: Algorithm| reports.iter().find(|r| r.algorithm == alg);
 
     // Parallel scaling: run the plan's choice at each worker count and put
     // the parallel cost model's prediction (`hhs_par`/`hvs_par`/`vvs_par`)
     // next to the measurement. Runs untraced so the chosen run's span tree
     // and prefetch counters above stay those of the sequential execution.
     let mut scaling: Vec<WorkerScaling> = Vec::new();
-    if workers > 1 {
-        for w in [1, workers] {
-            match textjoin_core::execute(p.chosen, &base, &indexes, w) {
-                Ok(out) => scaling.push(WorkerScaling {
+    if p.workers > 1 {
+        for w in [1, p.workers] {
+            if let Some(out) = measurable(textjoin_core::execute(p.chosen, &base, &indexes, w))? {
+                scaling.push(WorkerScaling {
                     workers: w,
                     predicted: par_cost::estimate(&p.inputs, p.chosen, w as u64),
                     measured_cost: out.stats.cost,
                     pages: out.stats.io.total_reads(),
                     wall_ns: out.stats.wall_ns,
-                }),
-                Err(Error::InsufficientMemory { .. } | Error::Corrupt(_) | Error::Io { .. }) => {}
-                Err(e) => return Err(e),
+                });
             }
         }
     }
@@ -466,110 +452,51 @@ fn explain_analyze_inner(
     let mut shard_drift: Vec<ShardDrift> = Vec::new();
     let mut sharded: Option<ShardExecution> = None;
     if p.shards > 1 {
-        let opts = ShardOptions::new(p.shards)
-            .with_partitioning(p.shard_partitioning)
-            .with_comm(p.comm)
-            .with_workers(workers.max(1));
-        match execute_sharded(&base, p.chosen, &opts) {
-            Ok(run) => {
-                if let Some(sp) = &p.shard_plan {
-                    for (cost, rep) in sp.per_shard.iter().zip(&run.shards) {
-                        shard_drift.push(ShardDrift {
-                            shard: rep.shard,
-                            predicted_local: cost.local,
-                            predicted_shipped: cost.shipped,
-                            measured_pages: rep.pages_io,
-                            measured_shipped: rep.shipped_pages,
-                            drift_pct: drift_ratio(cost.local, rep.pages_io),
-                            quality: rep.quality,
-                        });
-                    }
-                }
-                sharded = Some(ShardExecution {
-                    reports: run.shards,
-                    shipped_pages: run.shipped_pages,
-                    comm_cost: run.comm_cost,
-                    max_shard_pages: run.max_shard_pages,
-                    network_ns: run.network_ns,
-                    partitioning: run.partitioning,
-                });
-            }
-            Err(Error::InsufficientMemory { .. } | Error::Corrupt(_) | Error::Io { .. }) => {}
-            Err(e) => return Err(e),
+        if let Some(run) = measurable(execute_sharded(&base, p.chosen, &shard_options(&p)))? {
+            let (_, tail) = ShardExecution::split(run);
+            let predicted = p.shard_plan.iter().flat_map(|sp| &sp.per_shard);
+            shard_drift = predicted
+                .zip(&tail.reports)
+                .map(|(cost, rep)| ShardDrift {
+                    shard: rep.shard,
+                    predicted_local: cost.local,
+                    predicted_shipped: cost.shipped,
+                    measured_pages: rep.pages_io,
+                    measured_shipped: rep.shipped_pages,
+                    drift_pct: drift_ratio(cost.local, rep.pages_io),
+                    quality: rep.quality,
+                })
+                .collect();
+            sharded = Some(tail);
         }
     }
 
-    // Drift, derived from the per-run QueryReports: the sequential
-    // formulas price the run's actual seq/rand page classification
-    // (`measured_cost = seq + α·rand`); the worst-case-random formulas
-    // price the same page traffic with every read reclassified as random
-    // (the paper's interference scenario), i.e. α · total pages.
-    let mut drift = Vec::with_capacity(8);
-    for alg in Algorithm::ALL {
-        let (seq_name, rand_name) = match alg {
-            Algorithm::Hhnl => ("hhs", "hhr"),
-            Algorithm::Hvnl => ("hvs", "hvr"),
-            Algorithm::Vvm => ("vvs", "vvr"),
-            Algorithm::Fnl => ("fns", "fnr"),
-        };
-        let report = reports.iter().find(|r| r.algorithm == alg);
-        let rows = [
-            (
-                seq_name,
-                IoScenario::Dedicated,
-                report.map(|r| r.measured_cost),
-            ),
-            (
-                rand_name,
-                IoScenario::SharedWorstCase,
-                report.map(|r| sys.alpha * r.pages_read.total_reads() as f64),
-            ),
-        ];
-        for (formula, sc, meas) in rows {
-            let predicted = p.estimates.cost(alg, sc);
-            let percent_error = meas.and_then(|m| drift_ratio(predicted, m));
-            drift.push(DriftRow {
-                formula,
-                algorithm: alg,
-                predicted,
-                measured: meas,
-                percent_error,
-            });
-        }
-    }
+    // Drift, derived from the per-run QueryReports.
+    let drift = drift_rows(&FORMULAS, &p.estimates, p.inputs.sys.alpha, |alg| {
+        report(alg).map(|r| (r.measured_cost, r.pages_read.total_reads()))
+    });
 
-    // Raw vs calibrated: the plan recorded both predictions for every
-    // algorithm, so the report can show what the correction factor did to
-    // the drift — before (seed formula) and after (profile-adjusted).
-    let calibrated: Vec<CalibratedDrift> = if profile.is_some() {
-        p.predictions
-            .iter()
-            .map(|pred| {
-                let meas = reports
-                    .iter()
-                    .find(|r| r.algorithm == pred.algorithm)
-                    .map(|r| r.measured_cost);
+    // Raw vs calibrated: what the profile's correction factor does to the
+    // drift of each seed formula — before and after.
+    let calibrated: Vec<CalibratedDrift> = (o.profile.iter())
+        .flat_map(|profile| {
+            Algorithm::ALL.map(|algorithm| {
+                let raw = p.estimates.cost(algorithm, o.scenario);
+                let calibrated = profile.calibrated_cost(&p.pair, algorithm, raw);
+                let measured = report(algorithm).map(|r| r.measured_cost);
                 CalibratedDrift {
-                    algorithm: pred.algorithm,
-                    raw: pred.raw,
-                    calibrated: pred.calibrated,
-                    drift_raw: meas.and_then(|m| drift_ratio(pred.raw, m)),
-                    drift_calibrated: meas.and_then(|m| drift_ratio(pred.calibrated, m)),
+                    algorithm,
+                    raw,
+                    calibrated,
+                    drift_raw: measured.and_then(|m| drift_ratio(raw, m)),
+                    drift_calibrated: measured.and_then(|m| drift_ratio(calibrated, m)),
                 }
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let chosen_idx = Algorithm::ALL
-        .iter()
-        .position(|a| *a == p.chosen)
-        .expect("chosen is one of ALL");
-    let stats = measured[chosen_idx];
+        })
+        .collect();
 
     let mut text = String::from("EXPLAIN ANALYZE\n");
-    text.push_str(&render(&p, sys, scenario));
+    text.push_str(&render(&p, o.scenario));
     let _ = writeln!(text, "  analyze:");
     match &stats {
         Some(s) => {
@@ -587,33 +514,12 @@ fn explain_analyze_inner(
         text,
         "    drift (page-cost units; % = (measured − predicted)/predicted):"
     );
-    for row in &drift {
-        let predicted = if row.predicted.is_finite() {
-            format!("{:>12.1}", row.predicted)
-        } else if row.predicted.is_infinite() {
-            format!("{:>12}", "inf")
-        } else {
-            format!("{:>12}", "n/a")
-        };
-        let (meas, err) = match (row.measured, row.percent_error) {
-            (Some(m), Some(e)) => (format!("{m:>12.1}"), format!("{e:>+7.1}%")),
-            // A measured cost with no ratio: the prediction was zero or
-            // non-finite (empty collection, λ = 0), so the division is
-            // undefined — report `n/a` rather than inf/NaN.
-            (Some(m), None) => (format!("{m:>12.1}"), format!("{:>8}", "n/a")),
-            _ => (format!("{:>12}", "n/a"), format!("{:>8}", "n/a")),
-        };
-        let _ = writeln!(text, "      {} {predicted} vs {meas} {err}", row.formula);
-    }
+    render_drift(&mut text, &drift, 3);
     if !calibrated.is_empty() {
         let _ = writeln!(
             text,
             "    calibrated predictions (raw → calibrated; drift before → after):"
         );
-        let fmt_drift = |d: Option<f64>| match d {
-            Some(e) => format!("{e:>+7.1}%"),
-            None => format!("{:>8}", "n/a"),
-        };
         for row in &calibrated {
             let _ = writeln!(
                 text,
@@ -621,8 +527,8 @@ fn explain_analyze_inner(
                 row.algorithm,
                 row.raw,
                 row.calibrated,
-                fmt_drift(row.drift_raw),
-                fmt_drift(row.drift_calibrated),
+                fmt_pct(row.drift_raw),
+                fmt_pct(row.drift_calibrated),
             );
         }
     }
@@ -631,14 +537,8 @@ fn explain_analyze_inner(
     // (the registry-backed tracer filled them as each span finished).
     let _ = writeln!(text, "    latency (wall time per algorithm):");
     for alg in Algorithm::ALL {
-        match reports.iter().find(|r| r.algorithm == alg) {
-            Some(r) => {
-                let _ = writeln!(text, "      {alg:<5} {}", fmt_ns(r.wall_ns));
-            }
-            None => {
-                let _ = writeln!(text, "      {alg:<5} n/a");
-            }
-        }
+        let wall = report(alg).map_or_else(|| "n/a".to_string(), |r| fmt_ns(r.wall_ns));
+        let _ = writeln!(text, "      {alg:<5} {wall}");
     }
     let mut span_hists: Vec<_> = registry
         .snapshot()
@@ -724,9 +624,7 @@ fn explain_analyze_inner(
             sh.partitioning
         );
         for row in &shard_drift {
-            let err = row
-                .drift_pct
-                .map_or_else(|| format!("{:>8}", "n/a"), |e| format!("{e:>+7.1}%"));
+            let err = fmt_pct(row.drift_pct);
             let _ = writeln!(
                 text,
                 "      shard {} {:>10.1} vs {:>10.1} {err}  shipped {:>6.0} vs {:<6}  {}",
@@ -799,55 +697,23 @@ impl BatchAnalyzeOutput {
 /// Plans a batch of queries onto one shared-scan algorithm, executes it,
 /// and renders per-query and amortized statistics next to the batch cost
 /// formulas (`hhs_batch`/`hvs_batch`/`vvs_batch`) — the batched analogue
-/// of [`explain_analyze_query`].
+/// of [`explain_analyze`].
 pub fn explain_analyze_batch(
     catalog: &Catalog,
     sqls: &[&str],
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
+    o: &PlanOptions<'_>,
 ) -> Result<BatchAnalyzeOutput> {
     let queries = sqls.iter().map(|s| parse(s)).collect::<Result<Vec<_>>>()?;
-    let bp = plan_batch(catalog, &queries, sys, base_query_params, scenario)?;
-    let out = execute_batch_plan(catalog, &bp, sys, base_query_params)?;
+    let bp = plan_batch(catalog, &queries, o)?;
+    let out = execute_batch(catalog, &bp, &ExecOptions::default())?;
     let n = bp.plans.len();
 
     // Drift of the batch formulas. Only the executed algorithm was
     // measured; the others keep their predictions with `n/a` measurements,
     // mirroring the sequential drift table.
-    let mut drift = Vec::with_capacity(8);
-    for alg in Algorithm::ALL {
-        let (seq_name, rand_name) = match alg {
-            Algorithm::Hhnl => ("hhs_batch", "hhr_batch"),
-            Algorithm::Hvnl => ("hvs_batch", "hvr_batch"),
-            Algorithm::Vvm => ("vvs_batch", "vvr_batch"),
-            Algorithm::Fnl => ("fns_batch", "fnr_batch"),
-        };
-        let ran = alg == out.algorithm;
-        let rows = [
-            (
-                seq_name,
-                IoScenario::Dedicated,
-                ran.then_some(out.stats.cost),
-            ),
-            (
-                rand_name,
-                IoScenario::SharedWorstCase,
-                ran.then(|| sys.alpha * out.stats.io.total_reads() as f64),
-            ),
-        ];
-        for (formula, sc, meas) in rows {
-            let predicted = bp.estimates.cost(alg, sc);
-            let percent_error = meas.and_then(|m| drift_ratio(predicted, m));
-            drift.push(DriftRow {
-                formula,
-                algorithm: alg,
-                predicted,
-                measured: meas,
-                percent_error,
-            });
-        }
-    }
+    let drift = drift_rows(&BATCH_FORMULAS, &bp.estimates, o.sys.alpha, |alg| {
+        (alg == out.algorithm).then(|| (out.stats.cost, out.stats.io.total_reads()))
+    });
 
     let total_pages = out.stats.io.total_reads();
     let amortized_pages_per_query = total_pages as f64 / n as f64;
@@ -863,12 +729,7 @@ pub fn explain_analyze_batch(
         text,
         "  batch estimates (sequential | worst-case random, page units):"
     );
-    for alg in Algorithm::ALL {
-        let seq = bp.estimates.cost(alg, IoScenario::Dedicated);
-        let rand = bp.estimates.cost(alg, IoScenario::SharedWorstCase);
-        let marker = if alg == bp.chosen { " ← chosen" } else { "" };
-        let _ = writeln!(text, "    {alg:<5} {seq:>14.0} | {rand:>14.0}{marker}");
-    }
+    render_estimates(&mut text, &bp.estimates, bp.chosen);
     let batch_predicted = bp.estimates.cost(bp.chosen, bp.scenario);
     if bp.sequential_cost >= 1.0 && batch_predicted.is_finite() {
         let _ = writeln!(
@@ -902,19 +763,7 @@ pub fn explain_analyze_batch(
         text,
         "    drift (batch formulas; % = (measured − predicted)/predicted):"
     );
-    for row in &drift {
-        let predicted = if row.predicted.is_finite() {
-            format!("{:>12.1}", row.predicted)
-        } else {
-            format!("{:>12}", "inf")
-        };
-        let (meas, err) = match (row.measured, row.percent_error) {
-            (Some(m), Some(e)) => (format!("{m:>12.1}"), format!("{e:>+7.1}%")),
-            (Some(m), None) => (format!("{m:>12.1}"), format!("{:>8}", "n/a")),
-            _ => (format!("{:>12}", "n/a"), format!("{:>8}", "n/a")),
-        };
-        let _ = writeln!(text, "      {:<9} {predicted} vs {meas} {err}", row.formula);
-    }
+    render_drift(&mut text, &drift, 9);
 
     let per_query = out.queries.iter().map(|q| q.stats).collect();
     Ok(BatchAnalyzeOutput {
@@ -979,7 +828,18 @@ fn render_span_tree(out: &mut String, spans: &[SpanRecord]) {
 mod tests {
     use super::*;
     use crate::catalog::{ColumnType, RelationBuilder, Value};
+    use crate::executor::execute;
     use std::sync::Arc;
+    use textjoin_core::ShardPartitioning;
+    use textjoin_costmodel::CalibrationProfile;
+
+    fn paper_base() -> PlanOptions<'static> {
+        PlanOptions::new(
+            SystemParams::paper_base(),
+            QueryParams::paper_base(),
+            IoScenario::Dedicated,
+        )
+    }
     use textjoin_storage::DiskSim;
 
     fn catalog() -> Catalog {
@@ -1089,13 +949,11 @@ mod tests {
             page_size: 512,
             alpha: 5.0,
         };
-        let out = explain_analyze_query(
+        let out = explain_analyze(
             &c,
             "Select D.Id, Q.Id From Docs D, Queries Q \
              Where D.Body SIMILAR_TO(3) Q.Body",
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
         )
         .unwrap();
         for formula in ["hhs", "vvs"] {
@@ -1120,31 +978,17 @@ mod tests {
              Where A.Resume SIMILAR_TO(1) P.Job_descr",
         )
         .unwrap();
-        let p = plan_with_shards(
-            &c,
-            &query,
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-            1,
-            4,
-            textjoin_costmodel::CommParams::default_network(),
-        )
-        .unwrap();
-        let text = super::render(&p, SystemParams::paper_base(), IoScenario::Dedicated);
+        let o = PlanOptions {
+            shards: 4,
+            ..paper_base()
+        };
+        let text = render(&plan_query(&c, &query, &o).unwrap(), o.scenario);
         assert!(text.contains("shards : S=4"), "{text}");
         assert!(text.contains("shard 0 f=0.250"), "{text}");
         assert!(text.contains("critical path"), "{text}");
         // Single-node plans stay shard-free.
-        let p1 = plan(
-            &c,
-            &query,
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-        )
-        .unwrap();
-        let text1 = super::render(&p1, SystemParams::paper_base(), IoScenario::Dedicated);
+        let o1 = paper_base();
+        let text1 = render(&plan_query(&c, &query, &o1).unwrap(), o1.scenario);
         assert!(!text1.contains("shards :"), "{text1}");
     }
 
@@ -1156,16 +1000,16 @@ mod tests {
             page_size: 512,
             alpha: 5.0,
         };
-        let out = explain_analyze_query_sharded(
+        let o = PlanOptions {
+            shards: 2,
+            partitioning: ShardPartitioning::SkewAware,
+            ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
+        };
+        let out = explain_analyze(
             &c,
             "Select D.Id, Q.Id From Docs D, Queries Q \
              Where D.Body SIMILAR_TO(3) Q.Body",
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-            1,
-            2,
-            ShardPartitioning::SkewAware,
+            &o,
         )
         .unwrap();
         let sh = out.sharded.as_ref().expect("sharded run happened");
@@ -1186,13 +1030,15 @@ mod tests {
         // costs zero; the drift ratio is then undefined and must render
         // as `n/a`, never as inf or NaN.
         let c = catalog();
-        let out = explain_analyze_query(
+        let out = explain_analyze(
             &c,
             "Select P.Title, A.Name From Positions P, Applicants A \
              Where P.Title like '%Nomatch%' and A.Resume SIMILAR_TO(2) P.Job_descr",
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(
+                SystemParams::paper_base(),
+                QueryParams::paper_base(),
+                IoScenario::Dedicated,
+            ),
         )
         .unwrap();
         for row in &out.drift {
@@ -1245,9 +1091,11 @@ mod tests {
                 "Select P.Title, A.Name From Positions P, Applicants A \
                  Where A.Resume SIMILAR_TO(0) P.Job_descr",
             ],
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(
+                SystemParams::paper_base(),
+                QueryParams::paper_base(),
+                IoScenario::Dedicated,
+            ),
         )
         .unwrap();
         for row in &out.drift {
@@ -1269,13 +1117,15 @@ mod tests {
     #[test]
     fn analyze_report_shows_stats_drift_and_spans() {
         let c = catalog();
-        let out = explain_analyze_query(
+        let out = explain_analyze(
             &c,
             "Select P.Title, A.Name From Positions P, Applicants A \
              Where A.Resume SIMILAR_TO(2) P.Job_descr",
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(
+                SystemParams::paper_base(),
+                QueryParams::paper_base(),
+                IoScenario::Dedicated,
+            ),
         )
         .unwrap();
         assert!(out.text.starts_with("EXPLAIN ANALYZE\n"), "{}", out.text);
@@ -1332,12 +1182,10 @@ mod tests {
         };
         let sql = "Select D.Id, Q.Id From Docs D, Queries Q \
                    Where D.Body SIMILAR_TO(3) Q.Body";
-        let before = explain_analyze_query(
+        let before = explain_analyze(
             &c,
             sql,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
         )
         .unwrap();
         assert!(before.calibrated.is_empty(), "no profile, no table");
@@ -1360,15 +1208,11 @@ mod tests {
             })
             .collect();
         let profile = CalibrationProfile::fit(&obs);
-        let after = explain_analyze_query_with_profile(
-            &c,
-            sql,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-            &profile,
-        )
-        .unwrap();
+        let o = PlanOptions {
+            profile: Some(&profile),
+            ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
+        };
+        let after = explain_analyze(&c, sql, &o).unwrap();
         assert_eq!(after.calibrated.len(), 4);
         assert!(
             after.text.contains("calibrated predictions ("),
@@ -1400,14 +1244,15 @@ mod tests {
             page_size: 512,
             alpha: 5.0,
         };
-        let out = explain_analyze_query_with_workers(
+        let o = PlanOptions {
+            workers: 4,
+            ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
+        };
+        let out = explain_analyze(
             &c,
             "Select D.Id, Q.Id From Docs D, Queries Q \
              Where D.Body SIMILAR_TO(3) Q.Body",
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-            4,
+            &o,
         )
         .unwrap();
         assert_eq!(out.scaling.len(), 2, "{}", out.text);
@@ -1438,13 +1283,15 @@ mod tests {
     #[test]
     fn sequential_analyze_has_no_scaling_table() {
         let c = catalog();
-        let out = explain_analyze_query(
+        let out = explain_analyze(
             &c,
             "Select P.Title, A.Name From Positions P, Applicants A \
              Where A.Resume SIMILAR_TO(2) P.Job_descr",
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(
+                SystemParams::paper_base(),
+                QueryParams::paper_base(),
+                IoScenario::Dedicated,
+            ),
         )
         .unwrap();
         assert!(out.scaling.is_empty());
@@ -1472,9 +1319,7 @@ mod tests {
         let out = explain_analyze_batch(
             &c,
             &sql_refs,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
         )
         .unwrap();
         assert!(
@@ -1507,14 +1352,13 @@ mod tests {
 
     #[test]
     fn batch_hhnl_reads_strictly_fewer_pages_than_solo_runs() {
-        use crate::executor::{execute_batch_plan, execute_plan};
         let c = big_catalog(512, 120, 60, 40, 200);
         let sys = SystemParams {
             buffer_pages: 800,
             page_size: 512,
             alpha: 5.0,
         };
-        let qp = QueryParams::paper_base();
+        let o = PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated);
         let queries: Vec<_> = [1usize, 2, 3, 2]
             .iter()
             .map(|l| {
@@ -1525,14 +1369,14 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let mut bp = plan_batch(&c, &queries, sys, qp, IoScenario::Dedicated).unwrap();
+        let mut bp = plan_batch(&c, &queries, &o).unwrap();
         bp.chosen = Algorithm::Hhnl;
-        let batch = execute_batch_plan(&c, &bp, sys, qp).unwrap();
+        let batch = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
         let mut solo_pages = 0u64;
         for q in &queries {
-            let mut p = plan(&c, q, sys, qp, IoScenario::Dedicated).unwrap();
+            let mut p = plan_query(&c, q, &o).unwrap();
             p.chosen = Algorithm::Hhnl;
-            solo_pages += execute_plan(&c, &p, sys, qp)
+            solo_pages += execute(&c, &p, &ExecOptions::default())
                 .unwrap()
                 .stats
                 .io
@@ -1593,22 +1437,18 @@ mod tests {
         // The delta pages feed the actual estimates: re-plan both ways and
         // compare the formulas the planner ranks.
         let query = parse(sql).unwrap();
-        let frag_plan = plan(
+        let frag_plan = plan_query(
             &c,
             &query,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
         )
         .unwrap();
         c.set_text_column_frag("Docs", "Body", FragStats::default())
             .unwrap();
-        let clean_plan = plan(
+        let clean_plan = plan_query(
             &c,
             &query,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
         )
         .unwrap();
         for alg in Algorithm::ALL {
@@ -1650,24 +1490,20 @@ mod tests {
                 "Select D.Id, Q.Id From Docs D, Queries Q \
                  Where D.Body SIMILAR_TO({l}) Q.Body"
             );
-            let out = explain_analyze_query(
+            let out = explain_analyze(
                 &c,
                 &sql,
-                sys,
-                QueryParams::paper_base(),
-                IoScenario::Dedicated,
+                &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
             )
             .unwrap();
             // The executed algorithm is the argmin of the recorded
             // predictions: FNL is selected exactly where the model says
             // it wins, and nowhere else.
             let query = parse(&sql).unwrap();
-            let p = plan(
+            let p = plan_query(
                 &c,
                 &query,
-                sys,
-                QueryParams::paper_base(),
-                IoScenario::Dedicated,
+                &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
             )
             .unwrap();
             let fnl_pred = p.prediction(Algorithm::Fnl).calibrated;
@@ -1717,12 +1553,10 @@ mod tests {
                      Where D.Body SIMILAR_TO({l}) Q.Body"
                 );
                 let query = parse(&sql).unwrap();
-                plan(
+                plan_query(
                     &c,
                     &query,
-                    sys,
-                    QueryParams::paper_base(),
-                    IoScenario::Dedicated,
+                    &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
                 )
                 .unwrap()
                 .chosen

@@ -21,7 +21,47 @@
 //!   below the join (an outer-side selection turns the outer collection
 //!   into a randomly-read subset — the paper's group-3 scenario), and asks
 //!   the integrated algorithm to pick an execution strategy,
-//! * [`executor`] — evaluates the plan and produces result tuples.
+//! * [`executor`] — evaluates the plan and produces result tuples,
+//! * [`mod@explain`] — renders the plan, and with ANALYZE the measured runs
+//!   next to every cost formula.
+//!
+//! # Three verbs, two option values
+//!
+//! The front door is [`plan_query`] → [`execute`], with [`explain()`] /
+//! [`explain_analyze`] alongside (batches of queries over one column pair:
+//! [`plan_batch`] → [`execute_batch`], [`explain_analyze_batch`]):
+//!
+//! * [`PlanOptions`] says what to plan for — `sys`, `query`, `scenario`,
+//!   `workers`, `shards` (+ `comm`, `partitioning`) and an optional
+//!   calibration `profile`. [`PlanOptions::new`] is sequential,
+//!   single-node, uncalibrated; every field composes with every other.
+//!   The resulting [`Plan`] records its inputs, so executing it takes no
+//!   second copy of `sys`/`query` that could disagree.
+//! * [`ExecOptions`] says how to run a plan — `trace` (executor spans),
+//!   `drift_factor` (the watchdog: abort and re-plan when the choice
+//!   overruns its prediction) and `introspect` (a live, cancellable
+//!   ticket). The default is all three off.
+//!
+//! ```
+//! # use textjoin_query::*;
+//! # use textjoin_common::{QueryParams, SystemParams};
+//! # use textjoin_costmodel::IoScenario;
+//! # fn demo(catalog: &Catalog, sql: &str) -> textjoin_common::Result<()> {
+//! let sys = SystemParams::paper_base();
+//! let o = PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated);
+//! let o = PlanOptions { workers: 2, shards: 2, ..o };
+//! let plan = plan_query(catalog, &parse(sql)?, &o)?;
+//! let watched = ExecOptions { drift_factor: Some(1.5), ..Default::default() };
+//! let out = execute(catalog, &plan, &watched)?;
+//! println!("{} rows via {}", out.rows.len(), out.algorithm);
+//! println!("{}", explain_analyze(catalog, sql, &o)?.text);
+//! # Ok(()) }
+//! ```
+//!
+//! [`run_query`], [`plan`], [`planner::plan_with_workers`],
+//! [`executor::run_query_with_workers`], [`executor::execute_plan`],
+//! [`execute_plan_introspected`] and [`explain_query`] are the pre-options
+//! signatures `benchmark/` compiles against, kept as one-line forwards.
 //!
 //! The asymmetry of `SIMILAR_TO` is preserved: `A.Resume SIMILAR_TO(λ)
 //! P.Job_descr` finds λ resumes for *each* job description, so the
@@ -38,13 +78,12 @@ pub mod planner;
 pub use ast::{ColumnRef, Literal, Predicate, Query};
 pub use catalog::{Catalog, ColumnType, Relation, RelationBuilder, Value};
 pub use executor::{
-    execute_plan_introspected, execute_plan_watched, execute_plan_watched_introspected, run_query,
-    run_query_batch_introspected, run_query_introspected, run_query_sharded, Introspect,
-    QueryOutput, ShardExecution,
+    execute, execute_batch, execute_plan_introspected, run_query, BatchQueryOutput, ExecOptions,
+    Introspect, QueryOutput, ShardExecution,
 };
 pub use explain::{
-    explain_analyze_query, explain_analyze_query_sharded, explain_analyze_query_with_profile,
-    explain_query, AnalyzeOutput, CalibratedDrift, DriftRow, ShardDrift,
+    explain, explain_analyze, explain_analyze_batch, explain_query, AnalyzeOutput,
+    BatchAnalyzeOutput, CalibratedDrift, DriftRow, ShardDrift,
 };
 pub use parser::parse;
-pub use planner::{plan, plan_with_profile, plan_with_shards, Plan, PlanPrediction};
+pub use planner::{plan, plan_batch, plan_query, BatchPlan, Plan, PlanOptions, PlanPrediction};

@@ -11,10 +11,55 @@
 use crate::ast::{ColumnRef, CompareOp, Literal, Predicate, Query};
 use crate::catalog::{like_match, Catalog, ColumnType, Relation, Value};
 use textjoin_common::{DocId, Error, QueryParams, Result, SystemParams};
+use textjoin_core::ShardPartitioning;
 use textjoin_costmodel::{
-    parallel, shard, Algorithm, CalibrationProfile, CommParams, CostEstimates, IoScenario,
-    JoinInputs, ShardPlan,
+    rank, shard, Algorithm, CalibrationProfile, CommParams, CostEstimates, IoScenario, JoinInputs,
+    ShardPlan,
 };
+
+/// Everything planning decides on besides the query itself — the one
+/// options value [`plan_query`], [`plan_batch`] and the `explain` verbs
+/// take. The fields compose freely: workers × shards × profile is one plan.
+#[derive(Clone, Copy)]
+pub struct PlanOptions<'a> {
+    /// System parameters `B`, `P`, `α`.
+    pub sys: SystemParams,
+    /// Query parameters; `λ` is overridden by the query's `SIMILAR_TO(λ)`.
+    pub query: QueryParams,
+    /// The I/O pricing the algorithms are ranked under.
+    pub scenario: IoScenario,
+    /// Worker threads per join (per site when sharded). With `workers > 1`
+    /// the ranking uses the parallel estimates (`hhs_par`/`hvs_par`/…).
+    pub workers: usize,
+    /// Sites the join is split across (1 = single-node). With `shards > 1`
+    /// the chosen algorithm's per-site §5 costs are recorded in
+    /// [`Plan::shard_plan`].
+    pub shards: usize,
+    /// Network pricing of the shard plan and of shipped structures.
+    pub comm: CommParams,
+    /// Boundary strategy the sharded executor runs with.
+    pub partitioning: ShardPartitioning,
+    /// Rank by *calibrated* estimates: each raw estimate is multiplied by
+    /// the profile's fitted correction factor for this collection pair.
+    pub profile: Option<&'a CalibrationProfile>,
+}
+
+impl PlanOptions<'_> {
+    /// Sequential single-node planning on the raw estimates: one worker,
+    /// one site, default network pricing and boundaries, no profile.
+    pub fn new(sys: SystemParams, query: QueryParams, scenario: IoScenario) -> Self {
+        Self {
+            sys,
+            query,
+            scenario,
+            workers: 1,
+            shards: 1,
+            comm: CommParams::default_network(),
+            partitioning: ShardPartitioning::default(),
+            profile: None,
+        }
+    }
+}
 
 /// One algorithm's cost prediction as recorded by the plan: the raw
 /// section-5 estimate and the calibration-corrected value the ranking
@@ -75,13 +120,15 @@ pub struct Plan {
     /// Which boundary strategy the sharded executor runs with. The plan
     /// itself always prices uniform fractions; skew-aware partitioning is
     /// the run-time mechanism for achieving them on skewed data.
-    pub shard_partitioning: textjoin_core::ShardPartitioning,
+    pub shard_partitioning: ShardPartitioning,
     /// Collection-pair label (`"inner_rel/outer_rel"`) keying the query's
     /// reports and calibration corrections.
     pub pair: String,
-    /// The plan's recorded predictions, one per algorithm in
-    /// `Algorithm::ALL` order — the feedback the observability loop
-    /// compares measured costs against.
+    /// The plan's recorded predictions, one per algorithm, cheapest
+    /// calibrated cost first (ties in `Algorithm::ALL` order) — the
+    /// ranking the choice was made on, the order fallbacks are tried in,
+    /// and the feedback the observability loop compares measured costs
+    /// against.
     pub predictions: Vec<PlanPrediction>,
 }
 
@@ -98,6 +145,19 @@ impl Plan {
     /// against.
     pub fn chosen_prediction(&self) -> &PlanPrediction {
         self.prediction(self.chosen)
+    }
+
+    /// `InvalidArgument` unless `sys`/`query` are what this plan was made
+    /// for — the guard of the pinned `execute_plan*` forwards, whose
+    /// signatures pass both a second time.
+    pub(crate) fn check_planned_for(&self, sys: SystemParams, query: QueryParams) -> Result<()> {
+        if self.inputs.sys == sys && self.inputs.query == query.with_lambda(self.lambda) {
+            return Ok(());
+        }
+        Err(Error::InvalidArgument(format!(
+            "plan was made for {:?} / {:?}, asked to execute under {sys:?} / {query:?}",
+            self.inputs.sys, self.inputs.query
+        )))
     }
 }
 
@@ -133,19 +193,19 @@ impl BatchPlan {
 /// projection are per query); the batch then re-chooses the algorithm on
 /// the shared-scan estimates. Queries joining different relations or
 /// different textual columns are rejected — they cannot share scans.
-pub fn plan_batch(
-    catalog: &Catalog,
-    queries: &[Query],
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-) -> Result<BatchPlan> {
+pub fn plan_batch(catalog: &Catalog, queries: &[Query], o: &PlanOptions<'_>) -> Result<BatchPlan> {
     if queries.is_empty() {
         return Err(Error::Plan("batch needs at least one query".into()));
     }
+    if o.workers > 1 || o.shards > 1 {
+        return Err(Error::Plan(format!(
+            "a batch shares one sequential single-node scan: workers={} shards={} must both be 1",
+            o.workers, o.shards
+        )));
+    }
     let plans: Vec<Plan> = queries
         .iter()
-        .map(|q| plan(catalog, q, sys, base_query_params, scenario))
+        .map(|q| plan_query(catalog, q, o))
         .collect::<Result<_>>()?;
     let first = &plans[0];
     for p in &plans[1..] {
@@ -171,19 +231,20 @@ pub fn plan_batch(
 
     let inputs: Vec<JoinInputs> = plans.iter().map(|p| p.inputs).collect();
     let estimates = CostEstimates::compute_batch(&inputs);
-    let chosen = estimates.best(scenario).0;
-    let sequential_cost = plans.iter().map(|p| p.estimates.best(scenario).1).sum();
+    let chosen = estimates.best(o.scenario).0;
+    let sequential_cost = plans.iter().map(|p| p.estimates.best(o.scenario).1).sum();
 
     Ok(BatchPlan {
         plans,
         chosen,
         estimates,
         sequential_cost,
-        scenario,
+        scenario: o.scenario,
     })
 }
 
-/// Plans a parsed query against a catalog (sequential execution).
+/// [`plan_query`] at [`PlanOptions::new`]. Pinned by `benchmark/`; delete
+/// once it may change.
 pub fn plan(
     catalog: &Catalog,
     query: &Query,
@@ -191,38 +252,15 @@ pub fn plan(
     base_query_params: QueryParams,
     scenario: IoScenario,
 ) -> Result<Plan> {
-    plan_with_workers(catalog, query, sys, base_query_params, scenario, 1)
-}
-
-/// [`plan`] ranking algorithms by *calibrated* estimates: each raw
-/// estimate is multiplied by the profile's fitted correction factor for
-/// this collection pair before the cheapest is chosen. The plan records
-/// both numbers per algorithm, so EXPLAIN can show the correction and the
-/// watchdog can budget against the calibrated prediction.
-pub fn plan_with_profile(
-    catalog: &Catalog,
-    query: &Query,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    profile: &CalibrationProfile,
-) -> Result<Plan> {
-    plan_inner(
+    plan_query(
         catalog,
         query,
-        sys,
-        base_query_params,
-        scenario,
-        1,
-        1,
-        CommParams::default_network(),
-        Some(profile),
+        &PlanOptions::new(sys, base_query_params, scenario),
     )
 }
 
-/// [`plan`] with a worker knob: with `workers > 1` the algorithm choice is
-/// made on the parallel estimates (`hhs_par`/`hvs_par`/`vvs_par`) and the
-/// executor will run the winner on that many threads.
+/// [`plan_query`] with only the worker knob set. Pinned by `benchmark/`;
+/// delete once it may change.
 pub fn plan_with_workers(
     catalog: &Catalog,
     query: &Query,
@@ -231,60 +269,17 @@ pub fn plan_with_workers(
     scenario: IoScenario,
     workers: usize,
 ) -> Result<Plan> {
-    plan_inner(
-        catalog,
-        query,
-        sys,
-        base_query_params,
-        scenario,
-        workers,
-        1,
-        CommParams::default_network(),
-        None,
-    )
+    let o = PlanOptions::new(sys, base_query_params, scenario);
+    plan_query(catalog, query, &PlanOptions { workers, ..o })
 }
 
-/// [`plan`] for the multidatabase setting: the join is split across
-/// `shards` sites, each running `workers` threads. The chosen algorithm's
-/// per-shard §5 costs (local work, replica shipping, merge transfer) are
-/// recorded in [`Plan::shard_plan`] so EXPLAIN can render the shard table
-/// and EXPLAIN ANALYZE can report per-shard drift.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_with_shards(
-    catalog: &Catalog,
-    query: &Query,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-    shards: usize,
-    comm: CommParams,
-) -> Result<Plan> {
-    plan_inner(
-        catalog,
-        query,
-        sys,
-        base_query_params,
-        scenario,
-        workers,
-        shards,
-        comm,
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn plan_inner(
-    catalog: &Catalog,
-    query: &Query,
-    sys: SystemParams,
-    base_query_params: QueryParams,
-    scenario: IoScenario,
-    workers: usize,
-    shards: usize,
-    comm: CommParams,
-    profile: Option<&CalibrationProfile>,
-) -> Result<Plan> {
+/// Plans a parsed query against a catalog: resolves names, pushes the
+/// selections below the join, and ranks the algorithms by
+/// [`textjoin_costmodel::rank`] under `o` — the parallel estimates when
+/// `o.workers > 1`, corrected by `o.profile` when one is given. The plan
+/// records both numbers per algorithm, so EXPLAIN can show the correction
+/// and the watchdog can budget against the calibrated prediction.
+pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Result<Plan> {
     if query.from.len() != 2 {
         return Err(Error::Plan(format!(
             "textual join queries need exactly two relations, got {}",
@@ -377,8 +372,8 @@ fn plan_inner(
     let inputs = JoinInputs {
         inner: inner_stats,
         outer: outer_stats,
-        sys,
-        query: base_query_params.with_lambda(lambda),
+        sys: o.sys,
+        query: o.query.with_lambda(lambda),
         q,
         outer_original,
         inner_frag: inner_tc.frag,
@@ -390,40 +385,25 @@ fn plan_inner(
     };
     let estimates = CostEstimates::compute(&inputs);
     let pair = format!("{}/{}", inner_rel.name(), outer_rel.name());
-    // Record every algorithm's prediction — raw and (when a profile is
-    // given) calibrated — and rank by the calibrated number. Ties keep the
-    // `Algorithm::ALL` order (HHNL first), matching `CostEstimates::best`.
-    let predictions: Vec<PlanPrediction> = Algorithm::ALL
-        .into_iter()
-        .map(|a| {
-            let raw = if workers > 1 {
-                parallel::estimate(&inputs, a, workers as u64)
-            } else {
-                estimates.cost(a, scenario)
-            };
-            let calibrated = match profile {
-                Some(p) => p.calibrated_cost(&pair, a, raw),
-                None => raw,
-            };
-            PlanPrediction {
-                algorithm: a,
-                raw,
-                calibrated,
-            }
+    let ranked = rank(&inputs, &estimates, o.scenario, o.workers, |a, raw| {
+        o.profile
+            .map_or(raw, |profile| profile.calibrated_cost(&pair, a, raw))
+    });
+    let chosen = ranked[0].0;
+    let predictions = ranked
+        .map(|(algorithm, raw, calibrated)| PlanPrediction {
+            algorithm,
+            raw,
+            calibrated,
         })
-        .collect();
-    let chosen = predictions
-        .iter()
-        .min_by(|a, b| a.calibrated.total_cmp(&b.calibrated))
-        .expect("at least one candidate")
-        .algorithm;
+        .to_vec();
 
     // The per-shard §5 breakdown the sharded executor is being priced
     // against. Uniform fractions are the planning-time assumption; the
     // skew-aware partitioner's job at run time is to realise them.
-    let shards = shards.max(1);
+    let shards = o.shards.max(1);
     let shard_plan = if shards > 1 {
-        shard::plan(&inputs, chosen, &comm, &shard::uniform_fractions(shards)).ok()
+        shard::plan(&inputs, chosen, &o.comm, &shard::uniform_fractions(shards)).ok()
     } else {
         None
     };
@@ -440,11 +420,11 @@ fn plan_inner(
         chosen,
         estimates,
         inputs,
-        workers,
+        workers: o.workers,
         shards,
         shard_plan,
-        comm,
-        shard_partitioning: textjoin_core::ShardPartitioning::default(),
+        comm: o.comm,
+        shard_partitioning: o.partitioning,
         pair,
         predictions,
     })
@@ -640,14 +620,16 @@ mod tests {
         c
     }
 
-    fn plan_sql(c: &Catalog, sql: &str) -> Result<Plan> {
-        plan(
-            c,
-            &parse(sql).unwrap(),
+    fn paper_base() -> PlanOptions<'static> {
+        PlanOptions::new(
             SystemParams::paper_base(),
             QueryParams::paper_base(),
             IoScenario::Dedicated,
         )
+    }
+
+    fn plan_sql(c: &Catalog, sql: &str) -> Result<Plan> {
+        plan_query(c, &parse(sql).unwrap(), &paper_base())
     }
 
     #[test]
@@ -752,14 +734,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let bp = plan_batch(
-            &c,
-            &queries,
-            SystemParams::paper_base(),
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-        )
-        .unwrap();
+        let bp = plan_batch(&c, &queries, &paper_base()).unwrap();
         assert_eq!(bp.plans.len(), 2);
         assert_eq!(bp.plans[0].lambda, 1);
         assert_eq!(bp.plans[1].lambda, 2);
@@ -780,9 +755,8 @@ mod tests {
     #[test]
     fn batch_rejects_mismatched_pairs_and_empty_batches() {
         let c = catalog();
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
-        assert!(plan_batch(&c, &[], sys, qp, IoScenario::Dedicated).is_err());
+        let o = paper_base();
+        assert!(plan_batch(&c, &[], &o).is_err());
         let forward = parse(
             "Select P.Title From Positions P, Applicants A \
              Where A.Resume SIMILAR_TO(1) P.Job_descr",
@@ -794,14 +768,18 @@ mod tests {
              Where P.Job_descr SIMILAR_TO(1) A.Resume",
         )
         .unwrap();
-        let err = match plan_batch(&c, &[forward, backward], sys, qp, IoScenario::Dedicated) {
-            Err(e) => e,
-            Ok(_) => panic!("mismatched pairs must not plan"),
-        };
-        assert!(
-            err.to_string().contains("same textual column pair"),
-            "{err}"
-        );
+        let message = |r: Result<BatchPlan>| r.err().expect("must not plan").to_string();
+        let err = message(plan_batch(&c, &[forward.clone(), backward], &o));
+        assert!(err.contains("same textual column pair"), "{err}");
+        // A batch is one shared sequential scan: the knobs it cannot
+        // honour are refused, not ignored.
+        for bad in [
+            PlanOptions { workers: 2, ..o },
+            PlanOptions { shards: 2, ..o },
+        ] {
+            let err = message(plan_batch(&c, std::slice::from_ref(&forward), &bad));
+            assert!(err.contains("must both be 1"), "{err}");
+        }
     }
 
     #[test]
@@ -834,9 +812,7 @@ mod tests {
              Where A.Resume SIMILAR_TO(1) P.Job_descr",
         )
         .unwrap();
-        let sys = SystemParams::paper_base();
-        let qp = QueryParams::paper_base();
-        let base = plan(&c, &query, sys, qp, IoScenario::Dedicated).unwrap();
+        let base = plan_query(&c, &query, &paper_base()).unwrap();
         // Feedback says the raw model under-predicts the chosen algorithm
         // on this pair by 1000×; the calibrated ranking must move off it.
         let obs = vec![ReportObs {
@@ -850,14 +826,21 @@ mod tests {
             measured_cost: 1000.0,
         }];
         let profile = CalibrationProfile::fit(&obs);
-        let p = plan_with_profile(&c, &query, sys, qp, IoScenario::Dedicated, &profile).unwrap();
+        let o = PlanOptions {
+            profile: Some(&profile),
+            ..paper_base()
+        };
+        let p = plan_query(&c, &query, &o).unwrap();
         assert_ne!(p.chosen, base.chosen, "the 1000× correction must rerank");
         let corrected = p.prediction(base.chosen);
         assert!((corrected.calibrated - corrected.raw * 1000.0).abs() < 1e-6);
-        // The new choice is the cheapest by *calibrated* cost.
-        for pred in &p.predictions {
-            assert!(p.chosen_prediction().calibrated <= pred.calibrated);
-        }
+        // The new choice is the cheapest by *calibrated* cost, and the
+        // recorded predictions are that ranking.
+        assert_eq!(p.predictions[0].algorithm, p.chosen);
+        assert!(p
+            .predictions
+            .windows(2)
+            .all(|w| w[0].calibrated <= w[1].calibrated));
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!   and bit-flipped delta side files, each recovered and re-joined
 //!   byte-identically to an uninterrupted run;
 //! * [`calibrate`] — the feedback loop: persist bench-grid query reports
-//!   in the append-only store, fit a [`CalibrationProfile`]
-//!   (`textjoin_costmodel::calibrate`) from what survived the round trip,
-//!   and gate on the calibrated grid's median drift strictly improving;
+//!   in the append-only store, fit a
+//!   [`CalibrationProfile`](textjoin_costmodel::CalibrationProfile) from
+//!   what survived the round trip, and gate on the calibrated grid's
+//!   median drift strictly improving;
 //! * [`live`] — the live-introspection commands: `serve-metrics` hosts
 //!   the embedded scrape endpoint (progress, ETA, cancellation) while a
 //!   canned workload runs, and `top` polls `GET /queries` and renders

@@ -18,6 +18,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+use textjoin_common::json;
 use textjoin_core::{Indexes, JoinSpec, QueryReport, ResultQuality};
 use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
 use textjoin_invfile::{FnlIndex, InvertedFile};
@@ -277,19 +278,19 @@ pub fn parse_queries(payload: &str) -> Result<Vec<LiveRow>, String> {
     let mut rows = Vec::new();
     for obj in split_objects(array)? {
         rows.push(LiveRow {
-            id: num_field(obj, "id").unwrap_or(0.0) as u64,
-            query: str_field(obj, "query").unwrap_or_default(),
-            algorithm: str_field(obj, "algorithm").unwrap_or_default(),
-            phase: str_field(obj, "phase").unwrap_or_default(),
-            pages: num_field(obj, "pages").unwrap_or(0.0),
-            predicted_pages: num_field(obj, "predicted_pages"),
-            budget_headroom_pages: num_field(obj, "budget_headroom_pages"),
-            progress: num_field(obj, "progress"),
-            eta_ms: num_field(obj, "eta_ms").map(|v| v as u64),
-            estimating: bool_field(obj, "estimating").unwrap_or(true),
-            elapsed_ms: num_field(obj, "elapsed_ms").unwrap_or(0.0) as u64,
-            workers: num_field(obj, "workers").unwrap_or(1.0) as u64,
-            cancelled: bool_field(obj, "cancelled").unwrap_or(false),
+            id: json::num_field(obj, "id").unwrap_or(0.0) as u64,
+            query: json::str_field(obj, "query").unwrap_or_default(),
+            algorithm: json::str_field(obj, "algorithm").unwrap_or_default(),
+            phase: json::str_field(obj, "phase").unwrap_or_default(),
+            pages: json::num_field(obj, "pages").unwrap_or(0.0),
+            predicted_pages: json::num_field(obj, "predicted_pages"),
+            budget_headroom_pages: json::num_field(obj, "budget_headroom_pages"),
+            progress: json::num_field(obj, "progress"),
+            eta_ms: json::num_field(obj, "eta_ms").map(|v| v as u64),
+            estimating: json::bool_field(obj, "estimating").unwrap_or(true),
+            elapsed_ms: json::num_field(obj, "elapsed_ms").unwrap_or(0.0) as u64,
+            workers: json::num_field(obj, "workers").unwrap_or(1.0) as u64,
+            cancelled: json::bool_field(obj, "cancelled").unwrap_or(false),
         });
     }
     Ok(rows)
@@ -337,55 +338,6 @@ fn split_objects(array: &str) -> Result<Vec<&str>, String> {
         return Err("truncated payload".into());
     }
     Ok(objects)
-}
-
-/// Extracts and unescapes `"key":"..."`.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = obj[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts `"key":<number>`.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Extracts `"key":true|false`.
-fn bool_field(obj: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
 }
 
 /// Renders a `GET /queries` payload as the `top` table.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use textjoin::common::{QueryParams, SystemParams};
 use textjoin::core::IoScenario;
 use textjoin::query::catalog::{Catalog, ColumnType, RelationBuilder, Value};
-use textjoin::query::explain_analyze_query;
+use textjoin::query::{explain_analyze, PlanOptions};
 use textjoin::storage::DiskSim;
 
 fn main() -> textjoin::Result<()> {
@@ -39,17 +39,16 @@ fn main() -> textjoin::Result<()> {
     }
     catalog.add(queries)?;
 
-    let out = explain_analyze_query(
+    let sys = SystemParams {
+        buffer_pages: 1200,
+        page_size: 512,
+        alpha: 5.0,
+    };
+    let out = explain_analyze(
         &catalog,
         "Select D.Id, Q.Id From Docs D, Queries Q \
          Where D.Body SIMILAR_TO(3) Q.Body",
-        SystemParams {
-            buffer_pages: 1200,
-            page_size: 512,
-            alpha: 5.0,
-        },
-        QueryParams::paper_base(),
-        IoScenario::Dedicated,
+        &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
     )?;
     print!("{}", out.text);
     Ok(())

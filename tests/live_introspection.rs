@@ -8,7 +8,7 @@ use std::sync::Arc;
 use textjoin::core::ResultQuality;
 use textjoin::obs::{IntrospectionServer, LiveRegistry, Registry};
 use textjoin::prelude::*;
-use textjoin::query::run_query_introspected;
+use textjoin::query::{execute, parse, plan_query, ExecOptions, Introspect, PlanOptions};
 use textjoin::sim::live::{http_get, parse_queries};
 
 struct Fixture {
@@ -220,16 +220,22 @@ fn query_layer_registers_and_deregisters() {
         .unwrap();
 
     let live = LiveRegistry::new();
-    let out = run_query_introspected(
-        &catalog,
-        "Select P.P#, A.Name From Positions P, Applicants A \
-         Where A.Resume SIMILAR_TO(1) P.Job_descr",
+    let sql = "Select P.P#, A.Name From Positions P, Applicants A \
+               Where A.Resume SIMILAR_TO(1) P.Job_descr";
+    let o = PlanOptions::new(
         textjoin::common::SystemParams::paper_base(),
         QueryParams::paper_base(),
         IoScenario::Dedicated,
-        &live,
-    )
-    .unwrap();
+    );
+    let plan = plan_query(&catalog, &parse(sql).unwrap(), &o).unwrap();
+    let introspected = ExecOptions {
+        introspect: Some(Introspect {
+            live: &live,
+            query: sql,
+        }),
+        ..Default::default()
+    };
+    let out = execute(&catalog, &plan, &introspected).unwrap();
     assert_eq!(out.quality, textjoin::core::ResultQuality::Full);
     assert!(!out.rows.is_empty());
     assert!(live.is_empty(), "finished query must deregister its ticket");
