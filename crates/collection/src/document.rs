@@ -51,6 +51,11 @@ impl Document {
         &self.cells
     }
 
+    /// Takes the document apart into its cells, still sorted by term.
+    pub fn into_cells(self) -> Vec<DCell> {
+        self.cells
+    }
+
     /// Number of distinct terms.
     #[inline]
     pub fn num_terms(&self) -> usize {

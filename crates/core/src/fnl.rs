@@ -4,22 +4,25 @@
 //! inner collection's sequential scan replaced by a scan of the compact
 //! signature index ([`FnlIndex`]). Each signature entry re-encodes a
 //! document's d-cells as `(rank, weight)` pairs in increasing global
-//! rarity rank, so two things get cheaper at once:
+//! rarity rank:
 //!
 //! * **I/O** — a pass reads the signature file's `Ip` pages instead of
 //!   the document store's `D1` pages (signatures gap-code the rank
-//!   sequence, typically 40–60% of the store);
-//! * **CPU** — the prefix/position-filtered merge
-//!   ([`filtered_merge`]) abandons a pair as soon as it provably cannot
-//!   reach the overlap threshold, instead of merging both cell lists to
-//!   the end.
+//!   sequence, typically 40–60% of the store). This is FNL's whole edge
+//!   over HHNL;
+//! * **CPU** — as in HHNL, the resident round is re-laid as an index
+//!   (`probe.rs`), here keyed by rarity rank, and every signature
+//!   entry probes it, so the work tracks the matches. The overlap
+//!   threshold is applied to a pair's match count after the probe; the
+//!   prefix/position filter that used to abandon a pairwise merge early
+//!   has nothing left to save.
 //!
-//! At the registered threshold τ = 1 the filter is vacuous as a
+//! At the registered threshold τ = 1 the threshold is vacuous as a
 //! *predicate* (any pair with at least one common term survives, and a
 //! pair with none scores zero under every weighting), so the surviving
 //! candidates are exactly the nonzero-score pairs HHNL offers to its
 //! λ-heaps — the result is byte-identical to HHNL under integer-valued
-//! weightings, only cheaper to produce. τ > 1 is an executor knob
+//! weightings, only cheaper to read. τ > 1 is an executor knob
 //! ([`FnlOptions::min_overlap`]) for callers that want a genuine overlap
 //! join; it changes the result by design (pairs below the threshold are
 //! dropped) and is exercised by unit tests, not by the planner.
@@ -28,18 +31,19 @@
 //! overlay is handled the way the delta-aware planner prices it
 //! (`costmodel::fnl`'s overlay-rescoring term): tombstoned base documents
 //! are masked at probe time via [`JoinSpec::inner_doc_allowed`], and the
-//! overlay's live delta documents are re-read each pass and scored raw
-//! with the spec's weighting — they never have signatures, so the filter
-//! cannot wrongly drop them.
+//! overlay's live delta documents are re-read each pass and probe a second
+//! index of the round keyed by term number — they never have signatures,
+//! so the rank space cannot wrongly drop them.
 
-use crate::driver::{drive_one, DocStream, Passes, Resident, Run};
+use crate::driver::{drive_one, DocStream, Passes, Run};
+use crate::probe::{self, Postings, Round};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
-use textjoin_common::Result;
+use textjoin_common::{Result, TermId};
 use textjoin_costmodel::fnl::RANK_CELL_BYTES;
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{filtered_merge, FnlIndex, RankCell, TermOrder};
+use textjoin_invfile::{DeltaOverlay, FnlIndex, TermOrder};
 
 /// Tuning knobs for the filtered executor.
 #[derive(Clone, Copy, Debug)]
@@ -70,19 +74,16 @@ pub fn execute_with(
     drive_one::<Fnl>(spec, (index, opts))
 }
 
-/// What rides along with a resident outer document: its rank-cell encoding
-/// and its λ-heap (the raw document is kept for overlay rescoring).
-type Signature = (Vec<RankCell>, TopK);
-
 /// HHNL's pooled rounds over the signature index: one signature scan (plus
 /// one overlay rescore) per round, the term-ordering sidecar loaded once
 /// for the whole run (`costmodel::fns_batch`'s shared-sidecar saving).
 pub(crate) struct Fnl<'r> {
     index: &'r FnlIndex,
-    opts: FnlOptions,
+    /// The overlap threshold τ, at least 1.
+    min_overlap: u64,
     order: TermOrder,
     outer: DocStream<'r>,
-    /// Pairs the prefix/position filter abandoned before a full merge.
+    /// Allowed pairs of the signature scans that fell short of τ.
     pruned_pairs: u64,
 }
 
@@ -106,7 +107,7 @@ impl<'r> Passes<'r> for Fnl<'r> {
             .allocate(index.max_entry_bytes().max(1), "FNL signature entry slot")?;
         Ok(Self {
             index,
-            opts,
+            min_overlap: opts.min_overlap.max(1),
             order,
             outer: DocStream::outer(run.specs),
             pruned_pairs: 0,
@@ -121,33 +122,52 @@ impl<'r> Passes<'r> for Fnl<'r> {
         // model's X. Outer terms absent from the inner base collection
         // carry no rank and are dropped: they cannot match any signature
         // entry, and overlay documents are scored from the raw cells.
-        let (mut round, round_bytes) =
-            self.outer.fill_round(run, "FNL outer batch", |si, doc| {
-                let lambda = specs[si].query.lambda;
-                let cells = order.rank_cells(doc);
-                (
-                    doc.size_bytes().max(1)
-                        + (RANK_CELL_BYTES * cells.len()) as u64
-                        + TopK::budget_bytes(lambda),
-                    (cells, TopK::new(lambda)),
-                )
-            })?;
+        let (round, round_bytes) = self.outer.fill_round(run, "FNL outer batch", |si, doc| {
+            let lambda = specs[si].query.lambda;
+            let cells = order.rank_cells(doc);
+            (
+                doc.size_bytes().max(1)
+                    + (RANK_CELL_BYTES * cells.len()) as u64
+                    + TopK::budget_bytes(lambda),
+                (cells, TopK::new(lambda)),
+            )
+        })?;
         if round.is_empty() {
             return Ok(false);
         }
+        // The round gets one index per key space: rarity ranks for the
+        // signature scan, term numbers for the overlay's raw documents.
+        let mut docs = Vec::with_capacity(round.len());
+        let mut signatures = Vec::with_capacity(round.len());
+        let slots: Vec<_> = round
+            .into_iter()
+            .map(|r| {
+                let (cells, heap) = r.extra;
+                docs.push(r.doc);
+                signatures.push(cells);
+                (r.query, r.id, heap)
+            })
+            .collect();
+        let mut round = Round::new(specs, slots);
+        let by_rank = Postings::build(
+            signatures
+                .into_iter()
+                .map(|cells| cells.into_iter().map(|c| (c.rank, c.weight))),
+        );
+        let overlay = specs[0]
+            .inner_delta
+            .map(|overlay| (overlay, probe::by_term(docs)));
         let pruned_before = self.pruned_pairs;
         run.phase("fnl.sig_scan", |run, span| {
-            self.scan_signatures_against(run, &mut round)?;
-            self.rescore_overlay_against(run, &mut round)?;
+            self.scan_signatures_against(run, &mut round, &by_rank)?;
+            if let Some((overlay, by_term)) = &overlay {
+                self.rescore_overlay_against(run, &mut round, overlay, by_term)?;
+            }
             span.record("batch_docs", round.len() as u64);
             span.record("pruned_pairs", self.pruned_pairs - pruned_before);
             Ok(())
         })?;
-        for r in round {
-            run.queries[r.query]
-                .rows
-                .push((r.id, r.extra.1.into_matches()));
-        }
+        round.emit(run);
         run.tracker.release(round_bytes);
         Ok(true)
     }
@@ -159,19 +179,16 @@ impl<'r> Passes<'r> for Fnl<'r> {
 }
 
 impl Fnl<'_> {
-    /// One sequential scan of the signature index, running the filtered
-    /// merge between every entry and every resident `(query, outer
-    /// document)` pair.
+    /// One sequential scan of the signature index, probing the round's
+    /// rank index with every entry. A factor is looked up by rank —
+    /// `order.term(rank)` maps back to the term id the weighting knows.
     fn scan_signatures_against(
         &mut self,
         run: &mut Run<'_>,
-        round: &mut [Resident<Signature>],
+        round: &mut Round,
+        by_rank: &Postings,
     ) -> Result<()> {
-        let specs = run.specs;
-        let spec0 = &specs[0];
-        let inner_profile = spec0.inner.profile();
-        let outer_profile = spec0.outer.profile();
-        let mut allowed = vec![false; specs.len()];
+        let spec0 = &run.specs[0];
         let scan = self
             .index
             .scan_with_prefetch(spec0.prefetch_metrics("fnl_sig_scan"));
@@ -184,61 +201,29 @@ impl Fnl<'_> {
                 }
                 Err(e) => return Err(e),
             };
-            for (a, spec) in allowed.iter_mut().zip(specs) {
-                *a = spec.inner_doc_allowed(inner_id);
-            }
-            for r in round.iter_mut() {
-                let spec = &specs[r.query];
-                if !allowed[r.query] || !spec.pair_allowed(inner_id, r.id) {
-                    continue;
-                }
-                // The factor is looked up by rank — `order.term(rank)` maps
-                // back to the term id the weighting knows. Raw-count and
-                // cosine factors are 1, so the lookup stays out of the sum.
-                let (cells, topk) = &mut r.extra;
-                match filtered_merge(cells, &entry, self.opts.min_overlap, |rank| {
-                    spec.weighting
-                        .term_factor(self.order.term(rank), inner_profile)
-                }) {
-                    Some((matched, acc, visited)) => {
-                        let counters = &mut run.queries[r.query].counters;
-                        counters.sim_ops += matched;
-                        counters.cells_touched += visited;
-                        let score = spec.weighting.finalize(
-                            acc,
-                            inner_profile,
-                            inner_id,
-                            outer_profile,
-                            r.id,
-                        );
-                        if !score.is_zero() {
-                            topk.offer(inner_id, score);
-                        }
-                    }
-                    None => self.pruned_pairs += 1,
-                }
-            }
+            self.pruned_pairs += round.probe(
+                run,
+                by_rank,
+                inner_id,
+                entry.iter().map(|c| (c.rank, c.weight)),
+                |rank| self.order.term(rank),
+                self.min_overlap,
+            );
         }
         Ok(())
     }
 
     /// Scores the inner overlay's live delta documents against the round
-    /// from their raw cells — they have no signatures, so the filter never
-    /// sees them and cannot wrongly drop them. The overlap threshold still
-    /// applies (the matched-term count comes back as
-    /// `score_pair_counted`'s `ops`).
+    /// from their raw cells — they have no signatures, so they probe the
+    /// round's term index instead. The overlap threshold still applies.
     fn rescore_overlay_against(
         &self,
         run: &mut Run<'_>,
-        round: &mut [Resident<Signature>],
+        round: &mut Round,
+        overlay: &DeltaOverlay,
+        by_term: &Postings,
     ) -> Result<()> {
-        let specs = run.specs;
-        let spec0 = &specs[0];
-        let Some(overlay) = spec0.inner_delta else {
-            return Ok(());
-        };
-        let inner_profile = spec0.inner.profile();
-        let outer_profile = spec0.outer.profile();
+        let spec0 = &run.specs[0];
         let docs = match overlay.live_docs() {
             Ok(docs) => docs,
             Err(e) if spec0.skippable(&e) => {
@@ -248,26 +233,14 @@ impl Fnl<'_> {
             Err(e) => return Err(e),
         };
         for (inner_id, inner_doc) in docs {
-            for r in round.iter_mut() {
-                let spec = &specs[r.query];
-                if !spec.inner_doc_allowed(inner_id) || !spec.pair_allowed(inner_id, r.id) {
-                    continue;
-                }
-                let (score, ops, visited) = spec.weighting.score_pair_counted(
-                    inner_id,
-                    &inner_doc,
-                    r.id,
-                    &r.doc,
-                    inner_profile,
-                    outer_profile,
-                );
-                let counters = &mut run.queries[r.query].counters;
-                counters.sim_ops += ops;
-                counters.cells_touched += visited;
-                if ops >= self.opts.min_overlap.max(1) && !score.is_zero() {
-                    r.extra.1.offer(inner_id, score);
-                }
-            }
+            round.probe(
+                run,
+                by_term,
+                inner_id,
+                probe::term_cells(&inner_doc),
+                TermId::new,
+                self.min_overlap,
+            );
         }
         Ok(())
     }
@@ -407,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn prunes_pairs_without_full_merges() {
+    fn counts_the_pairs_below_the_threshold() {
         let (_, c1, c2, index, _, _) = fixture(40, 25, 8.0, 300, 256);
         let tracer = textjoin_obs::Tracer::enabled(256);
         let spec = JoinSpec::new(&c1, &c2)
@@ -422,7 +395,7 @@ mod tests {
             .find(|(k, _)| *k == "pruned_pairs")
             .map(|(_, v)| *v)
             .unwrap();
-        assert!(pruned > 0, "a sparse vocabulary must trip the filter");
+        assert!(pruned > 0, "a sparse vocabulary leaves pairs below τ = 2");
         assert!(got.stats.cells_touched > 0);
     }
 

@@ -6,12 +6,19 @@
 //! λ-bounded heap per outer document. Repeat until the outer collection is
 //! exhausted — `⌈N2/X⌉` inner scans in total.
 //!
-//! The executor reserves space for the largest inner document (the paper
-//! reserves `⌈S1⌉` pages) plus, per resident outer document, the document
-//! itself and `λ` similarity slots — exactly the memory layout behind the
-//! `X = (B − ⌈S1⌉)/(S2 + 4λ/P)` estimate of section 4.1, except that real
-//! document sizes are used instead of averages, so the budget is *never*
-//! exceeded rather than exceeded on average.
+//! "Against every resident document" is not done pair by pair: the round
+//! is re-laid as a term → `(slot, weight)` index (`probe.rs`) and
+//! each streamed inner document probes it, so the CPU work tracks the
+//! shared terms instead of `N1·N2·(K1+K2)`. The backward order below keeps
+//! the pairwise merge, as the ablation that measures the difference.
+//!
+//! The executor reserves space for the largest inner document, base or
+//! live delta (the paper reserves `⌈S1⌉` pages), plus, per resident outer
+//! document, the document itself and `λ` similarity slots — exactly the
+//! memory layout behind the `X = (B − ⌈S1⌉)/(S2 + 4λ/P)` estimate of
+//! section 4.1, except that real document sizes are used instead of
+//! averages, so the budget is *never* exceeded rather than exceeded on
+//! average.
 //!
 //! With several queries the outer streams are concatenated and memory
 //! rounds fill across query boundaries, so the inner collection is scanned
@@ -19,11 +26,12 @@
 //! instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times.
 
 use crate::driver::{drive_one, DocStream, Passes, Resident, Run};
+use crate::probe::{self, Postings, Round};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::collections::HashMap;
-use textjoin_common::{DocId, Result};
+use textjoin_common::{DocId, Result, TermId};
 use textjoin_costmodel::Algorithm;
 
 /// Executes the join with HHNL.
@@ -55,9 +63,8 @@ impl<'r> Passes<'r> for Hhnl<'r> {
 
     fn prepare((): (), run: &mut Run<'r>) -> Result<Self> {
         // Room to hold one inner document at a time during the scan.
-        let inner_doc_bytes = run.specs[0].inner.store().max_doc_bytes().max(1);
         run.tracker
-            .allocate(inner_doc_bytes, "HHNL inner document slot")?;
+            .allocate(run.specs[0].inner_slot_bytes(), "HHNL inner document slot")?;
         Ok(Self {
             outer: DocStream::outer(run.specs),
         })
@@ -65,42 +72,38 @@ impl<'r> Passes<'r> for Hhnl<'r> {
 
     fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
         let specs = run.specs;
-        let (mut round, round_bytes) =
-            self.outer.fill_round(run, "HHNL outer batch", |si, doc| {
-                let lambda = specs[si].query.lambda;
-                (
-                    doc.size_bytes().max(1) + TopK::budget_bytes(lambda),
-                    TopK::new(lambda),
-                )
-            })?;
+        let (round, round_bytes) = self.outer.fill_round(run, "HHNL outer batch", |si, doc| {
+            let lambda = specs[si].query.lambda;
+            (
+                doc.size_bytes().max(1) + TopK::budget_bytes(lambda),
+                TopK::new(lambda),
+            )
+        })?;
         if round.is_empty() {
             return Ok(false);
         }
+        let (slots, docs): (Vec<_>, Vec<_>) = round
+            .into_iter()
+            .map(|r| ((r.query, r.id, r.extra), r.doc))
+            .unzip();
+        let mut round = Round::new(specs, slots);
+        let by_term = probe::by_term(docs);
         run.phase("hhnl.inner_scan", |run, span| {
             span.record("batch_docs", round.len() as u64);
-            scan_inner_against(run, &mut round)
+            scan_inner_against(run, &mut round, &by_term)
         })?;
-        for r in round {
-            run.queries[r.query]
-                .rows
-                .push((r.id, r.extra.into_matches()));
-        }
+        round.emit(run);
         run.tracker.release(round_bytes);
         Ok(true)
     }
 }
 
-/// One sequential scan of the inner collection, scoring every inner
-/// document against every resident `(query, outer document)` pair under
-/// that query's own weighting and filters. Scoring a pair is independent
-/// of everything else in the round, so a pair's score does not depend on
-/// which queries share the scan.
-fn scan_inner_against(run: &mut Run<'_>, round: &mut [Resident<TopK>]) -> Result<()> {
-    let specs = run.specs;
-    let spec0 = &specs[0];
-    let inner_profile = spec0.inner.profile();
-    let outer_profile = spec0.outer.profile();
-    let mut allowed = vec![false; specs.len()];
+/// One sequential scan of the inner collection, probing the round's term
+/// index with every inner document. A pair's score depends only on the two
+/// documents and the query's own weighting and filters, never on which
+/// queries share the scan.
+fn scan_inner_against(run: &mut Run<'_>, round: &mut Round, by_term: &Postings) -> Result<()> {
+    let spec0 = &run.specs[0];
     // `inner_iter` folds in the shared inner delta: tombstoned base
     // documents are dropped, inserted documents trail the base scan.
     for item in spec0.inner_iter() {
@@ -112,36 +115,23 @@ fn scan_inner_against(run: &mut Run<'_>, round: &mut [Resident<TopK>]) -> Result
             }
             Err(e) => return Err(e),
         };
-        for (a, spec) in allowed.iter_mut().zip(specs) {
-            *a = spec.inner_doc_allowed(inner_id);
-        }
-        for r in round.iter_mut() {
-            let spec = &specs[r.query];
-            if !allowed[r.query] || !spec.pair_allowed(inner_id, r.id) {
-                continue;
-            }
-            let (score, ops, visited) = spec.weighting.score_pair_counted(
-                inner_id,
-                &inner_doc,
-                r.id,
-                &r.doc,
-                inner_profile,
-                outer_profile,
-            );
-            let counters = &mut run.queries[r.query].counters;
-            counters.sim_ops += ops;
-            counters.cells_touched += visited;
-            if !score.is_zero() {
-                r.extra.offer(inner_id, score);
-            }
-        }
+        round.probe(
+            run,
+            by_term,
+            inner_id,
+            probe::term_cells(&inner_doc),
+            TermId::new,
+            1,
+        );
     }
     Ok(())
 }
 
 /// The backward order: rounds of *inner* documents, one outer scan per
 /// round, one λ-heap per outer document resident throughout. An ablation
-/// of the paper's order; it runs one query.
+/// of the paper's order, and of the round index — it merges pair by pair
+/// on purpose, so section 4.2's "almost all entries of the matrix" can
+/// still be measured (`tests/cpu_costs.rs`); it runs one query.
 struct HhnlBackward<'r> {
     inner: DocStream<'r>,
     heaps: HashMap<u32, TopK>,
@@ -155,9 +145,8 @@ impl<'r> Passes<'r> for HhnlBackward<'r> {
     fn prepare((): (), run: &mut Run<'r>) -> Result<Self> {
         let spec = run.specs[0];
         // Room for the outer document currently streaming past.
-        let outer_doc_bytes = spec.outer.store().max_doc_bytes().max(1);
         run.tracker
-            .allocate(outer_doc_bytes, "backward HHNL outer document slot")?;
+            .allocate(spec.outer_slot_bytes(), "backward HHNL outer document slot")?;
         // One persistent λ-heap per participating outer document.
         run.tracker.allocate(
             TopK::budget_bytes(spec.query.lambda).max(1) * spec.num_outer_docs().max(1),
@@ -384,6 +373,53 @@ mod tests {
             execute(&spec),
             Err(Error::InsufficientMemory { .. })
         ));
+    }
+
+    #[test]
+    fn document_slots_cover_an_oversized_delta_document() {
+        // `inner_iter` streams the overlay's documents through the same
+        // slot as the base scan, so the slot is sized over both.
+        let (_, c1, c2, d1, d2) = fixture(20, 15, 5.0, 60, 128);
+        let big = Document::from_term_counts((0..50).map(|t| (TermId::new(t), 1)));
+        assert!(big.size_bytes() > c1.store().max_doc_bytes());
+        let mut overlay = textjoin_invfile::DeltaOverlay::new();
+        overlay.insert_tail(DocId::new(20), big.clone());
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_inner_delta(&overlay)
+            .with_sys(SystemParams {
+                buffer_pages: 12,
+                page_size: 128,
+                alpha: 5.0,
+            })
+            .with_query(QueryParams::paper_base().with_lambda(2));
+        assert_eq!(spec.inner_slot_bytes(), big.size_bytes());
+        let got = execute(&spec).unwrap();
+        assert_eq!(got.stats.passes, 1);
+        let residents: u64 = d2.iter().map(|d| d.size_bytes() + 16).sum();
+        assert_eq!(got.stats.mem_high_water_bytes, big.size_bytes() + residents);
+        assert!(got.stats.mem_high_water_bytes <= spec.sys.buffer_bytes());
+        let all: Vec<Document> = d1.iter().cloned().chain([big.clone()]).collect();
+        let want = naive_join(&all, &d2, OuterDocs::Full, 2, crate::Weighting::RawCount);
+        assert_eq!(got.result, want);
+
+        // A budget the big document and one outer document do not fit is
+        // refused, not silently exceeded.
+        let cramped = spec.with_sys(SystemParams {
+            buffer_pages: 2,
+            page_size: 128,
+            alpha: 5.0,
+        });
+        assert!(big.size_bytes() < cramped.sys.buffer_bytes());
+        assert!(matches!(
+            execute(&cramped),
+            Err(Error::InsufficientMemory { .. })
+        ));
+
+        // The backward order streams the outer side through its slot.
+        let backward = JoinSpec::new(&c2, &c1).with_outer_delta(&overlay);
+        assert_eq!(backward.outer_slot_bytes(), big.size_bytes());
+        let got = execute_backward(&backward).unwrap();
+        assert!(got.stats.mem_high_water_bytes >= big.size_bytes());
     }
 
     #[test]

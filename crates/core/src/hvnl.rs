@@ -165,10 +165,8 @@ impl<'r> Passes<'r> for Hvnl<'r> {
             run.tracker
                 .allocate(dict.size_bytes().max(1), "HVNL B+tree dictionary")?;
             // Room for the outer document currently being processed (⌈S2⌉).
-            run.tracker.allocate(
-                spec0.outer.store().max_doc_bytes().max(1),
-                "HVNL outer document slot",
-            )?;
+            run.tracker
+                .allocate(spec0.outer_slot_bytes(), "HVNL outer document slot")?;
             run.tracker
                 .allocate(run.result_heap_bytes(), "HVNL result heap")?;
             // Room for the entry currently being fetched (the paper budgets

@@ -17,8 +17,8 @@
 //!   both inverted files, partitioned into multiple passes when the
 //!   intermediate similarities exceed memory (section 4.3);
 //! * [`fnl`] — Filtered Nested Loops: HHNL's loop over a compact
-//!   rarity-ranked signature index, with a prefix/position filter that
-//!   prunes candidate pairs before they are merged;
+//!   rarity-ranked signature index, `Ip < D1` pages per pass, with an
+//!   overlap threshold on the pairs it scores;
 //! * [`batch`] — the same passes handed `N` queries over one collection
 //!   pair, sharing every scan;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
@@ -45,6 +45,7 @@ pub mod hhnl;
 pub mod hvnl;
 pub mod integrated;
 pub mod parallel;
+mod probe;
 pub mod reference;
 pub mod report;
 pub mod result;

@@ -1,0 +1,494 @@
+//! The round index: a resident round re-laid by key, probed by the stream.
+//!
+//! Section 4.2 remarks that comparing document with document "requires
+//! almost all entries in the document-term matrix be accessed". That is
+//! true of a pairwise merge, not of section 4.1's batching: once `X` outer
+//! documents are resident nothing stops organising them by term. After
+//! [`fill_round`](crate::driver::DocStream::fill_round) the nested loops
+//! take the round apart — heaps into a [`Round`], cells into [`Postings`]:
+//! one array of `(slot, weight)` sorted by key, plus a directory of the
+//! distinct keys. Each streamed inner document (or signature entry) then
+//! walks its own cells in ascending key order, gallops forward through the
+//! directory, and adds `u·v·term_factor` into the pending sum of every slot
+//! listed under a shared key. Only the slots it touched are filtered,
+//! finalized and offered to their λ-heaps, so the work per inner document
+//! tracks its matches, not `X·(K1+K2)`.
+//!
+//! Nothing observable moves. A pair's contributions still arrive in
+//! ascending key order, so every score is bit-identical to the pairwise
+//! merge's; each heap still sees inner ids in scan order; and a posting is
+//! the resident cell re-laid (moved out of the document, which is dropped),
+//! so the bytes [`MemTracker`](textjoin_storage::MemTracker) charged at
+//! admission — document, rank cells, λ slots — are the bytes held. The
+//! directory and the per-slot pending sum are loop state, like the two
+//! merge cursors per pair they replace; the tracker prices the paper's
+//! buffer contents, not the executor's scratch.
+
+use crate::driver::Run;
+use crate::spec::JoinSpec;
+use crate::topk::TopK;
+use textjoin_collection::Document;
+use textjoin_common::{DCell, DocId, TermId};
+
+/// One resident cell: the slot it came from and its weight there.
+#[derive(Clone, Copy)]
+struct Posting {
+    slot: u32,
+    weight: u16,
+}
+
+/// The cells of a round in one key space, grouped by key.
+pub(crate) struct Postings {
+    /// The distinct keys, ascending.
+    keys: Vec<u32>,
+    /// `cells[starts[i]..starts[i + 1]]` are the postings of `keys[i]`.
+    starts: Vec<u32>,
+    cells: Vec<Posting>,
+}
+
+impl Postings {
+    /// Re-lays a round by key: `slots` yields each slot's `(key, weight)`
+    /// cells, in slot order.
+    pub(crate) fn build<C>(slots: impl IntoIterator<Item = C>) -> Self
+    where
+        C: IntoIterator<Item = (u32, u16)>,
+    {
+        let mut flat: Vec<(u64, u16)> = Vec::new();
+        for (slot, cells) in slots.into_iter().enumerate() {
+            flat.extend(
+                cells
+                    .into_iter()
+                    .map(|(key, weight)| (((key as u64) << 32) | slot as u64, weight)),
+            );
+        }
+        flat.sort_unstable_by_key(|&(at, _)| at);
+        let mut keys = Vec::new();
+        let mut starts = Vec::new();
+        let mut cells = Vec::with_capacity(flat.len());
+        for (at, weight) in flat {
+            let key = (at >> 32) as u32;
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                starts.push(cells.len() as u32);
+            }
+            cells.push(Posting {
+                slot: at as u32,
+                weight,
+            });
+        }
+        starts.push(cells.len() as u32);
+        Self {
+            keys,
+            starts,
+            cells,
+        }
+    }
+
+    /// The first directory position at or after `from` whose key is not
+    /// below `key`: doubling steps, then a binary search inside the last.
+    fn seek(&self, from: usize, key: u32) -> usize {
+        let rest = &self.keys[from..];
+        let mut bound = 1;
+        while bound < rest.len() && rest[bound - 1] < key {
+            bound *= 2;
+        }
+        let lo = bound / 2;
+        let hi = bound.min(rest.len());
+        from + lo + rest[lo..hi].partition_point(|&k| k < key)
+    }
+}
+
+/// A d-cell in the term-number key space of HHNL and of FNL's overlay
+/// rescoring.
+fn by_term_number(cell: &DCell) -> (u32, u16) {
+    (cell.term.raw(), cell.weight)
+}
+
+/// A streamed document's cells as `(term number, weight)`.
+pub(crate) fn term_cells(doc: &Document) -> impl Iterator<Item = (u32, u16)> + '_ {
+    doc.cells().iter().map(by_term_number)
+}
+
+/// The resident documents of a round re-laid by term number. The cells
+/// move: each document is taken apart and dropped as it is indexed.
+pub(crate) fn by_term(docs: Vec<Document>) -> Postings {
+    let cells = |doc: Document| doc.into_cells().into_iter().map(|c| by_term_number(&c));
+    Postings::build(docs.into_iter().map(cells))
+}
+
+/// What a probe accumulates for one slot before the slot is judged.
+#[derive(Clone, Copy)]
+struct Pending {
+    sum: f64,
+    matched: u32,
+    query: u32,
+}
+
+/// The resident side of one pass: per slot the outer document's query, id
+/// and λ-heap, and the pending sum of the probe in flight.
+pub(crate) struct Round {
+    pending: Vec<Pending>,
+    residents: Vec<(DocId, TopK)>,
+    /// Slots the probe in flight has added to.
+    touched: Vec<u32>,
+    /// Per query: how many slots it owns, whether the inner document in
+    /// flight may match it, and its factor for the key in flight.
+    slots_of: Vec<u64>,
+    allowed: Vec<bool>,
+    factors: Vec<f64>,
+    /// `(outer id, query)` of the slots whose query excludes self pairs,
+    /// sorted: the pairs [`JoinSpec::pair_allowed`] refuses.
+    self_pairs: Vec<(DocId, usize)>,
+}
+
+impl Round {
+    /// A round of `(query, outer id, λ-heap)` slots, in resident order.
+    pub(crate) fn new(
+        specs: &[JoinSpec<'_>],
+        slots: impl IntoIterator<Item = (usize, DocId, TopK)>,
+    ) -> Self {
+        let mut round = Self {
+            pending: Vec::new(),
+            residents: Vec::new(),
+            touched: Vec::new(),
+            slots_of: vec![0; specs.len()],
+            allowed: vec![false; specs.len()],
+            factors: vec![0.0; specs.len()],
+            self_pairs: Vec::new(),
+        };
+        for (query, id, heap) in slots {
+            round.pending.push(Pending {
+                sum: 0.0,
+                matched: 0,
+                query: query as u32,
+            });
+            round.residents.push((id, heap));
+            round.slots_of[query] += 1;
+            if specs[query].exclude_self {
+                round.self_pairs.push((id, query));
+            }
+        }
+        round.self_pairs.sort_unstable();
+        round
+    }
+
+    /// Number of resident slots.
+    pub(crate) fn len(&self) -> usize {
+        self.residents.len()
+    }
+
+    /// Scores one streamed inner document — its `cells` in ascending key
+    /// order, `term_of` mapping a key back to the term the weighting knows
+    /// — against every slot it shares a key with. A pair that passes the
+    /// query's filters is counted (one multiply-add per shared key) and,
+    /// with at least `min_overlap` shared keys, finalized and offered.
+    /// Returns the allowed pairs that fell short of `min_overlap`, the
+    /// untouched ones included.
+    pub(crate) fn probe(
+        &mut self,
+        run: &mut Run<'_>,
+        postings: &Postings,
+        inner_id: DocId,
+        cells: impl Iterator<Item = (u32, u16)>,
+        term_of: impl Fn(u32) -> TermId,
+        min_overlap: u64,
+    ) -> u64 {
+        let specs = run.specs;
+        let mut allowed_pairs = 0;
+        for ((a, spec), n) in self.allowed.iter_mut().zip(specs).zip(&self.slots_of) {
+            *a = spec.inner_doc_allowed(inner_id);
+            allowed_pairs += *a as u64 * n;
+        }
+        if allowed_pairs == 0 {
+            return 0;
+        }
+        let from = self.self_pairs.partition_point(|&(id, _)| id < inner_id);
+        allowed_pairs -= self.self_pairs[from..]
+            .iter()
+            .take_while(|&&(id, _)| id == inner_id)
+            .filter(|&&(_, query)| self.allowed[query])
+            .count() as u64;
+
+        let inner_profile = specs[0].inner.profile();
+        let outer_profile = specs[0].outer.profile();
+        let mut at = 0;
+        for (key, weight) in cells {
+            at = postings.seek(at, key);
+            match postings.keys.get(at) {
+                None => break,
+                Some(&k) if k != key => continue,
+                Some(_) => {}
+            }
+            let term = term_of(key);
+            for (f, spec) in self.factors.iter_mut().zip(specs) {
+                *f = spec.weighting.term_factor(term, inner_profile);
+            }
+            let u = weight as f64;
+            let (lo, hi) = (postings.starts[at], postings.starts[at + 1]);
+            for p in &postings.cells[lo as usize..hi as usize] {
+                let slot = &mut self.pending[p.slot as usize];
+                if slot.matched == 0 {
+                    self.touched.push(p.slot);
+                }
+                slot.sum += u * p.weight as f64 * self.factors[slot.query as usize];
+                slot.matched += 1;
+            }
+            at += 1;
+        }
+
+        let mut scored = 0;
+        for slot in self.touched.drain(..) {
+            let pending = &mut self.pending[slot as usize];
+            let (sum, matched, query) = (pending.sum, pending.matched as u64, pending.query);
+            (pending.sum, pending.matched) = (0.0, 0);
+            let spec = &specs[query as usize];
+            let (outer_id, heap) = &mut self.residents[slot as usize];
+            if !self.allowed[query as usize] || !spec.pair_allowed(inner_id, *outer_id) {
+                continue;
+            }
+            let counters = &mut run.queries[query as usize].counters;
+            counters.sim_ops += matched;
+            counters.cells_touched += matched;
+            if matched < min_overlap {
+                continue;
+            }
+            scored += 1;
+            let score =
+                spec.weighting
+                    .finalize(sum, inner_profile, inner_id, outer_profile, *outer_id);
+            if !score.is_zero() {
+                heap.offer(inner_id, score);
+            }
+        }
+        allowed_pairs - scored
+    }
+
+    /// Hands each slot's λ best matches to its query, in resident order.
+    pub(crate) fn emit(self, run: &mut Run<'_>) {
+        for (pending, (id, heap)) in self.pending.into_iter().zip(self.residents) {
+            run.queries[pending.query as usize]
+                .rows
+                .push((id, heap.into_matches()));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::BatchOutcome;
+    use crate::driver::drive;
+    use crate::fnl::{Fnl, FnlOptions};
+    use crate::hhnl::Hhnl;
+    use crate::result::JoinResult;
+    use crate::weighting::Weighting;
+    use std::sync::Arc;
+    use textjoin_collection::{Collection, SynthSpec};
+    use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_invfile::{filtered_merge, DeltaOverlay, FnlIndex};
+    use textjoin_obs::Tracer;
+    use textjoin_storage::DiskSim;
+
+    const PAGE: usize = 128;
+
+    fn doc(pairs: &[(u32, u16)]) -> Document {
+        Document::from_term_counts(pairs.iter().map(|&(t, w)| (TermId::new(t), w as u32)))
+    }
+
+    struct Fixture {
+        c1: Collection,
+        c2: Collection,
+        index: FnlIndex,
+        /// Two tombstoned base documents, three inserted ones of which one
+        /// is tombstoned again.
+        overlay: DeltaOverlay,
+    }
+
+    fn fixture() -> Fixture {
+        let disk = Arc::new(DiskSim::new(PAGE));
+        let c1 = SynthSpec::from_stats(CollectionStats::new(30, 10.0, 60), 11)
+            .generate(Arc::clone(&disk), "c1")
+            .unwrap();
+        let c2 = SynthSpec::from_stats(CollectionStats::new(20, 10.0, 60), 22)
+            .generate(Arc::clone(&disk), "c2")
+            .unwrap();
+        let index = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let mut overlay = DeltaOverlay::new();
+        let inserted = SynthSpec::from_stats(CollectionStats::new(3, 10.0, 60), 33).generate_docs();
+        for (k, doc) in inserted.into_iter().enumerate() {
+            overlay.insert_tail(DocId::new(30 + k as u32), doc);
+        }
+        for id in [4, 17, 31] {
+            overlay.delete(DocId::new(id));
+        }
+        Fixture {
+            c1,
+            c2,
+            index,
+            overlay,
+        }
+    }
+
+    /// What the pairwise loops the probe replaced would answer: the rows,
+    /// the multiply-adds over every allowed pair, and the allowed pairs of
+    /// the signature scan the filtered merge gives up on. `tau` is `None`
+    /// for HHNL (every inner document is merged by term) and FNL's overlap
+    /// threshold otherwise (base documents are merged by rank through
+    /// [`filtered_merge`], overlay documents by term).
+    fn pairwise(spec: &JoinSpec<'_>, index: &FnlIndex, tau: Option<u64>) -> (JoinResult, u64, u64) {
+        let (pi, po) = (spec.inner.profile(), spec.outer.profile());
+        let order = index.read_term_order().unwrap();
+        let inner: Vec<_> = spec.inner_iter().map(|r| r.unwrap()).collect();
+        let (mut ops, mut pruned) = (0, 0);
+        let rows = spec
+            .outer_iter()
+            .map(|r| r.unwrap())
+            .map(|(outer_id, outer)| {
+                let mut heap = TopK::new(spec.query.lambda);
+                for (inner_id, inner_doc) in &inner {
+                    if !spec.inner_doc_allowed(*inner_id) || !spec.pair_allowed(*inner_id, outer_id)
+                    {
+                        continue;
+                    }
+                    let (score, matched, _) = spec
+                        .weighting
+                        .score_pair_counted(*inner_id, inner_doc, outer_id, &outer, pi, po);
+                    ops += matched;
+                    let score = match tau {
+                        Some(tau) if spec.inner.store().contains(*inner_id) => {
+                            let merged = filtered_merge(
+                                &order.rank_cells(&outer),
+                                &order.rank_cells(inner_doc),
+                                tau,
+                                |rank| spec.weighting.term_factor(order.term(rank), pi),
+                            );
+                            let Some((_, acc, _)) = merged else {
+                                pruned += 1;
+                                continue;
+                            };
+                            spec.weighting.finalize(acc, pi, *inner_id, po, outer_id)
+                        }
+                        Some(tau) if matched < tau => continue,
+                        _ => score,
+                    };
+                    if !score.is_zero() {
+                        heap.offer(*inner_id, score);
+                    }
+                }
+                (outer_id, heap.into_matches())
+            })
+            .collect();
+        (JoinResult::from_rows(rows), ops, pruned)
+    }
+
+    fn check(got: &BatchOutcome, specs: &[JoinSpec<'_>], index: &FnlIndex, tau: Option<u64>) {
+        let mut pruned = 0;
+        for (q, spec) in got.queries.iter().zip(specs) {
+            let (want, ops, below) = pairwise(spec, index, tau);
+            assert_eq!(q.result, want);
+            assert_eq!(q.stats.sim_ops, ops);
+            assert_eq!(q.stats.cells_touched, ops);
+            pruned += below;
+        }
+        assert!(got.stats.mem_high_water_bytes <= specs[0].sys.buffer_bytes());
+        if tau.is_some() {
+            let spans = specs[0].trace.unwrap().finished();
+            let root = spans.iter().rfind(|s| s.name == "fnl").unwrap();
+            let field = root.fields.iter().find(|(k, _)| *k == "pruned_pairs");
+            assert_eq!(field.unwrap().1, pruned);
+        }
+    }
+
+    /// The probe against the pairwise merge, bit for bit, over everything
+    /// a round can hold and a stream can carry.
+    #[test]
+    fn probe_equals_the_pairwise_merge_bit_for_bit() {
+        let fx = fixture();
+        let tracer = Tracer::enabled(1 << 12);
+        // Every other inner id, a tombstoned one and two inserted ones.
+        let inner_keep: Vec<DocId> = (0..30).step_by(2).chain([31, 32]).map(DocId::new).collect();
+        let alone =
+            [Weighting::RawCount, Weighting::Cosine, Weighting::TfIdf].map(|w| vec![(w, 5)]);
+        let mixed = vec![
+            (Weighting::RawCount, 2),
+            (Weighting::Cosine, 5),
+            (Weighting::TfIdf, 9),
+        ];
+        for batch in alone.iter().chain([&mixed]) {
+            for flags in 0..16 {
+                let [exclude_self, select, delta, tight] = [1, 2, 4, 8].map(|bit| flags & bit != 0);
+                let specs: Vec<JoinSpec<'_>> = batch
+                    .iter()
+                    .map(|&(weighting, lambda)| {
+                        let mut spec = JoinSpec::new(&fx.c1, &fx.c2)
+                            .with_sys(SystemParams {
+                                buffer_pages: if tight { 6 } else { 200 },
+                                page_size: PAGE,
+                                alpha: 5.0,
+                            })
+                            .with_query(QueryParams::paper_base().with_lambda(lambda))
+                            .with_weighting(weighting)
+                            .with_trace(&tracer);
+                        if exclude_self {
+                            spec = spec.with_exclude_self();
+                        }
+                        if select {
+                            spec = spec.with_inner_docs(&inner_keep);
+                        }
+                        if delta {
+                            spec = spec.with_inner_delta(&fx.overlay);
+                        }
+                        spec
+                    })
+                    .collect();
+                let hhnl = drive::<Hhnl>(&specs, ()).unwrap();
+                assert!(!tight || hhnl.stats.passes >= 3, "{}", hhnl.stats.passes);
+                check(&hhnl, &specs, &fx.index, None);
+                for min_overlap in [1, 3] {
+                    let opts = FnlOptions { min_overlap };
+                    let fnl = drive::<Fnl>(&specs, (&fx.index, opts)).unwrap();
+                    assert!(!tight || fnl.stats.passes >= 3, "{}", fnl.stats.passes);
+                    check(&fnl, &specs, &fx.index, Some(min_overlap));
+                }
+            }
+        }
+    }
+
+    /// Rounds and streams with nothing in them: no slots at all, an empty
+    /// inner document, an empty outer document, and an outer document none
+    /// of whose terms occur in the inner side.
+    #[test]
+    fn empty_rounds_documents_and_overlaps_score_nothing() {
+        let nothing = Postings::build(Vec::<Vec<(u32, u16)>>::new());
+        assert_eq!(nothing.seek(0, 7), 0);
+        assert!(nothing.keys.is_empty() && nothing.cells.is_empty());
+
+        let disk = Arc::new(DiskSim::new(PAGE));
+        let inner = vec![doc(&[(1, 2), (2, 1)]), doc(&[]), doc(&[(2, 3)])];
+        let outer = vec![doc(&[(1, 1), (2, 2)]), doc(&[(100, 1), (200, 2)]), doc(&[])];
+        let c1 = Collection::build(Arc::clone(&disk), "c1", inner).unwrap();
+        let c2 = Collection::build(Arc::clone(&disk), "c2", outer).unwrap();
+        let index = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let tracer = Tracer::enabled(64);
+        let specs = [JoinSpec::new(&c1, &c2).with_trace(&tracer)];
+        let hhnl = drive::<Hhnl>(&specs, ()).unwrap();
+        check(&hhnl, &specs, &index, None);
+        let fnl = drive::<Fnl>(&specs, (&index, FnlOptions::default())).unwrap();
+        check(&fnl, &specs, &index, Some(1));
+        let rows: Vec<_> = hhnl.queries[0].result.iter().collect();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0].1.len(), 2);
+        assert!(rows[1].1.is_empty() && rows[2].1.is_empty());
+    }
+
+    #[test]
+    fn seek_is_a_forward_lower_bound() {
+        let postings = Postings::build([[3, 4, 9, 10, 11, 40, 41, 90].map(|key| (key, 1))]);
+        for from in 0..=postings.keys.len() {
+            for key in 0..100 {
+                let want = from + postings.keys[from..].partition_point(|&k| k < key);
+                assert_eq!(postings.seek(from, key), want, "from {from} key {key}");
+            }
+        }
+    }
+}

@@ -91,9 +91,12 @@ pub struct ExecStats {
     pub cache_hits: u64,
     /// CPU work: similarity multiply-add operations performed.
     pub sim_ops: u64,
-    /// CPU work: document/inverted-file cells visited (for HHNL this
-    /// includes the non-matching merge steps — the whole document-term
-    /// matrix; the vertical algorithms only visit non-zero structure).
+    /// CPU work: cells visited for pairs the query allows. Every forward
+    /// executor reaches a cell through an index — an inverted entry, or
+    /// the round index of the nested loops — so it visits only non-zero
+    /// structure and this equals `sim_ops`. The backward-order HHNL
+    /// ablation merges pair by pair and also counts the non-matching merge
+    /// steps: the whole document-term matrix of section 4.2.
     pub cells_touched: u64,
     /// Documents skipped because they could not be read (degraded mode
     /// only; zero otherwise).

@@ -413,6 +413,18 @@ impl<'a> JoinSpec<'a> {
         Some(store.read_doc_direct(id))
     }
 
+    /// Bytes of the largest document [`inner_iter`](Self::inner_iter) can
+    /// yield — base or live delta — and so the size of a slot that holds
+    /// one inner document at a time.
+    pub fn inner_slot_bytes(&self) -> u64 {
+        slot_bytes(self.inner, self.inner_delta)
+    }
+
+    /// [`inner_slot_bytes`](Self::inner_slot_bytes) for the outer side.
+    pub fn outer_slot_bytes(&self) -> u64 {
+        slot_bytes(self.outer, self.outer_delta)
+    }
+
     /// A lazy iterator over the participating inner documents: the base
     /// scan (minus tombstoned documents) followed by the inner overlay's
     /// live delta documents. The nested-loop executors stream the inner
@@ -428,6 +440,13 @@ impl<'a> JoinSpec<'a> {
             self.inner_delta,
         )
     }
+}
+
+/// The largest document of a collection seen through its overlay, at
+/// least one byte.
+fn slot_bytes(base: &Collection, overlay: Option<&DeltaOverlay>) -> u64 {
+    let delta = overlay.map_or(0, DeltaOverlay::max_live_doc_bytes);
+    base.store().max_doc_bytes().max(delta).max(1)
 }
 
 /// A base scan seen through a delta overlay: tombstoned documents drop

@@ -62,7 +62,8 @@ impl Weighting {
     }
 
     /// Scores one pair directly from the two documents by merging their
-    /// sorted cell lists — the inner loop of HHNL.
+    /// sorted cell lists — the pairwise form of HHNL's inner loop, kept by
+    /// the reference oracle and the backward-order ablation.
     pub fn score_pair(
         &self,
         inner_doc_id: DocId,

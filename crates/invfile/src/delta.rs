@@ -161,6 +161,26 @@ impl DeltaOverlay {
         Ok(out)
     }
 
+    /// Size in bytes of the largest live inserted document (no I/O): what a
+    /// one-document slot must hold for [`live_docs`](Self::live_docs) to
+    /// stream through it.
+    pub fn max_live_doc_bytes(&self) -> u64 {
+        let flushed = self.flushed.iter().flat_map(|f| {
+            let live = f
+                .store
+                .doc_ids()
+                .into_iter()
+                .filter(|&d| !self.is_deleted(d));
+            live.map(|d| f.store.span(d).len)
+        });
+        let tail = self
+            .tail_docs
+            .iter()
+            .filter(|(id, _)| !self.deleted.contains(id))
+            .map(|(_, doc)| doc.size_bytes());
+        flushed.chain(tail).max().unwrap_or(0)
+    }
+
     /// Live inserted document numbers, ascending (no I/O).
     pub fn live_ids(&self) -> Vec<DocId> {
         let mut out = Vec::new();

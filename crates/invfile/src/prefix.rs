@@ -487,11 +487,9 @@ fn append_packed(disk: &DiskSim, file: FileId, bytes: &[u8]) -> Result<()> {
 /// `matched ≥ τ`, so at `τ ≤ 1` the non-`None` results are exactly the
 /// pairs a full merge would score.
 ///
-/// Kept out of line: whether the FNL signature scan inlines this merge
-/// used to hinge on unrelated edits to `textjoin-core` (codegen-unit
-/// placement), and the inlined form runs the `selective` benchmark's FNL
-/// join ≈10 % slower (0.41 s → 0.45 s).
-#[inline(never)]
+/// The FNL executor no longer merges pair by pair — it probes an index of
+/// the resident round and applies `min_overlap` to the match count — and
+/// keeps this as the pairwise oracle its tests compare the probe with.
 pub fn filtered_merge(
     outer: &[RankCell],
     inner: &[RankCell],
