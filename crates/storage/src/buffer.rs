@@ -16,6 +16,7 @@ use crate::disk::{DiskSim, FileId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_common::Result;
@@ -87,7 +88,6 @@ struct Slot {
 struct LruState {
     map: HashMap<Key, usize>,
     slots: Vec<Slot>,
-    free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
@@ -122,46 +122,52 @@ impl LruState {
         self.head = idx;
     }
 
-    fn touch(&mut self, idx: usize) {
+    /// Serves `key` if it is resident: counts the hit and makes the page
+    /// the most recently used.
+    fn lookup(&mut self, key: Key) -> Option<Arc<[u8]>> {
+        let idx = *self.map.get(&key)?;
         if self.head != idx {
             self.unlink(idx);
             self.push_front(idx);
         }
+        self.stats.hits += 1;
+        if let Some(m) = &self.metrics {
+            m.hits.inc();
+        }
+        Some(Arc::clone(&self.slots[idx].data))
     }
 
-    fn insert(&mut self, key: Key, data: Arc<[u8]>) {
-        debug_assert!(!self.map.contains_key(&key));
-        if self.map.len() >= self.capacity {
+    /// Counts the miss that fetched `data` and caches it — in the least
+    /// recently used page's slot once the pool is full — unless another
+    /// reader got there first.
+    fn install(&mut self, key: Key, data: &Arc<[u8]>) {
+        self.stats.misses += 1;
+        if let Some(m) = &self.metrics {
+            m.misses.inc();
+        }
+        if self.map.contains_key(&key) {
+            return;
+        }
+        let slot = Slot {
+            key,
+            data: Arc::clone(data),
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "capacity > 0 guaranteed at construction");
             self.unlink(victim);
-            let old_key = self.slots[victim].key;
-            self.map.remove(&old_key);
-            self.free.push(victim);
+            self.map.remove(&self.slots[victim].key);
             self.stats.evictions += 1;
             if let Some(m) = &self.metrics {
                 m.evictions.inc();
             }
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot {
-                    key,
-                    data,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key,
-                    data,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
+            self.slots[victim] = slot;
+            victim
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
         };
         self.map.insert(key, idx);
         self.push_front(idx);
@@ -172,6 +178,9 @@ impl LruState {
 pub struct BufferPool<'d> {
     disk: &'d DiskSim,
     state: Mutex<LruState>,
+    /// Whether `state.metrics` is set, so an unobserved `get` reads no
+    /// clock. Only a statistic depends on it.
+    timed: AtomicBool,
 }
 
 impl<'d> BufferPool<'d> {
@@ -186,13 +195,13 @@ impl<'d> BufferPool<'d> {
             state: Mutex::new(LruState {
                 map: HashMap::new(),
                 slots: Vec::new(),
-                free: Vec::new(),
                 head: NIL,
                 tail: NIL,
                 capacity: capacity_pages,
                 stats: BufferStats::default(),
                 metrics: None,
             }),
+            timed: AtomicBool::new(false),
         }
     }
 
@@ -225,7 +234,22 @@ impl<'d> BufferPool<'d> {
     /// hits, misses and evictions are mirrored into the registered
     /// counters under the pool's existing lock.
     pub fn set_metrics(&self, metrics: Option<PoolMetrics>) {
-        self.state.lock().metrics = metrics;
+        let mut st = self.state.lock();
+        self.timed.store(metrics.is_some(), Ordering::Relaxed);
+        st.metrics = metrics;
+    }
+
+    /// Runs one `get*` call, timing it while a sink is attached.
+    fn time_get<R>(&self, get: impl FnOnce() -> Result<R>) -> Result<R> {
+        if !self.timed.load(Ordering::Relaxed) {
+            return get();
+        }
+        let started = Instant::now();
+        let out = get()?;
+        if let Some(m) = &self.state.lock().metrics {
+            m.get_wall_ns.observe(started.elapsed().as_nanos() as u64);
+        }
+        Ok(out)
     }
 
     /// Whether a page is resident (does not touch recency).
@@ -238,21 +262,30 @@ impl<'d> BufferPool<'d> {
         let mut st = self.state.lock();
         st.map.clear();
         st.slots.clear();
-        st.free.clear();
         st.head = NIL;
         st.tail = NIL;
     }
 
-    /// Reads one page through the cache.
+    /// Reads one page through the cache, with no `Vec` on the way. (One
+    /// page is priced the same as a run and as a scan, so this is the
+    /// one-page case of [`get_run`](Self::get_run) and of `get_scan`.)
     pub fn get(&self, file: FileId, page: u64) -> Result<Arc<[u8]>> {
-        Ok(self.get_run(file, page, 1)?.pop().expect("run of length 1"))
+        self.time_get(|| {
+            let resident = self.state.lock().lookup((file, page));
+            if let Some(data) = resident {
+                return Ok(data);
+            }
+            let data = self.disk.read_page(file, page)?;
+            self.state.lock().install((file, page), &data);
+            Ok(data)
+        })
     }
 
     /// Reads `len` consecutive pages through the cache. Resident pages cost
     /// nothing; each maximal missing sub-run is fetched from disk as one
     /// run so contiguity (and with it the sequential discount) is preserved.
     pub fn get_run(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.get_priced(file, start, len, false)
+        self.time_get(|| self.get_priced(file, start, len, false))
     }
 
     /// Like [`get_run`](Self::get_run), but missing sub-runs are fetched
@@ -263,43 +296,33 @@ impl<'d> BufferPool<'d> {
     /// page-at-a-time scan would have paid) instead of having the whole
     /// window reclassified as random.
     pub fn get_scan(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.get_priced(file, start, len, true)
+        self.time_get(|| self.get_priced(file, start, len, true))
     }
 
     fn get_priced(&self, file: FileId, start: u64, len: u64, scan: bool) -> Result<Vec<Arc<[u8]>>> {
-        let started = Instant::now();
+        // A run no file holds is the disk's to refuse, before it sizes a `Vec`.
+        let in_file = |end| end <= self.disk.num_pages(file);
+        if !start.checked_add(len).is_some_and(in_file) {
+            return self.disk.read_run(file, start, len);
+        }
         let mut out: Vec<Option<Arc<[u8]>>> = vec![None; len as usize];
 
         // Pass 1: serve hits and find missing sub-runs.
         let mut missing_runs: Vec<(u64, u64)> = Vec::new(); // (start, len)
-        let metrics;
         {
             let mut st = self.state.lock();
             let mut run_start: Option<u64> = None;
-            let mut hits = 0u64;
-            for i in 0..len {
-                let page = start + i;
-                if let Some(&idx) = st.map.get(&(file, page)) {
-                    st.touch(idx);
-                    hits += 1;
-                    out[i as usize] = Some(Arc::clone(&st.slots[idx].data));
-                    if let Some(rs) = run_start.take() {
-                        missing_runs.push((rs, page - rs));
-                    }
-                } else if run_start.is_none() {
-                    run_start = Some(page);
+            for (page, slot) in (start..).zip(&mut out) {
+                *slot = st.lookup((file, page));
+                if slot.is_none() {
+                    run_start.get_or_insert(page);
+                } else if let Some(rs) = run_start.take() {
+                    missing_runs.push((rs, page - rs));
                 }
             }
             if let Some(rs) = run_start {
                 missing_runs.push((rs, start + len - rs));
             }
-            st.stats.hits += hits;
-            if let Some(m) = &st.metrics {
-                if hits > 0 {
-                    m.hits.inc_by(hits);
-                }
-            }
-            metrics = st.metrics.clone();
         }
 
         // Pass 2: fetch missing runs (disk classifies them) and install.
@@ -310,21 +333,10 @@ impl<'d> BufferPool<'d> {
                 self.disk.read_run(file, rs, rl)?
             };
             let mut st = self.state.lock();
-            st.stats.misses += rl;
-            if let Some(m) = &st.metrics {
-                m.misses.inc_by(rl);
+            for (page, data) in (rs..).zip(pages) {
+                st.install((file, page), &data);
+                out[(page - start) as usize] = Some(data);
             }
-            for (j, data) in pages.into_iter().enumerate() {
-                let page = rs + j as u64;
-                out[(page - start) as usize] = Some(Arc::clone(&data));
-                if !st.map.contains_key(&(file, page)) {
-                    st.insert((file, page), data);
-                }
-            }
-        }
-
-        if let Some(m) = &metrics {
-            m.get_wall_ns.observe(started.elapsed().as_nanos() as u64);
         }
         Ok(out
             .into_iter()
@@ -529,11 +541,7 @@ impl<'d> Prefetcher<'d> {
             return Ok(pages.swap_remove(0));
         }
         // Cold or non-sequential: one page, priced by the disk as-is.
-        Ok(self
-            .pool
-            .get_scan(self.file, page, 1)?
-            .pop()
-            .expect("run of length 1"))
+        self.pool.get(self.file, page)
     }
 }
 
@@ -611,6 +619,20 @@ mod tests {
         pool.get(f, 0).unwrap(); // doc A
         pool.get(f, 0).unwrap(); // doc B on the same page
         assert_eq!(disk.stats().total_reads(), 1);
+    }
+
+    #[test]
+    fn a_run_past_the_end_is_refused_before_it_is_sized() {
+        let (disk, f, _) = setup(4, 4);
+        let pool = BufferPool::new(&disk, 4);
+        for (start, len) in [(2, 3), (0, u64::MAX), (u64::MAX - 1, 4)] {
+            let err = pool.get_run(f, start, len).unwrap_err();
+            assert!(matches!(
+                err,
+                textjoin_common::Error::PageOutOfBounds { .. }
+            ));
+        }
+        assert_eq!(disk.stats().total_reads(), 0);
     }
 
     #[test]

@@ -34,116 +34,34 @@
 //! lets the bench harness measure parallel speedup in wall clock even
 //! though page data is just memcpys.
 //!
-//! # Robustness
+//! # Robustness, and what is locked when
 //!
-//! Real devices fail, so the simulator can misbehave on demand:
-//!
-//! * every page carries an out-of-band header (magic, format version,
-//!   [`PageKind`], CRC32 of the payload) stamped on write and verified on
-//!   read — corruption surfaces as [`Error::Corrupt`] with file/page
-//!   context instead of decoding garbage;
-//! * a seeded [`FaultPlan`] injects transient read errors, torn writes,
-//!   single-bit flips and latency spikes on chosen
-//!   `(file, page, nth-access)` triples;
-//! * a [`RetryPolicy`] governs how many times a transient read failure is
-//!   re-attempted (each retry re-charged at the random rate) before the
-//!   read gives up with [`Error::Io`];
-//! * every injected fault, retry and give-up is counted in
-//!   [`FaultStats`] and mirrored into attached [`DiskMetrics`].
+//! Every page carries an out-of-band header ([`crate::page`]: magic,
+//! format version, [`PageKind`], CRC32 of the payload) stamped on write
+//! and verified on every read — corruption surfaces as [`Error::Corrupt`]
+//! with file/page context instead of decoding garbage. A read holds the
+//! `files` mutex only to bounds-check the run and snapshot it (`Arc`
+//! clones of the payloads, copies of the headers), verifies the snapshot
+//! with no lock held — concurrent scans overlap their hashing — and takes
+//! the `state` mutex once to price the run. A write hashes and copies its
+//! payload before it takes `files`. Device misbehaviour on demand lives in
+//! [`crate::fault`]; its mutex is taken (as `files` → faults) only while a
+//! planned fault is pending or a write-crash is set, and the clock is read
+//! only while a [`DiskMetrics`] sink is attached.
 
+pub use crate::fault::{Backoff, Fault, FaultKind, FaultPlan, FaultStats, RetryPolicy};
+pub use crate::page::{crc32, PageKind, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, PAGE_MAGIC};
+
+use crate::fault::FaultMachinery;
+use crate::page::{self, Header};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_common::{Error, Result};
 use textjoin_obs::{Counter, Histogram, Registry, LATENCY_BOUNDS_NS};
-
-/// On-page format version. Version 1 was the raw payload-only layout;
-/// version 2 added the out-of-band page header (magic + kind + CRC32).
-pub const PAGE_FORMAT_VERSION: u8 = 2;
-
-/// Magic bytes opening every page header.
-pub const PAGE_MAGIC: [u8; 2] = *b"TJ";
-
-/// Size of the out-of-band page header in bytes: 2 magic, 1 version,
-/// 1 kind, 4 CRC32 (little-endian). Stored *next to* the page, not inside
-/// it, so payload capacity — and hence every page-count formula in the
-/// cost model — is unchanged.
-pub const PAGE_HEADER_BYTES: usize = 8;
-
-/// What a file's pages hold. Stamped into every page header on write and
-/// checked on read, so a page that wanders between files (or a corrupted
-/// kind byte) is caught before a codec sees it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[repr(u8)]
-pub enum PageKind {
-    /// Unstructured payload (tests, scratch files).
-    #[default]
-    Raw = 0,
-    /// Packed document store pages.
-    Documents = 1,
-    /// Inverted-file posting pages.
-    Postings = 2,
-    /// B+tree dictionary nodes.
-    BTree = 3,
-}
-
-impl PageKind {
-    fn from_u8(v: u8) -> Option<PageKind> {
-        match v {
-            0 => Some(PageKind::Raw),
-            1 => Some(PageKind::Documents),
-            2 => Some(PageKind::Postings),
-            3 => Some(PageKind::BTree),
-            _ => None,
-        }
-    }
-}
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE polynomial) over `data` — the checksum stored in every
-/// page header.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-fn make_header(kind: PageKind, payload: &[u8]) -> [u8; PAGE_HEADER_BYTES] {
-    let crc = crc32(payload).to_le_bytes();
-    [
-        PAGE_MAGIC[0],
-        PAGE_MAGIC[1],
-        PAGE_FORMAT_VERSION,
-        kind as u8,
-        crc[0],
-        crc[1],
-        crc[2],
-        crc[3],
-    ]
-}
 
 /// Identifier of a file within a [`DiskSim`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -224,251 +142,6 @@ impl fmt::Display for IoStats {
         )
     }
 }
-
-/// The kind of misbehaviour a [`Fault`] injects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The read fails `failures` consecutive times, then succeeds — the
-    /// classic recoverable device hiccup. Whether it is absorbed depends
-    /// on the [`RetryPolicy`].
-    TransientRead {
-        /// Consecutive failures before the page reads cleanly.
-        failures: u32,
-    },
-    /// The *write* persists only the first half of the payload (the tail
-    /// is zeroed) while the header keeps the checksum of the intended
-    /// bytes — detected as [`Error::Corrupt`] on the next read.
-    TornWrite,
-    /// Permanently flips one stored bit of the page (header or payload;
-    /// the offset is taken modulo the page's total bit width). Detected
-    /// by header verification on every subsequent read.
-    BitFlip {
-        /// Bit position in `header ‖ payload` space (modulo-reduced).
-        bit_offset: u64,
-    },
-    /// The device serves the whole run at the random rate — a seek-storm
-    /// latency spike. The read succeeds; only its price changes.
-    LatencySpike,
-}
-
-/// One planned fault: `kind` strikes the `nth_access` (0-based) of
-/// `(file, page)` on its path — reads for everything except
-/// [`FaultKind::TornWrite`], which counts writes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fault {
-    /// Target file.
-    pub file: FileId,
-    /// Target page within the file.
-    pub page: u64,
-    /// Which access to that page triggers the fault (0 = first).
-    pub nth_access: u64,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A deterministic schedule of faults to inject. Each fault fires at most
-/// once; install with [`DiskSim::set_fault_plan`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one explicit fault.
-    pub fn with_fault(mut self, file: FileId, page: u64, nth_access: u64, kind: FaultKind) -> Self {
-        self.faults.push(Fault {
-            file,
-            page,
-            nth_access,
-            kind,
-        });
-        self
-    }
-
-    /// Builds a deterministic plan from a seed: one fault per target
-    /// `(file, page)`, with the kind and trigger access drawn from a
-    /// SplitMix64 stream (≈½ transient, ¼ bit flip, ¼ latency spike —
-    /// torn writes are write-path faults and are only planned explicitly).
-    /// The same seed and targets always produce the same plan.
-    pub fn seeded(seed: u64, targets: &[(FileId, u64)]) -> Self {
-        let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-        let mut plan = FaultPlan::new();
-        for &(file, page) in targets {
-            let r = splitmix64(&mut state);
-            let nth_access = (r >> 32) & 1;
-            let kind = match r % 4 {
-                0 | 1 => FaultKind::TransientRead {
-                    failures: 1 + ((r >> 8) & 1) as u32,
-                },
-                2 => FaultKind::BitFlip {
-                    bit_offset: splitmix64(&mut state),
-                },
-                _ => FaultKind::LatencySpike,
-            };
-            plan = plan.with_fault(file, page, nth_access, kind);
-        }
-        plan
-    }
-
-    /// Number of planned faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The planned faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-}
-
-/// How long to wait between retry attempts. The simulator never sleeps;
-/// delays are accumulated into [`FaultStats::backoff_us`] so tests can
-/// assert the policy was honoured.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backoff {
-    /// Retry immediately.
-    None,
-    /// A fixed delay (µs) before every retry.
-    Fixed(u64),
-    /// `base_us`, doubling on each further retry.
-    Exponential {
-        /// Delay before the first retry, in µs.
-        base_us: u64,
-    },
-}
-
-impl Backoff {
-    /// Delay before attempt number `attempt` (attempt 2 = first retry).
-    pub fn delay_us(&self, attempt: u32) -> u64 {
-        match *self {
-            Backoff::None => 0,
-            Backoff::Fixed(us) => us,
-            Backoff::Exponential { base_us } => {
-                base_us.saturating_mul(1u64 << (attempt.saturating_sub(2)).min(63))
-            }
-        }
-    }
-}
-
-/// How the read path responds to transient faults.
-///
-/// Backoff delays are *jittered* by default: a fleet of workers that all
-/// hit the same hiccup at the same time would otherwise retry in lockstep
-/// (their fixed/exponential schedules are identical), re-colliding on
-/// every attempt. The jitter is deterministic — derived from
-/// `(jitter_seed, file, page, attempt)` via SplitMix64 — so two workers
-/// retrying *different* pages desynchronize while any single schedule
-/// stays exactly reproducible. `max_total_backoff_us` caps the cumulative
-/// backoff one read operation may accrue, bounding worst-case retry wall
-/// time no matter how many pages of the run fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per page (1 = no retries). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Wait discipline between attempts.
-    pub backoff: Backoff,
-    /// Seed for deterministic per-`(file, page, attempt)` jitter. `None`
-    /// disables jitter (the pre-jitter synchronized schedule, kept for
-    /// tests that assert exact delays).
-    pub jitter_seed: Option<u64>,
-    /// Upper bound on the backoff one read operation may accumulate, in
-    /// µs. Retries past the cap still happen — they just stop waiting.
-    pub max_total_backoff_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Backoff::Exponential { base_us: 100 },
-            jitter_seed: Some(0x7465_786A_6F69_6E21),
-            max_total_backoff_us: 5_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The (possibly jittered) delay before `attempt` on `(file, page)`.
-    /// With jitter enabled the delay is drawn uniformly from
-    /// `[base/2, base]` ("equal jitter"), deterministically per target —
-    /// the same page always backs off identically, different pages
-    /// desynchronize.
-    pub fn delay_us(&self, file: FileId, page: u64, attempt: u32) -> u64 {
-        let base = self.backoff.delay_us(attempt);
-        let Some(seed) = self.jitter_seed else {
-            return base;
-        };
-        if base == 0 {
-            return 0;
-        }
-        let mut state = seed
-            ^ ((file.raw() as u64) << 40)
-            ^ page.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ ((attempt as u64) << 24);
-        let r = splitmix64(&mut state);
-        let half = base / 2;
-        half + r % (base - half + 1)
-    }
-}
-
-/// Cumulative fault-injection and recovery counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Transient read faults injected.
-    pub injected_transient: u64,
-    /// Torn writes injected.
-    pub injected_torn: u64,
-    /// Bit flips injected.
-    pub injected_bit_flips: u64,
-    /// Latency spikes injected.
-    pub injected_latency: u64,
-    /// Read attempts beyond the first (whether or not the page was
-    /// eventually read).
-    pub retries: u64,
-    /// Pages abandoned after `max_attempts` failures.
-    pub gave_up: u64,
-    /// Simulated backoff accumulated across all retries, in µs.
-    pub backoff_us: u64,
-}
-
-impl FaultStats {
-    /// Total faults injected, of any kind.
-    pub fn total_injected(&self) -> u64 {
-        self.injected_transient
-            + self.injected_torn
-            + self.injected_bit_flips
-            + self.injected_latency
-    }
-
-    fn accumulate(&mut self, d: &FaultStats) {
-        self.injected_transient += d.injected_transient;
-        self.injected_torn += d.injected_torn;
-        self.injected_bit_flips += d.injected_bit_flips;
-        self.injected_latency += d.injected_latency;
-        self.retries += d.retries;
-        self.gave_up += d.gave_up;
-        self.backoff_us += d.backoff_us;
-    }
-}
-
 /// Counter handles a [`DiskSim`] emits read/write and fault events into
 /// when attached via [`DiskSim::set_metrics`].
 #[derive(Clone)]
@@ -525,102 +198,43 @@ impl DiskMetrics {
     }
 }
 
+/// One page as the device holds it: the payload and its out-of-band
+/// header. Cloning is the snapshot a read verifies — the payload is
+/// immutable behind its `Arc`, a later write or flip replaces it.
+#[derive(Clone)]
+struct StoredPage {
+    header: Header,
+    data: Arc<[u8]>,
+}
+
 #[derive(Default)]
 struct FileData {
     name: String,
     kind: PageKind,
-    pages: Vec<Arc<[u8]>>,
-    headers: Vec<[u8; PAGE_HEADER_BYTES]>,
+    pages: Vec<StoredPage>,
 }
 
-fn flip_stored_bit(f: &mut FileData, page: u64, bit_offset: u64, page_size: usize) {
-    let total_bits = ((PAGE_HEADER_BYTES + page_size) * 8) as u64;
-    let bit = bit_offset % total_bits;
-    let (byte, mask) = ((bit / 8) as usize, 1u8 << (bit % 8));
-    if byte < PAGE_HEADER_BYTES {
-        f.headers[page as usize][byte] ^= mask;
-    } else {
-        let mut v = f.pages[page as usize].to_vec();
-        v[byte - PAGE_HEADER_BYTES] ^= mask;
-        f.pages[page as usize] = v.into();
-    }
-}
-
-fn verify_page(f: &FileData, page: u64) -> Result<()> {
-    let h = &f.headers[page as usize];
-    let fail =
-        |reason: String| Error::Corrupt(format!("file '{}' page {}: {}", f.name, page, reason));
-    if h[0..2] != PAGE_MAGIC {
-        return Err(fail("bad page magic".into()));
-    }
-    if h[2] != PAGE_FORMAT_VERSION {
-        return Err(fail(format!(
-            "page format version {} (expected {PAGE_FORMAT_VERSION})",
-            h[2]
-        )));
-    }
-    match PageKind::from_u8(h[3]) {
-        Some(k) if k == f.kind => {}
-        Some(k) => return Err(fail(format!("page kind {k:?} in a {:?} file", f.kind))),
-        None => return Err(fail(format!("unknown page kind {}", h[3]))),
-    }
-    let stored = u32::from_le_bytes([h[4], h[5], h[6], h[7]]);
-    let computed = crc32(&f.pages[page as usize]);
-    if stored != computed {
-        return Err(fail(format!(
-            "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        )));
-    }
-    Ok(())
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum FaultPath {
-    Read,
-    Write,
-}
-
-struct PlannedFault {
-    fault: Fault,
-    fired: bool,
-}
-
-struct FaultMachinery {
-    plan: Vec<PlannedFault>,
-    read_counts: HashMap<(FileId, u64), u64>,
-    write_counts: HashMap<(FileId, u64), u64>,
-    policy: RetryPolicy,
-    stats: FaultStats,
-    /// Simulated power-cut: `Some(n)` lets `n` more page writes succeed,
-    /// then every write fails until cleared (a "restart").
-    write_crash: Option<u64>,
-}
-
-impl FaultMachinery {
-    /// Whether any planned fault has yet to fire. Per-page access counts
-    /// only matter to an unfired fault's `nth_access`, so they are kept
-    /// only while this holds — an idle plan costs no map insert per page
-    /// and the maps cannot grow over a long run.
-    fn armed(&self) -> bool {
-        self.plan.iter().any(|pf| !pf.fired)
+impl FileData {
+    /// The error for touching `page` of a file that ends before it.
+    fn out_of_bounds(&self, page: u64) -> Error {
+        Error::PageOutOfBounds {
+            file: self.name.clone(),
+            page,
+            len: self.pages.len() as u64,
+        }
     }
 
-    fn take_fault(
-        &mut self,
-        file: FileId,
-        page: u64,
-        nth: u64,
-        path: FaultPath,
-    ) -> Option<FaultKind> {
-        let pf = self.plan.iter_mut().find(|pf| {
-            !pf.fired
-                && pf.fault.file == file
-                && pf.fault.page == page
-                && pf.fault.nth_access == nth
-                && (matches!(pf.fault.kind, FaultKind::TornWrite) == (path == FaultPath::Write))
-        })?;
-        pf.fired = true;
-        Some(pf.fault.kind)
+    fn flip_stored_bit(&mut self, page: u64, bit_offset: u64) {
+        let stored = &mut self.pages[page as usize];
+        let total_bits = ((PAGE_HEADER_BYTES + stored.data.len()) * 8) as u64;
+        let bit = bit_offset % total_bits;
+        let (byte, mask) = ((bit / 8) as usize, 1u8 << (bit % 8));
+        if byte < PAGE_HEADER_BYTES {
+            stored.header[byte] ^= mask;
+        } else {
+            // Copy-on-write: a reader's snapshot keeps the bytes it took.
+            Arc::make_mut(&mut stored.data)[byte - PAGE_HEADER_BYTES] ^= mask;
+        }
     }
 }
 
@@ -636,24 +250,16 @@ pub struct PageLatency {
     pub rand_ns: u64,
 }
 
-impl PageLatency {
-    #[inline]
-    fn is_zero(&self) -> bool {
-        self.seq_ns == 0 && self.rand_ns == 0
-    }
-}
-
+#[derive(Default)]
 struct HeadState {
     /// Per-(thread, file) head positions — a dedicated drive per scanning
     /// thread per file: the next page a sequential continuation would
-    /// start at.
-    heads: HashMap<(std::thread::ThreadId, FileId), u64>,
+    /// start at, `None` after a failed read.
+    heads: HashMap<(std::thread::ThreadId, FileId), Option<u64>>,
     stats: IoStats,
     interference: bool,
     latency: PageLatency,
-    /// Optional observability sink; updated under the same lock that
-    /// already guards `stats`, so attaching metrics adds no extra
-    /// synchronisation to the read path.
+    /// Optional observability sink, updated under this lock.
     metrics: Option<DiskMetrics>,
 }
 
@@ -670,9 +276,6 @@ thread_local! {
             writes: 0,
         })
     };
-}
-
-thread_local! {
     /// Simulated latency owed by this thread but not yet slept off. Debts
     /// are paid in chunks of at least [`LATENCY_CHUNK_NS`], so µs-scale
     /// per-page latencies are not drowned out by OS timer slack.
@@ -698,66 +301,85 @@ fn pay_latency(ns: u64) {
 }
 
 impl HeadState {
-    #[inline]
-    fn charge_seq(&mut self, pages: u64) {
-        self.stats.seq_reads += pages;
+    /// Adds `d` to the global counters, the calling thread's and the sink's.
+    fn charge(&mut self, d: IoStats) {
+        self.stats += d;
         THREAD_IO.with(|t| {
             let mut s = t.get();
-            s.seq_reads += pages;
+            s += d;
             t.set(s);
         });
         if let Some(m) = &self.metrics {
-            m.seq_reads.inc_by(pages);
+            m.seq_reads.inc_by(d.seq_reads);
+            m.rand_reads.inc_by(d.rand_reads);
+            m.writes.inc_by(d.writes);
         }
     }
 
-    #[inline]
-    fn charge_rand(&mut self, pages: u64) {
-        self.stats.rand_reads += pages;
-        THREAD_IO.with(|t| {
-            let mut s = t.get();
-            s.rand_reads += pages;
-            t.set(s);
-        });
-        if let Some(m) = &self.metrics {
-            m.rand_reads.inc_by(pages);
+    /// Prices and charges the calling thread's run of `len` pages at
+    /// `start` of `file` — one seek then streaming if `scan`, else all
+    /// sequential or all random — and moves its head past it, or nowhere
+    /// when the read `failed`: the next access pays a seek. A latency spike
+    /// in `hit` makes the run random as interference mode would, every
+    /// retry is one more random page, and the sink sees the events.
+    fn charge_read(
+        &mut self,
+        file: FileId,
+        start: u64,
+        len: u64,
+        scan: bool,
+        hit: Option<&FaultStats>,
+        failed: bool,
+    ) -> IoStats {
+        let disturbed = self.interference || hit.is_some_and(|d| d.injected_latency > 0);
+        let head = self
+            .heads
+            .entry((std::thread::current().id(), file))
+            .or_default();
+        let rand_reads = match (disturbed, scan) {
+            (false, _) if *head == Some(start) => 0,
+            (false, true) => 1,
+            _ => len,
+        };
+        *head = start.checked_add(len).filter(|_| !failed);
+        let charged = IoStats {
+            seq_reads: len - rand_reads,
+            rand_reads: rand_reads + hit.map_or(0, |d| d.retries),
+            writes: 0,
+        };
+        self.charge(charged);
+        if let (Some(m), Some(d)) = (&self.metrics, hit) {
+            m.mirror_faults(d);
         }
+        charged
     }
-
-    #[inline]
-    fn charge_write(&mut self) {
-        self.stats.writes += 1;
-        THREAD_IO.with(|t| {
-            let mut s = t.get();
-            s.writes += 1;
-            t.set(s);
-        });
-        if let Some(m) = &self.metrics {
-            m.writes.inc();
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum RunPricing {
-    /// Whole run sequential-or-random ([`DiskSim::read_run`]).
-    Run,
-    /// One seek then streaming ([`DiskSim::read_scan`]).
-    Scan,
 }
 
 /// An in-memory disk simulator with sequential/random accounting,
 /// checksummed pages, fault injection and retrying reads.
 ///
-/// All methods take `&self`; internal state is protected by mutexes so a
-/// `DiskSim` can be shared (e.g. between a document store and its inverted
-/// file) without threading `&mut` through every layer.
+/// All methods take `&self`, so a `DiskSim` can be shared (e.g. between a
+/// document store and its inverted file, or between scanning threads)
+/// without threading `&mut` through every layer: bytes, head pricing and
+/// fault state each sit behind their own mutex, none of them held while a
+/// page is hashed (see the [module docs](self)). A [`FileId`] from another
+/// disk is answered [`Error::NotFound`] by every read and write, and like
+/// a removed file — no name, no pages — by the accessors that cannot fail.
 pub struct DiskSim {
     page_size: usize,
     files: Mutex<Vec<FileData>>,
     names: Mutex<HashMap<String, FileId>>,
     state: Mutex<HeadState>,
-    faults: Mutex<FaultMachinery>,
+    /// Whether `state.metrics` is set, so an unobserved operation reads no
+    /// clock. Only a statistic depends on it.
+    timed: AtomicBool,
+    faults: FaultMachinery,
+}
+
+/// The file a handle names, unless another disk minted the handle.
+fn file_mut(files: &mut [FileData], file: FileId) -> Result<&mut FileData> {
+    let f = files.get_mut(file.0 as usize);
+    f.ok_or_else(|| Error::NotFound(format!("{file} on this disk")))
 }
 
 impl DiskSim {
@@ -768,21 +390,9 @@ impl DiskSim {
             page_size,
             files: Mutex::new(Vec::new()),
             names: Mutex::new(HashMap::new()),
-            state: Mutex::new(HeadState {
-                heads: HashMap::new(),
-                stats: IoStats::default(),
-                interference: false,
-                latency: PageLatency::default(),
-                metrics: None,
-            }),
-            faults: Mutex::new(FaultMachinery {
-                plan: Vec::new(),
-                read_counts: HashMap::new(),
-                write_counts: HashMap::new(),
-                policy: RetryPolicy::default(),
-                stats: FaultStats::default(),
-                write_crash: None,
-            }),
+            state: Mutex::default(),
+            timed: AtomicBool::new(false),
+            faults: FaultMachinery::default(),
         }
     }
 
@@ -813,7 +423,6 @@ impl DiskSim {
             name: name.to_string(),
             kind,
             pages: Vec::new(),
-            headers: Vec::new(),
         });
         names.insert(name.to_string(), id);
         Ok(id)
@@ -851,10 +460,7 @@ impl DiskSim {
         if let Some(old) = names.remove(to) {
             // The replaced file's pages are gone; stale handles to it read
             // out of bounds, exactly like a unix fd would after truncate.
-            let f = &mut files[old.0 as usize];
-            f.name.clear();
-            f.pages.clear();
-            f.headers.clear();
+            files[old.0 as usize] = FileData::default();
         }
         names.remove(from);
         names.insert(to.to_string(), id);
@@ -868,39 +474,28 @@ impl DiskSim {
         let id = names
             .remove(name)
             .ok_or_else(|| Error::NotFound(format!("file '{name}'")))?;
-        let mut files = self.files.lock();
-        let f = &mut files[id.0 as usize];
-        f.name.clear();
-        f.pages.clear();
-        f.headers.clear();
+        self.files.lock()[id.0 as usize] = FileData::default();
         Ok(())
+    }
+
+    /// One property of a file; `None` for a handle this disk did not mint.
+    fn file_info<R>(&self, file: FileId, get: impl FnOnce(&FileData) -> R) -> Option<R> {
+        self.files.lock().get(file.0 as usize).map(get)
     }
 
     /// The name a file was created with.
     pub fn file_name(&self, file: FileId) -> String {
-        self.files.lock()[file.0 as usize].name.clone()
+        self.file_info(file, |f| f.name.clone()).unwrap_or_default()
     }
 
     /// The page kind a file was created with.
     pub fn file_kind(&self, file: FileId) -> PageKind {
-        self.files.lock()[file.0 as usize].kind
+        self.file_info(file, |f| f.kind).unwrap_or_default()
     }
 
     /// Number of pages currently in the file.
     pub fn num_pages(&self, file: FileId) -> u64 {
-        self.files.lock()[file.0 as usize].pages.len() as u64
-    }
-
-    fn validate_payload(&self, data: &[u8]) -> Result<()> {
-        if data.len() != self.page_size {
-            return Err(Error::InvalidArgument(format!(
-                "payload of {} bytes does not match page size {} \
-                 (pad partial pages explicitly — short writes are torn writes)",
-                data.len(),
-                self.page_size
-            )));
-        }
-        Ok(())
+        self.file_info(file, |f| f.pages.len() as u64).unwrap_or(0)
     }
 
     /// Arms a simulated power-cut: the next `after` page writes succeed,
@@ -909,53 +504,63 @@ impl DiskSim {
     /// — the "restart". Reads are unaffected, so recovery code can run
     /// against exactly the pages that made it to disk before the cut.
     pub fn set_write_crash_after(&self, after: u64) {
-        self.faults.lock().write_crash = Some(after);
+        self.faults.with(|fm| fm.write_crash = Some(after));
     }
 
     /// Disarms a simulated power-cut (the machine came back up).
     pub fn clear_write_crash(&self) {
-        self.faults.lock().write_crash = None;
+        self.faults.with(|fm| fm.write_crash = None);
     }
 
-    /// Decrements the armed write-crash budget, failing the write that
-    /// exhausts it. Caller holds the `files` lock (files → faults is the
-    /// established lock order).
-    fn check_write_crash(&self, file_name: &str, page: u64) -> Result<()> {
-        let mut fm = self.faults.lock();
-        let Some(remaining) = &mut fm.write_crash else {
-            return Ok(());
+    /// The write path: stores `data` as page `at` of `file` (`None`
+    /// appends) and returns the page number. The payload is hashed and
+    /// copied — once — before the `files` lock is taken.
+    fn store_page(&self, file: FileId, at: Option<u64>, data: &[u8]) -> Result<u64> {
+        let started = self.timed.load(Ordering::Relaxed).then(Instant::now);
+        if data.len() != self.page_size {
+            return Err(Error::InvalidArgument(format!(
+                "payload of {} bytes does not match page size {} \
+                 (pad partial pages explicitly — short writes are torn writes)",
+                data.len(),
+                self.page_size
+            )));
+        }
+        let crc = crc32(data);
+        let mut data: Arc<[u8]> = Arc::from(data);
+        let mut files = self.files.lock();
+        let f = file_mut(&mut files, file)?;
+        let page = match at {
+            Some(page) if page >= f.pages.len() as u64 => return Err(f.out_of_bounds(page)),
+            Some(page) => page,
+            None => f.pages.len() as u64,
         };
-        if *remaining == 0 {
-            return Err(Error::Io {
-                file: file_name.to_string(),
-                page,
-                attempts: 0,
-            });
+        let torn = self.faults.on_write(file, page, &f.name)?;
+        if torn {
+            // The header keeps the checksum of the intended bytes.
+            let bytes = Arc::get_mut(&mut data).expect("payload not shared yet");
+            bytes[self.page_size / 2..].fill(0);
         }
-        *remaining -= 1;
-        Ok(())
-    }
-
-    /// Injects any planned torn write for `(file, page)`, returning the
-    /// fault delta to mirror into metrics. Caller holds the `files` lock.
-    fn apply_write_faults(&self, file: FileId, page: u64, payload: &mut [u8]) -> FaultStats {
-        let mut delta = FaultStats::default();
-        let mut fm = self.faults.lock();
-        if !fm.armed() {
-            return delta;
+        let stored = StoredPage {
+            header: page::header(f.kind, crc),
+            data,
+        };
+        match at {
+            Some(_) => f.pages[page as usize] = stored,
+            None => f.pages.push(stored),
         }
-        let count = fm.write_counts.entry((file, page)).or_insert(0);
-        let nth = *count;
-        *count += 1;
-        if fm.take_fault(file, page, nth, FaultPath::Write).is_some() {
-            delta.injected_torn += 1;
-            let keep = payload.len() / 2;
-            for b in &mut payload[keep..] {
-                *b = 0;
+        drop(files);
+        let mut st = self.state.lock();
+        st.charge(IoStats {
+            writes: 1,
+            ..IoStats::default()
+        });
+        if let Some(m) = &st.metrics {
+            m.faults_torn.inc_by(u64::from(torn));
+            if let Some(started) = started {
+                m.write_wall_ns.observe(started.elapsed().as_nanos() as u64);
             }
         }
-        fm.stats.accumulate(&delta);
-        delta
+        Ok(page)
     }
 
     /// Appends a page to the file, returning its page number. The payload
@@ -966,57 +571,14 @@ impl DiskSim {
     /// analysis covers query processing, not index construction — but are
     /// counted in [`IoStats::writes`].
     pub fn append_page(&self, file: FileId, data: &[u8]) -> Result<u64> {
-        let started = Instant::now();
-        self.validate_payload(data)?;
-        let mut files = self.files.lock();
-        let f = &mut files[file.0 as usize];
-        let page_no = f.pages.len() as u64;
-        self.check_write_crash(&f.name, page_no)?;
-        let header = make_header(f.kind, data);
-        let mut payload = data.to_vec();
-        let delta = self.apply_write_faults(file, page_no, &mut payload);
-        f.headers.push(header);
-        f.pages.push(payload.into());
-        drop(files);
-        let mut st = self.state.lock();
-        st.charge_write();
-        if let Some(m) = &st.metrics {
-            m.mirror_faults(&delta);
-            m.write_wall_ns.observe(started.elapsed().as_nanos() as u64);
-        }
-        Ok(page_no)
+        self.store_page(file, None, data)
     }
 
     /// Overwrites an existing page in place (used by mutable structures
     /// such as the B+tree during inserts). Same exact-length contract as
     /// [`Self::append_page`]; counted in [`IoStats::writes`].
     pub fn write_page(&self, file: FileId, page: u64, data: &[u8]) -> Result<()> {
-        let started = Instant::now();
-        self.validate_payload(data)?;
-        let mut files = self.files.lock();
-        let f = &mut files[file.0 as usize];
-        let n = f.pages.len() as u64;
-        if page >= n {
-            return Err(Error::PageOutOfBounds {
-                file: f.name.clone(),
-                page,
-                len: n,
-            });
-        }
-        self.check_write_crash(&f.name, page)?;
-        let header = make_header(f.kind, data);
-        let mut payload = data.to_vec();
-        let delta = self.apply_write_faults(file, page, &mut payload);
-        f.headers[page as usize] = header;
-        f.pages[page as usize] = payload.into();
-        drop(files);
-        let mut st = self.state.lock();
-        st.charge_write();
-        if let Some(m) = &st.metrics {
-            m.mirror_faults(&delta);
-            m.write_wall_ns.observe(started.elapsed().as_nanos() as u64);
-        }
-        Ok(())
+        self.store_page(file, Some(page), data).map(|_| ())
     }
 
     /// Sets the simulated per-page service time. Zero (the default) keeps
@@ -1073,17 +635,7 @@ impl DiskSim {
     /// the per-page access counters it is keyed on. [`FaultStats`] are
     /// *not* reset — use [`Self::reset_fault_stats`].
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut fm = self.faults.lock();
-        fm.plan = plan
-            .faults
-            .into_iter()
-            .map(|fault| PlannedFault {
-                fault,
-                fired: false,
-            })
-            .collect();
-        fm.read_counts.clear();
-        fm.write_counts.clear();
+        self.faults.with(|fm| fm.install(plan));
     }
 
     /// Removes any installed fault schedule.
@@ -1093,33 +645,28 @@ impl DiskSim {
 
     /// Number of planned faults that have not fired yet.
     pub fn pending_faults(&self) -> usize {
-        self.faults
-            .lock()
-            .plan
-            .iter()
-            .filter(|pf| !pf.fired)
-            .count()
+        self.faults.with(|fm| fm.pending())
     }
 
     /// Sets the read retry policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         assert!(policy.max_attempts >= 1, "at least one attempt required");
-        self.faults.lock().policy = policy;
+        self.faults.with(|fm| fm.policy = policy);
     }
 
     /// The current read retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.faults.lock().policy
+        self.faults.with(|fm| fm.policy)
     }
 
     /// Snapshot of the cumulative fault-injection counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.lock().stats
+        self.faults.with(|fm| fm.stats)
     }
 
     /// Resets the fault counters (the installed plan is kept).
     pub fn reset_fault_stats(&self) {
-        self.faults.lock().stats = FaultStats::default();
+        self.faults.with(|fm| fm.stats = FaultStats::default());
     }
 
     /// Permanently flips one stored bit of a page — the corruption hook
@@ -1128,31 +675,25 @@ impl DiskSim {
     /// any flip lands somewhere header verification can see.
     pub fn flip_bit(&self, file: FileId, page: u64, bit_offset: u64) -> Result<()> {
         let mut files = self.files.lock();
-        let f = &mut files[file.0 as usize];
-        let n = f.pages.len() as u64;
-        if page >= n {
-            return Err(Error::PageOutOfBounds {
-                file: f.name.clone(),
-                page,
-                len: n,
-            });
+        let f = file_mut(&mut files, file)?;
+        if page >= f.pages.len() as u64 {
+            return Err(f.out_of_bounds(page));
         }
-        flip_stored_bit(f, page, bit_offset, self.page_size);
+        f.flip_stored_bit(page, bit_offset);
         Ok(())
     }
 
-    /// Reads a single page. Equivalent to `read_run(file, page, 1)`.
+    /// Reads a single page: `read_run(file, page, 1)` without the `Vec`.
     pub fn read_page(&self, file: FileId, page: u64) -> Result<Arc<[u8]>> {
-        let mut run = self.read_run(file, page, 1)?;
-        run.pop()
-            .ok_or_else(|| Error::Corrupt(format!("empty run reading page {page} of {file}")))
+        let [one] = self.read_pages(file, page, 1, false, |run| [run[0].clone()])?;
+        Ok(one.data)
     }
 
     /// Reads `len` consecutive pages starting at `start`, classifying the
     /// whole run as sequential (it continues the head position) or random
     /// (all pages charged at the `α` rate), per the paper's model.
     pub fn read_run(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.read_pages(file, start, len, RunPricing::Run)
+        self.read_vec(file, start, len, false)
     }
 
     /// Reads `len` consecutive pages as a *streamed scan*: only the first
@@ -1166,171 +707,74 @@ impl DiskSim {
     ///
     /// [`read_run`]: Self::read_run
     pub fn read_scan(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.read_pages(file, start, len, RunPricing::Scan)
+        self.read_vec(file, start, len, true)
     }
 
-    /// Shared read path: bounds check, fault injection, retry accounting,
-    /// header verification, then I/O pricing. Transient faults are
-    /// retried per the [`RetryPolicy`] (each retry re-charged at the
-    /// random rate); verification failures are *not* retried — corruption
-    /// is permanent, so a re-read cannot help.
-    fn read_pages(
+    fn read_vec(&self, file: FileId, start: u64, len: u64, scan: bool) -> Result<Vec<Arc<[u8]>>> {
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let run = self.read_pages(file, start, len, scan, <[StoredPage]>::to_vec)?;
+        Ok(run.into_iter().map(|p| p.data).collect())
+    }
+
+    /// Shared read path: bounds check, fault injection and `snapshot` of
+    /// the run under the `files` lock; header verification of that
+    /// snapshot under no lock; then retry accounting and I/O pricing.
+    /// Transient faults are retried per the [`RetryPolicy`] (each retry
+    /// re-charged at the random rate); verification failures are *not*
+    /// retried — corruption is permanent, so a re-read cannot help.
+    fn read_pages<S: AsRef<[StoredPage]>>(
         &self,
         file: FileId,
         start: u64,
         len: u64,
-        pricing: RunPricing,
-    ) -> Result<Vec<Arc<[u8]>>> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let started = Instant::now();
+        scan: bool,
+        snapshot: impl FnOnce(&[StoredPage]) -> S,
+    ) -> Result<S> {
+        let started = self.timed.load(Ordering::Relaxed).then(Instant::now);
         let mut files = self.files.lock();
-        let page_size = self.page_size;
-        let f = &mut files[file.0 as usize];
-        let n = f.pages.len() as u64;
-        if start + len > n {
-            return Err(Error::PageOutOfBounds {
-                file: f.name.clone(),
-                page: start + len - 1,
-                len: n,
-            });
-        }
-
-        let mut delta = FaultStats::default();
-        let mut extra_rand = 0u64;
-        let mut force_random = false;
-        let mut failure: Option<Error> = None;
-        {
-            let mut fm = self.faults.lock();
-            let policy = fm.policy;
-            // Cumulative backoff of *this* read operation, bounded by the
-            // policy's cap however many pages of the run fault.
-            let mut op_backoff_us = 0u64;
-            let pages = if fm.armed() { start..start + len } else { 0..0 };
-            for p in pages {
-                let count = fm.read_counts.entry((file, p)).or_insert(0);
-                let nth = *count;
-                *count += 1;
-                let Some(kind) = fm.take_fault(file, p, nth, FaultPath::Read) else {
-                    continue;
-                };
-                match kind {
-                    FaultKind::TransientRead { failures } => {
-                        delta.injected_transient += 1;
-                        let attempts = (failures + 1).min(policy.max_attempts);
-                        let retries = u64::from(attempts.saturating_sub(1));
-                        delta.retries += retries;
-                        extra_rand += retries;
-                        for a in 2..=attempts {
-                            let room = policy.max_total_backoff_us.saturating_sub(op_backoff_us);
-                            let wait = policy.delay_us(file, p, a).min(room);
-                            op_backoff_us += wait;
-                            delta.backoff_us += wait;
-                        }
-                        if failures >= policy.max_attempts {
-                            delta.gave_up += 1;
-                            if failure.is_none() {
-                                failure = Some(Error::Io {
-                                    file: f.name.clone(),
-                                    page: p,
-                                    attempts: policy.max_attempts,
-                                });
-                            }
-                        }
-                    }
-                    FaultKind::BitFlip { bit_offset } => {
-                        delta.injected_bit_flips += 1;
-                        flip_stored_bit(f, p, bit_offset, page_size);
-                    }
-                    FaultKind::LatencySpike => {
-                        delta.injected_latency += 1;
-                        force_random = true;
-                    }
-                    // Write-path kind; the path filter keeps it out of
-                    // read lookups, but the match must be exhaustive.
-                    FaultKind::TornWrite => {}
-                }
-            }
-            fm.stats.accumulate(&delta);
-        }
-
-        if failure.is_none() {
-            for p in start..start + len {
-                if let Err(e) = verify_page(f, p) {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let out: Vec<Arc<[u8]>> = if failure.is_none() {
-            f.pages[start as usize..(start + len) as usize]
-                .iter()
-                .map(Arc::clone)
-                .collect()
-        } else {
-            Vec::new()
+        let f = file_mut(&mut files, file)?;
+        let end = match start.checked_add(len) {
+            Some(end) if end <= f.pages.len() as u64 => end,
+            _ => return Err(f.out_of_bounds(start.saturating_add(len - 1))),
         };
+        let hit = self.faults.on_read(file, start..end);
+        for &(page, bit_offset) in hit.iter().flat_map(|h| &h.bit_flips) {
+            f.flip_stored_bit(page, bit_offset);
+        }
+        let gave_up = hit.as_ref().and_then(|h| h.gave_up);
+        let io_error = gave_up.map(|(page, attempts)| Error::Io {
+            file: f.name.clone(),
+            page,
+            attempts,
+        });
+        let kind = f.kind;
+        let snap = snapshot(&f.pages[start as usize..end as usize]);
         drop(files);
 
-        let head_key = (std::thread::current().id(), file);
+        let checked = io_error.map_or(Ok(()), Err).and_then(|()| {
+            (start..end).zip(snap.as_ref()).try_for_each(|(p, stored)| {
+                page::verify(&stored.header, &stored.data, kind).map_err(|reason| {
+                    let name = self.file_name(file);
+                    Error::Corrupt(format!("file '{name}' page {p}: {reason}"))
+                })
+            })
+        });
+
         let mut st = self.state.lock();
-        let (mut seq_pages, mut rand_pages) = (0u64, 0u64);
-        match pricing {
-            RunPricing::Run => {
-                let sequential =
-                    !force_random && !st.interference && st.heads.get(&head_key) == Some(&start);
-                if sequential {
-                    seq_pages = len;
-                } else {
-                    rand_pages = len;
-                }
-            }
-            RunPricing::Scan => {
-                if st.interference || force_random {
-                    rand_pages = len;
-                } else {
-                    let continues = st.heads.get(&head_key) == Some(&start);
-                    if continues {
-                        seq_pages = len;
-                    } else {
-                        rand_pages = 1;
-                        seq_pages = len - 1;
-                    }
-                }
-            }
-        }
-        rand_pages += extra_rand;
-        if seq_pages > 0 {
-            st.charge_seq(seq_pages);
-        }
-        if rand_pages > 0 {
-            st.charge_rand(rand_pages);
-        }
-        if let Some(m) = &st.metrics {
-            m.mirror_faults(&delta);
-            // Failed reads are timed too: a retried-then-abandoned page
-            // costs real latency that should show in the distribution.
+        let hit = hit.as_ref().map(|h| &h.delta);
+        let charged = st.charge_read(file, start, len, scan, hit, checked.is_err());
+        if let (Some(m), Some(started)) = (&st.metrics, started) {
+            // Failed reads are timed too: an abandoned page cost real latency.
             m.read_wall_ns.observe(started.elapsed().as_nanos() as u64);
         }
         let latency = st.latency;
-        let result = match failure {
-            None => {
-                st.heads.insert(head_key, start + len);
-                Ok(out)
-            }
-            Some(e) => {
-                // A failed read leaves the head position undefined: the
-                // next access pays a seek.
-                st.heads.remove(&head_key);
-                Err(e)
-            }
-        };
         drop(st);
-        if !latency.is_zero() {
-            pay_latency(seq_pages * latency.seq_ns + rand_pages * latency.rand_ns);
+        if latency != PageLatency::default() {
+            pay_latency(charged.seq_reads * latency.seq_ns + charged.rand_reads * latency.rand_ns);
         }
-        result
+        checked.map(|()| snap)
     }
 
     /// Charges a synthetic run without materialising data — used by the
@@ -1338,26 +782,21 @@ impl DiskSim {
     /// where the files are never populated. Bypasses fault injection and
     /// verification (there are no bytes to fault or verify).
     pub fn charge_run(&self, file: FileId, start: u64, len: u64) {
-        if len == 0 {
-            return;
+        if len > 0 {
+            let mut st = self.state.lock();
+            st.charge_read(file, start, len, false, None, false);
         }
-        let head_key = (std::thread::current().id(), file);
-        let mut st = self.state.lock();
-        let sequential = !st.interference && st.heads.get(&head_key) == Some(&start);
-        if sequential {
-            st.charge_seq(len);
-        } else {
-            st.charge_rand(len);
-        }
-        st.heads.insert(head_key, start + len);
     }
 
     /// Attaches (or with `None`, detaches) an observability sink: every
     /// page read/write and every injected fault is mirrored into the
-    /// registered counters. Updates happen under the existing accounting
-    /// lock, so the read path gains no extra synchronisation.
+    /// registered counters under the accounting lock the operation takes
+    /// anyway, and every operation is timed — the clock is read only
+    /// while a sink is attached.
     pub fn set_metrics(&self, metrics: Option<DiskMetrics>) {
-        self.state.lock().metrics = metrics;
+        let mut st = self.state.lock();
+        self.timed.store(metrics.is_some(), Ordering::Relaxed);
+        st.metrics = metrics;
     }
 }
 
@@ -1435,6 +874,89 @@ mod tests {
         }
         let global = disk.stats().since(&global_start);
         assert_eq!(sum, global, "worker deltas account for all traffic");
+    }
+
+    #[test]
+    fn concurrent_flips_never_leak_unverified_bytes() {
+        // Two scanners and a thread toggling stored bits, released together.
+        // A read verifies the snapshot it took, so it returns either the
+        // bytes that were written or `Corrupt` — never bytes nobody checked
+        // — and a failed read is charged like any other.
+        let (disk, f) = disk_with_file(16);
+        let gate = std::sync::Barrier::new(3);
+        let global_start = disk.stats();
+        let deltas: Vec<IoStats> = std::thread::scope(|s| {
+            let scanners: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let before = DiskSim::thread_io_stats();
+                        gate.wait();
+                        let (mut clean, mut corrupt) = (0u32, 0u32);
+                        for start in (0..16).step_by(4).cycle().take(2_000) {
+                            match disk.read_scan(f, start, 4) {
+                                Ok(pages) => {
+                                    clean += 1;
+                                    for (page, tag) in pages.iter().zip(start as u8..) {
+                                        assert!(page.iter().all(|&b| b == tag), "page {tag}");
+                                    }
+                                }
+                                Err(Error::Corrupt(_)) => corrupt += 1,
+                                Err(other) => panic!("unexpected {other:?}"),
+                            }
+                        }
+                        assert_eq!(clean + corrupt, 2_000);
+                        DiskSim::thread_io_stats().since(&before)
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                gate.wait();
+                // Header bits and payload bits alike; every flip is undone
+                // by the next one on that page, so pages keep coming back.
+                for i in 0..4_000u64 {
+                    let page = (i / 2 * 7) % 16;
+                    disk.flip_bit(f, page, (i / 2 * 37) % (8 * 72)).unwrap();
+                }
+            });
+            scanners.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut sum = IoStats::default();
+        for d in &deltas {
+            sum.merge(d);
+            assert_eq!(d.total_reads(), 8_000, "failed reads are charged too");
+        }
+        assert_eq!(sum, disk.stats().since(&global_start));
+        // Every flip was paired: the file reads clean again.
+        assert_eq!(disk.read_scan(f, 0, 16).unwrap().len(), 16);
+    }
+
+    #[test]
+    fn a_plan_armed_mid_scan_is_seen_by_the_next_read() {
+        // The idle path asks the fault machinery nothing; the read after
+        // another thread arms a plan must.
+        let (disk, f) = disk_with_file(8);
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for p in 0..4 {
+                    disk.read_page(f, p).unwrap();
+                }
+                assert_eq!(disk.fault_stats(), FaultStats::default());
+                gate.wait(); // the plan is armed between these two
+                gate.wait();
+                disk.read_page(f, 4).unwrap();
+                assert_eq!(disk.fault_stats().injected_latency, 1);
+            });
+            gate.wait();
+            disk.set_fault_plan(FaultPlan::new().with_fault(f, 4, 0, FaultKind::LatencySpike));
+            gate.wait();
+        });
+        assert_eq!(disk.pending_faults(), 0);
+        assert_eq!(
+            disk.stats().seq_reads,
+            3,
+            "pages 1-3; the spiked page 4 is random"
+        );
     }
 
     #[test]
@@ -1568,8 +1090,49 @@ mod tests {
     #[test]
     fn out_of_bounds_read_is_reported() {
         let (disk, f) = disk_with_file(2);
-        let err = disk.read_run(f, 1, 5).unwrap_err();
+        // Past the end, and runs whose end does not fit a u64: neither may
+        // wrap into bounds (release) or panic on the add (debug).
+        for (start, len) in [(1, 5), (u64::MAX, 1), (u64::MAX - 1, 4), (1, u64::MAX)] {
+            for read in [DiskSim::read_run, DiskSim::read_scan] {
+                let err = read(&disk, f, start, len).unwrap_err();
+                assert!(
+                    matches!(err, Error::PageOutOfBounds { .. }),
+                    "{start}+{len}: {err:?}"
+                );
+            }
+        }
+        let err = disk.read_page(f, u64::MAX).unwrap_err();
         assert!(matches!(err, Error::PageOutOfBounds { .. }));
+        assert_eq!(disk.stats(), IoStats::default(), "a refused read is free");
+        // A synthetic run has no file to be out of bounds of; its head
+        // position saturates instead of wrapping.
+        disk.charge_run(f, u64::MAX - 1, 4);
+        disk.charge_run(f, 1, 2);
+        assert_eq!(disk.stats().rand_reads, 6);
+    }
+
+    #[test]
+    fn a_handle_from_another_disk_is_not_found() {
+        let (disk, _) = disk_with_file(2);
+        let other = DiskSim::new(64);
+        other.create_file("a").unwrap();
+        let foreign = other.create_file("b").unwrap(); // index 1: `disk` has one file
+        let page = full_page(64, 1);
+        for result in [
+            disk.read_page(foreign, 0).map(|_| ()),
+            disk.read_run(foreign, 0, 1).map(|_| ()),
+            disk.read_scan(foreign, 0, 1).map(|_| ()),
+            disk.append_page(foreign, &page).map(|_| ()),
+            disk.write_page(foreign, 0, &page),
+            disk.flip_bit(foreign, 0, 0),
+        ] {
+            assert!(matches!(result, Err(Error::NotFound(_))), "{result:?}");
+        }
+        // The accessors that cannot fail answer as for a removed file.
+        assert_eq!(disk.num_pages(foreign), 0);
+        assert_eq!(disk.file_name(foreign), "");
+        assert_eq!(disk.file_kind(foreign), PageKind::Raw);
+        assert_eq!(disk.stats(), IoStats::default());
     }
 
     #[test]
@@ -1666,13 +1229,6 @@ mod tests {
     // ---- page-header and fault-injection coverage ----
 
     #[test]
-    fn crc32_matches_known_vector() {
-        // The IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn kinded_files_round_trip_and_verify() {
         let disk = DiskSim::new(16);
         let f = disk
@@ -1750,11 +1306,13 @@ mod tests {
         for i in 0..1_000u64 {
             disk.write_page(f, i % 10, &full_page(64, 7)).unwrap();
         }
-        {
-            let fm = disk.faults.lock();
-            assert!(fm.read_counts.is_empty(), "10 000 unplanned page reads");
-            assert!(fm.write_counts.is_empty(), "1 000 unplanned page writes");
-        }
+        let counted_pages = || disk.faults.with(|fm| fm.counted_pages());
+        assert_eq!(
+            counted_pages(),
+            0,
+            "10 000 unplanned page reads, 1 000 unplanned page writes"
+        );
+        assert_eq!(disk.fault_stats(), FaultStats::default());
         // A plan armed now counts from its own installation: `nth_access =
         // 2` fires on the third read after it, whatever came before.
         disk.set_fault_plan(FaultPlan::new().with_fault(f, 4, 2, FaultKind::LatencySpike));
@@ -1763,9 +1321,9 @@ mod tests {
             assert_eq!(disk.fault_stats().injected_latency, expected);
         }
         // With the last fault fired the counting stops again.
-        let before = disk.faults.lock().read_counts.len();
+        let before = counted_pages();
         disk.read_run(f, 0, 10).unwrap();
-        assert_eq!(disk.faults.lock().read_counts.len(), before);
+        assert_eq!(counted_pages(), before);
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //! The layer is also chaos-ready: every page carries a checksummed header
 //! verified on read, a seeded [`FaultPlan`] injects deterministic device
 //! misbehaviour, and a [`RetryPolicy`] absorbs transient read failures —
-//! see the [`disk`] module docs.
+//! see the [`disk`], [`page`] and [`fault`] module docs.
 
 pub mod buffer;
 pub mod disk;
+pub mod fault;
 pub mod memory;
 pub mod net;
+pub mod page;
 pub mod span;
 
 pub use buffer::{
