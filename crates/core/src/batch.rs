@@ -34,8 +34,8 @@
 //! selection and inner filters are free.
 
 use crate::driver::{drive, Indexes};
-use crate::fnl::{Fnl, FnlOptions};
-use crate::hhnl::Hhnl;
+use crate::fnl::FnlOptions;
+use crate::hhnl::Forward;
 use crate::hvnl::{Hvnl, HvnlOptions};
 use crate::result::{ExecStats, JoinOutcome};
 use crate::spec::JoinSpec;
@@ -77,7 +77,7 @@ pub fn execute(
 /// Batched HHNL: one concatenated outer stream, memory rounds that may
 /// span query boundaries, one inner-collection scan per round.
 pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
-    drive::<Hhnl>(specs, ())
+    drive::<Forward>(specs, None)
 }
 
 /// Batched FNL: the HHNL pooling applied to the signature index. Every
@@ -85,7 +85,7 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
 /// byte-identical to its sequential FNL (and HHNL) run under
 /// integer-valued weightings.
 pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutcome> {
-    drive::<Fnl>(specs, (index, FnlOptions::default()))
+    drive::<Forward>(specs, Some((index, FnlOptions::default())))
 }
 
 /// Batched HVNL: one outer pass, every query served from one shared entry

@@ -52,10 +52,9 @@ pub(crate) type Row = (DocId, Vec<Match>);
 pub(crate) trait Passes<'r>: Sized {
     /// The index files and tuning options the algorithm runs against.
     type Input;
-    /// The tag on the statistics.
-    const ALGORITHM: Algorithm;
-    /// Name of the root span; pass labels on live tickets derive from it.
-    const ROOT: &'static str;
+    /// The tag on the statistics and the name of the root span; pass
+    /// labels on live tickets derive from the name.
+    fn tags(input: &Self::Input) -> (Algorithm, &'static str);
 
     fn prepare(input: Self::Input, run: &mut Run<'r>) -> Result<Self>;
     fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool>;
@@ -73,13 +72,14 @@ pub(crate) fn drive<'r, P: Passes<'r>>(
     let started = Instant::now();
     let spec0 = &specs[0];
     let disk = spec0.inner.store().disk();
+    let (algorithm, root) = P::tags(&input);
     let mut run = Run {
         specs,
         tracker: MemTracker::new(&spec0.sys),
         queries: specs.iter().map(|_| QueryRun::default()).collect(),
         shared_skipped_docs: 0,
         shared_skipped_entries: 0,
-        root: Tracer::maybe(spec0.trace, P::ROOT),
+        root: Tracer::maybe(spec0.trace, root),
         disk,
         start_io: disk.stats(),
         thread_base: DiskSim::thread_io_stats(),
@@ -95,12 +95,12 @@ pub(crate) fn drive<'r, P: Passes<'r>>(
     // overruns propagate as errors.
     while alg.next_pass(&mut run)? {
         passes += 1;
-        if run.checkpoint(|| format!("{}.pass {passes}", P::ROOT))? {
+        if run.checkpoint(|| format!("{root}.pass {passes}"))? {
             break;
         }
     }
     alg.finish(&mut run)?;
-    Ok(run.into_outcome(P::ALGORITHM, P::ROOT, passes, started))
+    Ok(run.into_outcome(algorithm, root, passes, started))
 }
 
 /// [`drive`] for a single query: the batch of one, with the batch's

@@ -1,21 +1,13 @@
 //! Algorithm FNL — Filtered Nested Loops.
 //!
-//! The fourth registered algorithm: HHNL's batched nested loop, with the
-//! inner collection's sequential scan replaced by a scan of the compact
-//! signature index ([`FnlIndex`]). Each signature entry re-encodes a
-//! document's d-cells as `(rank, weight)` pairs in increasing global
-//! rarity rank:
-//!
-//! * **I/O** — a pass reads the signature file's `Ip` pages instead of
-//!   the document store's `D1` pages (signatures gap-code the rank
-//!   sequence, typically 40–60% of the store). This is FNL's whole edge
-//!   over HHNL;
-//! * **CPU** — as in HHNL, the resident round is re-laid as an index
-//!   (`probe.rs`), here keyed by rarity rank, and every signature
-//!   entry probes it, so the work tracks the matches. The overlap
-//!   threshold is applied to a pair's match count after the probe; the
-//!   prefix/position filter that used to abandon a pairwise merge early
-//!   has nothing left to save.
+//! The fourth registered algorithm: HHNL's forward loop (`hhnl::Forward`)
+//! over another inner source, the compact signature index ([`FnlIndex`]).
+//! A signature entry re-encodes a document's d-cells as `(rank, weight)`
+//! pairs in increasing global rarity rank and gap-codes the ranks, so a
+//! pass reads the signature file's `Ip` pages — typically 40–60% of the
+//! document store's `D1`. That is FNL's whole edge over HHNL: the CPU work
+//! is the same probe of the resident round, here keyed by rank, with the
+//! overlap threshold applied to a pair's match count after the probe.
 //!
 //! At the registered threshold τ = 1 the threshold is vacuous as a
 //! *predicate* (any pair with at least one common term survives, and a
@@ -24,26 +16,24 @@
 //! λ-heaps — the result is byte-identical to HHNL under integer-valued
 //! weightings, only cheaper to read. τ > 1 is an executor knob
 //! ([`FnlOptions::min_overlap`]) for callers that want a genuine overlap
-//! join; it changes the result by design (pairs below the threshold are
-//! dropped) and is exercised by unit tests, not by the planner.
+//! join; it changes the result by design and is exercised by unit tests,
+//! not by the planner.
 //!
-//! The index is built over the **base** collection only. A base+delta
-//! overlay is handled the way the delta-aware planner prices it
-//! (`costmodel::fnl`'s overlay-rescoring term): tombstoned base documents
-//! are masked at probe time via [`JoinSpec::inner_doc_allowed`], and the
-//! overlay's live delta documents are re-read each pass and probe a second
-//! index of the round keyed by term number — they never have signatures,
-//! so the rank space cannot wrongly drop them.
+//! The index is built over the **base** collection only. Under a
+//! base+delta overlay, tombstoned base documents are masked at probe time
+//! via [`JoinSpec::inner_doc_allowed`], and the live delta documents are
+//! re-read each pass (`costmodel::fnl`'s overlay-rescoring term) through
+//! the term-keyed document stream HHNL runs on — they never have
+//! signatures, so the rank space cannot wrongly drop them.
 
-use crate::driver::{drive_one, DocStream, Passes, Run};
+use crate::driver::{drive_one, Run};
+use crate::hhnl::{probe_documents, probe_stream, Forward};
 use crate::probe::{self, Postings, Round};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
-use crate::topk::TopK;
-use textjoin_common::{Result, TermId};
-use textjoin_costmodel::fnl::RANK_CELL_BYTES;
-use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{DeltaOverlay, FnlIndex, TermOrder};
+use textjoin_collection::Document;
+use textjoin_common::Result;
+use textjoin_invfile::{FnlIndex, RankCell, TermOrder};
 
 /// Tuning knobs for the filtered executor.
 #[derive(Clone, Copy, Debug)]
@@ -71,28 +61,26 @@ pub fn execute_with(
     index: &FnlIndex,
     opts: FnlOptions,
 ) -> Result<JoinOutcome> {
-    drive_one::<Fnl>(spec, (index, opts))
+    drive_one::<Forward>(spec, Some((index, opts)))
 }
 
-/// HHNL's pooled rounds over the signature index: one signature scan (plus
-/// one overlay rescore) per round, the term-ordering sidecar loaded once
-/// for the whole run (`costmodel::fns_batch`'s shared-sidecar saving).
-pub(crate) struct Fnl<'r> {
+/// FNL's inner source: the signature index keyed by rarity rank — one scan
+/// per round, the term-ordering sidecar loaded once for the whole run
+/// (`costmodel::fns_batch`'s shared-sidecar saving) — followed by the
+/// inner overlay's delta documents keyed by term number.
+pub(crate) struct Signatures<'r> {
     index: &'r FnlIndex,
     /// The overlap threshold τ, at least 1.
     min_overlap: u64,
-    order: TermOrder,
-    outer: DocStream<'r>,
-    /// Allowed pairs of the signature scans that fell short of τ.
-    pruned_pairs: u64,
+    pub(crate) order: TermOrder,
 }
 
-impl<'r> Passes<'r> for Fnl<'r> {
-    type Input = (&'r FnlIndex, FnlOptions);
-    const ALGORITHM: Algorithm = Algorithm::Fnl;
-    const ROOT: &'static str = "fnl";
-
-    fn prepare((index, opts): Self::Input, run: &mut Run<'r>) -> Result<Self> {
+impl<'r> Signatures<'r> {
+    pub(crate) fn prepare(
+        index: &'r FnlIndex,
+        opts: FnlOptions,
+        run: &mut Run<'r>,
+    ) -> Result<Self> {
         // Load the term-ordering sidecar (real page I/O — the `meta_pages`
         // term of the cost model) and pin it for the whole run.
         let order = run.phase("fnl.term_order", |_, span| {
@@ -102,148 +90,56 @@ impl<'r> Passes<'r> for Fnl<'r> {
         })?;
         run.tracker
             .allocate(index.meta_bytes().max(1), "FNL term-order sidecar")?;
-        // Room to hold one signature entry at a time during the scan.
-        run.tracker
-            .allocate(index.max_entry_bytes().max(1), "FNL signature entry slot")?;
+        // Room to hold one streamed item at a time: a signature entry or,
+        // under an inner overlay, a raw delta document.
+        let delta = run.specs[0].inner_delta;
+        let slot = delta.map_or(0, |overlay| overlay.max_live_doc_bytes());
+        run.tracker.allocate(
+            index.max_entry_bytes().max(slot).max(1),
+            "FNL signature entry slot",
+        )?;
         Ok(Self {
             index,
             min_overlap: opts.min_overlap.max(1),
             order,
-            outer: DocStream::outer(run.specs),
-            pruned_pairs: 0,
         })
     }
 
-    fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
-        let specs = run.specs;
-        let order = &self.order;
-        // Each resident carries its rank-cell encoding, charged to the
-        // budget alongside the document — the `8·K2/P` term of the cost
-        // model's X. Outer terms absent from the inner base collection
-        // carry no rank and are dropped: they cannot match any signature
-        // entry, and overlay documents are scored from the raw cells.
-        let (round, round_bytes) = self.outer.fill_round(run, "FNL outer batch", |si, doc| {
-            let lambda = specs[si].query.lambda;
-            let cells = order.rank_cells(doc);
-            (
-                doc.size_bytes().max(1)
-                    + (RANK_CELL_BYTES * cells.len()) as u64
-                    + TopK::budget_bytes(lambda),
-                (cells, TopK::new(lambda)),
-            )
-        })?;
-        if round.is_empty() {
-            return Ok(false);
-        }
-        // The round gets one index per key space: rarity ranks for the
-        // signature scan, term numbers for the overlay's raw documents.
-        let mut docs = Vec::with_capacity(round.len());
-        let mut signatures = Vec::with_capacity(round.len());
-        let slots: Vec<_> = round
-            .into_iter()
-            .map(|r| {
-                let (cells, heap) = r.extra;
-                docs.push(r.doc);
-                signatures.push(cells);
-                (r.query, r.id, heap)
-            })
-            .collect();
-        let mut round = Round::new(specs, slots);
-        let by_rank = Postings::build(
-            signatures
-                .into_iter()
-                .map(|cells| cells.into_iter().map(|c| (c.rank, c.weight))),
-        );
-        let overlay = specs[0]
-            .inner_delta
-            .map(|overlay| (overlay, probe::by_term(docs)));
-        let pruned_before = self.pruned_pairs;
-        run.phase("fnl.sig_scan", |run, span| {
-            self.scan_signatures_against(run, &mut round, &by_rank)?;
-            if let Some((overlay, by_term)) = &overlay {
-                self.rescore_overlay_against(run, &mut round, overlay, by_term)?;
-            }
-            span.record("batch_docs", round.len() as u64);
-            span.record("pruned_pairs", self.pruned_pairs - pruned_before);
-            Ok(())
-        })?;
-        round.emit(run);
-        run.tracker.release(round_bytes);
-        Ok(true)
-    }
-
-    fn finish(self, run: &mut Run<'r>) -> Result<()> {
-        run.root.record("pruned_pairs", self.pruned_pairs);
-        Ok(())
-    }
-}
-
-impl Fnl<'_> {
-    /// One sequential scan of the signature index, probing the round's
-    /// rank index with every entry. A factor is looked up by rank —
-    /// `order.term(rank)` maps back to the term id the weighting knows.
-    fn scan_signatures_against(
-        &mut self,
-        run: &mut Run<'_>,
-        round: &mut Round,
-        by_rank: &Postings,
-    ) -> Result<()> {
-        let spec0 = &run.specs[0];
-        let scan = self
-            .index
-            .scan_with_prefetch(spec0.prefetch_metrics("fnl_sig_scan"));
-        for item in scan {
-            let (inner_id, entry) = match item {
-                Ok(pair) => pair,
-                Err(e) if spec0.skippable(&e) => {
-                    run.shared_skipped_docs += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            self.pruned_pairs += round.probe(
-                run,
-                by_rank,
-                inner_id,
-                entry.iter().map(|c| (c.rank, c.weight)),
-                |rank| self.order.term(rank),
-                self.min_overlap,
-            );
-        }
-        Ok(())
-    }
-
-    /// Scores the inner overlay's live delta documents against the round
-    /// from their raw cells — they have no signatures, so they probe the
-    /// round's term index instead. The overlap threshold still applies.
-    fn rescore_overlay_against(
+    /// One pass over a round's documents and their rank cells. Returns the
+    /// allowed pairs of the signature scan that fell short of τ.
+    pub(crate) fn probe(
         &self,
         run: &mut Run<'_>,
         round: &mut Round,
-        overlay: &DeltaOverlay,
-        by_term: &Postings,
-    ) -> Result<()> {
+        docs: Vec<Document>,
+        ranks: Vec<Vec<RankCell>>,
+    ) -> Result<u64> {
         let spec0 = &run.specs[0];
-        let docs = match overlay.live_docs() {
-            Ok(docs) => docs,
-            Err(e) if spec0.skippable(&e) => {
-                run.shared_skipped_docs += 1;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        for (inner_id, inner_doc) in docs {
-            round.probe(
-                run,
-                by_term,
-                inner_id,
-                probe::term_cells(&inner_doc),
-                TermId::new,
-                self.min_overlap,
-            );
+        let tau = self.min_overlap;
+        // The round gets one index per key space: rarity ranks for the
+        // signature scan, term numbers for the overlay's raw documents.
+        let by_rank = Postings::build(ranks.into_iter().map(pairs));
+        let overlay = spec0.inner_delta.map(|o| (o, probe::by_term(docs)));
+        // A factor is looked up by rank — `order.term(rank)` maps back to
+        // the term id the weighting knows.
+        let entries = self
+            .index
+            .scan_with_prefetch(spec0.prefetch_metrics("fnl_sig_scan"))
+            .map(|item| item.map(|(id, entry)| (id, pairs(entry))));
+        let term_of = |rank| self.order.term(rank);
+        let pruned = probe_stream(run, round, &by_rank, entries, term_of, tau)?;
+        // Delta documents have no signatures: they probe the round's term
+        // index from their raw cells. The overlap threshold still applies.
+        if let Some((overlay, by_term)) = &overlay {
+            probe_documents(run, round, by_term, overlay.stream_live_docs(), tau)?;
         }
-        Ok(())
+        Ok(pruned)
     }
+}
+
+/// A signature's cells as `(rank, weight)`, ascending by rank.
+fn pairs(cells: Vec<RankCell>) -> impl Iterator<Item = (u32, u16)> {
+    cells.into_iter().map(|c| (c.rank, c.weight))
 }
 
 #[cfg(test)]
@@ -257,6 +153,7 @@ mod tests {
     use textjoin_collection::{Collection, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
     use textjoin_common::{DocId, Error};
+    use textjoin_costmodel::Algorithm;
     use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]

@@ -1,42 +1,43 @@
-//! Algorithm HHNL — Horizontal-Horizontal Nested Loop (section 4.1).
+//! Algorithm HHNL — Horizontal-Horizontal Nested Loop (section 4.1), and
+//! the forward loop it shares with FNL.
 //!
 //! The outer collection gets as much memory as possible: read the next `X`
-//! outer documents into memory, scan the inner collection once, and score
-//! every inner document against every resident outer document, keeping a
-//! λ-bounded heap per outer document. Repeat until the outer collection is
-//! exhausted — `⌈N2/X⌉` inner scans in total.
+//! outer documents into memory, stream the inner side once, score every
+//! streamed item against every resident outer document into a λ-bounded
+//! heap per outer document, and repeat until the outer collection is
+//! exhausted — `⌈N2/X⌉` passes (pooled over a batch's concatenated outer
+//! streams, see `batch.rs`). `Forward` is that loop, written once; its
+//! one parameter is the inner source. HHNL streams the inner documents
+//! (`D1` pages keyed by term number); FNL is the same loop handed
+//! `fnl::Signatures` (`Ip` pages keyed by rarity rank, then the delta
+//! documents by term number). A streamed item probes an index of the
+//! resident round (`probe.rs`) instead of merging with it pair by pair;
+//! the backward order below keeps the pairwise merge, as the ablation that
+//! measures the difference.
 //!
-//! "Against every resident document" is not done pair by pair: the round
-//! is re-laid as a term → `(slot, weight)` index (`probe.rs`) and
-//! each streamed inner document probes it, so the CPU work tracks the
-//! shared terms instead of `N1·N2·(K1+K2)`. The backward order below keeps
-//! the pairwise merge, as the ablation that measures the difference.
-//!
-//! The executor reserves space for the largest inner document, base or
-//! live delta (the paper reserves `⌈S1⌉` pages), plus, per resident outer
-//! document, the document itself and `λ` similarity slots — exactly the
-//! memory layout behind the `X = (B − ⌈S1⌉)/(S2 + 4λ/P)` estimate of
-//! section 4.1, except that real document sizes are used instead of
-//! averages, so the budget is *never* exceeded rather than exceeded on
-//! average.
-//!
-//! With several queries the outer streams are concatenated and memory
-//! rounds fill across query boundaries, so the inner collection is scanned
-//! `⌈Σᵢ N2ᵢ/Xᵢ⌉` times for the whole batch (`costmodel::hhs_batch`)
-//! instead of `Σᵢ ⌈N2ᵢ/Xᵢ⌉` times.
+//! The tracker is charged what the source pins for the whole run (the slot
+//! for one streamed item included — the paper reserves `⌈S1⌉` pages) plus,
+//! per resident outer document, the document, its cells in the source's
+//! own key space and `λ` similarity slots: the layout behind `X` in
+//! `costmodel`'s forward formula, at real sizes instead of averages, so
+//! the budget is *never* exceeded rather than exceeded on average.
 
 use crate::driver::{drive_one, DocStream, Passes, Resident, Run};
+use crate::fnl::{FnlOptions, Signatures};
 use crate::probe::{self, Postings, Round};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::collections::HashMap;
+use textjoin_collection::Document;
 use textjoin_common::{DocId, Result, TermId};
+use textjoin_costmodel::fnl::RANK_CELL_BYTES;
 use textjoin_costmodel::Algorithm;
+use textjoin_invfile::FnlIndex;
 
 /// Executes the join with HHNL.
 pub fn execute(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
-    drive_one::<Hhnl>(spec, ())
+    drive_one::<Forward>(spec, None)
 }
 
 /// Executes the join with HHNL in the *backward order* of section 4.1: the
@@ -51,63 +52,121 @@ pub fn execute_backward(spec: &JoinSpec<'_>) -> Result<JoinOutcome> {
     drive_one::<HhnlBackward>(spec, ())
 }
 
-/// The forward order: rounds of outer documents, one inner scan per round.
-pub(crate) struct Hhnl<'r> {
+/// The forward order: rounds of outer documents, one pass of the inner
+/// source per round. The source is matched once per pass, never per
+/// streamed cell.
+pub(crate) struct Forward<'r> {
+    /// FNL's source; `None` streams the inner documents themselves (HHNL).
+    signatures: Option<Signatures<'r>>,
     outer: DocStream<'r>,
+    /// Allowed pairs that fell short of τ; reported for signature scans.
+    pruned_pairs: u64,
 }
 
-impl<'r> Passes<'r> for Hhnl<'r> {
-    type Input = ();
-    const ALGORITHM: Algorithm = Algorithm::Hhnl;
-    const ROOT: &'static str = "hhnl";
+impl<'r> Passes<'r> for Forward<'r> {
+    /// The signature index and options to run FNL, `None` to run HHNL.
+    type Input = Option<(&'r FnlIndex, FnlOptions)>;
 
-    fn prepare((): (), run: &mut Run<'r>) -> Result<Self> {
-        // Room to hold one inner document at a time during the scan.
-        run.tracker
-            .allocate(run.specs[0].inner_slot_bytes(), "HHNL inner document slot")?;
+    fn tags(input: &Self::Input) -> (Algorithm, &'static str) {
+        match input {
+            None => (Algorithm::Hhnl, "hhnl"),
+            Some(_) => (Algorithm::Fnl, "fnl"),
+        }
+    }
+
+    /// Pins what stays resident for the whole run, the slot for one
+    /// streamed item included.
+    fn prepare(input: Self::Input, run: &mut Run<'r>) -> Result<Self> {
+        let signatures = match input {
+            None => {
+                let slot = run.specs[0].inner_slot_bytes();
+                run.tracker.allocate(slot, "HHNL inner document slot")?;
+                None
+            }
+            Some((index, opts)) => Some(Signatures::prepare(index, opts, run)?),
+        };
         Ok(Self {
+            signatures,
             outer: DocStream::outer(run.specs),
+            pruned_pairs: 0,
         })
     }
 
     fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
         let specs = run.specs;
-        let (round, round_bytes) = self.outer.fill_round(run, "HHNL outer batch", |si, doc| {
+        let signatures = self.signatures.as_ref();
+        let (what, scan) = match signatures {
+            None => ("HHNL outer batch", "hhnl.inner_scan"),
+            Some(_) => ("FNL outer batch", "fnl.sig_scan"),
+        };
+        // Under FNL each resident carries its rank-cell encoding, charged
+        // to the budget alongside the document — the `8·K2/P` term of the
+        // cost model's X. Outer terms absent from the inner base collection
+        // carry no rank and are dropped: they cannot match any signature
+        // entry, and overlay documents are scored from the raw cells.
+        let (round, round_bytes) = self.outer.fill_round(run, what, |si, doc| {
             let lambda = specs[si].query.lambda;
+            let ranks = signatures.map_or_else(Vec::new, |s| s.order.rank_cells(doc));
+            let bytes = doc.size_bytes().max(1) + (RANK_CELL_BYTES * ranks.len()) as u64;
             (
-                doc.size_bytes().max(1) + TopK::budget_bytes(lambda),
-                TopK::new(lambda),
+                bytes + TopK::budget_bytes(lambda),
+                (ranks, TopK::new(lambda)),
             )
         })?;
         if round.is_empty() {
             return Ok(false);
         }
-        let (slots, docs): (Vec<_>, Vec<_>) = round
-            .into_iter()
-            .map(|r| ((r.query, r.id, r.extra), r.doc))
-            .unzip();
+        let mut docs = Vec::with_capacity(round.len());
+        let mut ranks = Vec::with_capacity(round.len());
+        let slots = round.into_iter().map(|r| {
+            docs.push(r.doc);
+            ranks.push(r.extra.0);
+            (r.query, r.id, r.extra.1)
+        });
         let mut round = Round::new(specs, slots);
-        let by_term = probe::by_term(docs);
-        run.phase("hhnl.inner_scan", |run, span| {
-            span.record("batch_docs", round.len() as u64);
-            scan_inner_against(run, &mut round, &by_term)
+        self.pruned_pairs += run.phase(scan, |run, span| {
+            span.record("batch_docs", docs.len() as u64);
+            let Some(signatures) = signatures else {
+                // `inner_iter` folds in the shared inner delta: tombstoned
+                // base documents are dropped, inserted ones trail the scan.
+                let inner = specs[0].inner_iter();
+                return probe_documents(run, &mut round, &probe::by_term(docs), inner, 1);
+            };
+            let pruned = signatures.probe(run, &mut round, docs, ranks)?;
+            span.record("pruned_pairs", pruned);
+            Ok(pruned)
         })?;
         round.emit(run);
         run.tracker.release(round_bytes);
         Ok(true)
     }
+
+    fn finish(self, run: &mut Run<'r>) -> Result<()> {
+        if self.signatures.is_some() {
+            run.root.record("pruned_pairs", self.pruned_pairs);
+        }
+        Ok(())
+    }
 }
 
-/// One sequential scan of the inner collection, probing the round's term
-/// index with every inner document. A pair's score depends only on the two
-/// documents and the query's own weighting and filters, never on which
-/// queries share the scan.
-fn scan_inner_against(run: &mut Run<'_>, round: &mut Round, by_term: &Postings) -> Result<()> {
+/// One stream of a pass: every readable item probes `postings` with its
+/// cells (ascending by key), `term_of` mapping a key back to the term the
+/// weighting knows. An unreadable item is skipped in degraded mode, for
+/// every query of the run — they all read through the stream. A pair's
+/// score never depends on which queries share the stream. Returns the
+/// allowed pairs that fell short of `min_overlap`.
+pub(crate) fn probe_stream<C: Iterator<Item = (u32, u16)>>(
+    run: &mut Run<'_>,
+    round: &mut Round,
+    postings: &Postings,
+    items: impl Iterator<Item = Result<(DocId, C)>>,
+    term_of: impl Fn(u32) -> TermId,
+    min_overlap: u64,
+) -> Result<u64> {
     let spec0 = &run.specs[0];
-    // `inner_iter` folds in the shared inner delta: tombstoned base
-    // documents are dropped, inserted documents trail the base scan.
-    for item in spec0.inner_iter() {
-        let (inner_id, inner_doc) = match item {
+    let mut pruned = 0;
+    for item in items {
+        let (inner_id, cells) = match item {
             Ok(pair) => pair,
             Err(e) if spec0.skippable(&e) => {
                 run.shared_skipped_docs += 1;
@@ -115,16 +174,24 @@ fn scan_inner_against(run: &mut Run<'_>, round: &mut Round, by_term: &Postings) 
             }
             Err(e) => return Err(e),
         };
-        round.probe(
-            run,
-            by_term,
-            inner_id,
-            probe::term_cells(&inner_doc),
-            TermId::new,
-            1,
-        );
+        pruned += round.probe(run, postings, inner_id, cells, &term_of, min_overlap);
     }
-    Ok(())
+    Ok(pruned)
+}
+
+/// The term-keyed document stream both sources end with: HHNL streams the
+/// whole inner side through it, FNL the delta documents its signature
+/// index does not cover. One document is held at a time, in the slot
+/// sized over every document the stream can yield.
+pub(crate) fn probe_documents(
+    run: &mut Run<'_>,
+    round: &mut Round,
+    by_term: &Postings,
+    docs: impl Iterator<Item = Result<(DocId, Document)>>,
+    min_overlap: u64,
+) -> Result<u64> {
+    let items = docs.map(|item| item.map(|(id, doc)| (id, probe::into_term_cells(doc))));
+    probe_stream(run, round, by_term, items, TermId::new, min_overlap)
 }
 
 /// The backward order: rounds of *inner* documents, one outer scan per
@@ -139,8 +206,10 @@ struct HhnlBackward<'r> {
 
 impl<'r> Passes<'r> for HhnlBackward<'r> {
     type Input = ();
-    const ALGORITHM: Algorithm = Algorithm::Hhnl;
-    const ROOT: &'static str = "hhnl.backward";
+
+    fn tags((): &()) -> (Algorithm, &'static str) {
+        (Algorithm::Hhnl, "hhnl.backward")
+    }
 
     fn prepare((): (), run: &mut Run<'r>) -> Result<Self> {
         let spec = run.specs[0];
@@ -252,10 +321,9 @@ mod tests {
     use crate::reference::naive_join;
     use crate::spec::OuterDocs;
     use std::sync::Arc;
-    use textjoin_collection::Document;
-    use textjoin_collection::{Collection, SynthSpec};
-    use textjoin_common::Error;
-    use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_collection::{Collection, DocumentStoreBuilder, SynthSpec};
+    use textjoin_common::{CollectionStats, Error, QueryParams, SystemParams};
+    use textjoin_invfile::{DeltaOverlay, FlushedDelta, FnlIndex, InvertedFile};
     use textjoin_storage::DiskSim;
 
     fn fixture(
@@ -309,25 +377,68 @@ mod tests {
         assert!(got.stats.mem_high_water_bytes <= spec.sys.buffer_bytes());
     }
 
+    /// A flushed overlay holding `docs` under ids from `first_id` on.
+    fn flushed(disk: &Arc<DiskSim>, first_id: u32, docs: &[Document]) -> DeltaOverlay {
+        let mut store = DocumentStoreBuilder::new(Arc::clone(disk), "delta.docs").unwrap();
+        for (k, doc) in docs.iter().enumerate() {
+            store
+                .add_with_id(DocId::new(first_id + k as u32), doc)
+                .unwrap();
+        }
+        let store = store.finish().unwrap();
+        let inv = InvertedFile::from_postings(Arc::clone(disk), "delta", HashMap::new()).unwrap();
+        let mut overlay = DeltaOverlay::new();
+        overlay.set_flushed(FlushedDelta { store, inv });
+        overlay
+    }
+
+    /// Both sources, with and without an inner overlay: the reads are the
+    /// forward formula's own terms, `open + outer + passes · pass_pages`.
     #[test]
-    fn io_matches_hhs_shape() {
+    fn io_matches_the_forward_formula_for_both_sources() {
         let (disk, c1, c2, _, _) = fixture(40, 30, 10.0, 100, 128);
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(SystemParams {
-                buffer_pages: 6,
-                page_size: 128,
-                alpha: 5.0,
-            })
-            .with_query(QueryParams::paper_base().with_lambda(2));
-        disk.reset_stats();
-        disk.reset_head();
-        let got = execute(&spec).unwrap();
-        let d1 = c1.store().num_pages();
-        let d2 = c2.store().num_pages();
-        // hhs = D2 + passes·D1 (plus one seek per scan start).
-        let expect = d2 + got.stats.passes * d1;
-        assert_eq!(got.stats.io.total_reads(), expect);
-        assert!(got.stats.io.rand_reads <= 2 * got.stats.passes + 1);
+        let index = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let inserted = SynthSpec::from_stats(CollectionStats::new(6, 10.0, 100), 33);
+        let overlay = flushed(&disk, 40, &inserted.generate_docs());
+        assert!(overlay.doc_pages() > 0);
+        for delta in [None, Some(&overlay)] {
+            let mut spec = JoinSpec::new(&c1, &c2)
+                .with_sys(SystemParams {
+                    buffer_pages: 8,
+                    page_size: 128,
+                    alpha: 5.0,
+                })
+                .with_query(QueryParams::paper_base().with_lambda(2));
+            if let Some(overlay) = delta {
+                spec = spec.with_inner_delta(overlay);
+            }
+            let delta_pages = delta.map_or(0, DeltaOverlay::doc_pages);
+            // (source, pages read once to open it, pages of one pass)
+            let sources = [
+                (None, 0, c1.store().num_pages() + delta_pages),
+                (
+                    Some(&index),
+                    index.meta_pages(),
+                    index.num_pages() + delta_pages,
+                ),
+            ];
+            for (source, open, pass_pages) in sources {
+                disk.reset_stats();
+                disk.reset_head();
+                let got = match source {
+                    None => execute(&spec).unwrap(),
+                    Some(index) => crate::fnl::execute(&spec, index).unwrap(),
+                };
+                let passes = got.stats.passes;
+                assert!(passes > 1, "{:?}", got.stats.algorithm);
+                let expect = open + c2.store().num_pages() + passes * pass_pages;
+                assert_eq!(got.stats.io.total_reads(), expect);
+                // One seek to open, then per pass one to resume the outer
+                // scan and one to rewind each file of the inner source.
+                let files = 1 + delta.is_some() as u64;
+                assert!(got.stats.io.rand_reads <= 1 + open.min(1) + passes * (1 + files));
+            }
+        }
     }
 
     #[test]
@@ -377,45 +488,72 @@ mod tests {
 
     #[test]
     fn document_slots_cover_an_oversized_delta_document() {
-        // `inner_iter` streams the overlay's documents through the same
-        // slot as the base scan, so the slot is sized over both.
-        let (_, c1, c2, d1, d2) = fixture(20, 15, 5.0, 60, 128);
-        let big = Document::from_term_counts((0..50).map(|t| (TermId::new(t), 1)));
-        assert!(big.size_bytes() > c1.store().max_doc_bytes());
-        let mut overlay = textjoin_invfile::DeltaOverlay::new();
-        overlay.insert_tail(DocId::new(20), big.clone());
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_inner_delta(&overlay)
-            .with_sys(SystemParams {
-                buffer_pages: 12,
+        // Both sources stream the overlay's documents through the same
+        // slot as their base scan, so the slot is sized over both.
+        let (disk, c1, c2, d1, d2) = fixture(20, 15, 5.0, 60, 128);
+        let index = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let order = index.read_term_order().unwrap();
+        for source in [None, Some(&index)] {
+            let run = |spec: &JoinSpec<'_>| match source {
+                None => execute(spec),
+                Some(index) => crate::fnl::execute(spec, index),
+            };
+            // What the source pins beside the slot, and what a resident
+            // outer document carries beside itself and its two λ slots.
+            let pinned = source.map_or(0, FnlIndex::meta_bytes);
+            let keys = |d: &Document| source.map_or(0, |_| 8 * order.rank_cells(d).len() as u64);
+            // A delta document larger than anything in the base, sized so
+            // that a budget of whole pages holds it and what is pinned
+            // with less than one resident to spare.
+            let terms = (50..178u32)
+                .find(|n| {
+                    (pinned + 5 * *n as u64).next_multiple_of(128) - (pinned + 5 * *n as u64) < 5
+                })
+                .unwrap();
+            let big = Document::from_term_counts((0..terms).map(|t| (TermId::new(t), 1)));
+            assert!(big.size_bytes() > c1.store().max_doc_bytes());
+            assert!(big.size_bytes() > index.max_entry_bytes());
+            let mut overlay = DeltaOverlay::new();
+            overlay.insert_tail(DocId::new(20), big.clone());
+            let spec = JoinSpec::new(&c1, &c2)
+                .with_inner_delta(&overlay)
+                .with_sys(SystemParams {
+                    buffer_pages: 24,
+                    page_size: 128,
+                    alpha: 5.0,
+                })
+                .with_query(QueryParams::paper_base().with_lambda(2));
+            assert_eq!(spec.inner_slot_bytes(), big.size_bytes());
+            let got = run(&spec).unwrap();
+            assert_eq!(got.stats.passes, 1);
+            let residents: u64 = d2.iter().map(|d| d.size_bytes() + keys(d) + 16).sum();
+            assert_eq!(
+                got.stats.mem_high_water_bytes,
+                pinned + big.size_bytes() + residents
+            );
+            assert!(got.stats.mem_high_water_bytes <= spec.sys.buffer_bytes());
+            let all: Vec<Document> = d1.iter().cloned().chain([big.clone()]).collect();
+            let want = naive_join(&all, &d2, OuterDocs::Full, 2, crate::Weighting::RawCount);
+            assert_eq!(got.result, want);
+
+            // A budget the big document and one outer document do not fit
+            // is refused, not silently exceeded.
+            let cramped = spec.with_sys(SystemParams {
+                buffer_pages: (pinned + big.size_bytes()).div_ceil(128),
                 page_size: 128,
                 alpha: 5.0,
-            })
-            .with_query(QueryParams::paper_base().with_lambda(2));
-        assert_eq!(spec.inner_slot_bytes(), big.size_bytes());
-        let got = execute(&spec).unwrap();
-        assert_eq!(got.stats.passes, 1);
-        let residents: u64 = d2.iter().map(|d| d.size_bytes() + 16).sum();
-        assert_eq!(got.stats.mem_high_water_bytes, big.size_bytes() + residents);
-        assert!(got.stats.mem_high_water_bytes <= spec.sys.buffer_bytes());
-        let all: Vec<Document> = d1.iter().cloned().chain([big.clone()]).collect();
-        let want = naive_join(&all, &d2, OuterDocs::Full, 2, crate::Weighting::RawCount);
-        assert_eq!(got.result, want);
-
-        // A budget the big document and one outer document do not fit is
-        // refused, not silently exceeded.
-        let cramped = spec.with_sys(SystemParams {
-            buffer_pages: 2,
-            page_size: 128,
-            alpha: 5.0,
-        });
-        assert!(big.size_bytes() < cramped.sys.buffer_bytes());
-        assert!(matches!(
-            execute(&cramped),
-            Err(Error::InsufficientMemory { .. })
-        ));
+            });
+            assert!(pinned + big.size_bytes() <= cramped.sys.buffer_bytes());
+            assert!(matches!(
+                run(&cramped),
+                Err(Error::InsufficientMemory { .. })
+            ));
+        }
 
         // The backward order streams the outer side through its slot.
+        let big = Document::from_term_counts((0..50).map(|t| (TermId::new(t), 1)));
+        let mut overlay = DeltaOverlay::new();
+        overlay.insert_tail(DocId::new(20), big.clone());
         let backward = JoinSpec::new(&c2, &c1).with_outer_delta(&overlay);
         assert_eq!(backward.outer_slot_bytes(), big.size_bytes());
         let got = execute_backward(&backward).unwrap();

@@ -150,8 +150,10 @@ pub(crate) struct Hvnl<'r> {
 
 impl<'r> Passes<'r> for Hvnl<'r> {
     type Input = (&'r InvertedFile, HvnlOptions);
-    const ALGORITHM: Algorithm = Algorithm::Hvnl;
-    const ROOT: &'static str = "hvnl";
+
+    fn tags(_: &Self::Input) -> (Algorithm, &'static str) {
+        (Algorithm::Hvnl, "hvnl")
+    }
 
     fn prepare((inner_inv, options): Self::Input, run: &mut Run<'r>) -> Result<Self> {
         run.phase("hvnl.setup", |run, span| {

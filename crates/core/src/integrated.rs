@@ -30,7 +30,8 @@ use textjoin_obs::Tracer;
 pub struct IntegratedOutcome {
     /// Which algorithm actually ran.
     pub chosen: Algorithm,
-    /// The six cost estimates the choice was based on.
+    /// The cost estimates the choice was based on: a sequential and a
+    /// worst-case figure for each of the four algorithms.
     pub estimates: CostEstimates,
     /// How many workers the winning executor ran with.
     pub workers: usize,

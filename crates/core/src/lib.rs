@@ -9,16 +9,16 @@
 //!
 //! * [`hhnl`] — Horizontal-Horizontal Nested Loop: batches of outer
 //!   documents against a sequential scan of the inner collection
-//!   (section 4.1);
+//!   (section 4.1) — the forward loop, written once over its inner source;
 //! * [`hvnl`] — Horizontal-Vertical Nested Loop: per-outer-document fetches
 //!   of inner inverted-file entries, cached under a
 //!   lowest-outer-document-frequency eviction policy (section 4.2);
 //! * [`vvm`] — Vertical-Vertical Merge: a sort-merge-style parallel scan of
 //!   both inverted files, partitioned into multiple passes when the
 //!   intermediate similarities exceed memory (section 4.3);
-//! * [`fnl`] — Filtered Nested Loops: HHNL's loop over a compact
-//!   rarity-ranked signature index, `Ip < D1` pages per pass, with an
-//!   overlap threshold on the pairs it scores;
+//! * [`fnl`] — Filtered Nested Loops: the same loop over another source,
+//!   a compact rarity-ranked signature index, `Ip < D1` pages per pass,
+//!   with an overlap threshold on the pairs it scores;
 //! * [`batch`] — the same passes handed `N` queries over one collection
 //!   pair, sharing every scan;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
@@ -28,7 +28,7 @@
 //! * [`cluster`] — the self-join special case of section 1 (document
 //!   clustering), with single-link grouping of the neighbour graph;
 //! * [`parallel`] — multi-threaded variants of the executors (the
-//!   paper's future-work item 3): outer-partitioned HHNL and HVNL,
+//!   paper's future-work item 3): outer-partitioned HHNL, HVNL and FNL,
 //!   term-range-partitioned VVM, with per-worker I/O attribution;
 //! * [`shard`] — sharded multi-site execution (the paper's §3
 //!   multidatabase setting): per-shard drives, comm-priced page shipping,

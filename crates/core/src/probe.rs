@@ -28,7 +28,7 @@ use crate::driver::Run;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use textjoin_collection::Document;
-use textjoin_common::{DCell, DocId, TermId};
+use textjoin_common::{DocId, TermId};
 
 /// One resident cell: the slot it came from and its weight there.
 #[derive(Clone, Copy)]
@@ -98,22 +98,18 @@ impl Postings {
     }
 }
 
-/// A d-cell in the term-number key space of HHNL and of FNL's overlay
-/// rescoring.
-fn by_term_number(cell: &DCell) -> (u32, u16) {
-    (cell.term.raw(), cell.weight)
+/// A document's cells as `(term number, weight)` — the key space of the
+/// document streams. The cells move: the document is taken apart.
+pub(crate) fn into_term_cells(doc: Document) -> impl Iterator<Item = (u32, u16)> {
+    doc.into_cells()
+        .into_iter()
+        .map(|c| (c.term.raw(), c.weight))
 }
 
-/// A streamed document's cells as `(term number, weight)`.
-pub(crate) fn term_cells(doc: &Document) -> impl Iterator<Item = (u32, u16)> + '_ {
-    doc.cells().iter().map(by_term_number)
-}
-
-/// The resident documents of a round re-laid by term number. The cells
-/// move: each document is taken apart and dropped as it is indexed.
+/// The resident documents of a round re-laid by term number, each dropped
+/// as it is indexed.
 pub(crate) fn by_term(docs: Vec<Document>) -> Postings {
-    let cells = |doc: Document| doc.into_cells().into_iter().map(|c| by_term_number(&c));
-    Postings::build(docs.into_iter().map(cells))
+    Postings::build(docs.into_iter().map(into_term_cells))
 }
 
 /// What a probe accumulates for one slot before the slot is judged.
@@ -170,11 +166,6 @@ impl Round {
         }
         round.self_pairs.sort_unstable();
         round
-    }
-
-    /// Number of resident slots.
-    pub(crate) fn len(&self) -> usize {
-        self.residents.len()
     }
 
     /// Scores one streamed inner document — its `cells` in ascending key
@@ -278,8 +269,8 @@ mod tests {
     use super::*;
     use crate::batch::BatchOutcome;
     use crate::driver::drive;
-    use crate::fnl::{Fnl, FnlOptions};
-    use crate::hhnl::Hhnl;
+    use crate::fnl::FnlOptions;
+    use crate::hhnl::Forward;
     use crate::result::JoinResult;
     use crate::weighting::Weighting;
     use std::sync::Arc;
@@ -441,12 +432,12 @@ mod tests {
                         spec
                     })
                     .collect();
-                let hhnl = drive::<Hhnl>(&specs, ()).unwrap();
+                let hhnl = drive::<Forward>(&specs, None).unwrap();
                 assert!(!tight || hhnl.stats.passes >= 3, "{}", hhnl.stats.passes);
                 check(&hhnl, &specs, &fx.index, None);
                 for min_overlap in [1, 3] {
                     let opts = FnlOptions { min_overlap };
-                    let fnl = drive::<Fnl>(&specs, (&fx.index, opts)).unwrap();
+                    let fnl = drive::<Forward>(&specs, Some((&fx.index, opts))).unwrap();
                     assert!(!tight || fnl.stats.passes >= 3, "{}", fnl.stats.passes);
                     check(&fnl, &specs, &fx.index, Some(min_overlap));
                 }
@@ -471,9 +462,9 @@ mod tests {
         let index = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
         let tracer = Tracer::enabled(64);
         let specs = [JoinSpec::new(&c1, &c2).with_trace(&tracer)];
-        let hhnl = drive::<Hhnl>(&specs, ()).unwrap();
+        let hhnl = drive::<Forward>(&specs, None).unwrap();
         check(&hhnl, &specs, &index, None);
-        let fnl = drive::<Fnl>(&specs, (&index, FnlOptions::default())).unwrap();
+        let fnl = drive::<Forward>(&specs, Some((&index, FnlOptions::default()))).unwrap();
         check(&fnl, &specs, &index, Some(1));
         let rows: Vec<_> = hhnl.queries[0].result.iter().collect();
         assert_eq!(rows.len(), 3);

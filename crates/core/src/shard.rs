@@ -99,9 +99,6 @@ pub struct ShardOptions<'a> {
     pub comm: CommParams,
     /// Parallel workers *within* each site (the PR 4 engine).
     pub workers: usize,
-    /// Re-partition any range whose estimated load exceeds
-    /// `skew_bound × total/S` (skew-aware mode only).
-    pub skew_bound: f64,
     /// Simulated nanoseconds per shipped page — the network latency knob.
     pub network_page_ns: u64,
     /// When set, every site registers its own in-flight ticket here, so
@@ -134,7 +131,6 @@ impl<'a> ShardOptions<'a> {
             partitioning: ShardPartitioning::SkewAware,
             comm: CommParams::default_network(),
             workers: 1,
-            skew_bound: 1.25,
             network_page_ns: 0,
             live: None,
             fault: None,
@@ -157,11 +153,6 @@ impl<'a> ShardOptions<'a> {
     /// Sets the per-site parallel worker count.
     pub fn with_workers(self, workers: usize) -> Self {
         Self { workers, ..self }
-    }
-
-    /// Sets the skew re-partition bound.
-    pub fn with_skew_bound(self, skew_bound: f64) -> Self {
-        Self { skew_bound, ..self }
     }
 
     /// Sets the per-page network latency.
@@ -272,16 +263,16 @@ pub(crate) fn weighted_boundaries(weights: &[u64], parts: usize) -> Vec<(u32, u3
     ranges
 }
 
+/// How far above the even share `total/S` a skew-aware range's estimated
+/// load may sit before it is re-partitioned.
+const SKEW_BOUND: f64 = 1.25;
+
 /// Cuts cumulative-weight boundaries, recursively re-partitions any range
-/// whose load exceeds `bound × total/parts` (a single heavy ordinal stops
-/// the recursion), and greedily bin-packs the pieces onto `parts` shards,
-/// heaviest first. Returns one sorted range list per shard; together the
-/// ranges tile `[0, len)` exactly once.
-pub(crate) fn skew_aware_assignment(
-    weights: &[u64],
-    parts: usize,
-    bound: f64,
-) -> Vec<Vec<(u32, u32)>> {
+/// whose load exceeds [`SKEW_BOUND`]` × total/parts` (a single heavy
+/// ordinal stops the recursion), and greedily bin-packs the pieces onto
+/// `parts` shards, heaviest first. Returns one sorted range list per
+/// shard; together the ranges tile `[0, len)` exactly once.
+pub(crate) fn skew_aware_assignment(weights: &[u64], parts: usize) -> Vec<Vec<(u32, u32)>> {
     let n = weights.len();
     let mut shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); parts];
     if n == 0 || parts == 0 {
@@ -294,7 +285,7 @@ pub(crate) fn skew_aware_assignment(
             .sum()
     };
     let total = load_of(0, n as u32);
-    let limit = bound.max(1.0) * total as f64 / parts as f64;
+    let limit = SKEW_BOUND * total as f64 / parts as f64;
     let mut queue = weighted_boundaries(weights, parts);
     let mut leaves: Vec<(u32, u32, u128)> = Vec::new();
     while let Some((lo, hi)) = queue.pop() {
@@ -650,7 +641,7 @@ fn assign_outer_docs(
                 .iter()
                 .map(|(_, d)| d.size_bytes().div_ceil(page.max(1)).max(1))
                 .collect();
-            skew_aware_assignment(&weights, s, opts.skew_bound)
+            skew_aware_assignment(&weights, s)
                 .into_iter()
                 .map(|ranges| {
                     ranges
@@ -681,7 +672,7 @@ fn assign_inner_by_rarest_term(
     let terms: Vec<TermId> = df.keys().copied().collect();
     let weights: Vec<u64> = df.values().copied().collect();
     let ranges_per_shard: Vec<Vec<(u32, u32)>> = match opts.partitioning {
-        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s, opts.skew_bound),
+        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s),
         ShardPartitioning::Naive => weighted_boundaries(&vec![1u64; terms.len()], s)
             .into_iter()
             .map(|r| vec![r])
@@ -757,7 +748,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         })
         .collect();
     let assignment: Vec<Vec<(u32, u32)>> = match opts.partitioning {
-        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s, opts.skew_bound),
+        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s),
         ShardPartitioning::Naive => weighted_boundaries(&vec![1u64; terms.len()], s)
             .into_iter()
             .map(|r| vec![r])
@@ -915,7 +906,7 @@ mod tests {
     fn skew_aware_assignment_tiles_and_balances() {
         let mut w = vec![2u64; 40];
         w[0] = 200; // one hot range seed
-        let shards = skew_aware_assignment(&w, 4, 1.25);
+        let shards = skew_aware_assignment(&w, 4);
         // Every ordinal covered exactly once.
         let mut covered = vec![0u32; 40];
         for ranges in &shards {

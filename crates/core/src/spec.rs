@@ -1,4 +1,4 @@
-//! Join specifications shared by the three executors.
+//! Join specifications shared by every executor.
 
 use textjoin_collection::{Collection, Document};
 use textjoin_common::{CollectionStats, DocId, FragStats, QueryParams, Result, SystemParams};
@@ -463,13 +463,8 @@ fn with_overlay<'a>(
         Ok((id, _)) => !overlay.is_deleted(*id),
         Err(_) => true,
     });
-    // The overlay read happens on first pull, not at iterator construction,
-    // keeping the scan lazy.
-    let tail = std::iter::once(()).flat_map(move |()| match overlay.live_docs() {
-        Ok(docs) => docs.into_iter().map(Ok).collect::<Vec<_>>(),
-        Err(e) => vec![Err(e)],
-    });
-    Box::new(filtered.chain(tail))
+    // The overlay is read on pull, one delta document at a time.
+    Box::new(filtered.chain(overlay.stream_live_docs()))
 }
 
 #[cfg(test)]

@@ -315,8 +315,10 @@ impl<'r> Passes<'r> for Vvm<'r> {
         u64,
         Option<&'r PartDone<'r>>,
     );
-    const ALGORITHM: Algorithm = Algorithm::Vvm;
-    const ROOT: &'static str = "vvm";
+
+    fn tags(_: &Self::Input) -> (Algorithm, &'static str) {
+        (Algorithm::Vvm, "vvm")
+    }
 
     fn prepare(
         (parts, outer_ids, partitions, on_part): Self::Input,

@@ -23,31 +23,22 @@
 //! functions take the shared terms (`D1`, `Bt1`, `I1 + I2`, `M`) from the
 //! first element. An empty batch costs zero.
 
+use crate::forward;
 use crate::inputs::JoinInputs;
-use crate::{hhnl, hvnl, vvm};
+use crate::{hvnl, vvm};
 use textjoin_common::Result;
 
-/// `⌈Σᵢ N2ᵢ/Xᵢ⌉` — inner-collection scans for the pooled outer batches.
-///
-/// Queries with different `λ` have different batch sizes `Xᵢ`; the pooled
-/// pass count sums the *fractional* passes before taking one ceiling, which
-/// is why `batch_passes ≤ Σᵢ ⌈N2ᵢ/Xᵢ⌉` with equality at `N = 1`.
+/// `⌈Σᵢ N2ᵢ/Xᵢ⌉` — inner-collection scans for the pooled outer batches:
+/// one ceiling over the summed *fractional* passes, so at most
+/// `Σᵢ ⌈N2ᵢ/Xᵢ⌉`, with equality at `N = 1`.
 pub fn hhs_batch_passes(inputs: &[JoinInputs]) -> Result<f64> {
-    let mut fractional = 0.0;
-    for i in inputs {
-        fractional += i.n2_live() / hhnl::batch_size(i)?;
-    }
-    Ok(fractional.ceil().max(1.0))
+    forward::passes(forward::documents, inputs)
 }
 
 /// `hhs_batch` — batched HHNL: every query's outer side is read once, the
 /// inner collection is scanned once per *pooled* pass.
 pub fn hhs_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    let Some(first) = inputs.first() else {
-        return Ok(0.0);
-    };
-    let outer: f64 = inputs.iter().map(|i| i.outer_read_cost()).sum();
-    Ok(outer + hhs_batch_passes(inputs)? * first.d1_frag())
+    forward::sequential(forward::documents, inputs, None)
 }
 
 /// `hvs_batch` — batched HVNL: the inner B+tree dictionary (`Bt1`) is
@@ -81,15 +72,9 @@ pub fn hvr_batch(inputs: &[JoinInputs]) -> f64 {
 }
 
 /// `hhr_batch` — worst-case batched HHNL: the pooled sequential savings of
-/// [`hhs_batch`] plus every query's own seek penalty. The penalty is kept
-/// per query (not pooled) so this stays a safe upper bound; at `N = 1` it
-/// is exactly `hhr`.
+/// [`hhs_batch`] plus every query's own (unpooled) seek penalty.
 pub fn hhr_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    let mut penalty = 0.0;
-    for i in inputs {
-        penalty += hhnl::worst_case_random(i)? - hhnl::sequential(i)?;
-    }
-    Ok(hhs_batch(inputs)? + penalty)
+    forward::worst_case_random(forward::documents, inputs)
 }
 
 /// `⌈Σᵢ SMᵢ / M⌉` — merge passes when all queries' accumulators share the
@@ -129,7 +114,7 @@ pub fn vvr_batch(inputs: &[JoinInputs]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostEstimates, IoScenario};
+    use crate::{hhnl, CostEstimates, IoScenario};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
 
     fn inputs(lambda: usize, buffer_pages: u64) -> JoinInputs {

@@ -19,32 +19,23 @@
 //! N2 < X:  hhr = hhs + ⌈D1 / ((X − N2) · S2)⌉ · (α − 1)
 //! ```
 
+use crate::forward;
 use crate::inputs::JoinInputs;
-use textjoin_common::{Error, Result, SIM_VALUE_BYTES};
+use std::slice::from_ref;
+use textjoin_common::{Error, Result};
 
-/// `X` — the number of outer documents held in memory per pass.
-///
-/// Fails when the buffer cannot hold one inner document plus one outer
-/// document with its `λ` similarity slots.
+/// `X` — the number of outer documents held in memory per pass. Fails when
+/// the buffer cannot hold one inner document plus one outer document with
+/// its `λ` similarity slots.
 pub fn batch_size(inputs: &JoinInputs) -> Result<f64> {
-    let p = inputs.sys.page_size as f64;
-    let per_outer_doc = inputs.s2() + (SIM_VALUE_BYTES * inputs.query.lambda) as f64 / p;
-    let x = (inputs.b() - inputs.s1().ceil()) / per_outer_doc;
-    if x < 1.0 {
-        return Err(Error::InsufficientMemory {
-            context: "HHNL outer batch (X < 1)".into(),
-            required_pages: (inputs.s1().ceil() + per_outer_doc).ceil() as u64,
-            available_pages: inputs.sys.buffer_pages,
-        });
-    }
-    Ok(x)
+    forward::batch_size(forward::documents, inputs)
 }
 
 /// Number of passes over the inner collection: `⌈N2 / X⌉`. Tombstoned
 /// outer documents are skipped before batching, so only live documents
 /// count toward the batches.
 pub fn num_passes(inputs: &JoinInputs) -> Result<f64> {
-    Ok((inputs.n2_live() / batch_size(inputs)?).ceil().max(1.0))
+    forward::passes(forward::documents, from_ref(inputs))
 }
 
 /// `hhs` — all-sequential cost (formula HHS1). For a selected outer subset
@@ -52,7 +43,7 @@ pub fn num_passes(inputs: &JoinInputs) -> Result<f64> {
 /// fragmented collection pays for its delta document side file on every
 /// scan (`D1 + ΔD1` per pass; `ΔD2` inside the outer read cost).
 pub fn sequential(inputs: &JoinInputs) -> Result<f64> {
-    Ok(inputs.outer_read_cost() + num_passes(inputs)? * inputs.d1_frag())
+    forward::sequential(forward::documents, from_ref(inputs), None)
 }
 
 /// The *backward order* of section 4.1: the inner collection `C1` gets the
@@ -93,18 +84,7 @@ pub fn backward_sequential(inputs: &JoinInputs) -> Result<f64> {
 
 /// `hhr` — worst-case cost when the I/O device is shared.
 pub fn worst_case_random(inputs: &JoinInputs) -> Result<f64> {
-    let x = batch_size(inputs)?;
-    let hhs = sequential(inputs)?;
-    let extra_per_seek = inputs.alpha() - 1.0;
-    if inputs.n2_live() >= x {
-        // Every inner document read and every outer batch becomes a seek.
-        let inner_random_ios = inputs.d1_frag().min(inputs.n1());
-        Ok(hhs + num_passes(inputs)? * (1.0 + inner_random_ios) * extra_per_seek)
-    } else {
-        // C2 fits in memory; C1 is read in blocks using the leftover space.
-        let leftover_pages = ((x - inputs.n2_live()) * inputs.s2()).max(1.0);
-        Ok(hhs + (inputs.d1_frag() / leftover_pages).ceil() * extra_per_seek)
-    }
+    forward::worst_case_random(forward::documents, from_ref(inputs))
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Analytical I/O cost models for the three text-join algorithms.
+//! Analytical I/O cost models for the text-join algorithms: the paper's
+//! three and the filtered fourth.
 //!
 //! This crate transcribes section 5 of the paper into code. Each algorithm
 //! has a *sequential* estimate (all I/Os at the sequential rate, valid when
@@ -13,13 +14,14 @@
 //! | FNL       | [`fnl::sequential`] (`fns`)  | [`fnl::worst_case_random`] (`fnr`)  |
 //!
 //! All estimates are in units of *sequential page reads*: one random read
-//! counts `α`.
+//! counts `α`. HHNL and FNL are one formula — the private `forward` module
+//! — over two inner sources; their named functions only choose the source.
 //!
 //! [`JoinInputs`] bundles the collection statistics, system parameters,
 //! query parameters and the term-overlap probability `q` (with the paper's
 //! section 6 heuristic available as
 //! [`term_containment_probability`]). [`integrated`] implements the
-//! integrated algorithm of section 6.1: estimate all three costs, run the
+//! integrated algorithm of section 6.1: estimate every cost, run the
 //! cheapest. [`comm`] extends the models with the multidatabase
 //! communication term the paper lists as future work. [`calibrate`] closes
 //! the loop: it fits `α̂`, a two-term latency model and per-workload
@@ -30,6 +32,7 @@ pub mod batch;
 pub mod calibrate;
 pub mod comm;
 pub mod fnl;
+mod forward;
 pub mod hhnl;
 pub mod hvnl;
 pub mod inputs;

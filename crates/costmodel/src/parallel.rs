@@ -1,4 +1,4 @@
-//! Parallel cost variants: `hhs_par`, `hvs_par`, `vvs_par`.
+//! Parallel cost variants: `hhs_par`, `hvs_par`, `vvs_par`, `fns_par`.
 //!
 //! The paper's estimates assume a single execution stream. The parallel
 //! executors of `textjoin-core` partition the work across `w` workers, and
@@ -16,11 +16,12 @@
 //!   buffer can raise the number of passes.
 //!
 //! With `w = 1` every variant reduces exactly to its sequential
-//! counterpart (`hhs`, `hvs`, `vvs`), which the tests pin.
+//! counterpart (`hhs`, `hvs`, `vvs`, `fns`), which the tests pin.
 
+use crate::forward::{self, SourceAt};
 use crate::inputs::JoinInputs;
 use crate::integrated::{Algorithm, CostEstimates, IoScenario};
-use crate::{fnl, hhnl, hvnl, vvm};
+use crate::{hvnl, vvm};
 use textjoin_common::{CollectionStats, Result};
 
 /// The same join as seen by one of `w` workers: a `B/w` buffer share and,
@@ -47,45 +48,32 @@ fn per_worker(inputs: &JoinInputs, workers: u64, split_outer: bool) -> JoinInput
     }
 }
 
-/// `hhs_par` — HHNL with the outer side partitioned across `workers`.
-///
-/// Each worker reads its outer slice (a partial scan, `D2/w`; random
-/// fetches for a selected subset stay at the full `N2·⌈S2⌉·α` because
-/// seeks do not parallelise) and makes `⌈(N2/w) / X(B/w)⌉` full scans of
-/// the inner collection. The inner-scan term is *per worker* wall time —
-/// every worker streams the whole inner side for each of its passes — so
-/// HHNL's predicted speedup comes only from the outer scan and is modest
-/// by construction.
-pub fn hhs_par(inputs: &JoinInputs, workers: u64) -> Result<f64> {
+/// The forward loop with the outer side partitioned across `workers`: the
+/// one formula of the private `forward` module at a worker's inputs. Each
+/// worker reads its outer slice (a partial scan, `D2/w`; random fetches
+/// for a selected subset stay at the full `N2·⌈S2⌉·α` because seeks do not
+/// parallelise) and makes `⌈(N2/w) / X(B/w)⌉` full passes over the inner
+/// source. The pass term is *per worker* wall time, so the predicted
+/// speedup comes only from the outer scan and is modest by construction.
+fn forward_par(source: SourceAt, inputs: &JoinInputs, workers: u64) -> Result<f64> {
     let per = per_worker(inputs, workers, true);
-    let x = hhnl::batch_size(&per)?;
-    let passes = (per.n2() / x).ceil().max(1.0);
     let outer = if inputs.outer_is_random() {
         inputs.outer_read_cost()
     } else {
         per.outer_read_cost()
     };
-    Ok(outer + passes * inputs.d1_frag())
+    forward::sequential(source, &[per], Some(outer))
 }
 
-/// `fns_par` — FNL with the outer side partitioned across `workers`.
-///
-/// Same shape as [`hhs_par`]: each worker reads its outer slice and makes
-/// `⌈(N2/w) / X(B/w)⌉` scans of the signature index, so the per-worker
-/// pass term does not divide. Every worker also reads the term-ordering
-/// sidecar into its own share of the buffer — concurrently, so the
-/// wall-clock bill stays one `M`.
+/// `hhs_par` — outer-partitioned HHNL: `D2/w + ⌈(N2/w) / X(B/w)⌉ · D1`.
+pub fn hhs_par(inputs: &JoinInputs, workers: u64) -> Result<f64> {
+    forward_par(forward::documents, inputs, workers)
+}
+
+/// `fns_par` — outer-partitioned FNL. Every worker reads the term-ordering
+/// sidecar into its own share — concurrently, so the bill stays one `M`.
 pub fn fns_par(inputs: &JoinInputs, workers: u64) -> Result<f64> {
-    let per = per_worker(inputs, workers, true);
-    let outer = if inputs.outer_is_random() {
-        inputs.outer_read_cost()
-    } else {
-        per.outer_read_cost()
-    };
-    // `sequential` on the per-worker inputs is M + per-outer + per-passes
-    // · (Ip + ΔD1); swap the outer term for the full seek rate when the
-    // outer side is a random-fetched selection.
-    Ok(fnl::sequential(&per)? - per.outer_read_cost() + outer)
+    forward_par(forward::signatures, inputs, workers)
 }
 
 /// `hvs_par` — HVNL with the outer side partitioned across `workers`.
@@ -154,7 +142,8 @@ pub fn speedup(inputs: &JoinInputs, algorithm: Algorithm, workers: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use crate::{fnl, hhnl};
+    use textjoin_common::{CollectionStats, FragStats, QueryParams, SystemParams};
 
     fn inputs(inner: CollectionStats, outer: CollectionStats, buffer_pages: u64) -> JoinInputs {
         JoinInputs::with_paper_q(
@@ -163,6 +152,16 @@ mod tests {
             SystemParams::paper_base().with_buffer_pages(buffer_pages),
             QueryParams::paper_base(),
         )
+    }
+
+    /// Half the outer documents tombstoned, one delta side file each.
+    fn fragmented(i: JoinInputs) -> JoinInputs {
+        let frag = FragStats {
+            doc_delta_pages: 120,
+            inv_delta_pages: 80,
+            tombstone_ratio: 0.5,
+        };
+        i.with_frag(frag, frag)
     }
 
     #[test]
@@ -175,10 +174,12 @@ mod tests {
                 CollectionStats::doe().select_docs(50),
             ),
         ] {
-            let i = inputs(inner, outer, 10_000);
-            assert_eq!(hhs_par(&i, 1).unwrap(), hhnl::sequential(&i).unwrap());
-            assert_eq!(hvs_par(&i, 1), hvnl::sequential(&i));
-            assert_eq!(vvs_par(&i, 1).unwrap(), vvm::sequential(&i).unwrap());
+            let pristine = inputs(inner, outer, 10_000);
+            for i in [pristine, fragmented(pristine)] {
+                assert_eq!(hhs_par(&i, 1).unwrap(), hhnl::sequential(&i).unwrap());
+                assert_eq!(hvs_par(&i, 1), hvnl::sequential(&i));
+                assert_eq!(vvs_par(&i, 1).unwrap(), vvm::sequential(&i).unwrap());
+            }
         }
     }
 
@@ -191,7 +192,9 @@ mod tests {
                 meta_bytes: 200_000,
             },
         );
-        assert_eq!(fns_par(&i, 1).unwrap(), fnl::sequential(&i).unwrap());
+        for i in [i, fragmented(i)] {
+            assert_eq!(fns_par(&i, 1).unwrap(), fnl::sequential(&i).unwrap());
+        }
         // More workers never *reduce* the per-worker pass term below the
         // shared outer saving, and the estimate stays finite.
         assert!(fns_par(&i, 4).unwrap().is_finite());

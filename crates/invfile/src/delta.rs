@@ -141,29 +141,31 @@ impl DeltaOverlay {
         }
     }
 
-    /// All live (non-tombstoned) inserted documents, ascending by id:
-    /// one sequential scan of the flushed side file, then the tail.
+    /// The live (non-tombstoned) inserted documents, ascending by id, one
+    /// at a time: a sequential scan of the flushed side file, then the
+    /// tail. Nothing is read before the first pull.
+    pub fn stream_live_docs(&self) -> impl Iterator<Item = Result<(DocId, Document)>> + '_ {
+        let flushed = self
+            .flushed
+            .iter()
+            .flat_map(|f| f.store.scan())
+            .filter(|item| !matches!(item, Ok((id, _)) if self.is_deleted(*id)));
+        let tail = self
+            .tail_docs
+            .iter()
+            .filter(|(id, _)| !self.deleted.contains(id))
+            .map(|(&id, doc)| Ok((DocId::new(id), doc.clone())));
+        flushed.chain(tail)
+    }
+
+    /// [`stream_live_docs`](Self::stream_live_docs), materialised.
     pub fn live_docs(&self) -> Result<Vec<(DocId, Document)>> {
-        let mut out = Vec::new();
-        if let Some(f) = &self.flushed {
-            for item in f.store.scan() {
-                let (id, doc) = item?;
-                if !self.is_deleted(id) {
-                    out.push((id, doc));
-                }
-            }
-        }
-        for (&id, doc) in &self.tail_docs {
-            if !self.deleted.contains(&id) {
-                out.push((DocId::new(id), doc.clone()));
-            }
-        }
-        Ok(out)
+        self.stream_live_docs().collect()
     }
 
     /// Size in bytes of the largest live inserted document (no I/O): what a
-    /// one-document slot must hold for [`live_docs`](Self::live_docs) to
-    /// stream through it.
+    /// one-document slot must hold for
+    /// [`stream_live_docs`](Self::stream_live_docs) to pass through it.
     pub fn max_live_doc_bytes(&self) -> u64 {
         let flushed = self.flushed.iter().flat_map(|f| {
             let live = f
