@@ -163,7 +163,7 @@ fn bench_dictionary(c: &mut Criterion) {
 }
 
 fn bench_hhnl_orders(c: &mut Criterion) {
-    use textjoin_core::{hhnl, parallel};
+    use textjoin_core::hhnl;
     let disk = Arc::new(DiskSim::new(4096));
     // A small inner collection against a larger outer one, with a budget
     // tight enough to force multiple forward passes: the regime where the
@@ -200,9 +200,6 @@ fn bench_hhnl_orders(c: &mut Criterion) {
     g.bench_function("forward", |b| b.iter(|| hhnl::execute(&spec).unwrap()));
     g.bench_function("backward", |b| {
         b.iter(|| hhnl::execute_backward(&spec).unwrap())
-    });
-    g.bench_function("parallel_x4", |b| {
-        b.iter(|| parallel::execute_hhnl(&spec, 4).unwrap())
     });
     g.finish();
 }

@@ -13,12 +13,12 @@
 //! [`ExecStats`] / [`BatchOutcome`].
 //!
 //! A partitioned run is the same run handed *parts* — term ranges of the
-//! inverted files for parallel VVM, outer slices for the parallel nested
-//! loops, sites for the sharded executors. [`run_parts`] is the one place
-//! they fan out: one part runs on the calling thread, several run on one
-//! scoped thread each. Inside a driven run [`Run::parts`] brackets each
-//! part with the exact I/O it caused; [`merge_outcomes`] is the one place
-//! whole-join outcomes of parts fan back in.
+//! inverted files for parallel VVM, sites for the sharded executors.
+//! [`run_parts`] is the one place they fan out: one part runs on the
+//! calling thread, several run on one scoped thread each. Inside a driven
+//! run [`Run::parts`] brackets each part with the exact I/O it caused;
+//! [`merge_outcomes`] is the one place whole-join outcomes of sites fan
+//! back in.
 //!
 //! A single query is a batch of one: with `N = 1` the concatenated outer
 //! stream is the query's own stream, the aggregated eviction demand is its
@@ -32,7 +32,7 @@ use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::JoinSpec;
 use crate::topk::{self, TopK};
-use crate::{fnl, hhnl, hvnl, parallel, vvm};
+use crate::{fnl, hhnl, hvnl, parallel};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Instant;
 use textjoin_collection::Document;
@@ -678,24 +678,24 @@ fn required<T>(index: Option<T>, what: &str) -> Result<T> {
     index.ok_or_else(|| Error::InvalidArgument(format!("no {what} supplied")))
 }
 
-/// Executes one query with `algorithm`: on the sequential executor, or
-/// with `workers > 1` on the multi-threaded one of [`parallel`].
+/// Executes one query with `algorithm`. `workers` splits VVM's merge into
+/// that many term ranges ([`parallel::execute_vvm`]; 0 runs as 1); HHNL,
+/// HVNL and FNL run one scan on one thread whatever it says.
 pub fn execute(
     algorithm: Algorithm,
     spec: &JoinSpec<'_>,
     indexes: &Indexes<'_>,
     workers: usize,
 ) -> Result<JoinOutcome> {
-    match (algorithm, workers > 1) {
-        (Algorithm::Hhnl, false) => hhnl::execute(spec),
-        (Algorithm::Hvnl, false) => hvnl::execute(spec, indexes.inner_inv()?),
-        (Algorithm::Vvm, false) => vvm::execute(spec, indexes.inner_inv()?, indexes.outer_inv()?),
-        (Algorithm::Fnl, false) => fnl::execute(spec, indexes.fnl()?),
-        (Algorithm::Hhnl, true) => parallel::execute_hhnl(spec, workers),
-        (Algorithm::Hvnl, true) => parallel::execute_hvnl(spec, indexes.inner_inv()?, workers),
-        (Algorithm::Vvm, true) => {
-            parallel::execute_vvm(spec, indexes.inner_inv()?, indexes.outer_inv()?, workers)
-        }
-        (Algorithm::Fnl, true) => parallel::execute_fnl(spec, indexes.fnl()?, workers),
+    match algorithm {
+        Algorithm::Hhnl => hhnl::execute(spec),
+        Algorithm::Hvnl => hvnl::execute(spec, indexes.inner_inv()?),
+        Algorithm::Vvm => parallel::execute_vvm(
+            spec,
+            indexes.inner_inv()?,
+            indexes.outer_inv()?,
+            workers.max(1),
+        ),
+        Algorithm::Fnl => fnl::execute(spec, indexes.fnl()?),
     }
 }

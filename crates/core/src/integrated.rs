@@ -33,7 +33,7 @@ pub struct IntegratedOutcome {
     /// The cost estimates the choice was based on: a sequential and a
     /// worst-case figure for each of the four algorithms.
     pub estimates: CostEstimates,
-    /// How many workers the winning executor ran with.
+    /// The worker count the winning executor was handed.
     pub workers: usize,
     /// The execution result and measured statistics.
     pub outcome: JoinOutcome,
@@ -86,15 +86,14 @@ pub fn execute(
     execute_with_index(spec, inner_inv, outer_inv, None, scenario, 1)
 }
 
-/// [`execute`] with a worker knob and an optional signature index. With
-/// `workers > 1` the candidates are ranked by their *parallel* estimates
-/// (`hhs_par`/`hvs_par`/`vvs_par` — scan terms divided by workers, seek
-/// terms unchanged) and the winner runs on the multi-threaded executors of
-/// [`crate::parallel`]; `workers == 1` is the classic section 6.1
-/// procedure. When an index is supplied, its measured page counts enter
-/// the cost inputs and FNL joins the candidate ranking; without one, FNL's
-/// estimates are infinite and the procedure reduces to the classic
-/// three-way choice.
+/// [`execute`] with a worker knob and an optional signature index. The
+/// candidates are ranked by the classic section 6.1 procedure whatever
+/// `workers` says; the count only tells the winner how to run — VVM splits
+/// its merge into that many term ranges ([`crate::parallel`]), the other
+/// three run one scan on one thread. When an index is supplied, its
+/// measured page counts enter the cost inputs and FNL joins the candidate
+/// ranking; without one, FNL's estimates are infinite and the procedure
+/// reduces to the classic three-way choice.
 pub fn execute_with_index(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
@@ -110,7 +109,7 @@ pub fn execute_with_index(
         inputs = inputs.with_fnl(ix.stats());
     }
     let estimates = CostEstimates::compute(&inputs);
-    let ranked = rank(&inputs, &estimates, scenario, workers, |_, raw| raw);
+    let ranked = rank(&estimates, scenario, |_, raw| raw);
     let (cheapest, cheapest_cost, _) = ranked[0];
     let cost = |a: Algorithm| {
         ranked

@@ -27,9 +27,9 @@
 //!   oracle by the test suite;
 //! * [`cluster`] — the self-join special case of section 1 (document
 //!   clustering), with single-link grouping of the neighbour graph;
-//! * [`parallel`] — multi-threaded variants of the executors (the
-//!   paper's future-work item 3): outer-partitioned HHNL, HVNL and FNL,
-//!   term-range-partitioned VVM, with per-worker I/O attribution;
+//! * [`parallel`] — the multi-threaded executor (the paper's future-work
+//!   item 3): term-range-partitioned VVM, with per-worker I/O
+//!   attribution; the other three run one scan on one thread;
 //! * [`shard`] — sharded multi-site execution (the paper's §3
 //!   multidatabase setting): per-shard drives, comm-priced page shipping,
 //!   skew-aware partitioning, exact global top-λ merge.

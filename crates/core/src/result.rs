@@ -141,8 +141,8 @@ impl ExecStats {
 
     /// Folds another run's statistics into this one, saturating on
     /// overflow. Counters add; memory high-waters add too, because merged
-    /// stats come from *concurrent* workers whose budgets coexist (the
-    /// parallel executor's accounting). The algorithm tag must agree.
+    /// stats come from *concurrent* sites whose budgets coexist. The
+    /// algorithm tag must agree.
     pub fn merge(&mut self, other: &ExecStats) {
         debug_assert_eq!(self.algorithm, other.algorithm, "merging unlike runs");
         self.io.merge(&other.io);

@@ -97,8 +97,6 @@ pub struct ShardOptions<'a> {
     /// Network pricing: `β` per shipped page plus the §3 term-encoding
     /// blowup on shipped text structures.
     pub comm: CommParams,
-    /// Parallel workers *within* each site (the PR 4 engine).
-    pub workers: usize,
     /// Simulated nanoseconds per shipped page — the network latency knob.
     pub network_page_ns: u64,
     /// When set, every site registers its own in-flight ticket here, so
@@ -123,14 +121,12 @@ pub struct ShardFault {
 }
 
 impl<'a> ShardOptions<'a> {
-    /// `shards` sites, skew-aware boundaries, default network, one worker
-    /// per site.
+    /// `shards` sites, skew-aware boundaries, default network.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
             partitioning: ShardPartitioning::SkewAware,
             comm: CommParams::default_network(),
-            workers: 1,
             network_page_ns: 0,
             live: None,
             fault: None,
@@ -148,11 +144,6 @@ impl<'a> ShardOptions<'a> {
     /// Replaces the network pricing.
     pub fn with_comm(self, comm: CommParams) -> Self {
         Self { comm, ..self }
-    }
-
-    /// Sets the per-site parallel worker count.
-    pub fn with_workers(self, workers: usize) -> Self {
-        Self { workers, ..self }
     }
 
     /// Sets the per-page network latency.
@@ -413,7 +404,7 @@ fn register_tickets(
             algorithm.to_string(),
             None,
             None,
-            opts.workers.max(1) as u64,
+            1,
         );
         tickets.push(Some(guard.ticket().clone()));
         guards.push(guard);
@@ -528,16 +519,13 @@ fn execute_doc_sites(
 
     let (_guards, tickets) = register_tickets(spec, algorithm, opts, s);
     let outcomes = run_parts(&sites, |_, site| {
-        // The slice is handed over as a selection, the way `parallel`
-        // hands a worker its slice: a site reads its outer documents one
-        // at a time (group 3 pricing) with one worker or with several.
-        let outer_ids = site.outer.store().doc_ids();
         // Sites run untraced and unwatched; the site structures already
-        // hold the merged base + delta view.
+        // hold the merged base + delta view, and a site's outer collection
+        // is exactly its slice, so it scans it end to end.
         let spec_k = JoinSpec {
             inner: &site.inner,
             outer: &site.outer,
-            outer_docs: OuterDocs::Selected(&outer_ids),
+            outer_docs: OuterDocs::Full,
             trace: None,
             cost_budget: None,
             inner_delta: None,
@@ -550,7 +538,7 @@ fn execute_doc_sites(
             outer_inv: None,
             fnl: site.fnl.as_ref(),
         };
-        crate::execute(algorithm, &spec_k, &indexes, opts.workers.max(1))
+        crate::execute(algorithm, &spec_k, &indexes, 1)
     })?;
 
     let reports: Vec<ShardReport> = sites

@@ -38,7 +38,7 @@ pub fn hhs_batch_passes(inputs: &[JoinInputs]) -> Result<f64> {
 /// `hhs_batch` — batched HHNL: every query's outer side is read once, the
 /// inner collection is scanned once per *pooled* pass.
 pub fn hhs_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    forward::sequential(forward::documents, inputs, None)
+    forward::sequential(forward::documents, inputs)
 }
 
 /// `hvs_batch` — batched HVNL: the inner B+tree dictionary (`Bt1`) is

@@ -71,7 +71,7 @@ pub fn worst_case_random(inputs: &JoinInputs) -> Result<f64> {
 /// batch, every query's outer side once, and the signature index once per
 /// pooled pass (each with its rewind seek).
 pub fn fns_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    forward::sequential(forward::signatures, inputs, None)
+    forward::sequential(forward::signatures, inputs)
 }
 
 /// `fnr_batch` — worst-case batched FNL: pooled sequential savings plus

@@ -12,9 +12,8 @@
 //! worst   = forward + Σᵢ seek_penaltyᵢ
 //! ```
 //!
-//! A single query is the batch of one and a parallel worker is the same
-//! formula at its per-worker inputs: the named functions of `hhnl`, `fnl`,
-//! `batch` and `parallel` choose the source and the inputs, nothing else.
+//! A single query is the batch of one: the named functions of `hhnl`,
+//! `fnl` and `batch` choose the source and the inputs, nothing else.
 
 use crate::fnl::{RANK_CELL_BYTES, TOPK_SLOT_BYTES};
 use crate::inputs::JoinInputs;
@@ -107,20 +106,14 @@ pub(crate) fn passes(source: SourceAt, inputs: &[JoinInputs]) -> Result<f64> {
     Ok(fractional.ceil().max(1.0))
 }
 
-/// The dedicated-device cost: the source opened once, the outer sides read
-/// once for `outer` (every query's own read cost, unless the caller bills
-/// a worker's slice at another rate) and the inner side streamed once per
-/// pooled pass. An empty batch costs nothing; the shared sizes are the
-/// first query's.
-pub(crate) fn sequential(
-    source: SourceAt,
-    inputs: &[JoinInputs],
-    outer: Option<f64>,
-) -> Result<f64> {
+/// The dedicated-device cost: the source opened once, every query's outer
+/// side read once and the inner side streamed once per pooled pass. An
+/// empty batch costs nothing; the shared sizes are the first query's.
+pub(crate) fn sequential(source: SourceAt, inputs: &[JoinInputs]) -> Result<f64> {
     let Some(first) = inputs.first() else {
         return Ok(0.0);
     };
-    let outer = outer.unwrap_or_else(|| inputs.iter().map(JoinInputs::outer_read_cost).sum());
+    let outer: f64 = inputs.iter().map(JoinInputs::outer_read_cost).sum();
     let size = source(first)?;
     let passes = passes(source, inputs)?;
     let seeks = size.seeks * (1.0 + passes) * (first.alpha() - 1.0);
@@ -146,5 +139,5 @@ pub(crate) fn worst_case_random(source: SourceAt, inputs: &[JoinInputs]) -> Resu
         };
         penalty += seeks * (i.alpha() - 1.0);
     }
-    Ok(sequential(source, inputs, None)? + penalty)
+    Ok(sequential(source, inputs)? + penalty)
 }

@@ -43,7 +43,7 @@ pub fn num_passes(inputs: &JoinInputs) -> Result<f64> {
 /// fragmented collection pays for its delta document side file on every
 /// scan (`D1 + ΔD1` per pass; `ΔD2` inside the outer read cost).
 pub fn sequential(inputs: &JoinInputs) -> Result<f64> {
-    forward::sequential(forward::documents, from_ref(inputs), None)
+    forward::sequential(forward::documents, from_ref(inputs))
 }
 
 /// The *backward order* of section 4.1: the inner collection `C1` gets the

@@ -160,25 +160,20 @@ impl CostEstimates {
     }
 }
 
-/// The §6.1 ranking, written once: each algorithm's estimate — the
-/// parallel one ([`crate::parallel::estimate`]) when `workers > 1`, else
-/// `estimates.cost(a, scenario)` — as `(algorithm, raw, correct(algorithm,
+/// The §6.1 ranking, written once: each algorithm's estimate
+/// `estimates.cost(a, scenario)` as `(algorithm, raw, correct(algorithm,
 /// raw))`, cheapest corrected cost first by `total_cmp`, ties in
 /// [`Algorithm::ALL`] order. `correct` is where a calibration profile
-/// enters; the identity ranks by the raw estimates.
+/// enters; the identity ranks by the raw estimates. The estimates are
+/// summed pages — the unit a run is measured in — whatever worker count
+/// the winner then runs on.
 pub fn rank(
-    inputs: &JoinInputs,
     estimates: &CostEstimates,
     scenario: IoScenario,
-    workers: usize,
     correct: impl Fn(Algorithm, f64) -> f64,
 ) -> [(Algorithm, f64, f64); 4] {
     let mut ranked = Algorithm::ALL.map(|a| {
-        let raw = if workers > 1 {
-            crate::parallel::estimate(inputs, a, workers as u64)
-        } else {
-            estimates.cost(a, scenario)
-        };
+        let raw = estimates.cost(a, scenario);
         (a, raw, correct(a, raw))
     });
     // A stable sort keeps `Algorithm::ALL` order among equal costs.
@@ -290,19 +285,15 @@ mod tests {
     fn rank_is_cheapest_first_with_ties_in_registration_order() {
         let i = inputs(CollectionStats::wsj(), CollectionStats::doe(), 10_000);
         let est = CostEstimates::compute(&i);
-        let raw = rank(&i, &est, IoScenario::Dedicated, 1, |_, c| c);
+        let raw = rank(&est, IoScenario::Dedicated, |_, c| c);
         assert_eq!(raw[0].0, est.best(IoScenario::Dedicated).0);
         assert!(raw.windows(2).all(|w| w[0].2 <= w[1].2));
         for (a, r, c) in raw {
             assert_eq!((r, c), (est.cost(a, IoScenario::Dedicated), r));
         }
         // A correction reorders; equal corrected costs keep `ALL` order.
-        let flat = rank(&i, &est, IoScenario::SharedWorstCase, 1, |_, _| 7.0);
+        let flat = rank(&est, IoScenario::SharedWorstCase, |_, _| 7.0);
         assert_eq!(flat.map(|r| r.0), Algorithm::ALL);
-        let par = rank(&i, &est, IoScenario::Dedicated, 4, |_, c| c);
-        for (a, r, _) in par {
-            assert_eq!(r, crate::parallel::estimate(&i, a, 4));
-        }
     }
 
     #[test]

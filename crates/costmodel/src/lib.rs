@@ -50,5 +50,5 @@ pub use comm::{choose_distributed, CommParams, Site, TermEncoding};
 pub use fnl::{fnr_batch, fns_batch};
 pub use inputs::{term_containment_probability, JoinInputs};
 pub use integrated::{choose, rank, Algorithm, CostEstimates, IoScenario};
-pub use parallel::{fns_par, hhs_par, hvs_par, vvs_par};
+pub use parallel::vvs_par;
 pub use shard::{uniform_fractions, ShardCost, ShardPlan};

@@ -298,14 +298,13 @@ pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
     ShardOptions::new(p.shards)
         .with_partitioning(p.shard_partitioning)
         .with_comm(p.comm)
-        .with_workers(p.workers.max(1))
 }
 
 /// Executes a planned query under the system and query parameters it was
 /// planned for (`Plan::inputs`).
 ///
-/// Runs the plan's choice — on `Plan::workers` threads, across
-/// `Plan::shards` sites when sharded. If it dies mid-run on unreadable
+/// Runs the plan's choice — across `Plan::shards` sites when sharded, else
+/// with `Plan::workers` (VVM's split). If it dies mid-run on unreadable
 /// storage (a corrupt page, an exhausted retry), turns out infeasible in
 /// memory or overruns its watchdog budget, the run re-plans onto the
 /// remaining feasible algorithms in the plan's own order (cheapest

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use textjoin_common::{Error, QueryParams, Result, SystemParams};
 use textjoin_core::{execute_sharded, ExecStats, QueryReport, ResultQuality};
-use textjoin_costmodel::{parallel as par_cost, Algorithm, CostEstimates, IoScenario};
+use textjoin_costmodel::{vvs_par, Algorithm, CostEstimates, IoScenario};
 use textjoin_obs::{MetricValue, Registry, SpanRecord, Tracer};
 
 /// [`explain`] at [`PlanOptions::new`]. Pinned by `benchmark/`; delete
@@ -281,13 +281,13 @@ pub struct DriftRow {
     pub percent_error: Option<f64>,
 }
 
-/// One row of the parallel-scaling table: the chosen algorithm run at one
-/// worker count, with the parallel cost model's prediction next to it.
+/// One row of the parallel-scaling table: VVM run at one worker count,
+/// with the parallel cost model's prediction next to it.
 #[derive(Clone, Debug)]
 pub struct WorkerScaling {
     /// Worker count of this run.
     pub workers: usize,
-    /// The parallel estimate (`hhs_par`/`hvs_par`/`vvs_par`) at this count.
+    /// The per-worker elapsed estimate `vvs_par` at this count.
     pub predicted: f64,
     /// Measured page cost (`seq + α·rand`) of the run.
     pub measured_cost: f64,
@@ -306,7 +306,7 @@ pub struct CalibratedDrift {
     pub algorithm: Algorithm,
     /// The seed cost formula's sequential-execution prediction under the
     /// planning scenario — what the measured single-worker run is compared
-    /// against, whatever `workers` the plan ranks on.
+    /// against.
     pub raw: f64,
     /// The prediction after the profile's correction factor.
     pub calibrated: f64,
@@ -354,9 +354,9 @@ pub struct AnalyzeOutput {
     /// One resource-accounting report per algorithm that ran (the drift
     /// table and the latency column are derived from these).
     pub reports: Vec<QueryReport>,
-    /// Predicted-vs-measured cost of the chosen algorithm at one worker
-    /// and at the planned count. Empty unless ANALYZE ran with
-    /// `workers > 1`.
+    /// Predicted-vs-measured cost of VVM at one worker and at the planned
+    /// count. Empty unless ANALYZE ran with `workers > 1` and the plan
+    /// chose VVM — the one algorithm the count changes anything for.
     pub scaling: Vec<WorkerScaling>,
     /// Raw-vs-calibrated predictions with before/after drift, one row per
     /// algorithm. Empty unless ANALYZE ran with a calibration profile.
@@ -380,12 +380,11 @@ impl AnalyzeOutput {
 /// statistics, per-phase span timings and the model-vs-measured drift
 /// report. Each further option adds its own table to the same report:
 ///
-/// * `workers > 1` — the chosen algorithm additionally runs at each worker
-///   count of `{1, workers}`: a scaling table of predicted
-///   (`hhs_par`/`hvs_par`/`vvs_par`) vs measured cost and the measured
-///   wall-clock speedup;
+/// * `workers > 1` — a chosen VVM additionally runs at each worker count
+///   of `{1, workers}`: a scaling table of predicted (`vvs_par`) vs
+///   measured cost and wall-clock speedup; any other choice gets one line;
 /// * `shards > 1` — the chosen algorithm additionally runs on the sharded
-///   executor (`workers` threads per site): a per-shard table of predicted
+///   executor: a per-shard table of predicted
 ///   ([`textjoin_costmodel::ShardPlan`]) vs measured pages — the drift of
 ///   the uniform-fraction assumption against what each site's drive did;
 /// * a `profile` — a raw-vs-calibrated table showing each formula's drift
@@ -426,17 +425,17 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     }
     let report = |alg: Algorithm| reports.iter().find(|r| r.algorithm == alg);
 
-    // Parallel scaling: run the plan's choice at each worker count and put
-    // the parallel cost model's prediction (`hhs_par`/`hvs_par`/`vvs_par`)
-    // next to the measurement. Runs untraced so the chosen run's span tree
-    // and prefetch counters above stay those of the sequential execution.
+    // Parallel scaling: run a chosen VVM at each worker count and put the
+    // parallel cost model's prediction (`vvs_par`) next to the
+    // measurement. Runs untraced so the chosen run's span tree and
+    // prefetch counters above stay those of the sequential execution.
     let mut scaling: Vec<WorkerScaling> = Vec::new();
-    if p.workers > 1 {
+    if p.workers > 1 && p.chosen == Algorithm::Vvm {
         for w in [1, p.workers] {
             if let Some(out) = measurable(textjoin_core::execute(p.chosen, &base, &indexes, w))? {
                 scaling.push(WorkerScaling {
                     workers: w,
-                    predicted: par_cost::estimate(&p.inputs, p.chosen, w as u64),
+                    predicted: vvs_par(&p.inputs, w as u64).unwrap_or(f64::INFINITY),
                     measured_cost: out.stats.cost,
                     pages: out.stats.io.total_reads(),
                     wall_ns: out.stats.wall_ns,
@@ -593,11 +592,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         }
     }
     if !scaling.is_empty() {
-        let _ = writeln!(
-            text,
-            "    parallel scaling ({}; page-cost units):",
-            p.chosen
-        );
+        let _ = writeln!(text, "    parallel scaling (VVM; page-cost units):");
         let base_wall = scaling[0].wall_ns;
         for row in &scaling {
             let speedup = if row.wall_ns > 0 {
@@ -615,6 +610,12 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
                 fmt_ns(row.wall_ns),
             );
         }
+    } else if p.workers > 1 && p.chosen != Algorithm::Vvm {
+        let _ = writeln!(
+            text,
+            "    parallel scaling: {} runs one scan on one thread",
+            p.chosen
+        );
     }
     if let Some(sh) = &sharded {
         let _ = writeln!(
@@ -1239,30 +1240,44 @@ mod tests {
     #[test]
     fn analyze_with_workers_adds_scaling_and_prefetch_sections() {
         let c = big_catalog(512, 120, 60, 40, 200);
-        let sys = SystemParams {
-            buffer_pages: 800,
-            page_size: 512,
-            alpha: 5.0,
+        let analyze = |buffer_pages| {
+            let sys = SystemParams {
+                buffer_pages,
+                page_size: 512,
+                alpha: 5.0,
+            };
+            let o = PlanOptions {
+                workers: 2,
+                ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
+            };
+            explain_analyze(
+                &c,
+                "Select D.Id, Q.Id From Docs D, Queries Q \
+                 Where D.Body SIMILAR_TO(3) Q.Body",
+                &o,
+            )
+            .unwrap()
         };
-        let o = PlanOptions {
-            workers: 4,
-            ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
-        };
-        let out = explain_analyze(
-            &c,
-            "Select D.Id, Q.Id From Docs D, Queries Q \
-             Where D.Body SIMILAR_TO(3) Q.Body",
-            &o,
-        )
-        .unwrap();
+        // Roomy memory plans a forward loop: one scan on one thread, so
+        // there is nothing to scale and the report says so.
+        let roomy = analyze(800);
+        assert_ne!(roomy.executed, Algorithm::Vvm);
+        assert!(roomy.scaling.is_empty(), "{}", roomy.text);
+        assert!(!roomy.text.contains("parallel scaling ("), "{}", roomy.text);
+        let note = "runs one scan on one thread";
+        assert!(roomy.text.contains(note), "{}", roomy.text);
+        // Tight memory plans VVM, the one algorithm the count splits.
+        let out = analyze(20);
+        assert_eq!(out.executed, Algorithm::Vvm, "{}", out.text);
         assert_eq!(out.scaling.len(), 2, "{}", out.text);
         assert_eq!(out.scaling[0].workers, 1);
-        assert_eq!(out.scaling[1].workers, 4);
+        assert_eq!(out.scaling[1].workers, 2);
         // The parallel model never predicts a slowdown from partitioning
         // the scans, and both runs were measured.
         assert!(out.scaling[1].predicted <= out.scaling[0].predicted);
         assert!(out.scaling.iter().all(|r| r.pages > 0 && r.wall_ns > 0));
         assert!(out.text.contains("parallel scaling ("), "{}", out.text);
+        assert!(!out.text.contains(note), "{}", out.text);
         // The traced sequential run registered prefetch counters, and its
         // sequential scan phases actually hit the readahead window.
         assert!(out.text.contains("prefetch ("), "{}", out.text);

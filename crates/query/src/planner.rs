@@ -28,8 +28,8 @@ pub struct PlanOptions<'a> {
     pub query: QueryParams,
     /// The I/O pricing the algorithms are ranked under.
     pub scenario: IoScenario,
-    /// Worker threads per join (per site when sharded). With `workers > 1`
-    /// the ranking uses the parallel estimates (`hhs_par`/`hvs_par`/…).
+    /// Worker threads for the chosen algorithm: VVM splits its merge into
+    /// that many term ranges, the rest run one scan. Never moves the choice.
     pub workers: usize,
     /// Sites the join is split across (1 = single-node). With `shards > 1`
     /// the chosen algorithm's per-site §5 costs are recorded in
@@ -107,7 +107,7 @@ pub struct Plan {
     pub estimates: CostEstimates,
     /// The inputs the estimates were computed from.
     pub inputs: JoinInputs,
-    /// How many workers the join executors will run with (1 = sequential).
+    /// [`PlanOptions::workers`], as the executor will be handed it.
     pub workers: usize,
     /// How many sites the join is sharded across (1 = single-node).
     pub shards: usize,
@@ -275,10 +275,10 @@ pub fn plan_with_workers(
 
 /// Plans a parsed query against a catalog: resolves names, pushes the
 /// selections below the join, and ranks the algorithms by
-/// [`textjoin_costmodel::rank`] under `o` — the parallel estimates when
-/// `o.workers > 1`, corrected by `o.profile` when one is given. The plan
-/// records both numbers per algorithm, so EXPLAIN can show the correction
-/// and the watchdog can budget against the calibrated prediction.
+/// [`textjoin_costmodel::rank`] under `o`, corrected by `o.profile` when
+/// one is given. The plan records both numbers per algorithm, so EXPLAIN
+/// can show the correction and the watchdog can budget against the
+/// calibrated prediction.
 pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Result<Plan> {
     if query.from.len() != 2 {
         return Err(Error::Plan(format!(
@@ -385,7 +385,7 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
     };
     let estimates = CostEstimates::compute(&inputs);
     let pair = format!("{}/{}", inner_rel.name(), outer_rel.name());
-    let ranked = rank(&inputs, &estimates, o.scenario, o.workers, |a, raw| {
+    let ranked = rank(&estimates, o.scenario, |a, raw| {
         o.profile
             .map_or(raw, |profile| profile.calibrated_cost(&pair, a, raw))
     });

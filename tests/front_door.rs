@@ -242,6 +242,46 @@ fn a_plan_runs_under_the_parameters_it_was_planned_for_or_not_at_all() {
     assert!(live.is_empty());
 }
 
+/// `workers` changes how the chosen algorithm runs, never which one is
+/// chosen. At the parent commit `workers: 2` ranked on per-worker *elapsed*
+/// estimates (the whole join: VVM at 35 pages, where one worker plans FNL
+/// at 51) against *summed* measured pages (89), so an armed watchdog fired
+/// on a plan that did nothing wrong and the fallback ran outer-partitioned
+/// FNL at cost 471 where the sequential run costs 56.
+#[test]
+fn workers_leave_the_ranking_and_the_watchdog_in_measured_units() {
+    let catalog = catalog();
+    let whole_join = "Select D.Id, Q.Id From Docs D, Queries Q \
+                      Where D.Body SIMILAR_TO(3) Q.Body";
+    let two_workers = PlanOptions {
+        workers: 2,
+        ..base()
+    };
+    let armed = ExecOptions {
+        drift_factor: Some(1.5),
+        ..ExecOptions::default()
+    };
+    let mut chosen = Vec::new();
+    for sql in [SQL, whole_join] {
+        let query = parse(sql).unwrap();
+        let one = plan_query(&catalog, &query, &base()).unwrap();
+        let two = plan_query(&catalog, &query, &two_workers).unwrap();
+        assert_eq!(two.chosen, one.chosen, "{sql}");
+        assert_eq!(two.predictions, one.predictions, "{sql}");
+
+        let ran_one = execute(&catalog, &one, &armed).unwrap();
+        let ran_two = execute(&catalog, &two, &armed).unwrap();
+        assert_eq!(ran_two.algorithm, two.chosen, "{sql}: the watchdog fired");
+        assert_eq!(ran_two.rows, ran_one.rows, "{sql}");
+        if two.chosen != Algorithm::Vvm {
+            assert_eq!(ran_two.stats.io, ran_one.stats.io, "{sql}");
+        }
+        chosen.push(two.chosen);
+    }
+    // Both sides of the knob are covered: VVM splits, FNL does not.
+    assert_eq!(chosen, [Algorithm::Vvm, Algorithm::Fnl]);
+}
+
 #[test]
 fn analyze_renders_scaling_shard_and_calibrated_tables_together() {
     let catalog = catalog();
@@ -253,9 +293,16 @@ fn analyze_renders_scaling_shard_and_calibrated_tables_together() {
         ..base()
     };
     let out = explain_analyze(&catalog, SQL, &o).unwrap();
+    // A worker count splits VVM's merge and nothing else: the scaling
+    // table exists iff VVM ran, and one line says so otherwise.
+    let (scaling, scaling_section): (&[usize], _) = if out.executed == Algorithm::Vvm {
+        (&[1, 2], "parallel scaling (")
+    } else {
+        (&[], "runs one scan on one thread")
+    };
     assert_eq!(
         out.scaling.iter().map(|r| r.workers).collect::<Vec<_>>(),
-        [1, 2]
+        scaling
     );
     assert_eq!(out.shard_drift.len(), 2);
     assert_eq!(out.sharded.as_ref().map(|s| s.reports.len()), Some(2));
@@ -265,7 +312,7 @@ fn analyze_renders_scaling_shard_and_calibrated_tables_together() {
         "shards : S=2",
         "drift (page-cost units",
         "calibrated predictions (",
-        "parallel scaling (",
+        scaling_section,
         "shards (S=2, skew-aware",
         "spans (",
     ] {
