@@ -1,21 +1,13 @@
-//! Deterministic benchmark suites over the paper's experiment grid.
+//! The deterministic page grid behind `textjoin-sim bench`.
 //!
-//! The criterion targets under `benches/` measure micro-level throughput;
-//! this library is the *macro* harness behind `textjoin-sim bench`: it
-//! sweeps a grid of (collection pair, λ, buffer size) cases, runs every
-//! registered executor on each, and emits a [`BenchReport`] whose JSON
-//! form (`BENCH_textjoin.json`) a CI job can archive and diff against a
-//! checked-in baseline with [`compare`].
-//!
-//! Two kinds of numbers live in each [`BenchCase`]:
-//!
-//! * `pages_io` — the paper's `seq + α·rand` page cost, **deterministic**
-//!   for a given grid (the simulated disk counts pages, not time); this is
-//!   what the regression gate compares;
-//! * `wall_*_ns` — wall-clock percentiles over the case's iterations,
-//!   exact nearest-rank order statistics (the obs histograms' log-spaced
-//!   buckets are too coarse to compare same-magnitude walls); informative
-//!   on a given machine, never gated on.
+//! [`run_suite`] sweeps a grid of (collection pair, λ, buffer size) cases
+//! along five axes, runs every registered executor once on each, and
+//! returns a [`BenchReport`]: per case the measured `seq + α·rand` page
+//! cost and its drift from the cost model. Both are pure functions of the
+//! grid — the simulated disk counts pages, not time — so the report's
+//! JSON form is byte-reproducible, `ci/bench-baseline.json` is that form
+//! checked in, and the gate ([`compare`]) is row equality. Seconds are
+//! measured by `benchmark/`, not here.
 
 use std::sync::Arc;
 use textjoin_collection::SynthSpec;
@@ -40,8 +32,8 @@ pub struct BenchPair {
     pub outer: SynthSpec,
 }
 
-/// The benchmark grid: every combination of pair × λ × B runs all three
-/// algorithms `iterations` times.
+/// The benchmark grid: every combination of pair × λ × B runs every
+/// algorithm once.
 #[derive(Clone, Debug)]
 pub struct BenchGrid {
     /// Suite name recorded in the report.
@@ -100,10 +92,9 @@ pub struct BenchGrid {
     /// boundaries avoid.
     pub shard_pairs: Vec<BenchPair>,
     /// Simulated per-page service time, enabled once the collections and
-    /// indexes are built. Zero makes reads instantaneous, which on a
-    /// single-core machine means parallel rows can never beat sequential
-    /// ones — with real per-page latency, workers overlap their simulated
-    /// I/O waits exactly as the paper's dedicated-drive model assumes.
+    /// indexes are built. It moves no page count; `textjoin-sim calibrate`
+    /// sets it so the reports it stores carry a wall time whose page term
+    /// `page_ns` can be fitted against.
     pub page_latency: PageLatency,
     /// Calibration profile applied to the sequential (w=1) predictions,
     /// keyed by the pair label. `None` keeps the seed cost formulas. The
@@ -114,8 +105,6 @@ pub struct BenchGrid {
     pub sys: SystemParams,
     /// δ (non-zero similarity fraction) used for every case.
     pub delta: f64,
-    /// Wall-clock repetitions per case (percentiles come from these).
-    pub iterations: u32,
 }
 
 /// A heavily skewed synthetic spec for the shards axis: classic-plus Zipf
@@ -129,10 +118,9 @@ fn zipf_spec(stats: CollectionStats, seed: u64) -> SynthSpec {
 }
 
 /// The small default grid used by `textjoin-sim bench` and CI: two
-/// synthetic collection pairs, two λ values, two buffer sizes and two
-/// worker counts — 16 grid points × 3 algorithms, small enough for a test
-/// budget. Only the workers=1 rows carry the classic labels the CI
-/// baseline gates on; the w=4 rows document parallel VVM's speedup.
+/// synthetic collection pairs and one Zipfian pair, swept along the
+/// worker, batch, fragmentation, filter and shard axes — 256 rows, every
+/// one in `ci/bench-baseline.json`.
 pub fn small_grid() -> BenchGrid {
     BenchGrid {
         suite: "paper-grid-small".into(),
@@ -152,8 +140,7 @@ pub fn small_grid() -> BenchGrid {
         filter_lambdas: vec![80],
         // 160 keeps VVM under memory pressure at w=4 (B/w=40 forces
         // extra merge passes); 400 is the headroom point where
-        // parallel VVM keeps its single pass per partition and the w=4
-        // wall clock actually drops below sequential.
+        // parallel VVM keeps its single pass per partition.
         buffer_pages: vec![160, 400],
         workers: vec![1, 4],
         batch_sizes: vec![1, 4, 16],
@@ -164,10 +151,7 @@ pub fn small_grid() -> BenchGrid {
             inner: zipf_spec(CollectionStats::new(120, 12.0, 300), 905),
             outer: zipf_spec(CollectionStats::new(80, 12.0, 300), 906),
         }],
-        page_latency: PageLatency {
-            seq_ns: 150_000,
-            rand_ns: 300_000,
-        },
+        page_latency: PageLatency::default(),
         calibration: None,
         sys: SystemParams {
             buffer_pages: 60,
@@ -175,7 +159,6 @@ pub fn small_grid() -> BenchGrid {
             alpha: 5.0,
         },
         delta: 1.0,
-        iterations: 3,
     }
 }
 
@@ -186,22 +169,31 @@ pub struct BenchCase {
     pub case: String,
     /// Algorithm name (`"HHNL"`, `"HVNL"`, `"VVM"`).
     pub algorithm: String,
-    /// Measured `seq + α·rand` page cost — deterministic, gate-able.
+    /// Measured `seq + α·rand` page cost.
     pub pages_io: f64,
-    /// Wall-clock p50 over the iterations, nanoseconds.
-    pub wall_p50_ns: u64,
-    /// Wall-clock p90 over the iterations, nanoseconds.
-    pub wall_p90_ns: u64,
-    /// Wall-clock p99 over the iterations, nanoseconds.
-    pub wall_p99_ns: u64,
-    /// Slowest iteration, nanoseconds.
-    pub wall_max_ns: u64,
-    /// Model-vs-measured drift percent (`(measured − predicted)/measured`),
-    /// when the cost model could price the case.
+    /// Model-vs-measured drift percent, `(measured − predicted)/measured`,
+    /// when the cost model could price the case. (EXPLAIN ANALYZE and
+    /// `benchmark/`'s `costmodel.drift_pct.*` divide by *predicted*.)
     pub drift_pct: Option<f64>,
 }
 
-/// A finished benchmark suite, serialisable to `BENCH_textjoin.json`.
+impl BenchCase {
+    /// The case as one JSON object: a line of the report, and — floats
+    /// being printed to fixed precision — the unit [`compare`] holds equal.
+    fn to_json(&self) -> String {
+        let drift = self
+            .drift_pct
+            .map_or(String::new(), |d| format!(",\"drift_pct\":{d:.2}"));
+        format!(
+            "{{\"case\":\"{}\",\"algorithm\":\"{}\",\"pages_io\":{:.3}{drift}}}",
+            json::escape(&self.case),
+            json::escape(&self.algorithm),
+            self.pages_io,
+        )
+    }
+}
+
+/// A finished benchmark suite.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
     /// Suite name (from the grid).
@@ -211,39 +203,16 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Renders the report as one JSON object (hand-rolled).
+    /// Renders the report as one JSON object (hand-rolled) with one case
+    /// per line, so a regenerated baseline's `git diff` lists the rows
+    /// that moved.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"suite\":\"{}\",\"cases\":[",
-            json::escape(&self.suite)
-        );
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"suite\":\"{}\",\"case\":\"{}\",\"algorithm\":\"{}\",\"pages_io\":{:.3},\
-                 \"wall_p50_ns\":{},\"wall_p90_ns\":{},\"wall_p99_ns\":{},\"wall_max_ns\":{}",
-                json::escape(&self.suite),
-                json::escape(&c.case),
-                json::escape(&c.algorithm),
-                c.pages_io,
-                c.wall_p50_ns,
-                c.wall_p90_ns,
-                c.wall_p99_ns,
-                c.wall_max_ns,
-            );
-            if let Some(d) = c.drift_pct {
-                let _ = write!(out, ",\"drift_pct\":{d:.2}");
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let cases: Vec<String> = self.cases.iter().map(BenchCase::to_json).collect();
+        format!(
+            "{{\"suite\":\"{}\",\"cases\":[\n{}\n]}}\n",
+            json::escape(&self.suite),
+            cases.join(",\n")
+        )
     }
 
     /// Parses a report produced by [`to_json`](Self::to_json). The parser
@@ -268,10 +237,6 @@ impl BenchReport {
                     .ok_or_else(|| bad("case missing algorithm"))?,
                 pages_io: json::num_field(obj, "pages_io")
                     .ok_or_else(|| bad("case missing pages_io"))?,
-                wall_p50_ns: json::num_field(obj, "wall_p50_ns").unwrap_or(0.0) as u64,
-                wall_p90_ns: json::num_field(obj, "wall_p90_ns").unwrap_or(0.0) as u64,
-                wall_p99_ns: json::num_field(obj, "wall_p99_ns").unwrap_or(0.0) as u64,
-                wall_max_ns: json::num_field(obj, "wall_max_ns").unwrap_or(0.0) as u64,
                 drift_pct: json::num_field(obj, "drift_pct"),
             });
             rest = &rest[open + close + 1..];
@@ -293,6 +258,35 @@ impl BenchReport {
 /// [`compare`] against a baseline that had it.
 pub fn run_suite(grid: &BenchGrid) -> Result<BenchReport> {
     Ok(run_suite_with_reports(grid)?.0)
+}
+
+/// Runs one grid cell once on a rewound drive and records its page cost
+/// next to the model's `predicted`. A cell the algorithm has no memory for
+/// leaves no row.
+fn record(
+    cases: &mut Vec<BenchCase>,
+    disk: &DiskSim,
+    case: &str,
+    algorithm: Algorithm,
+    predicted: Option<f64>,
+    run: impl FnOnce() -> Result<f64>,
+) -> Result<()> {
+    disk.reset_stats();
+    disk.reset_head();
+    let pages_io = match run() {
+        Ok(pages) => pages,
+        Err(Error::InsufficientMemory { .. }) => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    cases.push(BenchCase {
+        case: case.into(),
+        algorithm: algorithm.to_string(),
+        pages_io,
+        drift_pct: predicted
+            .filter(|_| pages_io > 0.0)
+            .map(|p| 100.0 * (pages_io - p) / pages_io),
+    });
+    Ok(())
 }
 
 /// [`run_suite`] additionally returning one keyed [`QueryReport`] per
@@ -347,43 +341,41 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
         // construction above.
         disk.set_page_latency(grid.page_latency);
 
-        // The filter-axis λ points ride the same pair × B sweep but run
-        // only the sequential executors — their point is the FNL-vs-HHNL
-        // page gap at selective λ, not another worker/batch/frag matrix.
-        let lambda_points = grid
-            .lambdas
-            .iter()
-            .map(|&l| (l, false))
-            .chain(grid.filter_lambdas.iter().map(|&l| (l, true)));
-        for (lambda, filter_axis) in lambda_points {
-            // Filter-axis points pin B to the base system budget — the
-            // pressure regime the axis exists to measure.
-            let bs: Vec<u64> = if filter_axis {
-                vec![grid.sys.buffer_pages]
+        // The filter-axis λ points ride the same pair sweep but run only
+        // the sequential executors, pinned to the base system budget — the
+        // pressure regime the axis exists to measure: their point is the
+        // FNL-vs-HHNL page gap at selective λ, not another
+        // worker/batch/frag matrix.
+        let classic = grid.lambdas.iter().map(|&l| (l, false));
+        let filter = grid.filter_lambdas.iter().map(|&l| (l, true));
+        for (lambda, filter_axis) in classic.chain(filter) {
+            let base_b = [grid.sys.buffer_pages];
+            let bs = if filter_axis {
+                &base_b[..]
             } else {
-                grid.buffer_pages.clone()
+                &grid.buffer_pages[..]
             };
-            for &b in &bs {
-                let spec = JoinSpec::new(&c1, &c2)
-                    .with_sys(grid.sys.with_buffer_pages(b))
-                    .with_query(QueryParams {
-                        lambda,
-                        delta: grid.delta,
-                    });
+            for &b in bs {
+                let query = QueryParams {
+                    lambda,
+                    delta: grid.delta,
+                };
+                let sys = grid.sys.with_buffer_pages(b);
+                let spec = JoinSpec::new(&c1, &c2).with_sys(sys).with_query(query);
                 let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
                 let estimates = CostEstimates::compute(&inputs);
                 let indexes = Indexes::all(&inv1, &inv2, &fnl1);
+                let point = format!("{} λ={lambda} B={b}", pair.label);
                 for &w in &grid.workers {
                     let w = w.max(1);
                     if filter_axis && w > 1 {
                         continue;
                     }
                     let case_label = if w > 1 {
-                        format!("{} λ={lambda} B={b} w={w}", pair.label)
+                        format!("{point} w={w}")
                     } else {
-                        format!("{} λ={lambda} B={b}", pair.label)
+                        point.clone()
                     };
-
                     for algorithm in Algorithm::ALL {
                         if w > 1 && algorithm != Algorithm::Vvm {
                             continue;
@@ -403,104 +395,36 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                                 (_, raw) => raw,
                             }
                         };
-                        // Exact order statistics over the iterations: the
-                        // registry's log-spaced histogram has power-of-two
-                        // buckets, far too coarse to compare sequential vs
-                        // parallel walls of the same magnitude.
-                        let mut walls: Vec<u64> = Vec::new();
-                        let mut last_report: Option<QueryReport> = None;
-                        for _ in 0..grid.iterations.max(1) {
-                            disk.reset_stats();
-                            disk.reset_head();
-                            match textjoin_core::execute(algorithm, &spec, &indexes, w) {
-                                Ok(outcome) => {
-                                    walls.push(outcome.stats.wall_ns);
-                                    last_report = Some(
-                                        QueryReport::from_outcome(
-                                            case_label.clone(),
-                                            &outcome,
-                                            None,
-                                            predicted,
-                                        )
-                                        .with_key(
-                                            pair.label.clone(),
-                                            lambda as u64,
-                                            b,
-                                        ),
-                                    );
-                                }
-                                Err(Error::InsufficientMemory { .. }) => {
-                                    last_report = None;
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
+                        let mut outcome = None;
+                        record(&mut cases, &disk, &case_label, algorithm, predicted, || {
+                            let ran = textjoin_core::execute(algorithm, &spec, &indexes, w)?;
+                            Ok(outcome.insert(ran).stats.cost)
+                        })?;
+                        if let Some(outcome) = outcome {
+                            reports.push(
+                                QueryReport::from_outcome(&case_label, &outcome, None, predicted)
+                                    .with_key(pair.label.clone(), lambda as u64, b),
+                            );
                         }
-                        let Some(report) = last_report else {
-                            continue;
-                        };
-                        walls.sort_unstable();
-                        cases.push(BenchCase {
-                            case: case_label.clone(),
-                            algorithm: algorithm.to_string(),
-                            pages_io: report.measured_cost,
-                            wall_p50_ns: nearest_rank(&walls, 0.50),
-                            wall_p90_ns: nearest_rank(&walls, 0.90),
-                            wall_p99_ns: nearest_rank(&walls, 0.99),
-                            wall_max_ns: *walls.last().unwrap_or(&0),
-                            drift_pct: report.drift_pct(),
-                        });
-                        reports.push(report);
                     }
+                }
+                if filter_axis {
+                    continue;
                 }
 
                 // The batch-size axis: N copies of the query through the
                 // batch engine's shared scans. N=1 is the classic row
                 // above; batch rows record the total batch cost next to
                 // the batch formula's prediction.
-                for &n in &grid.batch_sizes {
-                    if n <= 1 || filter_axis {
-                        continue;
-                    }
+                for &n in grid.batch_sizes.iter().filter(|&&n| n > 1) {
                     let specs = vec![spec; n];
                     let batch_estimates = CostEstimates::compute_batch(&vec![inputs; n]);
-                    let case_label = format!("{} λ={lambda} B={b} N={n}", pair.label);
+                    let case_label = format!("{point} N={n}");
                     for algorithm in Algorithm::ALL {
                         let predicted = predicted_pages(&batch_estimates, algorithm);
-                        let mut walls: Vec<u64> = Vec::new();
-                        let mut last_stats = None;
-                        for _ in 0..grid.iterations.max(1) {
-                            disk.reset_stats();
-                            disk.reset_head();
-                            match batch::execute(algorithm, &specs, &indexes) {
-                                Ok(outcome) => {
-                                    walls.push(outcome.stats.wall_ns);
-                                    last_stats = Some(outcome.stats);
-                                }
-                                Err(Error::InsufficientMemory { .. }) => {
-                                    last_stats = None;
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        let Some(stats) = last_stats else {
-                            continue;
-                        };
-                        let drift_pct = predicted.and_then(|p| {
-                            (stats.cost > 0.0).then(|| (stats.cost - p) / stats.cost * 100.0)
-                        });
-                        walls.sort_unstable();
-                        cases.push(BenchCase {
-                            case: case_label.clone(),
-                            algorithm: algorithm.to_string(),
-                            pages_io: stats.cost,
-                            wall_p50_ns: nearest_rank(&walls, 0.50),
-                            wall_p90_ns: nearest_rank(&walls, 0.90),
-                            wall_p99_ns: nearest_rank(&walls, 0.99),
-                            wall_max_ns: *walls.last().unwrap_or(&0),
-                            drift_pct,
-                        });
+                        record(&mut cases, &disk, &case_label, algorithm, predicted, || {
+                            Ok(batch::execute(algorithm, &specs, &indexes)?.stats.cost)
+                        })?;
                     }
                 }
 
@@ -511,57 +435,21 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                 // `drift_pct` doubles as a check that the fragmentation
                 // term tracks what the executors actually pay.
                 for (frac, lc, lfnl) in &frag_fixtures {
-                    if filter_axis {
-                        break;
-                    }
                     let fspec = JoinSpec::new(lc.base(), &c2)
-                        .with_sys(grid.sys.with_buffer_pages(b))
-                        .with_query(QueryParams {
-                            lambda,
-                            delta: grid.delta,
-                        })
+                        .with_sys(sys)
+                        .with_query(query)
                         .with_inner_delta(lc.overlay());
                     let finputs = fspec.cost_inputs().with_fnl(lfnl.stats());
                     let festimates = CostEstimates::compute(&finputs);
                     let findexes = Indexes::all(lc.base_inv(), &inv2, lfnl);
-                    let case_label =
-                        format!("{} λ={lambda} B={b} frag={:.0}%", pair.label, frac * 100.0);
+                    let case_label = format!("{point} frag={:.0}%", frac * 100.0);
                     for algorithm in Algorithm::ALL {
                         let predicted = predicted_pages(&festimates, algorithm);
-                        let mut walls: Vec<u64> = Vec::new();
-                        let mut last_stats = None;
-                        for _ in 0..grid.iterations.max(1) {
-                            disk.reset_stats();
-                            disk.reset_head();
-                            match textjoin_core::execute(algorithm, &fspec, &findexes, 1) {
-                                Ok(outcome) => {
-                                    walls.push(outcome.stats.wall_ns);
-                                    last_stats = Some(outcome.stats);
-                                }
-                                Err(Error::InsufficientMemory { .. }) => {
-                                    last_stats = None;
-                                    break;
-                                }
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        let Some(stats) = last_stats else {
-                            continue;
-                        };
-                        let drift_pct = predicted.and_then(|p| {
-                            (stats.cost > 0.0).then(|| (stats.cost - p) / stats.cost * 100.0)
-                        });
-                        walls.sort_unstable();
-                        cases.push(BenchCase {
-                            case: case_label.clone(),
-                            algorithm: algorithm.to_string(),
-                            pages_io: stats.cost,
-                            wall_p50_ns: nearest_rank(&walls, 0.50),
-                            wall_p90_ns: nearest_rank(&walls, 0.90),
-                            wall_p99_ns: nearest_rank(&walls, 0.99),
-                            wall_max_ns: *walls.last().unwrap_or(&0),
-                            drift_pct,
-                        });
+                        record(&mut cases, &disk, &case_label, algorithm, predicted, || {
+                            Ok(textjoin_core::execute(algorithm, &fspec, &findexes, 1)?
+                                .stats
+                                .cost)
+                        })?;
                     }
                 }
             }
@@ -570,13 +458,13 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
 
     // The shards axis: the multi-site executor over the dedicated
     // (Zipfian) pairs, at every S with both boundary strategies. These
-    // rows record the *max-shard* page cost — sites run concurrently, so
-    // the heaviest one gates the answer, and that is exactly the number
-    // skew-aware partitioning exists to lower. The prediction next to it
-    // is the uniform-fraction `ShardPlan`'s `max_shard`, so `drift_pct`
-    // measures how far reality sits from the balanced ideal (large
-    // positive drift on a naive row *is* the skew). S=1 runs once, as the
-    // axis origin, under the skew-aware label.
+    // rows record the *max-shard* page cost — sites run concurrently, each
+    // on a drive of its own, so the heaviest one gates the answer, and
+    // that is exactly the number skew-aware partitioning exists to lower.
+    // The prediction next to it is the uniform-fraction `ShardPlan`'s
+    // `max_shard`, so `drift_pct` measures how far reality sits from the
+    // balanced ideal (large positive drift on a naive row *is* the skew).
+    // S=1 runs once, as the axis origin, under the skew-aware label.
     if !grid.shard_counts.is_empty() {
         let comm = costmodel::CommParams::default_network();
         for pair in &grid.shard_pairs {
@@ -616,38 +504,14 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                                 let opts = ShardOptions::new(s)
                                     .with_partitioning(partitioning)
                                     .with_comm(comm);
-                                let mut walls: Vec<u64> = Vec::new();
-                                let mut last: Option<f64> = None;
-                                for _ in 0..grid.iterations.max(1) {
-                                    match execute_sharded(&spec, algorithm, &opts) {
-                                        Ok(run) => {
-                                            walls.push(run.outcome.stats.wall_ns);
-                                            last = Some(run.max_shard_pages);
-                                        }
-                                        Err(Error::InsufficientMemory { .. }) => {
-                                            last = None;
-                                            break;
-                                        }
-                                        Err(e) => return Err(e),
-                                    }
-                                }
-                                let Some(max_shard) = last else {
-                                    continue;
-                                };
-                                let drift_pct = predicted.and_then(|p| {
-                                    (max_shard > 0.0).then(|| (max_shard - p) / max_shard * 100.0)
-                                });
-                                walls.sort_unstable();
-                                cases.push(BenchCase {
-                                    case: case_label.clone(),
-                                    algorithm: algorithm.to_string(),
-                                    pages_io: max_shard,
-                                    wall_p50_ns: nearest_rank(&walls, 0.50),
-                                    wall_p90_ns: nearest_rank(&walls, 0.90),
-                                    wall_p99_ns: nearest_rank(&walls, 0.99),
-                                    wall_max_ns: *walls.last().unwrap_or(&0),
-                                    drift_pct,
-                                });
+                                record(
+                                    &mut cases,
+                                    &disk,
+                                    &case_label,
+                                    algorithm,
+                                    predicted,
+                                    || Ok(execute_sharded(&spec, algorithm, &opts)?.max_shard_pages),
+                                )?;
                             }
                         }
                     }
@@ -664,303 +528,186 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
     ))
 }
 
-/// Why [`compare`] flagged a case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RegressionKind {
-    /// The deterministic page cost grew past the threshold.
-    Slower,
-    /// In the baseline, but absent from this run (the grid shrank or the
-    /// algorithm became infeasible).
-    MissingFromRun,
-    /// In this run, but absent from the baseline — the baseline is stale
-    /// and silently never gates this case; regenerate it.
-    MissingFromBaseline,
-    /// The baseline entry itself is unusable (`pages_io ≤ 0`): no
-    /// threshold can be computed from it, so it gates nothing.
-    InvalidBaseline,
-}
-
-/// One finding of [`compare`].
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// What kind of finding this is.
-    pub kind: RegressionKind,
-    /// Case label.
-    pub case: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Baseline page cost (`NAN` when absent from the baseline).
-    pub baseline_pages: f64,
-    /// Current page cost (`INFINITY` when the case vanished).
-    pub current_pages: f64,
-    /// Percent increase over the baseline.
-    pub pct: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            RegressionKind::Slower => write!(
-                f,
-                "[{} / {}] pages_io {:.1} -> {:.1} (+{:.1}% > threshold)",
-                self.case, self.algorithm, self.baseline_pages, self.current_pages, self.pct
-            ),
-            RegressionKind::MissingFromRun => write!(
-                f,
-                "[{} / {}] present in baseline (pages_io {:.1}) but missing from this run",
-                self.case, self.algorithm, self.baseline_pages
-            ),
-            RegressionKind::MissingFromBaseline => write!(
-                f,
-                "[{} / {}] measured here (pages_io {:.1}) but not in the baseline — \
-                 the gate never sees it; regenerate the baseline",
-                self.case, self.algorithm, self.current_pages
-            ),
-            RegressionKind::InvalidBaseline => write!(
-                f,
-                "[{} / {}] baseline pages_io {:.1} is not positive — the entry gates \
-                 nothing; regenerate the baseline",
-                self.case, self.algorithm, self.baseline_pages
-            ),
-        }
-    }
-}
-
-/// Compares a run against a baseline, returning every case whose
-/// deterministic page cost regressed by more than `threshold_pct` percent —
-/// and, loudly, every coverage hole: baseline cases the run no longer
-/// covers, run cases the baseline never gates, and baseline entries whose
-/// page cost is unusable. A stale or corrupt baseline thus fails the gate
-/// instead of silently shrinking it. Wall-clock percentiles are
-/// informational and never gated — they depend on the machine, while
-/// `pages_io` is a pure function of the grid.
-pub fn compare(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    threshold_pct: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for b in &baseline.cases {
-        match current.case(&b.case, &b.algorithm) {
-            Some(c) => {
-                if b.pages_io <= 0.0 {
-                    regressions.push(Regression {
-                        kind: RegressionKind::InvalidBaseline,
-                        case: b.case.clone(),
-                        algorithm: b.algorithm.clone(),
-                        baseline_pages: b.pages_io,
-                        current_pages: c.pages_io,
-                        pct: f64::NAN,
-                    });
-                    continue;
-                }
-                let pct = 100.0 * (c.pages_io - b.pages_io) / b.pages_io;
-                if pct > threshold_pct {
-                    regressions.push(Regression {
-                        kind: RegressionKind::Slower,
-                        case: b.case.clone(),
-                        algorithm: b.algorithm.clone(),
-                        baseline_pages: b.pages_io,
-                        current_pages: c.pages_io,
-                        pct,
-                    });
-                }
-            }
-            None => regressions.push(Regression {
-                kind: RegressionKind::MissingFromRun,
-                case: b.case.clone(),
-                algorithm: b.algorithm.clone(),
-                baseline_pages: b.pages_io,
-                current_pages: f64::INFINITY,
-                pct: f64::INFINITY,
-            }),
-        }
-    }
-    for c in &current.cases {
-        if baseline.case(&c.case, &c.algorithm).is_none() {
-            regressions.push(Regression {
-                kind: RegressionKind::MissingFromBaseline,
-                case: c.case.clone(),
-                algorithm: c.algorithm.clone(),
-                baseline_pages: f64::NAN,
-                current_pages: c.pages_io,
-                pct: f64::NAN,
-            });
-        }
-    }
-    regressions
-}
-
-/// Nearest-rank quantile over an ascending-sorted sample: the smallest
-/// value with at least `q` of the samples at or below it. Exact for the
-/// handful of wall-clock repeats a bench case collects.
-///
-/// The rank `⌈q·n⌉` is computed with an epsilon guard: `q·n` in binary
-/// floating point can land a hair *above* an exact integer product
-/// (`0.9 × 10 = 9.000000000000002`), and a bare `ceil` then overshoots by
-/// one whole order statistic — p90 of ten samples silently became the
-/// maximum.
 /// The model's dedicated-drive page estimate for `algorithm`, when it is
 /// feasible at all.
 fn predicted_pages(estimates: &CostEstimates, algorithm: Algorithm) -> Option<f64> {
     Some(estimates.cost(algorithm, IoScenario::Dedicated)).filter(|c| c.is_finite())
 }
 
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// One row on which a run and a baseline disagree.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RowDiff {
+    /// In both, with a different page cost or drift.
+    Changed {
+        /// The baseline's row.
+        baseline: BenchCase,
+        /// This run's row.
+        current: BenchCase,
+    },
+    /// In the baseline, but absent from this run (the grid shrank or the
+    /// algorithm became infeasible).
+    MissingFromRun(BenchCase),
+    /// In this run, but absent from the baseline — the baseline is stale.
+    MissingFromBaseline(BenchCase),
+}
+
+impl std::fmt::Display for RowDiff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RowDiff::Changed { baseline, current } => {
+                write!(f, "{} → {}", baseline.to_json(), current.to_json())
+            }
+            RowDiff::MissingFromRun(b) => write!(f, "{} → missing from this run", b.to_json()),
+            RowDiff::MissingFromBaseline(c) => {
+                write!(f, "not in the baseline → {}", c.to_json())
+            }
+        }
     }
-    let rank = ((q * sorted.len() as f64) - 1e-9).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The exact row diff of a run against a baseline: every `(case,
+/// algorithm)` key whose printed row differs — a page cost that moved up
+/// *or down*, a drift that moved — and every key only one side has. Page
+/// costs are a pure function of the grid, so any difference is a change
+/// to report: a PR that means it regenerates the baseline
+/// (`textjoin-sim bench --out ci/bench-baseline.json`) and its `git diff`
+/// is the list of moved rows.
+pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Vec<RowDiff> {
+    let mut diffs = Vec::new();
+    for b in &baseline.cases {
+        match current.case(&b.case, &b.algorithm) {
+            Some(c) if c.to_json() == b.to_json() => {}
+            Some(c) => diffs.push(RowDiff::Changed {
+                baseline: b.clone(),
+                current: c.clone(),
+            }),
+            None => diffs.push(RowDiff::MissingFromRun(b.clone())),
+        }
+    }
+    for c in &current.cases {
+        if baseline.case(&c.case, &c.algorithm).is_none() {
+            diffs.push(RowDiff::MissingFromBaseline(c.clone()));
+        }
+    }
+    diffs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn nearest_rank_is_the_exact_order_statistic() {
-        // n=1: every quantile is the lone sample.
-        assert_eq!(nearest_rank(&[42], 0.50), 42);
-        assert_eq!(nearest_rank(&[42], 0.99), 42);
-        // n=2: p50 is the *lower* sample (⌈0.5·2⌉ = 1st order statistic);
-        // the old float-skewed rank picked the max.
-        assert_eq!(nearest_rank(&[10, 20], 0.50), 10);
-        assert_eq!(nearest_rank(&[10, 20], 0.99), 20, "p99 of two is the max");
-        // n=10: p90 is the 9th order statistic, not the max —
-        // 0.9 × 10 = 9.000000000000002 in binary tripped the bare ceil.
-        let ten: Vec<u64> = (1..=10).collect();
-        assert_eq!(nearest_rank(&ten, 0.50), 5);
-        assert_eq!(nearest_rank(&ten, 0.90), 9);
-        assert_eq!(nearest_rank(&ten, 0.99), 10);
-        // n=100: p99 is the 99th order statistic.
-        let hundred: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&hundred, 0.50), 50);
-        assert_eq!(nearest_rank(&hundred, 0.90), 90);
-        assert_eq!(nearest_rank(&hundred, 0.99), 99);
-        // Empty input stays defined.
-        assert_eq!(nearest_rank(&[], 0.50), 0);
-    }
-
     fn case(label: &str, algorithm: &str, pages: f64) -> BenchCase {
         BenchCase {
             case: label.into(),
             algorithm: algorithm.into(),
             pages_io: pages,
-            wall_p50_ns: 1_000,
-            wall_p90_ns: 2_000,
-            wall_p99_ns: 4_000,
-            wall_max_ns: 5_000,
             drift_pct: Some(-3.5),
         }
     }
 
+    fn report(cases: Vec<BenchCase>) -> BenchReport {
+        BenchReport {
+            suite: "s".into(),
+            cases,
+        }
+    }
+
     #[test]
-    fn json_round_trips() {
+    fn json_round_trips_one_case_per_line() {
+        let mut undrifted = case("p2", "VVM", 9.0);
+        undrifted.drift_pct = None;
         let report = BenchReport {
             suite: "s\"1".into(),
-            cases: vec![case("pair λ=5 B=60", "HHNL", 123.5), case("p2", "VVM", 9.0)],
+            cases: vec![case("pair λ=5 B=60", "HHNL", 123.5), undrifted],
         };
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
+        let text = report.to_json();
+        assert_eq!(BenchReport::from_json(&text).unwrap(), report);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + report.cases.len(), "{text}");
+        assert_eq!(
+            lines[1],
+            "{\"case\":\"pair λ=5 B=60\",\"algorithm\":\"HHNL\",\"pages_io\":123.500,\"drift_pct\":-3.50},"
+        );
+        assert_eq!(
+            lines[2],
+            "{\"case\":\"p2\",\"algorithm\":\"VVM\",\"pages_io\":9.000}"
+        );
+        assert!(text.ends_with("]}\n"));
     }
 
     #[test]
     fn from_json_rejects_garbage() {
         assert!(BenchReport::from_json("not json").is_err());
         assert!(BenchReport::from_json("{\"suite\":\"s\"}").is_err());
+        let no_pages = "{\"suite\":\"s\",\"cases\":[\n{\"case\":\"a\",\"algorithm\":\"HHNL\"}\n]}";
+        assert!(BenchReport::from_json(no_pages).is_err());
     }
 
     #[test]
-    fn compare_flags_regressions_and_missing_cases() {
-        let baseline = BenchReport {
-            suite: "s".into(),
-            cases: vec![
-                case("a", "HHNL", 100.0),
-                case("a", "HVNL", 100.0),
-                case("b", "VVM", 50.0),
-            ],
+    fn compare_finds_every_row_that_is_not_equal() {
+        let baseline = report(vec![
+            case("a", "HHNL", 100.0),
+            case("a", "HVNL", 100.0),
+            case("a", "VVM", 100.0),
+            case("b", "VVM", 50.0),
+        ]);
+        let mut drifted = case("a", "VVM", 100.0);
+        drifted.drift_pct = Some(-3.6);
+        let current = report(vec![
+            case("a", "HHNL", 105.0), // +5 %
+            case("a", "HVNL", 95.0),  // −5 %: a gain is a change to report too
+            drifted,                  // same pages, the prediction moved
+            // b/VVM missing from the run
+            case("a N=4", "HHNL", 300.0), // not in the baseline
+        ]);
+        let diffs = compare(&baseline, &current);
+        let changed = |i: usize| RowDiff::Changed {
+            baseline: baseline.cases[i].clone(),
+            current: current.cases[i].clone(),
         };
-        let current = BenchReport {
-            suite: "s".into(),
-            cases: vec![
-                case("a", "HHNL", 105.0), // +5%: under threshold
-                case("a", "HVNL", 150.0), // +50%: regression
-                                          // b/VVM missing: regression
-            ],
-        };
-        let regs = compare(&baseline, &current, 10.0);
-        assert_eq!(regs.len(), 2);
-        assert_eq!(regs[0].algorithm, "HVNL");
-        assert_eq!(regs[0].kind, RegressionKind::Slower);
-        assert!((regs[0].pct - 50.0).abs() < 1e-9);
-        assert_eq!(regs[1].kind, RegressionKind::MissingFromRun);
-        assert!(regs[1].current_pages.is_infinite());
-        assert!(regs[1].to_string().contains("missing"), "{}", regs[1]);
-    }
-
-    #[test]
-    fn compare_flags_cases_the_baseline_never_gates() {
-        // A case measured by the run but absent from the baseline used to
-        // be skipped silently — the gate shrank without anyone noticing.
-        let baseline = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a", "HHNL", 100.0)],
-        };
-        let current = BenchReport {
-            suite: "s".into(),
-            cases: vec![
-                case("a", "HHNL", 100.0),
-                case("a λ=5 B=60 N=4", "HHNL", 300.0),
-            ],
-        };
-        let regs = compare(&baseline, &current, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].kind, RegressionKind::MissingFromBaseline);
-        assert_eq!(regs[0].case, "a λ=5 B=60 N=4");
-        assert!(regs[0].to_string().contains("regenerate"), "{}", regs[0]);
-    }
-
-    #[test]
-    fn compare_flags_unusable_baseline_entries() {
-        // A zero/negative baseline page count can never compute a
-        // threshold; it used to be skipped silently.
-        let baseline = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a", "HHNL", 0.0)],
-        };
-        let current = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a", "HHNL", 100.0)],
-        };
-        let regs = compare(&baseline, &current, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].kind, RegressionKind::InvalidBaseline);
-        assert!(regs[0].to_string().contains("not positive"), "{}", regs[0]);
+        assert_eq!(
+            diffs,
+            vec![
+                changed(0),
+                changed(1),
+                changed(2),
+                RowDiff::MissingFromRun(baseline.cases[3].clone()),
+                RowDiff::MissingFromBaseline(current.cases[3].clone()),
+            ]
+        );
+        let printed: Vec<String> = diffs.iter().map(RowDiff::to_string).collect();
+        assert!(
+            printed[0].contains("\"pages_io\":100.000") && printed[0].contains("→ {"),
+            "{}",
+            printed[0]
+        );
+        assert!(
+            printed[0].contains("\"pages_io\":105.000"),
+            "{}",
+            printed[0]
+        );
+        assert!(
+            printed[3].ends_with("→ missing from this run"),
+            "{}",
+            printed[3]
+        );
+        assert!(
+            printed[4].starts_with("not in the baseline →"),
+            "{}",
+            printed[4]
+        );
     }
 
     #[test]
     fn compare_passes_identical_reports() {
-        let r = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a", "HHNL", 100.0)],
-        };
-        assert!(compare(&r, &r, 0.0).is_empty());
-    }
-
-    #[test]
-    fn doubled_cost_fails_a_ten_percent_gate() {
-        // The acceptance scenario: an injected 2x slowdown must trip the
-        // baseline gate.
-        let baseline = BenchReport {
-            suite: "s".into(),
-            cases: vec![case("a", "HHNL", 100.0)],
-        };
-        let mut slowed = baseline.clone();
-        slowed.cases[0].pages_io *= 2.0;
-        let regs = compare(&baseline, &slowed, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert!((regs[0].pct - 100.0).abs() < 1e-9);
+        let r = report(vec![case("a", "HHNL", 100.0), case("a", "VVM", 0.0)]);
+        assert!(compare(&r, &r).is_empty());
+        // Equality is on the printed row: a run's unrounded floats equal
+        // the baseline they were printed into.
+        let mut unrounded = r.clone();
+        unrounded.cases[0].pages_io = 100.0004;
+        unrounded.cases[0].drift_pct = Some(-3.5004);
+        assert!(compare(&r, &unrounded).is_empty());
     }
 
     #[test]
@@ -975,8 +722,6 @@ mod tests {
         grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 2;
         let report = run_suite(&grid).unwrap();
         for pair in ["balanced", "asymmetric"] {
             for algorithm in ["HHNL", "HVNL", "VVM", "FNL"] {
@@ -985,19 +730,17 @@ mod tests {
                     .case(&label, algorithm)
                     .unwrap_or_else(|| panic!("missing {label} / {algorithm}"));
                 assert!(c.pages_io > 0.0, "{label} {algorithm}");
-                assert!(c.wall_p50_ns > 0, "{label} {algorithm}");
-                assert!(c.wall_p99_ns > 0, "{label} {algorithm}");
-                assert!(c.wall_max_ns >= c.wall_p50_ns, "{label} {algorithm}");
             }
         }
         // Printing truncates floats, so round-trip stability is checked on
         // the serialised form: parse(print(x)) prints identically.
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.to_json(), report.to_json());
+        assert!(compare(&parsed, &report).is_empty());
     }
 
     #[test]
-    fn workers_axis_adds_labelled_rows_and_a_speedup() {
+    fn workers_axis_adds_labelled_vvm_rows() {
         let mut grid = small_grid();
         grid.shard_counts = vec![];
         grid.pairs.truncate(1); // balanced
@@ -1007,7 +750,6 @@ mod tests {
         grid.workers = vec![1, 4];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
-        grid.iterations = 3;
         let report = run_suite(&grid).unwrap();
 
         // A worker count splits VVM's merge and nothing else: the other
@@ -1020,28 +762,16 @@ mod tests {
         let seq_vvm = report.case("balanced λ=20 B=400", "VVM").unwrap();
         let par_vvm = report.case("balanced λ=20 B=400 w=4", "VVM").unwrap();
         assert!(par_vvm.pages_io > 0.0);
-        assert!(par_vvm.wall_p50_ns > 0);
         // With headroom (B/w still fits one merge pass) parallel VVM reads
         // about as many pages in total as sequential VVM, so its page
-        // count — deterministic on every machine — stays within the
-        // α-weighted noise of the partition seeks.
+        // count stays within the α-weighted noise of the partition seeks.
+        // (That the parts overlap their page waits is a wall-clock fact:
+        // `core::parallel::tests` times it.)
         assert!(
             par_vvm.pages_io <= 2.0 * seq_vvm.pages_io,
             "parallel VVM re-read the inverted files: {} vs {}",
             par_vvm.pages_io,
             seq_vvm.pages_io
-        );
-        // The acceptance bar: VVM's wall p50 drops at w=4, because workers
-        // overlap their simulated page latency. In debug builds compute
-        // (10-20x slower, serialised on one core) can swamp the latency
-        // term, so the wall assertion is release-only; CI's bench job runs
-        // the release binary.
-        if cfg!(debug_assertions) {
-            return;
-        }
-        assert!(
-            par_vvm.wall_p50_ns < seq_vvm.wall_p50_ns,
-            "VVM did not get faster at w=4: {report:?}"
         );
     }
 
@@ -1055,8 +785,6 @@ mod tests {
         grid.workers = vec![1];
         grid.batch_sizes = vec![1, 4];
         grid.frag_levels = vec![0.0];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
         let report = run_suite(&grid).unwrap();
         for pair in ["balanced", "asymmetric"] {
             let single = format!("{pair} λ=5 B=160");
@@ -1103,8 +831,6 @@ mod tests {
         grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0, 0.10, 0.30];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
         let report = run_suite(&grid).unwrap();
 
         // The pristine row keeps its classic label — the checked-in
@@ -1156,8 +882,6 @@ mod tests {
         grid.workers = vec![1, 4];
         grid.batch_sizes = vec![1, 4];
         grid.frag_levels = vec![0.0, 0.10];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
         let report = run_suite(&grid).unwrap();
 
         // Filter-axis points run the sequential executors only, at the
@@ -1223,8 +947,6 @@ mod tests {
         grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
         let (seed_report, reports) = run_suite_with_reports(&grid).unwrap();
         assert!(
             reports
@@ -1253,20 +975,23 @@ mod tests {
     }
 
     #[test]
-    fn suite_page_costs_are_deterministic() {
+    fn suite_json_is_byte_reproducible() {
+        // Every axis at one grid point, parallel VVM included: two runs
+        // print the same bytes, which is what lets the gate be equality.
         let mut grid = small_grid();
-        grid.shard_counts = vec![];
         grid.pairs.truncate(1);
         grid.lambdas.truncate(1);
         grid.buffer_pages.truncate(1);
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1, 4];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
-        let a = run_suite(&grid).unwrap();
-        let b = run_suite(&grid).unwrap();
-        let pages = |r: &BenchReport| r.cases.iter().map(|c| c.pages_io).collect::<Vec<_>>();
-        assert_eq!(pages(&a), pages(&b));
+        grid.frag_levels = vec![0.0, 0.10];
+        grid.shard_counts = vec![2];
+        let a = run_suite(&grid).unwrap().to_json();
+        let b = run_suite(&grid).unwrap().to_json();
+        assert_eq!(a, b);
+        for token in [" w=4", " N=4", " frag=10%", " S=2 naive", "λ=80 B=60"] {
+            assert!(a.contains(token), "no `{token}` row in:\n{a}");
+        }
+        assert!(!a.contains("wall_"), "{a}");
     }
 
     /// A grid with only the shards axis: the classic sweeps are cleared so
@@ -1281,8 +1006,6 @@ mod tests {
         grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
-        grid.page_latency = PageLatency::default();
-        grid.iterations = 1;
         grid
     }
 

@@ -316,6 +316,62 @@ mod tests {
         }
     }
 
+    /// The only wall-clock fact about the worker knob that a test holds:
+    /// on a drive whose pages take time, VVM's term parts wait for their
+    /// pages at once, so four parts finish before one. The bench grid's
+    /// `balanced` pair at λ = 20, B = 400 — headroom enough that every
+    /// part keeps its single merge pass.
+    #[test]
+    fn parallel_vvm_overlaps_its_simulated_page_waits() {
+        // In debug builds compute (10-20× slower, and serialised on one
+        // core) can swamp the latency term.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let disk = Arc::new(DiskSim::new(512));
+        let c1 = SynthSpec::from_stats(CollectionStats::new(150, 20.0, 800), 901)
+            .generate(Arc::clone(&disk), "c1")
+            .unwrap();
+        let c2 = SynthSpec::from_stats(CollectionStats::new(100, 20.0, 800), 902)
+            .generate(Arc::clone(&disk), "c2")
+            .unwrap();
+        let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap();
+        disk.set_page_latency(textjoin_storage::PageLatency {
+            seq_ns: 150_000,
+            rand_ns: 300_000,
+        });
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_sys(SystemParams {
+                buffer_pages: 400,
+                page_size: 512,
+                alpha: 5.0,
+            })
+            .with_query(QueryParams {
+                lambda: 20,
+                delta: 1.0,
+            });
+        let indexes = crate::Indexes {
+            inner_inv: Some(&inv1),
+            outer_inv: Some(&inv2),
+            fnl: None,
+        };
+        // The faster of three runs a side: a descheduled thread only ever
+        // adds time.
+        let wall_ns = |workers: usize| {
+            (0..3)
+                .map(|_| {
+                    disk.reset_head();
+                    let run = crate::execute(Algorithm::Vvm, &spec, &indexes, workers).unwrap();
+                    run.stats.wall_ns
+                })
+                .min()
+                .unwrap()
+        };
+        let (one, four) = (wall_ns(1), wall_ns(4));
+        assert!(four < one, "VVM at w=4 took {four} ns, at w=1 {one} ns");
+    }
+
     #[test]
     fn parallel_vvm_respects_selection_and_tight_memory() {
         let (_, c1, c2, inv1, inv2, d1, d2) = inv_fixture();

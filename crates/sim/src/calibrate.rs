@@ -79,9 +79,10 @@ impl CalibrationRun {
 }
 
 /// The grid one calibration round sweeps: the bench grid's sequential
-/// single-query rows (those carry predictions and calibration keys). The
-/// simulated page latency stays on so the wall-clock fit sees the same
-/// two-term structure the latency model assumes.
+/// single-query rows (those carry predictions and calibration keys), on a
+/// drive with a simulated page latency — the page grid itself runs with
+/// none — so each stored report's wall time has the page term the fit's
+/// `page_ns` prices.
 fn calibration_grid() -> BenchGrid {
     let mut grid = small_grid();
     grid.workers = vec![1];
@@ -90,7 +91,6 @@ fn calibration_grid() -> BenchGrid {
     // max-over-sites, not a single-drive measurement), so the axis only
     // adds runtime here.
     grid.shard_counts = vec![];
-    grid.iterations = 1;
     grid.page_latency = PageLatency {
         seq_ns: 150_000,
         rand_ns: 300_000,

@@ -20,6 +20,10 @@
 //! * [`validate`] — our own addition: the executors of `textjoin-core` run
 //!   on scaled-down synthetic collections and their *measured* I/O cost is
 //!   compared against the section 5 formulas;
+//! * [`measured`] — four more measured series: group 3's HVNL→HHNL
+//!   crossover and group 5's VVM takeover run through the executors, and
+//!   HVNL's cache/order policies and HHNL's scan orders against their
+//!   alternatives;
 //! * [`chaos`] — seeded fault schedules (transient read errors, bit flips,
 //!   latency spikes) against real executor runs, checking retry absorption,
 //!   degraded-mode accounting and integrated-algorithm re-planning;
@@ -46,6 +50,7 @@ pub mod chaos_merge;
 pub mod findings;
 pub mod groups;
 pub mod live;
+pub mod measured;
 pub mod presets;
 pub mod slowlog;
 pub mod table;

@@ -17,9 +17,13 @@
 //!                                 # crash-during-merge / torn-WAL /
 //!                                 # bit-flipped-delta scenarios; on failure
 //!                                 # dumps WAL + manifest hex into DIR
-//! textjoin-sim bench [--out FILE] [--baseline FILE] [--threshold PCT]
-//!                                 # sweep the paper grid, emit BENCH JSON,
-//!                                 # optionally gate against a baseline
+//! textjoin-sim measured          # measured page series: group 3's HVNL→HHNL
+//!                                 # crossover, group 5's VVM takeover, HVNL
+//!                                 # cache/order policies, HHNL scan orders
+//! textjoin-sim bench [--out FILE] [--baseline FILE]
+//!                                 # sweep the page grid; --out writes the
+//!                                 # report (one case per line), --baseline
+//!                                 # fails on any row that differs from FILE
 //! textjoin-sim calibrate [--store FILE] [--profile FILE]
 //!                                 # run the grid, persist query reports,
 //!                                 # fit a calibration profile, re-run
@@ -39,6 +43,7 @@
 //! textjoin-sim all [scale]        # everything above
 //!
 //! Append `--csv` to any table command to emit CSV instead of the grid.
+//! A flag no command knows is an error, not a no-op.
 //! Append `--trace-out <path>` to `validate` or `all` to also run each
 //! scenario with span tracing and metric mirroring enabled and dump the
 //! combined JSON-lines (spans, then metrics, prefixed by a scenario
@@ -49,7 +54,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use textjoin_sim::{
-    calibrate, chaos, chaos_merge, findings, groups, live, slowlog, validate, Table,
+    calibrate, chaos, chaos_merge, findings, groups, live, measured, slowlog, validate, Table,
 };
 
 /// Writes one scenario-marker line plus the span/metric JSON-lines of each
@@ -68,150 +73,125 @@ fn write_traces(path: &Path, cfgs: &[validate::ValidationConfig]) -> std::io::Re
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--csv` anywhere switches table output to CSV (for plotting).
+/// What the command line asked for: the command word, its optional
+/// number, and every flag some command reads.
+#[derive(Debug)]
+struct Cli {
+    command: String,
+    /// `[scale]` of the measured commands, `[K]` of `slowlog`.
+    number: Option<u64>,
+    /// `--csv` switches table output to CSV (for plotting).
+    csv: bool,
+    /// `--trace-out` dumps span/metric JSON-lines per `validate` scenario.
+    trace_out: Option<PathBuf>,
+    /// `--store` and `--profile` drive `calibrate` and `reports`.
+    store: PathBuf,
+    profile: PathBuf,
+    /// `--by cost|wall` ranks the `slowlog` output.
+    slowlog_rank: textjoin_core::SlowLogRank,
+    /// `--out` and `--baseline` drive `bench`.
+    out: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    /// `--artifacts` receives WAL/manifest dumps of failed chaos-merge
+    /// scenarios (the CI job uploads the directory).
+    artifacts: PathBuf,
+    /// `--addr`, `--rounds`, `--page-latency-us` and `--cancel-round` drive
+    /// `serve-metrics`; `--addr`, `--iters` and `--interval-ms` drive `top`.
+    addr: Option<String>,
+    rounds: Option<u64>,
+    page_latency_us: Option<u64>,
+    cancel_round: Option<u64>,
+    iters: Option<u64>,
+    interval_ms: Option<u64>,
+    /// `--seed N` or `--seed A..B` (inclusive) selects chaos seeds.
+    seeds: Vec<u64>,
+}
+
+/// Removes `flag` and the value after it from `args`.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} needs a value"));
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(value))
+}
+
+fn take_u64(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, String> {
+    take_value(args, flag)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{flag} needs a non-negative integer, got '{v}'"))
+        })
+        .transpose()
+}
+
+fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
+    let args = &mut args;
     let csv = args.iter().any(|a| a == "--csv");
     args.retain(|a| a != "--csv");
-    // `--trace-out <path>` dumps span/metric JSON-lines per scenario.
-    let trace_out: Option<PathBuf> = match args.iter().position(|a| a == "--trace-out") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--trace-out needs a path argument");
-                return ExitCode::FAILURE;
-            }
-            let p = PathBuf::from(&args[i + 1]);
-            args.drain(i..=i + 1);
-            Some(p)
-        }
-        None => None,
+    let path_or = |taken: Option<String>, default: &str| {
+        PathBuf::from(taken.unwrap_or_else(|| default.into()))
     };
-    // `--out FILE`, `--baseline FILE` and `--threshold PCT` drive `bench`.
-    let mut take_value = |flag: &str| -> Result<Option<String>, ExitCode> {
-        match args.iter().position(|a| a == flag) {
-            Some(i) => {
-                if i + 1 >= args.len() {
-                    eprintln!("{flag} needs a value argument");
-                    return Err(ExitCode::FAILURE);
-                }
-                let v = args[i + 1].clone();
-                args.drain(i..=i + 1);
-                Ok(Some(v))
-            }
-            None => Ok(None),
-        }
-    };
-    // `--store FILE` and `--profile FILE` drive `calibrate` and `reports`.
-    let (store_path, profile_path) = match (take_value("--store"), take_value("--profile")) {
-        (Ok(s), Ok(p)) => (
-            s.map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("REPORTS_textjoin.jsonl")),
-            p.map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("CALIBRATION_textjoin.json")),
-        ),
-        (Err(c), _) | (_, Err(c)) => return c,
-    };
-    // `--by cost|wall` ranks the `slowlog` output.
-    let slowlog_rank = match take_value("--by") {
-        Ok(None) => textjoin_core::SlowLogRank::Cost,
-        Ok(Some(v)) => match v.as_str() {
-            "cost" => textjoin_core::SlowLogRank::Cost,
-            "wall" => textjoin_core::SlowLogRank::Wall,
-            other => {
-                eprintln!("invalid --by '{other}'; expected cost or wall");
-                return ExitCode::FAILURE;
-            }
+    let cli = Cli {
+        csv,
+        trace_out: take_value(args, "--trace-out")?.map(PathBuf::from),
+        store: path_or(take_value(args, "--store")?, "REPORTS_textjoin.jsonl"),
+        profile: path_or(take_value(args, "--profile")?, "CALIBRATION_textjoin.json"),
+        slowlog_rank: match take_value(args, "--by")?.as_deref() {
+            None | Some("cost") => textjoin_core::SlowLogRank::Cost,
+            Some("wall") => textjoin_core::SlowLogRank::Wall,
+            Some(other) => return Err(format!("invalid --by '{other}'; expected cost or wall")),
         },
-        Err(c) => return c,
+        out: take_value(args, "--out")?.map(PathBuf::from),
+        baseline: take_value(args, "--baseline")?.map(PathBuf::from),
+        artifacts: path_or(take_value(args, "--artifacts")?, "chaos-merge-artifacts"),
+        addr: take_value(args, "--addr")?,
+        rounds: take_u64(args, "--rounds")?,
+        page_latency_us: take_u64(args, "--page-latency-us")?,
+        cancel_round: take_u64(args, "--cancel-round")?,
+        iters: take_u64(args, "--iters")?,
+        interval_ms: take_u64(args, "--interval-ms")?,
+        seeds: match take_value(args, "--seed")? {
+            None => (1..=4).collect(),
+            Some(v) => chaos::parse_seeds(&v)
+                .ok_or_else(|| format!("invalid --seed '{v}'; expected N or A..B"))?,
+        },
+        command: args.first().cloned().unwrap_or_else(|| "all".into()),
+        number: args.get(1).and_then(|s| s.parse().ok()),
     };
-    let (out_path, baseline_path, threshold) = match (
-        take_value("--out"),
-        take_value("--baseline"),
-        take_value("--threshold"),
-    ) {
-        (Ok(o), Ok(b), Ok(t)) => {
-            let threshold: f64 = match t.map(|t| t.parse()) {
-                None => 10.0,
-                Some(Ok(t)) => t,
-                Some(Err(_)) => {
-                    eprintln!("--threshold needs a number (percent)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            (
-                o.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("BENCH_textjoin.json")),
-                b.map(PathBuf::from),
-                threshold,
-            )
-        }
-        (Err(c), _, _) | (_, Err(c), _) | (_, _, Err(c)) => return c,
-    };
-    // `--artifacts DIR` receives WAL/manifest dumps of failed chaos-merge
-    // scenarios (the CI job uploads the directory).
-    let artifacts_dir = match take_value("--artifacts") {
-        Ok(d) => PathBuf::from(d.unwrap_or_else(|| "chaos-merge-artifacts".into())),
-        Err(c) => return c,
-    };
-    // `--addr`, `--rounds`, `--page-latency-us` and `--cancel-round` drive
-    // `serve-metrics`; `--addr`, `--iters` and `--interval-ms` drive `top`.
-    let mut take_u64 = |flag: &str| -> Result<Option<u64>, ExitCode> {
-        match take_value(flag)? {
-            None => Ok(None),
-            Some(v) => match v.parse() {
-                Ok(n) => Ok(Some(n)),
-                Err(_) => {
-                    eprintln!("{flag} needs a non-negative integer, got '{v}'");
-                    Err(ExitCode::FAILURE)
-                }
-            },
+    // Every flag a command reads is gone by now. What still looks like one
+    // is a typo, and ignoring it would silently drop what it asked for —
+    // `bench --basline FILE` would run ungated and exit 0.
+    if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag '{unknown}'"));
+    }
+    Ok(cli)
+}
+
+/// Reads the report `bench --baseline` gates against.
+fn load_baseline(path: &Path) -> Result<textjoin_bench::BenchReport, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|s| textjoin_bench::BenchReport::from_json(&s).map_err(|e| e.to_string()))
+        .map_err(|e| format!("loading baseline {} failed: {e}", path.display()))
+}
+
+fn main() -> ExitCode {
+    let cli = match parse_cli(std::env::args().skip(1).collect()) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
-    let rounds = match take_u64("--rounds") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let page_latency_us = match take_u64("--page-latency-us") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let cancel_round = match take_u64("--cancel-round") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let iters = match take_u64("--iters") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let interval_ms = match take_u64("--interval-ms") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let live_addr = match take_value("--addr") {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    // `--seed N` or `--seed A..B` (inclusive) selects chaos seeds.
-    let seeds: Vec<u64> = match args.iter().position(|a| a == "--seed") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--seed needs a value: a number or an inclusive range A..B");
-                return ExitCode::FAILURE;
-            }
-            let Some(seeds) = chaos::parse_seeds(&args[i + 1]) else {
-                eprintln!("invalid --seed '{}'; expected N or A..B", args[i + 1]);
-                return ExitCode::FAILURE;
-            };
-            args.drain(i..=i + 1);
-            seeds
-        }
-        None => (1..=4).collect(),
-    };
-    let command = args.first().map(String::as_str).unwrap_or("all");
-    let scale: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100);
+    let scale = cli.number.unwrap_or(100);
 
     let emit = move |t: &Table| {
-        if csv {
+        if cli.csv {
             print!("{}", t.to_csv());
         } else {
             println!("{t}");
@@ -230,7 +210,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        if let Some(path) = &trace_out {
+        if let Some(path) = &cli.trace_out {
             eprintln!("re-running scenarios with tracing enabled …");
             match write_traces(path, &cfgs) {
                 Ok(()) => eprintln!("wrote span/metric trace to {}", path.display()),
@@ -243,7 +223,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     };
 
-    match command {
+    match cli.command.as_str() {
         "t1" => emit(&groups::t1_statistics()),
         "group1" => groups::group1().iter().for_each(&emit),
         "group2" => groups::group2().iter().for_each(&emit),
@@ -275,6 +255,16 @@ fn main() -> ExitCode {
                 }
             }
         }
+        "measured" => {
+            eprintln!("generating collections and running the measured series …");
+            match measured::all() {
+                Ok(tables) => tables.iter().for_each(&emit),
+                Err(e) => {
+                    eprintln!("measured series failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
         "findings" => {
             let table = findings::findings_table();
             println!("{table}");
@@ -285,7 +275,7 @@ fn main() -> ExitCode {
         "validate" => return run_validate(scale),
         "chaos" => {
             let mut failed = false;
-            for &seed in &seeds {
+            for &seed in &cli.seeds {
                 eprintln!("chaos seed {seed}: running fault-injection scenarios …");
                 match chaos::run_seed(seed) {
                     Ok(run) => {
@@ -312,7 +302,7 @@ fn main() -> ExitCode {
         }
         "chaos-merge" => {
             let mut failed = false;
-            for &seed in &seeds {
+            for &seed in &cli.seeds {
                 eprintln!("chaos-merge seed {seed}: running crash-safety scenarios …");
                 match chaos_merge::run_seed(seed) {
                     Ok(run) => {
@@ -322,11 +312,11 @@ fn main() -> ExitCode {
                             failed |= !c.passed;
                         }
                         if !run.artifacts.is_empty() {
-                            if let Err(e) = std::fs::create_dir_all(&artifacts_dir) {
-                                eprintln!("creating {} failed: {e}", artifacts_dir.display());
+                            if let Err(e) = std::fs::create_dir_all(&cli.artifacts) {
+                                eprintln!("creating {} failed: {e}", cli.artifacts.display());
                             }
                             for a in &run.artifacts {
-                                let path = artifacts_dir.join(&a.name);
+                                let path = cli.artifacts.join(&a.name);
                                 match std::fs::write(&path, &a.contents) {
                                     Ok(()) => eprintln!("wrote artifact {}", path.display()),
                                     Err(e) => {
@@ -347,6 +337,15 @@ fn main() -> ExitCode {
             }
         }
         "bench" => {
+            // Loaded before the run and before `--out` is written, so a
+            // bad path fails at once and a run never gates on itself.
+            let baseline = match cli.baseline.as_deref().map(load_baseline).transpose() {
+                Ok(b) => b,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             let grid = textjoin_bench::small_grid();
             eprintln!("running bench suite '{}' …", grid.suite);
             let report = match textjoin_bench::run_suite(&grid) {
@@ -358,68 +357,55 @@ fn main() -> ExitCode {
             };
             let mut t = Table::new(
                 format!(
-                    "Bench suite {} (pages deterministic, wall machine-local)",
+                    "Bench suite {} (pages_io = seq + α·rand; \
+                     drift % = (measured − predicted)/measured)",
                     report.suite
                 ),
-                &[
-                    "case",
-                    "algorithm",
-                    "pages_io",
-                    "wall p50",
-                    "wall p99",
-                    "drift %",
-                ],
+                &["case", "algorithm", "pages_io", "drift %"],
             );
             for c in &report.cases {
                 t.push_row(vec![
                     c.case.clone(),
                     c.algorithm.clone(),
                     format!("{:.0}", c.pages_io),
-                    format!("{}µs", c.wall_p50_ns / 1_000),
-                    format!("{}µs", c.wall_p99_ns / 1_000),
                     c.drift_pct.map_or("-".into(), |d| format!("{d:+.1}")),
                 ]);
             }
             emit(&t);
-            if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-                eprintln!("writing {} failed: {e}", out_path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "wrote {} ({} cases)",
-                out_path.display(),
-                report.cases.len()
-            );
-            if let Some(path) = &baseline_path {
-                let baseline = match std::fs::read_to_string(path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|s| {
-                        textjoin_bench::BenchReport::from_json(&s).map_err(|e| e.to_string())
-                    }) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("loading baseline {} failed: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let regressions = textjoin_bench::compare(&baseline, &report, threshold);
-                if regressions.is_empty() {
-                    eprintln!("baseline gate passed: no case regressed by more than {threshold}%");
-                } else {
-                    for r in &regressions {
-                        eprintln!("REGRESSION {r}");
-                    }
+            if let Some(path) = &cli.out {
+                if let Err(e) = std::fs::write(path, report.to_json()) {
+                    eprintln!("writing {} failed: {e}", path.display());
                     return ExitCode::FAILURE;
                 }
+                eprintln!("wrote {} ({} cases)", path.display(), report.cases.len());
+            }
+            if let Some(baseline) = &baseline {
+                let diffs = textjoin_bench::compare(baseline, &report);
+                for d in &diffs {
+                    eprintln!("DIFFERS {d}");
+                }
+                if !diffs.is_empty() {
+                    eprintln!(
+                        "baseline gate FAILED: {} row(s) differ; if the change is meant, \
+                         regenerate with `textjoin-sim bench --out ci/bench-baseline.json` \
+                         and list the rows `git diff` shows",
+                        diffs.len()
+                    );
+                    return ExitCode::FAILURE;
+                }
+                eprintln!(
+                    "baseline gate passed: all {} rows equal the baseline",
+                    report.cases.len()
+                );
             }
         }
         "calibrate" => {
             eprintln!(
                 "running the calibration grid (store {}, profile {}) …",
-                store_path.display(),
-                profile_path.display()
+                cli.store.display(),
+                cli.profile.display()
             );
-            match calibrate::run(&store_path, &profile_path) {
+            match calibrate::run(&cli.store, &cli.profile) {
                 Ok(round) => {
                     emit(&round.drift_table());
                     eprintln!(
@@ -447,14 +433,14 @@ fn main() -> ExitCode {
             }
         }
         "reports" => {
-            let store =
-                match textjoin_obs::ReportStore::open(&store_path, calibrate::STORE_CAPACITY) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("opening store {} failed: {e}", store_path.display());
-                        return ExitCode::FAILURE;
-                    }
-                };
+            let store = match textjoin_obs::ReportStore::open(&cli.store, calibrate::STORE_CAPACITY)
+            {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("opening store {} failed: {e}", cli.store.display());
+                    return ExitCode::FAILURE;
+                }
+            };
             for rec in store.records() {
                 println!("{rec}");
             }
@@ -462,13 +448,13 @@ fn main() -> ExitCode {
                 "{} of at most {} reports in {}",
                 store.len(),
                 store.capacity(),
-                store_path.display()
+                cli.store.display()
             );
         }
         "slowlog" => {
-            let k: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
+            let k = cli.number.unwrap_or(8) as usize;
             eprintln!("running canned workload, keeping the {k} most expensive queries …");
-            match slowlog::canned_workload_ranked(k, slowlog_rank) {
+            match slowlog::canned_workload_ranked(k, cli.slowlog_rank) {
                 Ok((log, _registry)) => {
                     print!("{}", log.to_json_lines());
                     eprintln!(
@@ -486,16 +472,16 @@ fn main() -> ExitCode {
         }
         "serve-metrics" => {
             let mut opts = live::ServeOptions::default();
-            if let Some(addr) = live_addr {
+            if let Some(addr) = cli.addr {
                 opts.addr = addr;
             }
-            if let Some(r) = rounds {
+            if let Some(r) = cli.rounds {
                 opts.rounds = r;
             }
-            if let Some(us) = page_latency_us {
+            if let Some(us) = cli.page_latency_us {
                 opts.page_latency_us = us;
             }
-            opts.cancel_round = cancel_round;
+            opts.cancel_round = cli.cancel_round;
             eprintln!(
                 "serving introspection while running {} round(s) of the canned workload …",
                 opts.rounds.max(1)
@@ -520,16 +506,16 @@ fn main() -> ExitCode {
         }
         "top" => {
             let mut opts = live::TopOptions::default();
-            if let Some(addr) = live_addr {
+            if let Some(addr) = cli.addr {
                 opts.addr = addr;
             }
-            if let Some(i) = iters {
+            if let Some(i) = cli.iters {
                 opts.iters = i;
             }
-            if let Some(m) = interval_ms {
+            if let Some(m) = cli.interval_ms {
                 opts.interval_ms = m;
             }
-            opts.clear = !csv;
+            opts.clear = !cli.csv;
             if let Err(e) = live::top(&opts) {
                 eprintln!("top failed: {e}");
                 return ExitCode::FAILURE;
@@ -561,7 +547,7 @@ fn main() -> ExitCode {
                 "unknown command '{other}'; expected t1 | group1..group5 | findings | \
                  validate [scale] | chaos [--seed N|A..B] | \
                  chaos-merge [--seed N|A..B] [--artifacts DIR] | \
-                 bench [--out FILE] [--baseline FILE] [--threshold PCT] | \
+                 measured | bench [--out FILE] [--baseline FILE] | \
                  calibrate [--store FILE] [--profile FILE] | reports [--store FILE] | \
                  slowlog [K] [--by cost|wall] | \
                  serve-metrics [--addr A] [--rounds N] [--page-latency-us U] [--cancel-round R] | \
@@ -571,4 +557,56 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_cli(line.split_whitespace().map(String::from).collect())
+    }
+
+    #[test]
+    fn known_flags_are_taken_wherever_they_stand() {
+        let cli = parse("--csv bench --baseline ci/b.json --out o.json").unwrap();
+        assert_eq!(cli.command, "bench");
+        assert!(cli.csv);
+        assert_eq!(cli.baseline, Some(PathBuf::from("ci/b.json")));
+        assert_eq!(cli.out, Some(PathBuf::from("o.json")));
+
+        // No flag, no file: `--out` has no default any more.
+        let cli = parse("bench").unwrap();
+        assert_eq!((cli.out, cli.baseline), (None, None));
+
+        let cli = parse("validate 2000 --trace-out v.jsonl").unwrap();
+        assert_eq!((cli.command.as_str(), cli.number), ("validate", Some(2000)));
+        assert_eq!(cli.trace_out, Some(PathBuf::from("v.jsonl")));
+        assert_eq!(parse("chaos --seed 3..5").unwrap().seeds, vec![3, 4, 5]);
+        assert_eq!(parse("").unwrap().command, "all");
+    }
+
+    #[test]
+    fn what_the_parser_does_not_understand_is_an_error_naming_it() {
+        // A typo used to run the grid ungated and exit 0.
+        for line in ["bench --basline ci/b.json", "t1 --basline x"] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains("'--basline'"), "{line}: {err}");
+        }
+        // The gate is equality: there is no threshold to pass.
+        let err = parse("bench --baseline ci/b.json --threshold 10").unwrap_err();
+        assert!(err.contains("'--threshold'"), "{err}");
+
+        for (line, flag) in [
+            ("bench --baseline", "--baseline"),
+            ("bench --out", "--out"),
+            ("chaos --seed", "--seed"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
+        assert!(parse("serve-metrics --rounds many").is_err());
+        assert!(parse("slowlog --by size").is_err());
+        assert!(parse("chaos --seed 5..").is_err());
+    }
 }
