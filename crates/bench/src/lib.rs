@@ -43,7 +43,7 @@ pub struct BenchGrid {
     /// λ values to sweep (the paper's group sweeps vary λ).
     pub lambdas: Vec<usize>,
     /// Extra, *selective* λ values — the filter axis. Each runs only the
-    /// sequential (w=1, N=1, pristine) executors, and at the base
+    /// sequential (N=1, pristine) executors, and at the base
     /// `sys.buffer_pages` budget rather than the headroom `buffer_pages`
     /// sweep: memory pressure is where the FNL signature filter earns its
     /// keep — high λ inflates every algorithm's per-batch top-λ memory,
@@ -55,11 +55,6 @@ pub struct BenchGrid {
     pub filter_lambdas: Vec<usize>,
     /// Buffer sizes `B` (pages) to sweep — the paper's memory axis.
     pub buffer_pages: Vec<u64>,
-    /// Worker counts to sweep. `1` runs the sequential executors and keeps
-    /// the classic case labels; higher counts run VVM's term-range merge
-    /// (nothing else splits by workers) and label its rows `… w=<n>` — their
-    /// pages are deterministic too, so the checked-in baseline gates them.
-    pub workers: Vec<usize>,
     /// Batch sizes `N` to sweep. `1` is the classic single-query row (its
     /// label stays `"<pair> λ=<λ> B=<B>"`, so the regression baseline keeps
     /// gating it); higher counts run `N` copies of the query through the
@@ -96,7 +91,7 @@ pub struct BenchGrid {
     /// sets it so the reports it stores carry a wall time whose page term
     /// `page_ns` can be fitted against.
     pub page_latency: PageLatency,
-    /// Calibration profile applied to the sequential (w=1) predictions,
+    /// Calibration profile applied to the single-query predictions,
     /// keyed by the pair label. `None` keeps the seed cost formulas. The
     /// case labels never change, so a calibrated run gates against the
     /// same baseline — only `drift_pct` moves.
@@ -119,8 +114,8 @@ fn zipf_spec(stats: CollectionStats, seed: u64) -> SynthSpec {
 
 /// The small default grid used by `textjoin-sim bench` and CI: two
 /// synthetic collection pairs and one Zipfian pair, swept along the
-/// worker, batch, fragmentation, filter and shard axes — 256 rows, every
-/// one in `ci/bench-baseline.json`.
+/// batch, fragmentation, filter and shard axes — 248 rows, every one in
+/// `ci/bench-baseline.json`.
 pub fn small_grid() -> BenchGrid {
     BenchGrid {
         suite: "paper-grid-small".into(),
@@ -138,11 +133,7 @@ pub fn small_grid() -> BenchGrid {
         ],
         lambdas: vec![5, 20],
         filter_lambdas: vec![80],
-        // 160 keeps VVM under memory pressure at w=4 (B/w=40 forces
-        // extra merge passes); 400 is the headroom point where
-        // parallel VVM keeps its single pass per partition.
         buffer_pages: vec![160, 400],
-        workers: vec![1, 4],
         batch_sizes: vec![1, 4, 16],
         frag_levels: vec![0.0, 0.10, 0.30],
         shard_counts: vec![1, 2, 4],
@@ -366,46 +357,25 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                 let estimates = CostEstimates::compute(&inputs);
                 let indexes = Indexes::all(&inv1, &inv2, &fnl1);
                 let point = format!("{} λ={lambda} B={b}", pair.label);
-                for &w in &grid.workers {
-                    let w = w.max(1);
-                    if filter_axis && w > 1 {
-                        continue;
-                    }
-                    let case_label = if w > 1 {
-                        format!("{point} w={w}")
-                    } else {
-                        point.clone()
+                for algorithm in Algorithm::ALL {
+                    let raw = predicted_pages(&estimates, algorithm);
+                    let predicted = match (&grid.calibration, raw) {
+                        (Some(p), Some(r)) => Some(p.calibrated_cost(&pair.label, algorithm, r)),
+                        (_, raw) => raw,
                     };
-                    for algorithm in Algorithm::ALL {
-                        if w > 1 && algorithm != Algorithm::Vvm {
-                            continue;
-                        }
-                        // No drift for parallel rows: `vvs_par` prices
-                        // per-worker *elapsed* I/O on dedicated drives, not
-                        // the pages all workers sum on one simulated head.
-                        // EXPLAIN ANALYZE's scaling table is that view.
-                        let predicted = if w > 1 {
-                            None
-                        } else {
-                            let raw = predicted_pages(&estimates, algorithm);
-                            match (&grid.calibration, raw) {
-                                (Some(p), Some(r)) => {
-                                    Some(p.calibrated_cost(&pair.label, algorithm, r))
-                                }
-                                (_, raw) => raw,
-                            }
-                        };
-                        let mut outcome = None;
-                        record(&mut cases, &disk, &case_label, algorithm, predicted, || {
-                            let ran = textjoin_core::execute(algorithm, &spec, &indexes, w)?;
-                            Ok(outcome.insert(ran).stats.cost)
-                        })?;
-                        if let Some(outcome) = outcome {
-                            reports.push(
-                                QueryReport::from_outcome(&case_label, &outcome, None, predicted)
-                                    .with_key(pair.label.clone(), lambda as u64, b),
-                            );
-                        }
+                    let mut outcome = None;
+                    record(&mut cases, &disk, &point, algorithm, predicted, || {
+                        let ran = textjoin_core::execute(algorithm, &spec, &indexes)?;
+                        Ok(outcome.insert(ran).stats.cost)
+                    })?;
+                    if let Some(outcome) = outcome {
+                        reports.push(
+                            QueryReport::from_outcome(&point, &outcome, None, predicted).with_key(
+                                pair.label.clone(),
+                                lambda as u64,
+                                b,
+                            ),
+                        );
                     }
                 }
                 if filter_axis {
@@ -446,7 +416,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                     for algorithm in Algorithm::ALL {
                         let predicted = predicted_pages(&festimates, algorithm);
                         record(&mut cases, &disk, &case_label, algorithm, predicted, || {
-                            Ok(textjoin_core::execute(algorithm, &fspec, &findexes, 1)?
+                            Ok(textjoin_core::execute(algorithm, &fspec, &findexes)?
                                 .stats
                                 .cost)
                         })?;
@@ -719,7 +689,6 @@ mod tests {
         grid.lambdas.truncate(1);
         grid.filter_lambdas = vec![];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
         let report = run_suite(&grid).unwrap();
@@ -740,49 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn workers_axis_adds_labelled_vvm_rows() {
-        let mut grid = small_grid();
-        grid.shard_counts = vec![];
-        grid.pairs.truncate(1); // balanced
-        grid.lambdas = vec![20];
-        grid.filter_lambdas = vec![];
-        grid.buffer_pages = vec![400];
-        grid.workers = vec![1, 4];
-        grid.batch_sizes = vec![1];
-        grid.frag_levels = vec![0.0];
-        let report = run_suite(&grid).unwrap();
-
-        // A worker count splits VVM's merge and nothing else: the other
-        // three have their sequential row and no `w=` row.
-        for algorithm in ["HHNL", "HVNL", "FNL"] {
-            assert!(report.case("balanced λ=20 B=400", algorithm).is_some());
-            let par = report.case("balanced λ=20 B=400 w=4", algorithm);
-            assert!(par.is_none(), "{algorithm} has a w=4 row");
-        }
-        let seq_vvm = report.case("balanced λ=20 B=400", "VVM").unwrap();
-        let par_vvm = report.case("balanced λ=20 B=400 w=4", "VVM").unwrap();
-        assert!(par_vvm.pages_io > 0.0);
-        // With headroom (B/w still fits one merge pass) parallel VVM reads
-        // about as many pages in total as sequential VVM, so its page
-        // count stays within the α-weighted noise of the partition seeks.
-        // (That the parts overlap their page waits is a wall-clock fact:
-        // `core::parallel::tests` times it.)
-        assert!(
-            par_vvm.pages_io <= 2.0 * seq_vvm.pages_io,
-            "parallel VVM re-read the inverted files: {} vs {}",
-            par_vvm.pages_io,
-            seq_vvm.pages_io
-        );
-    }
-
-    #[test]
     fn batch_axis_amortizes_shared_scans() {
         let mut grid = small_grid();
         grid.shard_counts = vec![];
         grid.lambdas = vec![5];
         grid.filter_lambdas = vec![];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1, 4];
         grid.frag_levels = vec![0.0];
         let report = run_suite(&grid).unwrap();
@@ -828,7 +760,6 @@ mod tests {
         grid.lambdas = vec![5];
         grid.filter_lambdas = vec![];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0, 0.10, 0.30];
         let report = run_suite(&grid).unwrap();
@@ -879,15 +810,14 @@ mod tests {
         grid.lambdas = vec![5];
         grid.filter_lambdas = vec![80];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1, 4];
         grid.batch_sizes = vec![1, 4];
         grid.frag_levels = vec![0.0, 0.10];
         let report = run_suite(&grid).unwrap();
 
         // Filter-axis points run the sequential executors only, at the
-        // base B=60 budget — no worker, batch, frag or headroom-B
-        // companions ride the selective λ.
-        for suffix in [" w=4", " N=4", " frag=10%", " B=160"] {
+        // base B=60 budget — no batch, frag or headroom-B companions ride
+        // the selective λ.
+        for suffix in [" N=4", " frag=10%", " B=160"] {
             assert!(
                 !report
                     .cases
@@ -944,7 +874,6 @@ mod tests {
         grid.lambdas = vec![5, 20];
         grid.filter_lambdas = vec![];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
         let (seed_report, reports) = run_suite_with_reports(&grid).unwrap();
@@ -976,8 +905,8 @@ mod tests {
 
     #[test]
     fn suite_json_is_byte_reproducible() {
-        // Every axis at one grid point, parallel VVM included: two runs
-        // print the same bytes, which is what lets the gate be equality.
+        // Every axis at one grid point: two runs print the same bytes,
+        // which is what lets the gate be equality.
         let mut grid = small_grid();
         grid.pairs.truncate(1);
         grid.lambdas.truncate(1);
@@ -988,9 +917,11 @@ mod tests {
         let a = run_suite(&grid).unwrap().to_json();
         let b = run_suite(&grid).unwrap().to_json();
         assert_eq!(a, b);
-        for token in [" w=4", " N=4", " frag=10%", " S=2 naive", "λ=80 B=60"] {
+        for token in [" N=4", " frag=10%", " S=2 naive", "λ=80 B=60"] {
             assert!(a.contains(token), "no `{token}` row in:\n{a}");
         }
+        // There is no worker axis: every row is one thread's run.
+        assert!(!a.contains(" w="), "{a}");
         assert!(!a.contains("wall_"), "{a}");
     }
 
@@ -1003,7 +934,6 @@ mod tests {
         grid.filter_lambdas = vec![];
         grid.lambdas = vec![5];
         grid.buffer_pages = vec![160];
-        grid.workers = vec![1];
         grid.batch_sizes = vec![1];
         grid.frag_levels = vec![0.0];
         grid

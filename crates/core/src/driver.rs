@@ -12,13 +12,12 @@
 //! cost-budget watchdog), degraded-skip accounting and the assembly of
 //! [`ExecStats`] / [`BatchOutcome`].
 //!
-//! A partitioned run is the same run handed *parts* — term ranges of the
-//! inverted files for parallel VVM, sites for the sharded executors.
-//! [`run_parts`] is the one place they fan out: one part runs on the
-//! calling thread, several run on one scoped thread each. Inside a driven
-//! run [`Run::parts`] brackets each part with the exact I/O it caused;
-//! [`merge_outcomes`] is the one place whole-join outcomes of sites fan
-//! back in.
+//! A partitioned run is the same run handed *parts* — the sites of the
+//! sharded executors, and nothing else. [`run_parts`] is the one place
+//! they fan out: one part runs on the calling thread, several run on one
+//! scoped thread each. Inside a driven run [`Run::parts`] brackets each
+//! part with the exact I/O it caused; [`merge_outcomes`] is the one place
+//! whole-join outcomes of sites fan back in.
 //!
 //! A single query is a batch of one: with `N = 1` the concatenated outer
 //! stream is the query's own stream, the aggregated eviction demand is its
@@ -32,7 +31,7 @@ use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::JoinSpec;
 use crate::topk::{self, TopK};
-use crate::{fnl, hhnl, hvnl, parallel};
+use crate::{fnl, hhnl, hvnl, vvm};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Instant;
 use textjoin_collection::Document;
@@ -289,8 +288,8 @@ pub(crate) struct Run<'r> {
     pub(crate) shared_skipped_docs: u64,
     pub(crate) shared_skipped_entries: u64,
     pub(crate) root: Span<'r>,
-    /// Peak bytes held against per-part budgets. A partitioned merge gives
-    /// each part its own share of `B` instead of charging `tracker`;
+    /// Peak bytes held against per-part budgets. A merge gives each part
+    /// a budget of its own (a site's `B`) instead of charging `tracker`;
     /// concurrent parts peak together, so their high-waters add.
     pub(crate) parts_high_water: u64,
     /// The shared drive, as the watchdog and the phase spans see it.
@@ -298,7 +297,7 @@ pub(crate) struct Run<'r> {
     start_io: IoStats,
     /// The calling thread's own tally when the run started; with
     /// `parts_io` it makes the run's I/O exact whoever else reads the
-    /// drive (sibling workers) and whichever drive a part reads (a site's).
+    /// drive and whichever drive a part reads (a site's).
     thread_base: IoStats,
     /// I/O of the parts that ran on other threads.
     parts_io: IoStats,
@@ -465,18 +464,17 @@ pub(crate) fn run_parts<P: Sync, T: Send>(
         return Ok(vec![work(0, part)?]);
     }
     let work = &work;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = parts
             .iter()
             .enumerate()
-            .map(|(k, part)| s.spawn(move |_| work(k, part)))
+            .map(|(k, part)| s.spawn(move || work(k, part)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("part panicked"))
             .collect()
     })
-    .expect("crossbeam scope panicked")
 }
 
 /// Merges the outcomes of parts that each ran a whole join over a slice of
@@ -678,24 +676,16 @@ fn required<T>(index: Option<T>, what: &str) -> Result<T> {
     index.ok_or_else(|| Error::InvalidArgument(format!("no {what} supplied")))
 }
 
-/// Executes one query with `algorithm`. `workers` splits VVM's merge into
-/// that many term ranges ([`parallel::execute_vvm`]; 0 runs as 1); HHNL,
-/// HVNL and FNL run one scan on one thread whatever it says.
+/// Executes one query with `algorithm`, on the calling thread.
 pub fn execute(
     algorithm: Algorithm,
     spec: &JoinSpec<'_>,
     indexes: &Indexes<'_>,
-    workers: usize,
 ) -> Result<JoinOutcome> {
     match algorithm {
         Algorithm::Hhnl => hhnl::execute(spec),
         Algorithm::Hvnl => hvnl::execute(spec, indexes.inner_inv()?),
-        Algorithm::Vvm => parallel::execute_vvm(
-            spec,
-            indexes.inner_inv()?,
-            indexes.outer_inv()?,
-            workers.max(1),
-        ),
+        Algorithm::Vvm => vvm::execute(spec, indexes.inner_inv()?, indexes.outer_inv()?),
         Algorithm::Fnl => fnl::execute(spec, indexes.fnl()?),
     }
 }

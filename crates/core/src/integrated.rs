@@ -33,8 +33,6 @@ pub struct IntegratedOutcome {
     /// The cost estimates the choice was based on: a sequential and a
     /// worst-case figure for each of the four algorithms.
     pub estimates: CostEstimates,
-    /// The worker count the winning executor was handed.
-    pub workers: usize,
     /// The execution result and measured statistics.
     pub outcome: JoinOutcome,
 }
@@ -86,21 +84,19 @@ pub fn execute(
     execute_with_index(spec, inner_inv, outer_inv, None, scenario, 1)
 }
 
-/// [`execute`] with a worker knob and an optional signature index. The
-/// candidates are ranked by the classic section 6.1 procedure whatever
-/// `workers` says; the count only tells the winner how to run — VVM splits
-/// its merge into that many term ranges ([`crate::parallel`]), the other
-/// three run one scan on one thread. When an index is supplied, its
-/// measured page counts enter the cost inputs and FNL joins the candidate
-/// ranking; without one, FNL's estimates are infinite and the procedure
-/// reduces to the classic three-way choice.
+/// [`execute`] with an optional signature index. When an index is
+/// supplied, its measured page counts enter the cost inputs and FNL joins
+/// the candidate ranking; without one, FNL's estimates are infinite and the
+/// procedure reduces to the classic three-way choice. `_workers` is ignored
+/// (every algorithm runs on the calling thread). Pinned by `benchmark/`;
+/// delete once it may change.
 pub fn execute_with_index(
     spec: &JoinSpec<'_>,
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
     fnl_index: Option<&FnlIndex>,
     scenario: IoScenario,
-    workers: usize,
+    _workers: usize,
 ) -> Result<IntegratedOutcome> {
     let started = Instant::now();
     let mut root = Tracer::maybe(spec.trace, "integrated");
@@ -142,7 +138,7 @@ pub fn execute_with_index(
         if let Some(ticket) = spec.ticket {
             ticket.set_algorithm(algorithm.to_string());
         }
-        crate::execute(algorithm, spec, &indexes, workers)
+        crate::execute(algorithm, spec, &indexes)
     })?;
     if root.is_enabled() {
         // Why this algorithm: the full cost ranking it won.
@@ -155,7 +151,6 @@ pub fn execute_with_index(
             format!("chose {chosen}: {ranking}")
         });
         root.record("fallbacks", fallbacks);
-        root.record("workers", workers as u64);
         observe_phase_sim_io(spec.trace, "integrated", &outcome.stats.io, spec.sys.alpha);
     }
     // The integrated wall time covers planning and any failed re-plan
@@ -164,7 +159,6 @@ pub fn execute_with_index(
     Ok(IntegratedOutcome {
         chosen,
         estimates,
-        workers,
         outcome,
     })
 }
@@ -266,9 +260,10 @@ mod tests {
         assert_eq!(got.outcome.result, want);
     }
 
+    /// The pinned worker count is ignored: same choice, same run.
     #[test]
-    fn parallel_integrated_matches_the_sequential_result() {
-        let (_, c1, c2, inv1, inv2, _, _) = fixture();
+    fn the_pinned_worker_count_changes_nothing() {
+        let (disk, c1, c2, inv1, inv2, _, _) = fixture();
         let spec = JoinSpec::new(&c1, &c2)
             .with_sys(SystemParams {
                 buffer_pages: 200,
@@ -276,11 +271,15 @@ mod tests {
                 alpha: 5.0,
             })
             .with_query(QueryParams::paper_base().with_lambda(5));
-        let seq = execute(&spec, &inv1, &inv2, IoScenario::Dedicated).unwrap();
-        assert_eq!(seq.workers, 1);
-        let par = execute_with_index(&spec, &inv1, &inv2, None, IoScenario::Dedicated, 4).unwrap();
-        assert_eq!(par.workers, 4);
-        assert_eq!(par.outcome.result, seq.outcome.result);
+        let run = |workers: usize| {
+            disk.reset_head();
+            let scenario = IoScenario::Dedicated;
+            let out = execute_with_index(&spec, &inv1, &inv2, None, scenario, workers).unwrap();
+            (out.chosen, out.outcome.result, out.outcome.stats.io)
+        };
+        let one = run(1);
+        assert_eq!(run(4), one);
+        assert_eq!(run(0), one);
     }
 
     #[test]

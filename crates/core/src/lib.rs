@@ -27,9 +27,9 @@
 //!   oracle by the test suite;
 //! * [`cluster`] — the self-join special case of section 1 (document
 //!   clustering), with single-link grouping of the neighbour graph;
-//! * [`parallel`] — the multi-threaded executor (the paper's future-work
-//!   item 3): term-range-partitioned VVM, with per-worker I/O
-//!   attribution; the other three run one scan on one thread;
+//! * [`parallel`] — the four worker-count signatures `benchmark/` pins;
+//!   every algorithm runs on the calling thread (the paper's future-work
+//!   item 3 was tried twice and lost to one thread both times);
 //! * [`shard`] — sharded multi-site execution (the paper's §3
 //!   multidatabase setting): per-shard drives, comm-priced page shipping,
 //!   skew-aware partitioning, exact global top-λ merge.

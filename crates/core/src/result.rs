@@ -157,7 +157,7 @@ impl ExecStats {
         self.cells_touched = self.cells_touched.saturating_add(other.cells_touched);
         self.skipped_docs = self.skipped_docs.saturating_add(other.skipped_docs);
         self.skipped_entries = self.skipped_entries.saturating_add(other.skipped_entries);
-        // Concurrent workers overlap in time, so the merged wall time is
+        // Concurrent sites overlap in time, so the merged wall time is
         // the longest individual run, not the sum.
         self.wall_ns = self.wall_ns.max(other.wall_ns);
     }

@@ -219,8 +219,8 @@ impl ShardedOutcome {
 /// non-empty ranges of approximately equal cumulative weight (zero weights
 /// count as 1 so every ordinal has mass). Returns exactly
 /// `min(parts, len)` ranges tiling `[0, len)`; uniform weights reduce to
-/// uniform spans. This is the NOCAP-style boundary primitive shared by the
-/// sharded executors and the parallel VVM term split.
+/// uniform spans. This is the NOCAP-style boundary primitive of the
+/// sharded executors.
 pub(crate) fn weighted_boundaries(weights: &[u64], parts: usize) -> Vec<(u32, u32)> {
     let n = weights.len();
     if n == 0 {
@@ -538,7 +538,7 @@ fn execute_doc_sites(
             outer_inv: None,
             fnl: site.fnl.as_ref(),
         };
-        crate::execute(algorithm, &spec_k, &indexes, 1)
+        crate::execute(algorithm, &spec_k, &indexes)
     })?;
 
     let reports: Vec<ShardReport> = sites
@@ -779,8 +779,9 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let parts: Vec<Part<'_>> = sites
         .iter()
         .map(|site| Part {
-            delta_terms: None,
-            ..Part::whole(&site.inner, &site.outer, spec.sys.buffer_pages)
+            inner_inv: &site.inner,
+            outer_inv: &site.outer,
+            folded: true,
         })
         .collect();
     let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
@@ -839,6 +840,7 @@ mod tests {
     use crate::{hvnl, Weighting};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use std::collections::BTreeSet;
     use textjoin_collection::SynthSpec;
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
     use textjoin_costmodel::comm::TermEncoding;
@@ -930,10 +932,12 @@ mod tests {
                 let opts = ShardOptions::new(s).with_partitioning(strategy);
                 let got = execute_sharded(&spec, Algorithm::Hhnl, &opts).unwrap();
                 assert_eq!(got.outcome.result, want.result, "S={s} {strategy}");
-                assert_eq!(
-                    got.shards.len().max(1).min(s),
-                    got.shards.len().max(1).min(s)
-                );
+                assert!((1..=s).contains(&got.shards.len()), "S={s} {strategy}");
+                let sites: BTreeSet<usize> = got.shards.iter().map(|r| r.shard).collect();
+                assert_eq!(sites.len(), got.shards.len(), "S={s} {strategy}");
+                assert!(sites.iter().all(|&k| k < s), "S={s} {strategy}");
+                let heaviest = got.shards.iter().map(|r| r.pages_io).fold(0.0, f64::max);
+                assert_eq!(got.max_shard_pages, heaviest, "S={s} {strategy}");
                 if s > 1 {
                     assert!(got.shipped_pages > 0, "replicas must cross the wire");
                 }
@@ -967,6 +971,14 @@ mod tests {
                 let opts = ShardOptions::new(s).with_partitioning(strategy);
                 let got = execute_sharded(&spec, Algorithm::Vvm, &opts).unwrap();
                 assert_eq!(got.outcome.result, want.result, "S={s} {strategy}");
+                // The sites' parts are the crate's one concurrent fan-out:
+                // their bracketed I/O deltas sum exactly to the run's.
+                let mut summed = IoStats::default();
+                for site in &got.shards {
+                    summed.merge(&site.io);
+                }
+                assert_eq!(summed, got.outcome.stats.io, "S={s} {strategy}");
+                assert!(summed.total_reads() > 0, "S={s} {strategy}");
             }
         }
     }
@@ -1149,7 +1161,7 @@ mod tests {
             let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
             let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap();
             let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
-            let want = crate::execute(alg, &base, &crate::Indexes::all(&inv1, &inv2, &fnl1), 1)
+            let want = crate::execute(alg, &base, &crate::Indexes::all(&inv1, &inv2, &fnl1))
                 .map_err(|err| TestCaseError::fail(err.to_string()))?;
             let strategy = if naive {
                 ShardPartitioning::Naive

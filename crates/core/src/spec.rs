@@ -89,8 +89,8 @@ pub struct JoinSpec<'a> {
     /// the cost-budget watchdog. When observed set, the executor winds
     /// down at the next checkpoint and returns whatever it has with
     /// `ResultQuality::Partial`. `None` (the default) keeps checkpoints a
-    /// single branch. Parallel workers inherit the reference, so every
-    /// worker observes one token.
+    /// single branch. Shard sites inherit the reference, so every site
+    /// observes one token.
     pub cancel: Option<&'a CancelToken>,
     /// Live introspection ticket. When set, executors feed their
     /// accumulated page-cost deltas and current phase into it at the same

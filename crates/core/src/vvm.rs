@@ -21,7 +21,7 @@ use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
 use std::collections::HashMap;
-use textjoin_common::{DocId, Error, ICell, Result, SystemParams, TermId, SIM_VALUE_BYTES};
+use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
 use textjoin_invfile::{DeltaOverlay, InvertedFile};
 use textjoin_storage::{IoStats, MemTracker};
@@ -38,30 +38,19 @@ const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
 /// accumulated weighted sum).
 type SimTable = HashMap<u32, HashMap<u32, f64>>;
 
-/// One part of a merge: what it reads and what it may hold. Sequential VVM
-/// is one part covering both files with all of `B`; parallel VVM cuts both
-/// files at the same term boundaries into one part per worker; sharded VVM
-/// has one part per site, over that site's fragment pair. Entries are
-/// term-sorted, so every shared term falls to exactly one part and the
-/// parts' tables sum to the sequential accumulator.
-#[derive(Clone, Copy)]
+/// One part of a merge: a pair of inverted files, read end to end and
+/// sized against all of `B`. Sequential VVM is the one whole part over the
+/// collections' own files; sharded VVM has one part per site, over that
+/// site's fragment pair; nothing else is a part. Entries are term-sorted
+/// and every shared term lives in exactly one part, so the parts' tables
+/// sum to the sequential accumulator.
 pub(crate) struct Part<'r> {
     pub(crate) inner_inv: &'r InvertedFile,
     pub(crate) outer_inv: &'r InvertedFile,
-    /// Half-open ordinal range of each file; both cover one term interval.
-    pub(crate) inner: (u32, u32),
-    pub(crate) outer: (u32, u32),
-    /// Term interval `[lo, hi)` of the delta overlays this part merges in
-    /// (`hi = None`: unbounded); across parts the intervals tile `[0, ∞)`.
-    /// `None` when the files already hold the merged view (a site's
-    /// fragments are built from base + delta).
-    pub(crate) delta_terms: Option<(u32, Option<u32>)>,
-    /// The part's share of `B`: `buffer_pages` of a budget split `split`
-    /// ways. Parts that split one budget split the similarity space with
-    /// it (each expects `SM/split` accumulators); a site with a budget of
-    /// its own (`split = 1`) is sized against all of `SM`.
-    pub(crate) buffer_pages: u64,
-    pub(crate) split: u64,
+    /// Whether the files already hold the merged view (a site's fragments
+    /// are built from base + delta); otherwise the merge folds the spec's
+    /// delta overlays in.
+    pub(crate) folded: bool,
 }
 
 /// Called on the driving thread with `(part, outer chunk number from 1,
@@ -69,27 +58,10 @@ pub(crate) struct Part<'r> {
 /// its table is folded.
 pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, &IoStats) + 'a;
 
-impl<'r> Part<'r> {
-    /// Both files end to end, with a budget of `buffer_pages` to itself.
-    pub(crate) fn whole(
-        inner_inv: &'r InvertedFile,
-        outer_inv: &'r InvertedFile,
-        buffer_pages: u64,
-    ) -> Self {
-        Self {
-            inner_inv,
-            outer_inv,
-            inner: (0, inner_inv.num_entries() as u32),
-            outer: (0, outer_inv.num_entries() as u32),
-            delta_terms: Some((0, None)),
-            buffer_pages,
-            split: 1,
-        }
-    }
-
+impl Part<'_> {
     /// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
     /// estimate, pooled over the queries competing for the similarity
-    /// budget of the same scan, with this part's share of both.
+    /// budget of the same scan.
     fn partitions(&self, specs: &[JoinSpec<'_>], outer_ids: &[Vec<DocId>]) -> Result<u64> {
         let spec0 = &specs[0];
         let p = spec0.sys.page_size as f64;
@@ -97,18 +69,15 @@ impl<'r> Part<'r> {
         let sm: f64 = specs
             .iter()
             .zip(outer_ids)
-            .map(|(s, ids)| {
-                SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64
-                    / (p * self.split as f64)
-            })
+            .map(|(s, ids)| SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / p)
             .sum();
         let entries =
             self.inner_inv.avg_entry_pages().ceil() + self.outer_inv.avg_entry_pages().ceil();
-        let m = self.buffer_pages as f64 - entries;
+        let m = spec0.sys.buffer_pages as f64 - entries;
         if m <= 0.0 {
             return Err(Error::InsufficientMemory {
                 context: "VVM similarity space (M ≤ 0)".into(),
-                required_pages: (entries + 1.0) as u64 * self.split,
+                required_pages: (entries + 1.0) as u64,
                 available_pages: spec0.sys.buffer_pages,
             });
         }
@@ -116,22 +85,18 @@ impl<'r> Part<'r> {
         Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
     }
 
-    /// One side's entry stream: the part's ordinal range of the base file
-    /// merged with its term interval of the overlay.
+    /// One side's entry stream: the file end to end, merged with the
+    /// side's delta overlay unless the file already holds it.
     fn entries<'a>(
         &self,
         spec: &JoinSpec<'_>,
         inv: &'a InvertedFile,
-        (start, end): (u32, u32),
         overlay: Option<&DeltaOverlay>,
         label: &str,
     ) -> Box<dyn Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a> {
-        let (lo, hi) = self.delta_terms.unwrap_or((0, None));
         merged_entries(
-            inv.scan_range_with_prefetch(start, end, spec.prefetch_metrics(label)),
-            self.delta_terms.and(overlay),
-            lo,
-            hi,
+            inv.scan_with_prefetch(spec.prefetch_metrics(label)),
+            overlay.filter(|_| !self.folded),
         )
     }
 }
@@ -154,7 +119,11 @@ pub(crate) fn execute_batch(
     outer_inv: &InvertedFile,
 ) -> Result<BatchOutcome> {
     validate(specs)?;
-    let whole = Part::whole(inner_inv, outer_inv, specs[0].sys.buffer_pages);
+    let whole = Part {
+        inner_inv,
+        outer_inv,
+        folded: false,
+    };
     execute_parts(specs, &[whole], None)
 }
 
@@ -224,25 +193,22 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
     }
 }
 
-/// Merges a base inverted-file scan with a delta overlay's entries over the
-/// term range `[lo, hi)` (`hi = None` means unbounded). A term present in
-/// both layers yields *base cells ++ delta cells*, which is ascending
-/// document order by the id-allocation invariant (delta documents are
-/// numbered after every base document). Without an overlay the base
-/// iterator is returned untouched, so the pristine path allocates and reads
-/// nothing extra. A delta read error is yielded as one leading `Err` item:
-/// degraded mode then drops the delta wholesale (and counts one skip) while
-/// strict mode aborts the merge.
+/// Merges a base inverted-file scan with a delta overlay's entries, in term
+/// order. A term present in both layers yields *base cells ++ delta cells*,
+/// which is ascending document order by the id-allocation invariant (delta
+/// documents are numbered after every base document). Without an overlay
+/// the base iterator is returned untouched, so the pristine path allocates
+/// and reads nothing extra. A delta read error is yielded as one leading
+/// `Err` item: degraded mode then drops the delta wholesale (and counts one
+/// skip) while strict mode aborts the merge.
 fn merged_entries<'a>(
     base: impl Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a,
-    overlay: Option<&textjoin_invfile::DeltaOverlay>,
-    lo: u32,
-    hi: Option<u32>,
+    overlay: Option<&DeltaOverlay>,
 ) -> Box<dyn Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a> {
     let Some(overlay) = overlay else {
         return Box::new(base);
     };
-    let (delta, err) = match overlay.entries_between(lo, hi) {
+    let (delta, err) = match overlay.entries() {
         Ok(d) => (d, None),
         Err(e) => (Vec::new(), Some(e)),
     };
@@ -298,8 +264,8 @@ impl<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> Iterator for MergedEntrie
 /// every query's outer documents with one scan of every part.
 pub(crate) struct Vvm<'r> {
     parts: &'r [Part<'r>],
-    /// One budget per part — its share of `B`, entry buffers and result
-    /// heap reserved for the whole run.
+    /// One budget of `B` pages per part, entry buffers and result heap
+    /// reserved for the whole run.
     trackers: Vec<MemTracker>,
     on_part: Option<&'r PartDone<'r>>,
     outer_ids: &'r [Vec<DocId>],
@@ -325,18 +291,12 @@ impl<'r> Passes<'r> for Vvm<'r> {
         run: &mut Run<'r>,
     ) -> Result<Self> {
         run.root.record("partitions", partitions);
-        if parts.len() > 1 {
-            run.root.record("workers", parts.len() as u64);
-        }
         let sys = run.specs[0].sys;
         let heap_bytes = run.result_heap_bytes();
         let trackers = parts
             .iter()
             .map(|part| {
-                let tracker = MemTracker::new(&SystemParams {
-                    buffer_pages: part.buffer_pages,
-                    ..sys
-                });
+                let tracker = MemTracker::new(&sys);
                 // Entry buffers: one current entry per file, sized by the
                 // largest. (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average;
                 // we hold the max so the budget is strict.)
@@ -395,21 +355,12 @@ impl<'r> Passes<'r> for Vvm<'r> {
         let (specs, chunk_no) = (run.specs, self.next_chunk as u64);
         run.phase("vvm.merge_pass", |run, span| {
             span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
-            let pass_span = &*span;
             let partials = run.parts(parts, |k, part| {
-                // Only a partitioned merge has workers to tell apart.
-                let _worker = (parts.len() > 1).then(|| {
-                    let mut worker = pass_span.child("vvm.worker");
-                    worker.record("worker", k as u64);
-                    worker
-                });
                 MergePartial::compute(specs, part, &chunks, &trackers[k])
             })?;
             // The first part's tables become the pass's; the others fold in
-            // in part order — ascending term order, the order a one-part
-            // merge accumulates in. Raw counts make the sums exact in any
-            // order, fractional weightings agree to floating-point
-            // reassociation.
+            // in part order. Raw counts make the sums exact in any order,
+            // fractional weightings agree to floating-point reassociation.
             let total = partials
                 .into_iter()
                 .enumerate()
@@ -484,9 +435,9 @@ impl MergePartial {
             acc_bytes: 0,
         };
         let skipped = &mut partial.skipped_entries;
-        let inner = part.entries(spec0, part.inner_inv, part.inner, spec0.inner_delta, "inv1");
+        let inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
         let mut inner_cur = EntryCursor::new(inner, spec0, skipped)?;
-        let outer = part.entries(spec0, part.outer_inv, part.outer, spec0.outer_delta, "inv2");
+        let outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2");
         let mut outer_cur = EntryCursor::new(outer, spec0, skipped)?;
         let inner_profile = spec0.inner.profile();
         // Merge by term: advance the scan with the smaller term.
@@ -747,9 +698,11 @@ mod tests {
         assert!(got.stats.passes > 1);
     }
 
-    /// Batch × parts is the one merge: three queries over two term ranges
-    /// produce the rows, passes and counters of three queries over the
-    /// whole files, and the parts' I/O sums to what the drive saw.
+    /// Batch × parts is the one merge: three queries over two fragment
+    /// pairs (the lower and the upper half of the vocabulary, as two sites
+    /// would hold them) produce the rows, passes and counters of three
+    /// queries over the whole files, and the parts' I/O sums to what the
+    /// drive saw.
     #[test]
     fn a_batch_over_two_parts_is_the_batch_over_one() {
         let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(40, 30, 10.0, 50, 128);
@@ -768,17 +721,28 @@ mod tests {
         });
         let one = execute_batch(&specs, &inv1, &inv2).unwrap();
         assert!(one.stats.passes > 1, "expected partitioning, got 1 pass");
-        // Each range gets a budget of its own, as two sites would, so the
-        // outer side is chunked exactly as for the whole files.
-        let parts: Vec<Part<'_>> = crate::parallel::term_parts(&inv1, &inv2, 2, 0)
-            .into_iter()
-            .map(|part| Part {
-                buffer_pages: sys.buffer_pages,
-                split: 1,
-                ..part
-            })
-            .collect();
-        assert_eq!(parts.len(), 2);
+        let fragment = |name: &str, docs: &[Document], upper: bool| {
+            let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
+            for (id, doc) in docs.iter().enumerate() {
+                for cell in doc.cells().iter().filter(|c| (c.term.raw() >= 25) == upper) {
+                    let posting = ICell::new(DocId::new(id as u32), cell.weight);
+                    postings.entry(cell.term).or_default().push(posting);
+                }
+            }
+            InvertedFile::from_postings(Arc::clone(&disk), name, postings).unwrap()
+        };
+        let files = [false, true].map(|upper| {
+            let half = if upper { "hi" } else { "lo" };
+            (
+                fragment(&format!("c1.{half}"), &d1, upper),
+                fragment(&format!("c2.{half}"), &d2, upper),
+            )
+        });
+        let parts = files.each_ref().map(|(inner_inv, outer_inv)| Part {
+            inner_inv,
+            outer_inv,
+            folded: true,
+        });
         let before = disk.stats();
         let two = execute_parts(&specs, &parts, None).unwrap();
         assert_eq!(two.stats.io, disk.stats().since(&before));

@@ -37,7 +37,6 @@ pub mod hhnl;
 pub mod hvnl;
 pub mod inputs;
 pub mod integrated;
-pub mod parallel;
 pub mod shard;
 pub mod vvm;
 
@@ -50,5 +49,4 @@ pub use comm::{choose_distributed, CommParams, Site, TermEncoding};
 pub use fnl::{fnr_batch, fns_batch};
 pub use inputs::{term_containment_probability, JoinInputs};
 pub use integrated::{choose, rank, Algorithm, CostEstimates, IoScenario};
-pub use parallel::vvs_par;
 pub use shard::{uniform_fractions, ShardCost, ShardPlan};

@@ -277,9 +277,9 @@ impl InvertedFile {
     }
 
     /// Scans the half-open ordinal range `[start, end)` sequentially — one
-    /// term-partition of the file, as read by a parallel VVM worker. The
-    /// readahead window is clamped to the partition's last page so workers
-    /// never prefetch into a neighbour's territory.
+    /// term interval of the file, as [`crate::DeltaOverlay::entries_between`]
+    /// reads a flushed delta. The readahead window is clamped to the
+    /// range's last page, so a scan never prefetches past what it yields.
     pub fn scan_range(&self, start: u32, end: u32) -> EntryScanner<'_> {
         self.scan_range_with_prefetch(start, end, None)
     }

@@ -34,7 +34,7 @@ pub struct Introspect<'r> {
 /// How to run a plan — the one options value [`execute`] and
 /// [`execute_batch`] take. The default runs untraced, unwatched and
 /// unregistered; every field composes with every other and with whatever
-/// the plan says about workers and shards.
+/// the plan says about shards.
 #[derive(Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
     /// Open executor spans on this tracer (the `EXPLAIN ANALYZE` path).
@@ -48,9 +48,8 @@ pub struct ExecOptions<'a> {
     /// way; only the I/O spent differs. Sharded sites run unwatched.
     pub drift_factor: Option<f64>,
     /// Register the run in a live registry: an in-flight ticket (query
-    /// text, pair, algorithm, calibrated prediction, watchdog budget,
-    /// worker count; one per site when sharded, one per member of a
-    /// batch) that every executor checkpoint feeds and whose cancel token
+    /// text, pair, algorithm, calibrated prediction, watchdog budget; one
+    /// per site when sharded, one per member of a batch) that every executor checkpoint feeds and whose cancel token
     /// the run honours — `/queries/<id>/cancel` stops it with a `Partial`
     /// result, and cancelling one batch member leaves its siblings alone.
     pub introspect: Option<Introspect<'a>>,
@@ -119,22 +118,22 @@ pub fn run_query(
     base_query_params: QueryParams,
     scenario: IoScenario,
 ) -> Result<QueryOutput> {
-    run_query_with_workers(catalog, sql, sys, base_query_params, scenario, 1)
+    let o = PlanOptions::new(sys, base_query_params, scenario);
+    let p = plan_query(catalog, &parse(sql)?, &o)?;
+    execute(catalog, &p, &ExecOptions::default())
 }
 
-/// [`run_query`] with only the worker knob set. Pinned by `benchmark/`;
-/// delete once it may change.
+/// [`run_query`]; `_workers` is ignored (every algorithm runs on the
+/// calling thread). Pinned by `benchmark/`; delete once it may change.
 pub fn run_query_with_workers(
     catalog: &Catalog,
     sql: &str,
     sys: SystemParams,
     base_query_params: QueryParams,
     scenario: IoScenario,
-    workers: usize,
+    _workers: usize,
 ) -> Result<QueryOutput> {
-    let o = PlanOptions::new(sys, base_query_params, scenario);
-    let p = plan_query(catalog, &parse(sql)?, &PlanOptions { workers, ..o })?;
-    execute(catalog, &p, &ExecOptions::default())
+    run_query(catalog, sql, sys, base_query_params, scenario)
 }
 
 /// [`execute`] at [`ExecOptions::default`]; `sys` and the query parameters
@@ -242,28 +241,21 @@ fn watchdog_budget(drift_factor: Option<f64>, predicted: f64) -> Option<f64> {
 
 /// Registers `p`'s in-flight ticket before the first page is read: the
 /// `C2.col ⋈ C1.col` pair key, `alg`'s calibrated prediction (the progress
-/// denominator), the watchdog budget if armed, and the worker count.
+/// denominator) and the watchdog budget if armed. A run is one thread.
 fn register(
     i: &Introspect<'_>,
     text: &str,
     p: &Plan,
     alg: Algorithm,
     budget: Option<f64>,
-    workers: usize,
 ) -> TicketGuard {
     let pair = format!(
         "{}.{} ⋈ {}.{}",
         p.outer_rel, p.outer_column, p.inner_rel, p.inner_column
     );
     let predicted = finite_pages(p.prediction(alg).calibrated);
-    i.live.register(
-        text,
-        pair,
-        alg.to_string(),
-        predicted,
-        budget,
-        workers as u64,
-    )
+    i.live
+        .register(text, pair, alg.to_string(), predicted, budget, 1)
 }
 
 /// Attaches what observes a run — tracer, ticket and its cancel token.
@@ -303,8 +295,8 @@ pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
 /// Executes a planned query under the system and query parameters it was
 /// planned for (`Plan::inputs`).
 ///
-/// Runs the plan's choice — across `Plan::shards` sites when sharded, else
-/// with `Plan::workers` (VVM's split). If it dies mid-run on unreadable
+/// Runs the plan's choice, across `Plan::shards` sites when sharded. If it
+/// dies mid-run on unreadable
 /// storage (a corrupt page, an exhausted retry), turns out infeasible in
 /// memory or overruns its watchdog budget, the run re-plans onto the
 /// remaining feasible algorithms in the plan's own order (cheapest
@@ -317,7 +309,7 @@ pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<Query
     // every exit.
     let guard = o
         .introspect
-        .map(|i| register(&i, i.query, p, p.chosen, budget, p.workers));
+        .map(|i| register(&i, i.query, p, p.chosen, budget));
     let unwatched = observed(r.spec(p), o.trace, guard.as_ref());
     let spec = JoinSpec {
         cost_budget: budget,
@@ -339,10 +331,7 @@ pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<Query
                 let (outcome, tail) = ShardExecution::split(run);
                 return Ok((outcome, Some(tail)));
             }
-            Ok((
-                textjoin_core::execute(alg, spec, &indexes, p.workers)?,
-                None,
-            ))
+            Ok((textjoin_core::execute(alg, spec, &indexes)?, None))
         },
     )?;
     let (headers, rows) = project(p, &r, &outcome.result);
@@ -418,7 +407,7 @@ pub fn execute_batch(
     if let Some(i) = &o.introspect {
         for (k, p) in bp.plans.iter().enumerate() {
             let text = format!("{} [{}/{n}]", i.query, k + 1);
-            guards.push(register(i, &text, p, bp.chosen, share, 1));
+            guards.push(register(i, &text, p, bp.chosen, share));
         }
     }
     let unwatched: Vec<JoinSpec<'_>> = (bp.plans.iter().enumerate())
@@ -627,21 +616,6 @@ mod tests {
                 Value::Float(s) => assert!(*s > 0.0),
                 other => panic!("similarity should be numeric, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn worker_knob_gives_the_same_tuples() {
-        let c = catalog();
-        let sql = "Select P.P#, A.SSN From Positions P, Applicants A \
-                   Where A.Resume SIMILAR_TO(2) P.Job_descr";
-        let seq = run(&c, sql);
-        for workers in [2, 4] {
-            let o = PlanOptions {
-                workers,
-                ..paper_base()
-            };
-            assert_eq!(run_with(&c, sql, &o).rows, seq.rows, "workers={workers}");
         }
     }
 

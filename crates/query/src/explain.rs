@@ -9,7 +9,7 @@
 //! plus the filtered pair (`fns`/`fnr`) — against the measured page
 //! traffic: the model-validation experiment of section 6, on demand.
 //!
-//! Both verbs take the planner's [`PlanOptions`]; workers, shards and a
+//! Both verbs take the planner's [`PlanOptions`]; shards and a
 //! calibration profile each add their own table to one report.
 
 use crate::catalog::Catalog;
@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use textjoin_common::{Error, QueryParams, Result, SystemParams};
 use textjoin_core::{execute_sharded, ExecStats, QueryReport, ResultQuality};
-use textjoin_costmodel::{vvs_par, Algorithm, CostEstimates, IoScenario};
+use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
 use textjoin_obs::{MetricValue, Registry, SpanRecord, Tracer};
 
 /// [`explain`] at [`PlanOptions::new`]. Pinned by `benchmark/`; delete
@@ -158,9 +158,11 @@ fn render_estimates(out: &mut String, estimates: &CostEstimates, chosen: Algorit
 /// measurement itself is zero: dividing by a sub-page prediction yields
 /// `inf`/`NaN` or meaningless five-digit percentages, and a zero
 /// measurement against a real prediction says the run never happened, not
-/// that the model was 100% wrong. This is the same guard
-/// [`QueryReport::drift_pct`] applies, shared by the sequential and batch
-/// drift tables.
+/// that the model was 100% wrong. The sequential, batch and shard drift
+/// tables share it. [`QueryReport::drift_pct`] is the other convention:
+/// it divides by *measured* — `(measured − predicted)/measured`, the bench
+/// grid's column — and withholds only on a missing prediction or a zero
+/// measurement, so the same gap reads differently there.
 fn drift_ratio(predicted: f64, measured: f64) -> Option<f64> {
     (predicted.is_finite() && predicted >= 1.0 && measured > 0.0)
         .then(|| (measured - predicted) / predicted * 100.0)
@@ -281,22 +283,6 @@ pub struct DriftRow {
     pub percent_error: Option<f64>,
 }
 
-/// One row of the parallel-scaling table: VVM run at one worker count,
-/// with the parallel cost model's prediction next to it.
-#[derive(Clone, Debug)]
-pub struct WorkerScaling {
-    /// Worker count of this run.
-    pub workers: usize,
-    /// The per-worker elapsed estimate `vvs_par` at this count.
-    pub predicted: f64,
-    /// Measured page cost (`seq + α·rand`) of the run.
-    pub measured_cost: f64,
-    /// Total pages read.
-    pub pages: u64,
-    /// Measured wall time.
-    pub wall_ns: u64,
-}
-
 /// One row of the calibrated-prediction table: the raw formula output,
 /// the profile-corrected prediction, and the drift of each against the
 /// measured cost — the before/after picture of one calibration round.
@@ -354,10 +340,6 @@ pub struct AnalyzeOutput {
     /// One resource-accounting report per algorithm that ran (the drift
     /// table and the latency column are derived from these).
     pub reports: Vec<QueryReport>,
-    /// Predicted-vs-measured cost of VVM at one worker and at the planned
-    /// count. Empty unless ANALYZE ran with `workers > 1` and the plan
-    /// chose VVM — the one algorithm the count changes anything for.
-    pub scaling: Vec<WorkerScaling>,
     /// Raw-vs-calibrated predictions with before/after drift, one row per
     /// algorithm. Empty unless ANALYZE ran with a calibration profile.
     pub calibrated: Vec<CalibratedDrift>,
@@ -375,14 +357,11 @@ impl AnalyzeOutput {
     }
 }
 
-/// Plans the query under `o`, runs every feasible algorithm sequentially
-/// against the stored collections, and renders estimates, measured
-/// statistics, per-phase span timings and the model-vs-measured drift
-/// report. Each further option adds its own table to the same report:
+/// Plans the query under `o`, runs every feasible algorithm against the
+/// stored collections, and renders estimates, measured statistics,
+/// per-phase span timings and the model-vs-measured drift report. Each
+/// further option adds its own table to the same report:
 ///
-/// * `workers > 1` — a chosen VVM additionally runs at each worker count
-///   of `{1, workers}`: a scaling table of predicted (`vvs_par`) vs
-///   measured cost and wall-clock speedup; any other choice gets one line;
 /// * `shards > 1` — the chosen algorithm additionally runs on the sharded
 ///   executor: a per-shard table of predicted
 ///   ([`textjoin_costmodel::ShardPlan`]) vs measured pages — the drift of
@@ -411,7 +390,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         }
         let trace = (alg == p.chosen).then_some(&tracer);
         let spec = trace.map_or(base, |t| base.with_trace(t));
-        if let Some(out) = measurable(textjoin_core::execute(alg, &spec, &indexes, 1))? {
+        if let Some(out) = measurable(textjoin_core::execute(alg, &spec, &indexes))? {
             if alg == p.chosen {
                 stats = Some(out.stats);
             }
@@ -424,25 +403,6 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         }
     }
     let report = |alg: Algorithm| reports.iter().find(|r| r.algorithm == alg);
-
-    // Parallel scaling: run a chosen VVM at each worker count and put the
-    // parallel cost model's prediction (`vvs_par`) next to the
-    // measurement. Runs untraced so the chosen run's span tree and
-    // prefetch counters above stay those of the sequential execution.
-    let mut scaling: Vec<WorkerScaling> = Vec::new();
-    if p.workers > 1 && p.chosen == Algorithm::Vvm {
-        for w in [1, p.workers] {
-            if let Some(out) = measurable(textjoin_core::execute(p.chosen, &base, &indexes, w))? {
-                scaling.push(WorkerScaling {
-                    workers: w,
-                    predicted: vvs_par(&p.inputs, w as u64).unwrap_or(f64::INFINITY),
-                    measured_cost: out.stats.cost,
-                    pages: out.stats.io.total_reads(),
-                    wall_ns: out.stats.wall_ns,
-                });
-            }
-        }
-    }
 
     // Sharded run: execute the chosen algorithm on the multi-site path and
     // line each site's measured drive cost up against the uniform-fraction
@@ -591,32 +551,6 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
             let _ = writeln!(text, "      {:<20} {} / {} / {}", label, c[0], c[1], c[2]);
         }
     }
-    if !scaling.is_empty() {
-        let _ = writeln!(text, "    parallel scaling (VVM; page-cost units):");
-        let base_wall = scaling[0].wall_ns;
-        for row in &scaling {
-            let speedup = if row.wall_ns > 0 {
-                base_wall as f64 / row.wall_ns as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                text,
-                "      w={:<3} predicted {:>10.1}  measured {:>10.1} ({} pages)  wall {}  speedup ×{speedup:.2}",
-                row.workers,
-                row.predicted,
-                row.measured_cost,
-                row.pages,
-                fmt_ns(row.wall_ns),
-            );
-        }
-    } else if p.workers > 1 && p.chosen != Algorithm::Vvm {
-        let _ = writeln!(
-            text,
-            "    parallel scaling: {} runs one scan on one thread",
-            p.chosen
-        );
-    }
     if let Some(sh) = &sharded {
         let _ = writeln!(
             text,
@@ -657,7 +591,6 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         stats,
         drift,
         reports,
-        scaling,
         calibrated,
         shard_drift,
         sharded,
@@ -1238,48 +1171,24 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_workers_adds_scaling_and_prefetch_sections() {
+    fn analyze_adds_the_traced_run_s_prefetch_section() {
         let c = big_catalog(512, 120, 60, 40, 200);
-        let analyze = |buffer_pages| {
-            let sys = SystemParams {
-                buffer_pages,
-                page_size: 512,
-                alpha: 5.0,
-            };
-            let o = PlanOptions {
-                workers: 2,
-                ..PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated)
-            };
-            explain_analyze(
-                &c,
-                "Select D.Id, Q.Id From Docs D, Queries Q \
-                 Where D.Body SIMILAR_TO(3) Q.Body",
-                &o,
-            )
-            .unwrap()
+        // Tight memory plans VVM, whose two file scans read ahead.
+        let sys = SystemParams {
+            buffer_pages: 20,
+            page_size: 512,
+            alpha: 5.0,
         };
-        // Roomy memory plans a forward loop: one scan on one thread, so
-        // there is nothing to scale and the report says so.
-        let roomy = analyze(800);
-        assert_ne!(roomy.executed, Algorithm::Vvm);
-        assert!(roomy.scaling.is_empty(), "{}", roomy.text);
-        assert!(!roomy.text.contains("parallel scaling ("), "{}", roomy.text);
-        let note = "runs one scan on one thread";
-        assert!(roomy.text.contains(note), "{}", roomy.text);
-        // Tight memory plans VVM, the one algorithm the count splits.
-        let out = analyze(20);
+        let out = explain_analyze(
+            &c,
+            "Select D.Id, Q.Id From Docs D, Queries Q \
+             Where D.Body SIMILAR_TO(3) Q.Body",
+            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
+        )
+        .unwrap();
         assert_eq!(out.executed, Algorithm::Vvm, "{}", out.text);
-        assert_eq!(out.scaling.len(), 2, "{}", out.text);
-        assert_eq!(out.scaling[0].workers, 1);
-        assert_eq!(out.scaling[1].workers, 2);
-        // The parallel model never predicts a slowdown from partitioning
-        // the scans, and both runs were measured.
-        assert!(out.scaling[1].predicted <= out.scaling[0].predicted);
-        assert!(out.scaling.iter().all(|r| r.pages > 0 && r.wall_ns > 0));
-        assert!(out.text.contains("parallel scaling ("), "{}", out.text);
-        assert!(!out.text.contains(note), "{}", out.text);
-        // The traced sequential run registered prefetch counters, and its
-        // sequential scan phases actually hit the readahead window.
+        // The traced run registered prefetch counters, and its sequential
+        // scan phases actually hit the readahead window.
         assert!(out.text.contains("prefetch ("), "{}", out.text);
         let hits: u64 = out
             .text
@@ -1293,24 +1202,6 @@ mod tests {
             })
             .sum();
         assert!(hits > 0, "no prefetch hits in:\n{}", out.text);
-    }
-
-    #[test]
-    fn sequential_analyze_has_no_scaling_table() {
-        let c = catalog();
-        let out = explain_analyze(
-            &c,
-            "Select P.Title, A.Name From Positions P, Applicants A \
-             Where A.Resume SIMILAR_TO(2) P.Job_descr",
-            &PlanOptions::new(
-                SystemParams::paper_base(),
-                QueryParams::paper_base(),
-                IoScenario::Dedicated,
-            ),
-        )
-        .unwrap();
-        assert!(out.scaling.is_empty());
-        assert!(!out.text.contains("parallel scaling ("), "{}", out.text);
     }
 
     #[test]

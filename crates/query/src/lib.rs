@@ -32,9 +32,9 @@
 //! [`plan_batch`] → [`execute_batch`], [`explain_analyze_batch`]):
 //!
 //! * [`PlanOptions`] says what to plan for — `sys`, `query`, `scenario`,
-//!   `workers`, `shards` (+ `comm`, `partitioning`) and an optional
-//!   calibration `profile`. [`PlanOptions::new`] is sequential,
-//!   single-node, uncalibrated; every field composes with every other.
+//!   `shards` (+ `comm`, `partitioning`) and an optional calibration
+//!   `profile`. [`PlanOptions::new`] is single-node and uncalibrated;
+//!   every field composes with every other.
 //!   The resulting [`Plan`] records its inputs, so executing it takes no
 //!   second copy of `sys`/`query` that could disagree.
 //! * [`ExecOptions`] says how to run a plan — `trace` (executor spans),
@@ -49,7 +49,7 @@
 //! # fn demo(catalog: &Catalog, sql: &str) -> textjoin_common::Result<()> {
 //! let sys = SystemParams::paper_base();
 //! let o = PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated);
-//! let o = PlanOptions { workers: 2, shards: 2, ..o };
+//! let o = PlanOptions { shards: 2, ..o };
 //! let plan = plan_query(catalog, &parse(sql)?, &o)?;
 //! let watched = ExecOptions { drift_factor: Some(1.5), ..Default::default() };
 //! let out = execute(catalog, &plan, &watched)?;

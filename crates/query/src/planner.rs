@@ -19,7 +19,7 @@ use textjoin_costmodel::{
 
 /// Everything planning decides on besides the query itself — the one
 /// options value [`plan_query`], [`plan_batch`] and the `explain` verbs
-/// take. The fields compose freely: workers × shards × profile is one plan.
+/// take. The fields compose freely: shards × profile is one plan.
 #[derive(Clone, Copy)]
 pub struct PlanOptions<'a> {
     /// System parameters `B`, `P`, `α`.
@@ -28,9 +28,6 @@ pub struct PlanOptions<'a> {
     pub query: QueryParams,
     /// The I/O pricing the algorithms are ranked under.
     pub scenario: IoScenario,
-    /// Worker threads for the chosen algorithm: VVM splits its merge into
-    /// that many term ranges, the rest run one scan. Never moves the choice.
-    pub workers: usize,
     /// Sites the join is split across (1 = single-node). With `shards > 1`
     /// the chosen algorithm's per-site §5 costs are recorded in
     /// [`Plan::shard_plan`].
@@ -45,14 +42,13 @@ pub struct PlanOptions<'a> {
 }
 
 impl PlanOptions<'_> {
-    /// Sequential single-node planning on the raw estimates: one worker,
-    /// one site, default network pricing and boundaries, no profile.
+    /// Single-node planning on the raw estimates: one site, default network
+    /// pricing and boundaries, no profile.
     pub fn new(sys: SystemParams, query: QueryParams, scenario: IoScenario) -> Self {
         Self {
             sys,
             query,
             scenario,
-            workers: 1,
             shards: 1,
             comm: CommParams::default_network(),
             partitioning: ShardPartitioning::default(),
@@ -107,8 +103,6 @@ pub struct Plan {
     pub estimates: CostEstimates,
     /// The inputs the estimates were computed from.
     pub inputs: JoinInputs,
-    /// [`PlanOptions::workers`], as the executor will be handed it.
-    pub workers: usize,
     /// How many sites the join is sharded across (1 = single-node).
     pub shards: usize,
     /// The per-shard cost breakdown when `shards > 1` — what EXPLAIN's
@@ -197,10 +191,10 @@ pub fn plan_batch(catalog: &Catalog, queries: &[Query], o: &PlanOptions<'_>) -> 
     if queries.is_empty() {
         return Err(Error::Plan("batch needs at least one query".into()));
     }
-    if o.workers > 1 || o.shards > 1 {
+    if o.shards > 1 {
         return Err(Error::Plan(format!(
-            "a batch shares one sequential single-node scan: workers={} shards={} must both be 1",
-            o.workers, o.shards
+            "a batch shares one single-node scan: shards={} must be 1",
+            o.shards
         )));
     }
     let plans: Vec<Plan> = queries
@@ -259,18 +253,17 @@ pub fn plan(
     )
 }
 
-/// [`plan_query`] with only the worker knob set. Pinned by `benchmark/`;
-/// delete once it may change.
+/// [`plan`]; `_workers` is ignored (every algorithm runs on the calling
+/// thread). Pinned by `benchmark/`; delete once it may change.
 pub fn plan_with_workers(
     catalog: &Catalog,
     query: &Query,
     sys: SystemParams,
     base_query_params: QueryParams,
     scenario: IoScenario,
-    workers: usize,
+    _workers: usize,
 ) -> Result<Plan> {
-    let o = PlanOptions::new(sys, base_query_params, scenario);
-    plan_query(catalog, query, &PlanOptions { workers, ..o })
+    plan(catalog, query, sys, base_query_params, scenario)
 }
 
 /// Plans a parsed query against a catalog: resolves names, pushes the
@@ -420,7 +413,6 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
         chosen,
         estimates,
         inputs,
-        workers: o.workers,
         shards,
         shard_plan,
         comm: o.comm,
@@ -771,15 +763,11 @@ mod tests {
         let message = |r: Result<BatchPlan>| r.err().expect("must not plan").to_string();
         let err = message(plan_batch(&c, &[forward.clone(), backward], &o));
         assert!(err.contains("same textual column pair"), "{err}");
-        // A batch is one shared sequential scan: the knobs it cannot
-        // honour are refused, not ignored.
-        for bad in [
-            PlanOptions { workers: 2, ..o },
-            PlanOptions { shards: 2, ..o },
-        ] {
-            let err = message(plan_batch(&c, std::slice::from_ref(&forward), &bad));
-            assert!(err.contains("must both be 1"), "{err}");
-        }
+        // A batch is one shared single-node scan: the knob it cannot
+        // honour is refused, not ignored.
+        let sharded = PlanOptions { shards: 2, ..o };
+        let err = message(plan_batch(&c, std::slice::from_ref(&forward), &sharded));
+        assert!(err.contains("shards=2 must be 1"), "{err}");
     }
 
     #[test]

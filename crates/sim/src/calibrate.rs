@@ -85,7 +85,6 @@ impl CalibrationRun {
 /// `page_ns` prices.
 fn calibration_grid() -> BenchGrid {
     let mut grid = small_grid();
-    grid.workers = vec![1];
     grid.batch_sizes = vec![1];
     // Shard rows carry no per-pair calibration key (their cost is a
     // max-over-sites, not a single-drive measurement), so the axis only

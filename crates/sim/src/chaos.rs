@@ -316,7 +316,7 @@ fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
 
         let spec = f.spec().with_degraded();
         let indexes = Indexes::all(&f.inv1, &f.inv2, &f.fnl1);
-        let attempt = textjoin_core::execute(algorithm, &spec, &indexes, 1);
+        let attempt = textjoin_core::execute(algorithm, &spec, &indexes);
         let (verdict, passed) = match attempt {
             Ok(outcome) => {
                 let verdict = format!(

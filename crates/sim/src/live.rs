@@ -170,7 +170,7 @@ fn run_config(
         disk.reset_stats();
         disk.reset_head();
         let indexes = Indexes::all(&inv1, &inv2, &fnl1);
-        let outcome = textjoin_core::execute(algorithm, &spec, &indexes, 1)?;
+        let outcome = textjoin_core::execute(algorithm, &spec, &indexes)?;
         // Finished runs roll up into the same registry the endpoint
         // serves, so `/metrics` carries the aggregate query series next
         // to the `queries.inflight` gauge.

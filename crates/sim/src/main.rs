@@ -136,7 +136,7 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let path_or = |taken: Option<String>, default: &str| {
         PathBuf::from(taken.unwrap_or_else(|| default.into()))
     };
-    let cli = Cli {
+    Ok(Cli {
         csv,
         trace_out: take_value(args, "--trace-out")?.map(PathBuf::from),
         store: path_or(take_value(args, "--store")?, "REPORTS_textjoin.jsonl"),
@@ -160,16 +160,23 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
             Some(v) => chaos::parse_seeds(&v)
                 .ok_or_else(|| format!("invalid --seed '{v}'; expected N or A..B"))?,
         },
-        command: args.first().cloned().unwrap_or_else(|| "all".into()),
-        number: args.get(1).and_then(|s| s.parse().ok()),
-    };
-    // Every flag a command reads is gone by now. What still looks like one
-    // is a typo, and ignoring it would silently drop what it asked for —
-    // `bench --basline FILE` would run ungated and exit 0.
-    if let Some(unknown) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(format!("unknown flag '{unknown}'"));
-    }
-    Ok(cli)
+        // Every flag a command reads is gone by now. What still looks like
+        // one is a typo, and ignoring it would silently drop what it asked
+        // for — `bench --basline FILE` would run ungated and exit 0.
+        command: match args.iter().find(|a| a.starts_with("--")) {
+            Some(unknown) => return Err(format!("unknown flag '{unknown}'")),
+            None => args.first().cloned().unwrap_or_else(|| "all".into()),
+        },
+        // Likewise a word no command can use: `sweep 10x` ran at the
+        // default scale.
+        number: match args.get(1..).unwrap_or_default() {
+            [] => None,
+            [word] => Some(word.parse().map_err(|_| {
+                format!("expected a non-negative integer after the command, got '{word}'")
+            })?),
+            [_, extra, ..] => return Err(format!("unexpected argument '{extra}'")),
+        },
+    })
 }
 
 /// Reads the report `bench --baseline` gates against.
@@ -236,7 +243,10 @@ fn main() -> ExitCode {
             for cfg in validate::paper_scaled_configs(scale) {
                 match validate::codec_study(&cfg) {
                     Ok(t) => println!("{t}"),
-                    Err(e) => eprintln!("{}: codec study failed: {e}", cfg.label),
+                    Err(e) => {
+                        eprintln!("{}: codec study failed: {e}", cfg.label);
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
         }
@@ -251,7 +261,10 @@ fn main() -> ExitCode {
                     .collect();
                 match validate::memory_sweep(cfg, &buffers) {
                     Ok(t) => println!("{t}"),
-                    Err(e) => eprintln!("{}: sweep failed: {e}", cfg.label),
+                    Err(e) => {
+                        eprintln!("{}: sweep failed: {e}", cfg.label);
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
         }
@@ -604,6 +617,17 @@ mod tests {
         ] {
             let err = parse(line).unwrap_err();
             assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
+        // A positional no command can use ran at the default scale.
+        for (line, word) in [
+            ("t1 banana", "'banana'"),
+            ("sweep 10x", "'10x'"),
+            ("validate -5", "'-5'"),
+            ("t1 banana extra", "'extra'"),
+            ("validate 2000 3000", "'3000'"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(word), "{line}: {err}");
         }
         assert!(parse("serve-metrics --rounds many").is_err());
         assert!(parse("slowlog --by size").is_err());

@@ -65,7 +65,7 @@ fn run_config(
         disk.reset_stats();
         disk.reset_head();
         let indexes = Indexes::all(&inv1, &inv2, &fnl1);
-        let outcome = textjoin_core::execute(algorithm, &spec, &indexes, 1)?;
+        let outcome = textjoin_core::execute(algorithm, &spec, &indexes)?;
         let report = QueryReport::from_outcome(
             format!("{} {algorithm}", cfg.label),
             &outcome,

@@ -15,7 +15,6 @@
 //! density instead.
 
 use crate::table::Table;
-use crossbeam::thread;
 use std::sync::Arc;
 use textjoin_collection::SynthSpec;
 use textjoin_common::{CollectionStats, QueryParams, Result, SystemParams};
@@ -262,17 +261,16 @@ pub fn trace_one(cfg: &ValidationConfig) -> Result<String> {
 /// Runs several scenarios in parallel (one thread per scenario — each has
 /// its own simulated disk).
 pub fn validate_all(configs: &[ValidationConfig]) -> Result<Vec<ValidationRow>> {
-    let results = thread::scope(|s| {
+    let results = std::thread::scope(|s| {
         let handles: Vec<_> = configs
             .iter()
-            .map(|cfg| s.spawn(move |_| validate_one(cfg)))
+            .map(|cfg| s.spawn(move || validate_one(cfg)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("validation thread panicked"))
             .collect::<Result<Vec<_>>>()
-    })
-    .expect("crossbeam scope panicked")?;
+    })?;
     Ok(results.into_iter().flatten().collect())
 }
 

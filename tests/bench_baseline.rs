@@ -11,7 +11,7 @@ fn checked_in_baseline_is_a_well_formed_page_report() {
     let text = std::fs::read_to_string(path).unwrap();
     let report = BenchReport::from_json(&text).unwrap();
     assert_eq!(report.suite, "paper-grid-small");
-    assert_eq!(report.cases.len(), 256);
+    assert_eq!(report.cases.len(), 248);
 
     let keys: HashSet<_> = report
         .cases

@@ -1,10 +1,11 @@
 //! The query layer's front door is `plan_query` → `execute` (+ `explain`,
 //! `explain_analyze`) over one `PlanOptions` and one `ExecOptions` value.
 //! These tests pin what that buys: the options *compose* — every cell of
-//! workers × shards × profile × watchdog × introspection returns the
-//! tuples plain `run_query` returns — the pre-options signatures kept for
-//! `benchmark/` are exactly their general forms, and a plan runs under the
-//! parameters it was planned for or not at all.
+//! shards × profile × watchdog × introspection returns the tuples plain
+//! `run_query` returns — the pre-options signatures kept for `benchmark/`
+//! are exactly their general forms (the two that take a worker count
+//! ignore it), and a plan runs under the parameters it was planned for or
+//! not at all.
 
 use std::sync::Arc;
 use textjoin::costmodel::{CalibrationProfile, ReportObs};
@@ -91,44 +92,41 @@ fn every_composition_of_options_returns_run_query_s_tuples() {
     let profile = fitted_profile(&catalog);
     let live = LiveRegistry::new();
 
-    for workers in [1, 2] {
-        for shards in [1, 2] {
-            for profile in [None, Some(&profile)] {
-                let po = PlanOptions {
-                    workers,
-                    shards,
-                    profile,
-                    ..base()
-                };
-                let p = plan_query(&catalog, &query, &po).unwrap();
-                assert_eq!((p.workers, p.shards), (workers, shards));
-                for drift_factor in [None, Some(0.0)] {
-                    for introspect in [false, true] {
-                        let cell = format!(
-                            "workers={workers} shards={shards} profile={} \
-                             drift_factor={drift_factor:?} introspect={introspect}",
-                            profile.is_some()
-                        );
-                        let eo = ExecOptions {
-                            trace: None,
-                            drift_factor,
-                            introspect: introspect.then_some(Introspect {
-                                live: &live,
-                                query: SQL,
-                            }),
-                        };
-                        let got = execute(&catalog, &p, &eo).unwrap();
-                        assert_eq!(got.headers, want.headers, "{cell}");
-                        assert_eq!(got.rows, want.rows, "{cell}");
-                        assert_eq!(got.quality, want.quality, "{cell}");
-                        assert_eq!(got.sharded.is_some(), shards > 1, "{cell}");
-                        // A zero budget is overrun at the first checkpoint:
-                        // the run re-plans. (Sites of a sharded run are
-                        // unwatched, so there the choice stands.)
-                        let replanned = drift_factor.is_some() && shards == 1;
-                        assert_eq!(got.algorithm != p.chosen, replanned, "{cell}");
-                        assert!(live.is_empty(), "{cell}: ticket leaked");
-                    }
+    for shards in [1, 2] {
+        for profile in [None, Some(&profile)] {
+            let po = PlanOptions {
+                shards,
+                profile,
+                ..base()
+            };
+            let p = plan_query(&catalog, &query, &po).unwrap();
+            assert_eq!(p.shards, shards);
+            for drift_factor in [None, Some(0.0)] {
+                for introspect in [false, true] {
+                    let cell = format!(
+                        "shards={shards} profile={} drift_factor={drift_factor:?} \
+                         introspect={introspect}",
+                        profile.is_some()
+                    );
+                    let eo = ExecOptions {
+                        trace: None,
+                        drift_factor,
+                        introspect: introspect.then_some(Introspect {
+                            live: &live,
+                            query: SQL,
+                        }),
+                    };
+                    let got = execute(&catalog, &p, &eo).unwrap();
+                    assert_eq!(got.headers, want.headers, "{cell}");
+                    assert_eq!(got.rows, want.rows, "{cell}");
+                    assert_eq!(got.quality, want.quality, "{cell}");
+                    assert_eq!(got.sharded.is_some(), shards > 1, "{cell}");
+                    // A zero budget is overrun at the first checkpoint:
+                    // the run re-plans. (Sites of a sharded run are
+                    // unwatched, so there the choice stands.)
+                    let replanned = drift_factor.is_some() && shards == 1;
+                    assert_eq!(got.algorithm != p.chosen, replanned, "{cell}");
+                    assert!(live.is_empty(), "{cell}: ticket leaked");
                 }
             }
         }
@@ -139,7 +137,7 @@ fn same_plan(a: &Plan, b: &Plan) {
     assert_eq!(a.chosen, b.chosen);
     assert_eq!(a.predictions, b.predictions);
     assert_eq!(a.estimates, b.estimates);
-    assert_eq!((a.workers, a.shards), (b.workers, b.shards));
+    assert_eq!(a.shards, b.shards);
     assert_eq!(
         (&a.outer_rows, &a.inner_rows),
         (&b.outer_rows, &b.inner_rows)
@@ -152,33 +150,25 @@ fn each_pinned_forward_is_its_general_form() {
     let catalog = catalog();
     let query = parse(SQL).unwrap();
     let (s, qp, sc) = (sys(), QueryParams::paper_base(), IoScenario::Dedicated);
-    let two_workers = PlanOptions {
-        workers: 2,
-        ..base()
-    };
 
+    // The two forwards that take a worker count ignore it: every algorithm
+    // runs on the calling thread, so two workers plan and run as one.
     let general = plan_query(&catalog, &query, &base()).unwrap();
     same_plan(&plan(&catalog, &query, s, qp, sc).unwrap(), &general);
-    let general_w2 = plan_query(&catalog, &query, &two_workers).unwrap();
     same_plan(
         &plan_with_workers(&catalog, &query, s, qp, sc, 2).unwrap(),
-        &general_w2,
+        &general,
     );
 
-    let off = ExecOptions::default();
-    let ran = execute(&catalog, &general, &off).unwrap();
-    let ran_w2 = execute(&catalog, &general_w2, &off).unwrap();
-    for (forward, general) in [
-        (run_query(&catalog, SQL, s, qp, sc).unwrap(), &ran),
-        (execute_plan(&catalog, &general, s, qp).unwrap(), &ran),
-        (
-            run_query_with_workers(&catalog, SQL, s, qp, sc, 2).unwrap(),
-            &ran_w2,
-        ),
+    let ran = execute(&catalog, &general, &ExecOptions::default()).unwrap();
+    for forward in [
+        run_query(&catalog, SQL, s, qp, sc).unwrap(),
+        execute_plan(&catalog, &general, s, qp).unwrap(),
+        run_query_with_workers(&catalog, SQL, s, qp, sc, 2).unwrap(),
     ] {
-        assert_eq!(forward.rows, general.rows);
-        assert_eq!(forward.algorithm, general.algorithm);
-        assert_eq!(forward.stats.io, general.stats.io);
+        assert_eq!(forward.rows, ran.rows);
+        assert_eq!(forward.algorithm, ran.algorithm);
+        assert_eq!(forward.stats.io, ran.stats.io);
     }
 
     let live = LiveRegistry::new();
@@ -242,68 +232,16 @@ fn a_plan_runs_under_the_parameters_it_was_planned_for_or_not_at_all() {
     assert!(live.is_empty());
 }
 
-/// `workers` changes how the chosen algorithm runs, never which one is
-/// chosen. At the parent commit `workers: 2` ranked on per-worker *elapsed*
-/// estimates (the whole join: VVM at 35 pages, where one worker plans FNL
-/// at 51) against *summed* measured pages (89), so an armed watchdog fired
-/// on a plan that did nothing wrong and the fallback ran outer-partitioned
-/// FNL at cost 471 where the sequential run costs 56.
 #[test]
-fn workers_leave_the_ranking_and_the_watchdog_in_measured_units() {
-    let catalog = catalog();
-    let whole_join = "Select D.Id, Q.Id From Docs D, Queries Q \
-                      Where D.Body SIMILAR_TO(3) Q.Body";
-    let two_workers = PlanOptions {
-        workers: 2,
-        ..base()
-    };
-    let armed = ExecOptions {
-        drift_factor: Some(1.5),
-        ..ExecOptions::default()
-    };
-    let mut chosen = Vec::new();
-    for sql in [SQL, whole_join] {
-        let query = parse(sql).unwrap();
-        let one = plan_query(&catalog, &query, &base()).unwrap();
-        let two = plan_query(&catalog, &query, &two_workers).unwrap();
-        assert_eq!(two.chosen, one.chosen, "{sql}");
-        assert_eq!(two.predictions, one.predictions, "{sql}");
-
-        let ran_one = execute(&catalog, &one, &armed).unwrap();
-        let ran_two = execute(&catalog, &two, &armed).unwrap();
-        assert_eq!(ran_two.algorithm, two.chosen, "{sql}: the watchdog fired");
-        assert_eq!(ran_two.rows, ran_one.rows, "{sql}");
-        if two.chosen != Algorithm::Vvm {
-            assert_eq!(ran_two.stats.io, ran_one.stats.io, "{sql}");
-        }
-        chosen.push(two.chosen);
-    }
-    // Both sides of the knob are covered: VVM splits, FNL does not.
-    assert_eq!(chosen, [Algorithm::Vvm, Algorithm::Fnl]);
-}
-
-#[test]
-fn analyze_renders_scaling_shard_and_calibrated_tables_together() {
+fn analyze_renders_shard_and_calibrated_tables_together() {
     let catalog = catalog();
     let profile = fitted_profile(&catalog);
     let o = PlanOptions {
-        workers: 2,
         shards: 2,
         profile: Some(&profile),
         ..base()
     };
     let out = explain_analyze(&catalog, SQL, &o).unwrap();
-    // A worker count splits VVM's merge and nothing else: the scaling
-    // table exists iff VVM ran, and one line says so otherwise.
-    let (scaling, scaling_section): (&[usize], _) = if out.executed == Algorithm::Vvm {
-        (&[1, 2], "parallel scaling (")
-    } else {
-        (&[], "runs one scan on one thread")
-    };
-    assert_eq!(
-        out.scaling.iter().map(|r| r.workers).collect::<Vec<_>>(),
-        scaling
-    );
     assert_eq!(out.shard_drift.len(), 2);
     assert_eq!(out.sharded.as_ref().map(|s| s.reports.len()), Some(2));
     assert_eq!(out.calibrated.len(), 4);
@@ -312,7 +250,6 @@ fn analyze_renders_scaling_shard_and_calibrated_tables_together() {
         "shards : S=2",
         "drift (page-cost units",
         "calibrated predictions (",
-        scaling_section,
         "shards (S=2, skew-aware",
         "spans (",
     ] {

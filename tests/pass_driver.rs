@@ -1,12 +1,10 @@
-//! One table over the pass driver: every algorithm × batch size × worker
-//! count goes through the same four checks — the oracle, a pre-set cancel,
-//! a sub-page watchdog budget, an attached tracer — instead of one copy of
-//! each per executor; the sharded cells (S = 2, both partitionings) go
-//! through the first two (sites run untraced and unwatched). The
-//! `(N = 3, w = 2)` column does not exist for HHNL, HVNL and FNL: they run
-//! one scan on one thread whatever the worker count, so it would repeat
-//! the `(N = 3, w = 1)` column. VVM's does — batch × parts is the one
-//! merge, see `vvm::tests` — but has no public entry point.
+//! One table over the pass driver: every algorithm × batch size goes
+//! through the same four checks — the oracle, a pre-set cancel, a sub-page
+//! watchdog budget, an attached tracer — instead of one copy of each per
+//! executor; the sharded cells (S = 2, both partitionings) go through the
+//! first two (sites run untraced and unwatched). There is no worker
+//! column: every algorithm runs on the calling thread, so `(N, w = 2)`
+//! would repeat `(N, w = 1)`.
 
 use std::sync::Arc;
 use textjoin::common::Error;
@@ -20,7 +18,7 @@ use textjoin::obs::{CancelToken, SpanRecord, Tracer};
 use textjoin::prelude::*;
 
 /// Small pages and a small buffer: every algorithm needs several passes
-/// (several checkpoints), with one worker and with the budget split in two.
+/// (several checkpoints).
 struct Fixture {
     c1: Collection,
     c2: Collection,
@@ -58,16 +56,14 @@ fn fixture() -> Fixture {
 /// What one cell of the table runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
-    /// `core::execute(alg, spec, indexes, workers)` — N = 1.
-    Single {
-        workers: usize,
-    },
-    /// `batch::execute(alg, specs, indexes)` — N = 3, one worker.
+    /// `core::execute(alg, spec, indexes)` — N = 1.
+    Single,
+    /// `batch::execute(alg, specs, indexes)` — N = 3.
     Batch,
     /// The paper's ablations, N = 1 only, under the same driver.
     HhnlBackward,
     HvnlGreedy,
-    /// `execute_sharded` over two sites — N = 1, one worker per site.
+    /// `execute_sharded` over two sites — N = 1.
     Sharded(ShardPartitioning),
 }
 
@@ -76,8 +72,7 @@ const LAMBDAS: [usize; 3] = [3, 1, 5];
 fn cells() -> Vec<(Algorithm, Mode)> {
     let mut cells = Vec::new();
     for alg in Algorithm::ALL {
-        cells.push((alg, Mode::Single { workers: 1 }));
-        cells.push((alg, Mode::Single { workers: 2 }));
+        cells.push((alg, Mode::Single));
         cells.push((alg, Mode::Batch));
     }
     cells.push((Algorithm::Hhnl, Mode::HhnlBackward));
@@ -119,9 +114,7 @@ fn run<'a>(
         (vec![out], stats)
     };
     match mode {
-        Mode::Single { workers } => {
-            textjoin::core::execute(alg, &spec(LAMBDAS[0]), &indexes, workers).map(single)
-        }
+        Mode::Single => textjoin::core::execute(alg, &spec(LAMBDAS[0]), &indexes).map(single),
         Mode::Batch => {
             let specs: Vec<JoinSpec<'a>> = LAMBDAS.iter().map(|&l| spec(l)).collect();
             batch::execute(alg, &specs, &indexes).map(|b| (b.queries, b.stats))
@@ -169,7 +162,7 @@ fn batch_of_one_is_the_sequential_run() {
         .with_sys(f.sys)
         .with_query(QueryParams::paper_base().with_lambda(4));
     for alg in Algorithm::ALL {
-        let seq = textjoin::core::execute(alg, &spec, &indexes, 1).unwrap();
+        let seq = textjoin::core::execute(alg, &spec, &indexes).unwrap();
         let one = batch::execute(alg, &[spec], &indexes).unwrap();
         assert_eq!(one.queries[0].result, seq.result, "{alg}");
         let (a, b) = (one.stats, seq.stats);
@@ -250,8 +243,7 @@ fn preset_cancel_returns_an_oracle_prefix_within_one_checkpoint() {
 }
 
 /// A budget below one page cannot survive the first checkpoint, whatever
-/// executes the passes. (`VVM, w = 2` returned `Ok` before the parallel
-/// merge went through the shared checkpoint.)
+/// executes the passes.
 #[test]
 fn sub_page_budget_overruns_in_every_cell() {
     let f = fixture();
@@ -295,10 +287,9 @@ fn attached_tracer_sees_the_driver_spans() {
             (Algorithm::Vvm, _) => ("vvm", &["vvm.merge_pass"]),
             (Algorithm::Fnl, _) => ("fnl", &["fnl.term_order", "fnl.sig_scan"]),
         };
-        // One finished root whatever the worker count — a VVM run's
-        // term-range workers hang under its passes (a VVM attempt
-        // abandoned for a finer partitioning leaves a root without a pass
-        // count) — and it carries the run's statistics.
+        // One finished root (a VVM attempt abandoned for a finer
+        // partitioning leaves a root without a pass count), and it carries
+        // the run's statistics.
         let roots: Vec<&SpanRecord> = spans
             .iter()
             .filter(|s| s.name == root && field(s, "passes").is_some())
@@ -312,21 +303,7 @@ fn attached_tracer_sees_the_driver_spans() {
                 "{alg} {mode:?}: no `{phase}` span"
             );
         }
-        if (alg, mode) == (Algorithm::Vvm, Mode::Single { workers: 2 }) {
-            // Every merge pass of the finished run fanned out to two
-            // workers, whose spans hang under the pass's.
-            let finished_passes: Vec<u64> = spans
-                .iter()
-                .filter(|s| s.name == "vvm.merge_pass" && s.parent == roots[0].id)
-                .map(|s| s.id)
-                .collect();
-            assert_eq!(finished_passes.len() as u64, stats.passes);
-            let workers = spans
-                .iter()
-                .filter(|s| s.name == "vvm.worker" && finished_passes.contains(&s.parent));
-            assert_eq!(workers.count() as u64, 2 * stats.passes);
-        }
-        if mode != (Mode::Single { workers: 1 }) {
+        if mode != Mode::Single {
             continue;
         }
         // Sequential: exactly the root and its phases, one pass span per
