@@ -1,0 +1,479 @@
+//! The accumulator of the term-at-a-time executors.
+//!
+//! VVM (section 4.3) and HVNL (section 4.2) both advance the similarity of
+//! a pair `(r, s)` by `u·v` once per shared term, one inverted-file entry at
+//! a time. [`Rows`] is where those sums live for both: one row per resident
+//! outer document, indexed by inner document number.
+//!
+//! **What the tracker prices and what a row holds.** The paper budgets 4
+//! bytes per *non-zero* pair (`SM = 4·δ·N1·N2/P`), and that is all the
+//! [`MemTracker`](textjoin_storage::MemTracker) is ever charged: per
+//! applied entry, the cells about to become non-zero are counted, charged
+//! in one call, then added — the same total, failure condition and
+//! high-water as a charge per pair, so the ledger alone decides passes and
+//! evictions. A flat row really holds 8 bytes and one seen-bit per
+//! *possible* pair, which the ledger does not see; rows are therefore flat
+//! only while `slots · width · 8 ≤ 4·B·P`
+//! ([`FLAT_BUDGETS`] buffers' worth), decided once from the inputs, and
+//! each row is a `HashMap` otherwise. Both arms add the same values in the
+//! same (term) order, so scores are bit-identical across them.
+
+use crate::result::Match;
+use crate::spec::JoinSpec;
+use crate::topk::TopK;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use textjoin_common::{DocId, ICell, Result, SIM_VALUE_BYTES};
+
+/// Bytes charged per non-zero pair — the paper's, so the partition count
+/// matches the `⌈SM/M⌉` the model predicts.
+pub(crate) const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
+
+/// Flat rows may really occupy up to this many times the buffer `B·P`.
+const FLAT_BUDGETS: u64 = 4;
+
+/// Slot-table mark of an outer document that is not resident.
+const ABSENT: u32 = u32::MAX;
+
+/// The inner documents a run may score, by document number:
+/// [`JoinSpec::inner_doc_allowed`] evaluated once per run instead of once
+/// per posting.
+pub(crate) struct InnerMask {
+    allowed: Vec<bool>,
+    /// The verdict on documents numbered past `allowed`.
+    beyond: bool,
+}
+
+impl InnerMask {
+    /// Everything minus `deleted`, intersected with `only` (ascending) when
+    /// given; `None` when that is every document.
+    pub(crate) fn new(deleted: Option<&BTreeSet<u32>>, only: Option<&[DocId]>) -> Option<Self> {
+        let deleted = deleted.filter(|d| !d.is_empty());
+        let top = match (only, deleted) {
+            (None, None) => return None,
+            (Some(ids), _) => ids.last().map(|d| d.index()),
+            (None, Some(d)) => d.last().map(|&d| d as usize),
+        };
+        let mut allowed = vec![only.is_none(); top.map_or(0, |t| t + 1)];
+        for id in only.into_iter().flatten() {
+            allowed[id.index()] = true;
+        }
+        for &d in deleted.into_iter().flatten() {
+            if let Some(allowed) = allowed.get_mut(d as usize) {
+                *allowed = false;
+            }
+        }
+        Some(Self {
+            allowed,
+            beyond: only.is_none(),
+        })
+    }
+
+    #[inline]
+    pub(crate) fn allows(&self, doc: DocId) -> bool {
+        *self.allowed.get(doc.index()).unwrap_or(&self.beyond)
+    }
+}
+
+/// One outer document's sums by inner document number. A flat row keeps a
+/// seen-bit per number beside the sums, so a sum of `0.0`, an infinity or a
+/// NaN is still a touched cell; the bits drive emit, fold and reset, and a
+/// sum is only ever read under a set bit (reset clears the bits alone).
+enum Row {
+    Flat {
+        sums: Vec<f64>,
+        seen: Vec<u64>,
+        /// Set bits in `seen`.
+        len: usize,
+    },
+    Sparse(HashMap<u32, f64>),
+}
+
+impl Row {
+    /// Makes room in a flat row for document numbers below `width`
+    /// (exactly: a row holds no capacity the `4·B·P` rule did not count).
+    fn grow(&mut self, width: usize) {
+        if let Row::Flat { sums, seen, .. } = self {
+            if sums.len() < width {
+                sums.reserve_exact(width - sums.len());
+                sums.resize(width, 0.0);
+                seen.resize(width.div_ceil(64), 0);
+            }
+        }
+    }
+
+    #[inline]
+    fn has(&self, d: u32) -> bool {
+        match self {
+            Row::Flat { seen, .. } => seen
+                .get(d as usize / 64)
+                .is_some_and(|w| w >> (d % 64) & 1 == 1),
+            Row::Sparse(map) => map.contains_key(&d),
+        }
+    }
+
+    /// Adds `value` to document `d`'s sum (a flat row has room for `d`).
+    /// A pair's first value is stored as it is in both arms, so they agree
+    /// to the bit.
+    #[inline]
+    fn add(&mut self, d: u32, value: f64) {
+        match self {
+            Row::Flat { sums, seen, len } => {
+                let (word, bit) = (&mut seen[d as usize / 64], 1 << (d % 64));
+                if *word & bit != 0 {
+                    sums[d as usize] += value;
+                } else {
+                    *word |= bit;
+                    *len += 1;
+                    sums[d as usize] = value;
+                }
+            }
+            Row::Sparse(map) => match map.entry(d) {
+                Entry::Occupied(mut e) => *e.get_mut() += value,
+                Entry::Vacant(e) => {
+                    e.insert(value);
+                }
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Row::Flat { len, .. } => *len,
+            Row::Sparse(map) => map.len(),
+        }
+    }
+
+    fn for_each(&self, mut f: impl FnMut(u32, f64)) {
+        match self {
+            Row::Flat { sums, seen, .. } => {
+                for (w, &word) in seen.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let d = w * 64 + bits.trailing_zeros() as usize;
+                        f(d as u32, sums[d]);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Row::Sparse(map) => map.iter().for_each(|(&d, &sum)| f(d, sum)),
+        }
+    }
+}
+
+/// Intermediate similarities of one query for the outer documents resident
+/// in one pass: a slot per outer document, a row of sums per slot.
+pub(crate) struct Rows {
+    /// Outer document number → slot ([`ABSENT`] = not resident).
+    slot_of: Vec<u32>,
+    rows: Vec<Row>,
+    /// Inner document numbers a flat row makes room for when first touched
+    /// (`N1`; a larger number grows its row on demand).
+    width: usize,
+    /// Bytes charged for the pairs currently held.
+    charged: u64,
+}
+
+impl Rows {
+    /// One empty row per outer document of `ids` (ascending; slot `k` is
+    /// `ids[k]`'s) over inner documents numbered up to about `width`,
+    /// under a buffer of `budget_bytes` (`B·P`).
+    pub(crate) fn new(ids: &[DocId], width: u64, budget_bytes: u64) -> Self {
+        let flat = (ids.len() as u64)
+            .saturating_mul(width)
+            .saturating_mul(std::mem::size_of::<f64>() as u64)
+            <= FLAT_BUDGETS * budget_bytes;
+        let row = || match flat {
+            true => Row::Flat {
+                sums: Vec::new(),
+                seen: Vec::new(),
+                len: 0,
+            },
+            false => Row::Sparse(HashMap::new()),
+        };
+        let mut slot_of = vec![ABSENT; ids.last().map_or(0, |d| d.raw() as usize + 1)];
+        for (slot, id) in ids.iter().enumerate() {
+            slot_of[id.raw() as usize] = slot as u32;
+        }
+        Self {
+            slot_of,
+            rows: std::iter::repeat_with(row).take(ids.len()).collect(),
+            width: width as usize,
+            charged: 0,
+        }
+    }
+
+    /// The slot of a resident outer document.
+    #[inline]
+    pub(crate) fn slot(&self, outer: DocId) -> Option<usize> {
+        match self.slot_of.get(outer.raw() as usize) {
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// Bytes charged for the pairs currently held.
+    pub(crate) fn charged(&self) -> u64 {
+        self.charged
+    }
+
+    /// Applies one entry (`cells`, ascending by document) to `slot`: every
+    /// cell that passes `mask` and is not `skip` advances its pair by
+    /// `outer_weight · w · factor`. The pairs this creates are counted
+    /// first and handed to `charge` as bytes in one call; nothing is added
+    /// if it refuses. Returns the cells applied.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn apply(
+        &mut self,
+        slot: usize,
+        cells: &[ICell],
+        outer_weight: u16,
+        factor: f64,
+        mask: Option<&InnerMask>,
+        skip: Option<DocId>,
+        charge: impl FnOnce(u64) -> Result<()>,
+    ) -> Result<u64> {
+        let Some(last) = cells.last() else {
+            return Ok(0);
+        };
+        let pass = |c: &&ICell| Some(c.doc) != skip && mask.is_none_or(|m| m.allows(c.doc));
+        let row = &mut self.rows[slot];
+        let (mut ops, mut fresh) = (0u64, 0u64);
+        for c in cells.iter().filter(pass) {
+            ops += 1;
+            fresh += u64::from(!row.has(c.doc.raw()));
+        }
+        if fresh > 0 {
+            charge(fresh * ACC_BYTES)?;
+            self.charged += fresh * ACC_BYTES;
+        }
+        row.grow((last.doc.raw() as usize + 1).max(self.width));
+        let outer_weight = outer_weight as f64;
+        for c in cells.iter().filter(pass) {
+            row.add(c.doc.raw(), outer_weight * c.weight as f64 * factor);
+        }
+        Ok(ops)
+    }
+
+    /// Adds every sum of `other` (rows over the same slots, from another
+    /// part of the same merge) into this one's. The caller has released
+    /// `other`'s charge; the sums carry none here.
+    pub(crate) fn absorb(&mut self, other: Rows) {
+        for (dst, src) in self.rows.iter_mut().zip(&other.rows) {
+            src.for_each(|d, sum| {
+                dst.grow((d as usize + 1).max(self.width));
+                dst.add(d, sum);
+            });
+        }
+    }
+
+    /// The λ best inner documents of `slot`'s outer document, best first.
+    pub(crate) fn emit(&self, slot: usize, spec: &JoinSpec<'_>, outer_id: DocId) -> Vec<Match> {
+        let (inner_profile, outer_profile) = (spec.inner.profile(), spec.outer.profile());
+        let mut topk = TopK::new(spec.query.lambda);
+        self.rows[slot].for_each(|inner_raw, sum| {
+            let inner_id = DocId::new(inner_raw);
+            let score =
+                spec.weighting
+                    .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
+            if !score.is_zero() {
+                topk.offer(inner_id, score);
+            }
+        });
+        topk.into_matches()
+    }
+
+    /// Empties `slot` for the next outer document, keeping its memory, and
+    /// returns the bytes its pairs were charged (the caller releases them).
+    pub(crate) fn reset(&mut self, slot: usize) -> u64 {
+        let row = &mut self.rows[slot];
+        let bytes = row.len() as u64 * ACC_BYTES;
+        match row {
+            Row::Flat { seen, len, .. } => {
+                seen.fill(0);
+                *len = 0;
+            }
+            Row::Sparse(map) => map.clear(),
+        }
+        self.charged -= bytes;
+        bytes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cells(pairs: &[(u32, u16)]) -> Vec<ICell> {
+        let cell = |&(d, w)| ICell::new(DocId::new(d), w);
+        pairs.iter().map(cell).collect()
+    }
+
+    /// Flat at `slots · width · 8 = 4·B·P`, sparse one byte past it.
+    fn arms() -> [Rows; 2] {
+        let two = [DocId::new(0), DocId::new(1)];
+        let rows = [Rows::new(&two, 64, 256), Rows::new(&two, 64, 255)];
+        assert!(matches!(rows[0].rows[0], Row::Flat { .. }));
+        assert!(matches!(rows[1].rows[0], Row::Sparse(_)));
+        rows
+    }
+
+    fn sums(rows: &Rows, slot: usize) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        rows.rows[slot].for_each(|d, sum| out.push((d, sum.to_bits())));
+        out.sort_unstable();
+        out
+    }
+
+    fn free(_: u64) -> Result<()> {
+        Ok(())
+    }
+
+    #[test]
+    fn a_pair_is_charged_once_and_both_arms_agree_to_the_bit() {
+        let mut seen = Vec::new();
+        for mut rows in arms() {
+            let mut charges = Vec::new();
+            let entry = cells(&[(3, 2), (9, 1), (70, 5)]);
+            let ops = rows.apply(0, &entry, 3, 0.1, None, None, |b| {
+                charges.push(b);
+                Ok(())
+            });
+            assert_eq!(ops.unwrap(), 3);
+            let entry = cells(&[(9, 4), (11, 1)]);
+            let ops = rows.apply(0, &entry, 2, 0.7, None, None, |b| {
+                charges.push(b);
+                Ok(())
+            });
+            assert_eq!(ops.unwrap(), 2);
+            // 3 new pairs, then 1: document 9 was already there.
+            assert_eq!(charges, [3 * ACC_BYTES, ACC_BYTES]);
+            assert_eq!(rows.charged(), 4 * ACC_BYTES);
+            let nine: f64 = 3.0 * 1.0 * 0.1 + 2.0 * 4.0 * 0.7;
+            assert!(sums(&rows, 0).contains(&(9, nine.to_bits())));
+            // Document 70 is past the nominal width: the row grew.
+            assert_eq!(sums(&rows, 0).len(), 4);
+            assert!(sums(&rows, 1).is_empty());
+            seen.push(sums(&rows, 0));
+        }
+        assert_eq!(seen[0], seen[1]);
+    }
+
+    #[test]
+    fn a_refused_charge_adds_nothing() {
+        for mut rows in arms() {
+            rows.apply(0, &cells(&[(1, 1)]), 1, 1.0, None, None, free)
+                .unwrap();
+            let before = sums(&rows, 0);
+            let refuse = |_| Err(textjoin_common::Error::InvalidArgument("full".into()));
+            let entry = cells(&[(1, 1), (2, 1)]);
+            assert!(rows.apply(0, &entry, 1, 1.0, None, None, refuse).is_err());
+            assert_eq!(sums(&rows, 0), before);
+            assert_eq!(rows.charged(), ACC_BYTES);
+        }
+    }
+
+    /// The touched marker is not a value: a pair whose sum is `0.0`, an
+    /// infinity or a NaN is charged once, emitted and cleared like any other.
+    #[test]
+    fn zero_and_non_finite_sums_stay_touched() {
+        for mut rows in arms() {
+            let entry = cells(&[(5, 0), (6, 1)]);
+            for factor in [1.0, f64::INFINITY] {
+                // 1·0·∞ is NaN, 1·1·∞ is ∞; the first round leaves 0.0 and 1.0.
+                rows.apply(0, &entry, 1, factor, None, None, free).unwrap();
+                assert_eq!(rows.charged(), 2 * ACC_BYTES, "factor {factor}");
+            }
+            let held = sums(&rows, 0);
+            assert!(f64::from_bits(held[0].1).is_nan() && held[0].0 == 5);
+            assert_eq!(held[1], (6, f64::INFINITY.to_bits()));
+            // A third visit still finds both pairs in place.
+            let mut charged = 0;
+            rows.apply(0, &entry, 1, 1.0, None, None, |b| {
+                charged += b;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(charged, 0);
+            assert_eq!(rows.reset(0), 2 * ACC_BYTES);
+        }
+        for mut rows in arms() {
+            rows.apply(1, &cells(&[(8, 0)]), 7, 1.0, None, None, free)
+                .unwrap();
+            assert_eq!(sums(&rows, 1), [(8, 0f64.to_bits())]);
+        }
+    }
+
+    /// HVNL reuses one row for every outer document: after a reset no sum,
+    /// no touched mark and no charge of the previous document is left.
+    #[test]
+    fn reset_leaves_nothing_behind() {
+        for mut rows in arms() {
+            rows.apply(0, &cells(&[(2, 3), (40, 1)]), 2, 1.0, None, None, free)
+                .unwrap();
+            rows.apply(1, &cells(&[(2, 1)]), 1, 1.0, None, None, free)
+                .unwrap();
+            assert_eq!(rows.reset(0), 2 * ACC_BYTES);
+            assert!(sums(&rows, 0).is_empty());
+            assert_eq!(rows.charged(), ACC_BYTES, "slot 1 is untouched");
+            // The next document starts from nothing: 2 is charged again and
+            // its sum is the new value alone, 40 does not come back.
+            let mut charged = 0;
+            rows.apply(0, &cells(&[(2, 5)]), 1, 1.0, None, None, |b| {
+                charged += b;
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(charged, ACC_BYTES);
+            assert_eq!(sums(&rows, 0), [(2, 5f64.to_bits())]);
+        }
+    }
+
+    #[test]
+    fn absorb_adds_pair_by_pair() {
+        let [flat, sparse] = arms();
+        // Mixed arms on purpose: the fold only sees the interface.
+        for [mut total, mut other] in [arms(), [sparse, flat]] {
+            total
+                .apply(0, &cells(&[(1, 1), (2, 1)]), 1, 1.0, None, None, free)
+                .unwrap();
+            other
+                .apply(0, &cells(&[(2, 2), (90, 1)]), 1, 1.0, None, None, free)
+                .unwrap();
+            other
+                .apply(1, &cells(&[(4, 4)]), 1, 1.0, None, None, free)
+                .unwrap();
+            total.absorb(other);
+            let f = |x: f64| x.to_bits();
+            assert_eq!(sums(&total, 0), [(1, f(1.0)), (2, f(3.0)), (90, f(1.0))]);
+            assert_eq!(sums(&total, 1), [(4, f(4.0))]);
+        }
+    }
+
+    #[test]
+    fn masked_and_skipped_documents_are_neither_counted_nor_charged() {
+        let only = [DocId::new(1), DocId::new(2), DocId::new(3)];
+        let deleted = BTreeSet::from([2]);
+        let mask = InnerMask::new(Some(&deleted), Some(&only)).unwrap();
+        for mut rows in arms() {
+            let entry = cells(&[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]);
+            let skip = Some(DocId::new(3));
+            let ops = rows.apply(0, &entry, 1, 1.0, Some(&mask), skip, free);
+            assert_eq!(ops.unwrap(), 1);
+            assert_eq!(sums(&rows, 0), [(1, 1f64.to_bits())]);
+            assert_eq!(rows.charged(), ACC_BYTES);
+        }
+    }
+
+    #[test]
+    fn the_slot_table_knows_only_its_chunk() {
+        let chunk = [DocId::new(4), DocId::new(7), DocId::new(9)];
+        let rows = Rows::new(&chunk, 10, 1 << 20);
+        assert_eq!(rows.slot(DocId::new(7)), Some(1));
+        assert_eq!(rows.slot(DocId::new(9)), Some(2));
+        for absent in [0, 5, 8, 10, 1_000_000] {
+            assert_eq!(rows.slot(DocId::new(absent)), None, "{absent}");
+        }
+        assert_eq!(Rows::new(&[], 10, 1 << 20).slot(DocId::new(0)), None);
+    }
+}

@@ -21,11 +21,12 @@
 //! for the rest and the dictionary is loaded once
 //! (`costmodel::hvs_batch`).
 
+use crate::accum::{InnerMask, Rows};
 use crate::driver::{drive_one, Passes, Run};
 use crate::result::JoinOutcome;
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk::TopK;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DCell, DocId, ICell, Result, TermId, CELL_BYTES, NUMBER_BYTES};
@@ -111,7 +112,7 @@ enum DeltaPostings {
     /// No delta lookup has happened yet.
     Unbuilt,
     /// Term → merged flushed+tail cells, bytes charged to the tracker.
-    Built(HashMap<TermId, Vec<ICell>>),
+    Built(HashMap<TermId, Arc<[ICell]>>),
     /// The materialization scan hit an unreadable page in degraded mode:
     /// the delta is dropped wholesale and every lookup counts a skip.
     Dropped,
@@ -130,11 +131,14 @@ pub(crate) struct Hvnl<'r> {
     order: OuterOrder,
     dict: Dictionary,
     cache: EntryCache,
-    /// Non-zero similarity accumulators for the current (outer document,
-    /// query) pair: inner doc → weighted sum. Cleared after each call to
-    /// [`Self::process_outer_doc`].
-    accumulators: HashMap<u32, f64>,
-    acc_bytes: u64,
+    /// The similarities of the current (outer document, query) pair: one
+    /// row, reset after each call to [`Self::process_outer_doc`].
+    acc: Rows,
+    /// Per query, the inner documents it may score (`None` = all).
+    masks: Vec<Option<InnerMask>>,
+    /// The current document's cells in processing order (scratch reused
+    /// from document to document).
+    ordered: Vec<DCell>,
     /// Inner-delta postings, materialized with one sequential scan of the
     /// flushed side file on first use instead of a random read per outer
     /// term occurrence.
@@ -192,8 +196,14 @@ impl<'r> Passes<'r> for Hvnl<'r> {
                 order: options.order,
                 dict,
                 cache: EntryCache::new(options.eviction),
-                accumulators: HashMap::new(),
-                acc_bytes: 0,
+                // One row (slot 0), whichever outer document is current.
+                acc: Rows::new(
+                    &[DocId::new(0)],
+                    spec0.inner_row_width(),
+                    spec0.sys.buffer_bytes(),
+                ),
+                masks: specs.iter().map(JoinSpec::inner_mask).collect(),
+                ordered: Vec::new(),
                 delta_postings: DeltaPostings::Unbuilt,
                 lookup_hists,
                 scanned: false,
@@ -390,9 +400,11 @@ impl<'r> Hvnl<'r> {
         if scan_cost >= needed * entry_pages * alpha {
             return Ok(());
         }
-        for item in inv.scan_with_prefetch(spec.prefetch_metrics("inv_preload")) {
-            let (term, cells) = match item {
-                Ok(pair) => pair,
+        let mut scan = inv.scan_with_prefetch(spec.prefetch_metrics("inv_preload"));
+        let mut cells = Vec::new();
+        while let Some(item) = scan.next_into(&mut cells) {
+            let term = match item {
+                Ok(term) => term,
                 Err(e) if spec.skippable(&e) => {
                     // The entry stays out of the cache; a later lookup of
                     // this term will retry it on demand (and skip it there
@@ -405,7 +417,7 @@ impl<'r> Hvnl<'r> {
             run.tracker
                 .allocate(bytes, "HVNL preloaded inverted file")?;
             self.cache
-                .insert(term, cells, bytes, Self::demand(specs, term));
+                .insert(term, &cells[..], bytes, Self::demand(specs, term));
         }
         Ok(())
     }
@@ -424,19 +436,21 @@ impl<'r> Hvnl<'r> {
         // Terms whose entries are already in memory are considered first
         // (section 4.2's reuse optimization); order within each group stays
         // by term number for determinism.
-        let (cached_terms, uncached_terms): (Vec<DCell>, Vec<DCell>) = doc
-            .cells()
-            .iter()
-            .partition(|c| self.cache.contains(c.term));
+        let mut ordered = std::mem::take(&mut self.ordered);
+        ordered.clear();
+        let cached = |c: &&DCell| self.cache.contains(c.term);
+        ordered.extend(doc.cells().iter().filter(cached));
+        let num_cached = ordered.len();
+        ordered.extend(doc.cells().iter().filter(|c| !cached(c)));
 
         // Entries this document is guaranteed to need are pinned so that
         // evictions forced while fetching its *uncached* terms cannot throw
         // away a hit we already counted on; each pin is released once the
         // term has been consumed.
-        for cell in &cached_terms {
+        for cell in &ordered[..num_cached] {
             self.cache.pin(cell.term);
         }
-        for cell in cached_terms.iter().chain(uncached_terms.iter()) {
+        for cell in &ordered {
             // Terms that do not appear in C1 have no entry and cost nothing.
             self.cache.unpin(cell.term);
             if let Some(entry) = self.dict.lookup(cell.term) {
@@ -449,25 +463,12 @@ impl<'r> Hvnl<'r> {
                 self.accumulate_delta_term(run, si, outer_id, cell, overlay)?;
             }
         }
+        self.ordered = ordered;
 
         // Extract the λ best inner documents for this outer document.
-        let inner_profile = spec.inner.profile();
-        let outer_profile = spec.outer.profile();
-        let mut topk = TopK::new(spec.query.lambda);
-        for (&inner_raw, &acc) in &self.accumulators {
-            let inner_id = DocId::new(inner_raw);
-            let score =
-                spec.weighting
-                    .finalize(acc, inner_profile, inner_id, outer_profile, outer_id);
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        }
-        run.queries[si].rows.push((outer_id, topk.into_matches()));
-
-        self.accumulators.clear();
-        run.tracker.release(self.acc_bytes);
-        self.acc_bytes = 0;
+        let matches = self.acc.emit(0, spec, outer_id);
+        run.queries[si].rows.push((outer_id, matches));
+        run.tracker.release(self.acc.reset(0));
         Ok(())
     }
 
@@ -492,7 +493,8 @@ impl<'r> Hvnl<'r> {
 
         if let Some(cells) = self.cache.get(cell.term) {
             run.queries[si].counters.cache_hits += 1;
-            let cells = cells.to_vec(); // escape the cache borrow
+            // A share of the entry, not a longer pin: making room for its
+            // sums may evict this very entry, exactly as it always could.
             self.apply_postings(run, si, outer_id, cell.weight, factor, &cells)?;
             if let (Some((hit, _)), Some(t0)) = (&self.lookup_hists, lookup_start) {
                 hit.observe(t0.elapsed().as_nanos() as u64);
@@ -563,7 +565,7 @@ impl<'r> Hvnl<'r> {
         }
         let cells = match &self.delta_postings {
             DeltaPostings::Built(map) => match map.get(&cell.term) {
-                Some(cells) if !cells.is_empty() => cells.clone(),
+                Some(cells) if !cells.is_empty() => Arc::clone(cells),
                 _ => return Ok(()),
             },
             DeltaPostings::Dropped => {
@@ -574,7 +576,7 @@ impl<'r> Hvnl<'r> {
                 return Ok(());
             }
             DeltaPostings::PerTerm => match overlay.postings_for(cell.term) {
-                Ok(cells) if !cells.is_empty() => cells,
+                Ok(cells) if !cells.is_empty() => cells.into(),
                 Ok(_) => return Ok(()),
                 Err(e) if spec.skippable(&e) => {
                     run.queries[si].counters.skipped_entries += 1;
@@ -615,10 +617,14 @@ impl<'r> Hvnl<'r> {
                 }
             }
         }
-        self.delta_postings = DeltaPostings::Built(entries.into_iter().collect());
+        let shared = entries
+            .into_iter()
+            .map(|(term, cells)| (term, cells.into()));
+        self.delta_postings = DeltaPostings::Built(shared.collect());
         Ok(())
     }
 
+    /// Advances the current outer document's sums by one entry's postings.
     fn apply_postings(
         &mut self,
         run: &mut Run<'r>,
@@ -628,45 +634,34 @@ impl<'r> Hvnl<'r> {
         factor: f64,
         cells: &[ICell],
     ) -> Result<()> {
-        let specs = run.specs;
-        let spec = &specs[si];
-        for icell in cells {
-            if !spec.inner_doc_allowed(icell.doc) || !spec.pair_allowed(icell.doc, outer_id) {
-                continue;
+        let (cache, tracker) = (&mut self.cache, &run.tracker);
+        // 4 bytes per non-zero similarity — the same accounting the cost
+        // model's `4·N1·δ/P` term uses. The entry cache is discretionary:
+        // shrink it before giving up on mandatory accumulator space.
+        let charge = |bytes| loop {
+            match tracker.allocate(bytes, "HVNL similarity accumulators") {
+                Ok(()) => return Ok(()),
+                Err(err) => match cache.evict_one() {
+                    Some(freed) => tracker.release(freed),
+                    // Mandatory space outranks pin hints: the pins are
+                    // released first (so the entries become evictable)
+                    // rather than ever evicting a pinned entry directly.
+                    None if cache.has_pinned() => cache.unpin_all(),
+                    None => return Err(err),
+                },
             }
-            // HVNL only ever visits non-zero cells: every touch is an op.
-            let counters = &mut run.queries[si].counters;
-            counters.sim_ops += 1;
-            counters.cells_touched += 1;
-            let contribution = outer_weight as f64 * icell.weight as f64 * factor;
-            match self.accumulators.entry(icell.doc.raw()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += contribution;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    // 4 bytes per non-zero similarity — the same accounting
-                    // the cost model's `4·N1·δ/P` term uses. The entry
-                    // cache is discretionary: shrink it before giving up on
-                    // mandatory accumulator space.
-                    loop {
-                        match run.tracker.allocate(4, "HVNL similarity accumulators") {
-                            Ok(()) => break,
-                            Err(err) => match self.cache.evict_one() {
-                                Some(freed) => run.tracker.release(freed),
-                                // Mandatory space outranks pin hints: the
-                                // pins are released first (so the entries
-                                // become evictable) rather than ever
-                                // evicting a pinned entry directly.
-                                None if self.cache.has_pinned() => self.cache.unpin_all(),
-                                None => return Err(err),
-                            },
-                        }
-                    }
-                    self.acc_bytes += 4;
-                    e.insert(contribution);
-                }
-            }
-        }
+        };
+        let (mask, skip) = (
+            self.masks[si].as_ref(),
+            run.specs[si].exclude_self.then_some(outer_id),
+        );
+        let ops = self
+            .acc
+            .apply(0, cells, outer_weight, factor, mask, skip, charge)?;
+        // HVNL only ever visits non-zero cells: every touch is an op.
+        let counters = &mut run.queries[si].counters;
+        counters.sim_ops += ops;
+        counters.cells_touched += ops;
         Ok(())
     }
 }
@@ -683,7 +678,7 @@ struct EntryCache {
 }
 
 struct CacheSlot {
-    cells: Vec<ICell>,
+    cells: Arc<[ICell]>,
     bytes: u64,
     key: (u64, u32),
     /// Pinned slots are exempt from eviction: their key is withdrawn from
@@ -705,7 +700,9 @@ impl EntryCache {
         self.entries.contains_key(&term)
     }
 
-    fn get(&mut self, term: TermId) -> Option<&[ICell]> {
+    /// A share of the cached entry; it stays readable if the entry is
+    /// evicted while in use.
+    fn get(&mut self, term: TermId) -> Option<Arc<[ICell]>> {
         self.tick += 1;
         let tick = self.tick;
         let refresh_lru = self.policy == EvictionPolicy::Lru;
@@ -721,14 +718,14 @@ impl EntryCache {
                 self.order.insert(slot.key);
             }
         }
-        Some(&slot.cells)
+        Some(Arc::clone(&slot.cells))
     }
 
     /// Caches an entry. `df` is the demand estimate
     /// [`EvictionPolicy::LowestOuterDf`] keys evictions by (ignored under
     /// LRU). Ties on `df` break by term id, so eviction order is
     /// reproducible.
-    fn insert(&mut self, term: TermId, cells: Vec<ICell>, bytes: u64, df: u64) {
+    fn insert(&mut self, term: TermId, cells: impl Into<Arc<[ICell]>>, bytes: u64, df: u64) {
         debug_assert!(!self.entries.contains_key(&term));
         self.tick += 1;
         let key = match self.policy {
@@ -739,7 +736,7 @@ impl EntryCache {
         self.entries.insert(
             term,
             CacheSlot {
-                cells,
+                cells: cells.into(),
                 bytes,
                 key,
                 pinned: false,

@@ -37,6 +37,7 @@
 //! All executors must produce identical results for the same
 //! [`JoinSpec`] — the central invariant of the test suite.
 
+mod accum;
 pub mod batch;
 pub mod cluster;
 mod driver;

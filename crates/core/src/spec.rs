@@ -7,6 +7,7 @@ use textjoin_invfile::DeltaOverlay;
 use textjoin_obs::{CancelToken, QueryTicket, Tracer};
 use textjoin_storage::PrefetchMetrics;
 
+use crate::accum::InnerMask;
 use crate::weighting::Weighting;
 
 /// Which outer documents participate in the join.
@@ -223,6 +224,29 @@ impl<'a> JoinSpec<'a> {
             None => true,
             Some(ids) => ids.binary_search(&doc).is_ok(),
         }
+    }
+
+    /// [`inner_doc_allowed`](Self::inner_doc_allowed) for every inner
+    /// document at once, built once per run by the term-at-a-time executors
+    /// (which would otherwise ask per posting); `None` when every document
+    /// is allowed.
+    pub(crate) fn inner_mask(&self) -> Option<InnerMask> {
+        InnerMask::new(
+            self.inner_delta.map(DeltaOverlay::deleted_ids),
+            self.inner_docs,
+        )
+    }
+
+    /// How wide a row of per-inner-document sums is: one past the last base
+    /// document number plus the overlay's insertions (whose numbers follow,
+    /// and run a little further once merges have dropped tombstoned ones).
+    pub(crate) fn inner_row_width(&self) -> u64 {
+        let store = self.inner.store();
+        let base = match store.num_docs() {
+            0 => 0,
+            n => store.doc_at(n as usize - 1).raw() as u64 + 1,
+        };
+        base + self.inner_delta.map_or(0, DeltaOverlay::num_insertions)
     }
 
     /// Replaces the system parameters.
@@ -530,5 +554,39 @@ mod tests {
         assert_eq!(inputs.outer.num_docs, 1);
         assert_eq!(inputs.inner.num_docs, 20);
         assert!(inputs.q > 0.0 && inputs.q <= 1.0);
+    }
+
+    proptest::proptest! {
+        /// The per-run mask is `inner_doc_allowed`, document by document,
+        /// inside the bitset and past its end, with tombstones, a
+        /// selection, both or neither.
+        #[test]
+        fn inner_mask_is_inner_doc_allowed(
+            deleted in proptest::collection::btree_set(0u32..200, 0..40),
+            chosen in proptest::collection::btree_set(0u32..200, 0..40),
+            with_delta in proptest::bool::ANY,
+            with_selection in proptest::bool::ANY
+        ) {
+            let (_, c1, c2) = tiny();
+            let mut overlay = DeltaOverlay::new();
+            for &d in &deleted {
+                overlay.delete(DocId::new(d));
+            }
+            let chosen: Vec<DocId> = chosen.into_iter().map(DocId::new).collect();
+            let mut spec = JoinSpec::new(&c1, &c2);
+            if with_delta {
+                spec = spec.with_inner_delta(&overlay);
+            }
+            if with_selection {
+                spec = spec.with_inner_docs(&chosen);
+            }
+            let mask = spec.inner_mask();
+            let masks_something = with_selection || (with_delta && !deleted.is_empty());
+            proptest::prop_assert_eq!(mask.is_some(), masks_something);
+            for d in (0..260).map(DocId::new) {
+                let allowed = mask.as_ref().is_none_or(|m| m.allows(d));
+                proptest::prop_assert_eq!(allowed, spec.inner_doc_allowed(d), "doc {}", d);
+            }
+        }
     }
 }

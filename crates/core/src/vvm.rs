@@ -14,29 +14,21 @@
 //! (section 4.3's extension). If the δ-based estimate proves too
 //! optimistic at run time, the executor doubles the partition count and
 //! retries rather than exceeding the budget.
+//!
+//! The budget is charged the paper's 4 bytes per non-zero pair and nothing
+//! else, so the partition count is the `⌈SM/M⌉` the model predicts. The
+//! sums themselves live in the rows of `accum.rs`, which says what a row
+//! really holds beyond that and how it is bounded.
 
+use crate::accum::{InnerMask, Rows, ACC_BYTES};
 use crate::batch::BatchOutcome;
-use crate::driver::{drive, sole, validate, Passes, Row, Run};
+use crate::driver::{drive, sole, validate, Passes, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
-use crate::topk::TopK;
-use std::collections::HashMap;
 use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{DeltaOverlay, InvertedFile};
+use textjoin_invfile::{DeltaOverlay, EntryScanner, InvertedFile};
 use textjoin_storage::{IoStats, MemTracker};
-
-/// Bytes charged per live accumulator. The paper budgets exactly 4 bytes
-/// per non-zero intermediate similarity (`SM = 4·δ·N1·N2/P`); we charge the
-/// same so the executor's partition count matches the ⌈SM/M⌉ the model
-/// predicts. (A keyed in-memory representation also stores the two
-/// document numbers; the paper's accounting treats that as bookkeeping
-/// outside the buffer budget, and we follow it.)
-const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
-
-/// Intermediate similarities of one query: outer id → (inner id →
-/// accumulated weighted sum).
-type SimTable = HashMap<u32, HashMap<u32, f64>>;
 
 /// One part of a merge: a pair of inverted files, read end to end and
 /// sized against all of `B`. Sequential VVM is the one whole part over the
@@ -93,11 +85,10 @@ impl Part<'_> {
         inv: &'a InvertedFile,
         overlay: Option<&DeltaOverlay>,
         label: &str,
-    ) -> Box<dyn Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a> {
-        merged_entries(
-            inv.scan_with_prefetch(spec.prefetch_metrics(label)),
-            overlay.filter(|_| !self.folded),
-        )
+        skipped: &mut u64,
+    ) -> Result<EntryCursor<'a>> {
+        let scan = inv.scan_with_prefetch(spec.prefetch_metrics(label));
+        EntryCursor::new(scan, overlay.filter(|_| !self.folded), spec, skipped)
     }
 }
 
@@ -155,32 +146,62 @@ pub(crate) fn execute_parts(
     }
 }
 
-/// Holds the next readable entry of one inverted-file scan. In degraded
-/// mode, entries that cannot be read are skipped (and counted) so the merge
-/// continues over the readable remainder; otherwise the first read error
-/// aborts the merge.
-struct EntryCursor<I> {
-    iter: I,
-    current: Option<(TermId, Vec<ICell>)>,
+/// Holds the current readable entry of one side of the merge: a base
+/// inverted-file scan merged, in term order, with a delta overlay's entries.
+/// A term present in both layers reads *base cells ++ delta cells*, which is
+/// ascending document order by the id-allocation invariant (delta documents
+/// are numbered after every base document). The scan lends each entry into
+/// a buffer that is swapped, never reallocated, from term to term; without
+/// an overlay nothing extra is read. In degraded mode, entries that cannot
+/// be read are skipped (and counted) so the merge continues over the
+/// readable remainder; otherwise the first read error aborts the merge. A
+/// delta read error surfaces as one leading error: degraded mode then drops
+/// the delta wholesale (one skip) while strict mode aborts.
+struct EntryCursor<'a> {
+    scan: EntryScanner<'a>,
+    /// The scan's next entry, read when the cursor next moves and held back
+    /// while delta terms below it go first.
+    ahead: Option<TermId>,
+    ahead_cells: Vec<ICell>,
+    delta: std::vec::IntoIter<(TermId, Vec<ICell>)>,
+    delta_err: Option<Error>,
+    /// The current entry (`None` at end of scan).
+    term: Option<TermId>,
+    cells: Vec<ICell>,
 }
 
-impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
-    fn new(iter: I, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<Self> {
+impl<'a> EntryCursor<'a> {
+    fn new(
+        scan: EntryScanner<'a>,
+        overlay: Option<&DeltaOverlay>,
+        spec: &JoinSpec<'_>,
+        skipped: &mut u64,
+    ) -> Result<Self> {
+        let (delta, delta_err) = match overlay.map(DeltaOverlay::entries) {
+            None => (Vec::new(), None),
+            Some(Ok(delta)) => (delta, None),
+            Some(Err(e)) => (Vec::new(), Some(e)),
+        };
         let mut cursor = Self {
-            iter,
-            current: None,
+            scan,
+            ahead: None,
+            ahead_cells: Vec::new(),
+            delta: delta.into_iter(),
+            delta_err,
+            term: None,
+            cells: Vec::new(),
         };
         cursor.advance(spec, skipped)?;
         Ok(cursor)
     }
 
-    /// Replaces `current` with the next readable entry (`None` at end of
-    /// scan), skipping unreadable ones when the spec allows it.
+    /// Moves to the next readable entry, skipping unreadable ones when the
+    /// spec allows it.
     fn advance(&mut self, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<()> {
-        self.current = loop {
-            match self.iter.next() {
+        self.term = loop {
+            match self.pull() {
                 None => break None,
-                Some(Ok(pair)) => break Some(pair),
+                Some(Ok(term)) => break Some(term),
                 Some(Err(e)) if spec.skippable(&e) => *skipped += 1,
                 Some(Err(e)) => return Err(e),
             }
@@ -188,74 +209,34 @@ impl<I: Iterator<Item = Result<(TermId, Vec<ICell>)>>> EntryCursor<I> {
         Ok(())
     }
 
-    fn term(&self) -> Option<TermId> {
-        self.current.as_ref().map(|(t, _)| *t)
-    }
-}
-
-/// Merges a base inverted-file scan with a delta overlay's entries, in term
-/// order. A term present in both layers yields *base cells ++ delta cells*,
-/// which is ascending document order by the id-allocation invariant (delta
-/// documents are numbered after every base document). Without an overlay
-/// the base iterator is returned untouched, so the pristine path allocates
-/// and reads nothing extra. A delta read error is yielded as one leading
-/// `Err` item: degraded mode then drops the delta wholesale (and counts one
-/// skip) while strict mode aborts the merge.
-fn merged_entries<'a>(
-    base: impl Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a,
-    overlay: Option<&DeltaOverlay>,
-) -> Box<dyn Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a> {
-    let Some(overlay) = overlay else {
-        return Box::new(base);
-    };
-    let (delta, err) = match overlay.entries() {
-        Ok(d) => (d, None),
-        Err(e) => (Vec::new(), Some(e)),
-    };
-    if delta.is_empty() && err.is_none() {
-        return Box::new(base);
-    }
-    Box::new(MergedEntries {
-        base: base.peekable(),
-        delta: delta.into_iter().peekable(),
-        err,
-    })
-}
-
-struct MergedEntries<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> {
-    base: std::iter::Peekable<B>,
-    delta: std::iter::Peekable<std::vec::IntoIter<(TermId, Vec<ICell>)>>,
-    err: Option<Error>,
-}
-
-impl<B: Iterator<Item = Result<(TermId, Vec<ICell>)>>> Iterator for MergedEntries<B> {
-    type Item = Result<(TermId, Vec<ICell>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(e) = self.err.take() {
+    /// The next entry of the merged stream, into `cells`.
+    fn pull(&mut self) -> Option<Result<TermId>> {
+        if let Some(e) = self.delta_err.take() {
             return Some(Err(e));
         }
-        match (self.base.peek(), self.delta.peek()) {
-            (None, None) => None,
-            // Base errors pass through for the cursor's skippable loop.
-            (Some(Err(_)), _) => self.base.next(),
-            (Some(Ok((bt, _))), Some((dt, _))) => {
-                if bt < dt {
-                    self.base.next()
-                } else if dt < bt {
-                    self.delta.next().map(Ok)
-                } else {
-                    let (term, mut cells) = match self.base.next()? {
-                        Ok(pair) => pair,
-                        Err(e) => return Some(Err(e)),
-                    };
-                    let (_, delta_cells) = self.delta.next()?;
-                    cells.extend(delta_cells);
-                    Some(Ok((term, cells)))
-                }
+        if self.ahead.is_none() {
+            match self.scan.next_into(&mut self.ahead_cells) {
+                Some(Ok(term)) => self.ahead = Some(term),
+                Some(Err(e)) => return Some(Err(e)),
+                None => {}
             }
-            (Some(Ok(_)), None) => self.base.next(),
-            (None, Some(_)) => self.delta.next().map(Ok),
+        }
+        let delta_term = self.delta.as_slice().first().map(|(t, _)| *t);
+        match (self.ahead, delta_term) {
+            (None, None) => None,
+            (Some(base), delta) if delta.is_none_or(|d| base <= d) => {
+                std::mem::swap(&mut self.cells, &mut self.ahead_cells);
+                self.ahead = None;
+                if delta == Some(base) {
+                    self.cells.extend(self.delta.next()?.1);
+                }
+                Some(Ok(base))
+            }
+            _ => {
+                let (term, cells) = self.delta.next()?;
+                self.cells = cells;
+                Some(Ok(term))
+            }
         }
     }
 }
@@ -269,6 +250,8 @@ pub(crate) struct Vvm<'r> {
     trackers: Vec<MemTracker>,
     on_part: Option<&'r PartDone<'r>>,
     outer_ids: &'r [Vec<DocId>],
+    /// Per query, the inner documents it may score (`None` = all).
+    masks: Vec<Option<InnerMask>>,
     chunk_sizes: Vec<usize>,
     partitions: usize,
     next_chunk: usize,
@@ -312,6 +295,7 @@ impl<'r> Passes<'r> for Vvm<'r> {
             trackers,
             on_part,
             outer_ids,
+            masks: run.specs.iter().map(JoinSpec::inner_mask).collect(),
             chunk_sizes: outer_ids
                 .iter()
                 .map(|ids| (ids.len() as u64).div_ceil(partitions.max(1)).max(1) as usize)
@@ -352,22 +336,24 @@ impl<'r> Passes<'r> for Vvm<'r> {
             q.passes += u64::from(!chunk.is_empty());
         }
         let (parts, trackers, on_part) = (self.parts, &self.trackers, self.on_part);
+        let masks = &self.masks;
         let (specs, chunk_no) = (run.specs, self.next_chunk as u64);
         run.phase("vvm.merge_pass", |run, span| {
             span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
             let partials = run.parts(parts, |k, part| {
-                MergePartial::compute(specs, part, &chunks, &trackers[k])
+                MergePartial::compute(specs, part, &chunks, masks, &trackers[k])
             })?;
-            // The first part's tables become the pass's; the others fold in
+            // The first part's rows become the pass's; the others fold in
             // in part order. Raw counts make the sums exact in any order,
             // fractional weightings agree to floating-point reassociation.
             let total = partials
                 .into_iter()
                 .enumerate()
                 .map(|(k, (partial, io))| {
-                    trackers[k].release(partial.acc_bytes);
+                    let acc_bytes = partial.rows.iter().map(Rows::charged).sum();
+                    trackers[k].release(acc_bytes);
                     if let Some(done) = on_part {
-                        done(k, chunk_no, partial.acc_bytes / ACC_BYTES, &io);
+                        done(k, chunk_no, acc_bytes / ACC_BYTES, &io);
                     }
                     partial
                 })
@@ -378,18 +364,20 @@ impl<'r> Passes<'r> for Vvm<'r> {
                 .expect("a merge has at least one part");
             run.shared_skipped_entries += total.skipped_entries;
             // VVM's merge only visits non-zero postings: every cell
-            // touched is an op.
-            for (q, ops) in run.queries.iter_mut().zip(&total.sim_ops) {
-                q.counters.sim_ops += ops;
-                q.counters.cells_touched += ops;
-            }
-            for (((spec, chunk), sim), q) in specs
+            // touched is an op. One λ-heap per outer document, ties broken
+            // by document id, so any executor emitting from equal sums
+            // produces identical rows.
+            for (((spec, chunk), rows), (q, ops)) in specs
                 .iter()
                 .zip(&chunks)
-                .zip(&total.sim)
-                .zip(&mut run.queries)
+                .zip(&total.rows)
+                .zip(run.queries.iter_mut().zip(&total.sim_ops))
             {
-                emit_chunk(spec, chunk, sim, &mut q.rows);
+                q.counters.sim_ops += ops;
+                q.counters.cells_touched += ops;
+                let emitted = chunk.iter().enumerate();
+                q.rows
+                    .extend(emitted.map(|(slot, &id)| (id, rows.emit(slot, spec, id))));
             }
             Ok(())
         })?;
@@ -402,142 +390,96 @@ impl<'r> Passes<'r> for Vvm<'r> {
     }
 }
 
-/// What one part hands back per merge pass: one table per query of partial
-/// weighted sums over the part's terms.
+/// What one part hands back per merge pass: per query, the rows of partial
+/// weighted sums over the part's terms (still charged to the part's
+/// tracker; the caller releases them once they are folded or emitted).
 struct MergePartial {
-    sim: Vec<SimTable>,
+    rows: Vec<Rows>,
     sim_ops: Vec<u64>,
     skipped_entries: u64,
-    /// Accumulator bytes held against the part's tracker (the caller
-    /// releases them once the tables are folded or emitted).
-    acc_bytes: u64,
 }
 
 impl MergePartial {
     /// One term-ordered merge over the part's pair of entry streams,
-    /// filling one similarity table per query for the outer documents in
-    /// that query's chunk (sorted by id). Per (term, pair) the arithmetic
-    /// is applied under each query's own weighting and filters — per-pair
-    /// sums are independent across queries, which is what makes the folded
-    /// scan result-identical — and it is the same arithmetic whichever
-    /// part, thread or site runs it.
+    /// filling one row per outer document in each query's chunk (sorted by
+    /// id). Per (term, pair) the arithmetic is applied under each query's
+    /// own weighting and filters — per-pair sums are independent across
+    /// queries, which is what makes the folded scan result-identical — and
+    /// it is the same arithmetic whichever part, thread or site runs it.
     fn compute(
         specs: &[JoinSpec<'_>],
         part: &Part<'_>,
         chunks: &[&[DocId]],
+        masks: &[Option<InnerMask>],
         tracker: &MemTracker,
     ) -> Result<Self> {
         let spec0 = &specs[0];
+        // The queries share one buffer, so each sizes its rows against an
+        // equal share of it.
+        let width = spec0.inner_row_width();
+        let budget = spec0.sys.buffer_bytes() / specs.len() as u64;
         let mut partial = Self {
-            sim: specs.iter().map(|_| SimTable::new()).collect(),
+            rows: chunks
+                .iter()
+                .map(|chunk| Rows::new(chunk, width, budget))
+                .collect(),
             sim_ops: vec![0; specs.len()],
             skipped_entries: 0,
-            acc_bytes: 0,
         };
         let skipped = &mut partial.skipped_entries;
-        let inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
-        let mut inner_cur = EntryCursor::new(inner, spec0, skipped)?;
-        let outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2");
-        let mut outer_cur = EntryCursor::new(outer, spec0, skipped)?;
+        let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1", skipped)?;
+        let mut outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2", skipped)?;
         let inner_profile = spec0.inner.profile();
+        let charge = |bytes| tracker.allocate(bytes, "VVM similarity accumulators");
         // Merge by term: advance the scan with the smaller term.
-        while let (Some(inner_term), Some(outer_term)) = (inner_cur.term(), outer_cur.term()) {
+        while let (Some(inner_term), Some(outer_term)) = (inner.term, outer.term) {
             match inner_term.cmp(&outer_term) {
-                std::cmp::Ordering::Less => inner_cur.advance(spec0, skipped)?,
-                std::cmp::Ordering::Greater => outer_cur.advance(spec0, skipped)?,
+                std::cmp::Ordering::Less => inner.advance(spec0, skipped)?,
+                std::cmp::Ordering::Greater => outer.advance(spec0, skipped)?,
                 std::cmp::Ordering::Equal => {
-                    let Some((term, inner_cells)) = inner_cur.current.take() else {
-                        break;
-                    };
-                    let Some((_, outer_cells)) = outer_cur.current.take() else {
-                        break;
-                    };
-                    inner_cur.advance(spec0, skipped)?;
-                    outer_cur.advance(spec0, skipped)?;
                     let per_query = specs
                         .iter()
-                        .zip(chunks)
-                        .zip(partial.sim.iter_mut().zip(&mut partial.sim_ops));
-                    for ((spec, chunk), (table, ops)) in per_query {
-                        let factor = spec.weighting.term_factor(term, inner_profile);
+                        .zip(masks)
+                        .zip(partial.rows.iter_mut().zip(&mut partial.sim_ops));
+                    for ((spec, mask), (rows, ops)) in per_query {
+                        let factor = spec.weighting.term_factor(inner_term, inner_profile);
                         if factor == 0.0 {
                             continue;
                         }
-                        for oc in &outer_cells {
-                            if chunk.binary_search(&oc.doc).is_err() {
+                        for oc in &outer.cells {
+                            let Some(slot) = rows.slot(oc.doc) else {
                                 continue;
-                            }
-                            let per_outer = table.entry(oc.doc.raw()).or_default();
-                            for ic in &inner_cells {
-                                if !spec.inner_doc_allowed(ic.doc)
-                                    || !spec.pair_allowed(ic.doc, oc.doc)
-                                {
-                                    continue;
-                                }
-                                *ops += 1;
-                                let contribution = oc.weight as f64 * ic.weight as f64 * factor;
-                                match per_outer.entry(ic.doc.raw()) {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        *e.get_mut() += contribution;
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        tracker
-                                            .allocate(ACC_BYTES, "VVM similarity accumulators")?;
-                                        partial.acc_bytes += ACC_BYTES;
-                                        e.insert(contribution);
-                                    }
-                                }
-                            }
+                            };
+                            let skip = spec.exclude_self.then_some(oc.doc);
+                            let mask = mask.as_ref();
+                            *ops += rows.apply(
+                                slot,
+                                &inner.cells,
+                                oc.weight,
+                                factor,
+                                mask,
+                                skip,
+                                charge,
+                            )?;
                         }
                     }
+                    inner.advance(spec0, skipped)?;
+                    outer.advance(spec0, skipped)?;
                 }
             }
         }
         Ok(partial)
     }
 
-    /// Adds another part's tables and counters into this one's.
+    /// Adds another part's rows and counters into this one's.
     fn fold_into(self, total: &mut MergePartial) {
         total.skipped_entries += self.skipped_entries;
         for (dst, ops) in total.sim_ops.iter_mut().zip(self.sim_ops) {
             *dst += ops;
         }
-        for (dst, table) in total.sim.iter_mut().zip(self.sim) {
-            for (outer_raw, per_outer) in table {
-                let dst = dst.entry(outer_raw).or_default();
-                for (inner_raw, sum) in per_outer {
-                    *dst.entry(inner_raw).or_insert(0.0) += sum;
-                }
-            }
+        for (dst, rows) in total.rows.iter_mut().zip(self.rows) {
+            dst.absorb(rows);
         }
-    }
-}
-
-/// Turns one chunk's accumulated similarities into result rows: a λ-heap
-/// per outer document, ties broken by document id (order-independent), so
-/// any executor emitting from equal sums produces identical rows.
-fn emit_chunk(
-    spec: &JoinSpec<'_>,
-    chunk: &[DocId],
-    acc: &HashMap<u32, HashMap<u32, f64>>,
-    rows: &mut Vec<Row>,
-) {
-    let inner_profile = spec.inner.profile();
-    let outer_profile = spec.outer.profile();
-    for &outer_id in chunk {
-        let mut topk = TopK::new(spec.query.lambda);
-        if let Some(per_outer) = acc.get(&outer_id.raw()) {
-            for (&inner_raw, &sum) in per_outer {
-                let inner_id = DocId::new(inner_raw);
-                let score =
-                    spec.weighting
-                        .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
-                if !score.is_zero() {
-                    topk.offer(inner_id, score);
-                }
-            }
-        }
-        rows.push((outer_id, topk.into_matches()));
     }
 }
 
@@ -553,6 +495,7 @@ mod tests {
     use super::*;
     use crate::reference::naive_join;
     use crate::spec::OuterDocs;
+    use std::collections::HashMap;
     use std::sync::Arc;
     use textjoin_collection::{Collection, Document, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};

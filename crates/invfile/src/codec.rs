@@ -61,6 +61,16 @@ impl PostingCodec {
 
     /// Deserializes an entry.
     pub fn decode(&self, bytes: &[u8]) -> Result<Vec<ICell>> {
+        let mut cells = Vec::new();
+        self.decode_into(bytes, &mut cells)?;
+        Ok(cells)
+    }
+
+    /// Deserializes an entry into `cells`, replacing what it held — the
+    /// caller's buffer is reused from entry to entry. On error the buffer's
+    /// content is unspecified.
+    pub fn decode_into(&self, bytes: &[u8], cells: &mut Vec<ICell>) -> Result<()> {
+        cells.clear();
         match self {
             PostingCodec::Fixed5 => {
                 if !bytes.len().is_multiple_of(CELL_BYTES) {
@@ -68,13 +78,13 @@ impl PostingCodec {
                         "entry byte length not a multiple of the cell size".into(),
                     ));
                 }
-                Ok(bytes
-                    .chunks_exact(CELL_BYTES)
-                    .map(|chunk| ICell::decode(chunk.try_into().expect("5-byte chunk")))
-                    .collect())
+                cells.extend(
+                    bytes
+                        .chunks_exact(CELL_BYTES)
+                        .map(|chunk| ICell::decode(chunk.try_into().expect("5-byte chunk"))),
+                );
             }
             PostingCodec::VarintGap => {
-                let mut cells = Vec::new();
                 let mut pos = 0usize;
                 let mut prev: Option<u32> = None;
                 while pos < bytes.len() {
@@ -95,9 +105,9 @@ impl PostingCodec {
                     }
                     cells.push(ICell::new(DocId::new(doc), weight as u16));
                 }
-                Ok(cells)
             }
         }
+        Ok(())
     }
 
     /// Serialized size of an entry in bytes, without materialising it.

@@ -261,7 +261,10 @@ impl InvertedFile {
         let page_size = self.disk.page_size();
         let (first, n) = meta.span.page_range(page_size);
         let pages = self.disk.read_run(self.file, first, n)?;
-        decode_entry(self.codec, &pages, meta.span, first, page_size)
+        let mut cells = Vec::new();
+        let mut bytes = Vec::new();
+        decode_entry(self.codec, &pages, meta.span, first, &mut bytes, &mut cells)?;
+        Ok(cells)
     }
 
     /// Scans the whole inverted file sequentially in term order — the
@@ -304,58 +307,76 @@ impl InvertedFile {
             next_ordinal: start,
             end_ordinal: end,
             prefetcher: Prefetcher::new(&self.disk, self.file, end_page).with_metrics(metrics),
+            pages: Vec::new(),
+            bytes: Vec::new(),
+            last_page: None,
         }
     }
 }
 
+/// Decodes the entry at `span` out of `pages` (the pages the span touches,
+/// in order, from page number `first`) into `cells`. An entry inside one page is decoded where it
+/// lies; one that crosses pages is gathered into `bytes` first.
 fn decode_entry(
     codec: PostingCodec,
     pages: &[Arc<[u8]>],
     span: ByteSpan,
     first: u64,
-    page_size: usize,
-) -> Result<Vec<ICell>> {
-    let mut bytes = Vec::with_capacity(span.len as usize);
-    let mut remaining = span.len as usize;
-    let mut offset = (span.offset - first * page_size as u64) as usize;
-    for page in pages {
-        if remaining == 0 {
-            break;
-        }
-        let take = remaining.min(page_size - offset);
-        bytes.extend_from_slice(&page[offset..offset + take]);
-        remaining -= take;
-        offset = 0;
+    bytes: &mut Vec<u8>,
+    cells: &mut Vec<ICell>,
+) -> Result<()> {
+    // Every page a disk hands out is exactly one page long.
+    let Some(head) = pages.first() else {
+        return codec.decode_into(&[], cells);
+    };
+    let page_size = head.len();
+    let offset = (span.offset - first * page_size as u64) as usize;
+    let len = span.len as usize;
+    if offset + len <= page_size {
+        return codec.decode_into(&head[offset..offset + len], cells);
     }
-    codec.decode(&bytes)
+    bytes.clear();
+    bytes.extend_from_slice(&head[offset..]);
+    for page in &pages[1..] {
+        let take = (len - bytes.len()).min(page_size);
+        bytes.extend_from_slice(&page[..take]);
+    }
+    codec.decode_into(bytes, cells)
 }
 
 /// Sequential scanner over an inverted file (or an ordinal sub-range of
 /// it), yielding `(TermId, Vec<ICell>)` in increasing term order. Pages are
 /// pulled through a [`Prefetcher`], so adjacent entry reads coalesce into
-/// windowed scan-priced batches.
+/// windowed scan-priced batches. [`next_into`](Self::next_into) is the
+/// lending step for callers that consume an entry before asking for the
+/// next; the `Iterator` impl wraps it for callers that keep the entry.
 pub struct EntryScanner<'a> {
     inv: &'a InvertedFile,
     next_ordinal: u32,
     end_ordinal: u32,
     prefetcher: Prefetcher<'a>,
+    /// The current entry's pages and, when it crosses pages, its gathered
+    /// bytes — scratch reused from entry to entry.
+    pages: Vec<Arc<[u8]>>,
+    bytes: Vec<u8>,
+    /// The page number of `pages.last()`. Entries are packed, so the next
+    /// entry usually starts on that page and takes it from here, not from
+    /// the prefetcher again (which would find it resident: no I/O either
+    /// way).
+    last_page: Option<u64>,
 }
 
 impl EntryScanner<'_> {
-    fn page(&mut self, page_no: u64) -> Result<Arc<[u8]>> {
-        self.prefetcher.get(page_no)
-    }
-
     /// Readahead counters accumulated so far.
     pub fn prefetch_stats(&self) -> PrefetchStats {
         self.prefetcher.stats()
     }
-}
 
-impl Iterator for EntryScanner<'_> {
-    type Item = Result<(TermId, Vec<ICell>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Reads the next entry into `cells` (replacing what it held, keeping
+    /// its capacity) and returns the entry's term; `None` at the end of the
+    /// range. After an error `cells` is unspecified and the scan continues
+    /// with the following entry.
+    pub fn next_into(&mut self, cells: &mut Vec<ICell>) -> Option<Result<TermId>> {
         if self.next_ordinal >= self.end_ordinal {
             return None;
         }
@@ -363,17 +384,29 @@ impl Iterator for EntryScanner<'_> {
         self.next_ordinal += 1;
         let page_size = self.inv.disk.page_size();
         let (first, n) = meta.span.page_range(page_size);
-        let mut pages = Vec::with_capacity(n as usize);
-        for page_no in first..first + n {
-            match self.page(page_no) {
-                Ok(p) => pages.push(p),
+        let carried = self.last_page.take() == Some(first);
+        let held = self.pages.pop().filter(|_| carried);
+        self.pages.clear();
+        self.pages.extend(held);
+        for page_no in first + self.pages.len() as u64..first + n {
+            match self.prefetcher.get(page_no) {
+                Ok(p) => self.pages.push(p),
                 Err(e) => return Some(Err(e)),
             }
         }
-        Some(
-            decode_entry(self.inv.codec, &pages, meta.span, first, page_size)
-                .map(|cells| (meta.term, cells)),
-        )
+        self.last_page = (n > 0).then(|| first + n - 1);
+        let (codec, pages, bytes) = (self.inv.codec, &self.pages, &mut self.bytes);
+        Some(decode_entry(codec, pages, meta.span, first, bytes, cells).map(|()| meta.term))
+    }
+}
+
+impl Iterator for EntryScanner<'_> {
+    type Item = Result<(TermId, Vec<ICell>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut cells = Vec::new();
+        let term = self.next_into(&mut cells)?;
+        Some(term.map(|term| (term, cells)))
     }
 }
 
@@ -541,6 +574,50 @@ mod tests {
         assert_eq!(s.rand_reads, 1);
         assert!(prefetch.hits > 0, "readahead should serve most of the scan");
         assert_eq!(prefetch.wasted, 0);
+    }
+
+    /// The lending step yields what the iterator yields, through one
+    /// buffer, for entries inside a page and entries across several, and an
+    /// unreadable entry costs only itself.
+    #[test]
+    fn next_into_lends_the_iterators_entries_through_one_buffer() {
+        for page_size in [16, 64, 4096] {
+            let (disk, inv) = big_fixture(page_size);
+            let full: Vec<(TermId, Vec<ICell>)> = inv.scan().map(|r| r.unwrap()).collect();
+            disk.reset_stats();
+            disk.reset_head();
+            let mut scan = inv.scan();
+            let mut cells = vec![ICell::new(textjoin_common::DocId::new(9), 9)];
+            let mut lent = Vec::new();
+            while let Some(term) = scan.next_into(&mut cells) {
+                lent.push((term.unwrap(), cells.clone()));
+            }
+            assert_eq!(lent, full, "page size {page_size}");
+            assert_eq!(disk.stats().total_reads(), inv.num_pages());
+            assert!(scan.next_into(&mut cells).is_none(), "stays finished");
+        }
+        let (disk, inv) = big_fixture(64);
+        let full: Vec<(TermId, Vec<ICell>)> = inv.scan().map(|r| r.unwrap()).collect();
+        let bad_page = inv.meta(7).span.first_page(64);
+        disk.flip_bit(inv.file(), bad_page, 5).unwrap();
+        let on_bad_page = |m: &EntryMeta| {
+            let (first, n) = m.span.page_range(64);
+            (first..first + n).contains(&bad_page)
+        };
+        let mut scan = inv.scan_range(7, inv.num_entries() as u32);
+        let mut cells = Vec::new();
+        let mut readable = Vec::new();
+        while let Some(term) = scan.next_into(&mut cells) {
+            if let Ok(term) = term {
+                readable.push((term, cells.clone()));
+            }
+        }
+        let want: Vec<_> = (full.iter().zip(inv.directory()).skip(7))
+            .filter(|(_, m)| !on_bad_page(m))
+            .map(|(e, _)| e.clone())
+            .collect();
+        assert!(!want.is_empty() && want.len() < full.len() - 7);
+        assert_eq!(readable, want);
     }
 
     #[test]

@@ -1,0 +1,494 @@
+//! The term-at-a-time executors (VVM, HVNL) over their shared accumulator.
+//!
+//! `core::accum::Rows` keeps the sums of a pass either in flat rows (8
+//! bytes per *possible* pair) or, when `slots · width · 8 > 4·B·P`, in one
+//! hash map per slot. Nothing outside the crate selects the arm — it
+//! follows from the inputs — so this file picks inputs on both sides of
+//! the rule (restated in [`flat`]) and checks what must not depend on it:
+//!
+//! * (a) every variant of the join equals the naive oracle and its scores
+//!   are bit-equal (`f64::to_bits`) across the two arms;
+//! * (b) the ledger is the paper's: with an undershooting δ the doubling
+//!   retry fails and succeeds at the partition counts, passes, high-water
+//!   and pages recorded from the commit before flat rows existed;
+//! * (c) what the tracker does not price is bounded: the peak live heap of
+//!   one join stays under `8·B·P + 8·N1 + the two largest entries`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use textjoin::core::batch::{self, BatchOptions};
+use textjoin::core::reference::{naive_join, naive_join_full};
+use textjoin::core::{execute_sharded, hvnl, vvm, ResultQuality, ShardOptions};
+use textjoin::invfile::DeltaOverlay;
+use textjoin::obs::Tracer;
+use textjoin::prelude::*;
+
+const PAGE: usize = 128;
+
+/// `n` documents of `k` distinct terms each, spread evenly over `vocab`
+/// terms, `vocab` a power of two (no Zipf head: every entry is about
+/// `n·k/vocab` cells, so a small buffer can still hold the largest one).
+fn docs(n: u32, k: u32, vocab: u32, salt: u32) -> Vec<Document> {
+    assert!(vocab.is_power_of_two() && k < vocab);
+    let mix = |x: u32| {
+        let x = (x ^ salt.wrapping_mul(0x9e37_79b9)).wrapping_mul(0x85eb_ca6b);
+        (x ^ (x >> 13)).wrapping_mul(0xc2b2_ae35) >> 7
+    };
+    (0..n)
+        .map(|i| {
+            // An odd step visits `k` distinct residues of a power of two.
+            let (first, step) = (mix(3 * i), 2 * mix(3 * i + 1) + 1);
+            Document::from_term_counts((0..k).map(move |j| {
+                let term = first.wrapping_add(j.wrapping_mul(step)) % vocab;
+                (TermId::new(term), 1 + mix(3 * i + 2).wrapping_add(j) % 3)
+            }))
+        })
+        .collect()
+}
+
+struct Fixture {
+    disk: Arc<DiskSim>,
+    c1: Collection,
+    c2: Collection,
+    inv1: InvertedFile,
+    inv2: InvertedFile,
+    d1: Vec<Document>,
+    d2: Vec<Document>,
+}
+
+fn fixture(d1: Vec<Document>, d2: Vec<Document>, page: usize) -> Fixture {
+    let disk = Arc::new(DiskSim::new(page));
+    let c1 = Collection::build(Arc::clone(&disk), "c1", d1.clone()).unwrap();
+    let c2 = Collection::build(Arc::clone(&disk), "c2", d2.clone()).unwrap();
+    Fixture {
+        inv1: InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap(),
+        inv2: InvertedFile::build(Arc::clone(&disk), "c2", &c2).unwrap(),
+        disk,
+        c1,
+        c2,
+        d1,
+        d2,
+    }
+}
+
+/// Many short inner documents against a few outer ones: wide rows, few
+/// slots, so a buffer of [`TIGHT`] pages holds the tracked bytes of either
+/// executor while `8 · N1` alone exceeds `4·B·P`.
+const N1: u32 = 2_600;
+const N2: u32 = 24;
+
+fn wide() -> Fixture {
+    fixture(docs(N1, 3, 64, 1), docs(N2, 3, 64, 2), PAGE)
+}
+
+const ROOMY: u64 = 4_000;
+const TIGHT: u64 = 40;
+
+fn sys(buffer_pages: u64) -> SystemParams {
+    SystemParams {
+        buffer_pages,
+        page_size: PAGE,
+        alpha: 5.0,
+    }
+}
+
+/// The rule of `core::accum` (DESIGN.md, "What the tracker prices").
+fn flat(slots: u64, width: u64, sys: &SystemParams) -> bool {
+    slots * width * 8 <= 4 * sys.buffer_bytes()
+}
+
+/// Every score of a result, bit for bit.
+fn bits(result: &JoinResult) -> Vec<(u32, Vec<(u32, u64)>)> {
+    let row = |ms: &[Match]| {
+        ms.iter()
+            .map(|m| (m.inner.raw(), m.score.value().to_bits()))
+            .collect()
+    };
+    result.iter().map(|(id, ms)| (id.raw(), row(ms))).collect()
+}
+
+/// Runs VVM and HVNL under `spec` with a roomy and a tight buffer, checks
+/// that the pair really sits on both sides of the rule, that the scores
+/// agree to the bit across it, and returns the four outcomes (VVM roomy,
+/// VVM tight, HVNL roomy, HVNL tight).
+fn both_arms(f: &Fixture, spec: JoinSpec<'_>, width: u64) -> [JoinOutcome; 4] {
+    let run = |pages| {
+        let spec = spec.with_sys(sys(pages));
+        let v = vvm::execute(&spec, &f.inv1, &f.inv2).unwrap();
+        let slots = spec.num_outer_docs().div_ceil(v.stats.passes);
+        assert_eq!(
+            flat(slots, width, &spec.sys),
+            pages == ROOMY,
+            "VVM B={pages}"
+        );
+        assert_eq!(flat(1, width, &spec.sys), pages == ROOMY, "HVNL B={pages}");
+        (v, hvnl::execute(&spec, &f.inv1).unwrap())
+    };
+    let ((v_flat, h_flat), (v_sparse, h_sparse)) = (run(ROOMY), run(TIGHT));
+    assert!(v_sparse.stats.mem_high_water_bytes <= sys(TIGHT).buffer_bytes());
+    assert!(h_sparse.stats.mem_high_water_bytes <= sys(TIGHT).buffer_bytes());
+    // VVM adds a pair's terms in term order whatever the buffer. HVNL adds
+    // cached terms first, so its order follows the cache and with it `B`:
+    // its arms agree to the bit where sums are exact in any order.
+    assert!(bits(&v_flat.result) == bits(&v_sparse.result), "VVM arms");
+    if matches!(spec.weighting, Weighting::RawCount) {
+        assert!(bits(&h_flat.result) == bits(&h_sparse.result), "HVNL arms");
+        assert!(bits(&v_flat.result) == bits(&h_flat.result), "VVM vs HVNL");
+    }
+    [v_flat, v_sparse, h_flat, h_sparse]
+}
+
+fn base_spec(f: &Fixture) -> JoinSpec<'_> {
+    JoinSpec::new(&f.c1, &f.c2).with_query(QueryParams {
+        lambda: 5,
+        delta: 0.15,
+    })
+}
+
+#[test]
+fn both_arms_equal_the_oracle_bit_for_bit() {
+    let f = wide();
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 5, Weighting::RawCount);
+    for got in both_arms(&f, base_spec(&f), N1 as u64) {
+        assert!(got.result == want);
+        assert_eq!(got.quality, ResultQuality::Full);
+    }
+}
+
+#[test]
+fn tfidf_sums_do_not_depend_on_the_arm() {
+    let f = wide();
+    let spec = base_spec(&f).with_weighting(Weighting::TfIdf);
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 5, Weighting::TfIdf);
+    for got in both_arms(&f, spec, N1 as u64) {
+        assert!(got.result.approx_eq(&want, 1e-9));
+    }
+}
+
+#[test]
+fn an_inner_selection_is_masked_in_both_arms() {
+    let f = wide();
+    let chosen: Vec<DocId> = (0..N1).filter(|i| i % 3 != 1).map(DocId::new).collect();
+    let spec = base_spec(&f).with_inner_docs(&chosen);
+    let want = naive_join_full(
+        &f.d1,
+        &f.d2,
+        OuterDocs::Full,
+        Some(&chosen),
+        5,
+        Weighting::RawCount,
+        false,
+    );
+    for got in both_arms(&f, spec, N1 as u64) {
+        assert!(got.result == want);
+    }
+}
+
+#[test]
+fn a_self_join_skips_the_diagonal_in_both_arms() {
+    let d = docs(N1, 3, 64, 1);
+    let f = fixture(d.clone(), d, PAGE);
+    let chosen: Vec<DocId> = (0..N2).map(|i| DocId::new(i * 97)).collect();
+    let spec = base_spec(&f)
+        .with_outer_docs(OuterDocs::Selected(&chosen))
+        .with_exclude_self();
+    let want = naive_join_full(
+        &f.d1,
+        &f.d2,
+        OuterDocs::Selected(&chosen),
+        None,
+        5,
+        Weighting::RawCount,
+        true,
+    );
+    for got in both_arms(&f, spec, N1 as u64) {
+        assert!(got.result == want);
+    }
+}
+
+/// Tombstones and delta documents: the delta's ids run past `N1`, so flat
+/// rows grow on demand, and the tombstones are the per-run mask.
+#[test]
+fn tombstones_and_delta_documents_join_in_both_arms() {
+    let f = wide();
+    let inserted = docs(40, 3, 64, 9);
+    let mut overlay = DeltaOverlay::new();
+    for (i, doc) in inserted.iter().enumerate() {
+        overlay.insert_tail(DocId::new(N1 + i as u32), doc.clone());
+    }
+    let dead = |i: u32| i % 11 == 4;
+    for i in (0..N1 + 40).filter(|&i| dead(i)) {
+        overlay.delete(DocId::new(i));
+    }
+    let spec = base_spec(&f).with_inner_delta(&overlay);
+    let all: Vec<Document> = f.d1.iter().chain(&inserted).cloned().collect();
+    let live: Vec<DocId> = (0..N1 + 40).filter(|&i| !dead(i)).map(DocId::new).collect();
+    let want = naive_join_full(
+        &all,
+        &f.d2,
+        OuterDocs::Full,
+        Some(&live),
+        5,
+        Weighting::RawCount,
+        false,
+    );
+    for got in both_arms(&f, spec, N1 as u64 + 40) {
+        assert!(got.result == want);
+    }
+}
+
+/// A corrupt postings page: degraded mode skips the entries on it, the
+/// same ones in either arm.
+#[test]
+fn a_skipped_entry_is_skipped_in_both_arms() {
+    let f = wide();
+    f.disk.flip_bit(f.inv1.file(), 3, 77).unwrap();
+    let strict = base_spec(&f).with_sys(sys(ROOMY));
+    assert!(vvm::execute(&strict, &f.inv1, &f.inv2).is_err());
+    let full = naive_join(&f.d1, &f.d2, OuterDocs::Full, 5, Weighting::RawCount);
+    for got in both_arms(&f, base_spec(&f).with_degraded(), N1 as u64) {
+        assert_eq!(got.quality, ResultQuality::Partial);
+        assert!(got.stats.skipped_entries >= 1, "{:?}", got.stats);
+        assert!(got.result != full, "the lost postings must show");
+    }
+}
+
+/// N = 3 queries share one merge / one outer pass; each has its own rows.
+/// Three queries' sums need twice the buffer one query's do, so VVM's tight
+/// run has `2 · TIGHT` pages (and two slots per pass, still sparse).
+#[test]
+fn a_batch_of_three_equals_three_oracles_in_both_arms() {
+    let f = wide();
+    let lambdas = [5usize, 1, 9];
+    let specs = |pages| {
+        lambdas.map(|lambda| {
+            JoinSpec::new(&f.c1, &f.c2)
+                .with_sys(sys(pages))
+                .with_query(QueryParams {
+                    lambda,
+                    delta: 0.15,
+                })
+        })
+    };
+    let check = |batch: batch::BatchOutcome, name: &str| -> Vec<_> {
+        let queries = batch.queries.iter().zip(lambdas);
+        let checked = queries.map(|(got, lambda)| {
+            let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, lambda, Weighting::RawCount);
+            assert!(got.result == want, "{name} λ={lambda}");
+            bits(&got.result)
+        });
+        checked.collect()
+    };
+    let vvm = |pages| {
+        let specs = specs(pages);
+        let got = batch::execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
+        let slots = (N2 as u64).div_ceil(got.stats.passes);
+        // Three queries' rows share the buffer: all their slots count.
+        assert_eq!(flat(3 * slots, N1 as u64, &specs[0].sys), pages == ROOMY);
+        check(got, "vvm")
+    };
+    let hvnl = |pages| {
+        let got = batch::execute_hvnl(&specs(pages), &f.inv1, BatchOptions::default());
+        check(got.unwrap(), "hvnl")
+    };
+    assert!(vvm(ROOMY) == vvm(2 * TIGHT));
+    assert!(hvnl(ROOMY) == hvnl(TIGHT));
+}
+
+/// S = 2 sites: each site sums its own terms into its own rows and the
+/// driver folds the second site's rows into the first's.
+#[test]
+fn two_sites_fold_their_rows_in_both_arms() {
+    let f = wide();
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 5, Weighting::RawCount);
+    let run = |pages| {
+        let spec = base_spec(&f).with_sys(sys(pages));
+        let got = execute_sharded(&spec, Algorithm::Vvm, &ShardOptions::new(2)).unwrap();
+        assert_eq!(got.shards.len(), 2);
+        let slots = (N2 as u64).div_ceil(got.outcome.stats.passes);
+        assert_eq!(flat(slots, N1 as u64, &spec.sys), pages == ROOMY);
+        assert!(got.outcome.result == want, "B={pages}");
+        bits(&got.outcome.result)
+    };
+    assert!(run(ROOMY) == run(TIGHT));
+}
+
+/// `slots · width · 8 = 4·B·P` exactly is still flat; one page less is
+/// not. Both run the join in one pass and agree to the bit.
+#[test]
+fn the_boundary_is_flat_and_one_page_less_is_not() {
+    let f = fixture(docs(64, 4, 128, 3), docs(16, 4, 128, 4), PAGE);
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 4, Weighting::RawCount);
+    let run = |pages| {
+        let spec = JoinSpec::new(&f.c1, &f.c2)
+            .with_sys(sys(pages))
+            .with_query(QueryParams {
+                lambda: 4,
+                delta: 0.2,
+            });
+        let got = vvm::execute(&spec, &f.inv1, &f.inv2).unwrap();
+        assert_eq!(got.stats.passes, 1, "B={pages}");
+        assert!(got.result == want, "B={pages}");
+        bits(&got.result)
+    };
+    assert_eq!(16 * 64 * 8, 4 * sys(16).buffer_bytes());
+    assert!(flat(16, 64, &sys(16)) && !flat(16, 64, &sys(15)));
+    assert!(run(16) == run(15));
+}
+
+/// (b) δ = 0.0001 promises one partition; the real density needs many.
+/// Every attempt opens a `vvm` root span carrying its partition count, so
+/// the retry ladder is visible: it must fail and succeed exactly where the
+/// per-pair ledger of the parent commit did, and the run that succeeds must
+/// cost the same passes, bytes and pages.
+#[test]
+fn an_undershooting_delta_retries_at_the_recorded_partition_counts() {
+    let f = fixture(docs(300, 6, 64, 5), docs(60, 6, 64, 6), PAGE);
+    let tracer = Tracer::enabled(4096);
+    let spec = JoinSpec::new(&f.c1, &f.c2)
+        .with_sys(sys(24))
+        .with_query(QueryParams {
+            lambda: 4,
+            delta: 0.0001,
+        })
+        .with_trace(&tracer);
+    f.disk.reset_stats();
+    f.disk.reset_head();
+    let got = vvm::execute(&spec, &f.inv1, &f.inv2).unwrap();
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 4, Weighting::RawCount);
+    assert!(got.result == want);
+    let field = |s: &textjoin::obs::SpanRecord, name| {
+        let found = s.fields.iter().find(|(k, _)| *k == name);
+        found.map(|&(_, v)| v)
+    };
+    let mut attempts: Vec<_> = tracer
+        .finished()
+        .iter()
+        .filter(|s| s.name == "vvm")
+        .map(|s| (s.id, field(s, "partitions").unwrap()))
+        .collect();
+    attempts.sort_unstable();
+    let ladder: Vec<u64> = attempts.into_iter().map(|(_, p)| p).collect();
+    // Recorded from the parent commit (ddea6a1), same fixture; sixteen
+    // partitions of `⌈60/16⌉ = 4` outer documents are fifteen passes.
+    assert_eq!(ladder, [1, 2, 4, 8, 16]);
+    assert_eq!(got.stats.passes, 15);
+    assert_eq!(got.stats.mem_high_water_bytes, 2_722);
+    assert_eq!(
+        (got.stats.io.seq_reads, got.stats.io.rand_reads),
+        (1_260, 30)
+    );
+    assert_eq!(got.stats.sim_ops, 10_123);
+}
+
+// ---- (c) what the tracker does not price --------------------------------
+
+/// Counts the live heap of the thread that armed it (the other tests of
+/// this binary run on their own threads and stay out of the tally).
+struct Counting;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+fn tally(delta: i64) {
+    // `try_with`: the allocator outlives a thread's locals.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let live = LIVE.with(|l| l.replace(l.get() + delta) + delta);
+            PEAK.with(|p| p.set(p.get().max(live)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the tallies are thread-local
+// statistics and never influence what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size() as i64);
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size() as i64);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        tally(-(layout.size() as i64));
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Peak bytes live on this thread while `f` ran, above what was live when
+/// it started.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, PEAK.with(Cell::get) as u64)
+}
+
+/// The shape of the benchmark's `spills` at a fifth of its size: Zipf
+/// documents of 60 terms, a working set far above `B`, so VVM abandons
+/// sparse attempts before it settles on flat passes and HVNL's cache turns
+/// over all the time.
+#[test]
+fn peak_live_heap_is_bounded_by_the_buffer_not_by_the_pair_space() {
+    let page = 4096;
+    let stats = |n| CollectionStats::new(n, 60.0, 2_400);
+    let f = fixture(
+        SynthSpec::from_stats(stats(400), 11).generate_docs(),
+        SynthSpec::from_stats(stats(80), 12).generate_docs(),
+        page,
+    );
+    let sys = SystemParams {
+        buffer_pages: 8,
+        page_size: page,
+        alpha: 5.0,
+    };
+    let spec = JoinSpec::new(&f.c1, &f.c2)
+        .with_sys(sys)
+        .with_query(QueryParams::paper_base().with_lambda(10));
+    let largest = |inv: &InvertedFile| {
+        let cells = inv.directory().iter().map(|m| m.doc_freq as u64).max();
+        cells.unwrap_or(0) * std::mem::size_of::<textjoin::common::ICell>() as u64
+    };
+    let bound = 8 * sys.buffer_bytes() + 8 * 400 + largest(&f.inv1) + largest(&f.inv2);
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 10, Weighting::RawCount);
+
+    let (v, v_peak) = peak_heap(|| vvm::execute(&spec, &f.inv1, &f.inv2).unwrap());
+    assert!(v.result == want);
+    assert!(v.stats.passes > 1, "the fixture must spill");
+    assert!(v_peak <= bound, "VVM peak {v_peak} > bound {bound}");
+
+    let (h, h_peak) = peak_heap(|| hvnl::execute(&spec, &f.inv1).unwrap());
+    assert!(h.result == want);
+    assert!(h.stats.entry_fetches > f.inv1.num_entries(), "must refetch");
+    println!(
+        "HVNL fetches {} peak {h_peak} bound {bound}",
+        h.stats.entry_fetches
+    );
+    assert!(h_peak <= bound, "HVNL peak {h_peak} > bound {bound}");
+    // The bound is about memory the tracker does not see, so it must bite:
+    // the pair space alone is larger than it.
+    assert!(8 * 400 * 80 > sys.buffer_bytes());
+}
