@@ -98,19 +98,28 @@ impl CollectionProfile {
         )
     }
 
+    /// What the two vocabularies share, in one walk of this profile's
+    /// table: the number of terms also in `other`, and `Σ_t df(t)·df'(t)`
+    /// over them — exactly the cell pairs a join of the two collections
+    /// multiplies (every executor's `sim_ops`), and an upper bound on its
+    /// non-zero document pairs, since each such pair shares a term.
+    pub fn overlap(&self, other: &CollectionProfile) -> (u64, u64) {
+        let (mut shared, mut matches) = (0u64, 0u64);
+        for (term, &df) in &self.doc_freqs {
+            let theirs = other.doc_frequency(*term);
+            if theirs > 0 {
+                shared += 1;
+                matches = matches.saturating_add(u64::from(df) * u64::from(theirs));
+            }
+        }
+        (shared, matches)
+    }
+
     /// Measured fraction of term pairs shared with `other`: the probability
     /// `p` (or `q`, depending on direction) that a term of this collection
     /// also appears in `other`.
     pub fn term_overlap_probability(&self, other: &CollectionProfile) -> f64 {
-        if self.doc_freqs.is_empty() {
-            return 0.0;
-        }
-        let shared = self
-            .doc_freqs
-            .keys()
-            .filter(|t| other.contains_term(**t))
-            .count();
-        shared as f64 / self.doc_freqs.len() as f64
+        self.overlap(other).0 as f64 / (self.doc_freqs.len() as f64).max(1.0)
     }
 }
 
@@ -210,5 +219,15 @@ mod tests {
         assert!((b.term_overlap_probability(&a) - 0.5).abs() < 1e-12);
         let empty = CollectionProfile::default();
         assert_eq!(empty.term_overlap_probability(&a), 0.0);
+    }
+
+    #[test]
+    fn overlap_counts_shared_terms_and_cell_pairs() {
+        let a = sample(); // df: {1: 1, 2: 3, 3: 1}
+        let b = CollectionProfile::from_docs(&[doc(&[(2, 1), (4, 1)]), doc(&[(2, 2), (3, 1)])]);
+        // Shared {2, 3}: 3·2 + 1·1.
+        assert_eq!(a.overlap(&b), (2, 7));
+        assert_eq!(b.overlap(&a), (2, 7));
+        assert_eq!(a.overlap(&CollectionProfile::default()), (0, 0));
     }
 }

@@ -21,26 +21,40 @@ use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use std::time::Instant;
 use textjoin_common::{Error, Result};
-use textjoin_costmodel::{rank, Algorithm, CostEstimates, IoScenario};
+use textjoin_costmodel::{rank, Algorithm, CostEstimates, IoScenario, Prediction, Prices};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::Tracer;
+use textjoin_storage::DiskSim;
 
 /// The integrated algorithm's decision and execution record.
 #[derive(Debug)]
 pub struct IntegratedOutcome {
     /// Which algorithm actually ran.
     pub chosen: Algorithm,
-    /// The cost estimates the choice was based on: a sequential and a
-    /// worst-case figure for each of the four algorithms.
+    /// The §5 page estimates: a sequential and a worst-case figure for
+    /// each of the four algorithms.
     pub estimates: CostEstimates,
+    /// The ranking the choice was made on and fallbacks were tried in:
+    /// pages, `page_ns · pages`, `cpu_ns` per algorithm, cheapest predicted
+    /// time first. `ranking[0]` is the planner's first choice, which
+    /// differs from `chosen` exactly when a fallback ran.
+    pub ranking: [Prediction; 4],
     /// The execution result and measured statistics.
     pub outcome: JoinOutcome,
+}
+
+/// The built-in CPU prices beside what `disk` says a page costs it — what
+/// both front doors rank under when no calibration profile is given.
+pub fn device_prices(disk: &DiskSim) -> Prices {
+    let service = disk.page_service();
+    Prices::on_device(service.seq_ns as f64, service.rand_ns as f64)
 }
 
 /// The cheapest-first fallback chain. Runs `first`; if it turns out
 /// infeasible at run time (its memory estimate was optimistic), dies on
 /// unreadable storage, or is aborted by the drift watchdog, the remaining
-/// algorithms with a finite `cost` are tried cheapest first — e.g. HVNL
+/// algorithms with a finite `cost` (the ranking's predicted time) are
+/// tried cheapest first — e.g. HVNL
 /// failing on a corrupt inverted file falls back to HHNL, which never
 /// touches the inverted file. `attempt` receives the algorithm and the
 /// number of failed attempts before it; callers run fallbacks with the
@@ -104,16 +118,13 @@ pub fn execute_with_index(
     if let Some(ix) = fnl_index {
         inputs = inputs.with_fnl(ix.stats());
     }
-    let estimates = CostEstimates::compute(&inputs);
-    let ranked = rank(&estimates, scenario, |_, raw| raw);
-    let (cheapest, cheapest_cost, _) = ranked[0];
+    let prices = device_prices(spec.inner.store().disk());
+    let (estimates, ranking) = rank(std::slice::from_ref(&inputs), scenario, &prices, |_, c| c);
     let cost = |a: Algorithm| {
-        ranked
-            .iter()
-            .find(|r| r.0 == a)
-            .map_or(f64::INFINITY, |r| r.1)
+        let row = ranking.iter().find(|r| r.algorithm == a);
+        row.map_or(f64::INFINITY, Prediction::total_ns)
     };
-    if cheapest_cost.is_infinite() {
+    if ranking[0].total_ns().is_infinite() {
         return Err(Error::InsufficientMemory {
             context: "no join algorithm is feasible in the given memory".into(),
             required_pages: 0,
@@ -129,23 +140,24 @@ pub fn execute_with_index(
         fnl: fnl_index,
     };
     let unwatched = spec.without_cost_budget();
-    let (chosen, fallbacks, mut outcome) = with_fallback(cheapest, cost, |algorithm, failed| {
-        let spec = if failed == 0 { spec } else { &unwatched };
-        // Keep the live ticket's label honest: the algorithm actually
-        // attempted may differ from what the caller registered. (A cancel
-        // never reaches this chain — executors absorb it into an `Ok`
-        // Partial outcome.)
-        if let Some(ticket) = spec.ticket {
-            ticket.set_algorithm(algorithm.to_string());
-        }
-        crate::execute(algorithm, spec, &indexes)
-    })?;
+    let (chosen, fallbacks, mut outcome) =
+        with_fallback(ranking[0].algorithm, cost, |algorithm, failed| {
+            let spec = if failed == 0 { spec } else { &unwatched };
+            // Keep the live ticket's label honest: the algorithm actually
+            // attempted may differ from what the caller registered. (A cancel
+            // never reaches this chain — executors absorb it into an `Ok`
+            // Partial outcome.)
+            if let Some(ticket) = spec.ticket {
+                ticket.set_algorithm(algorithm.to_string());
+            }
+            crate::execute(algorithm, spec, &indexes)
+        })?;
     if root.is_enabled() {
         // Why this algorithm: the full cost ranking it won.
         root.detail(|| {
-            let ranking = ranked
+            let ranking = ranking
                 .iter()
-                .map(|(a, c, _)| format!("{a}={c:.1}"))
+                .map(|r| format!("{}={:.1}p/{:.0}µs", r.algorithm, r.raw, r.total_ns() / 1e3))
                 .collect::<Vec<_>>()
                 .join(" < ");
             format!("chose {chosen}: {ranking}")
@@ -159,6 +171,7 @@ pub fn execute_with_index(
     Ok(IntegratedOutcome {
         chosen,
         estimates,
+        ranking,
         outcome,
     })
 }
@@ -171,7 +184,6 @@ mod tests {
     use std::sync::Arc;
     use textjoin_collection::{Collection, Document, SynthSpec};
     use textjoin_common::{CollectionStats, DocId, QueryParams, SystemParams};
-    use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]
     fn fixture() -> (
@@ -210,9 +222,19 @@ mod tests {
         let want = naive_join(&d1, &d2, OuterDocs::Full, 5, crate::Weighting::RawCount);
         assert_eq!(got.outcome.result, want);
         assert_eq!(got.chosen, got.outcome.stats.algorithm);
-        // The chosen algorithm must carry the minimum estimate.
-        let best = got.estimates.best(IoScenario::Dedicated).0;
-        assert_eq!(got.chosen, best);
+        // No fallback ran: the first of the recorded ranking did, and
+        // the ranking is by predicted time.
+        assert_eq!(got.chosen, got.ranking[0].algorithm);
+        assert!(got
+            .ranking
+            .windows(2)
+            .all(|w| w[0].total_ns() <= w[1].total_ns()));
+        for r in got.ranking {
+            assert_eq!(
+                r.raw,
+                got.estimates.cost(r.algorithm, IoScenario::Dedicated)
+            );
+        }
     }
 
     #[test]

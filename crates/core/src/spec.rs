@@ -2,7 +2,7 @@
 
 use textjoin_collection::{Collection, Document};
 use textjoin_common::{CollectionStats, DocId, FragStats, QueryParams, Result, SystemParams};
-use textjoin_costmodel::JoinInputs;
+use textjoin_costmodel::{measured_overlap, JoinInputs};
 use textjoin_invfile::DeltaOverlay;
 use textjoin_obs::{CancelToken, QueryTicket, Tracer};
 use textjoin_storage::PrefetchMetrics;
@@ -335,7 +335,8 @@ impl<'a> JoinSpec<'a> {
 
     /// The cost-model inputs matching this execution: *measured* statistics
     /// of both collections (outer side restricted by the selection), the
-    /// measured term-overlap probability, and the spec's parameters.
+    /// measured term-overlap probability and match count (one walk of the
+    /// outer profile), and the spec's parameters.
     pub fn cost_inputs(&self) -> JoinInputs {
         let inner_stats = self.inner.profile().stats();
         let outer_full = self.outer.profile().stats();
@@ -345,10 +346,8 @@ impl<'a> JoinSpec<'a> {
                 (outer_full.select_docs(ids.len() as u64), Some(outer_full))
             }
         };
-        let q = self
-            .outer
-            .profile()
-            .term_overlap_probability(self.inner.profile());
+        let overlap = self.outer.profile().overlap(self.inner.profile());
+        let (q, matches) = measured_overlap(overlap, &outer_full, outer_stats.num_docs);
         let inner_frag = self.inner_delta.map_or_else(FragStats::default, |d| {
             d.frag_stats(self.inner.store().num_docs())
         });
@@ -367,6 +366,7 @@ impl<'a> JoinSpec<'a> {
             // The signature index lives outside the spec: the FNL-aware
             // entry points overlay its measured stats via `with_fnl`.
             fnl: None,
+            matches: Some(matches),
         }
     }
 
@@ -554,6 +554,13 @@ mod tests {
         assert_eq!(inputs.outer.num_docs, 1);
         assert_eq!(inputs.inner.num_docs, 20);
         assert!(inputs.q > 0.0 && inputs.q <= 1.0);
+        // The selection keeps 1 of the outer side's documents, hence that
+        // share of the measured cell pairs.
+        let full = JoinSpec::new(&c1, &c2).cost_inputs();
+        let (_, pairs) = c2.profile().overlap(c1.profile());
+        assert_eq!(full.matches, Some(pairs as f64));
+        let kept = 1.0 / full.outer.num_docs as f64;
+        assert_eq!(inputs.matches, Some(pairs as f64 * kept));
     }
 
     proptest::proptest! {

@@ -35,7 +35,7 @@ use textjoin_common::{NUMBER_BYTES, SIM_VALUE_BYTES};
 /// list). Clamped at 0 when the overheads alone exceed the budget.
 pub fn cache_capacity(inputs: &JoinInputs) -> f64 {
     let p = inputs.sys.page_size as f64;
-    let accumulators = (SIM_VALUE_BYTES as f64) * inputs.n1() * inputs.query.delta / p;
+    let accumulators = (SIM_VALUE_BYTES as f64) * inputs.n1() * inputs.delta() / p;
     let numerator = inputs.b() - inputs.s2().ceil() - inputs.bt1() - accumulators;
     let denominator = inputs.j1() + NUMBER_BYTES as f64 / p;
     if denominator <= 0.0 {
@@ -108,40 +108,86 @@ fn delta_fetch_cost(inputs: &JoinInputs) -> f64 {
     inputs.inner_frag.inv_delta_pages as f64 * inputs.alpha()
 }
 
-/// `hvs` — cost with the outer collection read sequentially.
-pub fn sequential(inputs: &JoinInputs) -> f64 {
+/// Where HVNL's inner entries come from — section 5.2's case analysis.
+enum Entries {
+    /// Every entry fits and one sequential scan of the whole inverted file
+    /// is cheaper than fetching the needed ones at random.
+    ScanAll,
+    /// Each needed entry is fetched at random exactly once: they all fit,
+    /// or the cache never fills within `N2` documents.
+    Once(f64),
+    /// The cache fills with `filling` fetches; each of the `refetch_docs`
+    /// later documents then fetches `y` entries it no longer finds.
+    Refill {
+        filling: f64,
+        refetch_docs: f64,
+        y: f64,
+    },
+}
+
+fn entries(inputs: &JoinInputs) -> Entries {
     let x = cache_capacity(inputs);
+    let needed = entries_needed(inputs);
+    if x >= inputs.t1() {
+        let (scan_all, fetch_needed) = (
+            price(inputs, &Entries::ScanAll),
+            price(inputs, &Entries::Once(needed)),
+        );
+        return if scan_all <= fetch_needed {
+            Entries::ScanAll
+        } else {
+            Entries::Once(needed)
+        };
+    }
+    if x >= needed {
+        return Entries::Once(needed);
+    }
+    match fill_point(inputs) {
+        None => Entries::Once(needed),
+        Some((s, x1, y)) => Entries::Refill {
+            filling: x,
+            refetch_docs: (inputs.n2_live() - s - x1 + 1.0).max(0.0),
+            y,
+        },
+    }
+}
+
+/// Random entry fetches of the dedicated-device run, refetches included;
+/// `None` when the whole inverted file is scanned once instead.
+pub fn entry_fetches(inputs: &JoinInputs) -> Option<f64> {
+    match entries(inputs) {
+        Entries::ScanAll => None,
+        Entries::Once(needed) => Some(needed),
+        Entries::Refill {
+            filling,
+            refetch_docs,
+            y,
+        } => Some(filling + refetch_docs * y),
+    }
+}
+
+/// What a dedicated device charges for the run that gets its entries as
+/// `entries` says.
+fn price(inputs: &JoinInputs, entries: &Entries) -> f64 {
     let d2 = inputs.outer_read_cost();
     let bt1 = inputs.bt1();
     let jc = entry_fetch_pages(inputs);
     let alpha = inputs.alpha();
-    let needed = entries_needed(inputs);
     let delta_rand = delta_fetch_cost(inputs);
-    let delta_seq = inputs.inner_frag.inv_delta_pages as f64;
-
-    if x >= inputs.t1() {
-        // Whole inverted file fits: either scan it sequentially or fetch
-        // exactly the needed entries at random — whichever is cheaper.
-        let scan_all = d2 + inputs.i1() + bt1 + delta_seq;
-        let fetch_needed = d2 + needed * jc * alpha + bt1 + delta_rand;
-        scan_all.min(fetch_needed)
-    } else if x >= needed {
-        // All needed entries fit (fetched once each, kept forever).
-        d2 + needed * jc * alpha + bt1 + delta_rand
-    } else {
-        match fill_point(inputs) {
-            None => {
-                // The cache never fills within N2 documents: every distinct
-                // needed entry is fetched exactly once (same expression as
-                // the case above; kept for clarity of the case analysis).
-                d2 + needed * jc * alpha + bt1 + delta_rand
-            }
-            Some((s, x1, y)) => {
-                let refetch_docs = (inputs.n2_live() - s - x1 + 1.0).max(0.0);
-                d2 + x * jc * alpha + bt1 + refetch_docs * y * jc * alpha + delta_rand
-            }
-        }
+    match *entries {
+        Entries::ScanAll => d2 + inputs.i1() + bt1 + inputs.inner_frag.inv_delta_pages as f64,
+        Entries::Once(needed) => d2 + needed * jc * alpha + bt1 + delta_rand,
+        Entries::Refill {
+            filling,
+            refetch_docs,
+            y,
+        } => d2 + filling * jc * alpha + bt1 + refetch_docs * y * jc * alpha + delta_rand,
     }
+}
+
+/// `hvs` — cost with the outer collection read sequentially.
+pub fn sequential(inputs: &JoinInputs) -> f64 {
+    price(inputs, &entries(inputs))
 }
 
 /// `hvr` — worst-case cost when reading the outer documents also incurs

@@ -40,6 +40,13 @@ pub struct JoinInputs {
     /// one has been built. `None` makes FNL infeasible (infinite cost) —
     /// the filtered algorithm cannot run without its index.
     pub fnl: Option<FnlStats>,
+    /// Measured `Σ_t df1(t)·df2(t)` over the participating outer documents
+    /// — the cell pairs the join multiplies (every executor's `sim_ops`),
+    /// from the two collection profiles; a selection scales it by the
+    /// fraction of outer rows kept. `None` for inputs built from statistics
+    /// alone (the paper tables): [`Self::match_count`] then estimates it and
+    /// [`Self::delta`] is `query.delta`.
+    pub matches: Option<f64>,
 }
 
 impl JoinInputs {
@@ -61,6 +68,16 @@ impl JoinInputs {
             inner_frag: FragStats::default(),
             outer_frag: FragStats::default(),
             fnl: None,
+            matches: None,
+        }
+    }
+
+    /// Attaches the measured match count `Σ_t df1(t)·df2(t)`, which also
+    /// makes [`Self::delta`] a measured bound.
+    pub fn with_matches(self, matches: f64) -> Self {
+        Self {
+            matches: Some(matches),
+            ..self
         }
     }
 
@@ -104,8 +121,39 @@ impl JoinInputs {
     /// The FNL signature index belongs to the *inner* side, so swapping
     /// drops it — the backward order has no index to scan.
     pub fn swapped(&self) -> Self {
-        Self::with_paper_q(self.outer, self.inner, self.sys, self.query)
-            .with_frag(self.outer_frag, self.inner_frag)
+        Self {
+            // `Σ df1·df2` does not depend on which side is called inner.
+            matches: self.matches,
+            ..Self::with_paper_q(self.outer, self.inner, self.sys, self.query)
+                .with_frag(self.outer_frag, self.inner_frag)
+        }
+    }
+
+    /// `δ` — the fraction of document pairs with a non-zero similarity, as
+    /// every formula reads it. With a measured match count it is
+    /// `min(1, matches / (N1·N2))`: each non-zero pair shares at least one
+    /// term and so contributes at least one match, which makes this an
+    /// upper bound on the true density (a pair sharing `k` terms is counted
+    /// `k` times). Without one it is the `query.delta` the caller supplied.
+    pub fn delta(&self) -> f64 {
+        match self.matches {
+            Some(matches) => (matches / (self.n1() * self.n2()).max(1.0)).min(1.0),
+            None => self.query.delta,
+        }
+    }
+
+    /// The cell pairs the join multiplies: measured when the inputs carry
+    /// it, else estimated as each outer cell whose term the inner side
+    /// knows (`q·N2·K2`) meeting an average inner entry (`N1·K1/T1`).
+    pub fn match_count(&self) -> f64 {
+        self.matches.unwrap_or_else(|| {
+            self.q
+                * self.n2()
+                * self.outer.avg_terms_per_doc
+                * self.n1()
+                * self.inner.avg_terms_per_doc
+                / self.t1().max(1.0)
+        })
     }
 
     // Shorthand accessors used throughout the formulas, all in pages.
@@ -257,6 +305,22 @@ impl JoinInputs {
     pub fn is_fragmented(&self) -> bool {
         !(self.inner_frag.is_pristine() && self.outer_frag.is_pristine())
     }
+}
+
+/// `(q, matches)` as measured: `overlap` is the outer profile's
+/// `(shared terms, Σ df·df)` against the inner one, `outer_full` the stored
+/// outer collection and `kept_docs` how many of its documents participate.
+/// `q` is the shared fraction of the stored outer vocabulary; a selection
+/// keeps its share of the outer cells, hence of the cell pairs.
+pub fn measured_overlap(
+    overlap: (u64, u64),
+    outer_full: &CollectionStats,
+    kept_docs: u64,
+) -> (f64, f64) {
+    let (shared, pairs) = overlap;
+    let q = shared as f64 / (outer_full.distinct_terms as f64).max(1.0);
+    let kept = kept_docs as f64 / (outer_full.num_docs as f64).max(1.0);
+    (q, pairs as f64 * kept)
 }
 
 /// The section 6 heuristic for term-overlap probabilities: the probability

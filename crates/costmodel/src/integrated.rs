@@ -8,6 +8,7 @@
 //! cost".
 
 use crate::inputs::JoinInputs;
+use crate::work::Prices;
 use crate::{batch, fnl, hhnl, hvnl, vvm};
 use std::fmt;
 
@@ -121,8 +122,11 @@ impl CostEstimates {
 
     /// The estimates for a batch of queries over one collection pair
     /// (`hhs_batch` … `fnr_batch`, see [`crate::batch`]): the whole batch
-    /// runs one algorithm. A batch of one is [`Self::compute`].
+    /// runs one algorithm. A batch of one is [`Self::compute`], to the bit.
     pub fn compute_batch(inputs: &[JoinInputs]) -> Self {
+        if let [one] = inputs {
+            return Self::compute(one);
+        }
         Self {
             hhnl_seq: batch::hhs_batch(inputs).map_or(f64::INFINITY, |c| c),
             hhnl_rand: batch::hhr_batch(inputs).map_or(f64::INFINITY, |c| c),
@@ -160,25 +164,76 @@ impl CostEstimates {
     }
 }
 
-/// The §6.1 ranking, written once: each algorithm's estimate
-/// `estimates.cost(a, scenario)` as `(algorithm, raw, correct(algorithm,
-/// raw))`, cheapest corrected cost first by `total_cmp`, ties in
-/// [`Algorithm::ALL`] order. `correct` is where a calibration profile
-/// enters; the identity ranks by the raw estimates. The estimates are
-/// summed pages — the unit a run is measured in — whatever worker count
-/// the winner then runs on.
+/// One algorithm's row of the ranking: its pages, and the predicted wall
+/// time the order is decided on.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Prediction {
+    /// The algorithm predicted.
+    pub algorithm: Algorithm,
+    /// The raw §5 estimate under the inputs' own `α` (pages, `seq + α·rand`
+    /// units) — what a run's measured cost is compared against.
+    pub raw: f64,
+    /// `raw` after the calibration correction — what the drift watchdog
+    /// budgets against. Without a profile the two coincide.
+    pub calibrated: f64,
+    /// `page_ns · pages`: the corrected §5 estimate re-evaluated at the
+    /// device's own `α̂`, times what the device takes per sequential page.
+    pub io_ns: f64,
+    /// The work term of [`Prices::cpu_ns`], summed over the queries.
+    pub cpu_ns: f64,
+}
+
+impl Prediction {
+    /// Predicted wall nanoseconds — the number [`rank`] minimises.
+    pub fn total_ns(&self) -> f64 {
+        self.io_ns + self.cpu_ns
+    }
+}
+
+/// The §6.1 ranking, written once — the only function that orders
+/// algorithms. `batch` is the queries one run serves (a single query is
+/// the batch of one). Each algorithm is predicted to take
+/// `page_ns · pages + cpu_ns`: its §5 estimate under `scenario`, corrected
+/// by `correct(algorithm, pages)` (where a calibration profile enters; the
+/// identity leaves it raw) and evaluated at the device's `α̂ =
+/// prices.alpha()`, plus its work term summed over the batch. Cheapest
+/// first by `total_cmp`, ties in [`Algorithm::ALL`] order. Returns the
+/// estimates under the inputs' own `α` beside the ranking.
+///
+/// With [`Prices::pages_only`] at the inputs' `α` the predicted time *is*
+/// the corrected page estimate, and the order is the paper's.
 pub fn rank(
-    estimates: &CostEstimates,
+    batch: &[JoinInputs],
     scenario: IoScenario,
+    prices: &Prices,
     correct: impl Fn(Algorithm, f64) -> f64,
-) -> [(Algorithm, f64, f64); 4] {
-    let mut ranked = Algorithm::ALL.map(|a| {
-        let raw = estimates.cost(a, scenario);
-        (a, raw, correct(a, raw))
+) -> (CostEstimates, [Prediction; 4]) {
+    let estimates = CostEstimates::compute_batch(batch);
+    let alpha = prices.alpha();
+    let at_device = if batch.iter().all(|i| i.sys.alpha == alpha) {
+        estimates
+    } else {
+        let repriced: Vec<JoinInputs> = (batch.iter())
+            .map(|i| JoinInputs {
+                sys: i.sys.with_alpha(alpha),
+                ..*i
+            })
+            .collect();
+        CostEstimates::compute_batch(&repriced)
+    };
+    let mut ranked = Algorithm::ALL.map(|algorithm| {
+        let raw = estimates.cost(algorithm, scenario);
+        Prediction {
+            algorithm,
+            raw,
+            calibrated: correct(algorithm, raw),
+            io_ns: prices.seq_page_ns * correct(algorithm, at_device.cost(algorithm, scenario)),
+            cpu_ns: batch.iter().map(|i| prices.cpu_ns(algorithm, i)).sum(),
+        }
     });
-    // A stable sort keeps `Algorithm::ALL` order among equal costs.
-    ranked.sort_by(|a, b| a.2.total_cmp(&b.2));
-    ranked
+    // A stable sort keeps `Algorithm::ALL` order among equal predictions.
+    ranked.sort_by(|a, b| a.total_ns().total_cmp(&b.total_ns()));
+    (estimates, ranked)
 }
 
 /// The integrated algorithm: pick the cheapest basic algorithm for the
@@ -283,17 +338,57 @@ mod tests {
 
     #[test]
     fn rank_is_cheapest_first_with_ties_in_registration_order() {
+        use std::slice::from_ref;
         let i = inputs(CollectionStats::wsj(), CollectionStats::doe(), 10_000);
-        let est = CostEstimates::compute(&i);
-        let raw = rank(&est, IoScenario::Dedicated, |_, c| c);
-        assert_eq!(raw[0].0, est.best(IoScenario::Dedicated).0);
-        assert!(raw.windows(2).all(|w| w[0].2 <= w[1].2));
-        for (a, r, c) in raw {
-            assert_eq!((r, c), (est.cost(a, IoScenario::Dedicated), r));
+        let pages = Prices::pages_only(i.sys.alpha);
+        let (est, raw) = rank(from_ref(&i), IoScenario::Dedicated, &pages, |_, c| c);
+        assert_eq!(est, CostEstimates::compute(&i));
+        assert_eq!(raw[0].algorithm, est.best(IoScenario::Dedicated).0);
+        assert!(raw.windows(2).all(|w| w[0].total_ns() <= w[1].total_ns()));
+        for r in raw {
+            let pages = est.cost(r.algorithm, IoScenario::Dedicated);
+            assert_eq!(
+                (r.raw, r.calibrated, r.io_ns, r.cpu_ns),
+                (pages, pages, pages, 0.0)
+            );
         }
         // A correction reorders; equal corrected costs keep `ALL` order.
-        let flat = rank(&est, IoScenario::SharedWorstCase, |_, _| 7.0);
-        assert_eq!(flat.map(|r| r.0), Algorithm::ALL);
+        let (_, flat) = rank(from_ref(&i), IoScenario::SharedWorstCase, &pages, |_, _| {
+            7.0
+        });
+        assert_eq!(flat.map(|r| r.algorithm), Algorithm::ALL);
+    }
+
+    #[test]
+    fn rank_reprices_pages_at_the_device_ratio_and_adds_the_work_term() {
+        use std::slice::from_ref;
+        let small_outer = CollectionStats::wsj().select_docs(20);
+        let i = inputs(CollectionStats::wsj(), small_outer, 10_000).with_matches(2e6);
+        let device = Prices::on_device(2_000.0, 2_000.0);
+        let (est, ranked) = rank(from_ref(&i), IoScenario::Dedicated, &device, |_, c| c);
+        let flat = CostEstimates::compute(&JoinInputs {
+            sys: i.sys.with_alpha(1.0),
+            ..i
+        });
+        for r in ranked {
+            let a = r.algorithm;
+            assert_eq!(
+                r.raw,
+                est.cost(a, IoScenario::Dedicated),
+                "{a}: pages stay at α"
+            );
+            assert_eq!(
+                r.io_ns,
+                2_000.0 * flat.cost(a, IoScenario::Dedicated),
+                "{a}"
+            );
+            assert_eq!(r.cpu_ns, device.cpu_ns(a, &i), "{a}");
+        }
+        // A batch sums the work terms of its queries.
+        let (_, twice) = rank(&[i, i], IoScenario::Dedicated, &device, |_, c| c);
+        for r in twice {
+            assert_eq!(r.cpu_ns, 2.0 * device.cpu_ns(r.algorithm, &i));
+        }
     }
 
     #[test]

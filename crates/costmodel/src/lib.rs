@@ -22,7 +22,9 @@
 //! section 6 heuristic available as
 //! [`term_containment_probability`]). [`integrated`] implements the
 //! integrated algorithm of section 6.1: estimate every cost, run the
-//! cheapest. [`comm`] extends the models with the multidatabase
+//! cheapest — [`choose`] in the paper's pages, [`rank`] in predicted wall
+//! time (`page_ns · pages` plus the CPU work term of [`work`], the paper's
+//! future-work item 2). [`comm`] extends the models with the multidatabase
 //! communication term the paper lists as future work. [`calibrate`] closes
 //! the loop: it fits `α̂`, a two-term latency model and per-workload
 //! correction factors from accumulated query reports, so the planner can
@@ -39,6 +41,7 @@ pub mod inputs;
 pub mod integrated;
 pub mod shard;
 pub mod vvm;
+pub mod work;
 
 #[cfg(test)]
 mod proptests;
@@ -47,6 +50,7 @@ pub use batch::{hhr_batch, hhs_batch, hvr_batch, hvs_batch, vvr_batch, vvs_batch
 pub use calibrate::{CalibrationProfile, ReportObs, CALIBRATION_VERSION};
 pub use comm::{choose_distributed, CommParams, Site, TermEncoding};
 pub use fnl::{fnr_batch, fns_batch};
-pub use inputs::{term_containment_probability, JoinInputs};
-pub use integrated::{choose, rank, Algorithm, CostEstimates, IoScenario};
+pub use inputs::{measured_overlap, term_containment_probability, JoinInputs};
+pub use integrated::{choose, rank, Algorithm, CostEstimates, IoScenario, Prediction};
 pub use shard::{uniform_fractions, ShardCost, ShardPlan};
+pub use work::Prices;

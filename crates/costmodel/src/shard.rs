@@ -105,6 +105,8 @@ fn scale_terms(stats: CollectionStats, fraction: f64) -> CollectionStats {
 /// The inputs shard `k` of `algorithm` actually sees.
 fn shard_inputs(inputs: &JoinInputs, algorithm: Algorithm, fraction: f64) -> JoinInputs {
     let mut scaled = *inputs;
+    // Either way of slicing leaves a site its share of the cell pairs.
+    scaled.matches = inputs.matches.map(|m| m * fraction);
     match algorithm {
         Algorithm::Hhnl | Algorithm::Hvnl | Algorithm::Fnl => {
             scaled.outer = scale_docs(inputs.outer, fraction);

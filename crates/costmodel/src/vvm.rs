@@ -21,7 +21,7 @@ use textjoin_common::{Error, Result, SIM_VALUE_BYTES};
 /// live (non-tombstoned) documents get accumulators, so the pair count
 /// shrinks with fragmentation even though the scans grow.
 pub fn similarity_pages(inputs: &JoinInputs) -> f64 {
-    SIM_VALUE_BYTES as f64 * inputs.query.delta * inputs.n1_live() * inputs.n2_live()
+    SIM_VALUE_BYTES as f64 * inputs.delta() * inputs.n1_live() * inputs.n2_live()
         / inputs.sys.page_size as f64
 }
 

@@ -300,8 +300,8 @@ pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
 /// storage (a corrupt page, an exhausted retry), turns out infeasible in
 /// memory or overruns its watchdog budget, the run re-plans onto the
 /// remaining feasible algorithms in the plan's own order (cheapest
-/// calibrated prediction first). Fallbacks run with the watchdog disarmed:
-/// the budget was derived from the aborted choice's prediction.
+/// predicted time first). Fallbacks run with the watchdog disarmed: the
+/// budget — in pages — was derived from the aborted choice's prediction.
 pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<QueryOutput> {
     let r = resolve(catalog, p)?;
     let budget = watchdog_budget(o.drift_factor, p.chosen_prediction().calibrated);
@@ -320,7 +320,7 @@ pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<Query
     let sites = o.introspect.map_or(sites, |i| sites.with_live(i.live));
     let (algorithm, _, (outcome, sharded)) = with_fallback(
         p.chosen,
-        |alg| p.prediction(alg).calibrated,
+        |alg| p.prediction(alg).total_ns(),
         |alg, failed| {
             let spec = if failed == 0 { &spec } else { &unwatched };
             if let Some(g) = guard.as_ref().filter(|_| failed > 0) {
@@ -384,9 +384,10 @@ pub struct BatchQueryOutput {
 /// Executes a planned batch over its shared textual column pair: the batch
 /// engine reads shared structures (inner scans, the inverted-file
 /// dictionary, merge cursors) once for all queries. Same recovery policy
-/// as [`execute`], applied batch-wide: fallbacks are tried cheapest batch
-/// estimate first under the plan's own scenario, and the watchdog budget
-/// is `drift_factor ×` the chosen algorithm's batch estimate.
+/// as [`execute`], applied batch-wide: fallbacks are tried in the batch
+/// ranking's order (cheapest predicted time first), and the watchdog
+/// budget is `drift_factor ×` the chosen algorithm's calibrated batch
+/// estimate, in pages.
 pub fn execute_batch(
     catalog: &Catalog,
     bp: &BatchPlan,
@@ -398,9 +399,10 @@ pub fn execute_batch(
         .ok_or_else(|| Error::InvalidArgument("batch plan holds no queries".into()))?;
     let r = resolve(catalog, p0)?;
     let n = bp.plans.len();
-    let cost = |alg| bp.estimates.cost(alg, bp.scenario);
+    let cost = |alg| bp.prediction(alg).total_ns();
     // The driver judges a batch against the *sum* of its queries' budgets.
-    let share = watchdog_budget(o.drift_factor, cost(bp.chosen)).map(|b| b / n as f64);
+    let share =
+        watchdog_budget(o.drift_factor, bp.prediction(bp.chosen).calibrated).map(|b| b / n as f64);
     // One ticket per query: each carries its own cancel token, so one
     // batch member can be cancelled without touching its siblings.
     let mut guards: Vec<TicketGuard> = Vec::new();
@@ -760,8 +762,8 @@ mod tests {
     }
 
     /// The batch watchdog and tracer are the same two options: a batch
-    /// whose budget is zero re-plans batch-wide onto the next-cheapest
-    /// batch estimate under the plan's own scenario, with identical tuples.
+    /// whose budget is zero re-plans batch-wide onto the next of the batch
+    /// ranking, with identical tuples.
     #[test]
     fn batch_honours_trace_and_watchdog() {
         let c = catalog();
@@ -780,11 +782,10 @@ mod tests {
             ..paper_base()
         };
         let mut bp = plan_batch(&c, &queries, &o).unwrap();
-        // Make the runner-up depend on the scenario: HVNL second under the
-        // plan's worst-case pricing, still third on dedicated drives.
-        bp.estimates.hvnl_rand = (bp.estimates.vvm_rand + bp.estimates.hhnl_rand) / 2.0;
-        assert!(bp.estimates.hvnl_seq > bp.estimates.hhnl_seq);
-        assert_eq!(bp.chosen, Algorithm::Vvm);
+        // The fallback follows the recorded ranking, whatever the estimates
+        // say: make the last of it the cheapest fallback.
+        let next = bp.predictions[3].algorithm;
+        (bp.predictions[3].io_ns, bp.predictions[3].cpu_ns) = (0.0, 0.0);
         let plain = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
         assert_eq!(plain.algorithm, bp.chosen);
         let tracer = Tracer::enabled(256);
@@ -794,7 +795,7 @@ mod tests {
             ..Default::default()
         };
         let out = execute_batch(&c, &bp, &watched).unwrap();
-        assert_eq!(out.algorithm, Algorithm::Hvnl);
+        assert_eq!(out.algorithm, next);
         for (a, b) in out.queries.iter().zip(&plain.queries) {
             assert_eq!(a.rows, b.rows);
         }

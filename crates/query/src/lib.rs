@@ -34,7 +34,10 @@
 //! * [`PlanOptions`] says what to plan for — `sys`, `query`, `scenario`,
 //!   `shards` (+ `comm`, `partitioning`) and an optional calibration
 //!   `profile`. [`PlanOptions::new`] is single-node and uncalibrated;
-//!   every field composes with every other.
+//!   every field composes with every other. Without a profile the
+//!   algorithms are ranked by predicted wall time on the catalog's device
+//!   ([`textjoin_costmodel::rank`]: `page_ns · pages + cpu_ns`); a profile
+//!   ranks by its corrected pages.
 //!   The resulting [`Plan`] records its inputs, so executing it takes no
 //!   second copy of `sys`/`query` that could disagree.
 //! * [`ExecOptions`] says how to run a plan — `trace` (executor spans),
@@ -86,4 +89,5 @@ pub use explain::{
     BatchAnalyzeOutput, CalibratedDrift, DriftRow, ShardDrift,
 };
 pub use parser::parse;
-pub use planner::{plan, plan_batch, plan_query, BatchPlan, Plan, PlanOptions, PlanPrediction};
+pub use planner::{plan, plan_batch, plan_query, BatchPlan, Plan, PlanOptions};
+pub use textjoin_costmodel::Prediction;

@@ -11,10 +11,11 @@
 use crate::ast::{ColumnRef, CompareOp, Literal, Predicate, Query};
 use crate::catalog::{like_match, Catalog, ColumnType, Relation, Value};
 use textjoin_common::{DocId, Error, QueryParams, Result, SystemParams};
+use textjoin_core::integrated::device_prices;
 use textjoin_core::ShardPartitioning;
 use textjoin_costmodel::{
-    rank, shard, Algorithm, CalibrationProfile, CommParams, CostEstimates, IoScenario, JoinInputs,
-    ShardPlan,
+    measured_overlap, rank, shard, Algorithm, CalibrationProfile, CommParams, CostEstimates,
+    IoScenario, JoinInputs, Prediction, Prices, ShardPlan,
 };
 
 /// Everything planning decides on besides the query itself — the one
@@ -36,12 +37,30 @@ pub struct PlanOptions<'a> {
     pub comm: CommParams,
     /// Boundary strategy the sharded executor runs with.
     pub partitioning: ShardPartitioning,
-    /// Rank by *calibrated* estimates: each raw estimate is multiplied by
-    /// the profile's fitted correction factor for this collection pair.
+    /// `None` ranks by predicted wall time: the built-in CPU prices beside
+    /// what the catalog's device says a page costs. A profile ranks in its
+    /// own currency, pages: each raw estimate is multiplied by the fitted
+    /// correction factor for this collection pair, CPU is not priced, and
+    /// [`CalibrationProfile::seed`] is the paper's ranking.
     pub profile: Option<&'a CalibrationProfile>,
 }
 
 impl PlanOptions<'_> {
+    /// What [`rank`] prices pages and work at under these options, on the
+    /// device `catalog` is stored on.
+    fn prices(&self, catalog: &Catalog) -> Prices {
+        match self.profile {
+            Some(_) => Prices::pages_only(self.sys.alpha),
+            None => device_prices(catalog.disk()),
+        }
+    }
+
+    /// The profile's correction of `pair`'s raw estimates (the identity
+    /// without one).
+    fn correct<'p>(&'p self, pair: &'p str) -> impl Fn(Algorithm, f64) -> f64 + 'p {
+        move |a, raw| (self.profile).map_or(raw, |p| p.calibrated_cost(pair, a, raw))
+    }
+
     /// Single-node planning on the raw estimates: one site, default network
     /// pricing and boundaries, no profile.
     pub fn new(sys: SystemParams, query: QueryParams, scenario: IoScenario) -> Self {
@@ -55,19 +74,6 @@ impl PlanOptions<'_> {
             profile: None,
         }
     }
-}
-
-/// One algorithm's cost prediction as recorded by the plan: the raw
-/// section-5 estimate and the calibration-corrected value the ranking
-/// actually used. Without a profile the two coincide.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PlanPrediction {
-    /// The algorithm predicted.
-    pub algorithm: Algorithm,
-    /// The raw analytical estimate (pages, `seq + α·rand` units).
-    pub raw: f64,
-    /// The estimate after the calibration profile's correction factor.
-    pub calibrated: f64,
 }
 
 /// One projected output column.
@@ -118,17 +124,19 @@ pub struct Plan {
     /// Collection-pair label (`"inner_rel/outer_rel"`) keying the query's
     /// reports and calibration corrections.
     pub pair: String,
+    /// What the ranking priced a page and a unit of work at.
+    pub prices: Prices,
     /// The plan's recorded predictions, one per algorithm, cheapest
-    /// calibrated cost first (ties in `Algorithm::ALL` order) — the
+    /// predicted time first (ties in `Algorithm::ALL` order) — the
     /// ranking the choice was made on, the order fallbacks are tried in,
     /// and the feedback the observability loop compares measured costs
     /// against.
-    pub predictions: Vec<PlanPrediction>,
+    pub predictions: Vec<Prediction>,
 }
 
 impl Plan {
     /// The recorded prediction for one algorithm.
-    pub fn prediction(&self, algorithm: Algorithm) -> &PlanPrediction {
+    pub fn prediction(&self, algorithm: Algorithm) -> &Prediction {
         self.predictions
             .iter()
             .find(|p| p.algorithm == algorithm)
@@ -137,7 +145,7 @@ impl Plan {
 
     /// The chosen algorithm's prediction — what the drift watchdog budgets
     /// against.
-    pub fn chosen_prediction(&self) -> &PlanPrediction {
+    pub fn chosen_prediction(&self) -> &Prediction {
         self.prediction(self.chosen)
     }
 
@@ -165,6 +173,10 @@ pub struct BatchPlan {
     pub chosen: Algorithm,
     /// The batch cost estimates behind the choice.
     pub estimates: CostEstimates,
+    /// The batch ranking, as [`Plan::predictions`] is a query's: the batch
+    /// formulas' pages and the queries' summed work terms, cheapest
+    /// predicted time first.
+    pub predictions: Vec<Prediction>,
     /// What running the queries one at a time would cost under the same
     /// scenario, each on its own cheapest algorithm (Σ of per-query bests).
     pub sequential_cost: f64,
@@ -177,11 +189,20 @@ impl BatchPlan {
     pub fn inputs(&self) -> Vec<JoinInputs> {
         self.plans.iter().map(|p| p.inputs).collect()
     }
+
+    /// The batch ranking's row for one algorithm.
+    pub fn prediction(&self, algorithm: Algorithm) -> &Prediction {
+        self.predictions
+            .iter()
+            .find(|p| p.algorithm == algorithm)
+            .expect("every registered algorithm is recorded")
+    }
 }
 
 /// Plans a batch of parsed queries that all join the same textual column
-/// pair, picking one algorithm for the whole batch from the batched cost
-/// formulas (`hhs_batch`/`hvs_batch`/`vvs_batch`).
+/// pair, picking one algorithm for the whole batch by [`rank`] over the
+/// batched cost formulas (`hhs_batch`/`hvs_batch`/`vvs_batch`) — so a
+/// batch of one chooses what [`plan_query`] chooses.
 ///
 /// Every query is first planned individually (selection pushdown and
 /// projection are per query); the batch then re-chooses the algorithm on
@@ -224,13 +245,14 @@ pub fn plan_batch(catalog: &Catalog, queries: &[Query], o: &PlanOptions<'_>) -> 
     }
 
     let inputs: Vec<JoinInputs> = plans.iter().map(|p| p.inputs).collect();
-    let estimates = CostEstimates::compute_batch(&inputs);
-    let chosen = estimates.best(o.scenario).0;
+    let prices = o.prices(catalog);
+    let (estimates, ranked) = rank(&inputs, o.scenario, &prices, o.correct(&first.pair));
     let sequential_cost = plans.iter().map(|p| p.estimates.best(o.scenario).1).sum();
 
     Ok(BatchPlan {
+        chosen: ranked[0].algorithm,
+        predictions: ranked.to_vec(),
         plans,
-        chosen,
         estimates,
         sequential_cost,
         scenario: o.scenario,
@@ -268,10 +290,11 @@ pub fn plan_with_workers(
 
 /// Plans a parsed query against a catalog: resolves names, pushes the
 /// selections below the join, and ranks the algorithms by
-/// [`textjoin_costmodel::rank`] under `o`, corrected by `o.profile` when
-/// one is given. The plan records both numbers per algorithm, so EXPLAIN
-/// can show the correction and the watchdog can budget against the
-/// calibrated prediction.
+/// [`textjoin_costmodel::rank`] under `o` — by predicted wall time on the
+/// catalog's device, or by `o.profile`'s corrected pages when one is
+/// given. The plan records pages, corrected pages and both time terms per
+/// algorithm, so EXPLAIN can show what decided and the watchdog can budget
+/// against the calibrated page prediction.
 pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Result<Plan> {
     if query.from.len() != 2 {
         return Err(Error::Plan(format!(
@@ -358,10 +381,8 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
         None => (outer_full, None),
         Some(ids) => (outer_full.select_docs(ids.len() as u64), Some(outer_full)),
     };
-    let q = outer_tc
-        .collection
-        .profile()
-        .term_overlap_probability(inner_tc.collection.profile());
+    let overlap = (outer_tc.collection.profile()).overlap(inner_tc.collection.profile());
+    let (q, matches) = measured_overlap(overlap, &outer_full, outer_stats.num_docs);
     let inputs = JoinInputs {
         inner: inner_stats,
         outer: outer_stats,
@@ -375,21 +396,14 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
         // from the inner text column; without them the FNL estimate is
         // infinite and the ranking degrades to the classic three.
         fnl: Some(inner_tc.fnl.stats()),
+        matches: Some(matches),
     };
-    let estimates = CostEstimates::compute(&inputs);
     let pair = format!("{}/{}", inner_rel.name(), outer_rel.name());
-    let ranked = rank(&estimates, o.scenario, |a, raw| {
-        o.profile
-            .map_or(raw, |profile| profile.calibrated_cost(&pair, a, raw))
-    });
-    let chosen = ranked[0].0;
-    let predictions = ranked
-        .map(|(algorithm, raw, calibrated)| PlanPrediction {
-            algorithm,
-            raw,
-            calibrated,
-        })
-        .to_vec();
+    let prices = o.prices(catalog);
+    let batch_of_one = std::slice::from_ref(&inputs);
+    let (estimates, ranked) = rank(batch_of_one, o.scenario, &prices, o.correct(&pair));
+    let chosen = ranked[0].algorithm;
+    let predictions = ranked.to_vec();
 
     // The per-shard §5 breakdown the sharded executor is being priced
     // against. Uniform fractions are the planning-time assumption; the
@@ -418,6 +432,7 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
         comm: o.comm,
         shard_partitioning: o.partitioning,
         pair,
+        prices,
         predictions,
     })
 }
@@ -829,6 +844,47 @@ mod tests {
             .predictions
             .windows(2)
             .all(|w| w[0].calibrated <= w[1].calibrated));
+    }
+
+    /// `plan_batch` goes through the one ranking: a batch of one chooses
+    /// what `plan_query` chooses and records the same rows — by predicted
+    /// time without a profile, by corrected pages with one that reranks.
+    #[test]
+    fn a_batch_of_one_chooses_what_plan_query_chooses() {
+        use textjoin_costmodel::ReportObs;
+        let c = catalog();
+        let query = parse(
+            "Select P.Title From Positions P, Applicants A \
+             Where A.Resume SIMILAR_TO(1) P.Job_descr",
+        )
+        .unwrap();
+        let base = plan_query(&c, &query, &paper_base()).unwrap();
+        let profile = CalibrationProfile::fit(&[ReportObs {
+            pair: base.pair.clone(),
+            algorithm: base.chosen.to_string(),
+            seq_reads: 1000,
+            rand_reads: 0,
+            cells: 0,
+            wall_ns: 0,
+            predicted_cost: Some(1.0),
+            measured_cost: 1000.0,
+        }]);
+        let reranked = PlanOptions {
+            profile: Some(&profile),
+            ..paper_base()
+        };
+        for o in [paper_base(), reranked] {
+            let solo = plan_query(&c, &query, &o).unwrap();
+            let batch = plan_batch(&c, std::slice::from_ref(&query), &o).unwrap();
+            assert_eq!(batch.chosen, solo.chosen);
+            assert_eq!(batch.predictions, solo.predictions);
+            assert_eq!(batch.estimates, solo.estimates);
+        }
+        let moved = plan_batch(&c, std::slice::from_ref(&query), &reranked).unwrap();
+        assert_ne!(
+            moved.chosen, base.chosen,
+            "the profile reranks the batch too"
+        );
     }
 
     #[test]

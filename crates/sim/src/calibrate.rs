@@ -48,6 +48,29 @@ impl CalibrationRun {
         self.median_calibrated < self.median_seed
     }
 
+    /// The two-term latency model this round fitted, beside the built-in
+    /// prices the planner ranks with when no profile is given: the fit's
+    /// one `cpu_per_cell_ns` is per match, the built-ins split a match by
+    /// loop and add what each loop scans.
+    pub fn prices_line(&self) -> String {
+        use textjoin_costmodel::work;
+        format!(
+            "fitted: page_ns={:.0} cpu_per_cell_ns={:.2} (α̂={:.2}, the grid's simulated latency \
+             included) | built-in: page_ns = {} × page bytes, MATCH_NS={} ROW_MATCH_NS={} \
+             PROBE_CELL_NS={} SIGNATURE_CELL_NS={} ICELL_NS={} LOOKUP_NS={}",
+            self.profile.page_ns,
+            self.profile.cpu_per_cell_ns,
+            self.profile.alpha_hat,
+            textjoin_storage::READ_NS_PER_BYTE,
+            work::MATCH_NS,
+            work::ROW_MATCH_NS,
+            work::PROBE_CELL_NS,
+            work::SIGNATURE_CELL_NS,
+            work::ICELL_NS,
+            work::LOOKUP_NS,
+        )
+    }
+
     /// Per-case before/after drift table (the EXPERIMENTS.md artifact).
     pub fn drift_table(&self) -> Table {
         let mut t = Table::new(

@@ -372,7 +372,7 @@ fn scenario_replan_to_hhnl(seed: u64, run: &mut ChaosRun) -> Result<()> {
         seed,
         NAME,
         "the plan's first choice was HVNL",
-        got.estimates.best(IoScenario::Dedicated).0 == Algorithm::Hvnl,
+        got.ranking[0].algorithm == Algorithm::Hvnl,
     );
     push(
         &mut run.checks,

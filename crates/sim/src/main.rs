@@ -425,6 +425,7 @@ fn main() -> ExitCode {
                         "appended {} reports; fitted from {} stored observations",
                         round.appended, round.reloaded
                     );
+                    eprintln!("{}", round.prices_line());
                     if round.improved() {
                         eprintln!(
                             "calibration gate passed: median |drift| {:.2}% -> {:.2}%",

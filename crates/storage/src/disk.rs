@@ -250,6 +250,13 @@ pub struct PageLatency {
     pub rand_ns: u64,
 }
 
+/// Wall nanoseconds per payload byte of a page read with no simulated
+/// latency — almost all of it the CRC32 check. Fitted from
+/// `storage.disk.seq_read_ns_per_page` 1 814 and `rand_read_ns_per_page`
+/// 1 827 at 4 096-byte pages (`BENCH_21.trace.json`, `fits`; CRC32 alone
+/// runs at 2 159 MB/s = 0.46 ns per byte there).
+pub const READ_NS_PER_BYTE: f64 = 0.45;
+
 #[derive(Default)]
 struct HeadState {
     /// Per-(thread, file) head positions — a dedicated drive per scanning
@@ -592,6 +599,21 @@ impl DiskSim {
     /// The current simulated per-page service time.
     pub fn page_latency(&self) -> PageLatency {
         self.state.lock().latency
+    }
+
+    /// What serving one page costs this store in wall time at each rate:
+    /// the simulated [`PageLatency`] plus verifying and handing over
+    /// `page_size` bytes at [`READ_NS_PER_BYTE`]. With no simulated latency
+    /// a random page costs what a sequential one does (a lookup and a
+    /// checksum either way), so the device's own `α̂ = rand/seq` is 1; a
+    /// latency with `rand_ns = 5·seq_ns` takes it to the paper's 5.
+    pub fn page_service(&self) -> PageLatency {
+        let verify = (self.page_size as f64 * READ_NS_PER_BYTE).round() as u64;
+        let latency = self.page_latency();
+        PageLatency {
+            seq_ns: latency.seq_ns + verify,
+            rand_ns: latency.rand_ns + verify,
+        }
     }
 
     /// Enables or disables interference mode (every run random).
@@ -975,6 +997,20 @@ mod tests {
         let st = disk.stats();
         assert_eq!(st.rand_reads, 2);
         assert_eq!(st.seq_reads, 14);
+    }
+
+    #[test]
+    fn page_service_is_latency_plus_the_checksum_of_a_page() {
+        let disk = DiskSim::new(4096);
+        let idle = disk.page_service();
+        assert_eq!(idle.seq_ns, idle.rand_ns, "α̂ = 1 on the zero-latency store");
+        assert_eq!(idle.seq_ns, 1843);
+        disk.set_page_latency(PageLatency {
+            seq_ns: 10_000,
+            rand_ns: 50_000,
+        });
+        let seeking = disk.page_service();
+        assert_eq!((seeking.seq_ns, seeking.rand_ns), (11_843, 51_843));
     }
 
     #[test]

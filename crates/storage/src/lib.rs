@@ -40,7 +40,7 @@ pub use buffer::{
 };
 pub use disk::{
     Backoff, DiskMetrics, DiskSim, Fault, FaultKind, FaultPlan, FaultStats, FileId, IoStats,
-    PageKind, PageLatency, RetryPolicy, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES,
+    PageKind, PageLatency, RetryPolicy, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, READ_NS_PER_BYTE,
 };
 pub use memory::MemTracker;
 pub use net::NetworkSim;

@@ -290,7 +290,7 @@ fn integrated_replans_from_hvnl_to_hhnl_on_corrupt_inverted_file() {
 
     let got = integrated::execute(&spec, &inv1, &inv2, IoScenario::Dedicated).unwrap();
     assert_eq!(
-        got.estimates.best(IoScenario::Dedicated).0,
+        got.ranking[0].algorithm,
         Algorithm::Hvnl,
         "the scenario must actually exercise a fallback"
     );
