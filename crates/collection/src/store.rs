@@ -16,7 +16,8 @@ use crate::profile::CollectionProfile;
 use std::sync::Arc;
 use textjoin_common::{DocId, Result};
 use textjoin_storage::{
-    BufferPool, ByteSpan, DiskSim, FileId, PageKind, PrefetchMetrics, PrefetchStats, Prefetcher,
+    packed, BufferPool, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind,
+    PrefetchMetrics, PrefetchStats,
 };
 
 /// A read-only paged document store.
@@ -126,7 +127,7 @@ impl DocumentStore {
     /// Sequentially scans the whole collection in storage order, yielding
     /// `(DocId, Document)`. Pages are read once each, in order, so the I/O
     /// bill is `D` pages (the first at the random rate if the head is
-    /// elsewhere). Under the hood the scan runs through a [`Prefetcher`]:
+    /// elsewhere). Under the hood the scan runs through a [`PackedReader`]:
     /// contiguous demands are batched into windowed readahead without
     /// changing the page count or the seek count.
     pub fn scan(&self) -> Scanner<'_> {
@@ -139,8 +140,7 @@ impl DocumentStore {
         Scanner {
             store: self,
             next_doc: 0,
-            prefetcher: Prefetcher::new(&self.disk, self.file, self.num_pages())
-                .with_metrics(metrics),
+            reader: PackedReader::new(&self.disk, self.file, self.num_pages(), metrics),
         }
     }
 
@@ -150,19 +150,17 @@ impl DocumentStore {
     /// `min{D, N}` behaviour of section 5.1.
     pub fn read_doc(&self, pool: &BufferPool<'_>, doc: DocId) -> Result<Document> {
         let span = self.span(doc);
-        let page_size = self.disk.page_size();
-        let (first, n) = span.page_range(page_size);
+        let (first, n) = span.page_range(self.disk.page_size());
         let pages = pool.get_run(self.file, first, n)?;
-        Document::decode(&slice_span(&pages, span, first, page_size))
+        Document::decode(packed::record(&pages, span, &mut Vec::new()))
     }
 
     /// Reads one document directly from disk, bypassing any cache.
     pub fn read_doc_direct(&self, doc: DocId) -> Result<Document> {
         let span = self.span(doc);
-        let page_size = self.disk.page_size();
-        let (first, n) = span.page_range(page_size);
+        let (first, n) = span.page_range(self.disk.page_size());
         let pages = self.disk.read_run(self.file, first, n)?;
-        Document::decode(&slice_span(&pages, span, first, page_size))
+        Document::decode(packed::record(&pages, span, &mut Vec::new()))
     }
 
     /// Reassembles a store from already-persisted parts — the recovery
@@ -191,40 +189,18 @@ impl DocumentStore {
     }
 }
 
-/// Extracts a byte span from a run of pages starting at page `first`.
-fn slice_span(pages: &[Arc<[u8]>], span: ByteSpan, first: u64, page_size: usize) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(span.len as usize);
-    let mut remaining = span.len as usize;
-    let mut offset = (span.offset - first * page_size as u64) as usize;
-    for page in pages {
-        if remaining == 0 {
-            break;
-        }
-        let take = remaining.min(page_size - offset);
-        bytes.extend_from_slice(&page[offset..offset + take]);
-        remaining -= take;
-        offset = 0;
-    }
-    debug_assert_eq!(remaining, 0, "span not covered by page run");
-    bytes
-}
-
 /// Sequential scanner over a [`DocumentStore`], reading through a
-/// sequential-run [`Prefetcher`].
+/// [`PackedReader`].
 pub struct Scanner<'s> {
     store: &'s DocumentStore,
-    next_doc: u64,
-    prefetcher: Prefetcher<'s>,
+    next_doc: usize,
+    reader: PackedReader<'s>,
 }
 
 impl Scanner<'_> {
-    fn page(&mut self, page_no: u64) -> Result<Arc<[u8]>> {
-        self.prefetcher.get(page_no)
-    }
-
     /// Readahead counters accumulated by this scan so far.
     pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetcher.stats()
+        self.reader.prefetch_stats()
     }
 }
 
@@ -232,29 +208,11 @@ impl Iterator for Scanner<'_> {
     type Item = Result<(DocId, Document)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_doc >= self.store.num_docs() {
-            return None;
-        }
-        let doc_id = self.store.doc_at(self.next_doc as usize);
+        let span = *self.store.directory.get(self.next_doc)?;
+        let doc_id = self.store.doc_at(self.next_doc);
         self.next_doc += 1;
-        let span = self.store.span(doc_id);
-        let page_size = self.store.disk.page_size();
-        let (first, n) = span.page_range(page_size);
-
-        let mut bytes = Vec::with_capacity(span.len as usize);
-        let mut remaining = span.len as usize;
-        let mut offset = (span.offset - first * page_size as u64) as usize;
-        for page_no in first..first + n {
-            let page = match self.page(page_no) {
-                Ok(p) => p,
-                Err(e) => return Some(Err(e)),
-            };
-            let take = remaining.min(page_size - offset);
-            bytes.extend_from_slice(&page[offset..offset + take]);
-            remaining -= take;
-            offset = 0;
-        }
-        Some(Document::decode(&bytes).map(|d| (doc_id, d)))
+        let doc = self.reader.record(span).and_then(Document::decode);
+        Some(doc.map(|d| (doc_id, d)))
     }
 }
 
@@ -265,22 +223,19 @@ pub struct DocumentStoreBuilder {
     file: FileId,
     directory: Vec<ByteSpan>,
     ids: Vec<u32>,
-    page_buf: Vec<u8>,
-    written_bytes: u64,
+    writer: PackedWriter,
 }
 
 impl DocumentStoreBuilder {
     /// Starts a new store in file `name` on `disk`.
     pub fn new(disk: Arc<DiskSim>, name: &str) -> Result<Self> {
         let file = disk.create_file_with_kind(name, PageKind::Documents)?;
-        let page_size = disk.page_size();
         Ok(Self {
+            writer: PackedWriter::new(Arc::clone(&disk), file),
             disk,
             file,
             directory: Vec::new(),
             ids: Vec::new(),
-            page_buf: Vec::with_capacity(page_size),
-            written_bytes: 0,
         })
     }
 
@@ -304,51 +259,20 @@ impl DocumentStoreBuilder {
                 )));
             }
         }
+        self.directory.push(self.writer.append(&doc.encode())?);
         self.ids.push(id.raw());
-        let bytes = doc.encode();
-        let offset = self.written_bytes + self.page_buf.len() as u64;
-        self.directory
-            .push(ByteSpan::new(offset, bytes.len() as u64));
-
-        let page_size = self.disk.page_size();
-        let mut rest: &[u8] = &bytes;
-        while !rest.is_empty() {
-            let room = page_size - self.page_buf.len();
-            let take = room.min(rest.len());
-            self.page_buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.page_buf.len() == page_size {
-                self.flush_page()?;
-            }
-        }
         Ok(id)
     }
 
-    fn flush_page(&mut self) -> Result<()> {
-        // The disk takes exactly one page per write; partial tail pages are
-        // zero-padded here while `written_bytes` keeps the logical count.
-        self.page_buf.resize(self.disk.page_size(), 0);
-        self.disk.append_page(self.file, &self.page_buf)?;
-        self.written_bytes += self.disk.page_size() as u64;
-        self.page_buf.clear();
-        Ok(())
-    }
-
     /// Finishes the store, flushing the final partial page.
-    pub fn finish(mut self) -> Result<DocumentStore> {
-        let tail = self.page_buf.len() as u64;
-        if tail > 0 {
-            let total = self.written_bytes + tail;
-            self.flush_page()?;
-            self.written_bytes = total;
-        }
+    pub fn finish(self) -> Result<DocumentStore> {
         let dense = self.ids.iter().enumerate().all(|(i, &id)| id as usize == i);
         Ok(DocumentStore {
+            total_bytes: self.writer.finish()?,
             disk: self.disk,
             file: self.file,
             directory: self.directory,
             ids: (!dense).then_some(self.ids),
-            total_bytes: self.written_bytes,
         })
     }
 }

@@ -179,9 +179,10 @@ impl<'r> Passes<'r> for Hvnl<'r> {
             // the average ⌈J1⌉; we reserve the worst case so even an entry
             // that cannot be cached can still be streamed through without
             // busting the budget).
-            let max_entry = crate::vvm::max_entry_bytes(inner_inv);
-            run.tracker
-                .allocate(max_entry.max(1), "HVNL current entry buffer")?;
+            run.tracker.allocate(
+                inner_inv.max_entry_bytes().max(1),
+                "HVNL current entry buffer",
+            )?;
             // With a registry-backed tracer attached, each inverted-entry
             // lookup is timed separately by outcome, making the cache-hit
             // vs disk-fetch latency gap directly observable.
@@ -381,9 +382,8 @@ impl<'r> Hvnl<'r> {
         if inv.num_entries() == 0 {
             return Ok(());
         }
-        let total_cached_bytes: u64 = (0..inv.num_entries() as u32)
-            .map(|o| inv.entry_bytes(o) + NUMBER_BYTES as u64)
-            .sum();
+        // What `cached_entry_bytes` will charge over all entries.
+        let total_cached_bytes = inv.decoded_bytes() + inv.num_entries() * NUMBER_BYTES as u64;
         if total_cached_bytes > run.tracker.available() {
             return Ok(());
         }
@@ -874,6 +874,33 @@ mod tests {
             got_roomy.stats.entry_fetches
         );
         assert!(got_tight.stats.mem_high_water_bytes <= tight.sys.buffer_bytes());
+    }
+
+    /// A compressing codec stores fewer bytes than the cells HVNL then
+    /// holds. With `B·P` between the two totals the preload must be judged
+    /// by what it will allocate and skipped — not started on the stored
+    /// size and abandoned with `InsufficientMemory`.
+    #[test]
+    fn varint_file_is_sized_by_its_decoded_cells() {
+        let (disk, c1, c2, _, d1, d2) = fixture(200, 40, 30.0, 60, 128);
+        let codec = textjoin_invfile::PostingCodec::VarintGap;
+        let inv = InvertedFile::build_with(Arc::clone(&disk), "c1v", &c1, codec).unwrap();
+        let decoded: u64 = d1.iter().map(Document::size_bytes).sum();
+        assert!(inv.total_bytes() * 2 < decoded, "the fixture must compress");
+        let want = naive_join(&d1, &d2, OuterDocs::Full, 5, crate::Weighting::RawCount);
+        for mid in [1, 2, 3] {
+            let between = inv.total_bytes() + (decoded - inv.total_bytes()) * mid / 4;
+            let spec = JoinSpec::new(&c1, &c2)
+                .with_sys(SystemParams {
+                    buffer_pages: between / 128,
+                    page_size: 128,
+                    alpha: 5.0,
+                })
+                .with_query(QueryParams::paper_base().with_lambda(5));
+            let got = execute(&spec, &inv).unwrap();
+            assert_eq!(got.result, want, "B = {}", spec.sys.buffer_pages);
+            assert!(got.stats.mem_high_water_bytes <= spec.sys.buffer_bytes());
+        }
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl<'r> Passes<'r> for Vvm<'r> {
                 // largest. (The paper budgets ⌈J1⌉ + ⌈J2⌉ — the average;
                 // we hold the max so the budget is strict.)
                 let entry_buf_bytes =
-                    max_entry_bytes(part.inner_inv) + max_entry_bytes(part.outer_inv);
+                    part.inner_inv.max_entry_bytes() + part.outer_inv.max_entry_bytes();
                 tracker.allocate(entry_buf_bytes.max(1), "VVM entry buffers")?;
                 tracker.allocate(heap_bytes, "VVM result heap")?;
                 Ok(tracker)
@@ -481,13 +481,6 @@ impl MergePartial {
             dst.absorb(rows);
         }
     }
-}
-
-pub(crate) fn max_entry_bytes(inv: &InvertedFile) -> u64 {
-    (0..inv.num_entries() as u32)
-        .map(|o| inv.entry_bytes(o))
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@ use crate::codec::PostingCodec;
 use std::collections::HashMap;
 use std::sync::Arc;
 use textjoin_collection::Collection;
-use textjoin_common::{ICell, Result, TermId};
+use textjoin_common::{ICell, Result, TermId, CELL_BYTES};
 use textjoin_storage::{
-    ByteSpan, DiskSim, FileId, PageKind, PrefetchMetrics, PrefetchStats, Prefetcher,
+    packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
+    PrefetchStats,
 };
 
 /// Directory record of one inverted-file entry.
@@ -39,6 +40,10 @@ pub struct InvertedFile {
     btree: BTreeFile,
     total_bytes: u64,
     codec: PostingCodec,
+    /// The largest `doc_freq` and `Σ doc_freq` of the directory: what the
+    /// entries take once decoded, whatever the codec stored them as.
+    max_doc_freq: u64,
+    total_doc_freq: u64,
 }
 
 impl InvertedFile {
@@ -93,11 +98,9 @@ impl InvertedFile {
         terms.sort();
 
         let file = disk.create_file_with_kind(&format!("{name}.inv"), PageKind::Postings)?;
-        let page_size = disk.page_size();
+        let mut writer = PackedWriter::new(Arc::clone(&disk), file);
         let mut directory = Vec::with_capacity(terms.len());
         let mut dict = Vec::with_capacity(terms.len());
-        let mut page_buf: Vec<u8> = Vec::with_capacity(page_size);
-        let mut written: u64 = 0;
 
         for term in terms {
             let cells = &postings[&term];
@@ -105,12 +108,10 @@ impl InvertedFile {
                 cells.windows(2).all(|w| w[0].doc < w[1].doc),
                 "i-cells must be strictly increasing by document"
             );
-            let offset = written + page_buf.len() as u64;
-            let bytes = codec.encode(cells);
             let ordinal = directory.len() as u32;
             directory.push(EntryMeta {
                 term,
-                span: ByteSpan::new(offset, bytes.len() as u64),
+                span: writer.append(&codec.encode(cells))?,
                 doc_freq: cells.len() as u32,
             });
             dict.push((
@@ -120,37 +121,18 @@ impl InvertedFile {
                     doc_freq: cells.len().min(u16::MAX as usize) as u16,
                 },
             ));
-            let mut rest: &[u8] = &bytes;
-            while !rest.is_empty() {
-                let room = page_size - page_buf.len();
-                let take = room.min(rest.len());
-                page_buf.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if page_buf.len() == page_size {
-                    disk.append_page(file, &page_buf)?;
-                    written += page_size as u64;
-                    page_buf.clear();
-                }
-            }
         }
-        if !page_buf.is_empty() {
-            // Zero-pad the partial tail page (the disk takes exactly one
-            // page per write) but keep the logical byte count.
-            let tail = page_buf.len() as u64;
-            page_buf.resize(page_size, 0);
-            disk.append_page(file, &page_buf)?;
-            written += tail;
-        }
+        let total_bytes = writer.finish()?;
 
         let btree = BTreeFile::bulk_load(Arc::clone(&disk), &format!("{name}.btree"), &dict)?;
-        Ok(Self {
+        Ok(Self::from_parts(
             disk,
             file,
             directory,
             btree,
-            total_bytes: written,
+            total_bytes,
             codec,
-        })
+        ))
     }
 
     /// Reassembles an inverted file from already-persisted parts — the
@@ -165,7 +147,10 @@ impl InvertedFile {
         total_bytes: u64,
         codec: PostingCodec,
     ) -> Self {
+        let doc_freqs = || directory.iter().map(|m| u64::from(m.doc_freq));
         Self {
+            max_doc_freq: doc_freqs().max().unwrap_or(0),
+            total_doc_freq: doc_freqs().sum(),
             disk,
             file,
             directory,
@@ -249,21 +234,28 @@ impl InvertedFile {
         self.meta(ordinal).span.num_pages(self.disk.page_size())
     }
 
-    /// Bytes of entry `ordinal`, for memory accounting of HVNL's cache.
-    pub fn entry_bytes(&self, ordinal: u32) -> u64 {
-        self.meta(ordinal).span.len
+    /// Bytes of the largest entry once decoded into i-cells — what a
+    /// buffer holding "the current entry" must reserve. Stored bytes
+    /// (`span.len`) are the wrong measure: a compressing codec stores fewer
+    /// than the cells an executor then holds.
+    pub fn max_entry_bytes(&self) -> u64 {
+        self.max_doc_freq * CELL_BYTES as u64
+    }
+
+    /// Bytes of all entries once decoded into i-cells.
+    pub fn decoded_bytes(&self) -> u64 {
+        self.total_doc_freq * CELL_BYTES as u64
     }
 
     /// Fetches one entry at the random-I/O rate (`⌈J⌉·α`): the access
     /// pattern of HVNL (section 5.2).
     pub fn read_entry(&self, ordinal: u32) -> Result<Vec<ICell>> {
-        let meta = self.meta(ordinal);
-        let page_size = self.disk.page_size();
-        let (first, n) = meta.span.page_range(page_size);
+        let span = self.meta(ordinal).span;
+        let (first, n) = span.page_range(self.disk.page_size());
         let pages = self.disk.read_run(self.file, first, n)?;
-        let mut cells = Vec::new();
-        let mut bytes = Vec::new();
-        decode_entry(self.codec, &pages, meta.span, first, &mut bytes, &mut cells)?;
+        let (mut scratch, mut cells) = (Vec::new(), Vec::new());
+        let bytes = packed::record(&pages, span, &mut scratch);
+        self.codec.decode_into(bytes, &mut cells)?;
         Ok(cells)
     }
 
@@ -295,81 +287,35 @@ impl InvertedFile {
         metrics: Option<PrefetchMetrics>,
     ) -> EntryScanner<'_> {
         debug_assert!(start <= end && end as u64 <= self.num_entries());
-        let end_page = if end > start {
-            let meta = self.meta(end - 1);
-            let (first, n) = meta.span.page_range(self.disk.page_size());
-            first + n
-        } else {
-            0
-        };
+        let last = (end > start).then(|| self.meta(end - 1).span);
+        let end_page = last.map_or(0, |span| span.end_page(self.disk.page_size()));
         EntryScanner {
             inv: self,
             next_ordinal: start,
             end_ordinal: end,
-            prefetcher: Prefetcher::new(&self.disk, self.file, end_page).with_metrics(metrics),
-            pages: Vec::new(),
-            bytes: Vec::new(),
-            last_page: None,
+            reader: PackedReader::new(&self.disk, self.file, end_page, metrics),
         }
     }
 }
 
-/// Decodes the entry at `span` out of `pages` (the pages the span touches,
-/// in order, from page number `first`) into `cells`. An entry inside one page is decoded where it
-/// lies; one that crosses pages is gathered into `bytes` first.
-fn decode_entry(
-    codec: PostingCodec,
-    pages: &[Arc<[u8]>],
-    span: ByteSpan,
-    first: u64,
-    bytes: &mut Vec<u8>,
-    cells: &mut Vec<ICell>,
-) -> Result<()> {
-    // Every page a disk hands out is exactly one page long.
-    let Some(head) = pages.first() else {
-        return codec.decode_into(&[], cells);
-    };
-    let page_size = head.len();
-    let offset = (span.offset - first * page_size as u64) as usize;
-    let len = span.len as usize;
-    if offset + len <= page_size {
-        return codec.decode_into(&head[offset..offset + len], cells);
-    }
-    bytes.clear();
-    bytes.extend_from_slice(&head[offset..]);
-    for page in &pages[1..] {
-        let take = (len - bytes.len()).min(page_size);
-        bytes.extend_from_slice(&page[..take]);
-    }
-    codec.decode_into(bytes, cells)
-}
-
 /// Sequential scanner over an inverted file (or an ordinal sub-range of
-/// it), yielding `(TermId, Vec<ICell>)` in increasing term order. Pages are
-/// pulled through a [`Prefetcher`], so adjacent entry reads coalesce into
-/// windowed scan-priced batches. [`next_into`](Self::next_into) is the
+/// it), yielding `(TermId, Vec<ICell>)` in increasing term order. Entries
+/// are pulled through a [`PackedReader`], so adjacent entry reads coalesce
+/// into windowed scan-priced batches and an entry inside one page is
+/// decoded where it lies. [`next_into`](Self::next_into) is the
 /// lending step for callers that consume an entry before asking for the
 /// next; the `Iterator` impl wraps it for callers that keep the entry.
 pub struct EntryScanner<'a> {
     inv: &'a InvertedFile,
     next_ordinal: u32,
     end_ordinal: u32,
-    prefetcher: Prefetcher<'a>,
-    /// The current entry's pages and, when it crosses pages, its gathered
-    /// bytes — scratch reused from entry to entry.
-    pages: Vec<Arc<[u8]>>,
-    bytes: Vec<u8>,
-    /// The page number of `pages.last()`. Entries are packed, so the next
-    /// entry usually starts on that page and takes it from here, not from
-    /// the prefetcher again (which would find it resident: no I/O either
-    /// way).
-    last_page: Option<u64>,
+    reader: PackedReader<'a>,
 }
 
 impl EntryScanner<'_> {
     /// Readahead counters accumulated so far.
     pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetcher.stats()
+        self.reader.prefetch_stats()
     }
 
     /// Reads the next entry into `cells` (replacing what it held, keeping
@@ -382,21 +328,8 @@ impl EntryScanner<'_> {
         }
         let meta = *self.inv.meta(self.next_ordinal);
         self.next_ordinal += 1;
-        let page_size = self.inv.disk.page_size();
-        let (first, n) = meta.span.page_range(page_size);
-        let carried = self.last_page.take() == Some(first);
-        let held = self.pages.pop().filter(|_| carried);
-        self.pages.clear();
-        self.pages.extend(held);
-        for page_no in first + self.pages.len() as u64..first + n {
-            match self.prefetcher.get(page_no) {
-                Ok(p) => self.pages.push(p),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        self.last_page = (n > 0).then(|| first + n - 1);
-        let (codec, pages, bytes) = (self.inv.codec, &self.pages, &mut self.bytes);
-        Some(decode_entry(codec, pages, meta.span, first, bytes, cells).map(|()| meta.term))
+        let bytes = self.reader.record(meta.span);
+        Some(bytes.and_then(|b| self.inv.codec.decode_into(b, cells).map(|()| meta.term)))
     }
 }
 

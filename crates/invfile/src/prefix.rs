@@ -25,8 +25,8 @@
 //! probe time via the executor's usual `inner_doc_allowed` check, so a
 //! stale signature entry can never resurrect a deleted document.
 //!
-//! On disk the index is two files, both written through the page-packed
-//! append path and read back with real page I/O:
+//! On disk the index is two files, both written through
+//! [`PackedWriter`] and read back with real page I/O:
 //!
 //! * `<name>.fnlsig` — the signatures, gap-coded, tightly packed;
 //! * `<name>.fnlmeta` — the term-order sidecar: for each rank, the term
@@ -39,7 +39,8 @@ use std::sync::Arc;
 use textjoin_collection::{Collection, Document};
 use textjoin_common::{DocId, Error, FnlStats, Result, TermId};
 use textjoin_storage::{
-    ByteSpan, DiskSim, FileId, PageKind, PrefetchMetrics, PrefetchStats, Prefetcher,
+    packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
+    PrefetchStats,
 };
 
 /// Length of the filtering prefix for a document with `num_terms` terms at
@@ -153,7 +154,7 @@ pub struct FnlIndex {
 impl FnlIndex {
     /// Builds the signature index for a collection: one scan to collect
     /// documents and count frequencies, then the rarity order, then both
-    /// files through the page-packed append path.
+    /// files through a [`PackedWriter`].
     pub fn build(disk: Arc<DiskSim>, name: &str, collection: &Collection) -> Result<Self> {
         let mut docs: Vec<(DocId, Document)> = Vec::new();
         let mut df: HashMap<TermId, u32> = HashMap::new();
@@ -183,17 +184,15 @@ impl FnlIndex {
             write_varint(&mut meta_buf, term.raw() as u64);
             write_varint(&mut meta_buf, freq as u64);
         }
-        let meta_bytes = meta_buf.len() as u64;
-        append_packed(&disk, meta_file, &meta_buf)?;
+        let mut meta = PackedWriter::new(Arc::clone(&disk), meta_file);
+        meta.append(&meta_buf)?;
+        let meta_bytes = meta.finish()?;
 
         // The signature file: per document, gap-coded (rank, weight)
         // cells in increasing rank order.
         let sig_file = disk.create_file_with_kind(&format!("{name}.fnlsig"), PageKind::Raw)?;
-        let page_size = disk.page_size();
+        let mut sigs = PackedWriter::new(Arc::clone(&disk), sig_file);
         let mut directory = Vec::with_capacity(docs.len());
-        let mut page_buf: Vec<u8> = Vec::with_capacity(page_size);
-        let mut written: u64 = 0;
-        let mut max_entry_bytes: u64 = 0;
         for (id, doc) in &docs {
             let mut cells: Vec<RankCell> = doc
                 .cells()
@@ -212,41 +211,22 @@ impl FnlIndex {
                 write_varint(&mut bytes, gap as u64);
                 write_varint(&mut bytes, c.weight as u64);
             }
-            let offset = written + page_buf.len() as u64;
             directory.push(SigMeta {
                 doc: *id,
-                span: ByteSpan::new(offset, bytes.len() as u64),
+                span: sigs.append(&bytes)?,
                 num_terms: cells.len() as u32,
             });
-            max_entry_bytes = max_entry_bytes.max(bytes.len() as u64);
-            let mut rest: &[u8] = &bytes;
-            while !rest.is_empty() {
-                let room = page_size - page_buf.len();
-                let take = room.min(rest.len());
-                page_buf.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if page_buf.len() == page_size {
-                    disk.append_page(sig_file, &page_buf)?;
-                    written += page_size as u64;
-                    page_buf.clear();
-                }
-            }
         }
-        if !page_buf.is_empty() {
-            let tail = page_buf.len() as u64;
-            page_buf.resize(page_size, 0);
-            disk.append_page(sig_file, &page_buf)?;
-            written += tail;
-        }
+        let sig_bytes = sigs.finish()?;
 
         Ok(Self {
             disk,
             sig_file,
             meta_file,
+            max_entry_bytes: directory.iter().map(|m| m.span.len).max().unwrap_or(0),
             directory,
-            sig_bytes: written,
+            sig_bytes,
             meta_bytes,
-            max_entry_bytes,
         })
     }
 
@@ -311,16 +291,10 @@ impl FnlIndex {
     /// sequential) and decodes it. Executors call this once per run and
     /// keep the result resident.
     pub fn read_term_order(&self) -> Result<TermOrder> {
-        let page_size = self.disk.page_size();
-        let num_pages = self.meta_bytes.div_ceil(page_size as u64);
-        let mut bytes = Vec::with_capacity(self.meta_bytes as usize);
-        if num_pages > 0 {
-            let pages = self.disk.read_run(self.meta_file, 0, num_pages)?;
-            for page in &pages {
-                bytes.extend_from_slice(page);
-            }
-            bytes.truncate(self.meta_bytes as usize);
-        }
+        let span = ByteSpan::new(0, self.meta_bytes);
+        let pages = self.disk.read_run(self.meta_file, 0, self.meta_pages())?;
+        let mut scratch = Vec::new();
+        let bytes = packed::record(&pages, span, &mut scratch);
         let mut terms = Vec::new();
         let mut pos = 0usize;
         while pos < bytes.len() {
@@ -349,87 +323,66 @@ impl FnlIndex {
     /// [`scan`](Self::scan) with prefetch counters mirrored into an
     /// observability registry.
     pub fn scan_with_prefetch(&self, metrics: Option<PrefetchMetrics>) -> SigScanner<'_> {
-        let end_page = match self.directory.last() {
-            Some(meta) => {
-                let (first, n) = meta.span.page_range(self.disk.page_size());
-                first + n
-            }
-            None => 0,
-        };
+        let last = self.directory.last();
+        let end_page = last.map_or(0, |meta| meta.span.end_page(self.disk.page_size()));
         SigScanner {
             index: self,
             next: 0,
-            prefetcher: Prefetcher::new(&self.disk, self.sig_file, end_page).with_metrics(metrics),
+            reader: PackedReader::new(&self.disk, self.sig_file, end_page, metrics),
         }
-    }
-
-    fn decode_entry(
-        &self,
-        pages: &[Arc<[u8]>],
-        meta: &SigMeta,
-        first: u64,
-    ) -> Result<Vec<RankCell>> {
-        let page_size = self.disk.page_size();
-        let mut bytes = Vec::with_capacity(meta.span.len as usize);
-        let mut remaining = meta.span.len as usize;
-        let mut offset = (meta.span.offset - first * page_size as u64) as usize;
-        for page in pages {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(page_size - offset);
-            bytes.extend_from_slice(&page[offset..offset + take]);
-            remaining -= take;
-            offset = 0;
-        }
-        let mut cells = Vec::with_capacity(meta.num_terms as usize);
-        let mut pos = 0usize;
-        let mut prev: Option<u32> = None;
-        while pos < bytes.len() {
-            let (gap, n) = read_varint(&bytes[pos..])?;
-            pos += n;
-            let (weight, n) = read_varint(&bytes[pos..])?;
-            pos += n;
-            let rank = match prev {
-                None => gap as u32,
-                Some(p) => p
-                    .checked_add(gap as u32)
-                    .and_then(|v| v.checked_add(1))
-                    .ok_or_else(|| Error::Corrupt("signature rank gap overflow".into()))?,
-            };
-            prev = Some(rank);
-            if weight > u16::MAX as u64 {
-                return Err(Error::Corrupt("signature weight exceeds 16 bits".into()));
-            }
-            cells.push(RankCell {
-                rank,
-                weight: weight as u16,
-            });
-        }
-        if cells.len() != meta.num_terms as usize {
-            return Err(Error::Corrupt(format!(
-                "signature for doc {} decoded {} cells, directory says {}",
-                meta.doc.raw(),
-                cells.len(),
-                meta.num_terms
-            )));
-        }
-        Ok(cells)
     }
 }
 
+/// Decodes one signature — gap-coded `(rank, weight)` varint pairs — and
+/// checks it against its directory record.
+fn decode_signature(bytes: &[u8], meta: &SigMeta) -> Result<Vec<RankCell>> {
+    let mut cells = Vec::with_capacity(meta.num_terms as usize);
+    let mut pos = 0usize;
+    let mut prev: Option<u32> = None;
+    while pos < bytes.len() {
+        let (gap, n) = read_varint(&bytes[pos..])?;
+        pos += n;
+        let (weight, n) = read_varint(&bytes[pos..])?;
+        pos += n;
+        let rank = match prev {
+            None => gap as u32,
+            Some(p) => p
+                .checked_add(gap as u32)
+                .and_then(|v| v.checked_add(1))
+                .ok_or_else(|| Error::Corrupt("signature rank gap overflow".into()))?,
+        };
+        prev = Some(rank);
+        if weight > u16::MAX as u64 {
+            return Err(Error::Corrupt("signature weight exceeds 16 bits".into()));
+        }
+        cells.push(RankCell {
+            rank,
+            weight: weight as u16,
+        });
+    }
+    if cells.len() != meta.num_terms as usize {
+        return Err(Error::Corrupt(format!(
+            "signature for doc {} decoded {} cells, directory says {}",
+            meta.doc.raw(),
+            cells.len(),
+            meta.num_terms
+        )));
+    }
+    Ok(cells)
+}
+
 /// Sequential scanner over the signature file, yielding
-/// `(DocId, Vec<RankCell>)` in document order through a [`Prefetcher`].
+/// `(DocId, Vec<RankCell>)` in document order through a [`PackedReader`].
 pub struct SigScanner<'a> {
     index: &'a FnlIndex,
     next: usize,
-    prefetcher: Prefetcher<'a>,
+    reader: PackedReader<'a>,
 }
 
 impl SigScanner<'_> {
     /// Readahead counters accumulated so far.
     pub fn prefetch_stats(&self) -> PrefetchStats {
-        self.prefetcher.stats()
+        self.reader.prefetch_stats()
     }
 }
 
@@ -437,40 +390,11 @@ impl Iterator for SigScanner<'_> {
     type Item = Result<(DocId, Vec<RankCell>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.index.directory.len() {
-            return None;
-        }
-        let meta = self.index.directory[self.next];
+        let meta = *self.index.directory.get(self.next)?;
         self.next += 1;
-        let (first, n) = meta.span.page_range(self.index.disk.page_size());
-        let mut pages = Vec::with_capacity(n as usize);
-        for page_no in first..first + n {
-            match self.prefetcher.get(page_no) {
-                Ok(p) => pages.push(p),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(
-            self.index
-                .decode_entry(&pages, &meta, first)
-                .map(|cells| (meta.doc, cells)),
-        )
+        let bytes = self.reader.record(meta.span);
+        Some(bytes.and_then(|b| Ok((meta.doc, decode_signature(b, &meta)?))))
     }
-}
-
-/// Appends `bytes` to `file` page by page, zero-padding the tail.
-fn append_packed(disk: &DiskSim, file: FileId, bytes: &[u8]) -> Result<()> {
-    let page_size = disk.page_size();
-    for chunk in bytes.chunks(page_size) {
-        if chunk.len() == page_size {
-            disk.append_page(file, chunk)?;
-        } else {
-            let mut padded = chunk.to_vec();
-            padded.resize(page_size, 0);
-            disk.append_page(file, &padded)?;
-        }
-    }
-    Ok(())
 }
 
 /// The prefix/position-filtered merge: scores an outer document (as rank

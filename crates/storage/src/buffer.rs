@@ -14,7 +14,7 @@
 
 use crate::disk::{DiskSim, FileId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -205,11 +205,6 @@ impl<'d> BufferPool<'d> {
         }
     }
 
-    /// The underlying disk.
-    pub fn disk(&self) -> &'d DiskSim {
-        self.disk
-    }
-
     /// Cache capacity in pages.
     pub fn capacity(&self) -> usize {
         self.state.lock().capacity
@@ -266,9 +261,8 @@ impl<'d> BufferPool<'d> {
         st.tail = NIL;
     }
 
-    /// Reads one page through the cache, with no `Vec` on the way. (One
-    /// page is priced the same as a run and as a scan, so this is the
-    /// one-page case of [`get_run`](Self::get_run) and of `get_scan`.)
+    /// Reads one page through the cache, with no `Vec` on the way: the
+    /// one-page case of [`get_run`](Self::get_run).
     pub fn get(&self, file: FileId, page: u64) -> Result<Arc<[u8]>> {
         self.time_get(|| {
             let resident = self.state.lock().lookup((file, page));
@@ -285,63 +279,46 @@ impl<'d> BufferPool<'d> {
     /// nothing; each maximal missing sub-run is fetched from disk as one
     /// run so contiguity (and with it the sequential discount) is preserved.
     pub fn get_run(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.time_get(|| self.get_priced(file, start, len, false))
-    }
+        self.time_get(|| {
+            // A run no file holds is the disk's to refuse, before it sizes a `Vec`.
+            let in_file = |end| end <= self.disk.num_pages(file);
+            if !start.checked_add(len).is_some_and(in_file) {
+                return self.disk.read_run(file, start, len);
+            }
+            let mut out: Vec<Option<Arc<[u8]>>> = vec![None; len as usize];
 
-    /// Like [`get_run`](Self::get_run), but missing sub-runs are fetched
-    /// with [`DiskSim::read_scan`] pricing: one seek then streaming, rather
-    /// than all-or-nothing run classification. This is the right pricing
-    /// for readahead inside a logically sequential scan — if another reader
-    /// moved the device head, the batch pays a single seek (exactly what a
-    /// page-at-a-time scan would have paid) instead of having the whole
-    /// window reclassified as random.
-    pub fn get_scan(&self, file: FileId, start: u64, len: u64) -> Result<Vec<Arc<[u8]>>> {
-        self.time_get(|| self.get_priced(file, start, len, true))
-    }
-
-    fn get_priced(&self, file: FileId, start: u64, len: u64, scan: bool) -> Result<Vec<Arc<[u8]>>> {
-        // A run no file holds is the disk's to refuse, before it sizes a `Vec`.
-        let in_file = |end| end <= self.disk.num_pages(file);
-        if !start.checked_add(len).is_some_and(in_file) {
-            return self.disk.read_run(file, start, len);
-        }
-        let mut out: Vec<Option<Arc<[u8]>>> = vec![None; len as usize];
-
-        // Pass 1: serve hits and find missing sub-runs.
-        let mut missing_runs: Vec<(u64, u64)> = Vec::new(); // (start, len)
-        {
-            let mut st = self.state.lock();
-            let mut run_start: Option<u64> = None;
-            for (page, slot) in (start..).zip(&mut out) {
-                *slot = st.lookup((file, page));
-                if slot.is_none() {
-                    run_start.get_or_insert(page);
-                } else if let Some(rs) = run_start.take() {
-                    missing_runs.push((rs, page - rs));
+            // Pass 1: serve hits and find missing sub-runs.
+            let mut missing_runs: Vec<(u64, u64)> = Vec::new(); // (start, len)
+            {
+                let mut st = self.state.lock();
+                let mut run_start: Option<u64> = None;
+                for (page, slot) in (start..).zip(&mut out) {
+                    *slot = st.lookup((file, page));
+                    if slot.is_none() {
+                        run_start.get_or_insert(page);
+                    } else if let Some(rs) = run_start.take() {
+                        missing_runs.push((rs, page - rs));
+                    }
+                }
+                if let Some(rs) = run_start {
+                    missing_runs.push((rs, start + len - rs));
                 }
             }
-            if let Some(rs) = run_start {
-                missing_runs.push((rs, start + len - rs));
-            }
-        }
 
-        // Pass 2: fetch missing runs (disk classifies them) and install.
-        for (rs, rl) in missing_runs {
-            let pages = if scan {
-                self.disk.read_scan(file, rs, rl)?
-            } else {
-                self.disk.read_run(file, rs, rl)?
-            };
-            let mut st = self.state.lock();
-            for (page, data) in (rs..).zip(pages) {
-                st.install((file, page), &data);
-                out[(page - start) as usize] = Some(data);
+            // Pass 2: fetch missing runs (disk classifies them) and install.
+            for (rs, rl) in missing_runs {
+                let pages = self.disk.read_run(file, rs, rl)?;
+                let mut st = self.state.lock();
+                for (page, data) in (rs..).zip(pages) {
+                    st.install((file, page), &data);
+                    out[(page - start) as usize] = Some(data);
+                }
             }
-        }
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("all pages filled"))
-            .collect())
+            Ok(out
+                .into_iter()
+                .map(|p| p.expect("all pages filled"))
+                .collect())
+        })
     }
 }
 
@@ -402,25 +379,36 @@ impl PrefetchMetrics {
 
 /// Sequential-run readahead over one file.
 ///
-/// A `Prefetcher` sits between a page-at-a-time reader (a document or
-/// inverted-file scanner) and the disk. It watches the demanded page
+/// A `Prefetcher` sits between a page-at-a-time reader (a
+/// [`PackedReader`](crate::PackedReader) under a document, inverted-file
+/// or signature scanner) and the disk. It watches the demanded page
 /// numbers; once two consecutive demands are adjacent it issues the next
-/// `window` pages as one batched [`BufferPool::get_scan`], so a logically
+/// `window` pages as one batched [`DiskSim::read_scan`], so a logically
 /// sequential scan reaches the disk as a few large scan-priced reads
 /// instead of `D` single-page reads — same page count, same seek count,
 /// but each batch is one locking round-trip and one pricing decision.
+/// (Scan pricing, not run pricing: if another reader moved the device
+/// head, the batch pays the single seek a page-at-a-time scan would have
+/// paid instead of having the whole window reclassified as random.)
 /// Non-sequential demands fall back to single-page fetches and flush any
 /// unconsumed readahead into the `wasted` counter.
+///
+/// It keeps no pool: a scan never comes back to a page behind it, so what
+/// it holds is the page demanded last — the one page a scan does ask for
+/// twice, when a record ends mid-page and its successor starts there —
+/// and the window it has read ahead of that page.
 pub struct Prefetcher<'d> {
-    pool: BufferPool<'d>,
+    disk: &'d DiskSim,
     file: FileId,
     window: u64,
     /// One past the last readable page — readahead never runs off the
     /// end of the file.
     end_page: u64,
     last_demanded: Option<u64>,
-    /// Prefetched-but-not-yet-demanded page range `[start, end)`.
-    outstanding: Option<(u64, u64)>,
+    /// `pages[k]` is page `last_demanded + k`: the page demanded last (not
+    /// there after a failed read) and the prefetched-but-not-yet-demanded
+    /// pages that follow it.
+    pages: VecDeque<Arc<[u8]>>,
     stats: PrefetchStats,
     metrics: Option<PrefetchMetrics>,
 }
@@ -429,16 +417,13 @@ impl<'d> Prefetcher<'d> {
     /// A prefetcher over `file` (`num_pages` long) with the default
     /// 8-page window.
     pub fn new(disk: &'d DiskSim, file: FileId, num_pages: u64) -> Self {
-        let window = DEFAULT_PREFETCH_WINDOW;
         Self {
-            // window + 1 slots: a full readahead batch plus the page a
-            // straddling document demands twice.
-            pool: BufferPool::new(disk, window as usize + 1),
+            disk,
             file,
-            window,
+            window: DEFAULT_PREFETCH_WINDOW,
             end_page: num_pages,
             last_demanded: None,
-            outstanding: None,
+            pages: VecDeque::new(),
             stats: PrefetchStats::default(),
             metrics: None,
         }
@@ -447,7 +432,6 @@ impl<'d> Prefetcher<'d> {
     /// Overrides the readahead window (clamped to at least 1 page).
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = window.max(1);
-        self.pool = BufferPool::new(self.pool.disk(), self.window as usize + 1);
         self
     }
 
@@ -462,10 +446,12 @@ impl<'d> Prefetcher<'d> {
         self.stats
     }
 
+    /// Drops the held pages; all but the first, which was demanded, were
+    /// read ahead for nothing.
     fn flush_outstanding(&mut self) {
-        if let Some((s, e)) = self.outstanding.take() {
-            self.waste(e - s);
-        }
+        let stranded = self.pages.len().saturating_sub(1) as u64;
+        self.pages.clear();
+        self.waste(stranded);
     }
 
     fn waste(&mut self, pages: u64) {
@@ -481,29 +467,24 @@ impl<'d> Prefetcher<'d> {
     /// served from readahead batches; anything else degrades to plain
     /// single-page reads.
     pub fn get(&mut self, page: u64) -> Result<Arc<[u8]>> {
-        // A document ending mid-page makes its successor demand the same
-        // page again; it is resident, and the readahead state is untouched.
-        if self.last_demanded == Some(page) {
-            return self.pool.get(self.file, page);
-        }
-        if let Some((s, e)) = self.outstanding {
-            if (s..e).contains(&page) {
+        let ahead = self.last_demanded.and_then(|last| page.checked_sub(last));
+        if let Some(ahead) = ahead.filter(|&k| k < self.pages.len() as u64) {
+            // `ahead == 0`: a document ending mid-page makes its successor
+            // demand the same page again; it is held, and the readahead
+            // state is untouched.
+            if ahead > 0 {
                 // Served from readahead. Pages skipped over were wasted.
-                self.waste(page - s);
+                self.pages.drain(..ahead as usize);
+                self.waste(ahead - 1);
                 self.stats.hits += 1;
                 if let Some(m) = &self.metrics {
                     m.hits.inc();
                 }
-                self.outstanding = if page + 1 < e {
-                    Some((page + 1, e))
-                } else {
-                    None
-                };
                 self.last_demanded = Some(page);
-                return self.pool.get(self.file, page);
             }
-            self.flush_outstanding();
+            return Ok(Arc::clone(&self.pages[0]));
         }
+        self.flush_outstanding();
         let sequential = self.last_demanded == Some(page.wrapping_sub(1));
         self.last_demanded = Some(page);
         if sequential && self.window > 1 && page < self.end_page {
@@ -519,8 +500,8 @@ impl<'d> Prefetcher<'d> {
             // caller's `end_page` went stale.
             let len = self.window.min(self.end_page.saturating_sub(page)).max(1);
             let started = Instant::now();
-            let mut pages = match self.pool.get_scan(self.file, page, len) {
-                Ok(pages) => pages,
+            self.pages = match self.disk.read_scan(self.file, page, len) {
+                Ok(pages) => pages.into(),
                 Err(e) => {
                     // Forget the run so a retried demand degrades to a
                     // cold single-page read instead of re-batching.
@@ -536,12 +517,13 @@ impl<'d> Prefetcher<'d> {
                 if let Some(m) = &self.metrics {
                     m.issued.inc_by(len - 1);
                 }
-                self.outstanding = Some((page + 1, page + len));
             }
-            return Ok(pages.swap_remove(0));
+        } else {
+            // Cold or non-sequential: one page, priced by the disk as-is.
+            let cold = self.disk.read_page(self.file, page)?;
+            self.pages.push_back(cold);
         }
-        // Cold or non-sequential: one page, priced by the disk as-is.
-        self.pool.get(self.file, page)
+        Ok(Arc::clone(&self.pages[0]))
     }
 }
 
@@ -859,6 +841,119 @@ mod tests {
         }
         assert_eq!(disk.stats().total_reads(), 5, "readahead never over-runs");
         assert_eq!(pf.stats().wasted, 0);
+    }
+
+    /// What a pool-less prefetcher has to do, in ten lines: pages
+    /// `last + 1 .. ahead_end` are in memory; a demand among them is a hit
+    /// (what it skips is wasted), the held page is free, anything else
+    /// strands the window and reads one page — or, right after its
+    /// predecessor, a window clamped to `end_page`.
+    #[derive(Default)]
+    struct Model {
+        last: Option<u64>,
+        ahead_end: u64,
+        stats: PrefetchStats,
+        reads: u64,
+    }
+
+    impl Model {
+        fn get(&mut self, page: u64, window: u64, end_page: u64) {
+            match self.last {
+                Some(last) if page == last => return,
+                Some(last) if last < page && page < self.ahead_end => {
+                    self.stats.wasted += page - last - 1;
+                    self.stats.hits += 1;
+                }
+                _ => {
+                    self.stats.wasted += self.last.map_or(0, |l| self.ahead_end - l - 1);
+                    let sequential = page > 0 && self.last == Some(page - 1);
+                    let batch = sequential && window > 1 && page < end_page;
+                    let len = if batch {
+                        window.min(end_page - page)
+                    } else {
+                        1
+                    };
+                    self.stats.issued += len - 1;
+                    self.reads += len;
+                    self.ahead_end = page + len;
+                }
+            }
+            self.last = Some(page);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Non-decreasing demands with repeats and skips, any window, files
+        /// shorter than the window: the bytes are the page's, the disk sees
+        /// the reads the model predicts (each demanded page once, plus the
+        /// readahead nobody claimed), readahead stops at `end_page`, and
+        /// every issued page ends up a hit or wasted.
+        #[test]
+        fn prefetcher_matches_its_model(
+            pages in 1u64..40,
+            window in 1u64..=8,
+            tail in 0u64..4,
+            steps in proptest::collection::vec(0u64..4, 1..60),
+            jump in 0usize..60,
+        ) {
+            use proptest::prelude::*;
+            let (disk, f, _) = setup(pages + tail, 0);
+            let registry = textjoin_obs::Registry::new();
+            let metrics = PrefetchMetrics::register(&registry, "m");
+            let mut pf = Prefetcher::new(&disk, f, pages).with_window(window).with_metrics(Some(metrics));
+            let mut model = Model::default();
+            let (mut page, mut demanded) = (0, std::collections::BTreeSet::new());
+            for (i, step) in steps.iter().enumerate() {
+                page += if i == jump { 11 } else { *step };
+                if page >= pages {
+                    break;
+                }
+                prop_assert_eq!(pf.get(page).unwrap()[0], page as u8);
+                model.get(page, window, pages);
+                demanded.insert(page);
+                prop_assert_eq!(pf.stats(), model.stats);
+                prop_assert_eq!(disk.stats().total_reads(), model.reads);
+            }
+            drop(pf);
+            let counter = |name| registry.counter(name, "m").get();
+            let wasted = counter("prefetch.wasted");
+            prop_assert_eq!(counter("prefetch.issued"), counter("prefetch.hits") + wasted);
+            prop_assert_eq!(disk.stats().total_reads(), demanded.len() as u64 + wasted);
+        }
+
+        /// A transient fault anywhere in a sequential scan fails exactly
+        /// the demand whose read covered it, and that demand's retry is one
+        /// cold page — not the batch again.
+        #[test]
+        fn a_failed_demand_retries_as_one_cold_page(
+            pages in 2u64..40,
+            window in 1u64..=8,
+            faulty in 0u64..40,
+        ) {
+            use proptest::prelude::*;
+            let (disk, f, _) = setup(pages, 0);
+            let fault = crate::FaultKind::TransientRead { failures: 1 };
+            disk.set_retry_policy(crate::RetryPolicy { max_attempts: 1, ..Default::default() });
+            disk.set_fault_plan(crate::FaultPlan::new().with_fault(f, faulty % pages, 0, fault));
+            let mut pf = Prefetcher::new(&disk, f, pages).with_window(window);
+            let mut failed = 0;
+            for page in 0..pages {
+                let data = match pf.get(page) {
+                    Ok(data) => data,
+                    Err(_) => {
+                        failed += 1;
+                        let before = disk.stats();
+                        let data = pf.get(page).unwrap();
+                        prop_assert_eq!(disk.stats().since(&before).total_reads(), 1);
+                        data
+                    }
+                };
+                prop_assert_eq!(data[0], page as u8);
+            }
+            prop_assert_eq!(failed, 1);
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!
 //! [`BufferPool`] is a budgeted LRU page cache; [`MemTracker`] enforces the
 //! byte-level memory budget `B·P` that every join executor must respect.
-//! [`Prefetcher`] adds sequential-run readahead on top of the pool: it
+//! [`Prefetcher`] adds sequential-run readahead straight over the disk (a
+//! scan never returns to a page behind it, so it needs no pool): it
 //! detects adjacent page demands and issues windowed scan-priced batches,
 //! with issued/hit/wasted counters exported through `textjoin-obs`.
+//! [`packed`] is the one module that knows the tightly-packed record
+//! layout: its writer, its random-access cut and its in-order reader.
 //!
 //! The layer is also chaos-ready: every page carries a checksummed header
 //! verified on read, a seeded [`FaultPlan`] injects deterministic device
@@ -31,6 +34,7 @@ pub mod disk;
 pub mod fault;
 pub mod memory;
 pub mod net;
+pub mod packed;
 pub mod page;
 pub mod span;
 
@@ -44,4 +48,5 @@ pub use disk::{
 };
 pub use memory::MemTracker;
 pub use net::NetworkSim;
+pub use packed::{PackedReader, PackedWriter};
 pub use span::ByteSpan;

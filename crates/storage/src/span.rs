@@ -46,6 +46,13 @@ impl ByteSpan {
         (self.first_page(page_size), self.num_pages(page_size))
     }
 
+    /// One past the last page the span overlaps — where a scan that ends
+    /// with this span stops reading.
+    #[inline]
+    pub fn end_page(&self, page_size: usize) -> u64 {
+        self.first_page(page_size) + self.num_pages(page_size)
+    }
+
     /// Byte immediately past the span.
     #[inline]
     pub fn end(&self) -> u64 {
