@@ -194,6 +194,14 @@ mod tests {
         assert_eq!(got.stats.algorithm, Algorithm::Fnl);
     }
 
+    /// `FnlIndex::max_entry_bytes` counts decoded `RankCell`s; a resident's
+    /// rank cells are charged `RANK_CELL_BYTES` each. One unit, two crates.
+    #[test]
+    fn the_entry_slot_is_priced_like_a_resident_s_rank_cells() {
+        use textjoin_costmodel::fnl::RANK_CELL_BYTES;
+        assert_eq!(std::mem::size_of::<RankCell>(), RANK_CELL_BYTES);
+    }
+
     #[test]
     fn reads_fewer_pages_per_pass_than_hhnl() {
         let (disk, c1, c2, index, _, _) = fixture(60, 30, 12.0, 120, 256);

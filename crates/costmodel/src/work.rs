@@ -8,16 +8,19 @@
 //!
 //! | loop | per match | scanned per pass |
 //! |------|-----------|------------------|
-//! | HHNL | [`MATCH_NS`] | inner d-cells, each probed against the round index ([`PROBE_CELL_NS`]) |
-//! | FNL  | [`MATCH_NS`] | inner signature cells, gap-decoded and probed ([`SIGNATURE_CELL_NS`]) |
+//! | HHNL | [`MATCH_NS`] | inner d-cells, each decoded and addressed in the round index — one load, one mask, one popcount ([`PROBE_CELL_NS`]) |
+//! | FNL  | [`MATCH_NS`] | inner signature cells, gap-decoded, addressed the same way ([`SIGNATURE_CELL_NS`]) |
 //! | VVM  | [`ROW_MATCH_NS`] | i-cells of both inverted files at stored size ([`ICELL_NS`]) |
 //! | HVNL | [`ROW_MATCH_NS`] | one dictionary-and-cache lookup per outer cell ([`LOOKUP_NS`]), i-cells of the entries read from disk ([`ICELL_NS`]); one pass |
 //!
-//! The prices are constants of this build, fitted on `BENCH_21.json` /
-//! `BENCH_21.trace.json` (seed 1) and checked on seed 2; DESIGN.md §3
-//! lists each with the numbers it came from. [`Prices`] joins them to the
-//! device's two page prices, and [`crate::rank`] orders the algorithms by
-//! `page_ns · pages + cpu_ns`.
+//! The prices are constants of this build. The document-at-a-time three
+//! were refitted on `BENCH_24.json` / `BENCH_24.trace.json` (seed 1) when
+//! the round index stopped searching for a key and started addressing it
+//! (they had been 11.6 / 30 / 36); the term-at-a-time three stand as
+//! fitted on `BENCH_21*.json`. Both fits were checked on seed 2; DESIGN.md
+//! §3 lists each price with the numbers it came from. [`Prices`] joins
+//! them to the device's two page prices, and [`crate::rank`] orders the
+//! algorithms by `page_ns · pages + cpu_ns`.
 
 use crate::inputs::JoinInputs;
 use crate::integrated::Algorithm;
@@ -25,18 +28,18 @@ use crate::{fnl, hhnl, hvnl, vvm};
 
 /// One cell pair multiplied and added by a document-at-a-time loop (HHNL,
 /// FNL): a posting of the round index met by a streamed inner cell.
-pub const MATCH_NS: f64 = 11.6;
+pub const MATCH_NS: f64 = 10.5;
 
 /// One cell pair in a term-at-a-time loop (VVM, HVNL): `Rows::apply` walks
 /// an entry twice — count the new pairs, charge them, then add — into a
 /// row `N1` wide.
 pub const ROW_MATCH_NS: f64 = 15.6;
 
-/// One streamed inner d-cell decoded and looked up in the round index.
-pub const PROBE_CELL_NS: f64 = 30.0;
+/// One streamed inner d-cell decoded and addressed in the round index.
+pub const PROBE_CELL_NS: f64 = 10.0;
 
-/// One streamed signature cell: gap-decoded, rank-translated, looked up.
-pub const SIGNATURE_CELL_NS: f64 = 36.0;
+/// One streamed signature cell: gap-decoded, then addressed by rank.
+pub const SIGNATURE_CELL_NS: f64 = 16.0;
 
 /// One inverted-file cell decoded, in a merge scan or a fetched entry.
 pub const ICELL_NS: f64 = 5.0;

@@ -223,7 +223,8 @@ impl FnlIndex {
             disk,
             sig_file,
             meta_file,
-            max_entry_bytes: directory.iter().map(|m| m.span.len).max().unwrap_or(0),
+            max_entry_bytes: directory.iter().map(|m| m.num_terms).max().unwrap_or(0) as u64
+                * std::mem::size_of::<RankCell>() as u64,
             directory,
             sig_bytes,
             meta_bytes,
@@ -255,8 +256,10 @@ impl FnlIndex {
         self.meta_bytes
     }
 
-    /// Largest single signature entry in bytes, for the executor's
-    /// entry-slot reservation.
+    /// Bytes of the largest signature entry once decoded into
+    /// [`RankCell`]s — what a buffer holding "the current entry" must
+    /// reserve. Stored bytes (`span.len`) are the wrong measure: the gap
+    /// code stores fewer than the cells an executor then holds.
     pub fn max_entry_bytes(&self) -> u64 {
         self.max_entry_bytes
     }
@@ -602,9 +605,23 @@ mod tests {
         assert_eq!(disk.stats().total_reads(), index.meta_pages());
     }
 
+    /// The slot FNL reserves for "the current entry" is sized for the entry
+    /// as it is held — decoded `RankCell`s — not as the gap code stores it.
+    #[test]
+    fn the_entry_slot_covers_the_largest_decoded_entry() {
+        let docs = SynthSpec::from_stats(CollectionStats::new(120, 18.0, 300), 3).generate_docs();
+        let (_, index, _) = build(256, docs);
+        let held = |cells: &Vec<RankCell>| std::mem::size_of_val(cells.as_slice()) as u64;
+        let largest = index.scan().map(|e| held(&e.unwrap().1)).max().unwrap();
+        assert_eq!(index.max_entry_bytes(), largest);
+        let stored = index.directory().iter().map(|m| m.span.len).max().unwrap();
+        assert!(stored < largest, "{stored} stored, {largest} held");
+    }
+
     #[test]
     fn empty_collection_builds_an_empty_index() {
         let (_, index, _) = build(64, Vec::new());
+        assert_eq!(index.max_entry_bytes(), 0);
         assert_eq!(index.num_docs(), 0);
         assert_eq!(index.num_pages(), 0);
         assert_eq!(index.scan().count(), 0);
