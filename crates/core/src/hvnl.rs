@@ -103,22 +103,29 @@ fn cached_entry_bytes(cells: &[ICell]) -> u64 {
     (cells.len() * CELL_BYTES + NUMBER_BYTES) as u64
 }
 
-/// Lifecycle of the one-shot delta-postings materialization. The overlay
-/// cannot change while an executor holds it (mutation needs
-/// `&mut LiveCollection`), and the driver validates that every spec of a
-/// run shares the same overlay pointer per side, so a single
-/// materialization serves the whole run.
+/// Lifecycle of the one-shot delta-postings load. The overlay cannot
+/// change while an executor holds it (mutation needs `&mut
+/// LiveCollection`), and the driver validates that every spec of a run
+/// shares the same overlay pointer per side, so a single load serves the
+/// whole run.
 enum DeltaPostings {
     /// No delta lookup has happened yet.
     Unbuilt,
-    /// Term → merged flushed+tail cells, bytes charged to the tracker.
-    Built(HashMap<TermId, Arc<[ICell]>>),
-    /// The materialization scan hit an unreadable page in degraded mode:
-    /// the delta is dropped wholesale and every lookup counts a skip.
+    /// The merged flushed+tail entries, bytes charged to the tracker.
+    Built(Arc<DeltaArena>),
+    /// The scan hit an unreadable page in degraded mode: the delta is
+    /// dropped wholesale and every lookup counts a skip.
     Dropped,
-    /// The map did not fit in memory even after emptying the entry cache;
-    /// fall back to per-term reads against the overlay.
+    /// The entries did not fit in memory even after emptying the entry
+    /// cache; fall back to per-term reads against the overlay.
     PerTerm,
+}
+
+/// Every merged delta entry back to back in one buffer, in term order,
+/// and where each term's cells lie in it.
+struct DeltaArena {
+    cells: Vec<ICell>,
+    index: HashMap<TermId, (usize, usize)>,
 }
 
 /// One outer pass, every query served from one shared entry cache: the
@@ -139,9 +146,9 @@ pub(crate) struct Hvnl<'r> {
     /// The current document's cells in processing order (scratch reused
     /// from document to document).
     ordered: Vec<DCell>,
-    /// Inner-delta postings, materialized with one sequential scan of the
-    /// flushed side file on first use instead of a random read per outer
-    /// term occurrence.
+    /// Inner-delta postings, loaded with one sequential scan of the flushed
+    /// side file on first use instead of a random read per outer term
+    /// occurrence.
     delta_postings: DeltaPostings,
     /// Per-lookup latency histograms (cache hit, disk fetch), present only
     /// when a registry-backed tracer is attached to the run.
@@ -538,8 +545,8 @@ impl<'r> Hvnl<'r> {
     }
 
     /// Applies the inner overlay's postings for one outer term. The whole
-    /// overlay is materialized into memory on first use with one sequential
-    /// scan of the flushed side file — fetching it per outer-term occurrence
+    /// overlay is loaded into memory on first use with one sequential scan
+    /// of the flushed side file — fetching it per outer-term occurrence
     /// would cost a random entry read each time, swamping the join. Delta
     /// postings never enter the entry cache proper: the next flush or merge
     /// rewrites them, and the pristine path must not pay for the
@@ -563,51 +570,43 @@ impl<'r> Hvnl<'r> {
         if matches!(self.delta_postings, DeltaPostings::Unbuilt) {
             self.build_delta_postings(run, overlay)?;
         }
-        let cells = match &self.delta_postings {
-            DeltaPostings::Built(map) => match map.get(&cell.term) {
-                Some(cells) if !cells.is_empty() => Arc::clone(cells),
-                _ => return Ok(()),
-            },
+        match &self.delta_postings {
+            DeltaPostings::Built(arena) => {
+                // A share of the arena escapes the borrow of `self`.
+                let arena = Arc::clone(arena);
+                let &(start, end) = arena.index.get(&cell.term).unwrap_or(&(0, 0));
+                let cells = &arena.cells[start..end];
+                self.apply_postings(run, si, outer_id, cell.weight, factor, cells)
+            }
             DeltaPostings::Dropped => {
                 // The delta is unreadable: every lookup that would have
                 // consulted it is a counted skip, so any query touching
                 // the dropped overlay reports a Partial result.
                 run.queries[si].counters.skipped_entries += 1;
-                return Ok(());
+                Ok(())
             }
             DeltaPostings::PerTerm => match overlay.postings_for(cell.term) {
-                Ok(cells) if !cells.is_empty() => cells.into(),
-                Ok(_) => return Ok(()),
+                Ok(cells) => self.apply_postings(run, si, outer_id, cell.weight, factor, &cells),
                 Err(e) if spec.skippable(&e) => {
                     run.queries[si].counters.skipped_entries += 1;
-                    return Ok(());
+                    Ok(())
                 }
-                Err(e) => return Err(e),
+                Err(e) => Err(e),
             },
             DeltaPostings::Unbuilt => unreachable!("built above"),
-        };
-        self.apply_postings(run, si, outer_id, cell.weight, factor, &cells)
+        }
     }
 
-    /// One-shot materialization of the inner delta overlay: a single
+    /// One-shot load of the inner delta overlay into one arena: a single
     /// sequential scan of the flushed side file merged with the in-memory
-    /// tail. In degraded mode an unreadable page drops the delta wholesale
-    /// (mirroring VVM's merged-entries idiom); if the map cannot be charged
-    /// to the tracker even after emptying the entry cache, lookups fall
-    /// back to per-term overlay reads.
+    /// tail. The bytes `cached_entry_bytes` charges over the merged entries
+    /// are counted from the directories and charged before anything is
+    /// read; if they cannot be even after emptying the entry cache, lookups
+    /// fall back to per-term overlay reads. In degraded mode an unreadable
+    /// page drops the delta wholesale.
     fn build_delta_postings(&mut self, run: &mut Run<'r>, overlay: &DeltaOverlay) -> Result<()> {
-        let entries = match overlay.entries() {
-            Ok(entries) => entries,
-            Err(e) if run.specs[0].skippable(&e) => {
-                self.delta_postings = DeltaPostings::Dropped;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let bytes: u64 = entries
-            .iter()
-            .map(|(_, cells)| cached_entry_bytes(cells))
-            .sum();
+        let (cells, entries) = overlay.entry_totals();
+        let bytes = cells * CELL_BYTES as u64 + entries * NUMBER_BYTES as u64;
         while run.tracker.allocate(bytes, "HVNL delta postings").is_err() {
             match self.cache.evict_one() {
                 Some(freed) => run.tracker.release(freed),
@@ -617,10 +616,26 @@ impl<'r> Hvnl<'r> {
                 }
             }
         }
-        let shared = entries
-            .into_iter()
-            .map(|(term, cells)| (term, cells.into()));
-        self.delta_postings = DeltaPostings::Built(shared.collect());
+        let mut arena = DeltaArena {
+            cells: Vec::with_capacity(cells as usize),
+            index: HashMap::with_capacity(entries as usize),
+        };
+        let (mut scan, mut entry) = (overlay.scan_between(0, None), Vec::new());
+        while let Some(term) = scan.next_into(&mut entry) {
+            let term = term.inspect_err(|_| run.tracker.release(bytes));
+            let term = match term {
+                Ok(term) => term,
+                Err(e) if run.specs[0].skippable(&e) => {
+                    self.delta_postings = DeltaPostings::Dropped;
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            };
+            let start = arena.cells.len();
+            arena.cells.extend_from_slice(&entry);
+            arena.index.insert(term, (start, arena.cells.len()));
+        }
+        self.delta_postings = DeltaPostings::Built(Arc::new(arena));
         Ok(())
     }
 

@@ -27,7 +27,7 @@ use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
 use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
 use textjoin_costmodel::Algorithm;
-use textjoin_invfile::{DeltaOverlay, EntryScanner, InvertedFile};
+use textjoin_invfile::{DeltaOverlay, DeltaScan, EntryScanner, InvertedFile};
 use textjoin_storage::{IoStats, MemTracker};
 
 /// One part of a merge: a pair of inverted files, read end to end and
@@ -83,12 +83,13 @@ impl Part<'_> {
         &self,
         spec: &JoinSpec<'_>,
         inv: &'a InvertedFile,
-        overlay: Option<&DeltaOverlay>,
+        overlay: Option<&'a DeltaOverlay>,
         label: &str,
         skipped: &mut u64,
     ) -> Result<EntryCursor<'a>> {
         let scan = inv.scan_with_prefetch(spec.prefetch_metrics(label));
-        EntryCursor::new(scan, overlay.filter(|_| !self.folded), spec, skipped)
+        let delta = overlay.filter(|_| !self.folded);
+        EntryCursor::new(scan, delta.map(|o| o.scan_between(0, None)), spec, skipped)
     }
 }
 
@@ -147,24 +148,26 @@ pub(crate) fn execute_parts(
 }
 
 /// Holds the current readable entry of one side of the merge: a base
-/// inverted-file scan merged, in term order, with a delta overlay's entries.
-/// A term present in both layers reads *base cells ++ delta cells*, which is
+/// inverted-file scan merged, in term order, with a delta overlay's stream
+/// (itself the flushed side file's scan merged with the in-memory tail).
+/// A term present in both reads *base cells ++ delta cells*, which is
 /// ascending document order by the id-allocation invariant (delta documents
-/// are numbered after every base document). The scan lends each entry into
-/// a buffer that is swapped, never reallocated, from term to term; without
-/// an overlay nothing extra is read. In degraded mode, entries that cannot
-/// be read are skipped (and counted) so the merge continues over the
-/// readable remainder; otherwise the first read error aborts the merge. A
-/// delta read error surfaces as one leading error: degraded mode then drops
-/// the delta wholesale (one skip) while strict mode aborts.
+/// are numbered after every base document). Both scans lend each entry into
+/// buffers that are swapped, never reallocated, from term to term; without
+/// an overlay nothing extra is read. In degraded mode an entry that cannot
+/// be read — base or flushed delta — is skipped (and counted) so the merge
+/// continues over the readable remainder; otherwise the first read error
+/// aborts the merge.
 struct EntryCursor<'a> {
     scan: EntryScanner<'a>,
     /// The scan's next entry, read when the cursor next moves and held back
     /// while delta terms below it go first.
     ahead: Option<TermId>,
     ahead_cells: Vec<ICell>,
-    delta: std::vec::IntoIter<(TermId, Vec<ICell>)>,
-    delta_err: Option<Error>,
+    /// The overlay's stream and its next entry, held back the same way.
+    delta: Option<DeltaScan<'a>>,
+    delta_ahead: Option<TermId>,
+    delta_cells: Vec<ICell>,
     /// The current entry (`None` at end of scan).
     term: Option<TermId>,
     cells: Vec<ICell>,
@@ -173,21 +176,17 @@ struct EntryCursor<'a> {
 impl<'a> EntryCursor<'a> {
     fn new(
         scan: EntryScanner<'a>,
-        overlay: Option<&DeltaOverlay>,
+        delta: Option<DeltaScan<'a>>,
         spec: &JoinSpec<'_>,
         skipped: &mut u64,
     ) -> Result<Self> {
-        let (delta, delta_err) = match overlay.map(DeltaOverlay::entries) {
-            None => (Vec::new(), None),
-            Some(Ok(delta)) => (delta, None),
-            Some(Err(e)) => (Vec::new(), Some(e)),
-        };
         let mut cursor = Self {
             scan,
             ahead: None,
             ahead_cells: Vec::new(),
-            delta: delta.into_iter(),
-            delta_err,
+            delta,
+            delta_ahead: None,
+            delta_cells: Vec::new(),
             term: None,
             cells: Vec::new(),
         };
@@ -209,11 +208,25 @@ impl<'a> EntryCursor<'a> {
         Ok(())
     }
 
+    /// Reads what the merge left of the overlay's stream. The merge needs
+    /// none of it; it is read so that a pass costs the pages it cost when
+    /// the overlay was read whole before the merge began (stopping here
+    /// instead would save a page on 4 of the 248 baseline rows).
+    fn drain_delta(&mut self, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<()> {
+        while let Some(item) =
+            (self.delta.as_mut()).and_then(|d| d.next_into(&mut self.delta_cells))
+        {
+            match item {
+                Ok(_) => {}
+                Err(e) if spec.skippable(&e) => *skipped += 1,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
     /// The next entry of the merged stream, into `cells`.
     fn pull(&mut self) -> Option<Result<TermId>> {
-        if let Some(e) = self.delta_err.take() {
-            return Some(Err(e));
-        }
         if self.ahead.is_none() {
             match self.scan.next_into(&mut self.ahead_cells) {
                 Some(Ok(term)) => self.ahead = Some(term),
@@ -221,21 +234,28 @@ impl<'a> EntryCursor<'a> {
                 None => {}
             }
         }
-        let delta_term = self.delta.as_slice().first().map(|(t, _)| *t);
-        match (self.ahead, delta_term) {
+        if let (Some(delta), None) = (&mut self.delta, self.delta_ahead) {
+            match delta.next_into(&mut self.delta_cells) {
+                Some(Ok(term)) => self.delta_ahead = Some(term),
+                Some(Err(e)) => return Some(Err(e)),
+                None => {}
+            }
+        }
+        match (self.ahead, self.delta_ahead) {
             (None, None) => None,
             (Some(base), delta) if delta.is_none_or(|d| base <= d) => {
                 std::mem::swap(&mut self.cells, &mut self.ahead_cells);
                 self.ahead = None;
                 if delta == Some(base) {
-                    self.cells.extend(self.delta.next()?.1);
+                    self.cells.extend_from_slice(&self.delta_cells);
+                    self.delta_ahead = None;
                 }
                 Some(Ok(base))
             }
-            _ => {
-                let (term, cells) = self.delta.next()?;
-                self.cells = cells;
-                Some(Ok(term))
+            (_, delta) => {
+                std::mem::swap(&mut self.cells, &mut self.delta_cells);
+                self.delta_ahead = None;
+                delta.map(Ok)
             }
         }
     }
@@ -468,6 +488,8 @@ impl MergePartial {
                 }
             }
         }
+        inner.drain_delta(spec0, skipped)?;
+        outer.drain_delta(spec0, skipped)?;
         Ok(partial)
     }
 
@@ -490,8 +512,9 @@ mod tests {
     use crate::spec::OuterDocs;
     use std::collections::HashMap;
     use std::sync::Arc;
-    use textjoin_collection::{Collection, Document, SynthSpec};
+    use textjoin_collection::{Collection, Document, DocumentStoreBuilder, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_invfile::FlushedDelta;
     use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]
@@ -696,6 +719,69 @@ mod tests {
             );
             assert_eq!(got.result, oracle, "λ={lambda}");
         }
+    }
+
+    /// A flipped bit in one page of the flushed side file: degraded VVM
+    /// skips exactly the delta entries on that page, one count each, and
+    /// joins everything else — the tail, the base and the rest of the side
+    /// file.
+    #[test]
+    fn degraded_merge_skips_each_unreadable_delta_entry() {
+        let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(30, 20, 10.0, 80, 128);
+        let base = d1.len() as u32;
+        let inserted =
+            SynthSpec::from_stats(CollectionStats::new(24, 10.0, 80), 43).generate_docs();
+        let (flushed, tail) = inserted.split_at(16);
+        let mut store = DocumentStoreBuilder::new(Arc::clone(&disk), "c1.g1.docs").unwrap();
+        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
+        for (id, doc) in (base..).zip(flushed) {
+            store.add_with_id(DocId::new(id), doc).unwrap();
+            for cell in doc.cells() {
+                let posting = ICell::new(DocId::new(id), cell.weight);
+                postings.entry(cell.term).or_default().push(posting);
+            }
+        }
+        let mut overlay = DeltaOverlay::new();
+        overlay.set_flushed(FlushedDelta {
+            store: store.finish().unwrap(),
+            inv: InvertedFile::from_postings(Arc::clone(&disk), "c1.g1", postings).unwrap(),
+        });
+        for (id, doc) in (base + 16..).zip(tail) {
+            overlay.insert_tail(DocId::new(id), doc.clone());
+        }
+        let side = &overlay.flushed().unwrap().inv;
+        assert!(side.num_pages() > 2, "the side file must span pages");
+        // The first page: a later one would also fail the readahead batches
+        // that cover it, and with them entries on the pages before it.
+        let bad_page = 0;
+        disk.flip_bit(side.file(), bad_page, 21).unwrap();
+        let lost: Vec<TermId> = (side.directory().iter())
+            .filter(|m| {
+                let (first, n) = m.span.page_range(128);
+                (first..first + n).contains(&bad_page)
+            })
+            .map(|m| m.term)
+            .collect();
+        assert!(lost.len() > 1, "the page must hold several entries");
+
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_query(QueryParams::paper_base().with_lambda(5))
+            .with_inner_delta(&overlay);
+        assert!(execute(&spec, &inv1, &inv2).is_err(), "strict mode aborts");
+        let got = execute(&spec.with_degraded(), &inv1, &inv2).unwrap();
+        assert_eq!(got.stats.passes, 1);
+        assert_eq!(got.quality, crate::ResultQuality::Partial);
+        assert_eq!(got.stats.skipped_entries, lost.len() as u64);
+        let without = |doc: &Document| {
+            let kept = doc.cells().iter().filter(|c| !lost.contains(&c.term));
+            Document::from_sorted_cells(kept.copied().collect())
+        };
+        let all: Vec<Document> = (d1.iter().cloned())
+            .chain(flushed.iter().map(without))
+            .chain(tail.iter().cloned())
+            .collect();
+        let want = naive_join(&all, &d2, OuterDocs::Full, 5, crate::Weighting::RawCount);
+        assert_eq!(got.result, want);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! the overlay back into a pristine base; until then the overlay's extra
 //! pages and tombstones are the *fragmentation* the cost model charges for.
 
-use crate::file::InvertedFile;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::file::{EntryScanner, InvertedFile};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::iter::Peekable;
+use std::ops::Bound;
 use textjoin_collection::{Document, DocumentStore};
 use textjoin_common::{DocId, FragStats, ICell, Result, TermId};
 
@@ -239,38 +241,88 @@ impl DeltaOverlay {
         Ok(cells)
     }
 
-    /// All delta entries with `lo <= term < hi` (`hi = None` = unbounded),
-    /// in ascending term order, flushed and tail cells combined per term.
-    /// One sequential partial scan of the flushed side file — the access
-    /// pattern of (possibly partitioned) VVM.
-    pub fn entries_between(&self, lo: u32, hi: Option<u32>) -> Result<Vec<(TermId, Vec<ICell>)>> {
-        let mut merged: BTreeMap<TermId, Vec<ICell>> = BTreeMap::new();
-        if let Some(f) = &self.flushed {
-            let start = f.inv.ordinal_at_or_after(TermId::new(lo));
-            let end = match hi {
-                Some(h) => f.inv.ordinal_at_or_after(TermId::new(h)),
-                None => f.inv.num_entries() as u32,
-            };
-            for item in f.inv.scan_range(start, end) {
-                let (term, cells) = item?;
-                merged.insert(term, cells);
-            }
+    /// The delta entries with `lo <= term < hi` (`hi = None` = unbounded),
+    /// streamed in ascending term order, flushed and tail cells combined per
+    /// term: one sequential partial scan of the flushed side file (the
+    /// access pattern of VVM) merged with the tail read in place. Nothing
+    /// is read before the first pull.
+    pub fn scan_between(&self, lo: u32, hi: Option<u32>) -> DeltaScan<'_> {
+        let (lo_term, hi_term) = (TermId::new(lo), hi.map(|h| TermId::new(h.max(lo))));
+        let flushed = self.flushed.as_ref().map(|f| {
+            let start = f.inv.ordinal_at_or_after(lo_term);
+            let end = hi_term.map_or(f.inv.num_entries() as u32, |h| f.inv.ordinal_at_or_after(h));
+            f.inv.scan_range(start, end)
+        });
+        let upper = hi_term.map_or(Bound::Unbounded, Bound::Excluded);
+        let tail = self.tail_postings.range((Bound::Included(lo_term), upper));
+        DeltaScan {
+            flushed,
+            tail: tail.peekable(),
         }
-        for (&term, cells) in self.tail_postings.range(TermId::new(lo)..) {
-            if hi.is_some_and(|h| term.raw() >= h) {
-                break;
-            }
-            merged
-                .entry(term)
-                .or_default()
-                .extend(cells.iter().copied());
-        }
-        Ok(merged.into_iter().collect())
     }
 
-    /// All delta entries, in term order.
-    pub fn entries(&self) -> Result<Vec<(TermId, Vec<ICell>)>> {
-        self.entries_between(0, None)
+    /// [`scan_between`](Self::scan_between), collected.
+    pub fn entries_between(&self, lo: u32, hi: Option<u32>) -> Result<Vec<(TermId, Vec<ICell>)>> {
+        self.scan_between(lo, hi).collect()
+    }
+
+    /// `(cells, entries)` of everything [`scan_between(0,
+    /// None)`](Self::scan_between) yields, counted from the flushed side
+    /// file's directory and the tail's keys — no I/O.
+    pub fn entry_totals(&self) -> (u64, u64) {
+        let dir = self.flushed.as_ref().map_or(&[][..], |f| f.inv.directory());
+        let mut cells: u64 = dir.iter().map(|m| u64::from(m.doc_freq)).sum();
+        let mut entries = dir.len() as u64;
+        for (term, tail) in &self.tail_postings {
+            cells += tail.len() as u64;
+            entries += u64::from(dir.binary_search_by_key(term, |m| m.term).is_err());
+        }
+        (cells, entries)
+    }
+}
+
+/// A lending stream of merged delta entries (see
+/// [`DeltaOverlay::scan_between`]). An unreadable flushed entry surfaces as
+/// one error and the stream goes on: the tail's cells of that term, which
+/// are in memory, follow as an entry of their own.
+pub struct DeltaScan<'a> {
+    flushed: Option<EntryScanner<'a>>,
+    tail: Peekable<btree_map::Range<'a, TermId, Vec<ICell>>>,
+}
+
+impl DeltaScan<'_> {
+    /// Reads the next merged entry into `cells` (replacing what it held,
+    /// keeping its capacity) and returns its term; `None` at the end. A
+    /// term in both layers reads *flushed cells ++ tail cells*.
+    pub fn next_into(&mut self, cells: &mut Vec<ICell>) -> Option<Result<TermId>> {
+        let flushed = self.flushed.as_ref().and_then(EntryScanner::peek_term);
+        let tail = self.tail.peek().map(|(&t, _)| t);
+        match (flushed, tail) {
+            (None, None) => None,
+            (Some(f), t) if t.is_none_or(|t| f <= t) => {
+                let read = self.flushed.as_mut()?.next_into(cells)?;
+                if read.is_ok() && t == Some(f) {
+                    cells.extend_from_slice(self.tail.next()?.1);
+                }
+                Some(read)
+            }
+            _ => {
+                let (&term, tail) = self.tail.next()?;
+                cells.clear();
+                cells.extend_from_slice(tail);
+                Some(Ok(term))
+            }
+        }
+    }
+}
+
+impl Iterator for DeltaScan<'_> {
+    type Item = Result<(TermId, Vec<ICell>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut cells = Vec::new();
+        let term = self.next_into(&mut cells)?;
+        Some(term.map(|term| (term, cells)))
     }
 }
 
@@ -375,12 +427,133 @@ mod tests {
             Some(doc(&[(1, 2), (2, 1)]))
         );
 
-        let entries = overlay.entries().unwrap();
+        let entries = overlay.entries_between(0, None).unwrap();
         let terms: Vec<u32> = entries.iter().map(|(t, _)| t.raw()).collect();
         assert_eq!(terms, vec![1, 2, 7]);
+        assert_eq!(overlay.entry_totals(), (5, 3));
         let bounded = overlay.entries_between(2, Some(7)).unwrap();
         assert_eq!(bounded.len(), 1);
         assert_eq!(bounded[0].0, TermId::new(2));
         assert_eq!(bounded[0].1, p2);
+    }
+
+    /// The parent commit's `entries_between`, kept as the oracle: every
+    /// flushed entry of the interval keyed into a `BTreeMap`, the tail's
+    /// cells appended per term (`hi < lo` clamped to an empty interval).
+    fn oracle(overlay: &DeltaOverlay, lo: u32, hi: Option<u32>) -> Vec<(TermId, Vec<ICell>)> {
+        let mut merged: BTreeMap<TermId, Vec<ICell>> = BTreeMap::new();
+        if let Some(f) = &overlay.flushed {
+            let start = f.inv.ordinal_at_or_after(TermId::new(lo));
+            let end = match hi {
+                Some(h) => f.inv.ordinal_at_or_after(TermId::new(h)),
+                None => f.inv.num_entries() as u32,
+            };
+            for item in f.inv.scan_range(start, end.max(start)) {
+                let (term, cells) = item.unwrap();
+                merged.insert(term, cells);
+            }
+        }
+        for (&term, cells) in overlay.tail_postings.range(TermId::new(lo)..) {
+            if hi.is_some_and(|h| term.raw() >= h) {
+                break;
+            }
+            merged
+                .entry(term)
+                .or_default()
+                .extend(cells.iter().copied());
+        }
+        merged.into_iter().collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The stream yields the oracle's entries through one reused
+        /// buffer, over random flushed and tail layers (either may be
+        /// empty, terms shared between them) and any bounds — `hi < lo`,
+        /// `hi = None`, `lo` past the last term — and its totals are the
+        /// whole-range oracle's.
+        #[test]
+        fn scan_between_matches_the_map_oracle(
+            flushed in prop::collection::vec(prop::collection::btree_map(0u32..40, 1u16..4, 0..6), 0..10),
+            tail in prop::collection::vec(prop::collection::btree_map(0u32..40, 1u16..4, 0..6), 0..10),
+            lo in 0u32..45,
+            hi in 0u32..45,
+            bounded: bool
+        ) {
+            let disk = Arc::new(DiskSim::new(32));
+            let mut overlay = DeltaOverlay::new();
+            let to_doc = |terms: &BTreeMap<u32, u16>| {
+                doc(&terms.iter().map(|(&t, &w)| (t, w)).collect::<Vec<_>>())
+            };
+            if !flushed.is_empty() {
+                let docs: Vec<(u32, Document)> =
+                    flushed.iter().enumerate().map(|(i, t)| (i as u32, to_doc(t))).collect();
+                overlay.set_flushed(flush(&disk, "delta.p", &docs));
+            }
+            for (i, terms) in tail.iter().enumerate() {
+                overlay.insert_tail(DocId::new((flushed.len() + i) as u32), to_doc(terms));
+            }
+            let hi = bounded.then_some(hi);
+            let want = oracle(&overlay, lo, hi);
+            let mut scan = overlay.scan_between(lo, hi);
+            let (mut cells, mut got) = (vec![ICell::new(DocId::new(99), 9)], Vec::new());
+            while let Some(term) = scan.next_into(&mut cells) {
+                got.push((term.unwrap(), cells.clone()));
+            }
+            prop_assert_eq!(&got, &want);
+            prop_assert!(scan.next_into(&mut cells).is_none());
+            prop_assert_eq!(overlay.entries_between(lo, hi).unwrap(), want);
+            let whole = oracle(&overlay, 0, None);
+            let cells_total = whole.iter().map(|(_, c)| c.len() as u64).sum();
+            prop_assert_eq!(overlay.entry_totals(), (cells_total, whole.len() as u64));
+        }
+    }
+
+    /// An unreadable flushed entry is one error: the stream continues with
+    /// the next entry, and a tail term it shared comes through on its own.
+    #[test]
+    fn an_unreadable_flushed_entry_costs_only_itself() {
+        let disk = Arc::new(DiskSim::new(16));
+        let docs: Vec<(u32, Document)> = (0..6)
+            .map(|i| (i, doc(&[(i % 3, 1), (3 + i % 2, 2)])))
+            .collect();
+        let mut overlay = DeltaOverlay::new();
+        overlay.set_flushed(flush(&disk, "delta.bad", &docs));
+        overlay.insert_tail(DocId::new(6), doc(&[(1, 7)]));
+        let whole = overlay.entries_between(0, None).unwrap();
+        let inv = &overlay.flushed().unwrap().inv;
+        let bad_page = inv.meta(1).span.first_page(16);
+        disk.flip_bit(inv.file(), bad_page, 3).unwrap();
+        let on_bad_page = |m: &&crate::EntryMeta| {
+            let (first, n) = m.span.page_range(16);
+            (first..first + n).contains(&bad_page)
+        };
+        let lost: Vec<TermId> = inv
+            .directory()
+            .iter()
+            .filter(on_bad_page)
+            .map(|m| m.term)
+            .collect();
+        assert!(lost.contains(&TermId::new(1)) && lost.len() < inv.directory().len());
+        let mut scan = overlay.scan_between(0, None);
+        let (mut cells, mut errors, mut got) = (Vec::new(), 0, Vec::new());
+        while let Some(term) = scan.next_into(&mut cells) {
+            match term {
+                Ok(term) => got.push((term, cells.clone())),
+                Err(_) => errors += 1,
+            }
+        }
+        assert_eq!(errors, lost.len());
+        let tail_only = vec![ICell::new(DocId::new(6), 7)];
+        let want: Vec<_> = whole
+            .into_iter()
+            .filter_map(|(t, c)| match (lost.contains(&t), t.raw()) {
+                (false, _) => Some((t, c)),
+                (true, 1) => Some((t, tail_only.clone())),
+                (true, _) => None,
+            })
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -272,7 +272,7 @@ impl InvertedFile {
     }
 
     /// Scans the half-open ordinal range `[start, end)` sequentially — one
-    /// term interval of the file, as [`crate::DeltaOverlay::entries_between`]
+    /// term interval of the file, as [`crate::DeltaOverlay::scan_between`]
     /// reads a flushed delta. The readahead window is clamped to the
     /// range's last page, so a scan never prefetches past what it yields.
     pub fn scan_range(&self, start: u32, end: u32) -> EntryScanner<'_> {
@@ -316,6 +316,12 @@ impl EntryScanner<'_> {
     /// Readahead counters accumulated so far.
     pub fn prefetch_stats(&self) -> PrefetchStats {
         self.reader.prefetch_stats()
+    }
+
+    /// The term of the entry [`next_into`](Self::next_into) reads next,
+    /// from the directory (no I/O); `None` at the end of the range.
+    pub(crate) fn peek_term(&self) -> Option<TermId> {
+        (self.next_ordinal < self.end_ordinal).then(|| self.inv.meta(self.next_ordinal).term)
     }
 
     /// Reads the next entry into `cells` (replacing what it held, keeping

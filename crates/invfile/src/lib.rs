@@ -22,6 +22,6 @@ pub mod prefix;
 
 pub use btree::{BTreeFile, Dictionary, TermEntry};
 pub use codec::PostingCodec;
-pub use delta::{DeltaOverlay, FlushedDelta};
+pub use delta::{DeltaOverlay, DeltaScan, FlushedDelta};
 pub use file::{EntryMeta, EntryScanner, InvertedFile};
 pub use prefix::{filtered_merge, prefix_len, FnlIndex, RankCell, SigMeta, TermOrder};
