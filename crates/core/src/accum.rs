@@ -1,8 +1,15 @@
-//! The accumulator of the term-at-a-time executors.
+//! The term-at-a-time loop: HVNL (section 4.2) and VVM (section 4.3).
 //!
-//! VVM (section 4.3) and HVNL (section 4.2) both advance the similarity of
-//! a pair `(r, s)` by `u·v` once per shared term, one inverted-file entry at
-//! a time. [`Rows`] is where those sums live for both: one row per resident
+//! Both advance the similarity of a pair `(r, s)` by `u·v` once per shared
+//! term, one inverted-file entry at a time. They differ in two things, and
+//! [`Source`] names them: where an inner entry comes from — a cached random
+//! fetch (`hvnl.rs`) or a merge scan (`vvm.rs`) — and how the outer side is
+//! chunked — one document, or `⌈Nᵢ/partitions⌉` of them. The rest is
+//! written once, here: the prepare bookkeeping (the per-query
+//! [`InnerMask`]s, [`reserve`]), the step one (query, term, entry) takes
+//! ([`factor`], [`Rows::step`]), the emit of a resident chunk
+//! ([`Rows::emit`]), and the pass counting and phase spans
+//! ([`TermAtATime`]). [`Rows`] is where the sums live: one row per resident
 //! outer document, indexed by inner document number.
 //!
 //! **What the tracker prices and what a row holds.** The paper budgets 4
@@ -18,16 +25,115 @@
 //! each row is a `HashMap` otherwise. Both arms add the same values in the
 //! same (term) order, so scores are bit-identical across them.
 
-use crate::result::Match;
+use crate::driver::{Counters, Passes, Row as ResultRow, Run};
+use crate::hvnl::{Fetch, HvnlOptions};
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
+use crate::vvm::{Merge, Merging};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use textjoin_common::{DocId, ICell, Result, SIM_VALUE_BYTES};
+use textjoin_common::{DocId, ICell, Result, TermId, SIM_VALUE_BYTES};
+use textjoin_costmodel::Algorithm;
+use textjoin_invfile::InvertedFile;
+use textjoin_storage::MemTracker;
 
 /// Bytes charged per non-zero pair — the paper's, so the partition count
 /// matches the `⌈SM/M⌉` the model predicts.
 pub(crate) const ACC_BYTES: u64 = SIM_VALUE_BYTES as u64;
+
+/// Where the loop's inner entries come from; that also decides how its
+/// outer side is chunked.
+pub(crate) enum Source<'r> {
+    /// HVNL: one outer document at a time, for every query that selects
+    /// it; inner entries from the dictionary, the entry cache and the delta
+    /// arena.
+    Fetched(&'r InvertedFile, HvnlOptions),
+    /// VVM: `⌈Nᵢ/partitions⌉` of each query's outer documents at a time;
+    /// both sides' entries from each part's merge scan.
+    Merged(Merge<'r>),
+}
+
+/// HVNL and VVM as the driver sees them: one [`Passes`] impl over the state
+/// of either source.
+pub(crate) enum TermAtATime<'r> {
+    Fetched(Fetch<'r>),
+    Merged(Merging<'r>),
+}
+
+impl<'r> Passes<'r> for TermAtATime<'r> {
+    type Input = Source<'r>;
+
+    fn tags(input: &Source<'r>) -> (Algorithm, &'static str) {
+        match input {
+            Source::Fetched(..) => (Algorithm::Hvnl, "hvnl"),
+            Source::Merged(_) => (Algorithm::Vvm, "vvm"),
+        }
+    }
+
+    fn prepare(input: Source<'r>, run: &mut Run<'r>) -> Result<Self> {
+        let masks = run.specs.iter().map(JoinSpec::inner_mask).collect();
+        Ok(match input {
+            Source::Fetched(inv, options) => {
+                Self::Fetched(Fetch::prepare(inv, options, masks, run)?)
+            }
+            Source::Merged(merge) => Self::Merged(Merging::prepare(merge, masks, run)?),
+        })
+    }
+
+    /// HVNL's one pass is its outer scan, and every query is in it; VVM's
+    /// pass `k` is chunk `k` of every query's outer documents, and a query
+    /// is in it when its chunk is not empty.
+    fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
+        match self {
+            Self::Fetched(fetch) => {
+                if std::mem::replace(&mut fetch.scanned, true) {
+                    return Ok(false);
+                }
+                run.queries.iter_mut().for_each(|q| q.passes += 1);
+                run.phase("hvnl.outer_scan", |run, span| fetch.scan(run, span))?;
+            }
+            Self::Merged(merging) => {
+                if !merging.next_chunks(run) {
+                    return Ok(false);
+                }
+                for (q, chunk) in run.queries.iter_mut().zip(&merging.chunks) {
+                    q.passes += u64::from(!chunk.is_empty());
+                }
+                run.phase("vvm.merge_pass", |run, span| merging.pass(run, span))?;
+            }
+        }
+        Ok(true)
+    }
+
+    fn finish(self, run: &mut Run<'r>) -> Result<()> {
+        if let Self::Merged(merging) = self {
+            run.parts_high_water = merging.trackers.iter().map(MemTracker::high_water).sum();
+        }
+        Ok(())
+    }
+}
+
+/// Reserves on `tracker` what the loop holds whatever it joins: the one
+/// λ-heap alive at a time (the run's largest λ), then `entry_bytes` for the
+/// entries it reads at once. The paper budgets the average `⌈J⌉` of each
+/// file; the largest entry keeps the budget strict, so even an entry that
+/// cannot be cached can be streamed through.
+pub(crate) fn reserve(
+    tracker: &MemTracker,
+    run: &Run<'_>,
+    entry_bytes: u64,
+    [heap, entries]: [&str; 2],
+) -> Result<()> {
+    tracker.allocate(run.result_heap_bytes(), heap)?;
+    tracker.allocate(entry_bytes.max(1), entries)
+}
+
+/// Query `spec`'s weighting factor for `term`; `None` when it zeroes the
+/// term, and then the term takes no step and no entry is read for it.
+pub(crate) fn factor(spec: &JoinSpec<'_>, term: TermId) -> Option<f64> {
+    let factor = spec.weighting.term_factor(term, spec.inner.profile());
+    (factor != 0.0).then_some(factor)
+}
 
 /// Flat rows may really occupy up to this many times the buffer `B·P`.
 const FLAT_BUDGETS: u64 = 4;
@@ -80,12 +186,7 @@ impl InnerMask {
 /// NaN is still a touched cell; the bits drive emit, fold and reset, and a
 /// sum is only ever read under a set bit (reset clears the bits alone).
 enum Row {
-    Flat {
-        sums: Vec<f64>,
-        seen: Vec<u64>,
-        /// Set bits in `seen`.
-        len: usize,
-    },
+    Flat { sums: Vec<f64>, seen: Vec<u64> },
     Sparse(HashMap<u32, f64>),
 }
 
@@ -118,13 +219,12 @@ impl Row {
     #[inline]
     fn add(&mut self, d: u32, value: f64) {
         match self {
-            Row::Flat { sums, seen, len } => {
+            Row::Flat { sums, seen } => {
                 let (word, bit) = (&mut seen[d as usize / 64], 1 << (d % 64));
                 if *word & bit != 0 {
                     sums[d as usize] += value;
                 } else {
                     *word |= bit;
-                    *len += 1;
                     sums[d as usize] = value;
                 }
             }
@@ -134,13 +234,6 @@ impl Row {
                     e.insert(value);
                 }
             },
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Row::Flat { len, .. } => *len,
-            Row::Sparse(map) => map.len(),
         }
     }
 
@@ -170,8 +263,9 @@ pub(crate) struct Rows {
     /// Inner document numbers a flat row makes room for when first touched
     /// (`N1`; a larger number grows its row on demand).
     width: usize,
-    /// Bytes charged for the pairs currently held.
-    charged: u64,
+    /// Per slot, the bytes charged for the pairs it created (pairs folded
+    /// in by [`Self::absorb`] carry no charge here).
+    charged: Vec<u64>,
 }
 
 impl Rows {
@@ -187,7 +281,6 @@ impl Rows {
             true => Row::Flat {
                 sums: Vec::new(),
                 seen: Vec::new(),
-                len: 0,
             },
             false => Row::Sparse(HashMap::new()),
         };
@@ -199,7 +292,7 @@ impl Rows {
             slot_of,
             rows: std::iter::repeat_with(row).take(ids.len()).collect(),
             width: width as usize,
-            charged: 0,
+            charged: vec![0; ids.len()],
         }
     }
 
@@ -214,7 +307,33 @@ impl Rows {
 
     /// Bytes charged for the pairs currently held.
     pub(crate) fn charged(&self) -> u64 {
-        self.charged
+        self.charged.iter().sum()
+    }
+
+    /// The loop's one step: the outer document resident in `slot`, holding
+    /// the term with weight `outer.weight`, meets one inner entry of that
+    /// term under the query's `factor`. Cells the query's mask or
+    /// `exclude_self` rule out are skipped, and the pairs the rest create
+    /// are priced by `charge` before anything is added (HVNL's evicts from
+    /// its cache, VVM's charges its part's tracker). Only non-zero postings
+    /// are visited, so every applied cell is a similarity operation and a
+    /// touched cell.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step(
+        &mut self,
+        slot: usize,
+        outer: ICell,
+        factor: f64,
+        entry: &[ICell],
+        (spec, mask): (&JoinSpec<'_>, Option<&InnerMask>),
+        counters: &mut Counters,
+        charge: impl FnOnce(u64) -> Result<()>,
+    ) -> Result<()> {
+        let skip = spec.exclude_self.then_some(outer.doc);
+        let ops = self.apply(slot, entry, outer.weight, factor, mask, skip, charge)?;
+        counters.sim_ops += ops;
+        counters.cells_touched += ops;
+        Ok(())
     }
 
     /// Applies one entry (`cells`, ascending by document) to `slot`: every
@@ -245,7 +364,7 @@ impl Rows {
         }
         if fresh > 0 {
             charge(fresh * ACC_BYTES)?;
-            self.charged += fresh * ACC_BYTES;
+            self.charged[slot] += fresh * ACC_BYTES;
         }
         row.grow((last.doc.raw() as usize + 1).max(self.width));
         let outer_weight = outer_weight as f64;
@@ -267,36 +386,45 @@ impl Rows {
         }
     }
 
-    /// The λ best inner documents of `slot`'s outer document, best first.
-    pub(crate) fn emit(&self, slot: usize, spec: &JoinSpec<'_>, outer_id: DocId) -> Vec<Match> {
+    /// Emits the resident chunk (slot `k` holds `chunk[k]`) into `out`: per
+    /// outer document one λ-heap over its row, ties broken by document id,
+    /// so any executor emitting from equal sums produces identical rows.
+    /// Then empties the slots and releases to `tracker` what their pairs
+    /// were charged.
+    pub(crate) fn emit(
+        &mut self,
+        chunk: &[DocId],
+        spec: &JoinSpec<'_>,
+        out: &mut Vec<ResultRow>,
+        tracker: &MemTracker,
+    ) {
         let (inner_profile, outer_profile) = (spec.inner.profile(), spec.outer.profile());
-        let mut topk = TopK::new(spec.query.lambda);
-        self.rows[slot].for_each(|inner_raw, sum| {
-            let inner_id = DocId::new(inner_raw);
-            let score =
-                spec.weighting
-                    .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
-            if !score.is_zero() {
-                topk.offer(inner_id, score);
-            }
-        });
-        topk.into_matches()
+        let mut bytes = 0;
+        for (slot, &outer_id) in chunk.iter().enumerate() {
+            let mut topk = TopK::new(spec.query.lambda);
+            self.rows[slot].for_each(|inner_raw, sum| {
+                let inner_id = DocId::new(inner_raw);
+                let score =
+                    spec.weighting
+                        .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
+                if !score.is_zero() {
+                    topk.offer(inner_id, score);
+                }
+            });
+            out.push((outer_id, topk.into_matches()));
+            bytes += self.reset(slot);
+        }
+        tracker.release(bytes);
     }
 
     /// Empties `slot` for the next outer document, keeping its memory, and
     /// returns the bytes its pairs were charged (the caller releases them).
-    pub(crate) fn reset(&mut self, slot: usize) -> u64 {
-        let row = &mut self.rows[slot];
-        let bytes = row.len() as u64 * ACC_BYTES;
-        match row {
-            Row::Flat { seen, len, .. } => {
-                seen.fill(0);
-                *len = 0;
-            }
+    fn reset(&mut self, slot: usize) -> u64 {
+        match &mut self.rows[slot] {
+            Row::Flat { seen, .. } => seen.fill(0),
             Row::Sparse(map) => map.clear(),
         }
-        self.charged -= bytes;
-        bytes
+        std::mem::take(&mut self.charged[slot])
     }
 }
 

@@ -33,10 +33,11 @@
 //! parameters and the degraded flag; per-query λ, weighting, outer
 //! selection and inner filters are free.
 
+use crate::accum::{Source, TermAtATime};
 use crate::driver::{drive, Indexes};
 use crate::fnl::FnlOptions;
 use crate::hhnl::Forward;
-use crate::hvnl::{Hvnl, HvnlOptions};
+use crate::hvnl::HvnlOptions;
 use crate::result::{ExecStats, JoinOutcome};
 use crate::spec::JoinSpec;
 use textjoin_common::Result;
@@ -95,7 +96,7 @@ pub fn execute_hvnl(
     inner_inv: &InvertedFile,
     options: BatchOptions,
 ) -> Result<BatchOutcome> {
-    drive::<Hvnl>(specs, (inner_inv, options))
+    drive::<TermAtATime>(specs, Source::Fetched(inner_inv, options))
 }
 
 /// Batched VVM: all queries' accumulators share the similarity budget of
