@@ -29,7 +29,7 @@
 use crate::batch::BatchOutcome;
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
-use crate::spec::JoinSpec;
+use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::{self, TopK};
 use crate::{fnl, hhnl, hvnl, vvm};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -125,7 +125,26 @@ pub(crate) fn sole(mut batch: BatchOutcome) -> JoinOutcome {
 /// system parameters, one degraded flag, one delta overlay per side. The
 /// shared scans serve every query from the same base+delta view, so a
 /// query with a different overlay would see phantom or missing documents.
+/// And every selection, on either side, is strictly ascending: the
+/// executors look ids up by binary search and size their tables by the
+/// last one.
 pub(crate) fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
+    for (i, s) in specs.iter().enumerate() {
+        let outer = match s.outer_docs {
+            OuterDocs::Full => None,
+            OuterDocs::Selected(ids) => Some(("outer", ids)),
+        };
+        for (side, ids) in outer
+            .into_iter()
+            .chain(s.inner_docs.map(|ids| ("inner", ids)))
+        {
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(Error::InvalidArgument(format!(
+                    "query {i}: the {side} document ids are not strictly ascending"
+                )));
+            }
+        }
+    }
     fn same_delta(a: Option<&DeltaOverlay>, b: Option<&DeltaOverlay>) -> bool {
         match (a, b) {
             (None, None) => true,

@@ -45,7 +45,7 @@
 //! agree only approximately, because per-site profiles are rebuilt from
 //! subsets; cosine VVM additionally reassociates floating-point sums.
 
-use crate::driver::{feed_ticket, merge_outcomes, run_parts, sole, Indexes};
+use crate::driver::{feed_ticket, merge_outcomes, run_parts, sole, validate, Indexes};
 use crate::result::{JoinOutcome, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::vvm::Part;
@@ -316,6 +316,8 @@ pub fn execute_sharded(
     algorithm: Algorithm,
     opts: &ShardOptions<'_>,
 ) -> Result<ShardedOutcome> {
+    // Before anything is materialised from the selections.
+    validate(std::slice::from_ref(spec))?;
     match algorithm {
         Algorithm::Vvm => execute_vvm_sharded(spec, opts),
         Algorithm::Hhnl | Algorithm::Hvnl | Algorithm::Fnl => {

@@ -20,8 +20,9 @@ use crate::weighting::Weighting;
 pub enum OuterDocs<'a> {
     /// Every document of the outer collection, in storage order.
     Full,
-    /// Only these documents (sorted by id), read randomly from the
-    /// original collection.
+    /// Only these documents, read randomly from the original collection.
+    /// The ids must be strictly ascending; an executor handed any other
+    /// order refuses the join with `Error::InvalidArgument`.
     Selected(&'a [DocId]),
 }
 
@@ -203,9 +204,9 @@ impl<'a> JoinSpec<'a> {
         Self { outer_docs, ..self }
     }
 
-    /// Restricts the inner side to these documents (must be sorted by id).
+    /// Restricts the inner side to these documents (strictly ascending ids;
+    /// an executor refuses any other order, as for [`OuterDocs::Selected`]).
     pub fn with_inner_docs(self, inner_docs: &'a [DocId]) -> Self {
-        debug_assert!(inner_docs.windows(2).all(|w| w[0] < w[1]));
         Self {
             inner_docs: Some(inner_docs),
             ..self

@@ -242,6 +242,38 @@ fn preset_cancel_returns_an_oracle_prefix_within_one_checkpoint() {
     }
 }
 
+/// A selection that is not strictly ascending — out of order, or with an id
+/// twice — on either side is refused with `InvalidArgument` naming the
+/// side, by every cell, before it can be binary-searched or sized by its
+/// last id (which dropped rows or panicked).
+#[test]
+fn an_unsorted_or_duplicated_selection_is_refused_in_every_cell() {
+    let f = fixture();
+    let ids = |raw: &[u32]| raw.iter().map(|&d| DocId::new(d)).collect::<Vec<_>>();
+    let (unsorted_outer, twice_outer) = (ids(&[40, 7, 22]), ids(&[7, 7, 22]));
+    let (unsorted_inner, twice_inner) = (ids(&[60, 5]), ids(&[5, 5]));
+    let sides: [(&str, &[DocId], &[DocId]); 4] = [
+        ("outer", &unsorted_outer, &[]),
+        ("outer", &twice_outer, &[]),
+        ("inner", &[], &unsorted_inner),
+        ("inner", &[], &twice_inner),
+    ];
+    for (side, outer, inner) in sides {
+        for (alg, mode) in cells().into_iter().chain(sharded_cells()) {
+            let got = run(&f, alg, mode, |s| match side {
+                "outer" => s.with_outer_docs(OuterDocs::Selected(outer)),
+                _ => s.with_inner_docs(inner),
+            });
+            match got {
+                Err(Error::InvalidArgument(why)) => {
+                    assert!(why.contains(side), "{alg} {mode:?}: {why}")
+                }
+                got => panic!("{alg} {mode:?} {side} {outer:?} {inner:?}: {:?}", got.err()),
+            }
+        }
+    }
+}
+
 /// A budget below one page cannot survive the first checkpoint, whatever
 /// executes the passes.
 #[test]
