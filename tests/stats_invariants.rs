@@ -16,11 +16,27 @@ fn fixture(
     InvertedFile,
     InvertedFile,
 ) {
+    sized(120, 80, seed)
+}
+
+/// `n1` inner and `n2` outer documents of 15 terms over 600, 1 KiB pages.
+#[allow(clippy::type_complexity)]
+fn sized(
+    n1: u64,
+    n2: u64,
+    seed: u64,
+) -> (
+    Arc<DiskSim>,
+    Collection,
+    Collection,
+    InvertedFile,
+    InvertedFile,
+) {
     let disk = Arc::new(DiskSim::new(1024));
-    let c1 = SynthSpec::from_stats(CollectionStats::new(120, 15.0, 600), seed)
+    let c1 = SynthSpec::from_stats(CollectionStats::new(n1, 15.0, 600), seed)
         .generate(Arc::clone(&disk), "c1")
         .unwrap();
-    let c2 = SynthSpec::from_stats(CollectionStats::new(80, 15.0, 600), seed + 1)
+    let c2 = SynthSpec::from_stats(CollectionStats::new(n2, 15.0, 600), seed + 1)
         .generate(Arc::clone(&disk), "c2")
         .unwrap();
     let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1).unwrap();
@@ -193,4 +209,58 @@ fn sim_ops_are_invariant_across_algorithms_and_orders() {
         vvm::execute(&spec, &inv1, &inv2).unwrap().stats.sim_ops,
     ];
     assert!(ops.windows(2).all(|w| w[0] == w[1]), "{ops:?}");
+
+    // HVNL and VVM take one step per (query, term, entry), so they count
+    // the same operations and touched cells under every filter and
+    // weighting — whether VVM takes one pass or several, and whether
+    // HVNL's cache holds every entry or keeps refetching.
+    let (_disk, c1, c2, inv1, inv2) = sized(1_200, 300, 6);
+    let every_third: Vec<DocId> = (0..1_200).step_by(3).map(DocId::new).collect();
+    // The self-join's outer side is a sample of the inner one.
+    let every_fifth: Vec<DocId> = (0..1_200).step_by(5).map(DocId::new).collect();
+    let base = |inner, outer| JoinSpec::new(inner, outer).with_query(spec.query);
+    let cases = [
+        ("pristine", base(&c1, &c2), &inv2),
+        (
+            "inner selection",
+            base(&c1, &c2).with_inner_docs(&every_third),
+            &inv2,
+        ),
+        (
+            "exclude_self",
+            base(&c1, &c1)
+                .with_outer_docs(OuterDocs::Selected(&every_fifth))
+                .with_exclude_self(),
+            &inv1,
+        ),
+        (
+            "tf-idf",
+            base(&c1, &c2).with_weighting(Weighting::TfIdf),
+            &inv2,
+        ),
+    ];
+    for (case, spec, outer_inv) in cases {
+        for buffer_pages in [64, 4096] {
+            let spec = spec.with_sys(SystemParams {
+                buffer_pages,
+                page_size: 1024,
+                alpha: 5.0,
+            });
+            let hv = hvnl::execute(&spec, &inv1).unwrap().stats;
+            let vv = vvm::execute(&spec, &inv1, outer_inv).unwrap().stats;
+            let at = format!("{case}, B = {buffer_pages}");
+            assert_eq!(hv.sim_ops, vv.sim_ops, "{at}");
+            assert_eq!(hv.cells_touched, vv.cells_touched, "{at}");
+            assert!(hv.sim_ops > 0, "{at}");
+            if buffer_pages == 64 {
+                assert!(vv.passes > 1, "{at}: VVM must take several passes");
+                assert!(
+                    hv.entry_fetches > inv1.num_entries(),
+                    "{at}: HVNL must refetch"
+                );
+            } else {
+                assert_eq!(vv.passes, 1, "{at}");
+            }
+        }
+    }
 }
