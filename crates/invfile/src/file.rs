@@ -13,9 +13,10 @@
 use crate::btree::{BTreeFile, TermEntry};
 use crate::codec::PostingCodec;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use textjoin_collection::Collection;
-use textjoin_common::{ICell, Result, TermId, CELL_BYTES};
+use textjoin_common::{FxHashMap, ICell, Result, TermId, CELL_BYTES};
 use textjoin_storage::{
     packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
     PrefetchStats,
@@ -63,7 +64,7 @@ impl InvertedFile {
         collection: &Collection,
         codec: PostingCodec,
     ) -> Result<Self> {
-        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
+        let mut postings: FxHashMap<TermId, Vec<ICell>> = FxHashMap::default();
         for item in collection.store().scan() {
             let (doc_id, doc) = item?;
             for cell in doc.cells() {
@@ -78,20 +79,21 @@ impl InvertedFile {
 
     /// Builds an inverted file directly from a postings map (documents per
     /// term must have been appended in increasing document order, which a
-    /// scan guarantees).
-    pub fn from_postings(
+    /// scan guarantees). Entries are written in term order, so the map's
+    /// hasher does not reach the file.
+    pub fn from_postings<S: BuildHasher>(
         disk: Arc<DiskSim>,
         name: &str,
-        postings: HashMap<TermId, Vec<ICell>>,
+        postings: HashMap<TermId, Vec<ICell>, S>,
     ) -> Result<Self> {
         Self::from_postings_with(disk, name, postings, PostingCodec::Fixed5)
     }
 
     /// [`from_postings`](Self::from_postings) with an explicit codec.
-    pub fn from_postings_with(
+    pub fn from_postings_with<S: BuildHasher>(
         disk: Arc<DiskSim>,
         name: &str,
-        postings: HashMap<TermId, Vec<ICell>>,
+        postings: HashMap<TermId, Vec<ICell>, S>,
         codec: PostingCodec,
     ) -> Result<Self> {
         let mut terms: Vec<TermId> = postings.keys().copied().collect();
@@ -612,6 +614,41 @@ mod tests {
         let issued = registry.counter("prefetch.issued", "inv1").get();
         let hits = registry.counter("prefetch.hits", "inv1").get();
         assert!(issued > 0 && hits > 0, "issued={issued} hits={hits}");
+    }
+
+    /// The build map's hasher reaches no byte on disk: `build` (an Fx map)
+    /// and `from_postings` fed the same postings through a SipHash map
+    /// write page-for-page identical entry and B+tree files.
+    #[test]
+    fn the_build_maps_hasher_changes_no_page() {
+        use textjoin_collection::SynthSpec;
+        use textjoin_common::CollectionStats;
+        let disk = Arc::new(DiskSim::new(256));
+        let docs = SynthSpec::from_stats(CollectionStats::new(300, 20.0, 500), 11).generate_docs();
+        let coll = Collection::build(Arc::clone(&disk), "c", docs).unwrap();
+        let fx = InvertedFile::build(Arc::clone(&disk), "fx", &coll).unwrap();
+        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
+        for item in coll.store().scan() {
+            let (doc_id, doc) = item.unwrap();
+            for cell in doc.cells() {
+                let entry = postings.entry(cell.term).or_default();
+                entry.push(ICell::new(doc_id, cell.weight));
+            }
+        }
+        let sip = InvertedFile::from_postings(Arc::clone(&disk), "sip", postings).unwrap();
+        assert_eq!(fx.directory(), sip.directory());
+        let pages = |name: String| {
+            let file = disk.file_by_name(&name).unwrap();
+            let n = disk.num_pages(file);
+            (0..n)
+                .map(|p| disk.read_page(file, p).unwrap())
+                .collect::<Vec<_>>()
+        };
+        for ext in ["inv", "btree"] {
+            let fx_pages = pages(format!("fx.{ext}"));
+            assert!(fx_pages.len() > 1, "{ext}: {} pages", fx_pages.len());
+            assert_eq!(fx_pages, pages(format!("sip.{ext}")), "{ext}");
+        }
     }
 
     #[test]

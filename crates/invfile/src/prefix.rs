@@ -34,10 +34,9 @@
 //!   at start-up (`M` pages) to translate outer documents into rank space.
 
 use crate::codec::{read_varint, write_varint};
-use std::collections::HashMap;
 use std::sync::Arc;
 use textjoin_collection::{Collection, Document};
-use textjoin_common::{DocId, Error, FnlStats, Result, TermId};
+use textjoin_common::{DocId, Error, FnlStats, FxHashMap, Result, TermId};
 use textjoin_storage::{
     packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
     PrefetchStats,
@@ -86,10 +85,18 @@ pub struct SigMeta {
 pub struct TermOrder {
     /// `terms[rank] = (term, document frequency)`.
     terms: Vec<(TermId, u32)>,
-    rank_of: HashMap<TermId, u32>,
+    rank_of: FxHashMap<TermId, u32>,
 }
 
 impl TermOrder {
+    /// The order of `terms`, already sorted by rank.
+    fn from_ranked(terms: Vec<(TermId, u32)>) -> Self {
+        let rank_of = (terms.iter().enumerate())
+            .map(|(rank, &(term, _))| (term, rank as u32))
+            .collect();
+        Self { terms, rank_of }
+    }
+
     /// The global rarity rank of `term`, or `None` for a term absent from
     /// the indexed collection.
     #[inline]
@@ -157,7 +164,7 @@ impl FnlIndex {
     /// files through a [`PackedWriter`].
     pub fn build(disk: Arc<DiskSim>, name: &str, collection: &Collection) -> Result<Self> {
         let mut docs: Vec<(DocId, Document)> = Vec::new();
-        let mut df: HashMap<TermId, u32> = HashMap::new();
+        let mut df: FxHashMap<TermId, u32> = FxHashMap::default();
         for item in collection.store().scan() {
             let (id, doc) = item?;
             for cell in doc.cells() {
@@ -171,16 +178,12 @@ impl FnlIndex {
         // frequency ties.
         let mut ranked: Vec<(TermId, u32)> = df.into_iter().collect();
         ranked.sort_unstable_by_key(|&(term, freq)| (freq, term));
-        let rank_of: HashMap<TermId, u32> = ranked
-            .iter()
-            .enumerate()
-            .map(|(rank, &(term, _))| (term, rank as u32))
-            .collect();
+        let order = TermOrder::from_ranked(ranked);
 
         // The term-order sidecar: per rank, varint term and frequency.
         let meta_file = disk.create_file_with_kind(&format!("{name}.fnlmeta"), PageKind::Raw)?;
         let mut meta_buf = Vec::new();
-        for &(term, freq) in &ranked {
+        for &(term, freq) in &order.terms {
             write_varint(&mut meta_buf, term.raw() as u64);
             write_varint(&mut meta_buf, freq as u64);
         }
@@ -198,7 +201,7 @@ impl FnlIndex {
                 .cells()
                 .iter()
                 .map(|c| RankCell {
-                    rank: rank_of[&c.term],
+                    rank: order.rank_of[&c.term],
                     weight: c.weight,
                 })
                 .collect();
@@ -310,12 +313,7 @@ impl FnlIndex {
             }
             terms.push((TermId::new(term as u32), freq as u32));
         }
-        let rank_of = terms
-            .iter()
-            .enumerate()
-            .map(|(rank, &(term, _))| (term, rank as u32))
-            .collect();
-        Ok(TermOrder { terms, rank_of })
+        Ok(TermOrder::from_ranked(terms))
     }
 
     /// Scans the whole signature file sequentially in document order.
@@ -553,6 +551,29 @@ mod tests {
         assert_eq!(order.term(0), TermId::new(9), "df 1 outranks df 2 and 3");
         assert_eq!(order.term(order.len() as u32 - 1), TermId::new(5));
         assert!(order.rank(TermId::new(999)).is_none());
+    }
+
+    /// The rarity order is the `(df, term)` sort whatever the build maps
+    /// hash with: counted here with a `BTreeMap`, it ranks every term the
+    /// way the sidecar does.
+    #[test]
+    fn the_term_order_is_the_df_then_term_sort() {
+        let docs = SynthSpec::from_stats(CollectionStats::new(200, 15.0, 400), 5).generate_docs();
+        let mut df = std::collections::BTreeMap::<TermId, u32>::new();
+        for cell in docs.iter().flat_map(|d| d.cells()) {
+            *df.entry(cell.term).or_default() += 1;
+        }
+        let mut want: Vec<(TermId, u32)> = df.into_iter().collect();
+        want.sort_by_key(|&(term, freq)| (freq, term));
+        let (_, index, _) = build(128, docs);
+        let order = index.read_term_order().unwrap();
+        let got: Vec<(TermId, u32)> = (0..order.len() as u32)
+            .map(|r| (order.term(r), order.doc_freq(r)))
+            .collect();
+        assert_eq!(got, want);
+        for (rank, &(term, _)) in want.iter().enumerate() {
+            assert_eq!(order.rank(term), Some(rank as u32));
+        }
     }
 
     #[test]
