@@ -217,14 +217,31 @@ impl Catalog {
     /// Registers a relation: each text column's values are tokenized
     /// through the shared registry, written as a document collection, and
     /// indexed with an inverted file + B+tree.
+    ///
+    /// Relation and column names are looked up ignoring ASCII case, so a
+    /// relation whose name matches an existing one that way, or that
+    /// declares two such columns, is refused before anything is ingested.
     pub fn add(&mut self, builder: RelationBuilder) -> Result<()> {
         let RelationBuilder {
             name,
             columns,
             rows,
         } = builder;
-        if self.relations.contains_key(&name) {
-            return Err(Error::Plan(format!("relation {name} already exists")));
+        if let Some(existing) = self.relation(&name) {
+            return Err(Error::Plan(format!(
+                "relation {name} already exists as {}",
+                existing.name
+            )));
+        }
+        for (i, (col, _)) in columns.iter().enumerate() {
+            if let Some((dup, _)) = columns[..i]
+                .iter()
+                .find(|(c, _)| c.eq_ignore_ascii_case(col))
+            {
+                return Err(Error::Plan(format!(
+                    "relation {name}: column {col} clashes with column {dup}"
+                )));
+            }
         }
         let mut text = HashMap::new();
         for (ci, (col_name, ty)) in columns.iter().enumerate() {
@@ -390,6 +407,44 @@ mod tests {
         let mut catalog = sample_catalog();
         let dup = RelationBuilder::new("Applicants").column("x", ColumnType::Int);
         assert!(catalog.add(dup).is_err());
+    }
+
+    /// Lookups ignore ASCII case, so names that differ only in case would
+    /// leave `relation` and `column_index` to pick one of two: both kinds
+    /// of clash are refused, naming it, and the registry is left as it was.
+    #[test]
+    fn names_that_differ_only_in_case_are_rejected() {
+        let mut catalog = sample_catalog();
+        let terms = catalog.registry().len();
+        let text = || Value::Text("unseen words".into());
+        let err = catalog
+            .add(
+                RelationBuilder::new("APPLICANTS")
+                    .column("Body", ColumnType::Text)
+                    .row(vec![text()])
+                    .unwrap(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Plan(m) if m.contains("APPLICANTS") && m.contains("Applicants")),
+            "{err}"
+        );
+        let err = catalog
+            .add(
+                RelationBuilder::new("Docs")
+                    .column("Body", ColumnType::Text)
+                    .column("body", ColumnType::Text)
+                    .row(vec![text(), text()])
+                    .unwrap(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Plan(m) if m.contains("Body") && m.contains("body")),
+            "{err}"
+        );
+        assert!(catalog.relation("docs").is_none());
+        assert_eq!(catalog.registry().len(), terms);
+        assert_eq!(catalog.relation("applicants").unwrap().name(), "Applicants");
     }
 
     #[test]
