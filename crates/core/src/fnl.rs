@@ -66,7 +66,7 @@ pub fn execute_with(
 
 /// FNL's inner source: the signature index keyed by rarity rank — one scan
 /// per round, the term-ordering sidecar loaded once for the whole run
-/// (`costmodel::fns_batch`'s shared-sidecar saving) — followed by the
+/// (the shared-sidecar saving of `costmodel`'s batched FNL) — followed by the
 /// inner overlay's delta documents keyed by term number.
 pub(crate) struct Signatures<'r> {
     index: &'r FnlIndex,

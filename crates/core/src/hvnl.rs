@@ -18,7 +18,7 @@
 //!
 //! With several queries the outer collection is still scanned once: each
 //! document is joined for every query that selects it against a *single
-//! shared entry cache* and one dictionary (`costmodel::hvs_batch`).
+//! shared entry cache* and one dictionary (`costmodel::hvnl`'s batch form).
 
 use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime};
 use crate::driver::{drive_one, Run};

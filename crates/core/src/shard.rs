@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
-use textjoin_common::{DocId, ICell, Result, TermId};
+use textjoin_common::{DocId, FxHashMap, ICell, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
@@ -644,6 +644,18 @@ fn assign_outer_docs(
     }
 }
 
+/// The term ranges each of `s` sites owns: skew-aware over `weights`, or
+/// one range of equal term count each (naive).
+fn term_ranges(weights: &[u64], s: usize, partitioning: ShardPartitioning) -> Vec<Vec<(u32, u32)>> {
+    match partitioning {
+        ShardPartitioning::SkewAware => skew_aware_assignment(weights, s),
+        ShardPartitioning::Naive => weighted_boundaries(&vec![1u64; weights.len()], s)
+            .into_iter()
+            .map(|r| vec![r])
+            .collect(),
+    }
+}
+
 /// FNL inner assignment: partition the (sorted) inner vocabulary into
 /// df-weighted term ranges, then send each inner document to the site
 /// owning its rarest term (ties to the smaller term id). Every inner
@@ -661,13 +673,7 @@ fn assign_inner_by_rarest_term(
     }
     let terms: Vec<TermId> = df.keys().copied().collect();
     let weights: Vec<u64> = df.values().copied().collect();
-    let ranges_per_shard: Vec<Vec<(u32, u32)>> = match opts.partitioning {
-        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s),
-        ShardPartitioning::Naive => weighted_boundaries(&vec![1u64; terms.len()], s)
-            .into_iter()
-            .map(|r| vec![r])
-            .collect(),
-    };
+    let ranges_per_shard = term_ranges(&weights, s, opts.partitioning);
     let mut term_shard: HashMap<TermId, usize> = HashMap::with_capacity(terms.len());
     for (k, ranges) in ranges_per_shard.iter().enumerate() {
         for &(a, b) in ranges {
@@ -710,7 +716,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         return degenerate(spec, Algorithm::Vvm, opts);
     }
     let postings_of = |docs: &[(DocId, Document)]| {
-        let mut map: HashMap<TermId, Vec<ICell>> = HashMap::new();
+        let mut map: FxHashMap<TermId, Vec<ICell>> = FxHashMap::default();
         for (id, doc) in docs {
             for cell in doc.cells() {
                 map.entry(cell.term)
@@ -720,8 +726,8 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         }
         map
     };
-    let inner_post = postings_of(&inner_docs);
-    let outer_post = postings_of(&outer_docs);
+    let mut inner_post = postings_of(&inner_docs);
+    let mut outer_post = postings_of(&outer_docs);
     let mut terms: Vec<TermId> = inner_post.keys().copied().collect();
     for t in outer_post.keys() {
         if !inner_post.contains_key(t) {
@@ -737,28 +743,18 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
                 + outer_post.get(t).map_or(0, Vec::len) as u64
         })
         .collect();
-    let assignment: Vec<Vec<(u32, u32)>> = match opts.partitioning {
-        ShardPartitioning::SkewAware => skew_aware_assignment(&weights, s),
-        ShardPartitioning::Naive => weighted_boundaries(&vec![1u64; terms.len()], s)
-            .into_iter()
-            .map(|r| vec![r])
-            .collect(),
-    };
+    let assignment = term_ranges(&weights, s, opts.partitioning);
 
     let blowup = opts.comm.encoding.blowup();
     let net = NetworkSim::new(opts.network_page_ns);
     let mut sites: Vec<FragSite> = Vec::with_capacity(s);
     for (k, ranges) in assignment.iter().enumerate() {
-        let mut frag_inner: HashMap<TermId, Vec<ICell>> = HashMap::new();
-        let mut frag_outer: HashMap<TermId, Vec<ICell>> = HashMap::new();
+        // Each term is in exactly one site's ranges: its cells move there.
+        let (mut frag_inner, mut frag_outer) = (FxHashMap::default(), FxHashMap::default());
         for &(a, b) in ranges {
-            for &t in &terms[a as usize..b as usize] {
-                if let Some(cells) = inner_post.get(&t) {
-                    frag_inner.insert(t, cells.clone());
-                }
-                if let Some(cells) = outer_post.get(&t) {
-                    frag_outer.insert(t, cells.clone());
-                }
+            for t in &terms[a as usize..b as usize] {
+                frag_inner.extend(inner_post.remove_entry(t));
+                frag_outer.extend(outer_post.remove_entry(t));
             }
         }
         let disk = Arc::new(DiskSim::new(spec.sys.page_size));

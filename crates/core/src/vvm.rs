@@ -126,7 +126,7 @@ pub fn execute(
 
 /// VVM over `N ≥ 1` queries: all queries' accumulators share the
 /// similarity budget of one merge scan, so both inverted files are read
-/// `⌈Σᵢ SMᵢ/M⌉` times for the whole batch (`costmodel::vvs_batch`).
+/// `⌈Σᵢ SMᵢ/M⌉` times for the whole batch (`costmodel::vvm`'s batch form).
 pub(crate) fn execute_batch(
     specs: &[JoinSpec<'_>],
     inner_inv: &InvertedFile,

@@ -26,8 +26,9 @@
 //! with their actual terms, and "the size of the document collection will
 //! become much larger (5 or more times larger)".
 
+use crate::hvnl;
 use crate::inputs::JoinInputs;
-use crate::{fnl, hhnl, hvnl, vvm, Algorithm};
+use crate::integrated::{estimate, Algorithm, IoScenario};
 use textjoin_common::Result;
 
 /// How term identity crosses the site boundary.
@@ -124,16 +125,6 @@ pub fn pages_shipped(
     }
 }
 
-/// Local sequential I/O cost of `algorithm` (the section 5 estimates).
-pub(crate) fn local_cost(inputs: &JoinInputs, algorithm: Algorithm) -> Result<f64> {
-    Ok(match algorithm {
-        Algorithm::Hhnl => hhnl::sequential(inputs)?,
-        Algorithm::Hvnl => hvnl::sequential(inputs),
-        Algorithm::Vvm => vvm::sequential(inputs)?,
-        Algorithm::Fnl => fnl::sequential(inputs)?,
-    })
-}
-
 /// Total distributed cost: local execution plus `β`-priced shipping.
 pub fn total_cost(
     inputs: &JoinInputs,
@@ -141,8 +132,8 @@ pub fn total_cost(
     algorithm: Algorithm,
     site: Site,
 ) -> Result<f64> {
-    Ok(local_cost(inputs, algorithm)?
-        + comm.beta * pages_shipped(inputs, algorithm, site, comm.encoding))
+    let local = estimate(algorithm, IoScenario::Dedicated, &[*inputs])?;
+    Ok(local + comm.beta * pages_shipped(inputs, algorithm, site, comm.encoding))
 }
 
 /// The distributed integrated algorithm: the cheapest

@@ -59,25 +59,12 @@ pub fn num_passes(inputs: &JoinInputs) -> Result<f64> {
 /// executor cannot avoid — one to open the sidecar, one at the start of
 /// every pass, each turning a 1-page sequential read into an α-priced one.
 pub fn sequential(inputs: &JoinInputs) -> Result<f64> {
-    fns_batch(from_ref(inputs))
+    forward::sequential(forward::signatures, from_ref(inputs))
 }
 
 /// `fnr` — worst-case cost when the I/O device is shared; mirrors `hhr`.
 pub fn worst_case_random(inputs: &JoinInputs) -> Result<f64> {
-    fnr_batch(from_ref(inputs))
-}
-
-/// `fns_batch` — batched FNL: the sidecar is read once for the whole
-/// batch, every query's outer side once, and the signature index once per
-/// pooled pass (each with its rewind seek).
-pub fn fns_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    forward::sequential(forward::signatures, inputs)
-}
-
-/// `fnr_batch` — worst-case batched FNL: pooled sequential savings plus
-/// every query's own seek penalty (same shape as `hhr_batch`).
-pub fn fnr_batch(inputs: &[JoinInputs]) -> Result<f64> {
-    forward::worst_case_random(forward::signatures, inputs)
+    forward::worst_case_random(forward::signatures, from_ref(inputs))
 }
 
 #[cfg(test)]
@@ -191,20 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn n1_batch_reduces_exactly_to_sequential() {
-        let i = simple();
-        assert_eq!(fns_batch(&[i]).unwrap(), sequential(&i).unwrap());
-        assert_eq!(fnr_batch(&[i]).unwrap(), worst_case_random(&i).unwrap());
-        assert_eq!(fns_batch(&[]).unwrap(), 0.0);
-        assert_eq!(fnr_batch(&[]).unwrap(), 0.0);
-    }
-
-    #[test]
     fn batch_pools_passes_and_shares_the_sidecar() {
         let i = simple();
         let batch = vec![i; 4];
         let sum = 4.0 * sequential(&i).unwrap();
-        let pooled = fns_batch(&batch).unwrap();
+        let pooled = forward::sequential(forward::signatures, &batch).unwrap();
         assert!(pooled <= sum);
         // The sidecar is genuinely shared: at minimum (N−1)·M is saved.
         assert!(sum - pooled >= 3.0 * 1.0 - 1e-9);

@@ -12,8 +12,8 @@
 //! worst   = forward + Σᵢ seek_penaltyᵢ
 //! ```
 //!
-//! A single query is the batch of one: the named functions of `hhnl`,
-//! `fnl` and `batch` choose the source and the inputs, nothing else.
+//! A single query is the batch of one: the named functions of `hhnl` and
+//! `fnl` choose the source and the inputs, nothing else.
 
 use crate::fnl::{RANK_CELL_BYTES, TOPK_SLOT_BYTES};
 use crate::inputs::JoinInputs;
@@ -106,13 +106,11 @@ pub(crate) fn passes(source: SourceAt, inputs: &[JoinInputs]) -> Result<f64> {
     Ok(fractional.ceil().max(1.0))
 }
 
-/// The dedicated-device cost: the source opened once, every query's outer
-/// side read once and the inner side streamed once per pooled pass. An
-/// empty batch costs nothing; the shared sizes are the first query's.
+/// The dedicated-device cost of a non-empty batch: the source opened once,
+/// every query's outer side read once and the inner side streamed once per
+/// pooled pass. The shared sizes are the first query's.
 pub(crate) fn sequential(source: SourceAt, inputs: &[JoinInputs]) -> Result<f64> {
-    let Some(first) = inputs.first() else {
-        return Ok(0.0);
-    };
+    let first = &inputs[0];
     let outer: f64 = inputs.iter().map(JoinInputs::outer_read_cost).sum();
     let size = source(first)?;
     let passes = passes(source, inputs)?;

@@ -236,4 +236,46 @@ mod tests {
         let hhs = sequential(&i).unwrap();
         assert!(hhs > i.d2() + i.d1());
     }
+
+    #[test]
+    fn pooled_passes_take_one_ceiling() {
+        // Each query alone needs ⌈0.6⌉ = 1 pass… but four queries pool to
+        // ⌈2.4⌉ = 3 inner scans, not 4.
+        let i = JoinInputs {
+            query: simple().query.with_lambda(20),
+            sys: simple().sys.with_buffer_pages(10_000),
+            ..simple()
+        };
+        let batch = vec![i; 4];
+        let pooled = forward::passes(forward::documents, &batch).unwrap();
+        let frac = i.n2() / batch_size(&i).unwrap();
+        if frac < 1.0 && frac > 0.25 {
+            assert!(pooled < 4.0, "pooled = {pooled}");
+            assert_eq!(pooled, (4.0 * frac).ceil().max(1.0));
+        }
+        // Regardless of the exact fraction the pooled count never exceeds
+        // the sum of per-query ceilings.
+        assert!(pooled <= 4.0 * num_passes(&i).unwrap());
+        // Mixed λ pool their fractional passes too.
+        let mixed = [1, 20].map(|lambda| JoinInputs {
+            query: simple().query.with_lambda(lambda),
+            ..simple()
+        });
+        let frac: f64 = mixed.iter().map(|i| i.n2() / batch_size(i).unwrap()).sum();
+        let pooled = forward::passes(forward::documents, &mixed).unwrap();
+        assert_eq!(pooled, frac.ceil().max(1.0));
+    }
+
+    #[test]
+    fn batch_never_exceeds_sum_of_singles() {
+        let batch = [1, 5, 5, 20].map(|lambda| JoinInputs {
+            query: simple().query.with_lambda(lambda),
+            sys: simple().sys.with_buffer_pages(200),
+            ..simple()
+        });
+        let hhs: f64 = batch.iter().map(|i| sequential(i).unwrap()).sum();
+        let hhr: f64 = batch.iter().map(|i| worst_case_random(i).unwrap()).sum();
+        assert!(forward::sequential(forward::documents, &batch).unwrap() <= hhs);
+        assert!(forward::worst_case_random(forward::documents, &batch).unwrap() <= hhr);
+    }
 }

@@ -28,6 +28,7 @@
 //! (section 5.2's `hvr`).
 
 use crate::inputs::JoinInputs;
+use std::slice::from_ref;
 use textjoin_common::{NUMBER_BYTES, SIM_VALUE_BYTES};
 
 /// `X` — how many inner inverted-file entries fit in memory next to the
@@ -82,11 +83,6 @@ pub fn fill_point(inputs: &JoinInputs) -> Option<(f64, f64, f64)> {
     Some((s, x1, y))
 }
 
-/// `⌈J1⌉` — pages per random entry fetch.
-fn entry_fetch_pages(inputs: &JoinInputs) -> f64 {
-    inputs.j1().ceil()
-}
-
 /// Entries HVNL ever needs to fetch: one per distinct term of the
 /// participating outer documents that also appears in C1 — `q·f(N2)`.
 ///
@@ -98,14 +94,6 @@ fn entry_fetch_pages(inputs: &JoinInputs) -> f64 {
 /// fits. For the paper's full-collection scenarios the two coincide.
 pub fn entries_needed(inputs: &JoinInputs) -> f64 {
     inputs.q * vocabulary_growth(inputs, inputs.n2_live()).min(inputs.t2())
-}
-
-/// The inner delta inverted side file, fetched term by term at the random
-/// rate as the executor consults it next to every base entry fetch. When
-/// the base inverted file is scanned wholesale instead, the delta is
-/// scanned too, at the sequential rate (`ΔI1` alone).
-fn delta_fetch_cost(inputs: &JoinInputs) -> f64 {
-    inputs.inner_frag.inv_delta_pages as f64 * inputs.alpha()
 }
 
 /// Where HVNL's inner entries come from — section 5.2's case analysis.
@@ -171,9 +159,11 @@ pub fn entry_fetches(inputs: &JoinInputs) -> Option<f64> {
 fn price(inputs: &JoinInputs, entries: &Entries) -> f64 {
     let d2 = inputs.outer_read_cost();
     let bt1 = inputs.bt1();
-    let jc = entry_fetch_pages(inputs);
+    // `⌈J1⌉` pages per random entry fetch; the inner delta inverted side file
+    // is fetched next to each of them, or scanned with the base file.
+    let jc = inputs.j1().ceil();
     let alpha = inputs.alpha();
-    let delta_rand = delta_fetch_cost(inputs);
+    let delta_rand = inputs.inner_frag.inv_delta_pages as f64 * alpha;
     match *entries {
         Entries::ScanAll => d2 + inputs.i1() + bt1 + inputs.inner_frag.inv_delta_pages as f64,
         Entries::Once(needed) => d2 + needed * jc * alpha + bt1 + delta_rand,
@@ -187,27 +177,39 @@ fn price(inputs: &JoinInputs, entries: &Entries) -> f64 {
 
 /// `hvs` — cost with the outer collection read sequentially.
 pub fn sequential(inputs: &JoinInputs) -> f64 {
+    shared_dictionary(hvs_one, from_ref(inputs))
+}
+
+/// `hvr` — worst-case cost, reading the outer documents incurring seeks too.
+pub fn worst_case_random(inputs: &JoinInputs) -> f64 {
+    shared_dictionary(hvr_one, from_ref(inputs))
+}
+
+/// A non-empty batch loads the dictionary `Bt1` once: the first query's `own`
+/// cost, plus every other query's less `Bt1` (an upper bound: entry fetches
+/// stay per query, though the shared cache may serve them).
+pub(crate) fn shared_dictionary(own: fn(&JoinInputs) -> f64, inputs: &[JoinInputs]) -> f64 {
+    let bt1 = inputs[0].bt1();
+    (inputs[1..].iter()).fold(own(&inputs[0]), |cost, i| cost + (own(i) - bt1))
+}
+
+/// One query's `hvs`: its entries got as section 5.2's case analysis says.
+pub(crate) fn hvs_one(inputs: &JoinInputs) -> f64 {
     price(inputs, &entries(inputs))
 }
 
-/// `hvr` — worst-case cost when reading the outer documents also incurs
-/// seeks.
-pub fn worst_case_random(inputs: &JoinInputs) -> f64 {
+/// One query's `hvr`.
+pub(crate) fn hvr_one(inputs: &JoinInputs) -> f64 {
     // A selected outer subset is already priced at the random rate; the
     // worst case adds nothing on the outer side.
     if inputs.outer_is_random() {
-        return sequential(inputs);
+        return hvs_one(inputs);
     }
     let x = cache_capacity(inputs);
     let d2 = inputs.d2_frag();
-    let bt1 = inputs.bt1();
-    let jc = entry_fetch_pages(inputs);
-    let alpha = inputs.alpha();
-    let extra = alpha - 1.0;
+    let extra = inputs.alpha() - 1.0;
     let needed = entries_needed(inputs);
     let j1 = inputs.j1().max(f64::MIN_POSITIVE);
-    let delta_rand = delta_fetch_cost(inputs);
-    let delta_seq = inputs.inner_frag.inv_delta_pages as f64;
 
     // ⌈D2 / room⌉ seeks when `room` pages of leftover memory batch the
     // outer scan; one seek per document (bounded by D2) when nothing is
@@ -222,14 +224,13 @@ pub fn worst_case_random(inputs: &JoinInputs) -> f64 {
     };
 
     if x >= inputs.t1() {
-        let scan_all = d2 + inputs.i1() + bt1 + delta_seq + outer_seeks(x - inputs.t1()) * extra;
-        let fetch_needed =
-            d2 + needed * jc * alpha + bt1 + delta_rand + outer_seeks(x - needed) * extra;
+        let scan_all = price(inputs, &Entries::ScanAll) + outer_seeks(x - inputs.t1()) * extra;
+        let fetch_needed = price(inputs, &Entries::Once(needed)) + outer_seeks(x - needed) * extra;
         scan_all.min(fetch_needed)
     } else if x >= needed {
-        sequential(inputs) + outer_seeks(x - needed) * extra
+        hvs_one(inputs) + outer_seeks(x - needed) * extra
     } else {
-        sequential(inputs) + d2.min(inputs.n2()) * extra
+        hvs_one(inputs) + d2.min(inputs.n2()) * extra
     }
 }
 
@@ -406,5 +407,28 @@ mod tests {
             assert!(cost <= prev + 1e-6, "B = {b}: {cost} > {prev}");
             prev = cost;
         }
+    }
+
+    #[test]
+    fn a_batch_loads_the_dictionary_once() {
+        let batch = [1, 5, 5, 20].map(|lambda| JoinInputs {
+            query: QueryParams::paper_base().with_lambda(lambda),
+            ..inputs(
+                CollectionStats::new(1000, 409.6, 10_000),
+                CollectionStats::new(2000, 409.6, 10_000),
+                200,
+            )
+        });
+        let hvs_sum: f64 = batch.iter().map(sequential).sum();
+        let hvr_sum: f64 = batch.iter().map(worst_case_random).sum();
+        let (hvs, hvr) = (
+            shared_dictionary(hvs_one, &batch),
+            shared_dictionary(hvr_one, &batch),
+        );
+        assert!(hvs <= hvs_sum && hvr <= hvr_sum);
+        // The dictionary is genuinely shared: the batch saves (N−1)·Bt1.
+        let bt1 = batch[0].bt1();
+        assert!((hvs_sum - hvs - 3.0 * bt1).abs() < 1e-9);
+        assert!((hvr_sum - hvr - 3.0 * bt1).abs() < 1e-9);
     }
 }

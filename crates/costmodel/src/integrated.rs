@@ -7,10 +7,13 @@
 //! particular basic algorithm is invoked if it has the lowest estimated
 //! cost".
 
+use crate::forward::{self, documents, signatures};
 use crate::inputs::JoinInputs;
 use crate::work::Prices;
-use crate::{batch, fnl, hhnl, hvnl, vvm};
+use crate::{hvnl, vvm};
 use std::fmt;
+use std::slice::from_ref;
+use textjoin_common::Result;
 
 /// The three join algorithms of the paper, plus the filtered fourth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -56,7 +59,7 @@ impl std::str::FromStr for Algorithm {
     /// Parses the display names back (`"HHNL"`, `"HVNL"`, `"VVM"`,
     /// `"FNL"`) — the inverse of [`fmt::Display`], used when reports are
     /// reloaded from the persistent store.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
+    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s {
             "HHNL" => Ok(Algorithm::Hhnl),
             "HVNL" => Ok(Algorithm::Hvnl),
@@ -106,36 +109,25 @@ pub struct CostEstimates {
 }
 
 impl CostEstimates {
-    /// Computes all estimates; infeasible algorithms get `INFINITY`.
+    /// Computes all estimates for one query: the batch of one.
     pub fn compute(inputs: &JoinInputs) -> Self {
-        Self {
-            hhnl_seq: hhnl::sequential(inputs).map_or(f64::INFINITY, |c| c),
-            hhnl_rand: hhnl::worst_case_random(inputs).map_or(f64::INFINITY, |c| c),
-            hvnl_seq: hvnl::sequential(inputs),
-            hvnl_rand: hvnl::worst_case_random(inputs),
-            vvm_seq: vvm::sequential(inputs).map_or(f64::INFINITY, |c| c),
-            vvm_rand: vvm::worst_case_random(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_seq: fnl::sequential(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_rand: fnl::worst_case_random(inputs).map_or(f64::INFINITY, |c| c),
-        }
+        Self::compute_batch(from_ref(inputs))
     }
 
-    /// The estimates for a batch of queries over one collection pair
-    /// (`hhs_batch` … `fnr_batch`, see [`crate::batch`]): the whole batch
-    /// runs one algorithm. A batch of one is [`Self::compute`], to the bit.
+    /// The estimates for a batch of queries over one collection pair, the
+    /// whole batch running one algorithm.
     pub fn compute_batch(inputs: &[JoinInputs]) -> Self {
-        if let [one] = inputs {
-            return Self::compute(one);
-        }
+        use {Algorithm::*, IoScenario::*};
+        let at = |a, s| estimate(a, s, inputs).unwrap_or(f64::INFINITY);
         Self {
-            hhnl_seq: batch::hhs_batch(inputs).map_or(f64::INFINITY, |c| c),
-            hhnl_rand: batch::hhr_batch(inputs).map_or(f64::INFINITY, |c| c),
-            hvnl_seq: batch::hvs_batch(inputs),
-            hvnl_rand: batch::hvr_batch(inputs),
-            vvm_seq: batch::vvs_batch(inputs).map_or(f64::INFINITY, |c| c),
-            vvm_rand: batch::vvr_batch(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_seq: fnl::fns_batch(inputs).map_or(f64::INFINITY, |c| c),
-            fnl_rand: fnl::fnr_batch(inputs).map_or(f64::INFINITY, |c| c),
+            hhnl_seq: at(Hhnl, Dedicated),
+            hhnl_rand: at(Hhnl, SharedWorstCase),
+            hvnl_seq: at(Hvnl, Dedicated),
+            hvnl_rand: at(Hvnl, SharedWorstCase),
+            vvm_seq: at(Vvm, Dedicated),
+            vvm_rand: at(Vvm, SharedWorstCase),
+            fnl_seq: at(Fnl, Dedicated),
+            fnl_rand: at(Fnl, SharedWorstCase),
         }
     }
 
@@ -161,6 +153,27 @@ impl CostEstimates {
             .map(|a| (a, self.cost(a, scenario)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least one candidate")
+    }
+}
+
+/// The §5 estimate of algorithm `a` under scenario `s` for a batch of
+/// queries on one collection pair: where an algorithm meets its formula.
+/// Each formula starts from the first query's own cost and adds what the
+/// others bring, so one query is the batch of one to the bit.
+pub(crate) fn estimate(a: Algorithm, s: IoScenario, batch: &[JoinInputs]) -> Result<f64> {
+    use {Algorithm::*, IoScenario::*};
+    if batch.is_empty() {
+        return Ok(0.0);
+    }
+    match (a, s) {
+        (Hhnl, Dedicated) => forward::sequential(documents, batch),
+        (Hhnl, SharedWorstCase) => forward::worst_case_random(documents, batch),
+        (Hvnl, Dedicated) => Ok(hvnl::shared_dictionary(hvnl::hvs_one, batch)),
+        (Hvnl, SharedWorstCase) => Ok(hvnl::shared_dictionary(hvnl::hvr_one, batch)),
+        (Vvm, Dedicated) => vvm::vvs(batch),
+        (Vvm, SharedWorstCase) => vvm::vvr(batch),
+        (Fnl, Dedicated) => forward::sequential(signatures, batch),
+        (Fnl, SharedWorstCase) => forward::worst_case_random(signatures, batch),
     }
 }
 
@@ -440,5 +453,33 @@ mod tests {
         let est = CostEstimates::compute(&i);
         assert_eq!(est.best(IoScenario::Dedicated).0, Algorithm::Vvm);
         assert!(est.vvm_rand > est.vvm_seq * (i.alpha() - 0.5));
+    }
+
+    #[test]
+    fn an_empty_batch_costs_nothing() {
+        for algorithm in Algorithm::ALL {
+            for scenario in [IoScenario::Dedicated, IoScenario::SharedWorstCase] {
+                assert_eq!(estimate(algorithm, scenario, &[]).unwrap(), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_estimates_pick_a_finite_best() {
+        let base = inputs(
+            CollectionStats::new(1000, 409.6, 10_000),
+            CollectionStats::new(2000, 409.6, 10_000),
+            200,
+        );
+        let specs = [1, 5, 20].map(|lambda| JoinInputs {
+            query: base.query.with_lambda(lambda),
+            ..base
+        });
+        let est = CostEstimates::compute_batch(&specs);
+        for scenario in [IoScenario::Dedicated, IoScenario::SharedWorstCase] {
+            let (alg, cost) = est.best(scenario);
+            assert!(cost.is_finite());
+            assert_eq!(cost, est.cost(alg, scenario));
+        }
     }
 }

@@ -6,16 +6,17 @@
 //! each structure is read by a dedicated drive) and a *worst-case random*
 //! estimate (the I/O device serves other obligations between requests):
 //!
-//! | algorithm | sequential | worst-case random |
-//! |-----------|------------|-------------------|
-//! | HHNL      | [`hhnl::sequential`] (`hhs`) | [`hhnl::worst_case_random`] (`hhr`) |
-//! | HVNL      | [`hvnl::sequential`] (`hvs`) | [`hvnl::worst_case_random`] (`hvr`) |
-//! | VVM       | [`vvm::sequential`] (`vvs`)  | [`vvm::worst_case_random`] (`vvr`)  |
-//! | FNL       | [`fnl::sequential`] (`fns`)  | [`fnl::worst_case_random`] (`fnr`)  |
+//! | algorithm | sequential | worst-case random | a batch shares |
+//! |-----------|------------|-------------------|----------------|
+//! | HHNL      | [`hhnl::sequential`] (`hhs`) | [`hhnl::worst_case_random`] (`hhr`) | `⌈Σᵢ N2ᵢ/Xᵢ⌉` inner scans |
+//! | HVNL      | [`hvnl::sequential`] (`hvs`) | [`hvnl::worst_case_random`] (`hvr`) | the dictionary `Bt1` |
+//! | VVM       | [`vvm::sequential`] (`vvs`)  | [`vvm::worst_case_random`] (`vvr`)  | `⌈Σᵢ SMᵢ/M⌉` merge scans |
+//! | FNL       | [`fnl::sequential`] (`fns`)  | [`fnl::worst_case_random`] (`fnr`)  | the sidecar and the index scans |
 //!
 //! All estimates are in units of *sequential page reads*: one random read
-//! counts `α`. HHNL and FNL are one formula — the private `forward` module
-//! — over two inner sources; their named functions only choose the source.
+//! counts `α`. Each loop's formula is written once, over a batch of queries
+//! on one collection pair (HHNL and FNL share one, the private `forward`
+//! module); the named functions above are the batch of one.
 //!
 //! [`JoinInputs`] bundles the collection statistics, system parameters,
 //! query parameters and the term-overlap probability `q` (with the paper's
@@ -30,7 +31,6 @@
 //! correction factors from accumulated query reports, so the planner can
 //! rank algorithms by *calibrated* rather than raw estimates.
 
-pub mod batch;
 pub mod calibrate;
 pub mod comm;
 pub mod fnl;
@@ -46,10 +46,8 @@ pub mod work;
 #[cfg(test)]
 mod proptests;
 
-pub use batch::{hhr_batch, hhs_batch, hvr_batch, hvs_batch, vvr_batch, vvs_batch};
 pub use calibrate::{CalibrationProfile, ReportObs, CALIBRATION_VERSION};
 pub use comm::{choose_distributed, CommParams, Site, TermEncoding};
-pub use fnl::{fnr_batch, fns_batch};
 pub use inputs::{measured_overlap, term_containment_probability, JoinInputs};
 pub use integrated::{choose, rank, Algorithm, CostEstimates, IoScenario, Prediction};
 pub use shard::{uniform_fractions, ShardCost, ShardPlan};

@@ -29,7 +29,7 @@
 
 use crate::comm::{self, CommParams, Site};
 use crate::inputs::JoinInputs;
-use crate::Algorithm;
+use crate::integrated::{estimate, Algorithm, IoScenario};
 use textjoin_common::{CollectionStats, Result};
 
 /// One site's slice of a [`ShardPlan`].
@@ -137,7 +137,7 @@ pub fn plan(
     let mut per_shard = Vec::with_capacity(fractions.len());
     for (k, &fraction) in fractions.iter().enumerate() {
         let scaled = shard_inputs(inputs, algorithm, fraction);
-        let local = comm::local_cost(&scaled, algorithm)?;
+        let local = estimate(algorithm, IoScenario::Dedicated, &[scaled])?;
         let shipped = comm::pages_shipped(&scaled, algorithm, Site::OuterSite, comm.encoding);
         per_shard.push(ShardCost {
             shard: k,

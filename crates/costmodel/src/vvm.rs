@@ -15,6 +15,7 @@
 //! subcollection (section 4.3's extension).
 
 use crate::inputs::JoinInputs;
+use std::slice::from_ref;
 use textjoin_common::{Error, Result, SIM_VALUE_BYTES};
 
 /// `SM` — pages needed for all intermediate similarities at once. Only
@@ -34,31 +35,55 @@ pub fn similarity_budget(inputs: &JoinInputs) -> f64 {
 /// `⌈SM / M⌉` — number of merge passes. Fails when even one entry pair
 /// leaves no room for similarities.
 pub fn num_passes(inputs: &JoinInputs) -> Result<f64> {
-    let m = similarity_budget(inputs);
-    if m <= 0.0 {
-        return Err(Error::InsufficientMemory {
-            context: "VVM similarity space (M ≤ 0)".into(),
-            required_pages: (inputs.j1().ceil() + inputs.j2().ceil() + 1.0) as u64,
-            available_pages: inputs.sys.buffer_pages,
-        });
-    }
-    Ok((similarity_pages(inputs) / m).ceil().max(1.0))
+    passes(inputs, &[])
 }
 
 /// `vvs` — all-sequential cost. Each pass scans both base inverted files
 /// *and* their flushed delta side files, so fragmentation inflates every
 /// pass.
 pub fn sequential(inputs: &JoinInputs) -> Result<f64> {
-    Ok((inputs.i1_frag() + inputs.i2_storage_frag()) * num_passes(inputs)?)
+    vvs(from_ref(inputs))
 }
 
 /// `vvr` — worst-case cost when every entry read incurs a seek. An entry
 /// smaller than a page still costs a full page, hence `min{I, T}` run
 /// starts per file.
 pub fn worst_case_random(inputs: &JoinInputs) -> Result<f64> {
-    let runs =
-        inputs.i1_frag().min(inputs.t1()) + inputs.i2_storage_frag().min(inputs.t2_storage());
-    Ok(runs * inputs.alpha() * num_passes(inputs)?)
+    vvr(from_ref(inputs))
+}
+
+/// `⌈Σᵢ SMᵢ / M⌉` — merge passes when the `others`' accumulators share
+/// `first`'s similarity budget `M`.
+pub(crate) fn passes(first: &JoinInputs, others: &[JoinInputs]) -> Result<f64> {
+    let m = similarity_budget(first);
+    if m <= 0.0 {
+        return Err(Error::InsufficientMemory {
+            context: "VVM similarity space (M ≤ 0)".into(),
+            required_pages: (first.j1().ceil() + first.j2_storage().ceil() + 1.0) as u64,
+            available_pages: first.sys.buffer_pages,
+        });
+    }
+    let sm = (others.iter()).fold(similarity_pages(first), |sm, i| sm + similarity_pages(i));
+    Ok((sm / m).ceil().max(1.0))
+}
+
+/// `vvs` over a non-empty batch: both files scanned once per pooled pass.
+pub(crate) fn vvs(inputs: &[JoinInputs]) -> Result<f64> {
+    let (first, rest) = (&inputs[0], &inputs[1..]);
+    Ok((first.i1_frag() + first.i2_storage_frag()) * passes(first, rest)?)
+}
+
+/// `vvr` over a non-empty batch: the first query's own, then per other query
+/// the merge scans it adds to the pool and its own penalty `vvrᵢ − vvsᵢ`.
+pub(crate) fn vvr(inputs: &[JoinInputs]) -> Result<f64> {
+    let first = &inputs[0];
+    let runs = first.i1_frag().min(first.t1()) + first.i2_storage_frag().min(first.t2_storage());
+    let mut cost = runs * first.alpha() * num_passes(first)?;
+    for (k, i) in inputs.iter().enumerate().skip(1) {
+        let pooled = vvs(&inputs[..=k])? - vvs(&inputs[..k])?;
+        cost += pooled + (worst_case_random(i)? - sequential(i)?);
+    }
+    Ok(cost)
 }
 
 #[cfg(test)]
@@ -185,5 +210,63 @@ mod tests {
         let vvm = sequential(&i).unwrap();
         let hhnl = crate::hhnl::sequential(&i).unwrap();
         assert!(vvm < hhnl, "vvm = {vvm}, hhnl = {hhnl}");
+    }
+
+    #[test]
+    fn a_selected_outer_reports_the_stored_entry_size_it_needs() {
+        // The stored outer entries (J2 ≈ 24.4 pages) do not fit in B = 20,
+        // although the selected ones would: the error names the stored size.
+        let stored = CollectionStats::new(40_000, 500.0, 1000);
+        let i = inputs(
+            CollectionStats::new(100, 10.0, 1000),
+            stored.select_docs(10),
+            20,
+        )
+        .with_selected_outer(stored);
+        assert!(i.j2().ceil() < 20.0 && i.j2_storage() > 20.0);
+        let expect = (i.j1().ceil() + i.j2_storage().ceil() + 1.0) as u64;
+        assert_eq!(expect, 27);
+        match num_passes(&i) {
+            Err(Error::InsufficientMemory {
+                required_pages,
+                available_pages: 20,
+                ..
+            }) => assert_eq!(required_pages, expect),
+            other => panic!("expected InsufficientMemory, got {other:?}"),
+        }
+    }
+
+    /// The batch helper configuration: 1000 × 2000 half-page documents.
+    fn half_pages(lambda: usize, buffer_pages: u64) -> JoinInputs {
+        JoinInputs {
+            query: QueryParams::paper_base().with_lambda(lambda),
+            ..inputs(
+                CollectionStats::new(1000, 409.6, 10_000),
+                CollectionStats::new(2000, 409.6, 10_000),
+                buffer_pages,
+            )
+        }
+    }
+
+    #[test]
+    fn batch_never_exceeds_sum_of_singles() {
+        let batch = [1, 5, 5, 20].map(|lambda| half_pages(lambda, 200));
+        let vvs_sum: f64 = batch.iter().map(|i| sequential(i).unwrap()).sum();
+        let vvr_sum: f64 = batch.iter().map(|i| worst_case_random(i).unwrap()).sum();
+        assert!(vvs(&batch).unwrap() <= vvs_sum);
+        assert!(vvr(&batch).unwrap() <= vvr_sum);
+    }
+
+    #[test]
+    fn batch_passes_scale_with_pooled_accumulators() {
+        // Shrink memory until one query's similarities almost fill M; four
+        // queries then need ~4× the passes, but still one scan set each.
+        let i = half_pages(5, 150);
+        let single = num_passes(&i).unwrap();
+        let batch = vec![i; 4];
+        let pooled = passes(&i, &batch[1..]).unwrap();
+        assert!(pooled >= single);
+        assert!(pooled <= 4.0 * single);
+        assert_eq!(vvs(&batch).unwrap(), (i.i1() + i.i2_storage()) * pooled);
     }
 }

@@ -695,8 +695,8 @@ pub struct BatchAnalyzeOutput {
     /// Per-query statistics (own CPU counters; the shared I/O lives in
     /// [`Self::stats`]), in input order.
     pub per_query: Vec<ExecStats>,
-    /// Model-vs-measured drift, one row per *batch* cost formula
-    /// (`hhs_batch`/`hhr_batch`/…). Only the executed algorithm has a
+    /// Model-vs-measured drift, one row per cost formula of the whole batch,
+    /// labelled `hhs_batch`/`hhr_batch`/…. Only the executed algorithm has a
     /// measurement.
     pub drift: Vec<DriftRow>,
     /// Total pages read by the batch divided by the number of queries —
@@ -715,9 +715,9 @@ impl BatchAnalyzeOutput {
 }
 
 /// Plans a batch of queries onto one shared-scan algorithm, executes it,
-/// and renders per-query and amortized statistics next to the batch cost
-/// formulas (`hhs_batch`/`hvs_batch`/`vvs_batch`) — the batched analogue
-/// of [`explain_analyze`].
+/// and renders per-query and amortized statistics next to the cost
+/// formulas of the whole batch (`CostEstimates::compute_batch`) — the
+/// batched analogue of [`explain_analyze`].
 pub fn explain_analyze_batch(
     catalog: &Catalog,
     sqls: &[&str],

@@ -201,8 +201,8 @@ impl BatchPlan {
 
 /// Plans a batch of parsed queries that all join the same textual column
 /// pair, picking one algorithm for the whole batch by [`rank`] over the
-/// batched cost formulas (`hhs_batch`/`hvs_batch`/`vvs_batch`) — so a
-/// batch of one chooses what [`plan_query`] chooses.
+/// cost formulas of the whole batch (`CostEstimates::compute_batch`) — so
+/// a batch of one chooses what [`plan_query`] chooses.
 ///
 /// Every query is first planned individually (selection pushdown and
 /// projection are per query); the batch then re-chooses the algorithm on
