@@ -24,14 +24,13 @@
 //! own outer document frequency, the pooled partition estimate is its own
 //! `⌈SM/M⌉`, and the batch statistics are the query's statistics. The
 //! sequential entry points call [`drive_one`]; `batch::execute_*` call
-//! [`drive`].
+//! [`drive`], and [`execute`] is `batch::execute` of one through [`sole`].
 
 use crate::batch::BatchOutcome;
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::topk::{self, TopK};
-use crate::{fnl, hhnl, hvnl, vvm};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Instant;
 use textjoin_collection::Document;
@@ -695,16 +694,12 @@ fn required<T>(index: Option<T>, what: &str) -> Result<T> {
     index.ok_or_else(|| Error::InvalidArgument(format!("no {what} supplied")))
 }
 
-/// Executes one query with `algorithm`, on the calling thread.
+/// Executes one query with `algorithm`, on the calling thread: the batch
+/// of one, [`batch::execute`](crate::batch::execute) over `spec` alone.
 pub fn execute(
     algorithm: Algorithm,
     spec: &JoinSpec<'_>,
     indexes: &Indexes<'_>,
 ) -> Result<JoinOutcome> {
-    match algorithm {
-        Algorithm::Hhnl => hhnl::execute(spec),
-        Algorithm::Hvnl => hvnl::execute(spec, indexes.inner_inv()?),
-        Algorithm::Vvm => vvm::execute(spec, indexes.inner_inv()?, indexes.outer_inv()?),
-        Algorithm::Fnl => fnl::execute(spec, indexes.fnl()?),
-    }
+    crate::batch::execute(algorithm, std::slice::from_ref(spec), indexes).map(sole)
 }

@@ -5,7 +5,7 @@
 //! memory high-water marks can be compared with the analytical models of
 //! `textjoin-costmodel`. Each algorithm is written once, as passes over
 //! `N ≥ 1` queries, against the pass driver (`driver.rs`); a single query
-//! is the batch of one. [`execute`] dispatches on [`Algorithm`]:
+//! is the batch of one, and [`execute`] is [`batch::execute`] of one:
 //!
 //! * [`hhnl`] — Horizontal-Horizontal Nested Loop: batches of outer
 //!   documents against a sequential scan of the inner collection

@@ -7,8 +7,8 @@
 //! catalog (the generation is live) or never looks at it (the generation
 //! was not committed).
 //!
-//! Layout: a `[u64 body len]` prefix, then the body, zero-padded across
-//! pages. Body (all integers LE):
+//! Layout (`storage::packed`): a `[u64 body len]` prefix, then the body,
+//! with the tail page zero-padded. Body (all integers LE):
 //!
 //! ```text
 //! [u8 version = 1][u8 codec]
@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use textjoin_common::{Error, Result, TermId};
 use textjoin_invfile::{EntryMeta, InvertedFile, PostingCodec};
-use textjoin_storage::{ByteSpan, DiskSim, FileId};
+use textjoin_storage::{ByteSpan, DiskSim, FileId, PackedWriter};
 
 const VERSION: u8 = 1;
 
@@ -93,15 +93,13 @@ pub fn write(
     body.extend_from_slice(&bt.first_leaf().to_le_bytes());
     body.extend_from_slice(&bt.num_leaf_pages().to_le_bytes());
 
+    // The length prefix and the body, back to back; the writer zero-pads
+    // the tail page.
     let file = disk.create_file(name)?;
-    let mut bytes = (body.len() as u64).to_le_bytes().to_vec();
-    bytes.extend_from_slice(&body);
-    let page_size = disk.page_size();
-    for chunk in bytes.chunks(page_size) {
-        let mut page = chunk.to_vec();
-        page.resize(page_size, 0);
-        disk.append_page(file, &page)?;
-    }
+    let mut writer = PackedWriter::new(Arc::clone(disk), file);
+    writer.append(&(body.len() as u64).to_le_bytes())?;
+    writer.append(&body)?;
+    writer.finish()?;
     Ok(file)
 }
 

@@ -7,12 +7,12 @@
 
 use crate::catalog::{Catalog, Relation, TextColumn, Value};
 use crate::parser::parse;
-use crate::planner::{plan_query, BatchPlan, OutputCol, Plan, PlanOptions};
+use crate::planner::{plan_query, BatchPlan, Members, OutputCol, Plan, PlanOptions};
 use textjoin_common::{Error, QueryParams, Result, Score, SystemParams};
 use textjoin_core::integrated::with_fallback;
 use textjoin_core::{
-    batch, execute_sharded, Algorithm, ExecStats, Indexes, IoScenario, JoinOutcome, JoinResult,
-    JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
+    batch, execute_sharded, Algorithm, BatchOutcome, ExecStats, Indexes, IoScenario, JoinOutcome,
+    JoinResult, JoinSpec, OuterDocs, ResultQuality, ShardOptions, ShardPartitioning, ShardReport,
     ShardedOutcome,
 };
 use textjoin_obs::{LiveRegistry, TicketGuard, Tracer};
@@ -293,7 +293,8 @@ pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
 }
 
 /// Executes a planned query under the system and query parameters it was
-/// planned for (`Plan::inputs`).
+/// planned for (`Plan::inputs`): the batch of one, whose batch-level
+/// statistics are the query's.
 ///
 /// Runs the plan's choice, across `Plan::shards` sites when sharded. If it
 /// dies mid-run on unreadable
@@ -303,45 +304,85 @@ pub(crate) fn shard_options(p: &Plan) -> ShardOptions<'static> {
 /// predicted time first). Fallbacks run with the watchdog disarmed: the
 /// budget — in pages — was derived from the aborted choice's prediction.
 pub fn execute(catalog: &Catalog, p: &Plan, o: &ExecOptions<'_>) -> Result<QueryOutput> {
-    let r = resolve(catalog, p)?;
-    let budget = watchdog_budget(o.drift_factor, p.chosen_prediction().calibrated);
-    // The guard's lifetime is this function — RAII deregistration covers
-    // every exit.
-    let guard = o
-        .introspect
-        .map(|i| register(&i, i.query, p, p.chosen, budget));
-    let unwatched = observed(r.spec(p), o.trace, guard.as_ref());
-    let spec = JoinSpec {
-        cost_budget: budget,
-        ..unwatched
-    };
+    let mut batch = run(catalog, p.members(), o)?;
+    let mut one = batch.queries.pop().expect("one output per member");
+    one.stats = batch.stats;
+    Ok(one)
+}
+
+/// The one body of [`execute`] and [`execute_batch`]: `N ≥ 1` members run
+/// as one shared-scan join, sharded when the one member asks for sites.
+fn run(catalog: &Catalog, m: Members<'_>, o: &ExecOptions<'_>) -> Result<BatchQueryOutput> {
+    let p0 = (m.plans.first())
+        .ok_or_else(|| Error::InvalidArgument("batch plan holds no queries".into()))?;
+    let r = resolve(catalog, p0)?;
+    let n = m.plans.len();
+    // The driver judges a batch against the *sum* of its members' budgets.
+    let budget = watchdog_budget(o.drift_factor, m.prediction(m.chosen).calibrated);
+    let share = budget.map(|b| b / n as f64);
+    // One ticket per member, each with its own cancel token, so one member
+    // can be cancelled without touching its siblings. The guards live as
+    // long as this function: RAII deregistration covers every exit.
+    let mut guards: Vec<TicketGuard> = Vec::new();
+    if let Some(i) = &o.introspect {
+        for (k, p) in m.plans.iter().enumerate() {
+            let text = match n {
+                1 => i.query.to_string(),
+                _ => format!("{} [{}/{n}]", i.query, k + 1),
+            };
+            guards.push(register(i, &text, p, m.chosen, share));
+        }
+    }
+    let unwatched: Vec<JoinSpec<'_>> = (m.plans.iter().enumerate())
+        .map(|(k, p)| observed(r.spec(p), o.trace, guards.get(k)))
+        .collect();
+    let specs: Vec<JoinSpec<'_>> = (unwatched.iter())
+        .map(|&s| JoinSpec {
+            cost_budget: share,
+            ..s
+        })
+        .collect();
     let indexes = r.indexes();
-    let sites = shard_options(p);
+    let sites = shard_options(p0);
     let sites = o.introspect.map_or(sites, |i| sites.with_live(i.live));
-    let (algorithm, _, (outcome, sharded)) = with_fallback(
-        p.chosen,
-        |alg| p.prediction(alg).total_ns(),
-        |alg, failed| {
-            let spec = if failed == 0 { &spec } else { &unwatched };
-            if let Some(g) = guard.as_ref().filter(|_| failed > 0) {
+    let cost = |alg| m.prediction(alg).total_ns();
+    let (algorithm, _, (outcome, mut sharded)) = with_fallback(m.chosen, cost, |alg, failed| {
+        let specs = if failed == 0 { &specs } else { &unwatched };
+        if failed > 0 {
+            for (g, p) in guards.iter().zip(m.plans) {
                 relabel(g, p, alg);
             }
-            if p.shards > 1 {
-                let run = execute_sharded(spec, alg, &sites)?;
-                let (outcome, tail) = ShardExecution::split(run);
-                return Ok((outcome, Some(tail)));
+        }
+        if m.sharded().is_some() {
+            let (one, tail) = ShardExecution::split(execute_sharded(&specs[0], alg, &sites)?);
+            let stats = one.stats;
+            return Ok((
+                BatchOutcome {
+                    queries: vec![one],
+                    stats,
+                },
+                Some(tail),
+            ));
+        }
+        Ok((batch::execute(alg, specs, &indexes)?, None))
+    })?;
+    let queries = (m.plans.iter().zip(outcome.queries))
+        .map(|(p, q)| {
+            let (headers, rows) = project(p, &r, &q.result);
+            QueryOutput {
+                headers,
+                rows,
+                algorithm,
+                stats: q.stats,
+                quality: q.quality,
+                sharded: sharded.take(),
             }
-            Ok((textjoin_core::execute(alg, spec, &indexes)?, None))
-        },
-    )?;
-    let (headers, rows) = project(p, &r, &outcome.result);
-    Ok(QueryOutput {
-        headers,
-        rows,
-        algorithm,
+        })
+        .collect();
+    Ok(BatchQueryOutput {
+        queries,
         stats: outcome.stats,
-        quality: outcome.quality,
-        sharded,
+        algorithm,
     })
 }
 
@@ -383,73 +424,17 @@ pub struct BatchQueryOutput {
 
 /// Executes a planned batch over its shared textual column pair: the batch
 /// engine reads shared structures (inner scans, the inverted-file
-/// dictionary, merge cursors) once for all queries. Same recovery policy
-/// as [`execute`], applied batch-wide: fallbacks are tried in the batch
-/// ranking's order (cheapest predicted time first), and the watchdog
-/// budget is `drift_factor ×` the chosen algorithm's calibrated batch
-/// estimate, in pages.
+/// dictionary, merge cursors) once for all queries. Same body as
+/// [`execute`], so the same recovery policy, applied batch-wide: fallbacks
+/// are tried in the batch ranking's order (cheapest predicted time first),
+/// and the watchdog budget is `drift_factor ×` the chosen algorithm's
+/// calibrated batch estimate, in pages, split across the members.
 pub fn execute_batch(
     catalog: &Catalog,
     bp: &BatchPlan,
     o: &ExecOptions<'_>,
 ) -> Result<BatchQueryOutput> {
-    let p0 = bp
-        .plans
-        .first()
-        .ok_or_else(|| Error::InvalidArgument("batch plan holds no queries".into()))?;
-    let r = resolve(catalog, p0)?;
-    let n = bp.plans.len();
-    let cost = |alg| bp.prediction(alg).total_ns();
-    // The driver judges a batch against the *sum* of its queries' budgets.
-    let share =
-        watchdog_budget(o.drift_factor, bp.prediction(bp.chosen).calibrated).map(|b| b / n as f64);
-    // One ticket per query: each carries its own cancel token, so one
-    // batch member can be cancelled without touching its siblings.
-    let mut guards: Vec<TicketGuard> = Vec::new();
-    if let Some(i) = &o.introspect {
-        for (k, p) in bp.plans.iter().enumerate() {
-            let text = format!("{} [{}/{n}]", i.query, k + 1);
-            guards.push(register(i, &text, p, bp.chosen, share));
-        }
-    }
-    let unwatched: Vec<JoinSpec<'_>> = (bp.plans.iter().enumerate())
-        .map(|(k, p)| observed(r.spec(p), o.trace, guards.get(k)))
-        .collect();
-    let specs: Vec<JoinSpec<'_>> = (unwatched.iter())
-        .map(|&s| JoinSpec {
-            cost_budget: share,
-            ..s
-        })
-        .collect();
-    let indexes = r.indexes();
-    let (algorithm, _, outcome) = with_fallback(bp.chosen, cost, |alg, failed| {
-        if failed == 0 {
-            return batch::execute(alg, &specs, &indexes);
-        }
-        for (g, p) in guards.iter().zip(&bp.plans) {
-            relabel(g, p, alg);
-        }
-        batch::execute(alg, &unwatched, &indexes)
-    })?;
-
-    let queries = (bp.plans.iter().zip(outcome.queries))
-        .map(|(p, q)| {
-            let (headers, rows) = project(p, &r, &q.result);
-            QueryOutput {
-                headers,
-                rows,
-                algorithm,
-                stats: q.stats,
-                quality: q.quality,
-                sharded: None,
-            }
-        })
-        .collect();
-    Ok(BatchQueryOutput {
-        queries,
-        stats: outcome.stats,
-        algorithm,
-    })
+    run(catalog, bp.members(), o)
 }
 
 fn score_value(score: Score) -> Value {

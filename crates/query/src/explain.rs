@@ -15,14 +15,17 @@
 //! calibration profile each add their own table to one report.
 
 use crate::catalog::Catalog;
-use crate::executor::{execute_batch, resolve, shard_options, ExecOptions, ShardExecution};
+use crate::executor::{resolve, shard_options, ShardExecution};
 use crate::parser::parse;
-use crate::planner::{plan_batch, plan_query, Plan, PlanOptions};
+use crate::planner::{plan_batch, plan_query, BatchPlan, Members, Plan, PlanOptions};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use textjoin_common::{Error, QueryParams, Result, SystemParams};
-use textjoin_core::{execute_sharded, ExecStats, QueryReport, ResultQuality};
+use textjoin_core::{
+    batch, execute_sharded, ExecStats, JoinOutcome, JoinResult, JoinSpec, QueryReport,
+    ResultQuality,
+};
 use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario, Prediction, Prices};
 use textjoin_obs::{MetricValue, Registry, SpanRecord, Tracer};
 
@@ -263,18 +266,13 @@ fn measurable<T>(run: Result<T>) -> Result<Option<T>> {
 }
 
 /// The formula names per algorithm (`Algorithm::ALL` order), sequential
-/// then worst-case random: the single-query and the batch families.
+/// then worst-case random. Each formula takes the batch; a query is the
+/// batch of one.
 const FORMULAS: [[&str; 2]; 4] = [
     ["hhs", "hhr"],
     ["hvs", "hvr"],
     ["vvs", "vvr"],
     ["fns", "fnr"],
-];
-const BATCH_FORMULAS: [[&str; 2]; 4] = [
-    ["hhs_batch", "hhr_batch"],
-    ["hvs_batch", "hvr_batch"],
-    ["vvs_batch", "vvr_batch"],
-    ["fns_batch", "fnr_batch"],
 ];
 
 /// The eight-row drift table. `measured` gives an algorithm's measured
@@ -284,13 +282,12 @@ const BATCH_FORMULAS: [[&str; 2]; 4] = [
 /// read reclassified as random (the paper's interference scenario), i.e.
 /// `α · total pages`.
 fn drift_rows(
-    names: &[[&'static str; 2]; 4],
     estimates: &CostEstimates,
     alpha: f64,
     measured: impl Fn(Algorithm) -> Option<(f64, u64)>,
 ) -> Vec<DriftRow> {
     let mut rows = Vec::with_capacity(8);
-    for (algorithm, [seq_name, rand_name]) in Algorithm::ALL.into_iter().zip(*names) {
+    for (algorithm, [seq_name, rand_name]) in Algorithm::ALL.into_iter().zip(FORMULAS) {
         let ran = measured(algorithm);
         for (formula, scenario, measured) in [
             (seq_name, IoScenario::Dedicated, ran.map(|m| m.0)),
@@ -313,8 +310,8 @@ fn drift_rows(
     rows
 }
 
-/// Renders drift rows, formula names padded to `width`.
-fn render_drift(text: &mut String, rows: &[DriftRow], width: usize) {
+/// Renders drift rows.
+fn render_drift(text: &mut String, rows: &[DriftRow]) {
     for row in rows {
         let predicted = if row.predicted.is_finite() {
             format!("{:>12.1}", row.predicted)
@@ -331,7 +328,7 @@ fn render_drift(text: &mut String, rows: &[DriftRow], width: usize) {
             .map_or_else(|| format!("{:>12}", "n/a"), |m| format!("{m:>12.1}"));
         let _ = writeln!(
             text,
-            "      {:<width$} {predicted} vs {measured} {}",
+            "      {} {predicted} vs {measured} {}",
             row.formula,
             fmt_pct(row.percent_error)
         );
@@ -409,7 +406,8 @@ pub struct AnalyzeOutput {
     pub text: String,
     /// The algorithm the plan chose (and which was traced).
     pub executed: Algorithm,
-    /// Measured statistics of the chosen algorithm's run, when feasible.
+    /// Measured statistics of the chosen algorithm's run, when feasible:
+    /// a batch's shared I/O, cost and passes, with CPU counters summed.
     pub stats: Option<ExecStats>,
     /// Model-vs-measured drift, one row per cost formula.
     pub drift: Vec<DriftRow>,
@@ -447,9 +445,62 @@ impl AnalyzeOutput {
 ///   calibration round.
 pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Result<AnalyzeOutput> {
     let p = plan_query(catalog, &parse(sql)?, o)?;
-    let r = resolve(catalog, &p)?;
+    analyze(catalog, p.members(), o, render(&p, o.scenario))
+}
+
+/// [`explain_analyze`] over a batch of queries that join one column pair,
+/// planned by [`plan_batch`] onto one shared-scan algorithm: the same
+/// report over the batch estimates, with the amortized pages per query
+/// and one line per query added.
+pub fn explain_analyze_batch(
+    catalog: &Catalog,
+    sqls: &[&str],
+    o: &PlanOptions<'_>,
+) -> Result<AnalyzeOutput> {
+    let queries = sqls.iter().map(|s| parse(s)).collect::<Result<Vec<_>>>()?;
+    let bp = plan_batch(catalog, &queries, o)?;
+    analyze(catalog, bp.members(), o, render_batch(&bp))
+}
+
+/// A batch's EXPLAIN: its shared pair, the batch estimates and ranking,
+/// and what running the queries one at a time was predicted to cost.
+fn render_batch(bp: &BatchPlan) -> String {
+    let p0 = &bp.plans[0];
+    let mut text = format!("  shared pair: {}\n", p0.column_pair());
+    let _ = writeln!(
+        text,
+        "  batch estimates (sequential | worst-case random, page units):"
+    );
+    render_estimates(&mut text, &bp.estimates, bp.chosen);
+    render_ranking(&mut text, &bp.predictions, &p0.prices, p0.inputs.sys.alpha);
+    let batch_predicted = bp.estimates.cost(bp.chosen, bp.scenario);
+    if bp.sequential_cost >= 1.0 && batch_predicted.is_finite() {
+        let _ = writeln!(
+            text,
+            "  one-at-a-time estimate: {:.0} (batch predicted {:.0}, saves {:.1}%)",
+            bp.sequential_cost,
+            batch_predicted,
+            (1.0 - batch_predicted / bp.sequential_cost) * 100.0
+        );
+    }
+    text
+}
+
+/// The one ANALYZE body, over `N ≥ 1` members below `header` (their
+/// EXPLAIN): every feasible algorithm runs over the whole batch, the
+/// chosen one traced, and one drift table prices each run. The amortized
+/// and per-query lines appear when `N > 1`.
+fn analyze(
+    catalog: &Catalog,
+    m: Members<'_>,
+    o: &PlanOptions<'_>,
+    header: String,
+) -> Result<AnalyzeOutput> {
+    let (p0, n) = (&m.plans[0], m.plans.len());
+    let alpha = p0.inputs.sys.alpha;
+    let r = resolve(catalog, p0)?;
     let indexes = r.indexes();
-    let base = r.spec(&p);
+    let base: Vec<JoinSpec<'_>> = m.plans.iter().map(|p| r.spec(p)).collect();
 
     // Run each feasible algorithm once. The plan's choice runs with the
     // tracer attached so its phase spans appear in the report — and, since
@@ -457,27 +508,39 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     // latency histograms the report's latency section reads back.
     let registry = Arc::new(Registry::new());
     let tracer = Tracer::with_registry(1024, Arc::clone(&registry));
-    let mut stats: Option<ExecStats> = None;
+    let mut chosen = None;
     let mut reports: Vec<QueryReport> = Vec::new();
     for alg in Algorithm::ALL {
-        let predicted = p.estimates.cost(alg, IoScenario::Dedicated);
+        let predicted = m.estimates.cost(alg, IoScenario::Dedicated);
         if predicted.is_infinite() {
             continue;
         }
-        let trace = (alg == p.chosen).then_some(&tracer);
-        let spec = trace.map_or(base, |t| base.with_trace(t));
-        if let Some(out) = measurable(textjoin_core::execute(alg, &spec, &indexes))? {
-            if alg == p.chosen {
-                stats = Some(out.stats);
-            }
-            reports.push(QueryReport::from_outcome(
-                format!("explain-analyze {alg}"),
-                &out,
-                trace,
-                Some(predicted),
-            ));
+        let trace = (alg == m.chosen).then_some(&tracer);
+        let specs: Vec<JoinSpec<'_>> = (base.iter())
+            .map(|&s| trace.map_or(s, |t| s.with_trace(t)))
+            .collect();
+        let Some(out) = measurable(batch::execute(alg, &specs, &indexes))? else {
+            continue;
+        };
+        // The report prices the whole batch: its shared statistics. No
+        // cancel token is set here, so only a skip makes a run `Partial`,
+        // and the batch statistics count every member's skips.
+        let whole = JoinOutcome {
+            result: JoinResult::default(),
+            stats: out.stats,
+            quality: out.stats.quality(),
+        };
+        reports.push(QueryReport::from_outcome(
+            format!("explain-analyze {alg}"),
+            &whole,
+            trace,
+            Some(predicted),
+        ));
+        if alg == m.chosen {
+            chosen = Some(out);
         }
     }
+    let stats = chosen.as_ref().map(|b| b.stats);
     let report = |alg: Algorithm| reports.iter().find(|r| r.algorithm == alg);
 
     // Sharded run: execute the chosen algorithm on the multi-site path and
@@ -486,8 +549,8 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     // analogue of the formula drift table below.
     let mut shard_drift: Vec<ShardDrift> = Vec::new();
     let mut sharded: Option<ShardExecution> = None;
-    if p.shards > 1 {
-        if let Some(run) = measurable(execute_sharded(&base, p.chosen, &shard_options(&p)))? {
+    if let Some(p) = m.sharded() {
+        if let Some(run) = measurable(execute_sharded(&base[0], m.chosen, &shard_options(p)))? {
             let (_, tail) = ShardExecution::split(run);
             let predicted = p.shard_plan.iter().flat_map(|sp| &sp.per_shard);
             shard_drift = predicted
@@ -507,7 +570,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     }
 
     // Drift, derived from the per-run QueryReports.
-    let drift = drift_rows(&FORMULAS, &p.estimates, p.inputs.sys.alpha, |alg| {
+    let drift = drift_rows(m.estimates, alpha, |alg| {
         report(alg).map(|r| (r.measured_cost, r.pages_read.total_reads()))
     });
 
@@ -516,8 +579,8 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     let calibrated: Vec<CalibratedDrift> = (o.profile.iter())
         .flat_map(|profile| {
             Algorithm::ALL.map(|algorithm| {
-                let raw = p.estimates.cost(algorithm, o.scenario);
-                let calibrated = profile.calibrated_cost(&p.pair, algorithm, raw);
+                let raw = m.estimates.cost(algorithm, o.scenario);
+                let calibrated = profile.calibrated_cost(&p0.pair, algorithm, raw);
                 let measured = report(algorithm).map(|r| r.measured_cost);
                 CalibratedDrift {
                     algorithm,
@@ -530,8 +593,12 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         })
         .collect();
 
-    let mut text = String::from("EXPLAIN ANALYZE\n");
-    text.push_str(&render(&p, o.scenario));
+    let mut text = String::from("EXPLAIN ANALYZE");
+    if n > 1 {
+        let _ = write!(text, " BATCH (N={n})");
+    }
+    text.push('\n');
+    text.push_str(&header);
     let _ = writeln!(text, "  analyze:");
     match &stats {
         Some(s) => {
@@ -541,7 +608,27 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
             let _ = writeln!(
                 text,
                 "    executed {}: infeasible at run time (insufficient memory)",
-                p.chosen
+                m.chosen
+            );
+        }
+    }
+    if let Some(out) = chosen.as_ref().filter(|_| n > 1) {
+        let total_pages = out.stats.io.total_reads();
+        let _ = writeln!(
+            text,
+            "    amortized: {:.1} pages I/O per query ({total_pages} total over {n} queries)",
+            total_pages as f64 / n as f64
+        );
+        let _ = writeln!(text, "    per query (CPU counters; I/O is shared):");
+        for (i, (p, q)) in m.plans.iter().zip(&out.queries).enumerate() {
+            let _ = writeln!(
+                text,
+                "      q{i} λ={} rows={} sim_ops={} cells={} quality={:?}",
+                p.lambda,
+                q.result.num_pairs(),
+                q.stats.sim_ops,
+                q.stats.cells_touched,
+                q.quality,
             );
         }
     }
@@ -549,7 +636,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         text,
         "    drift (page-cost units; % = (measured − predicted)/predicted):"
     );
-    render_drift(&mut text, &drift, 3);
+    render_drift(&mut text, &drift);
     if !calibrated.is_empty() {
         let _ = writeln!(
             text,
@@ -570,7 +657,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     // Latency: per-algorithm wall time from the reports, then percentile
     // summaries of the chosen run's per-phase `span.wall_ns` histograms
     // (the registry-backed tracer filled them as each span finished).
-    let timed = p.prices != Prices::pages_only(p.inputs.sys.alpha);
+    let timed = p0.prices != Prices::pages_only(alpha);
     let _ = writeln!(
         text,
         "    latency (wall time per algorithm{}):",
@@ -580,7 +667,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         let wall = report(alg).map_or_else(|| "n/a".to_string(), |r| fmt_ns(r.wall_ns));
         let _ = write!(text, "      {alg:<5} {wall}");
         if timed {
-            let predicted = fmt_predicted_ns(p.prediction(alg).total_ns());
+            let predicted = fmt_predicted_ns(m.prediction(alg).total_ns());
             let _ = write!(text, " vs {predicted}");
         }
         text.push('\n');
@@ -588,21 +675,21 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     let mut span_hists: Vec<_> = registry
         .snapshot()
         .into_iter()
-        .filter(|m| m.name == "span.wall_ns")
+        .filter(|s| s.name == "span.wall_ns")
         .collect();
     span_hists.sort_by(|a, b| a.label.cmp(&b.label));
     if !span_hists.is_empty() {
         let _ = writeln!(
             text,
             "    phase latency ({} only; p50 / p99 / max):",
-            p.chosen
+            m.chosen
         );
-        for m in &span_hists {
-            if let MetricValue::Histogram(h) = &m.value {
+        for s in &span_hists {
+            if let MetricValue::Histogram(h) = &s.value {
                 let _ = writeln!(
                     text,
                     "      {:<20} {} / {} / {} ({} samples)",
-                    m.label,
+                    s.label,
                     fmt_ns(h.quantile(0.5)),
                     fmt_ns(h.quantile(0.99)),
                     fmt_ns(h.max),
@@ -613,15 +700,15 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
     }
     // Prefetch counters the chosen (traced) run registered per scan phase.
     let mut prefetch: HashMap<String, [u64; 3]> = HashMap::new();
-    for m in registry.snapshot() {
-        let slot = match m.name {
+    for s in registry.snapshot() {
+        let slot = match s.name {
             "prefetch.issued" => 0,
             "prefetch.hits" => 1,
             "prefetch.wasted" => 2,
             _ => continue,
         };
-        if let MetricValue::Counter(v) = m.value {
-            prefetch.entry(m.label.clone()).or_default()[slot] = v;
+        if let MetricValue::Counter(v) = s.value {
+            prefetch.entry(s.label.clone()).or_default()[slot] = v;
         }
     }
     if !prefetch.is_empty() {
@@ -630,7 +717,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
         let _ = writeln!(
             text,
             "    prefetch ({} only; issued / hits / wasted pages):",
-            p.chosen
+            m.chosen
         );
         for label in labels {
             let c = prefetch[label];
@@ -657,7 +744,7 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
                 row.quality,
             );
         }
-        let predicted_max = p.shard_plan.as_ref().map_or(f64::NAN, |sp| sp.max_shard);
+        let predicted_max = p0.shard_plan.as_ref().map_or(f64::NAN, |sp| sp.max_shard);
         let _ = writeln!(
             text,
             "      max shard {:.1} (predicted {predicted_max:.1}); shipped {} pages, \
@@ -673,128 +760,13 @@ pub fn explain_analyze(catalog: &Catalog, sql: &str, o: &PlanOptions<'_>) -> Res
 
     Ok(AnalyzeOutput {
         text,
-        executed: p.chosen,
+        executed: m.chosen,
         stats,
         drift,
         reports,
         calibrated,
         shard_drift,
         sharded,
-    })
-}
-
-/// The result of batch `EXPLAIN ANALYZE`: the rendered report plus the
-/// raw numbers, for programmatic checks.
-pub struct BatchAnalyzeOutput {
-    /// The full human-readable report.
-    pub text: String,
-    /// The algorithm the whole batch executed.
-    pub executed: Algorithm,
-    /// Batch-level measured statistics: the real shared I/O and cost.
-    pub stats: ExecStats,
-    /// Per-query statistics (own CPU counters; the shared I/O lives in
-    /// [`Self::stats`]), in input order.
-    pub per_query: Vec<ExecStats>,
-    /// Model-vs-measured drift, one row per cost formula of the whole batch,
-    /// labelled `hhs_batch`/`hhr_batch`/…. Only the executed algorithm has a
-    /// measurement.
-    pub drift: Vec<DriftRow>,
-    /// Total pages read by the batch divided by the number of queries —
-    /// the amortization the shared scans buy.
-    pub amortized_pages_per_query: f64,
-    /// Σ of the per-query best estimates under the same scenario: what
-    /// running the queries one at a time was predicted to cost.
-    pub sequential_cost: f64,
-}
-
-impl BatchAnalyzeOutput {
-    /// The drift row for one batch formula name.
-    pub fn row(&self, formula: &str) -> Option<&DriftRow> {
-        self.drift.iter().find(|r| r.formula == formula)
-    }
-}
-
-/// Plans a batch of queries onto one shared-scan algorithm, executes it,
-/// and renders per-query and amortized statistics next to the cost
-/// formulas of the whole batch (`CostEstimates::compute_batch`) — the
-/// batched analogue of [`explain_analyze`].
-pub fn explain_analyze_batch(
-    catalog: &Catalog,
-    sqls: &[&str],
-    o: &PlanOptions<'_>,
-) -> Result<BatchAnalyzeOutput> {
-    let queries = sqls.iter().map(|s| parse(s)).collect::<Result<Vec<_>>>()?;
-    let bp = plan_batch(catalog, &queries, o)?;
-    let out = execute_batch(catalog, &bp, &ExecOptions::default())?;
-    let n = bp.plans.len();
-
-    // Drift of the batch formulas. Only the executed algorithm was
-    // measured; the others keep their predictions with `n/a` measurements,
-    // mirroring the sequential drift table.
-    let drift = drift_rows(&BATCH_FORMULAS, &bp.estimates, o.sys.alpha, |alg| {
-        (alg == out.algorithm).then(|| (out.stats.cost, out.stats.io.total_reads()))
-    });
-
-    let total_pages = out.stats.io.total_reads();
-    let amortized_pages_per_query = total_pages as f64 / n as f64;
-
-    let p0 = &bp.plans[0];
-    let mut text = format!("EXPLAIN ANALYZE BATCH (N={n})\n");
-    let _ = writeln!(
-        text,
-        "  shared pair: {}.{} SIMILAR_TO {}.{}",
-        p0.inner_rel, p0.inner_column, p0.outer_rel, p0.outer_column
-    );
-    let _ = writeln!(
-        text,
-        "  batch estimates (sequential | worst-case random, page units):"
-    );
-    render_estimates(&mut text, &bp.estimates, bp.chosen);
-    render_ranking(&mut text, &bp.predictions, &p0.prices, o.sys.alpha);
-    let batch_predicted = bp.estimates.cost(bp.chosen, bp.scenario);
-    if bp.sequential_cost >= 1.0 && batch_predicted.is_finite() {
-        let _ = writeln!(
-            text,
-            "  one-at-a-time estimate: {:.0} (batch predicted {:.0}, saves {:.1}%)",
-            bp.sequential_cost,
-            batch_predicted,
-            (1.0 - batch_predicted / bp.sequential_cost) * 100.0
-        );
-    }
-    let _ = writeln!(text, "  analyze:");
-    let _ = writeln!(text, "    executed {}", out.stats);
-    let _ = writeln!(
-        text,
-        "    amortized: {amortized_pages_per_query:.1} pages I/O per query \
-         ({total_pages} total over {n} queries)"
-    );
-    let _ = writeln!(text, "    per query (CPU counters; I/O is shared):");
-    for (i, (p, q)) in bp.plans.iter().zip(&out.queries).enumerate() {
-        let _ = writeln!(
-            text,
-            "      q{i} λ={} rows={} sim_ops={} cells={} quality={:?}",
-            p.lambda,
-            q.rows.len(),
-            q.stats.sim_ops,
-            q.stats.cells_touched,
-            q.quality,
-        );
-    }
-    let _ = writeln!(
-        text,
-        "    drift (batch formulas; % = (measured − predicted)/predicted):"
-    );
-    render_drift(&mut text, &drift, 9);
-
-    let per_query = out.queries.iter().map(|q| q.stats).collect();
-    Ok(BatchAnalyzeOutput {
-        text,
-        executed: out.algorithm,
-        stats: out.stats,
-        per_query,
-        drift,
-        amortized_pages_per_query,
-        sequential_cost: bp.sequential_cost,
     })
 }
 
@@ -849,7 +821,7 @@ fn render_span_tree(out: &mut String, spans: &[SpanRecord]) {
 mod tests {
     use super::*;
     use crate::catalog::{ColumnType, RelationBuilder, Value};
-    use crate::executor::execute;
+    use crate::executor::{execute, execute_batch, ExecOptions};
     use std::sync::Arc;
     use textjoin_core::ShardPartitioning;
     use textjoin_costmodel::CalibrationProfile;
@@ -1350,25 +1322,68 @@ mod tests {
         );
         assert!(out.text.contains("amortized:"), "{}", out.text);
         assert!(out.text.contains("← chosen"), "{}", out.text);
-        assert_eq!(out.per_query.len(), 3);
         assert_eq!(out.drift.len(), 8);
-        assert!(out.amortized_pages_per_query > 0.0);
-        // The executed algorithm's batch formula has a measurement and a
-        // finite ratio; the others render n/a.
-        let (seq_name, _) = match out.executed {
-            Algorithm::Hhnl => ("hhs_batch", "hhr_batch"),
-            Algorithm::Hvnl => ("hvs_batch", "hvr_batch"),
-            Algorithm::Vvm => ("vvs_batch", "vvr_batch"),
-            Algorithm::Fnl => ("fns_batch", "fnr_batch"),
+        let stats = out.stats.expect("the chosen algorithm ran");
+        assert!(stats.io.total_reads() > 0);
+        // Every algorithm ran over the whole batch, so the executed one's
+        // formula — under the formula names every batch size shares — has
+        // a measurement and a finite ratio.
+        let seq_name = match out.executed {
+            Algorithm::Hhnl => "hhs",
+            Algorithm::Hvnl => "hvs",
+            Algorithm::Vvm => "vvs",
+            Algorithm::Fnl => "fns",
         };
         let row = out.row(seq_name).expect("executed row exists");
-        assert!(row.measured.is_some());
+        assert_eq!(row.measured, Some(stats.cost));
         assert!(row.percent_error.expect("finite prediction").is_finite());
         assert!(out.text.contains(seq_name), "{}", out.text);
         // Per-query lines carry the λs in input order.
-        for l in [1, 2, 3] {
-            assert!(out.text.contains(&format!("λ={l}")), "{}", out.text);
+        for (i, l) in [1, 2, 3].into_iter().enumerate() {
+            assert!(out.text.contains(&format!("q{i} λ={l}")), "{}", out.text);
         }
+    }
+
+    /// A SQL query is the batch of one: for every forced algorithm a
+    /// one-query `execute_batch` returns what `execute` returns — rows,
+    /// algorithm, batch-level I/O and passes — and batch ANALYZE of one
+    /// query reports the drift rows single ANALYZE reports.
+    #[test]
+    fn a_query_is_the_batch_of_one_at_the_sql_door() {
+        let c = big_catalog(512, 120, 60, 40, 200);
+        let sys = SystemParams {
+            buffer_pages: 800,
+            page_size: 512,
+            alpha: 5.0,
+        };
+        let o = PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated);
+        let sql = "Select D.Id, Q.Id From Docs D, Queries Q \
+                   Where D.Body SIMILAR_TO(3) Q.Body";
+        let query = parse(sql).unwrap();
+        // Every run starts from cold heads, so both sides price alike.
+        let cold = || c.disk().reset_head();
+        for force in Algorithm::ALL {
+            let mut p = plan_query(&c, &query, &o).unwrap();
+            let mut bp = plan_batch(&c, std::slice::from_ref(&query), &o).unwrap();
+            (p.chosen, bp.chosen) = (force, force);
+            cold();
+            let one = execute(&c, &p, &ExecOptions::default()).unwrap();
+            cold();
+            let batch = execute_batch(&c, &bp, &ExecOptions::default()).unwrap();
+            assert_eq!((batch.algorithm, one.algorithm), (force, force));
+            assert_eq!(batch.queries[0].rows, one.rows, "{force}");
+            assert_eq!(batch.stats.io, one.stats.io, "{force}");
+            assert_eq!(batch.stats.passes, one.stats.passes, "{force}");
+        }
+        let rows = |out: AnalyzeOutput| -> Vec<_> {
+            (out.drift.into_iter())
+                .map(|r| (r.formula, r.predicted, r.measured))
+                .collect()
+        };
+        cold();
+        let single = rows(explain_analyze(&c, sql, &o).unwrap());
+        cold();
+        assert_eq!(rows(explain_analyze_batch(&c, &[sql], &o).unwrap()), single);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! The front door is [`plan_query`] → [`execute`], with [`explain()`] /
 //! [`explain_analyze`] alongside (batches of queries over one column pair:
-//! [`plan_batch`] → [`execute_batch`], [`explain_analyze_batch`]):
+//! [`plan_batch`] → [`execute_batch`], [`explain_analyze_batch`]). Each
+//! verb has one body over `N ≥ 1` plans, a query being the batch of one:
 //!
 //! * [`PlanOptions`] says what to plan for — `sys`, `query`, `scenario`,
 //!   `shards` (+ `comm`, `partitioning`) and an optional calibration
@@ -85,8 +86,8 @@ pub use executor::{
     Introspect, QueryOutput, ShardExecution,
 };
 pub use explain::{
-    explain, explain_analyze, explain_analyze_batch, explain_query, AnalyzeOutput,
-    BatchAnalyzeOutput, CalibratedDrift, DriftRow, ShardDrift,
+    explain, explain_analyze, explain_analyze_batch, explain_query, AnalyzeOutput, CalibratedDrift,
+    DriftRow, ShardDrift,
 };
 pub use parser::parse;
 pub use planner::{plan, plan_batch, plan_query, BatchPlan, Plan, PlanOptions};

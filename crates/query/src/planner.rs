@@ -134,19 +134,58 @@ pub struct Plan {
     pub predictions: Vec<Prediction>,
 }
 
-impl Plan {
-    /// The recorded prediction for one algorithm.
-    pub fn prediction(&self, algorithm: Algorithm) -> &Prediction {
+/// What the executor and ANALYZE run: `N ≥ 1` member plans over one
+/// column pair and the one ranking they share — a [`BatchPlan`]'s, or a
+/// [`Plan`]'s as the batch of one.
+#[derive(Clone, Copy)]
+pub(crate) struct Members<'p> {
+    pub(crate) plans: &'p [Plan],
+    pub(crate) chosen: Algorithm,
+    pub(crate) estimates: &'p CostEstimates,
+    pub(crate) predictions: &'p [Prediction],
+}
+
+impl<'p> Members<'p> {
+    /// The ranking's row for one algorithm.
+    pub(crate) fn prediction(&self, algorithm: Algorithm) -> &'p Prediction {
         self.predictions
             .iter()
             .find(|p| p.algorithm == algorithm)
             .expect("every registered algorithm is recorded")
     }
 
-    /// The chosen algorithm's prediction — what the drift watchdog budgets
-    /// against.
-    pub fn chosen_prediction(&self) -> &Prediction {
-        self.prediction(self.chosen)
+    /// The one member, when it runs across `shards > 1` sites.
+    pub(crate) fn sharded(&self) -> Option<&'p Plan> {
+        match self.plans {
+            [p] if p.shards > 1 => Some(p),
+            _ => None,
+        }
+    }
+}
+
+impl Plan {
+    /// The recorded prediction for one algorithm.
+    pub fn prediction(&self, algorithm: Algorithm) -> &Prediction {
+        self.members().prediction(algorithm)
+    }
+
+    /// This plan as the batch of one.
+    pub(crate) fn members(&self) -> Members<'_> {
+        Members {
+            plans: std::slice::from_ref(self),
+            chosen: self.chosen,
+            estimates: &self.estimates,
+            predictions: &self.predictions,
+        }
+    }
+
+    /// `inner.column SIMILAR_TO outer.column`: the column pair the plan
+    /// joins, under the names the catalog declares.
+    pub(crate) fn column_pair(&self) -> String {
+        format!(
+            "{}.{} SIMILAR_TO {}.{}",
+            self.inner_rel, self.inner_column, self.outer_rel, self.outer_column
+        )
     }
 
     /// `InvalidArgument` unless `sys`/`query` are what this plan was made
@@ -185,17 +224,18 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// The per-query [`JoinInputs`] the batch estimates were computed from.
-    pub fn inputs(&self) -> Vec<JoinInputs> {
-        self.plans.iter().map(|p| p.inputs).collect()
-    }
-
     /// The batch ranking's row for one algorithm.
     pub fn prediction(&self, algorithm: Algorithm) -> &Prediction {
-        self.predictions
-            .iter()
-            .find(|p| p.algorithm == algorithm)
-            .expect("every registered algorithm is recorded")
+        self.members().prediction(algorithm)
+    }
+
+    pub(crate) fn members(&self) -> Members<'_> {
+        Members {
+            plans: &self.plans,
+            chosen: self.chosen,
+            estimates: &self.estimates,
+            predictions: &self.predictions,
+        }
     }
 }
 
@@ -222,26 +262,11 @@ pub fn plan_batch(catalog: &Catalog, queries: &[Query], o: &PlanOptions<'_>) -> 
         .iter()
         .map(|q| plan_query(catalog, q, o))
         .collect::<Result<_>>()?;
-    let first = &plans[0];
-    for p in &plans[1..] {
-        if p.inner_rel != first.inner_rel
-            || p.inner_column != first.inner_column
-            || p.outer_rel != first.outer_rel
-            || p.outer_column != first.outer_column
-        {
-            return Err(Error::Plan(format!(
-                "batch queries must join the same textual column pair: \
-                 {}.{} SIMILAR_TO {}.{} vs {}.{} SIMILAR_TO {}.{}",
-                first.inner_rel,
-                first.inner_column,
-                first.outer_rel,
-                first.outer_column,
-                p.inner_rel,
-                p.inner_column,
-                p.outer_rel,
-                p.outer_column,
-            )));
-        }
+    let (first, pair) = (&plans[0], plans[0].column_pair());
+    if let Some(other) = plans.iter().map(Plan::column_pair).find(|o| *o != pair) {
+        return Err(Error::Plan(format!(
+            "batch queries must join the same textual column pair: {pair} vs {other}"
+        )));
     }
 
     let inputs: Vec<JoinInputs> = plans.iter().map(|p| p.inputs).collect();
@@ -542,8 +567,15 @@ impl<'c> Resolver<'c> {
             .expect("alias resolved earlier")
     }
 
-    /// Resolves a column reference to `(alias, column name)`.
+    /// Resolves a column reference to `(alias, column name)`. Names match
+    /// ignoring ASCII case; the name returned is the one the relation
+    /// declares, so two spellings of one column plan alike.
     fn resolve(&self, col: &ColumnRef) -> Result<(String, String)> {
+        let declared = |rel: &Relation| {
+            let i = rel.column_index(&col.column)?;
+            Some(rel.columns()[i].0.clone())
+        };
+        let unknown = || Error::Plan(format!("unknown column {col}"));
         match &col.table {
             Some(alias) => {
                 let (a, rel) = self
@@ -551,20 +583,14 @@ impl<'c> Resolver<'c> {
                     .iter()
                     .find(|(a, _)| a.eq_ignore_ascii_case(alias))
                     .ok_or_else(|| Error::Plan(format!("unknown table alias {alias}")))?;
-                if rel.column_index(&col.column).is_none() {
-                    return Err(Error::Plan(format!("unknown column {col}")));
-                }
-                Ok((a.clone(), col.column.clone()))
+                Ok((a.clone(), declared(rel).ok_or_else(unknown)?))
             }
             None => {
-                let hits: Vec<&(String, &Relation)> = self
-                    .entries
-                    .iter()
-                    .filter(|(_, r)| r.column_index(&col.column).is_some())
-                    .collect();
-                match hits.len() {
-                    0 => Err(Error::Plan(format!("unknown column {col}"))),
-                    1 => Ok((hits[0].0.clone(), col.column.clone())),
+                let mut hits =
+                    (self.entries.iter()).filter_map(|(a, r)| Some((a.clone(), declared(r)?)));
+                match (hits.next(), hits.next()) {
+                    (Some(hit), None) => Ok(hit),
+                    (None, _) => Err(unknown()),
                     _ => Err(Error::Plan(format!("ambiguous column {col}"))),
                 }
             }
@@ -785,6 +811,31 @@ mod tests {
         assert!(err.contains("shards=2 must be 1"), "{err}");
     }
 
+    /// Column names match ignoring ASCII case, so two spellings of one
+    /// column pair are one pair: the plan keeps the declared names.
+    #[test]
+    fn a_batch_joins_one_column_pair_however_it_is_spelled() {
+        let c = catalog();
+        let queries: Vec<Query> = [
+            "A.Resume SIMILAR_TO(1) P.Job_descr",
+            "A.resume SIMILAR_TO(2) P.job_descr",
+        ]
+        .iter()
+        .map(|j| {
+            parse(&format!(
+                "Select P.title From Positions P, Applicants A Where {j}"
+            ))
+            .unwrap()
+        })
+        .collect();
+        let bp = plan_batch(&c, &queries, &paper_base()).unwrap();
+        for p in &bp.plans {
+            assert_eq!(p.inner_column, "Resume");
+            assert_eq!(p.outer_column, "Job_descr");
+            assert_eq!(p.output[0].0, "Positions.Title");
+        }
+    }
+
     #[test]
     fn plan_records_raw_predictions_and_pair_label() {
         let c = catalog();
@@ -803,7 +854,7 @@ mod tests {
             );
             assert_eq!(pred.raw, pred.calibrated, "no profile: raw == calibrated");
         }
-        assert_eq!(p.chosen_prediction().algorithm, p.chosen);
+        assert_eq!(p.prediction(p.chosen).algorithm, p.chosen);
     }
 
     #[test]

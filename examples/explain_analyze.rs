@@ -1,6 +1,6 @@
 //! `EXPLAIN ANALYZE`: run a SIMILAR_TO query's plan for real and compare
 //! the section-5 cost predictions with measured page traffic, phase by
-//! phase.
+//! phase — for one query, then for a batch of two over the same columns.
 //!
 //! ```text
 //! cargo run --release --example explain_analyze
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use textjoin::common::{QueryParams, SystemParams};
 use textjoin::core::IoScenario;
 use textjoin::query::catalog::{Catalog, ColumnType, RelationBuilder, Value};
-use textjoin::query::{explain_analyze, PlanOptions};
+use textjoin::query::{explain_analyze, explain_analyze_batch, PlanOptions};
 use textjoin::storage::DiskSim;
 
 fn main() -> textjoin::Result<()> {
@@ -44,12 +44,19 @@ fn main() -> textjoin::Result<()> {
         page_size: 512,
         alpha: 5.0,
     };
-    let out = explain_analyze(
-        &catalog,
-        "Select D.Id, Q.Id From Docs D, Queries Q \
-         Where D.Body SIMILAR_TO(3) Q.Body",
-        &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
-    )?;
-    print!("{}", out.text);
+    let o = PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated);
+    let sql = |lambda: usize| {
+        format!("Select D.Id, Q.Id From Docs D, Queries Q Where D.Body SIMILAR_TO({lambda}) Q.Body")
+    };
+    print!("{}", explain_analyze(&catalog, &sql(3), &o)?.text);
+
+    // The same report for two λs over the one column pair: one shared-scan
+    // run per algorithm, with the pages each query amortizes.
+    let (one, two) = (sql(3), sql(10));
+    println!();
+    print!(
+        "{}",
+        explain_analyze_batch(&catalog, &[&one, &two], &o)?.text
+    );
     Ok(())
 }
