@@ -50,7 +50,7 @@ use crate::result::{JoinOutcome, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::vvm::Part;
 use crate::{hhnl, vvm, Algorithm};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,7 +59,7 @@ use textjoin_common::{DocId, FxHashMap, ICell, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
-use textjoin_storage::{DiskSim, FaultPlan, IoStats, NetworkSim};
+use textjoin_storage::{DiskSim, FaultPlan, IoStats};
 
 /// Bytes shipped per accumulator cell of a partial VVM similarity table:
 /// two 4-byte document numbers plus the paper's 4-byte similarity value.
@@ -97,8 +97,6 @@ pub struct ShardOptions<'a> {
     /// Network pricing: `β` per shipped page plus the §3 term-encoding
     /// blowup on shipped text structures.
     pub comm: CommParams,
-    /// Simulated nanoseconds per shipped page — the network latency knob.
-    pub network_page_ns: u64,
     /// When set, every site registers its own in-flight ticket here, so
     /// `/queries` shows per-shard progress.
     pub live: Option<&'a LiveRegistry>,
@@ -127,7 +125,6 @@ impl<'a> ShardOptions<'a> {
             shards,
             partitioning: ShardPartitioning::SkewAware,
             comm: CommParams::default_network(),
-            network_page_ns: 0,
             live: None,
             fault: None,
         }
@@ -144,14 +141,6 @@ impl<'a> ShardOptions<'a> {
     /// Replaces the network pricing.
     pub fn with_comm(self, comm: CommParams) -> Self {
         Self { comm, ..self }
-    }
-
-    /// Sets the per-page network latency.
-    pub fn with_network_latency_ns(self, network_page_ns: u64) -> Self {
-        Self {
-            network_page_ns,
-            ..self
-        }
     }
 
     /// Registers per-site tickets on this live registry.
@@ -202,17 +191,8 @@ pub struct ShardedOutcome {
     /// Largest per-site page cost — the balance metric skew-aware
     /// partitioning minimises.
     pub max_shard_pages: f64,
-    /// Simulated network transfer time.
-    pub network_ns: u64,
     /// The strategy that produced the boundaries.
     pub partitioning: ShardPartitioning,
-}
-
-impl ShardedOutcome {
-    /// Local page cost summed over sites plus the β-priced comm term.
-    pub fn total_cost(&self) -> f64 {
-        self.shards.iter().map(|s| s.pages_io).sum::<f64>() + self.comm_cost
-    }
 }
 
 /// Splits `weights.len()` ordinals into at most `parts` contiguous
@@ -381,7 +361,6 @@ fn degenerate(
         shipped_pages: 0,
         comm_cost: 0.0,
         max_shard_pages: 0.0,
-        network_ns: 0,
         partitioning: opts.partitioning,
     })
 }
@@ -449,7 +428,8 @@ fn execute_doc_sites(
     let s = opts.shards.max(1).min(partition_units);
     let page = spec.sys.page_size as u64;
     let blowup = opts.comm.encoding.blowup();
-    let net = NetworkSim::new(opts.network_page_ns);
+    // Pages shipped between sites.
+    let wire = Cell::new(0u64);
 
     // Per-site document index lists (into `outer_docs` for HHNL/HVNL,
     // `inner_docs` for FNL), each sorted so ids stay ascending.
@@ -503,7 +483,7 @@ fn execute_doc_sites(
             Algorithm::Vvm => unreachable!("VVM uses fragment sites"),
         };
         let shipped = (pages as f64 * blowup).ceil() as u64;
-        net.ship(shipped);
+        wire.set(wire.get() + shipped);
         let files = [inner.store().file(), outer.store().file()]
             .into_iter()
             .chain(inv.as_ref().map(InvertedFile::file))
@@ -561,23 +541,31 @@ fn execute_doc_sites(
     // emitted row, from every site that emitted it.
     let rows = outcome.result.num_outer_docs();
     let senders = if algorithm == Algorithm::Fnl { s } else { 1 };
-    net.ship(((rows * spec.query.lambda * 8) as u64).div_ceil(page.max(1)) * senders as u64);
-    Ok(assemble(outcome, reports, mat_skipped, started, &net, opts))
+    let result_pages = ((rows * spec.query.lambda * 8) as u64).div_ceil(page.max(1));
+    wire.set(wire.get() + result_pages * senders as u64);
+    Ok(assemble(
+        outcome,
+        reports,
+        mat_skipped,
+        started,
+        wire.get(),
+        opts,
+    ))
 }
 
 /// Stamps a merged outcome with what only the coordinator knows — the
-/// documents it could not read while building the sites, the network's
-/// transfer time — and totals the shipping.
+/// documents it could not read while building the sites — and prices the
+/// `shipped_pages`.
 fn assemble(
     mut outcome: JoinOutcome,
     shards: Vec<ShardReport>,
     mat_skipped: u64,
     started: Instant,
-    net: &NetworkSim,
+    shipped_pages: u64,
     opts: &ShardOptions<'_>,
 ) -> ShardedOutcome {
     outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(mat_skipped);
-    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64 + net.elapsed_ns();
+    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
     if mat_skipped > 0 {
         outcome.quality = ResultQuality::Partial;
     }
@@ -585,9 +573,8 @@ fn assemble(
         max_shard_pages: shards.iter().map(|r| r.pages_io).fold(0.0, f64::max),
         outcome,
         shards,
-        shipped_pages: net.shipped_pages(),
-        comm_cost: opts.comm.beta * net.shipped_pages() as f64,
-        network_ns: net.elapsed_ns(),
+        shipped_pages,
+        comm_cost: opts.comm.beta * shipped_pages as f64,
         partitioning: opts.partitioning,
     }
 }
@@ -746,7 +733,8 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let assignment = term_ranges(&weights, s, opts.partitioning);
 
     let blowup = opts.comm.encoding.blowup();
-    let net = NetworkSim::new(opts.network_page_ns);
+    // Pages shipped between sites.
+    let wire = Cell::new(0u64);
     let mut sites: Vec<FragSite> = Vec::with_capacity(s);
     for (k, ranges) in assignment.iter().enumerate() {
         // Each term is in exactly one site's ranges: its cells move there.
@@ -763,7 +751,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         // The inner fragment ships from the inner site to this merge site
         // (outer fragments are local), blowup included.
         let shipped = (inner.num_pages() as f64 * blowup).ceil() as u64;
-        net.ship(shipped);
+        wire.set(wire.get() + shipped);
         plant_fault(&disk, k, opts, [inner.file(), outer.file()]);
         sites.push(FragSite {
             inner,
@@ -788,7 +776,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let page = spec.sys.page_size as u64;
     let ship_table = |k: usize, pass: u64, cells: u64, io: &IoStats| {
         let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
-        net.ship(pages);
+        wire.set(wire.get() + pages);
         let site = &mut tally.borrow_mut()[k];
         if pass == 1 {
             // A rerun after memory pressure reports one clean run, like
@@ -829,7 +817,14 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
             },
         })
         .collect();
-    Ok(assemble(outcome, reports, mat_skipped, started, &net, opts))
+    Ok(assemble(
+        outcome,
+        reports,
+        mat_skipped,
+        started,
+        wire.get(),
+        opts,
+    ))
 }
 
 #[cfg(test)]
@@ -1052,16 +1047,6 @@ mod tests {
             let got = execute_sharded(&spec, alg, &ShardOptions::new(3)).unwrap();
             assert_eq!(got.outcome.result, want.result, "{alg}");
         }
-    }
-
-    #[test]
-    fn network_latency_knob_accumulates_transfer_time() {
-        let (_, c1, c2) = fixture(77);
-        let spec = spec(&c1, &c2, 3);
-        let opts = ShardOptions::new(2).with_network_latency_ns(1_000);
-        let got = execute_sharded(&spec, Algorithm::Hhnl, &opts).unwrap();
-        assert!(got.shipped_pages > 0);
-        assert_eq!(got.network_ns, got.shipped_pages * 1_000);
     }
 
     #[test]

@@ -376,20 +376,6 @@ impl<'a> JoinSpec<'a> {
         (self.inner.profile().stats(), self.outer.profile().stats())
     }
 
-    /// Reads the participating outer documents in order, invoking `f` for
-    /// each. `Full` streams the collection sequentially; `Selected` fetches
-    /// each document randomly (group 3 pricing).
-    pub fn for_each_outer_doc(
-        &self,
-        mut f: impl FnMut(DocId, Document) -> Result<()>,
-    ) -> Result<()> {
-        for item in self.outer_iter() {
-            let (id, doc) = item?;
-            f(id, doc)?;
-        }
-        Ok(())
-    }
-
     /// A prefetch-metrics sink on the trace's registry (if both exist), so
     /// scanner readahead counters surface in EXPLAIN ANALYZE and exports.
     pub fn prefetch_metrics(&self, label: &str) -> Option<PrefetchMetrics> {
@@ -515,12 +501,7 @@ mod tests {
     fn full_outer_iterates_in_storage_order() {
         let (_, c1, c2) = tiny();
         let spec = JoinSpec::new(&c1, &c2);
-        let mut ids = Vec::new();
-        spec.for_each_outer_doc(|id, _| {
-            ids.push(id.raw());
-            Ok(())
-        })
-        .unwrap();
+        let ids: Vec<u32> = spec.outer_iter().map(|r| r.unwrap().0.raw()).collect();
         assert_eq!(ids, (0..10u32).collect::<Vec<_>>());
         assert_eq!(spec.num_outer_docs(), 10);
     }
@@ -532,12 +513,7 @@ mod tests {
         let spec = JoinSpec::new(&c1, &c2).with_outer_docs(OuterDocs::Selected(&chosen));
         disk.reset_stats();
         disk.reset_head();
-        let mut ids = Vec::new();
-        spec.for_each_outer_doc(|id, _| {
-            ids.push(id.raw());
-            Ok(())
-        })
-        .unwrap();
+        let ids: Vec<u32> = spec.outer_iter().map(|r| r.unwrap().0.raw()).collect();
         assert_eq!(ids, vec![2, 7]);
         assert_eq!(spec.num_outer_docs(), 2);
         assert!(

@@ -19,13 +19,14 @@
 //! units: parallel workers each add their thread-local I/O delta and the
 //! sums interleave correctly, and monotonicity holds by construction.
 
-use crate::metrics::{escape_json, Registry};
+use crate::metrics::Registry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
+use textjoin_common::json;
 
 /// Cooperative cancellation flag. Cheap to clone (an `Arc<AtomicBool>`);
 /// setting it never interrupts anything by force — executors observe it
@@ -240,16 +241,16 @@ impl TicketSnapshot {
             "{{\"id\":{},\"query\":\"{}\",\"pair\":\"{}\",\"algorithm\":\"{}\",\
              \"phase\":\"{}\",\"phases\":[",
             self.id,
-            escape_json(&self.query),
-            escape_json(&self.pair),
-            escape_json(&self.algorithm),
-            escape_json(&self.phase),
+            json::escape(&self.query),
+            json::escape(&self.pair),
+            json::escape(&self.algorithm),
+            json::escape(&self.phase),
         );
         for (i, p) in self.phases.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", escape_json(p));
+            let _ = write!(out, "\"{}\"", json::escape(p));
         }
         let _ = write!(
             out,

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use textjoin_common::json;
 
 const SHARDS: usize = 8;
 
@@ -351,8 +352,8 @@ impl Registry {
             let _ = write!(
                 out,
                 "{{\"metric\":\"{}\",\"label\":\"{}\"",
-                escape_json(m.name),
-                escape_json(&m.label)
+                json::escape(m.name),
+                json::escape(&m.label)
             );
             match &m.value {
                 MetricValue::Counter(v) => {
@@ -439,7 +440,7 @@ impl Registry {
                         let inner = if m.label.is_empty() {
                             String::new()
                         } else {
-                            format!("label=\"{}\",", escape_json(&m.label))
+                            format!("label=\"{}\",", json::escape(&m.label))
                         };
                         let mut cumulative = 0u64;
                         for (bi, c) in h.buckets.iter().enumerate() {
@@ -467,7 +468,7 @@ impl Registry {
                     let inner = if m.label.is_empty() {
                         String::new()
                     } else {
-                        format!("label=\"{}\",", escape_json(&m.label))
+                        format!("label=\"{}\",", json::escape(&m.label))
                     };
                     for (q, qname) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
                         let _ = writeln!(
@@ -490,24 +491,6 @@ impl Registry {
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn sanitize_prom(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -519,7 +502,7 @@ fn prom_label(label: &str) -> String {
     if label.is_empty() {
         String::new()
     } else {
-        format!("{{label=\"{}\"}}", escape_json(label))
+        format!("{{label=\"{}\"}}", json::escape(label))
     }
 }
 

@@ -8,11 +8,12 @@
 //! `u64` fields so executors can attach per-span metric deltas: pages
 //! read, cache hits, similarity operations.
 
-use crate::metrics::{escape_json, Registry, LATENCY_BOUNDS_NS};
+use crate::metrics::{Registry, LATENCY_BOUNDS_NS};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use textjoin_common::json;
 
 /// A finished span, as stored in the tracer's ring buffer.
 #[derive(Clone, Debug)]
@@ -226,15 +227,15 @@ impl Tracer {
                 "{{\"span\":{},\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
                 s.id,
                 s.parent,
-                escape_json(s.name),
+                json::escape(s.name),
                 s.start_us,
                 s.dur_us
             );
             if !s.detail.is_empty() {
-                let _ = write!(out, ",\"detail\":\"{}\"", escape_json(&s.detail));
+                let _ = write!(out, ",\"detail\":\"{}\"", json::escape(&s.detail));
             }
             for (k, v) in &s.fields {
-                let _ = write!(out, ",\"{}\":{v}", escape_json(k));
+                let _ = write!(out, ",\"{}\":{v}", json::escape(k));
             }
             out.push_str("}\n");
         }

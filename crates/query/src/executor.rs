@@ -68,8 +68,6 @@ pub struct ShardExecution {
     pub comm_cost: f64,
     /// The heaviest site's page cost — the balance metric.
     pub max_shard_pages: f64,
-    /// Simulated network transfer time.
-    pub network_ns: u64,
     /// The boundary strategy that ran.
     pub partitioning: ShardPartitioning,
 }
@@ -82,7 +80,6 @@ impl ShardExecution {
             shipped_pages: run.shipped_pages,
             comm_cost: run.comm_cost,
             max_shard_pages: run.max_shard_pages,
-            network_ns: run.network_ns,
             partitioning: run.partitioning,
         };
         (run.outcome, tail)

@@ -748,11 +748,8 @@ fn analyze(
         let _ = writeln!(
             text,
             "      max shard {:.1} (predicted {predicted_max:.1}); shipped {} pages, \
-             comm cost {:.1}, network {}",
-            sh.max_shard_pages,
-            sh.shipped_pages,
-            sh.comm_cost,
-            fmt_ns(sh.network_ns),
+             comm cost {:.1}",
+            sh.max_shard_pages, sh.shipped_pages, sh.comm_cost,
         );
     }
     let _ = writeln!(text, "    spans ({} recorded):", tracer.finished().len());

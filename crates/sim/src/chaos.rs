@@ -19,45 +19,19 @@
 //!    answer to a `Partial` subset of the clean run while the healthy
 //!    sites stay `Full`.
 //!
-//! Every check is returned as a [`ChaosCheck`] row so `textjoin-sim chaos`
-//! can print a verdict per seed and fail the process on any violation.
+//! Every check is recorded in a [`SeedRun`] so `textjoin-sim chaos` can
+//! print a verdict per seed and fail the process on any violation.
 
+use crate::fixture::Pair;
+use crate::verdict::{accounting_consistent, SeedRun};
 use std::sync::Arc;
-use textjoin_collection::{Collection, SynthSpec};
+use textjoin_collection::SynthSpec;
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{
-    execute_sharded, hhnl, integrated, Indexes, JoinOutcome, JoinSpec, OuterDocs, QueryReport,
-    ResultQuality, ShardFault, ShardOptions,
+    execute_sharded, hhnl, integrated, OuterDocs, ResultQuality, ShardFault, ShardOptions,
 };
 use textjoin_costmodel::{Algorithm, IoScenario};
-use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_storage::{DiskSim, FaultKind, FaultPlan, FileId};
-
-/// Everything one chaos seed produced: pass/fail verdicts plus a
-/// [`QueryReport`] for every join that completed under faults. The reports
-/// used to be discarded — degraded runs carry the most interesting
-/// accounting (skip counters, partial quality, fault-inflated costs), so
-/// they are routed out for the caller to print or feed a slow-query log.
-#[derive(Debug, Default)]
-pub struct ChaosRun {
-    /// Scenario verdicts, in execution order.
-    pub checks: Vec<ChaosCheck>,
-    /// One report per completed executor run under an active fault plan.
-    pub reports: Vec<QueryReport>,
-}
-
-/// One pass/fail verdict from a chaos scenario.
-#[derive(Clone, Debug)]
-pub struct ChaosCheck {
-    /// The seed the schedule was derived from.
-    pub seed: u64,
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// What was checked.
-    pub check: String,
-    /// Whether it held.
-    pub passed: bool,
-}
 
 /// Parses a `--seed` argument: either one seed (`"3"`) or an inclusive
 /// range (`"1..8"`).
@@ -74,60 +48,26 @@ pub fn parse_seeds(s: &str) -> Option<Vec<u64>> {
     }
 }
 
-struct Fixture {
-    disk: Arc<DiskSim>,
-    c1: Collection,
-    c2: Collection,
-    inv1: InvertedFile,
-    inv2: InvertedFile,
-    fnl1: FnlIndex,
+/// Small dense collections (`n1` inner, `n2` outer documents) — enough
+/// pages in every file for a schedule to target, small enough to rebuild
+/// per scenario. `(60, 40)` is the common pair; `(400, 40)` is large
+/// enough on the inner side that a one-document outer selection makes HVNL
+/// the planner's choice (the re-plan scenario).
+fn pair(n1: u64, n2: u64) -> Result<Pair> {
+    let synth = |n, seed| SynthSpec::from_stats(CollectionStats::new(n, 12.0, 150), seed);
+    Pair::generate(Arc::new(DiskSim::new(256)), &synth(n1, 71), &synth(n2, 72))
 }
 
-impl Fixture {
-    /// Small dense collections — enough pages in every file for a schedule
-    /// to target, small enough to rebuild per scenario.
-    fn small() -> Result<Fixture> {
-        Self::build(60, 40)
-    }
-
-    /// A large inner / small outer pair where a one-document outer
-    /// selection makes HVNL the planner's choice (the re-plan scenario).
-    fn hvnl_favoured() -> Result<Fixture> {
-        Self::build(400, 40)
-    }
-
-    fn build(n1: u64, n2: u64) -> Result<Fixture> {
-        let disk = Arc::new(DiskSim::new(256));
-        let c1 = SynthSpec::from_stats(CollectionStats::new(n1, 12.0, 150), 71)
-            .generate(Arc::clone(&disk), "c1")?;
-        let c2 = SynthSpec::from_stats(CollectionStats::new(n2, 12.0, 150), 72)
-            .generate(Arc::clone(&disk), "c2")?;
-        let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-        let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-        let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1)?;
-        Ok(Fixture {
-            disk,
-            c1,
-            c2,
-            inv1,
-            inv2,
-            fnl1,
-        })
-    }
-
-    fn spec(&self) -> JoinSpec<'_> {
-        JoinSpec::new(&self.c1, &self.c2)
-            .with_sys(SystemParams {
-                buffer_pages: 200,
-                page_size: 256,
-                alpha: 5.0,
-            })
-            .with_query(QueryParams {
-                lambda: 5,
-                delta: 1.0,
-            })
-    }
-}
+/// The join every scenario runs, on the pair's 256-byte pages.
+const SYS: SystemParams = SystemParams {
+    buffer_pages: 200,
+    page_size: 256,
+    alpha: 5.0,
+};
+const QUERY: QueryParams = QueryParams {
+    lambda: 5,
+    delta: 1.0,
+};
 
 /// Deterministic page picker: up to `take` distinct pages of a file.
 fn pick_pages(seed: u64, file_pages: u64, take: u64) -> Vec<u64> {
@@ -144,39 +84,17 @@ fn pick_pages(seed: u64, file_pages: u64, take: u64) -> Vec<u64> {
     pages
 }
 
-fn push(
-    checks: &mut Vec<ChaosCheck>,
-    seed: u64,
-    scenario: &'static str,
-    check: impl Into<String>,
-    passed: bool,
-) {
-    checks.push(ChaosCheck {
-        seed,
-        scenario,
-        check: check.into(),
-        passed,
-    });
-}
-
-/// Whether an outcome's quality tag agrees with its skip counters.
-fn accounting_consistent(outcome: &JoinOutcome) -> bool {
-    let skipped = outcome.stats.skipped_docs + outcome.stats.skipped_entries;
-    outcome.quality == outcome.stats.quality()
-        && (outcome.quality == ResultQuality::Partial) == (skipped > 0)
-}
-
 /// Scenario 1: transient faults below the retry budget are invisible to
 /// the caller — same result, `Full` quality — and visible in the counters.
-fn scenario_transient_absorbed(seed: u64, run: &mut ChaosRun) -> Result<()> {
+fn scenario_transient_absorbed(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "transient-absorbed";
-    let f = Fixture::small()?;
-    let spec = f.spec();
+    let f = pair(60, 40)?;
+    let spec = f.spec(SYS, QUERY);
     let baseline = hhnl::execute(&spec)?.result;
 
     let file = f.c2.store().file();
     let mut plan = FaultPlan::new();
-    for page in pick_pages(seed, f.disk.num_pages(file), 3) {
+    for page in pick_pages(run.seed, f.disk.num_pages(file), 3) {
         // Two failures, three attempts by default: always absorbed.
         plan = plan.with_fault(file, page, 0, FaultKind::TransientRead { failures: 2 });
     }
@@ -186,29 +104,12 @@ fn scenario_transient_absorbed(seed: u64, run: &mut ChaosRun) -> Result<()> {
 
     let got = hhnl::execute(&spec)?;
     let stats = f.disk.fault_stats();
-    run.reports.push(QueryReport::from_outcome(
-        format!("seed={seed} {NAME} HHNL"),
-        &got,
-        None,
-        None,
-    ));
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "result identical to the clean run",
-        got.result == baseline,
-    );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "quality stays full",
-        got.quality == ResultQuality::Full,
-    );
-    push(
-        &mut run.checks,
-        seed,
+    run.report(&format!("{NAME} HHNL"), &got, None);
+    let identical = got.result == baseline;
+    run.check(NAME, "result identical to the clean run", identical);
+    let full = got.quality == ResultQuality::Full;
+    run.check(NAME, "quality stays full", full);
+    run.check(
         NAME,
         format!(
             "retries counted ({} for {} faults), none gave up",
@@ -216,57 +117,34 @@ fn scenario_transient_absorbed(seed: u64, run: &mut ChaosRun) -> Result<()> {
         ),
         stats.retries >= injected as u64 && stats.gave_up == 0,
     );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "every scheduled fault fired",
-        f.disk.pending_faults() == 0,
-    );
+    let fired = f.disk.pending_faults() == 0;
+    run.check(NAME, "every scheduled fault fired", fired);
     f.disk.clear_fault_plan();
     Ok(())
 }
 
 /// Scenario 2: a fault that outlives the retry policy is a typed
 /// [`Error::Io`] in strict mode and a counted skip in degraded mode.
-fn scenario_retry_exhausted(seed: u64, run: &mut ChaosRun) -> Result<()> {
+fn scenario_retry_exhausted(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "retry-exhausted";
-    let f = Fixture::small()?;
-    let spec = f.spec();
+    let f = pair(60, 40)?;
+    let spec = f.spec(SYS, QUERY);
     let file = f.c2.store().file();
-    let page = pick_pages(seed, f.disk.num_pages(file), 1)[0];
+    let page = pick_pages(run.seed, f.disk.num_pages(file), 1)[0];
     let plan = FaultPlan::new().with_fault(file, page, 0, FaultKind::TransientRead { failures: 9 });
 
     f.disk.set_fault_plan(plan.clone());
     f.disk.reset_fault_stats();
-    let strict = hhnl::execute(&spec);
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "strict mode returns a typed i/o error",
-        matches!(strict, Err(Error::Io { .. })),
-    );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "the exhausted retry is counted as given up",
-        f.disk.fault_stats().gave_up >= 1,
-    );
+    let strict = matches!(hhnl::execute(&spec), Err(Error::Io { .. }));
+    run.check(NAME, "strict mode returns a typed i/o error", strict);
+    let gave_up = f.disk.fault_stats().gave_up >= 1;
+    run.check(NAME, "the exhausted retry is counted as given up", gave_up);
 
     // The strict attempt spent the fault; re-arm it for the degraded run.
     f.disk.set_fault_plan(plan);
     let degraded = hhnl::execute(&spec.with_degraded())?;
-    run.reports.push(QueryReport::from_outcome(
-        format!("seed={seed} {NAME} degraded HHNL"),
-        &degraded,
-        None,
-        None,
-    ));
-    push(
-        &mut run.checks,
-        seed,
+    run.report(&format!("{NAME} degraded HHNL"), &degraded, None);
+    run.check(
         NAME,
         format!(
             "degraded mode completes partially ({} docs skipped)",
@@ -274,13 +152,8 @@ fn scenario_retry_exhausted(seed: u64, run: &mut ChaosRun) -> Result<()> {
         ),
         degraded.quality == ResultQuality::Partial && degraded.stats.skipped_docs >= 1,
     );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "partial-result accounting is consistent",
-        accounting_consistent(&degraded),
-    );
+    let consistent = accounting_consistent(&degraded);
+    run.check(NAME, "partial-result accounting is consistent", consistent);
     f.disk.clear_fault_plan();
     Ok(())
 }
@@ -288,12 +161,13 @@ fn scenario_retry_exhausted(seed: u64, run: &mut ChaosRun) -> Result<()> {
 /// Scenario 3: a seeded mixed schedule over every file never panics any
 /// executor; each degraded run ends in `Ok` with consistent accounting or
 /// in a typed error.
-fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
+fn scenario_seeded_schedule(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "seeded-schedule";
+    let seed = run.seed;
     for algorithm in Algorithm::ALL {
         // Fresh fixture per executor: seeded schedules include permanent
         // bit flips, and each executor should face the same storage state.
-        let f = Fixture::small()?;
+        let f = pair(60, 40)?;
         // Every file an executor can touch is a fault target, including
         // the FNL signature file and its term-order sidecar.
         let files: [FileId; 7] = [
@@ -314,23 +188,15 @@ fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
         f.disk.set_fault_plan(FaultPlan::seeded(seed, &targets));
         f.disk.reset_fault_stats();
 
-        let spec = f.spec().with_degraded();
-        let indexes = Indexes::all(&f.inv1, &f.inv2, &f.fnl1);
-        let attempt = textjoin_core::execute(algorithm, &spec, &indexes);
-        let (verdict, passed) = match attempt {
+        let spec = f.spec(SYS, QUERY).with_degraded();
+        let (verdict, passed) = match textjoin_core::execute(algorithm, &spec, &f.indexes()) {
             Ok(outcome) => {
+                run.report(&format!("{NAME} degraded {algorithm}"), &outcome, None);
                 let verdict = format!(
                     "{algorithm} finished {} ({} docs + {} entries skipped)",
                     outcome.quality, outcome.stats.skipped_docs, outcome.stats.skipped_entries
                 );
-                let passed = accounting_consistent(&outcome);
-                run.reports.push(QueryReport::from_outcome(
-                    format!("seed={seed} {NAME} degraded {algorithm}"),
-                    &outcome,
-                    None,
-                    None,
-                ));
-                (verdict, passed)
+                (verdict, accounting_consistent(&outcome))
             }
             Err(e @ (Error::Corrupt(_) | Error::Io { .. } | Error::InsufficientMemory { .. })) => {
                 (format!("{algorithm} failed with a typed error: {e}"), true)
@@ -340,7 +206,7 @@ fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
                 false,
             ),
         };
-        push(&mut run.checks, seed, NAME, verdict, passed);
+        run.check(NAME, verdict, passed);
     }
     Ok(())
 }
@@ -348,11 +214,14 @@ fn scenario_seeded_schedule(seed: u64, run: &mut ChaosRun) -> Result<()> {
 /// Scenario 4: HVNL is the plan's choice, its inverted file and dictionary
 /// are corrupt, and the integrated algorithm re-plans onto HHNL — which
 /// never touches the inverted file — and completes with the right answer.
-fn scenario_replan_to_hhnl(seed: u64, run: &mut ChaosRun) -> Result<()> {
+fn scenario_replan_to_hhnl(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "replan-to-hhnl";
-    let f = Fixture::hvnl_favoured()?;
+    let seed = run.seed;
+    let f = pair(400, 40)?;
     let selected = [DocId::new((seed % f.c2.store().num_docs()) as u32)];
-    let spec = f.spec().with_outer_docs(OuterDocs::Selected(&selected));
+    let spec = f
+        .spec(SYS, QUERY)
+        .with_outer_docs(OuterDocs::Selected(&selected));
     let baseline = hhnl::execute(&spec)?.result;
 
     // Corrupt both vertical structures: the dictionary kills HVNL's setup,
@@ -361,29 +230,13 @@ fn scenario_replan_to_hhnl(seed: u64, run: &mut ChaosRun) -> Result<()> {
     f.disk.flip_bit(f.inv1.file(), 0, seed.wrapping_add(13))?;
 
     let got = integrated::execute(&spec, &f.inv1, &f.inv2, IoScenario::Dedicated)?;
-    run.reports.push(QueryReport::from_outcome(
-        format!("seed={seed} {NAME} integrated"),
-        &got.outcome,
-        None,
-        Some(got.estimates.cost(got.chosen, IoScenario::Dedicated)),
-    ));
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "the plan's first choice was HVNL",
-        got.ranking[0].algorithm == Algorithm::Hvnl,
-    );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        format!("re-planned onto {}", got.chosen),
-        got.chosen == Algorithm::Hhnl,
-    );
-    push(
-        &mut run.checks,
-        seed,
+    let predicted = got.estimates.cost(got.chosen, IoScenario::Dedicated);
+    run.report(&format!("{NAME} integrated"), &got.outcome, Some(predicted));
+    let hvnl_first = got.ranking[0].algorithm == Algorithm::Hvnl;
+    run.check(NAME, "the plan's first choice was HVNL", hvnl_first);
+    let replanned = got.chosen == Algorithm::Hhnl;
+    run.check(NAME, format!("re-planned onto {}", got.chosen), replanned);
+    run.check(
         NAME,
         "the fallback run matches a direct HHNL run",
         got.outcome.result == baseline && got.outcome.quality == ResultQuality::Full,
@@ -397,98 +250,70 @@ fn scenario_replan_to_hhnl(seed: u64, run: &mut ChaosRun) -> Result<()> {
 /// per-site report carries the `Partial` tag, the merged answer degrades
 /// to `Partial` — and stays a subset of the clean single-node run, because
 /// the healthy sites' rows are untouched.
-fn scenario_shard_fault_partial(seed: u64, run: &mut ChaosRun) -> Result<()> {
+fn scenario_shard_fault_partial(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "shard-fault-partial";
-    let f = Fixture::small()?;
-    let spec = f.spec();
+    let seed = run.seed;
+    let f = pair(60, 40)?;
+    let spec = f.spec(SYS, QUERY);
     let clean = hhnl::execute(&spec)?.result;
 
     let shards = 3;
     let fault = ShardFault {
         shard: (seed % shards as u64) as usize,
         page: seed,
-        kind: textjoin_storage::FaultKind::BitFlip {
+        kind: FaultKind::BitFlip {
             bit_offset: seed.wrapping_mul(7919),
         },
     };
     let opts = ShardOptions::new(shards).with_shard_fault(fault);
     let degraded = execute_sharded(&spec.with_degraded(), Algorithm::Hhnl, &opts)?;
-    run.reports.push(QueryReport::from_outcome(
-        format!("seed={seed} {NAME} degraded sharded HHNL"),
-        &degraded.outcome,
-        None,
-        None,
-    ));
-    push(
-        &mut run.checks,
-        seed,
+    let merged = &degraded.outcome;
+    run.report(&format!("{NAME} degraded sharded HHNL"), merged, None);
+    run.check(
         NAME,
         format!(
             "merged result degrades to partial ({} docs skipped)",
-            degraded.outcome.stats.skipped_docs
+            merged.stats.skipped_docs
         ),
-        degraded.outcome.quality == ResultQuality::Partial
-            && degraded.outcome.stats.skipped_docs > 0,
+        merged.quality == ResultQuality::Partial && merged.stats.skipped_docs > 0,
     );
-    push(
-        &mut run.checks,
-        seed,
+    let sites = &degraded.shards;
+    run.check(
         NAME,
         format!(
             "the faulted site (shard {}) reports the degradation",
             fault.shard
         ),
-        degraded
-            .shards
-            .iter()
-            .any(|r| r.shard == fault.shard && r.quality == ResultQuality::Partial),
+        (sites.iter()).any(|r| r.shard == fault.shard && r.quality == ResultQuality::Partial),
     );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "healthy sites stay full",
-        degraded
-            .shards
-            .iter()
-            .filter(|r| r.shard != fault.shard)
-            .all(|r| r.quality == ResultQuality::Full),
-    );
-    let subset = degraded.outcome.result.iter().count() <= clean.iter().count()
-        && degraded
-            .outcome
-            .result
-            .iter()
-            .all(|(id, _)| clean.matches(id).is_some());
-    push(
-        &mut run.checks,
-        seed,
+    let healthy_full = (sites.iter())
+        .filter(|r| r.shard != fault.shard)
+        .all(|r| r.quality == ResultQuality::Full);
+    run.check(NAME, "healthy sites stay full", healthy_full);
+    let subset = merged.result.iter().count() <= clean.iter().count()
+        && (merged.result.iter()).all(|(id, _)| clean.matches(id).is_some());
+    run.check(
         NAME,
         "the partial answer is a subset of the clean run",
         subset,
     );
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "partial-result accounting is consistent",
-        accounting_consistent(&degraded.outcome),
-    );
+    let consistent = accounting_consistent(merged);
+    run.check(NAME, "partial-result accounting is consistent", consistent);
     Ok(())
 }
 
 /// Runs every chaos scenario under one seed. A returned error means a
 /// scenario could not even set itself up (fixture generation failed) —
 /// executor failures under fault schedules are reported as failed checks,
-/// not errors. Completed runs additionally surface their [`QueryReport`]s
-/// in [`ChaosRun::reports`].
-pub fn run_seed(seed: u64) -> Result<ChaosRun> {
-    let mut run = ChaosRun::default();
-    scenario_transient_absorbed(seed, &mut run)?;
-    scenario_retry_exhausted(seed, &mut run)?;
-    scenario_seeded_schedule(seed, &mut run)?;
-    scenario_replan_to_hhnl(seed, &mut run)?;
-    scenario_shard_fault_partial(seed, &mut run)?;
+/// not errors. Completed runs additionally surface their reports in
+/// [`SeedRun::reports`].
+pub fn run_seed(seed: u64) -> Result<SeedRun> {
+    let mut run = SeedRun::new(seed);
+    scenario_transient_absorbed(&mut run)?;
+    scenario_retry_exhausted(&mut run)?;
+    scenario_seeded_schedule(&mut run)?;
+    scenario_replan_to_hhnl(&mut run)?;
+    scenario_shard_fault_partial(&mut run)?;
     Ok(run)
 }
 
@@ -517,23 +342,72 @@ mod tests {
 
     #[test]
     fn every_check_passes_for_a_fixed_seed() {
+        // Seed 1's verdicts word for word, in order: every scenario ran,
+        // every check held, and no fault target moved.
         let run = run_seed(1).expect("scenarios set up");
-        for c in &run.checks {
-            assert!(c.passed, "[{}] {}", c.scenario, c.check);
-        }
-        // All four scenarios reported something.
-        for scenario in [
-            "transient-absorbed",
-            "retry-exhausted",
-            "seeded-schedule",
-            "replan-to-hhnl",
-            "shard-fault-partial",
-        ] {
-            assert!(
-                run.checks.iter().any(|c| c.scenario == scenario),
-                "{scenario}"
-            );
-        }
+        let got: Vec<_> = (run.checks.iter())
+            .map(|c| (c.seed, c.scenario, c.check.as_str(), c.passed))
+            .collect();
+        let want = [
+            ("transient-absorbed", "result identical to the clean run"),
+            ("transient-absorbed", "quality stays full"),
+            (
+                "transient-absorbed",
+                "retries counted (6 for 3 faults), none gave up",
+            ),
+            ("transient-absorbed", "every scheduled fault fired"),
+            ("retry-exhausted", "strict mode returns a typed i/o error"),
+            (
+                "retry-exhausted",
+                "the exhausted retry is counted as given up",
+            ),
+            (
+                "retry-exhausted",
+                "degraded mode completes partially (1 docs skipped)",
+            ),
+            ("retry-exhausted", "partial-result accounting is consistent"),
+            (
+                "seeded-schedule",
+                "HHNL finished partial (10 docs + 0 entries skipped)",
+            ),
+            (
+                "seeded-schedule",
+                "HVNL finished full (0 docs + 0 entries skipped)",
+            ),
+            (
+                "seeded-schedule",
+                "VVM finished full (0 docs + 0 entries skipped)",
+            ),
+            (
+                "seeded-schedule",
+                "FNL finished full (0 docs + 0 entries skipped)",
+            ),
+            ("replan-to-hhnl", "the plan's first choice was HVNL"),
+            ("replan-to-hhnl", "re-planned onto HHNL"),
+            (
+                "replan-to-hhnl",
+                "the fallback run matches a direct HHNL run",
+            ),
+            (
+                "shard-fault-partial",
+                "merged result degrades to partial (10 docs skipped)",
+            ),
+            (
+                "shard-fault-partial",
+                "the faulted site (shard 1) reports the degradation",
+            ),
+            ("shard-fault-partial", "healthy sites stay full"),
+            (
+                "shard-fault-partial",
+                "the partial answer is a subset of the clean run",
+            ),
+            (
+                "shard-fault-partial",
+                "partial-result accounting is consistent",
+            ),
+        ]
+        .map(|(scenario, check)| (1, scenario, check, true));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -19,75 +19,21 @@
 //!    flipped; strict mode surfaces a typed error, degraded mode completes
 //!    with counted skips on every algorithm, and no executor panics.
 //!
-//! Every verdict is a [`MergeChaosCheck`] row so `textjoin-sim chaos-merge`
+//! Every verdict is recorded in a [`SeedRun`] so `textjoin-sim chaos-merge`
 //! can print per-seed results and fail the process on any violation. On
 //! failure the scenario's WAL and manifest pages are captured as hex
 //! artifacts for offline inspection (the CI job uploads them).
 
+use crate::verdict::{accounting_consistent, Artifact, SeedRun};
 use std::fmt::Write as _;
 use std::sync::Arc;
-use textjoin_collection::{Collection, SynthSpec};
+use textjoin_collection::{Collection, Document, SynthSpec};
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
-use textjoin_core::{hhnl, hvnl, vvm, JoinResult, JoinSpec, ResultQuality, Weighting};
+use textjoin_core::{hhnl, hvnl, vvm, JoinResult, JoinSpec, Weighting};
 use textjoin_invfile::InvertedFile;
 use textjoin_live::wal::WalOp;
 use textjoin_live::{wal, LiveCollection};
 use textjoin_storage::{DiskSim, FaultKind, FaultPlan, FileId};
-
-/// One pass/fail verdict from a merge-chaos scenario.
-#[derive(Clone, Debug)]
-pub struct MergeChaosCheck {
-    /// The seed the failure point was derived from.
-    pub seed: u64,
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// What was checked.
-    pub check: String,
-    /// Whether it held.
-    pub passed: bool,
-}
-
-/// A captured page-level dump of a durability-critical file, kept for
-/// offline inspection when a check fails.
-#[derive(Clone, Debug)]
-pub struct MergeChaosArtifact {
-    /// Suggested file name, e.g. `seed3-crash-during-merge-wal.hex`.
-    pub name: String,
-    /// Hex rendering, one line per page (unreadable pages noted).
-    pub contents: String,
-}
-
-/// Everything one seed produced: verdicts plus artifacts for any scenario
-/// that failed a check.
-#[derive(Debug, Default)]
-pub struct MergeChaosRun {
-    /// Scenario verdicts, in execution order.
-    pub checks: Vec<MergeChaosCheck>,
-    /// WAL/manifest dumps of failed scenarios (empty when all passed).
-    pub artifacts: Vec<MergeChaosArtifact>,
-}
-
-impl MergeChaosRun {
-    /// Whether every check passed.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
-    }
-}
-
-fn push(
-    checks: &mut Vec<MergeChaosCheck>,
-    seed: u64,
-    scenario: &'static str,
-    check: impl Into<String>,
-    passed: bool,
-) {
-    checks.push(MergeChaosCheck {
-        seed,
-        scenario,
-        check: check.into(),
-        passed,
-    });
-}
 
 /// Hex dump of every page of `file`, tolerant of unreadable pages — an
 /// artifact dump must never fail on the very corruption it documents.
@@ -111,13 +57,8 @@ fn dump_file(disk: &DiskSim, file: FileId) -> String {
 
 /// Captures the WAL and manifest of collection `name` on `disk` as
 /// artifacts under the given scenario label.
-fn capture_artifacts(
-    run: &mut MergeChaosRun,
-    disk: &DiskSim,
-    name: &str,
-    seed: u64,
-    scenario: &str,
-) {
+fn capture_artifacts(run: &mut SeedRun, disk: &DiskSim, name: &str, scenario: &str) {
+    let seed = run.seed;
     let mut targets: Vec<(String, String)> = vec![(
         format!("seed{seed}-{scenario}-manifest.hex"),
         format!("{name}.manifest"),
@@ -129,7 +70,7 @@ fn capture_artifacts(
     }
     for (artifact_name, file_name) in targets {
         if let Some(file) = disk.file_by_name(&file_name) {
-            run.artifacts.push(MergeChaosArtifact {
+            run.artifacts.push(Artifact {
                 name: artifact_name,
                 contents: dump_file(disk, file),
             });
@@ -165,26 +106,32 @@ fn build_outer(disk: &Arc<DiskSim>) -> Result<(Collection, InvertedFile)> {
     Ok((outer, inv))
 }
 
-/// Runs all three joins over the live collection's base+delta view.
-/// Raw-count weighting keeps scores integer-valued, so results are
-/// byte-comparable across merge generations (profiles are base-only).
-fn run_joins(
-    lc: &LiveCollection,
-    outer: &Collection,
-    outer_inv: &InvertedFile,
-) -> Result<[JoinResult; 3]> {
-    let spec = JoinSpec::new(lc.base(), outer)
-        .with_sys(SystemParams {
-            buffer_pages: 400,
-            page_size: PAGE,
-            alpha: 5.0,
-        })
+/// The joins' spec over the live collection's base+delta view. Raw-count
+/// weighting keeps scores integer-valued, so results are byte-comparable
+/// across merge generations (profiles are base-only).
+fn live_spec<'a>(lc: &'a LiveCollection, outer: &'a Collection) -> JoinSpec<'a> {
+    let sys = SystemParams {
+        buffer_pages: 400,
+        page_size: PAGE,
+        alpha: 5.0,
+    };
+    JoinSpec::new(lc.base(), outer)
+        .with_sys(sys)
         .with_query(QueryParams {
             lambda: 4,
             delta: 1.0,
         })
         .with_weighting(Weighting::RawCount)
-        .with_inner_delta(lc.overlay());
+        .with_inner_delta(lc.overlay())
+}
+
+/// Runs all three joins over the live collection's base+delta view.
+fn run_joins(
+    lc: &LiveCollection,
+    outer: &Collection,
+    outer_inv: &InvertedFile,
+) -> Result<[JoinResult; 3]> {
+    let spec = live_spec(lc, outer);
     Ok([
         hhnl::execute(&spec)?.result,
         hvnl::execute(&spec, lc.base_inv())?.result,
@@ -192,9 +139,12 @@ fn run_joins(
     ])
 }
 
-/// The pre-crash live contents, `(id, doc)` ascending — the state every
-/// recovery must restore exactly.
-fn live_contents(lc: &LiveCollection) -> Result<Vec<(DocId, textjoin_collection::Document)>> {
+/// A collection's live documents, `(id, doc)` ascending.
+type Contents = Vec<(DocId, Document)>;
+
+/// The pre-crash live contents — the state every recovery must restore
+/// exactly.
+fn live_contents(lc: &LiveCollection) -> Result<Contents> {
     let mut out = Vec::new();
     for item in lc.base().store().scan() {
         let (id, doc) = item?;
@@ -206,83 +156,91 @@ fn live_contents(lc: &LiveCollection) -> Result<Vec<(DocId, textjoin_collection:
     Ok(out)
 }
 
+/// What every recovery of seed `seed` must restore: the three joins after
+/// an uninterrupted merge, and the live contents before it.
+fn reference(seed: u64) -> Result<([JoinResult; 3], Contents)> {
+    let disk = Arc::new(DiskSim::new(PAGE));
+    let (outer, outer_inv) = build_outer(&disk)?;
+    let mut lc = build_live(&disk, seed)?;
+    let contents = live_contents(&lc)?;
+    lc.merge()?;
+    Ok((run_joins(&lc, &outer, &outer_inv)?, contents))
+}
+
+/// The fixture after a merge killed at a page write, restarted.
+struct Restarted {
+    disk: Arc<DiskSim>,
+    outer: Collection,
+    outer_inv: InvertedFile,
+    /// The collection recovered from WAL + manifest.
+    lc: LiveCollection,
+    /// Whether the crash point fell inside the merge.
+    killed: bool,
+}
+
+/// Builds seed `seed`'s fixture, kills its merge after `writes` page
+/// writes, and recovers the collection as a restarted process would.
+fn crash_merge(seed: u64, writes: u64) -> Result<Restarted> {
+    let disk = Arc::new(DiskSim::new(PAGE));
+    let (outer, outer_inv) = build_outer(&disk)?;
+    let mut lc = build_live(&disk, seed)?;
+    disk.set_write_crash_after(writes);
+    let killed = lc.merge().is_err();
+    disk.clear_write_crash();
+    drop(lc);
+    let lc = LiveCollection::recover(Arc::clone(&disk), LIVE_NAME)?;
+    Ok(Restarted {
+        disk,
+        outer,
+        outer_inv,
+        lc,
+        killed,
+    })
+}
+
 /// Scenario 1: kill the merge at a seed-derived page write, restart,
 /// recover from WAL + manifest, and require all three joins byte-identical
 /// to an uninterrupted run.
-fn scenario_crash_during_merge(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
+fn scenario_crash_during_merge(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "crash-during-merge";
-
-    // Reference: the same fixture, merged without interference.
-    let (reference_joins, reference_contents) = {
-        let disk = Arc::new(DiskSim::new(PAGE));
-        let (outer, outer_inv) = build_outer(&disk)?;
-        let mut lc = build_live(&disk, seed)?;
-        let contents = live_contents(&lc)?;
-        lc.merge()?;
-        (run_joins(&lc, &outer, &outer_inv)?, contents)
-    };
+    let (reference_joins, reference_contents) = reference(run.seed)?;
 
     // Trial: identical fixture, merge killed after a seed-derived number
     // of page writes. Low crash points die in the temp-file build, high
     // ones in the rename/commit window; seeds spread across both.
-    let disk = Arc::new(DiskSim::new(PAGE));
-    let (outer, outer_inv) = build_outer(&disk)?;
-    let lc = build_live(&disk, seed)?;
-    let crash_after = 1 + seed.wrapping_mul(17) % 50;
-    disk.set_write_crash_after(crash_after);
-    let mut lc = lc;
-    let merge_result = lc.merge();
-    disk.clear_write_crash();
-    let killed = merge_result.is_err();
-    push(
-        &mut run.checks,
-        seed,
+    let crash_after = 1 + run.seed.wrapping_mul(17) % 50;
+    let mut trial = crash_merge(run.seed, crash_after)?;
+    let fate = if trial.killed { "killed" } else { "survived" };
+    run.check(
         NAME,
-        format!(
-            "merge {} after {crash_after} page writes",
-            if killed { "killed" } else { "survived" }
-        ),
+        format!("merge {fate} after {crash_after} page writes"),
         true,
     );
 
-    // Restart: recovery must reconstruct the exact pre-crash live set…
-    drop(lc);
-    let mut lc = LiveCollection::recover(Arc::clone(&disk), LIVE_NAME)?;
-    let recovered = live_contents(&lc)?;
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "recovered contents equal the pre-crash live documents",
-        recovered == reference_contents,
-    );
+    // Recovery must reconstruct the exact pre-crash live set…
+    let recovered = live_contents(&trial.lc)? == reference_contents;
+    let what = "recovered contents equal the pre-crash live documents";
+    run.check(NAME, what, recovered);
 
     // …and every algorithm must see through base+delta to the same answer
     // the uninterrupted merge produced.
-    let joins = run_joins(&lc, &outer, &outer_inv)?;
+    let joins = run_joins(&trial.lc, &trial.outer, &trial.outer_inv)?;
     for (i, alg) in ["HHNL", "HVNL", "VVM"].iter().enumerate() {
-        push(
-            &mut run.checks,
-            seed,
-            NAME,
-            format!("{alg} result byte-identical to the uninterrupted run"),
-            joins[i] == reference_joins[i],
-        );
+        let what = format!("{alg} result byte-identical to the uninterrupted run");
+        run.check(NAME, what, joins[i] == reference_joins[i]);
     }
 
     // The recovered generation must merge cleanly, and still agree.
-    lc.merge()?;
-    let joins = run_joins(&lc, &outer, &outer_inv)?;
-    push(
-        &mut run.checks,
-        seed,
+    trial.lc.merge()?;
+    let joins = run_joins(&trial.lc, &trial.outer, &trial.outer_inv)?;
+    run.check(
         NAME,
         "post-recovery merge completes and preserves all three results",
-        joins == reference_joins && live_contents(&lc)? == reference_contents,
+        joins == reference_joins && live_contents(&trial.lc)? == reference_contents,
     );
 
-    if run.checks.iter().any(|c| c.scenario == NAME && !c.passed) {
-        capture_artifacts(run, &disk, LIVE_NAME, seed, NAME);
+    if run.failed(NAME) {
+        capture_artifacts(run, &trial.disk, LIVE_NAME, NAME);
     }
     Ok(())
 }
@@ -290,8 +248,9 @@ fn scenario_crash_during_merge(seed: u64, run: &mut MergeChaosRun) -> Result<()>
 /// Scenario 2: the last WAL append is torn — first half persisted, tail
 /// zeroed, page checksum stale. Recovery must keep every earlier record
 /// and drop exactly the torn one.
-fn scenario_torn_wal(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
+fn scenario_torn_wal(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "torn-wal";
+    let seed = run.seed;
     let disk = Arc::new(DiskSim::new(PAGE));
     let base = SynthSpec::from_stats(CollectionStats::new(10, 8.0, 60), seed).generate_docs();
     let mut lc = LiveCollection::create(Arc::clone(&disk), LIVE_NAME, base)?;
@@ -319,32 +278,25 @@ fn scenario_torn_wal(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
     disk.clear_fault_plan();
 
     drop(lc);
-    let lc = LiveCollection::recover(Arc::clone(&disk), LIVE_NAME)?;
-    let recovered = live_contents(&lc)?;
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "recovery drops exactly the torn record, keeping the committed prefix",
-        recovered == before_torn,
-    );
+    let mut lc = LiveCollection::recover(Arc::clone(&disk), LIVE_NAME)?;
+    let recovered = live_contents(&lc)? == before_torn;
+    let what = "recovery drops exactly the torn record, keeping the committed prefix";
+    run.check(NAME, what, recovered);
     // A fresh mutation must reuse the WAL cleanly after the torn tail.
-    let mut lc = lc;
     let id = lc.insert(
         SynthSpec::from_stats(CollectionStats::new(1, 8.0, 60), seed + 3)
             .generate_docs()
             .remove(0),
     )?;
-    push(
-        &mut run.checks,
-        seed,
+    let continued = lc.doc(id)?.is_some();
+    run.check(
         NAME,
         "mutations continue after recovery from a torn tail",
-        lc.doc(id)?.is_some(),
+        continued,
     );
 
-    if run.checks.iter().any(|c| c.scenario == NAME && !c.passed) {
-        capture_artifacts(run, &disk, LIVE_NAME, seed, NAME);
+    if run.failed(NAME) {
+        capture_artifacts(run, &disk, LIVE_NAME, NAME);
     }
     Ok(())
 }
@@ -352,8 +304,9 @@ fn scenario_torn_wal(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
 /// Scenario 3: a flushed delta side file suffers a permanent bit flip.
 /// Strict executors surface a typed error; degraded executors finish with
 /// counted skips; nobody panics.
-fn scenario_bitflip_delta(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
+fn scenario_bitflip_delta(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "bitflip-delta";
+    let seed = run.seed;
     let disk = Arc::new(DiskSim::new(PAGE));
     let (outer, outer_inv) = build_outer(&disk)?;
     let lc = build_live(&disk, seed)?;
@@ -369,28 +322,14 @@ fn scenario_bitflip_delta(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
         disk.flip_bit(file, page, seed % (8 * PAGE as u64))?;
     }
 
-    let spec = JoinSpec::new(lc.base(), &outer)
-        .with_sys(SystemParams {
-            buffer_pages: 400,
-            page_size: PAGE,
-            alpha: 5.0,
-        })
-        .with_query(QueryParams {
-            lambda: 4,
-            delta: 1.0,
-        })
-        .with_weighting(Weighting::RawCount)
-        .with_inner_delta(lc.overlay());
-
     // Strict mode: the corruption is a typed error, never a panic.
-    let strict = hhnl::execute(&spec);
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "strict mode surfaces the flipped delta as a typed error",
-        matches!(strict, Err(Error::Corrupt(_) | Error::Io { .. })),
+    let spec = live_spec(&lc, &outer);
+    let strict = matches!(
+        hhnl::execute(&spec),
+        Err(Error::Corrupt(_) | Error::Io { .. })
     );
+    let what = "strict mode surfaces the flipped delta as a typed error";
+    run.check(NAME, what, strict);
 
     // Degraded mode: every algorithm completes, accounts its skips, and
     // tags partial results honestly.
@@ -402,52 +341,31 @@ fn scenario_bitflip_delta(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
         ("VVM", vvm::execute(&degraded, lc.base_inv(), &outer_inv)),
     ];
     for (alg, attempt) in runs {
-        match attempt {
+        let (what, passed) = match attempt {
             Ok(outcome) => {
                 let skips = outcome.stats.skipped_docs + outcome.stats.skipped_entries;
                 any_skips |= skips > 0;
-                push(
-                    &mut run.checks,
-                    seed,
-                    NAME,
-                    format!(
-                        "degraded {alg} finished {} ({skips} skips)",
-                        outcome.quality
-                    ),
-                    outcome.quality == outcome.stats.quality()
-                        && (outcome.quality == ResultQuality::Partial) == (skips > 0),
+                let what = format!(
+                    "degraded {alg} finished {} ({skips} skips)",
+                    outcome.quality
                 );
+                (what, accounting_consistent(&outcome))
             }
-            Err(e @ (Error::Corrupt(_) | Error::Io { .. })) => {
-                // Permissible only when the flip hit a structure degraded
-                // mode cannot route around (e.g. the side store directory).
-                push(
-                    &mut run.checks,
-                    seed,
-                    NAME,
-                    format!("degraded {alg} failed with a typed error: {e}"),
-                    true,
-                );
-            }
-            Err(e) => push(
-                &mut run.checks,
-                seed,
-                NAME,
-                format!("degraded {alg} failed unexpectedly: {e}"),
-                false,
+            // Permissible only when the flip hit a structure degraded mode
+            // cannot route around (e.g. the side store directory).
+            Err(e @ (Error::Corrupt(_) | Error::Io { .. })) => (
+                format!("degraded {alg} failed with a typed error: {e}"),
+                true,
             ),
-        }
+            Err(e) => (format!("degraded {alg} failed unexpectedly: {e}"), false),
+        };
+        run.check(NAME, what, passed);
     }
-    push(
-        &mut run.checks,
-        seed,
-        NAME,
-        "at least one degraded run skipped the flipped delta",
-        any_skips,
-    );
+    let what = "at least one degraded run skipped the flipped delta";
+    run.check(NAME, what, any_skips);
 
-    if run.checks.iter().any(|c| c.scenario == NAME && !c.passed) {
-        capture_artifacts(run, &disk, LIVE_NAME, seed, NAME);
+    if run.failed(NAME) {
+        capture_artifacts(run, &disk, LIVE_NAME, NAME);
     }
     Ok(())
 }
@@ -455,11 +373,11 @@ fn scenario_bitflip_delta(seed: u64, run: &mut MergeChaosRun) -> Result<()> {
 /// Runs every merge-chaos scenario under one seed. A returned error means
 /// a scenario could not set itself up — injected-failure outcomes are
 /// reported as failed checks, not errors.
-pub fn run_seed(seed: u64) -> Result<MergeChaosRun> {
-    let mut run = MergeChaosRun::default();
-    scenario_crash_during_merge(seed, &mut run)?;
-    scenario_torn_wal(seed, &mut run)?;
-    scenario_bitflip_delta(seed, &mut run)?;
+pub fn run_seed(seed: u64) -> Result<SeedRun> {
+    let mut run = SeedRun::new(seed);
+    scenario_crash_during_merge(&mut run)?;
+    scenario_torn_wal(&mut run)?;
+    scenario_bitflip_delta(&mut run)?;
     Ok(run)
 }
 
@@ -468,39 +386,22 @@ pub fn run_seed(seed: u64) -> Result<MergeChaosRun> {
 /// joins each time. Returns the number of crash points that actually
 /// killed the merge.
 pub fn crash_sweep(seed: u64, limit: u64) -> Result<u64> {
-    let (reference_joins, reference_contents) = {
-        let disk = Arc::new(DiskSim::new(PAGE));
-        let (outer, outer_inv) = build_outer(&disk)?;
-        let mut lc = build_live(&disk, seed)?;
-        let contents = live_contents(&lc)?;
-        lc.merge()?;
-        (run_joins(&lc, &outer, &outer_inv)?, contents)
-    };
+    let (reference_joins, reference_contents) = reference(seed)?;
     let mut killed = 0u64;
     for k in 0..limit {
-        let disk = Arc::new(DiskSim::new(PAGE));
-        let (outer, outer_inv) = build_outer(&disk)?;
-        let mut lc = build_live(&disk, seed)?;
-        disk.set_write_crash_after(k);
-        let merged = lc.merge();
-        disk.clear_write_crash();
-        if merged.is_err() {
-            killed += 1;
-        }
-        drop(lc);
-        let lc = LiveCollection::recover(Arc::clone(&disk), LIVE_NAME)?;
-        if live_contents(&lc)? != reference_contents {
+        let trial = crash_merge(seed, k)?;
+        killed += u64::from(trial.killed);
+        if live_contents(&trial.lc)? != reference_contents {
             return Err(Error::Corrupt(format!(
                 "crash after {k} writes: recovered contents diverge"
             )));
         }
-        let joins = run_joins(&lc, &outer, &outer_inv)?;
-        if joins != reference_joins {
+        if run_joins(&trial.lc, &trial.outer, &trial.outer_inv)? != reference_joins {
             return Err(Error::Corrupt(format!(
                 "crash after {k} writes: join results diverge"
             )));
         }
-        if merged.is_ok() {
+        if !trial.killed {
             break;
         }
     }
@@ -542,6 +443,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn seed_one_reports_its_verdicts_word_for_word() {
+        let run = run_seed(1).expect("scenarios set up");
+        let got: Vec<_> = (run.checks.iter())
+            .map(|c| (c.seed, c.scenario, c.check.as_str(), c.passed))
+            .collect();
+        let want = [
+            ("crash-during-merge", "merge killed after 18 page writes"),
+            (
+                "crash-during-merge",
+                "recovered contents equal the pre-crash live documents",
+            ),
+            (
+                "crash-during-merge",
+                "HHNL result byte-identical to the uninterrupted run",
+            ),
+            (
+                "crash-during-merge",
+                "HVNL result byte-identical to the uninterrupted run",
+            ),
+            (
+                "crash-during-merge",
+                "VVM result byte-identical to the uninterrupted run",
+            ),
+            (
+                "crash-during-merge",
+                "post-recovery merge completes and preserves all three results",
+            ),
+            (
+                "torn-wal",
+                "recovery drops exactly the torn record, keeping the committed prefix",
+            ),
+            (
+                "torn-wal",
+                "mutations continue after recovery from a torn tail",
+            ),
+            (
+                "bitflip-delta",
+                "strict mode surfaces the flipped delta as a typed error",
+            ),
+            ("bitflip-delta", "degraded HHNL finished partial (4 skips)"),
+            (
+                "bitflip-delta",
+                "degraded HVNL finished partial (233 skips)",
+            ),
+            ("bitflip-delta", "degraded VVM finished partial (19 skips)"),
+            (
+                "bitflip-delta",
+                "at least one degraded run skipped the flipped delta",
+            ),
+        ]
+        .map(|(scenario, check)| (1, scenario, check, true));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -39,7 +39,16 @@
 //! * [`live`] — the live-introspection commands: `serve-metrics` hosts
 //!   the embedded scrape endpoint (progress, ETA, cancellation) while a
 //!   canned workload runs, and `top` polls `GET /queries` and renders
-//!   the in-flight table.
+//!   the in-flight table;
+//! * [`slowlog`] — the canned workload with full observability, its
+//!   top-K most expensive queries dumped as reports.
+//!
+//! Two modules carry what those drivers share: `fixture` builds the
+//! generated (inner, outer) pair every executed driver joins, with its
+//! inverted files and signature index, and rewinds its drive before each
+//! run; [`verdict`] is the one record of a seeded suite's checks, reports
+//! and failure dumps, which `chaos` and `chaos_merge` fill and the binary
+//! prints.
 //!
 //! Everything prints through [`table::Table`], one table per experiment,
 //! in the spirit of the tables the paper's tech report tabulates.
@@ -48,6 +57,7 @@ pub mod calibrate;
 pub mod chaos;
 pub mod chaos_merge;
 pub mod findings;
+pub(crate) mod fixture;
 pub mod groups;
 pub mod live;
 pub mod measured;
@@ -55,6 +65,7 @@ pub mod presets;
 pub mod slowlog;
 pub mod table;
 pub mod validate;
+pub mod verdict;
 
 pub use findings::{check_findings, Finding};
 pub use presets::PaperCollection;

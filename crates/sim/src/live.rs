@@ -19,11 +19,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use textjoin_common::json;
-use textjoin_core::{Indexes, JoinSpec, QueryReport, ResultQuality};
-use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
-use textjoin_invfile::{FnlIndex, InvertedFile};
+use textjoin_core::{QueryReport, ResultQuality};
+use textjoin_costmodel::Algorithm;
 use textjoin_obs::{IntrospectionServer, LiveRegistry, Registry};
-use textjoin_storage::{DiskSim, PageLatency};
+use textjoin_storage::PageLatency;
 
 /// Options for [`serve_workload`] (the `serve-metrics` command).
 #[derive(Clone, Debug)]
@@ -135,27 +134,17 @@ fn run_config(
     live: &LiveRegistry,
     sink: &mut dyn FnMut(RunRecord),
 ) -> textjoin_common::Result<()> {
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-    let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1)?;
+    let pair = cfg.pair()?;
     // Only the joins themselves run at simulated disk speed — collection
     // generation and index builds above stay instant.
-    disk.set_page_latency(latency);
+    pair.disk.set_page_latency(latency);
     for algorithm in Algorithm::ALL {
         let query = format!("{} {algorithm} round {round}", cfg.label);
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(cfg.sys)
-            .with_query(cfg.query);
-        let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-        let predicted =
-            Some(CostEstimates::compute(&inputs).cost(algorithm, IoScenario::Dedicated))
-                .filter(|p| p.is_finite() && *p > 0.0);
+        let spec = pair.spec(cfg.sys, cfg.query);
+        let predicted = pair.predict(algorithm, &spec);
         let guard = live.register(
             query.clone(),
-            format!("{} ⋈ {}", c1.name(), c2.name()),
+            format!("{} ⋈ {}", pair.c1.name(), pair.c2.name()),
             algorithm.to_string(),
             predicted,
             None,
@@ -167,10 +156,7 @@ fn run_config(
         let spec = spec
             .with_ticket(guard.ticket())
             .with_cancel(guard.ticket().cancel_token());
-        disk.reset_stats();
-        disk.reset_head();
-        let indexes = Indexes::all(&inv1, &inv2, &fnl1);
-        let outcome = textjoin_core::execute(algorithm, &spec, &indexes)?;
+        let outcome = pair.run(algorithm, &spec)?;
         // Finished runs roll up into the same registry the endpoint
         // serves, so `/metrics` carries the aggregate query series next
         // to the `queries.inflight` gauge.

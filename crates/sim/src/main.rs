@@ -53,6 +53,7 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use textjoin_sim::verdict::SeedRun;
 use textjoin_sim::{
     calibrate, chaos, chaos_merge, findings, groups, live, measured, slowlog, validate, Table,
 };
@@ -209,9 +210,7 @@ fn main() -> ExitCode {
         eprintln!("generating scaled collections and running all executors …");
         let cfgs = validate::paper_scaled_configs(scale);
         match validate::validate_all(&cfgs) {
-            Ok(rows) => {
-                println!("{}", validate::validation_table(&rows));
-            }
+            Ok(rows) => emit(&validate::validation_table(&rows)),
             Err(e) => {
                 eprintln!("validation failed: {e}");
                 return ExitCode::FAILURE;
@@ -242,7 +241,7 @@ fn main() -> ExitCode {
             eprintln!("generating scaled collections and comparing posting codecs …");
             for cfg in validate::paper_scaled_configs(scale) {
                 match validate::codec_study(&cfg) {
-                    Ok(t) => println!("{t}"),
+                    Ok(t) => emit(&t),
                     Err(e) => {
                         eprintln!("{}: codec study failed: {e}", cfg.label);
                         return ExitCode::FAILURE;
@@ -260,7 +259,7 @@ fn main() -> ExitCode {
                     .map(|b| b.max(10))
                     .collect();
                 match validate::memory_sweep(cfg, &buffers) {
-                    Ok(t) => println!("{t}"),
+                    Ok(t) => emit(&t),
                     Err(e) => {
                         eprintln!("{}: sweep failed: {e}", cfg.label);
                         return ExitCode::FAILURE;
@@ -279,69 +278,49 @@ fn main() -> ExitCode {
             }
         }
         "findings" => {
-            let table = findings::findings_table();
-            println!("{table}");
+            emit(&findings::findings_table());
             if findings::check_findings().iter().any(|f| !f.holds) {
                 return ExitCode::FAILURE;
             }
         }
         "validate" => return run_validate(scale),
-        "chaos" => {
+        "chaos" | "chaos-merge" => {
+            let (run_seed, what): (fn(u64) -> textjoin_common::Result<SeedRun>, _) =
+                match cli.command.as_str() {
+                    "chaos" => (chaos::run_seed, "running fault-injection scenarios"),
+                    _ => (chaos_merge::run_seed, "running crash-safety scenarios"),
+                };
             let mut failed = false;
             for &seed in &cli.seeds {
-                eprintln!("chaos seed {seed}: running fault-injection scenarios …");
-                match chaos::run_seed(seed) {
-                    Ok(run) => {
-                        for c in &run.checks {
-                            let mark = if c.passed { "ok  " } else { "FAIL" };
-                            println!("{mark} seed={} [{}] {}", c.seed, c.scenario, c.check);
-                            failed |= !c.passed;
-                        }
-                        // Per-run accounting for every join that completed
-                        // under faults, degraded runs included.
-                        for r in &run.reports {
-                            println!("report {}", r.to_json());
-                        }
-                    }
+                eprintln!("{} seed {seed}: {what} …", cli.command);
+                let run = match run_seed(seed) {
+                    Ok(run) => run,
                     Err(e) => {
-                        eprintln!("chaos seed {seed}: scenario setup failed: {e}");
+                        eprintln!("{} seed {seed}: scenario setup failed: {e}", cli.command);
                         failed = true;
+                        continue;
+                    }
+                };
+                for c in &run.checks {
+                    let mark = if c.passed { "ok  " } else { "FAIL" };
+                    println!("{mark} seed={} [{}] {}", c.seed, c.scenario, c.check);
+                }
+                failed |= !run.passed();
+                // Per-run accounting for every join that completed under
+                // faults, degraded runs included.
+                for r in &run.reports {
+                    println!("report {}", r.to_json());
+                }
+                if !run.artifacts.is_empty() {
+                    if let Err(e) = std::fs::create_dir_all(&cli.artifacts) {
+                        eprintln!("creating {} failed: {e}", cli.artifacts.display());
                     }
                 }
-            }
-            if failed {
-                return ExitCode::FAILURE;
-            }
-        }
-        "chaos-merge" => {
-            let mut failed = false;
-            for &seed in &cli.seeds {
-                eprintln!("chaos-merge seed {seed}: running crash-safety scenarios …");
-                match chaos_merge::run_seed(seed) {
-                    Ok(run) => {
-                        for c in &run.checks {
-                            let mark = if c.passed { "ok  " } else { "FAIL" };
-                            println!("{mark} seed={} [{}] {}", c.seed, c.scenario, c.check);
-                            failed |= !c.passed;
-                        }
-                        if !run.artifacts.is_empty() {
-                            if let Err(e) = std::fs::create_dir_all(&cli.artifacts) {
-                                eprintln!("creating {} failed: {e}", cli.artifacts.display());
-                            }
-                            for a in &run.artifacts {
-                                let path = cli.artifacts.join(&a.name);
-                                match std::fs::write(&path, &a.contents) {
-                                    Ok(()) => eprintln!("wrote artifact {}", path.display()),
-                                    Err(e) => {
-                                        eprintln!("writing {} failed: {e}", path.display())
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("chaos-merge seed {seed}: scenario setup failed: {e}");
-                        failed = true;
+                for a in &run.artifacts {
+                    let path = cli.artifacts.join(&a.name);
+                    match std::fs::write(&path, &a.contents) {
+                        Ok(()) => eprintln!("wrote artifact {}", path.display()),
+                        Err(e) => eprintln!("writing {} failed: {e}", path.display()),
                     }
                 }
             }
@@ -536,24 +515,18 @@ fn main() -> ExitCode {
             }
         }
         "all" => {
-            println!("{}", groups::t1_statistics());
-            for t in groups::group1() {
-                println!("{t}");
+            emit(&groups::t1_statistics());
+            for group in [
+                groups::group1,
+                groups::group2,
+                groups::group3,
+                groups::group4,
+                groups::group5,
+            ] {
+                group().iter().for_each(&emit);
             }
-            for t in groups::group2() {
-                println!("{t}");
-            }
-            for t in groups::group3() {
-                println!("{t}");
-            }
-            for t in groups::group4() {
-                println!("{t}");
-            }
-            for t in groups::group5() {
-                println!("{t}");
-            }
-            println!("{}", groups::order_study());
-            println!("{}", findings::findings_table());
+            emit(&groups::order_study());
+            emit(&findings::findings_table());
             return run_validate(scale);
         }
         other => {

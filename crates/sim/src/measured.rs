@@ -9,14 +9,14 @@
 //! to return the same result; a difference is an `Err`, not a row. What
 //! these runs cost in *time* is `benchmark/`'s `core.<algorithm>.*`.
 
+use crate::fixture::Pair;
 use crate::table::Table;
 use std::sync::Arc;
 use textjoin_collection::synth::{select_random_docs, Locality};
-use textjoin_collection::{Collection, SynthSpec};
+use textjoin_collection::SynthSpec;
 use textjoin_common::{CollectionStats, Error, QueryParams, Result, SystemParams};
 use textjoin_core::hvnl::{self, EvictionPolicy, HvnlOptions, OuterOrder};
-use textjoin_core::{hhnl, vvm, JoinOutcome, JoinSpec, OuterDocs};
-use textjoin_invfile::InvertedFile;
+use textjoin_core::{hhnl, Algorithm, JoinOutcome, JoinSpec, OuterDocs};
 use textjoin_storage::DiskSim;
 
 /// All four series, in the order the module lists them.
@@ -29,35 +29,16 @@ pub fn all() -> Result<Vec<Table>> {
     ])
 }
 
-/// A generated pair on one 4 KiB-page drive.
-fn pair(inner: &SynthSpec, outer: &SynthSpec) -> Result<(Arc<DiskSim>, Collection, Collection)> {
-    let disk = Arc::new(DiskSim::new(4096));
-    let c1 = inner.generate(Arc::clone(&disk), "c1")?;
-    let c2 = outer.generate(Arc::clone(&disk), "c2")?;
-    Ok((disk, c1, c2))
-}
+/// Every series runs on 4 KiB pages.
+const PAGE: usize = 4096;
 
-fn spec<'a>(
-    c1: &'a Collection,
-    c2: &'a Collection,
-    buffer_pages: u64,
-    lambda: usize,
-) -> JoinSpec<'a> {
-    JoinSpec::new(c1, c2)
-        .with_sys(SystemParams {
-            buffer_pages,
-            page_size: 4096,
-            alpha: 5.0,
-        })
-        .with_query(QueryParams { lambda, delta: 1.0 })
-}
-
-/// Runs one executor on a rewound drive, so a row's pages do not depend on
-/// where the row before it left the head.
-fn fresh(disk: &DiskSim, run: impl FnOnce() -> Result<JoinOutcome>) -> Result<JoinOutcome> {
-    disk.reset_stats();
-    disk.reset_head();
-    run()
+fn spec(pair: &Pair, buffer_pages: u64, lambda: usize) -> JoinSpec<'_> {
+    let sys = SystemParams {
+        buffer_pages,
+        page_size: PAGE,
+        alpha: 5.0,
+    };
+    pair.spec(sys, QueryParams { lambda, delta: 1.0 })
 }
 
 fn same_join(a: &JoinOutcome, b: &JoinOutcome, what: &str) -> Result<()> {
@@ -81,20 +62,20 @@ fn cheaper<'n>(a: (&'n str, &JoinOutcome), b: (&'n str, &JoinOutcome)) -> &'n st
 /// random entry fetches (≈ ⌈J⌉·α = 5 pages each) — the regime of the
 /// paper's finding 2: HVNL while the subset is small, HHNL as it grows.
 pub fn selection_crossover() -> Result<Table> {
-    let (disk, c1, c2) = pair(
+    let p = Pair::generate(
+        Arc::new(DiskSim::new(PAGE)),
         &SynthSpec::from_stats(CollectionStats::new(20_000, 60.0, 20_000), 17),
         &SynthSpec::from_stats(CollectionStats::new(1000, 60.0, 20_000), 18),
     )?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
     let mut t = Table::new(
         "Measured group 3: M selected outer documents, N1 = 20000 (costs in page units)",
         &["M", "HHNL", "HVNL", "cheapest"],
     );
     for m in [1, 5, 25, 50] {
         let ids = select_random_docs(1000, m, 99);
-        let spec = spec(&c1, &c2, 200, 5).with_outer_docs(OuterDocs::Selected(&ids));
-        let hh = fresh(&disk, || hhnl::execute(&spec))?;
-        let hv = fresh(&disk, || hvnl::execute(&spec, &inv1))?;
+        let spec = spec(&p, 200, 5).with_outer_docs(OuterDocs::Selected(&ids));
+        let hh = p.run(Algorithm::Hhnl, &spec)?;
+        let hv = p.run(Algorithm::Hvnl, &spec)?;
         same_join(&hh, &hv, "HVNL")?;
         t.push_row(vec![
             m.to_string(),
@@ -123,16 +104,14 @@ pub fn vvm_takeover() -> Result<Table> {
             seed: base.seed + 1,
             ..inner.clone()
         };
-        let (disk, c1, c2) = pair(&inner, &outer)?;
-        let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-        let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-        let spec = spec(&c1, &c2, 24, 5);
-        let hh = fresh(&disk, || hhnl::execute(&spec))?;
-        let vv = fresh(&disk, || vvm::execute(&spec, &inv1, &inv2))?;
+        let p = Pair::generate(Arc::new(DiskSim::new(PAGE)), &inner, &outer)?;
+        let spec = spec(&p, 24, 5);
+        let hh = p.run(Algorithm::Hhnl, &spec)?;
+        let vv = p.run(Algorithm::Vvm, &spec)?;
         same_join(&hh, &vv, "VVM")?;
         t.push_row(vec![
             factor.to_string(),
-            c1.store().num_docs().to_string(),
+            p.c1.store().num_docs().to_string(),
             format!("{:.0}", hh.stats.cost),
             format!("{:.0}", vv.stats.cost),
             vv.stats.passes.to_string(),
@@ -152,12 +131,12 @@ pub fn hvnl_policies() -> Result<Table> {
         locality: Locality::Clustered(12),
         ..SynthSpec::from_stats(stats, seed)
     };
-    let (disk, c1, c2) = pair(
+    let p = Pair::generate(
+        Arc::new(DiskSim::new(PAGE)),
         &clustered(CollectionStats::new(600, 50.0, 5000), 31),
         &clustered(CollectionStats::new(300, 50.0, 5000), 32),
     )?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let spec = spec(&c1, &c2, 40, 5);
+    let spec = spec(&p, 40, 5);
     let mut t = Table::new(
         "Measured HVNL policies: clustered collections, B = 40 (costs in page units)",
         &["policy", "cost", "entry fetches", "cache hits"],
@@ -181,7 +160,7 @@ pub fn hvnl_policies() -> Result<Table> {
     ];
     let mut paper = None;
     for (name, options) in variants {
-        let got = fresh(&disk, || hvnl::execute_with(&spec, &inv1, options))?;
+        let got = p.fresh(|| hvnl::execute_with(&spec, &p.inv1, options))?;
         t.push_row(vec![
             name.into(),
             format!("{:.0}", got.stats.cost),
@@ -201,13 +180,14 @@ pub fn hvnl_policies() -> Result<Table> {
 /// passes — where the backward order pays off (fewer scans of the big
 /// side) at the price of keeping all `N2·λ` heaps resident.
 pub fn hhnl_orders() -> Result<Table> {
-    let (disk, c1, c2) = pair(
+    let p = Pair::generate(
+        Arc::new(DiskSim::new(PAGE)),
         &SynthSpec::from_stats(CollectionStats::new(200, 40.0, 3000), 41),
         &SynthSpec::from_stats(CollectionStats::new(1000, 40.0, 3000), 42),
     )?;
-    let spec = spec(&c1, &c2, 20, 4);
-    let forward = fresh(&disk, || hhnl::execute(&spec))?;
-    let backward = fresh(&disk, || hhnl::execute_backward(&spec))?;
+    let spec = spec(&p, 20, 4);
+    let forward = p.run(Algorithm::Hhnl, &spec)?;
+    let backward = p.fresh(|| hhnl::execute_backward(&spec))?;
     same_join(&forward, &backward, "the backward order")?;
     let mut t = Table::new(
         "Measured HHNL orders: N1 = 200, N2 = 1000, B = 20 (costs in page units)",
@@ -282,13 +262,14 @@ mod tests {
 
     #[test]
     fn a_differing_result_is_an_error_not_a_row() {
-        let (disk, c1, c2) = pair(
+        let p = Pair::generate(
+            Arc::new(DiskSim::new(PAGE)),
             &SynthSpec::from_stats(CollectionStats::new(30, 8.0, 100), 1),
             &SynthSpec::from_stats(CollectionStats::new(20, 8.0, 100), 2),
         )
         .unwrap();
-        let one = fresh(&disk, || hhnl::execute(&spec(&c1, &c2, 50, 1))).unwrap();
-        let three = fresh(&disk, || hhnl::execute(&spec(&c1, &c2, 50, 3))).unwrap();
+        let one = p.run(Algorithm::Hhnl, &spec(&p, 50, 1)).unwrap();
+        let three = p.run(Algorithm::Hhnl, &spec(&p, 50, 3)).unwrap();
         assert!(same_join(&one, &one, "x").is_ok());
         let err = same_join(&one, &three, "λ = 3").unwrap_err();
         assert!(err.to_string().contains("λ = 3 changed the join result"));

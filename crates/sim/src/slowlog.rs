@@ -9,11 +9,9 @@
 
 use crate::validate::{quick_configs, ValidationConfig};
 use std::sync::Arc;
-use textjoin_core::{Indexes, JoinSpec, QueryReport, SlowLogRank, SlowQueryLog};
-use textjoin_costmodel::{Algorithm, CostEstimates, IoScenario};
-use textjoin_invfile::{FnlIndex, InvertedFile};
+use textjoin_core::{QueryReport, SlowLogRank, SlowQueryLog};
+use textjoin_costmodel::Algorithm;
 use textjoin_obs::{Registry, Tracer};
-use textjoin_storage::DiskSim;
 
 /// Runs the canned workload (the quick validation scenarios × every
 /// registered algorithm), keeping the `capacity` most expensive runs. Also returns
@@ -43,29 +41,14 @@ fn run_config(
     registry: &Arc<Registry>,
     log: &mut SlowQueryLog,
 ) -> textjoin_common::Result<()> {
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-    let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1)?;
-
+    let pair = cfg.pair()?;
     for algorithm in Algorithm::ALL {
         // A fresh tracer per run keeps each report's phase breakdown to
         // its own spans.
         let tracer = Tracer::with_registry(2048, Arc::clone(registry));
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(cfg.sys)
-            .with_query(cfg.query)
-            .with_trace(&tracer);
-        let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-        let predicted =
-            Some(CostEstimates::compute(&inputs).cost(algorithm, IoScenario::Dedicated))
-                .filter(|p| p.is_finite());
-        disk.reset_stats();
-        disk.reset_head();
-        let indexes = Indexes::all(&inv1, &inv2, &fnl1);
-        let outcome = textjoin_core::execute(algorithm, &spec, &indexes)?;
+        let spec = pair.spec(cfg.sys, cfg.query).with_trace(&tracer);
+        let predicted = pair.predict(algorithm, &spec);
+        let outcome = pair.run(algorithm, &spec)?;
         let report = QueryReport::from_outcome(
             format!("{} {algorithm}", cfg.label),
             &outcome,

@@ -14,13 +14,14 @@
 //! the executor; the quick configurations used by tests keep a TREC-like
 //! density instead.
 
+use crate::fixture::Pair;
 use crate::table::Table;
 use std::sync::Arc;
 use textjoin_collection::SynthSpec;
-use textjoin_common::{CollectionStats, QueryParams, Result, SystemParams};
-use textjoin_core::{fnl, hhnl, hvnl, vvm, Algorithm, JoinSpec};
-use textjoin_costmodel as costmodel;
-use textjoin_invfile::{FnlIndex, InvertedFile};
+use textjoin_common::{CollectionStats, Error, QueryParams, Result, SystemParams};
+use textjoin_core::{hvnl, vvm, Algorithm, JoinOutcome};
+use textjoin_costmodel::IoScenario;
+use textjoin_invfile::InvertedFile;
 use textjoin_storage::DiskSim;
 
 /// One validation scenario: two collections to generate and the parameters
@@ -114,63 +115,47 @@ pub fn paper_scaled_configs(scale: u64) -> Vec<ValidationConfig> {
     .collect()
 }
 
-/// Runs the three executors for one scenario, returning measured and
-/// predicted costs.
+impl ValidationConfig {
+    /// The scenario's pair, generated on a drive of its own.
+    pub(crate) fn pair(&self) -> Result<Pair> {
+        let disk = Arc::new(DiskSim::new(self.sys.page_size));
+        Pair::generate(disk, &self.spec1, &self.spec2)
+    }
+}
+
+/// Runs `algorithms` on `pair` under the scenario's parameters, each
+/// priced by its §5 estimate under `scenario`.
+fn measure(
+    cfg: &ValidationConfig,
+    pair: &Pair,
+    algorithms: &[Algorithm],
+    scenario: IoScenario,
+    label: &str,
+) -> Result<Vec<ValidationRow>> {
+    let spec = pair.spec(cfg.sys, cfg.query);
+    (algorithms.iter())
+        .map(|&algorithm| {
+            Ok(ValidationRow {
+                label: label.to_string(),
+                algorithm,
+                predicted: pair.estimate(algorithm, scenario, &spec),
+                measured: pair.run(algorithm, &spec)?.stats.cost,
+            })
+        })
+        .collect()
+}
+
+/// Runs every executor for one scenario, returning measured and predicted
+/// costs.
 pub fn validate_one(cfg: &ValidationConfig) -> Result<Vec<ValidationRow>> {
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-    let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1)?;
-
-    let spec = JoinSpec::new(&c1, &c2)
-        .with_sys(cfg.sys)
-        .with_query(cfg.query);
-    let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-    let mut rows = Vec::new();
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = hhnl::execute(&spec)?;
-    rows.push(ValidationRow {
-        label: cfg.label.clone(),
-        algorithm: Algorithm::Hhnl,
-        predicted: costmodel::hhnl::sequential(&inputs)?,
-        measured: got.stats.cost,
-    });
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = hvnl::execute(&spec, &inv1)?;
-    rows.push(ValidationRow {
-        label: cfg.label.clone(),
-        algorithm: Algorithm::Hvnl,
-        predicted: costmodel::hvnl::sequential(&inputs),
-        measured: got.stats.cost,
-    });
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = vvm::execute(&spec, &inv1, &inv2)?;
-    rows.push(ValidationRow {
-        label: cfg.label.clone(),
-        algorithm: Algorithm::Vvm,
-        predicted: costmodel::vvm::sequential(&inputs)?,
-        measured: got.stats.cost,
-    });
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = fnl::execute(&spec, &fnl1)?;
-    rows.push(ValidationRow {
-        label: cfg.label.clone(),
-        algorithm: Algorithm::Fnl,
-        predicted: costmodel::fnl::sequential(&inputs)?,
-        measured: got.stats.cost,
-    });
-
-    Ok(rows)
+    let pair = cfg.pair()?;
+    measure(
+        cfg,
+        &pair,
+        &Algorithm::ALL,
+        IoScenario::Dedicated,
+        &cfg.label,
+    )
 }
 
 /// Runs HHNL and VVM under *interference mode* (every page at the random
@@ -184,44 +169,15 @@ pub fn validate_one(cfg: &ValidationConfig) -> Result<Vec<ValidationRow>> {
 /// page. HVNL is omitted: its `hvr` only re-prices the outer scan, which a
 /// fully random device swamps.
 pub fn validate_worst_case(cfg: &ValidationConfig) -> Result<Vec<ValidationRow>> {
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-
-    let spec = JoinSpec::new(&c1, &c2)
-        .with_sys(cfg.sys)
-        .with_query(cfg.query);
-    let inputs = spec.cost_inputs();
-    let mut rows = Vec::new();
-    disk.set_interference(true);
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = hhnl::execute(&spec)?;
-    rows.push(ValidationRow {
-        label: format!("{} (worst case)", cfg.label),
-        algorithm: Algorithm::Hhnl,
-        predicted: costmodel::hhnl::worst_case_random(&inputs)?,
-        measured: got.stats.cost,
-    });
-
-    disk.reset_stats();
-    disk.reset_head();
-    let got = vvm::execute(&spec, &inv1, &inv2)?;
-    rows.push(ValidationRow {
-        label: format!("{} (worst case)", cfg.label),
-        algorithm: Algorithm::Vvm,
-        predicted: costmodel::vvm::worst_case_random(&inputs)?,
-        measured: got.stats.cost,
-    });
-
-    Ok(rows)
+    let pair = cfg.pair()?;
+    pair.disk.set_interference(true);
+    let label = format!("{} (worst case)", cfg.label);
+    let algorithms = [Algorithm::Hhnl, Algorithm::Vvm];
+    measure(cfg, &pair, &algorithms, IoScenario::SharedWorstCase, &label)
 }
 
 /// Runs one scenario with a span tracer and a metric registry attached —
-/// the `--trace-out` path of the sim binary. All three executors run with
+/// the `--trace-out` path of the sim binary. HHNL, HVNL and VVM run with
 /// phase spans recorded into one ring; the disk mirrors its counters into
 /// the registry. Returns the combined JSON-lines dump: one line per span
 /// (executor phases and batches) followed by one line per metric.
@@ -232,26 +188,13 @@ pub fn trace_one(cfg: &ValidationConfig) -> Result<String> {
     let registry = Arc::new(Registry::new());
     let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
     disk.set_metrics(Some(DiskMetrics::register(&registry, &cfg.label)));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
+    let pair = Pair::generate(disk, &cfg.spec1, &cfg.spec2)?;
 
     let tracer = Tracer::with_registry(4096, Arc::clone(&registry));
-    let spec = JoinSpec::new(&c1, &c2)
-        .with_sys(cfg.sys)
-        .with_query(cfg.query)
-        .with_trace(&tracer);
-
-    disk.reset_stats();
-    disk.reset_head();
-    hhnl::execute(&spec)?;
-    disk.reset_stats();
-    disk.reset_head();
-    hvnl::execute(&spec, &inv1)?;
-    disk.reset_stats();
-    disk.reset_head();
-    vvm::execute(&spec, &inv1, &inv2)?;
+    let spec = pair.spec(cfg.sys, cfg.query).with_trace(&tracer);
+    for algorithm in [Algorithm::Hhnl, Algorithm::Hvnl, Algorithm::Vvm] {
+        pair.run(algorithm, &spec)?;
+    }
 
     let mut out = tracer.to_json_lines();
     out.push_str(&registry.to_json_lines());
@@ -274,48 +217,33 @@ pub fn validate_all(configs: &[ValidationConfig]) -> Result<Vec<ValidationRow>> 
     Ok(results.into_iter().flatten().collect())
 }
 
-/// The executed analogue of group 1's B sweep: run all three executors on
+/// The executed analogue of group 1's B sweep: run HHNL, HVNL and VVM on
 /// one generated scenario at several buffer sizes and tabulate the
 /// *measured* costs. Shows the crossovers of the analytical sweep with
 /// real I/O counts.
 pub fn memory_sweep(cfg: &ValidationConfig, buffers: &[u64]) -> Result<Table> {
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
-    let inv1 = InvertedFile::build(Arc::clone(&disk), "c1", &c1)?;
-    let inv2 = InvertedFile::build(Arc::clone(&disk), "c2", &c2)?;
-
+    let pair = cfg.pair()?;
     let mut t = Table::new(
         format!("Measured B sweep: {} (costs in page units)", cfg.label),
         &["B (pages)", "HHNL", "HVNL", "VVM", "VVM passes", "cheapest"],
     );
     for &b in buffers {
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(cfg.sys.with_buffer_pages(b))
-            .with_query(cfg.query);
-        let run = |f: &dyn Fn() -> Result<textjoin_core::JoinOutcome>| -> Result<
-            Option<textjoin_core::JoinOutcome>,
-        > {
-            disk.reset_stats();
-            disk.reset_head();
-            match f() {
-                Ok(o) => Ok(Some(o)),
-                Err(textjoin_common::Error::InsufficientMemory { .. }) => Ok(None),
-                Err(e) => Err(e),
-            }
+        let spec = pair.spec(cfg.sys.with_buffer_pages(b), cfg.query);
+        let run = |algorithm| match pair.run(algorithm, &spec) {
+            Ok(o) => Ok(Some(o)),
+            Err(Error::InsufficientMemory { .. }) => Ok(None),
+            Err(e) => Err(e),
         };
-        let hh = run(&|| hhnl::execute(&spec))?;
-        let hv = run(&|| hvnl::execute(&spec, &inv1))?;
-        let vv = run(&|| vvm::execute(&spec, &inv1, &inv2))?;
-        let cost = |o: &Option<textjoin_core::JoinOutcome>| {
-            o.as_ref().map_or(f64::INFINITY, |o| o.stats.cost)
-        };
+        let hh = run(Algorithm::Hhnl)?;
+        let hv = run(Algorithm::Hvnl)?;
+        let vv = run(Algorithm::Vvm)?;
+        let cost = |o: &Option<JoinOutcome>| o.as_ref().map_or(f64::INFINITY, |o| o.stats.cost);
         let cheapest = [("HHNL", cost(&hh)), ("HVNL", cost(&hv)), ("VVM", cost(&vv))]
             .into_iter()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(n, _)| n)
             .unwrap_or("-");
-        let fmt = |o: &Option<textjoin_core::JoinOutcome>| {
+        let fmt = |o: &Option<JoinOutcome>| {
             o.as_ref()
                 .map_or("∞ (no memory)".into(), |o| format!("{:.0}", o.stats.cost))
         };
@@ -339,9 +267,8 @@ pub fn memory_sweep(cfg: &ValidationConfig, buffers: &[u64]) -> Result<Table> {
 /// on one generated scenario.
 pub fn codec_study(cfg: &ValidationConfig) -> Result<Table> {
     use textjoin_invfile::PostingCodec;
-    let disk = Arc::new(DiskSim::new(cfg.sys.page_size));
-    let c1 = cfg.spec1.generate(Arc::clone(&disk), "c1")?;
-    let c2 = cfg.spec2.generate(Arc::clone(&disk), "c2")?;
+    let pair = cfg.pair()?;
+    let (c1, c2) = (&pair.c1, &pair.c2);
 
     let mut t = Table::new(
         format!(
@@ -357,29 +284,19 @@ pub fn codec_study(cfg: &ValidationConfig) -> Result<Table> {
             "HHNL (codec-blind)",
         ],
     );
-    let spec_hh = JoinSpec::new(&c1, &c2)
-        .with_sys(cfg.sys)
-        .with_query(cfg.query);
-    disk.reset_stats();
-    disk.reset_head();
-    let hh_cost = hhnl::execute(&spec_hh)?.stats.cost;
+    let spec = pair.spec(cfg.sys, cfg.query);
+    let hh_cost = pair.run(Algorithm::Hhnl, &spec)?.stats.cost;
 
     let mut baseline = None;
     for (name, codec) in [
         ("fixed 5-byte (paper)", PostingCodec::Fixed5),
         ("varint-gap", PostingCodec::VarintGap),
     ] {
-        let inv1 = InvertedFile::build_with(Arc::clone(&disk), &format!("{name}.c1"), &c1, codec)?;
-        let inv2 = InvertedFile::build_with(Arc::clone(&disk), &format!("{name}.c2"), &c2, codec)?;
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(cfg.sys)
-            .with_query(cfg.query);
-        disk.reset_stats();
-        disk.reset_head();
-        let hv = hvnl::execute(&spec, &inv1)?;
-        disk.reset_stats();
-        disk.reset_head();
-        let vv = vvm::execute(&spec, &inv1, &inv2)?;
+        let disk = Arc::clone(&pair.disk);
+        let inv1 = InvertedFile::build_with(Arc::clone(&disk), &format!("{name}.c1"), c1, codec)?;
+        let inv2 = InvertedFile::build_with(disk, &format!("{name}.c2"), c2, codec)?;
+        let hv = pair.fresh(|| hvnl::execute(&spec, &inv1))?;
+        let vv = pair.fresh(|| vvm::execute(&spec, &inv1, &inv2))?;
         match &baseline {
             None => baseline = Some(hv.result.clone()),
             Some(b) => assert_eq!(&hv.result, b, "codec changed the join result"),

@@ -33,7 +33,6 @@ pub mod buffer;
 pub mod disk;
 pub mod fault;
 pub mod memory;
-pub mod net;
 pub mod packed;
 pub mod page;
 pub mod span;
@@ -47,6 +46,5 @@ pub use disk::{
     PageKind, PageLatency, RetryPolicy, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, READ_NS_PER_BYTE,
 };
 pub use memory::MemTracker;
-pub use net::NetworkSim;
 pub use packed::{PackedReader, PackedWriter};
 pub use span::ByteSpan;
