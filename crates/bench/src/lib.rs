@@ -9,6 +9,8 @@
 //! checked in, and the gate ([`compare`]) is row equality. Seconds are
 //! measured by `benchmark/`, not here.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use textjoin_collection::SynthSpec;
 use textjoin_common::{json, CollectionStats, DocId, Error, QueryParams, Result, SystemParams};

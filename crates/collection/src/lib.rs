@@ -21,6 +21,8 @@
 //!   *standard term-number mapping* that section 3 recommends for
 //!   multidatabase systems.
 
+#![forbid(unsafe_code)]
+
 pub mod document;
 pub mod profile;
 pub mod store;

@@ -20,6 +20,8 @@
 //!   workspace's own term and document ids and term text,
 //! * [`Error`] — the workspace error type.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod error;
 pub mod hash;

@@ -37,6 +37,8 @@
 //! All executors must produce identical results for the same
 //! [`JoinSpec`] — the central invariant of the test suite.
 
+#![forbid(unsafe_code)]
+
 mod accum;
 pub mod batch;
 pub mod cluster;

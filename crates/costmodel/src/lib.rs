@@ -31,6 +31,8 @@
 //! correction factors from accumulated query reports, so the planner can
 //! rank algorithms by *calibrated* rather than raw estimates.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod comm;
 pub mod fnl;

@@ -14,6 +14,8 @@
 //!   with node splits, and [`BTreeFile::load_leaves`] for the paper's
 //!   "read the whole tree once" step (cost `Bt`).
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod codec;
 pub mod delta;

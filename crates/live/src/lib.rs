@@ -25,6 +25,8 @@
 //! [`FragStats`] — the fragmentation term the cost model charges scans
 //! with until the next merge.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod manifest;
 pub mod wal;

@@ -28,6 +28,8 @@
 //! every other `textjoin-*` crate so storage, executors and the query
 //! layer can all emit into one registry/trace.
 
+#![forbid(unsafe_code)]
+
 pub mod live;
 pub mod metrics;
 pub mod serve;

@@ -71,6 +71,8 @@
 //! P.Job_descr` finds λ resumes for *each* job description, so the
 //! right-hand relation drives the outer loop (section 2).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod catalog;
 pub mod executor;

@@ -53,6 +53,8 @@
 //! Everything prints through [`table::Table`], one table per experiment,
 //! in the spirit of the tables the paper's tech report tabulates.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod chaos;
 pub mod chaos_merge;

@@ -50,6 +50,8 @@
 //! marker line) to `<path>`.
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -251,10 +251,11 @@ pub struct PageLatency {
 }
 
 /// Wall nanoseconds per payload byte of a page read with no simulated
-/// latency — almost all of it the CRC32 check. Fitted from
-/// `storage.disk.seq_read_ns_per_page` 1 814 and `rand_read_ns_per_page`
-/// 1 827 at 4 096-byte pages (`BENCH_21.trace.json`, `fits`; CRC32 alone
-/// runs at 2 159 MB/s = 0.46 ns per byte there).
+/// latency, fitted while the slice-by-16 CRC32 was almost all of a read
+/// (`seq_read_ns_per_page` 1 814, `rand_read_ns_per_page` 1 827, 4 KiB pages,
+/// `BENCH_21.trace.json`). The carry-less-multiply CRC32 reads 4 KiB in
+/// 202–332 ns (≈ 0.07 ns/byte); the refit waits on the cost model, whose HVNL
+/// estimate runs 41 % high on a selected outer side and at 0.07 outranks VVM.
 pub const READ_NS_PER_BYTE: f64 = 0.45;
 
 #[derive(Default)]

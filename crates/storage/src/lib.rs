@@ -29,6 +29,8 @@
 //! misbehaviour, and a [`RetryPolicy`] absorbs transient read failures —
 //! see the [`disk`], [`page`] and [`fault`] module docs.
 
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
+
 pub mod buffer;
 pub mod disk;
 pub mod fault;

@@ -57,6 +57,8 @@
 //! # Ok::<(), textjoin::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use textjoin_collection as collection;
 pub use textjoin_common as common;
 pub use textjoin_core as core;
