@@ -55,9 +55,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
-use textjoin_common::{DocId, FxHashMap, ICell, Result, TermId};
+use textjoin_common::{DocId, FxHashMap, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
-use textjoin_invfile::{FnlIndex, InvertedFile};
+use textjoin_invfile::{postings_of, FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
 use textjoin_storage::{DiskSim, FaultPlan, IoStats};
 
@@ -702,19 +702,10 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     if inner_docs.is_empty() || outer_docs.is_empty() {
         return degenerate(spec, Algorithm::Vvm, opts);
     }
-    let postings_of = |docs: &[(DocId, Document)]| {
-        let mut map: FxHashMap<TermId, Vec<ICell>> = FxHashMap::default();
-        for (id, doc) in docs {
-            for cell in doc.cells() {
-                map.entry(cell.term)
-                    .or_default()
-                    .push(ICell::new(*id, cell.weight));
-            }
-        }
-        map
-    };
-    let mut inner_post = postings_of(&inner_docs);
-    let mut outer_post = postings_of(&outer_docs);
+    let postings =
+        |docs: &[(DocId, Document)]| postings_of(docs.iter().map(|(id, d)| Ok((*id, d))));
+    let mut inner_post = postings(&inner_docs)?;
+    let mut outer_post = postings(&outer_docs)?;
     let mut terms: Vec<TermId> = inner_post.keys().copied().collect();
     for t in outer_post.keys() {
         if !inner_post.contains_key(t) {

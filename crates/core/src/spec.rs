@@ -284,21 +284,9 @@ impl<'a> JoinSpec<'a> {
     /// Number of participating outer documents (live ones only when an
     /// outer overlay is attached).
     pub fn num_outer_docs(&self) -> u64 {
-        match (self.outer_docs, self.outer_delta) {
-            (_, None) => self.outer_docs.count(self.outer.store().num_docs()),
-            (OuterDocs::Full, Some(overlay)) => {
-                let base_live = self
-                    .outer
-                    .store()
-                    .doc_ids()
-                    .into_iter()
-                    .filter(|&id| !overlay.is_deleted(id))
-                    .count() as u64;
-                base_live + overlay.live_ids().len() as u64
-            }
-            (OuterDocs::Selected(ids), Some(overlay)) => {
-                ids.iter().filter(|&&id| !overlay.is_deleted(id)).count() as u64
-            }
+        match self.outer_delta {
+            None => self.outer_docs.count(self.outer.store().num_docs()),
+            Some(_) => self.outer_live_ids().len() as u64,
         }
     }
 
@@ -308,29 +296,15 @@ impl<'a> JoinSpec<'a> {
     /// VVM family builds its accumulator chunks from this list, so outer
     /// tombstone masking falls out of chunk membership.
     pub fn outer_live_ids(&self) -> Vec<DocId> {
-        match self.outer_docs {
-            OuterDocs::Full => match self.outer_delta {
-                None => self.outer.store().doc_ids(),
-                Some(overlay) => {
-                    let mut ids: Vec<DocId> = self
-                        .outer
-                        .store()
-                        .doc_ids()
-                        .into_iter()
-                        .filter(|&id| !overlay.is_deleted(id))
-                        .collect();
-                    ids.extend(overlay.live_ids());
-                    ids
-                }
-            },
-            OuterDocs::Selected(ids) => match self.outer_delta {
-                None => ids.to_vec(),
-                Some(overlay) => ids
-                    .iter()
-                    .copied()
-                    .filter(|&id| !overlay.is_deleted(id))
-                    .collect(),
-            },
+        match (self.outer_docs, self.outer_delta) {
+            (OuterDocs::Full, None) => self.outer.store().doc_ids(),
+            (OuterDocs::Full, Some(overlay)) => overlay.live_ids_over(self.outer.store()),
+            (OuterDocs::Selected(ids), None) => ids.to_vec(),
+            (OuterDocs::Selected(ids), Some(overlay)) => ids
+                .iter()
+                .copied()
+                .filter(|&id| !overlay.is_deleted(id))
+                .collect(),
         }
     }
 
@@ -460,22 +434,16 @@ fn slot_bytes(base: &Collection, overlay: Option<&DeltaOverlay>) -> u64 {
     base.store().max_doc_bytes().max(delta).max(1)
 }
 
-/// A base scan seen through a delta overlay: tombstoned documents drop
-/// out, the overlay's live delta documents follow. Without an overlay the
-/// base scan is returned untouched.
+/// A base scan seen through a delta overlay
+/// ([`DeltaOverlay::docs_over`]); without one, the base scan untouched.
 fn with_overlay<'a>(
     base: impl Iterator<Item = Result<(DocId, Document)>> + 'a,
     overlay: Option<&'a DeltaOverlay>,
 ) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-    let Some(overlay) = overlay else {
-        return Box::new(base);
-    };
-    let filtered = base.filter(move |item| match item {
-        Ok((id, _)) => !overlay.is_deleted(*id),
-        Err(_) => true,
-    });
-    // The overlay is read on pull, one delta document at a time.
-    Box::new(filtered.chain(overlay.stream_live_docs()))
+    match overlay {
+        None => Box::new(base),
+        Some(overlay) => Box::new(overlay.docs_over(base)),
+    }
 }
 
 #[cfg(test)]

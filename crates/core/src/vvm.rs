@@ -19,16 +19,16 @@
 //! The budget is charged the paper's 4 bytes per non-zero pair and nothing
 //! else, so the partition count is the `⌈SM/M⌉` the model predicts. What
 //! is VVM's own here is the parts, the partition estimate and its retry,
-//! the cursor over a base scan and its overlay, and the merge; the step,
-//! the rows and the emit are the loop's.
+//! and the merge; the step, the rows and the emit are the loop's, and each
+//! side's base scan seen through its overlay is `invfile::DeltaScan`.
 
 use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime, ACC_BYTES};
 use crate::batch::BatchOutcome;
 use crate::driver::{drive, sole, validate, Counters, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
-use textjoin_common::{DocId, Error, ICell, Result, TermId, SIM_VALUE_BYTES};
-use textjoin_invfile::{DeltaOverlay, DeltaScan, EntryScanner, InvertedFile};
+use textjoin_common::{DocId, Error, ICell, Result, SIM_VALUE_BYTES};
+use textjoin_invfile::{DeltaOverlay, DeltaScan, InvertedFile};
 use textjoin_obs::Span;
 use textjoin_storage::{IoStats, MemTracker};
 
@@ -88,7 +88,7 @@ impl Part<'_> {
         Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
     }
 
-    /// One side's entry stream: the file end to end, merged with the
+    /// One side's entry stream: the file end to end, seen through the
     /// side's delta overlay unless the file already holds it.
     fn entries<'a>(
         &self,
@@ -96,22 +96,9 @@ impl Part<'_> {
         inv: &'a InvertedFile,
         overlay: Option<&'a DeltaOverlay>,
         label: &str,
-        skipped: &mut u64,
-    ) -> Result<EntryCursor<'a>> {
-        let mut cursor = EntryCursor {
-            scan: inv.scan_with_prefetch(spec.prefetch_metrics(label)),
-            ahead: None,
-            ahead_cells: Vec::new(),
-            delta: overlay
-                .filter(|_| !self.folded)
-                .map(|o| o.scan_between(0, None)),
-            delta_ahead: None,
-            delta_cells: Vec::new(),
-            term: None,
-            cells: Vec::new(),
-        };
-        cursor.advance(spec, skipped)?;
-        Ok(cursor)
+    ) -> DeltaScan<'a> {
+        let scan = inv.scan_with_prefetch(spec.prefetch_metrics(label));
+        DeltaScan::over(scan, overlay.filter(|_| !self.folded))
     }
 }
 
@@ -166,83 +153,6 @@ pub(crate) fn execute_parts(
                 partitions = (partitions * 2).min(max_len);
             }
             Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Holds the current readable entry of one side of the merge: a base
-/// inverted-file scan merged, in term order, with a delta overlay's stream
-/// (itself the flushed side file's scan merged with the in-memory tail).
-/// A term present in both reads *base cells ++ delta cells*, which is
-/// ascending document order by the id-allocation invariant (delta documents
-/// are numbered after every base document). Both scans lend each entry into
-/// buffers that are swapped, never reallocated, from term to term; without
-/// an overlay nothing extra is read. In degraded mode an entry that cannot
-/// be read — base or flushed delta — is skipped (and counted) so the merge
-/// continues over the readable remainder; otherwise the first read error
-/// aborts the merge.
-struct EntryCursor<'a> {
-    scan: EntryScanner<'a>,
-    /// The scan's next entry, read when the cursor next moves and held back
-    /// while delta terms below it go first.
-    ahead: Option<TermId>,
-    ahead_cells: Vec<ICell>,
-    /// The overlay's stream and its next entry, held back the same way.
-    delta: Option<DeltaScan<'a>>,
-    delta_ahead: Option<TermId>,
-    delta_cells: Vec<ICell>,
-    /// The current entry (`None` at end of scan).
-    term: Option<TermId>,
-    cells: Vec<ICell>,
-}
-
-impl EntryCursor<'_> {
-    /// Moves to the next readable entry, skipping unreadable ones when the
-    /// spec allows it.
-    fn advance(&mut self, spec: &JoinSpec<'_>, skipped: &mut u64) -> Result<()> {
-        self.term = loop {
-            match self.pull() {
-                None => break None,
-                Some(Ok(term)) => break Some(term),
-                Some(Err(e)) if spec.skippable(&e) => *skipped += 1,
-                Some(Err(e)) => return Err(e),
-            }
-        };
-        Ok(())
-    }
-
-    /// The next entry of the merged stream, into `cells`.
-    fn pull(&mut self) -> Option<Result<TermId>> {
-        if self.ahead.is_none() {
-            match self.scan.next_into(&mut self.ahead_cells) {
-                Some(Ok(term)) => self.ahead = Some(term),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
-            }
-        }
-        if let (Some(delta), None) = (&mut self.delta, self.delta_ahead) {
-            match delta.next_into(&mut self.delta_cells) {
-                Some(Ok(term)) => self.delta_ahead = Some(term),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
-            }
-        }
-        match (self.ahead, self.delta_ahead) {
-            (None, None) => None,
-            (Some(base), delta) if delta.is_none_or(|d| base <= d) => {
-                std::mem::swap(&mut self.cells, &mut self.ahead_cells);
-                self.ahead = None;
-                if delta == Some(base) {
-                    self.cells.extend_from_slice(&self.delta_cells);
-                    self.delta_ahead = None;
-                }
-                Some(Ok(base))
-            }
-            (_, delta) => {
-                std::mem::swap(&mut self.cells, &mut self.delta_cells);
-                self.delta_ahead = None;
-                delta.map(Ok)
-            }
         }
     }
 }
@@ -400,31 +310,44 @@ impl MergePartial {
             counters: vec![Counters::default(); specs.len()],
             skipped_entries: 0,
         };
-        let skipped = &mut partial.skipped_entries;
-        let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1", skipped)?;
-        let mut outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2", skipped)?;
+        // Moves one side to its next readable entry. In degraded mode an
+        // unreadable one — base or flushed delta — is skipped and counted so
+        // the merge goes on; otherwise the first read error aborts it.
+        let mut advance = |scan: &mut DeltaScan<'_>, cells: &mut Vec<ICell>| loop {
+            match scan.next_into(cells) {
+                None => return Ok(None),
+                Some(Ok(term)) => return Ok(Some(term)),
+                Some(Err(e)) if spec0.skippable(&e) => partial.skipped_entries += 1,
+                Some(Err(e)) => return Err(e),
+            }
+        };
+        let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
+        let mut outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2");
+        let (mut inner_cells, mut outer_cells) = (Vec::new(), Vec::new());
+        let mut inner_term = advance(&mut inner, &mut inner_cells)?;
+        let mut outer_term = advance(&mut outer, &mut outer_cells)?;
         let charge = |bytes| tracker.allocate(bytes, "VVM similarity accumulators");
         // Merge by term: advance the scan with the smaller term.
-        while let (Some(inner_term), Some(outer_term)) = (inner.term, outer.term) {
-            match inner_term.cmp(&outer_term) {
-                std::cmp::Ordering::Less => inner.advance(spec0, skipped)?,
-                std::cmp::Ordering::Greater => outer.advance(spec0, skipped)?,
+        while let (Some(inner_t), Some(outer_t)) = (inner_term, outer_term) {
+            match inner_t.cmp(&outer_t) {
+                std::cmp::Ordering::Less => inner_term = advance(&mut inner, &mut inner_cells)?,
+                std::cmp::Ordering::Greater => outer_term = advance(&mut outer, &mut outer_cells)?,
                 std::cmp::Ordering::Equal => {
                     let per_query = (specs.iter().zip(masks))
                         .zip(partial.rows.iter_mut().zip(&mut partial.counters));
                     for ((spec, mask), (rows, counters)) in per_query {
-                        let Some(factor) = factor(spec, inner_term) else {
+                        let Some(factor) = factor(spec, inner_t) else {
                             continue;
                         };
-                        for &oc in &outer.cells {
+                        for &oc in &outer_cells {
                             if let Some(slot) = rows.slot(oc.doc) {
                                 let query = (spec, mask.as_ref());
-                                rows.step(slot, oc, factor, &inner.cells, query, counters, charge)?;
+                                rows.step(slot, oc, factor, &inner_cells, query, counters, charge)?;
                             }
                         }
                     }
-                    inner.advance(spec0, skipped)?;
-                    outer.advance(spec0, skipped)?;
+                    inner_term = advance(&mut inner, &mut inner_cells)?;
+                    outer_term = advance(&mut outer, &mut outer_cells)?;
                 }
             }
         }
@@ -453,7 +376,7 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
     use textjoin_collection::{Collection, Document, DocumentStoreBuilder, SynthSpec};
-    use textjoin_common::{CollectionStats, QueryParams, SystemParams};
+    use textjoin_common::{CollectionStats, QueryParams, SystemParams, TermId};
     use textjoin_costmodel::Algorithm;
     use textjoin_invfile::FlushedDelta;
     use textjoin_storage::DiskSim;

@@ -14,10 +14,11 @@
 //!
 //! Document numbers are never reused and grow monotonically, so for any
 //! term the concatenation *base entry ++ flushed entry ++ tail entry* is
-//! already in ascending document order — executors merge the three layers
-//! without sorting. A background merge (the `textjoin-live` crate) folds
-//! the overlay back into a pristine base; until then the overlay's extra
-//! pages and tombstones are the *fragmentation* the cost model charges for.
+//! already in ascending document order — [`DeltaScan`] merges the three
+//! layers without sorting. A background merge (the `textjoin-live` crate)
+//! folds the overlay back into a pristine base; until then the overlay's
+//! extra pages and tombstones are the *fragmentation* the cost model
+//! charges for.
 
 use crate::file::{EntryScanner, InvertedFile};
 use std::collections::{btree_map, BTreeMap, BTreeSet};
@@ -185,24 +186,43 @@ impl DeltaOverlay {
         flushed.chain(tail).max().unwrap_or(0)
     }
 
+    /// A base document scan seen through the overlay: tombstoned documents
+    /// drop out (errors pass through), then the live inserted documents
+    /// follow, read on pull as [`stream_live_docs`](Self::stream_live_docs)
+    /// does.
+    pub fn docs_over<'a>(
+        &'a self,
+        base: impl Iterator<Item = Result<(DocId, Document)>> + 'a,
+    ) -> impl Iterator<Item = Result<(DocId, Document)>> + 'a {
+        let base = base.filter(|item| !matches!(item, Ok((id, _)) if self.is_deleted(*id)));
+        base.chain(self.stream_live_docs())
+    }
+
+    /// Every live document number of `base` seen through the overlay,
+    /// ascending (no I/O): the base's ids minus tombstones, then
+    /// [`live_ids`](Self::live_ids).
+    pub fn live_ids_over(&self, base: &DocumentStore) -> Vec<DocId> {
+        let mut ids = base.doc_ids();
+        ids.retain(|&id| !self.is_deleted(id));
+        ids.extend(self.live_ids());
+        ids
+    }
+
+    /// Whether `id` is a live inserted document (no I/O).
+    pub fn holds(&self, id: DocId) -> bool {
+        let inserted = self.tail_docs.contains_key(&id.raw())
+            || self.flushed.as_ref().is_some_and(|f| f.store.contains(id));
+        inserted && !self.is_deleted(id)
+    }
+
     /// Live inserted document numbers, ascending (no I/O).
     pub fn live_ids(&self) -> Vec<DocId> {
-        let mut out = Vec::new();
-        if let Some(f) = &self.flushed {
-            out.extend(
-                f.store
-                    .doc_ids()
-                    .into_iter()
-                    .filter(|&d| !self.is_deleted(d)),
-            );
-        }
-        out.extend(
-            self.tail_docs
-                .keys()
-                .filter(|&&id| !self.deleted.contains(&id))
-                .map(|&id| DocId::new(id)),
-        );
-        out
+        let flushed = self.flushed.iter().flat_map(|f| f.store.doc_ids());
+        let tail = self.tail_docs.keys().map(|&id| DocId::new(id));
+        flushed
+            .chain(tail)
+            .filter(|&id| !self.is_deleted(id))
+            .collect()
     }
 
     /// Fetches one inserted document, or `None` if the overlay does not
@@ -215,12 +235,8 @@ impl DeltaOverlay {
         if let Some(doc) = self.tail_docs.get(&id.raw()) {
             return Ok(Some(doc.clone()));
         }
-        if let Some(f) = &self.flushed {
-            if f.store.contains(id) {
-                return Ok(Some(f.store.read_doc_direct(id)?));
-            }
-        }
-        Ok(None)
+        let flushed = self.flushed.as_ref().filter(|f| f.store.contains(id));
+        flushed.map(|f| f.store.read_doc_direct(id)).transpose()
     }
 
     /// The delta postings of one term: flushed entry (a random fetch of
@@ -256,8 +272,11 @@ impl DeltaOverlay {
         let upper = hi_term.map_or(Bound::Unbounded, Bound::Excluded);
         let tail = self.tail_postings.range((Bound::Included(lo_term), upper));
         DeltaScan {
+            base: None,
             flushed,
             tail: tail.peekable(),
+            upper: Vec::new(),
+            held: None,
         }
     }
 
@@ -281,38 +300,84 @@ impl DeltaOverlay {
     }
 }
 
-/// A lending stream of merged delta entries (see
-/// [`DeltaOverlay::scan_between`]). An unreadable flushed entry surfaces as
-/// one error and the stream goes on: the tail's cells of that term, which
-/// are in memory, follow as an entry of their own.
+/// The overlay of a pristine collection: what [`DeltaScan::over`] reads
+/// above a base that has none.
+static PRISTINE: DeltaOverlay = DeltaOverlay {
+    deleted: BTreeSet::new(),
+    flushed: None,
+    tail_docs: BTreeMap::new(),
+    tail_postings: BTreeMap::new(),
+};
+
+/// A lending stream of overlaid entries in ascending term order, over up to
+/// three layers: a base scan ([`DeltaScan::over`]), the flushed side file
+/// and the in-memory tail ([`DeltaOverlay::scan_between`]). A term in
+/// several layers reads *base cells ++ flushed cells ++ tail cells*, which
+/// is ascending document order by the id-allocation invariant; tombstones
+/// are not masked here. An unreadable entry of either file is one error
+/// and the stream goes on: the other layers' cells of that term follow as
+/// an entry of their own.
 pub struct DeltaScan<'a> {
+    base: Option<EntryScanner<'a>>,
     flushed: Option<EntryScanner<'a>>,
     tail: Peekable<btree_map::Range<'a, TermId, Vec<ICell>>>,
+    /// The upper layers' cells of a term the base also holds, read before
+    /// the base's entry; `held` keeps them for the next call when that
+    /// read fails.
+    upper: Vec<ICell>,
+    held: Option<TermId>,
 }
 
-impl DeltaScan<'_> {
+impl<'a> DeltaScan<'a> {
+    /// `base` seen through `overlay`: the base scan merged with the
+    /// overlay's whole [`scan_between(0, None)`](DeltaOverlay::scan_between).
+    /// Without an overlay the base's entries pass through as they are.
+    pub fn over(base: EntryScanner<'a>, overlay: Option<&'a DeltaOverlay>) -> Self {
+        let mut scan = overlay.unwrap_or(&PRISTINE).scan_between(0, None);
+        scan.base = Some(base);
+        scan
+    }
+
     /// Reads the next merged entry into `cells` (replacing what it held,
-    /// keeping its capacity) and returns its term; `None` at the end. A
-    /// term in both layers reads *flushed cells ++ tail cells*.
+    /// keeping its capacity) and returns its term; `None` at the end.
     pub fn next_into(&mut self, cells: &mut Vec<ICell>) -> Option<Result<TermId>> {
+        if let Some(term) = self.held.take() {
+            std::mem::swap(cells, &mut self.upper);
+            return Some(Ok(term));
+        }
+        if self.flushed.is_none() && self.tail.peek().is_none() {
+            // Nothing above the base: its entries pass through.
+            return self.base.as_mut()?.next_into(cells);
+        }
+        let base = self.base.as_ref().and_then(EntryScanner::peek_term);
         let flushed = self.flushed.as_ref().and_then(EntryScanner::peek_term);
         let tail = self.tail.peek().map(|(&t, _)| t);
-        match (flushed, tail) {
-            (None, None) => None,
-            (Some(f), t) if t.is_none_or(|t| f <= t) => {
-                let read = self.flushed.as_mut()?.next_into(cells)?;
-                if read.is_ok() && t == Some(f) {
-                    cells.extend_from_slice(self.tail.next()?.1);
-                }
-                Some(read)
-            }
-            _ => {
-                let (&term, tail) = self.tail.next()?;
-                cells.clear();
-                cells.extend_from_slice(tail);
-                Some(Ok(term))
+        let term = base.into_iter().chain(flushed).chain(tail).min()?;
+        let [in_base, in_flushed, in_tail] = [base, flushed, tail].map(|t| t == Some(term));
+        // The upper layers first: straight into `cells` unless the base's
+        // entry goes before them.
+        let upper = if in_base {
+            &mut self.upper
+        } else {
+            &mut *cells
+        };
+        upper.clear();
+        if in_flushed {
+            if let Err(e) = self.flushed.as_mut()?.next_into(upper)? {
+                return Some(Err(e));
             }
         }
+        if in_tail {
+            upper.extend_from_slice(self.tail.next()?.1);
+        }
+        if in_base {
+            if let Err(e) = self.base.as_mut()?.next_into(cells)? {
+                self.held = (in_flushed || in_tail).then_some(term);
+                return Some(Err(e));
+            }
+            cells.extend_from_slice(&self.upper);
+        }
+        Some(Ok(term))
     }
 }
 
@@ -329,7 +394,7 @@ impl Iterator for DeltaScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::postings_of;
     use std::sync::Arc;
     use textjoin_collection::DocumentStoreBuilder;
     use textjoin_storage::DiskSim;
@@ -338,21 +403,79 @@ mod tests {
         Document::from_term_counts(terms.iter().map(|&(t, w)| (TermId::new(t), w as u32)))
     }
 
+    /// An inverted file over `docs`, named `name`.
+    fn inverted(disk: &Arc<DiskSim>, name: &str, docs: &[(u32, Document)]) -> InvertedFile {
+        let docs = docs.iter().map(|(id, d)| Ok((DocId::new(*id), d)));
+        InvertedFile::from_postings(Arc::clone(disk), name, postings_of(docs).unwrap()).unwrap()
+    }
+
     fn flush(disk: &Arc<DiskSim>, name: &str, docs: &[(u32, Document)]) -> FlushedDelta {
         let mut b = DocumentStoreBuilder::new(Arc::clone(disk), &format!("{name}.docs")).unwrap();
-        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
         for (id, d) in docs {
             b.add_with_id(DocId::new(*id), d).unwrap();
-            for cell in d.cells() {
-                postings
-                    .entry(cell.term)
-                    .or_default()
-                    .push(ICell::new(DocId::new(*id), cell.weight));
-            }
         }
         let store = b.finish().unwrap();
-        let inv = InvertedFile::from_postings(Arc::clone(disk), name, postings).unwrap();
-        FlushedDelta { store, inv }
+        FlushedDelta {
+            store,
+            inv: inverted(disk, name, docs),
+        }
+    }
+
+    /// Everything a stream yields, `None` for an error.
+    type Drained = Vec<Option<(TermId, Vec<ICell>)>>;
+
+    fn drain(mut scan: DeltaScan<'_>) -> Drained {
+        let (mut cells, mut got) = (Vec::new(), Vec::new());
+        while let Some(term) = scan.next_into(&mut cells) {
+            got.push(term.ok().map(|term| (term, cells.clone())));
+        }
+        assert!(scan.next_into(&mut cells).is_none());
+        got
+    }
+
+    /// What [`DeltaScan::over`] must yield over `base` and `overlay`, each
+    /// file's readable entries taken from a scan of that file alone: per
+    /// term in ascending order, one error for an unreadable flushed entry,
+    /// then one for an unreadable base entry, then the readable layers'
+    /// cells — base ++ flushed ++ tail — as one entry.
+    fn over_oracle(base: &InvertedFile, overlay: &DeltaOverlay) -> Drained {
+        let layer = |inv: &InvertedFile| -> BTreeMap<TermId, Option<Vec<ICell>>> {
+            let entries = inv.scan().zip(inv.directory());
+            entries
+                .map(|(item, m)| (m.term, item.ok().map(|(_, c)| c)))
+                .collect()
+        };
+        let base = layer(base);
+        let flushed = overlay
+            .flushed()
+            .map_or_else(BTreeMap::new, |f| layer(&f.inv));
+        let tail = &overlay.tail_postings;
+        let terms: BTreeSet<TermId> = base
+            .keys()
+            .chain(flushed.keys())
+            .chain(tail.keys())
+            .copied()
+            .collect();
+        let mut out = Vec::new();
+        for term in terms {
+            let (b, f) = (base.get(&term), flushed.get(&term));
+            out.extend(
+                [f, b]
+                    .into_iter()
+                    .flatten()
+                    .filter(|e| e.is_none())
+                    .map(|_| None),
+            );
+            let readable = [b, f].into_iter().flatten().flatten().flatten();
+            let cells: Vec<ICell> = readable
+                .chain(tail.get(&term).into_iter().flatten())
+                .copied()
+                .collect();
+            if !cells.is_empty() {
+                out.push(Some((term, cells)));
+            }
+        }
+        out
     }
 
     #[test]
@@ -467,7 +590,64 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Up to ten documents of up to six terms out of forty.
+    fn layer() -> impl Strategy<Value = Vec<BTreeMap<u32, u16>>> {
+        prop::collection::vec(prop::collection::btree_map(0u32..40, 1u16..4, 0..6), 0..10)
+    }
+
+    fn to_doc(terms: &BTreeMap<u32, u16>) -> Document {
+        doc(&terms.iter().map(|(&t, &w)| (t, w)).collect::<Vec<_>>())
+    }
+
     proptest! {
+        /// `DeltaScan::over` merges random base, flushed and tail layers
+        /// (any of them empty, terms shared between them) into the
+        /// collected base with `entries_between(0, None)` appended per
+        /// term; after random bit flips in the base and flushed files it
+        /// yields the oracle's errors and entries, and with no overlay the
+        /// base's own.
+        #[test]
+        fn over_matches_the_layer_oracle(
+            base in layer(),
+            flushed in layer(),
+            tail in layer(),
+            flips in prop::collection::vec((prop::bool::ANY, 0u64..64, 0u64..4096), 0..4)
+        ) {
+            let disk = Arc::new(DiskSim::new(32));
+            let number = |from: usize, layer: &[BTreeMap<u32, u16>]| -> Vec<(u32, Document)> {
+                (from as u32..).zip(layer.iter().map(to_doc)).collect()
+            };
+            let base_inv = inverted(&disk, "base", &number(0, &base));
+            let mut overlay = DeltaOverlay::new();
+            if !flushed.is_empty() {
+                overlay.set_flushed(flush(&disk, "delta.p", &number(base.len(), &flushed)));
+            }
+            for (id, d) in number(base.len() + flushed.len(), &tail) {
+                overlay.insert_tail(DocId::new(id), d);
+            }
+            let mut merged: BTreeMap<TermId, Vec<ICell>> =
+                base_inv.scan().map(Result::unwrap).collect();
+            for (term, cells) in overlay.entries_between(0, None).unwrap() {
+                merged.entry(term).or_default().extend(cells);
+            }
+            let want: Drained = merged.into_iter().map(Some).collect();
+            prop_assert_eq!(drain(DeltaScan::over(base_inv.scan(), Some(&overlay))), want);
+
+            for (in_base, page, bit) in flips {
+                let inv = match overlay.flushed() {
+                    Some(f) if !in_base => &f.inv,
+                    _ => &base_inv,
+                };
+                if inv.num_pages() > 0 {
+                    disk.flip_bit(inv.file(), page % inv.num_pages(), bit).unwrap();
+                }
+            }
+            let got = drain(DeltaScan::over(base_inv.scan(), Some(&overlay)));
+            prop_assert_eq!(got, over_oracle(&base_inv, &overlay));
+            let alone = drain(DeltaScan::over(base_inv.scan(), None));
+            prop_assert_eq!(alone, over_oracle(&base_inv, &PRISTINE));
+        }
+
         /// The stream yields the oracle's entries through one reused
         /// buffer, over random flushed and tail layers (either may be
         /// empty, terms shared between them) and any bounds — `hi < lo`,
@@ -475,17 +655,14 @@ mod tests {
         /// whole-range oracle's.
         #[test]
         fn scan_between_matches_the_map_oracle(
-            flushed in prop::collection::vec(prop::collection::btree_map(0u32..40, 1u16..4, 0..6), 0..10),
-            tail in prop::collection::vec(prop::collection::btree_map(0u32..40, 1u16..4, 0..6), 0..10),
+            flushed in layer(),
+            tail in layer(),
             lo in 0u32..45,
             hi in 0u32..45,
             bounded: bool
         ) {
             let disk = Arc::new(DiskSim::new(32));
             let mut overlay = DeltaOverlay::new();
-            let to_doc = |terms: &BTreeMap<u32, u16>| {
-                doc(&terms.iter().map(|(&t, &w)| (t, w)).collect::<Vec<_>>())
-            };
             if !flushed.is_empty() {
                 let docs: Vec<(u32, Document)> =
                     flushed.iter().enumerate().map(|(i, t)| (i as u32, to_doc(t))).collect();
@@ -508,6 +685,48 @@ mod tests {
             let cells_total = whole.iter().map(|(_, c)| c.len() as u64).sum();
             prop_assert_eq!(overlay.entry_totals(), (cells_total, whole.len() as u64));
         }
+    }
+
+    /// The base entry of a term that the flushed file and the tail also
+    /// hold is unreadable: one error, then the flushed and tail cells of
+    /// that term as an entry of their own, then the rest.
+    #[test]
+    fn an_unreadable_base_entry_leaves_the_flushed_and_tail_cells() {
+        let disk = Arc::new(DiskSim::new(64));
+        let base = inverted(&disk, "base", &[(0, doc(&[(5, 1)]))]);
+        let mut overlay = DeltaOverlay::new();
+        overlay.set_flushed(flush(&disk, "delta.f", &[(1, doc(&[(5, 2), (7, 3)]))]));
+        overlay.insert_tail(DocId::new(2), doc(&[(5, 4), (9, 5)]));
+        disk.flip_bit(base.file(), 0, 3).unwrap();
+        let (t, c) = (TermId::new, |id, w| ICell::new(DocId::new(id), w));
+        let want = vec![
+            None,
+            Some((t(5), vec![c(1, 2), c(2, 4)])),
+            Some((t(7), vec![c(1, 3)])),
+            Some((t(9), vec![c(2, 5)])),
+        ];
+        assert_eq!(drain(DeltaScan::over(base.scan(), Some(&overlay))), want);
+    }
+
+    /// The flushed entry of a term that the base and the tail also hold is
+    /// unreadable: one error, then the base and tail cells of that term.
+    #[test]
+    fn an_unreadable_flushed_entry_leaves_the_base_and_tail_cells() {
+        let disk = Arc::new(DiskSim::new(64));
+        let base = inverted(&disk, "base", &[(0, doc(&[(3, 1), (5, 2)]))]);
+        let mut overlay = DeltaOverlay::new();
+        overlay.set_flushed(flush(&disk, "delta.f", &[(1, doc(&[(5, 3)]))]));
+        overlay.insert_tail(DocId::new(2), doc(&[(5, 4), (8, 1)]));
+        let side = &overlay.flushed().unwrap().inv;
+        disk.flip_bit(side.file(), 0, 3).unwrap();
+        let (t, c) = (TermId::new, |id, w| ICell::new(DocId::new(id), w));
+        let want = vec![
+            Some((t(3), vec![c(0, 1)])),
+            None,
+            Some((t(5), vec![c(0, 2), c(2, 4)])),
+            Some((t(8), vec![c(2, 1)])),
+        ];
+        assert_eq!(drain(DeltaScan::over(base.scan(), Some(&overlay))), want);
     }
 
     /// An unreadable flushed entry is one error: the stream continues with

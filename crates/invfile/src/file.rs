@@ -12,11 +12,12 @@
 
 use crate::btree::{BTreeFile, TermEntry};
 use crate::codec::PostingCodec;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
-use textjoin_collection::Collection;
-use textjoin_common::{FxHashMap, ICell, Result, TermId, CELL_BYTES};
+use textjoin_collection::{Collection, Document};
+use textjoin_common::{DocId, FxHashMap, ICell, Result, TermId, CELL_BYTES};
 use textjoin_storage::{
     packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
     PrefetchStats,
@@ -64,16 +65,7 @@ impl InvertedFile {
         collection: &Collection,
         codec: PostingCodec,
     ) -> Result<Self> {
-        let mut postings: FxHashMap<TermId, Vec<ICell>> = FxHashMap::default();
-        for item in collection.store().scan() {
-            let (doc_id, doc) = item?;
-            for cell in doc.cells() {
-                postings
-                    .entry(cell.term)
-                    .or_default()
-                    .push(ICell::new(doc_id, cell.weight));
-            }
-        }
+        let postings = postings_of(collection.store().scan())?;
         Self::from_postings_with(disk, name, postings, codec)
     }
 
@@ -298,6 +290,23 @@ impl InvertedFile {
             reader: PackedReader::new(&self.disk, self.file, end_page, metrics),
         }
     }
+}
+
+/// Inverts documents into a postings map: each document's cells become
+/// i-cells of its number. Fed in ascending document order, every entry is
+/// ascending by document, as [`InvertedFile::from_postings`] expects.
+pub fn postings_of<D: Borrow<Document>>(
+    docs: impl IntoIterator<Item = Result<(DocId, D)>>,
+) -> Result<FxHashMap<TermId, Vec<ICell>>> {
+    let mut postings: FxHashMap<TermId, Vec<ICell>> = FxHashMap::default();
+    for item in docs {
+        let (id, doc) = item?;
+        for cell in doc.borrow().cells() {
+            let posting = ICell::new(id, cell.weight);
+            postings.entry(cell.term).or_default().push(posting);
+        }
+    }
+    Ok(postings)
 }
 
 /// Sequential scanner over an inverted file (or an ordinal sub-range of

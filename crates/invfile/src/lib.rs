@@ -25,5 +25,5 @@ pub mod prefix;
 pub use btree::{BTreeFile, Dictionary, TermEntry};
 pub use codec::PostingCodec;
 pub use delta::{DeltaOverlay, DeltaScan, FlushedDelta};
-pub use file::{EntryMeta, EntryScanner, InvertedFile};
+pub use file::{postings_of, EntryMeta, EntryScanner, InvertedFile};
 pub use prefix::{filtered_merge, prefix_len, FnlIndex, RankCell, SigMeta, TermOrder};

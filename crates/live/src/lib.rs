@@ -32,13 +32,12 @@ pub mod manifest;
 pub mod wal;
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 use textjoin_collection::{
     Collection, CollectionProfile, Document, DocumentStore, DocumentStoreBuilder,
 };
-use textjoin_common::{DocId, Error, FragStats, ICell, Result, TermId};
-use textjoin_invfile::{BTreeFile, DeltaOverlay, FlushedDelta, InvertedFile};
+use textjoin_common::{DocId, Error, FragStats, Result};
+use textjoin_invfile::{postings_of, BTreeFile, DeltaOverlay, FlushedDelta, InvertedFile};
 use textjoin_storage::{DiskSim, FileId};
 use wal::WalOp;
 
@@ -134,40 +133,17 @@ impl LiveCollection {
 
     /// Number of live documents (base minus tombstones plus live inserts).
     pub fn num_live_docs(&self) -> u64 {
-        let dead_in_base = self
-            .overlay
-            .deleted_ids()
-            .iter()
-            .filter(|&&id| self.base.store().contains(DocId::new(id)))
-            .count() as u64;
-        self.base.store().num_docs() - dead_in_base + self.overlay.live_ids().len() as u64
+        self.live_ids().len() as u64
     }
 
     /// All live document numbers, ascending.
     pub fn live_ids(&self) -> Vec<DocId> {
-        let mut ids: Vec<DocId> = self
-            .base
-            .store()
-            .doc_ids()
-            .into_iter()
-            .filter(|&d| !self.overlay.is_deleted(d))
-            .collect();
-        ids.extend(self.overlay.live_ids());
-        ids
+        self.overlay.live_ids_over(self.base.store())
     }
 
     /// The fragmentation the overlay has accumulated since the last merge.
     pub fn frag_stats(&self) -> FragStats {
-        let stored = self.base.store().num_docs() + self.overlay.num_insertions();
-        FragStats {
-            doc_delta_pages: self.overlay.doc_pages(),
-            inv_delta_pages: self.overlay.inv_pages(),
-            tombstone_ratio: if stored == 0 {
-                0.0
-            } else {
-                self.overlay.deleted_ids().len() as f64 / stored as f64
-            },
-        }
+        self.overlay.frag_stats(self.base.store().num_docs())
     }
 
     /// Inserts a document: WAL first, then the in-memory tail. The
@@ -190,9 +166,8 @@ impl LiveCollection {
     /// Deletes a document, returning whether it was live. A miss writes
     /// nothing.
     pub fn delete(&mut self, id: DocId) -> Result<bool> {
-        let in_base = self.base.store().contains(id);
-        let in_delta = self.overlay.live_ids().binary_search(&id).is_ok();
-        if (!in_base && !in_delta) || self.overlay.is_deleted(id) {
+        let live_in_base = self.base.store().contains(id) && !self.overlay.is_deleted(id);
+        if !live_in_base && !self.overlay.holds(id) {
             return Ok(false);
         }
         wal::append(&self.disk, self.wal, &WalOp::Delete { id })?;
@@ -227,16 +202,10 @@ impl LiveCollection {
         let side_name = format!("{}.f{seq}", Self::gen_name(&self.name, self.generation));
         let mut builder =
             DocumentStoreBuilder::new(Arc::clone(&self.disk), &format!("{side_name}.docs"))?;
-        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
-        for (id, doc) in &live {
+        let postings = postings_of(live.iter().map(|(id, doc)| {
             builder.add_with_id(*id, doc)?;
-            for cell in doc.cells() {
-                postings
-                    .entry(cell.term)
-                    .or_default()
-                    .push(ICell::new(*id, cell.weight));
-            }
-        }
+            Ok((*id, doc))
+        }))?;
         let store = builder.finish()?;
         let inv = InvertedFile::from_postings_with(
             Arc::clone(&self.disk),
@@ -278,32 +247,13 @@ impl LiveCollection {
         let mut builder =
             DocumentStoreBuilder::new(Arc::clone(&self.disk), &format!("{tmp_name}.docs"))?;
         let mut profiler = CollectionProfile::builder();
-        let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
-        let add = |builder: &mut DocumentStoreBuilder,
-                   postings: &mut HashMap<TermId, Vec<ICell>>,
-                   profiler: &mut textjoin_collection::profile::ProfileBuilder,
-                   id: DocId,
-                   doc: &Document|
-         -> Result<()> {
-            builder.add_with_id(id, doc)?;
-            profiler.observe_at(id, doc);
-            for cell in doc.cells() {
-                postings
-                    .entry(cell.term)
-                    .or_default()
-                    .push(ICell::new(id, cell.weight));
-            }
-            Ok(())
-        };
-        for item in self.base.store().scan() {
+        let live = self.overlay.docs_over(self.base.store().scan());
+        let postings = postings_of(live.map(|item| {
             let (id, doc) = item?;
-            if !self.overlay.is_deleted(id) {
-                add(&mut builder, &mut postings, &mut profiler, id, &doc)?;
-            }
-        }
-        for (id, doc) in self.overlay.live_docs()? {
-            add(&mut builder, &mut postings, &mut profiler, id, &doc)?;
-        }
+            builder.add_with_id(id, &doc)?;
+            profiler.observe_at(id, &doc);
+            Ok((id, doc))
+        }))?;
         let store = builder.finish()?;
         let inv = InvertedFile::from_postings_with(
             Arc::clone(&self.disk),
@@ -536,6 +486,35 @@ mod tests {
         assert_eq!(lc.doc(DocId::new(2)).unwrap(), None);
         let ids = lc.live_ids();
         assert!(!ids.contains(&DocId::new(2)) && ids.contains(&DocId::new(5)));
+    }
+
+    /// `delete` hits a live base, flushed or tail document and misses a
+    /// tombstoned or never-inserted one, and only a hit appends to the WAL.
+    #[test]
+    fn delete_hits_only_live_ids_and_logs_only_hits() {
+        let d = disk();
+        let mut lc = LiveCollection::create(Arc::clone(&d), "c", seed_docs(4)).unwrap();
+        let flushed = lc.insert(doc(&[(20, 1)])).unwrap();
+        lc.flush().unwrap();
+        let tail = lc.insert(doc(&[(21, 1)])).unwrap();
+        let (base, unborn) = (DocId::new(1), DocId::new(6));
+        let cases = [
+            (base, true),
+            (flushed, true),
+            (tail, true),
+            (base, false),
+            (flushed, false),
+            (tail, false),
+            (unborn, false),
+            (DocId::new(77), false),
+        ];
+        for (id, hit) in cases {
+            let wal_pages = d.num_pages(lc.wal);
+            assert_eq!(lc.delete(id).unwrap(), hit, "{id:?}");
+            assert_eq!(d.num_pages(lc.wal) > wal_pages, hit, "{id:?}");
+        }
+        assert_eq!(lc.live_ids(), [0, 2, 3].map(DocId::new));
+        assert_eq!(lc.num_live_docs(), 3);
     }
 
     #[test]

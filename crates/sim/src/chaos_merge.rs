@@ -145,15 +145,7 @@ type Contents = Vec<(DocId, Document)>;
 /// The pre-crash live contents — the state every recovery must restore
 /// exactly.
 fn live_contents(lc: &LiveCollection) -> Result<Contents> {
-    let mut out = Vec::new();
-    for item in lc.base().store().scan() {
-        let (id, doc) = item?;
-        if !lc.overlay().is_deleted(id) {
-            out.push((id, doc));
-        }
-    }
-    out.extend(lc.overlay().live_docs()?);
-    Ok(out)
+    lc.overlay().docs_over(lc.base().store().scan()).collect()
 }
 
 /// What every recovery of seed `seed` must restore: the three joins after
