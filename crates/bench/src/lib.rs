@@ -443,6 +443,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
             let disk = Arc::new(DiskSim::new(grid.sys.page_size));
             let c1 = pair.inner.generate(Arc::clone(&disk), "s1")?;
             let c2 = pair.outer.generate(Arc::clone(&disk), "s2")?;
+            let fnl1 = FnlIndex::build(Arc::clone(&disk), "s1", &c1)?;
             disk.set_page_latency(grid.page_latency);
             for &lambda in &grid.lambdas {
                 for &b in &grid.buffer_pages {
@@ -452,7 +453,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                             lambda,
                             delta: grid.delta,
                         });
-                    let inputs = spec.cost_inputs();
+                    let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
                     for &s in &grid.shard_counts {
                         let s = s.max(1);
                         let strategies: &[ShardPartitioning] = if s == 1 {
@@ -964,6 +965,27 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(pages(&a), pages(&b));
+    }
+
+    #[test]
+    fn sharded_fnl_max_site_pages_fall_as_sites_are_added() {
+        let report = run_suite(&shard_only_grid()).unwrap();
+        for partitioning in ["skew-aware", "naive"] {
+            let fnl = |s: usize| {
+                // S=1 runs only under the skew-aware label.
+                let strategy = if s == 1 { "skew-aware" } else { partitioning };
+                let row = report
+                    .case(&format!("zipf λ=5 B=160 S={s} {strategy}"), "FNL")
+                    .unwrap_or_else(|| panic!("no S={s} {strategy} FNL row"));
+                assert!(row.drift_pct.is_some(), "S={s} {strategy}: FNL is priced");
+                row.pages_io
+            };
+            // Each site joins its own slice of the outer documents, so the
+            // heaviest site reads less as the slices shrink.
+            let (s1, s2, s4) = (fnl(1), fnl(2), fnl(4));
+            assert!(s2 < s1, "{partitioning}: S=2 {s2} not below S=1 {s1}");
+            assert!(s4 <= s2, "{partitioning}: S=4 {s4} above S=2 {s2}");
+        }
     }
 
     #[test]

@@ -30,8 +30,7 @@ use crate::batch::BatchOutcome;
 use crate::report::observe_phase_sim_io;
 use crate::result::{ExecStats, JoinOutcome, JoinResult, Match, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
-use crate::topk::{self, TopK};
-use std::collections::btree_map::{BTreeMap, Entry};
+use crate::topk::TopK;
 use std::time::Instant;
 use textjoin_collection::Document;
 use textjoin_common::{DocId, Error, Result};
@@ -495,39 +494,26 @@ pub(crate) fn run_parts<P: Sync, T: Send>(
     })
 }
 
-/// Merges the outcomes of parts that each ran a whole join over a slice of
-/// the data. Rows of disjoint outer documents concatenate; an outer
-/// document several parts answered (each over its own inner documents)
-/// gets the exact global top-λ through [`topk::merge_lists`]. Counters add
-/// — memory high-waters included, the parts ran concurrently — and one
+/// Merges the outcomes of parts that each ran a whole join over a disjoint
+/// slice of the outer documents: the rows concatenate, counters add —
+/// memory high-waters included, the parts ran concurrently — and one
 /// `Partial` part makes the whole `Partial` (a cancelled part bumps no
 /// skip counter, so the tags are OR-ed, not re-derived). The caller stamps
 /// the wall time.
 pub(crate) fn merge_outcomes(
     algorithm: Algorithm,
-    lambda: usize,
     outcomes: impl IntoIterator<Item = JoinOutcome>,
 ) -> JoinOutcome {
-    let mut rows: BTreeMap<DocId, Vec<Match>> = BTreeMap::new();
+    let mut rows: Vec<Row> = Vec::new();
     let mut stats = ExecStats::zero(algorithm);
     let mut any_partial = false;
     for outcome in outcomes {
         any_partial |= outcome.quality == ResultQuality::Partial;
         stats += &outcome.stats;
-        for (id, matches) in outcome.result.iter() {
-            match rows.entry(id) {
-                Entry::Vacant(e) => {
-                    e.insert(matches.to_vec());
-                }
-                Entry::Occupied(mut e) => {
-                    let merged = topk::merge_lists([e.get().as_slice(), matches], lambda);
-                    e.insert(merged);
-                }
-            }
-        }
+        rows.extend(outcome.result.iter().map(|(id, m)| (id, m.to_vec())));
     }
     JoinOutcome {
-        result: JoinResult::from_rows(rows.into_iter().collect()),
+        result: JoinResult::from_rows(rows),
         quality: if any_partial {
             ResultQuality::Partial
         } else {

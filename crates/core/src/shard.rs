@@ -6,20 +6,15 @@
 //! §3 term-encoding penalty), and this module actually runs the join across
 //! `S` simulated sites, each with its own [`DiskSim`] drive:
 //!
-//! * **HHNL / HVNL — outer document partitioning.** The participating
-//!   outer documents are split across sites (hash-by-document, or
-//!   size-weighted skew-aware ranges); every site receives a spooled
-//!   replica of the inner structures (priced through the comm model) and
-//!   runs [`crate::execute`] over its slice. A document's λ
-//!   best matches depend only on that document and the full inner side, so
-//!   the per-site rows concatenate into the exact global result.
-//! * **FNL — term-range inner assignment.** Every inner document is
-//!   assigned to the site owning its *rarest* term (ties to the smaller
-//!   term id), so each inner document lives on exactly one site; the outer
-//!   documents are replicated. Per-site top-λ lists merge through
-//!   [`crate::topk::merge_lists`], which re-applies the global `(score,
-//!   inner id)` tie-break — exact because every candidate that could enter
-//!   the global λ already survives some site's λ.
+//! * **HHNL / HVNL / FNL — outer document partitioning.** The
+//!   participating outer documents are split across sites (hash-by-document,
+//!   or size-weighted skew-aware ranges); every site receives a spooled
+//!   replica of the inner side and ships in what the algorithm reads over
+//!   it — the inner collection (HHNL), its inverted file (HVNL) or its
+//!   signature index and sidecar (FNL), priced through the comm model —
+//!   and runs [`crate::execute`] over its slice. A document's λ best
+//!   matches depend only on that document and the full inner side, so the
+//!   per-site rows concatenate into the exact global result.
 //! * **VVM — term-range inverted-file fragments.** Both inverted files are
 //!   split at the same term boundaries into per-site fragment files, and
 //!   each fragment pair is one part of the one merge of [`crate::vvm`];
@@ -29,21 +24,27 @@
 //!   are bit-identical to the sequential accumulator.
 //!
 //! **Skew-aware partitioning.** Zipfian term frequencies make uniform
-//! term-id spans collapse: the span holding the heavy head terms does
+//! term-id spans collapse: the VVM span holding the heavy head terms does
 //! nearly all the I/O. `weighted_boundaries` sizes ranges by *cumulative
 //! document frequency* instead (NOCAP-style load-aware sizing), and
 //! `skew_aware_assignment` recursively re-partitions any range whose
 //! load exceeds `bound × total/S` (the Robust Dynamic Hybrid Hash Join
 //! fallback), bin-packing the pieces back onto the S sites.
 //!
-//! Exactness: raw-count scores are integers and independent of the
-//! rebuilt per-site collection profiles, so sharded results are
-//! byte-identical to single-node for all four algorithms — including under
-//! delta overlays (materialised into the site structures; the single-node
-//! comparison runs with the overlay attached) and degraded mode.
-//! Fractional weightings that read collection-wide statistics (TF×IDF)
-//! agree only approximately, because per-site profiles are rebuilt from
-//! subsets; cosine VVM additionally reassociates floating-point sums.
+//! Exactness: a document site joins its slice against the whole inner
+//! side, and every term of the VVM merge lives in exactly one fragment
+//! pair; raw-count scores are integers and independent of the rebuilt
+//! per-site collection profiles, so sharded results are byte-identical to
+//! single-node for all four algorithms — including under delta overlays
+//! (materialised into the site structures; the single-node comparison runs
+//! with the overlay attached) and degraded mode. Fractional weightings
+//! that read collection-wide statistics (TF×IDF) agree only
+//! approximately, because per-site profiles are rebuilt from subsets;
+//! cosine VVM additionally reassociates floating-point sums.
+//!
+//! A site of either shape is built in one place (`build_site`): a drive of
+//! its own, the shipped pages priced with the term-encoding blowup, and
+//! the chaos fault armed once the build is done.
 
 use crate::driver::{feed_ticket, merge_outcomes, run_parts, sole, validate, Indexes};
 use crate::result::{JoinOutcome, ResultQuality};
@@ -51,7 +52,6 @@ use crate::spec::{JoinSpec, OuterDocs};
 use crate::vvm::Part;
 use crate::{hhnl, vvm, Algorithm};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
@@ -59,7 +59,7 @@ use textjoin_common::{DocId, FxHashMap, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
 use textjoin_invfile::{postings_of, FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
-use textjoin_storage::{DiskSim, FaultPlan, IoStats};
+use textjoin_storage::{DiskSim, FaultPlan, FileId, IoStats};
 
 /// Bytes shipped per accumulator cell of a partial VVM similarity table:
 /// two 4-byte document numbers plus the paper's 4-byte similarity value.
@@ -173,6 +173,9 @@ pub struct ShardReport {
     pub pages_io: f64,
     /// Pages shipped to or from this site, term-encoding blowup included.
     pub shipped_pages: u64,
+    /// Documents or inverted-file entries this site skipped in degraded
+    /// mode.
+    pub skipped: u64,
     /// Whether this site had to skip unreadable data.
     pub quality: ResultQuality,
 }
@@ -298,12 +301,39 @@ pub fn execute_sharded(
 ) -> Result<ShardedOutcome> {
     // Before anything is materialised from the selections.
     validate(std::slice::from_ref(spec))?;
-    match algorithm {
-        Algorithm::Vvm => execute_vvm_sharded(spec, opts),
-        Algorithm::Hhnl | Algorithm::Hvnl | Algorithm::Fnl => {
-            execute_doc_sites(spec, algorithm, opts)
-        }
+    let started = Instant::now();
+    let (outer_docs, skipped_outer) = materialize(spec.outer_iter(), spec)?;
+    let (inner_docs, skipped_inner) = materialize(spec.inner_iter(), spec)?;
+    // Pages shipped between sites.
+    let wire = Cell::new(0u64);
+    let (mut outcome, shards, mat_skipped) = if outer_docs.is_empty() || inner_docs.is_empty() {
+        // Every algorithm gives the same result here: plain HHNL on the
+        // original structures (it counts its own skips), relabelled.
+        let mut outcome = hhnl::execute(spec)?;
+        outcome.stats.algorithm = algorithm;
+        (outcome, Vec::new(), 0)
+    } else {
+        let (outcome, shards) = match algorithm {
+            Algorithm::Vvm => vvm_sites(spec, opts, &inner_docs, &outer_docs, &wire)?,
+            _ => doc_sites(spec, algorithm, opts, &inner_docs, &outer_docs, &wire)?,
+        };
+        (outcome, shards, skipped_outer + skipped_inner)
+    };
+    // What only the coordinator knows: the documents it could not read
+    // while building the sites.
+    outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(mat_skipped);
+    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
+    if mat_skipped > 0 {
+        outcome.quality = ResultQuality::Partial;
     }
+    Ok(ShardedOutcome {
+        max_shard_pages: shards.iter().map(|r| r.pages_io).fold(0.0, f64::max),
+        outcome,
+        shards,
+        shipped_pages: wire.get(),
+        comm_cost: opts.comm.beta * wire.get() as f64,
+        partitioning: opts.partitioning,
+    })
 }
 
 /// Materialises a document iterator, honouring degraded mode: unreadable
@@ -327,10 +357,10 @@ fn materialize(
 /// Builds a site-local collection preserving global document ids (sparse
 /// stores handle the gaps), so self-join masking, inner selections and the
 /// λ tie-break see exactly the ids the single-node run sees.
-fn build_collection(
+fn build_collection<'d>(
     disk: &Arc<DiskSim>,
     name: &str,
-    docs: &[&(DocId, Document)],
+    docs: impl IntoIterator<Item = &'d (DocId, Document)>,
 ) -> Result<Collection> {
     let mut builder = DocumentStoreBuilder::new(Arc::clone(disk), name)?;
     let mut profile = CollectionProfile::builder();
@@ -343,26 +373,6 @@ fn build_collection(
         builder.finish()?,
         profile.finish(),
     ))
-}
-
-/// One side's empty-input degenerate case: every algorithm produces the
-/// same result by the cross-algorithm invariant, so run plain HHNL on the
-/// original structures and relabel.
-fn degenerate(
-    spec: &JoinSpec<'_>,
-    algorithm: Algorithm,
-    opts: &ShardOptions<'_>,
-) -> Result<ShardedOutcome> {
-    let mut outcome = hhnl::execute(spec)?;
-    outcome.stats.algorithm = algorithm;
-    Ok(ShardedOutcome {
-        outcome,
-        shards: Vec::new(),
-        shipped_pages: 0,
-        comm_cost: 0.0,
-        max_shard_pages: 0.0,
-        partitioning: opts.partitioning,
-    })
 }
 
 /// Registers one ticket per site when a live registry is attached.
@@ -393,110 +403,103 @@ fn register_tickets(
     (guards, tickets)
 }
 
-/// Borrowed (id, document) pairs selected onto one site.
-type SiteDocs<'a> = Vec<&'a (DocId, Document)>;
-
-/// A built site for the document-partitioned algorithms.
-struct DocSite {
+/// A built site: what it holds on its drive, and the pages shipped in to
+/// assemble it (term-encoding blowup included).
+struct Site<T> {
     shard: usize,
+    holds: T,
+    shipped: u64,
+}
+
+/// The one place a site is built. `build` lays the site's structures out
+/// on a drive of its own and returns them with the pages that crossed the
+/// wire to assemble them and the data files on the drive; the shipping is
+/// priced with the blowup, and the chaos fault aimed at site `k`, if any,
+/// is armed on those files after the build, so that it strikes the join.
+fn build_site<T>(
+    spec: &JoinSpec<'_>,
+    opts: &ShardOptions<'_>,
+    k: usize,
+    wire: &Cell<u64>,
+    build: impl FnOnce(&Arc<DiskSim>) -> Result<(T, u64, Vec<FileId>)>,
+) -> Result<Site<T>> {
+    let disk = Arc::new(DiskSim::new(spec.sys.page_size));
+    let (holds, pages, files) = build(&disk)?;
+    let shipped = (pages as f64 * opts.comm.encoding.blowup()).ceil() as u64;
+    wire.set(wire.get() + shipped);
+    if let Some(fault) = opts.fault.filter(|f| f.shard == k) {
+        let mut plan = FaultPlan::new();
+        for file in files {
+            let page = fault.page % disk.num_pages(file).max(1);
+            plan = plan.with_fault(file, page, 0, fault.kind);
+        }
+        disk.set_fault_plan(plan);
+    }
+    Ok(Site {
+        shard: k,
+        holds,
+        shipped,
+    })
+}
+
+/// What a document site holds: a slice of the outer documents, a replica
+/// of the inner side, and the index the algorithm reads over that replica
+/// (none for HHNL, the inverted file for HVNL, the signature index for
+/// FNL).
+struct DocSite {
     inner: Collection,
     outer: Collection,
     inv: Option<InvertedFile>,
     fnl: Option<FnlIndex>,
-    shipped: u64,
 }
 
-/// HHNL/HVNL (outer document partitioning) and FNL (rarest-term inner
-/// assignment): every site runs a complete join over its slice.
-fn execute_doc_sites(
+/// HHNL, HVNL and FNL: every site joins its slice of the outer documents
+/// against the whole inner side, and ships in the replica the algorithm
+/// reads — HHNL the inner collection, HVNL its inverted file, FNL its
+/// signature index and sidecar.
+fn doc_sites(
     spec: &JoinSpec<'_>,
     algorithm: Algorithm,
     opts: &ShardOptions<'_>,
-) -> Result<ShardedOutcome> {
-    let started = Instant::now();
-    let (outer_docs, skipped_outer) = materialize(spec.outer_iter(), spec)?;
-    let (inner_docs, skipped_inner) = materialize(spec.inner_iter(), spec)?;
-    let mat_skipped = skipped_outer + skipped_inner;
-    if outer_docs.is_empty() || inner_docs.is_empty() {
-        return degenerate(spec, algorithm, opts);
-    }
-    let partition_units = if algorithm == Algorithm::Fnl {
-        inner_docs.len()
-    } else {
-        outer_docs.len()
-    };
-    let s = opts.shards.max(1).min(partition_units);
+    inner_docs: &[(DocId, Document)],
+    outer_docs: &[(DocId, Document)],
+    wire: &Cell<u64>,
+) -> Result<(JoinOutcome, Vec<ShardReport>)> {
+    let s = opts.shards.max(1).min(outer_docs.len());
     let page = spec.sys.page_size as u64;
-    let blowup = opts.comm.encoding.blowup();
-    // Pages shipped between sites.
-    let wire = Cell::new(0u64);
-
-    // Per-site document index lists (into `outer_docs` for HHNL/HVNL,
-    // `inner_docs` for FNL), each sorted so ids stay ascending.
-    let assignment: Vec<Vec<usize>> = if algorithm == Algorithm::Fnl {
-        assign_inner_by_rarest_term(&inner_docs, s, opts)
-    } else {
-        assign_outer_docs(&outer_docs, s, page, opts)
-    };
-
-    let mut sites: Vec<DocSite> = Vec::with_capacity(s);
+    let assignment = assign_outer_docs(outer_docs, s, page, opts);
+    let mut sites: Vec<Site<DocSite>> = Vec::with_capacity(s);
     for (k, idxs) in assignment.iter().enumerate() {
         if idxs.is_empty() {
             continue;
         }
-        let disk = Arc::new(DiskSim::new(spec.sys.page_size));
-        let (site_inner, site_outer): (SiteDocs<'_>, SiteDocs<'_>) = if algorithm == Algorithm::Fnl
-        {
-            // FNL: the inner subset lives here; the outer side is
-            // replicated (shipped in) wholesale.
-            (
-                idxs.iter().map(|&i| &inner_docs[i]).collect(),
-                outer_docs.iter().collect(),
-            )
-        } else {
-            // HHNL/HVNL: the outer slice lives here; the inner side is
-            // spooled in as a replica.
-            (
-                inner_docs.iter().collect(),
-                idxs.iter().map(|&i| &outer_docs[i]).collect(),
-            )
-        };
-        let inner = build_collection(&disk, "inner", &site_inner)?;
-        let outer = build_collection(&disk, "outer", &site_outer)?;
-        let inv = if algorithm == Algorithm::Hvnl {
-            Some(InvertedFile::build(Arc::clone(&disk), "inner", &inner)?)
-        } else {
-            None
-        };
-        let fnl = if algorithm == Algorithm::Fnl {
-            Some(FnlIndex::build(Arc::clone(&disk), "inner", &inner)?)
-        } else {
-            None
-        };
-        // What crossed the wire to assemble this site, blowup included:
-        // HHNL ships the inner collection, HVNL its inverted structures,
-        // FNL the replicated outer documents.
-        let pages = match algorithm {
-            Algorithm::Hhnl => inner.store().num_pages(),
-            Algorithm::Hvnl => inv.as_ref().expect("built above").num_pages(),
-            Algorithm::Fnl => outer.store().num_pages(),
-            Algorithm::Vvm => unreachable!("VVM uses fragment sites"),
-        };
-        let shipped = (pages as f64 * blowup).ceil() as u64;
-        wire.set(wire.get() + shipped);
-        let files = [inner.store().file(), outer.store().file()]
-            .into_iter()
-            .chain(inv.as_ref().map(InvertedFile::file))
-            .chain(fnl.as_ref().map(FnlIndex::sig_file));
-        plant_fault(&disk, k, opts, files);
-        sites.push(DocSite {
-            shard: k,
-            inner,
-            outer,
-            inv,
-            fnl,
-            shipped,
-        });
+        sites.push(build_site(spec, opts, k, wire, |disk| {
+            let inner = build_collection(disk, "inner", inner_docs)?;
+            let outer = build_collection(disk, "outer", idxs.iter().map(|&i| &outer_docs[i]))?;
+            let (mut inv, mut fnl) = (None, None);
+            let pages = match algorithm {
+                Algorithm::Hvnl => inv
+                    .insert(InvertedFile::build(Arc::clone(disk), "inner", &inner)?)
+                    .num_pages(),
+                Algorithm::Fnl => {
+                    let index = fnl.insert(FnlIndex::build(Arc::clone(disk), "inner", &inner)?);
+                    index.num_pages() + index.meta_pages()
+                }
+                _ => inner.store().num_pages(),
+            };
+            let files = [inner.store().file(), outer.store().file()]
+                .into_iter()
+                .chain(inv.as_ref().map(InvertedFile::file))
+                .chain(fnl.as_ref().map(FnlIndex::sig_file))
+                .collect();
+            let site = DocSite {
+                inner,
+                outer,
+                inv,
+                fnl,
+            };
+            Ok((site, pages, files))
+        })?);
     }
 
     let (_guards, tickets) = register_tickets(spec, algorithm, opts, s);
@@ -504,9 +507,10 @@ fn execute_doc_sites(
         // Sites run untraced and unwatched; the site structures already
         // hold the merged base + delta view, and a site's outer collection
         // is exactly its slice, so it scans it end to end.
+        let held = &site.holds;
         let spec_k = JoinSpec {
-            inner: &site.inner,
-            outer: &site.outer,
+            inner: &held.inner,
+            outer: &held.outer,
             outer_docs: OuterDocs::Full,
             trace: None,
             cost_budget: None,
@@ -516,14 +520,14 @@ fn execute_doc_sites(
             ..*spec
         };
         let indexes = Indexes {
-            inner_inv: site.inv.as_ref(),
+            inner_inv: held.inv.as_ref(),
             outer_inv: None,
-            fnl: site.fnl.as_ref(),
+            fnl: held.fnl.as_ref(),
         };
         crate::execute(algorithm, &spec_k, &indexes)
     })?;
 
-    let reports: Vec<ShardReport> = sites
+    let reports = sites
         .iter()
         .zip(&outcomes)
         .map(|(site, outcome)| ShardReport {
@@ -531,74 +535,21 @@ fn execute_doc_sites(
             io: outcome.stats.io,
             pages_io: outcome.stats.io.cost(spec.sys.alpha),
             shipped_pages: site.shipped,
+            skipped: outcome.stats.skipped_docs + outcome.stats.skipped_entries,
             quality: outcome.quality,
         })
         .collect();
-    // HHNL/HVNL rows are disjoint by outer document; FNL rows cover every
-    // outer document on every site.
-    let outcome = merge_outcomes(algorithm, spec.query.lambda, outcomes);
-    // Result pages flow back to the coordinator: λ matches of 8 bytes per
-    // emitted row, from every site that emitted it.
+    let outcome = merge_outcomes(algorithm, outcomes);
+    // Result rows flow back to the coordinator once: λ matches of 8 bytes
+    // per outer document.
     let rows = outcome.result.num_outer_docs();
-    let senders = if algorithm == Algorithm::Fnl { s } else { 1 };
     let result_pages = ((rows * spec.query.lambda * 8) as u64).div_ceil(page.max(1));
-    wire.set(wire.get() + result_pages * senders as u64);
-    Ok(assemble(
-        outcome,
-        reports,
-        mat_skipped,
-        started,
-        wire.get(),
-        opts,
-    ))
+    wire.set(wire.get() + result_pages);
+    Ok((outcome, reports))
 }
 
-/// Stamps a merged outcome with what only the coordinator knows — the
-/// documents it could not read while building the sites — and prices the
-/// `shipped_pages`.
-fn assemble(
-    mut outcome: JoinOutcome,
-    shards: Vec<ShardReport>,
-    mat_skipped: u64,
-    started: Instant,
-    shipped_pages: u64,
-    opts: &ShardOptions<'_>,
-) -> ShardedOutcome {
-    outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(mat_skipped);
-    outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
-    if mat_skipped > 0 {
-        outcome.quality = ResultQuality::Partial;
-    }
-    ShardedOutcome {
-        max_shard_pages: shards.iter().map(|r| r.pages_io).fold(0.0, f64::max),
-        outcome,
-        shards,
-        shipped_pages,
-        comm_cost: opts.comm.beta * shipped_pages as f64,
-        partitioning: opts.partitioning,
-    }
-}
-
-/// Arms the chaos fault aimed at site `k`, if any, on the site's data
-/// `files` — after the builds, so that it strikes the join.
-fn plant_fault(
-    disk: &DiskSim,
-    k: usize,
-    opts: &ShardOptions<'_>,
-    files: impl IntoIterator<Item = textjoin_storage::FileId>,
-) {
-    if let Some(fault) = opts.fault.filter(|f| f.shard == k) {
-        let mut plan = FaultPlan::new();
-        for file in files {
-            let page = fault.page % disk.num_pages(file).max(1);
-            plan = plan.with_fault(file, page, 0, fault.kind);
-        }
-        disk.set_fault_plan(plan);
-    }
-}
-
-/// Outer-document assignment for HHNL/HVNL: hash-by-id (naive) or
-/// page-weighted skew-aware ranges with recursive re-partitioning.
+/// Outer-document assignment: hash-by-id (naive) or page-weighted
+/// skew-aware ranges with recursive re-partitioning.
 fn assign_outer_docs(
     docs: &[(DocId, Document)],
     s: usize,
@@ -643,69 +594,20 @@ fn term_ranges(weights: &[u64], s: usize, partitioning: ShardPartitioning) -> Ve
     }
 }
 
-/// FNL inner assignment: partition the (sorted) inner vocabulary into
-/// df-weighted term ranges, then send each inner document to the site
-/// owning its rarest term (ties to the smaller term id). Every inner
-/// document lands on exactly one site — the merge invariant.
-fn assign_inner_by_rarest_term(
-    docs: &[(DocId, Document)],
-    s: usize,
-    opts: &ShardOptions<'_>,
-) -> Vec<Vec<usize>> {
-    let mut df: BTreeMap<TermId, u64> = BTreeMap::new();
-    for (_, doc) in docs {
-        for cell in doc.cells() {
-            *df.entry(cell.term).or_insert(0) += 1;
-        }
-    }
-    let terms: Vec<TermId> = df.keys().copied().collect();
-    let weights: Vec<u64> = df.values().copied().collect();
-    let ranges_per_shard = term_ranges(&weights, s, opts.partitioning);
-    let mut term_shard: HashMap<TermId, usize> = HashMap::with_capacity(terms.len());
-    for (k, ranges) in ranges_per_shard.iter().enumerate() {
-        for &(a, b) in ranges {
-            for &t in &terms[a as usize..b as usize] {
-                term_shard.insert(t, k);
-            }
-        }
-    }
-    let mut shards = vec![Vec::new(); s];
-    for (i, (_, doc)) in docs.iter().enumerate() {
-        let rarest = doc
-            .cells()
-            .iter()
-            .map(|c| (df.get(&c.term).copied().unwrap_or(u64::MAX), c.term))
-            .min();
-        let k = rarest
-            .and_then(|(_, t)| term_shard.get(&t).copied())
-            .unwrap_or(0);
-        shards[k].push(i);
-    }
-    shards
-}
-
-/// A built fragment site for sharded VVM.
-struct FragSite {
-    inner: InvertedFile,
-    outer: InvertedFile,
-    shipped: u64,
-}
-
 /// Sharded VVM: term-range fragments of both inverted files on per-site
 /// drives, each fragment pair one part of the merge; per-site partial
 /// similarity tables ship to the coordinator after every pass.
-fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<ShardedOutcome> {
-    let started = Instant::now();
-    let (inner_docs, skipped_inner) = materialize(spec.inner_iter(), spec)?;
-    let (outer_docs, skipped_outer) = materialize(spec.outer_iter(), spec)?;
-    let mat_skipped = skipped_inner + skipped_outer;
-    if inner_docs.is_empty() || outer_docs.is_empty() {
-        return degenerate(spec, Algorithm::Vvm, opts);
-    }
+fn vvm_sites(
+    spec: &JoinSpec<'_>,
+    opts: &ShardOptions<'_>,
+    inner_docs: &[(DocId, Document)],
+    outer_docs: &[(DocId, Document)],
+    wire: &Cell<u64>,
+) -> Result<(JoinOutcome, Vec<ShardReport>)> {
     let postings =
         |docs: &[(DocId, Document)]| postings_of(docs.iter().map(|(id, d)| Ok((*id, d))));
-    let mut inner_post = postings(&inner_docs)?;
-    let mut outer_post = postings(&outer_docs)?;
+    let mut inner_post = postings(inner_docs)?;
+    let mut outer_post = postings(outer_docs)?;
     let mut terms: Vec<TermId> = inner_post.keys().copied().collect();
     for t in outer_post.keys() {
         if !inner_post.contains_key(t) {
@@ -721,12 +623,9 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
                 + outer_post.get(t).map_or(0, Vec::len) as u64
         })
         .collect();
-    let assignment = term_ranges(&weights, s, opts.partitioning);
 
-    let blowup = opts.comm.encoding.blowup();
-    // Pages shipped between sites.
-    let wire = Cell::new(0u64);
-    let mut sites: Vec<FragSite> = Vec::with_capacity(s);
+    let assignment = term_ranges(&weights, s, opts.partitioning);
+    let mut sites: Vec<Site<(InvertedFile, InvertedFile)>> = Vec::with_capacity(s);
     for (k, ranges) in assignment.iter().enumerate() {
         // Each term is in exactly one site's ranges: its cells move there.
         let (mut frag_inner, mut frag_outer) = (FxHashMap::default(), FxHashMap::default());
@@ -736,19 +635,14 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
                 frag_outer.extend(outer_post.remove_entry(t));
             }
         }
-        let disk = Arc::new(DiskSim::new(spec.sys.page_size));
-        let inner = InvertedFile::from_postings(Arc::clone(&disk), "inner.frag", frag_inner)?;
-        let outer = InvertedFile::from_postings(Arc::clone(&disk), "outer.frag", frag_outer)?;
-        // The inner fragment ships from the inner site to this merge site
-        // (outer fragments are local), blowup included.
-        let shipped = (inner.num_pages() as f64 * blowup).ceil() as u64;
-        wire.set(wire.get() + shipped);
-        plant_fault(&disk, k, opts, [inner.file(), outer.file()]);
-        sites.push(FragSite {
-            inner,
-            outer,
-            shipped,
-        });
+        sites.push(build_site(spec, opts, k, wire, |disk| {
+            let inner = InvertedFile::from_postings(Arc::clone(disk), "inner.frag", frag_inner)?;
+            let outer = InvertedFile::from_postings(Arc::clone(disk), "outer.frag", frag_outer)?;
+            // The inner fragment ships from the inner site to this merge
+            // site; outer fragments are local.
+            let (pages, files) = (inner.num_pages(), vec![inner.file(), outer.file()]);
+            Ok(((inner, outer), pages, files))
+        })?);
     }
 
     // Every site has a budget of its own and merges the fragments as built
@@ -756,16 +650,17 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let parts: Vec<Part<'_>> = sites
         .iter()
         .map(|site| Part {
-            inner_inv: &site.inner,
-            outer_inv: &site.outer,
+            inner_inv: &site.holds.0,
+            outer_inv: &site.holds.1,
             folded: true,
         })
         .collect();
     let (_guards, tickets) = register_tickets(spec, Algorithm::Vvm, opts, s);
-    // Per site: the I/O and the shipped accumulator pages of the merge.
-    let tally = RefCell::new(vec![(IoStats::default(), 0u64); s]);
+    // Per site: the I/O, the shipped accumulator pages and the skipped
+    // entries of the merge.
+    let tally = RefCell::new(vec![(IoStats::default(), 0u64, 0u64); s]);
     let page = spec.sys.page_size as u64;
-    let ship_table = |k: usize, pass: u64, cells: u64, io: &IoStats| {
+    let ship_table = |k: usize, pass: u64, cells: u64, skipped: u64, io: &IoStats| {
         let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
         wire.set(wire.get() + pages);
         let site = &mut tally.borrow_mut()[k];
@@ -776,6 +671,7 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
         }
         site.0.merge(io);
         site.1 += pages;
+        site.2 += skipped;
         if let Some(ticket) = &tickets[k] {
             let phase = format!("vvm.shard pass {pass}");
             feed_ticket(ticket, io.cost(spec.sys.alpha), phase);
@@ -793,29 +689,21 @@ fn execute_vvm_sharded(spec: &JoinSpec<'_>, opts: &ShardOptions<'_>) -> Result<S
     let reports = sites
         .iter()
         .zip(tally.into_inner())
-        .enumerate()
-        .map(|(k, (site, (io, acc_shipped)))| ShardReport {
-            shard: k,
+        .map(|(site, (io, acc_shipped, skipped))| ShardReport {
+            shard: site.shard,
             io,
             pages_io: io.cost(spec.sys.alpha),
             shipped_pages: site.shipped + acc_shipped,
-            // Degraded skips happened on whichever site's cursor hit
-            // them; per-site quality mirrors the global skip counters.
-            quality: if outcome.stats.skipped_entries > 0 && io.total_reads() > 0 {
+            skipped,
+            // Degraded skips happened on whichever site's cursor hit them.
+            quality: if skipped > 0 {
                 ResultQuality::Partial
             } else {
                 ResultQuality::Full
             },
         })
         .collect();
-    Ok(assemble(
-        outcome,
-        reports,
-        mat_skipped,
-        started,
-        wire.get(),
-        opts,
-    ))
+    Ok((outcome, reports))
 }
 
 #[cfg(test)]
@@ -1079,6 +967,78 @@ mod tests {
         assert!(got.outcome.result.iter().count() <= want.result.iter().count());
         for (id, _) in got.outcome.result.iter() {
             assert!(want.result.matches(id).is_some());
+        }
+    }
+
+    #[test]
+    fn sharded_vvm_marks_only_the_site_that_skipped_partial() {
+        let (_, c1, c2) = fixture(79);
+        let degraded = spec(&c1, &c2, 4).with_degraded();
+        for page in 0..3 {
+            let opts = ShardOptions::new(3).with_shard_fault(ShardFault {
+                shard: 1,
+                page,
+                kind: textjoin_storage::FaultKind::BitFlip { bit_offset: 77 },
+            });
+            let got = execute_sharded(&degraded, Algorithm::Vvm, &opts).unwrap();
+            let skipped = got.outcome.stats.skipped_entries;
+            assert!(skipped > 0, "page {page}: the fault was never read");
+            assert_eq!(got.outcome.quality, ResultQuality::Partial, "page {page}");
+            for site in &got.shards {
+                let want = if site.shard == 1 {
+                    ResultQuality::Partial
+                } else {
+                    ResultQuality::Full
+                };
+                assert_eq!(site.quality, want, "page {page} site {}", site.shard);
+            }
+            let per_site: u64 = got.shards.iter().map(|r| r.skipped).sum();
+            assert_eq!(per_site, skipped, "page {page}");
+        }
+    }
+
+    #[test]
+    fn sharded_fnl_ships_what_the_comm_model_prices() {
+        use textjoin_costmodel::comm::{pages_shipped, Site};
+        let (disk, c1, c2) = fixture(77);
+        let spec = spec(&c1, &c2, 5);
+        let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
+        let (outer_docs, _) = materialize(spec.outer_iter(), &spec).unwrap();
+        for s in [2usize, 4] {
+            for encoding in [TermEncoding::StandardNumbers, TermEncoding::ActualTerms] {
+                let priced = pages_shipped(&inputs, Algorithm::Fnl, Site::OuterSite, encoding);
+                let comm = CommParams {
+                    beta: 1.0,
+                    encoding,
+                };
+                let got =
+                    execute_sharded(&spec, Algorithm::Fnl, &ShardOptions::new(s).with_comm(comm))
+                        .unwrap();
+                assert_eq!(got.shards.len(), s, "S={s} {encoding:?}");
+                for site in &got.shards {
+                    assert_eq!(
+                        site.shipped_pages,
+                        priced.ceil() as u64,
+                        "S={s} {encoding:?}"
+                    );
+                }
+            }
+            // The outer slices hold every participating outer document
+            // exactly once, under either boundary strategy.
+            for strategy in [ShardPartitioning::SkewAware, ShardPartitioning::Naive] {
+                let opts = ShardOptions::new(s).with_partitioning(strategy);
+                let mut held: Vec<usize> = assign_outer_docs(&outer_docs, s, 512, &opts)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                held.sort_unstable();
+                assert_eq!(
+                    held,
+                    (0..outer_docs.len()).collect::<Vec<_>>(),
+                    "S={s} {strategy}"
+                );
+            }
         }
     }
 

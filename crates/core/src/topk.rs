@@ -119,12 +119,12 @@ impl TopK {
     }
 }
 
-/// Merges per-shard top-λ lists for one outer document into the global
-/// top-λ, re-applying the same `(score, inner document id)` ordering as
-/// [`TopK::offer`]. Exact whenever every inner document appears in at most
-/// one list — the sharded executors' partitioning invariant — because each
-/// shard's λ best already contain every candidate that could enter the
-/// global λ, ties included.
+/// Merges top-λ lists for one outer document, each over its own inner
+/// documents, into the global top-λ, re-applying the same `(score, inner
+/// document id)` ordering as [`TopK::offer`]. Exact whenever every inner
+/// document appears in at most one list, because each list's λ best
+/// already contain every candidate that could enter the global λ, ties
+/// included.
 pub fn merge_lists<'a>(lists: impl IntoIterator<Item = &'a [Match]>, k: usize) -> Vec<Match> {
     let mut topk = TopK::new(k);
     for list in lists {

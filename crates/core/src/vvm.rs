@@ -57,9 +57,9 @@ pub(crate) struct Part<'r> {
 }
 
 /// Called on the driving thread with `(part, outer chunk number from 1,
-/// accumulator cells, the part's I/O)` after a part's merge pass, before
-/// its table is folded.
-pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, &IoStats) + 'a;
+/// accumulator cells, entries the part skipped, the part's I/O)` after a
+/// part's merge pass, before its table is folded.
+pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, u64, &IoStats) + 'a;
 
 impl Part<'_> {
     /// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
@@ -251,7 +251,8 @@ impl<'r> Merging<'r> {
         for (k, (partial, io)) in partials.into_iter().enumerate() {
             let charged = partial.rows.iter().map(Rows::charged).sum();
             if let Some(done) = self.on_part {
-                done(k, self.next_chunk as u64, charged / ACC_BYTES, &io);
+                let skipped = partial.skipped_entries;
+                done(k, self.next_chunk as u64, charged / ACC_BYTES, skipped, &io);
             }
             match &mut total {
                 None => total = Some(partial),
