@@ -8,8 +8,7 @@
 //! statistics `(N, K, T)` that feed the cost models.
 
 use crate::document::Document;
-use std::collections::HashMap;
-use textjoin_common::{CollectionStats, DocId, TermId};
+use textjoin_common::{CollectionStats, DocId, FxHashMap, TermId};
 
 /// Measured statistics of a collection: primary stats, per-term document
 /// frequencies and per-document norms.
@@ -17,7 +16,7 @@ use textjoin_common::{CollectionStats, DocId, TermId};
 pub struct CollectionProfile {
     num_docs: u64,
     total_cells: u64,
-    doc_freqs: HashMap<TermId, u32>,
+    doc_freqs: FxHashMap<TermId, u32>,
     norms: Vec<f64>,
 }
 
@@ -68,7 +67,7 @@ impl CollectionProfile {
     }
 
     /// The full document-frequency table.
-    pub fn doc_freqs(&self) -> &HashMap<TermId, u32> {
+    pub fn doc_freqs(&self) -> &FxHashMap<TermId, u32> {
         &self.doc_freqs
     }
 

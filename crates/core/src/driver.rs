@@ -610,7 +610,8 @@ impl<'r> DocStream<'r> {
                     let sys = &run.specs[0].sys;
                     return Err(Error::InsufficientMemory {
                         context: format!("{what} cannot hold even one document"),
-                        required_pages: (run.tracker.used() + need).div_ceil(sys.page_size as u64),
+                        required_pages: (run.tracker.used().saturating_add(need))
+                            .div_ceil(sys.page_size as u64),
                         available_pages: sys.buffer_pages,
                     });
                 }

@@ -108,20 +108,20 @@ impl<'r> Passes<'r> for Forward<'r> {
             let lambda = specs[si].query.lambda;
             let ranks = signatures.map_or_else(Vec::new, |s| s.order.rank_cells(doc));
             let bytes = doc.size_bytes().max(1) + (RANK_CELL_BYTES * ranks.len()) as u64;
-            (
-                bytes + TopK::budget_bytes(lambda),
-                (ranks, TopK::new(lambda)),
-            )
+            (bytes.saturating_add(TopK::budget_bytes(lambda)), ranks)
         })?;
         if round.is_empty() {
             return Ok(false);
         }
         let mut docs = Vec::with_capacity(round.len());
         let mut ranks = Vec::with_capacity(round.len());
+        // A λ-heap is built once its document is admitted, so no heap
+        // reserves room for a λ the budget refused.
         let slots = round.into_iter().map(|r| {
             docs.push(r.doc);
-            ranks.push(r.extra.0);
-            (r.query, r.id, r.extra.1)
+            ranks.push(r.extra);
+            let heap = TopK::new(specs[r.query].query.lambda);
+            (r.query, r.id, heap)
         });
         let mut round = Round::new(specs, slots);
         self.pruned_pairs += run.phase(scan, |run, span| {
@@ -218,7 +218,9 @@ impl<'r> Passes<'r> for HhnlBackward<'r> {
             .allocate(spec.outer_slot_bytes(), "backward HHNL outer document slot")?;
         // One persistent λ-heap per participating outer document.
         run.tracker.allocate(
-            TopK::budget_bytes(spec.query.lambda).max(1) * spec.num_outer_docs().max(1),
+            TopK::budget_bytes(spec.query.lambda)
+                .max(1)
+                .saturating_mul(spec.num_outer_docs().max(1)),
             "backward HHNL result heaps (λ per outer document)",
         )?;
         let inner = spec.inner_iter().filter(move |item| match item {

@@ -24,11 +24,11 @@ use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime};
 use crate::driver::{drive_one, Run};
 use crate::result::JoinOutcome;
 use crate::spec::{JoinSpec, OuterDocs};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::Document;
-use textjoin_common::{DCell, DocId, ICell, Result, TermId, CELL_BYTES, NUMBER_BYTES};
+use textjoin_common::{DCell, DocId, FxHashMap, ICell, Result, TermId, CELL_BYTES, NUMBER_BYTES};
 use textjoin_invfile::{DeltaOverlay, Dictionary, InvertedFile};
 use textjoin_obs::{Histogram, Span, LATENCY_BOUNDS_NS};
 
@@ -123,7 +123,7 @@ enum DeltaPostings {
 /// and where each term's cells lie in it.
 struct DeltaArena {
     cells: Vec<ICell>,
-    index: HashMap<TermId, (usize, usize)>,
+    index: FxHashMap<TermId, (usize, usize)>,
 }
 
 /// HVNL in the loop: the dictionary, the entry cache every query shares,
@@ -139,9 +139,9 @@ pub(crate) struct Fetch<'r> {
     acc: Rows,
     /// Per query, the inner documents it may score (`None` = all).
     masks: Vec<Option<InnerMask>>,
-    /// The current document's cells in processing order (scratch reused
-    /// from document to document).
-    ordered: Vec<DCell>,
+    /// The current document's cells with their dictionary ordinals, in
+    /// processing order (scratch reused from document to document).
+    ordered: Vec<(DCell, Option<u32>)>,
     /// Inner-delta postings, loaded with one sequential scan of the flushed
     /// side file on first use instead of a random read per outer term
     /// occurrence.
@@ -188,8 +188,8 @@ impl<'r> Fetch<'r> {
             let mut fetch = Self {
                 inner_inv,
                 order: options.order,
+                cache: EntryCache::new(options.eviction, dict.len()),
                 dict,
-                cache: EntryCache::new(options.eviction),
                 // One row (slot 0), whichever outer document is current.
                 acc: Rows::new(
                     &[DocId::new(0)],
@@ -327,7 +327,8 @@ impl<'r> Fetch<'r> {
                 .max_by_key(|(_, (_, doc))| {
                     doc.cells()
                         .iter()
-                        .filter(|c| self.cache.contains(c.term))
+                        .filter_map(|c| self.dict.lookup(c.term))
+                        .filter(|e| self.cache.contains(e.ordinal))
                         .count()
                 })
                 .map(|(i, _)| i)
@@ -385,7 +386,11 @@ impl<'r> Fetch<'r> {
         }
         let mut scan = inv.scan_with_prefetch(spec.prefetch_metrics("inv_preload"));
         let mut cells = Vec::new();
-        while let Some(item) = scan.next_into(&mut cells) {
+        // The scan yields every entry in ordinal order, unreadable ones too.
+        for ordinal in 0.. {
+            let Some(item) = scan.next_into(&mut cells) else {
+                break;
+            };
             let term = match item {
                 Ok(term) => term,
                 Err(e) if spec.skippable(&e) => {
@@ -399,8 +404,8 @@ impl<'r> Fetch<'r> {
             let bytes = cached_entry_bytes(&cells);
             run.tracker
                 .allocate(bytes, "HVNL preloaded inverted file")?;
-            self.cache
-                .insert(term, &cells[..], bytes, Self::demand(specs, term));
+            let demand = Self::demand(specs, term);
+            self.cache.insert(ordinal, &cells[..], bytes, demand);
         }
         Ok(())
     }
@@ -417,32 +422,42 @@ impl<'r> Fetch<'r> {
     ) -> Result<()> {
         let specs = run.specs;
         let spec = &specs[si];
-        // Terms whose entries are already in memory are considered first
-        // (section 4.2's reuse optimization); order within each group stays
-        // by term number for determinism.
+        // Each cell is looked up in the dictionary once; terms that do not
+        // appear in C1 have no ordinal, no entry and cost nothing.
         let mut ordered = std::mem::take(&mut self.ordered);
         ordered.clear();
-        let cached = |c: &&DCell| self.cache.contains(c.term);
-        ordered.extend(doc.cells().iter().filter(cached));
-        let num_cached = ordered.len();
-        ordered.extend(doc.cells().iter().filter(|c| !cached(c)));
+        let lookup = |c: &DCell| (*c, self.dict.lookup(c.term).map(|e| e.ordinal));
+        ordered.extend(doc.cells().iter().map(lookup));
+        // Terms whose entries are already in memory are considered first
+        // (section 4.2's reuse optimization); order within each group stays
+        // by term number for determinism. Both groups are appended behind
+        // the term-ordered run, which is then skipped.
+        let n = ordered.len();
+        for cached in [true, false] {
+            for i in 0..n {
+                if ordered[i].1.is_some_and(|o| self.cache.contains(o)) == cached {
+                    ordered.push(ordered[i]);
+                }
+            }
+        }
 
         // Entries this document is guaranteed to need are pinned so that
         // evictions forced while fetching its *uncached* terms cannot throw
         // away a hit we already counted on; each pin is released once the
-        // term has been consumed.
-        for cell in &ordered[..num_cached] {
-            self.cache.pin(cell.term, true);
+        // term has been consumed. An uncached ordinal is left alone.
+        for ordinal in ordered[n..].iter().filter_map(|&(_, o)| o) {
+            self.cache.pin(ordinal, true);
         }
-        for cell in &ordered {
-            self.cache.pin(cell.term, false);
+        for &(cell, ordinal) in &ordered[n..] {
+            if let Some(ordinal) = ordinal {
+                self.cache.pin(ordinal, false);
+            }
             let Some(factor) = factor(spec, cell.term) else {
                 continue;
             };
             let outer = ICell::new(outer_id, cell.weight);
-            // Terms that do not appear in C1 have no entry and cost nothing.
-            if let Some(entry) = self.dict.lookup(cell.term) {
-                self.base_entry(run, si, outer, cell.term, entry.ordinal, factor)?;
+            if let Some(ordinal) = ordinal {
+                self.base_entry(run, si, outer, cell.term, ordinal, factor)?;
             }
             // Inner delta documents contribute through the overlay's side
             // postings — consulted for dictionary-known *and* delta-only
@@ -472,7 +487,7 @@ impl<'r> Fetch<'r> {
         // untraced hot path pays nothing beyond an Option check.
         let lookup_start = self.lookup_hists.as_ref().map(|_| Instant::now());
 
-        if let Some(cells) = self.cache.get(term) {
+        if let Some(cells) = self.cache.get(ordinal) {
             run.queries[si].counters.cache_hits += 1;
             // A share of the entry, not a longer pin: making room for its
             // sums may evict this very entry, exactly as it always could.
@@ -503,7 +518,7 @@ impl<'r> Fetch<'r> {
 
         // Make room by evicting lowest-priority entries; an entry larger
         // than everything evictable is used transiently instead.
-        while run.tracker.allocate(bytes, "HVNL entry cache").is_err() {
+        while run.tracker.available() < bytes {
             match self.cache.evict_one() {
                 Some(freed) => run.tracker.release(freed),
                 None => {
@@ -512,9 +527,10 @@ impl<'r> Fetch<'r> {
                 }
             }
         }
+        run.tracker.allocate(bytes, "HVNL entry cache")?;
         self.step(run, si, outer, factor, &cells)?;
         let demand = Self::demand(run.specs, term);
-        self.cache.insert(term, cells, bytes, demand);
+        self.cache.insert(ordinal, cells, bytes, demand);
         Ok(())
     }
 
@@ -575,7 +591,7 @@ impl<'r> Fetch<'r> {
     fn build_delta_postings(&mut self, run: &mut Run<'r>, overlay: &DeltaOverlay) -> Result<()> {
         let (cells, entries) = overlay.entry_totals();
         let bytes = cells * CELL_BYTES as u64 + entries * NUMBER_BYTES as u64;
-        while run.tracker.allocate(bytes, "HVNL delta postings").is_err() {
+        while run.tracker.available() < bytes {
             match self.cache.evict_one() {
                 Some(freed) => run.tracker.release(freed),
                 None => {
@@ -584,9 +600,10 @@ impl<'r> Fetch<'r> {
                 }
             }
         }
+        run.tracker.allocate(bytes, "HVNL delta postings")?;
         let mut arena = DeltaArena {
             cells: Vec::with_capacity(cells as usize),
-            index: HashMap::with_capacity(entries as usize),
+            index: FxHashMap::with_capacity_and_hasher(entries as usize, Default::default()),
         };
         let (mut scan, mut entry) = (overlay.scan_between(0, None), Vec::new());
         while let Some(term) = scan.next_into(&mut entry) {
@@ -620,18 +637,18 @@ impl<'r> Fetch<'r> {
         cells: &[ICell],
     ) -> Result<()> {
         let (cache, tracker) = (&mut self.cache, &run.tracker);
-        let charge = |bytes| loop {
-            match tracker.allocate(bytes, "HVNL similarity accumulators") {
-                Ok(()) => return Ok(()),
-                Err(err) => match cache.evict_one() {
+        let charge = |bytes| {
+            while tracker.available() < bytes {
+                match cache.evict_one() {
                     Some(freed) => tracker.release(freed),
                     // Mandatory space outranks pin hints: the pins are
                     // released first (so the entries become evictable)
                     // rather than ever evicting a pinned entry directly.
                     None if cache.has_pinned() => cache.unpin_all(),
-                    None => return Err(err),
-                },
+                    None => break,
+                }
             }
+            tracker.allocate(bytes, "HVNL similarity accumulators")
         };
         let query = (&run.specs[si], self.masks[si].as_ref());
         let counters = &mut run.queries[si].counters;
@@ -640,122 +657,132 @@ impl<'r> Fetch<'r> {
     }
 }
 
-/// The in-memory entry cache with its two replacement policies.
+/// The in-memory entry cache with its two replacement policies, keyed by
+/// dictionary ordinal.
 struct EntryCache {
     policy: EvictionPolicy,
-    entries: HashMap<TermId, CacheSlot>,
+    /// Per ordinal, the position of its slot in `slots` ([`UNCACHED`] when
+    /// the entry is not resident).
+    index: Vec<u32>,
+    slots: Vec<CacheSlot>,
     /// Eviction order: smallest key evicted first. The key is
-    /// `(outer document frequency, term)` for the paper's policy and
-    /// `(last access tick, term)` for LRU. Every key here belongs to a
-    /// cached entry (insert, evict and pin keep the two in lockstep).
+    /// `(outer document frequency, ordinal)` for the paper's policy and
+    /// `(last access tick, ordinal)` for LRU; ordinals ascend with terms.
+    /// Every cached entry has its key here, pinned or not.
     order: BTreeSet<(u64, u32)>,
     tick: u64,
 }
+
+/// [`EntryCache::index`]'s mark of an ordinal with no slot.
+const UNCACHED: u32 = u32::MAX;
 
 struct CacheSlot {
     cells: Arc<[ICell]>,
     bytes: u64,
     key: (u64, u32),
-    /// Pinned slots are exempt from eviction: their key is withdrawn from
-    /// the eviction order until [`EntryCache::pin`] restores it.
+    /// Pinned slots are exempt from eviction until [`EntryCache::pin`]
+    /// releases them.
     pinned: bool,
 }
 
 impl EntryCache {
-    fn new(policy: EvictionPolicy) -> Self {
+    /// An empty cache over a dictionary of `ordinals` entries.
+    fn new(policy: EvictionPolicy, ordinals: usize) -> Self {
         Self {
             policy,
-            entries: HashMap::new(),
+            index: vec![UNCACHED; ordinals],
+            slots: Vec::new(),
             order: BTreeSet::new(),
             tick: 0,
         }
     }
 
-    fn contains(&self, term: TermId) -> bool {
-        self.entries.contains_key(&term)
+    /// The slot of a cached ordinal; `None` when uncached, since
+    /// [`UNCACHED`] lies past every slot.
+    fn slot(&mut self, ordinal: u32) -> Option<&mut CacheSlot> {
+        let at = self.index[ordinal as usize];
+        self.slots.get_mut(at as usize)
+    }
+
+    fn contains(&self, ordinal: u32) -> bool {
+        self.index[ordinal as usize] != UNCACHED
     }
 
     /// A share of the cached entry; it stays readable if the entry is
     /// evicted while in use.
-    fn get(&mut self, term: TermId) -> Option<Arc<[ICell]>> {
+    fn get(&mut self, ordinal: u32) -> Option<Arc<[ICell]>> {
         self.tick += 1;
-        let tick = self.tick;
-        let refresh_lru = self.policy == EvictionPolicy::Lru;
-        let slot = self.entries.get_mut(&term)?;
-        if refresh_lru {
-            // A pinned slot's key is not in the order set; just refresh
-            // the key so unpinning restores the right recency.
-            if !slot.pinned {
-                self.order.remove(&slot.key);
-            }
-            slot.key = (tick, term.raw());
-            if !slot.pinned {
-                self.order.insert(slot.key);
-            }
+        let (tick, policy) = (self.tick, self.policy);
+        let slot = self.slot(ordinal)?;
+        let cells = Arc::clone(&slot.cells);
+        if policy == EvictionPolicy::Lru {
+            let stale = std::mem::replace(&mut slot.key, (tick, ordinal));
+            self.order.remove(&stale);
+            self.order.insert((tick, ordinal));
         }
-        Some(Arc::clone(&slot.cells))
+        Some(cells)
     }
 
     /// Caches an entry. `df` is the demand estimate
     /// [`EvictionPolicy::LowestOuterDf`] keys evictions by (ignored under
-    /// LRU). Ties on `df` break by term id, so eviction order is
+    /// LRU). Ties on `df` break by ordinal, so eviction order is
     /// reproducible.
-    fn insert(&mut self, term: TermId, cells: impl Into<Arc<[ICell]>>, bytes: u64, df: u64) {
-        debug_assert!(!self.entries.contains_key(&term));
+    fn insert(&mut self, ordinal: u32, cells: impl Into<Arc<[ICell]>>, bytes: u64, df: u64) {
+        debug_assert!(!self.contains(ordinal));
         self.tick += 1;
         let key = match self.policy {
-            EvictionPolicy::LowestOuterDf => (df, term.raw()),
-            EvictionPolicy::Lru => (self.tick, term.raw()),
+            EvictionPolicy::LowestOuterDf => (df, ordinal),
+            EvictionPolicy::Lru => (self.tick, ordinal),
         };
         self.order.insert(key);
-        self.entries.insert(
-            term,
-            CacheSlot {
-                cells: cells.into(),
-                bytes,
-                key,
-                pinned: false,
-            },
-        );
+        self.index[ordinal as usize] = self.slots.len() as u32;
+        self.slots.push(CacheSlot {
+            cells: cells.into(),
+            bytes,
+            key,
+            pinned: false,
+        });
     }
 
     /// Evicts the lowest-priority *unpinned* entry, returning the bytes it
-    /// freed. Pinned entries are invisible here: their keys are withdrawn
-    /// from the eviction order, so a pinned entry is never evicted.
+    /// freed; a pinned entry is never evicted.
     fn evict_one(&mut self) -> Option<u64> {
-        let (_, term) = self.order.pop_first()?;
-        self.entries
-            .remove(&TermId::new(term))
-            .map(|slot| slot.bytes)
+        let (index, slots) = (&self.index, &self.slots);
+        let key = *self
+            .order
+            .iter()
+            .find(|&&(_, o)| !slots[index[o as usize] as usize].pinned)?;
+        self.order.remove(&key);
+        let at = std::mem::replace(&mut self.index[key.1 as usize], UNCACHED);
+        let slot = self.slots.swap_remove(at as usize);
+        if let Some(moved) = self.slots.get(at as usize) {
+            self.index[moved.key.1 as usize] = at;
+        }
+        Some(slot.bytes)
     }
 
     /// Exempts a cached entry from eviction (`true`) or makes it evictable
     /// again (`false`).
-    fn pin(&mut self, term: TermId, pinned: bool) {
-        if let Some(slot) = self.entries.get_mut(&term).filter(|s| s.pinned != pinned) {
+    fn pin(&mut self, ordinal: u32, pinned: bool) {
+        if let Some(slot) = self.slot(ordinal) {
             slot.pinned = pinned;
-            match pinned {
-                true => self.order.remove(&slot.key),
-                false => self.order.insert(slot.key),
-            };
         }
     }
 
     /// Releases every pin (mandatory allocations outrank pin hints).
     fn unpin_all(&mut self) {
-        for slot in self.entries.values_mut().filter(|s| s.pinned) {
+        for slot in &mut self.slots {
             slot.pinned = false;
-            self.order.insert(slot.key);
         }
     }
 
     /// Whether any entry is currently pinned.
     fn has_pinned(&self) -> bool {
-        self.entries.values().any(|s| s.pinned)
+        self.slots.iter().any(|s| s.pinned)
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 }
 
@@ -950,53 +977,53 @@ mod tests {
 
     #[test]
     fn eviction_cache_prefers_high_outer_df() {
-        let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf, 4);
         let cells = vec![ICell::new(DocId::new(0), 1)];
-        cache.insert(TermId::new(1), cells.clone(), 8, 100); // frequent in C2
-        cache.insert(TermId::new(2), cells.clone(), 8, 1); // rare in C2
-        cache.insert(TermId::new(3), cells, 8, 50);
+        cache.insert(1, cells.clone(), 8, 100); // frequent in C2
+        cache.insert(2, cells.clone(), 8, 1); // rare in C2
+        cache.insert(3, cells, 8, 50);
         assert_eq!(cache.len(), 3);
         cache.evict_one();
-        assert!(!cache.contains(TermId::new(2)), "rare term evicted first");
+        assert!(!cache.contains(2), "rare term evicted first");
         cache.evict_one();
-        assert!(!cache.contains(TermId::new(3)));
-        assert!(cache.contains(TermId::new(1)));
+        assert!(!cache.contains(3));
+        assert!(cache.contains(1));
     }
 
     #[test]
     fn lru_cache_evicts_least_recently_used() {
-        let mut cache = EntryCache::new(EvictionPolicy::Lru);
+        let mut cache = EntryCache::new(EvictionPolicy::Lru, 3);
         let cells = vec![ICell::new(DocId::new(0), 1)];
-        cache.insert(TermId::new(1), cells.clone(), 8, 0);
-        cache.insert(TermId::new(2), cells.clone(), 8, 0);
-        let _ = cache.get(TermId::new(1)); // refresh term 1
+        cache.insert(1, cells.clone(), 8, 0);
+        cache.insert(2, cells.clone(), 8, 0);
+        let _ = cache.get(1); // refresh ordinal 1
         cache.evict_one();
-        assert!(cache.contains(TermId::new(1)));
-        assert!(!cache.contains(TermId::new(2)));
+        assert!(cache.contains(1));
+        assert!(!cache.contains(2));
     }
 
     /// Regression: entries whose terms tie on document frequency must
-    /// evict in ascending term order, whatever order they were inserted
-    /// in — `evict_one` is reproducible across runs and executors.
+    /// evict in ascending ordinal (= term) order, whatever order they were
+    /// inserted in — `evict_one` is reproducible across runs and executors.
     #[test]
     fn equal_df_ties_evict_in_ascending_term_order() {
         let cells = vec![ICell::new(DocId::new(0), 1)];
-        let mut forward = EntryCache::new(EvictionPolicy::LowestOuterDf);
-        let mut reverse = EntryCache::new(EvictionPolicy::LowestOuterDf);
-        let terms = [9u32, 3, 27, 14, 5];
-        for &t in &terms {
-            forward.insert(TermId::new(t), cells.clone(), 8, 7);
+        let mut forward = EntryCache::new(EvictionPolicy::LowestOuterDf, 28);
+        let mut reverse = EntryCache::new(EvictionPolicy::LowestOuterDf, 28);
+        let ordinals = [9u32, 3, 27, 14, 5];
+        for &o in &ordinals {
+            forward.insert(o, cells.clone(), 8, 7);
         }
-        for &t in terms.iter().rev() {
-            reverse.insert(TermId::new(t), cells.clone(), 8, 7);
+        for &o in ordinals.iter().rev() {
+            reverse.insert(o, cells.clone(), 8, 7);
         }
         let drain = |mut c: EntryCache| {
             let mut order = Vec::new();
             while c.evict_one().is_some() {
-                let survivors: Vec<u32> = terms
+                let survivors: Vec<u32> = ordinals
                     .iter()
                     .copied()
-                    .filter(|&t| c.contains(TermId::new(t)))
+                    .filter(|&o| c.contains(o))
                     .collect();
                 order.push(survivors);
             }
@@ -1004,9 +1031,9 @@ mod tests {
         };
         let f = drain(forward);
         assert_eq!(f, drain(reverse), "order depends on insertion");
-        // Ascending term order: 3 goes first, 27 survives longest.
-        assert!(!f[0].contains(&3), "lowest term id evicts first");
-        assert_eq!(f[3], vec![27], "highest term id evicts last");
+        // Ascending ordinal order: 3 goes first, 27 survives longest.
+        assert!(!f[0].contains(&3), "lowest ordinal evicts first");
+        assert_eq!(f[3], vec![27], "highest ordinal evicts last");
     }
 
     /// Evictions are keyed by the caller-supplied demand — for a batch the
@@ -1014,15 +1041,146 @@ mod tests {
     /// survives longer.
     #[test]
     fn eviction_orders_by_aggregate_demand() {
-        let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf);
+        let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf, 3);
         let cells = vec![ICell::new(DocId::new(0), 1)];
-        // Term 1 is rare per query but demanded by many queries; term 2 is
-        // frequent in one query and zero-weighted in the rest.
-        cache.insert(TermId::new(1), cells.clone(), 8, 4 * 3);
-        cache.insert(TermId::new(2), cells.clone(), 8, 9);
+        // Ordinal 1 is rare per query but demanded by many queries;
+        // ordinal 2 is frequent in one query and zero-weighted in the rest.
+        cache.insert(1, cells.clone(), 8, 4 * 3);
+        cache.insert(2, cells.clone(), 8, 9);
         cache.evict_one();
-        assert!(cache.contains(TermId::new(1)), "aggregate demand wins");
-        assert!(!cache.contains(TermId::new(2)));
+        assert!(cache.contains(1), "aggregate demand wins");
+        assert!(!cache.contains(2));
+    }
+
+    /// The fetch ladder on `tight_cache_still_correct_with_more_fetches`'
+    /// collections, recorded before the cache was keyed by ordinal: a
+    /// rewrite of the lookup path must fetch, hit and read exactly this.
+    /// Rows: buffer pages, whether the outer side is the even documents
+    /// only, policy, order → entry fetches, cache hits, (seq, rand) reads.
+    #[test]
+    fn fetch_ladder_is_unchanged() {
+        use EvictionPolicy::{LowestOuterDf as Df, Lru};
+        use OuterOrder::{GreedyIntersection as Greedy, Storage};
+        let (_, c1, c2, inv, _, _) = fixture(25, 25, 12.0, 60, 128);
+        let evens: Vec<DocId> = (0..25).step_by(2).map(DocId::new).collect();
+        let spec = |buffer_pages, half: bool| {
+            let spec = JoinSpec::new(&c1, &c2)
+                .with_sys(SystemParams {
+                    buffer_pages,
+                    page_size: 128,
+                    alpha: 5.0,
+                })
+                .with_query(QueryParams::paper_base().with_lambda(4));
+            match half {
+                true => spec.with_outer_docs(OuterDocs::Selected(&evens)),
+                false => spec,
+            }
+        };
+        let observed = |stats: &crate::ExecStats| {
+            let io = (stats.io.seq_reads, stats.io.rand_reads);
+            (stats.entry_fetches, stats.cache_hits, io)
+        };
+        let ladder = [
+            (10, false, Df, Storage, (192, 89, (89, 166))),
+            (10, false, Lru, Storage, (199, 82, (91, 176))),
+            (10, true, Df, Storage, (105, 43, (42, 112))),
+            (10, true, Lru, Storage, (104, 44, (53, 103))),
+            (14, false, Df, Storage, (95, 186, (46, 84))),
+            (14, false, Lru, Storage, (98, 183, (50, 85))),
+            (14, true, Df, Greedy, (118, 30, (44, 132))),
+            (14, true, Lru, Greedy, (120, 28, (40, 141))),
+            (18, false, Df, Storage, (3, 278, (26, 7))),
+            (18, false, Lru, Storage, (18, 263, (30, 22))),
+            (30, false, Df, Greedy, (0, 281, (26, 3))),
+            (30, false, Lru, Greedy, (5, 276, (27, 7))),
+        ];
+        for (b, half, eviction, order, want) in ladder {
+            let options = HvnlOptions { eviction, order };
+            let got = execute_with(&spec(b, half), &inv, options).unwrap();
+            assert_eq!(
+                observed(&got.stats),
+                want,
+                "B = {b}, half = {half}, {options:?}"
+            );
+        }
+        // A batch of three whose TF-IDF members zero the terms in every
+        // inner document, so the eviction keys are aggregate demands.
+        for (b, want) in [
+            (10, (400, 310, (150, 364))),
+            (14, (155, 555, (61, 139))),
+            (18, (3, 707, (26, 7))),
+        ] {
+            let tfidf = spec(b, false).with_weighting(crate::Weighting::TfIdf);
+            let specs = [
+                spec(b, false),
+                tfidf.with_query(QueryParams::paper_base().with_lambda(3)),
+                tfidf.with_outer_docs(OuterDocs::Selected(&evens)),
+            ];
+            let got = crate::batch::execute_hvnl(&specs, &inv, HvnlOptions::default()).unwrap();
+            assert_eq!(observed(&got.stats), want, "batch, B = {b}");
+        }
+    }
+
+    /// The cache as it was before pins became flags, kept as the oracle:
+    /// a pinned key is withdrawn from the eviction order and restored when
+    /// the pin is released.
+    struct Withdrawing {
+        policy: EvictionPolicy,
+        /// Ordinal → (key, pinned).
+        slots: std::collections::BTreeMap<u32, ((u64, u32), bool)>,
+        order: BTreeSet<(u64, u32)>,
+        tick: u64,
+    }
+
+    impl Withdrawing {
+        fn get(&mut self, ordinal: u32) {
+            self.tick += 1;
+            let Some((key, pinned)) = self.slots.get_mut(&ordinal) else {
+                return;
+            };
+            if self.policy == EvictionPolicy::Lru {
+                if !*pinned {
+                    self.order.remove(key);
+                }
+                *key = (self.tick, ordinal);
+                if !*pinned {
+                    self.order.insert(*key);
+                }
+            }
+        }
+
+        fn insert(&mut self, ordinal: u32, df: u64) {
+            self.tick += 1;
+            let key = match self.policy {
+                EvictionPolicy::LowestOuterDf => (df, ordinal),
+                EvictionPolicy::Lru => (self.tick, ordinal),
+            };
+            self.order.insert(key);
+            self.slots.insert(ordinal, (key, false));
+        }
+
+        fn evict_one(&mut self) -> Option<u32> {
+            let (_, ordinal) = self.order.pop_first()?;
+            self.slots.remove(&ordinal);
+            Some(ordinal)
+        }
+
+        fn pin(&mut self, ordinal: u32, pin: bool) {
+            if let Some((key, pinned)) = self.slots.get_mut(&ordinal).filter(|s| s.1 != pin) {
+                *pinned = pin;
+                match pin {
+                    true => self.order.remove(key),
+                    false => self.order.insert(*key),
+                };
+            }
+        }
+
+        fn unpin_all(&mut self) {
+            for (key, pinned) in self.slots.values_mut().filter(|s| s.1) {
+                *pinned = false;
+                self.order.insert(*key);
+            }
+        }
     }
 
     use proptest::prelude::*;
@@ -1077,23 +1235,23 @@ mod tests {
             dfs in prop::collection::vec(0u32..50, 1..20),
             pin_bits in prop::collection::vec(prop::bool::ANY, 20)
         ) {
-            let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf);
+            let mut cache = EntryCache::new(EvictionPolicy::LowestOuterDf, dfs.len());
             let cells = vec![ICell::new(DocId::new(0), 1)];
             for (i, &df) in dfs.iter().enumerate() {
-                cache.insert(TermId::new(i as u32), cells.clone(), 8, u64::from(df));
+                cache.insert(i as u32, cells.clone(), 8, u64::from(df));
             }
             let pinned: Vec<u32> = (0..dfs.len() as u32)
                 .filter(|&i| pin_bits[i as usize])
                 .collect();
-            for &t in &pinned {
-                cache.pin(TermId::new(t), true);
+            for &o in &pinned {
+                cache.pin(o, true);
             }
             while cache.evict_one().is_some() {}
             for i in 0..dfs.len() as u32 {
                 prop_assert_eq!(
-                    cache.contains(TermId::new(i)),
+                    cache.contains(i),
                     pinned.contains(&i),
-                    "term {} pinned={}",
+                    "ordinal {} pinned={}",
                     i,
                     pinned.contains(&i)
                 );
@@ -1104,6 +1262,63 @@ mod tests {
             prop_assert_eq!(cache.len(), pinned.len());
             while cache.evict_one().is_some() {}
             prop_assert_eq!(cache.len(), 0);
+        }
+
+        /// Random inserts, gets, pins, unpins, `unpin_all`s and evictions
+        /// evict exactly what the withdrawing oracle evicts, under both
+        /// policies: a pin flag skipped by `evict_one` chooses the parent's
+        /// victim. An op is `(kind, ordinal, df)`.
+        #[test]
+        fn flag_pins_evict_what_withdrawn_keys_evict(
+            lru in prop::bool::ANY,
+            ops in prop::collection::vec((0u8..6, 0u32..12, 0u64..5), 1..120)
+        ) {
+            let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::LowestOuterDf };
+            let mut cache = EntryCache::new(policy, 12);
+            let mut oracle = Withdrawing {
+                policy,
+                slots: Default::default(),
+                order: BTreeSet::new(),
+                tick: 0,
+            };
+            let cells = vec![ICell::new(DocId::new(0), 1)];
+            for (kind, o, df) in ops {
+                match kind {
+                    0 if !cache.contains(o) => {
+                        // The bytes name the ordinal, so an eviction says which.
+                        cache.insert(o, cells.clone(), u64::from(o) + 1, df);
+                        oracle.insert(o, df);
+                    }
+                    0 | 1 => {
+                        prop_assert_eq!(cache.get(o).is_some(), oracle.slots.contains_key(&o));
+                        oracle.get(o);
+                    }
+                    2 | 3 => {
+                        cache.pin(o, kind == 2);
+                        oracle.pin(o, kind == 2);
+                    }
+                    4 => {
+                        cache.unpin_all();
+                        oracle.unpin_all();
+                    }
+                    _ => {
+                        let evicted = cache.evict_one().map(|bytes| bytes as u32 - 1);
+                        prop_assert_eq!(evicted, oracle.evict_one());
+                    }
+                }
+                prop_assert_eq!(cache.len(), oracle.slots.len());
+                prop_assert_eq!(cache.has_pinned(), oracle.slots.values().any(|s| s.1));
+                for o in 0..12 {
+                    prop_assert_eq!(cache.contains(o), oracle.slots.contains_key(&o));
+                }
+            }
+            // Once every pin is released both drain in the same order.
+            cache.unpin_all();
+            oracle.unpin_all();
+            while let Some(o) = oracle.evict_one() {
+                prop_assert_eq!(cache.evict_one(), Some(u64::from(o) + 1));
+            }
+            prop_assert_eq!(cache.evict_one(), None);
         }
     }
 }

@@ -48,7 +48,7 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
         }
     }
 
@@ -69,9 +69,10 @@ impl TopK {
 
     /// Bytes of state this collector may hold, for memory accounting:
     /// λ similarity values (4 bytes each, as the paper assumes) plus λ
-    /// document numbers (4 bytes each).
+    /// document numbers (4 bytes each). Saturates: a λ no budget holds is
+    /// refused by the charge, not wrapped into a small one.
     pub fn budget_bytes(k: usize) -> u64 {
-        (k * 8) as u64
+        (k as u64).saturating_mul(8)
     }
 
     /// Offers a candidate; keeps it only if it beats the current worst (or

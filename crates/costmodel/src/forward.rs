@@ -48,7 +48,7 @@ pub(crate) fn documents(i: &JoinInputs) -> Result<Source> {
         name: "HHNL",
         open_pages: 0.0,
         pinned_pages: 0.0,
-        per_outer_doc: i.s2() + (SIM_VALUE_BYTES * i.query.lambda) as f64 / p,
+        per_outer_doc: i.s2() + SIM_VALUE_BYTES as f64 * i.query.lambda as f64 / p,
         pass_pages: i.d1_frag(),
         seeks: 0.0,
     })
@@ -71,7 +71,7 @@ pub(crate) fn signatures(i: &JoinInputs) -> Result<Source> {
         pinned_pages: fnl.meta_bytes as f64 / p,
         per_outer_doc: i.s2()
             + (RANK_CELL_BYTES as f64 * i.outer.avg_terms_per_doc) / p
-            + (TOPK_SLOT_BYTES * i.query.lambda) as f64 / p,
+            + TOPK_SLOT_BYTES as f64 * i.query.lambda as f64 / p,
         pass_pages: fnl.index_pages as f64 + i.inner_frag.doc_delta_pages as f64,
         seeks: 1.0,
     })

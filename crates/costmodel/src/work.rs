@@ -45,7 +45,12 @@ pub const SIGNATURE_CELL_NS: f64 = 16.0;
 pub const ICELL_NS: f64 = 5.0;
 
 /// One outer cell's term resolved by HVNL: dictionary search plus entry
-/// cache probe.
+/// cache probe. 400 is the fit from when the cache was a hash map keyed by
+/// term, probed five times per cell; keyed by dictionary ordinal, a cell
+/// costs one search and a few array indexings (EXPERIMENTS.md measures
+/// it). The price is kept on purpose: refitting one price alone reorders
+/// the ranking, so it is refitted together with the storage crate's
+/// `READ_NS_PER_BYTE`.
 pub const LOOKUP_NS: f64 = 400.0;
 
 /// What a page and a unit of each loop's work cost, in nanoseconds.

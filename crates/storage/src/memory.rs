@@ -68,19 +68,23 @@ impl MemTracker {
     }
 
     /// Claims `bytes`, failing with [`Error::InsufficientMemory`] when the
-    /// budget would be exceeded. `context` names the requester for the
-    /// error message.
+    /// budget would be exceeded (a sum past `u64::MAX` included). `context`
+    /// names the requester for the error message.
     pub fn allocate(&self, bytes: u64, context: &str) -> Result<()> {
         let mut inner = self.inner.lock();
-        if inner.used + bytes > self.capacity {
+        let Some(used) = inner
+            .used
+            .checked_add(bytes)
+            .filter(|&u| u <= self.capacity)
+        else {
             let page = self.page_size as u64;
             return Err(Error::InsufficientMemory {
                 context: context.to_string(),
-                required_pages: (inner.used + bytes).div_ceil(page),
+                required_pages: inner.used.saturating_add(bytes).div_ceil(page),
                 available_pages: self.capacity / page,
             });
-        }
-        inner.used += bytes;
+        };
+        inner.used = used;
         inner.high_water = inner.high_water.max(inner.used);
         Ok(())
     }
@@ -139,6 +143,20 @@ mod tests {
         // Failed allocation must not consume budget.
         assert_eq!(t.used(), 90);
         t.allocate(10, "fits").unwrap();
+    }
+
+    #[test]
+    fn a_sum_past_u64_max_is_refused_not_wrapped() {
+        let t = MemTracker::with_capacity_bytes(100, 10);
+        t.allocate(10, "warmup").unwrap();
+        let err = t.allocate(u64::MAX, "huge").unwrap_err();
+        // The sum saturates at `u64::MAX` bytes.
+        let saturated = u64::MAX.div_ceil(10);
+        assert!(matches!(
+            err,
+            Error::InsufficientMemory { required_pages, .. } if required_pages == saturated
+        ));
+        assert_eq!(t.used(), 10);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use textjoin::prelude::*;
 use textjoin::query::{parse, run_query};
 use textjoin::storage::DiskSim;
+use textjoin::Error;
 
 /// A tiny vocabulary so documents overlap often.
 const WORDS: [&str; 12] = [
@@ -168,5 +169,30 @@ proptest! {
         prop_assert_eq!(q.select.len(), 2);
         let (_, _, l) = q.similar_to().unwrap();
         prop_assert_eq!(l, lambda);
+    }
+}
+
+/// A λ too large for any budget is refused — `InsufficientMemory` or
+/// `InvalidArgument` — whatever algorithm the planner picks: the byte
+/// arithmetic of its λ-heaps saturates instead of wrapping (2^61 · 8 wraps
+/// to 0), no heap reserves room for λ before the budget admits it, and a
+/// charge whose sum would pass `u64::MAX` is refused, not wrapped.
+#[test]
+fn a_huge_lambda_is_refused_not_wrapped() {
+    let catalog = build_catalog(&[vec![0, 1, 2], vec![1, 3]], &[vec![0, 1], vec![2, 4]]);
+    for lambda in [1u64 << 61, 1 << 62, u64::MAX] {
+        let sql = format!("SELECT R.id, L.id FROM L, R WHERE L.body SIMILAR_TO({lambda}) R.body");
+        let out = run_query(
+            &catalog,
+            &sql,
+            SystemParams::paper_base(),
+            QueryParams::paper_base(),
+            IoScenario::Dedicated,
+        );
+        match out {
+            Err(Error::InsufficientMemory { .. } | Error::InvalidArgument(_)) => {}
+            Err(e) => panic!("λ = {lambda}: {e}"),
+            Ok(out) => panic!("λ = {lambda}: Ok with {} rows", out.rows.len()),
+        }
     }
 }
