@@ -398,15 +398,12 @@ impl Rows {
         out: &mut Vec<ResultRow>,
         tracker: &MemTracker,
     ) {
-        let (inner_profile, outer_profile) = (spec.inner.profile(), spec.outer.profile());
         let mut bytes = 0;
         for (slot, &outer_id) in chunk.iter().enumerate() {
             let mut topk = TopK::new(spec.query.lambda);
             self.rows[slot].for_each(|inner_raw, sum| {
                 let inner_id = DocId::new(inner_raw);
-                let score =
-                    spec.weighting
-                        .finalize(sum, inner_profile, inner_id, outer_profile, outer_id);
+                let score = (spec.weighting).finalize(sum, || spec.norms(inner_id, outer_id));
                 if !score.is_zero() {
                     topk.offer(inner_id, score);
                 }

@@ -228,7 +228,6 @@ impl Round {
             .count() as u64;
 
         let inner_profile = specs[0].inner.profile();
-        let outer_profile = specs[0].outer.profile();
         for (key, weight) in cells {
             let Some(at) = postings.position(key) else {
                 continue;
@@ -266,9 +265,7 @@ impl Round {
                 continue;
             }
             scored += 1;
-            let score =
-                spec.weighting
-                    .finalize(sum, inner_profile, inner_id, outer_profile, *outer_id);
+            let score = (spec.weighting).finalize(sum, || spec.norms(inner_id, *outer_id));
             if !score.is_zero() {
                 heap.offer(inner_id, score);
             }
@@ -381,7 +378,7 @@ mod tests {
                                 pruned += 1;
                                 continue;
                             };
-                            spec.weighting.finalize(acc, pi, *inner_id, po, outer_id)
+                            (spec.weighting).finalize(acc, || spec.norms(*inner_id, outer_id))
                         }
                         Some(tau) if matched < tau => continue,
                         _ => score,

@@ -8,13 +8,13 @@
 //!
 //! * **HHNL / HVNL / FNL — outer document partitioning.** The
 //!   participating outer documents are split across sites (hash-by-document,
-//!   or size-weighted skew-aware ranges); every site receives a spooled
-//!   replica of the inner side and ships in what the algorithm reads over
-//!   it — the inner collection (HHNL), its inverted file (HVNL) or its
-//!   signature index and sidecar (FNL), priced through the comm model —
-//!   and runs [`crate::execute`] over its slice. A document's λ best
-//!   matches depend only on that document and the full inner side, so the
-//!   per-site rows concatenate into the exact global result.
+//!   or size-weighted skew-aware ranges). A site owns only its slice; it
+//!   runs [`crate::execute`] over it against the one inner side every site
+//!   reads — the caller's collection and overlay, and one index — and is
+//!   charged shipping in what it reads of it, priced through the comm
+//!   model. A document's λ best matches depend only on that document and
+//!   the full inner side, so the per-site rows concatenate into the exact
+//!   global result.
 //! * **VVM — term-range inverted-file fragments.** Both inverted files are
 //!   split at the same term boundaries into per-site fragment files, and
 //!   each fragment pair is one part of the one merge of [`crate::vvm`];
@@ -31,33 +31,29 @@
 //! load exceeds `bound × total/S` (the Robust Dynamic Hybrid Hash Join
 //! fallback), bin-packing the pieces back onto the S sites.
 //!
-//! Exactness: a document site joins its slice against the whole inner
-//! side, and every term of the VVM merge lives in exactly one fragment
-//! pair; raw-count scores are integers and independent of the rebuilt
-//! per-site collection profiles, so sharded results are byte-identical to
-//! single-node for all four algorithms — including under delta overlays
-//! (materialised into the site structures; the single-node comparison runs
-//! with the overlay attached) and degraded mode. Fractional weightings
-//! that read collection-wide statistics (TF×IDF) agree only
-//! approximately, because per-site profiles are rebuilt from subsets;
-//! cosine VVM additionally reassociates floating-point sums.
+//! Exactness: a document site reads the inner side a single-node run
+//! reads, and an outer document scores with its own norm wherever it
+//! lives, so document sites are byte-identical to single-node under every
+//! weighting, delta overlays and degraded mode included. Every term of the
+//! VVM merge lives in exactly one fragment pair, so raw-count VVM is
+//! byte-identical too; fractional VVM reassociates floating-point sums.
 //!
-//! A site of either shape is built in one place (`build_site`): a drive of
-//! its own, the shipped pages priced with the term-encoding blowup, and
-//! the chaos fault armed once the build is done.
+//! A site of either shape is built in one place (`build_site`): what the
+//! site owns on a drive of its own, the shipped pages priced with the
+//! term-encoding blowup, and the chaos fault armed on the site's files.
 
 use crate::driver::{feed_ticket, merge_outcomes, run_parts, sole, validate, Indexes};
 use crate::result::{JoinOutcome, ResultQuality};
 use crate::spec::{JoinSpec, OuterDocs};
 use crate::vvm::Part;
-use crate::{hhnl, vvm, Algorithm};
+use crate::{vvm, Algorithm};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
 use textjoin_common::{DocId, FxHashMap, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
-use textjoin_invfile::{postings_of, FnlIndex, InvertedFile};
+use textjoin_invfile::{postings_of, DeltaOverlay, FnlIndex, InvertedFile};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard};
 use textjoin_storage::{DiskSim, FaultPlan, FileId, IoStats};
 
@@ -105,9 +101,10 @@ pub struct ShardOptions<'a> {
     pub fault: Option<ShardFault>,
 }
 
-/// A mid-run fault aimed at one site: after site `shard`'s structures are
-/// built (and before the join runs), `kind` is planted on `page` — taken
-/// modulo each file's size — of every data file on that site's drive.
+/// A mid-run fault aimed at one site: after site `shard` is built (and
+/// before the join runs), `kind` is planted on `page` — taken modulo each
+/// file's size — of every file the site owns: a document site's outer
+/// slice, a VVM site's two fragments.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardFault {
     /// Which site misbehaves.
@@ -166,12 +163,17 @@ impl<'a> ShardOptions<'a> {
 pub struct ShardReport {
     /// Site index.
     pub shard: usize,
-    /// Page reads on this site's drive during execution (builds excluded).
+    /// Page reads this site made during execution (builds excluded): its
+    /// own drive's and, for a document site, the shared inner side's.
     pub io: IoStats,
     /// This site's page cost (`seq + α·rand`) — the bench grid's
     /// `max-shard` metric maximises this across sites.
     pub pages_io: f64,
     /// Pages shipped to or from this site, term-encoding blowup included.
+    /// A document site ships in what it reads of the inner side: the
+    /// collection (HHNL), the inverted file (HVNL) or the signature index
+    /// and sidecar (FNL), plus the overlay's flushed side file it reads —
+    /// documents for HHNL and FNL, entries for HVNL.
     pub shipped_pages: u64,
     /// Documents or inverted-file entries this site skipped in degraded
     /// mode.
@@ -299,31 +301,20 @@ pub fn execute_sharded(
     algorithm: Algorithm,
     opts: &ShardOptions<'_>,
 ) -> Result<ShardedOutcome> {
-    // Before anything is materialised from the selections.
+    // Before anything is read from the selections.
     validate(std::slice::from_ref(spec))?;
     let started = Instant::now();
-    let (outer_docs, skipped_outer) = materialize(spec.outer_iter(), spec)?;
-    let (inner_docs, skipped_inner) = materialize(spec.inner_iter(), spec)?;
-    // Pages shipped between sites.
-    let wire = Cell::new(0u64);
-    let (mut outcome, shards, mat_skipped) = if outer_docs.is_empty() || inner_docs.is_empty() {
-        // Every algorithm gives the same result here: plain HHNL on the
-        // original structures (it counts its own skips), relabelled.
-        let mut outcome = hhnl::execute(spec)?;
-        outcome.stats.algorithm = algorithm;
-        (outcome, Vec::new(), 0)
-    } else {
-        let (outcome, shards) = match algorithm {
-            Algorithm::Vvm => vvm_sites(spec, opts, &inner_docs, &outer_docs, &wire)?,
-            _ => doc_sites(spec, algorithm, opts, &inner_docs, &outer_docs, &wire)?,
-        };
-        (outcome, shards, skipped_outer + skipped_inner)
+    // Pages shipped between sites, and the documents the coordinator could
+    // not read while building them.
+    let (wire, skipped) = (Cell::new(0u64), Cell::new(0u64));
+    let (mut outcome, shards) = match algorithm {
+        Algorithm::Vvm => vvm_sites(spec, opts, &wire, &skipped)?,
+        _ => doc_sites(spec, algorithm, opts, &wire, &skipped)?,
     };
-    // What only the coordinator knows: the documents it could not read
-    // while building the sites.
-    outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(mat_skipped);
+    let skipped = skipped.get();
+    outcome.stats.skipped_docs = outcome.stats.skipped_docs.saturating_add(skipped);
     outcome.stats.wall_ns = started.elapsed().as_nanos() as u64;
-    if mat_skipped > 0 {
+    if skipped > 0 {
         outcome.quality = ResultQuality::Partial;
     }
     Ok(ShardedOutcome {
@@ -336,22 +327,20 @@ pub fn execute_sharded(
     })
 }
 
-/// Materialises a document iterator, honouring degraded mode: unreadable
-/// documents are skipped and counted instead of failing the build.
-fn materialize(
-    iter: impl Iterator<Item = Result<(DocId, Document)>>,
-    spec: &JoinSpec<'_>,
-) -> Result<(Vec<(DocId, Document)>, u64)> {
-    let mut docs = Vec::new();
-    let mut skipped = 0u64;
-    for item in iter {
-        match item {
-            Ok(pair) => docs.push(pair),
-            Err(e) if spec.skippable(&e) => skipped += 1,
-            Err(e) => return Err(e),
+/// A document stream in degraded mode: unreadable documents are dropped
+/// and counted in `skipped`; every other error passes through.
+fn readable<'s>(
+    docs: impl Iterator<Item = Result<(DocId, Document)>> + 's,
+    spec: &'s JoinSpec<'_>,
+    skipped: &'s Cell<u64>,
+) -> impl Iterator<Item = Result<(DocId, Document)>> + 's {
+    docs.filter(move |item| match item {
+        Err(e) if spec.skippable(e) => {
+            skipped.set(skipped.get() + 1);
+            false
         }
-    }
-    Ok((docs, skipped))
+        _ => true,
+    })
 }
 
 /// Builds a site-local collection preserving global document ids (sparse
@@ -368,11 +357,8 @@ fn build_collection<'d>(
         builder.add_with_id(*id, doc)?;
         profile.observe_at(*id, doc);
     }
-    Ok(Collection::from_store(
-        name,
-        builder.finish()?,
-        profile.finish(),
-    ))
+    let store = builder.finish()?;
+    Ok(Collection::from_store(name, store, profile.finish()))
 }
 
 /// Registers one ticket per site when a live registry is attached.
@@ -404,18 +390,18 @@ fn register_tickets(
 }
 
 /// A built site: what it holds on its drive, and the pages shipped in to
-/// assemble it (term-encoding blowup included).
+/// run it (term-encoding blowup included).
 struct Site<T> {
     shard: usize,
     holds: T,
     shipped: u64,
 }
 
-/// The one place a site is built. `build` lays the site's structures out
-/// on a drive of its own and returns them with the pages that crossed the
-/// wire to assemble them and the data files on the drive; the shipping is
-/// priced with the blowup, and the chaos fault aimed at site `k`, if any,
-/// is armed on those files after the build, so that it strikes the join.
+/// The one place a site is built. `build` lays what the site owns out on a
+/// drive of its own and returns it with the pages that cross the wire for
+/// the site and the data files on the drive; the shipping is priced with
+/// the blowup, and the chaos fault aimed at site `k`, if any, is armed on
+/// those files after the build, so that it strikes the join.
 fn build_site<T>(
     spec: &JoinSpec<'_>,
     opts: &ShardOptions<'_>,
@@ -442,87 +428,67 @@ fn build_site<T>(
     })
 }
 
-/// What a document site holds: a slice of the outer documents, a replica
-/// of the inner side, and the index the algorithm reads over that replica
-/// (none for HHNL, the inverted file for HVNL, the signature index for
-/// FNL).
-struct DocSite {
-    inner: Collection,
-    outer: Collection,
-    inv: Option<InvertedFile>,
-    fnl: Option<FnlIndex>,
-}
-
-/// HHNL, HVNL and FNL: every site joins its slice of the outer documents
-/// against the whole inner side, and ships in the replica the algorithm
-/// reads — HHNL the inner collection, HVNL its inverted file, FNL its
-/// signature index and sidecar.
+/// HHNL, HVNL and FNL: a site owns its slice of the outer documents and
+/// joins it against the caller's inner side, overlay and all, as a
+/// single-node run reads it. The index the algorithm reads (none for HHNL)
+/// is built once, on a drive this call owns, never on the caller's.
 fn doc_sites(
     spec: &JoinSpec<'_>,
     algorithm: Algorithm,
     opts: &ShardOptions<'_>,
-    inner_docs: &[(DocId, Document)],
-    outer_docs: &[(DocId, Document)],
     wire: &Cell<u64>,
+    skipped: &Cell<u64>,
 ) -> Result<(JoinOutcome, Vec<ShardReport>)> {
+    let outer_docs: Vec<(DocId, Document)> =
+        readable(spec.outer_iter(), spec, skipped).collect::<Result<_>>()?;
+    let disk = Arc::new(DiskSim::new(spec.sys.page_size));
+    let (mut inv, mut fnl) = (None, None);
+    // What each site ships in: see `ShardReport::shipped_pages`.
+    let overlay = spec.inner_delta;
+    let pages = match algorithm {
+        Algorithm::Hvnl => {
+            let index = inv.insert(InvertedFile::build(Arc::clone(&disk), "inner", spec.inner)?);
+            index.num_pages() + overlay.map_or(0, DeltaOverlay::inv_pages)
+        }
+        Algorithm::Fnl => {
+            let index = fnl.insert(FnlIndex::build(Arc::clone(&disk), "inner", spec.inner)?);
+            index.num_pages() + index.meta_pages() + overlay.map_or(0, DeltaOverlay::doc_pages)
+        }
+        _ => spec.inner.store().num_pages() + overlay.map_or(0, DeltaOverlay::doc_pages),
+    };
+    let indexes = Indexes {
+        inner_inv: inv.as_ref(),
+        outer_inv: None,
+        fnl: fnl.as_ref(),
+    };
+
     let s = opts.shards.max(1).min(outer_docs.len());
     let page = spec.sys.page_size as u64;
-    let assignment = assign_outer_docs(outer_docs, s, page, opts);
-    let mut sites: Vec<Site<DocSite>> = Vec::with_capacity(s);
+    let assignment = assign_outer_docs(&outer_docs, s, page, opts);
+    let mut sites: Vec<Site<Collection>> = Vec::with_capacity(s);
     for (k, idxs) in assignment.iter().enumerate() {
         if idxs.is_empty() {
             continue;
         }
         sites.push(build_site(spec, opts, k, wire, |disk| {
-            let inner = build_collection(disk, "inner", inner_docs)?;
             let outer = build_collection(disk, "outer", idxs.iter().map(|&i| &outer_docs[i]))?;
-            let (mut inv, mut fnl) = (None, None);
-            let pages = match algorithm {
-                Algorithm::Hvnl => inv
-                    .insert(InvertedFile::build(Arc::clone(disk), "inner", &inner)?)
-                    .num_pages(),
-                Algorithm::Fnl => {
-                    let index = fnl.insert(FnlIndex::build(Arc::clone(disk), "inner", &inner)?);
-                    index.num_pages() + index.meta_pages()
-                }
-                _ => inner.store().num_pages(),
-            };
-            let files = [inner.store().file(), outer.store().file()]
-                .into_iter()
-                .chain(inv.as_ref().map(InvertedFile::file))
-                .chain(fnl.as_ref().map(FnlIndex::sig_file))
-                .collect();
-            let site = DocSite {
-                inner,
-                outer,
-                inv,
-                fnl,
-            };
-            Ok((site, pages, files))
+            let file = outer.store().file();
+            Ok((outer, pages, vec![file]))
         })?);
     }
 
     let (_guards, tickets) = register_tickets(spec, algorithm, opts, s);
     let outcomes = run_parts(&sites, |_, site| {
-        // Sites run untraced and unwatched; the site structures already
-        // hold the merged base + delta view, and a site's outer collection
-        // is exactly its slice, so it scans it end to end.
-        let held = &site.holds;
+        // Sites run untraced and unwatched; a site's slice holds the outer
+        // overlay's documents too, so it scans it end to end.
         let spec_k = JoinSpec {
-            inner: &held.inner,
-            outer: &held.outer,
+            outer: &site.holds,
             outer_docs: OuterDocs::Full,
+            outer_delta: None,
             trace: None,
             cost_budget: None,
-            inner_delta: None,
-            outer_delta: None,
             ticket: tickets[site.shard].as_ref(),
             ..*spec
-        };
-        let indexes = Indexes {
-            inner_inv: held.inv.as_ref(),
-            outer_inv: None,
-            fnl: held.fnl.as_ref(),
         };
         crate::execute(algorithm, &spec_k, &indexes)
     })?;
@@ -600,14 +566,11 @@ fn term_ranges(weights: &[u64], s: usize, partitioning: ShardPartitioning) -> Ve
 fn vvm_sites(
     spec: &JoinSpec<'_>,
     opts: &ShardOptions<'_>,
-    inner_docs: &[(DocId, Document)],
-    outer_docs: &[(DocId, Document)],
     wire: &Cell<u64>,
+    skipped: &Cell<u64>,
 ) -> Result<(JoinOutcome, Vec<ShardReport>)> {
-    let postings =
-        |docs: &[(DocId, Document)]| postings_of(docs.iter().map(|(id, d)| Ok((*id, d))));
-    let mut inner_post = postings(inner_docs)?;
-    let mut outer_post = postings(outer_docs)?;
+    let mut inner_post = postings_of(readable(spec.inner_iter(), spec, skipped))?;
+    let mut outer_post = postings_of(readable(spec.outer_iter(), spec, skipped))?;
     let mut terms: Vec<TermId> = inner_post.keys().copied().collect();
     for t in outer_post.keys() {
         if !inner_post.contains_key(t) {
@@ -709,7 +672,7 @@ fn vvm_sites(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hvnl, Weighting};
+    use crate::{hhnl, hvnl, Weighting};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use std::collections::BTreeSet;
@@ -811,7 +774,7 @@ mod tests {
                 let heaviest = got.shards.iter().map(|r| r.pages_io).fold(0.0, f64::max);
                 assert_eq!(got.max_shard_pages, heaviest, "S={s} {strategy}");
                 if s > 1 {
-                    assert!(got.shipped_pages > 0, "replicas must cross the wire");
+                    assert!(got.shipped_pages > 0, "the inner side must cross the wire");
                 }
             }
         }
@@ -882,16 +845,17 @@ mod tests {
         });
         let std_run = execute_sharded(&spec, Algorithm::Hhnl, &std_enc).unwrap();
         let act_run = execute_sharded(&spec, Algorithm::Hhnl, &act_enc).unwrap();
-        // The inner replicas (the text being shipped) pay the full §3
-        // blowup; result rows flow back as standard numbers either way.
-        let replicas =
+        // What the sites read of the inner side (the text being shipped)
+        // pays the full §3 blowup; result rows flow back as standard
+        // numbers either way.
+        let inner =
             |run: &ShardedOutcome| -> u64 { run.shards.iter().map(|r| r.shipped_pages).sum() };
-        assert!(replicas(&std_run) > 0);
+        assert!(inner(&std_run) > 0);
         assert!(
-            replicas(&act_run) as f64 >= 5.0 * replicas(&std_run) as f64,
+            inner(&act_run) as f64 >= 5.0 * inner(&std_run) as f64,
             "ActualTerms {} vs StandardNumbers {}",
-            replicas(&act_run),
-            replicas(&std_run)
+            inner(&act_run),
+            inner(&std_run)
         );
         assert!(act_run.shipped_pages > std_run.shipped_pages);
         assert!(act_run.comm_cost > std_run.comm_cost);
@@ -944,8 +908,8 @@ mod tests {
         let (_, c1, c2) = fixture(79);
         let base = spec(&c1, &c2, 4);
         let want = hhnl::execute(&base).unwrap();
-        // Corrupt an early page of site 1's replicas only; degraded mode
-        // skips the unreadable documents there instead of failing the
+        // Corrupt an early page of site 1's outer slice only; degraded
+        // mode skips the unreadable documents there instead of failing the
         // whole join, and the merge reports Partial.
         let degraded = base.with_degraded();
         let opts = ShardOptions::new(3).with_shard_fault(ShardFault {
@@ -1004,7 +968,9 @@ mod tests {
         let spec = spec(&c1, &c2, 5);
         let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
         let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
-        let (outer_docs, _) = materialize(spec.outer_iter(), &spec).unwrap();
+        let outer_docs: Vec<_> = readable(spec.outer_iter(), &spec, &Cell::new(0))
+            .collect::<Result<_>>()
+            .unwrap();
         for s in [2usize, 4] {
             for encoding in [TermEncoding::StandardNumbers, TermEncoding::ActualTerms] {
                 let priced = pages_shipped(&inputs, Algorithm::Fnl, Site::OuterSite, encoding);
@@ -1042,6 +1008,70 @@ mod tests {
         }
     }
 
+    #[test]
+    fn empty_sides_merge_to_the_single_node_answer() {
+        let (disk, c1, c2) = fixture(85);
+        let empty = build_collection(&disk, "empty", []).unwrap();
+        let none: Vec<DocId> = Vec::new();
+        let inv = |c: &Collection, name| InvertedFile::build(Arc::clone(&disk), name, c).unwrap();
+        let (inv1, inv2, inv_empty) = (inv(&c1, "c1"), inv(&c2, "c2"), inv(&empty, "empty"));
+        let fnl1 = FnlIndex::build(Arc::clone(&disk), "c1", &c1).unwrap();
+        let fnl_empty = FnlIndex::build(Arc::clone(&disk), "empty", &empty).unwrap();
+        let cases = [
+            (
+                "empty outer selection",
+                spec(&c1, &c2, 3).with_outer_docs(OuterDocs::Selected(&none)),
+                crate::Indexes::all(&inv1, &inv2, &fnl1),
+            ),
+            (
+                "empty inner collection",
+                spec(&empty, &c2, 3),
+                crate::Indexes::all(&inv_empty, &inv2, &fnl_empty),
+            ),
+            (
+                "empty outer collection",
+                spec(&c1, &empty, 3),
+                crate::Indexes::all(&inv1, &inv_empty, &fnl1),
+            ),
+            (
+                "both collections empty",
+                spec(&empty, &empty, 3),
+                crate::Indexes::all(&inv_empty, &inv_empty, &fnl_empty),
+            ),
+        ];
+        for (case, spec, indexes) in &cases {
+            for alg in [
+                Algorithm::Hhnl,
+                Algorithm::Hvnl,
+                Algorithm::Vvm,
+                Algorithm::Fnl,
+            ] {
+                let want = crate::execute(alg, spec, indexes).unwrap();
+                let got = execute_sharded(spec, alg, &ShardOptions::new(3)).unwrap();
+                assert_eq!(got.outcome.result, want.result, "{case}: {alg}");
+                assert_eq!(got.outcome.stats.algorithm, alg, "{case}: {alg}");
+                assert_eq!(got.outcome.quality, ResultQuality::Full, "{case}: {alg}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sharded_run_leaves_the_callers_drive_as_it_was() {
+        let (disk, c1, c2) = fixture(86);
+        let inner_ov = overlay_from(&c1, 2, true);
+        let spec = spec(&c1, &c2, 4).with_inner_delta(&inner_ov);
+        let files = disk.file_names();
+        for alg in [
+            Algorithm::Hhnl,
+            Algorithm::Hvnl,
+            Algorithm::Vvm,
+            Algorithm::Fnl,
+        ] {
+            execute_sharded(&spec, alg, &ShardOptions::new(2)).unwrap();
+            assert_eq!(disk.file_names(), files, "{alg}");
+        }
+    }
+
     /// An overlay over `c`: `insert` tail documents (copies of existing
     /// ones under fresh ids past the base range) and optionally one
     /// tombstone on the first base document.
@@ -1061,11 +1091,13 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The acceptance sweep: every algorithm × λ∈{1,5,20} × S∈{1,2,4},
         /// both boundary strategies, with and without delta overlays and
-        /// degraded mode — sharded results byte-identical to a single-node
+        /// degraded mode, and the three weightings for the document sites
+        /// (VVM's fragment sums reassociate fractional weights, so it stays
+        /// on raw counts) — sharded results byte-identical to a single-node
         /// run of the same algorithm over the same spec.
         #[test]
         fn sharded_equals_single_node_over_the_grid(
@@ -1074,6 +1106,11 @@ mod tests {
                 Just(Algorithm::Hvnl),
                 Just(Algorithm::Vvm),
                 Just(Algorithm::Fnl),
+            ],
+            weighting in prop_oneof![
+                Just(Weighting::RawCount),
+                Just(Weighting::Cosine),
+                Just(Weighting::TfIdf),
             ],
             lambda in prop_oneof![Just(1usize), Just(5), Just(20)],
             s in prop_oneof![Just(1usize), Just(2), Just(4)],
@@ -1085,7 +1122,12 @@ mod tests {
             let (disk, c1, c2) = fixture(seed);
             let inner_ov = overlay_from(&c1, 2, true);
             let outer_ov = overlay_from(&c2, 1, false);
-            let mut base = spec(&c1, &c2, lambda);
+            let weighting = if alg == Algorithm::Vvm {
+                Weighting::RawCount
+            } else {
+                weighting
+            };
+            let mut base = spec(&c1, &c2, lambda).with_weighting(weighting);
             if with_delta {
                 base = base.with_inner_delta(&inner_ov).with_outer_delta(&outer_ov);
             }
@@ -1107,8 +1149,8 @@ mod tests {
                 .map_err(|err| TestCaseError::fail(err.to_string()))?;
             prop_assert_eq!(
                 &got.outcome.result, &want.result,
-                "{} λ={} S={} {} delta={} degraded={}",
-                alg, lambda, s, strategy, with_delta, degraded
+                "{} {:?} λ={} S={} {} delta={} degraded={}",
+                alg, weighting, lambda, s, strategy, with_delta, degraded
             );
             // Clean runs stay clean: no skips means Full on every site.
             prop_assert_eq!(got.outcome.quality, ResultQuality::Full);

@@ -238,6 +238,21 @@ impl<'a> JoinSpec<'a> {
         )
     }
 
+    /// The `(inner, outer)` norms a cosine or TF-IDF pair divides by: each
+    /// side's overlay's record for a delta-inserted document, else the
+    /// base profile's.
+    pub(crate) fn norms(&self, inner: DocId, outer: DocId) -> (f64, f64) {
+        let norm = |c: &Collection, overlay: Option<&DeltaOverlay>, id| {
+            overlay
+                .and_then(|d| d.norm(id))
+                .unwrap_or_else(|| c.profile().norm(id))
+        };
+        (
+            norm(self.inner, self.inner_delta, inner),
+            norm(self.outer, self.outer_delta, outer),
+        )
+    }
+
     /// How wide a row of per-inner-document sums is: one past the last base
     /// document number plus the overlay's insertions (whose numbers follow,
     /// and run a little further once merges have dropped tombstoned ones).

@@ -6,6 +6,10 @@
 //! document frequency. Both refinements rely only on precomputed per-term
 //! or per-document values, so every algorithm can apply them with the same
 //! access pattern — the choice of scheme never changes the I/O story.
+//!
+//! A pair divides by its documents' norms: a stored one's from its profile,
+//! a delta insert's as its overlay recorded it. `idf` is the inner base's
+//! until a merge folds the delta in, as the paper stores it with list heads.
 
 use textjoin_collection::{CollectionProfile, Document};
 use textjoin_common::{DocId, Score, TermId};
@@ -38,26 +42,16 @@ impl Weighting {
     }
 
     /// Turns an accumulated weighted sum into the final score for a
-    /// document pair.
+    /// document pair; `norms` yields the pair's `(inner, outer)` norms and
+    /// is called only by the weightings that divide by them.
     #[inline]
-    pub fn finalize(
-        &self,
-        accumulated: f64,
-        inner_profile: &CollectionProfile,
-        inner_doc: DocId,
-        outer_profile: &CollectionProfile,
-        outer_doc: DocId,
-    ) -> Score {
+    pub fn finalize(&self, accumulated: f64, norms: impl FnOnce() -> (f64, f64)) -> Score {
         match self {
             Weighting::RawCount => Score::new(accumulated),
-            Weighting::Cosine | Weighting::TfIdf => {
-                let norms = inner_profile.norm(inner_doc) * outer_profile.norm(outer_doc);
-                if norms == 0.0 {
-                    Score::ZERO
-                } else {
-                    Score::new(accumulated / norms)
-                }
-            }
+            Weighting::Cosine | Weighting::TfIdf => match norms() {
+                (inner, outer) if inner * outer == 0.0 => Score::ZERO,
+                (inner, outer) => Score::new(accumulated / (inner * outer)),
+            },
         }
     }
 
@@ -89,15 +83,16 @@ impl Weighting {
     /// exposes the paper's section 4.2 observation that the document-based
     /// method "requires almost all entries in the document-term matrix be
     /// accessed", while the inverted-file methods only touch non-zero
-    /// structure.
+    /// structure. It divides by the documents' own norms, equal to their
+    /// profiles'; the ids and `outer_profile` go unread.
     pub fn score_pair_counted(
         &self,
-        inner_doc_id: DocId,
+        _inner_doc_id: DocId,
         inner: &Document,
-        outer_doc_id: DocId,
+        _outer_doc_id: DocId,
         outer: &Document,
         inner_profile: &CollectionProfile,
-        outer_profile: &CollectionProfile,
+        _outer_profile: &CollectionProfile,
     ) -> (Score, u64, u64) {
         let mut acc = 0.0f64;
         let mut ops = 0u64;
@@ -119,13 +114,7 @@ impl Weighting {
         }
         let visited = (i + j) as u64;
         (
-            self.finalize(
-                acc,
-                inner_profile,
-                inner_doc_id,
-                outer_profile,
-                outer_doc_id,
-            ),
+            self.finalize(acc, || (inner.norm(), outer.norm())),
             ops,
             visited,
         )
@@ -220,8 +209,10 @@ mod tests {
 
     #[test]
     fn finalize_raw_is_identity() {
-        let (pi, po, _, _) = profiles();
-        let s = Weighting::RawCount.finalize(42.0, &pi, DocId::new(0), &po, DocId::new(0));
+        let (pi, _, _, _) = profiles();
+        let s = Weighting::RawCount.finalize(42.0, || unreachable!("raw counts read no norm"));
         assert_eq!(s, Score::new(42.0));
+        let s = Weighting::Cosine.finalize(12.0, || (pi.norm(DocId::new(0)), 2.0));
+        assert_eq!(s, Score::new(12.0 / (5.0 * 2.0)));
     }
 }

@@ -37,13 +37,17 @@ pub struct FlushedDelta {
 }
 
 /// Pending mutations over an immutable base: flushed side files, an
-/// in-memory tail, and a tombstone set.
+/// in-memory tail, and a tombstone set. Each insert's norm is recorded and
+/// outlives flushes, so cosine and TF-IDF divide by it with no page read;
+/// `idf` stays the base's until a merge, as the paper stores it with the
+/// base's list heads.
 #[derive(Default)]
 pub struct DeltaOverlay {
     deleted: BTreeSet<u32>,
     flushed: Option<FlushedDelta>,
     tail_docs: BTreeMap<u32, Document>,
     tail_postings: BTreeMap<TermId, Vec<ICell>>,
+    norms: BTreeMap<u32, f64>,
 }
 
 impl DeltaOverlay {
@@ -73,7 +77,15 @@ impl DeltaOverlay {
                 .or_default()
                 .push(ICell::new(id, cell.weight));
         }
+        self.norms.insert(id.raw(), doc.norm());
         self.tail_docs.insert(id.raw(), doc);
+    }
+
+    /// The norm of inserted document `id`, recorded by
+    /// [`insert_tail`](Self::insert_tail) (no I/O); `None` for an id never
+    /// inserted here.
+    pub fn norm(&self, id: DocId) -> Option<f64> {
+        self.norms.get(&id.raw()).copied()
     }
 
     /// Records a delete: a tombstone masking `id` in every layer.
@@ -92,7 +104,7 @@ impl DeltaOverlay {
     }
 
     /// Installs the flushed side files (replacing any previous ones) and
-    /// clears the tail they absorbed.
+    /// clears the tail they absorbed; the recorded norms stay.
     pub fn set_flushed(&mut self, flushed: FlushedDelta) {
         self.flushed = Some(flushed);
         self.tail_docs.clear();
@@ -307,6 +319,7 @@ static PRISTINE: DeltaOverlay = DeltaOverlay {
     flushed: None,
     tail_docs: BTreeMap::new(),
     tail_postings: BTreeMap::new(),
+    norms: BTreeMap::new(),
 };
 
 /// A lending stream of overlaid entries in ascending term order, over up to

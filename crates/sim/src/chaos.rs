@@ -390,7 +390,7 @@ mod tests {
             ),
             (
                 "shard-fault-partial",
-                "merged result degrades to partial (10 docs skipped)",
+                "merged result degrades to partial (5 docs skipped)",
             ),
             (
                 "shard-fault-partial",

@@ -4,10 +4,11 @@
 //! a [`LiveCollection`], every join algorithm running over the live base
 //! plus its delta overlay must return results *byte-identical* to the same
 //! algorithm running over a from-scratch collection rebuilt from the
-//! current live documents (same sparse ids, fresh inverted file). Raw-count
-//! weighting keeps scores integer-valued and independent of the collection
-//! profile, so "identical" really means bit-equal scores, not approximately
-//! equal ones.
+//! current live documents (same sparse ids, fresh inverted file), under
+//! raw-count and cosine weighting. Raw counts are integer-valued; a cosine
+//! score divides by the pair's norms, and a delta document's norm as its
+//! overlay recorded it is bit-equal to the rebuilt profile's, so
+//! "identical" really means bit-equal scores, not approximately equal ones.
 //!
 //! A second property covers the degraded read path: with a bit flipped in
 //! a flushed delta side file, strict mode surfaces a typed error while
@@ -162,19 +163,23 @@ proptest! {
             let (rebuilt, rebuilt_inv) =
                 rebuild(&disk, &format!("rebuilt{step}"), &docs).unwrap();
 
-            let live_spec = spec(lc.base(), &outer).with_inner_delta(lc.overlay());
-            let live = all_joins(&live_spec, lc.base_inv(), &outer_inv).unwrap();
-            let reference =
-                all_joins(&spec(&rebuilt, &outer), &rebuilt_inv, &outer_inv).unwrap();
-            for (alg, (got, want)) in ["HHNL", "HVNL", "VVM"]
-                .iter()
-                .zip(live.iter().zip(&reference))
-            {
-                prop_assert_eq!(
-                    got, want,
-                    "step {} ({:?}): {} over base+delta diverges from the rebuild",
-                    step, op, alg
-                );
+            for weighting in [Weighting::RawCount, Weighting::Cosine] {
+                let live_spec = spec(lc.base(), &outer)
+                    .with_weighting(weighting)
+                    .with_inner_delta(lc.overlay());
+                let live = all_joins(&live_spec, lc.base_inv(), &outer_inv).unwrap();
+                let rebuilt_spec = spec(&rebuilt, &outer).with_weighting(weighting);
+                let reference = all_joins(&rebuilt_spec, &rebuilt_inv, &outer_inv).unwrap();
+                for (alg, (got, want)) in ["HHNL", "HVNL", "VVM"]
+                    .iter()
+                    .zip(live.iter().zip(&reference))
+                {
+                    prop_assert_eq!(
+                        got, want,
+                        "step {} ({:?}): {} {:?} over base+delta diverges from the rebuild",
+                        step, op, alg, weighting
+                    );
+                }
             }
         }
     }
