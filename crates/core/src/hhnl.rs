@@ -325,7 +325,7 @@ mod tests {
     use std::sync::Arc;
     use textjoin_collection::{Collection, DocumentStoreBuilder, SynthSpec};
     use textjoin_common::{CollectionStats, Error, QueryParams, SystemParams};
-    use textjoin_invfile::{DeltaOverlay, FlushedDelta, FnlIndex, InvertedFile};
+    use textjoin_invfile::{DeltaOverlay, FlushedDelta, FnlIndex, InvertedFile, PostingCodec};
     use textjoin_storage::DiskSim;
 
     fn fixture(
@@ -388,7 +388,10 @@ mod tests {
                 .unwrap();
         }
         let store = store.finish().unwrap();
-        let inv = InvertedFile::from_postings(Arc::clone(disk), "delta", HashMap::new()).unwrap();
+        let codec = PostingCodec::Fixed5;
+        let inv =
+            InvertedFile::from_postings_with(Arc::clone(disk), "delta", HashMap::new(), codec);
+        let inv = inv.unwrap();
         let mut overlay = DeltaOverlay::new();
         overlay.set_flushed(FlushedDelta { store, inv });
         overlay

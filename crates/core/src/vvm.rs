@@ -27,6 +27,7 @@ use crate::batch::BatchOutcome;
 use crate::driver::{drive, sole, validate, Counters, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
+use std::iter::Peekable;
 use textjoin_common::{DocId, Error, ICell, Result, SIM_VALUE_BYTES};
 use textjoin_invfile::{DeltaOverlay, DeltaScan, InvertedFile};
 use textjoin_obs::Span;
@@ -41,19 +42,17 @@ pub(crate) type Merge<'r> = (
     Option<&'r PartDone<'r>>,
 );
 
-/// One part of a merge: a pair of inverted files, read end to end and
-/// sized against all of `B`. Sequential VVM is the one whole part over the
-/// collections' own files; sharded VVM has one part per site, over that
-/// site's fragment pair; nothing else is a part. Entries are term-sorted
-/// and every shared term lives in exactly one part, so the parts' tables
-/// sum to the sequential accumulator.
+/// One part of a merge: term ranges of the one pair of inverted files, seen
+/// through the delta overlays and sized against all of `B`. Sequential VVM
+/// is the one part whose range covers every term; sharded VVM has one part
+/// per site. Entries are term-sorted and every term lives in exactly one
+/// part, so the parts' tables sum to the sequential accumulator.
 pub(crate) struct Part<'r> {
     pub(crate) inner_inv: &'r InvertedFile,
     pub(crate) outer_inv: &'r InvertedFile,
-    /// Whether the files already hold the merged view (a site's fragments
-    /// are built from base + delta); otherwise the merge folds the spec's
-    /// delta overlays in.
-    pub(crate) folded: bool,
+    /// The part's term ranges `[lo, hi)` (`hi = None` = unbounded),
+    /// ascending and disjoint.
+    pub(crate) terms: &'r [(u32, Option<u32>)],
 }
 
 /// Called on the driving thread with `(part, outer chunk number from 1,
@@ -88,17 +87,18 @@ impl Part<'_> {
         Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
     }
 
-    /// One side's entry stream: the file end to end, seen through the
-    /// side's delta overlay unless the file already holds it.
+    /// One side's entry stream: the part's ranges of `inv` in turn, each
+    /// seen through the side's delta overlay and opened when reached.
     fn entries<'a>(
-        &self,
+        &'a self,
         spec: &JoinSpec<'_>,
         inv: &'a InvertedFile,
         overlay: Option<&'a DeltaOverlay>,
         label: &str,
-    ) -> DeltaScan<'a> {
-        let scan = inv.scan_with_prefetch(spec.prefetch_metrics(label));
-        DeltaScan::over(scan, overlay.filter(|_| !self.folded))
+    ) -> Peekable<impl Iterator<Item = DeltaScan<'a>>> {
+        let metrics = spec.prefetch_metrics(label);
+        let over = move |&(lo, hi): &_| DeltaScan::over(inv, lo, hi, overlay, metrics.clone());
+        self.terms.iter().map(over).peekable()
     }
 }
 
@@ -123,7 +123,7 @@ pub(crate) fn execute_batch(
     let whole = Part {
         inner_inv,
         outer_inv,
-        folded: false,
+        terms: &[(0, None)],
     };
     execute_parts(specs, &[whole], None)
 }
@@ -311,15 +311,17 @@ impl MergePartial {
             counters: vec![Counters::default(); specs.len()],
             skipped_entries: 0,
         };
-        // Moves one side to its next readable entry. In degraded mode an
-        // unreadable one — base or flushed delta — is skipped and counted so
-        // the merge goes on; otherwise the first read error aborts it.
-        let mut advance = |scan: &mut DeltaScan<'_>, cells: &mut Vec<ICell>| loop {
-            match scan.next_into(cells) {
+        // Moves one side to its next readable entry, range by range. In
+        // degraded mode an unreadable one — base or flushed delta — is
+        // skipped and counted so the merge goes on; otherwise the first read
+        // error aborts it.
+        let mut advance = |side: &mut Peekable<_>, cells: &mut Vec<ICell>| loop {
+            match side.peek_mut().map(|s: &mut DeltaScan| s.next_into(cells)) {
                 None => return Ok(None),
-                Some(Ok(term)) => return Ok(Some(term)),
-                Some(Err(e)) if spec0.skippable(&e) => partial.skipped_entries += 1,
-                Some(Err(e)) => return Err(e),
+                Some(None) => drop(side.next()),
+                Some(Some(Ok(term))) => return Ok(Some(term)),
+                Some(Some(Err(e))) if spec0.skippable(&e) => partial.skipped_entries += 1,
+                Some(Some(Err(e))) => return Err(e),
             }
         };
         let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
@@ -379,7 +381,7 @@ mod tests {
     use textjoin_collection::{Collection, Document, DocumentStoreBuilder, SynthSpec};
     use textjoin_common::{CollectionStats, QueryParams, SystemParams, TermId};
     use textjoin_costmodel::Algorithm;
-    use textjoin_invfile::FlushedDelta;
+    use textjoin_invfile::{FlushedDelta, PostingCodec};
     use textjoin_storage::DiskSim;
 
     #[allow(clippy::type_complexity)]
@@ -522,11 +524,10 @@ mod tests {
         assert!(got.stats.passes > 1);
     }
 
-    /// Batch × parts is the one merge: three queries over two fragment
-    /// pairs (the lower and the upper half of the vocabulary, as two sites
-    /// would hold them) produce the rows, passes and counters of three
-    /// queries over the whole files, and the parts' I/O sums to what the
-    /// drive saw.
+    /// Batch × parts is the one merge: three queries over two parts that
+    /// interleave term ranges of the one pair of files, as two sites would
+    /// hold them, produce the rows, passes and counters of three queries
+    /// over the whole files, and the parts' I/O sums to what the drive saw.
     #[test]
     fn a_batch_over_two_parts_is_the_batch_over_one() {
         let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(40, 30, 10.0, 50, 128);
@@ -545,27 +546,14 @@ mod tests {
         });
         let one = execute_batch(&specs, &inv1, &inv2).unwrap();
         assert!(one.stats.passes > 1, "expected partitioning, got 1 pass");
-        let fragment = |name: &str, docs: &[Document], upper: bool| {
-            let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
-            for (id, doc) in docs.iter().enumerate() {
-                for cell in doc.cells().iter().filter(|c| (c.term.raw() >= 25) == upper) {
-                    let posting = ICell::new(DocId::new(id as u32), cell.weight);
-                    postings.entry(cell.term).or_default().push(posting);
-                }
-            }
-            InvertedFile::from_postings(Arc::clone(&disk), name, postings).unwrap()
-        };
-        let files = [false, true].map(|upper| {
-            let half = if upper { "hi" } else { "lo" };
-            (
-                fragment(&format!("c1.{half}"), &d1, upper),
-                fragment(&format!("c2.{half}"), &d2, upper),
-            )
-        });
-        let parts = files.each_ref().map(|(inner_inv, outer_inv)| Part {
-            inner_inv,
-            outer_inv,
-            folded: true,
+        let ranges = [
+            &[(0, Some(10)), (25, Some(40))][..],
+            &[(10, Some(25)), (40, None)][..],
+        ];
+        let parts = ranges.map(|terms| Part {
+            inner_inv: &inv1,
+            outer_inv: &inv2,
+            terms,
         });
         let before = disk.stats();
         let two = execute_parts(&specs, &parts, None).unwrap();
@@ -609,7 +597,13 @@ mod tests {
         let mut overlay = DeltaOverlay::new();
         overlay.set_flushed(FlushedDelta {
             store: store.finish().unwrap(),
-            inv: InvertedFile::from_postings(Arc::clone(&disk), "c1.g1", postings).unwrap(),
+            inv: InvertedFile::from_postings_with(
+                Arc::clone(&disk),
+                "c1.g1",
+                postings,
+                PostingCodec::Fixed5,
+            )
+            .unwrap(),
         });
         for (id, doc) in (base + 16..).zip(tail) {
             overlay.insert_tail(DocId::new(id), doc.clone());

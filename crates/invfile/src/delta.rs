@@ -26,6 +26,7 @@ use std::iter::Peekable;
 use std::ops::Bound;
 use textjoin_collection::{Document, DocumentStore};
 use textjoin_common::{DocId, FragStats, ICell, Result, TermId};
+use textjoin_storage::PrefetchMetrics;
 
 /// The flushed (on-disk) part of a delta: side files holding previously
 /// tailed inserts, read through the simulated disk like any base file.
@@ -323,7 +324,7 @@ static PRISTINE: DeltaOverlay = DeltaOverlay {
 };
 
 /// A lending stream of overlaid entries in ascending term order, over up to
-/// three layers: a base scan ([`DeltaScan::over`]), the flushed side file
+/// three layers: a base file ([`DeltaScan::over`]), the flushed side file
 /// and the in-memory tail ([`DeltaOverlay::scan_between`]). A term in
 /// several layers reads *base cells ++ flushed cells ++ tail cells*, which
 /// is ascending document order by the id-allocation invariant; tombstones
@@ -342,12 +343,21 @@ pub struct DeltaScan<'a> {
 }
 
 impl<'a> DeltaScan<'a> {
-    /// `base` seen through `overlay`: the base scan merged with the
-    /// overlay's whole [`scan_between(0, None)`](DeltaOverlay::scan_between).
-    /// Without an overlay the base's entries pass through as they are.
-    pub fn over(base: EntryScanner<'a>, overlay: Option<&'a DeltaOverlay>) -> Self {
-        let mut scan = overlay.unwrap_or(&PRISTINE).scan_between(0, None);
-        scan.base = Some(base);
+    /// `base`'s entries with `lo <= term < hi` (`hi = None`: no bound), one
+    /// partial scan counting its readahead into `metrics`, merged with the
+    /// overlay's [`scan_between(lo, hi)`](DeltaOverlay::scan_between);
+    /// `(0, None)` is the whole file; without an overlay the base passes.
+    pub fn over(
+        base: &'a InvertedFile,
+        lo: u32,
+        hi: Option<u32>,
+        overlay: Option<&'a DeltaOverlay>,
+        metrics: Option<PrefetchMetrics>,
+    ) -> Self {
+        let mut scan = overlay.unwrap_or(&PRISTINE).scan_between(lo, hi);
+        let at = |term: u32| base.ordinal_at_or_after(TermId::new(term));
+        let end = hi.map_or(base.num_entries() as u32, |h| at(h.max(lo)));
+        scan.base = Some(base.scan_range_with_prefetch(at(lo), end, metrics));
         scan
     }
 
@@ -419,7 +429,8 @@ mod tests {
     /// An inverted file over `docs`, named `name`.
     fn inverted(disk: &Arc<DiskSim>, name: &str, docs: &[(u32, Document)]) -> InvertedFile {
         let docs = docs.iter().map(|(id, d)| Ok((DocId::new(*id), d)));
-        InvertedFile::from_postings(Arc::clone(disk), name, postings_of(docs).unwrap()).unwrap()
+        let (postings, codec) = (postings_of(docs).unwrap(), crate::PostingCodec::Fixed5);
+        InvertedFile::from_postings_with(Arc::clone(disk), name, postings, codec).unwrap()
     }
 
     fn flush(disk: &Arc<DiskSim>, name: &str, docs: &[(u32, Document)]) -> FlushedDelta {
@@ -444,6 +455,11 @@ mod tests {
         }
         assert!(scan.next_into(&mut cells).is_none());
         got
+    }
+
+    /// The whole of `base` seen through `overlay`.
+    fn whole<'a>(base: &'a InvertedFile, overlay: Option<&'a DeltaOverlay>) -> DeltaScan<'a> {
+        DeltaScan::over(base, 0, None, overlay, None)
     }
 
     /// What [`DeltaScan::over`] must yield over `base` and `overlay`, each
@@ -616,15 +632,19 @@ mod tests {
         /// `DeltaScan::over` merges random base, flushed and tail layers
         /// (any of them empty, terms shared between them) into the
         /// collected base with `entries_between(0, None)` appended per
-        /// term; after random bit flips in the base and flushed files it
-        /// yields the oracle's errors and entries, and with no overlay the
-        /// base's own.
+        /// term, and any term interval of it into that merge's entries in
+        /// the interval; after random bit flips in the base and flushed
+        /// files the whole range yields the oracle's errors and entries,
+        /// and with no overlay the base's own.
         #[test]
         fn over_matches_the_layer_oracle(
             base in layer(),
             flushed in layer(),
             tail in layer(),
-            flips in prop::collection::vec((prop::bool::ANY, 0u64..64, 0u64..4096), 0..4)
+            flips in prop::collection::vec((prop::bool::ANY, 0u64..64, 0u64..4096), 0..4),
+            lo in 0u32..45,
+            hi in 0u32..45,
+            bounded: bool
         ) {
             let disk = Arc::new(DiskSim::new(32));
             let number = |from: usize, layer: &[BTreeMap<u32, u16>]| -> Vec<(u32, Document)> {
@@ -643,8 +663,13 @@ mod tests {
             for (term, cells) in overlay.entries_between(0, None).unwrap() {
                 merged.entry(term).or_default().extend(cells);
             }
-            let want: Drained = merged.into_iter().map(Some).collect();
-            prop_assert_eq!(drain(DeltaScan::over(base_inv.scan(), Some(&overlay))), want);
+            let want: Drained = merged.iter().map(|(&t, c)| Some((t, c.clone()))).collect();
+            prop_assert_eq!(drain(whole(&base_inv, Some(&overlay))), want);
+            let hi = bounded.then_some(hi);
+            let inside = |t: &TermId| t.raw() >= lo && hi.is_none_or(|h| t.raw() < h);
+            let want: Drained = merged.into_iter().filter(|(t, _)| inside(t)).map(Some).collect();
+            let range = DeltaScan::over(&base_inv, lo, hi, Some(&overlay), None);
+            prop_assert_eq!(drain(range), want);
 
             for (in_base, page, bit) in flips {
                 let inv = match overlay.flushed() {
@@ -655,9 +680,9 @@ mod tests {
                     disk.flip_bit(inv.file(), page % inv.num_pages(), bit).unwrap();
                 }
             }
-            let got = drain(DeltaScan::over(base_inv.scan(), Some(&overlay)));
+            let got = drain(whole(&base_inv, Some(&overlay)));
             prop_assert_eq!(got, over_oracle(&base_inv, &overlay));
-            let alone = drain(DeltaScan::over(base_inv.scan(), None));
+            let alone = drain(whole(&base_inv, None));
             prop_assert_eq!(alone, over_oracle(&base_inv, &PRISTINE));
         }
 
@@ -718,7 +743,7 @@ mod tests {
             Some((t(7), vec![c(1, 3)])),
             Some((t(9), vec![c(2, 5)])),
         ];
-        assert_eq!(drain(DeltaScan::over(base.scan(), Some(&overlay))), want);
+        assert_eq!(drain(whole(&base, Some(&overlay))), want);
     }
 
     /// The flushed entry of a term that the base and the tail also hold is
@@ -739,7 +764,7 @@ mod tests {
             Some((t(5), vec![c(0, 2), c(2, 4)])),
             Some((t(8), vec![c(2, 1)])),
         ];
-        assert_eq!(drain(DeltaScan::over(base.scan(), Some(&overlay))), want);
+        assert_eq!(drain(whole(&base, Some(&overlay))), want);
     }
 
     /// An unreadable flushed entry is one error: the stream continues with

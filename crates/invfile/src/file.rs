@@ -71,17 +71,8 @@ impl InvertedFile {
 
     /// Builds an inverted file directly from a postings map (documents per
     /// term must have been appended in increasing document order, which a
-    /// scan guarantees). Entries are written in term order, so the map's
-    /// hasher does not reach the file.
-    pub fn from_postings<S: BuildHasher>(
-        disk: Arc<DiskSim>,
-        name: &str,
-        postings: HashMap<TermId, Vec<ICell>, S>,
-    ) -> Result<Self> {
-        Self::from_postings_with(disk, name, postings, PostingCodec::Fixed5)
-    }
-
-    /// [`from_postings`](Self::from_postings) with an explicit codec.
+    /// scan guarantees) with entries stored by `codec`. Entries are written
+    /// in term order, so the map's hasher does not reach the file.
     pub fn from_postings_with<S: BuildHasher>(
         disk: Arc<DiskSim>,
         name: &str,
@@ -294,7 +285,7 @@ impl InvertedFile {
 
 /// Inverts documents into a postings map: each document's cells become
 /// i-cells of its number. Fed in ascending document order, every entry is
-/// ascending by document, as [`InvertedFile::from_postings`] expects.
+/// ascending by document, as [`InvertedFile::from_postings_with`] expects.
 pub fn postings_of<D: Borrow<Document>>(
     docs: impl IntoIterator<Item = Result<(DocId, D)>>,
 ) -> Result<FxHashMap<TermId, Vec<ICell>>> {
@@ -626,7 +617,7 @@ mod tests {
     }
 
     /// The build map's hasher reaches no byte on disk: `build` (an Fx map)
-    /// and `from_postings` fed the same postings through a SipHash map
+    /// and `from_postings_with` fed the same postings through a SipHash map
     /// write page-for-page identical entry and B+tree files.
     #[test]
     fn the_build_maps_hasher_changes_no_page() {
@@ -644,7 +635,9 @@ mod tests {
                 entry.push(ICell::new(doc_id, cell.weight));
             }
         }
-        let sip = InvertedFile::from_postings(Arc::clone(&disk), "sip", postings).unwrap();
+        let codec = PostingCodec::Fixed5;
+        let sip =
+            InvertedFile::from_postings_with(Arc::clone(&disk), "sip", postings, codec).unwrap();
         assert_eq!(fx.directory(), sip.directory());
         let pages = |name: String| {
             let file = disk.file_by_name(&name).unwrap();

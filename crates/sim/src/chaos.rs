@@ -15,9 +15,9 @@
 //!    consistent partial-result accounting, or in a typed error;
 //! 4. a hard mid-run HVNL failure (corrupt inverted file and dictionary)
 //!    makes the integrated algorithm re-plan onto HHNL and complete;
-//! 5. a seeded fault on one site of a sharded run degrades the merged
-//!    answer to a `Partial` subset of the clean run while the healthy
-//!    sites stay `Full`.
+//! 5. a seeded fault on one site of a sharded run (HHNL or VVM by seed
+//!    parity) degrades the merged answer to a `Partial` subset of the clean
+//!    run while the healthy sites stay `Full`.
 //!
 //! Every check is recorded in a [`SeedRun`] so `textjoin-sim chaos` can
 //! print a verdict per seed and fail the process on any violation.
@@ -246,7 +246,8 @@ fn scenario_replan_to_hhnl(run: &mut SeedRun) -> Result<()> {
 
 /// Scenario 5: a seeded fault strikes one site of a sharded run mid-way
 /// (after that site's structures are built, before its join runs). In
-/// degraded mode the faulted site skips its unreadable documents, the
+/// degraded mode the faulted site skips its unreadable documents (HHNL,
+/// even seeds) or inverted-file entries (VVM, odd seeds), the
 /// per-site report carries the `Partial` tag, the merged answer degrades
 /// to `Partial` — and stays a subset of the clean single-node run, because
 /// the healthy sites' rows are untouched.
@@ -266,16 +267,20 @@ fn scenario_shard_fault_partial(run: &mut SeedRun) -> Result<()> {
         },
     };
     let opts = ShardOptions::new(shards).with_shard_fault(fault);
-    let degraded = execute_sharded(&spec.with_degraded(), Algorithm::Hhnl, &opts)?;
+    let algorithm = [Algorithm::Hhnl, Algorithm::Vvm][seed as usize % 2];
+    let unit = ["docs", "entries"][seed as usize % 2];
+    let degraded = execute_sharded(&spec.with_degraded(), algorithm, &opts)?;
     let merged = &degraded.outcome;
-    run.report(&format!("{NAME} degraded sharded HHNL"), merged, None);
+    run.report(
+        &format!("{NAME} degraded sharded {algorithm}"),
+        merged,
+        None,
+    );
+    let skipped = merged.stats.skipped_docs + merged.stats.skipped_entries;
     run.check(
         NAME,
-        format!(
-            "merged result degrades to partial ({} docs skipped)",
-            merged.stats.skipped_docs
-        ),
-        merged.quality == ResultQuality::Partial && merged.stats.skipped_docs > 0,
+        format!("merged result degrades to partial ({skipped} {unit} skipped)"),
+        merged.quality == ResultQuality::Partial && skipped > 0,
     );
     let sites = &degraded.shards;
     run.check(
@@ -390,7 +395,7 @@ mod tests {
             ),
             (
                 "shard-fault-partial",
-                "merged result degrades to partial (5 docs skipped)",
+                "merged result degrades to partial (22 entries skipped)",
             ),
             (
                 "shard-fault-partial",

@@ -24,7 +24,7 @@ use textjoin::common::ICell;
 use textjoin::core::batch::{self, BatchOptions};
 use textjoin::core::reference::{naive_join, naive_join_full};
 use textjoin::core::{execute_sharded, hvnl, vvm, ResultQuality, ShardOptions};
-use textjoin::invfile::{DeltaOverlay, FlushedDelta};
+use textjoin::invfile::{DeltaOverlay, FlushedDelta, PostingCodec};
 use textjoin::obs::Tracer;
 use textjoin::prelude::*;
 
@@ -539,7 +539,13 @@ fn a_large_delta_overlay_adds_at_most_one_entry_to_the_peak() {
     let mut overlay = DeltaOverlay::new();
     overlay.set_flushed(FlushedDelta {
         store: store.finish().unwrap(),
-        inv: InvertedFile::from_postings(Arc::clone(&f.disk), "c1.g1", postings).unwrap(),
+        inv: InvertedFile::from_postings_with(
+            Arc::clone(&f.disk),
+            "c1.g1",
+            postings,
+            PostingCodec::Fixed5,
+        )
+        .unwrap(),
     });
     for (id, doc) in (base + 125..).zip(tail) {
         overlay.insert_tail(DocId::new(id), doc.clone());
