@@ -100,8 +100,6 @@ pub struct BenchGrid {
     pub calibration: Option<CalibrationProfile>,
     /// System parameters; `buffer_pages` above overrides `sys.buffer_pages`.
     pub sys: SystemParams,
-    /// δ (non-zero similarity fraction) used for every case.
-    pub delta: f64,
 }
 
 /// A heavily skewed synthetic spec for the shards axis: classic-plus Zipf
@@ -151,7 +149,6 @@ pub fn small_grid() -> BenchGrid {
             page_size: 512,
             alpha: 5.0,
         },
-        delta: 1.0,
     }
 }
 
@@ -349,10 +346,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                 &grid.buffer_pages[..]
             };
             for &b in bs {
-                let query = QueryParams {
-                    lambda,
-                    delta: grid.delta,
-                };
+                let query = QueryParams::paper_base().with_lambda(lambda);
                 let sys = grid.sys.with_buffer_pages(b);
                 let spec = JoinSpec::new(&c1, &c2).with_sys(sys).with_query(query);
                 let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
@@ -449,10 +443,7 @@ pub fn run_suite_with_reports(grid: &BenchGrid) -> Result<(BenchReport, Vec<Quer
                 for &b in &grid.buffer_pages {
                     let spec = JoinSpec::new(&c1, &c2)
                         .with_sys(grid.sys.with_buffer_pages(b))
-                        .with_query(QueryParams {
-                            lambda,
-                            delta: grid.delta,
-                        });
+                        .with_query(QueryParams::paper_base().with_lambda(lambda));
                     let inputs = spec.cost_inputs().with_fnl(fnl1.stats());
                     for &s in &grid.shard_counts {
                         let s = s.max(1);

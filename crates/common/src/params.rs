@@ -70,14 +70,16 @@ pub struct QueryParams {
     /// document.
     pub lambda: usize,
     /// `δ` — fraction of document pairs expected to have a non-zero
-    /// similarity; drives the intermediate-state memory estimates of HVNL
-    /// and VVM. The simulations fix 0.1.
+    /// similarity. Only the cost model reads it, and only for inputs that
+    /// carry no measured match count (the paper tables, which fix 0.1);
+    /// inputs built from collection profiles measure δ instead, and no
+    /// executor reads it.
     pub delta: f64,
 }
 
 impl QueryParams {
     /// The paper's simulation setting: `λ = 20`, `δ = 0.1`.
-    pub fn paper_base() -> Self {
+    pub const fn paper_base() -> Self {
         Self {
             lambda: 20,
             delta: 0.1,
@@ -85,7 +87,7 @@ impl QueryParams {
     }
 
     /// Replaces `λ`, keeping `δ`.
-    pub fn with_lambda(self, lambda: usize) -> Self {
+    pub const fn with_lambda(self, lambda: usize) -> Self {
         Self { lambda, ..self }
     }
 

@@ -264,9 +264,9 @@ mod tests {
     #[test]
     fn falls_back_when_the_estimate_was_too_optimistic() {
         let (_, c1, c2, inv1, inv2, d1, d2) = fixture();
-        // δ far below reality makes VVM look cheap (1 pass) while the
-        // adaptive executor can still finish it; the point here is that
-        // whatever was chosen, the result is right.
+        // δ far below reality: the planner measures δ and VVM sizes its
+        // passes from the measured `SM`, so neither is misled by it; the
+        // point here is that whatever was chosen, the result is right.
         let spec = JoinSpec::new(&c1, &c2)
             .with_sys(SystemParams {
                 buffer_pages: 60,

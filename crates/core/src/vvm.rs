@@ -9,36 +9,36 @@
 //!
 //! The price is holding the intermediate similarity of *every* non-zero
 //! document pair at once — space proportional to `N1·N2`. When the
-//! estimate `SM = 4·δ·N1·N2/P` exceeds the available memory
-//! `M = B − ⌈J1⌉ − ⌈J2⌉`, the outer collection is split into `⌈SM/M⌉`
+//! planner's `SM = 4·δ·N1·N2/P` exceeds the memory `M` the run's one
+//! reservation leaves, the outer collection is split into `⌈SM/M⌉`
 //! subcollections and both files are rescanned once per subcollection
-//! (section 4.3's extension). If the δ-based estimate proves too
-//! optimistic at run time, the executor doubles the partition count and
-//! retries rather than exceeding the budget.
+//! (section 4.3's extension). A chunk denser than the average reruns at a
+//! count grown to fit, never more than doubled.
 //!
 //! The budget is charged the paper's 4 bytes per non-zero pair and nothing
-//! else, so the partition count is the `⌈SM/M⌉` the model predicts. What
-//! is VVM's own here is the parts, the partition estimate and its retry,
-//! and the merge; the step, the rows and the emit are the loop's, and each
-//! side's base scan seen through its overlay is `invfile::DeltaScan`.
+//! else. What is VVM's own here is the parts, the partition count and its
+//! retry, and the merge; the step, the rows and the emit are the loop's, and
+//! each side's base scan seen through its overlay is `invfile::DeltaScan`.
 
 use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime, ACC_BYTES};
 use crate::batch::BatchOutcome;
 use crate::driver::{drive, sole, validate, Counters, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
+use std::cell::Cell;
 use std::iter::Peekable;
-use textjoin_common::{DocId, Error, ICell, Result, SIM_VALUE_BYTES};
+use textjoin_common::{DocId, Error, ICell, Result};
+use textjoin_costmodel::vvm::similarity_pages;
 use textjoin_invfile::{DeltaOverlay, DeltaScan, InvertedFile};
 use textjoin_obs::Span;
 use textjoin_storage::{IoStats, MemTracker};
 
 /// What a merge is handed: the parts it reads, every query's outer
-/// documents, the partition count and the per-part hook.
+/// documents, the partition count once sized, and the per-part hook.
 pub(crate) type Merge<'r> = (
     &'r [Part<'r>],
     &'r [Vec<DocId>],
-    u64,
+    &'r Cell<Option<u64>>,
     Option<&'r PartDone<'r>>,
 );
 
@@ -61,32 +61,6 @@ pub(crate) struct Part<'r> {
 pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, u64, &IoStats) + 'a;
 
 impl Part<'_> {
-    /// `⌈Σᵢ SMᵢ / M⌉` from measured statistics — the paper's partition
-    /// estimate, pooled over the queries competing for the similarity
-    /// budget of the same scan.
-    fn partitions(&self, specs: &[JoinSpec<'_>], outer_ids: &[Vec<DocId>]) -> Result<u64> {
-        let spec0 = &specs[0];
-        let p = spec0.sys.page_size as f64;
-        let n1 = spec0.inner.store().num_docs() as f64;
-        let sm: f64 = specs
-            .iter()
-            .zip(outer_ids)
-            .map(|(s, ids)| SIM_VALUE_BYTES as f64 * s.query.delta * n1 * ids.len() as f64 / p)
-            .sum();
-        let entries =
-            self.inner_inv.avg_entry_pages().ceil() + self.outer_inv.avg_entry_pages().ceil();
-        let m = spec0.sys.buffer_pages as f64 - entries;
-        if m <= 0.0 {
-            return Err(Error::InsufficientMemory {
-                context: "VVM similarity space (M ≤ 0)".into(),
-                required_pages: (entries + 1.0) as u64,
-                available_pages: spec0.sys.buffer_pages,
-            });
-        }
-        let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-        Ok(((sm / m).ceil() as u64).clamp(1, max_len.max(1)))
-    }
-
     /// One side's entry stream: the part's ranges of `inv` in turn, each
     /// seen through the side's delta overlay and opened when reached.
     fn entries<'a>(
@@ -128,32 +102,34 @@ pub(crate) fn execute_batch(
     execute_parts(specs, &[whole], None)
 }
 
-/// VVM over a validated batch of `N ≥ 1` queries and one or more parts. The
-/// outer side is chunked against the most demanding part, so no part's
-/// accumulators outgrow its budget.
+/// VVM over a validated batch of `N ≥ 1` queries and one or more parts.
 pub(crate) fn execute_parts(
     specs: &[JoinSpec<'_>],
     parts: &[Part<'_>],
     on_part: Option<&PartDone<'_>>,
 ) -> Result<BatchOutcome> {
     let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
-    let max_len = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    let mut partitions = 1;
-    for part in parts {
-        partitions = partitions.max(part.partitions(specs, &outer_ids)?);
-    }
+    let n = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
+    let partitions = Cell::new(None);
     loop {
-        let merge = Source::Merged((parts, &outer_ids, partitions, on_part));
-        match drive::<TermAtATime>(specs, merge) {
+        let merge = Source::Merged((parts, &outer_ids, &partitions, on_part));
+        let err = match drive::<TermAtATime>(specs, merge) {
             Ok(outcome) => return Ok(outcome),
-            Err(Error::InsufficientMemory { .. }) if partitions < max_len => {
-                // The δ estimate undershot the real non-zero density;
-                // re-partition more finely and rerun (costs more scans, as
-                // the paper's ⌈SM/M⌉ analysis predicts).
-                partitions = (partitions * 2).min(max_len);
-            }
-            Err(e) => return Err(e),
-        }
+            Err(e) => e,
+        };
+        // A pass at `p` partitions needed more than the `B` pages of its
+        // budget: rerun at `p` scaled by that shortfall, at least enough to
+        // shrink the largest chunk (or the same pass fails again), at most
+        // `2p`. A reservation that failed sized no count.
+        let p = partitions.get().filter(|&p| n.div_ceil(p) > 1);
+        let (Some(p), Error::InsufficientMemory { required_pages, .. }) = (p, &err) else {
+            return Err(err);
+        };
+        let sized = p
+            .saturating_mul(*required_pages)
+            .div_ceil(specs[0].sys.buffer_pages.max(1));
+        let shrink = n.div_ceil(n.div_ceil(p) - 1);
+        partitions.set(Some(sized.clamp(shrink, (2 * p).min(n))));
     }
 }
 
@@ -180,13 +156,14 @@ impl<'r> Merging<'r> {
         masks: Vec<Option<InnerMask>>,
         run: &mut Run<'r>,
     ) -> Result<Self> {
-        run.root.record("partitions", partitions);
         let sys = run.specs[0].sys;
+        // The run's one reservation, made on each part's budget.
         let trackers = (parts.iter())
             .map(|part| {
                 let tracker = MemTracker::new(&sys);
                 // One current entry per file.
-                let entries = part.inner_inv.max_entry_bytes() + part.outer_inv.max_entry_bytes();
+                let entries = (part.inner_inv.max_entry_bytes())
+                    .saturating_add(part.outer_inv.max_entry_bytes());
                 reserve(
                     &tracker,
                     run,
@@ -196,9 +173,17 @@ impl<'r> Merging<'r> {
                 Ok(tracker)
             })
             .collect::<Result<Vec<_>>>()?;
-        let partitions = partitions.max(1);
+        // `⌈Σᵢ SMᵢ / M⌉`, each `SMᵢ` the planner's and `M` what the
+        // reservation left (the same on every part: one pair of files).
+        let m = trackers[0].available() as f64;
+        let sm = |s: &JoinSpec| similarity_pages(&s.cost_inputs()) * sys.page_size as f64;
+        let n = outer_ids.iter().fold(1, |n, v| n.max(v.len() as u64));
+        let first = || ((run.specs.iter().map(sm).sum::<f64>() / m).ceil() as u64).clamp(1, n);
+        let count = partitions.get().unwrap_or_else(first);
+        partitions.set(Some(count));
+        run.root.record("partitions", count);
         let chunk_sizes = (outer_ids.iter())
-            .map(|ids| (ids.len() as u64).div_ceil(partitions).max(1) as usize)
+            .map(|ids| (ids.len() as u64).div_ceil(count).max(1) as usize)
             .collect();
         Ok(Self {
             parts,
@@ -209,7 +194,7 @@ impl<'r> Merging<'r> {
             chunk_sizes,
             chunks: Vec::new(),
             next_chunk: 0,
-            partitions: partitions as usize,
+            partitions: count as usize,
         })
     }
 
@@ -503,25 +488,53 @@ mod tests {
         assert!(got.result.approx_eq(&want, 1e-12));
     }
 
-    #[test]
-    fn adaptive_repartition_recovers_from_bad_delta_estimate() {
-        let (_, c1, c2, inv1, inv2, d1, d2) = fixture(30, 30, 12.0, 40, 128);
-        // δ = 0.0001 wildly underestimates the true non-zero density of
-        // these dense collections; the executor must recover by doubling.
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_sys(SystemParams {
-                buffer_pages: 12,
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+        /// The partition count is the planner's `SM` over what the run's
+        /// reservation leaves, so `query.delta` — the model's input only
+        /// when no match count is measured — changes nothing VVM does: not
+        /// the result, the passes, the I/O or the high-water, whether the
+        /// buffer fits one pass or forces many.
+        #[test]
+        fn nothing_vvm_does_depends_on_query_delta(
+            delta in 0.0001f64..1.0,
+            buffer_pages in 8u64..80,
+            lambda in 1usize..8,
+        ) {
+            let (disk, c1, c2, inv1, inv2, _, _) = fixture(40, 30, 10.0, 50, 128);
+            let sys = SystemParams {
+                buffer_pages,
                 page_size: 128,
                 alpha: 5.0,
-            })
-            .with_query(QueryParams {
-                lambda: 4,
-                delta: 0.0001,
-            });
-        let got = execute(&spec, &inv1, &inv2).unwrap();
-        let want = naive_join(&d1, &d2, OuterDocs::Full, 4, crate::Weighting::RawCount);
-        assert_eq!(got.result, want);
-        assert!(got.stats.passes > 1);
+            };
+            let run = |delta| {
+                let spec = JoinSpec::new(&c1, &c2)
+                    .with_sys(sys)
+                    .with_query(QueryParams { lambda, delta });
+                disk.reset_head();
+                execute(&spec, &inv1, &inv2)
+            };
+            match (run(delta), run(1.0)) {
+                (Ok(got), Ok(want)) => {
+                    proptest::prop_assert_eq!(got.result, want.result);
+                    proptest::prop_assert_eq!(got.stats.passes, want.stats.passes);
+                    proptest::prop_assert_eq!(got.stats.io, want.stats.io);
+                    proptest::prop_assert_eq!(
+                        got.stats.mem_high_water_bytes,
+                        want.stats.mem_high_water_bytes
+                    );
+                }
+                (Err(got), Err(want)) => {
+                    proptest::prop_assert_eq!(got.to_string(), want.to_string());
+                }
+                (got, want) => proptest::prop_assert!(
+                    false,
+                    "δ={delta}: {:?} against {:?}",
+                    got.map(|o| o.stats.passes),
+                    want.map(|o| o.stats.passes)
+                ),
+            }
+        }
     }
 
     /// Batch × parts is the one merge: three queries over two parts that
@@ -537,12 +550,12 @@ mod tests {
             alpha: 5.0,
         };
         let lambdas = [4usize, 1, 7];
-        // δ = 1 sizes the chunks for the densest case, so no attempt is
-        // abandoned and the drive's delta is the one run's.
+        // The first count fits every chunk of this pair, so no attempt is
+        // abandoned and the drive's I/O is the whole call's.
         let specs = lambdas.map(|lambda| {
             JoinSpec::new(&c1, &c2)
                 .with_sys(sys)
-                .with_query(QueryParams { lambda, delta: 1.0 })
+                .with_query(QueryParams::paper_base().with_lambda(lambda))
         });
         let one = execute_batch(&specs, &inv1, &inv2).unwrap();
         assert!(one.stats.passes > 1, "expected partitioning, got 1 pass");

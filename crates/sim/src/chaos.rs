@@ -64,10 +64,7 @@ const SYS: SystemParams = SystemParams {
     page_size: 256,
     alpha: 5.0,
 };
-const QUERY: QueryParams = QueryParams {
-    lambda: 5,
-    delta: 1.0,
-};
+const QUERY: QueryParams = QueryParams::paper_base().with_lambda(5);
 
 /// Deterministic page picker: up to `take` distinct pages of a file.
 fn pick_pages(seed: u64, file_pages: u64, take: u64) -> Vec<u64> {

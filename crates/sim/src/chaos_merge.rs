@@ -117,10 +117,7 @@ fn live_spec<'a>(lc: &'a LiveCollection, outer: &'a Collection) -> JoinSpec<'a> 
     };
     JoinSpec::new(lc.base(), outer)
         .with_sys(sys)
-        .with_query(QueryParams {
-            lambda: 4,
-            delta: 1.0,
-        })
+        .with_query(QueryParams::paper_base().with_lambda(4))
         .with_weighting(Weighting::RawCount)
         .with_inner_delta(lc.overlay())
 }

@@ -38,7 +38,7 @@ fn spec(pair: &Pair, buffer_pages: u64, lambda: usize) -> JoinSpec<'_> {
         page_size: PAGE,
         alpha: 5.0,
     };
-    pair.spec(sys, QueryParams { lambda, delta: 1.0 })
+    pair.spec(sys, QueryParams::paper_base().with_lambda(lambda))
 }
 
 fn same_join(a: &JoinOutcome, b: &JoinOutcome, what: &str) -> Result<()> {

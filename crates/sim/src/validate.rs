@@ -67,11 +67,7 @@ pub fn quick_configs() -> Vec<ValidationConfig> {
         page_size: 512,
         alpha: 5.0,
     };
-    // These dense little collections have a non-zero fraction near 1.
-    let query = QueryParams {
-        lambda: 10,
-        delta: 1.0,
-    };
+    let query = QueryParams::paper_base().with_lambda(10);
     vec![
         ValidationConfig {
             label: "quick-balanced".into(),
@@ -93,12 +89,7 @@ pub fn quick_configs() -> Vec<ValidationConfig> {
 /// The paper's collections scaled down by `scale` (with `B` scaled alike).
 pub fn paper_scaled_configs(scale: u64) -> Vec<ValidationConfig> {
     let sys = SystemParams::paper_base().with_buffer_pages((10_000 / scale).max(20));
-    // Scaled collections are denser than TREC: almost every pair shares a
-    // term, so the non-zero fraction is ~1.
-    let query = QueryParams {
-        lambda: 20,
-        delta: 1.0,
-    };
+    let query = QueryParams::paper_base();
     [
         ("WSJ", CollectionStats::wsj()),
         ("FR", CollectionStats::fr()),

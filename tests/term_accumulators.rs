@@ -8,9 +8,9 @@
 //!
 //! * (a) every variant of the join equals the naive oracle and its scores
 //!   are bit-equal (`f64::to_bits`) across the two arms;
-//! * (b) the ledger is the paper's: with an undershooting δ the doubling
-//!   retry fails and succeeds at the partition counts, passes, high-water
-//!   and pages recorded from the commit before flat rows existed;
+//! * (b) the ledger is the paper's: the first partition count is
+//!   `⌈ΣSM/M⌉` over what the run's reservation leaves, and a chunk denser
+//!   than the average reruns at counts that shrink it, at most doubling;
 //! * (c) what the tracker does not price is bounded: the peak live heap of
 //!   one join stays under `8·B·P + 8·N1 + the two largest entries`, and
 //!   an inner delta overlay, however large, adds its largest entry.
@@ -23,7 +23,8 @@ use textjoin::collection::DocumentStoreBuilder;
 use textjoin::common::ICell;
 use textjoin::core::batch::{self, BatchOptions};
 use textjoin::core::reference::{naive_join, naive_join_full};
-use textjoin::core::{execute_sharded, hvnl, vvm, ResultQuality, ShardOptions};
+use textjoin::core::{execute_sharded, hvnl, vvm, ResultQuality, ShardOptions, TopK};
+use textjoin::costmodel;
 use textjoin::invfile::{DeltaOverlay, FlushedDelta, PostingCodec};
 use textjoin::obs::Tracer;
 use textjoin::prelude::*;
@@ -341,27 +342,33 @@ fn the_boundary_is_flat_and_one_page_less_is_not() {
     assert!(run(16) == run(15));
 }
 
-/// (b) δ = 0.0001 promises one partition; the real density needs many.
-/// Every attempt opens a `vvm` root span carrying its partition count, so
-/// the retry ladder is visible: it must fail and succeed exactly where the
-/// per-pair ledger of the parent commit did, and the run that succeeds must
-/// cost the same passes, bytes and pages.
+/// (b) The densest outer documents share the first chunk, so a count sized
+/// from the average density undershoots that chunk. Every attempt opens a
+/// `vvm` root span carrying its partition count: the first is
+/// `⌈Σᵢ SMᵢ / available⌉` — the planner's `SM` of each query over what the
+/// largest λ-heap and the two largest entries leave of `B·P` — and each
+/// retry shrinks the largest chunk while growing by no more than doubling,
+/// until the batch equals the oracle.
 #[test]
-fn an_undershooting_delta_retries_at_the_recorded_partition_counts() {
-    let f = fixture(docs(300, 6, 64, 5), docs(60, 6, 64, 6), PAGE);
+fn a_dense_first_chunk_regrows_from_the_first_count() {
+    // Single-term inner documents: a pair shares at most one term, so the
+    // measured δ counts the non-zero pairs exactly and `SM` is the whole
+    // demand; the eight 32-term outer documents (ids 0–7) hold most of it.
+    let outer = [docs(8, 32, 64, 5), docs(32, 2, 64, 6)].concat();
+    let f = fixture(docs(256, 1, 64, 7), outer, PAGE);
     let tracer = Tracer::enabled(4096);
-    let spec = JoinSpec::new(&f.c1, &f.c2)
-        .with_sys(sys(24))
-        .with_query(QueryParams {
-            lambda: 4,
-            delta: 0.0001,
-        })
-        .with_trace(&tracer);
-    f.disk.reset_stats();
-    f.disk.reset_head();
-    let got = vvm::execute(&spec, &f.inv1, &f.inv2).unwrap();
-    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 4, Weighting::RawCount);
-    assert!(got.result == want);
+    let lambdas = [4, 1];
+    let specs = lambdas.map(|lambda| {
+        JoinSpec::new(&f.c1, &f.c2)
+            .with_sys(sys(48))
+            .with_query(QueryParams::paper_base().with_lambda(lambda))
+            .with_trace(&tracer)
+    });
+    let got = batch::execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
+    for (q, lambda) in got.queries.iter().zip(lambdas) {
+        let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, lambda, Weighting::RawCount);
+        assert!(q.result == want, "λ={lambda}");
+    }
     let field = |s: &textjoin::obs::SpanRecord, name| {
         let found = s.fields.iter().find(|(k, _)| *k == name);
         found.map(|&(_, v)| v)
@@ -374,16 +381,26 @@ fn an_undershooting_delta_retries_at_the_recorded_partition_counts() {
         .collect();
     attempts.sort_unstable();
     let ladder: Vec<u64> = attempts.into_iter().map(|(_, p)| p).collect();
-    // Recorded from the parent commit (ddea6a1), same fixture; sixteen
-    // partitions of `⌈60/16⌉ = 4` outer documents are fifteen passes.
-    assert_eq!(ladder, [1, 2, 4, 8, 16]);
-    assert_eq!(got.stats.passes, 15);
-    assert_eq!(got.stats.mem_high_water_bytes, 2_722);
+
+    let reserved = TopK::budget_bytes(4) + f.inv1.max_entry_bytes() + f.inv2.max_entry_bytes();
+    let available = sys(48).buffer_bytes() - reserved;
+    let sm: f64 = (specs.iter())
+        .map(|s| costmodel::vvm::similarity_pages(&s.cost_inputs()) * PAGE as f64)
+        .sum();
     assert_eq!(
-        (got.stats.io.seq_reads, got.stats.io.rand_reads),
-        (1_260, 30)
+        ladder[0],
+        (sm / available as f64).ceil() as u64,
+        "{ladder:?}"
     );
-    assert_eq!(got.stats.sim_ops, 10_123);
+    assert!(ladder.len() > 1, "the dense chunk must not fit: {ladder:?}");
+    let n = f.d2.len() as u64;
+    for w in ladder.windows(2) {
+        assert!(n.div_ceil(w[1]) < n.div_ceil(w[0]), "{ladder:?}");
+        assert!(w[1] <= 2 * w[0], "{ladder:?}");
+    }
+    let last = *ladder.last().unwrap();
+    assert_eq!(got.stats.passes, n.div_ceil(n.div_ceil(last)));
+    assert!(got.stats.mem_high_water_bytes <= sys(48).buffer_bytes());
 }
 
 // ---- (c) what the tracker does not price --------------------------------
