@@ -29,7 +29,7 @@ use crate::driver::{Counters, Passes, Row as ResultRow, Run};
 use crate::hvnl::{Fetch, HvnlOptions};
 use crate::spec::JoinSpec;
 use crate::topk::TopK;
-use crate::vvm::{Merge, Merging};
+use crate::vvm::{Merging, Part, PartDone};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use textjoin_common::{DocId, ICell, Result, TermId, SIM_VALUE_BYTES};
@@ -48,9 +48,9 @@ pub(crate) enum Source<'r> {
     /// it; inner entries from the dictionary, the entry cache and the delta
     /// arena.
     Fetched(&'r InvertedFile, HvnlOptions),
-    /// VVM: `⌈Nᵢ/partitions⌉` of each query's outer documents at a time;
-    /// both sides' entries from each part's merge scan.
-    Merged(Merge<'r>),
+    /// VVM: a chunk of each query's outer documents at a time (`Merging`);
+    /// both sides' entries from each part's merge scan, and a hook per part.
+    Merged(&'r [Part<'r>], Option<&'r PartDone<'r>>),
 }
 
 /// HVNL and VVM as the driver sees them: one [`Passes`] impl over the state
@@ -66,7 +66,7 @@ impl<'r> Passes<'r> for TermAtATime<'r> {
     fn tags(input: &Source<'r>) -> (Algorithm, &'static str) {
         match input {
             Source::Fetched(..) => (Algorithm::Hvnl, "hvnl"),
-            Source::Merged(_) => (Algorithm::Vvm, "vvm"),
+            Source::Merged(..) => (Algorithm::Vvm, "vvm"),
         }
     }
 
@@ -76,12 +76,12 @@ impl<'r> Passes<'r> for TermAtATime<'r> {
             Source::Fetched(inv, options) => {
                 Self::Fetched(Fetch::prepare(inv, options, masks, run)?)
             }
-            Source::Merged(merge) => Self::Merged(Merging::prepare(merge, masks, run)?),
+            Source::Merged(parts, done) => Self::Merged(Merging::prepare(parts, done, masks, run)?),
         })
     }
 
-    /// HVNL's one pass is its outer scan, and every query is in it; VVM's
-    /// pass `k` is chunk `k` of every query's outer documents, and a query
+    /// HVNL's one pass is its outer scan, and every query is in it; a VVM
+    /// pass is the next chunk of every query's outer documents, and a query
     /// is in it when its chunk is not empty.
     fn next_pass(&mut self, run: &mut Run<'r>) -> Result<bool> {
         match self {
@@ -96,9 +96,6 @@ impl<'r> Passes<'r> for TermAtATime<'r> {
                 if !merging.next_chunks(run) {
                     return Ok(false);
                 }
-                for (q, chunk) in run.queries.iter_mut().zip(&merging.chunks) {
-                    q.passes += u64::from(!chunk.is_empty());
-                }
                 run.phase("vvm.merge_pass", |run, span| merging.pass(run, span))?;
             }
         }
@@ -107,6 +104,7 @@ impl<'r> Passes<'r> for TermAtATime<'r> {
 
     fn finish(self, run: &mut Run<'r>) -> Result<()> {
         if let Self::Merged(merging) = self {
+            run.root.record("splits", merging.splits);
             run.parts_high_water = merging.trackers.iter().map(MemTracker::high_water).sum();
         }
         Ok(())

@@ -350,27 +350,27 @@ impl<'r> Run<'r> {
 
     /// [`run_parts`] inside a driven run: each part comes back with the
     /// I/O it caused, which also counts into the run's statistics and
-    /// checkpoint. The thread-local tally is bumped under the same lock as
-    /// a drive's global counters, so a bracketed delta is exactly that
-    /// part's traffic and the deltas of parts sharing a drive sum to the
-    /// drive's delta.
+    /// checkpoint, however the part's work ended. The thread-local tally is
+    /// bumped under the same lock as a drive's global counters, so a
+    /// bracketed delta is exactly that part's traffic and the deltas of
+    /// parts sharing a drive sum to the drive's delta.
     pub(crate) fn parts<P: Sync, T: Send>(
         &mut self,
         parts: &[P],
-        work: impl Fn(usize, &P) -> Result<T> + Sync,
-    ) -> Result<Vec<(T, IoStats)>> {
+        work: impl Fn(usize, &P) -> T + Sync,
+    ) -> Vec<(T, IoStats)> {
         let done = run_parts(parts, |k, part| {
             let before = DiskSim::thread_io_stats();
-            let out = work(k, part)?;
-            Ok((out, DiskSim::thread_io_stats().since(&before)))
-        })?;
+            let out = work(k, part);
+            (out, DiskSim::thread_io_stats().since(&before))
+        });
         // A lone part ran on this thread, whose tally already has its I/O.
         if done.len() > 1 {
             for (_, io) in &done {
                 self.parts_io.merge(io);
             }
         }
-        Ok(done)
+        done
     }
 
     /// Runs `body` as one named phase: a child span of the root carrying
@@ -475,22 +475,17 @@ impl<'r> Run<'r> {
 /// concurrently on one scoped thread each.
 pub(crate) fn run_parts<P: Sync, T: Send>(
     parts: &[P],
-    work: impl Fn(usize, &P) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
+    work: impl Fn(usize, &P) -> T + Sync,
+) -> Vec<T> {
     if let [part] = parts {
-        return Ok(vec![work(0, part)?]);
+        return vec![work(0, part)];
     }
     let work = &work;
     std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(k, part)| s.spawn(move || work(k, part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("part panicked"))
-            .collect()
+        let spawn = |(k, part)| s.spawn(move || work(k, part));
+        let handles: Vec<_> = parts.iter().enumerate().map(spawn).collect();
+        let join = |h: std::thread::ScopedJoinHandle<T>| h.join().expect("part panicked");
+        handles.into_iter().map(join).collect()
     })
 }
 

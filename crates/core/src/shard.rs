@@ -52,7 +52,7 @@ use std::time::Instant;
 use textjoin_collection::{Collection, CollectionProfile, Document, DocumentStoreBuilder};
 use textjoin_common::{DocId, Result, TermId};
 use textjoin_costmodel::comm::CommParams;
-use textjoin_invfile::{DeltaOverlay, FnlIndex, InvertedFile};
+use textjoin_invfile::{postings_of, DeltaOverlay, FnlIndex, InvertedFile, PostingCodec};
 use textjoin_obs::{LiveRegistry, QueryTicket, TicketGuard, Tracer};
 use textjoin_storage::{DiskSim, FaultPlan, IoStats};
 
@@ -364,14 +364,24 @@ type Built = (Option<InvertedFile>, Option<InvertedFile>, Option<FnlIndex>);
 
 /// Builds the indexes `algorithm` reads — HVNL's inner inverted file, VVM's
 /// inverted file of each side, FNL's signature index, none for HHNL — on a
-/// drive the call owns and drops, never on the caller's.
+/// drive the call owns and drops, never on the caller's. VVM's outer file
+/// inverts only the base documents the spec selects.
 fn build_indexes(spec: &JoinSpec<'_>, algorithm: Algorithm) -> Result<Built> {
     let disk = Arc::new(DiskSim::new(spec.sys.page_size));
     let inv = |side, name| InvertedFile::build(Arc::clone(&disk), name, side).map(Some);
+    let selected = |doc: &Result<(DocId, Document)>| match (spec.outer_docs, doc) {
+        (OuterDocs::Selected(ids), Ok((id, _))) => ids.binary_search(id).is_ok(),
+        _ => true,
+    };
+    let outer = || {
+        let postings = postings_of(spec.outer.store().scan().filter(selected))?;
+        let codec = PostingCodec::Fixed5;
+        InvertedFile::from_postings_with(Arc::clone(&disk), "outer", postings, codec).map(Some)
+    };
     Ok(match algorithm {
         Algorithm::Hhnl => (None, None, None),
         Algorithm::Hvnl => (inv(spec.inner, "inner")?, None, None),
-        Algorithm::Vvm => (inv(spec.inner, "inner")?, inv(spec.outer, "outer")?, None),
+        Algorithm::Vvm => (inv(spec.inner, "inner")?, outer()?, None),
         Algorithm::Fnl => (
             None,
             None,
@@ -455,7 +465,8 @@ fn doc_sites(
             ..*spec
         };
         crate::execute(algorithm, &spec_k, indexes)
-    })?;
+    });
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>>>()?;
     drop(span);
 
     let _span = Tracer::maybe(spec.trace, "shard.merge");
@@ -632,11 +643,6 @@ fn vvm_sites(
         let pages = (cells * SHIP_CELL_BYTES).div_ceil(page.max(1));
         wire.set(wire.get() + pages);
         let site = &mut tally.borrow_mut()[k];
-        if pass == 1 {
-            // A rerun after memory pressure reports one clean run, like
-            // the sequential executor's re-partitioned rerun.
-            *site = Default::default();
-        }
         site.0.merge(io);
         site.1 += pages;
         site.2 += skipped;
@@ -686,7 +692,7 @@ mod tests {
     use textjoin_collection::SynthSpec;
     use textjoin_common::{CollectionStats, QueryParams, SystemParams};
     use textjoin_costmodel::comm::TermEncoding;
-    use textjoin_invfile::{postings_of, FlushedDelta, PostingCodec};
+    use textjoin_invfile::FlushedDelta;
 
     fn fixture(seed: u64) -> (Arc<DiskSim>, Collection, Collection) {
         let disk = Arc::new(DiskSim::new(512));
@@ -1088,6 +1094,32 @@ mod tests {
             execute_sharded(&spec, alg, &ShardOptions::new(2)).unwrap();
             assert_eq!(disk.file_names(), files, "{alg}");
         }
+    }
+
+    /// VVM's outer file inverts the base documents the spec selects: the
+    /// whole store gives the file `InvertedFile::build` writes, byte for
+    /// byte, and a selection the postings of its base documents alone.
+    #[test]
+    fn the_outer_file_inverts_the_selected_base_documents() {
+        let (_, c1, c2) = fixture(89);
+        let pages = |inv: &InvertedFile| inv.disk().read_run(inv.file(), 0, inv.num_pages());
+        let built = |spec| build_indexes(&spec, Algorithm::Vvm).unwrap().1.unwrap();
+        let whole = built(spec(&c1, &c2, 4));
+        let want = InvertedFile::build(Arc::new(DiskSim::new(512)), "outer", &c2).unwrap();
+        assert_eq!(pages(&whole).unwrap(), pages(&want).unwrap());
+
+        // Id 40 is an insert of the outer overlay, not a base document.
+        let chosen = [3, 17, 29, 40].map(DocId::new);
+        let ov = overlay_from(&c2, 11, false);
+        let spec =
+            (spec(&c1, &c2, 4).with_outer_delta(&ov)).with_outer_docs(OuterDocs::Selected(&chosen));
+        let base = chosen[..3]
+            .iter()
+            .map(|&id| Ok((id, c2.store().read_doc_direct(id)?)));
+        let mut want: Vec<_> = postings_of(base).unwrap().into_iter().collect();
+        want.sort_unstable_by_key(|(term, _)| *term);
+        let got: Vec<_> = built(spec).scan().collect::<Result<_>>().unwrap();
+        assert_eq!(got, want);
     }
 
     #[test]

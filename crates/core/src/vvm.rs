@@ -12,35 +12,29 @@
 //! planner's `SM = 4·δ·N1·N2/P` exceeds the memory `M` the run's one
 //! reservation leaves, the outer collection is split into `⌈SM/M⌉`
 //! subcollections and both files are rescanned once per subcollection
-//! (section 4.3's extension). A chunk denser than the average reruns at a
-//! count grown to fit, never more than doubled.
+//! (section 4.3's extension). A pass whose chunk is denser than the average
+//! overflows: it halves its own chunk and runs again, the count grows by one
+//! for the passes still to come, and the next pass starts where it stopped;
+//! a run is never rerun.
 //!
 //! The budget is charged the paper's 4 bytes per non-zero pair and nothing
-//! else. What is VVM's own here is the parts, the partition count and its
-//! retry, and the merge; the step, the rows and the emit are the loop's, and
-//! each side's base scan seen through its overlay is `invfile::DeltaScan`.
+//! else. What is VVM's own here is the parts, the partition count and the
+//! split of an overflowing pass, and the merge; the step, the rows and the
+//! emit are the loop's, and each side's base scan seen through its overlay
+//! is `invfile::DeltaScan`.
 
 use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime, ACC_BYTES};
 use crate::batch::BatchOutcome;
-use crate::driver::{drive, sole, validate, Counters, Run};
+use crate::driver::{drive, sole, Counters, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
-use std::cell::Cell;
 use std::iter::Peekable;
+use std::ops::Range;
 use textjoin_common::{DocId, Error, ICell, Result};
 use textjoin_costmodel::vvm::similarity_pages;
 use textjoin_invfile::{DeltaOverlay, DeltaScan, InvertedFile};
 use textjoin_obs::Span;
 use textjoin_storage::{IoStats, MemTracker};
-
-/// What a merge is handed: the parts it reads, every query's outer
-/// documents, the partition count once sized, and the per-part hook.
-pub(crate) type Merge<'r> = (
-    &'r [Part<'r>],
-    &'r [Vec<DocId>],
-    &'r Cell<Option<u64>>,
-    Option<&'r PartDone<'r>>,
-);
 
 /// One part of a merge: term ranges of the one pair of inverted files, seen
 /// through the delta overlays and sized against all of `B`. Sequential VVM
@@ -55,9 +49,10 @@ pub(crate) struct Part<'r> {
     pub(crate) terms: &'r [(u32, Option<u32>)],
 }
 
-/// Called on the driving thread with `(part, outer chunk number from 1,
-/// accumulator cells, entries the part skipped, the part's I/O)` after a
-/// part's merge pass, before its table is folded.
+/// Called on the driving thread with `(part, pass number from 1,
+/// accumulator cells, entries the part skipped, the part's I/O)` after each
+/// attempt at a part's merge pass, before its table is folded. An attempt
+/// that overflowed ships no table and skips nothing: it reports its I/O.
 pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, u64, &IoStats) + 'a;
 
 impl Part<'_> {
@@ -93,7 +88,6 @@ pub(crate) fn execute_batch(
     inner_inv: &InvertedFile,
     outer_inv: &InvertedFile,
 ) -> Result<BatchOutcome> {
-    validate(specs)?;
     let whole = Part {
         inner_inv,
         outer_inv,
@@ -102,57 +96,41 @@ pub(crate) fn execute_batch(
     execute_parts(specs, &[whole], None)
 }
 
-/// VVM over a validated batch of `N ≥ 1` queries and one or more parts.
+/// VVM over a batch of `N ≥ 1` queries and one or more parts: one run.
 pub(crate) fn execute_parts(
     specs: &[JoinSpec<'_>],
     parts: &[Part<'_>],
     on_part: Option<&PartDone<'_>>,
 ) -> Result<BatchOutcome> {
-    let outer_ids: Vec<Vec<DocId>> = specs.iter().map(|s| s.outer_live_ids()).collect();
-    let n = outer_ids.iter().map(|v| v.len() as u64).max().unwrap_or(0);
-    let partitions = Cell::new(None);
-    loop {
-        let merge = Source::Merged((parts, &outer_ids, &partitions, on_part));
-        let err = match drive::<TermAtATime>(specs, merge) {
-            Ok(outcome) => return Ok(outcome),
-            Err(e) => e,
-        };
-        // A pass at `p` partitions needed more than the `B` pages of its
-        // budget: rerun at `p` scaled by that shortfall, at least enough to
-        // shrink the largest chunk (or the same pass fails again), at most
-        // `2p`. A reservation that failed sized no count.
-        let p = partitions.get().filter(|&p| n.div_ceil(p) > 1);
-        let (Some(p), Error::InsufficientMemory { required_pages, .. }) = (p, &err) else {
-            return Err(err);
-        };
-        let sized = p
-            .saturating_mul(*required_pages)
-            .div_ceil(specs[0].sys.buffer_pages.max(1));
-        let shrink = n.div_ceil(n.div_ceil(p) - 1);
-        partitions.set(Some(sized.clamp(shrink, (2 * p).min(n))));
-    }
+    drive::<TermAtATime>(specs, Source::Merged(parts, on_part))
 }
 
-/// VVM in the loop: merge passes at a fixed partition count, pass `k`
-/// serving chunk `k` of every query's outer documents with one scan of
-/// every part.
+/// VVM in the loop: merge passes over chunks of every query's outer
+/// documents, each with one scan of every part. A query's chunk starts
+/// where its last one ended and holds `⌈Nᵢ/count⌉` documents, fewer after
+/// its pass overflowed.
 pub(crate) struct Merging<'r> {
     parts: &'r [Part<'r>],
     on_part: Option<&'r PartDone<'r>>,
     masks: Vec<Option<InnerMask>>,
-    /// One budget of `B` pages per part.
+    /// One budget of `B` pages per part, and the run's reservation on each.
     pub(crate) trackers: Vec<MemTracker>,
-    outer_ids: &'r [Vec<DocId>],
-    chunk_sizes: Vec<usize>,
-    /// The current pass's chunk of each query's outer documents.
-    pub(crate) chunks: Vec<&'r [DocId]>,
-    next_chunk: usize,
-    partitions: usize,
+    reserved: u64,
+    /// Every query's outer documents, and the count sizing their chunks.
+    outer: Vec<Vec<DocId>>,
+    count: u64,
+    /// The current pass's chunk of each query's outer documents, as a
+    /// range of its ids.
+    chunks: Vec<Range<usize>>,
+    /// Passes completed, and pass attempts that overflowed and were split.
+    passes: u64,
+    pub(crate) splits: u64,
 }
 
 impl<'r> Merging<'r> {
     pub(crate) fn prepare(
-        (parts, outer_ids, partitions, on_part): Merge<'r>,
+        parts: &'r [Part<'r>],
+        on_part: Option<&'r PartDone<'r>>,
         masks: Vec<Option<InnerMask>>,
         run: &mut Run<'r>,
     ) -> Result<Self> {
@@ -164,97 +142,114 @@ impl<'r> Merging<'r> {
                 // One current entry per file.
                 let entries = (part.inner_inv.max_entry_bytes())
                     .saturating_add(part.outer_inv.max_entry_bytes());
-                reserve(
-                    &tracker,
-                    run,
-                    entries,
-                    ["VVM result heap", "VVM entry buffers"],
-                )?;
+                let what = ["VVM result heap", "VVM entry buffers"];
+                reserve(&tracker, run, entries, what)?;
                 Ok(tracker)
             })
             .collect::<Result<Vec<_>>>()?;
         // `⌈Σᵢ SMᵢ / M⌉`, each `SMᵢ` the planner's and `M` what the
         // reservation left (the same on every part: one pair of files).
-        let m = trackers[0].available() as f64;
+        let (reserved, m) = (trackers[0].used(), trackers[0].available() as f64);
         let sm = |s: &JoinSpec| similarity_pages(&s.cost_inputs()) * sys.page_size as f64;
-        let n = outer_ids.iter().fold(1, |n, v| n.max(v.len() as u64));
-        let first = || ((run.specs.iter().map(sm).sum::<f64>() / m).ceil() as u64).clamp(1, n);
-        let count = partitions.get().unwrap_or_else(first);
-        partitions.set(Some(count));
+        let outer: Vec<Vec<DocId>> = run.specs.iter().map(JoinSpec::outer_live_ids).collect();
+        let n = outer.iter().fold(1, |n, v| n.max(v.len() as u64));
+        let count = ((run.specs.iter().map(sm).sum::<f64>() / m).ceil() as u64).clamp(1, n);
         run.root.record("partitions", count);
-        let chunk_sizes = (outer_ids.iter())
-            .map(|ids| (ids.len() as u64).div_ceil(count).max(1) as usize)
-            .collect();
         Ok(Self {
             parts,
             on_part,
             masks,
             trackers,
-            outer_ids,
-            chunk_sizes,
-            chunks: Vec::new(),
-            next_chunk: 0,
-            partitions: count as usize,
+            reserved,
+            outer,
+            count,
+            chunks: vec![0..0; run.specs.len()],
+            passes: 0,
+            splits: 0,
         })
     }
 
-    /// Moves to the next pass with a document in it; `false` after the
-    /// last. A query whose outer set is exhausted contributes an empty
-    /// chunk; so does a cancelled one, so the folded scan stops doing its
-    /// work while sibling chunk boundaries stay exactly where an
-    /// uncancelled run would put them.
-    pub(crate) fn next_chunks(&mut self, run: &Run<'_>) -> bool {
-        let outer_ids = self.outer_ids;
-        while self.next_chunk < self.partitions {
-            let k = self.next_chunk;
-            self.next_chunk += 1;
-            let sized = outer_ids.iter().zip(&self.chunk_sizes).enumerate();
-            self.chunks = (sized.map(|(si, (ids, &size))| match run.cancelled(si) {
-                true => &[],
-                false => &ids[(k * size).min(ids.len())..((k + 1) * size).min(ids.len())],
-            }))
-            .collect();
-            if self.chunks.iter().any(|c| !c.is_empty()) {
-                return true;
+    /// Moves to the next pass with a document in it, counted for each query
+    /// in it; `false` after the last. An exhausted or cancelled query
+    /// contributes an empty chunk, so the folded scan stops doing its work
+    /// for it while its siblings' chunks go on from their own cursors.
+    pub(crate) fn next_chunks(&mut self, run: &mut Run<'_>) -> bool {
+        let queries = self.chunks.iter_mut().zip(&self.outer).enumerate();
+        for (si, (chunk, ids)) in queries {
+            let size = (ids.len() as u64).div_ceil(self.count).max(1) as usize;
+            chunk.start = chunk.end;
+            if !run.cancelled(si) {
+                chunk.end = (chunk.end + size).min(ids.len());
             }
+            run.queries[si].passes += u64::from(chunk.start < chunk.end);
         }
-        false
+        self.chunks.iter().any(|c| !c.is_empty())
     }
 
     /// One merge pass: every part merges on its own budget, the other
     /// parts' rows fold into the first's in part order (raw counts make the
     /// sums exact in any order, fractional weightings agree to
     /// floating-point reassociation), and each query's chunk is emitted.
+    ///
+    /// When a part's budget overflows, every part gives back what its rows
+    /// charged, every chunk keeps its first `⌈len/2⌉` documents and the
+    /// pass runs again; the shortfall sizes nothing, because a merge stops
+    /// at its first charge past the budget. The count grows by one, so a
+    /// plan that undershoots every chunk by a little splits a few passes,
+    /// not all of them. Once no chunk holds more than one document the
+    /// overflow is the run's error.
     pub(crate) fn pass(&mut self, run: &mut Run<'r>, span: &mut Span<'r>) -> Result<()> {
-        let (chunks, masks, trackers) = (&self.chunks, &self.masks, &self.trackers);
-        span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
         let specs = run.specs;
-        let partials = run.parts(self.parts, |k, part| {
-            MergePartial::compute(specs, part, chunks, masks, &trackers[k])
-        })?;
-        let mut total: Option<MergePartial> = None;
-        for (k, (partial, io)) in partials.into_iter().enumerate() {
-            let charged = partial.rows.iter().map(Rows::charged).sum();
+        let (partials, chunks) = loop {
+            let chunks: Vec<&[DocId]> = (self.outer.iter().zip(&self.chunks))
+                .map(|(ids, chunk)| &ids[chunk.clone()])
+                .collect();
+            let partials = run.parts(self.parts, |k, part| {
+                MergePartial::compute(specs, part, &chunks, &self.masks, &self.trackers[k])
+            });
+            let failed = partials.iter().find_map(|(p, _)| p.as_ref().err().cloned());
             if let Some(done) = self.on_part {
-                let skipped = partial.skipped_entries;
-                done(k, self.next_chunk as u64, charged / ACC_BYTES, skipped, &io);
-            }
-            match &mut total {
-                None => total = Some(partial),
-                Some(total) => {
-                    trackers[k].release(charged);
-                    partial.fold_into(total);
+                for (k, (partial, io)) in partials.iter().enumerate() {
+                    // A failed attempt ships no table.
+                    let shipped = partial.as_ref().ok().filter(|_| failed.is_none());
+                    let cells = shipped.map_or(0, |p| p.charged() / ACC_BYTES);
+                    let skipped = shipped.map_or(0, |p| p.skipped_entries);
+                    done(k, self.passes + 1, cells, skipped, io);
                 }
             }
+            let Some(error) = failed else {
+                break (partials, chunks);
+            };
+            // What a part holds above the reservation is its rows' charge.
+            for tracker in &self.trackers {
+                tracker.release(tracker.used() - self.reserved);
+            }
+            let overflow = matches!(error, Error::InsufficientMemory { .. });
+            if !overflow || self.chunks.iter().all(|c| c.len() <= 1) {
+                return Err(error);
+            }
+            self.splits += 1;
+            self.count += 1;
+            for chunk in &mut self.chunks {
+                chunk.end = chunk.start + chunk.len().div_ceil(2);
+            }
+        };
+        self.passes += 1;
+        span.record("outer_docs", chunks.iter().map(|c| c.len() as u64).sum());
+        // No part failed, so every result is a partial.
+        let mut partials = partials.into_iter().flat_map(|(partial, _)| partial);
+        let mut total = partials.next().expect("a merge has at least one part");
+        for (partial, tracker) in partials.zip(&self.trackers[1..]) {
+            tracker.release(partial.charged());
+            partial.fold_into(&mut total);
         }
-        let total = total.expect("a merge has at least one part");
         run.shared_skipped_entries += total.skipped_entries;
         let per_query = (total.rows.into_iter().zip(total.counters)).zip(&mut run.queries);
-        for ((spec, chunk), ((mut rows, counters), q)) in specs.iter().zip(chunks).zip(per_query) {
+        for ((spec, chunk), ((mut rows, counters), q)) in specs.iter().zip(&chunks).zip(per_query) {
             q.counters.sim_ops += counters.sim_ops;
             q.counters.cells_touched += counters.cells_touched;
             // The first part's charge is released as its rows are emitted.
-            rows.emit(chunk, spec, &mut q.rows, &trackers[0]);
+            rows.emit(chunk, spec, &mut q.rows, &self.trackers[0]);
         }
         Ok(())
     }
@@ -340,6 +335,11 @@ impl MergePartial {
             }
         }
         Ok(partial)
+    }
+
+    /// Bytes charged for the pairs the rows hold.
+    fn charged(&self) -> u64 {
+        self.rows.iter().map(Rows::charged).sum()
     }
 
     /// Adds another part's rows and counters into this one's. The caller
@@ -550,8 +550,8 @@ mod tests {
             alpha: 5.0,
         };
         let lambdas = [4usize, 1, 7];
-        // The first count fits every chunk of this pair, so no attempt is
-        // abandoned and the drive's I/O is the whole call's.
+        // The first count fits every chunk of this pair, so neither run
+        // splits a pass and both make the same passes.
         let specs = lambdas.map(|lambda| {
             JoinSpec::new(&c1, &c2)
                 .with_sys(sys)

@@ -8,9 +8,9 @@
 //!
 //! * (a) every variant of the join equals the naive oracle and its scores
 //!   are bit-equal (`f64::to_bits`) across the two arms;
-//! * (b) the ledger is the paper's: the first partition count is
-//!   `⌈ΣSM/M⌉` over what the run's reservation leaves, and a chunk denser
-//!   than the average reruns at counts that shrink it, at most doubling;
+//! * (b) the ledger is the paper's: the partition count is `⌈ΣSM/M⌉` over
+//!   what the run's reservation leaves, and a pass whose chunk is denser
+//!   than the average halves that chunk in place, the run driven once;
 //! * (c) what the tracker does not price is bounded: the peak live heap of
 //!   one join stays under `8·B·P + 8·N1 + the two largest entries`, and
 //!   an inner delta overlay, however large, adds its largest entry.
@@ -28,6 +28,7 @@ use textjoin::costmodel;
 use textjoin::invfile::{DeltaOverlay, FlushedDelta, PostingCodec};
 use textjoin::obs::Tracer;
 use textjoin::prelude::*;
+use textjoin::storage::IoStats;
 
 const PAGE: usize = 128;
 
@@ -342,20 +343,25 @@ fn the_boundary_is_flat_and_one_page_less_is_not() {
     assert!(run(16) == run(15));
 }
 
-/// (b) The densest outer documents share the first chunk, so a count sized
-/// from the average density undershoots that chunk. Every attempt opens a
-/// `vvm` root span carrying its partition count: the first is
-/// `⌈Σᵢ SMᵢ / available⌉` — the planner's `SM` of each query over what the
-/// largest λ-heap and the two largest entries leave of `B·P` — and each
-/// retry shrinks the largest chunk while growing by no more than doubling,
-/// until the batch equals the oracle.
-#[test]
-fn a_dense_first_chunk_regrows_from_the_first_count() {
-    // Single-term inner documents: a pair shares at most one term, so the
-    // measured δ counts the non-zero pairs exactly and `SM` is the whole
-    // demand; the eight 32-term outer documents (ids 0–7) hold most of it.
+/// Single-term inner documents: a pair shares at most one term, so the
+/// measured δ counts the non-zero pairs exactly and `SM` is the whole
+/// demand; the eight 32-term outer documents (ids 0–7) hold most of it.
+fn dense() -> Fixture {
     let outer = [docs(8, 32, 64, 5), docs(32, 2, 64, 6)].concat();
-    let f = fixture(docs(256, 1, 64, 7), outer, PAGE);
+    fixture(docs(256, 1, 64, 7), outer, PAGE)
+}
+
+/// (b) The densest outer documents share the first chunk, so a count sized
+/// from the average density undershoots that chunk. The run is driven
+/// once: its one `vvm` root span carries the first count,
+/// `⌈Σᵢ SMᵢ / available⌉` — the planner's `SM` of each query over what the
+/// largest λ-heap and the two largest entries leave of `B·P` — and the pass
+/// attempts that overflowed and halved their chunks in place. The batch
+/// equals the oracle, and the statistics carry every page the drive read,
+/// the split attempts' included.
+#[test]
+fn a_dense_first_chunk_splits_in_place() {
+    let f = dense();
     let tracer = Tracer::enabled(4096);
     let lambdas = [4, 1];
     let specs = lambdas.map(|lambda| {
@@ -364,43 +370,66 @@ fn a_dense_first_chunk_regrows_from_the_first_count() {
             .with_query(QueryParams::paper_base().with_lambda(lambda))
             .with_trace(&tracer)
     });
+    let before = f.disk.stats();
     let got = batch::execute_vvm(&specs, &f.inv1, &f.inv2).unwrap();
+    let read = f.disk.stats().since(&before);
     for (q, lambda) in got.queries.iter().zip(lambdas) {
         let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, lambda, Weighting::RawCount);
         assert!(q.result == want, "λ={lambda}");
     }
-    let field = |s: &textjoin::obs::SpanRecord, name| {
-        let found = s.fields.iter().find(|(k, _)| *k == name);
-        found.map(|&(_, v)| v)
+    let spans = tracer.finished();
+    let roots: Vec<_> = spans.iter().filter(|s| s.name == "vvm").collect();
+    assert_eq!(roots.len(), 1, "one driven run");
+    let field = |name| {
+        let found = roots[0].fields.iter().find(|(k, _)| *k == name);
+        found.map(|&(_, v)| v).unwrap()
     };
-    let mut attempts: Vec<_> = tracer
-        .finished()
-        .iter()
-        .filter(|s| s.name == "vvm")
-        .map(|s| (s.id, field(s, "partitions").unwrap()))
-        .collect();
-    attempts.sort_unstable();
-    let ladder: Vec<u64> = attempts.into_iter().map(|(_, p)| p).collect();
 
     let reserved = TopK::budget_bytes(4) + f.inv1.max_entry_bytes() + f.inv2.max_entry_bytes();
     let available = sys(48).buffer_bytes() - reserved;
     let sm: f64 = (specs.iter())
         .map(|s| costmodel::vvm::similarity_pages(&s.cost_inputs()) * PAGE as f64)
         .sum();
-    assert_eq!(
-        ladder[0],
-        (sm / available as f64).ceil() as u64,
-        "{ladder:?}"
-    );
-    assert!(ladder.len() > 1, "the dense chunk must not fit: {ladder:?}");
-    let n = f.d2.len() as u64;
-    for w in ladder.windows(2) {
-        assert!(n.div_ceil(w[1]) < n.div_ceil(w[0]), "{ladder:?}");
-        assert!(w[1] <= 2 * w[0], "{ladder:?}");
-    }
-    let last = *ladder.last().unwrap();
-    assert_eq!(got.stats.passes, n.div_ceil(n.div_ceil(last)));
+    assert_eq!(field("partitions"), (sm / available as f64).ceil() as u64);
+    assert!(field("splits") > 0, "the dense chunk must not fit");
     assert!(got.stats.mem_high_water_bytes <= sys(48).buffer_bytes());
+    // Growing the count instead (2, 3, …, 8) drove the run seven times,
+    // ended at 8 passes and read 289 + 28 pages.
+    assert!(got.stats.passes < 8, "{} passes", got.stats.passes);
+    assert!(read.total_reads() < 289 + 28, "{read:?}");
+    assert_eq!(got.stats.io, read);
+}
+
+/// (b) What a split attempt read is the run's: on one node the statistics
+/// are what the drive saw, over two sites the sites' tallies sum to the
+/// outcome's, and either holds more than its completed passes read.
+#[test]
+fn a_split_attempt_is_counted_on_one_node_and_on_every_site() {
+    let f = dense();
+    let spec = |pages| {
+        JoinSpec::new(&f.c1, &f.c2)
+            .with_sys(sys(pages))
+            .with_query(QueryParams::paper_base().with_lambda(4))
+    };
+    let before = f.disk.stats();
+    let one = vvm::execute(&spec(16), &f.inv1, &f.inv2).unwrap();
+    assert_eq!(one.stats.io, f.disk.stats().since(&before));
+    // Every completed pass scans both files.
+    let scan = f.inv1.num_pages() + f.inv2.num_pages();
+    assert!(one.stats.io.total_reads() > one.stats.passes * scan);
+
+    let sharded = |pages| execute_sharded(&spec(pages), Algorithm::Vvm, &ShardOptions::new(2));
+    let (tight, roomy) = (sharded(16).unwrap(), sharded(ROOMY).unwrap());
+    assert_eq!(roomy.outcome.stats.passes, 1);
+    let mut sites = IoStats::default();
+    for site in &tight.shards {
+        sites.merge(&site.io);
+    }
+    assert_eq!(sites, tight.outcome.stats.io);
+    let scan = roomy.outcome.stats.io.total_reads();
+    assert!(sites.total_reads() > tight.outcome.stats.passes * scan);
+    let want = naive_join(&f.d1, &f.d2, OuterDocs::Full, 4, Weighting::RawCount);
+    assert!(one.result == want && tight.outcome.result == want);
 }
 
 // ---- (c) what the tracker does not price --------------------------------
@@ -496,9 +525,8 @@ fn heap_bound(f: &Fixture, inserted: usize) -> u64 {
 }
 
 /// The shape of the benchmark's `spills` at a fifth of its size: Zipf
-/// documents of 60 terms, a working set far above `B`, so VVM abandons
-/// sparse attempts before it settles on flat passes and HVNL's cache turns
-/// over all the time.
+/// documents of 60 terms, a working set far above `B`, so VVM makes many
+/// passes and HVNL's cache turns over all the time.
 #[test]
 fn peak_live_heap_is_bounded_by_the_buffer_not_by_the_pair_space() {
     let f = fixture(zipf(400, 11), zipf(80, 12), ZIPF_SYS.page_size);
