@@ -318,8 +318,9 @@ impl Collection {
         Self::build(disk, name, docs)
     }
 
-    /// Reassembles a collection from an already-built store and profile —
-    /// the recovery / merge path.
+    /// Reassembles a collection from an already-built store and a profile
+    /// of exactly that store's documents (a signature index ranks terms by
+    /// its document frequencies) — the recovery / merge path.
     pub fn from_store(name: &str, store: DocumentStore, profile: CollectionProfile) -> Self {
         Self {
             name: name.to_string(),

@@ -5,10 +5,10 @@
 //! packed in term order. An updatable collection keeps that base immutable
 //! and accumulates changes in a [`DeltaOverlay`]:
 //!
-//! * **inserts** land in an in-memory *tail* (documents plus their
-//!   postings), and are periodically flushed to packed *side files* — a
-//!   sparse-id [`DocumentStore`] and a small [`InvertedFile`] holding only
-//!   the inserted documents;
+//! * **inserts** land in an in-memory *tail* of documents, inverted once
+//!   when its entries are first read, and are periodically flushed to
+//!   packed *side files* — a sparse-id [`DocumentStore`] and a small
+//!   [`InvertedFile`] holding only the inserted documents;
 //! * **deletes** are a tombstone set of document numbers masking both base
 //!   and delta at read time — no page of the base is ever rewritten.
 //!
@@ -20,10 +20,9 @@
 //! extra pages and tombstones are the *fragmentation* the cost model
 //! charges for.
 
-use crate::file::{EntryScanner, InvertedFile};
-use std::collections::{btree_map, BTreeMap, BTreeSet};
-use std::iter::Peekable;
-use std::ops::Bound;
+use crate::file::{postings_of, EntryScanner, InvertedFile};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 use textjoin_collection::{Document, DocumentStore};
 use textjoin_common::{DocId, FragStats, ICell, Result, TermId};
 use textjoin_storage::PrefetchMetrics;
@@ -38,16 +37,18 @@ pub struct FlushedDelta {
 }
 
 /// Pending mutations over an immutable base: flushed side files, an
-/// in-memory tail, and a tombstone set. Each insert's norm is recorded and
-/// outlives flushes, so cosine and TF-IDF divide by it with no page read;
-/// `idf` stays the base's until a merge, as the paper stores it with the
-/// base's list heads.
+/// in-memory tail of documents (inverted by the first read of its entries,
+/// kept until the tail changes), and a tombstone set. Each insert's norm is
+/// recorded and outlives flushes, so cosine and TF-IDF divide by it with no
+/// page read; `idf` stays the base's until a merge, as the paper stores it
+/// with the base's list heads.
 #[derive(Default)]
 pub struct DeltaOverlay {
     deleted: BTreeSet<u32>,
     flushed: Option<FlushedDelta>,
     tail_docs: BTreeMap<u32, Document>,
-    tail_postings: BTreeMap<TermId, Vec<ICell>>,
+    /// The tail inverted, in term order, each entry in document order.
+    tail_entries: OnceLock<Vec<(TermId, Vec<ICell>)>>,
     norms: BTreeMap<u32, f64>,
 }
 
@@ -62,9 +63,9 @@ impl DeltaOverlay {
         self.deleted.is_empty() && self.flushed.is_none() && self.tail_docs.is_empty()
     }
 
-    /// Records an insert in the tail. `id` must exceed every document
-    /// number already present (base, flushed or tail) — the caller hands
-    /// out monotonically increasing numbers and never reuses them.
+    /// Records an insert in the tail: its document and norm, nothing per
+    /// term. `id` must exceed every document number already present (base,
+    /// flushed or tail) — the caller hands out increasing numbers.
     pub fn insert_tail(&mut self, id: DocId, doc: Document) {
         debug_assert!(
             self.tail_docs
@@ -72,14 +73,23 @@ impl DeltaOverlay {
                 .is_none_or(|(&k, _)| k < id.raw()),
             "tail ids must ascend"
         );
-        for cell in doc.cells() {
-            self.tail_postings
-                .entry(cell.term)
-                .or_default()
-                .push(ICell::new(id, cell.weight));
-        }
+        self.tail_entries.take();
         self.norms.insert(id.raw(), doc.norm());
         self.tail_docs.insert(id.raw(), doc);
+    }
+
+    /// The tail's entries in term order, inverted on first call.
+    fn tail_entries(&self) -> &[(TermId, Vec<ICell>)] {
+        self.tail_entries.get_or_init(|| {
+            let docs = self
+                .tail_docs
+                .iter()
+                .map(|(&id, d)| Ok((DocId::new(id), d)));
+            let postings = postings_of(docs).expect("in-memory documents invert without error");
+            let mut entries: Vec<_> = postings.into_iter().collect();
+            entries.sort_unstable_by_key(|&(term, _)| term);
+            entries
+        })
     }
 
     /// The norm of inserted document `id`, recorded by
@@ -109,7 +119,7 @@ impl DeltaOverlay {
     pub fn set_flushed(&mut self, flushed: FlushedDelta) {
         self.flushed = Some(flushed);
         self.tail_docs.clear();
-        self.tail_postings.clear();
+        self.tail_entries.take();
     }
 
     /// The flushed side files, if any.
@@ -264,8 +274,9 @@ impl DeltaOverlay {
                 cells = f.inv.read_entry(ordinal)?;
             }
         }
-        if let Some(tail) = self.tail_postings.get(&term) {
-            cells.extend(tail.iter().copied());
+        let tail = self.tail_entries();
+        if let Ok(i) = tail.binary_search_by_key(&term, |(t, _)| *t) {
+            cells.extend_from_slice(&tail[i].1);
         }
         Ok(cells)
     }
@@ -273,8 +284,8 @@ impl DeltaOverlay {
     /// The delta entries with `lo <= term < hi` (`hi = None` = unbounded),
     /// streamed in ascending term order, flushed and tail cells combined per
     /// term: one sequential partial scan of the flushed side file (the
-    /// access pattern of VVM) merged with the tail read in place. Nothing
-    /// is read before the first pull.
+    /// access pattern of VVM) merged with the tail's entries, a slice of
+    /// its one inversion. No page is read before the first pull.
     pub fn scan_between(&self, lo: u32, hi: Option<u32>) -> DeltaScan<'_> {
         let (lo_term, hi_term) = (TermId::new(lo), hi.map(|h| TermId::new(h.max(lo))));
         let flushed = self.flushed.as_ref().map(|f| {
@@ -282,12 +293,12 @@ impl DeltaOverlay {
             let end = hi_term.map_or(f.inv.num_entries() as u32, |h| f.inv.ordinal_at_or_after(h));
             f.inv.scan_range(start, end)
         });
-        let upper = hi_term.map_or(Bound::Unbounded, Bound::Excluded);
-        let tail = self.tail_postings.range((Bound::Included(lo_term), upper));
+        let tail = self.tail_entries();
+        let at = |term: TermId| tail.partition_point(|(t, _)| *t < term);
         DeltaScan {
             base: None,
             flushed,
-            tail: tail.peekable(),
+            tail: &tail[at(lo_term)..hi_term.map_or(tail.len(), at)],
             upper: Vec::new(),
             held: None,
         }
@@ -305,7 +316,7 @@ impl DeltaOverlay {
         let dir = self.flushed.as_ref().map_or(&[][..], |f| f.inv.directory());
         let mut cells: u64 = dir.iter().map(|m| u64::from(m.doc_freq)).sum();
         let mut entries = dir.len() as u64;
-        for (term, tail) in &self.tail_postings {
+        for (term, tail) in self.tail_entries() {
             cells += tail.len() as u64;
             entries += u64::from(dir.binary_search_by_key(term, |m| m.term).is_err());
         }
@@ -319,7 +330,7 @@ static PRISTINE: DeltaOverlay = DeltaOverlay {
     deleted: BTreeSet::new(),
     flushed: None,
     tail_docs: BTreeMap::new(),
-    tail_postings: BTreeMap::new(),
+    tail_entries: OnceLock::new(),
     norms: BTreeMap::new(),
 };
 
@@ -334,7 +345,7 @@ static PRISTINE: DeltaOverlay = DeltaOverlay {
 pub struct DeltaScan<'a> {
     base: Option<EntryScanner<'a>>,
     flushed: Option<EntryScanner<'a>>,
-    tail: Peekable<btree_map::Range<'a, TermId, Vec<ICell>>>,
+    tail: &'a [(TermId, Vec<ICell>)],
     /// The upper layers' cells of a term the base also holds, read before
     /// the base's entry; `held` keeps them for the next call when that
     /// read fails.
@@ -368,13 +379,13 @@ impl<'a> DeltaScan<'a> {
             std::mem::swap(cells, &mut self.upper);
             return Some(Ok(term));
         }
-        if self.flushed.is_none() && self.tail.peek().is_none() {
+        if self.flushed.is_none() && self.tail.is_empty() {
             // Nothing above the base: its entries pass through.
             return self.base.as_mut()?.next_into(cells);
         }
         let base = self.base.as_ref().and_then(EntryScanner::peek_term);
         let flushed = self.flushed.as_ref().and_then(EntryScanner::peek_term);
-        let tail = self.tail.peek().map(|(&t, _)| t);
+        let tail = self.tail.first().map(|&(t, _)| t);
         let term = base.into_iter().chain(flushed).chain(tail).min()?;
         let [in_base, in_flushed, in_tail] = [base, flushed, tail].map(|t| t == Some(term));
         // The upper layers first: straight into `cells` unless the base's
@@ -391,7 +402,9 @@ impl<'a> DeltaScan<'a> {
             }
         }
         if in_tail {
-            upper.extend_from_slice(self.tail.next()?.1);
+            let ((_, tail), rest) = self.tail.split_first()?;
+            upper.extend_from_slice(tail);
+            self.tail = rest;
         }
         if in_base {
             if let Err(e) = self.base.as_mut()?.next_into(cells)? {
@@ -417,7 +430,6 @@ impl Iterator for DeltaScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::postings_of;
     use std::sync::Arc;
     use textjoin_collection::DocumentStoreBuilder;
     use textjoin_storage::DiskSim;
@@ -478,7 +490,7 @@ mod tests {
         let flushed = overlay
             .flushed()
             .map_or_else(BTreeMap::new, |f| layer(&f.inv));
-        let tail = &overlay.tail_postings;
+        let tail = tail_map(overlay);
         let terms: BTreeSet<TermId> = base
             .keys()
             .chain(flushed.keys())
@@ -589,6 +601,19 @@ mod tests {
         assert_eq!(bounded[0].1, p2);
     }
 
+    /// The tail as it stands, inverted into a `BTreeMap` document by
+    /// document, as an index kept up per insert would hold it.
+    fn tail_map(overlay: &DeltaOverlay) -> BTreeMap<TermId, Vec<ICell>> {
+        let mut map: BTreeMap<TermId, Vec<ICell>> = BTreeMap::new();
+        for (&id, doc) in overlay.tail_docs() {
+            for cell in doc.cells() {
+                let entry = map.entry(cell.term).or_default();
+                entry.push(ICell::new(DocId::new(id), cell.weight));
+            }
+        }
+        map
+    }
+
     /// The parent commit's `entries_between`, kept as the oracle: every
     /// flushed entry of the interval keyed into a `BTreeMap`, the tail's
     /// cells appended per term (`hi < lo` clamped to an empty interval).
@@ -605,7 +630,7 @@ mod tests {
                 merged.insert(term, cells);
             }
         }
-        for (&term, cells) in overlay.tail_postings.range(TermId::new(lo)..) {
+        for (&term, cells) in tail_map(overlay).range(TermId::new(lo)..) {
             if hi.is_some_and(|h| term.raw() >= h) {
                 break;
             }
@@ -723,6 +748,83 @@ mod tests {
             let cells_total = whole.iter().map(|(_, c)| c.len() as u64).sum();
             prop_assert_eq!(overlay.entry_totals(), (cells_total, whole.len() as u64));
         }
+    }
+
+    /// Every tail read — `postings_for`, `scan_between`, `entry_totals` —
+    /// equals the oracles of the tail as it stands.
+    fn assert_reads_follow_the_tail(overlay: &DeltaOverlay) {
+        let flushed = |term| {
+            let f = overlay.flushed();
+            let ordinal = f.and_then(|f| Some((f, f.inv.find_term(term)?)));
+            ordinal.map_or_else(Vec::new, |(f, o)| f.inv.read_entry(o).unwrap())
+        };
+        let tail = tail_map(overlay);
+        for term in (0..12).map(TermId::new) {
+            let mut want = flushed(term);
+            want.extend(tail.get(&term).into_iter().flatten());
+            assert_eq!(overlay.postings_for(term).unwrap(), want, "{term:?}");
+        }
+        let ranges = [
+            (0, None),
+            (2, Some(7)),
+            (5, Some(3)),
+            (7, None),
+            (11, Some(12)),
+        ];
+        for (lo, hi) in ranges {
+            let got: Vec<_> = overlay.scan_between(lo, hi).map(Result::unwrap).collect();
+            assert_eq!(got, oracle(overlay, lo, hi), "[{lo}, {hi:?})");
+        }
+        let whole = oracle(overlay, 0, None);
+        let cells = whole.iter().map(|(_, c)| c.len() as u64).sum();
+        assert_eq!(overlay.entry_totals(), (cells, whole.len() as u64));
+    }
+
+    /// The tail's inversion is rebuilt after each insert and each flush:
+    /// reads between them see the tail as it stands, not as it was first
+    /// read.
+    #[test]
+    fn the_tail_index_follows_the_tail() {
+        let disk = Arc::new(DiskSim::new(64));
+        let docs = [
+            (10, doc(&[(1, 2), (5, 1)])),
+            (11, doc(&[(0, 1), (5, 3), (9, 2)])),
+            (12, doc(&[(5, 4), (11, 1)])),
+        ];
+        let mut overlay = DeltaOverlay::new();
+        assert_reads_follow_the_tail(&overlay);
+        overlay.insert_tail(DocId::new(10), docs[0].1.clone());
+        assert_reads_follow_the_tail(&overlay);
+        overlay.insert_tail(DocId::new(11), docs[1].1.clone());
+        assert_reads_follow_the_tail(&overlay);
+        assert_eq!(overlay.postings_for(TermId::new(5)).unwrap().len(), 2);
+        overlay.set_flushed(flush(&disk, "delta.t", &docs[..2]));
+        assert_reads_follow_the_tail(&overlay);
+        assert_eq!(overlay.entry_totals(), (5, 4));
+        overlay.insert_tail(DocId::new(12), docs[2].1.clone());
+        assert_reads_follow_the_tail(&overlay);
+        assert_eq!(overlay.postings_for(TermId::new(5)).unwrap().len(), 3);
+    }
+
+    /// Two readers that both find the tail's inversion missing build it at
+    /// once through `&self` and read the same entries.
+    #[test]
+    fn concurrent_readers_build_one_tail_index() {
+        let mut overlay = DeltaOverlay::new();
+        for id in 0..40u32 {
+            overlay.insert_tail(DocId::new(id), doc(&[(id % 7, 1), (7 + id % 3, 2)]));
+        }
+        let start = std::sync::Barrier::new(2);
+        let read = || {
+            start.wait();
+            overlay.entries_between(0, None).unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(read), s.spawn(read));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, oracle(&overlay, 0, None));
     }
 
     /// The base entry of a term that the flushed file and the tail also

@@ -71,8 +71,9 @@ impl InvertedFile {
 
     /// Builds an inverted file directly from a postings map (documents per
     /// term must have been appended in increasing document order, which a
-    /// scan guarantees) with entries stored by `codec`. Entries are written
-    /// in term order, so the map's hasher does not reach the file.
+    /// scan guarantees) with entries stored by `codec`: the map's terms
+    /// sorted, then [`from_entries`](Self::from_entries), so the map's
+    /// hasher does not reach the file.
     pub fn from_postings_with<S: BuildHasher>(
         disk: Arc<DiskSim>,
         name: &str,
@@ -81,14 +82,27 @@ impl InvertedFile {
     ) -> Result<Self> {
         let mut terms: Vec<TermId> = postings.keys().copied().collect();
         terms.sort();
+        let entries = terms.iter().map(|term| Ok((*term, &postings[term][..])));
+        Self::from_entries(disk, name, entries, codec)
+    }
 
+    /// Writes the inverted file (and its B+tree) from entries arriving in
+    /// strictly ascending term order, each a non-empty list of i-cells in
+    /// strictly ascending document order, stored by `codec`. The first
+    /// error of `entries` ends the build and is returned.
+    pub fn from_entries<C: Borrow<[ICell]>>(
+        disk: Arc<DiskSim>,
+        name: &str,
+        entries: impl IntoIterator<Item = Result<(TermId, C)>>,
+        codec: PostingCodec,
+    ) -> Result<Self> {
         let file = disk.create_file_with_kind(&format!("{name}.inv"), PageKind::Postings)?;
         let mut writer = PackedWriter::new(Arc::clone(&disk), file);
-        let mut directory = Vec::with_capacity(terms.len());
-        let mut dict = Vec::with_capacity(terms.len());
-
-        for term in terms {
-            let cells = &postings[&term];
+        let (mut directory, mut dict) = (Vec::new(), Vec::new());
+        for entry in entries {
+            let (term, cells) = entry?;
+            let cells = cells.borrow();
+            debug_assert!(directory.last().is_none_or(|m: &EntryMeta| m.term < term));
             debug_assert!(
                 cells.windows(2).all(|w| w[0].doc < w[1].doc),
                 "i-cells must be strictly increasing by document"

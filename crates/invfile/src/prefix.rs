@@ -159,24 +159,18 @@ pub struct FnlIndex {
 }
 
 impl FnlIndex {
-    /// Builds the signature index for a collection: one scan to collect
-    /// documents and count frequencies, then the rarity order, then both
+    /// Builds the signature index for a collection: the rarity order from
+    /// the collection profile's document frequencies (a profile of the
+    /// store's own documents), one scan to collect the documents, then both
     /// files through a [`PackedWriter`].
     pub fn build(disk: Arc<DiskSim>, name: &str, collection: &Collection) -> Result<Self> {
-        let mut docs: Vec<(DocId, Document)> = Vec::new();
-        let mut df: FxHashMap<TermId, u32> = FxHashMap::default();
-        for item in collection.store().scan() {
-            let (id, doc) = item?;
-            for cell in doc.cells() {
-                *df.entry(cell.term).or_insert(0) += 1;
-            }
-            docs.push((id, doc));
-        }
+        let docs: Vec<(DocId, Document)> = collection.store().scan().collect::<Result<_>>()?;
 
         // The global rarity order: document frequency ascending, term
         // number as the tie-break — a total order even when every
         // frequency ties.
-        let mut ranked: Vec<(TermId, u32)> = df.into_iter().collect();
+        let df = collection.profile().doc_freqs();
+        let mut ranked: Vec<(TermId, u32)> = df.iter().map(|(&t, &f)| (t, f)).collect();
         ranked.sort_unstable_by_key(|&(term, freq)| (freq, term));
         let order = TermOrder::from_ranked(ranked);
 

@@ -8,13 +8,14 @@
 //! 1. every mutation is appended to a checksummed **write-ahead update
 //!    log** ([`wal`]) before it is applied anywhere;
 //! 2. mutations materialize into an in-memory **delta overlay**
-//!    ([`textjoin_invfile::DeltaOverlay`]) — inserts in a tail, deletes as
-//!    tombstones — optionally flushed to packed side files;
+//!    ([`textjoin_invfile::DeltaOverlay`]) — inserts in a tail inverted on
+//!    first read, deletes as tombstones — optionally flushed to side files;
 //! 3. a **background merge** folds base + overlay into a fresh generation
-//!    of base files, killable at any page write: it builds complete
-//!    structures under temporary names, publishes them by rename, and
-//!    commits with a single-page append to the **manifest**
-//!    ([`manifest`]); no live base page is ever overwritten;
+//!    of base files — one stream of live documents (store, profile), one of
+//!    live entries ([`textjoin_invfile::DeltaScan::over`] the base) —
+//!    killable at any page write: it builds them under temporary names,
+//!    publishes them by rename, and commits with a single-page append to
+//!    the **manifest** ([`manifest`]); no live base page is ever overwritten;
 //! 4. **recovery** ([`LiveCollection::recover`]) reads the manifest to
 //!    find the last committed generation, reopens its files through the
 //!    persisted catalog ([`catalog`]), replays the WAL (dropping a torn
@@ -36,8 +37,8 @@ use std::sync::Arc;
 use textjoin_collection::{
     Collection, CollectionProfile, Document, DocumentStore, DocumentStoreBuilder,
 };
-use textjoin_common::{DocId, Error, FragStats, Result};
-use textjoin_invfile::{postings_of, BTreeFile, DeltaOverlay, FlushedDelta, InvertedFile};
+use textjoin_common::{DocId, Error, FragStats, ICell, Result, TermId};
+use textjoin_invfile::{BTreeFile, DeltaOverlay, DeltaScan, FlushedDelta, InvertedFile};
 use textjoin_storage::{DiskSim, FileId};
 use wal::WalOp;
 
@@ -202,21 +203,42 @@ impl LiveCollection {
         let side_name = format!("{}.f{seq}", Self::gen_name(&self.name, self.generation));
         let mut builder =
             DocumentStoreBuilder::new(Arc::clone(&self.disk), &format!("{side_name}.docs"))?;
-        let postings = postings_of(live.iter().map(|(id, doc)| {
+        for (id, doc) in &live {
             builder.add_with_id(*id, doc)?;
-            Ok((*id, doc))
-        }))?;
+        }
         let store = builder.finish()?;
-        let inv = InvertedFile::from_postings_with(
+        let entries = self.live_entries(self.overlay.scan_between(0, None));
+        let inv = InvertedFile::from_entries(
             Arc::clone(&self.disk),
             &side_name,
-            postings,
+            entries,
             self.base_inv.codec(),
         )?;
         self.remove_side_files(self.flush_seq);
         self.overlay.set_flushed(FlushedDelta { store, inv });
         self.flush_seq = seq;
         Ok(())
+    }
+
+    /// `scan`'s entries less their tombstoned cells (a bit set indexed by
+    /// document number, built once), a term left with none skipped.
+    fn live_entries<'a>(
+        &self,
+        scan: DeltaScan<'a>,
+    ) -> impl Iterator<Item = Result<(TermId, Vec<ICell>)>> + 'a {
+        let deleted = self.overlay.deleted_ids();
+        let mut dead = vec![0u64; deleted.last().map_or(0, |&id| id as usize / 64 + 1)];
+        for &id in deleted {
+            dead[id as usize / 64] |= 1 << (id % 64);
+        }
+        let dead = move |i: usize| dead.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
+        scan.filter_map(move |entry| {
+            let entry = entry.map(|(term, mut cells)| {
+                cells.retain(|c| !dead(c.doc.index()));
+                (!cells.is_empty()).then_some((term, cells))
+            });
+            entry.transpose()
+        })
     }
 
     fn remove_side_files(&self, seq: u64) {
@@ -230,8 +252,9 @@ impl LiveCollection {
     }
 
     /// Phase 1 of a merge: streams every live document (base minus
-    /// tombstones, plus delta inserts, original ids preserved) into
-    /// complete next-generation structures under `.tmp`-suffixed names.
+    /// tombstones, plus delta inserts, original ids preserved) into the next
+    /// store and profile, then every live entry of [`DeltaScan::over`] the
+    /// base into its inverted file, all under `.tmp`-suffixed names.
     /// Killable at any page write — on error the temporaries are garbage
     /// that the next prepare or a recovery sweeps up; the live generation
     /// is untouched. Takes `&self`: reads may proceed concurrently.
@@ -247,20 +270,16 @@ impl LiveCollection {
         let mut builder =
             DocumentStoreBuilder::new(Arc::clone(&self.disk), &format!("{tmp_name}.docs"))?;
         let mut profiler = CollectionProfile::builder();
-        let live = self.overlay.docs_over(self.base.store().scan());
-        let postings = postings_of(live.map(|item| {
+        for item in self.overlay.docs_over(self.base.store().scan()) {
             let (id, doc) = item?;
             builder.add_with_id(id, &doc)?;
             profiler.observe_at(id, &doc);
-            Ok((id, doc))
-        }))?;
+        }
         let store = builder.finish()?;
-        let inv = InvertedFile::from_postings_with(
-            Arc::clone(&self.disk),
-            &tmp_name,
-            postings,
-            self.base_inv.codec(),
-        )?;
+        let scan = DeltaScan::over(&self.base_inv, 0, None, Some(&self.overlay), None);
+        let entries = self.live_entries(scan);
+        let codec = self.base_inv.codec();
+        let inv = InvertedFile::from_entries(Arc::clone(&self.disk), &tmp_name, entries, codec)?;
         catalog::write(&self.disk, &format!("{tmp_name}.dir"), &store, &inv)?;
         let base = Collection::from_store(
             &Self::gen_name(&self.name, new_generation),
@@ -443,7 +462,7 @@ pub fn merge_in_background(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use textjoin_common::TermId;
+    use textjoin_invfile::postings_of;
 
     fn doc(terms: &[(u32, u16)]) -> Document {
         Document::from_term_counts(terms.iter().map(|&(t, w)| (TermId::new(t), w as u32)))
@@ -556,6 +575,68 @@ mod tests {
         let lc = LiveCollection::recover(d, "c").unwrap();
         assert_eq!(lc.generation(), 1);
         assert_eq!(live_contents(&lc), after);
+    }
+
+    /// Merges `lc` and checks the new generation's inverted file against
+    /// one rebuilt from its live documents under another name: the same
+    /// directory, the same `.inv` and `.btree` pages.
+    fn assert_merge_is_a_rebuild(lc: &mut LiveCollection) {
+        let live = live_contents(lc);
+        lc.merge().unwrap();
+        let (d, generation) = (Arc::clone(lc.disk()), lc.generation());
+        let postings = postings_of(live.iter().map(|(id, doc)| Ok((*id, doc)))).unwrap();
+        let name = format!("rebuilt{generation}");
+        let codec = lc.base_inv().codec();
+        let rebuilt = InvertedFile::from_postings_with(Arc::clone(&d), &name, postings, codec);
+        assert_eq!(lc.base_inv().directory(), rebuilt.unwrap().directory());
+        let pages = |file: String| {
+            let file = d.file_by_name(&file).unwrap();
+            let n = d.num_pages(file);
+            (0..n)
+                .map(|p| d.read_page(file, p).unwrap())
+                .collect::<Vec<_>>()
+        };
+        for ext in ["inv", "btree"] {
+            let merged = pages(format!("c.g{generation}.{ext}"));
+            assert!(!merged.is_empty(), "{ext}");
+            assert_eq!(merged, pages(format!("{name}.{ext}")), "{ext}");
+        }
+    }
+
+    /// A merge streams the base file seen through the overlay and writes
+    /// what a rebuild from the live documents writes: tombstoned cells
+    /// dropped, a term left with none absent, a term only the tail holds
+    /// present; and so does a second merge over the first one's base.
+    #[test]
+    fn a_merge_writes_what_a_rebuild_writes() {
+        let mut docs = seed_docs(8);
+        docs[2] = doc(&[(1, 1), (40, 2)]);
+        docs[5] = doc(&[(40, 1), (41, 3)]);
+        let mut lc = LiveCollection::create(disk(), "c", docs).unwrap();
+        let flushed = lc.insert(doc(&[(3, 2), (42, 1)])).unwrap();
+        lc.insert(doc(&[(41, 1)])).unwrap();
+        for id in [DocId::new(2), DocId::new(5), flushed] {
+            assert!(lc.delete(id).unwrap());
+        }
+        lc.flush().unwrap();
+        lc.insert(doc(&[(2, 1), (50, 4)])).unwrap();
+        assert!(lc.base_inv().find_term(TermId::new(50)).is_none());
+        assert_merge_is_a_rebuild(&mut lc);
+        for gone in [40, 42] {
+            assert!(
+                lc.base_inv().find_term(TermId::new(gone)).is_none(),
+                "{gone}"
+            );
+        }
+        let tail_term = lc.base_inv().find_term(TermId::new(50));
+        assert_eq!(tail_term.map(|o| lc.base_inv().meta(o).doc_freq), Some(1));
+
+        lc.insert(doc(&[(50, 1), (60, 2)])).unwrap();
+        assert!(lc.delete(DocId::new(0)).unwrap());
+        lc.flush().unwrap();
+        lc.insert(doc(&[(1, 5)])).unwrap();
+        assert_merge_is_a_rebuild(&mut lc);
+        assert_eq!(lc.generation(), 2);
     }
 
     #[test]
