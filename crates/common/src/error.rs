@@ -38,7 +38,7 @@ pub enum Error {
     Plan(String),
     /// Invalid argument or configuration.
     InvalidArgument(String),
-    /// A read failed even after the retry policy was exhausted — the
+    /// A read failed even after its retries were exhausted — the
     /// simulated-disk analogue of an unrecoverable device error.
     Io {
         /// Name of the simulated file.

@@ -35,7 +35,6 @@
 
 use crate::accum::{Source, TermAtATime};
 use crate::driver::{drive, Indexes};
-use crate::fnl::FnlOptions;
 use crate::hhnl::Forward;
 use crate::hvnl::HvnlOptions;
 use crate::result::{ExecStats, JoinOutcome};
@@ -81,12 +80,11 @@ pub fn execute_hhnl(specs: &[JoinSpec<'_>]) -> Result<BatchOutcome> {
     drive::<Forward>(specs, None)
 }
 
-/// Batched FNL: the HHNL pooling applied to the signature index. Every
-/// query runs at the registered threshold τ = 1, so each result is
-/// byte-identical to its sequential FNL (and HHNL) run under
+/// Batched FNL: the HHNL pooling applied to the signature index. Each
+/// result is byte-identical to its sequential FNL (and HHNL) run under
 /// integer-valued weightings.
 pub fn execute_fnl(specs: &[JoinSpec<'_>], index: &FnlIndex) -> Result<BatchOutcome> {
-    drive::<Forward>(specs, Some((index, FnlOptions::default())))
+    drive::<Forward>(specs, Some(index))
 }
 
 /// Batched HVNL: one outer pass, every query served from one shared entry

@@ -169,9 +169,7 @@ pub(crate) fn validate(specs: &[JoinSpec<'_>]) -> Result<()> {
                 "batch query {i} has a different degraded flag"
             )));
         }
-        if !same_delta(s.inner_delta, first.inner_delta)
-            || !same_delta(s.outer_delta, first.outer_delta)
-        {
+        if !same_delta(s.inner_delta, first.inner_delta) {
             return Err(Error::InvalidArgument(format!(
                 "batch query {i} has a different delta overlay"
             )));

@@ -6,18 +6,14 @@
 //! pairs in increasing global rarity rank and gap-codes the ranks, so a
 //! pass reads the signature file's `Ip` pages — typically 40–60% of the
 //! document store's `D1`. That is FNL's whole edge over HHNL: the CPU work
-//! is the same probe of the resident round, here keyed by rank, with the
-//! overlap threshold applied to a pair's match count after the probe.
+//! is the same probe of the resident round, here keyed by rank.
 //!
-//! At the registered threshold τ = 1 the threshold is vacuous as a
-//! *predicate* (any pair with at least one common term survives, and a
-//! pair with none scores zero under every weighting), so the surviving
-//! candidates are exactly the nonzero-score pairs HHNL offers to its
-//! λ-heaps — the result is byte-identical to HHNL under integer-valued
-//! weightings, only cheaper to read. τ > 1 is an executor knob
-//! ([`FnlOptions::min_overlap`]) for callers that want a genuine overlap
-//! join; it changes the result by design and is exercised by unit tests,
-//! not by the planner.
+//! Every pair with at least one common term is scored (the overlap
+//! threshold τ = 1, which filters nothing: a pair with no common term
+//! scores zero under every weighting), so the candidates are exactly the
+//! nonzero-score pairs HHNL offers to its λ-heaps — the result is
+//! byte-identical to HHNL under integer-valued weightings, only cheaper to
+//! read.
 //!
 //! The index is built over the **base** collection only. Under a
 //! base+delta overlay, tombstoned base documents are masked at probe time
@@ -35,33 +31,9 @@ use textjoin_collection::Document;
 use textjoin_common::Result;
 use textjoin_invfile::{FnlIndex, RankCell, TermOrder};
 
-/// Tuning knobs for the filtered executor.
-#[derive(Clone, Copy, Debug)]
-pub struct FnlOptions {
-    /// Minimum number of common terms a pair must reach to be scored.
-    /// The registered default is 1 — the largest threshold at which the
-    /// filter is lossless with respect to HHNL's nonzero-score pairs.
-    pub min_overlap: u64,
-}
-
-impl Default for FnlOptions {
-    fn default() -> Self {
-        Self { min_overlap: 1 }
-    }
-}
-
-/// Executes the join with FNL at the registered threshold (τ = 1).
+/// Executes the join with FNL.
 pub fn execute(spec: &JoinSpec<'_>, index: &FnlIndex) -> Result<JoinOutcome> {
-    execute_with(spec, index, FnlOptions::default())
-}
-
-/// [`execute`] with explicit options.
-pub fn execute_with(
-    spec: &JoinSpec<'_>,
-    index: &FnlIndex,
-    opts: FnlOptions,
-) -> Result<JoinOutcome> {
-    drive_one::<Forward>(spec, Some((index, opts)))
+    drive_one::<Forward>(spec, Some(index))
 }
 
 /// FNL's inner source: the signature index keyed by rarity rank — one scan
@@ -70,17 +42,11 @@ pub fn execute_with(
 /// inner overlay's delta documents keyed by term number.
 pub(crate) struct Signatures<'r> {
     index: &'r FnlIndex,
-    /// The overlap threshold τ, at least 1.
-    min_overlap: u64,
     pub(crate) order: TermOrder,
 }
 
 impl<'r> Signatures<'r> {
-    pub(crate) fn prepare(
-        index: &'r FnlIndex,
-        opts: FnlOptions,
-        run: &mut Run<'r>,
-    ) -> Result<Self> {
+    pub(crate) fn prepare(index: &'r FnlIndex, run: &mut Run<'r>) -> Result<Self> {
         // Load the term-ordering sidecar (real page I/O — the `meta_pages`
         // term of the cost model) and pin it for the whole run.
         let order = run.phase("fnl.term_order", |_, span| {
@@ -98,24 +64,18 @@ impl<'r> Signatures<'r> {
             index.max_entry_bytes().max(slot).max(1),
             "FNL signature entry slot",
         )?;
-        Ok(Self {
-            index,
-            min_overlap: opts.min_overlap.max(1),
-            order,
-        })
+        Ok(Self { index, order })
     }
 
-    /// One pass over a round's documents and their rank cells. Returns the
-    /// allowed pairs of the signature scan that fell short of τ.
+    /// One pass over a round's documents and their rank cells.
     pub(crate) fn probe(
         &self,
         run: &mut Run<'_>,
         round: &mut Round,
         docs: Vec<Document>,
         ranks: Vec<Vec<RankCell>>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let spec0 = &run.specs[0];
-        let tau = self.min_overlap;
         // The round gets one index per key space: rarity ranks for the
         // signature scan, term numbers for the overlay's raw documents.
         let by_rank = Postings::build(ranks.into_iter().map(pairs));
@@ -127,13 +87,13 @@ impl<'r> Signatures<'r> {
             .scan_with_prefetch(spec0.prefetch_metrics("fnl_sig_scan"))
             .map(|item| item.map(|(id, entry)| (id, pairs(entry))));
         let term_of = |rank| self.order.term(rank);
-        let pruned = probe_stream(run, round, &by_rank, entries, term_of, tau)?;
+        probe_stream(run, round, &by_rank, entries, term_of)?;
         // Delta documents have no signatures: they probe the round's term
-        // index from their raw cells. The overlap threshold still applies.
+        // index from their raw cells.
         if let Some((overlay, by_term)) = &overlay {
-            probe_documents(run, round, by_term, overlay.stream_live_docs(), tau)?;
+            probe_documents(run, round, by_term, overlay.stream_live_docs())?;
         }
-        Ok(pruned)
+        Ok(())
     }
 }
 
@@ -146,7 +106,6 @@ fn pairs(cells: Vec<RankCell>) -> impl Iterator<Item = (u32, u16)> {
 mod tests {
     use super::*;
     use crate::reference::naive_join;
-    use crate::result::JoinResult;
     use crate::spec::OuterDocs;
     use std::sync::Arc;
     use textjoin_collection::Document;
@@ -181,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_hhnl_and_reference_at_the_registered_threshold() {
+    fn matches_hhnl_and_reference() {
         let (_, c1, c2, index, d1, d2) = fixture(30, 20, 10.0, 80, 256);
         let spec = JoinSpec::new(&c1, &c2)
             .with_sys(SystemParams::paper_base().with_buffer_pages(100))
@@ -258,50 +217,6 @@ mod tests {
             let hhnl = crate::hhnl::execute(&spec).unwrap();
             assert!(got.result.approx_eq(&hhnl.result, 1e-9), "{weighting:?}");
         }
-    }
-
-    #[test]
-    fn higher_threshold_drops_pairs_below_it() {
-        let (_, c1, c2, index, d1, d2) = fixture(25, 15, 10.0, 70, 256);
-        let spec = JoinSpec::new(&c1, &c2).with_query(QueryParams::paper_base().with_lambda(8));
-        let got = execute_with(&spec, &index, FnlOptions { min_overlap: 3 }).unwrap();
-        // Every emitted match shares at least 3 terms with its outer doc;
-        // the reference's matches below the threshold are gone.
-        for (outer_id, matches) in got.result.iter() {
-            let outer = &d2[outer_id.raw() as usize];
-            for m in matches {
-                let inner = &d1[m.inner.raw() as usize];
-                let common = inner
-                    .cells()
-                    .iter()
-                    .filter(|c| outer.cells().iter().any(|o| o.term == c.term))
-                    .count();
-                assert!(common >= 3, "pair ({}, {outer_id:?})", m.inner.raw());
-            }
-        }
-        let unfiltered = execute(&spec, &index).unwrap();
-        let total = |r: &JoinResult| r.iter().map(|(_, m)| m.len()).sum::<usize>();
-        assert!(total(&got.result) <= total(&unfiltered.result));
-    }
-
-    #[test]
-    fn counts_the_pairs_below_the_threshold() {
-        let (_, c1, c2, index, _, _) = fixture(40, 25, 8.0, 300, 256);
-        let tracer = textjoin_obs::Tracer::enabled(256);
-        let spec = JoinSpec::new(&c1, &c2)
-            .with_query(QueryParams::paper_base().with_lambda(3))
-            .with_trace(&tracer);
-        let got = execute_with(&spec, &index, FnlOptions { min_overlap: 2 }).unwrap();
-        let spans = tracer.finished();
-        let root = spans.iter().find(|s| s.name == "fnl").expect("root span");
-        let pruned = root
-            .fields
-            .iter()
-            .find(|(k, _)| *k == "pruned_pairs")
-            .map(|(_, v)| *v)
-            .unwrap();
-        assert!(pruned > 0, "a sparse vocabulary leaves pairs below τ = 2");
-        assert!(got.stats.cells_touched > 0);
     }
 
     #[test]

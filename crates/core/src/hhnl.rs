@@ -23,7 +23,7 @@
 //! the budget is *never* exceeded rather than exceeded on average.
 
 use crate::driver::{drive_one, DocStream, Passes, Resident, Run};
-use crate::fnl::{FnlOptions, Signatures};
+use crate::fnl::Signatures;
 use crate::probe::{self, Postings, Round};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
@@ -59,13 +59,11 @@ pub(crate) struct Forward<'r> {
     /// FNL's source; `None` streams the inner documents themselves (HHNL).
     signatures: Option<Signatures<'r>>,
     outer: DocStream<'r>,
-    /// Allowed pairs that fell short of τ; reported for signature scans.
-    pruned_pairs: u64,
 }
 
 impl<'r> Passes<'r> for Forward<'r> {
-    /// The signature index and options to run FNL, `None` to run HHNL.
-    type Input = Option<(&'r FnlIndex, FnlOptions)>;
+    /// The signature index to run FNL, `None` to run HHNL.
+    type Input = Option<&'r FnlIndex>;
 
     fn tags(input: &Self::Input) -> (Algorithm, &'static str) {
         match input {
@@ -83,12 +81,11 @@ impl<'r> Passes<'r> for Forward<'r> {
                 run.tracker.allocate(slot, "HHNL inner document slot")?;
                 None
             }
-            Some((index, opts)) => Some(Signatures::prepare(index, opts, run)?),
+            Some(index) => Some(Signatures::prepare(index, run)?),
         };
         Ok(Self {
             signatures,
             outer: DocStream::outer(run.specs),
-            pruned_pairs: 0,
         })
     }
 
@@ -124,28 +121,21 @@ impl<'r> Passes<'r> for Forward<'r> {
             (r.query, r.id, heap)
         });
         let mut round = Round::new(specs, slots);
-        self.pruned_pairs += run.phase(scan, |run, span| {
+        run.phase(scan, |run, span| {
             span.record("batch_docs", docs.len() as u64);
-            let Some(signatures) = signatures else {
+            match signatures {
+                Some(signatures) => signatures.probe(run, &mut round, docs, ranks),
                 // `inner_iter` folds in the shared inner delta: tombstoned
                 // base documents are dropped, inserted ones trail the scan.
-                let inner = specs[0].inner_iter();
-                return probe_documents(run, &mut round, &probe::by_term(docs), inner, 1);
-            };
-            let pruned = signatures.probe(run, &mut round, docs, ranks)?;
-            span.record("pruned_pairs", pruned);
-            Ok(pruned)
+                None => {
+                    let inner = specs[0].inner_iter();
+                    probe_documents(run, &mut round, &probe::by_term(docs), inner)
+                }
+            }
         })?;
         round.emit(run);
         run.tracker.release(round_bytes);
         Ok(true)
-    }
-
-    fn finish(self, run: &mut Run<'r>) -> Result<()> {
-        if self.signatures.is_some() {
-            run.root.record("pruned_pairs", self.pruned_pairs);
-        }
-        Ok(())
     }
 }
 
@@ -153,18 +143,15 @@ impl<'r> Passes<'r> for Forward<'r> {
 /// cells (ascending by key), `term_of` mapping a key back to the term the
 /// weighting knows. An unreadable item is skipped in degraded mode, for
 /// every query of the run — they all read through the stream. A pair's
-/// score never depends on which queries share the stream. Returns the
-/// allowed pairs that fell short of `min_overlap`.
+/// score never depends on which queries share the stream.
 pub(crate) fn probe_stream<C: Iterator<Item = (u32, u16)>>(
     run: &mut Run<'_>,
     round: &mut Round,
     postings: &Postings,
     items: impl Iterator<Item = Result<(DocId, C)>>,
     term_of: impl Fn(u32) -> TermId,
-    min_overlap: u64,
-) -> Result<u64> {
+) -> Result<()> {
     let spec0 = &run.specs[0];
-    let mut pruned = 0;
     for item in items {
         let (inner_id, cells) = match item {
             Ok(pair) => pair,
@@ -174,9 +161,9 @@ pub(crate) fn probe_stream<C: Iterator<Item = (u32, u16)>>(
             }
             Err(e) => return Err(e),
         };
-        pruned += round.probe(run, postings, inner_id, cells, &term_of, min_overlap);
+        round.probe(run, postings, inner_id, cells, &term_of);
     }
-    Ok(pruned)
+    Ok(())
 }
 
 /// The term-keyed document stream both sources end with: HHNL streams the
@@ -188,10 +175,9 @@ pub(crate) fn probe_documents(
     round: &mut Round,
     by_term: &Postings,
     docs: impl Iterator<Item = Result<(DocId, Document)>>,
-    min_overlap: u64,
-) -> Result<u64> {
+) -> Result<()> {
     let items = docs.map(|item| item.map(|(id, doc)| (id, probe::into_term_cells(doc))));
-    probe_stream(run, round, by_term, items, TermId::new, min_overlap)
+    probe_stream(run, round, by_term, items, TermId::new)
 }
 
 /// The backward order: rounds of *inner* documents, one outer scan per
@@ -554,15 +540,6 @@ mod tests {
                 Err(Error::InsufficientMemory { .. })
             ));
         }
-
-        // The backward order streams the outer side through its slot.
-        let big = Document::from_term_counts((0..50).map(|t| (TermId::new(t), 1)));
-        let mut overlay = DeltaOverlay::new();
-        overlay.insert_tail(DocId::new(20), big.clone());
-        let backward = JoinSpec::new(&c2, &c1).with_outer_delta(&overlay);
-        assert_eq!(backward.outer_slot_bytes(), big.size_bytes());
-        let got = execute_backward(&backward).unwrap();
-        assert!(got.stats.mem_high_water_bytes >= big.size_bytes());
     }
 
     #[test]

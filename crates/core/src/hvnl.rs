@@ -82,12 +82,8 @@ pub fn execute_with(
     drive_one::<TermAtATime>(spec, Source::Fetched(inner_inv, options))
 }
 
-/// Whether `id` is one of the spec's participating outer documents. A
-/// tombstoned document never participates, whatever the selection.
+/// Whether `id` is one of the spec's participating outer documents.
 fn outer_participates(spec: &JoinSpec<'_>, id: DocId) -> bool {
-    if spec.outer_delta.is_some_and(|d| d.is_deleted(id)) {
-        return false;
-    }
     match spec.outer_docs {
         OuterDocs::Full => true,
         OuterDocs::Selected(ids) => ids.binary_search(&id).is_ok(),
@@ -104,7 +100,7 @@ fn cached_entry_bytes(cells: &[ICell]) -> u64 {
 /// Lifecycle of the one-shot delta-postings load. The overlay cannot
 /// change while an executor holds it (mutation needs `&mut
 /// LiveCollection`), and the driver validates that every spec of a run
-/// shares the same overlay pointer per side, so a single load serves the
+/// shares the same inner overlay pointer, so a single load serves the
 /// whole run.
 enum DeltaPostings {
     /// No delta lookup has happened yet.
@@ -243,7 +239,6 @@ impl<'r> Fetch<'r> {
             .iter()
             .find(|s| matches!(s.outer_docs, OuterDocs::Full))
         {
-            // `outer_iter` folds in the shared outer delta.
             for item in full.outer_iter() {
                 let stop = match item {
                     Ok((id, doc)) => visit(self, run, id, doc)?,
@@ -269,10 +264,9 @@ impl<'r> Fetch<'r> {
         union.sort_unstable();
         union.dedup();
         for id in union {
-            let stop = match spec0.read_selected_outer(id) {
-                None => false,
-                Some(Ok(doc)) => visit(self, run, id, doc)?,
-                Some(Err(e)) if spec0.skippable(&e) => {
+            let stop = match spec0.outer.store().read_doc_direct(id) {
+                Ok(doc) => visit(self, run, id, doc)?,
+                Err(e) if spec0.skippable(&e) => {
                     // Attribute the skip to exactly the queries that chose
                     // this document.
                     for (spec, q) in specs.iter().zip(&mut run.queries) {
@@ -282,7 +276,7 @@ impl<'r> Fetch<'r> {
                     }
                     false
                 }
-                Some(Err(e)) => return Err(e),
+                Err(e) => return Err(e),
             };
             if stop {
                 break;

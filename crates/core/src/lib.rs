@@ -17,8 +17,7 @@
 //!   both inverted files, partitioned into multiple passes when the
 //!   intermediate similarities exceed memory (section 4.3);
 //! * [`fnl`] — Filtered Nested Loops: the same loop over another source,
-//!   a compact rarity-ranked signature index, `Ip < D1` pages per pass,
-//!   with an overlap threshold on the pairs it scores;
+//!   a compact rarity-ranked signature index, `Ip < D1` pages per pass;
 //! * [`batch`] — the same passes handed `N` queries over one collection
 //!   pair, sharing every scan;
 //! * [`integrated`] — the section 6.1 integrated algorithm: estimate all
@@ -60,7 +59,6 @@ pub mod weighting;
 
 pub use batch::{BatchOptions, BatchOutcome};
 pub use driver::{execute, Indexes};
-pub use fnl::FnlOptions;
 pub use report::{
     observation_from_json, PhaseDuration, QueryReport, SlowLogRank, SlowQueryLog, SIM_PAGE_NS,
 };

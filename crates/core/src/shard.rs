@@ -17,8 +17,8 @@
 //!   global result.
 //! * **VVM — term ranges of the one pair of inverted files.** A site is
 //!   one part of the one merge of [`crate::vvm`]: its term ranges of both
-//!   files, read through the overlays as single-node VVM reads the whole
-//!   range. It ships in the inner pages its ranges span, and ships its
+//!   files, the inner one read through its overlay, as single-node VVM
+//!   reads the whole range. It ships in the inner pages its ranges span, and ships its
 //!   partial similarity table to the coordinator after every pass.
 //!
 //! **Skew-aware partitioning.** Under Zipfian term frequencies the uniform
@@ -31,7 +31,7 @@
 //! Exactness: a document site reads the inner side a single-node run
 //! reads, and an outer document scores with its own norm wherever it
 //! lives, so document sites are byte-identical to single-node under every
-//! weighting, delta overlays and degraded mode included. Every VVM term
+//! weighting, the inner delta overlay and degraded mode included. Every VVM term
 //! lives in exactly one site's ranges, so raw-count VVM is byte-identical
 //! too; with several sites, fractional weights reassociate the sums, and
 //! one site is the single-node merge bit for bit.
@@ -453,12 +453,10 @@ fn doc_sites(
     let span = Tracer::maybe(spec.trace, "shard.sites");
     let (_guards, tickets) = register_tickets(spec, algorithm, opts, s);
     let outcomes = run_parts(&sites, |_, (k, outer)| {
-        // Sites run untraced and unwatched; a site's slice holds the outer
-        // overlay's documents too, so it scans it end to end.
+        // Sites run untraced and unwatched, and scan their slice end to end.
         let spec_k = JoinSpec {
             outer,
             outer_docs: OuterDocs::Full,
-            outer_delta: None,
             trace: None,
             cost_budget: None,
             ticket: tickets[*k].as_ref(),
@@ -1108,14 +1106,9 @@ mod tests {
         let want = InvertedFile::build(Arc::new(DiskSim::new(512)), "outer", &c2).unwrap();
         assert_eq!(pages(&whole).unwrap(), pages(&want).unwrap());
 
-        // Id 40 is an insert of the outer overlay, not a base document.
-        let chosen = [3, 17, 29, 40].map(DocId::new);
-        let ov = overlay_from(&c2, 11, false);
-        let spec =
-            (spec(&c1, &c2, 4).with_outer_delta(&ov)).with_outer_docs(OuterDocs::Selected(&chosen));
-        let base = chosen[..3]
-            .iter()
-            .map(|&id| Ok((id, c2.store().read_doc_direct(id)?)));
+        let chosen = [3, 17, 29].map(DocId::new);
+        let spec = spec(&c1, &c2, 4).with_outer_docs(OuterDocs::Selected(&chosen));
+        let base = (chosen.iter()).map(|&id| Ok((id, c2.store().read_doc_direct(id)?)));
         let mut want: Vec<_> = postings_of(base).unwrap().into_iter().collect();
         want.sort_unstable_by_key(|(term, _)| *term);
         let got: Vec<_> = built(spec).scan().collect::<Result<_>>().unwrap();
@@ -1131,7 +1124,6 @@ mod tests {
             DocId::new(60),
             c1.store().read_doc_direct(DocId::new(3)).unwrap(),
         );
-        let outer_ov = overlay_from(&c2, 2, true);
         let own = Arc::new(DiskSim::new(512));
         let inv1 = InvertedFile::build(Arc::clone(&own), "c1", &c1).unwrap();
         let inv2 = InvertedFile::build(Arc::clone(&own), "c2", &c2).unwrap();
@@ -1139,7 +1131,7 @@ mod tests {
             for delta in [false, true] {
                 let mut spec = spec(&c1, &c2, 5).with_weighting(weighting);
                 if delta {
-                    spec = spec.with_inner_delta(&inner_ov).with_outer_delta(&outer_ov);
+                    spec = spec.with_inner_delta(&inner_ov);
                 }
                 disk.reset_head();
                 let want = vvm::execute(&spec, &inv1, &inv2).unwrap();
@@ -1298,7 +1290,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The acceptance sweep: every algorithm × λ∈{1,5,20} × S∈{1,2,4},
-        /// both boundary strategies, with and without delta overlays and
+        /// both boundary strategies, with and without an inner delta overlay and
         /// degraded mode, and the three weightings for the document sites
         /// and for one VVM site (several VVM sites add fractional weights
         /// part by part, a reassociation of the single-node sums, so VVM at
@@ -1326,7 +1318,6 @@ mod tests {
         ) {
             let (disk, c1, c2) = fixture(seed);
             let inner_ov = overlay_from(&c1, 2, true);
-            let outer_ov = overlay_from(&c2, 1, false);
             let weighting = if alg == Algorithm::Vvm && s > 1 {
                 Weighting::RawCount
             } else {
@@ -1334,7 +1325,7 @@ mod tests {
             };
             let mut base = spec(&c1, &c2, lambda).with_weighting(weighting);
             if with_delta {
-                base = base.with_inner_delta(&inner_ov).with_outer_delta(&outer_ov);
+                base = base.with_inner_delta(&inner_ov);
             }
             if degraded {
                 base = base.with_degraded();

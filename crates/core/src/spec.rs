@@ -1,4 +1,8 @@
 //! Join specifications shared by every executor.
+//!
+//! The inner side may be seen through a base+delta overlay
+//! ([`JoinSpec::inner_delta`]); the outer side is always the stored
+//! collection, whole or selected.
 
 use textjoin_collection::{Collection, Document};
 use textjoin_common::{CollectionStats, DocId, FragStats, QueryParams, Result, SystemParams};
@@ -84,9 +88,6 @@ pub struct JoinSpec<'a> {
     /// [`inner_doc_allowed`](Self::inner_doc_allowed). `None` (the default)
     /// keeps every pristine code path byte-identical, with zero extra I/O.
     pub inner_delta: Option<&'a DeltaOverlay>,
-    /// Base+delta overlay of the outer collection: delta documents extend
-    /// the outer scan and tombstoned outer documents drop out of it.
-    pub outer_delta: Option<&'a DeltaOverlay>,
     /// Cooperative cancellation token, polled at the same checkpoints as
     /// the cost-budget watchdog. When observed set, the executor winds
     /// down at the next checkpoint and returns whatever it has with
@@ -116,7 +117,6 @@ impl<'a> JoinSpec<'a> {
             degraded: false,
             cost_budget: None,
             inner_delta: None,
-            outer_delta: None,
             cancel: None,
             ticket: None,
         }
@@ -143,14 +143,6 @@ impl<'a> JoinSpec<'a> {
     pub fn with_inner_delta(self, delta: &'a DeltaOverlay) -> Self {
         Self {
             inner_delta: Some(delta),
-            ..self
-        }
-    }
-
-    /// Attaches a base+delta overlay to the outer side.
-    pub fn with_outer_delta(self, delta: &'a DeltaOverlay) -> Self {
-        Self {
-            outer_delta: Some(delta),
             ..self
         }
     }
@@ -238,19 +230,15 @@ impl<'a> JoinSpec<'a> {
         )
     }
 
-    /// The `(inner, outer)` norms a cosine or TF-IDF pair divides by: each
-    /// side's overlay's record for a delta-inserted document, else the
-    /// base profile's.
+    /// The `(inner, outer)` norms a cosine or TF-IDF pair divides by: the
+    /// inner overlay's record for a delta-inserted document, else the base
+    /// profile's.
     pub(crate) fn norms(&self, inner: DocId, outer: DocId) -> (f64, f64) {
-        let norm = |c: &Collection, overlay: Option<&DeltaOverlay>, id| {
-            overlay
-                .and_then(|d| d.norm(id))
-                .unwrap_or_else(|| c.profile().norm(id))
-        };
-        (
-            norm(self.inner, self.inner_delta, inner),
-            norm(self.outer, self.outer_delta, outer),
-        )
+        let inner_norm = self
+            .inner_delta
+            .and_then(|d| d.norm(inner))
+            .unwrap_or_else(|| self.inner.profile().norm(inner));
+        (inner_norm, self.outer.profile().norm(outer))
     }
 
     /// How wide a row of per-inner-document sums is: one past the last base
@@ -296,30 +284,17 @@ impl<'a> JoinSpec<'a> {
         !(self.exclude_self && inner == outer)
     }
 
-    /// Number of participating outer documents (live ones only when an
-    /// outer overlay is attached).
+    /// Number of participating outer documents.
     pub fn num_outer_docs(&self) -> u64 {
-        match self.outer_delta {
-            None => self.outer_docs.count(self.outer.store().num_docs()),
-            Some(_) => self.outer_live_ids().len() as u64,
-        }
+        self.outer_docs.count(self.outer.store().num_docs())
     }
 
-    /// The participating outer document ids in ascending order: the base
-    /// store's ids (minus tombstones) followed by the overlay's live delta
-    /// ids, which are strictly larger by the id-allocation invariant. The
-    /// VVM family builds its accumulator chunks from this list, so outer
-    /// tombstone masking falls out of chunk membership.
-    pub fn outer_live_ids(&self) -> Vec<DocId> {
-        match (self.outer_docs, self.outer_delta) {
-            (OuterDocs::Full, None) => self.outer.store().doc_ids(),
-            (OuterDocs::Full, Some(overlay)) => overlay.live_ids_over(self.outer.store()),
-            (OuterDocs::Selected(ids), None) => ids.to_vec(),
-            (OuterDocs::Selected(ids), Some(overlay)) => ids
-                .iter()
-                .copied()
-                .filter(|&id| !overlay.is_deleted(id))
-                .collect(),
+    /// The participating outer document ids in ascending order. The VVM
+    /// family builds its accumulator chunks from this list.
+    pub(crate) fn outer_ids(&self) -> Vec<DocId> {
+        match self.outer_docs {
+            OuterDocs::Full => self.outer.store().doc_ids(),
+            OuterDocs::Selected(ids) => ids.to_vec(),
         }
     }
 
@@ -341,9 +316,6 @@ impl<'a> JoinSpec<'a> {
         let inner_frag = self.inner_delta.map_or_else(FragStats::default, |d| {
             d.frag_stats(self.inner.store().num_docs())
         });
-        let outer_frag = self.outer_delta.map_or_else(FragStats::default, |d| {
-            d.frag_stats(self.outer.store().num_docs())
-        });
         JoinInputs {
             inner: inner_stats,
             outer: outer_stats,
@@ -352,7 +324,6 @@ impl<'a> JoinSpec<'a> {
             q,
             outer_original,
             inner_frag,
-            outer_frag,
             // The signature index lives outside the spec: the FNL-aware
             // entry points overlay its measured stats via `with_fnl`.
             fnl: None,
@@ -377,52 +348,29 @@ impl<'a> JoinSpec<'a> {
     /// on pull, so executors can interleave reading outer documents with
     /// other work (HHNL fills memory batches this way).
     pub fn outer_iter(&self) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-        match self.outer_docs {
-            OuterDocs::Full => with_overlay(
-                self.outer
-                    .store()
-                    .scan_with_prefetch(self.prefetch_metrics("outer_scan")),
-                self.outer_delta,
-            ),
-            OuterDocs::Selected(ids) => {
-                let spec = *self;
-                Box::new(ids.iter().filter_map(move |&id| {
-                    Some(spec.read_selected_outer(id)?.map(|doc| (id, doc)))
-                }))
-            }
-        }
-    }
-
-    /// Fetches one selected outer document with a random read (group 3
-    /// pricing): `None` when the outer overlay tombstoned it, the overlay's
-    /// copy when it is a delta insert, the base store's otherwise.
-    pub(crate) fn read_selected_outer(&self, id: DocId) -> Option<Result<Document>> {
         let store = self.outer.store();
-        if let Some(overlay) = self.outer_delta {
-            if overlay.is_deleted(id) {
-                return None;
+        match self.outer_docs {
+            OuterDocs::Full => {
+                Box::new(store.scan_with_prefetch(self.prefetch_metrics("outer_scan")))
             }
-            if !store.contains(id) {
-                match overlay.doc(id) {
-                    Ok(Some(doc)) => return Some(Ok(doc)),
-                    Ok(None) => {} // unknown id: surface the base store's error
-                    Err(e) => return Some(Err(e)),
-                }
-            }
+            OuterDocs::Selected(ids) => Box::new(
+                ids.iter()
+                    .map(move |&id| store.read_doc_direct(id).map(|doc| (id, doc))),
+            ),
         }
-        Some(store.read_doc_direct(id))
     }
 
     /// Bytes of the largest document [`inner_iter`](Self::inner_iter) can
     /// yield — base or live delta — and so the size of a slot that holds
     /// one inner document at a time.
     pub fn inner_slot_bytes(&self) -> u64 {
-        slot_bytes(self.inner, self.inner_delta)
+        let delta = self.inner_delta.map_or(0, DeltaOverlay::max_live_doc_bytes);
+        self.inner.store().max_doc_bytes().max(delta).max(1)
     }
 
     /// [`inner_slot_bytes`](Self::inner_slot_bytes) for the outer side.
     pub fn outer_slot_bytes(&self) -> u64 {
-        slot_bytes(self.outer, self.outer_delta)
+        self.outer.store().max_doc_bytes().max(1)
     }
 
     /// A lazy iterator over the participating inner documents: the base
@@ -433,31 +381,11 @@ impl<'a> JoinSpec<'a> {
     /// [`inner_doc_allowed`](Self::inner_doc_allowed) for the inner
     /// selection.
     pub fn inner_iter(&self) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-        with_overlay(
-            self.inner
-                .store()
-                .scan_with_prefetch(self.prefetch_metrics("inner_scan")),
-            self.inner_delta,
-        )
-    }
-}
-
-/// The largest document of a collection seen through its overlay, at
-/// least one byte.
-fn slot_bytes(base: &Collection, overlay: Option<&DeltaOverlay>) -> u64 {
-    let delta = overlay.map_or(0, DeltaOverlay::max_live_doc_bytes);
-    base.store().max_doc_bytes().max(delta).max(1)
-}
-
-/// A base scan seen through a delta overlay
-/// ([`DeltaOverlay::docs_over`]); without one, the base scan untouched.
-fn with_overlay<'a>(
-    base: impl Iterator<Item = Result<(DocId, Document)>> + 'a,
-    overlay: Option<&'a DeltaOverlay>,
-) -> Box<dyn Iterator<Item = Result<(DocId, Document)>> + 'a> {
-    match overlay {
-        None => Box::new(base),
-        Some(overlay) => Box::new(overlay.docs_over(base)),
+        let base = (self.inner.store()).scan_with_prefetch(self.prefetch_metrics("inner_scan"));
+        match self.inner_delta {
+            None => Box::new(base),
+            Some(overlay) => Box::new(overlay.docs_over(base)),
+        }
     }
 }
 

@@ -20,8 +20,9 @@
 //! The budget is charged the paper's 4 bytes per non-zero pair and nothing
 //! else. What is VVM's own here is the parts, the partition count and the
 //! split of an overflowing pass, and the merge; the step, the rows and the
-//! emit are the loop's, and each side's base scan seen through its overlay
-//! is `invfile::DeltaScan`.
+//! emit are the loop's, and the inner base scan seen through its overlay is
+//! `invfile::DeltaScan` (the outer side's is the same stream with no
+//! overlay).
 
 use crate::accum::{factor, reserve, InnerMask, Rows, Source, TermAtATime, ACC_BYTES};
 use crate::batch::BatchOutcome;
@@ -36,8 +37,8 @@ use textjoin_invfile::{DeltaOverlay, DeltaScan, InvertedFile};
 use textjoin_obs::Span;
 use textjoin_storage::{IoStats, MemTracker};
 
-/// One part of a merge: term ranges of the one pair of inverted files, seen
-/// through the delta overlays and sized against all of `B`. Sequential VVM
+/// One part of a merge: term ranges of the one pair of inverted files, the
+/// inner one seen through its delta overlay, sized against all of `B`. Sequential VVM
 /// is the one part whose range covers every term; sharded VVM has one part
 /// per site. Entries are term-sorted and every term lives in exactly one
 /// part, so the parts' tables sum to the sequential accumulator.
@@ -57,7 +58,8 @@ pub(crate) type PartDone<'a> = dyn Fn(usize, u64, u64, u64, &IoStats) + 'a;
 
 impl Part<'_> {
     /// One side's entry stream: the part's ranges of `inv` in turn, each
-    /// seen through the side's delta overlay and opened when reached.
+    /// seen through `overlay` (the inner side's, or none) and opened when
+    /// reached.
     fn entries<'a>(
         &'a self,
         spec: &JoinSpec<'_>,
@@ -151,7 +153,7 @@ impl<'r> Merging<'r> {
         // reservation left (the same on every part: one pair of files).
         let (reserved, m) = (trackers[0].used(), trackers[0].available() as f64);
         let sm = |s: &JoinSpec| similarity_pages(&s.cost_inputs()) * sys.page_size as f64;
-        let outer: Vec<Vec<DocId>> = run.specs.iter().map(JoinSpec::outer_live_ids).collect();
+        let outer: Vec<Vec<DocId>> = run.specs.iter().map(JoinSpec::outer_ids).collect();
         let n = outer.iter().fold(1, |n, v| n.max(v.len() as u64));
         let count = ((run.specs.iter().map(sm).sum::<f64>() / m).ceil() as u64).clamp(1, n);
         run.root.record("partitions", count);
@@ -305,7 +307,7 @@ impl MergePartial {
             }
         };
         let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
-        let mut outer = part.entries(spec0, part.outer_inv, spec0.outer_delta, "inv2");
+        let mut outer = part.entries(spec0, part.outer_inv, None, "inv2");
         let (mut inner_cells, mut outer_cells) = (Vec::new(), Vec::new());
         let mut inner_term = advance(&mut inner, &mut inner_cells)?;
         let mut outer_term = advance(&mut outer, &mut outer_cells)?;

@@ -233,11 +233,6 @@ impl CalibrationProfile {
         }
     }
 
-    /// Predicted wall time of a run under the fitted latency model.
-    pub fn predicted_wall_ns(&self, cost_pages: f64, cells: u64) -> f64 {
-        self.page_ns * cost_pages + self.cpu_per_cell_ns * cells as f64
-    }
-
     /// Serializes the profile as one JSON object.
     pub fn to_json(&self) -> String {
         let mut s = format!(

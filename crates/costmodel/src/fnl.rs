@@ -17,10 +17,11 @@
 //!
 //! `ΔD1` is the **overlay rescoring term**: documents in the inner delta
 //! overlay are not in the signature index, so every pass re-reads the
-//! flushed delta side file and rescores them from their raw cells. At the
-//! registered threshold (`τ = 1`) the filter is lossless *and* complete —
-//! the candidate set is exactly the non-zero-score pairs — so base-index
-//! false positives cost CPU only, never I/O.
+//! flushed delta side file and rescores them from their raw cells. FNL
+//! scores every pair with a common term (the overlap threshold `τ = 1`),
+//! so the filter is lossless *and* complete — the candidate set is exactly
+//! the non-zero-score pairs — and base-index false positives cost CPU
+//! only, never I/O.
 //!
 //! The λ-dependence is the whole point: HHNL's batch capacity shrinks as
 //! λ grows, multiplying passes over the full `D1`; FNL pays the same

@@ -101,7 +101,7 @@ pub(crate) fn batch_size(source: SourceAt, i: &JoinInputs) -> Result<f64> {
 pub(crate) fn passes(source: SourceAt, inputs: &[JoinInputs]) -> Result<f64> {
     let mut fractional = 0.0;
     for i in inputs {
-        fractional += i.n2_live() / batch_size(source, i)?;
+        fractional += i.n2() / batch_size(source, i)?;
     }
     Ok(fractional.ceil().max(1.0))
 }
@@ -128,11 +128,11 @@ pub(crate) fn worst_case_random(source: SourceAt, inputs: &[JoinInputs]) -> Resu
     for i in inputs {
         let size = source(i)?;
         let x = batch_size(source, i)?;
-        let seeks = if i.n2_live() >= x {
+        let seeks = if i.n2() >= x {
             let passes = passes(source, std::slice::from_ref(i))?;
             passes * (1.0 + size.pass_pages.min(i.n1()))
         } else {
-            let leftover_pages = ((x - i.n2_live()) * i.s2()).max(1.0);
+            let leftover_pages = ((x - i.n2()) * i.s2()).max(1.0);
             (size.pass_pages / leftover_pages).ceil()
         };
         penalty += seeks * (i.alpha() - 1.0);

@@ -58,7 +58,7 @@ pub fn fill_point(inputs: &JoinInputs) -> Option<(f64, f64, f64)> {
     let x = cache_capacity(inputs);
     let q = inputs.q;
     let n2 = inputs.outer.num_docs;
-    if n2 == 0 || q * vocabulary_growth(inputs, inputs.n2_live()) <= x {
+    if n2 == 0 || q * vocabulary_growth(inputs, inputs.n2()) <= x {
         return None;
     }
     // Binary search for the smallest integer m in [1, N2] with q·f(m) > X.
@@ -93,7 +93,7 @@ pub fn fill_point(inputs: &JoinInputs) -> Option<(f64, f64, f64)> {
 /// the executor, which fetches each needed entry exactly once when it
 /// fits. For the paper's full-collection scenarios the two coincide.
 pub fn entries_needed(inputs: &JoinInputs) -> f64 {
-    inputs.q * vocabulary_growth(inputs, inputs.n2_live()).min(inputs.t2())
+    inputs.q * vocabulary_growth(inputs, inputs.n2()).min(inputs.t2())
 }
 
 /// Where HVNL's inner entries come from — section 5.2's case analysis.
@@ -134,7 +134,7 @@ fn entries(inputs: &JoinInputs) -> Entries {
         None => Entries::Once(needed),
         Some((s, x1, y)) => Entries::Refill {
             filling: x,
-            refetch_docs: (inputs.n2_live() - s - x1 + 1.0).max(0.0),
+            refetch_docs: (inputs.n2() - s - x1 + 1.0).max(0.0),
             y,
         },
     }
@@ -206,7 +206,7 @@ pub(crate) fn hvr_one(inputs: &JoinInputs) -> f64 {
         return hvs_one(inputs);
     }
     let x = cache_capacity(inputs);
-    let d2 = inputs.d2_frag();
+    let d2 = inputs.d2();
     let extra = inputs.alpha() - 1.0;
     let needed = entries_needed(inputs);
     let j1 = inputs.j1().max(f64::MIN_POSITIVE);

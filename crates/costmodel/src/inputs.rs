@@ -32,10 +32,9 @@ pub struct JoinInputs {
     /// collection, scanned sequentially.
     pub outer_original: Option<CollectionStats>,
     /// Fragmentation of the inner collection's base+delta overlay. Pristine
-    /// (all zeros) for a bulk-loaded or freshly merged collection.
+    /// (all zeros) for a bulk-loaded or freshly merged collection. The
+    /// outer side is always a stored collection without an overlay.
     pub inner_frag: FragStats,
-    /// Fragmentation of the outer collection's base+delta overlay.
-    pub outer_frag: FragStats,
     /// Measured sizes of the inner collection's FNL signature index, when
     /// one has been built. `None` makes FNL infeasible (infinite cost) —
     /// the filtered algorithm cannot run without its index.
@@ -66,7 +65,6 @@ impl JoinInputs {
             q,
             outer_original: None,
             inner_frag: FragStats::default(),
-            outer_frag: FragStats::default(),
             fnl: None,
             matches: None,
         }
@@ -99,15 +97,12 @@ impl JoinInputs {
         }
     }
 
-    /// Attaches base+delta fragmentation statistics. Every scan formula
-    /// then pays for the delta side files on top of the base structures,
-    /// and per-document work shrinks to the live (non-tombstoned) counts.
-    pub fn with_frag(self, inner_frag: FragStats, outer_frag: FragStats) -> Self {
-        Self {
-            inner_frag,
-            outer_frag,
-            ..self
-        }
+    /// Attaches the inner side's base+delta fragmentation statistics.
+    /// Every scan formula then pays for the delta side files on top of the
+    /// base structures, and per-document work shrinks to the live
+    /// (non-tombstoned) count.
+    pub fn with_frag(self, inner_frag: FragStats) -> Self {
+        Self { inner_frag, ..self }
     }
 
     /// `p` — the probability for the opposite direction (a term of `C1`
@@ -118,14 +113,13 @@ impl JoinInputs {
 
     /// The same join with inner and outer collections swapped (the
     /// "backward order" of section 4.1; the `q` heuristic is re-derived).
-    /// The FNL signature index belongs to the *inner* side, so swapping
-    /// drops it — the backward order has no index to scan.
+    /// The FNL signature index and the overlay's fragmentation belong to
+    /// the *inner* side, so swapping drops them.
     pub fn swapped(&self) -> Self {
         Self {
             // `Σ df1·df2` does not depend on which side is called inner.
             matches: self.matches,
             ..Self::with_paper_q(self.outer, self.inner, self.sys, self.query)
-                .with_frag(self.outer_frag, self.inner_frag)
         }
     }
 
@@ -212,11 +206,9 @@ impl JoinInputs {
     /// document-at-a-time random fetches for a selected subset.
     pub(crate) fn outer_read_cost(&self) -> f64 {
         if self.outer_original.is_some() {
-            // A selected subset names live documents, so tombstones and the
-            // delta side file add nothing to the per-document fetches.
             self.n2() * self.s2().ceil() * self.alpha()
         } else {
-            self.d2_frag()
+            self.d2()
         }
     }
 
@@ -268,42 +260,15 @@ impl JoinInputs {
     pub(crate) fn d1_frag(&self) -> f64 {
         self.d1() + self.inner_frag.doc_delta_pages as f64
     }
-    /// `D2` plus the outer delta document side file.
-    pub(crate) fn d2_frag(&self) -> f64 {
-        self.d2() + self.outer_frag.doc_delta_pages as f64
-    }
     /// `I1` plus the inner delta inverted side file.
     pub(crate) fn i1_frag(&self) -> f64 {
         self.i1() + self.inner_frag.inv_delta_pages as f64
-    }
-    /// Stored `I2` plus the outer delta inverted side file.
-    pub(crate) fn i2_storage_frag(&self) -> f64 {
-        self.i2_storage() + self.outer_frag.inv_delta_pages as f64
     }
     /// Live inner document count: `N1` scaled down by the tombstone ratio.
     /// Dead documents are still scanned (their pages stay in `D1`) but
     /// produce no similarity work, accumulators or heap entries.
     pub(crate) fn n1_live(&self) -> f64 {
         self.n1() * (1.0 - self.inner_frag.tombstone_ratio.clamp(0.0, 1.0))
-    }
-    /// Live outer document count.
-    pub(crate) fn n2_live(&self) -> f64 {
-        self.n2() * (1.0 - self.outer_frag.tombstone_ratio.clamp(0.0, 1.0))
-    }
-
-    /// The total fragmentation surcharge in pages — the delta side files of
-    /// both collections. Exposed (`pub`) so EXPLAIN output can show the
-    /// term the formulas added on top of the pristine cost.
-    pub fn fragmentation_pages(&self) -> f64 {
-        (self.inner_frag.doc_delta_pages
-            + self.inner_frag.inv_delta_pages
-            + self.outer_frag.doc_delta_pages
-            + self.outer_frag.inv_delta_pages) as f64
-    }
-
-    /// Whether either side carries any fragmentation at all.
-    pub fn is_fragmented(&self) -> bool {
-        !(self.inner_frag.is_pristine() && self.outer_frag.is_pristine())
     }
 }
 
@@ -407,17 +372,10 @@ mod tests {
             SystemParams::paper_base(),
             QueryParams::paper_base(),
         )
-        .with_frag(frag, FragStats::default());
-        assert!(i.is_fragmented());
-        assert_eq!(i.fragmentation_pages(), 16.0);
+        .with_frag(frag);
         assert!((i.d1_frag() - i.d1() - 10.0).abs() < 1e-9);
         assert!((i.i1_frag() - i.i1() - 6.0).abs() < 1e-9);
         assert!((i.n1_live() - i.n1() * 0.75).abs() < 1e-6);
-        assert!((i.n2_live() - i.n2()).abs() < 1e-9, "outer is pristine");
-        // Swapping the join sides swaps the fragmentation with them.
-        let back = i.swapped();
-        assert_eq!(back.outer_frag, frag);
-        assert!(back.inner_frag.is_pristine());
     }
 
     #[test]
@@ -428,14 +386,9 @@ mod tests {
             SystemParams::paper_base(),
             QueryParams::paper_base(),
         );
-        assert!(!i.is_fragmented());
-        assert_eq!(i.fragmentation_pages(), 0.0);
         assert_eq!(i.d1_frag(), i.d1());
-        assert_eq!(i.d2_frag(), i.d2());
         assert_eq!(i.i1_frag(), i.i1());
-        assert_eq!(i.i2_storage_frag(), i.i2_storage());
         assert_eq!(i.n1_live(), i.n1());
-        assert_eq!(i.n2_live(), i.n2());
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn arb_batch_member() -> impl Strategy<Value = JoinInputs> {
                 inv_delta_pages,
                 tombstone_ratio,
             };
-            i.with_frag(frag, frag)
+            i.with_frag(frag)
         })
 }
 
@@ -90,7 +90,7 @@ mod parent {
             return hvs(inputs);
         }
         let x = hvnl::cache_capacity(inputs);
-        let d2 = inputs.d2_frag();
+        let d2 = inputs.d2();
         let bt1 = inputs.bt1();
         let jc = inputs.j1().ceil();
         let alpha = inputs.alpha();
@@ -129,12 +129,11 @@ mod parent {
     }
 
     fn vvs(inputs: &JoinInputs) -> Result<f64> {
-        Ok((inputs.i1_frag() + inputs.i2_storage_frag()) * num_passes(inputs)?)
+        Ok((inputs.i1_frag() + inputs.i2_storage()) * num_passes(inputs)?)
     }
 
     fn vvr(inputs: &JoinInputs) -> Result<f64> {
-        let runs =
-            inputs.i1_frag().min(inputs.t1()) + inputs.i2_storage_frag().min(inputs.t2_storage());
+        let runs = inputs.i1_frag().min(inputs.t1()) + inputs.i2_storage().min(inputs.t2_storage());
         Ok(runs * inputs.alpha() * num_passes(inputs)?)
     }
 
@@ -152,7 +151,7 @@ mod parent {
 
     fn vvs_batch(inputs: &[JoinInputs]) -> Result<f64> {
         let first = &inputs[0];
-        Ok((first.i1_frag() + first.i2_storage_frag()) * vvs_batch_passes(inputs)?)
+        Ok((first.i1_frag() + first.i2_storage()) * vvs_batch_passes(inputs)?)
     }
 
     fn vvr_batch(inputs: &[JoinInputs]) -> Result<f64> {

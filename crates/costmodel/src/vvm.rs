@@ -22,7 +22,7 @@ use textjoin_common::{Error, Result, SIM_VALUE_BYTES};
 /// live (non-tombstoned) documents get accumulators, so the pair count
 /// shrinks with fragmentation even though the scans grow.
 pub fn similarity_pages(inputs: &JoinInputs) -> f64 {
-    SIM_VALUE_BYTES as f64 * inputs.delta() * inputs.n1_live() * inputs.n2_live()
+    SIM_VALUE_BYTES as f64 * inputs.delta() * inputs.n1_live() * inputs.n2()
         / inputs.sys.page_size as f64
 }
 
@@ -70,14 +70,14 @@ pub(crate) fn passes(first: &JoinInputs, others: &[JoinInputs]) -> Result<f64> {
 /// `vvs` over a non-empty batch: both files scanned once per pooled pass.
 pub(crate) fn vvs(inputs: &[JoinInputs]) -> Result<f64> {
     let (first, rest) = (&inputs[0], &inputs[1..]);
-    Ok((first.i1_frag() + first.i2_storage_frag()) * passes(first, rest)?)
+    Ok((first.i1_frag() + first.i2_storage()) * passes(first, rest)?)
 }
 
 /// `vvr` over a non-empty batch: the first query's own, then per other query
 /// the merge scans it adds to the pool and its own penalty `vvrᵢ − vvsᵢ`.
 pub(crate) fn vvr(inputs: &[JoinInputs]) -> Result<f64> {
     let first = &inputs[0];
-    let runs = first.i1_frag().min(first.t1()) + first.i2_storage_frag().min(first.t2_storage());
+    let runs = first.i1_frag().min(first.t1()) + first.i2_storage().min(first.t2_storage());
     let mut cost = runs * first.alpha() * num_passes(first)?;
     for (k, i) in inputs.iter().enumerate().skip(1) {
         let pooled = vvs(&inputs[..=k])? - vvs(&inputs[..k])?;
@@ -191,7 +191,7 @@ mod tests {
         assert!((sequential(&frag).unwrap() - expect).abs() < 1e-6);
         // Tombstones shrink the live pair count, hence SM and the passes.
         let tomb = JoinInputs {
-            outer_frag: FragStats {
+            inner_frag: FragStats {
                 tombstone_ratio: 0.5,
                 ..FragStats::default()
             },

@@ -141,12 +141,11 @@ impl Prices {
                 let passes = vvm::num_passes(i).unwrap_or(1.0);
                 let stored = i.outer_original.as_ref().unwrap_or(&i.outer);
                 let outer_cells = stored.num_docs as f64 * stored.avg_terms_per_doc;
-                let scanned = with_delta(inner_cells, i.i1(), i.i1_frag())
-                    + with_delta(outer_cells, i.i2_storage(), i.i2_storage_frag());
+                let scanned = with_delta(inner_cells, i.i1(), i.i1_frag()) + outer_cells;
                 self.row_match_ns * matches + self.icell_ns * passes * scanned
             }
             Algorithm::Hvnl => {
-                let lookups = i.n2_live() * i.outer.avg_terms_per_doc;
+                let lookups = i.n2() * i.outer.avg_terms_per_doc;
                 let read = match hvnl::entry_fetches(i) {
                     None => with_delta(inner_cells, i.i1(), i.i1_frag()),
                     // A fetched entry is as long as the average entry a

@@ -26,4 +26,4 @@ pub use btree::{BTreeFile, Dictionary, TermEntry};
 pub use codec::PostingCodec;
 pub use delta::{DeltaOverlay, DeltaScan, FlushedDelta};
 pub use file::{postings_of, EntryMeta, EntryScanner, InvertedFile};
-pub use prefix::{filtered_merge, prefix_len, FnlIndex, RankCell, SigMeta, TermOrder};
+pub use prefix::{FnlIndex, RankCell, SigMeta, TermOrder};

@@ -4,20 +4,12 @@
 //! *signature file* instead of the document store: for each base document,
 //! its d-cells re-encoded as `(rank, weight)` pairs where `rank` is the
 //! term's position in the **global rarity order** — document frequency
-//! ascending, term number as the tie-break, a total order. Two properties
-//! make this worth a second copy of the collection:
-//!
-//! * **Compression.** Ranks within one signature are strictly increasing,
-//!   so they gap-code as varints exactly like posting lists; the signature
-//!   file (`Ip` pages) is typically 40–60% of the document store (`D1`),
-//!   and FNL's per-pass scan bill shrinks by the same factor.
-//! * **Prefix/position filtering.** With both sides in the same global
-//!   order, two documents can share at least `τ` terms only if their first
-//!   `n − τ + 1` rarest terms intersect ([`prefix_len`]); during the
-//!   merge, `matched + min(remaining_a, remaining_b) < τ` prunes the pair
-//!   without finishing it. Both checks are conservative upper bounds, so
-//!   the candidate set is a superset of the qualifying pairs — never a
-//!   miss.
+//! ascending, term number as the tie-break, a total order. What makes this
+//! worth a second copy of the collection is compression: ranks within one
+//! signature are strictly increasing, so they gap-code as varints exactly
+//! like posting lists; the signature file (`Ip` pages) is typically 40–60%
+//! of the document store (`D1`), and FNL's per-pass scan bill shrinks by
+//! the same factor.
 //!
 //! The index is built from the **base** collection only. Delta-overlay
 //! documents are not in it; executors rescore them from the raw side file
@@ -41,22 +33,6 @@ use textjoin_storage::{
     packed, ByteSpan, DiskSim, FileId, PackedReader, PackedWriter, PageKind, PrefetchMetrics,
     PrefetchStats,
 };
-
-/// Length of the filtering prefix for a document with `num_terms` terms at
-/// overlap threshold `min_overlap` (`τ`).
-///
-/// Two documents with at least `τ` common terms must share a term within
-/// the first `n − (τ − 1)` of either side's rarity-ordered terms: if the
-/// whole prefix misses, at most `τ − 1` terms remain to match. `τ = 0`
-/// (or 1) keeps the filter vacuous — the prefix is the whole document —
-/// and `τ > n` yields an empty prefix: the document cannot reach the
-/// threshold at all.
-pub fn prefix_len(num_terms: usize, min_overlap: u64) -> usize {
-    if min_overlap <= 1 {
-        return num_terms;
-    }
-    num_terms.saturating_sub(min_overlap as usize - 1)
-}
 
 /// One cell of a rank-space signature: the term's global rarity rank and
 /// its weight in the document.
@@ -392,68 +368,6 @@ impl Iterator for SigScanner<'_> {
     }
 }
 
-/// The prefix/position-filtered merge: scores an outer document (as rank
-/// cells) against one signature entry, both in increasing rank order.
-///
-/// Returns `None` when the pair provably cannot reach `min_overlap`
-/// common terms — either the prefix pre-check fails (one side's filtering
-/// prefix ends before the other side begins) or the running position
-/// filter (`matched + min(remaining) < τ`) trips mid-merge. Otherwise
-/// returns `(matched_terms, weighted_sum, cells_visited)` where the sum
-/// accumulates `u·v·factor(rank)` over the common terms.
-///
-/// Both prunes are conservative: a `Some` is returned for every pair with
-/// `matched ≥ τ`, so at `τ ≤ 1` the non-`None` results are exactly the
-/// pairs a full merge would score.
-///
-/// The FNL executor no longer merges pair by pair — it probes an index of
-/// the resident round and applies `min_overlap` to the match count — and
-/// keeps this as the pairwise oracle its tests compare the probe with.
-pub fn filtered_merge(
-    outer: &[RankCell],
-    inner: &[RankCell],
-    min_overlap: u64,
-    mut factor: impl FnMut(u32) -> f64,
-) -> Option<(u64, f64, u64)> {
-    let tau = min_overlap.max(1) as usize;
-    if outer.len().min(inner.len()) < tau {
-        return None;
-    }
-    if tau > 1 {
-        // Prefix pre-check: if one side's filtering prefix lies entirely
-        // before the other side's first rank, the prefixes cannot
-        // intersect and at most τ−1 matches remain.
-        let po = prefix_len(outer.len(), min_overlap);
-        let pi = prefix_len(inner.len(), min_overlap);
-        if outer[po - 1].rank < inner[0].rank || inner[pi - 1].rank < outer[0].rank {
-            return None;
-        }
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut matched = 0u64;
-    let mut acc = 0.0f64;
-    while i < outer.len() && j < inner.len() {
-        let remaining = (outer.len() - i).min(inner.len() - j) as u64;
-        if matched + remaining < tau as u64 {
-            return None;
-        }
-        match outer[i].rank.cmp(&inner[j].rank) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                acc += outer[i].weight as f64 * inner[j].weight as f64 * factor(outer[i].rank);
-                matched += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if matched < tau as u64 {
-        return None;
-    }
-    Some((matched, acc, (i + j) as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,48 +383,6 @@ mod tests {
         let coll = Collection::build(Arc::clone(&disk), "c", docs.clone()).unwrap();
         let index = FnlIndex::build(Arc::clone(&disk), "c", &coll).unwrap();
         (disk, index, docs)
-    }
-
-    // ---- prefix_len boundaries (the p(λ) edge cases) ----
-
-    #[test]
-    fn prefix_len_is_whole_document_when_filter_is_vacuous() {
-        // τ = 0 and τ = 1 (the registered threshold) keep the prefix
-        // maximal: every term participates, the filter rejects nothing.
-        assert_eq!(prefix_len(7, 0), 7);
-        assert_eq!(prefix_len(7, 1), 7);
-        assert_eq!(prefix_len(0, 0), 0);
-        assert_eq!(prefix_len(0, 1), 0);
-    }
-
-    #[test]
-    fn prefix_len_at_maximal_threshold_keeps_one_term() {
-        // τ = n: all terms must match, and a single shared rarest term is
-        // still required — the prefix never drops to zero while the
-        // threshold is attainable.
-        assert_eq!(prefix_len(5, 5), 1);
-        assert_eq!(prefix_len(1, 1), 1);
-    }
-
-    #[test]
-    fn prefix_len_saturates_to_zero_past_the_document_size() {
-        // τ > n is unattainable: the empty prefix encodes "prune always".
-        assert_eq!(prefix_len(5, 6), 0);
-        assert_eq!(prefix_len(0, 2), 0);
-        assert_eq!(prefix_len(3, u64::MAX), 0);
-    }
-
-    #[test]
-    fn single_term_docs_filter_on_their_only_term() {
-        assert_eq!(prefix_len(1, 1), 1);
-        let a = [RankCell { rank: 3, weight: 2 }];
-        let b = [RankCell { rank: 3, weight: 5 }];
-        let c = [RankCell { rank: 4, weight: 5 }];
-        let hit = filtered_merge(&a, &b, 1, |_| 1.0).unwrap();
-        assert_eq!((hit.0, hit.1), (1, 10.0));
-        assert!(filtered_merge(&a, &c, 1, |_| 1.0).is_none());
-        // τ = 2 is unattainable for single-term docs.
-        assert!(filtered_merge(&a, &b, 2, |_| 1.0).is_none());
     }
 
     #[test]
@@ -643,84 +515,5 @@ mod tests {
         let order = index.read_term_order().unwrap();
         assert!(order.is_empty());
         assert_eq!(order.rank_cells(&doc(&[(1, 1)])), Vec::new());
-    }
-
-    // ---- the filtered merge ----
-
-    #[test]
-    fn merge_matches_raw_dot_product_at_the_vacuous_threshold() {
-        let docs = SynthSpec::from_stats(CollectionStats::new(30, 10.0, 40), 5).generate_docs();
-        let (_, index, docs) = build(128, docs);
-        let order = index.read_term_order().unwrap();
-        for a in &docs {
-            let ra = order.rank_cells(a);
-            for b in &docs {
-                let rb = order.rank_cells(b);
-                let dot = a.dot(b);
-                match filtered_merge(&ra, &rb, 1, |_| 1.0) {
-                    Some((matched, acc, _)) => {
-                        assert!(matched >= 1);
-                        assert_eq!(acc, dot.value());
-                    }
-                    None => assert!(dot.is_zero(), "filter may only drop zero pairs"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn higher_thresholds_never_admit_below_threshold_pairs() {
-        let docs = SynthSpec::from_stats(CollectionStats::new(25, 8.0, 30), 13).generate_docs();
-        let (_, index, docs) = build(128, docs);
-        let order = index.read_term_order().unwrap();
-        for tau in [2u64, 3, 5] {
-            for a in &docs {
-                let ra = order.rank_cells(a);
-                for b in &docs {
-                    let rb = order.rank_cells(b);
-                    let true_overlap =
-                        a.cells().iter().filter(|c| b.weight_of(c.term) > 0).count() as u64;
-                    match filtered_merge(&ra, &rb, tau, |_| 1.0) {
-                        Some((matched, acc, _)) => {
-                            assert_eq!(matched, true_overlap);
-                            assert!(matched >= tau);
-                            assert_eq!(acc, a.dot(b).value());
-                        }
-                        None => assert!(
-                            true_overlap < tau,
-                            "pruned a qualifying pair: overlap {true_overlap} ≥ τ {tau}"
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn position_filter_prunes_disjoint_prefixes() {
-        // a = ranks {0,1,2}, b = ranks {3,4,5}: τ=2 needs 2 shared terms,
-        // prefixes (first 2 ranks each) are disjoint and in fact the whole
-        // documents are — the pre-check alone must prune.
-        let a: Vec<RankCell> = (0..3).map(|r| RankCell { rank: r, weight: 1 }).collect();
-        let b: Vec<RankCell> = (3..6).map(|r| RankCell { rank: r, weight: 1 }).collect();
-        assert!(filtered_merge(&a, &b, 2, |_| 1.0).is_none());
-        assert!(filtered_merge(&b, &a, 2, |_| 1.0).is_none());
-    }
-
-    #[test]
-    fn factor_is_applied_per_matched_rank() {
-        let a = [
-            RankCell { rank: 0, weight: 2 },
-            RankCell { rank: 5, weight: 3 },
-        ];
-        let b = [
-            RankCell { rank: 0, weight: 1 },
-            RankCell { rank: 5, weight: 4 },
-        ];
-        let (matched, acc, visited) =
-            filtered_merge(&a, &b, 1, |rank| if rank == 0 { 10.0 } else { 1.0 }).unwrap();
-        assert_eq!(matched, 2);
-        assert_eq!(acc, 2.0 * 10.0 + 12.0);
-        assert_eq!(visited, 4);
     }
 }

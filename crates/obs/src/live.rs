@@ -141,11 +141,6 @@ impl QueryTicket {
             .store(budget.unwrap_or(f64::NAN).to_bits(), Ordering::Relaxed);
     }
 
-    /// Records how many workers execute this query.
-    pub fn set_workers(&self, workers: u64) {
-        self.inner.workers.store(workers, Ordering::Relaxed);
-    }
-
     /// Point-in-time view of the ticket.
     pub fn snapshot(&self) -> TicketSnapshot {
         let inner = &self.inner;

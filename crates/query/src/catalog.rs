@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use textjoin_collection::{Collection, TermRegistry};
-use textjoin_common::{Error, FragStats, Result};
+use textjoin_common::{Error, Result};
 use textjoin_invfile::{FnlIndex, InvertedFile};
 use textjoin_storage::DiskSim;
 
@@ -83,11 +83,6 @@ pub struct TextColumn {
     /// inverted file at registration time; covers the base collection only —
     /// delta-overlay documents are rescored exactly at probe time.
     pub fnl: FnlIndex,
-    /// Base+delta fragmentation of the storage. All zeros for a
-    /// bulk-loaded column; a live (incrementally-updated) column reports
-    /// its delta side-file pages and tombstone ratio here, and the planner
-    /// folds them into every cost estimate.
-    pub frag: FragStats,
 }
 
 /// A relation: schema, rows, and per-text-column document storage.
@@ -265,7 +260,6 @@ impl Catalog {
                     collection,
                     inverted,
                     fnl,
-                    frag: FragStats::default(),
                 },
             );
         }
@@ -287,29 +281,6 @@ impl Catalog {
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, r)| r)
-    }
-
-    /// Advertises the base+delta fragmentation of a text column to the
-    /// planner. A live (incrementally-updated) collection calls this after
-    /// mutations or a merge so every subsequent plan prices its delta
-    /// side files and tombstones; a merge resets it to pristine.
-    pub fn set_text_column_frag(&mut self, rel: &str, column: &str, frag: FragStats) -> Result<()> {
-        let relation = self
-            .relations
-            .iter_mut()
-            .find(|(n, _)| n.eq_ignore_ascii_case(rel))
-            .map(|(_, r)| r)
-            .ok_or_else(|| Error::Plan(format!("unknown relation {rel}")))?;
-        let idx = relation
-            .column_index(column)
-            .ok_or_else(|| Error::Plan(format!("unknown column {rel}.{column}")))?;
-        let name = relation.columns[idx].0.clone();
-        let tc = relation
-            .text
-            .get_mut(&name)
-            .ok_or_else(|| Error::Plan(format!("{rel}.{column} is not a text column")))?;
-        tc.frag = frag;
-        Ok(())
     }
 }
 

@@ -90,22 +90,6 @@ fn render(p: &Plan, scenario: IoScenario) -> String {
         "  system : B={} pages, P={}B, α={}, q={:.3}",
         sys.buffer_pages, sys.page_size, sys.alpha, p.inputs.q
     );
-    if p.inputs.is_fragmented() {
-        let fi = &p.inputs.inner_frag;
-        let fo = &p.inputs.outer_frag;
-        let _ = writeln!(
-            out,
-            "  frag   : inner Δdoc={} Δinv={} dead={:.1}% | outer Δdoc={} Δinv={} \
-             dead={:.1}% — {:.0} delta pages folded into every estimate",
-            fi.doc_delta_pages,
-            fi.inv_delta_pages,
-            fi.tombstone_ratio * 100.0,
-            fo.doc_delta_pages,
-            fo.inv_delta_pages,
-            fo.tombstone_ratio * 100.0,
-            p.inputs.fragmentation_pages(),
-        );
-    }
     let _ = writeln!(
         out,
         "  estimates (sequential | worst-case random, page units):"
@@ -1420,87 +1404,6 @@ mod tests {
             batch_pages < solo_pages,
             "batch {batch_pages} pages vs {solo_pages} one at a time"
         );
-    }
-
-    #[test]
-    fn fragmented_column_raises_estimates_and_shows_in_explain() {
-        use textjoin_common::FragStats;
-        let sql = "Select D.Id, Q.Id From Docs D, Queries Q \
-                   Where D.Body SIMILAR_TO(3) Q.Body";
-        let sys = SystemParams {
-            buffer_pages: 2000,
-            page_size: 512,
-            alpha: 5.0,
-        };
-        let mut c = big_catalog(512, 120, 60, 40, 200);
-        let pristine = explain_query(
-            &c,
-            sql,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-        )
-        .unwrap();
-        assert!(!pristine.contains("frag   :"), "{pristine}");
-
-        c.set_text_column_frag(
-            "Docs",
-            "Body",
-            // Zero tombstones: pure side-file growth, so every formula's
-            // estimate must strictly rise (tombstones can legitimately
-            // *lower* costs by shrinking live counts).
-            FragStats {
-                doc_delta_pages: 200,
-                inv_delta_pages: 80,
-                tombstone_ratio: 0.0,
-            },
-        )
-        .unwrap();
-        let fragmented = explain_query(
-            &c,
-            sql,
-            sys,
-            QueryParams::paper_base(),
-            IoScenario::Dedicated,
-        )
-        .unwrap();
-        assert!(fragmented.contains("frag   :"), "{fragmented}");
-        assert!(fragmented.contains("Δdoc=200"), "{fragmented}");
-
-        // The delta pages feed the actual estimates: re-plan both ways and
-        // compare the formulas the planner ranks.
-        let query = parse(sql).unwrap();
-        let frag_plan = plan_query(
-            &c,
-            &query,
-            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
-        )
-        .unwrap();
-        c.set_text_column_frag("Docs", "Body", FragStats::default())
-            .unwrap();
-        let clean_plan = plan_query(
-            &c,
-            &query,
-            &PlanOptions::new(sys, QueryParams::paper_base(), IoScenario::Dedicated),
-        )
-        .unwrap();
-        for alg in Algorithm::ALL {
-            let clean = clean_plan.estimates.cost(alg, IoScenario::Dedicated);
-            let frag = frag_plan.estimates.cost(alg, IoScenario::Dedicated);
-            if clean.is_finite() {
-                assert!(
-                    frag > clean,
-                    "{alg}: fragmentation must cost pages ({clean} vs {frag})"
-                );
-            }
-        }
-        // Unknown names are rejected, not silently ignored.
-        assert!(c
-            .set_text_column_frag("Nope", "Body", FragStats::default())
-            .is_err());
-        assert!(c
-            .set_text_column_frag("Docs", "Id", FragStats::default())
-            .is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::ast::{ColumnRef, CompareOp, Literal, Predicate, Query};
 use crate::catalog::{like_match, Catalog, ColumnType, Relation, Value};
-use textjoin_common::{DocId, Error, QueryParams, Result, SystemParams};
+use textjoin_common::{DocId, Error, FragStats, QueryParams, Result, SystemParams};
 use textjoin_core::integrated::device_prices;
 use textjoin_core::ShardPartitioning;
 use textjoin_costmodel::{
@@ -415,8 +415,7 @@ pub fn plan_query(catalog: &Catalog, query: &Query, o: &PlanOptions<'_>) -> Resu
         query: o.query.with_lambda(lambda),
         q,
         outer_original,
-        inner_frag: inner_tc.frag,
-        outer_frag: outer_tc.frag,
+        inner_frag: FragStats::default(),
         // FNL scans the *inner* side's signature index, so its stats come
         // from the inner text column; without them the FNL estimate is
         // infinite and the ranking degrades to the classic three.

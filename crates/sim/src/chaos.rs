@@ -7,7 +7,7 @@
 //! 1. transient read faults below the retry budget are absorbed — the
 //!    result is bit-identical to a clean run and `FaultStats::retries`
 //!    proves the retry path ran;
-//! 2. faults that exhaust the retry policy surface as typed
+//! 2. faults that exhaust the read's retries surface as typed
 //!    [`Error::Io`] in strict mode and as counted skips with a
 //!    [`ResultQuality::Partial`] tag in degraded mode;
 //! 3. a seeded mixed schedule (transients, bit flips, latency spikes) over
@@ -120,7 +120,7 @@ fn scenario_transient_absorbed(run: &mut SeedRun) -> Result<()> {
     Ok(())
 }
 
-/// Scenario 2: a fault that outlives the retry policy is a typed
+/// Scenario 2: a fault that outlives the read's retries is a typed
 /// [`Error::Io`] in strict mode and a counted skip in degraded mode.
 fn scenario_retry_exhausted(run: &mut SeedRun) -> Result<()> {
     const NAME: &str = "retry-exhausted";

@@ -31,8 +31,7 @@ use textjoin_collection::{Collection, Document, SynthSpec};
 use textjoin_common::{CollectionStats, DocId, Error, QueryParams, Result, SystemParams};
 use textjoin_core::{hhnl, hvnl, vvm, JoinResult, JoinSpec, Weighting};
 use textjoin_invfile::InvertedFile;
-use textjoin_live::wal::WalOp;
-use textjoin_live::{wal, LiveCollection};
+use textjoin_live::LiveCollection;
 use textjoin_storage::{DiskSim, FaultKind, FaultPlan, FileId};
 
 /// Hex dump of every page of `file`, tolerant of unreadable pages — an
@@ -395,19 +394,6 @@ pub fn crash_sweep(seed: u64, limit: u64) -> Result<u64> {
         }
     }
     Ok(killed)
-}
-
-/// Replays a WAL for diagnostics: op kinds only, no document payloads.
-pub fn wal_summary(disk: &Arc<DiskSim>, wal: FileId) -> String {
-    wal::replay(disk, wal)
-        .ops
-        .iter()
-        .map(|op| match op {
-            WalOp::Insert { id, .. } => format!("insert {}", id.raw()),
-            WalOp::Delete { id } => format!("delete {}", id.raw()),
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]

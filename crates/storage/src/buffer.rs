@@ -429,12 +429,6 @@ impl<'d> Prefetcher<'d> {
         }
     }
 
-    /// Overrides the readahead window (clamped to at least 1 page).
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
     /// Attaches an observability sink mirroring the prefetch counters.
     pub fn with_metrics(mut self, metrics: Option<PrefetchMetrics>) -> Self {
         self.metrics = metrics;
@@ -536,6 +530,13 @@ impl Drop for Prefetcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A prefetcher over `file` with a readahead window of `window` pages.
+    fn windowed(disk: &DiskSim, file: FileId, num_pages: u64, window: u64) -> Prefetcher<'_> {
+        let mut pf = Prefetcher::new(disk, file, num_pages);
+        pf.window = window;
+        pf
+    }
 
     fn setup(pages: u64, pool_pages: usize) -> (DiskSim, FileId, usize) {
         let disk = DiskSim::new(32);
@@ -709,7 +710,7 @@ mod tests {
     #[test]
     fn prefetcher_reads_each_page_exactly_once() {
         let (disk, f, _) = setup(13, 0);
-        let mut pf = Prefetcher::new(&disk, f, 13).with_window(4);
+        let mut pf = windowed(&disk, f, 13, 4);
         for p in 0..13 {
             pf.get(p).unwrap();
         }
@@ -765,7 +766,7 @@ mod tests {
     fn issued_equals_hits_plus_wasted_after_drop() {
         let (disk, f, _) = setup(40, 0);
         let stats = {
-            let mut pf = Prefetcher::new(&disk, f, 40).with_window(8);
+            let mut pf = windowed(&disk, f, 40, 8);
             // A scan with a skip and an early stop.
             for p in 0..10 {
                 pf.get(p).unwrap();
@@ -902,7 +903,7 @@ mod tests {
             let (disk, f, _) = setup(pages + tail, 0);
             let registry = textjoin_obs::Registry::new();
             let metrics = PrefetchMetrics::register(&registry, "m");
-            let mut pf = Prefetcher::new(&disk, f, pages).with_window(window).with_metrics(Some(metrics));
+            let mut pf = windowed(&disk, f, pages, window).with_metrics(Some(metrics));
             let mut model = Model::default();
             let (mut page, mut demanded) = (0, std::collections::BTreeSet::new());
             for (i, step) in steps.iter().enumerate() {
@@ -934,10 +935,9 @@ mod tests {
         ) {
             use proptest::prelude::*;
             let (disk, f, _) = setup(pages, 0);
-            let fault = crate::FaultKind::TransientRead { failures: 1 };
-            disk.set_retry_policy(crate::RetryPolicy { max_attempts: 1, ..Default::default() });
+            let fault = crate::FaultKind::TransientRead { failures: crate::READ_ATTEMPTS };
             disk.set_fault_plan(crate::FaultPlan::new().with_fault(f, faulty % pages, 0, fault));
-            let mut pf = Prefetcher::new(&disk, f, pages).with_window(window);
+            let mut pf = windowed(&disk, f, pages, window);
             let mut failed = 0;
             for page in 0..pages {
                 let data = match pf.get(page) {
@@ -963,7 +963,7 @@ mod tests {
         let (disk, f, _) = setup(20, 0);
         let g = disk.create_file("other").unwrap();
         disk.append_page(g, &[0u8; 32]).unwrap();
-        let mut pf = Prefetcher::new(&disk, f, 20).with_window(4);
+        let mut pf = windowed(&disk, f, 20, 4);
         for p in 0..4 {
             pf.get(p).unwrap();
         }

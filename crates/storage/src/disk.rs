@@ -49,7 +49,7 @@
 //! planned fault is pending or a write-crash is set, and the clock is read
 //! only while a [`DiskMetrics`] sink is attached.
 
-pub use crate::fault::{Backoff, Fault, FaultKind, FaultPlan, FaultStats, RetryPolicy};
+pub use crate::fault::{Fault, FaultKind, FaultPlan, FaultStats, READ_ATTEMPTS};
 pub use crate::page::{crc32, PageKind, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, PAGE_MAGIC};
 
 use crate::fault::FaultMachinery;
@@ -671,17 +671,6 @@ impl DiskSim {
         self.faults.with(|fm| fm.pending())
     }
 
-    /// Sets the read retry policy.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        assert!(policy.max_attempts >= 1, "at least one attempt required");
-        self.faults.with(|fm| fm.policy = policy);
-    }
-
-    /// The current read retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.faults.with(|fm| fm.policy)
-    }
-
     /// Snapshot of the cumulative fault-injection counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.with(|fm| fm.stats)
@@ -744,9 +733,10 @@ impl DiskSim {
     /// Shared read path: bounds check, fault injection and `snapshot` of
     /// the run under the `files` lock; header verification of that
     /// snapshot under no lock; then retry accounting and I/O pricing.
-    /// Transient faults are retried per the [`RetryPolicy`] (each retry
-    /// re-charged at the random rate); verification failures are *not*
-    /// retried — corruption is permanent, so a re-read cannot help.
+    /// Transient faults are retried up to [`READ_ATTEMPTS`] attempts in
+    /// all (each retry re-charged at the random rate); verification
+    /// failures are *not* retried — corruption is permanent, so a re-read
+    /// cannot help.
     fn read_pages<S: AsRef<[StoredPage]>>(
         &self,
         file: FileId,
@@ -1328,7 +1318,6 @@ mod tests {
         assert_eq!(fs.injected_transient, 1);
         assert_eq!(fs.retries, 1);
         assert_eq!(fs.gave_up, 0);
-        assert!(fs.backoff_us > 0, "exponential default backoff accrues");
         // Cold run of 6 pages + 1 re-read of the faulted page.
         assert_eq!(disk.stats().rand_reads, 7);
         assert_eq!(disk.pending_faults(), 0);
@@ -1366,12 +1355,6 @@ mod tests {
     #[test]
     fn exhausted_retries_give_up_with_typed_error() {
         let (disk, f) = disk_with_file(3);
-        disk.set_retry_policy(RetryPolicy {
-            max_attempts: 3,
-            backoff: Backoff::Fixed(10),
-            jitter_seed: None,
-            max_total_backoff_us: u64::MAX,
-        });
         disk.set_fault_plan(FaultPlan::new().with_fault(
             f,
             1,
@@ -1384,13 +1367,12 @@ mod tests {
             Error::Io {
                 file: "test".into(),
                 page: 1,
-                attempts: 3
+                attempts: READ_ATTEMPTS
             }
         );
         let fs = disk.fault_stats();
         assert_eq!(fs.gave_up, 1);
-        assert_eq!(fs.retries, 2);
-        assert_eq!(fs.backoff_us, 20);
+        assert_eq!(fs.retries, u64::from(READ_ATTEMPTS - 1));
         // The page recovers once the fault is spent: re-read succeeds.
         assert!(disk.read_page(f, 1).is_ok());
     }
@@ -1449,82 +1431,6 @@ mod tests {
         assert_eq!(registry.counter("faults.latency", "chaos").get(), 1);
         assert_eq!(registry.counter("disk.retries", "chaos").get(), 1);
         assert_eq!(registry.counter("disk.gave_up", "chaos").get(), 0);
-    }
-
-    #[test]
-    fn backoff_disciplines_scale_as_documented() {
-        assert_eq!(Backoff::None.delay_us(2), 0);
-        assert_eq!(Backoff::Fixed(50).delay_us(4), 50);
-        let e = Backoff::Exponential { base_us: 100 };
-        assert_eq!(e.delay_us(2), 100);
-        assert_eq!(e.delay_us(3), 200);
-        assert_eq!(e.delay_us(4), 400);
-    }
-
-    #[test]
-    fn jittered_backoff_desynchronizes_targets_deterministically() {
-        // The regression this guards: a fixed backoff gives every worker
-        // the *same* retry schedule, so workers that fault together retry
-        // together, re-colliding on every attempt. Jitter must (a) vary
-        // the delay across targets, (b) stay reproducible per target, and
-        // (c) stay within [base/2, base].
-        let policy = RetryPolicy {
-            backoff: Backoff::Fixed(1_000),
-            ..RetryPolicy::default()
-        };
-        let delays: Vec<u64> = (0..16u64)
-            .map(|page| policy.delay_us(FileId(0), page, 2))
-            .collect();
-        let distinct: std::collections::HashSet<u64> = delays.iter().copied().collect();
-        assert!(
-            distinct.len() > 8,
-            "16 targets produced only {} distinct delays: {delays:?}",
-            distinct.len()
-        );
-        for (page, &d) in delays.iter().enumerate() {
-            assert!((500..=1_000).contains(&d), "page {page}: {d}");
-            assert_eq!(
-                d,
-                policy.delay_us(FileId(0), page as u64, 2),
-                "reproducible"
-            );
-        }
-        // Different files desynchronize too, and jitter can be turned off.
-        assert_ne!(
-            (0..16u64)
-                .map(|p| policy.delay_us(FileId(1), p, 2))
-                .collect::<Vec<_>>(),
-            delays
-        );
-        let plain = RetryPolicy {
-            jitter_seed: None,
-            ..policy
-        };
-        assert_eq!(plain.delay_us(FileId(0), 3, 2), 1_000);
-    }
-
-    #[test]
-    fn total_backoff_per_read_is_capped() {
-        // Many faulted pages in one run under an exponential policy would
-        // accrue unbounded wall time; the cap bounds the sum.
-        let (disk, f) = disk_with_file(8);
-        disk.set_retry_policy(RetryPolicy {
-            max_attempts: 4,
-            backoff: Backoff::Exponential { base_us: 1_000 },
-            jitter_seed: None,
-            max_total_backoff_us: 2_500,
-        });
-        let mut plan = FaultPlan::new();
-        for page in 0..8 {
-            plan = plan.with_fault(f, page, 0, FaultKind::TransientRead { failures: 3 });
-        }
-        disk.set_fault_plan(plan);
-        let pages = disk.read_run(f, 0, 8).unwrap();
-        assert_eq!(pages.len(), 8);
-        let fs = disk.fault_stats();
-        // Uncapped this would be 8 pages × (1000 + 2000 + 4000) = 56 000.
-        assert_eq!(fs.backoff_us, 2_500, "cap bounds the operation's backoff");
-        assert_eq!(fs.retries, 24, "retries still happen past the cap");
     }
 
     #[test]

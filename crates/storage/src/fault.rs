@@ -1,8 +1,9 @@
 //! Device misbehaviour on demand: a seeded [`FaultPlan`] injects transient
 //! read errors, torn writes, single-bit flips and latency spikes on chosen
-//! `(file, page, nth-access)` triples, a [`RetryPolicy`] governs how often
-//! a transient read failure is re-attempted before the read gives up, and
-//! every injected fault, retry and give-up is counted in [`FaultStats`].
+//! `(file, page, nth-access)` triples, a transient read failure is
+//! re-attempted up to [`READ_ATTEMPTS`] times in all before the read gives
+//! up, and every injected fault, retry and give-up is counted in
+//! [`FaultStats`]. The simulator never waits between attempts.
 //!
 //! All of it sits behind one mutex, beside one flag that says whether a
 //! read or write has anything to ask it — an idle disk reads only the flag.
@@ -18,8 +19,8 @@ use textjoin_common::{Error, Result};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The read fails `failures` consecutive times, then succeeds — the
-    /// classic recoverable device hiccup. Whether it is absorbed depends
-    /// on the [`RetryPolicy`].
+    /// classic recoverable device hiccup. It is absorbed when `failures`
+    /// is below [`READ_ATTEMPTS`].
     TransientRead {
         /// Consecutive failures before the page reads cleanly.
         failures: u32,
@@ -128,95 +129,9 @@ impl FaultPlan {
     }
 }
 
-/// How long to wait between retry attempts. The simulator never sleeps;
-/// delays are accumulated into [`FaultStats::backoff_us`] so tests can
-/// assert the policy was honoured.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backoff {
-    /// Retry immediately.
-    None,
-    /// A fixed delay (µs) before every retry.
-    Fixed(u64),
-    /// `base_us`, doubling on each further retry.
-    Exponential {
-        /// Delay before the first retry, in µs.
-        base_us: u64,
-    },
-}
-
-impl Backoff {
-    /// Delay before attempt number `attempt` (attempt 2 = first retry).
-    pub fn delay_us(&self, attempt: u32) -> u64 {
-        match *self {
-            Backoff::None => 0,
-            Backoff::Fixed(us) => us,
-            Backoff::Exponential { base_us } => {
-                base_us.saturating_mul(1u64 << (attempt.saturating_sub(2)).min(63))
-            }
-        }
-    }
-}
-
-/// How the read path responds to transient faults.
-///
-/// Backoff delays are *jittered* by default: a fleet of workers that all
-/// hit the same hiccup at the same time would otherwise retry in lockstep
-/// (their fixed/exponential schedules are identical), re-colliding on
-/// every attempt. The jitter is deterministic — derived from
-/// `(jitter_seed, file, page, attempt)` via SplitMix64 — so two workers
-/// retrying *different* pages desynchronize while any single schedule
-/// stays exactly reproducible. `max_total_backoff_us` caps the cumulative
-/// backoff one read operation may accrue, bounding worst-case retry wall
-/// time no matter how many pages of the run fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per page (1 = no retries). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Wait discipline between attempts.
-    pub backoff: Backoff,
-    /// Seed for deterministic per-`(file, page, attempt)` jitter. `None`
-    /// disables jitter (the pre-jitter synchronized schedule, kept for
-    /// tests that assert exact delays).
-    pub jitter_seed: Option<u64>,
-    /// Upper bound on the backoff one read operation may accumulate, in
-    /// µs. Retries past the cap still happen — they just stop waiting.
-    pub max_total_backoff_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Backoff::Exponential { base_us: 100 },
-            jitter_seed: Some(0x7465_786A_6F69_6E21),
-            max_total_backoff_us: 5_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The (possibly jittered) delay before `attempt` on `(file, page)`.
-    /// With jitter enabled the delay is drawn uniformly from
-    /// `[base/2, base]` ("equal jitter"), deterministically per target —
-    /// the same page always backs off identically, different pages
-    /// desynchronize.
-    pub fn delay_us(&self, file: FileId, page: u64, attempt: u32) -> u64 {
-        let base = self.backoff.delay_us(attempt);
-        let Some(seed) = self.jitter_seed else {
-            return base;
-        };
-        if base == 0 {
-            return 0;
-        }
-        let mut state = seed
-            ^ ((file.raw() as u64) << 40)
-            ^ page.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ ((attempt as u64) << 24);
-        let r = splitmix64(&mut state);
-        let half = base / 2;
-        half + r % (base - half + 1)
-    }
-}
+/// Attempts a read makes of a page before it gives up with
+/// [`Error::Io`]: the first read and two retries.
+pub const READ_ATTEMPTS: u32 = 3;
 
 /// Cumulative fault-injection and recovery counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -232,21 +147,11 @@ pub struct FaultStats {
     /// Read attempts beyond the first (whether or not the page was
     /// eventually read).
     pub retries: u64,
-    /// Pages abandoned after `max_attempts` failures.
+    /// Pages abandoned after [`READ_ATTEMPTS`] failures.
     pub gave_up: u64,
-    /// Simulated backoff accumulated across all retries, in µs.
-    pub backoff_us: u64,
 }
 
 impl FaultStats {
-    /// Total faults injected, of any kind.
-    pub fn total_injected(&self) -> u64 {
-        self.injected_transient
-            + self.injected_torn
-            + self.injected_bit_flips
-            + self.injected_latency
-    }
-
     fn accumulate(&mut self, d: &FaultStats) {
         self.injected_transient += d.injected_transient;
         self.injected_torn += d.injected_torn;
@@ -254,7 +159,6 @@ impl FaultStats {
         self.injected_latency += d.injected_latency;
         self.retries += d.retries;
         self.gave_up += d.gave_up;
-        self.backoff_us += d.backoff_us;
     }
 }
 
@@ -278,7 +182,6 @@ pub(crate) struct FaultState {
     /// only while `plan` is non-empty — an idle plan costs no map insert
     /// per page and the map cannot grow over a long run.
     access_counts: HashMap<(FileId, u64, bool), u64>,
-    pub(crate) policy: RetryPolicy,
     pub(crate) stats: FaultStats,
     /// Simulated power-cut: `Some(n)` lets `n` more page writes succeed,
     /// then every write fails until cleared (a "restart").
@@ -315,24 +218,16 @@ impl FaultState {
         if self.plan.is_empty() {
             return None;
         }
-        let policy = self.policy;
         let mut hit = ReadFaults::default();
         for p in pages {
             match self.take_fault(file, p, false) {
                 Some(FaultKind::TransientRead { failures }) => {
                     hit.delta.injected_transient += 1;
-                    let attempts = (failures + 1).min(policy.max_attempts);
-                    hit.delta.retries += u64::from(attempts.saturating_sub(1));
-                    for a in 2..=attempts {
-                        // The cap bounds this read, however many pages fault.
-                        let room = policy
-                            .max_total_backoff_us
-                            .saturating_sub(hit.delta.backoff_us);
-                        hit.delta.backoff_us += policy.delay_us(file, p, a).min(room);
-                    }
-                    if failures >= policy.max_attempts {
+                    let attempts = failures.saturating_add(1).min(READ_ATTEMPTS);
+                    hit.delta.retries += u64::from(attempts - 1);
+                    if failures >= READ_ATTEMPTS {
                         hit.delta.gave_up += 1;
-                        hit.gave_up.get_or_insert((p, policy.max_attempts));
+                        hit.gave_up.get_or_insert((p, READ_ATTEMPTS));
                     }
                 }
                 Some(FaultKind::BitFlip { bit_offset }) => {

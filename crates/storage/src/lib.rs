@@ -26,7 +26,8 @@
 //!
 //! The layer is also chaos-ready: every page carries a checksummed header
 //! verified on read, a seeded [`FaultPlan`] injects deterministic device
-//! misbehaviour, and a [`RetryPolicy`] absorbs transient read failures —
+//! misbehaviour, and up to [`READ_ATTEMPTS`] attempts absorb transient read
+//! failures —
 //! see the [`disk`], [`page`] and [`fault`] module docs.
 
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
@@ -44,8 +45,8 @@ pub use buffer::{
     DEFAULT_PREFETCH_WINDOW,
 };
 pub use disk::{
-    Backoff, DiskMetrics, DiskSim, Fault, FaultKind, FaultPlan, FaultStats, FileId, IoStats,
-    PageKind, PageLatency, RetryPolicy, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, READ_NS_PER_BYTE,
+    DiskMetrics, DiskSim, Fault, FaultKind, FaultPlan, FaultStats, FileId, IoStats, PageKind,
+    PageLatency, PAGE_FORMAT_VERSION, PAGE_HEADER_BYTES, READ_ATTEMPTS, READ_NS_PER_BYTE,
 };
 pub use memory::MemTracker;
 pub use packed::{PackedReader, PackedWriter};

@@ -158,7 +158,7 @@ impl<'d> PackedReader<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultKind, FaultPlan, RetryPolicy};
+    use crate::{FaultKind, FaultPlan, READ_ATTEMPTS};
     use proptest::prelude::*;
 
     /// Record `i`'s bytes: distinct from its neighbours' at every offset.
@@ -239,8 +239,7 @@ mod tests {
 
             // One page fails once: the scan loses one record, no more.
             if num_pages > 0 {
-                let fault = FaultKind::TransientRead { failures: 1 };
-                disk.set_retry_policy(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
+                let fault = FaultKind::TransientRead { failures: READ_ATTEMPTS };
                 disk.set_fault_plan(FaultPlan::new().with_fault(file, faulty % num_pages, 0, fault));
                 let mut reader = PackedReader::new(&disk, file, num_pages, None);
                 let mut lost = 0;

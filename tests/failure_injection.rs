@@ -10,7 +10,7 @@ use textjoin::common::Error;
 use textjoin::core::{hhnl, hvnl, vvm, ResultQuality};
 use textjoin::invfile::BTreeFile;
 use textjoin::prelude::*;
-use textjoin::storage::{DiskSim, FaultKind, FaultPlan};
+use textjoin::storage::{DiskSim, FaultKind, FaultPlan, READ_ATTEMPTS};
 
 fn collection_on(disk: &Arc<DiskSim>) -> Collection {
     SynthSpec::from_stats(CollectionStats::new(40, 12.0, 200), 5)
@@ -172,7 +172,7 @@ fn exhausted_retries_surface_as_typed_io_error() {
     let c = collection_on(&disk);
     let file = c.store().file();
 
-    // Nine failures outlive the default three attempts.
+    // Nine failures outlive the three attempts a read makes.
     disk.set_fault_plan(FaultPlan::new().with_fault(
         file,
         0,
@@ -186,7 +186,7 @@ fn exhausted_retries_surface_as_typed_io_error() {
             ref file, attempts, ..
         } => {
             assert!(file.contains('c'), "error names the file: {err}");
-            assert_eq!(attempts, disk.retry_policy().max_attempts);
+            assert_eq!(attempts, READ_ATTEMPTS);
         }
         other => panic!("expected Error::Io, got {other:?}"),
     }

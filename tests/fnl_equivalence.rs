@@ -1,11 +1,10 @@
 //! Property: FNL is a *lossless* optimization of HHNL.
 //!
-//! At the registered threshold (τ = 1) the prefix/position signature
-//! filter may only prune document pairs whose exact score the top-λ heap
-//! could never admit, so FNL's result must be **byte-identical** to
-//! sequential HHNL's — same matches, same scores, same tie-breaks — at
-//! every λ, every buffer budget, and with or without a delta overlay on
-//! the inner side. Raw-count weighting keeps scores integer-valued, so
+//! FNL scores every pair with a common term, exactly the pairs with a
+//! nonzero score that HHNL offers its top-λ heaps, so FNL's result must be
+//! **byte-identical** to sequential HHNL's — same matches, same scores,
+//! same tie-breaks — at every λ, every buffer budget, and with or without
+//! a delta overlay on the inner side. Raw-count weighting keeps scores integer-valued, so
 //! "identical" means bit-equal, not approximately equal.
 //!
 //! A second property covers the degraded read path: with a bit flipped in
