@@ -22,8 +22,16 @@
 //! *possible* pair, which the ledger does not see; rows are therefore flat
 //! only while `slots · width · 8 ≤ 4·B·P`
 //! ([`FLAT_BUDGETS`] buffers' worth), decided once from the inputs, and
-//! each row is a `HashMap` otherwise. Both arms add the same values in the
-//! same (term) order, so scores are bit-identical across them.
+//! each row is a `HashMap` otherwise.
+//!
+//! **Why a flat add needs no branch.** A flat sum whose seen-bit is clear
+//! is `+0.0` (growth zero-fills, reset zeroes what it clears), so an add
+//! sets the bit and adds, touched or not. A pair's first add is then
+//! `+0.0 + v`, which has the bits of `v` for every `v` but `−0.0`, and no
+//! step adds `−0.0`: a value is `u·w·factor` with `u16` weights and
+//! `factor > 0` ([`factor`] drops the zero ones), and a fold adds sums of
+//! such values. So the sparse arm, which stores a first value as it is,
+//! and the flat arm agree to the bit, and scores do not depend on the arm.
 
 use crate::driver::{Counters, Passes, Row as ResultRow, Run};
 use crate::hvnl::{Fetch, HvnlOptions};
@@ -182,7 +190,9 @@ impl InnerMask {
 /// One outer document's sums by inner document number. A flat row keeps a
 /// seen-bit per number beside the sums, so a sum of `0.0`, an infinity or a
 /// NaN is still a touched cell; the bits drive emit, fold and reset, and a
-/// sum is only ever read under a set bit (reset clears the bits alone).
+/// sum is only ever read under a set bit. A flat sum without its bit is
+/// `+0.0`: growth zero-fills, and reset zeroes the sums under the bits it
+/// clears.
 enum Row {
     Flat { sums: Vec<f64>, seen: Vec<u64> },
     Sparse(HashMap<u32, f64>),
@@ -211,20 +221,14 @@ impl Row {
         }
     }
 
-    /// Adds `value` to document `d`'s sum (a flat row has room for `d`).
-    /// A pair's first value is stored as it is in both arms, so they agree
-    /// to the bit.
+    /// Adds `value` to document `d`'s sum (a flat row has room for `d`;
+    /// an unseen flat sum is `+0.0`, see the module doc).
     #[inline]
     fn add(&mut self, d: u32, value: f64) {
         match self {
             Row::Flat { sums, seen } => {
-                let (word, bit) = (&mut seen[d as usize / 64], 1 << (d % 64));
-                if *word & bit != 0 {
-                    sums[d as usize] += value;
-                } else {
-                    *word |= bit;
-                    sums[d as usize] = value;
-                }
+                seen[d as usize / 64] |= 1 << (d % 64);
+                sums[d as usize] += value;
             }
             Row::Sparse(map) => match map.entry(d) {
                 Entry::Occupied(mut e) => *e.get_mut() += value,
@@ -416,7 +420,15 @@ impl Rows {
     /// returns the bytes its pairs were charged (the caller releases them).
     fn reset(&mut self, slot: usize) -> u64 {
         match &mut self.rows[slot] {
-            Row::Flat { seen, .. } => seen.fill(0),
+            Row::Flat { sums, seen } => {
+                for (w, word) in seen.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        sums[w * 64 + bits.trailing_zeros() as usize] = 0.0;
+                        bits &= bits - 1;
+                    }
+                }
+            }
             Row::Sparse(map) => map.clear(),
         }
         std::mem::take(&mut self.charged[slot])
@@ -450,6 +462,16 @@ mod tests {
 
     fn free(_: u64) -> Result<()> {
         Ok(())
+    }
+
+    /// A reset slot's flat sums are all `+0.0`, bit for bit, whatever they
+    /// held: the next add to any of them is a first add.
+    fn assert_zeroed(rows: &Rows, slot: usize) {
+        if let Row::Flat { sums, seen } = &rows.rows[slot] {
+            assert!(!sums.is_empty(), "the row was grown");
+            assert!(sums.iter().all(|s| s.to_bits() == 0), "{sums:?}");
+            assert!(seen.iter().all(|&w| w == 0));
+        }
     }
 
     #[test]
@@ -519,6 +541,8 @@ mod tests {
             .unwrap();
             assert_eq!(charged, 0);
             assert_eq!(rows.reset(0), 2 * ACC_BYTES);
+            // The NaN and the ∞ are gone with their bits.
+            assert_zeroed(&rows, 0);
         }
         for mut rows in arms() {
             rows.apply(1, &cells(&[(8, 0)]), 7, 1.0, None, None, free)
@@ -538,6 +562,7 @@ mod tests {
                 .unwrap();
             assert_eq!(rows.reset(0), 2 * ACC_BYTES);
             assert!(sums(&rows, 0).is_empty());
+            assert_zeroed(&rows, 0);
             assert_eq!(rows.charged(), ACC_BYTES, "slot 1 is untouched");
             // The next document starts from nothing: 2 is charged again and
             // its sum is the new value alone, 40 does not come back.

@@ -17,6 +17,15 @@
 //! for the passes still to come, and the next pass starts where it stopped;
 //! a run is never rerun.
 //!
+//! A pass reads every page of both files but decodes only what its chunk
+//! uses. The merge compares directory terms, so an entry whose term the
+//! other file lacks is stepped past undecoded. A shared outer entry is
+//! decoded, and each query's chunk holds one run of its cells (the chunk is
+//! a range of ascending ids, the entry is sorted by document): two binary
+//! searches find it. The inner entry is decoded only when some run is not
+//! empty. Stepping past an entry reads its pages and fails where reading it
+//! would, so pages, skips and errors are those of a pass that decodes all.
+//!
 //! The budget is charged the paper's 4 bytes per non-zero pair and nothing
 //! else. What is VVM's own here is the parts, the partition count and the
 //! split of an overflowing pass, and the merge; the step, the rows and the
@@ -29,6 +38,7 @@ use crate::batch::BatchOutcome;
 use crate::driver::{drive, sole, Counters, Run};
 use crate::result::JoinOutcome;
 use crate::spec::JoinSpec;
+use std::cmp::Ordering;
 use std::iter::Peekable;
 use std::ops::Range;
 use textjoin_common::{DocId, Error, ICell, Result};
@@ -293,48 +303,95 @@ impl MergePartial {
             counters: vec![Counters::default(); specs.len()],
             skipped_entries: 0,
         };
-        // Moves one side to its next readable entry, range by range. In
-        // degraded mode an unreadable one — base or flushed delta — is
-        // skipped and counted so the merge goes on; otherwise the first read
-        // error aborts it.
-        let mut advance = |side: &mut Peekable<_>, cells: &mut Vec<ICell>| loop {
-            match side.peek_mut().map(|s: &mut DeltaScan| s.next_into(cells)) {
-                None => return Ok(None),
+        // The next entry's term on one side, range by range, from the
+        // directories.
+        let peek = |side: &mut Peekable<_>| loop {
+            match side.peek().map(|scan: &DeltaScan| scan.peek_term()) {
                 Some(None) => drop(side.next()),
-                Some(Some(Ok(term))) => return Ok(Some(term)),
-                Some(Some(Err(e))) if spec0.skippable(&e) => partial.skipped_entries += 1,
-                Some(Some(Err(e))) => return Err(e),
+                Some(term) => return term,
+                None => return None,
+            }
+        };
+        // Reads one side's peeked entry into `cells`, or steps past it when
+        // `None`: `Ok(true)` once it is read. In degraded mode an
+        // unreadable one — base or flushed delta — is skipped and counted
+        // so the merge goes on; otherwise the first read error aborts it.
+        let mut take = |side: &mut Peekable<_>, cells: Option<&mut Vec<ICell>>| {
+            let scan: &mut DeltaScan = side.peek_mut().expect("an entry was peeked");
+            let read = match cells {
+                Some(cells) => scan.next_into(cells),
+                None => scan.skip(),
+            };
+            match read {
+                Some(Err(e)) if spec0.skippable(&e) => {
+                    partial.skipped_entries += 1;
+                    Ok(false)
+                }
+                Some(Err(e)) => Err(e),
+                _ => Ok(true),
             }
         };
         let mut inner = part.entries(spec0, part.inner_inv, spec0.inner_delta, "inv1");
         let mut outer = part.entries(spec0, part.outer_inv, None, "inv2");
         let (mut inner_cells, mut outer_cells) = (Vec::new(), Vec::new());
-        let mut inner_term = advance(&mut inner, &mut inner_cells)?;
-        let mut outer_term = advance(&mut outer, &mut outer_cells)?;
+        // The term of the outer entry in `outer_cells` while inner entries
+        // of that term may still come (one that fails leaves it current),
+        // and per query its factor and the run of its chunk's cells there.
+        let mut current = None;
+        let mut runs: Vec<Option<(f64, Range<usize>)>> = Vec::with_capacity(specs.len());
         let charge = |bytes| tracker.allocate(bytes, "VVM similarity accumulators");
-        // Merge by term: advance the scan with the smaller term.
-        while let (Some(inner_t), Some(outer_t)) = (inner_term, outer_term) {
+        // Merge by term: step past the smaller term's entry.
+        while let Some(inner_t) = peek(&mut inner) {
+            let Some(outer_t) = current.or_else(|| peek(&mut outer)) else {
+                break;
+            };
             match inner_t.cmp(&outer_t) {
-                std::cmp::Ordering::Less => inner_term = advance(&mut inner, &mut inner_cells)?,
-                std::cmp::Ordering::Greater => outer_term = advance(&mut outer, &mut outer_cells)?,
-                std::cmp::Ordering::Equal => {
-                    let per_query = (specs.iter().zip(masks))
+                Ordering::Less => drop(take(&mut inner, None)?),
+                Ordering::Greater if current.take().is_some() => {}
+                Ordering::Greater => drop(take(&mut outer, None)?),
+                Ordering::Equal => {
+                    if current.is_none() {
+                        if !take(&mut outer, Some(&mut outer_cells))? {
+                            continue;
+                        }
+                        current = Some(outer_t);
+                        let run = |(spec, &chunk)| {
+                            Some((factor(spec, outer_t)?, chunk_run(&outer_cells, chunk)))
+                        };
+                        runs.clear();
+                        runs.extend(specs.iter().zip(chunks).map(run));
+                    }
+                    let used = runs.iter().flatten().any(|(_, run)| !run.is_empty());
+                    if !take(&mut inner, used.then_some(&mut inner_cells))? {
+                        continue;
+                    }
+                    current = None;
+                    let per_query = (specs.iter().zip(masks).zip(&runs))
                         .zip(partial.rows.iter_mut().zip(&mut partial.counters));
-                    for ((spec, mask), (rows, counters)) in per_query {
-                        let Some(factor) = factor(spec, inner_t) else {
+                    for (((spec, mask), run), (rows, counters)) in per_query {
+                        let &Some((factor, ref run)) = run else {
                             continue;
                         };
-                        for &oc in &outer_cells {
+                        for &oc in &outer_cells[run.clone()] {
                             if let Some(slot) = rows.slot(oc.doc) {
                                 let query = (spec, mask.as_ref());
                                 rows.step(slot, oc, factor, &inner_cells, query, counters, charge)?;
                             }
                         }
                     }
-                    inner_term = advance(&mut inner, &mut inner_cells)?;
-                    outer_term = advance(&mut outer, &mut outer_cells)?;
                 }
             }
+        }
+        // The side the other outlasts reads on through its next readable
+        // entry, as a merge holding each side's next entry decoded does, so
+        // a pass reads the same pages however little of them it decodes.
+        let rest = match peek(&mut inner) {
+            None if current.is_some() => None,
+            None => Some(&mut outer),
+            Some(_) => Some(&mut inner),
+        };
+        if let Some(side) = rest {
+            while peek(side).is_some() && !take(side, None)? {}
         }
         Ok(partial)
     }
@@ -358,10 +415,21 @@ impl MergePartial {
     }
 }
 
+/// Where `chunk`'s documents (ascending) lie in `cells` (an entry,
+/// ascending by document): the one run between its first and last id. A
+/// selected chunk's run may hold documents between its ids too.
+fn chunk_run(cells: &[ICell], chunk: &[DocId]) -> Range<usize> {
+    let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) else {
+        return 0..0;
+    };
+    let start = cells.partition_point(|c| c.doc < first);
+    start..start + cells[start..].partition_point(|c| c.doc <= last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::naive_join;
+    use crate::reference::{naive_join, naive_join_full};
     use crate::spec::OuterDocs;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -589,20 +657,20 @@ mod tests {
         }
     }
 
-    /// A flipped bit in one page of the flushed side file: degraded VVM
-    /// skips exactly the delta entries on that page, one count each, and
-    /// joins everything else — the tail, the base and the rest of the side
-    /// file.
-    #[test]
-    fn degraded_merge_skips_each_unreadable_delta_entry() {
-        let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(30, 20, 10.0, 80, 128);
-        let base = d1.len() as u32;
-        let inserted =
+    /// A flushed side file and a tail of inserts numbered from `base`,
+    /// with a bit flipped in the side file's first page: the overlay, the
+    /// terms of the flushed entries on that page, and the flushed and tail
+    /// documents.
+    fn damaged_overlay(
+        disk: &Arc<DiskSim>,
+        base: u32,
+    ) -> (DeltaOverlay, Vec<TermId>, Vec<Document>, Vec<Document>) {
+        let mut inserted =
             SynthSpec::from_stats(CollectionStats::new(24, 10.0, 80), 43).generate_docs();
-        let (flushed, tail) = inserted.split_at(16);
-        let mut store = DocumentStoreBuilder::new(Arc::clone(&disk), "c1.g1.docs").unwrap();
+        let tail = inserted.split_off(16);
+        let mut store = DocumentStoreBuilder::new(Arc::clone(disk), "c1.g1.docs").unwrap();
         let mut postings: HashMap<TermId, Vec<ICell>> = HashMap::new();
-        for (id, doc) in (base..).zip(flushed) {
+        for (id, doc) in (base..).zip(&inserted) {
             store.add_with_id(DocId::new(id), doc).unwrap();
             for cell in doc.cells() {
                 let posting = ICell::new(DocId::new(id), cell.weight);
@@ -613,14 +681,14 @@ mod tests {
         overlay.set_flushed(FlushedDelta {
             store: store.finish().unwrap(),
             inv: InvertedFile::from_postings_with(
-                Arc::clone(&disk),
+                Arc::clone(disk),
                 "c1.g1",
                 postings,
                 PostingCodec::Fixed5,
             )
             .unwrap(),
         });
-        for (id, doc) in (base + 16..).zip(tail) {
+        for (id, doc) in (base + 16..).zip(&tail) {
             overlay.insert_tail(DocId::new(id), doc.clone());
         }
         let side = &overlay.flushed().unwrap().inv;
@@ -637,7 +705,23 @@ mod tests {
             .map(|m| m.term)
             .collect();
         assert!(lost.len() > 1, "the page must hold several entries");
+        (overlay, lost, inserted, tail)
+    }
 
+    /// `doc` without its cells of the `lost` terms.
+    fn without(doc: &Document, lost: &[TermId]) -> Document {
+        let kept = doc.cells().iter().filter(|c| !lost.contains(&c.term));
+        Document::from_sorted_cells(kept.copied().collect())
+    }
+
+    /// A flipped bit in one page of the flushed side file: degraded VVM
+    /// skips exactly the delta entries on that page, one count each, and
+    /// joins everything else — the tail, the base and the rest of the side
+    /// file.
+    #[test]
+    fn degraded_merge_skips_each_unreadable_delta_entry() {
+        let (disk, c1, c2, inv1, inv2, d1, d2) = fixture(30, 20, 10.0, 80, 128);
+        let (overlay, lost, flushed, tail) = damaged_overlay(&disk, d1.len() as u32);
         let spec = JoinSpec::new(&c1, &c2)
             .with_query(QueryParams::paper_base().with_lambda(5))
             .with_inner_delta(&overlay);
@@ -646,15 +730,87 @@ mod tests {
         assert_eq!(got.stats.passes, 1);
         assert_eq!(got.quality, crate::ResultQuality::Partial);
         assert_eq!(got.stats.skipped_entries, lost.len() as u64);
-        let without = |doc: &Document| {
-            let kept = doc.cells().iter().filter(|c| !lost.contains(&c.term));
-            Document::from_sorted_cells(kept.copied().collect())
-        };
         let all: Vec<Document> = (d1.iter().cloned())
-            .chain(flushed.iter().map(without))
+            .chain(flushed.iter().map(|doc| without(doc, &lost)))
             .chain(tail.iter().cloned())
             .collect();
         let want = naive_join(&all, &d2, OuterDocs::Full, 5, crate::Weighting::RawCount);
+        assert_eq!(got.result, want);
+    }
+
+    /// The same damage over several passes, where one outer document alone
+    /// holds the lost terms: the chunk holding it decodes the inner
+    /// entries of those terms' neighbours, the other chunks step past them,
+    /// and every pass meets the bad page and counts its entries again.
+    #[test]
+    fn a_multi_pass_degraded_merge_counts_each_pass_s_skips() {
+        let (disk, c1, _, inv1, _, d1, d2) = fixture(30, 20, 10.0, 80, 128);
+        let (overlay, lost, flushed, tail) = damaged_overlay(&disk, d1.len() as u32);
+        let holds_lost = |doc: &Document| doc.cells().iter().any(|c| lost.contains(&c.term));
+        let keeper = d2
+            .iter()
+            .position(holds_lost)
+            .expect("an outer document holds a lost term");
+        let d2: Vec<Document> = (d2.iter().enumerate())
+            .map(|(i, doc)| {
+                if i == keeper {
+                    doc.clone()
+                } else {
+                    without(doc, &lost)
+                }
+            })
+            .collect();
+        let c2 = Collection::build(Arc::clone(&disk), "c2.kept", d2.clone()).unwrap();
+        let inv2 = InvertedFile::build(Arc::clone(&disk), "c2.kept", &c2).unwrap();
+        let spec = JoinSpec::new(&c1, &c2)
+            .with_sys(SystemParams {
+                buffer_pages: 12,
+                page_size: 128,
+                alpha: 5.0,
+            })
+            .with_query(QueryParams::paper_base().with_lambda(5))
+            .with_inner_delta(&overlay)
+            .with_degraded();
+        let got = execute(&spec, &inv1, &inv2).unwrap();
+        assert!(got.stats.passes >= 3, "{} passes", got.stats.passes);
+        assert_eq!(got.quality, crate::ResultQuality::Partial);
+        // 3 entries on the bad page, in each of 4 passes.
+        assert_eq!(got.stats.skipped_entries, 12);
+        let all: Vec<Document> = (d1.iter().cloned())
+            .chain(flushed.iter().map(|doc| without(doc, &lost)))
+            .chain(tail.iter().cloned())
+            .collect();
+        let want = naive_join(&all, &d2, OuterDocs::Full, 5, crate::Weighting::RawCount);
+        assert_eq!(got.result, want);
+    }
+
+    /// A selected self-join without the self pairs, over several passes:
+    /// a chunk's run in an outer entry holds the unselected documents
+    /// between its ids, and none of them is scored.
+    #[test]
+    fn a_selected_self_join_over_passes_matches_the_reference() {
+        let (_, c1, _, inv1, _, d1, _) = fixture(40, 1, 10.0, 50, 128);
+        let chosen: Vec<DocId> = (1..40).step_by(3).map(DocId::new).collect();
+        let spec = JoinSpec::new(&c1, &c1)
+            .with_sys(SystemParams {
+                buffer_pages: 12,
+                page_size: 128,
+                alpha: 5.0,
+            })
+            .with_outer_docs(OuterDocs::Selected(&chosen))
+            .with_query(QueryParams::paper_base().with_lambda(4))
+            .with_exclude_self();
+        let got = execute(&spec, &inv1, &inv1).unwrap();
+        assert!(got.stats.passes > 1, "expected partitioning, got 1 pass");
+        let want = naive_join_full(
+            &d1,
+            &d1,
+            OuterDocs::Selected(&chosen),
+            None,
+            4,
+            crate::Weighting::RawCount,
+            true,
+        );
         assert_eq!(got.result, want);
     }
 

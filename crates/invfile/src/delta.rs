@@ -372,46 +372,88 @@ impl<'a> DeltaScan<'a> {
         scan
     }
 
+    /// The term of the entry the next call reads or skips, from the
+    /// directories and the tail (no I/O); `None` at the end. An error that
+    /// call returns is an error of this term.
+    pub fn peek_term(&self) -> Option<TermId> {
+        self.held
+            .or_else(|| self.heads().into_iter().flatten().min())
+    }
+
+    /// The next term of each layer: base, flushed, tail.
+    fn heads(&self) -> [Option<TermId>; 3] {
+        [
+            self.base.as_ref().and_then(EntryScanner::peek_term),
+            self.flushed.as_ref().and_then(EntryScanner::peek_term),
+            self.tail.first().map(|&(t, _)| t),
+        ]
+    }
+
     /// Reads the next merged entry into `cells` (replacing what it held,
     /// keeping its capacity) and returns its term; `None` at the end.
     pub fn next_into(&mut self, cells: &mut Vec<ICell>) -> Option<Result<TermId>> {
+        self.advance(Some(cells))
+    }
+
+    /// Steps past the next merged entry without decoding it and returns its
+    /// term; `None` at the end. It reads the pages
+    /// [`next_into`](Self::next_into) would and fails where it would. When
+    /// the base's entry of a term fails, the next call yields the term's
+    /// upper layers; after a `skip` that call must be a `skip` too, as
+    /// their cells were not read.
+    pub fn skip(&mut self) -> Option<Result<TermId>> {
+        self.advance(None)
+    }
+
+    /// One merged entry: decoded into `cells` when given, stepped past
+    /// otherwise.
+    fn advance(&mut self, mut cells: Option<&mut Vec<ICell>>) -> Option<Result<TermId>> {
+        let read = |scan: &mut EntryScanner, cells: Option<&mut Vec<ICell>>| match cells {
+            Some(cells) => scan.next_into(cells),
+            None => scan.skip(),
+        };
         if let Some(term) = self.held.take() {
-            std::mem::swap(cells, &mut self.upper);
+            if let Some(cells) = cells {
+                std::mem::swap(cells, &mut self.upper);
+            }
             return Some(Ok(term));
         }
         if self.flushed.is_none() && self.tail.is_empty() {
             // Nothing above the base: its entries pass through.
-            return self.base.as_mut()?.next_into(cells);
+            return read(self.base.as_mut()?, cells);
         }
-        let base = self.base.as_ref().and_then(EntryScanner::peek_term);
-        let flushed = self.flushed.as_ref().and_then(EntryScanner::peek_term);
-        let tail = self.tail.first().map(|&(t, _)| t);
-        let term = base.into_iter().chain(flushed).chain(tail).min()?;
-        let [in_base, in_flushed, in_tail] = [base, flushed, tail].map(|t| t == Some(term));
+        let heads = self.heads();
+        let term = heads.into_iter().flatten().min()?;
+        let [in_base, in_flushed, in_tail] = heads.map(|t| t == Some(term));
         // The upper layers first: straight into `cells` unless the base's
         // entry goes before them.
-        let upper = if in_base {
-            &mut self.upper
-        } else {
-            &mut *cells
-        };
-        upper.clear();
+        let mut upper = (cells.as_deref_mut()).map(|cells| match in_base {
+            true => &mut self.upper,
+            false => cells,
+        });
+        if let Some(upper) = upper.as_deref_mut() {
+            upper.clear();
+        }
         if in_flushed {
-            if let Err(e) = self.flushed.as_mut()?.next_into(upper)? {
+            if let Err(e) = read(self.flushed.as_mut()?, upper.as_deref_mut())? {
                 return Some(Err(e));
             }
         }
         if in_tail {
             let ((_, tail), rest) = self.tail.split_first()?;
-            upper.extend_from_slice(tail);
+            if let Some(upper) = upper {
+                upper.extend_from_slice(tail);
+            }
             self.tail = rest;
         }
         if in_base {
-            if let Err(e) = self.base.as_mut()?.next_into(cells)? {
+            if let Err(e) = read(self.base.as_mut()?, cells.as_deref_mut())? {
                 self.held = (in_flushed || in_tail).then_some(term);
                 return Some(Err(e));
             }
-            cells.extend_from_slice(&self.upper);
+            if let Some(cells) = cells {
+                cells.extend_from_slice(&self.upper);
+            }
         }
         Some(Ok(term))
     }
@@ -466,6 +508,29 @@ mod tests {
             got.push(term.ok().map(|term| (term, cells.clone())));
         }
         assert!(scan.next_into(&mut cells).is_none());
+        got
+    }
+
+    /// Everything a stream yields when it steps past the entries of the
+    /// terms `skip` picks: per entry its term and its cells (none for a
+    /// skipped one), `None` for an error. Each returned term is the one
+    /// `peek_term` showed before the call.
+    #[allow(clippy::type_complexity)]
+    fn drain_skipping(
+        mut scan: DeltaScan<'_>,
+        skip: impl Fn(TermId) -> bool,
+    ) -> Vec<Option<(TermId, Option<Vec<ICell>>)>> {
+        let (mut cells, mut got) = (Vec::new(), Vec::new());
+        while let Some(term) = scan.peek_term() {
+            let item = match skip(term) {
+                true => DeltaScan::skip(&mut scan).map(|r| r.map(|t| (t, None))),
+                false => (scan.next_into(&mut cells)).map(|r| r.map(|t| (t, Some(cells.clone())))),
+            };
+            let item = item.expect("a peeked entry is there").ok();
+            assert!(item.as_ref().is_none_or(|(t, _)| *t == term));
+            got.push(item);
+        }
+        assert!(DeltaScan::skip(&mut scan).is_none() && scan.next_into(&mut cells).is_none());
         got
     }
 
@@ -660,7 +725,9 @@ mod tests {
         /// term, and any term interval of it into that merge's entries in
         /// the interval; after random bit flips in the base and flushed
         /// files the whole range yields the oracle's errors and entries,
-        /// and with no overlay the base's own.
+        /// and with no overlay the base's own. A stream that skips the
+        /// entries of random terms yields the same terms and errors from
+        /// the same page reads.
         #[test]
         fn over_matches_the_layer_oracle(
             base in layer(),
@@ -669,7 +736,8 @@ mod tests {
             flips in prop::collection::vec((prop::bool::ANY, 0u64..64, 0u64..4096), 0..4),
             lo in 0u32..45,
             hi in 0u32..45,
-            bounded: bool
+            bounded: bool,
+            skips in 0u64..u64::MAX
         ) {
             let disk = Arc::new(DiskSim::new(32));
             let number = |from: usize, layer: &[BTreeMap<u32, u16>]| -> Vec<(u32, Document)> {
@@ -705,10 +773,23 @@ mod tests {
                     disk.flip_bit(inv.file(), page % inv.num_pages(), bit).unwrap();
                 }
             }
-            let got = drain(whole(&base_inv, Some(&overlay)));
-            prop_assert_eq!(got, over_oracle(&base_inv, &overlay));
-            let alone = drain(whole(&base_inv, None));
-            prop_assert_eq!(alone, over_oracle(&base_inv, &PRISTINE));
+            let skip = |t: TermId| skips >> (t.raw() % 64) & 1 == 1;
+            for overlay in [Some(&overlay), None] {
+                disk.reset_stats();
+                disk.reset_head();
+                let got = drain(whole(&base_inv, overlay));
+                let read = disk.stats();
+                prop_assert_eq!(&got, &over_oracle(&base_inv, overlay.unwrap_or(&PRISTINE)));
+                disk.reset_stats();
+                disk.reset_head();
+                let skipping = drain_skipping(whole(&base_inv, overlay), skip);
+                prop_assert_eq!(disk.stats(), read);
+                let want: Vec<_> = got
+                    .into_iter()
+                    .map(|e| e.map(|(t, c)| (t, (!skip(t)).then_some(c))))
+                    .collect();
+                prop_assert_eq!(skipping, want);
+            }
         }
 
         /// The stream yields the oracle's entries through one reused

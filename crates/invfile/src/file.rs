@@ -345,13 +345,26 @@ impl EntryScanner<'_> {
     /// range. After an error `cells` is unspecified and the scan continues
     /// with the following entry.
     pub fn next_into(&mut self, cells: &mut Vec<ICell>) -> Option<Result<TermId>> {
+        let meta = self.take()?;
+        let bytes = self.reader.record(meta.span);
+        Some(bytes.and_then(|b| self.inv.codec.decode_into(b, cells).map(|()| meta.term)))
+    }
+
+    /// Steps past the next entry without decoding it and returns its term;
+    /// `None` at the end of the range. It reads the pages
+    /// [`next_into`](Self::next_into) would and fails where its read would.
+    pub fn skip(&mut self) -> Option<Result<TermId>> {
+        let meta = self.take()?;
+        Some(self.reader.skip(meta.span).map(|()| meta.term))
+    }
+
+    /// The next entry's directory record, moving past it.
+    fn take(&mut self) -> Option<EntryMeta> {
         if self.next_ordinal >= self.end_ordinal {
             return None;
         }
-        let meta = *self.inv.meta(self.next_ordinal);
         self.next_ordinal += 1;
-        let bytes = self.reader.record(meta.span);
-        Some(bytes.and_then(|b| self.inv.codec.decode_into(b, cells).map(|()| meta.term)))
+        Some(*self.inv.meta(self.next_ordinal - 1))
     }
 }
 

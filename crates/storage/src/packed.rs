@@ -99,14 +99,18 @@ pub fn record<'a>(pages: &'a [Arc<[u8]>], span: ByteSpan, scratch: &'a mut Vec<u
 /// [`Prefetcher`], each page once.
 ///
 /// A record inside one page is lent straight from that page, with no copy;
-/// the reader keeps the page so that the borrow has an owner. (The next
-/// record usually starts on the same page: the prefetcher holds the page
-/// demanded last and hands it out again without I/O.)
+/// the reader keeps the page, by number, so that the borrow has an owner.
+/// The next record usually starts on the same page, and then it is lent
+/// from the held page without asking the prefetcher, which would hand out
+/// that page again without I/O.
 pub struct PackedReader<'d> {
     prefetcher: Prefetcher<'d>,
     page_size: usize,
     /// The page the last in-page record was lent from.
-    page: Option<Arc<[u8]>>,
+    page: Arc<[u8]>,
+    /// `page`'s number while it is the page the prefetcher demanded last:
+    /// forgotten on a failed demand and after a record across pages.
+    held: Option<u64>,
     /// The bytes of a record that crosses pages.
     scratch: Vec<u8>,
 }
@@ -123,7 +127,8 @@ impl<'d> PackedReader<'d> {
         Self {
             prefetcher: Prefetcher::new(disk, file, end_page).with_metrics(metrics),
             page_size: disk.page_size(),
-            page: None,
+            page: Arc::from([]),
+            held: None,
             scratch: Vec::new(),
         }
     }
@@ -141,9 +146,10 @@ impl<'d> PackedReader<'d> {
         let offset = (span.offset % self.page_size as u64) as usize;
         let len = span.len as usize;
         if n == 1 {
-            let page = self.page.insert(self.prefetcher.get(first)?);
+            let page = self.hold(first)?;
             return Ok(&page[offset..offset + len]);
         }
+        self.held = None;
         self.scratch.clear();
         for page_no in first..first + n {
             let page = self.prefetcher.get(page_no)?;
@@ -152,6 +158,29 @@ impl<'d> PackedReader<'d> {
             self.scratch.extend_from_slice(&page[from..from + take]);
         }
         Ok(&self.scratch)
+    }
+
+    /// Steps past the record at `span` without copying it: the same pages
+    /// are demanded as [`record`](Self::record) would demand, in the same
+    /// order, and the same read errors come back.
+    pub fn skip(&mut self, span: ByteSpan) -> Result<()> {
+        let (first, n) = span.page_range(self.page_size);
+        if n == 1 {
+            return self.hold(first).map(drop);
+        }
+        self.held = None;
+        (first..first + n).try_for_each(|page_no| self.prefetcher.get(page_no).map(drop))
+    }
+
+    /// Page `page_no`, held: lent again when it is the page already held,
+    /// demanded from the prefetcher otherwise.
+    fn hold(&mut self, page_no: u64) -> Result<&[u8]> {
+        if self.held != Some(page_no) {
+            self.held = None;
+            self.page = self.prefetcher.get(page_no)?;
+            self.held = Some(page_no);
+        }
+        Ok(&self.page)
     }
 }
 
@@ -174,16 +203,19 @@ mod tests {
         /// contiguous, every record comes back in order through the reader
         /// and at random through `record`, the ordered pass reads each page
         /// once, an in-page record is lent from the page itself, and a
-        /// failed read costs the reader one record.
+        /// failed read costs the reader one record. A pass that skips some
+        /// of the records demands what reading them all does: the same
+        /// disk and readahead counters, the same record lost to a fault.
         #[test]
         fn records_round_trip_in_order_and_at_random(
             page_size in 64usize..=512,
-            shapes in proptest::collection::vec((0u8..6, 0usize..10_000), 0..40),
+            shapes in proptest::collection::vec((0u8..6, 0usize..10_000, proptest::bool::ANY), 0..40),
             faulty in 0u64..10_000,
         ) {
+            let skipped: Vec<bool> = shapes.iter().map(|&(.., skip)| skip).collect();
             let lens: Vec<usize> = shapes
                 .iter()
-                .map(|&(kind, raw)| match kind {
+                .map(|&(kind, raw, _)| match kind {
                     0 => 0,
                     1 => page_size,
                     2 => 2 * page_size,
@@ -228,6 +260,20 @@ mod tests {
                 prop_assert!(page.start <= bytes.start && bytes.end <= page.end, "copied");
             }
 
+            // In order, stepping past a random subset: the same I/O.
+            disk.reset_stats();
+            disk.reset_head();
+            let mut skipper = PackedReader::new(&disk, file, num_pages, None);
+            for (i, &span) in spans.iter().enumerate() {
+                if skipped[i] {
+                    skipper.skip(span).unwrap();
+                } else {
+                    prop_assert_eq!(skipper.record(span).unwrap(), &payload(i, lens[i])[..]);
+                }
+            }
+            prop_assert_eq!(disk.stats(), stats);
+            prop_assert_eq!(skipper.prefetch_stats(), reader.prefetch_stats());
+
             // At random: each record out of the run its span overlaps.
             let mut scratch = Vec::new();
             for i in (0..spans.len()).rev().step_by(3).chain(0..spans.len()) {
@@ -237,19 +283,29 @@ mod tests {
                 prop_assert_eq!(bytes, &payload(i, lens[i])[..], "record {}", i);
             }
 
-            // One page fails once: the scan loses one record, no more.
+            // One page fails once: the scan loses one record, no more, and
+            // the skipping scan loses the same one.
             if num_pages > 0 {
                 let fault = FaultKind::TransientRead { failures: READ_ATTEMPTS };
-                disk.set_fault_plan(FaultPlan::new().with_fault(file, faulty % num_pages, 0, fault));
-                let mut reader = PackedReader::new(&disk, file, num_pages, None);
-                let mut lost = 0;
-                for (i, &span) in spans.iter().enumerate() {
-                    match reader.record(span) {
-                        Ok(bytes) => prop_assert_eq!(bytes, &payload(i, lens[i])[..]),
-                        Err(_) => lost += 1,
+                let plan = || FaultPlan::new().with_fault(file, faulty % num_pages, 0, fault);
+                let mut lost = [Vec::new(), Vec::new()];
+                for (skipping, lost) in [false, true].into_iter().zip(&mut lost) {
+                    disk.set_fault_plan(plan());
+                    let mut reader = PackedReader::new(&disk, file, num_pages, None);
+                    for (i, &span) in spans.iter().enumerate() {
+                        let read = match skipping && skipped[i] {
+                            true => reader.skip(span),
+                            false => reader.record(span).map(|bytes| {
+                                assert_eq!(bytes, &payload(i, lens[i])[..], "record {i}");
+                            }),
+                        };
+                        if read.is_err() {
+                            lost.push(i);
+                        }
                     }
                 }
-                prop_assert_eq!(lost, 1);
+                prop_assert_eq!(lost[0].len(), 1);
+                prop_assert_eq!(&lost[0], &lost[1]);
             }
         }
     }
