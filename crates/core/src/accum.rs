@@ -15,17 +15,21 @@
 //! **What the tracker prices and what a row holds.** The paper budgets 4
 //! bytes per *non-zero* pair (`SM = 4·δ·N1·N2/P`), and that is all the
 //! [`MemTracker`](textjoin_storage::MemTracker) is ever charged: per
-//! applied entry, the cells about to become non-zero are counted, charged
-//! in one call, then added — the same total, failure condition and
-//! high-water as a charge per pair, so the ledger alone decides passes and
-//! evictions. A flat row really holds 8 bytes and one seen-bit per
-//! *possible* pair, which the ledger does not see; rows are therefore flat
-//! only while `slots · width · 8 ≤ 4·B·P`
+//! applied entry, the cells it makes non-zero are counted as they are
+//! added and charged in one call after the adds — the same total, failure
+//! condition and high-water as a charge per pair, so the ledger alone
+//! decides passes and evictions. A refused charge leaves its entry's sums
+//! in the row uncharged, and that is sound because no caller uses rows
+//! whose charge was refused: HVNL's error ends the run, and VVM drops the
+//! failed part's rows and runs the pass again on fresh ones
+//! (`vvm::Merging::pass`). A flat row really holds 8 bytes and one
+//! seen-bit per *possible* pair, which the ledger does not see; rows are
+//! therefore flat only while `slots · width · 8 ≤ 4·B·P`
 //! ([`FLAT_BUDGETS`] buffers' worth), decided once from the inputs, and
 //! each row is a `HashMap` otherwise.
 //!
 //! **Why a flat add needs no branch.** A flat sum whose seen-bit is clear
-//! is `+0.0` (growth zero-fills, reset zeroes what it clears), so an add
+//! is `+0.0` (growth zero-fills, a drain takes what it clears), so an add
 //! sets the bit and adds, touched or not. A pair's first add is then
 //! `+0.0 + v`, which has the bits of `v` for every `v` but `−0.0`, and no
 //! step adds `−0.0`: a value is `u·w·factor` with `u16` weights and
@@ -189,10 +193,10 @@ impl InnerMask {
 
 /// One outer document's sums by inner document number. A flat row keeps a
 /// seen-bit per number beside the sums, so a sum of `0.0`, an infinity or a
-/// NaN is still a touched cell; the bits drive emit, fold and reset, and a
-/// sum is only ever read under a set bit. A flat sum without its bit is
-/// `+0.0`: growth zero-fills, and reset zeroes the sums under the bits it
-/// clears.
+/// NaN is still a touched cell; the bits drive the fresh count, fold and
+/// drain, and a sum is only ever read under a set bit. A flat sum without
+/// its bit is `+0.0`: growth zero-fills, and a drain takes the sums under
+/// the bits it clears.
 enum Row {
     Flat { sums: Vec<f64>, seen: Vec<u64> },
     Sparse(HashMap<u32, f64>),
@@ -211,32 +215,34 @@ impl Row {
         }
     }
 
+    /// Adds each `(d, value)` to document `d`'s sum (a flat row has room
+    /// for every `d`; an unseen flat sum is `+0.0`, see the module doc) and
+    /// returns how many of those sums were unseen.
     #[inline]
-    fn has(&self, d: u32) -> bool {
-        match self {
-            Row::Flat { seen, .. } => seen
-                .get(d as usize / 64)
-                .is_some_and(|w| w >> (d % 64) & 1 == 1),
-            Row::Sparse(map) => map.contains_key(&d),
-        }
-    }
-
-    /// Adds `value` to document `d`'s sum (a flat row has room for `d`;
-    /// an unseen flat sum is `+0.0`, see the module doc).
-    #[inline]
-    fn add(&mut self, d: u32, value: f64) {
+    fn add_all(&mut self, adds: impl IntoIterator<Item = (u32, f64)>) -> u64 {
+        let mut fresh = 0;
         match self {
             Row::Flat { sums, seen } => {
-                seen[d as usize / 64] |= 1 << (d % 64);
-                sums[d as usize] += value;
-            }
-            Row::Sparse(map) => match map.entry(d) {
-                Entry::Occupied(mut e) => *e.get_mut() += value,
-                Entry::Vacant(e) => {
-                    e.insert(value);
+                for (d, value) in adds {
+                    let (word, bit) = (&mut seen[d as usize / 64], 1 << (d % 64));
+                    fresh += u64::from(*word & bit == 0);
+                    *word |= bit;
+                    sums[d as usize] += value;
                 }
-            },
+            }
+            Row::Sparse(map) => {
+                for (d, value) in adds {
+                    match map.entry(d) {
+                        Entry::Occupied(mut e) => *e.get_mut() += value,
+                        Entry::Vacant(e) => {
+                            fresh += 1;
+                            e.insert(value);
+                        }
+                    }
+                }
+            }
         }
+        fresh
     }
 
     fn for_each(&self, mut f: impl FnMut(u32, f64)) {
@@ -252,6 +258,24 @@ impl Row {
                 }
             }
             Row::Sparse(map) => map.iter().for_each(|(&d, &sum)| f(d, sum)),
+        }
+    }
+
+    /// Hands every touched `(d, sum)` to `f` and empties the row, keeping
+    /// its memory: each sum is taken, so a flat row is left all `+0.0`.
+    fn drain(&mut self, mut f: impl FnMut(u32, f64)) {
+        match self {
+            Row::Flat { sums, seen } => {
+                for (w, word) in seen.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        let d = w * 64 + bits.trailing_zeros() as usize;
+                        f(d as u32, std::mem::take(&mut sums[d]));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            Row::Sparse(map) => map.drain().for_each(|(d, sum)| f(d, sum)),
         }
     }
 }
@@ -316,8 +340,8 @@ impl Rows {
     /// the term with weight `outer.weight`, meets one inner entry of that
     /// term under the query's `factor`. Cells the query's mask or
     /// `exclude_self` rule out are skipped, and the pairs the rest create
-    /// are priced by `charge` before anything is added (HVNL's evicts from
-    /// its cache, VVM's charges its part's tracker). Only non-zero postings
+    /// are priced by `charge` once they are added (HVNL's evicts from its
+    /// cache, VVM's charges its part's tracker). Only non-zero postings
     /// are visited, so every applied cell is a similarity operation and a
     /// touched cell.
     #[allow(clippy::too_many_arguments)]
@@ -338,11 +362,13 @@ impl Rows {
         Ok(())
     }
 
-    /// Applies one entry (`cells`, ascending by document) to `slot`: every
-    /// cell that passes `mask` and is not `skip` advances its pair by
-    /// `outer_weight · w · factor`. The pairs this creates are counted
-    /// first and handed to `charge` as bytes in one call; nothing is added
-    /// if it refuses. Returns the cells applied.
+    /// Applies one entry (`cells`, ascending by document, each document
+    /// once) to `slot` in one walk: every cell that passes `mask` and is
+    /// not `skip` advances its pair by `outer_weight · w · factor`. The
+    /// pairs this creates are counted as they are added and handed to
+    /// `charge` as bytes in one call after the adds; if it refuses, the
+    /// rows are the caller's to drop (see the module doc). Returns the
+    /// cells applied.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply(
         &mut self,
@@ -359,19 +385,15 @@ impl Rows {
         };
         let pass = |c: &&ICell| Some(c.doc) != skip && mask.is_none_or(|m| m.allows(c.doc));
         let row = &mut self.rows[slot];
-        let (mut ops, mut fresh) = (0u64, 0u64);
-        for c in cells.iter().filter(pass) {
+        row.grow((last.doc.raw() as usize + 1).max(self.width));
+        let (outer_weight, mut ops) = (outer_weight as f64, 0u64);
+        let fresh = row.add_all(cells.iter().filter(pass).map(|c| {
             ops += 1;
-            fresh += u64::from(!row.has(c.doc.raw()));
-        }
+            (c.doc.raw(), outer_weight * c.weight as f64 * factor)
+        }));
         if fresh > 0 {
             charge(fresh * ACC_BYTES)?;
             self.charged[slot] += fresh * ACC_BYTES;
-        }
-        row.grow((last.doc.raw() as usize + 1).max(self.width));
-        let outer_weight = outer_weight as f64;
-        for c in cells.iter().filter(pass) {
-            row.add(c.doc.raw(), outer_weight * c.weight as f64 * factor);
         }
         Ok(ops)
     }
@@ -383,7 +405,7 @@ impl Rows {
         for (dst, src) in self.rows.iter_mut().zip(&other.rows) {
             src.for_each(|d, sum| {
                 dst.grow((d as usize + 1).max(self.width));
-                dst.add(d, sum);
+                dst.add_all([(d, sum)]);
             });
         }
     }
@@ -391,8 +413,8 @@ impl Rows {
     /// Emits the resident chunk (slot `k` holds `chunk[k]`) into `out`: per
     /// outer document one λ-heap over its row, ties broken by document id,
     /// so any executor emitting from equal sums produces identical rows.
-    /// Then empties the slots and releases to `tracker` what their pairs
-    /// were charged.
+    /// Each row is drained as it is offered, which leaves its slot empty,
+    /// and what the slots' pairs were charged is released to `tracker`.
     pub(crate) fn emit(
         &mut self,
         chunk: &[DocId],
@@ -403,7 +425,7 @@ impl Rows {
         let mut bytes = 0;
         for (slot, &outer_id) in chunk.iter().enumerate() {
             let mut topk = TopK::new(spec.query.lambda);
-            self.rows[slot].for_each(|inner_raw, sum| {
+            self.rows[slot].drain(|inner_raw, sum| {
                 let inner_id = DocId::new(inner_raw);
                 let score = (spec.weighting).finalize(sum, || spec.norms(inner_id, outer_id));
                 if !score.is_zero() {
@@ -411,27 +433,9 @@ impl Rows {
                 }
             });
             out.push((outer_id, topk.into_matches()));
-            bytes += self.reset(slot);
+            bytes += std::mem::take(&mut self.charged[slot]);
         }
         tracker.release(bytes);
-    }
-
-    /// Empties `slot` for the next outer document, keeping its memory, and
-    /// returns the bytes its pairs were charged (the caller releases them).
-    fn reset(&mut self, slot: usize) -> u64 {
-        match &mut self.rows[slot] {
-            Row::Flat { sums, seen } => {
-                for (w, word) in seen.iter_mut().enumerate() {
-                    let mut bits = std::mem::take(word);
-                    while bits != 0 {
-                        sums[w * 64 + bits.trailing_zeros() as usize] = 0.0;
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            Row::Sparse(map) => map.clear(),
-        }
-        std::mem::take(&mut self.charged[slot])
     }
 }
 
@@ -464,7 +468,16 @@ mod tests {
         Ok(())
     }
 
-    /// A reset slot's flat sums are all `+0.0`, bit for bit, whatever they
+    /// What [`Rows::emit`] does to a slot, without a spec: the pairs its
+    /// row hands over as it drains, and the bytes it releases.
+    fn drain(rows: &mut Rows, slot: usize) -> (Vec<(u32, u64)>, u64) {
+        let mut out = Vec::new();
+        rows.rows[slot].drain(|d, sum| out.push((d, sum.to_bits())));
+        out.sort_unstable();
+        (out, std::mem::take(&mut rows.charged[slot]))
+    }
+
+    /// A drained slot's flat sums are all `+0.0`, bit for bit, whatever they
     /// held: the next add to any of them is a first add.
     fn assert_zeroed(rows: &Rows, slot: usize) {
         if let Row::Flat { sums, seen } = &rows.rows[slot] {
@@ -504,17 +517,37 @@ mod tests {
         assert_eq!(seen[0], seen[1]);
     }
 
+    /// The charge comes after the adds, so a refused one leaves sums that
+    /// no caller keeps (see the module doc). What it asks for is what
+    /// counting first asked for: the entry's cells that pass the mask and
+    /// `exclude_self` and were not yet held, in one call.
     #[test]
-    fn a_refused_charge_adds_nothing() {
+    fn a_refused_charge_asks_for_what_a_count_first_asked() {
+        let mask = InnerMask::new(Some(&BTreeSet::from([4])), None).unwrap();
         for mut rows in arms() {
-            rows.apply(0, &cells(&[(1, 1)]), 1, 1.0, None, None, free)
+            let held = cells(&[(1, 1), (3, 2), (70, 1)]);
+            rows.apply(0, &held, 1, 1.0, Some(&mask), None, free)
                 .unwrap();
+            // 1 and 70 are held, 4 is masked out, 5 is the outer document
+            // itself: 2, 6 and 90 are the fresh pairs.
+            let entry = cells(&[(1, 1), (2, 1), (4, 1), (5, 1), (6, 1), (70, 1), (90, 1)]);
+            let skip = Some(DocId::new(5));
             let before = sums(&rows, 0);
-            let refuse = |_| Err(textjoin_common::Error::InvalidArgument("full".into()));
-            let entry = cells(&[(1, 1), (2, 1)]);
-            assert!(rows.apply(0, &entry, 1, 1.0, None, None, refuse).is_err());
-            assert_eq!(sums(&rows, 0), before);
-            assert_eq!(rows.charged(), ACC_BYTES);
+            let fresh = (entry.iter())
+                .filter(|c| Some(c.doc) != skip && mask.allows(c.doc))
+                .filter(|c| before.iter().all(|&(d, _)| d != c.doc.raw()))
+                .count() as u64;
+            assert_eq!(fresh, 3);
+            let mut asked = Vec::new();
+            let refuse = |bytes| {
+                asked.push(bytes);
+                Err(textjoin_common::Error::InvalidArgument("full".into()))
+            };
+            let refused = rows.apply(0, &entry, 1, 1.0, Some(&mask), skip, refuse);
+            assert!(refused.is_err());
+            assert_eq!(asked, [fresh * ACC_BYTES]);
+            // What was refused is not held.
+            assert_eq!(rows.charged(), 3 * ACC_BYTES);
         }
     }
 
@@ -540,7 +573,10 @@ mod tests {
             })
             .unwrap();
             assert_eq!(charged, 0);
-            assert_eq!(rows.reset(0), 2 * ACC_BYTES);
+            let (drained, bytes) = drain(&mut rows, 0);
+            assert_eq!((drained.len(), bytes), (2, 2 * ACC_BYTES));
+            assert!(f64::from_bits(drained[0].1).is_nan() && drained[0].0 == 5);
+            assert_eq!(drained[1], (6, f64::INFINITY.to_bits()));
             // The NaN and the ∞ are gone with their bits.
             assert_zeroed(&rows, 0);
         }
@@ -551,16 +587,18 @@ mod tests {
         }
     }
 
-    /// HVNL reuses one row for every outer document: after a reset no sum,
+    /// HVNL reuses one row for every outer document: after a drain no sum,
     /// no touched mark and no charge of the previous document is left.
     #[test]
-    fn reset_leaves_nothing_behind() {
+    fn a_drain_leaves_nothing_behind() {
         for mut rows in arms() {
             rows.apply(0, &cells(&[(2, 3), (40, 1)]), 2, 1.0, None, None, free)
                 .unwrap();
             rows.apply(1, &cells(&[(2, 1)]), 1, 1.0, None, None, free)
                 .unwrap();
-            assert_eq!(rows.reset(0), 2 * ACC_BYTES);
+            let f = |x: f64| x.to_bits();
+            let drained = (vec![(2, f(6.0)), (40, f(2.0))], 2 * ACC_BYTES);
+            assert_eq!(drain(&mut rows, 0), drained);
             assert!(sums(&rows, 0).is_empty());
             assert_zeroed(&rows, 0);
             assert_eq!(rows.charged(), ACC_BYTES, "slot 1 is untouched");

@@ -881,6 +881,28 @@ mod tests {
         }
     }
 
+    /// A step charges after its adds, and a refused charge still ends the
+    /// run with the error that counting first ended it with: the same
+    /// request against the same room, pinned from the two-walk step.
+    #[test]
+    fn a_refused_step_ends_the_run_with_the_parents_error() {
+        let (_, c1, c2, inv, _, _) = fixture(60, 10, 30.0, 40, 128);
+        for (buffer_pages, required_pages) in [(8, 10), (11, 13)] {
+            let sys = SystemParams {
+                buffer_pages,
+                page_size: 128,
+                alpha: 5.0,
+            };
+            let spec = JoinSpec::new(&c1, &c2).with_sys(sys);
+            let refused = textjoin_common::Error::InsufficientMemory {
+                context: "HVNL similarity accumulators".into(),
+                required_pages,
+                available_pages: buffer_pages,
+            };
+            assert_eq!(execute(&spec, &inv).err(), Some(refused));
+        }
+    }
+
     #[test]
     fn large_cache_fetches_each_needed_entry_once() {
         let (_, c1, c2, inv, _, _) = fixture(30, 20, 10.0, 80, 256);

@@ -38,6 +38,9 @@ impl PartialOrd for Candidate {
 #[derive(Debug)]
 pub struct TopK {
     k: usize,
+    /// The worst kept score once the heap is full, −∞ before: a score
+    /// strictly below it loses under `(score, doc)` whatever its document.
+    floor: f64,
     /// Min-heap via `Reverse`: the root is the currently *worst* kept
     /// candidate.
     heap: BinaryHeap<std::cmp::Reverse<Candidate>>,
@@ -48,6 +51,7 @@ impl TopK {
     pub fn new(k: usize) -> Self {
         Self {
             k,
+            floor: f64::NEG_INFINITY,
             heap: BinaryHeap::with_capacity(k.saturating_add(1)),
         }
     }
@@ -76,24 +80,27 @@ impl TopK {
     }
 
     /// Offers a candidate; keeps it only if it beats the current worst (or
-    /// the collector is not yet full). Returns whether it was kept.
+    /// the collector is not yet full). Returns whether it was kept. A score
+    /// below the floor is turned away with one compare; a tie with it, and
+    /// `±0.0`, take the full `(score, doc)` compare.
     pub fn offer(&mut self, doc: DocId, score: Score) -> bool {
-        if self.k == 0 {
+        if score.value() < self.floor || self.k == 0 {
             return false;
         }
         let cand = Candidate { score, doc };
         if self.heap.len() < self.k {
             self.heap.push(std::cmp::Reverse(cand));
-            return true;
-        }
-        let worst = self.heap.peek().expect("heap is full").0;
-        if cand > worst {
-            self.heap.pop();
-            self.heap.push(std::cmp::Reverse(cand));
-            true
         } else {
-            false
+            let mut worst = self.heap.peek_mut().expect("heap is full");
+            if cand <= worst.0 {
+                return false;
+            }
+            *worst = std::cmp::Reverse(cand);
         }
+        if self.heap.len() == self.k {
+            self.floor = self.heap.peek().expect("heap is full").0.score.value();
+        }
+        true
     }
 
     /// The current worst kept score (`None` while not full): candidates at
@@ -268,6 +275,35 @@ mod tests {
                 per_shard.into_iter().map(TopK::into_matches).collect();
             let merged = merge_lists(lists.iter().map(Vec::as_slice), k);
             prop_assert_eq!(merged, single.into_matches());
+        }
+
+        /// The floor turns away only what the full compare would: over
+        /// offers with ties, `±0.0` and `±∞`, in any order, the kept are a
+        /// full sort by `(score desc, doc asc)` cut to `k`, to the bit.
+        #[test]
+        fn prop_the_floor_keeps_what_a_full_sort_keeps(
+            items in proptest::collection::vec((0u32..60, 0usize..8), 0..120),
+            k in 0usize..12,
+        ) {
+            const SCORES: [f64; 8] =
+                [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, f64::INFINITY];
+            let mut seen = std::collections::HashSet::new();
+            let items: Vec<(DocId, Score)> = (items.into_iter())
+                .filter(|(d, _)| seen.insert(*d))
+                .map(|(d, s)| (DocId::new(d), Score::new(SCORES[s])))
+                .collect();
+            let mut t = TopK::new(k);
+            for &(d, s) in &items {
+                t.offer(d, s);
+            }
+            let bits = |m: Vec<Match>| -> Vec<(DocId, u64)> {
+                m.iter().map(|m| (m.inner, m.score.value().to_bits())).collect()
+            };
+            let mut oracle: Vec<Match> =
+                items.iter().map(|&(inner, score)| Match { inner, score }).collect();
+            oracle.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.inner.cmp(&b.inner)));
+            oracle.truncate(k);
+            prop_assert_eq!(bits(t.into_matches()), bits(oracle));
         }
 
         #[test]

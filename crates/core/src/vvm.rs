@@ -320,7 +320,7 @@ impl MergePartial {
             let scan: &mut DeltaScan = side.peek_mut().expect("an entry was peeked");
             let read = match cells {
                 Some(cells) => scan.next_into(cells),
-                None => scan.skip(),
+                None => scan.step_past(),
             };
             match read {
                 Some(Err(e)) if spec0.skippable(&e) => {

@@ -15,6 +15,7 @@
 //! The inverted-file builder accepts either codec; entry spans are byte
 //! ranges, so nothing above the codec changes.
 
+use std::sync::Arc;
 use textjoin_common::{DocId, Error, ICell, Result, CELL_BYTES};
 
 /// How an inverted-file entry's i-cells are serialized.
@@ -72,42 +73,48 @@ impl PostingCodec {
     pub fn decode_into(&self, bytes: &[u8], cells: &mut Vec<ICell>) -> Result<()> {
         cells.clear();
         match self {
-            PostingCodec::Fixed5 => {
-                if !bytes.len().is_multiple_of(CELL_BYTES) {
-                    return Err(Error::Corrupt(
-                        "entry byte length not a multiple of the cell size".into(),
-                    ));
-                }
-                cells.extend(
-                    bytes
-                        .chunks_exact(CELL_BYTES)
-                        .map(|chunk| ICell::decode(chunk.try_into().expect("5-byte chunk"))),
-                );
-            }
+            PostingCodec::Fixed5 => cells.extend(fixed_cells(bytes)?),
             PostingCodec::VarintGap => {
-                let mut pos = 0usize;
-                let mut prev: Option<u32> = None;
+                let (mut pos, mut prev) = (0, None);
                 while pos < bytes.len() {
-                    let (gap, n) = read_varint(&bytes[pos..])?;
-                    pos += n;
-                    let (weight, n) = read_varint(&bytes[pos..])?;
-                    pos += n;
-                    let doc = match prev {
-                        None => gap as u32,
-                        Some(p) => p
-                            .checked_add(gap as u32)
-                            .and_then(|v| v.checked_add(1))
-                            .ok_or_else(|| Error::Corrupt("document gap overflow".into()))?,
-                    };
-                    prev = Some(doc);
-                    if weight > u16::MAX as u64 {
-                        return Err(Error::Corrupt("weight exceeds 16 bits".into()));
-                    }
-                    cells.push(ICell::new(DocId::new(doc), weight as u16));
+                    let cell = gap_cell(bytes, &mut pos, prev)?;
+                    prev = Some(cell.doc.raw());
+                    cells.push(cell);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Deserializes an entry of `n` cells (its directory's `doc_freq`)
+    /// into one shared slice of exactly that length, each cell decoded
+    /// where the slice keeps it: one allocation, no vector in between.
+    /// Fails where [`decode_into`](Self::decode_into) fails, and where a
+    /// varint entry does not hold exactly `n` cells.
+    pub(crate) fn decode_shared(&self, bytes: &[u8], n: usize) -> Result<Arc<[ICell]>> {
+        let PostingCodec::VarintGap = self else {
+            return Ok(fixed_cells(bytes)?.collect());
+        };
+        // A map over a range has an exact length, which the slice is
+        // allocated at; the first error is kept and the rest is filler.
+        let (mut pos, mut prev, mut failed) = (0, None, Ok(()));
+        let cells = (0..n)
+            .map(|_| {
+                let cell = gap_cell(bytes, &mut pos, prev);
+                prev = cell.as_ref().ok().map(|c| c.doc.raw());
+                cell.unwrap_or_else(|e| {
+                    if failed.is_ok() {
+                        failed = Err(e);
+                    }
+                    ICell::new(DocId::new(0), 0)
+                })
+            })
+            .collect();
+        failed?;
+        match pos == bytes.len() {
+            true => Ok(cells),
+            false => Err(Error::Corrupt("entry longer than its cell count".into())),
+        }
     }
 
     /// Serialized size of an entry in bytes, without materialising it.
@@ -142,6 +149,38 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// The cells of a [`PostingCodec::Fixed5`] entry, each decoded where it is
+/// consumed.
+fn fixed_cells(bytes: &[u8]) -> Result<impl Iterator<Item = ICell> + '_> {
+    if !bytes.len().is_multiple_of(CELL_BYTES) {
+        return Err(Error::Corrupt(
+            "entry byte length not a multiple of the cell size".into(),
+        ));
+    }
+    let cell = |chunk: &[u8]| ICell::decode(chunk.try_into().expect("5-byte chunk"));
+    Ok(bytes.chunks_exact(CELL_BYTES).map(cell))
+}
+
+/// The [`PostingCodec::VarintGap`] cell at `*pos`, after the cell of
+/// document `prev`; `pos` moves past it.
+fn gap_cell(bytes: &[u8], pos: &mut usize, prev: Option<u32>) -> Result<ICell> {
+    let (gap, n) = read_varint(&bytes[*pos..])?;
+    *pos += n;
+    let (weight, n) = read_varint(&bytes[*pos..])?;
+    *pos += n;
+    let doc = match prev {
+        None => gap as u32,
+        Some(p) => p
+            .checked_add(gap as u32)
+            .and_then(|v| v.checked_add(1))
+            .ok_or_else(|| Error::Corrupt("document gap overflow".into()))?,
+    };
+    if weight > u16::MAX as u64 {
+        return Err(Error::Corrupt("weight exceeds 16 bits".into()));
+    }
+    Ok(ICell::new(DocId::new(doc), weight as u16))
 }
 
 pub(crate) fn read_varint(bytes: &[u8]) -> Result<(u64, usize)> {
@@ -220,6 +259,15 @@ mod tests {
         write_varint(&mut bytes, 0);
         write_varint(&mut bytes, 1 << 20);
         assert!(PostingCodec::VarintGap.decode(&bytes).is_err());
+        // The shared decode fails where the vector one does, and where a
+        // varint entry holds fewer or more cells than its count.
+        let varint = PostingCodec::VarintGap;
+        assert!(PostingCodec::Fixed5.decode_shared(&[1, 2, 3], 0).is_err());
+        assert!(varint.decode_shared(&[0x80], 1).is_err());
+        assert!(varint.decode_shared(&bytes, 1).is_err());
+        let two = varint.encode(&cells(&[(3, 1), (9, 2)]));
+        assert!(varint.decode_shared(&two, 3).is_err());
+        assert!(varint.decode_shared(&two, 1).is_err());
     }
 
     #[test]
@@ -244,6 +292,8 @@ mod tests {
                 let bytes = codec.encode(&entry);
                 prop_assert_eq!(bytes.len(), codec.encoded_len(&entry));
                 prop_assert_eq!(codec.decode(&bytes).unwrap(), entry.clone());
+                let shared = codec.decode_shared(&bytes, entry.len()).unwrap();
+                prop_assert_eq!(&shared[..], &entry[..]);
             }
         }
 

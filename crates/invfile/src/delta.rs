@@ -271,7 +271,7 @@ impl DeltaOverlay {
         let mut cells = Vec::new();
         if let Some(f) = &self.flushed {
             if let Some(ordinal) = f.inv.find_term(term) {
-                cells = f.inv.read_entry(ordinal)?;
+                cells.extend_from_slice(&f.inv.read_entry(ordinal)?);
             }
         }
         let tail = self.tail_entries();
@@ -399,9 +399,9 @@ impl<'a> DeltaScan<'a> {
     /// term; `None` at the end. It reads the pages
     /// [`next_into`](Self::next_into) would and fails where it would. When
     /// the base's entry of a term fails, the next call yields the term's
-    /// upper layers; after a `skip` that call must be a `skip` too, as
+    /// upper layers; after a `step_past` that call must be a `step_past` too, as
     /// their cells were not read.
-    pub fn skip(&mut self) -> Option<Result<TermId>> {
+    pub fn step_past(&mut self) -> Option<Result<TermId>> {
         self.advance(None)
     }
 
@@ -410,7 +410,7 @@ impl<'a> DeltaScan<'a> {
     fn advance(&mut self, mut cells: Option<&mut Vec<ICell>>) -> Option<Result<TermId>> {
         let read = |scan: &mut EntryScanner, cells: Option<&mut Vec<ICell>>| match cells {
             Some(cells) => scan.next_into(cells),
-            None => scan.skip(),
+            None => scan.step_past(),
         };
         if let Some(term) = self.held.take() {
             if let Some(cells) = cells {
@@ -523,14 +523,14 @@ mod tests {
         let (mut cells, mut got) = (Vec::new(), Vec::new());
         while let Some(term) = scan.peek_term() {
             let item = match skip(term) {
-                true => DeltaScan::skip(&mut scan).map(|r| r.map(|t| (t, None))),
+                true => scan.step_past().map(|r| r.map(|t| (t, None))),
                 false => (scan.next_into(&mut cells)).map(|r| r.map(|t| (t, Some(cells.clone())))),
             };
             let item = item.expect("a peeked entry is there").ok();
             assert!(item.as_ref().is_none_or(|(t, _)| *t == term));
             got.push(item);
         }
-        assert!(DeltaScan::skip(&mut scan).is_none() && scan.next_into(&mut cells).is_none());
+        assert!(scan.step_past().is_none() && scan.next_into(&mut cells).is_none());
         got
     }
 
@@ -837,7 +837,7 @@ mod tests {
         let flushed = |term| {
             let f = overlay.flushed();
             let ordinal = f.and_then(|f| Some((f, f.inv.find_term(term)?)));
-            ordinal.map_or_else(Vec::new, |(f, o)| f.inv.read_entry(o).unwrap())
+            ordinal.map_or_else(Vec::new, |(f, o)| f.inv.read_entry(o).unwrap().to_vec())
         };
         let tail = tail_map(overlay);
         for term in (0..12).map(TermId::new) {

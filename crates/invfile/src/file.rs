@@ -247,15 +247,15 @@ impl InvertedFile {
     }
 
     /// Fetches one entry at the random-I/O rate (`⌈J⌉·α`): the access
-    /// pattern of HVNL (section 5.2).
-    pub fn read_entry(&self, ordinal: u32) -> Result<Vec<ICell>> {
-        let span = self.meta(ordinal).span;
-        let (first, n) = span.page_range(self.disk.page_size());
+    /// pattern of HVNL (section 5.2). Its cells are decoded straight into
+    /// the shared slice a cache keeps, allocated once at the entry's length.
+    pub fn read_entry(&self, ordinal: u32) -> Result<Arc<[ICell]>> {
+        let meta = self.meta(ordinal);
+        let (first, n) = meta.span.page_range(self.disk.page_size());
         let pages = self.disk.read_run(self.file, first, n)?;
-        let (mut scratch, mut cells) = (Vec::new(), Vec::new());
-        let bytes = packed::record(&pages, span, &mut scratch);
-        self.codec.decode_into(bytes, &mut cells)?;
-        Ok(cells)
+        let mut scratch = Vec::new();
+        let bytes = packed::record(&pages, meta.span, &mut scratch);
+        self.codec.decode_shared(bytes, meta.doc_freq as usize)
     }
 
     /// Scans the whole inverted file sequentially in term order — the
@@ -353,9 +353,9 @@ impl EntryScanner<'_> {
     /// Steps past the next entry without decoding it and returns its term;
     /// `None` at the end of the range. It reads the pages
     /// [`next_into`](Self::next_into) would and fails where its read would.
-    pub fn skip(&mut self) -> Option<Result<TermId>> {
+    pub fn step_past(&mut self) -> Option<Result<TermId>> {
         let meta = self.take()?;
-        Some(self.reader.skip(meta.span).map(|()| meta.term))
+        Some(self.reader.step_past(meta.span).map(|()| meta.term))
     }
 
     /// The next entry's directory record, moving past it.

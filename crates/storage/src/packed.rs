@@ -163,7 +163,7 @@ impl<'d> PackedReader<'d> {
     /// Steps past the record at `span` without copying it: the same pages
     /// are demanded as [`record`](Self::record) would demand, in the same
     /// order, and the same read errors come back.
-    pub fn skip(&mut self, span: ByteSpan) -> Result<()> {
+    pub fn step_past(&mut self, span: ByteSpan) -> Result<()> {
         let (first, n) = span.page_range(self.page_size);
         if n == 1 {
             return self.hold(first).map(drop);
@@ -266,7 +266,7 @@ mod tests {
             let mut skipper = PackedReader::new(&disk, file, num_pages, None);
             for (i, &span) in spans.iter().enumerate() {
                 if skipped[i] {
-                    skipper.skip(span).unwrap();
+                    skipper.step_past(span).unwrap();
                 } else {
                     prop_assert_eq!(skipper.record(span).unwrap(), &payload(i, lens[i])[..]);
                 }
@@ -294,7 +294,7 @@ mod tests {
                     let mut reader = PackedReader::new(&disk, file, num_pages, None);
                     for (i, &span) in spans.iter().enumerate() {
                         let read = match skipping && skipped[i] {
-                            true => reader.skip(span),
+                            true => reader.step_past(span),
                             false => reader.record(span).map(|bytes| {
                                 assert_eq!(bytes, &payload(i, lens[i])[..], "record {i}");
                             }),
