@@ -13,14 +13,14 @@
 //! | VVM  | [`ROW_MATCH_NS`] | i-cells of both inverted files at stored size ([`ICELL_NS`]) |
 //! | HVNL | [`ROW_MATCH_NS`] | one dictionary-and-cache lookup per outer cell ([`LOOKUP_NS`]), i-cells of the entries read from disk ([`ICELL_NS`]); one pass |
 //!
-//! The prices are constants of this build. The document-at-a-time three
-//! were refitted on `BENCH_24.json` / `BENCH_24.trace.json` (seed 1) when
-//! the round index stopped searching for a key and started addressing it
-//! (they had been 11.6 / 30 / 36); the term-at-a-time three stand as
-//! fitted on `BENCH_21*.json`. Both fits were checked on seed 2; DESIGN.md
-//! §3 lists each price with the numbers it came from. [`Prices`] joins
-//! them to the device's two page prices, and [`crate::rank`] orders the
-//! algorithms by `page_ns · pages + cpu_ns`.
+//! The prices are constants of this build, fitted together with the
+//! storage crate's `READ_NS_PER_BYTE` on the forced-join times of
+//! `benchmark/` (four joins on four workloads, seed 1) once the CRC, the
+//! round index and the term-at-a-time loop had each got faster than the
+//! prices they were fitted under; the fit was checked on seeds 2 and 3.
+//! DESIGN.md §3 lists each price with the numbers it came from. [`Prices`]
+//! joins them to the device's two page prices, and [`crate::rank`] orders
+//! the algorithms by `page_ns · pages + cpu_ns`.
 
 use crate::inputs::JoinInputs;
 use crate::integrated::Algorithm;
@@ -28,30 +28,30 @@ use crate::{fnl, hhnl, hvnl, vvm};
 
 /// One cell pair multiplied and added by a document-at-a-time loop (HHNL,
 /// FNL): a posting of the round index met by a streamed inner cell.
-pub const MATCH_NS: f64 = 10.5;
+pub const MATCH_NS: f64 = 12.0;
 
-/// One cell pair in a term-at-a-time loop (VVM, HVNL): `Rows::apply` walks
-/// an entry twice — count the new pairs, charge them, then add — into a
-/// row `N1` wide.
-pub const ROW_MATCH_NS: f64 = 15.6;
+/// One cell pair in a term-at-a-time loop (VVM, HVNL): `Rows::apply` adds
+/// an entry into a row `N1` wide in one walk, counting the fresh pairs
+/// from the row's seen-bits as it adds.
+pub const ROW_MATCH_NS: f64 = 9.6;
 
 /// One streamed inner d-cell decoded and addressed in the round index.
-pub const PROBE_CELL_NS: f64 = 10.0;
+pub const PROBE_CELL_NS: f64 = 13.0;
 
 /// One streamed signature cell: gap-decoded, then addressed by rank.
-pub const SIGNATURE_CELL_NS: f64 = 16.0;
+pub const SIGNATURE_CELL_NS: f64 = 20.0;
 
 /// One inverted-file cell decoded, in a merge scan or a fetched entry.
-pub const ICELL_NS: f64 = 5.0;
+pub const ICELL_NS: f64 = 2.5;
 
-/// One outer cell's term resolved by HVNL: dictionary search plus entry
-/// cache probe. 400 is the fit from when the cache was a hash map keyed by
-/// term, probed five times per cell; keyed by dictionary ordinal, a cell
-/// costs one search and a few array indexings (EXPERIMENTS.md measures
-/// it). The price is kept on purpose: refitting one price alone reorders
-/// the ranking, so it is refitted together with the storage crate's
-/// `READ_NS_PER_BYTE`.
-pub const LOOKUP_NS: f64 = 400.0;
+/// One outer cell's term resolved by HVNL: a dictionary search, an entry
+/// cache probe and, when the entry is not cached, what a fetch costs
+/// beyond its pages and cells. What HVNL's time leaves over its matches,
+/// cells and pages is ≈ 150 ns a lookup on `selective` and ≈ 740 on
+/// `churn`, where entries are fetched; on `fits`, where every entry is
+/// preloaded, it is below zero, so this price cannot order HVNL against
+/// VVM there.
+pub const LOOKUP_NS: f64 = 300.0;
 
 /// What a page and a unit of each loop's work cost, in nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -188,7 +188,7 @@ mod tests {
     fn zero_prices_cost_nothing_and_built_in_prices_follow_the_table() {
         let i = selective();
         let free = Prices::pages_only(5.0);
-        let built_in = Prices::on_device(1843.0, 1843.0);
+        let built_in = Prices::on_device(205.0, 205.0);
         assert_eq!(built_in.alpha(), 1.0);
         assert_eq!(free.alpha(), 5.0);
         for a in Algorithm::ALL {
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn passes_multiply_what_is_scanned_not_the_matches() {
         let i = selective();
-        let p = Prices::on_device(1843.0, 1843.0);
+        let p = Prices::on_device(205.0, 205.0);
         let tight = JoinInputs {
             sys: i.sys.with_buffer_pages(3),
             ..i

@@ -4,10 +4,13 @@
 //! the choice is a vertical algorithm while pages are nearly free and
 //! moves toward the fewest-pages algorithm — never back — as the device
 //! makes pages dearer; (c) on a `spills`-shaped pair the measured δ bound
-//! predicts VVM's merge passes and keeps the planner off VVM; (d) the
+//! predicts VVM's merge passes, whose pages and rescans put VVM level with
+//! HHNL and ahead of FNL and HVNL, as the clock does; (d) the
 //! fallback chain follows the predicted-time order; (e) the profiles'
 //! match count is the brute-force `Σ df1·df2` and the δ it gives bounds
-//! the true density of non-zero pairs.
+//! the true density of non-zero pairs; (f) on `fits`' shape the built-in
+//! prices pick a term-at-a-time join while everything is resident and
+//! HHNL in a 64-page buffer.
 
 use proptest::prelude::*;
 use std::slice::from_ref;
@@ -229,7 +232,7 @@ fn the_choice_flips_toward_fewer_pages_as_pages_get_dearer() {
 /// the model's `SM` over what its reservation leaves: the two differ only
 /// in `M` (the model's average entries against the largest entries plus
 /// the λ-heap), so the merge passes are within one of the prediction. Its
-/// two time terms carry them, and the planner stays off it.
+/// two time terms carry them: each is dearer than the one-pass run's.
 #[test]
 fn measured_delta_prices_vvm_s_passes_under_memory_pressure() {
     let pair = Pair::build(1_000, 200, 6_000, 11);
@@ -253,8 +256,22 @@ fn measured_delta_prices_vvm_s_passes_under_memory_pressure() {
     });
     assert!(on_faith.unwrap() < predicted / 2.0);
 
+    // Timed in a release build, 41 interleaved runs a join on this
+    // fixture: VVM's median is 2 % under HHNL's, and FNL's and HVNL's are
+    // ≈ 1.4× theirs. The passes are priced, so the two fast joins lead
+    // and the two slow ones trail; the order within each pair is the
+    // prices' to make.
     let ranking = pair.front_door(&spec);
-    assert_ne!(ranking[0].algorithm, Algorithm::Vvm);
+    let order = ranking.map(|r| r.algorithm);
+    let (fast, slow) = order.split_at(2);
+    assert!(
+        fast.contains(&Algorithm::Hhnl) && fast.contains(&Algorithm::Vvm),
+        "{order:?}"
+    );
+    assert!(
+        slow.contains(&Algorithm::Fnl) && slow.contains(&Algorithm::Hvnl),
+        "{order:?}"
+    );
     let one_pass = rank(
         from_ref(&JoinInputs {
             sys: sys(4096),
@@ -319,4 +336,33 @@ fn fallbacks_follow_the_predicted_time_order() {
     });
     assert!(matches!(died, Err(Error::Corrupt(_))));
     assert_eq!(tried, order(&ranking));
+}
+
+/// (f) `fits`' shape, generated as the benchmark generates it. Resident
+/// in 4 096 pages, HVNL and VVM each take at most four fifths of HHNL's
+/// time, and the ranking must not pick HHNL. In 64 pages VVM's merge
+/// passes and HVNL's fetches cost more than HHNL's one scan, and it must.
+/// The ranking is a function of counts and the built-in prices, so each
+/// seed gives one answer.
+#[test]
+fn fits_shape_picks_the_join_the_clock_picks() {
+    for seed in [1, 2, 3] {
+        let pair = Pair::build(2_000, 400, 12_000, seed);
+        for (buffer_pages, want) in [
+            (4_096, &[Algorithm::Hvnl, Algorithm::Vvm][..]),
+            (64, &[Algorithm::Hhnl][..]),
+        ] {
+            let spec = JoinSpec::new(&pair.inner, &pair.outer)
+                .with_sys(sys(buffer_pages))
+                .with_query(QueryParams::paper_base().with_lambda(10));
+            let inputs = spec.cost_inputs().with_fnl(pair.fnl.stats());
+            let prices = device_prices(&pair.disk);
+            let (_, ranking) = rank(from_ref(&inputs), IoScenario::Dedicated, &prices, |_, c| c);
+            assert!(
+                want.contains(&ranking[0].algorithm),
+                "seed {seed}, B = {buffer_pages}: {:?}",
+                ranking.map(|r| r.algorithm)
+            );
+        }
+    }
 }
