@@ -696,7 +696,15 @@ mod tests {
              Where A.Resume SIMILAR_TO(2) P.Job_descr",
         )
         .unwrap();
-        let raw = plan_query(&c, &query, &paper_base()).unwrap();
+        // A profile ranks in pages; the seed profile is that ranking with
+        // no correction, so the fitted one below differs from it only in
+        // the factor it fits.
+        let seed = CalibrationProfile::seed();
+        let uncorrected = PlanOptions {
+            profile: Some(&seed),
+            ..paper_base()
+        };
+        let raw = plan_query(&c, &query, &uncorrected).unwrap();
         let baseline = execute(&c, &raw, &ExecOptions::default()).unwrap();
         assert_eq!(baseline.algorithm, raw.chosen);
         // Feedback says the raw runner-up costs 1000× what the model
